@@ -48,6 +48,6 @@ pub use log::{AuditLog, LogSegment};
 pub use record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef, OP_CODE_CHECKPOINT};
 pub use trail::{
     verify_tenant_trail, verify_tenant_trail_parallel, verify_tenant_trail_parallel_min_shard,
-    TrailError, VerifyPool, MIN_VERIFY_SHARD_BYTES,
+    TrailError, MIN_VERIFY_SHARD_BYTES,
 };
 pub use verifier::{FreshnessReport, PipelineSpec, VerificationReport, Verifier, Violation};

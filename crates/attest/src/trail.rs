@@ -16,7 +16,7 @@ use crate::columnar::decompress_records;
 use crate::log::LogSegment;
 use crate::record::AuditRecord;
 use sbt_crypto::{SigningKey, TenantKeychain};
-use sbt_types::TenantId;
+use sbt_types::{LanePool, LaneTask, TenantId};
 use std::sync::{Arc, Mutex};
 
 /// Why a tenant trail failed authentication.
@@ -258,21 +258,6 @@ fn stitch_trail(
 // Parallel verification
 // ---------------------------------------------------------------------------
 
-/// A worker pool the verifier may fan per-segment signature checks and
-/// decompression onto — the cloud-side mirror of the data plane's
-/// `IngestPool`: the engine's executor implements both, lending its worker
-/// threads without this crate depending on the engine.
-///
-/// `run` must execute every task to completion before returning (tasks may
-/// run on any thread, including the caller's — a helping join satisfies
-/// this). `workers() <= 1` keeps verification serial.
-pub trait VerifyPool: Send + Sync {
-    /// Worker threads available; `0` or `1` keeps verification serial.
-    fn workers(&self) -> usize;
-    /// Run the tasks to completion (barrier).
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>);
-}
-
 /// Heavy-work outcome for one segment, precomputed by a pool worker.
 struct SegmentHeavy {
     /// Whether the HMAC verified under the segment's epoch key. `false`
@@ -325,7 +310,7 @@ pub fn verify_tenant_trail_parallel(
     segments: &Arc<Vec<LogSegment>>,
     tenant: TenantId,
     keys: &TenantKeychain,
-    pool: &dyn VerifyPool,
+    pool: &dyn LanePool,
 ) -> Result<Vec<AuditRecord>, TrailError> {
     verify_tenant_trail_parallel_min_shard(segments, tenant, keys, pool, MIN_VERIFY_SHARD_BYTES)
 }
@@ -338,7 +323,7 @@ pub fn verify_tenant_trail_parallel_min_shard(
     segments: &Arc<Vec<LogSegment>>,
     tenant: TenantId,
     keys: &TenantKeychain,
-    pool: &dyn VerifyPool,
+    pool: &dyn LanePool,
     min_shard_bytes: usize,
 ) -> Result<Vec<AuditRecord>, TrailError> {
     let workers = pool.workers();
@@ -363,7 +348,7 @@ pub fn verify_tenant_trail_parallel_min_shard(
     let outcomes: Arc<Mutex<Vec<Option<SegmentHeavy>>>> =
         Arc::new(Mutex::new((0..segments.len()).map(|_| None).collect()));
     let keys = Arc::new(keys.clone());
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::with_capacity(shards);
+    let mut tasks: Vec<LaneTask> = Vec::with_capacity(shards);
     let mut start = 0usize;
     for shard in 0..shards {
         let len = segments.len() / shards + usize::from(shard < segments.len() % shards);
@@ -552,11 +537,11 @@ mod tests {
     /// the parallel verifier through its fan-out path deterministically.
     struct InlinePool(usize);
 
-    impl VerifyPool for InlinePool {
+    impl LanePool for InlinePool {
         fn workers(&self) -> usize {
             self.0
         }
-        fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+        fn run(&self, tasks: Vec<LaneTask>) {
             for t in tasks {
                 t();
             }

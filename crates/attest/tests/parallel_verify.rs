@@ -2,7 +2,7 @@
 //! identical to the serial verifier.
 //!
 //! The parallel verifier fans the per-segment heavy work (HMAC check,
-//! decompression) over a [`VerifyPool`] and keeps the stitching pass
+//! decompression) over a [`LanePool`] and keeps the stitching pass
 //! sequential. For any trail — arbitrary record mixes, any worker count,
 //! segments in either wire format, and every tamper class the serial
 //! verifier detects — both verifiers must return the same records or reject
@@ -13,10 +13,10 @@ use sbt_attest::record::PortList;
 use sbt_attest::{
     compress_records, compress_records_streaming, verify_tenant_trail,
     verify_tenant_trail_parallel, verify_tenant_trail_parallel_min_shard, AuditRecord, DataRef,
-    DepartureReason, LogSegment, TrailError, UArrayRef, VerifyPool,
+    DepartureReason, LogSegment, TrailError, UArrayRef,
 };
 use sbt_crypto::{SigningKey, TenantKeychain, VerifierKeySet};
-use sbt_types::{PrimitiveKind, TenantId};
+use sbt_types::{LanePool, LaneTask, PrimitiveKind, TenantId};
 use std::sync::Arc;
 
 /// Minimal conforming pool: every task on its own scoped thread, all joined
@@ -25,12 +25,12 @@ use std::sync::Arc;
 /// conforming pool, and attest cannot depend on the engine.
 struct ScopedPool(usize);
 
-impl VerifyPool for ScopedPool {
+impl LanePool for ScopedPool {
     fn workers(&self) -> usize {
         self.0
     }
 
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+    fn run(&self, tasks: Vec<LaneTask>) {
         std::thread::scope(|scope| {
             for task in tasks {
                 scope.spawn(task);
@@ -271,11 +271,11 @@ fn wrong_keychain_rejects_identically() {
 /// serial.
 struct PanicPool(usize);
 
-impl VerifyPool for PanicPool {
+impl LanePool for PanicPool {
     fn workers(&self) -> usize {
         self.0
     }
-    fn run(&self, _tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+    fn run(&self, _tasks: Vec<LaneTask>) {
         panic!("this trail must be verified serially, never fanned out");
     }
 }

@@ -4,6 +4,49 @@ use crate::sha256::{sha256, Sha256};
 
 const BLOCK_SIZE: usize = 64;
 
+/// An incremental HMAC-SHA-256 computation.
+///
+/// A fresh one holds the SHA-256 midstates after the inner and outer padded
+/// key blocks — the key's whole schedule, with no heap behind it. Keep it
+/// and `clone` it per message: every MAC then starts from a plain copy of
+/// the midstates, so a short message costs two compressions instead of the
+/// four that re-deriving the pads would.
+#[derive(Clone)]
+pub struct Hmac {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl Hmac {
+    /// Start a MAC under `key` (keys longer than the block size are hashed
+    /// first, per RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_SIZE];
+        if key.len() > BLOCK_SIZE {
+            key_block[..32].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        Hmac { inner, outer }
+    }
+
+    /// Absorb the next piece of the message: pieces MAC as their
+    /// concatenation.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
+
+    /// Finish and return the 32-byte MAC.
+    pub fn finalize(mut self) -> [u8; 32] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
+    }
+}
+
 /// Compute `HMAC-SHA-256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     hmac_sha256_parts(key, &[message])
@@ -11,37 +54,13 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 
 /// Compute `HMAC-SHA-256(key, concat(parts))` without materializing the
 /// concatenation: the incremental SHA-256 core absorbs each part in place.
-/// Identical to [`hmac_sha256`] over the concatenated bytes — callers that
-/// sign `header || payload` messages (audit segments) avoid copying the
-/// payload into a scratch buffer just to sign it.
+/// Identical to [`hmac_sha256`] over the concatenated bytes.
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    // Keys longer than the block size are hashed first.
-    let mut key_block = [0u8; BLOCK_SIZE];
-    if key.len() > BLOCK_SIZE {
-        let digest = sha256(key);
-        key_block[..32].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_SIZE];
-    let mut opad = [0x5cu8; BLOCK_SIZE];
-    for i in 0..BLOCK_SIZE {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
+    let mut mac = Hmac::new(key);
     for part in parts {
-        inner.update(part);
+        mac.update(part);
     }
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    mac.finalize()
 }
 
 /// Constant-length comparison of two MACs.
@@ -123,6 +142,22 @@ mod tests {
             }
         }
         assert_eq!(hmac_sha256_parts(b"split-key", &[]), hmac_sha256(b"split-key", b""));
+    }
+
+    #[test]
+    fn one_keyed_state_serves_many_incremental_macs() {
+        // The midstates are copied, never consumed: MACs cloned from one
+        // keyed state are independent and equal the one-shot function.
+        for key in [&b"k"[..], &[0xaa; 64], &[0xaa; 131]] {
+            let keyed = Hmac::new(key);
+            for msg in [&b""[..], b"Hi There", &[0xdd; 200]] {
+                let mut mac = keyed.clone();
+                for piece in msg.chunks(7) {
+                    mac.update(piece);
+                }
+                assert_eq!(mac.finalize(), hmac_sha256(key, msg));
+            }
+        }
     }
 
     #[test]

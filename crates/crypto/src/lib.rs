@@ -24,12 +24,12 @@ pub mod sign;
 
 pub use aes::Aes128;
 pub use ctr::{AesCtr, AesCtrCursor};
-pub use hmac::{hmac_sha256, hmac_sha256_parts};
+pub use hmac::{hmac_sha256, hmac_sha256_parts, Hmac};
 pub use kdf::{
     hkdf_expand, hkdf_extract, KeySet, MasterSecret, SealingKeySet, TenantKeychain, VerifierKeySet,
 };
 pub use sha256::{sha256, Sha256};
-pub use sign::{Signature, SigningKey};
+pub use sign::{Signature, Signer, SigningKey};
 
 /// A 128-bit symmetric key shared between sources, the edge TEE and the
 /// cloud consumer.

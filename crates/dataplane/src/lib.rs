@@ -40,10 +40,9 @@ pub mod snapshot;
 pub mod stats;
 pub mod store;
 
-pub use egress::EgressMessage;
+pub use egress::{EgressMessage, Sealer};
 pub use error::DataPlaneError;
 pub use opaque::OpaqueRef;
-pub use parallel::IngestPool;
 pub use params::{InvokeOutput, PrimitiveParams};
 pub use plane::{DataPlane, DataPlaneConfig, TenantMemory, TenantTeardown};
 pub use snapshot::{

@@ -4,9 +4,9 @@
 //! *after* the crossing — decrypting and parsing the payload into the
 //! reserved uArray — is embarrassingly parallel because AES-CTR is
 //! seekable. This module plans the split (CTR-block- and event-aligned
-//! **lanes**) and defines the [`IngestPool`] hook through which the control
-//! plane lends the data plane its worker threads without the data plane
-//! depending on the engine crate.
+//! **lanes**); the lanes run on the [`sbt_types::LanePool`] the control
+//! plane lends the data plane, so the data plane never depends on the
+//! engine crate.
 //!
 //! The paper's data plane is multithreaded inside the TEE (§4: the control
 //! plane maps pipeline parallelism onto data-plane threads); here the same
@@ -32,20 +32,6 @@ pub(crate) const WIRE_CHUNK: usize = 4080;
 /// `2 * MIN_LANE_CHUNKS` windows stay serial; the adaptive batcher's
 /// 100 K-event batches split into full-width lanes of ~36 windows each.
 pub(crate) const MIN_LANE_CHUNKS: usize = 4;
-
-/// An in-enclave worker pool the data plane may fan ingest lanes onto.
-///
-/// Implemented by the engine's executor and installed with
-/// [`DataPlane::set_ingest_pool`](crate::DataPlane::set_ingest_pool);
-/// without one, ingest stays serial. `run` must execute every task to
-/// completion before returning (tasks may run on any thread, including the
-/// caller's — a helping join satisfies this).
-pub trait IngestPool: Send + Sync {
-    /// Worker threads available; `0` or `1` keeps ingest serial.
-    fn workers(&self) -> usize;
-    /// Run the tasks to completion (barrier).
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>);
-}
 
 /// Split a payload of `payload_bytes` into at most `workers` lanes of
 /// whole [`WIRE_CHUNK`] windows: `(byte_offset, byte_len)` per lane,

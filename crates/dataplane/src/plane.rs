@@ -29,10 +29,10 @@
 //! [`TenantId::DEFAULT`], which is registered unconstrained at load time;
 //! the original single-tenant entry points delegate to it.
 
-use crate::egress::EgressMessage;
+use crate::egress::{EgressMessage, Sealer};
 use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
-use crate::parallel::{lane_plan, IngestPool, WIRE_CHUNK};
+use crate::parallel::{lane_plan, WIRE_CHUNK};
 use crate::params::{InvokeOutput, PrimitiveParams};
 use crate::snapshot::{
     seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, RestoredWindow,
@@ -45,7 +45,9 @@ use sbt_attest::{AuditLog, AuditRecord, DataRef, DepartureReason, LogSegment, UA
 use sbt_crypto::{AesCtr, Key128, KeySet, MasterSecret, Nonce, SigningKey, TenantKeychain};
 use sbt_primitives as prim;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, MetricsRegistry, SpanKind};
-use sbt_types::{Event, KeyValue, PowerEvent, PrimitiveKind, TenantId, Watermark, WindowId};
+use sbt_types::{
+    Event, KeyValue, LanePool, LaneTask, PowerEvent, PrimitiveKind, TenantId, Watermark, WindowId,
+};
 use sbt_tz::{Platform, WorldTracker};
 use sbt_uarray::{
     Allocator, AllocatorConfig, ConsumptionHint, DisjointWriter, HintSet, MemoryReport, TeePager,
@@ -175,9 +177,13 @@ pub struct DataPlane {
     /// counter registry, flight recorder. Disabled by default (hot paths
     /// pay one relaxed atomic load).
     telemetry: Arc<MetricsRegistry>,
-    /// Worker pool lent by the control plane for parallel in-enclave ingest
-    /// (lane decrypt/parse). `None` keeps ingest serial.
-    ingest_pool: RwLock<Option<Arc<dyn IngestPool>>>,
+    /// Worker pool lent by the control plane for in-enclave lanes (ingest
+    /// decrypt/parse, egress and checkpoint encrypt). `None` keeps all of
+    /// them serial.
+    ingest_pool: RwLock<Option<Arc<dyn LanePool>>>,
+    /// The streaming encrypt-then-MAC pipeline egress and checkpoints seal
+    /// through (owns the recycled staging buffers).
+    sealer: Sealer,
     /// Recycled lane buffers for [`DisjointWriter`]: each grows once to its
     /// high-water capacity, so steady-state parallel ingest allocates
     /// nothing beyond the destination extent.
@@ -215,6 +221,7 @@ impl DataPlane {
             stats,
             telemetry,
             ingest_pool: RwLock::new(None),
+            sealer: Sealer::new(),
             lane_buffers: Mutex::new(Vec::new()),
             start: Instant::now(),
             config,
@@ -430,7 +437,7 @@ impl DataPlane {
             windows.push(SnapshotWindow { win_no: w.win_no, left, right });
         }
         let next_uarray_id = self.alloc.lock().next_id.0;
-        let sealed = {
+        let plain = {
             let mut t = ts.lock();
             // Flush whatever is pending so the checkpoint record becomes a
             // segment of its own: the cursor names the segment right after
@@ -438,15 +445,12 @@ impl DataPlane {
             if let Some(seg) = t.audit.flush() {
                 t.segments.push(seg);
             }
-            let audit_cursor = t.audit.next_seq() + 1;
-            let ckpt_seq = t.next_ckpt_seq;
-            let epoch = t.keys.epoch;
-            let plain = SnapshotPlaintext {
+            SnapshotPlaintext {
                 tenant: tenant.0,
-                ckpt_seq,
-                epoch,
+                ckpt_seq: t.next_ckpt_seq,
+                epoch: t.keys.epoch,
                 retired_before: t.retired_before,
-                audit_cursor,
+                audit_cursor: t.audit.next_seq() + 1,
                 egress_seq: t.egress_seq,
                 events_ingested: t.events_ingested,
                 bytes_ingested: t.bytes_ingested,
@@ -454,12 +458,33 @@ impl DataPlane {
                 right_watermark_ms: manifest.right_watermark_ms,
                 next_unexecuted: manifest.next_unexecuted,
                 next_uarray_id,
-                windows: std::mem::take(&mut windows),
-            };
-            let (sealed, hash) = seal_snapshot(&self.config.master, &plain);
+                windows,
+            }
+        };
+        // The seal runs with the tenant unlocked: its lanes join by helping,
+        // and a helping thread may pick up any queued task.
+        let pool = self.ingest_pool.read().clone();
+        let (sealed, hash) =
+            seal_snapshot(&self.config.master, &plain, &self.sealer, pool.as_deref());
+        {
+            let mut t = ts.lock();
+            // The quiescent-point contract, checked: had anything of this
+            // tenant's run during the seal, the snapshot would no longer be
+            // the cut its cursor and counters describe.
+            if t.audit.pending_len() != 0
+                || t.audit.next_seq() + 1 != plain.audit_cursor
+                || t.next_ckpt_seq != plain.ckpt_seq
+                || t.keys.epoch != plain.epoch
+                || t.egress_seq != plain.egress_seq
+                || t.events_ingested != plain.events_ingested
+            {
+                return Err(DataPlaneError::BadArguments(
+                    "tenant was not quiescent during its checkpoint",
+                ));
+            }
             let record = AuditRecord::Checkpoint {
                 ts_ms: self.now_ms(),
-                seq: ckpt_seq,
+                seq: plain.ckpt_seq,
                 resumed: false,
                 hash,
             };
@@ -470,10 +495,9 @@ impl DataPlane {
             if let Some(seg) = t.audit.flush() {
                 t.segments.push(seg);
             }
-            t.next_ckpt_seq = ckpt_seq + 1;
-            t.last_ckpt_epoch = Some(epoch);
-            sealed
-        };
+            t.next_ckpt_seq = plain.ckpt_seq + 1;
+            t.last_ckpt_epoch = Some(plain.epoch);
+        }
         self.telemetry.note_checkpoint(tenant.0);
         self.telemetry.tracer().record(
             SpanKind::Checkpoint,
@@ -1029,15 +1053,16 @@ impl DataPlane {
         Ok(InvokeOutput { opaque, len, window: None })
     }
 
-    /// Install the worker pool parallel ingest fans lane tasks onto
-    /// (normally the engine's executor, lent when the engine is assembled).
-    pub fn set_ingest_pool(&self, pool: Arc<dyn IngestPool>) {
+    /// Install the worker pool that parallel ingest, egress sealing and
+    /// checkpoint sealing fan lane tasks onto (normally the engine's
+    /// executor, lent when the engine is assembled).
+    pub fn set_ingest_pool(&self, pool: Arc<dyn LanePool>) {
         *self.ingest_pool.write() = Some(pool);
     }
 
     /// Ingest a batch whose payload arrived as a shared buffer, decrypting
     /// and parsing its sub-ranges in parallel on the installed
-    /// [`IngestPool`].
+    /// [`LanePool`].
     ///
     /// Semantically identical to [`ingress_for`](DataPlane::ingress_for) —
     /// same checks, same all-or-nothing reservation, same audit record and
@@ -1087,7 +1112,7 @@ impl DataPlane {
         encrypted: bool,
         is_power: bool,
         keystream_block: u32,
-        pool: &dyn IngestPool,
+        pool: &dyn LanePool,
         lanes: &[(usize, usize)],
     ) -> Result<InvokeOutput, DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::ingress");
@@ -1123,7 +1148,7 @@ impl DataPlane {
         let decrypt_total = Arc::new(AtomicU64::new(0));
         let tracer = self.telemetry.tracer();
         let id = self.next_id();
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = lanes
+        let tasks: Vec<LaneTask> = lanes
             .iter()
             .enumerate()
             .map(|(ix, &(off, len))| {
@@ -1176,7 +1201,7 @@ impl DataPlane {
                             decrypt_span_payload(batch_tag, lane_events),
                         );
                     }
-                }) as Box<dyn FnOnce() + Send + 'static>
+                }) as LaneTask
             })
             .collect();
 
@@ -1515,15 +1540,24 @@ impl DataPlane {
     ) -> Result<EgressMessage, DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::egress");
         let ts = self.tenant_state(tenant)?;
+        // A forged or cross-tenant reference fails here, before a sequence
+        // number is spent or any seal task exists.
         let (id, data) = self.lookup(&ts, r)?;
-        let plaintext = data.to_wire_bytes();
-        let (seq, cloud_key, cloud_nonce, signing) = {
+        let (seq, keys) = {
             let mut t = ts.lock();
             let s = t.egress_seq;
             t.egress_seq += 1;
-            (s, t.keys.cloud_key, t.keys.cloud_nonce, t.keys.signing.clone())
+            (s, t.keys.clone())
         };
-        let msg = EgressMessage::seal(seq, &plaintext, &cloud_key, &cloud_nonce, &signing);
+        let pool = self.ingest_pool.read().clone();
+        let msg = self.sealer.seal_egress(
+            seq,
+            data,
+            &keys,
+            pool.as_deref(),
+            self.telemetry.tracer(),
+            tenant.0,
+        );
         self.stats.record_egress();
         self.append_audit(
             &ts,
@@ -2277,11 +2311,11 @@ mod tests {
         let err = sbt_attest::verify_tenant_trail(&trail, TenantId(1), &chain).unwrap_err();
         // The parallel verifier reports the identical failure.
         struct Inline;
-        impl sbt_attest::VerifyPool for Inline {
+        impl LanePool for Inline {
             fn workers(&self) -> usize {
                 4
             }
-            fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+            fn run(&self, tasks: Vec<LaneTask>) {
                 for t in tasks {
                     t();
                 }

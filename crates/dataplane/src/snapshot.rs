@@ -40,10 +40,12 @@
 //! All integers little-endian. Parsing fails closed: any truncation,
 //! length mismatch or bad magic/version rejects the whole snapshot.
 
+use crate::egress::{Plaintext, Sealer};
 use crate::error::DataPlaneError;
 use crate::opaque::OpaqueRef;
 use sbt_crypto::{sha256, AesCtr, MasterSecret, Signature};
-use sbt_types::{Event, TenantId, EVENT_BYTES};
+use sbt_types::{Event, LanePool, TenantId, EVENT_BYTES};
+use std::sync::Arc;
 
 /// Magic opening every snapshot plaintext.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SBTC";
@@ -193,7 +195,13 @@ pub(crate) struct SnapshotWindow {
 
 impl SnapshotPlaintext {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
+        let arrays = || self.windows.iter().flat_map(|w| w.left.iter().chain(&w.right));
+        let events: usize = arrays().map(Vec::len).sum();
+        // 90 header bytes (magic through `n_windows`), 12 per window
+        // (`win_no` and its two array counts), 4 per array (`n_events`).
+        let mut out = Vec::with_capacity(
+            90 + 12 * self.windows.len() + 4 * arrays().count() + EVENT_BYTES * events,
+        );
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.tenant.to_le_bytes());
@@ -215,7 +223,9 @@ impl SnapshotPlaintext {
                 out.extend_from_slice(&(side.len() as u32).to_le_bytes());
                 for events in side.iter() {
                     out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&Event::slice_to_bytes(events));
+                    for e in events {
+                        out.extend_from_slice(&e.to_bytes());
+                    }
                 }
             }
         }
@@ -284,30 +294,37 @@ impl SnapshotPlaintext {
 /// two checkpoints ever share a keystream), MAC over the header and
 /// ciphertext. Returns the sealed container and the SHA-256 of the
 /// plaintext (what the audit trail chains).
+///
+/// Runs through the data plane's [`Sealer`]: plaintext hash, encryption and
+/// MAC advance chunk by chunk in one pass, the encrypt lanes on `pool`.
 pub(crate) fn seal_snapshot(
     master: &MasterSecret,
     plain: &SnapshotPlaintext,
+    sealer: &Sealer,
+    pool: Option<&dyn LanePool>,
 ) -> (SealedSnapshot, [u8; 32]) {
-    let bytes = plain.encode();
-    let hash = sha256(&bytes);
     let keys = master.sealing_keys(plain.tenant, plain.epoch, plain.ckpt_seq);
-    let mut ciphertext = bytes;
-    AesCtr::new(&keys.key, &keys.nonce).apply_keystream_at(&mut ciphertext, 0);
-    let mac = keys.mac.sign_parts(&[
-        &plain.tenant.to_le_bytes(),
-        &plain.ckpt_seq.to_le_bytes(),
-        &plain.epoch.to_le_bytes(),
-        &ciphertext,
-    ]);
+    let mut signer = keys.mac.signer();
+    signer.update(&plain.tenant.to_le_bytes());
+    signer.update(&plain.ckpt_seq.to_le_bytes());
+    signer.update(&plain.epoch.to_le_bytes());
+    let sealed = sealer.seal(
+        Plaintext::Bytes(Arc::new(plain.encode())),
+        AesCtr::new(&keys.key, &keys.nonce),
+        signer,
+        true,
+        pool,
+        None,
+    );
     (
         SealedSnapshot {
             tenant: plain.tenant,
             ckpt_seq: plain.ckpt_seq,
             epoch: plain.epoch,
-            ciphertext,
-            mac,
+            ciphertext: sealed.ciphertext,
+            mac: sealed.signature,
         },
-        hash,
+        sealed.plain_hash.expect("the seal was asked to hash the plaintext"),
     )
 }
 
@@ -331,8 +348,8 @@ pub(crate) fn unseal_snapshot(
     if !authentic {
         return Err(DataPlaneError::SnapshotRejected("snapshot authentication failed"));
     }
-    let mut bytes = sealed.ciphertext.clone();
-    AesCtr::new(&keys.key, &keys.nonce).apply_keystream_at(&mut bytes, 0);
+    let mut bytes = vec![0u8; sealed.ciphertext.len()];
+    AesCtr::new(&keys.key, &keys.nonce).apply_keystream_into(&sealed.ciphertext, &mut bytes, 0);
     let hash = sha256(&bytes);
     let plain = SnapshotPlaintext::decode(&bytes)?;
     // The authenticated header must agree with the sealed body.
@@ -416,9 +433,36 @@ mod tests {
         }
     }
 
+    fn seal(master: &MasterSecret, plain: &SnapshotPlaintext) -> (SealedSnapshot, [u8; 32]) {
+        seal_snapshot(master, plain, &Sealer::new(), None)
+    }
+
+    #[test]
+    fn sealed_bytes_are_the_three_pass_construction() {
+        // What the sealer streams equals hashing, encrypting and MACing the
+        // whole encoded plaintext one pass after another.
+        let master = MasterSecret::demo();
+        let plain = sample();
+        let (sealed, hash) = seal(&master, &plain);
+        let encoded = plain.encode();
+        let keys = master.sealing_keys(plain.tenant, plain.epoch, plain.ckpt_seq);
+        assert_eq!(hash, sha256(&encoded));
+        let ciphertext = AesCtr::new(&keys.key, &keys.nonce).encrypt(&encoded);
+        assert_eq!(sealed.ciphertext, ciphertext);
+        let mac = keys.mac.sign_parts(&[
+            &plain.tenant.to_le_bytes(),
+            &plain.ckpt_seq.to_le_bytes(),
+            &plain.epoch.to_le_bytes(),
+            &ciphertext,
+        ]);
+        assert_eq!(sealed.mac, mac);
+    }
+
     #[test]
     fn plaintext_round_trips() {
         let plain = sample();
+        let encoded = plain.encode();
+        assert_eq!(encoded.capacity(), encoded.len(), "encode sizes its buffer exactly");
         let decoded = SnapshotPlaintext::decode(&plain.encode()).unwrap();
         assert_eq!(decoded.tenant, 3);
         assert_eq!(decoded.ckpt_seq, 7);
@@ -432,7 +476,7 @@ mod tests {
     #[test]
     fn seal_then_unseal_round_trips_and_hashes_match() {
         let master = MasterSecret::demo();
-        let (sealed, hash) = seal_snapshot(&master, &sample());
+        let (sealed, hash) = seal(&master, &sample());
         assert_eq!(sealed.tenant, 3);
         let (plain, unhash) = unseal_snapshot(&master, &sealed).unwrap();
         assert_eq!(unhash, hash);
@@ -444,7 +488,7 @@ mod tests {
     #[test]
     fn corruption_fails_closed() {
         let master = MasterSecret::demo();
-        let (sealed, _) = seal_snapshot(&master, &sample());
+        let (sealed, _) = seal(&master, &sample());
         // Bit flip in the ciphertext.
         let mut flipped = sealed.clone();
         flipped.ciphertext[10] ^= 0x40;
@@ -472,7 +516,7 @@ mod tests {
     #[test]
     fn stored_bytes_round_trip() {
         let master = MasterSecret::demo();
-        let (sealed, _) = seal_snapshot(&master, &sample());
+        let (sealed, _) = seal(&master, &sample());
         let bytes = sealed.to_bytes();
         assert_eq!(bytes.len(), sealed.len());
         assert_eq!(SealedSnapshot::from_bytes(&bytes).unwrap(), sealed);

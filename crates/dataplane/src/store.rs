@@ -163,35 +163,69 @@ impl StoredData {
         }
     }
 
-    /// Serialize the records to bytes for egress.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
+    /// Wire bytes per record of this layout (all fields little-endian).
+    pub fn record_wire_bytes(&self) -> usize {
         match self {
-            StoredData::Events(a) => Event::slice_to_bytes(a.as_slice()),
-            StoredData::Aggs(a) => {
-                let mut out = Vec::with_capacity(a.len() * 20);
-                for r in a.as_slice() {
-                    out.extend_from_slice(&r.key.to_le_bytes());
-                    out.extend_from_slice(&r.sum.to_le_bytes());
-                    out.extend_from_slice(&r.count.to_le_bytes());
+            StoredData::Events(_) => sbt_types::EVENT_BYTES,
+            StoredData::Aggs(_) => 20,
+            StoredData::Pairs(_) => 12,
+            StoredData::Scalars(_) => 8,
+        }
+    }
+
+    /// Length of the array's egress wire form in bytes.
+    pub fn wire_len(&self) -> usize {
+        self.len() * self.record_wire_bytes()
+    }
+
+    /// Serialize the records covering wire bytes `[offset, offset +
+    /// out.len())` straight into `out`. Both ends must fall on record
+    /// boundaries. The egress sealer serializes chunk by chunk through
+    /// this, so no buffer ever holds the whole plaintext.
+    pub fn write_wire(&self, offset: usize, out: &mut [u8]) {
+        let width = self.record_wire_bytes();
+        assert!(
+            offset.is_multiple_of(width) && out.len().is_multiple_of(width),
+            "wire range must cover whole records"
+        );
+        let range = offset / width..(offset + out.len()) / width;
+        match self {
+            StoredData::Events(a) => {
+                for (dst, r) in out.chunks_exact_mut(width).zip(&a.as_slice()[range]) {
+                    dst[..4].copy_from_slice(&r.key.to_le_bytes());
+                    dst[4..8].copy_from_slice(&r.value.to_le_bytes());
+                    dst[8..].copy_from_slice(&r.ts_ms.to_le_bytes());
                 }
-                out
+            }
+            StoredData::Aggs(a) => {
+                for (dst, r) in out.chunks_exact_mut(width).zip(&a.as_slice()[range]) {
+                    dst[..4].copy_from_slice(&r.key.to_le_bytes());
+                    dst[4..12].copy_from_slice(&r.sum.to_le_bytes());
+                    dst[12..].copy_from_slice(&r.count.to_le_bytes());
+                }
             }
             StoredData::Pairs(a) => {
-                let mut out = Vec::with_capacity(a.len() * 12);
-                for r in a.as_slice() {
-                    out.extend_from_slice(&r.key.to_le_bytes());
-                    out.extend_from_slice(&r.value.to_le_bytes());
+                for (dst, r) in out.chunks_exact_mut(width).zip(&a.as_slice()[range]) {
+                    dst[..4].copy_from_slice(&r.key.to_le_bytes());
+                    dst[4..].copy_from_slice(&r.value.to_le_bytes());
                 }
-                out
             }
             StoredData::Scalars(a) => {
-                let mut out = Vec::with_capacity(a.len() * 8);
-                for r in a.as_slice() {
-                    out.extend_from_slice(&r.to_le_bytes());
+                for (dst, r) in out.chunks_exact_mut(width).zip(&a.as_slice()[range]) {
+                    dst.copy_from_slice(&r.to_le_bytes());
                 }
-                out
             }
         }
+    }
+
+    /// Serialize all records to a fresh buffer (the cloud side's view of an
+    /// egressed result; egress itself streams through [`write_wire`]).
+    ///
+    /// [`write_wire`]: StoredData::write_wire
+    pub fn to_wire_bytes(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.wire_len()];
+        self.write_wire(0, &mut out);
+        out
     }
 }
 
@@ -257,6 +291,38 @@ mod tests {
         let scalars = vec![1u64; 5];
         let s = StoredData::from_scalars(UArrayId(3), &scalars, &p).unwrap();
         assert_eq!(s.to_wire_bytes().len(), 5 * 8);
+    }
+
+    #[test]
+    fn wire_ranges_concatenate_to_the_whole_for_every_layout() {
+        let p = pager();
+        let events: Vec<Event> = (0..50u32).map(|i| Event::new(i, i * 3, 1_000 + i)).collect();
+        let aggs: Vec<KeyAgg> =
+            (0..50u32).map(|i| KeyAgg::new(i, u64::MAX - i as u64, 7)).collect();
+        let pairs: Vec<KeyValue> = (0..50u32).map(|i| KeyValue::new(i, (i as u64) << 33)).collect();
+        let scalars: Vec<u64> = (0..50u64).map(|i| i * 0x0101_0101_0101).collect();
+        for data in [
+            StoredData::from_events(UArrayId(1), &events, &p).unwrap(),
+            StoredData::from_aggs(UArrayId(2), &aggs, &p).unwrap(),
+            StoredData::from_pairs(UArrayId(3), &pairs, &p).unwrap(),
+            StoredData::from_scalars(UArrayId(4), &scalars, &p).unwrap(),
+        ] {
+            let whole = data.to_wire_bytes();
+            assert_eq!(whole.len(), data.wire_len());
+            // Three uneven record-aligned ranges rebuild the same bytes.
+            let width = data.record_wire_bytes();
+            let mut rebuilt = vec![0u8; whole.len()];
+            for (from, to) in [(0, 7), (7, 8), (8, 50)] {
+                data.write_wire(from * width, &mut rebuilt[from * width..to * width]);
+            }
+            assert_eq!(rebuilt, whole);
+        }
+        // Spot-check one layout against its field order.
+        let agg = StoredData::from_aggs(UArrayId(5), &[KeyAgg::new(1, 2, 3)], &p).unwrap();
+        let mut expect = 1u32.to_le_bytes().to_vec();
+        expect.extend_from_slice(&2u64.to_le_bytes());
+        expect.extend_from_slice(&3u64.to_le_bytes());
+        assert_eq!(agg.to_wire_bytes(), expect);
     }
 
     #[test]

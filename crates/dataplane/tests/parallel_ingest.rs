@@ -17,34 +17,40 @@
 //! half: sub-batching adds no world switches and no copied bytes.
 
 use sbt_crypto::{AesCtr, MasterSecret};
-use sbt_dataplane::{DataPlane, DataPlaneConfig, IngestPool};
-use sbt_types::{Event, PowerEvent, TenantId};
+use sbt_dataplane::{DataPlane, DataPlaneConfig};
+use sbt_types::{Event, LanePool, LaneTask, PowerEvent, TenantId};
 use sbt_tz::{Platform, PlatformConfig, World, WorldGuard};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so sibling tests allocating on other threads cannot disturb a
+// measurement (the measured paths run on the test's own thread).
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -61,12 +67,12 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// engine's executor.
 struct ThreadPool(usize);
 
-impl IngestPool for ThreadPool {
+impl LanePool for ThreadPool {
     fn workers(&self) -> usize {
         self.0
     }
 
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+    fn run(&self, tasks: Vec<LaneTask>) {
         let handles: Vec<_> = tasks.into_iter().map(std::thread::spawn).collect();
         for h in handles {
             h.join().expect("lane task");
@@ -78,12 +84,12 @@ impl IngestPool for ThreadPool {
 /// (planning, disjoint writer, stitch), deterministic allocation profile.
 struct InlinePool(usize);
 
-impl IngestPool for InlinePool {
+impl LanePool for InlinePool {
     fn workers(&self) -> usize {
         self.0
     }
 
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+    fn run(&self, tasks: Vec<LaneTask>) {
         for t in tasks {
             t();
         }
@@ -378,13 +384,13 @@ fn steady_state_sub_batching_is_allocation_free() {
     for (slot, &n) in SIZES.iter().enumerate() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
-            let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-            let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+            let count_before = ALLOCATIONS.with(Cell::get);
+            let bytes_before = ALLOCATED_BYTES.with(Cell::get);
             let out =
                 in_tee(|| dp.ingress_arc_for(TenantId::DEFAULT, Arc::new(payload), true, false, 0))
                     .unwrap();
-            let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-            let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
+            let count = ALLOCATIONS.with(Cell::get) - count_before;
+            let bytes = ALLOCATED_BYTES.with(Cell::get) - bytes_before;
             count_per_size[slot] = count_per_size[slot].min(count);
             bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
             in_tee(|| dp.retire(out.opaque)).unwrap();

@@ -18,29 +18,35 @@ use sbt_dataplane::{DataPlane, DataPlaneConfig};
 use sbt_types::{Event, PowerEvent, TenantId};
 use sbt_tz::{Platform, PlatformConfig, World, WorldGuard};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so sibling tests allocating on other threads cannot disturb a
+// measurement (the measured paths run on the test's own thread).
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -285,11 +291,11 @@ fn encrypted_ingest_performs_no_staging_allocation() {
     for (slot, &n) in SIZES.iter().enumerate() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
-            let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-            let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+            let count_before = ALLOCATIONS.with(Cell::get);
+            let bytes_before = ALLOCATED_BYTES.with(Cell::get);
             let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
-            let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-            let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
+            let count = ALLOCATIONS.with(Cell::get) - count_before;
+            let bytes = ALLOCATED_BYTES.with(Cell::get) - bytes_before;
             count_per_size[slot] = count_per_size[slot].min(count);
             bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
             in_tee(|| dp.retire(out.opaque)).unwrap();

@@ -30,9 +30,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle as ThreadHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// How long a worker with nothing to run keeps polling for work before it
+/// parks: longer than any serial stretch inside a window fire and than the
+/// gap between two batches of a paced stream (both under 20 ms on the
+/// reference host), so a worker parks only when its engine has gone idle.
+///
+/// An idle worker polls ([`sbt_types::poll_wait`]) because a parked one is
+/// expensive to bring back *beside* its caller. A woken thread runs where
+/// the scheduler puts it, and on the reference host (a 2-vCPU guest whose
+/// cpuset has load balancing switched off) that is the CPU it last ran on
+/// or the waker's: it then time-shares one core with the caller it was
+/// meant to run beside, and because the two sleep in turns the kernel never
+/// sees two runnable threads to spread. A thread that stays runnable does
+/// get moved to the idle vCPU, and keeps it. Measured over the 1.9 MB
+/// egress seals of `join` (encrypt lane on the worker, MAC stage on the
+/// caller; share of seals in which the two overlapped): 4 % with a 2 ms
+/// poll, 28 % with 10 ms, 67 % with 20 ms, 95 % with 50 ms; a worker that
+/// naps between polls instead of staying runnable never got there.
+const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// A task panicked. The panic was caught in the task's slot: the worker
 /// thread survived, and the payload's message is carried here.
@@ -75,18 +94,15 @@ enum SlotState<T> {
 
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
-    done: Condvar,
 }
 
 impl<T> Slot<T> {
     fn new() -> Self {
-        Slot { state: Mutex::new(SlotState::Pending), done: Condvar::new() }
+        Slot { state: Mutex::new(SlotState::Pending) }
     }
 
     fn complete(&self, result: TaskResult<T>) {
-        let mut state = self.state.lock().expect("slot lock");
-        *state = SlotState::Done(result);
-        self.done.notify_all();
+        *self.state.lock().expect("slot lock") = SlotState::Done(result);
     }
 
     /// Take the result if the task has finished (at most one caller gets it).
@@ -104,14 +120,6 @@ impl<T> Slot<T> {
 
     fn is_finished(&self) -> bool {
         !matches!(*self.state.lock().expect("slot lock"), SlotState::Pending)
-    }
-
-    /// Park briefly until the slot completes (or the timeout passes).
-    fn park(&self, timeout: Duration) {
-        let state = self.state.lock().expect("slot lock");
-        if matches!(*state, SlotState::Pending) {
-            let _ = self.done.wait_timeout(state, timeout).expect("slot lock");
-        }
     }
 }
 
@@ -211,6 +219,7 @@ impl Shared {
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     CURRENT_WORKER.set((shared.identity(), index));
+    let mut idle_since: Option<Instant> = None;
     loop {
         let version = {
             let signal = shared.signal.lock().expect("signal lock");
@@ -219,6 +228,11 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         if let Some(job) = shared.find_job(Some(index)) {
             job();
             shared.executed.fetch_add(1, Ordering::Relaxed);
+            idle_since = None;
+            continue;
+        }
+        if idle_since.get_or_insert_with(Instant::now).elapsed() < IDLE_POLL {
+            sbt_types::poll_wait();
             continue;
         }
         let signal = shared.signal.lock().expect("signal lock");
@@ -268,7 +282,9 @@ impl<T> JoinHandle<T> {
                 return result;
             }
             if !self.shared.help_one() {
-                self.slot.park(Duration::from_micros(500));
+                // The task is running on a worker: poll rather than block,
+                // for the reason given at `IDLE_POLL`.
+                sbt_types::poll_wait();
             }
         }
     }
@@ -472,31 +488,18 @@ impl Executor {
     }
 }
 
-/// The executor doubles as the data plane's parallel-ingest pool: the same
-/// worker threads that run operators also run ingest lanes. `run` is the
-/// barrier-style `run_all`, whose helping join keeps nested fan-out (an
-/// ingest task spawning lane tasks) deadlock-free at any pool size.
-impl sbt_dataplane::IngestPool for Executor {
+/// The executor is the lane pool of every layer that fans out: the worker
+/// threads that run operators also run the data plane's ingest and egress
+/// lanes and the cloud verifier's per-segment checks. `run` is the
+/// barrier-style `run_all`, whose helping join keeps nested fan-out (a
+/// pool task spawning lane tasks) deadlock-free at any pool size and makes
+/// a one-thread executor degenerate to serial work on the caller.
+impl sbt_types::LanePool for Executor {
     fn workers(&self) -> usize {
         self.size()
     }
 
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
-        self.run_all(tasks);
-    }
-}
-
-/// The executor also doubles as the cloud verifier's pool: per-segment
-/// signature checks and decompression fan out over the same worker threads.
-/// Like the ingest impl, `run` is the barrier-style `run_all` with a
-/// helping join, so a one-thread executor degenerates to serial
-/// verification on the caller.
-impl sbt_attest::VerifyPool for Executor {
-    fn workers(&self) -> usize {
-        self.size()
-    }
-
-    fn run(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+    fn run(&self, tasks: Vec<sbt_types::LaneTask>) {
         self.run_all(tasks);
     }
 }
@@ -571,8 +574,11 @@ mod tests {
         let boom = exec.spawn(|| -> u32 { panic!("counted") });
         assert!(boom.join().is_err());
         assert_eq!(exec.panics(), 1);
-        // Idle workers park within their 10 ms safety timeout.
-        std::thread::sleep(Duration::from_millis(30));
+        // Idle workers poll for `IDLE_POLL`, then park.
+        let deadline = Instant::now() + 40 * IDLE_POLL;
+        while exec.parks() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(exec.parks() > 0, "idle workers never parked");
         // And the counter source mirrors the getters.
         use sbt_telemetry::CounterSource;
@@ -681,7 +687,10 @@ mod tests {
         // front to make progress.
         let before = exec.steals();
         let e2 = exec.clone();
+        let started = Arc::new(AtomicUsize::new(0));
+        let s2 = started.clone();
         let holder = exec.spawn(move || {
+            s2.store(1, Ordering::SeqCst);
             let subs: Vec<JoinHandle<u64>> = (0..8)
                 .map(|j| {
                     e2.spawn(move || {
@@ -693,6 +702,12 @@ mod tests {
             std::thread::sleep(Duration::from_millis(6));
             subs.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
         });
+        // Join only once a worker has the holder: a joiner helps, and had it
+        // taken the holder from the injector itself, the subtasks of a
+        // non-worker thread would land in the injector with nothing to steal.
+        while started.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
         assert_eq!(holder.join(), Ok(28));
         assert!(exec.steals() > before, "idle workers never stole from the held deque");
     }

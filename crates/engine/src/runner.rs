@@ -88,7 +88,7 @@ impl WindowExec {
 /// watermark completed (see [`Engine::advance_watermark_async`]).
 ///
 /// The ticket resolves when every window up to the watermark's last
-/// completed window has executed (or a drainer recorded an error). Waiting
+/// completed window has executed or failed. Waiting
 /// **helps**: the waiting thread runs queued executor tasks, so tickets can
 /// be awaited from anywhere without idling a core.
 pub struct WindowTicket {
@@ -106,31 +106,20 @@ impl WindowTicket {
     pub fn is_finished(&self) -> bool {
         match &self.engine {
             None => true,
-            Some(engine) => {
-                let st = engine.window_exec.lock();
-                !st.errors.is_empty() || !st.draining || *engine.next_unexecuted.lock() > self.last
-            }
+            Some(engine) => engine.windows_covered(&engine.window_exec.lock(), self.last),
         }
     }
 
     /// Harvest the outcome without blocking: `None` while windows are still
-    /// executing, `Some(result)` once resolved. A parked drainer error is
-    /// claimed by the first ticket that observes it (tickets of one engine
-    /// belong to one lane, so the lane sees its own failures either way).
+    /// executing, `Some(result)` once resolved. A parked window failure is
+    /// claimed by the first resolved ticket that observes it (tickets of one
+    /// engine belong to one lane, so the lane sees its own failures either
+    /// way).
     pub fn try_wait(&mut self) -> Option<Result<(), DataPlaneError>> {
         let Some(engine) = &self.engine else {
             return Some(Ok(()));
         };
-        let outcome = {
-            let mut st = engine.window_exec.lock();
-            if let Some(e) = st.errors.pop_front() {
-                Some(Err(e))
-            } else if !st.draining || *engine.next_unexecuted.lock() > self.last {
-                Some(Ok(()))
-            } else {
-                None
-            }
-        };
+        let outcome = engine.windows_outcome(self.last);
         if outcome.is_some() {
             self.engine = None;
         }
@@ -549,11 +538,18 @@ impl Engine {
     /// target is covered, re-checking for targets that advanced while
     /// draining. Exactly one drainer runs per engine at a time (the
     /// `draining` flag); it never blocks on another drainer, so it is safe
-    /// to run as an executor task. A window failure is parked for waiters
-    /// ([`WindowTicket`]s and concurrent sync watermark calls) atomically
-    /// with the `draining` reset — so any waiter observing the drain
-    /// stopped also sees the error — and returned to the caller.
+    /// to run as an executor task.
+    ///
+    /// A window that fails — its intermediates tripped the tenant's quota,
+    /// say — costs the tenant that window and nothing else: its state was
+    /// consumed by the attempt, so the drainer parks the error for waiters
+    /// ([`WindowTicket`]s and concurrent sync watermark calls), steps past
+    /// the window and keeps draining. Stopping instead would strand every
+    /// later window whose watermark had already been merged into the
+    /// target: with no further watermark to respawn a drainer, they would
+    /// never fire. Returns the first failure once the target is covered.
     fn drain_windows(&self) -> Result<(), DataPlaneError> {
+        let mut first_failure = None;
         loop {
             let (last, arrival) = {
                 let mut st = self.window_exec.lock();
@@ -565,7 +561,7 @@ impl Engine {
                         st.target = None;
                         st.draining = false;
                         *self.finished.lock() = Some(Instant::now());
-                        return Ok(());
+                        return first_failure.map_or(Ok(()), Err);
                     }
                 }
             };
@@ -575,33 +571,35 @@ impl Engine {
                     break;
                 }
                 if let Err(e) = self.execute_window(next, arrival) {
-                    let mut st = self.window_exec.lock();
-                    st.errors.push_back(e.clone());
-                    // The target stays: the next watermark respawns a
-                    // drainer, which retries from the failed window (whose
-                    // state was consumed, so the retry skips it).
-                    st.draining = false;
-                    drop(st);
-                    *self.finished.lock() = Some(Instant::now());
-                    return Err(e);
+                    self.window_exec.lock().errors.push_back(e.clone());
+                    first_failure.get_or_insert(e);
                 }
                 *self.next_unexecuted.lock() = next.next();
             }
         }
     }
 
+    /// Whether the drainer is past `last` (or no drainer is running).
+    fn windows_covered(&self, st: &WindowExec, last: WindowId) -> bool {
+        !st.draining || *self.next_unexecuted.lock() > last
+    }
+
+    /// `None` while windows through `last` are still executing; once they
+    /// are covered, the oldest unclaimed window failure or `Ok`. A failure
+    /// is never surfaced earlier: the drainer keeps going past a failed
+    /// window, and a waiter released by the failure alone would see the
+    /// windows behind it as not yet fired.
+    fn windows_outcome(&self, last: WindowId) -> Option<Result<(), DataPlaneError>> {
+        let mut st = self.window_exec.lock();
+        self.windows_covered(&st, last).then(|| st.errors.pop_front().map_or(Ok(()), Err))
+    }
+
     /// Wait (helping the executor) until a concurrent drainer has executed
-    /// every window through `last`, surfacing a parked drainer error.
+    /// every window through `last`, surfacing a parked window failure.
     fn wait_windows_through(&self, last: WindowId) -> Result<(), DataPlaneError> {
         loop {
-            {
-                let mut st = self.window_exec.lock();
-                if let Some(e) = st.errors.pop_front() {
-                    return Err(e);
-                }
-                if !st.draining || *self.next_unexecuted.lock() > last {
-                    return Ok(());
-                }
+            if let Some(outcome) = self.windows_outcome(last) {
+                return outcome;
             }
             if !self.pool.help_one() {
                 std::thread::sleep(Duration::from_micros(200));

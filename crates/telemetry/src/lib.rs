@@ -40,4 +40,7 @@ pub use registry::{
     CounterEntry, CounterSource, MetricsRegistry, TelemetrySnapshot, TenantLatencyRow,
     SNAPSHOT_VERSION,
 };
-pub use span::{decrypt_span_parts, decrypt_span_payload, Span, SpanKind, SpanRing, Tracer};
+pub use span::{
+    decrypt_span_parts, decrypt_span_payload, seal_span_parts, seal_span_payload, SealStage, Span,
+    SpanKind, SpanRing, Tracer,
+};

@@ -78,6 +78,38 @@ pub fn decrypt_span_parts(payload: u64) -> (u32, u32) {
     ((payload >> 32) as u32, payload as u32)
 }
 
+/// Which part of an egress seal a [`SpanKind::EgressSeal`] span measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SealStage {
+    /// The whole egress call, wall time (recorded at the gateway).
+    Call,
+    /// One encrypt lane: CPU time spent serializing and encrypting chunks.
+    Encrypt,
+    /// The in-order MAC stage: CPU time spent absorbing ciphertext.
+    Mac,
+}
+
+/// The byte-count field of an [`SpanKind::EgressSeal`] payload.
+const SEAL_BYTES_MASK: u64 = (1 << 56) - 1;
+
+/// Pack a [`SpanKind::EgressSeal`] payload: the stage in the top byte, the
+/// bytes the stage processed below it. A plain byte count is a
+/// [`SealStage::Call`] payload, which is what the gateway has always
+/// recorded.
+pub fn seal_span_payload(stage: SealStage, bytes: u64) -> u64 {
+    (stage as u64) << 56 | (bytes & SEAL_BYTES_MASK)
+}
+
+/// Unpack a [`SpanKind::EgressSeal`] payload into `(stage, bytes)`.
+pub fn seal_span_parts(payload: u64) -> (SealStage, u64) {
+    let stage = match payload >> 56 {
+        1 => SealStage::Encrypt,
+        2 => SealStage::Mac,
+        _ => SealStage::Call,
+    };
+    (stage, payload & SEAL_BYTES_MASK)
+}
+
 /// One recorded unit of work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Span {
@@ -325,6 +357,14 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seal_span_payload_round_trips_and_plain_counts_are_calls() {
+        for stage in [SealStage::Call, SealStage::Encrypt, SealStage::Mac] {
+            assert_eq!(seal_span_parts(seal_span_payload(stage, 1_920_000)), (stage, 1_920_000));
+        }
+        assert_eq!(seal_span_parts(1_920_000), (SealStage::Call, 1_920_000));
+    }
     use std::sync::Arc;
 
     fn span(tenant: u32, start: u64) -> Span {

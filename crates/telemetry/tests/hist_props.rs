@@ -13,25 +13,33 @@ use proptest::prelude::*;
 use sbt_telemetry::hist::{bucket_ceil, bucket_floor, bucket_index};
 use sbt_telemetry::LatencyHistogram;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so sibling tests allocating on other threads cannot disturb a
+// measurement (the measured paths run on the test's own thread).
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -119,18 +127,18 @@ fn recording_is_allocation_free() {
     h.record(3);
     h.record(1_000_000_000);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     for i in 0..10_000u64 {
         h.record(i * 37); // spans exact and log-bucketed ranges
         h.record(u64::MAX / (i + 1));
     }
-    let snapshot_pre = ALLOCATIONS.load(Ordering::Relaxed);
+    let snapshot_pre = ALLOCATIONS.with(Cell::get);
     assert_eq!(snapshot_pre - before, 0, "record() allocated");
 
     // Merging into an existing histogram is also allocation-free.
     let other = LatencyHistogram::new();
     other.record(55);
-    let before_merge = ALLOCATIONS.load(Ordering::Relaxed);
+    let before_merge = ALLOCATIONS.with(Cell::get);
     h.merge_from(&other);
-    assert_eq!(ALLOCATIONS.load(Ordering::Relaxed) - before_merge, 0, "merge_from() allocated");
+    assert_eq!(ALLOCATIONS.with(Cell::get) - before_merge, 0, "merge_from() allocated");
 }

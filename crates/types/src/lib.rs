@@ -17,6 +17,7 @@ pub mod batch;
 pub mod event;
 pub mod keyed;
 pub mod ops;
+pub mod pool;
 pub mod tenant;
 pub mod time;
 pub mod watermark;
@@ -26,6 +27,7 @@ pub use batch::{BatchId, BatchMeta};
 pub use event::{Event, PowerEvent, TaxiEvent, EVENT_BYTES, POWER_EVENT_BYTES};
 pub use keyed::{KeyAgg, KeyCount, KeyValue};
 pub use ops::PrimitiveKind;
+pub use pool::{poll_wait, LanePool, LaneTask};
 pub use tenant::TenantId;
 pub use time::{Duration, EventTime, ProcessingTime};
 pub use watermark::Watermark;

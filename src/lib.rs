@@ -68,7 +68,7 @@ pub use sbt_workloads as workloads;
 pub mod prelude {
     pub use sbt_attest::{
         decompress_records, verify_tenant_trail, verify_tenant_trail_parallel, DepartureReason,
-        PipelineSpec, VerificationReport, Verifier, VerifyPool,
+        PipelineSpec, VerificationReport, Verifier,
     };
     pub use sbt_crypto::{KeySet, MasterSecret, TenantKeychain, VerifierKeySet};
     pub use sbt_dataplane::EgressMessage;
