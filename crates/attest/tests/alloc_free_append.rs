@@ -3,43 +3,17 @@
 //! append time (the paper logs into pre-laid-out TEE buffers; batching rows
 //! on the heap would be both slower and a TEE-memory liability).
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! flush cycle has sized the encoder's buffers, a burst of appends —
-//! including the records' own construction — must allocate exactly nothing.
+//! The shared counting allocator (`counting_alloc`, per-thread accounting)
+//! wraps the system allocator; after a warm-up flush cycle has sized the
+//! encoder's buffers, a burst of appends — including the records' own
+//! construction — must allocate exactly nothing.
 
 use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::SigningKey;
 use sbt_types::PrimitiveKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
 
 /// The steady-state record mix of a real pipeline: ingress, windowing,
 /// execution (two inputs, one output, no hints), periodic watermarks and
@@ -82,25 +56,20 @@ fn steady_state_append_allocates_nothing() {
         assert!(log.flush().is_some());
     }
 
-    // Measure several bursts and take the minimum: the counter is process
-    // global, so an unrelated allocation on a libtest harness thread could
-    // land inside one measured window. Encoder allocations, by contrast,
-    // would show up in *every* burst — a single clean burst proves the
-    // append path itself allocates nothing.
-    let mut min_allocs = u64::MAX;
+    // The counter is per thread, so every measured burst must be clean —
+    // nothing a sibling test allocates can land in the window.
     for round in 2..7 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = counting_alloc::counts();
         for i in 0..BURST {
             append_mix(&mut log, round * BURST + i);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        min_allocs = min_allocs.min(after - before);
+        let allocs = counting_alloc::counts().since(before).allocations;
+        assert_eq!(
+            allocs, 0,
+            "steady-state append path allocated {allocs} times in a {BURST}-record burst",
+        );
         log.flush().expect("burst flushes");
     }
-    assert_eq!(
-        min_allocs, 0,
-        "steady-state append path allocated at least {min_allocs} times per {BURST}-record burst",
-    );
     for i in 0..BURST {
         append_mix(&mut log, 7 * BURST + i);
     }
@@ -133,26 +102,21 @@ fn steady_state_large_segment_flush_allocates_nothing() {
         log.recycle(seg.compressed);
     }
 
-    // Minimum across bursts, as above: a single clean cycle proves the
-    // append+seal+sign+recycle loop itself allocates nothing.
-    let mut min_allocs = u64::MAX;
+    // Every cycle clean, as above: the append+seal+sign+recycle loop itself
+    // allocates nothing.
     let mut record_count = 0;
     for round in 2..7 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = counting_alloc::counts();
         for i in 0..CALLS {
             append_mix(&mut log, round * CALLS + i);
         }
         let seg = log.flush().expect("measured burst flushes");
         log.recycle(seg.compressed);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        min_allocs = min_allocs.min(after - before);
+        let allocs = counting_alloc::counts().since(before).allocations;
+        assert_eq!(allocs, 0, "steady-state large-segment flush cycle allocated {allocs} times");
         record_count = seg.record_count;
     }
     assert!(record_count > 12_000, "burst too small to call this the large-segment regime");
-    assert_eq!(
-        min_allocs, 0,
-        "steady-state large-segment flush cycle allocated at least {min_allocs} times",
-    );
 
     // The recycled-buffer segments are real: the next one still decodes.
     for i in 0..CALLS {

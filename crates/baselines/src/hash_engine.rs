@@ -36,7 +36,7 @@ impl HashWindowEngine {
 
     /// Process one event.
     pub fn process(&mut self, event: &Event) {
-        for window in self.spec.assign(event.event_time()) {
+        for window in self.spec.assign(event.event_time()).windows() {
             let agg = self.state.entry((window, event.key)).or_default();
             agg.sum += event.value as u64;
             agg.count += 1;

@@ -1,7 +1,6 @@
 //! Data plane error types.
 
-use sbt_uarray::uarray::UArrayError;
-use sbt_uarray::PageError;
+use sbt_uarray::{PageError, UArrayError};
 
 /// Errors surfaced across the data-plane interface.
 ///
@@ -75,6 +74,7 @@ impl From<UArrayError> for DataPlaneError {
         match e {
             UArrayError::OutOfSecureMemory(_) => DataPlaneError::OutOfSecureMemory,
             UArrayError::NotOpen(_) => DataPlaneError::BadArguments("uArray not open"),
+            UArrayError::OverBudget { .. } => DataPlaneError::QuotaExceeded,
         }
     }
 }

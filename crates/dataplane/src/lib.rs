@@ -36,6 +36,7 @@ pub mod opaque;
 pub mod parallel;
 pub mod params;
 pub mod plane;
+mod produce;
 pub mod snapshot;
 pub mod stats;
 pub mod store;

@@ -34,6 +34,7 @@ use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
 use crate::parallel::{lane_plan, WIRE_CHUNK};
 use crate::params::{InvokeOutput, PrimitiveParams};
+use crate::produce::Output;
 use crate::snapshot::{
     seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, RestoredWindow,
     SealedSnapshot, SnapshotPlaintext, SnapshotWindow,
@@ -46,12 +47,13 @@ use sbt_crypto::{AesCtr, Key128, KeySet, MasterSecret, Nonce, SigningKey, Tenant
 use sbt_primitives as prim;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{
-    Event, KeyValue, LanePool, LaneTask, PowerEvent, PrimitiveKind, TenantId, Watermark, WindowId,
+    infallible, Event, LanePool, LaneTask, PowerEvent, PrimitiveKind, RecordCount, RecordSink,
+    TenantId, Watermark, WindowId,
 };
 use sbt_tz::{Platform, WorldTracker};
 use sbt_uarray::{
-    Allocator, AllocatorConfig, ConsumptionHint, DisjointWriter, HintSet, MemoryReport, TeePager,
-    UArrayId, UArrayState, PAGE_SIZE,
+    Allocator, AllocatorConfig, CommitBudget, ConsumptionHint, DisjointWriter, HintSet,
+    MemoryReport, TeePager, UArray, UArrayError, UArrayId, UArrayState, UArrayWriter, PAGE_SIZE,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1299,8 +1301,15 @@ impl DataPlane {
         }
         let input_ids: Vec<UArrayId> = resolved.iter().map(|(id, _)| *id).collect();
 
+        // What the tenant may still commit: the outputs draw on it page by
+        // page as they are produced, so an invocation that would overrun the
+        // quota stops mid-production with its pages released. (The charge in
+        // `commit_outputs` stays the authority: a concurrent invocation of
+        // the same tenant may have used the headroom meanwhile.)
+        let budget =
+            CommitBudget::new(self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()));
         let compute_start = Instant::now();
-        let produced = self.execute(op, &resolved, &params)?;
+        let produced = self.execute(op, &resolved, &params, &budget)?;
         let compute_nanos = compute_start.elapsed().as_nanos() as u64;
 
         // Register outputs: allocator placement (guided by hints) with quota
@@ -1348,178 +1357,203 @@ impl DataPlane {
         Ok(outputs)
     }
 
-    /// The primitive dispatch table. Returns the produced arrays, each with
-    /// an optional window assignment (only `Segment` assigns windows).
-    #[allow(clippy::type_complexity)]
+    /// Produce one output in place: open a writer reserved for `items`
+    /// records, let `fill` run a primitive kernel with the writer as its
+    /// sink, then seal it under a freshly minted id. If `fill` fails — the
+    /// tenant's budget or the carve-out ran out mid-production — the writer
+    /// is dropped unsealed and every page it committed is released.
+    fn produce<'a, T: Copy>(
+        &'a self,
+        budget: &'a CommitBudget,
+        items: usize,
+        layout: fn(UArray<T>) -> StoredData,
+        fill: impl FnOnce(&mut Output<'a, T>) -> Result<(), UArrayError>,
+    ) -> Result<StoredData, DataPlaneError> {
+        let mut output = Output(UArrayWriter::reserve(items, &self.pager, budget));
+        fill(&mut output)?;
+        Ok(layout(output.0.seal(self.next_id())))
+    }
+
+    /// The primitive dispatch table. Every arm runs its primitive's kernel
+    /// with an open uArray writer as the record sink (see
+    /// [`produce`](DataPlane::produce)), reserved for the output's exact
+    /// size where the inputs determine it and for an upper bound otherwise.
+    /// Returns the produced arrays, each with an optional window assignment
+    /// (only `Segment` assigns windows).
     fn execute(
         &self,
         op: PrimitiveKind,
         inputs: &[(UArrayId, Arc<StoredData>)],
         params: &PrimitiveParams,
+        budget: &CommitBudget,
     ) -> Result<Vec<(StoredData, Option<WindowId>)>, DataPlaneError> {
         let one_events = |n: usize| -> Result<&[Event], DataPlaneError> {
             inputs.get(n).ok_or(DataPlaneError::BadArguments("missing input"))?.1.as_events()
         };
-        let pager = &self.pager;
-        let mut out: Vec<(StoredData, Option<WindowId>)> = Vec::new();
-        match op {
+        let all_events = || (0..inputs.len()).map(one_events).collect::<Result<Vec<_>, _>>();
+        let events_of = |items, fill: &dyn Fn(&mut Output<Event>) -> Result<(), UArrayError>| {
+            self.produce(budget, items, StoredData::Events, fill)
+        };
+        let scalars_of = |scalars: &[u64]| {
+            self.produce(budget, scalars.len(), StoredData::Scalars, |w| {
+                w.extend_from_slice(scalars)
+            })
+        };
+        let output = match op {
             PrimitiveKind::Ingress | PrimitiveKind::Egress => {
                 return Err(DataPlaneError::BadArguments(
                     "boundary operations are not invokable primitives",
                 ))
-            }
-            PrimitiveKind::Sort => {
-                let sorted = prim::sort_events_by_key(one_events(0)?);
-                out.push((StoredData::from_events(self.next_id(), &sorted, pager)?, None));
-            }
-            PrimitiveKind::SortByValue => {
-                let sorted = prim::sort_events_by_value(one_events(0)?);
-                out.push((StoredData::from_events(self.next_id(), &sorted, pager)?, None));
-            }
-            PrimitiveKind::SortByTime => {
-                let sorted = prim::sort_events_by_time(one_events(0)?);
-                out.push((StoredData::from_events(self.next_id(), &sorted, pager)?, None));
-            }
-            PrimitiveKind::Merge => {
-                let merged = prim::merge_sorted_by_key(one_events(0)?, one_events(1)?);
-                out.push((StoredData::from_events(self.next_id(), &merged, pager)?, None));
-            }
-            PrimitiveKind::MergeK => {
-                // Merge all event inputs pairwise.
-                let mut acc: Vec<Event> = one_events(0)?.to_vec();
-                for i in 1..inputs.len() {
-                    acc = prim::merge_sorted_by_key(&acc, one_events(i)?);
-                }
-                out.push((StoredData::from_events(self.next_id(), &acc, pager)?, None));
             }
             PrimitiveKind::Segment => {
                 let spec = match params {
                     PrimitiveParams::Window(spec) => *spec,
                     _ => return Err(DataPlaneError::BadArguments("Segment needs a window spec")),
                 };
-                for (win, events) in prim::segment_by_window(one_events(0)?, &spec) {
-                    out.push((StoredData::from_events(self.next_id(), &events, pager)?, Some(win)));
+                // The spec's fields come straight from the control plane: a
+                // zero size or slide would mean a window per microsecond or
+                // an unbounded replication loop inside the TEE.
+                if !spec.is_well_formed() {
+                    return Err(DataPlaneError::BadArguments("malformed window spec"));
                 }
+                // Ids are minted once every window is produced, in window
+                // order, whatever order the batch's events met them in.
+                let mut open = Vec::new();
+                prim::segment_into(one_events(0)?, &spec, &mut open, |at_most| {
+                    Output(UArrayWriter::reserve(at_most, &self.pager, budget))
+                })?;
+                return Ok(open
+                    .into_iter()
+                    .map(|(win, w)| (StoredData::Events(w.0.seal(self.next_id())), Some(win)))
+                    .collect());
+            }
+            PrimitiveKind::Sort => {
+                let events = one_events(0)?;
+                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.key, w))?
+            }
+            PrimitiveKind::SortByValue => {
+                let events = one_events(0)?;
+                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.value, w))?
+            }
+            PrimitiveKind::SortByTime => {
+                let events = one_events(0)?;
+                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.ts_ms, w))?
+            }
+            PrimitiveKind::Merge | PrimitiveKind::Union => {
+                let (a, b) = (one_events(0)?, one_events(1)?);
+                events_of(a.len() + b.len(), &|w| prim::merge_sorted_by_key_into(a, b, w))?
+            }
+            PrimitiveKind::MergeK => {
+                one_events(0)?;
+                let runs = all_events()?;
+                let total = runs.iter().map(|r| r.len()).sum();
+                events_of(total, &|w| prim::merge_runs_by_key_into(&runs, w))?
+            }
+            PrimitiveKind::Concat => {
+                let parts = all_events()?;
+                let total = parts.iter().map(|p| p.len()).sum();
+                events_of(total, &|w| prim::concat_events_into(&parts, w))?
             }
             PrimitiveKind::SumCnt | PrimitiveKind::AveragePerKey => {
-                let aggs = prim::sum_count_per_key(one_events(0)?);
-                out.push((StoredData::from_aggs(self.next_id(), &aggs, pager)?, None));
-            }
-            PrimitiveKind::Sum => {
-                let s = prim::sum(one_events(0)?);
-                out.push((StoredData::from_scalars(self.next_id(), &[s], pager)?, None));
-            }
-            PrimitiveKind::Count => {
-                let c = prim::count(one_events(0)?);
-                out.push((StoredData::from_scalars(self.next_id(), &[c], pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, prim::key_runs(events), StoredData::Aggs, |w| {
+                    prim::sum_count_per_key_into(events, w)
+                })?
             }
             PrimitiveKind::CountPerKey => {
-                let counts = prim::count_per_key(one_events(0)?);
-                let pairs: Vec<KeyValue> =
-                    counts.iter().map(|kc| KeyValue::new(kc.key, kc.count)).collect();
-                out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
-            }
-            PrimitiveKind::Average => {
-                let avg = prim::average(one_events(0)?);
-                out.push((StoredData::from_scalars(self.next_id(), &[avg], pager)?, None));
-            }
-            PrimitiveKind::Median => {
-                let m = prim::median(one_events(0)?).unwrap_or(0) as u64;
-                out.push((StoredData::from_scalars(self.next_id(), &[m], pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
+                    prim::count_per_key_into(events, w)
+                })?
             }
             PrimitiveKind::MedianPerKey => {
-                let med = prim::median_per_key(one_events(0)?);
-                let pairs: Vec<KeyValue> =
-                    med.iter().map(|(k, v)| KeyValue::new(*k, *v as u64)).collect();
-                out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
+                    prim::median_per_key_into(events, w)
+                })?
+            }
+            PrimitiveKind::Unique => {
+                let events = one_events(0)?;
+                self.produce(budget, prim::key_runs(events), StoredData::Scalars, |w| {
+                    prim::unique_keys_into(events, w)
+                })?
+            }
+            PrimitiveKind::Sum => scalars_of(&[prim::sum(one_events(0)?)])?,
+            PrimitiveKind::Count => scalars_of(&[prim::count(one_events(0)?)])?,
+            PrimitiveKind::Average => scalars_of(&[prim::average(one_events(0)?)])?,
+            PrimitiveKind::Median => {
+                scalars_of(&[prim::median(one_events(0)?).unwrap_or(0) as u64])?
             }
             PrimitiveKind::MinMax => {
                 let (lo, hi) = prim::min_max(one_events(0)?).unwrap_or((0, 0));
-                out.push((
-                    StoredData::from_scalars(self.next_id(), &[lo as u64, hi as u64], pager)?,
-                    None,
-                ));
-            }
-            PrimitiveKind::Unique => {
-                let keys = prim::unique_keys(one_events(0)?);
-                let scalars: Vec<u64> = keys.iter().map(|k| *k as u64).collect();
-                out.push((StoredData::from_scalars(self.next_id(), &scalars, pager)?, None));
+                scalars_of(&[lo as u64, hi as u64])?
             }
             PrimitiveKind::TopK => {
                 let k = match params {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopK needs K")),
                 };
-                let top: Vec<u64> =
-                    prim::top_k_by_value(one_events(0)?, k).iter().map(|v| *v as u64).collect();
-                out.push((StoredData::from_scalars(self.next_id(), &top, pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, events.len().min(k), StoredData::Scalars, |w| {
+                    prim::top_k_by_value_into(events, k, w)
+                })?
             }
             PrimitiveKind::TopKPerKey => {
                 let k = match params {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopKPerKey needs K")),
                 };
-                let mut pairs = Vec::new();
-                for (key, values) in prim::top_k_per_key(one_events(0)?, k) {
-                    for v in values {
-                        pairs.push(KeyValue::new(key, v as u64));
-                    }
-                }
-                out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, prim::top_k_per_key_len(events, k), StoredData::Pairs, |w| {
+                    prim::top_k_per_key_into(events, k, w)
+                })?
             }
             PrimitiveKind::FilterBand => {
                 let (lo, hi) = match params {
                     PrimitiveParams::Band { lo, hi } => (*lo, *hi),
                     _ => return Err(DataPlaneError::BadArguments("FilterBand needs a band")),
                 };
-                let kept = prim::filter_band(one_events(0)?, lo, hi);
-                out.push((StoredData::from_events(self.next_id(), &kept, pager)?, None));
+                let events = one_events(0)?;
+                let mut kept = RecordCount::default();
+                infallible(prim::filter_band_into(events, lo, hi, &mut kept));
+                events_of(kept.0, &|w| prim::filter_band_into(events, lo, hi, w))?
             }
             PrimitiveKind::FilterTime => {
                 let (start, end) = match params {
                     PrimitiveParams::TimeRange { start, end } => (*start, *end),
                     _ => return Err(DataPlaneError::BadArguments("FilterTime needs a range")),
                 };
-                let kept = prim::filter_time(one_events(0)?, start, end);
-                out.push((StoredData::from_events(self.next_id(), &kept, pager)?, None));
+                let events = one_events(0)?;
+                let mut kept = RecordCount::default();
+                infallible(prim::filter_time_into(events, start, end, &mut kept));
+                events_of(kept.0, &|w| prim::filter_time_into(events, start, end, w))?
             }
             PrimitiveKind::Project => {
-                let keys = prim::project_keys(one_events(0)?);
-                let scalars: Vec<u64> = keys.iter().map(|k| *k as u64).collect();
-                out.push((StoredData::from_scalars(self.next_id(), &scalars, pager)?, None));
+                let events = one_events(0)?;
+                self.produce(budget, events.len(), StoredData::Scalars, |w| {
+                    prim::project_keys_into(events, w)
+                })?
             }
             PrimitiveKind::Sample => {
                 let every = match params {
                     PrimitiveParams::Every(n) => *n,
                     _ => return Err(DataPlaneError::BadArguments("Sample needs a period")),
                 };
-                let sampled = prim::sample_every(one_events(0)?, every);
-                out.push((StoredData::from_events(self.next_id(), &sampled, pager)?, None));
-            }
-            PrimitiveKind::Concat => {
-                let mut parts: Vec<&[Event]> = Vec::with_capacity(inputs.len());
-                for i in 0..inputs.len() {
-                    parts.push(one_events(i)?);
-                }
-                let joined = prim::concat_events(&parts);
-                out.push((StoredData::from_events(self.next_id(), &joined, pager)?, None));
-            }
-            PrimitiveKind::Union => {
-                let merged = prim::union_events(one_events(0)?, one_events(1)?);
-                out.push((StoredData::from_events(self.next_id(), &merged, pager)?, None));
+                let events = one_events(0)?;
+                events_of(events.len().div_ceil(every.max(1)), &|w| {
+                    prim::sample_every_into(events, every, w)
+                })?
             }
             PrimitiveKind::Join => {
-                let joined = prim::join_by_key(one_events(0)?, one_events(1)?);
-                let pairs: Vec<KeyValue> = joined
-                    .iter()
-                    .map(|p| {
-                        KeyValue::new(p.key, ((p.left_value as u64) << 32) | p.right_value as u64)
-                    })
-                    .collect();
-                out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
+                let (left, right) = (one_events(0)?, one_events(1)?);
+                // Counted first: the result can be many times its inputs and
+                // must be reserved exactly so it never relocates.
+                self.produce(budget, prim::join_len(left, right), StoredData::Pairs, |w| {
+                    prim::join_by_key_into(left, right, w)
+                })?
             }
-        }
-        Ok(out)
+        };
+        Ok(vec![(output, None)])
     }
 
     // ----- egress and retirement -----------------------------------------
@@ -2050,6 +2084,16 @@ mod tests {
         assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
     }
 
+    /// What a failed invocation must leave exactly as it found it.
+    fn footprint(dp: &DataPlane, tenant: TenantId) -> (u64, u64, usize, u64) {
+        (
+            dp.platform().secure_mem().in_use(),
+            dp.tenant_memory(tenant).unwrap().used_bytes,
+            dp.live_refs_for(tenant),
+            dp.stats().snapshot().audit_records,
+        )
+    }
+
     #[test]
     fn quota_rejection_of_invoke_outputs_releases_pages() {
         let dp = plane();
@@ -2057,7 +2101,8 @@ mod tests {
         dp.register_tenant(TenantId(1), Some(8 * 4096)).unwrap();
         let events: Vec<Event> = (0..2_000).map(|i| Event::new(i % 50, i, 0)).collect();
         let a = ingest_events_for(&dp, TenantId(1), &events); // ~6 pages
-        let before = dp.platform().secure_mem().in_use();
+        let before = footprint(&dp, TenantId(1));
+        dp.platform().secure_mem().reset_high_water();
         let err = in_tee(|| {
             dp.invoke_for(
                 TenantId(1),
@@ -2069,10 +2114,150 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, DataPlaneError::QuotaExceeded);
-        // The transiently committed output pages were released.
-        assert_eq!(dp.platform().secure_mem().in_use(), before);
+        // The limit fell inside the output: production stopped at the page
+        // that crossed it (two pages of headroom, not the six the sorted
+        // copy needs), and the transiently committed pages were released.
+        assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 2 * 4096);
+        assert_eq!(footprint(&dp, TenantId(1)), before);
         // The input is still usable.
         assert!(in_tee(|| dp.egress_for(TenantId(1), a.opaque)).is_ok());
+    }
+
+    #[test]
+    fn a_quota_trip_inside_a_multi_window_segment_releases_every_window() {
+        let dp = plane();
+        // 3 000 events over three windows: the batch takes 9 pages, its
+        // three per-window copies 3 pages each. 15 pages of quota leave
+        // room for two of the three.
+        dp.register_tenant(TenantId(1), Some(15 * 4096)).unwrap();
+        let events: Vec<Event> = (0..3_000).map(|i| Event::new(i, i, i)).collect();
+        let a = ingest_events_for(&dp, TenantId(1), &events);
+        let before = footprint(&dp, TenantId(1));
+        dp.platform().secure_mem().reset_high_water();
+        let err = in_tee(|| {
+            dp.invoke_for(
+                TenantId(1),
+                PrimitiveKind::Segment,
+                &[a.opaque],
+                PrimitiveParams::one_second_windows(),
+                &HintSet::none(),
+            )
+        })
+        .unwrap_err();
+        assert_eq!(err, DataPlaneError::QuotaExceeded);
+        // Two windows were fully produced and the third begun when the
+        // budget ran out; all of them went back.
+        assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 6 * 4096);
+        assert_eq!(footprint(&dp, TenantId(1)), before);
+        // With room for all three the same call succeeds.
+        dp.set_tenant_quota(TenantId(1), Some(18 * 4096)).unwrap();
+        let outs = in_tee(|| {
+            dp.invoke_for(
+                TenantId(1),
+                PrimitiveKind::Segment,
+                &[a.opaque],
+                PrimitiveParams::one_second_windows(),
+                &HintSet::none(),
+            )
+        })
+        .unwrap();
+        assert_eq!(outs.iter().map(|o| o.len).collect::<Vec<_>>(), vec![1_000; 3]);
+    }
+
+    #[test]
+    fn a_quota_trip_inside_a_join_result_releases_it() {
+        let dp = plane();
+        dp.register_tenant(TenantId(1), Some(16 * 4096)).unwrap();
+        // One key on both sides: 200 x 200 = 40 000 joined rows (157 pages)
+        // from two one-page inputs.
+        let side: Vec<Event> = (0..200).map(|i| Event::new(7, i, 0)).collect();
+        let l = ingest_events_for(&dp, TenantId(1), &side);
+        let r = ingest_events_for(&dp, TenantId(1), &side);
+        let before = footprint(&dp, TenantId(1));
+        dp.platform().secure_mem().reset_high_water();
+        let err = in_tee(|| {
+            dp.invoke_for(
+                TenantId(1),
+                PrimitiveKind::Join,
+                &[l.opaque, r.opaque],
+                PrimitiveParams::None,
+                &HintSet::none(),
+            )
+        })
+        .unwrap_err();
+        assert_eq!(err, DataPlaneError::QuotaExceeded);
+        // 14 pages of headroom were produced into, then handed back.
+        assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 14 * 4096);
+        assert_eq!(footprint(&dp, TenantId(1)), before);
+        assert!(in_tee(|| dp.egress_for(TenantId(1), l.opaque)).is_ok());
+    }
+
+    #[test]
+    fn secure_memory_exhaustion_mid_production_is_fail_closed() {
+        // No tenant quota at all: the carve-out itself (16 pages) runs out
+        // inside the second window of a segment.
+        let platform = Platform::new(sbt_tz::PlatformConfig {
+            secure_mem_bytes: 16 * 4096,
+            ..sbt_tz::PlatformConfig::default()
+        });
+        let dp = DataPlane::new(platform, DataPlaneConfig::default());
+        let events: Vec<Event> = (0..3_000).map(|i| Event::new(i, i, i)).collect();
+        let a = ingest_events(&dp, &events); // 9 pages
+        let before = footprint(&dp, TenantId::DEFAULT);
+        let err = in_tee(|| {
+            dp.invoke(
+                PrimitiveKind::Segment,
+                &[a.opaque],
+                PrimitiveParams::one_second_windows(),
+                &HintSet::none(),
+            )
+        })
+        .unwrap_err();
+        assert_eq!(err, DataPlaneError::OutOfSecureMemory);
+        assert_eq!(footprint(&dp, TenantId::DEFAULT), before);
+    }
+
+    #[test]
+    fn hostile_window_specs_are_rejected_before_any_work() {
+        let dp = plane();
+        dp.register_tenant(TenantId(1), None).unwrap();
+        let events: Vec<Event> = (0..100).map(|i| Event::new(i, i, 1_000 + i)).collect();
+        let a = ingest_events_for(&dp, TenantId(1), &events);
+        let before = footprint(&dp, TenantId(1));
+        let us = Duration::from_micros;
+        for spec in [
+            // One window (and one page-rounded uArray) per microsecond.
+            WindowSpec::Fixed { size: us(0) },
+            // `size - 1` underflow; in release, a million windows per event.
+            WindowSpec::Sliding { size: us(0), slide: us(1) },
+            WindowSpec::Sliding { size: us(1_000), slide: us(0) },
+            WindowSpec::Sliding { size: us(1_000), slide: us(1_001) },
+        ] {
+            let err = in_tee(|| {
+                dp.invoke_for(
+                    TenantId(1),
+                    PrimitiveKind::Segment,
+                    &[a.opaque],
+                    PrimitiveParams::Window(spec),
+                    &HintSet::none(),
+                )
+            })
+            .unwrap_err();
+            assert_eq!(err, DataPlaneError::BadArguments("malformed window spec"), "{spec:?}");
+            assert_eq!(footprint(&dp, TenantId(1)), before, "{spec:?}");
+        }
+        // The batch itself was fine.
+        let outs = in_tee(|| {
+            dp.invoke_for(
+                TenantId(1),
+                PrimitiveKind::Segment,
+                &[a.opaque],
+                PrimitiveParams::Window(WindowSpec::sliding(us(2_000_000), us(1_000_000))),
+                &HintSet::none(),
+            )
+        })
+        .unwrap();
+        assert_eq!(outs.iter().map(|o| o.window.unwrap().0).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

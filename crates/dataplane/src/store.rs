@@ -25,6 +25,11 @@ pub enum StoredData {
 }
 
 impl StoredData {
+    // The `from_*` constructors copy a slice the caller already holds
+    // (restored checkpoint partitions, test fixtures). Primitive outputs are
+    // never built this way: they are produced in place through a
+    // `UArrayWriter` (see `DataPlane::produce`).
+
     /// Build an events array from a slice.
     pub fn from_events(
         id: UArrayId,

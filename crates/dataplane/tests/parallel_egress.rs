@@ -18,55 +18,20 @@ use sbt_telemetry::{seal_span_parts, SealStage, SpanKind, Tracer};
 use sbt_types::{Event, KeyAgg, KeyValue, LanePool, LaneTask, TenantId};
 use sbt_tz::{CostModel, Platform, SecureMemory, TzStats, World, WorldGuard};
 use sbt_uarray::{TeePager, UArrayId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 // ---------------------------------------------------------------------------
-// A counting allocator with per-thread accounting: sibling tests allocating
-// on other threads cannot disturb a measurement.
+// The shared counting allocator: per-thread accounting, so sibling tests
+// allocating on other threads cannot disturb a measurement.
 // ---------------------------------------------------------------------------
 
 /// Allocations at least this large count as payload-sized: half a chunk,
 /// so a staging buffer allocated per seal would be caught.
 const LARGE: usize = SEAL_CHUNK / 2;
 
-thread_local! {
-    static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-fn note(size: usize) {
-    if size >= LARGE {
-        LARGE_ALLOCATIONS.with(|c| c.set(c.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
 
 // ---------------------------------------------------------------------------
 // Pools: every order a conforming `LanePool::run` may execute tasks in.
@@ -377,6 +342,7 @@ fn results_under_two_chunks_never_reach_the_pool() {
 
 #[test]
 fn a_steady_state_seal_makes_exactly_one_payload_sized_allocation() {
+    counting_alloc::set_large_threshold(LARGE);
     let data = stored(LayoutKind::Pairs, 160_000, 1);
     let sealer = Sealer::new();
     let tracer = quiet();
@@ -388,9 +354,9 @@ fn a_steady_state_seal_makes_exactly_one_payload_sized_allocation() {
         // Warm-up: the staging buffers are allocated once and kept.
         drop(sealer.seal_egress(0, Arc::clone(&data), &keys, Some(&pool), &tracer, 3));
         for seq in 1..4 {
-            let before = LARGE_ALLOCATIONS.with(Cell::get);
+            let before = counting_alloc::counts().large;
             let msg = sealer.seal_egress(seq, Arc::clone(&data), &keys, Some(&pool), &tracer, 3);
-            let large = LARGE_ALLOCATIONS.with(Cell::get) - before;
+            let large = counting_alloc::counts().large - before;
             assert_eq!(
                 large, 1,
                 "{order:?}: a steady-state seal allocated {large} payload-sized buffers; \
@@ -401,9 +367,9 @@ fn a_steady_state_seal_makes_exactly_one_payload_sized_allocation() {
     }
     // The serial path has the same profile.
     drop(sealer.seal_egress(9, Arc::clone(&data), &keys, None, &tracer, 3));
-    let before = LARGE_ALLOCATIONS.with(Cell::get);
+    let before = counting_alloc::counts().large;
     drop(sealer.seal_egress(10, Arc::clone(&data), &keys, None, &tracer, 3));
-    assert_eq!(LARGE_ALLOCATIONS.with(Cell::get) - before, 1);
+    assert_eq!(counting_alloc::counts().large - before, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,46 +17,11 @@ use sbt_crypto::{AesCtr, MasterSecret};
 use sbt_dataplane::{DataPlane, DataPlaneConfig};
 use sbt_types::{Event, PowerEvent, TenantId};
 use sbt_tz::{Platform, PlatformConfig, World, WorldGuard};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAllocator;
-
-// Per-thread, so sibling tests allocating on other threads cannot disturb a
-// measurement (the measured paths run on the test's own thread).
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    ALLOCATIONS.with(|c| c.set(c.get() + 1));
-    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+// Per-thread accounting: sibling tests allocating on other threads cannot
+// disturb a measurement.
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
 
 fn in_tee<R>(f: impl FnOnce() -> R) -> R {
     let _g = WorldGuard::enter(World::Secure);
@@ -291,11 +256,10 @@ fn encrypted_ingest_performs_no_staging_allocation() {
     for (slot, &n) in SIZES.iter().enumerate() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
-            let count_before = ALLOCATIONS.with(Cell::get);
-            let bytes_before = ALLOCATED_BYTES.with(Cell::get);
+            let before = counting_alloc::counts();
             let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
-            let count = ALLOCATIONS.with(Cell::get) - count_before;
-            let bytes = ALLOCATED_BYTES.with(Cell::get) - bytes_before;
+            let spent = counting_alloc::counts().since(before);
+            let (count, bytes) = (spent.allocations, spent.bytes);
             count_per_size[slot] = count_per_size[slot].min(count);
             bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
             in_tee(|| dp.retire(out.opaque)).unwrap();

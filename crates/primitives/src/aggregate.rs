@@ -3,11 +3,12 @@
 //!
 //! These primitives reduce an event array (usually one window's worth of
 //! events) to a handful of scalars with a single sequential pass — the shape
-//! the WinSum benchmark exercises. Median sorts a copy of the values with the
-//! vectorized kernel and picks the middle element, staying within the
+//! the WinSum benchmark exercises. Median copies the values into the thread's
+//! scratch and selects the middle element (no sort), staying within the
 //! array-based design.
 
-use crate::sort::vector_sort_u64;
+use crate::scratch::with_scratch;
+use crate::topk::lower_median;
 use sbt_types::Event;
 
 /// Sum of all event values (the `Sum` primitive). Returns 0 for an empty
@@ -46,12 +47,11 @@ pub fn min_max(events: &[Event]) -> Option<(u32, u32)> {
 /// Median of the event values (the `Median` primitive), defined as the lower
 /// middle element for even-sized inputs. Returns `None` for an empty input.
 pub fn median(events: &[Event]) -> Option<u32> {
-    if events.is_empty() {
-        return None;
-    }
-    let mut values: Vec<u64> = events.iter().map(|e| e.value as u64).collect();
-    vector_sort_u64(&mut values);
-    Some(values[(values.len() - 1) / 2] as u32)
+    with_scratch(|scratch| {
+        scratch.values.clear();
+        scratch.values.extend(events.iter().map(|e| e.value));
+        lower_median(&mut scratch.values)
+    })
 }
 
 #[cfg(test)]

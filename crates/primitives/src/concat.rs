@@ -6,16 +6,22 @@
 //! a merge pass in the array-based design.
 
 use crate::merge::merge_sorted_by_key;
-use sbt_types::Event;
+use sbt_types::{infallible, Event, RecordSink};
 
 /// Concatenate event arrays in order (the `Concat` primitive).
 pub fn concat_events(parts: &[&[Event]]) -> Vec<Event> {
     let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend_from_slice(p);
-    }
+    infallible(concat_events_into(parts, &mut out));
     out
+}
+
+/// The Concat kernel: append every part, in order, to `sink`.
+pub fn concat_events_into<S: RecordSink<Event>>(
+    parts: &[&[Event]],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    parts.iter().try_for_each(|part| sink.extend_from_slice(part))
 }
 
 /// Union of two streams' key-sorted arrays, still sorted by key

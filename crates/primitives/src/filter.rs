@@ -3,25 +3,51 @@
 //! These are single-pass scans that keep or transform a subset of the input
 //! array. The Filter benchmark of §9.2 uses FilterBand with ~1% selectivity.
 
-use sbt_types::{Event, EventTime};
+use sbt_types::{infallible, Event, EventTime, RecordSink};
+
+/// Append the events satisfying `keep`, in input order, to `sink`.
+fn filter_into<S: RecordSink<Event>>(
+    events: &[Event],
+    keep: impl Fn(&Event) -> bool,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    events.iter().filter(|e| keep(e)).try_for_each(|e| sink.push(*e))
+}
 
 /// Keep events whose value lies in the inclusive band `[lo, hi]`
 /// (the `FilterBand` primitive).
 pub fn filter_band(events: &[Event], lo: u32, hi: u32) -> Vec<Event> {
-    events.iter().copied().filter(|e| e.value >= lo && e.value <= hi).collect()
+    let mut out = Vec::new();
+    infallible(filter_band_into(events, lo, hi, &mut out));
+    out
+}
+
+/// The FilterBand kernel.
+pub fn filter_band_into<S: RecordSink<Event>>(
+    events: &[Event],
+    lo: u32,
+    hi: u32,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    filter_into(events, |e| e.value >= lo && e.value <= hi, sink)
 }
 
 /// Keep events whose event time lies in `[start, end)` (the `FilterTime`
 /// primitive).
 pub fn filter_time(events: &[Event], start: EventTime, end: EventTime) -> Vec<Event> {
-    events
-        .iter()
-        .copied()
-        .filter(|e| {
-            let t = e.event_time();
-            t >= start && t < end
-        })
-        .collect()
+    let mut out = Vec::new();
+    infallible(filter_time_into(events, start, end, &mut out));
+    out
+}
+
+/// The FilterTime kernel.
+pub fn filter_time_into<S: RecordSink<Event>>(
+    events: &[Event],
+    start: EventTime,
+    end: EventTime,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    filter_into(events, |e| (start..end).contains(&e.event_time()), sink)
 }
 
 /// Project the key column of the input (the `Project` primitive). In the
@@ -29,14 +55,34 @@ pub fn filter_time(events: &[Event], start: EventTime, end: EventTime) -> Vec<Ev
 /// with the 12-byte event layout the key column is the projection the
 /// pipelines use.
 pub fn project_keys(events: &[Event]) -> Vec<u32> {
-    events.iter().map(|e| e.key).collect()
+    let mut out = Vec::with_capacity(events.len());
+    infallible(project_keys_into(events, &mut out));
+    out
+}
+
+/// The Project kernel: one scalar record per event.
+pub fn project_keys_into<R: From<u32>, S: RecordSink<R>>(
+    events: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    events.iter().try_for_each(|e| sink.push(R::from(e.key)))
 }
 
 /// Keep every `n`-th event starting with the first (the `Sample` primitive).
 /// `n == 0` is treated as `1` (keep everything).
 pub fn sample_every(events: &[Event], n: usize) -> Vec<Event> {
-    let n = n.max(1);
-    events.iter().copied().step_by(n).collect()
+    let mut out = Vec::with_capacity(events.len().div_ceil(n.max(1)));
+    infallible(sample_every_into(events, n, &mut out));
+    out
+}
+
+/// The Sample kernel; appends `events.len().div_ceil(n.max(1))` events.
+pub fn sample_every_into<S: RecordSink<Event>>(
+    events: &[Event],
+    n: usize,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    events.iter().step_by(n.max(1)).try_for_each(|e| sink.push(*e))
 }
 
 #[cfg(test)]

@@ -8,10 +8,12 @@
 //! insensitive to key skew.
 //!
 //! All functions in this module require their input to be sorted by key and
-//! debug-assert that property.
+//! debug-assert that property. Each emits exactly one record per key run, so
+//! [`key_runs`] is the output size of all of them.
 
-use crate::sort::vector_sort_u64;
-use sbt_types::{Event, KeyAgg, KeyCount};
+use crate::scratch::with_scratch;
+use crate::topk::lower_median;
+use sbt_types::{infallible, Event, KeyAgg, KeyValue, RecordSink};
 
 #[inline]
 fn debug_assert_sorted_by_key(events: &[Event]) {
@@ -21,8 +23,12 @@ fn debug_assert_sorted_by_key(events: &[Event]) {
     );
 }
 
-/// Visit each run of equal keys in a key-sorted array.
-fn for_each_group(events: &[Event], mut f: impl FnMut(u32, &[Event])) {
+/// Visit each run of equal keys in a key-sorted array, stopping at the
+/// first error.
+pub(crate) fn for_each_group<E>(
+    events: &[Event],
+    mut f: impl FnMut(u32, &[Event]) -> Result<(), E>,
+) -> Result<(), E> {
     debug_assert_sorted_by_key(events);
     let mut start = 0;
     while start < events.len() {
@@ -31,29 +37,53 @@ fn for_each_group(events: &[Event], mut f: impl FnMut(u32, &[Event])) {
         while end < events.len() && events[end].key == key {
             end += 1;
         }
-        f(key, &events[start..end]);
+        f(key, &events[start..end])?;
         start = end;
     }
+    Ok(())
+}
+
+/// Number of key runs (distinct keys) in a key-sorted array: how many
+/// records each per-key primitive emits.
+pub fn key_runs(sorted_events: &[Event]) -> usize {
+    debug_assert_sorted_by_key(sorted_events);
+    let boundaries = sorted_events.windows(2).filter(|w| w[0].key != w[1].key).count();
+    boundaries + usize::from(!sorted_events.is_empty())
 }
 
 /// Per-key sum and count (the `SumCnt` primitive applied per key). The
 /// output is ordered by key.
 pub fn sum_count_per_key(sorted_events: &[Event]) -> Vec<KeyAgg> {
     let mut out = Vec::new();
-    for_each_group(sorted_events, |key, group| {
-        let sum: u64 = group.iter().map(|e| e.value as u64).sum();
-        out.push(KeyAgg::new(key, sum, group.len() as u64));
-    });
+    infallible(sum_count_per_key_into(sorted_events, &mut out));
     out
 }
 
-/// Per-key event count (the `CountPerKey` primitive). Ordered by key.
-pub fn count_per_key(sorted_events: &[Event]) -> Vec<KeyCount> {
-    let mut out = Vec::new();
+/// The SumCnt-per-key kernel.
+pub fn sum_count_per_key_into<S: RecordSink<KeyAgg>>(
+    sorted_events: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
     for_each_group(sorted_events, |key, group| {
-        out.push(KeyCount::new(key, group.len() as u64));
-    });
+        let sum: u64 = group.iter().map(|e| e.value as u64).sum();
+        sink.push(KeyAgg::new(key, sum, group.len() as u64))
+    })
+}
+
+/// Per-key event count (the `CountPerKey` primitive), as `(key, count)`
+/// records ordered by key.
+pub fn count_per_key(sorted_events: &[Event]) -> Vec<KeyValue> {
+    let mut out = Vec::new();
+    infallible(count_per_key_into(sorted_events, &mut out));
     out
+}
+
+/// The CountPerKey kernel.
+pub fn count_per_key_into<S: RecordSink<KeyValue>>(
+    sorted_events: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    for_each_group(sorted_events, |key, group| sink.push(KeyValue::new(key, group.len() as u64)))
 }
 
 /// Per-key average value (the `AveragePerKey` primitive). Ordered by key.
@@ -63,23 +93,44 @@ pub fn avg_per_key(sorted_events: &[Event]) -> Vec<KeyAgg> {
     sum_count_per_key(sorted_events)
 }
 
-/// Per-key median value (the `MedianPerKey` primitive). Ordered by key.
-pub fn median_per_key(sorted_events: &[Event]) -> Vec<(u32, u32)> {
+/// Per-key median value (the `MedianPerKey` primitive), as `(key, median)`
+/// records ordered by key.
+pub fn median_per_key(sorted_events: &[Event]) -> Vec<KeyValue> {
     let mut out = Vec::new();
-    for_each_group(sorted_events, |key, group| {
-        let mut values: Vec<u64> = group.iter().map(|e| e.value as u64).collect();
-        vector_sort_u64(&mut values);
-        out.push((key, values[(values.len() - 1) / 2] as u32));
-    });
+    infallible(median_per_key_into(sorted_events, &mut out));
     out
+}
+
+/// The MedianPerKey kernel.
+pub fn median_per_key_into<S: RecordSink<KeyValue>>(
+    sorted_events: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    with_scratch(|scratch| {
+        let values = &mut scratch.values;
+        for_each_group(sorted_events, |key, group| {
+            values.clear();
+            values.extend(group.iter().map(|e| e.value));
+            let median = lower_median(values).expect("a key run is never empty");
+            sink.push(KeyValue::new(key, median as u64))
+        })
+    })
 }
 
 /// Distinct keys present in the input (the `Unique` primitive). Ordered by
 /// key. This is what the Distinct benchmark (unique taxi ids) is built on.
 pub fn unique_keys(sorted_events: &[Event]) -> Vec<u32> {
     let mut out = Vec::new();
-    for_each_group(sorted_events, |key, _| out.push(key));
+    infallible(unique_keys_into(sorted_events, &mut out));
     out
+}
+
+/// The Unique kernel: one scalar record per distinct key.
+pub fn unique_keys_into<R: From<u32>, S: RecordSink<R>>(
+    sorted_events: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    for_each_group(sorted_events, |key, _| sink.push(R::from(key)))
 }
 
 #[cfg(test)]
@@ -110,7 +161,7 @@ mod tests {
     #[test]
     fn count_and_unique() {
         let events = sorted(&[Event::new(5, 0, 0), Event::new(5, 0, 0), Event::new(9, 0, 0)]);
-        assert_eq!(count_per_key(&events), vec![KeyCount::new(5, 2), KeyCount::new(9, 1)]);
+        assert_eq!(count_per_key(&events), vec![KeyValue::new(5, 2), KeyValue::new(9, 1)]);
         assert_eq!(unique_keys(&events), vec![5, 9]);
     }
 
@@ -131,7 +182,7 @@ mod tests {
             Event::new(2, 4, 0),
             Event::new(2, 8, 0),
         ]);
-        assert_eq!(median_per_key(&events), vec![(1, 20), (2, 4)]);
+        assert_eq!(median_per_key(&events), vec![KeyValue::new(1, 20), KeyValue::new(2, 4)]);
     }
 
     proptest! {
@@ -161,7 +212,7 @@ mod tests {
 
             let counts = count_per_key(&sorted_events);
             for kc in &counts {
-                prop_assert_eq!(kc.count, reference[&kc.key].1);
+                prop_assert_eq!(kc.value, reference[&kc.key].1);
             }
 
             let uniques = unique_keys(&sorted_events);

@@ -6,28 +6,25 @@
 //! emits the cross product of each matching key run — the classic sort-merge
 //! join, chosen over a hash join for the same TEE-friendliness reasons as
 //! the grouped aggregates.
+//!
+//! A joined row is a `(key, value)` record whose value carries the two
+//! sides' values, left in the high 32 bits and right in the low 32 — the
+//! 12-byte wire record the pipelines egress. The output can be many times
+//! the inputs (every left event of a key meets every right event of it), so
+//! a producer that must not relocate sizes it first: [`join_len`] walks the
+//! same key runs and adds up their products without emitting anything.
 
-use sbt_types::Event;
+use sbt_types::{infallible, Event, KeyValue, RecordSink};
 
-/// One joined output row: the shared key and the two sides' values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct JoinedPair {
-    /// The join key.
-    pub key: u32,
-    /// Value from the left input.
-    pub left_value: u32,
-    /// Value from the right input.
-    pub right_value: u32,
-    /// Event time of the left event (the pipelines' convention for the
-    /// output timestamp).
-    pub ts_ms: u32,
-}
-
-/// Sort-merge equi-join of two key-sorted arrays.
-pub fn join_by_key(left: &[Event], right: &[Event]) -> Vec<JoinedPair> {
+/// Visit the left and right runs of every key present on both sides of two
+/// key-sorted arrays, in key order.
+fn for_each_match<E>(
+    left: &[Event],
+    right: &[Event],
+    mut f: impl FnMut(&[Event], &[Event]) -> Result<(), E>,
+) -> Result<(), E> {
     debug_assert!(left.windows(2).all(|w| w[0].key <= w[1].key), "left input not key-sorted");
     debug_assert!(right.windows(2).all(|w| w[0].key <= w[1].key), "right input not key-sorted");
-    let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < left.len() && j < right.len() {
         let lk = left[i].key;
@@ -37,24 +34,57 @@ pub fn join_by_key(left: &[Event], right: &[Event]) -> Vec<JoinedPair> {
         } else if lk > rk {
             j += 1;
         } else {
-            // Find both runs of the matching key and emit the cross product.
             let i_end = left[i..].iter().position(|e| e.key != lk).map_or(left.len(), |p| i + p);
             let j_end = right[j..].iter().position(|e| e.key != rk).map_or(right.len(), |p| j + p);
-            for l in &left[i..i_end] {
-                for r in &right[j..j_end] {
-                    out.push(JoinedPair {
-                        key: lk,
-                        left_value: l.value,
-                        right_value: r.value,
-                        ts_ms: l.ts_ms,
-                    });
-                }
-            }
+            f(&left[i..i_end], &right[j..j_end])?;
             i = i_end;
             j = j_end;
         }
     }
+    Ok(())
+}
+
+/// One joined row.
+#[inline]
+fn joined(l: &Event, r: &Event) -> KeyValue {
+    KeyValue::new(l.key, ((l.value as u64) << 32) | r.value as u64)
+}
+
+/// Exactly how many rows [`join_by_key_into`] appends: the sum over shared
+/// keys of the product of the two run lengths (saturating — a product that
+/// large cannot be produced anyway).
+pub fn join_len(left: &[Event], right: &[Event]) -> usize {
+    let mut len = 0usize;
+    infallible(for_each_match(left, right, |l, r| {
+        len = len.saturating_add(l.len().saturating_mul(r.len()));
+        Ok(())
+    }));
+    len
+}
+
+/// Sort-merge equi-join of two key-sorted arrays: rows ordered by key, and
+/// within a key left-major (each left event against every right event, in
+/// input order).
+pub fn join_by_key(left: &[Event], right: &[Event]) -> Vec<KeyValue> {
+    let mut out = Vec::with_capacity(join_len(left, right));
+    infallible(join_by_key_into(left, right, &mut out));
     out
+}
+
+/// The Join kernel: append the joined rows to `sink`.
+pub fn join_by_key_into<S: RecordSink<KeyValue>>(
+    left: &[Event],
+    right: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    for_each_match(left, right, |l_run, r_run| {
+        for l in l_run {
+            for r in r_run {
+                sink.push(joined(l, r))?;
+            }
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -67,24 +97,34 @@ mod tests {
         sort_events_by_key(&pairs.iter().map(|(k, v)| Event::new(*k, *v, 0)).collect::<Vec<_>>())
     }
 
+    fn row(key: u32, left: u32, right: u32) -> KeyValue {
+        KeyValue::new(key, ((left as u64) << 32) | right as u64)
+    }
+
     #[test]
     fn joins_matching_keys_only() {
         let left = evs(&[(1, 10), (2, 20), (4, 40)]);
         let right = evs(&[(2, 200), (3, 300), (4, 400)]);
-        let out = join_by_key(&left, &right);
-        let keys: Vec<u32> = out.iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![2, 4]);
-        assert_eq!(out[0].left_value, 20);
-        assert_eq!(out[0].right_value, 200);
+        assert_eq!(join_by_key(&left, &right), vec![row(2, 20, 200), row(4, 40, 400)]);
     }
 
     #[test]
-    fn emits_cross_product_for_duplicate_keys() {
+    fn emits_the_cross_product_of_duplicate_keys_left_major() {
         let left = evs(&[(7, 1), (7, 2)]);
         let right = evs(&[(7, 10), (7, 20), (7, 30)]);
         let out = join_by_key(&left, &right);
-        assert_eq!(out.len(), 6);
-        assert!(out.iter().all(|p| p.key == 7));
+        assert_eq!(
+            out,
+            vec![
+                row(7, 1, 10),
+                row(7, 1, 20),
+                row(7, 1, 30),
+                row(7, 2, 10),
+                row(7, 2, 20),
+                row(7, 2, 30)
+            ]
+        );
+        assert_eq!(join_len(&left, &right), 6);
     }
 
     #[test]
@@ -94,6 +134,7 @@ mod tests {
         assert!(join_by_key(&left, &right).is_empty());
         assert!(join_by_key(&[], &right).is_empty());
         assert!(join_by_key(&left, &[]).is_empty());
+        assert_eq!(join_len(&left, &right), 0);
     }
 
     proptest! {
@@ -106,27 +147,18 @@ mod tests {
             let r = evs(&right);
             let got = join_by_key(&l, &r);
 
-            // Nested-loop reference over the same (sorted) inputs.
+            // Nested-loop reference over the same (sorted) inputs: left-major
+            // over key-sorted sides is exactly the kernel's order.
             let mut expected = Vec::new();
             for le in &l {
                 for re in &r {
                     if le.key == re.key {
-                        expected.push(JoinedPair {
-                            key: le.key,
-                            left_value: le.value,
-                            right_value: re.value,
-                            ts_ms: le.ts_ms,
-                        });
+                        expected.push(row(le.key, le.value, re.value));
                     }
                 }
             }
-            // Compare as multisets (order differs between the algorithms).
-            let mut got_sorted = got.clone();
-            let mut expected_sorted = expected.clone();
-            let keyfn = |p: &JoinedPair| (p.key, p.left_value, p.right_value);
-            got_sorted.sort_by_key(keyfn);
-            expected_sorted.sort_by_key(keyfn);
-            prop_assert_eq!(got_sorted, expected_sorted);
+            prop_assert_eq!(join_len(&l, &r), expected.len());
+            prop_assert_eq!(got, expected);
         }
 
         #[test]
@@ -142,6 +174,7 @@ mod tests {
             }
             let expected: u64 = counts.values().map(|n| n * n).sum();
             prop_assert_eq!(out.len() as u64, expected);
+            prop_assert_eq!(join_len(&events, &events) as u64, expected);
         }
     }
 }

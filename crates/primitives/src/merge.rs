@@ -6,7 +6,7 @@
 //! iterative pairwise merging, which is also the microbenchmark used by
 //! Figure 11 (128-way merge over growing buffers).
 
-use sbt_types::Event;
+use sbt_types::{infallible, Event, RecordSink};
 
 /// Merge two key-sorted `u64` runs into a new sorted vector.
 pub fn merge_sorted_u64(a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -60,19 +60,55 @@ pub fn multiway_merge_u64(runs: &[Vec<u64>]) -> Vec<u64> {
 /// primitive used by GroupBy to combine per-worker sorted partitions.
 pub fn merge_sorted_by_key(a: &[Event], b: &[Event]) -> Vec<Event> {
     let mut out = Vec::with_capacity(a.len() + b.len());
+    infallible(merge_sorted_by_key_into(a, b, &mut out));
+    out
+}
+
+/// The Merge kernel: append the stable merge of `a` and `b` to `sink`.
+pub fn merge_sorted_by_key_into<S: RecordSink<Event>>(
+    a: &[Event],
+    b: &[Event],
+    sink: &mut S,
+) -> Result<(), S::Error> {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         if a[i].key <= b[j].key {
-            out.push(a[i]);
+            sink.push(a[i])?;
             i += 1;
         } else {
-            out.push(b[j]);
+            sink.push(b[j])?;
             j += 1;
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    sink.extend_from_slice(&a[i..])?;
+    sink.extend_from_slice(&b[j..])
+}
+
+/// The MergeK kernel over event runs: append the stable merge of all `runs`
+/// (equal keys in run order) to `sink` — what merging them pairwise from the
+/// left yields, without the intermediate arrays. The next record is found by
+/// scanning the run heads, so this suits the handful of runs a window has,
+/// not hundreds.
+pub fn merge_runs_by_key_into<S: RecordSink<Event>>(
+    runs: &[&[Event]],
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    let mut rest: Vec<&[Event]> = runs.to_vec();
+    loop {
+        let mut next: Option<(usize, u32)> = None;
+        for (r, run) in rest.iter().enumerate() {
+            if let Some(head) = run.first() {
+                if next.is_none_or(|(_, key)| head.key < key) {
+                    next = Some((r, head.key));
+                }
+            }
+        }
+        let Some((r, _)) = next else {
+            return Ok(());
+        };
+        sink.push(rest[r][0])?;
+        rest[r] = &rest[r][1..];
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +149,28 @@ mod tests {
         // The tie on key 1 keeps a's event first.
         assert_eq!(merged[0].value, 100);
         assert_eq!(merged[1].value, 200);
+    }
+
+    #[test]
+    fn merging_runs_equals_merging_pairwise_from_the_left() {
+        let ev = sbt_types::Event::new;
+        let runs: Vec<Vec<Event>> = vec![
+            vec![ev(1, 10, 0), ev(3, 11, 0), ev(3, 12, 0)],
+            vec![],
+            vec![ev(1, 20, 0), ev(2, 21, 0), ev(3, 22, 0)],
+            vec![ev(0, 30, 0), ev(3, 31, 0)],
+        ];
+        let mut pairwise = runs[0].clone();
+        for run in &runs[1..] {
+            pairwise = merge_sorted_by_key(&pairwise, run);
+        }
+        let slices: Vec<&[Event]> = runs.iter().map(Vec::as_slice).collect();
+        let mut merged = Vec::new();
+        infallible(merge_runs_by_key_into(&slices, &mut merged));
+        assert_eq!(merged, pairwise);
+        let mut none: Vec<Event> = Vec::new();
+        infallible(merge_runs_by_key_into(&[], &mut none));
+        assert!(none.is_empty());
     }
 
     /// Helper to sort a literal vec inline in tests.

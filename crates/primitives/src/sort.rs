@@ -8,69 +8,101 @@
 //! compiler can keep the hot loops in wide registers.
 //!
 //! Concretely the kernel is a least-significant-digit counting sort over the
-//! key bytes (radix 256): a handful of sequential passes, each consisting of
-//! a branch-free histogram and a scatter, which is the portable analogue of
-//! the paper's in-register NEON sort in the sense that matters for the
-//! evaluation — it beats the general comparison sorts (`qsort`, `std::sort`)
-//! that §9.3 swaps in, by a similar margin.
+//! key bytes (radix 256): one sweep that builds every digit's histogram at
+//! once, then one stable scatter per digit that actually varies (a digit
+//! that is constant across the array — the high bytes of small keys — costs
+//! nothing). It is the portable analogue of the paper's in-register NEON
+//! sort in the sense that matters for the evaluation — it beats the general
+//! comparison sorts (`qsort`, `std::sort`) that §9.3 swaps in, by a similar
+//! margin.
 //!
 //! Events are sorted indirectly: the key (or value, or timestamp) is packed
-//! with the element index into one `u64`, the packed array is sorted by the
-//! kernel, and the events are gathered through the resulting permutation.
-//! This keeps the hot loop operating on flat machine words — the essence of
-//! the paper's "array-based algorithms to suit TEE" decision.
+//! with the element index into one `u64` (the histogram sweep rides along
+//! with the packing), the packed array is sorted by the kernel, and the
+//! events are gathered through the resulting permutation straight into the
+//! output sink. This keeps the hot loop operating on flat machine words —
+//! the essence of the paper's "array-based algorithms to suit TEE" decision.
+//! The packed words and the scatter buffer are per-thread scratch (see
+//! [`crate::scratch`]), so a sort allocates nothing of its own.
 
-use sbt_types::Event;
+use crate::scratch::{with_scratch, Scratch};
+use sbt_types::{infallible, Event, RecordSink};
 
-/// Sort a `u64` slice in place with the radix kernel (8 byte-wide passes).
+/// Per-digit value counts of one byte position.
+type Histogram = [usize; 256];
+
+/// Sort a `u64` slice in place with the radix kernel (up to 8 byte-wide
+/// passes; the vector's buffer may be exchanged for the thread's scratch
+/// buffer of the same length).
 pub fn vector_sort_u64(data: &mut Vec<u64>) {
-    radix_sort_by_bytes(data, 0, 8);
+    with_scratch(|scratch| radix_sort_by_bytes::<0, 8>(data, &mut scratch.spare));
 }
 
-/// LSD radix sort over byte positions `[lo_byte, hi_byte)` of each word.
-/// Sorting a sub-range of bytes is what lets the event kernels sort by a
-/// 32-bit field in only four passes while remaining stable overall.
-fn radix_sort_by_bytes(data: &mut Vec<u64>, lo_byte: usize, hi_byte: usize) {
+/// LSD radix sort over byte positions `[LO, HI)` of each word. Sorting a
+/// sub-range of bytes is what lets the event kernels sort by a 32-bit field
+/// in at most four passes while remaining stable overall.
+pub(crate) fn radix_sort_by_bytes<const LO: usize, const HI: usize>(
+    data: &mut Vec<u64>,
+    spare: &mut Vec<u64>,
+) {
+    let mut histograms = [[0usize; 256]; 8];
+    for &v in data.iter() {
+        for (byte, histogram) in histograms.iter_mut().enumerate().take(HI).skip(LO) {
+            histogram[((v >> (byte * 8)) & 0xFF) as usize] += 1;
+        }
+    }
+    scatter_by_digits(data, spare, &histograms[LO..HI], LO);
+}
+
+/// The scatter passes: `histograms[i]` counts the digits at byte position
+/// `lo_byte + i` (counts do not depend on the order of the words, so all of
+/// them can be taken before the first pass moves anything).
+fn scatter_by_digits(
+    data: &mut Vec<u64>,
+    spare: &mut Vec<u64>,
+    histograms: &[Histogram],
+    lo_byte: usize,
+) {
     let n = data.len();
     if n <= 1 {
         return;
     }
-    let mut scratch: Vec<u64> = vec![0; n];
-    let mut src_is_data = true;
-    for byte in lo_byte..hi_byte {
-        let shift = (byte * 8) as u32;
-        // Skip passes whose digit is constant across the array (common for
-        // small key ranges); this keeps short-key sorts at 1–2 passes.
-        let (src, dst): (&mut Vec<u64>, &mut Vec<u64>) =
-            if src_is_data { (&mut *data, &mut scratch) } else { (&mut scratch, &mut *data) };
-        let first_digit = (src[0] >> shift) & 0xFF;
-        let mut histogram = [0usize; 256];
-        let mut constant = true;
-        for &v in src.iter() {
-            let digit = ((v >> shift) & 0xFF) as usize;
-            histogram[digit] += 1;
-            constant &= digit as u64 == first_digit;
-        }
-        if constant {
+    if spare.len() < n {
+        spare.resize(n, 0);
+    }
+    let mut sorted_in_data = true;
+    for (i, histogram) in histograms.iter().enumerate() {
+        // One digit value holding every word: this byte orders nothing
+        // (common for small key ranges, whose high bytes are all zero).
+        if histogram.contains(&n) {
             continue;
         }
+        let shift = ((lo_byte + i) * 8) as u32;
         // Exclusive prefix sum -> bucket start offsets.
-        let mut offset = 0usize;
         let mut starts = [0usize; 256];
-        for d in 0..256 {
-            starts[d] = offset;
-            offset += histogram[d];
+        let mut offset = 0usize;
+        for (start, count) in starts.iter_mut().zip(histogram) {
+            *start = offset;
+            offset += count;
         }
+        let (src, dst): (&[u64], &mut [u64]) = if sorted_in_data {
+            (&data[..], &mut spare[..n])
+        } else {
+            (&spare[..n], &mut data[..])
+        };
         // Stable scatter.
-        for &v in src.iter() {
+        for &v in src {
             let digit = ((v >> shift) & 0xFF) as usize;
             dst[starts[digit]] = v;
             starts[digit] += 1;
         }
-        src_is_data = !src_is_data;
+        sorted_in_data = !sorted_in_data;
     }
-    if !src_is_data {
-        data.copy_from_slice(&scratch);
+    if !sorted_in_data {
+        // The result sits in the scratch buffer: exchange the buffers
+        // instead of copying it back.
+        std::mem::swap(data, spare);
+        data.truncate(n);
     }
 }
 
@@ -84,32 +116,59 @@ fn pack(key: u32, index: u32) -> u64 {
 
 /// Sort events by grouping key (stable). This is the `Sort` primitive.
 pub fn sort_events_by_key(events: &[Event]) -> Vec<Event> {
-    sort_events_with(events, |e| e.key)
+    sorted_vec(events, |e| e.key)
 }
 
 /// Sort events by value (stable). This is the `SortByValue` primitive.
 pub fn sort_events_by_value(events: &[Event]) -> Vec<Event> {
-    sort_events_with(events, |e| e.value)
+    sorted_vec(events, |e| e.value)
 }
 
 /// Sort events by event time (stable). This is the `SortByTime` primitive.
 pub fn sort_events_by_time(events: &[Event]) -> Vec<Event> {
-    sort_events_with(events, |e| e.ts_ms)
+    sorted_vec(events, |e| e.ts_ms)
 }
 
-/// Shared implementation: pack `(field, index)`, sort by the field bytes
-/// only (the low 32 bits already carry the original order), gather.
-fn sort_events_with(events: &[Event], field: impl Fn(&Event) -> u32) -> Vec<Event> {
+fn sorted_vec(events: &[Event], field: impl Fn(&Event) -> u32) -> Vec<Event> {
+    let mut out = Vec::with_capacity(events.len());
+    infallible(sort_events_into(events, field, &mut out));
+    out
+}
+
+/// The sort kernel: append `events`, stably ordered by `field`, to `sink`.
+///
+/// Pack `(field, index)` while counting the field's four digit histograms,
+/// scatter by the digits that vary (the low 32 bits already carry the
+/// original order, and the counting passes are stable), then gather the
+/// events through the permutation into the sink.
+pub fn sort_events_into<S: RecordSink<Event>>(
+    events: &[Event],
+    field: impl Fn(&Event) -> u32,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     assert!(
         events.len() <= u32::MAX as usize,
         "uArray larger than 2^32 events cannot be index-packed"
     );
-    let mut packed: Vec<u64> =
-        events.iter().enumerate().map(|(i, e)| pack(field(e), i as u32)).collect();
-    // Radix over the key bytes (positions 4..8); stability of the counting
-    // passes preserves the index order for equal keys.
-    radix_sort_by_bytes(&mut packed, 4, 8);
-    packed.iter().map(|p| events[(p & 0xFFFF_FFFF) as usize]).collect()
+    with_scratch(|scratch| {
+        let Scratch { packed, spare, .. } = scratch;
+        packed.clear();
+        packed.reserve(events.len());
+        let mut histograms = [[0usize; 256]; 4];
+        for (i, e) in events.iter().enumerate() {
+            let f = field(e);
+            for (byte, histogram) in histograms.iter_mut().enumerate() {
+                histogram[((f >> (byte * 8)) & 0xFF) as usize] += 1;
+            }
+            packed.push(pack(f, i as u32));
+        }
+        // The field occupies byte positions 4..8 of the packed word.
+        scatter_by_digits(packed, spare, &histograms, 4);
+        for p in packed.iter() {
+            sink.push(events[(p & 0xFFFF_FFFF) as usize])?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

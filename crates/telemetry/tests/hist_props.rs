@@ -5,51 +5,18 @@
 //!    identical counts and sums, identical quantiles — and every reported
 //!    quantile brackets the exact sorted-order quantile within the
 //!    log-bucket error bound (one sub-bucket, ≈3.1% relative).
-//! 2. **Allocation-free**: a counting global allocator (same harness as
-//!    `zero_copy_ingest.rs`) shows that recording into an existing
-//!    histogram performs zero allocations, at any value magnitude.
+//! 2. **Allocation-free**: the shared counting allocator (`counting_alloc`)
+//!    shows that recording into an existing histogram performs zero
+//!    allocations, at any value magnitude.
 
 use proptest::prelude::*;
 use sbt_telemetry::hist::{bucket_ceil, bucket_floor, bucket_index};
 use sbt_telemetry::LatencyHistogram;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAllocator;
-
-// Per-thread, so sibling tests allocating on other threads cannot disturb a
-// measurement (the measured paths run on the test's own thread).
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    ALLOCATIONS.with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+// Per-thread accounting: sibling tests allocating on other threads cannot
+// disturb a measurement.
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator;
 
 /// Exact reference quantile: the `ceil(q·n)`-th smallest sample.
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
@@ -127,18 +94,18 @@ fn recording_is_allocation_free() {
     h.record(3);
     h.record(1_000_000_000);
 
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = counting_alloc::counts().allocations;
     for i in 0..10_000u64 {
         h.record(i * 37); // spans exact and log-bucketed ranges
         h.record(u64::MAX / (i + 1));
     }
-    let snapshot_pre = ALLOCATIONS.with(Cell::get);
+    let snapshot_pre = counting_alloc::counts().allocations;
     assert_eq!(snapshot_pre - before, 0, "record() allocated");
 
     // Merging into an existing histogram is also allocation-free.
     let other = LatencyHistogram::new();
     other.record(55);
-    let before_merge = ALLOCATIONS.with(Cell::get);
+    let before_merge = counting_alloc::counts().allocations;
     h.merge_from(&other);
-    assert_eq!(ALLOCATIONS.with(Cell::get) - before_merge, 0, "merge_from() allocated");
+    assert_eq!(counting_alloc::counts().allocations - before_merge, 0, "merge_from() allocated");
 }

@@ -25,25 +25,6 @@ impl KeyValue {
     }
 }
 
-/// A `(key, count)` pair, e.g. the output of `Count` / `CountByKey`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[repr(C)]
-pub struct KeyCount {
-    /// Grouping key.
-    pub key: u32,
-    /// Number of events observed for the key.
-    pub count: u64,
-}
-
-impl KeyCount {
-    /// Construct a key/count pair.
-    pub fn new(key: u32, count: u64) -> Self {
-        KeyCount { key, count }
-    }
-}
-
 /// A per-key running aggregate: sum and count, from which averages are
 /// derived without a second pass (the `SumCnt` primitive's output).
 #[derive(
@@ -98,6 +79,5 @@ mod tests {
     #[test]
     fn key_value_ordering_is_key_major() {
         assert!(KeyValue::new(1, 100) < KeyValue::new(2, 0));
-        assert!(KeyCount::new(1, 100) < KeyCount::new(2, 0));
     }
 }

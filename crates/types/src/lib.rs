@@ -18,6 +18,7 @@ pub mod event;
 pub mod keyed;
 pub mod ops;
 pub mod pool;
+pub mod sink;
 pub mod tenant;
 pub mod time;
 pub mod watermark;
@@ -25,10 +26,11 @@ pub mod window;
 
 pub use batch::{BatchId, BatchMeta};
 pub use event::{Event, PowerEvent, TaxiEvent, EVENT_BYTES, POWER_EVENT_BYTES};
-pub use keyed::{KeyAgg, KeyCount, KeyValue};
+pub use keyed::{KeyAgg, KeyValue};
 pub use ops::PrimitiveKind;
 pub use pool::{poll_wait, LanePool, LaneTask};
+pub use sink::{infallible, RecordCount, RecordSink};
 pub use tenant::TenantId;
 pub use time::{Duration, EventTime, ProcessingTime};
 pub use watermark::Watermark;
-pub use window::{WindowId, WindowSpec, WindowedKey};
+pub use window::{WindowAssignment, WindowId, WindowSpec, WindowedKey};

@@ -48,6 +48,30 @@ pub enum WindowSpec {
     Global,
 }
 
+/// The windows one instant of event time belongs to (see
+/// [`WindowSpec::assign`]): the ids `first..=last`, valid for every event
+/// time in `[from, until)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowAssignment {
+    first: u64,
+    last: u64,
+    from: u64,
+    until: u64,
+}
+
+impl WindowAssignment {
+    /// The assigned windows, in increasing id order.
+    pub fn windows(&self) -> impl Iterator<Item = WindowId> {
+        (self.first..=self.last).map(WindowId)
+    }
+
+    /// Whether an event at `t` gets exactly this assignment.
+    #[inline]
+    pub fn covers(&self, t: EventTime) -> bool {
+        (self.from..self.until).contains(&t.as_micros())
+    }
+}
+
 impl WindowSpec {
     /// Convenience constructor for fixed windows.
     pub fn fixed(size: Duration) -> Self {
@@ -66,7 +90,7 @@ impl WindowSpec {
     ///
     /// For fixed windows this is the unique containing window; for sliding
     /// windows it is the most recent window that starts at or before `t`
-    /// (the remaining containing windows are `assign(t)`).
+    /// (all containing windows are `assign(t).windows()`).
     pub fn primary_window(&self, t: EventTime) -> WindowId {
         match *self {
             WindowSpec::Fixed { size } => WindowId(t.as_micros() / size.raw().max(1)),
@@ -75,25 +99,55 @@ impl WindowSpec {
         }
     }
 
-    /// All windows an event at `t` belongs to, in increasing id order.
-    pub fn assign(&self, t: EventTime) -> Vec<WindowId> {
+    /// Whether the specification describes real windows: positive `size`,
+    /// and for sliding windows `0 < slide <= size`. The fields are public
+    /// and specifications arrive from the untrusted control plane, so the
+    /// data plane checks this before windowing anything.
+    pub fn is_well_formed(&self) -> bool {
         match *self {
-            WindowSpec::Fixed { .. } | WindowSpec::Global => vec![self.primary_window(t)],
-            WindowSpec::Sliding { size, slide } => {
-                let slide_us = slide.raw().max(1);
-                let latest = t.as_micros() / slide_us;
-                let span = size.raw().div_ceil(slide_us); // windows covering t
-                let earliest = latest.saturating_sub(span - 1);
-                // A window w covers [w*slide, w*slide + size); keep those that
-                // actually contain t.
-                (earliest..=latest)
-                    .filter(|w| {
-                        let start = w * slide_us;
-                        t.as_micros() >= start && t.as_micros() < start + size.raw()
-                    })
-                    .map(WindowId)
-                    .collect()
+            WindowSpec::Fixed { size } => size.raw() > 0,
+            WindowSpec::Sliding { size, slide } => slide.raw() > 0 && slide <= size,
+            WindowSpec::Global => true,
+        }
+    }
+
+    /// The windows an event at `t` belongs to, together with the span of
+    /// event time around `t` over which that set stays the same — so a
+    /// caller walking a batch computes it once per run of events, not once
+    /// per event. Allocates nothing. A malformed specification (see
+    /// [`is_well_formed`](WindowSpec::is_well_formed)) never panics here; it
+    /// yields some, possibly empty, assignment.
+    pub fn assign(&self, t: EventTime) -> WindowAssignment {
+        let t = t.as_micros();
+        match *self {
+            WindowSpec::Fixed { size } => {
+                let size = size.raw().max(1);
+                let w = t / size;
+                let from = w * size;
+                WindowAssignment { first: w, last: w, from, until: from.saturating_add(size) }
             }
+            WindowSpec::Sliding { size, slide } => {
+                let (size, slide) = (size.raw(), slide.raw().max(1));
+                // Window w covers [w*slide, w*slide + size): the last one
+                // containing t starts at or before t, the first one is the
+                // earliest that has not yet ended at t.
+                let last = t / slide;
+                let first = if t < size { 0 } else { ((t - size) / slide).saturating_add(1) };
+                // The set changes when the next window starts or the first
+                // one ends; it last changed when `last` started or the
+                // window before `first` ended.
+                let last_started = last * slide;
+                let previous_ended = if first == 0 { 0 } else { (first - 1) * slide + size };
+                let next_starts = last_started.saturating_add(slide);
+                let first_ends = first.saturating_mul(slide).saturating_add(size);
+                WindowAssignment {
+                    first,
+                    last,
+                    from: last_started.max(previous_ended),
+                    until: next_starts.min(first_ends),
+                }
+            }
+            WindowSpec::Global => WindowAssignment { first: 0, last: 0, from: 0, until: u64::MAX },
         }
     }
 
@@ -164,13 +218,17 @@ impl WindowedKey {
 mod tests {
     use super::*;
 
+    fn windows_at(spec: &WindowSpec, ms: u64) -> Vec<WindowId> {
+        spec.assign(EventTime::from_millis(ms)).windows().collect()
+    }
+
     #[test]
     fn fixed_window_assignment() {
         let spec = WindowSpec::fixed(Duration::from_secs(1));
-        assert_eq!(spec.assign(EventTime::from_millis(0)), vec![WindowId(0)]);
-        assert_eq!(spec.assign(EventTime::from_millis(999)), vec![WindowId(0)]);
-        assert_eq!(spec.assign(EventTime::from_millis(1000)), vec![WindowId(1)]);
-        assert_eq!(spec.assign(EventTime::from_millis(2500)), vec![WindowId(2)]);
+        assert_eq!(windows_at(&spec, 0), vec![WindowId(0)]);
+        assert_eq!(windows_at(&spec, 999), vec![WindowId(0)]);
+        assert_eq!(windows_at(&spec, 1000), vec![WindowId(1)]);
+        assert_eq!(windows_at(&spec, 2500), vec![WindowId(2)]);
     }
 
     #[test]
@@ -196,9 +254,9 @@ mod tests {
         // size 2s, slide 1s: event at t=2.5s belongs to windows starting at
         // 1s and 2s, i.e. ids 1 and 2.
         let spec = WindowSpec::sliding(Duration::from_secs(2), Duration::from_secs(1));
-        assert_eq!(spec.assign(EventTime::from_millis(2_500)), vec![WindowId(1), WindowId(2)]);
+        assert_eq!(windows_at(&spec, 2_500), vec![WindowId(1), WindowId(2)]);
         // Event in the very first second belongs only to window 0.
-        assert_eq!(spec.assign(EventTime::from_millis(500)), vec![WindowId(0)]);
+        assert_eq!(windows_at(&spec, 500), vec![WindowId(0)]);
     }
 
     #[test]
@@ -218,8 +276,81 @@ mod tests {
     #[test]
     fn global_window() {
         let spec = WindowSpec::Global;
-        assert_eq!(spec.assign(EventTime::from_secs(100)), vec![WindowId(0)]);
+        assert_eq!(windows_at(&spec, 100_000), vec![WindowId(0)]);
         assert_eq!(spec.last_complete(EventTime::from_secs(100)), None);
+    }
+
+    /// The per-instant definition `assign` must agree with: window `w` of a
+    /// sliding spec covers `[w*slide, w*slide + size)`.
+    fn windows_by_definition(size: u64, slide: u64, t: u64) -> Vec<WindowId> {
+        (0..=t / slide).filter(|w| t >= w * slide && t < w * slide + size).map(WindowId).collect()
+    }
+
+    #[test]
+    fn sliding_assignment_matches_the_definition_when_slide_does_not_divide_size() {
+        for (size, slide) in [(2_500u64, 1_000u64), (1_000, 300), (7, 7), (10, 1), (3, 2)] {
+            let spec = WindowSpec::Sliding {
+                size: Duration::from_micros(size),
+                slide: Duration::from_micros(slide),
+            };
+            for t in 0..4 * size {
+                let a = spec.assign(EventTime::from_micros(t));
+                let got: Vec<WindowId> = a.windows().collect();
+                assert_eq!(
+                    got,
+                    windows_by_definition(size, slide, t),
+                    "size {size} slide {slide} t {t}"
+                );
+                assert!(a.covers(EventTime::from_micros(t)));
+            }
+        }
+    }
+
+    #[test]
+    fn an_assignment_covers_exactly_the_span_over_which_it_holds() {
+        let specs = [
+            WindowSpec::fixed(Duration::from_micros(10)),
+            WindowSpec::sliding(Duration::from_micros(25), Duration::from_micros(10)),
+            WindowSpec::sliding(Duration::from_micros(9), Duration::from_micros(3)),
+        ];
+        for spec in specs {
+            for t in 0..100u64 {
+                let a = spec.assign(EventTime::from_micros(t));
+                for other in 0..100u64 {
+                    let same = spec.assign(EventTime::from_micros(other)).windows().eq(a.windows());
+                    assert_eq!(
+                        a.covers(EventTime::from_micros(other)),
+                        same,
+                        "{spec:?} {t} {other}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_specs_are_flagged_and_never_panic() {
+        let zero = Duration::from_micros(0);
+        let one = Duration::from_micros(1);
+        let hostile = [
+            WindowSpec::Fixed { size: zero },
+            WindowSpec::Sliding { size: zero, slide: one },
+            WindowSpec::Sliding { size: one, slide: zero },
+            WindowSpec::Sliding { size: one, slide: Duration::from_micros(2) },
+            WindowSpec::Sliding { size: Duration::from_micros(u64::MAX), slide: zero },
+        ];
+        for spec in hostile {
+            assert!(!spec.is_well_formed(), "{spec:?}");
+            for t in [0, 1, 1_000_000, u64::MAX] {
+                let _ = spec.assign(EventTime::from_micros(t)).windows().take(3).count();
+            }
+        }
+        assert!(WindowSpec::fixed(one).is_well_formed());
+        assert!(WindowSpec::sliding(one, one).is_well_formed());
+        assert!(WindowSpec::Global.is_well_formed());
+        // Well-formed but enormous: the bounds saturate instead of wrapping.
+        let huge = WindowSpec::fixed(Duration::from_micros(u64::MAX));
+        assert_eq!(windows_at(&huge, 5), vec![WindowId(0)]);
     }
 
     #[test]

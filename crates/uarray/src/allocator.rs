@@ -261,6 +261,12 @@ impl Allocator {
         self.quotas.quota_of(owner)
     }
 
+    /// Bytes the owner may still commit before its quota (`u64::MAX` for an
+    /// owner without one): the budget an invocation's producers draw on.
+    pub fn owner_headroom(&self, owner: u64) -> u64 {
+        self.quotas.headroom(owner)
+    }
+
     /// Whether charging `bytes` more to the owner would exceed its quota.
     pub fn owner_would_exceed(&self, owner: u64, bytes: u64) -> bool {
         self.quotas.would_exceed(owner, bytes)

@@ -42,6 +42,6 @@ pub use disjoint::DisjointWriter;
 pub use hints::{ConsumptionHint, HintSet};
 pub use pager::{PageError, TeePager, PAGE_SIZE};
 pub use quota::{QuotaBook, QuotaError};
-pub use uarray::{UArray, UArrayId, UArrayState};
+pub use uarray::{CommitBudget, UArray, UArrayError, UArrayId, UArrayState, UArrayWriter};
 pub use ugroup::{UGroup, UGroupId};
 pub use vspace::VirtualSpace;

@@ -72,6 +72,14 @@ impl QuotaBook {
         self.used.get(&owner).copied().unwrap_or(0)
     }
 
+    /// Bytes the owner may still be charged (`u64::MAX` without a quota).
+    pub fn headroom(&self, owner: u64) -> u64 {
+        match self.quota_of(owner) {
+            Some(quota) => quota.saturating_sub(self.used_by(owner)),
+            None => u64::MAX,
+        }
+    }
+
     /// Whether charging `bytes` more would exceed the owner's quota.
     pub fn would_exceed(&self, owner: u64, bytes: u64) -> bool {
         match self.quota_of(owner) {
@@ -147,6 +155,8 @@ mod tests {
         assert_eq!(q.used_by(2), 80);
         assert!(q.would_exceed(2, 21));
         assert!(!q.would_exceed(2, 20));
+        assert_eq!(q.headroom(2), 20);
+        assert_eq!(q.headroom(7), u64::MAX);
     }
 
     #[test]

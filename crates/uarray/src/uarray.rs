@@ -11,8 +11,15 @@
 //! reservation (the host OS commits pages lazily, just as the TEE pager
 //! does), and the page commits are charged to the platform's secure-memory
 //! budget through [`TeePager`].
+//!
+//! Primitives produce through a [`UArrayWriter`]: an open uArray bound to
+//! its pager and to the invocation's [`CommitBudget`], which the primitive's
+//! kernel appends to (the data plane wraps it as the kernel's record sink).
+//! A writer that is dropped unsealed gives all its pages back, so production
+//! is fail-closed.
 
 use crate::pager::{PageError, TeePager, PAGE_SIZE};
+use std::cell::Cell;
 
 /// Identifier of a uArray, unique within one data plane.
 ///
@@ -47,6 +54,13 @@ pub enum UArrayError {
     NotOpen(UArrayState),
     /// The TEE pager could not commit more secure memory.
     OutOfSecureMemory(PageError),
+    /// Committing more pages would exceed the producer's [`CommitBudget`].
+    OverBudget {
+        /// Bytes the commit asked for.
+        requested: u64,
+        /// Bytes the budget had left.
+        left: u64,
+    },
 }
 
 impl std::fmt::Display for UArrayError {
@@ -54,11 +68,54 @@ impl std::fmt::Display for UArrayError {
         match self {
             UArrayError::NotOpen(s) => write!(f, "uArray is not open (state {s:?})"),
             UArrayError::OutOfSecureMemory(e) => write!(f, "{e}"),
+            UArrayError::OverBudget { requested, left } => {
+                write!(f, "commit of {requested} B exceeds the producer's budget ({left} B left)")
+            }
         }
     }
 }
 
 impl std::error::Error for UArrayError {}
+
+/// The bytes of secure memory one invocation may still commit — the calling
+/// tenant's remaining quota when the invocation began. Every open writer of
+/// the invocation draws it down as its pages commit, so a producer that
+/// would overrun the quota stops at the page that crosses it instead of
+/// finishing first and finding out afterwards.
+#[derive(Debug)]
+pub struct CommitBudget {
+    left: Cell<u64>,
+}
+
+impl CommitBudget {
+    /// A budget of `bytes`.
+    pub fn new(bytes: u64) -> Self {
+        CommitBudget { left: Cell::new(bytes) }
+    }
+
+    /// No limit (an owner without a quota).
+    pub fn unlimited() -> Self {
+        CommitBudget::new(u64::MAX)
+    }
+
+    /// Bytes still available.
+    pub fn left(&self) -> u64 {
+        self.left.get()
+    }
+
+    fn take(&self, bytes: u64) -> Result<(), UArrayError> {
+        let left = self.left.get();
+        if bytes > left {
+            return Err(UArrayError::OverBudget { requested: bytes, left });
+        }
+        self.left.set(left - bytes);
+        Ok(())
+    }
+
+    fn give_back(&self, bytes: u64) {
+        self.left.set(self.left.get().saturating_add(bytes));
+    }
+}
 
 /// A contiguous, virtually unbounded, append-only buffer of `T` records.
 #[derive(Debug)]
@@ -172,8 +229,9 @@ impl<T: Copy> UArray<T> {
         if self.state != UArrayState::Open {
             return Err(UArrayError::NotOpen(self.state));
         }
+        self.commit_to(self.data.len() + 1, pager, &CommitBudget::unlimited())?;
         self.data.push(item);
-        self.commit_to_len(pager)
+        Ok(())
     }
 
     /// Append a slice of records in one go (the common case for primitives
@@ -182,33 +240,38 @@ impl<T: Copy> UArray<T> {
         if self.state != UArrayState::Open {
             return Err(UArrayError::NotOpen(self.state));
         }
+        self.commit_to(self.data.len() + items.len(), pager, &CommitBudget::unlimited())?;
         self.data.extend_from_slice(items);
-        self.commit_to_len(pager)
+        Ok(())
     }
 
-    /// Commit pages so that `committed_bytes` covers the current length.
-    #[inline]
-    fn commit_to_len(&mut self, pager: &TeePager) -> Result<(), UArrayError> {
-        let needed = (self.data.len() * std::mem::size_of::<T>()) as u64;
-        if needed > self.committed_bytes {
-            let new_committed = needed.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            let pages = (new_committed - self.committed_bytes) / PAGE_SIZE;
-            match pager.commit_pages(pages) {
-                Ok(nanos) => {
-                    self.committed_bytes = new_committed;
-                    self.paging_nanos += nanos;
-                }
-                Err(e) => {
-                    // Roll back the uncommitted tail so accounting stays
-                    // consistent with the data actually backed by pages.
-                    let max_items =
-                        (self.committed_bytes as usize) / std::mem::size_of::<T>().max(1);
-                    self.data.truncate(max_items);
-                    return Err(UArrayError::OutOfSecureMemory(e));
-                }
+    /// Commit whole pages so the array can hold `items` records, drawing the
+    /// growth from `budget`. Pages commit before the records they back are
+    /// written; on failure nothing changes.
+    fn commit_to(
+        &mut self,
+        items: usize,
+        pager: &TeePager,
+        budget: &CommitBudget,
+    ) -> Result<(), UArrayError> {
+        let needed = (items * std::mem::size_of::<T>()) as u64;
+        if needed <= self.committed_bytes {
+            return Ok(());
+        }
+        let target = needed.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let growth = target - self.committed_bytes;
+        budget.take(growth)?;
+        match pager.commit_pages(growth / PAGE_SIZE) {
+            Ok(nanos) => {
+                self.committed_bytes = target;
+                self.paging_nanos += nanos;
+                Ok(())
+            }
+            Err(e) => {
+                budget.give_back(growth);
+                Err(UArrayError::OutOfSecureMemory(e))
             }
         }
-        Ok(())
     }
 
     /// Finalize production: the uArray becomes read-only.
@@ -233,6 +296,103 @@ impl<T: Copy> UArray<T> {
         self.committed_bytes = 0;
         self.data = Vec::new();
         released
+    }
+}
+
+/// An open uArray being produced in place (§6.1).
+///
+/// The lifecycle is **reserve → append → commit-per-page → seal**. `reserve`
+/// sets aside the array's extent (virtual: nothing is committed yet).
+/// Appends write records straight into their final location; whenever the
+/// append index crosses a page boundary the pages behind it are committed
+/// through the pager and drawn from the invocation's [`CommitBudget`] —
+/// on-demand paging, no second copy. `seal` names the array and hands it
+/// over as `Produced`. A writer dropped before `seal` — its producer failed
+/// mid-way, on the budget, the secure-memory carve-out or anything else —
+/// releases every page it had committed: production is fail-closed.
+pub struct UArrayWriter<'a, T: Copy> {
+    array: UArray<T>,
+    /// Records the committed pages can hold; an append past it commits more.
+    backed: usize,
+    pager: &'a TeePager,
+    budget: &'a CommitBudget,
+}
+
+impl<'a, T: Copy> UArrayWriter<'a, T> {
+    /// Open a writer with room for `items` records. `items` may be an upper
+    /// bound (only pages actually appended to are ever committed). The
+    /// reservation never exceeds what the budget and the carve-out could
+    /// back, so a hostile size cannot make it allocate beyond them.
+    pub fn reserve(items: usize, pager: &'a TeePager, budget: &'a CommitBudget) -> Self {
+        let secure = pager.secure_mem();
+        let backable = budget.left().min(secure.budget().saturating_sub(secure.in_use()));
+        let record = std::mem::size_of::<T>().max(1) as u64;
+        let cap = items.min(usize::try_from(backable / record).unwrap_or(usize::MAX));
+        UArrayWriter {
+            array: UArray::with_reservation(UArrayId::default(), cap),
+            backed: 0,
+            pager,
+            budget,
+        }
+    }
+
+    /// Records appended so far.
+    pub fn len(&self) -> usize {
+        self.array.len()
+    }
+
+    /// Whether nothing has been appended yet.
+    pub fn is_empty(&self) -> bool {
+        self.array.is_empty()
+    }
+
+    /// Bytes of secure memory committed so far (page-rounded).
+    pub fn committed_bytes(&self) -> u64 {
+        self.array.committed_bytes
+    }
+
+    /// Commit the pages behind the next `more` records.
+    #[cold]
+    fn back(&mut self, more: usize) -> Result<(), UArrayError> {
+        self.array.commit_to(self.array.data.len() + more, self.pager, self.budget)?;
+        self.backed = self.array.committed_bytes as usize / std::mem::size_of::<T>().max(1);
+        Ok(())
+    }
+
+    /// Append one record, committing the page it starts if need be.
+    #[inline]
+    pub fn push(&mut self, record: T) -> Result<(), UArrayError> {
+        if self.array.data.len() == self.backed {
+            self.back(1)?;
+        }
+        self.array.data.push(record);
+        Ok(())
+    }
+
+    /// Append a run of records, committing the pages it reaches in one
+    /// stride.
+    #[inline]
+    pub fn extend_from_slice(&mut self, records: &[T]) -> Result<(), UArrayError> {
+        if self.array.data.len() + records.len() > self.backed {
+            self.back(records.len())?;
+        }
+        self.array.data.extend_from_slice(records);
+        Ok(())
+    }
+
+    /// Finalize production under `id`: the array becomes read-only.
+    pub fn seal(mut self, id: UArrayId) -> UArray<T> {
+        let mut array = std::mem::replace(&mut self.array, UArray::with_reservation(id, 0));
+        array.id = id;
+        array.seal();
+        array
+    }
+}
+
+impl<T: Copy> Drop for UArrayWriter<'_, T> {
+    fn drop(&mut self) {
+        // After `seal` this holds an empty stand-in with nothing committed.
+        self.array.reclaim(self.pager);
     }
 }
 
@@ -408,5 +568,121 @@ mod tests {
         let data: Vec<u64> = (0..100_000).collect();
         a.extend_from_slice(&data, &p).unwrap();
         assert!(a.paging_nanos() > 0);
+    }
+
+    // ----- the in-place producer -----------------------------------------
+
+    /// A 12-byte record: 341 of them fill one page with 4 bytes to spare.
+    type Rec = [u32; 3];
+
+    #[test]
+    fn writer_commits_pages_as_the_append_index_crosses_them() {
+        let p = pager(1 << 20);
+        let budget = CommitBudget::unlimited();
+        let mut w: UArrayWriter<Rec> = UArrayWriter::reserve(1_000, &p, &budget);
+        assert_eq!(p.committed_bytes(), 0, "a reservation commits nothing");
+        for i in 0..341u32 {
+            w.push([i; 3]).unwrap();
+            assert_eq!(w.committed_bytes(), PAGE_SIZE);
+        }
+        w.push([341; 3]).unwrap();
+        assert_eq!(w.committed_bytes(), 2 * PAGE_SIZE);
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE);
+        // A bulk append commits everything it needs in one stride.
+        w.extend_from_slice(&[[7; 3]; 600]).unwrap();
+        assert_eq!(w.len(), 942);
+        assert_eq!(w.committed_bytes(), 3 * PAGE_SIZE);
+        let a = w.seal(UArrayId(5));
+        assert_eq!((a.id(), a.state(), a.len()), (UArrayId(5), UArrayState::Produced, 942));
+        assert_eq!(a.as_slice()[341], [341; 3]);
+        // Sealing hands the pages over with the array; nothing is released.
+        assert_eq!(p.committed_bytes(), 3 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn writer_accounts_exactly_like_a_bulk_copy_at_page_boundary_lengths() {
+        for n in [0usize, 1, 340, 341, 342, 682, 683, 5_000] {
+            let records: Vec<Rec> = (0..n as u32).map(|i| [i; 3]).collect();
+            let (p1, p2) = (pager(1 << 20), pager(1 << 20));
+            let mut bulk: UArray<Rec> = UArray::with_reservation(UArrayId(1), n);
+            bulk.extend_from_slice(&records, &p1).unwrap();
+            let budget = CommitBudget::unlimited();
+            let mut w: UArrayWriter<Rec> = UArrayWriter::reserve(n, &p2, &budget);
+            for r in &records {
+                w.push(*r).unwrap();
+            }
+            let produced = w.seal(UArrayId(1));
+            assert_eq!(produced.as_slice(), bulk.as_slice(), "n = {n}");
+            assert_eq!(produced.committed_bytes(), bulk.committed_bytes(), "n = {n}");
+            assert_eq!(produced.paging_nanos(), bulk.paging_nanos(), "n = {n}");
+            assert_eq!(p2.committed_bytes(), p1.committed_bytes(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn writer_does_not_relocate_within_its_reservation() {
+        let p = pager(1 << 24);
+        let budget = CommitBudget::unlimited();
+        let mut w: UArrayWriter<u32> = UArrayWriter::reserve(100_000, &p, &budget);
+        w.push(0).unwrap();
+        let base = w.array.as_slice().as_ptr();
+        for i in 1..100_000 {
+            w.push(i).unwrap();
+        }
+        assert_eq!(w.array.as_slice().as_ptr(), base);
+    }
+
+    #[test]
+    fn a_budget_trip_mid_production_releases_every_page() {
+        let p = pager(1 << 20);
+        let budget = CommitBudget::new(3 * PAGE_SIZE);
+        let mut w: UArrayWriter<u32> = UArrayWriter::reserve(10_000, &p, &budget);
+        let err = (0..10_000u32).find_map(|i| w.push(i).err()).expect("the budget trips");
+        assert_eq!(err, UArrayError::OverBudget { requested: PAGE_SIZE, left: 0 });
+        // Three pages of records landed before the fourth was refused.
+        assert_eq!(w.len(), 3 * PAGE_SIZE as usize / 4);
+        assert_eq!(p.committed_bytes(), 3 * PAGE_SIZE);
+        drop(w);
+        assert_eq!(p.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn a_budget_is_shared_by_every_writer_drawing_on_it() {
+        let p = pager(1 << 20);
+        let budget = CommitBudget::new(2 * PAGE_SIZE);
+        let mut a: UArrayWriter<u32> = UArrayWriter::reserve(16, &p, &budget);
+        let mut b: UArrayWriter<u32> = UArrayWriter::reserve(16, &p, &budget);
+        a.push(1).unwrap();
+        b.push(2).unwrap();
+        assert_eq!(budget.left(), 0);
+        let mut c: UArrayWriter<u32> = UArrayWriter::reserve(16, &p, &budget);
+        assert!(matches!(c.push(3), Err(UArrayError::OverBudget { .. })));
+        drop((a, b, c));
+        assert_eq!(p.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn secure_memory_exhaustion_mid_production_is_fail_closed_too() {
+        let p = pager(2 * PAGE_SIZE);
+        let budget = CommitBudget::new(10 * PAGE_SIZE);
+        let mut w: UArrayWriter<u32> = UArrayWriter::reserve(10_000, &p, &budget);
+        let err = (0..10_000u32).find_map(|i| w.push(i).err()).expect("the carve-out runs out");
+        assert!(matches!(err, UArrayError::OutOfSecureMemory(_)));
+        // The refused stride went back to the budget.
+        assert_eq!(budget.left(), 8 * PAGE_SIZE);
+        drop(w);
+        assert_eq!(p.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn a_hostile_reservation_is_clamped_to_what_could_be_backed() {
+        let p = pager(4 * PAGE_SIZE);
+        let budget = CommitBudget::unlimited();
+        let mut w: UArrayWriter<u64> = UArrayWriter::reserve(usize::MAX, &p, &budget);
+        assert!(w.array.data.capacity() <= 4 * PAGE_SIZE as usize / 8);
+        w.push(1).unwrap();
+        let small = CommitBudget::new(PAGE_SIZE);
+        let w2: UArrayWriter<u64> = UArrayWriter::reserve(usize::MAX, &p, &small);
+        assert!(w2.array.data.capacity() <= PAGE_SIZE as usize / 8);
     }
 }
