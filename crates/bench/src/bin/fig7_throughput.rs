@@ -13,6 +13,7 @@ use sbt_engine::{AdaptiveBatcher, EngineVariant};
 use sbt_tz::CostModel;
 
 fn main() {
+    sbt_bench::print_crypto_backend();
     let scale = RunScale::from_env();
     let cores = [2usize, 4, 8];
     let mut all: Vec<RunResult> = Vec::new();

@@ -18,6 +18,7 @@ struct EngineRow {
 }
 
 fn main() {
+    sbt_bench::print_crypto_backend();
     let scale = RunScale::from_env();
     let cores = 8;
     let mut rows: Vec<EngineRow> = Vec::new();

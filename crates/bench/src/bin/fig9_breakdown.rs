@@ -164,6 +164,7 @@ fn run_groupby(
 }
 
 fn main() {
+    sbt_bench::print_crypto_backend();
     let threads = 8;
     let full = std::env::var("SBT_FULL").map(|v| v == "1").unwrap_or(false);
     // Total events held constant; batch size sweeps the TEE entry/exit rate.

@@ -43,6 +43,7 @@ fn count_sloc(dir: &Path) -> usize {
 }
 
 fn main() {
+    sbt_bench::print_crypto_backend();
     // Locate the workspace root whether we run from it or from the crate dir.
     let root = if Path::new("crates").exists() {
         Path::new(".").to_path_buf()
@@ -54,6 +55,8 @@ fn main() {
         // The data plane: what would be compiled into the TA (trusted).
         ("Data plane: trusted primitives", vec!["primitives"], true),
         ("Data plane: TEE memory mgmt (uArray)", vec!["uarray"], true),
+        // Both back-ends: the AES-NI / SHA-NI kernels (`hw.rs`, the data
+        // plane's only `unsafe`) and the portable ones they fall back to.
         ("Data plane: crypto", vec!["crypto"], true),
         ("Data plane: attestation (records + codec)", vec!["attest"], true),
         ("Data plane: dispatch/ingress/egress", vec!["dataplane"], true),

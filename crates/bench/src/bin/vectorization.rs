@@ -4,14 +4,16 @@
 //! 7x (qsort) and 2x (std::sort).
 //!
 //! The same lesson applies to the TEE boundary's cipher: the second table
-//! compares the vectorized AES-CTR hot loop (four blocks per iteration
-//! through the word-parallel round tables, keystream consumed with whole-
-//! word XORs) against the byte-at-a-time single-block reference.
+//! compares the CTR kernel the process actually runs (AES-NI, eight blocks
+//! per iteration, where the CPU has it — the header says which), the
+//! portable kernel (four blocks per iteration through the word-parallel
+//! round tables, keystream consumed with whole-word XORs) and the
+//! byte-at-a-time single-block reference.
 //!
 //! Run with `cargo run --release -p sbt_bench --bin vectorization`.
 
 use sbt_bench::print_table;
-use sbt_crypto::AesCtr;
+use sbt_crypto::{soft, Aes128, AesCtr};
 use sbt_primitives::{sort_events_by_key, sum_count_per_key};
 use sbt_types::Event;
 use serde::Serialize;
@@ -80,15 +82,11 @@ struct CtrRow {
     speedup_vs_scalar: f64,
 }
 
-/// Throughput of one CTR keystream application over `buf`, in MB/s.
-fn ctr_throughput(ctr: &AesCtr, buf: &mut [u8], iters: usize, batched: bool) -> f64 {
+/// Throughput of `apply(buf, start_block)` over `buf`, in MB/s.
+fn ctr_throughput(buf: &mut [u8], iters: usize, apply: impl Fn(&mut [u8], u32)) -> f64 {
     let start = Instant::now();
     for i in 0..iters {
-        if batched {
-            ctr.apply_keystream_at(buf, i as u32);
-        } else {
-            ctr.apply_keystream_scalar_at(buf, i as u32);
-        }
+        apply(buf, i as u32);
     }
     let elapsed = start.elapsed().as_secs_f64();
     std::hint::black_box(&buf[0]);
@@ -96,26 +94,31 @@ fn ctr_throughput(ctr: &AesCtr, buf: &mut [u8], iters: usize, batched: bool) -> 
 }
 
 fn ctr_comparison(full: bool) -> Vec<CtrRow> {
-    let ctr = AesCtr::new(&[7u8; 16], &[9u8; 16]);
+    let (key, nonce) = ([7u8; 16], [9u8; 16]);
+    let ctr = AesCtr::new(&key, &nonce);
+    let round_keys = Aes128::new(&key);
     let mut buf = vec![0xA5u8; if full { 4 << 20 } else { 1 << 20 }];
     let iters = if full { 32 } else { 8 };
-    let batched = ctr_throughput(&ctr, &mut buf, iters, true);
-    let scalar = ctr_throughput(&ctr, &mut buf, iters, false);
-    vec![
-        CtrRow {
-            implementation: "vectorized CTR (4 blocks/iter, word XOR)".to_string(),
-            mb_per_sec: batched,
-            speedup_vs_scalar: batched / scalar,
-        },
-        CtrRow {
-            implementation: "scalar CTR (1 block/iter, byte XOR)".to_string(),
-            mb_per_sec: scalar,
-            speedup_vs_scalar: 1.0,
-        },
+    let active = ctr_throughput(&mut buf, iters, |b, at| ctr.apply_keystream_at(b, at));
+    let portable =
+        ctr_throughput(&mut buf, iters, |b, at| soft::ctr_xor(&round_keys, &nonce, at, None, b));
+    let scalar = ctr_throughput(&mut buf, iters, |b, at| ctr.apply_keystream_scalar_at(b, at));
+    [
+        (format!("active kernel ({})", sbt_crypto::backend().aes), active),
+        ("portable CTR (4 blocks/iter, round tables, word XOR)".to_string(), portable),
+        ("scalar CTR (1 block/iter, byte XOR)".to_string(), scalar),
     ]
+    .into_iter()
+    .map(|(implementation, mb_per_sec)| CtrRow {
+        implementation,
+        mb_per_sec,
+        speedup_vs_scalar: mb_per_sec / scalar,
+    })
+    .collect()
 }
 
 fn main() {
+    sbt_bench::print_crypto_backend();
     let full = std::env::var("SBT_FULL").map(|v| v == "1").unwrap_or(false);
     let n: usize = if full { 1_000_000 } else { 200_000 };
     let iters = if full { 5 } else { 10 };

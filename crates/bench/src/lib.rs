@@ -353,6 +353,13 @@ pub fn best_secs<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     best
 }
 
+/// Print which crypto kernels this process runs (`sbt_crypto::backend()`).
+/// Every binary that quotes a crypto-dependent number calls this first, so
+/// a table can never be read without knowing which path produced it.
+pub fn print_crypto_backend() {
+    println!("crypto back-end: {}", sbt_crypto::backend());
+}
+
 /// Print a header + rows as an aligned text table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

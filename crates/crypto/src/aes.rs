@@ -1,7 +1,13 @@
-//! AES-128 block cipher (FIPS 197), software implementation.
+//! AES-128 block cipher (FIPS 197): the key schedule and the portable
+//! rounds.
 //!
-//! Only encryption of single 16-byte blocks is provided; CTR mode (the only
-//! mode used on the StreamBox-TZ data path) never needs block decryption.
+//! Only encryption is provided; CTR mode (the only mode used on the
+//! StreamBox-TZ data path) never needs block decryption. The key schedule
+//! is the same bytes on either back-end — AES-NI consumes the eleven round
+//! keys as they stand — so it is expanded once, portably, and the hardware
+//! kernels in `hw` read it from here.
+
+use crate::hw;
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -56,11 +62,13 @@ fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
+/// The expanded key schedule: 11 round keys of 16 bytes each.
+pub(crate) type RoundKeys = [[u8; 16]; 11];
+
 /// AES-128 with a pre-expanded key schedule.
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each.
-    round_keys: [[u8; 16]; 11],
+    round_keys: RoundKeys,
     /// The same round keys as little-endian column words (the layout the
     /// word-parallel multi-block path consumes).
     round_key_cols: [[u32; 4]; 11],
@@ -98,8 +106,23 @@ impl Aes128 {
         Aes128 { round_keys, round_key_cols }
     }
 
-    /// Encrypt one 16-byte block in place.
+    pub(crate) fn round_keys(&self) -> &RoundKeys {
+        &self.round_keys
+    }
+
+    /// Encrypt one 16-byte block in place (AES-NI where the CPU has it,
+    /// otherwise [`encrypt_block_soft`](Aes128::encrypt_block_soft)).
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        if !hw::aes_encrypt_block(&self.round_keys, block) {
+            self.encrypt_block_soft(block);
+        }
+    }
+
+    /// The portable single-block encryption, byte-wise from the FIPS 197
+    /// round description: the reference every other AES path in the crate is
+    /// tested against.
+    #[doc(hidden)]
+    pub fn encrypt_block_soft(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             sub_bytes(block);
@@ -119,7 +142,8 @@ impl Aes128 {
         b
     }
 
-    /// Encrypt four consecutive 16-byte blocks in lockstep (lane-parallel).
+    /// Encrypt four consecutive 16-byte blocks in lockstep (lane-parallel);
+    /// the block function of the portable CTR kernel.
     ///
     /// Each AES round is applied across all four states before the next
     /// round begins, so the four independent data paths interleave: the

@@ -6,7 +6,7 @@
 //! nonce with its last 32 bits replaced by a big-endian block counter.
 
 use crate::aes::Aes128;
-use crate::{Key128, Nonce};
+use crate::{hw, soft, Key128, Nonce};
 
 /// AES-128-CTR stream cipher context.
 pub struct AesCtr {
@@ -20,48 +20,23 @@ impl AesCtr {
         AesCtr { cipher: Aes128::new(key), nonce: *nonce }
     }
 
-    /// Produce the counter block for block index `ctr`.
-    fn counter_block(&self, ctr: u32) -> [u8; 16] {
-        let mut block = self.nonce;
-        block[12..16].copy_from_slice(&ctr.to_be_bytes());
-        block
+    /// The one place CTR picks its kernel: AES-NI, eight counter blocks in
+    /// flight, where the CPU has it; otherwise the portable T-table kernel.
+    /// `src = None` is the in-place form.
+    fn xor_keystream(&self, start_block: u32, src: Option<&[u8]>, dst: &mut [u8]) {
+        if !hw::ctr_xor(self.cipher.round_keys(), &self.nonce, start_block, src, dst) {
+            soft::ctr_xor(&self.cipher, &self.nonce, start_block, src, dst);
+        }
     }
 
     /// XOR `data` with the keystream starting at block `start_block`,
     /// in place. Applying the same call twice restores the original data.
     ///
-    /// This is the TEE boundary's hot loop (every ingress decrypt and egress
-    /// encrypt runs through it), so it is written in the vectorized shape:
-    /// four counter blocks are expanded into one 64-byte keystream batch by
-    /// [`Aes128::encrypt4`] (lane-parallel AES rounds), and the keystream is
-    /// consumed with whole-word XORs rather than per-byte ones. Tails
-    /// shorter than 64 bytes fall back to the single-block path.
-    ///
-    /// [`Aes128::encrypt4`]: crate::Aes128::encrypt4
+    /// This is the TEE boundary's hot loop: every ingress decrypt and egress
+    /// encrypt runs through it or through
+    /// [`apply_keystream_into`](AesCtr::apply_keystream_into).
     pub fn apply_keystream_at(&self, data: &mut [u8], start_block: u32) {
-        let mut ctr = start_block;
-        let mut wide = data.chunks_exact_mut(64);
-        for chunk in wide.by_ref() {
-            let mut ks = [0u8; 64];
-            for lane in 0..4u32 {
-                ks[lane as usize * 16..lane as usize * 16 + 16]
-                    .copy_from_slice(&self.counter_block(ctr.wrapping_add(lane)));
-            }
-            self.cipher.encrypt4(&mut ks);
-            for (b, k) in chunk.chunks_exact_mut(8).zip(ks.chunks_exact(8)) {
-                let word = u64::from_ne_bytes(b.try_into().unwrap())
-                    ^ u64::from_ne_bytes(k.try_into().unwrap());
-                b.copy_from_slice(&word.to_ne_bytes());
-            }
-            ctr = ctr.wrapping_add(4);
-        }
-        for chunk in wide.into_remainder().chunks_mut(16) {
-            let ks = self.cipher.encrypt(self.counter_block(ctr));
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= *k;
-            }
-            ctr = ctr.wrapping_add(1);
-        }
+        self.xor_keystream(start_block, None, data);
     }
 
     /// XOR `src` with the keystream starting at block `start_block`, writing
@@ -70,53 +45,21 @@ impl AesCtr {
     ///
     /// This is the zero-copy ingest primitive: the data plane reserves the
     /// uArray destination first and decrypts the ciphertext straight into it,
-    /// so no staging buffer ever holds the plaintext. The loop has the same
-    /// vectorized shape as [`apply_keystream_at`] — four counter blocks per
-    /// [`Aes128::encrypt4`] call, whole-word XORs, single-block tail.
-    ///
-    /// [`apply_keystream_at`]: AesCtr::apply_keystream_at
-    /// [`Aes128::encrypt4`]: crate::Aes128::encrypt4
+    /// so no staging buffer ever holds the plaintext.
     pub fn apply_keystream_into(&self, src: &[u8], dst: &mut [u8], start_block: u32) {
         assert_eq!(src.len(), dst.len(), "keystream source/destination length mismatch");
-        let mut ctr = start_block;
-        let mut wide_src = src.chunks_exact(64);
-        let mut wide_dst = dst.chunks_exact_mut(64);
-        for (s, d) in wide_src.by_ref().zip(wide_dst.by_ref()) {
-            let mut ks = [0u8; 64];
-            for lane in 0..4u32 {
-                ks[lane as usize * 16..lane as usize * 16 + 16]
-                    .copy_from_slice(&self.counter_block(ctr.wrapping_add(lane)));
-            }
-            self.cipher.encrypt4(&mut ks);
-            for ((d, s), k) in d.chunks_exact_mut(8).zip(s.chunks_exact(8)).zip(ks.chunks_exact(8))
-            {
-                let word = u64::from_ne_bytes(s.try_into().unwrap())
-                    ^ u64::from_ne_bytes(k.try_into().unwrap());
-                d.copy_from_slice(&word.to_ne_bytes());
-            }
-            ctr = ctr.wrapping_add(4);
-        }
-        let tail_src = wide_src.remainder();
-        let tail_dst = wide_dst.into_remainder();
-        for (s, d) in tail_src.chunks(16).zip(tail_dst.chunks_mut(16)) {
-            let ks = self.cipher.encrypt(self.counter_block(ctr));
-            for ((d, s), k) in d.iter_mut().zip(s.iter()).zip(ks.iter()) {
-                *d = *s ^ *k;
-            }
-            ctr = ctr.wrapping_add(1);
-        }
+        self.xor_keystream(start_block, Some(src), dst);
     }
 
-    /// The unbatched reference implementation: one counter block expanded
-    /// and XORed at a time, byte by byte. Kept only so the `vectorization`
-    /// harness can quote the win of [`apply_keystream_at`]'s batched path;
-    /// the data path never calls this.
-    ///
-    /// [`apply_keystream_at`]: AesCtr::apply_keystream_at
+    /// The unbatched reference implementation: one counter block expanded by
+    /// the byte-wise portable cipher and XORed at a time, byte by byte. Kept
+    /// as the oracle of the batched kernels and so the `vectorization`
+    /// harness can quote their win; the data path never calls this.
     pub fn apply_keystream_scalar_at(&self, data: &mut [u8], start_block: u32) {
         let mut ctr = start_block;
         for chunk in data.chunks_mut(16) {
-            let ks = self.cipher.encrypt(self.counter_block(ctr));
+            let mut ks = soft::counter_block(&self.nonce, ctr);
+            self.cipher.encrypt_block_soft(&mut ks);
             for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= *k;
             }
@@ -256,19 +199,41 @@ mod tests {
         assert_eq!(ctr.decrypt(&enc), plain);
     }
 
+    /// Both kernels, called directly: the portable one always, the hardware
+    /// one wherever this runner has it.
+    type Kernel = fn(&AesCtr, u32, Option<&[u8]>, &mut [u8]) -> bool;
+    const KERNELS: [(&str, Kernel); 2] = [
+        ("portable", |c, start, src, dst| {
+            soft::ctr_xor(&c.cipher, &c.nonce, start, src, dst);
+            true
+        }),
+        ("hardware", |c, start, src, dst| {
+            hw::ctr_xor(c.cipher.round_keys(), &c.nonce, start, src, dst)
+        }),
+    ];
+
     #[test]
-    fn batched_keystream_matches_scalar_reference_at_every_length() {
+    fn each_kernel_matches_the_scalar_reference_at_every_length() {
         let ctr = AesCtr::new(&[0x11u8; 16], &[0x22u8; 16]);
-        // Cover: empty, sub-block, exactly 4 blocks, 4 blocks + tail,
-        // unaligned tails straddling the wide/narrow boundary.
-        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 100, 128, 1000, 4096] {
-            for start in [0u32, 1, 0xFFFF_FFFE] {
+        // Cover: empty, sub-block, the 4-block (portable) and 8-block
+        // (hardware) strides with and without tails, and counters that wrap
+        // inside a stride.
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129, 255, 1000, 4096] {
+            for start in [0u32, 1, 0xFFFF_FFF8, 0xFFFF_FFFB, 0xFFFF_FFFE, u32::MAX] {
                 let plain: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-                let mut fast = plain.clone();
                 let mut slow = plain.clone();
-                ctr.apply_keystream_at(&mut fast, start);
                 ctr.apply_keystream_scalar_at(&mut slow, start);
-                assert_eq!(fast, slow, "len {len} start {start}");
+                for (name, kernel) in KERNELS {
+                    let mut in_place = plain.clone();
+                    if !kernel(&ctr, start, None, &mut in_place) {
+                        assert_eq!(in_place, plain, "an absent kernel must not touch its output");
+                        continue;
+                    }
+                    assert_eq!(in_place, slow, "{name} in place, len {len} start {start:#x}");
+                    let mut into = vec![0u8; len];
+                    kernel(&ctr, start, Some(&plain), &mut into);
+                    assert_eq!(into, slow, "{name} into, len {len} start {start:#x}");
+                }
             }
         }
     }

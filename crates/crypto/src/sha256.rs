@@ -1,7 +1,10 @@
-//! SHA-256 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4): buffering and padding over a block-compression
+//! kernel.
+
+use crate::{hw, soft};
 
 /// SHA-256 round constants.
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -10,6 +13,11 @@ const K: [u32; 64] = [
     0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+];
+
+/// The initial hash value.
+pub(crate) const IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// Incremental SHA-256 hasher.
@@ -30,117 +38,61 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub fn new() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
+        Sha256 { state: IV, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
     }
 
     /// Feed data into the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        // Fill a partially full buffer first.
+        // Top up a partially full buffer first.
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block in one run, straight from the input.
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        // Stash the tail.
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finalize and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit
+        // length — one block, or two when the tail leaves no room for it.
+        let mut tail = [0u8; 128];
+        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        tail[self.buffer_len] = 0x80;
+        let padded = if self.buffer_len < 56 { 64 } else { 128 };
+        tail[padded - 8..padded].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..padded]);
+        digest_bytes(&self.state)
     }
+}
 
-    /// Append a single padding byte without affecting the message length.
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// The digest of a final state: its eight words, big-endian.
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The one place SHA-256 picks its kernel: SHA-NI where the CPU has it,
+/// otherwise the portable scalar rounds. `bytes` is whole blocks.
+fn compress_blocks(state: &mut [u32; 8], bytes: &[u8]) {
+    if !hw::sha256_compress_blocks(state, bytes) {
+        soft::sha256_compress_blocks(state, bytes);
     }
 }
 
@@ -191,6 +143,34 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), sha256(&data));
+    }
+
+    #[test]
+    fn both_kernels_compress_alike_from_any_state_over_any_block_count() {
+        // The two kernels called directly, from a non-initial state, over
+        // 0..=5 blocks (the hardware kernel keeps its state in registers
+        // across the blocks of one call).
+        let data: Vec<u8> = (0..5 * 64u32).map(|i| (i * 131 % 251) as u8).collect();
+        for blocks in 0..=5 {
+            let mut soft_state = IV.map(|w| w.rotate_left(blocks as u32) ^ 0x5bd1_e995);
+            let mut hw_state = soft_state;
+            soft::sha256_compress_blocks(&mut soft_state, &data[..blocks * 64]);
+            if hw::sha256_compress_blocks(&mut hw_state, &data[..blocks * 64]) {
+                assert_eq!(hw_state, soft_state, "{blocks} blocks");
+            } else {
+                assert!(!crate::backend().sha.is_hardware());
+            }
+        }
+    }
+
+    #[test]
+    fn every_message_length_around_the_padding_boundaries_matches_the_oracle() {
+        // 55/56 and 63/64 are where the padding grows a block; the oracle
+        // pads a whole copy and shares no buffering with `Sha256`.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(sha256(&data[..len]), soft::sha256(&[&data[..len]]), "len {len}");
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! staging memory.
 //!
 //! Stages wait by polling ([`sbt_types::poll_wait`]), not by blocking: a
-//! wait is shorter than one chunk's MAC (≈ 300 µs), and a blocked stage
-//! would have to be woken by the other one — which, on a guest kernel that
+//! wait is shorter than one chunk's MAC (≈ 35 µs with SHA-NI, ≈ 230 µs on
+//! the portable kernel), and a blocked stage would have to be woken by the
+//! other one — which, on a guest kernel that
 //! does not balance load across vCPUs, leaves it time-sharing the waker's
 //! core and serialises exactly the two stages meant to overlap (the
 //! engine's executor polls for the same reason; its `IDLE_POLL` has the
@@ -42,8 +43,12 @@
 //! The bytes are those of the construction it replaced: ciphertext =
 //! `CTR(wire bytes)` from block 0 under the per-message nonce, signature =
 //! `HMAC(seq_le ‖ ciphertext)`. HMAC-SHA-256 is a serial chain, so the MAC
-//! stage (≈ 228 MB/s on the reference host, against ≈ 305 MB/s for one AES
-//! lane) is the floor of a seal however many lanes feed it.
+//! stage is the floor of a seal however many lanes feed it — on either
+//! back-end of `sbt_crypto` (reference host, `benches/crypto.rs`): SHA-NI
+//! MACs ≈ 1.9 GB/s against ≈ 9.6 GB/s for one AES-NI lane; the portable
+//! kernels ≈ 290 MB/s against ≈ 345 MB/s. A seal on the caller alone costs
+//! ≈ 54 µs per chunk in hardware (34 MAC, 7 encrypt, the rest serialising
+//! and appending) and ≈ 480 µs portable.
 
 use crate::store::StoredData;
 use sbt_crypto::{
@@ -60,26 +65,43 @@ use std::time::Instant;
 /// A multiple of lcm(8, 12, 16, 20) = 240, so every chunk holds whole
 /// records of all four result layouts and starts on an AES block boundary.
 /// About 64 KiB: large enough that the per-chunk hand-off (a few uncontended
-/// lock round trips, well under a microsecond) vanishes beside the ≈ 500 µs
-/// a chunk costs to encrypt and MAC, small enough that the chunks in flight
-/// stay in L2 and that a 131 KB result already has something to overlap.
+/// lock round trips, well under a microsecond) vanishes beside what a chunk
+/// costs to encrypt and MAC (≈ 54 µs with AES-NI and SHA-NI, ≈ 480 µs on the
+/// portable kernels), small enough that the chunks in flight stay in L2 and
+/// that a 131 KB result already has something to overlap.
 pub const SEAL_CHUNK: usize = 273 * 240;
 
 /// Chunks the encrypt lanes may run ahead of the MAC stage. Bounds the
 /// staging memory a seal holds (this many chunk buffers, 256 KiB, recycled
-/// across seals); four chunks are about a millisecond of MAC work, so a lane
-/// that loses its core for that long does not starve the MAC stage.
+/// across seals); four chunks are ≈ 140 µs of MAC work in hardware (about a
+/// millisecond portable), several scheduler wake-ups either way, so a lane
+/// that briefly loses its core does not starve the MAC stage.
 const SEAL_WINDOW: usize = 4;
 
 /// Results shorter than this many chunks seal inline on the caller: a
 /// single chunk must be encrypted before it can be MAC'd, so there is
-/// nothing to overlap. From two chunks up the fan-out wins on the reference
-/// host (131 KB: 1.01 ms alone, 0.82 ms with one lane; handing two tasks to
-/// a polling worker costs about a microsecond).
+/// nothing to overlap. Beyond that structural minimum the floor is time: a
+/// lane must carry more work than its hand-off costs (two tasks to a
+/// polling worker: about a microsecond), and one chunk of lane work —
+/// serialise and encrypt — is ≈ 14 µs with AES-NI and ≈ 210 µs portable, so
+/// two chunks clear it on both back-ends. Measured on the reference host,
+/// alone → with one lane, median of 100–300 seals: hardware 131 KB
+/// 110 → 106 µs, 262 KB 225 → 194 µs, 524 KB 471 → 410 µs; portable 131 KB
+/// 0.99 → 0.77 ms, 262 KB 1.99 → 1.33 ms, 524 KB 4.00 → 2.48 ms. (A seal is
+/// unlike an ingest lane, whose floor `parallel::min_lane_chunks` scales
+/// with the back-end: a seal lane writes where the bytes end up, so it has
+/// no stitch to pay for.)
 const MIN_FANOUT_CHUNKS: usize = 2;
 
-/// One AES lane (≈ 305 MB/s) already outruns the MAC stage (≈ 228 MB/s);
-/// the second covers a descheduled lane. More would only wait.
+/// One lane already outruns the MAC stage — narrowly on the portable kernels
+/// (≈ 345 against ≈ 290 MB/s), fivefold with AES-NI against SHA-NI (≈ 9.6
+/// against ≈ 1.9 GB/s); the second covers a descheduled lane. More would
+/// only wait. At hardware speed what a lane overlaps with the MAC is the
+/// serialising as much as the AES, and the gain is small: worth 4–14 % on
+/// seals of 2–8 chunks in isolation, nothing resolvable on `join`'s 1.9 MB
+/// seals (three 8 s rounds each on the reference host: 15.8–19.5 Mev/s with
+/// lanes, 17.0–19.7 without). On the portable kernels it is the 1.3–1.7×
+/// under `MIN_FANOUT_CHUNKS`, which is why the lanes stay.
 const MAX_ENCRYPT_LANES: usize = 2;
 
 /// A result message as uploaded to the cloud.

@@ -23,15 +23,45 @@
 /// byte-identical to the serial path's.
 pub(crate) const WIRE_CHUNK: usize = 4080;
 
-/// Minimum decrypt windows per lane before a batch fans out.
+/// Least decrypt work a lane must carry before a batch fans out.
 ///
-/// Cross-thread dispatch (enqueue, wake, cache handoff) costs on the order
-/// of decrypting a window, so lanes shorter than a few windows make the
-/// batch *slower* — and on oversubscribed hosts they add scheduling jitter
-/// to small batches that serial ingest does not have. Batches below
-/// `2 * MIN_LANE_CHUNKS` windows stay serial; the adaptive batcher's
-/// 100 K-event batches split into full-width lanes of ~36 windows each.
-pub(crate) const MIN_LANE_CHUNKS: usize = 4;
+/// A lane is not free: its task is enqueued and picked up on another thread,
+/// it fills a lane buffer instead of the destination, and the caller stitches
+/// every lane buffer into the reserved extent afterwards — a second pass over
+/// the payload that the serial path does not make. What a lane buys is its
+/// share of the *decrypt*, so the floor is in decrypt time, and how many
+/// bytes that is depends on the kernel doing the decrypting.
+///
+/// Measured on the reference host (2 SMT-sibling vCPUs, one worker plus the
+/// helping caller, median of 200 encrypted batches, serial → two lanes): on
+/// the portable kernel 24 KB 78 → 78 µs, 32 KB 114 → 74 µs, 64 KB
+/// 225 → 133 µs, 1 MB 3.46 → 1.86 ms — two lanes of four windows each
+/// (≈ 47 µs of decrypt per lane) already win, which is the floor this
+/// constant encodes. On AES-NI the decrypt is ≈ 0.1 of the ≈ 0.34 ns/B a
+/// serial ingest costs, the stitch costs more than the split saves, and two
+/// lanes lose at every size tried (32 KB 11 → 13 µs, 256 KB 86 → 94 µs, 1 MB
+/// 378 → 450 µs); the same floor keeps every batch under ≈ 860 KB serial
+/// there and splits the paper's 1.2 MB batch two ways instead of eight.
+const LANE_FLOOR_NANOS: u64 = 45_000;
+
+/// CTR cost of the active back-end in picoseconds per byte, as measured on
+/// the reference host (`cargo bench -p sbt_bench --bench crypto`, the
+/// `backends[…]/ctr_*` rows): AES-NI ≈ 9.6 GB/s, portable ≈ 345 MB/s.
+fn ctr_picos_per_byte() -> u64 {
+    if sbt_crypto::backend().aes.is_hardware() {
+        105
+    } else {
+        2_900
+    }
+}
+
+/// Minimum decrypt windows per lane: [`LANE_FLOOR_NANOS`] of decrypt at the
+/// active back-end's speed, in whole windows — 4 on the portable kernel,
+/// 106 on AES-NI. Batches below twice this many windows stay serial.
+pub(crate) fn min_lane_chunks() -> usize {
+    let lane_bytes = LANE_FLOOR_NANOS * 1_000 / ctr_picos_per_byte();
+    (lane_bytes as usize).div_ceil(WIRE_CHUNK)
+}
 
 /// Split a payload of `payload_bytes` into at most `workers` lanes of
 /// whole [`WIRE_CHUNK`] windows: `(byte_offset, byte_len)` per lane,
@@ -40,14 +70,18 @@ pub(crate) const MIN_LANE_CHUNKS: usize = 4;
 /// Lanes are balanced to within one window of each other, every lane
 /// boundary is window-aligned — so a lane holds whole events and starts on
 /// a CTR block boundary regardless of the record layout — and no lane is
-/// shorter than [`MIN_LANE_CHUNKS`] windows (a payload too small for two
-/// such lanes stays serial).
-pub(crate) fn lane_plan(payload_bytes: usize, workers: usize) -> Vec<(usize, usize)> {
+/// shorter than `min_lane_chunks` windows (a payload too small for two
+/// such lanes stays serial; the data plane passes [`min_lane_chunks`]).
+pub(crate) fn lane_plan(
+    payload_bytes: usize,
+    workers: usize,
+    min_lane_chunks: usize,
+) -> Vec<(usize, usize)> {
     let chunks = payload_bytes.div_ceil(WIRE_CHUNK);
     if chunks == 0 {
         return Vec::new();
     }
-    let lanes = workers.max(1).min(chunks / MIN_LANE_CHUNKS).max(1);
+    let lanes = workers.max(1).min(chunks / min_lane_chunks.max(1)).max(1);
     let mut plan = Vec::with_capacity(lanes);
     let mut taken_chunks = 0usize;
     for lane in 0..lanes {
@@ -65,6 +99,33 @@ pub(crate) fn lane_plan(payload_bytes: usize, workers: usize) -> Vec<(usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The portable kernel's floor, so the plans below do not depend on the
+    /// runner's CPU.
+    const MIN_LANE_CHUNKS: usize = 4;
+
+    fn lane_plan(payload_bytes: usize, workers: usize) -> Vec<(usize, usize)> {
+        super::lane_plan(payload_bytes, workers, MIN_LANE_CHUNKS)
+    }
+
+    #[test]
+    fn the_floor_is_the_same_decrypt_time_on_either_back_end() {
+        let windows = min_lane_chunks();
+        let nanos = (windows * WIRE_CHUNK) as u64 * ctr_picos_per_byte() / 1_000;
+        assert!(nanos >= LANE_FLOOR_NANOS, "{windows} windows are only {nanos} ns of decrypt");
+        let expected = if sbt_crypto::backend().aes.is_hardware() { 106 } else { 4 };
+        assert_eq!(windows, expected);
+    }
+
+    #[test]
+    fn a_longer_floor_means_fewer_lanes_never_a_different_split_unit() {
+        // The paper's 1.2 MB batch on an 8-wide pool: eight lanes at the
+        // portable floor, two at the hardware one — window-aligned either way.
+        assert_eq!(super::lane_plan(100_000 * 12, 8, 4).len(), 8);
+        let plan = super::lane_plan(100_000 * 12, 8, 106);
+        assert_eq!(plan.len(), 2);
+        covers_exactly(&plan, 100_000 * 12);
+    }
 
     fn covers_exactly(plan: &[(usize, usize)], total: usize) {
         let mut expect = 0;

@@ -32,7 +32,7 @@
 use crate::egress::{EgressMessage, Sealer};
 use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
-use crate::parallel::{lane_plan, WIRE_CHUNK};
+use crate::parallel::{lane_plan, min_lane_chunks, WIRE_CHUNK};
 use crate::params::{InvokeOutput, PrimitiveParams};
 use crate::produce::Output;
 use crate::snapshot::{
@@ -1084,7 +1084,7 @@ impl DataPlane {
     ) -> Result<InvokeOutput, DataPlaneError> {
         let pool = self.ingest_pool.read().clone();
         let lanes = match &pool {
-            Some(pool) => lane_plan(payload.len(), pool.workers()),
+            Some(pool) => lane_plan(payload.len(), pool.workers(), min_lane_chunks()),
             None => Vec::new(),
         };
         if lanes.len() < 2 {
@@ -2470,6 +2470,64 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_sealed_on_either_crypto_back_end_restores_on_the_other() {
+        // Seal a multi-chunk snapshot on the active back-end (AES-NI / SHA-NI
+        // where the CPU has them), then rebuild the same container from the
+        // portable kernels alone — key derivation, keystream and MAC all
+        // composed from `sbt_crypto::soft`. The two must be the same bytes:
+        // what a portable-path build seals restores under the hardware path
+        // and the other way round.
+        use sbt_crypto::{soft, Aes128, Signature};
+        let dp = plane();
+        dp.register_tenant(TenantId(1), None).unwrap();
+        let events: Vec<Event> = (0..12_000).map(|i| Event::new(i % 97, i * 7, i)).collect();
+        let a = ingest_events_for(&dp, TenantId(1), &events);
+        let manifest = CheckpointManifest {
+            left_watermark_ms: 900,
+            right_watermark_ms: 0,
+            next_unexecuted: 0,
+            windows: vec![WindowManifest { win_no: 0, left: vec![a.opaque], right: Vec::new() }],
+        };
+        let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
+        assert!(sealed.ciphertext.len() > 2 * crate::egress::SEAL_CHUNK);
+
+        // HKDF (RFC 5869) on the portable HMAC: extract, then two blocks of
+        // expand, under the derivation `MasterSecret::sealing_keys` documents.
+        let prk = soft::hmac_sha256(
+            b"streambox-tz/key-hierarchy/v1",
+            &[b"streambox-tz-demo-master-secret"],
+        );
+        let header = [
+            &sealed.tenant.to_le_bytes()[..],
+            &sealed.ckpt_seq.to_le_bytes(),
+            &sealed.epoch.to_le_bytes(),
+        ];
+        let info = [&b"sbt-seal/"[..], header[0], header[2], header[1]].concat();
+        let t1 = soft::hmac_sha256(&prk, &[&info, &[1]]);
+        let t2 = soft::hmac_sha256(&prk, &[&t1, &info, &[2]]);
+        let (key, nonce): ([u8; 16], [u8; 16]) =
+            (t1[..16].try_into().unwrap(), t1[16..].try_into().unwrap());
+
+        // The portable path opens what the active path sealed …
+        let mac = soft::hmac_sha256(&t2, &[header[0], header[1], header[2], &sealed.ciphertext]);
+        assert_eq!(mac, sealed.mac.0, "the portable MAC verifies the sealed container");
+        let mut plain = vec![0u8; sealed.ciphertext.len()];
+        soft::ctr_xor(&Aes128::new(&key), &nonce, 0, Some(&sealed.ciphertext), &mut plain);
+        assert_eq!(&plain[..4], b"SBTC");
+        // … and seals the same bytes itself.
+        let mut composed =
+            SealedSnapshot { ciphertext: plain, mac: Signature(mac), ..sealed.clone() };
+        soft::ctr_xor(&Aes128::new(&key), &nonce, 0, None, &mut composed.ciphertext);
+        assert!(composed.to_bytes() == sealed.to_bytes(), "the two back-ends seal different bytes");
+
+        // The portable-composed container restores on the active path.
+        let dp2 = plane();
+        let stored = SealedSnapshot::from_bytes(&composed.to_bytes()).unwrap();
+        let restored = in_tee(|| dp2.restore_tenant(TenantId(1), None, &stored, 0)).unwrap();
+        assert_eq!(restored.events_restored, events.len() as u64);
+    }
+
+    #[test]
     fn restore_from_a_stale_checkpoint_is_detected_by_both_verifiers() {
         let dp = plane();
         dp.register_tenant(TenantId(1), None).unwrap();
@@ -2550,6 +2608,66 @@ mod tests {
         let dp3 = plane();
         in_tee(|| dp3.restore_tenant(TenantId(1), None, &carried, 0)).unwrap();
         assert_eq!(dp3.tenant_retired_before(TenantId(1)).unwrap(), 1);
+    }
+
+    #[test]
+    fn short_lanes_match_serial_whatever_floor_the_back_end_sets() {
+        // The lane floor follows the active back-end (`min_lane_chunks`:
+        // 106 windows on AES-NI), so the integration suite's small batches
+        // stay serial on a hardware runner. This drives the parallel body
+        // directly with four-window lanes — the portable floor — so short,
+        // uneven and counter-wrapping lanes are compared against the serial
+        // path on every runner.
+        struct Threads(usize);
+        impl LanePool for Threads {
+            fn workers(&self) -> usize {
+                self.0
+            }
+            fn run(&self, tasks: Vec<LaneTask>) {
+                std::thread::scope(|s| {
+                    for task in tasks {
+                        s.spawn(task);
+                    }
+                });
+            }
+        }
+        let ks = MasterSecret::demo().tenant_keys(TenantId::DEFAULT.0, 0);
+        for (events, width, block) in
+            [(3_400usize, 2usize, 0u32), (20_000, 3, 12_345), (20_000, 8, u32::MAX - 100)]
+        {
+            let plain: Vec<Event> =
+                (0..events as u32).map(|i| Event::new(i.wrapping_mul(0x9E37_79B9), i, i)).collect();
+            let mut payload = Event::slice_to_bytes(&plain);
+            AesCtr::new(&ks.source_key, &ks.source_nonce).apply_keystream_at(&mut payload, block);
+            let lanes = lane_plan(payload.len(), width, 4);
+            assert_eq!(lanes.len(), width, "{events} events split {width} ways");
+
+            let (serial, parallel) = (plane(), plane());
+            let a = in_tee(|| serial.ingress_for(TenantId::DEFAULT, &payload, true, false, block))
+                .unwrap();
+            let b = in_tee(|| {
+                parallel.ingress_parallel(
+                    TenantId::DEFAULT,
+                    Arc::new(payload.clone()),
+                    true,
+                    false,
+                    block,
+                    &Threads(width),
+                    &lanes,
+                )
+            })
+            .unwrap();
+            assert_eq!((a.len, b.len), (events, events));
+            // Identical call sequences on fresh planes mint identical ids and
+            // sequence numbers, so equal stores seal to equal messages.
+            let sealed_a = in_tee(|| serial.egress(a.opaque)).unwrap();
+            let sealed_b = in_tee(|| parallel.egress(b.opaque)).unwrap();
+            assert!(sealed_a.ciphertext == sealed_b.ciphertext, "{events} events, {width} lanes");
+            assert_eq!(sealed_a.signature, sealed_b.signature);
+            let (key, nonce, signing) = parallel.cloud_keys();
+            let opened = sealed_b.open(&key, &nonce, &signing).expect("opens");
+            assert!(opened == Event::slice_to_bytes(&plain), "the lanes decrypted the batch");
+        }
     }
 
     #[test]

@@ -20,6 +20,33 @@
 //!   while it waits, so tasks may freely submit and join subtasks on the
 //!   same executor (nested parallelism cannot deadlock the pool).
 //!
+//! # The fire class
+//!
+//! Tasks come in two classes, one bit apart. A window fire is *latency*:
+//! its result is due at the watermark, and everything it spawns (sort
+//! partitions, merge rounds, seal lanes) is on its critical path. An ingest
+//! batch is *throughput*: nobody waits for the one batch. With both in one
+//! FIFO a fire queues behind every tenant's ingest, and — worse — a fire
+//! that joins its subtasks *helps*, so it can pick a foreign ingest batch
+//! off the queue and sit under it mid-window. So:
+//!
+//! * [`Executor::spawn_fire`] puts a task in the **fire class**; every task
+//!   spawned while a fire-class task runs inherits the class (a thread-local
+//!   that is set for the task's duration and restored after it);
+//! * fire-class tasks spawned from a pool worker go on its deque like any
+//!   other; from any other thread they go to the **fire queue** instead of
+//!   the injector;
+//! * a thread looking for work takes its own deque, then the fire queue,
+//!   then the injector, then steals;
+//! * a thread that is *inside* a fire-class task takes fire-class work only:
+//!   never the injector, and from a sibling's deque only a fire-class task.
+//!   A fire is thus never suspended under someone else's ingest batch.
+//!
+//! The helping join stays deadlock-free at any pool size: a task is awaited
+//! by the task that spawned it, and a fire-class spawner put it on its own
+//! deque or on the fire queue — both of which it searches — unless another
+//! thread already took it, in which case it is running.
+//!
 //! The old barrier API survives as [`Executor::run_all`] (and the
 //! `WorkerPool` alias in [`crate::pool`]) so call sites migrate
 //! incrementally.
@@ -32,7 +59,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued task and its class.
+struct Job {
+    run: Box<dyn FnOnce() + Send + 'static>,
+    /// Whether the task is fire class (see the module docs).
+    fire: bool,
+}
 
 /// How long a worker with nothing to run keeps polling for work before it
 /// parks: longer than any serial stretch inside a window fire and than the
@@ -46,11 +78,18 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// or the waker's: it then time-shares one core with the caller it was
 /// meant to run beside, and because the two sleep in turns the kernel never
 /// sees two runnable threads to spread. A thread that stays runnable does
-/// get moved to the idle vCPU, and keeps it. Measured over the 1.9 MB
-/// egress seals of `join` (encrypt lane on the worker, MAC stage on the
-/// caller; share of seals in which the two overlapped): 4 % with a 2 ms
-/// poll, 28 % with 10 ms, 67 % with 20 ms, 95 % with 50 ms; a worker that
-/// naps between polls instead of staying runnable never got there.
+/// get moved to the idle vCPU, and keeps it.
+///
+/// Measured over the 1.9 MB egress seals of `join` (encrypt lane on the
+/// worker, MAC stage on the caller). On the portable crypto kernels, where
+/// a seal is ≈ 14 ms and the share of seals in which the two overlapped
+/// decides the workload: 4 % with a 2 ms poll, 28 % with 10 ms, 67 % with
+/// 20 ms, 95 % with 50 ms; a worker that naps between polls instead of
+/// staying runnable never got there. With AES-NI and SHA-NI the same seal
+/// is ≈ 1.5 ms of a ≈ 4 ms window and the poll length no longer resolves
+/// (`join`, three 8 s rounds each: 17.9–20.1 Mev/s at 2 ms, 16.9–19.1 at
+/// 10 ms, 15.8–19.5 at 50 ms) — the value stays where the slower back-end
+/// needs it, and the paced gaps it must outlast do not depend on the crypto.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// A task panicked. The panic was caught in the task's slot: the worker
@@ -135,8 +174,10 @@ struct Shared {
     /// One deque per worker: the owner pushes/pops the back, thieves pop the
     /// front.
     locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Overflow queue for submissions from threads outside the pool.
+    /// Normal-class submissions from threads outside the pool.
     injector: Mutex<VecDeque<Job>>,
+    /// Fire-class submissions from threads outside the pool.
+    fire_queue: Mutex<VecDeque<Job>>,
     signal: Mutex<Signal>,
     work_ready: Condvar,
     /// Rotates the first victim probed so steals spread across workers.
@@ -152,6 +193,10 @@ struct Shared {
 thread_local! {
     /// (executor identity, worker index) of the pool this thread belongs to.
     static CURRENT_WORKER: Cell<(usize, usize)> = const { Cell::new((0, usize::MAX)) };
+    /// Whether the task this thread is running is fire class. Executors do
+    /// not share tasks, but a thread only ever runs one task at a time, so
+    /// one flag per thread serves them all.
+    static IN_FIRE: Cell<bool> = const { Cell::new(false) };
 }
 
 impl Shared {
@@ -166,28 +211,38 @@ impl Shared {
     }
 
     /// Enqueue a job: onto the caller's own deque when the caller is one of
-    /// this pool's workers, otherwise into the injector.
+    /// this pool's workers, otherwise into the queue of its class.
     fn push(self: &Arc<Self>, job: Job) {
-        match self.home_of() {
-            Some(ix) => self.locals[ix].lock().expect("deque lock").push_back(job),
-            None => self.injector.lock().expect("injector lock").push_back(job),
-        }
+        let queue = match self.home_of() {
+            Some(ix) => &self.locals[ix],
+            None if job.fire => &self.fire_queue,
+            None => &self.injector,
+        };
+        queue.lock().expect("queue lock").push_back(job);
         let mut signal = self.signal.lock().expect("signal lock");
         signal.version = signal.version.wrapping_add(1);
         drop(signal);
         self.work_ready.notify_all();
     }
 
-    /// Find one runnable job: own deque back first, then the injector, then
-    /// steal from the front of a sibling's deque.
+    /// Find one runnable job: own deque back first, then the fire queue,
+    /// then the injector, then steal from the front of a sibling's deque. A
+    /// thread inside a fire-class task skips the injector and steals only
+    /// fire-class jobs.
     fn find_job(&self, home: Option<usize>) -> Option<Job> {
+        let fire_only = IN_FIRE.get();
         if let Some(ix) = home {
-            if let Some(job) = self.locals[ix].lock().expect("deque lock").pop_back() {
+            if let Some(job) = self.locals[ix].lock().expect("queue lock").pop_back() {
                 return Some(job);
             }
         }
-        if let Some(job) = self.injector.lock().expect("injector lock").pop_front() {
+        if let Some(job) = self.fire_queue.lock().expect("queue lock").pop_front() {
             return Some(job);
+        }
+        if !fire_only {
+            if let Some(job) = self.injector.lock().expect("queue lock").pop_front() {
+                return Some(job);
+            }
         }
         let n = self.locals.len();
         let start = self.probe.fetch_add(1, Ordering::Relaxed);
@@ -196,20 +251,30 @@ impl Shared {
             if Some(ix) == home {
                 continue;
             }
-            if let Some(job) = self.locals[ix].lock().expect("deque lock").pop_front() {
+            let mut deque = self.locals[ix].lock().expect("queue lock");
+            if deque.front().is_some_and(|job| job.fire || !fire_only) {
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
+                return deque.pop_front();
             }
         }
         None
+    }
+
+    /// Run a job on the calling thread in the job's class, restoring the
+    /// thread's own class afterwards (a job never unwinds: task panics are
+    /// caught inside it).
+    fn run(&self, job: Job) {
+        let outer = IN_FIRE.replace(job.fire);
+        (job.run)();
+        IN_FIRE.set(outer);
+        self.executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Run one queued job on the calling thread, if any is available.
     fn help_one(self: &Arc<Self>) -> bool {
         match self.find_job(self.home_of()) {
             Some(job) => {
-                job();
-                self.executed.fetch_add(1, Ordering::Relaxed);
+                self.run(job);
                 true
             }
             None => false,
@@ -226,8 +291,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             signal.version
         };
         if let Some(job) = shared.find_job(Some(index)) {
-            job();
-            shared.executed.fetch_add(1, Ordering::Relaxed);
+            shared.run(job);
             idle_since = None;
             continue;
         }
@@ -387,6 +451,7 @@ impl Executor {
         let shared = Arc::new(Shared {
             locals: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
+            fire_queue: Mutex::new(VecDeque::new()),
             signal: Mutex::new(Signal { version: 0, shutdown: false }),
             work_ready: Condvar::new(),
             probe: AtomicUsize::new(0),
@@ -432,8 +497,28 @@ impl Executor {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Submit one task and get a joinable handle on its result.
+    /// Submit one task and get a joinable handle on its result. The task
+    /// is fire class if the task spawning it is, normal class otherwise.
     pub fn spawn<T, F>(&self, task: F) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.spawn_in(IN_FIRE.get(), task)
+    }
+
+    /// Submit one task in the fire class (see the module docs): it runs
+    /// ahead of every queued normal-class task, and so does everything it
+    /// spawns. For window fires — work whose result is already due.
+    pub fn spawn_fire<T, F>(&self, task: F) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.spawn_in(true, task)
+    }
+
+    fn spawn_in<T, F>(&self, fire: bool, task: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -441,13 +526,14 @@ impl Executor {
         let slot = Arc::new(Slot::new());
         let task_slot = slot.clone();
         let shared = self.shared.clone();
-        self.shared.push(Box::new(move || {
+        let run = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
                 shared.panics.fetch_add(1, Ordering::Relaxed);
                 TaskPanicked::from_payload(payload)
             });
             task_slot.complete(result);
-        }));
+        });
+        self.shared.push(Job { run, fire });
         JoinHandle { slot, shared: self.shared.clone() }
     }
 
@@ -639,10 +725,11 @@ mod tests {
 
     #[test]
     fn stress_randomized_durations_with_steals() {
-        // The satellite stress test: many tasks of randomized duration,
-        // submitted from several threads at once, some nesting subtasks.
-        // Everything must complete with correct results, and with skewed
-        // durations the idle workers must actually steal.
+        // The satellite stress test: many tasks of randomized duration and
+        // random class, some nesting subtasks (which inherit their parent's
+        // class). Everything must complete with correct results — none lost
+        // in either class's queue — and with skewed durations the idle
+        // workers must actually steal.
         let exec = Arc::new(Executor::new(4));
         let counter = Arc::new(AtomicUsize::new(0));
         let mut rng: u64 = 0x9E3779B97F4A7C15;
@@ -657,10 +744,11 @@ mod tests {
         for i in 0..200u64 {
             let micros = next() % 400;
             let nested = next() % 4 == 0;
+            let fire = next() % 3 == 0;
             let c = counter.clone();
             let e2 = exec.clone();
             expected += i;
-            set.spawn(&exec, move || {
+            let task = move || {
                 std::thread::sleep(Duration::from_micros(micros));
                 c.fetch_add(1, Ordering::Relaxed);
                 if nested {
@@ -674,7 +762,9 @@ mod tests {
                 } else {
                     i
                 }
-            });
+            };
+            let handle = if fire { exec.spawn_fire(task) } else { exec.spawn(task) };
+            set.handles.push(Some(handle));
         }
         let total: u64 = set.join_all().into_iter().map(|(_, r)| r.unwrap()).sum();
         assert_eq!(total, expected);
@@ -710,6 +800,112 @@ mod tests {
         }
         assert_eq!(holder.join(), Ok(28));
         assert!(exec.steals() > before, "idle workers never stole from the held deque");
+    }
+
+    /// A one-worker pool whose worker is held inside a normal-class task
+    /// until the returned sender is used (or dropped): whatever the test
+    /// enqueues meanwhile stays queued, and only the test thread can run it.
+    fn gated_single_worker() -> (Arc<Executor>, std::sync::mpsc::Sender<()>, JoinHandle<()>) {
+        let exec = Arc::new(Executor::new(1));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (started, has_started) = std::sync::mpsc::channel::<()>();
+        let held = exec.spawn(move || {
+            started.send(()).unwrap();
+            let _ = gate.recv();
+        });
+        has_started.recv().unwrap();
+        (exec, release, held)
+    }
+
+    #[test]
+    fn a_fire_class_task_runs_before_normal_tasks_queued_ahead_of_it() {
+        let (exec, release, held) = gated_single_worker();
+        let (log, order) = std::sync::mpsc::channel::<&'static str>();
+        for _ in 0..8 {
+            let log = log.clone();
+            drop(exec.spawn(move || log.send("normal").unwrap()));
+        }
+        let fire_log = log.clone();
+        drop(exec.spawn_fire(move || fire_log.send("fire").unwrap()));
+        // Only the worker runs anything (the test thread blocks on the
+        // channel, it does not help), so receipt order is execution order.
+        release.send(()).unwrap();
+        let ran: Vec<_> = (0..9).map(|_| order.recv().unwrap()).collect();
+        assert_eq!(ran[0], "fire", "{ran:?}");
+        assert!(ran[1..].iter().all(|&name| name == "normal"));
+        assert_eq!(held.join(), Ok(()));
+    }
+
+    #[test]
+    fn a_fire_on_a_helping_thread_keeps_its_subtasks_ahead_and_runs_no_normal_task() {
+        let (exec, release, held) = gated_single_worker();
+        let normals_run = Arc::new(AtomicUsize::new(0));
+        let normals: Vec<_> = (0..8)
+            .map(|_| {
+                let n = normals_run.clone();
+                exec.spawn(move || {
+                    n.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        let (e2, n2) = (exec.clone(), normals_run.clone());
+        let fire = exec.spawn_fire(move || {
+            assert!(IN_FIRE.get());
+            // Spawned from a non-worker thread inside a fire: the child is
+            // fire class and lands on the fire queue, not behind the eight
+            // normal tasks in the injector.
+            let child = e2.spawn(|| IN_FIRE.get());
+            assert_eq!(child.join(), Ok(true));
+            // With only normal tasks left, a fire-class joiner finds nothing
+            // to help with: it never runs one of them.
+            assert!(!e2.help_one());
+            n2.load(Ordering::SeqCst)
+        });
+        // The worker is held, so the test thread is the non-worker helper;
+        // the first thing it is handed is the fire, not a normal task.
+        assert!(!IN_FIRE.get());
+        assert!(exec.help_one());
+        assert!(!IN_FIRE.get(), "the class is the task's, not the thread's");
+        assert_eq!(fire.try_join(), Some(Ok(0)));
+        assert_eq!(normals_run.load(Ordering::SeqCst), 0);
+        // Outside the fire the same thread takes normal tasks again.
+        assert!(exec.help_one());
+        assert_eq!(normals_run.load(Ordering::SeqCst), 1);
+        release.send(()).unwrap();
+        for h in normals {
+            assert_eq!(h.join(), Ok(()));
+        }
+        assert_eq!(held.join(), Ok(()));
+    }
+
+    #[test]
+    fn a_panicking_fire_class_task_leaves_the_thread_in_the_normal_class() {
+        // On a helping thread.
+        let (exec, release, held) = gated_single_worker();
+        let boom = exec.spawn_fire(|| -> u32 { panic!("fire boom") });
+        assert!(exec.help_one());
+        assert!(!IN_FIRE.get());
+        assert!(boom.try_join().unwrap().unwrap_err().message.contains("fire boom"));
+        // And on the worker: the next task it runs is normal class, and it
+        // still serves the injector.
+        release.send(()).unwrap();
+        assert_eq!(held.join(), Ok(()));
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        drop(exec.spawn_fire(move || {
+            let _done = done;
+            panic!("worker fire boom")
+        }));
+        assert!(finished.recv().is_err(), "the sender is dropped when the task unwinds");
+        // Not joined (a joiner would help and run it here): only the worker
+        // can answer, and only if it left the fire class.
+        let (answer, answered) = std::sync::mpsc::channel();
+        drop(exec.spawn(move || answer.send(IN_FIRE.get()).unwrap()));
+        assert_eq!(
+            answered.recv_timeout(Duration::from_secs(30)),
+            Ok(false),
+            "the worker stopped serving the injector"
+        );
+        assert_eq!(exec.panics(), 2);
     }
 
     #[test]

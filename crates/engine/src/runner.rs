@@ -488,7 +488,11 @@ impl Engine {
             // into the dropped handle with `draining` stuck true, wedging
             // every ticket — catch it, restore the state, and surface it as
             // a parked error instead.
-            drop(engine.pool.spawn(move || {
+            //
+            // Fire class: the windows are already due, so the drainer (and
+            // the sort, merge and seal tasks it fans out) runs ahead of any
+            // queued ingest and never under it.
+            drop(engine.pool.spawn_fire(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let _ = drainer.drain_windows();
                 }));

@@ -273,8 +273,9 @@ struct DrrLaneRt {
     pending_wm: Option<Watermark>,
     /// In-flight ingestion tasks: (estimated cost, handle).
     inflight: Vec<(u64, JoinHandle<Result<IngestStatus, DataPlaneError>>)>,
-    /// In-flight window-execution tickets.
-    tickets: Vec<WindowTicket>,
+    /// The lane's unresolved window-execution ticket. At most one: the next
+    /// watermark launches only after this one resolves.
+    ticket: Option<WindowTicket>,
     /// Drain requested: finish staged/pending/in-flight work, pull nothing
     /// new, then depart the tenant.
     draining: bool,
@@ -305,19 +306,19 @@ impl DrrLaneRt {
     /// Whether the lane still has work the serve loop must see through.
     fn live(&self) -> bool {
         if self.dead {
-            return !self.inflight.is_empty() || !self.tickets.is_empty();
+            return !self.inflight.is_empty() || self.ticket.is_some();
         }
         if self.draining {
             return self.staged.is_some()
                 || self.pending_wm.is_some()
                 || !self.inflight.is_empty()
-                || !self.tickets.is_empty();
+                || self.ticket.is_some();
         }
         !self.lane.generator.is_exhausted()
             || self.staged.is_some()
             || self.pending_wm.is_some()
             || !self.inflight.is_empty()
-            || !self.tickets.is_empty()
+            || self.ticket.is_some()
     }
 
     /// Whether the lane has offerable input (backlogged, in DRR terms).
@@ -479,7 +480,7 @@ impl StreamServer {
                     staged: None,
                     pending_wm: None,
                     inflight: Vec::new(),
-                    tickets: Vec::new(),
+                    ticket: None,
                     draining: false,
                     dead: false,
                     last_ckpt_events: 0,
@@ -594,12 +595,15 @@ impl StreamServer {
                 }
 
                 // Launch a pending watermark once its window's batches have
-                // all been stashed; the returned ticket joins the in-flight
-                // set and its window executes concurrently with everything
-                // else.
-                if l.inflight.is_empty() && fatal.is_none() && !l.dead {
+                // all been stashed and the lane's previous fire has resolved
+                // (one closed-but-unemitted window per lane: intake stops at
+                // a pending watermark, so a fast ingest cannot run windows
+                // ahead of a slow fire and pile their state onto the quota);
+                // the returned ticket joins the in-flight set and its window
+                // executes concurrently with everything else.
+                if l.inflight.is_empty() && l.ticket.is_none() && fatal.is_none() && !l.dead {
                     if let Some(wm) = l.pending_wm.take() {
-                        l.tickets.push(Engine::advance_watermark_async(
+                        l.ticket = Some(Engine::advance_watermark_async(
                             &l.lane.engine,
                             wm,
                             StreamSide::Left,
@@ -608,16 +612,9 @@ impl StreamServer {
                     }
                 }
 
-                // Harvest finished window tickets.
-                let mut ticket_results = Vec::new();
-                l.tickets.retain_mut(|t| match t.try_wait() {
-                    None => true,
-                    Some(result) => {
-                        ticket_results.push(result);
-                        false
-                    }
-                });
-                for result in ticket_results {
+                // Harvest the window ticket once it resolves.
+                if let Some(result) = l.ticket.as_mut().and_then(WindowTicket::try_wait) {
+                    l.ticket = None;
                     progress = true;
                     match result {
                         _ if l.dead => {}
@@ -660,7 +657,7 @@ impl StreamServer {
                         && l.staged.is_none()
                         && l.pending_wm.is_none()
                         && l.inflight.is_empty()
-                        && l.tickets.is_empty()
+                        && l.ticket.is_none()
                     {
                         l.lane.engine.quiesce();
                         self.finish_drain(l.lane.tenant);
@@ -686,7 +683,7 @@ impl StreamServer {
                         || (l.lane.ckpt_every_records.is_none() && l.lane.ckpt_every_ms.is_none())
                         || !l.fired_since_ckpt
                         || !l.inflight.is_empty()
-                        || !l.tickets.is_empty()
+                        || l.ticket.is_some()
                         || l.pending_wm.is_some()
                     {
                         continue;
@@ -791,7 +788,7 @@ impl StreamServer {
                 // Fatal error: stop offering (gated above), let in-flight
                 // tasks and tickets drain, then return the error — a lane
                 // with unoffered input must not keep the loop alive.
-                if rt.iter().all(|l| l.inflight.is_empty() && l.tickets.is_empty()) {
+                if rt.iter().all(|l| l.inflight.is_empty() && l.ticket.is_none()) {
                     break;
                 }
             } else if !rt.iter().any(|l| l.live()) {
