@@ -14,12 +14,7 @@
 //! * trusted-IO ingress copies *any* bytes across the boundary (the
 //!   zero-copy invariant), or
 //! * adaptive batching loses its amortization gain over the small fixed
-//!   batch regime (`SBT_BOUNDARY_GATE_MIN_GAIN`, a throughput ratio), or
-//! * on the 8-worker pool, adaptive batches split into per-worker decrypt
-//!   lanes fall behind fixed 1 K batches
-//!   (`SBT_BOUNDARY_GATE_MIN_PARALLEL_GAIN`), exceed the switch budget, or
-//!   change the via-OS copy profile — the lane split must stay inside the
-//!   single crossing per batch.
+//!   batch regime (`SBT_BOUNDARY_GATE_MIN_GAIN`, a throughput ratio).
 //!
 //! Besides the gate verdict it writes `BENCH_boundary.json` at the repo
 //! root — a committed, machine-readable record of the host calibration and
@@ -71,12 +66,9 @@ struct GateVerdict {
     max_switches_per_kevent: f64,
     max_copied_bytes_per_event: f64,
     min_adaptive_gain: f64,
-    min_parallel_gain: f64,
     measured_switches_per_kevent: f64,
     measured_copied_bytes_per_event: f64,
     measured_adaptive_gain: f64,
-    /// Throughput of the 8-worker adaptive regime over 8-worker fixed-1K.
-    measured_parallel_gain: f64,
     pass: bool,
 }
 
@@ -163,14 +155,6 @@ fn main() {
         run_regime("adaptive", EngineVariant::Sbt, 4, adaptive, scale),
         run_regime("fixed-mid/via-os", EngineVariant::SbtIoViaOs, 4, scale.batch_events, scale),
         run_regime("adaptive/via-os", EngineVariant::SbtIoViaOs, 4, adaptive, scale),
-        // Multi-core regime: the same adaptive batch size, but an 8-wide
-        // worker pool so every ingest batch splits into 8 decrypt lanes
-        // inside the single crossing. Gated against fixed-1K at the same
-        // pool width — sub-batching must pay for itself without adding
-        // switches or copies.
-        run_regime("fixed-small-8w", EngineVariant::Sbt, 8, small, scale),
-        run_regime("parallel-adaptive", EngineVariant::Sbt, 8, adaptive, scale),
-        run_regime("parallel-adaptive/via-os", EngineVariant::SbtIoViaOs, 8, adaptive, scale),
     ];
 
     let table: Vec<Vec<String>> = regimes
@@ -216,17 +200,11 @@ fn main() {
     let max_switches = env_f64("SBT_BOUNDARY_GATE_SWITCHES_PER_KEVENT", 0.125);
     let max_copied = env_f64("SBT_BOUNDARY_GATE_COPIED_BYTES_PER_EVENT", 15.0);
     let min_gain = env_f64("SBT_BOUNDARY_GATE_MIN_GAIN", 1.05);
-    let min_parallel_gain = env_f64("SBT_BOUNDARY_GATE_MIN_PARALLEL_GAIN", 1.0);
 
     let adaptive_row = &regimes[2];
     let small_row = &regimes[0];
     let via_os_row = &regimes[4];
-    let small_8w_row = &regimes[5];
-    let parallel_row = &regimes[6];
-    let parallel_via_os_row = &regimes[7];
     let gain = adaptive_row.mevents_per_sec / small_row.mevents_per_sec.max(f64::MIN_POSITIVE);
-    let parallel_gain =
-        parallel_row.mevents_per_sec / small_8w_row.mevents_per_sec.max(f64::MIN_POSITIVE);
 
     let mut failures = Vec::new();
     if adaptive_row.switches_per_kevent > max_switches {
@@ -255,30 +233,6 @@ fn main() {
             gain
         ));
     }
-    // The multi-core gates: at an 8-wide pool, adaptive batches split into
-    // per-worker decrypt lanes must at least match fixed-1K throughput, stay
-    // under the switch budget, and leave the copy profile untouched — lanes
-    // must not add crossings or copies.
-    if parallel_gain < min_parallel_gain {
-        failures.push(format!(
-            "parallel-adaptive reached only {:.3}x of {small}-event batches on the 8-worker \
-             pool (minimum {min_parallel_gain}x)",
-            parallel_gain
-        ));
-    }
-    if parallel_row.switches_per_kevent > max_switches {
-        failures.push(format!(
-            "parallel-adaptive made {:.3} world switches per 1K events (baseline {max_switches})",
-            parallel_row.switches_per_kevent
-        ));
-    }
-    if parallel_via_os_row.copied_bytes_per_event != via_os_row.copied_bytes_per_event {
-        failures.push(format!(
-            "sub-batching changed via-OS copies: {:.2} B/event at 8 workers vs {:.2} at 4 \
-             (the lane split must live inside the one crossing)",
-            parallel_via_os_row.copied_bytes_per_event, via_os_row.copied_bytes_per_event
-        ));
-    }
     // The gateway's per-tenant metering and the platform's global counters
     // watch the same boundary; disagreement means a crossing went unmetered.
     for r in &regimes {
@@ -301,24 +255,15 @@ fn main() {
         max_switches_per_kevent: max_switches,
         max_copied_bytes_per_event: max_copied,
         min_adaptive_gain: min_gain,
-        min_parallel_gain,
         measured_switches_per_kevent: adaptive_row.switches_per_kevent,
         measured_copied_bytes_per_event: via_os_row.copied_bytes_per_event,
         measured_adaptive_gain: gain,
-        measured_parallel_gain: parallel_gain,
         pass: failures.is_empty(),
     };
     println!(
         "\ngate: adaptive {:.3} switches/Kevent (max {max_switches}), via-OS {:.2} B/event \
          (max {max_copied}), adaptive gain {gain:.2}x over {small}-event batches (min {min_gain}x)",
         verdict.measured_switches_per_kevent, verdict.measured_copied_bytes_per_event,
-    );
-    println!(
-        "gate: 8-worker parallel-adaptive {:.3} Mev/s vs fixed-{small} {:.3} Mev/s \
-         ({parallel_gain:.2}x, min {min_parallel_gain}x), {:.3} switches/Kevent",
-        parallel_row.mevents_per_sec,
-        small_8w_row.mevents_per_sec,
-        parallel_row.switches_per_kevent,
     );
 
     let report = BoundaryReport {

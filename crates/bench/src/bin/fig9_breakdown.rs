@@ -1,17 +1,14 @@
 //! Figure 9: run-time breakdown of the GroupBy operator — in-enclave
 //! decrypt vs operator compute vs world switches vs boundary copies vs TEE
 //! memory management — as a function of the input batch size, with 8 worker
-//! threads executing both the ingest decrypt lanes and GroupBy in parallel.
+//! threads executing GroupBy in parallel.
 //!
 //! Every lane comes from one diff of the unified telemetry registry
 //! snapshot (the `tz.*` and `plane.*` counters the run actually
 //! accumulated), not from model arithmetic, and each row also reports the
 //! raw boundary *events* behind the percentages: world switches made, bytes
 //! copied, secure pages committed. The decrypt lane is the sum of the
-//! per-sub-batch `Decrypt` spans: under parallel ingest a batch decrypts as
-//! N concurrent lanes inside its single crossing, so CPU time is the sum of
-//! the lane spans, not the wall time of the batch — summing spans keeps the
-//! compute-side accounting correct at any pool width. The sweep runs the
+//! `Decrypt` spans, one per ingest batch. The sweep runs the
 //! ingest + GroupBy profile under both ingress paths, so the copy lane is
 //! demonstrably zero on trusted IO and proportional to payload via the OS.
 //!
@@ -20,7 +17,7 @@
 use sbt_bench::print_table;
 use sbt_crypto::{AesCtr, MasterSecret};
 use sbt_dataplane::{DataPlane, DataPlaneConfig, PrimitiveParams};
-use sbt_engine::{TeeGateway, WorkerPool};
+use sbt_engine::{Executor, TeeGateway};
 use sbt_telemetry::SpanKind;
 use sbt_types::{Event, PrimitiveKind};
 use sbt_tz::{BoundaryEvents, IngressPathConfig, Platform, PlatformConfig};
@@ -39,17 +36,16 @@ struct BreakdownRow {
     copy_pct: f64,
     memory_pct: f64,
     total_ms: f64,
-    /// Decrypt lanes recorded (sub-batches across all ingest batches).
+    /// Decrypt spans recorded (one per ingest batch).
     decrypt_spans: u64,
     /// Raw boundary events over the run, from the live platform counters.
     boundary: BoundaryEvents,
 }
 
 /// Ingest `batches` encrypted batches of `batch_events` events through
-/// `path` (each batch decrypting as per-worker lanes inside its one
-/// crossing), then GroupBy (Sort + SumCnt per batch) on the same `threads`
-/// worker threads; return the five-lane breakdown from the platform's
-/// counter deltas plus the drained per-sub-batch `Decrypt` spans.
+/// `path`, then GroupBy (Sort + SumCnt per batch) on `threads` worker
+/// threads; return the five-lane breakdown from the platform's counter
+/// deltas plus the drained `Decrypt` spans.
 fn run_groupby(
     batch_events: usize,
     batches: usize,
@@ -59,9 +55,7 @@ fn run_groupby(
     let platform = Platform::new(PlatformConfig::hikey().with_ingress(path));
     let dp = DataPlane::new(platform.clone(), DataPlaneConfig::default());
     let gateway = Arc::new(TeeGateway::open(dp.clone()));
-    // The pool that runs GroupBy also runs the ingest decrypt lanes.
-    let pool = Arc::new(WorkerPool::new(threads));
-    dp.set_ingest_pool(pool.clone());
+    let pool = Executor::new(threads);
     let tracer = Arc::clone(dp.telemetry().tracer());
     tracer.set_enabled(true);
     let keys = MasterSecret::demo().tenant_keys(gateway.tenant().0, 0);
@@ -70,8 +64,7 @@ fn run_groupby(
     let wall_start = Instant::now();
 
     // Ingest is part of the profile: it is where the ingress paths differ
-    // (trusted IO copies nothing; via-OS pays the boundary copy), and where
-    // the batch fans out into per-worker decrypt lanes.
+    // (trusted IO copies nothing; via-OS pays the boundary copy).
     let refs: Vec<_> = (0..batches)
         .map(|b| {
             let events: Vec<Event> = (0..batch_events)
@@ -79,7 +72,7 @@ fn run_groupby(
                 .collect();
             let mut wire = Event::slice_to_bytes(&events);
             AesCtr::new(&keys.source_key, &keys.source_nonce).apply_keystream_at(&mut wire, 0);
-            gateway.ingress_shared(&Arc::new(wire), true, false, 0).expect("ingest").opaque
+            gateway.ingress(&wire, true, false, 0).expect("ingest").opaque
         })
         .collect();
 
@@ -112,11 +105,7 @@ fn run_groupby(
     let wall = wall_start.elapsed().as_nanos() as u64;
     let delta = dp.telemetry().snapshot().delta_since(&before);
 
-    // The decrypt lane sums the per-sub-batch `Decrypt` spans. Each span is
-    // one lane's CPU time; a batch split across N workers contributes N
-    // spans whose durations sum to the work done, so the lane stays correct
-    // however the batch was split (wall time per batch would under-count by
-    // the parallel speedup).
+    // The decrypt lane sums the per-batch `Decrypt` spans.
     let mut decrypt = 0u64;
     let mut decrypt_spans = 0u64;
     tracer.drain(|s| {
@@ -207,7 +196,7 @@ fn main() {
             "copy",
             "mem mgmt",
             "total ms",
-            "lanes",
+            "spans",
             "switches",
             "copied KiB",
             "pages",
@@ -218,9 +207,7 @@ fn main() {
         "\nExpectation from the paper: with batches of 128K events or more, >90% of time is\n\
          compute (decrypt + operators) inside the TEE; with 8K-event batches the\n\
          world-switch share dominates. Trusted IO keeps the copy lane at exactly zero;\n\
-         via-OS ingress pays a per-byte boundary copy on top of the same switch profile.\n\
-         The decrypt lane is summed over per-sub-batch spans, so it reads as CPU time\n\
-         across the worker pool, not wall time."
+         via-OS ingress pays a per-byte boundary copy on top of the same switch profile."
     );
     sbt_bench::dump_json("fig9_breakdown", &rows);
 }

@@ -87,10 +87,8 @@ const SEAL_WINDOW: usize = 4;
 /// two chunks clear it on both back-ends. Measured on the reference host,
 /// alone → with one lane, median of 100–300 seals: hardware 131 KB
 /// 110 → 106 µs, 262 KB 225 → 194 µs, 524 KB 471 → 410 µs; portable 131 KB
-/// 0.99 → 0.77 ms, 262 KB 1.99 → 1.33 ms, 524 KB 4.00 → 2.48 ms. (A seal is
-/// unlike an ingest lane, whose floor `parallel::min_lane_chunks` scales
-/// with the back-end: a seal lane writes where the bytes end up, so it has
-/// no stitch to pay for.)
+/// 0.99 → 0.77 ms, 262 KB 1.99 → 1.33 ms, 524 KB 4.00 → 2.48 ms. A seal
+/// lane writes where the bytes end up, so it has no stitch to pay for.
 const MIN_FANOUT_CHUNKS: usize = 2;
 
 /// One lane already outruns the MAC stage — narrowly on the portable kernels

@@ -33,7 +33,6 @@
 pub mod egress;
 pub mod error;
 pub mod opaque;
-pub mod parallel;
 pub mod params;
 pub mod plane;
 mod produce;

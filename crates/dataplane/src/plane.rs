@@ -25,14 +25,13 @@
 //!   owner accounting — a tenant that fills its quota is rejected without
 //!   disturbing the others' committed memory.
 //!
-//! Single-pipeline deployments (the paper's setting) run everything under
-//! [`TenantId::DEFAULT`], which is registered unconstrained at load time;
-//! the original single-tenant entry points delegate to it.
+//! Every entry point names the tenant it acts for. Single-pipeline
+//! deployments (the paper's setting) pass [`TenantId::DEFAULT`], which is
+//! registered unconstrained at load time.
 
 use crate::egress::{EgressMessage, Sealer};
 use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
-use crate::parallel::{lane_plan, min_lane_chunks, WIRE_CHUNK};
 use crate::params::{InvokeOutput, PrimitiveParams};
 use crate::produce::Output;
 use crate::snapshot::{
@@ -47,18 +46,24 @@ use sbt_crypto::{AesCtr, Key128, KeySet, MasterSecret, Nonce, SigningKey, Tenant
 use sbt_primitives as prim;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{
-    infallible, Event, LanePool, LaneTask, PowerEvent, PrimitiveKind, RecordCount, RecordSink,
-    TenantId, Watermark, WindowId,
+    infallible, Event, LanePool, PowerEvent, PrimitiveKind, RecordCount, RecordSink, TenantId,
+    Watermark, WindowId,
 };
 use sbt_tz::{Platform, WorldTracker};
 use sbt_uarray::{
-    Allocator, AllocatorConfig, CommitBudget, ConsumptionHint, DisjointWriter, HintSet,
-    MemoryReport, TeePager, UArray, UArrayError, UArrayId, UArrayState, UArrayWriter, PAGE_SIZE,
+    Allocator, AllocatorConfig, CommitBudget, ConsumptionHint, HintSet, MemoryReport, TeePager,
+    UArray, UArrayError, UArrayId, UArrayState, UArrayWriter, PAGE_SIZE,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The fixed decrypt window of zero-copy ingest, in bytes.
+///
+/// A multiple of both event layouts (lcm(12, 16) = 48) and of the AES block
+/// size, so every window holds whole events and starts on a CTR block
+/// boundary.
+const WIRE_CHUNK: usize = 4080;
 
 /// Configuration of a data plane instance.
 ///
@@ -179,17 +184,12 @@ pub struct DataPlane {
     /// counter registry, flight recorder. Disabled by default (hot paths
     /// pay one relaxed atomic load).
     telemetry: Arc<MetricsRegistry>,
-    /// Worker pool lent by the control plane for in-enclave lanes (ingest
-    /// decrypt/parse, egress and checkpoint encrypt). `None` keeps all of
-    /// them serial.
-    ingest_pool: RwLock<Option<Arc<dyn LanePool>>>,
+    /// Worker pool lent by the control plane for the encrypt lanes of egress
+    /// and checkpoint seals. `None` keeps both serial.
+    lane_pool: RwLock<Option<Arc<dyn LanePool>>>,
     /// The streaming encrypt-then-MAC pipeline egress and checkpoints seal
     /// through (owns the recycled staging buffers).
     sealer: Sealer,
-    /// Recycled lane buffers for [`DisjointWriter`]: each grows once to its
-    /// high-water capacity, so steady-state parallel ingest allocates
-    /// nothing beyond the destination extent.
-    lane_buffers: Mutex<Vec<Vec<Event>>>,
     start: Instant,
 }
 
@@ -222,9 +222,8 @@ impl DataPlane {
             }),
             stats,
             telemetry,
-            ingest_pool: RwLock::new(None),
+            lane_pool: RwLock::new(None),
             sealer: Sealer::new(),
-            lane_buffers: Mutex::new(Vec::new()),
             start: Instant::now(),
             config,
             platform,
@@ -465,7 +464,7 @@ impl DataPlane {
         };
         // The seal runs with the tenant unlocked: its lanes join by helping,
         // and a helping thread may pick up any queued task.
-        let pool = self.ingest_pool.read().clone();
+        let pool = self.lane_pool.read().clone();
         let (sealed, hash) =
             seal_snapshot(&self.config.master, &plain, &self.sealer, pool.as_deref());
         {
@@ -719,6 +718,13 @@ impl DataPlane {
         &self.telemetry
     }
 
+    /// Install the worker pool that egress and checkpoint seals fan their
+    /// encrypt lanes onto (normally the engine's executor, lent when the
+    /// engine is assembled).
+    pub fn set_lane_pool(&self, pool: Arc<dyn LanePool>) {
+        *self.lane_pool.write() = Some(pool);
+    }
+
     /// Current memory report from the allocator.
     pub fn memory_report(&self) -> MemoryReport {
         self.alloc.lock().allocator.report()
@@ -746,7 +752,7 @@ impl DataPlane {
     /// tenant's quota): the events never reached windowed state, so they do
     /// not count as ingested. Platform-wide throughput stats are untouched
     /// (the decryption work really happened).
-    pub fn uncount_ingest_for(&self, tenant: TenantId, events: u64, bytes: u64) {
+    pub fn uncount_ingest(&self, tenant: TenantId, events: u64, bytes: u64) {
         if let Ok(ts) = self.tenant_state(tenant) {
             let mut t = ts.lock();
             t.events_ingested = t.events_ingested.saturating_sub(events);
@@ -766,23 +772,13 @@ impl DataPlane {
         self.tenant_memory(tenant).map(|m| m.under_pressure()).unwrap_or(false)
     }
 
-    /// Number of live opaque references of the default tenant.
-    pub fn live_refs(&self) -> usize {
-        self.live_refs_for(TenantId::DEFAULT)
-    }
-
     /// Number of live opaque references of one tenant.
-    pub fn live_refs_for(&self, tenant: TenantId) -> usize {
+    pub fn live_refs(&self, tenant: TenantId) -> usize {
         self.tenant_state(tenant).map(|t| t.lock().refs.live_count()).unwrap_or(0)
     }
 
-    /// Drain the default tenant's audit segments (the engine uploads them).
-    pub fn drain_audit_segments(&self) -> Vec<LogSegment> {
-        self.drain_audit_segments_for(TenantId::DEFAULT).unwrap_or_default()
-    }
-
     /// Drain one tenant's flushed audit segments.
-    pub fn drain_audit_segments_for(
+    pub fn drain_audit_segments(
         &self,
         tenant: TenantId,
     ) -> Result<Vec<LogSegment>, DataPlaneError> {
@@ -920,17 +916,6 @@ impl DataPlane {
 
     // ----- ingress -------------------------------------------------------
 
-    /// Ingest a batch on the default tenant.
-    pub fn ingress(
-        &self,
-        payload: &[u8],
-        encrypted: bool,
-        is_power: bool,
-        keystream_block: u32,
-    ) -> Result<InvokeOutput, DataPlaneError> {
-        self.ingress_for(TenantId::DEFAULT, payload, encrypted, is_power, keystream_block)
-    }
-
     /// Ingest a batch of events whose bytes have arrived in the secure world
     /// (through trusted IO or copied in via the OS — that cost is charged by
     /// the engine through `sbt_tz::IoChannel`).
@@ -941,7 +926,10 @@ impl DataPlane {
     ///
     /// `keystream_block` is the CTR block offset at which this payload was
     /// encrypted by the source (the source advances it per batch).
-    pub fn ingress_for(
+    ///
+    /// The batch is decrypted and parsed in one serial pass inside this one
+    /// crossing; multi-core ingest comes from concurrent batches.
+    pub fn ingress(
         &self,
         tenant: TenantId,
         payload: &[u8],
@@ -985,10 +973,6 @@ impl DataPlane {
         // committed up front, all-or-nothing), then ciphertext is decrypted
         // through a fixed stack window directly into it. No staging heap
         // allocation of the payload on either path.
-        //
-        // WIRE_CHUNK (see `parallel`) is a multiple of both event layouts
-        // (lcm(12,16) = 48) and of the AES block size, so every window holds
-        // whole events and starts on a CTR block boundary.
         let decrypt_start = Instant::now();
         let id = self.next_id();
         let data = StoredData::events_exact(id, n_events, &self.pager, |dst| {
@@ -1041,9 +1025,8 @@ impl DataPlane {
             self.telemetry.tracer().elapsed_since(ingest_start),
         );
         if encrypted {
-            // One sub-batch: the span carries the batch tag and its event
-            // count in the same packed payload the parallel lanes use, so
-            // span consumers sum decrypt time uniformly across both paths.
+            // One span per batch, its payload packing the batch tag and the
+            // batch's event count.
             self.telemetry.tracer().record_at(
                 SpanKind::Decrypt,
                 tenant.0,
@@ -1055,206 +1038,10 @@ impl DataPlane {
         Ok(InvokeOutput { opaque, len, window: None })
     }
 
-    /// Install the worker pool that parallel ingest, egress sealing and
-    /// checkpoint sealing fan lane tasks onto (normally the engine's
-    /// executor, lent when the engine is assembled).
-    pub fn set_ingest_pool(&self, pool: Arc<dyn LanePool>) {
-        *self.ingest_pool.write() = Some(pool);
-    }
-
-    /// Ingest a batch whose payload arrived as a shared buffer, decrypting
-    /// and parsing its sub-ranges in parallel on the installed
-    /// [`LanePool`].
-    ///
-    /// Semantically identical to [`ingress_for`](DataPlane::ingress_for) —
-    /// same checks, same all-or-nothing reservation, same audit record and
-    /// counters, and the stored events are byte-identical (lane boundaries
-    /// are multiples of the serial path's decrypt window, so the window
-    /// sequence is unchanged). The split happens strictly *inside* the one
-    /// ingress invocation: sub-batching adds no boundary crossings. Falls
-    /// back to the serial path when no pool is installed or the batch is too
-    /// small to split.
-    pub fn ingress_arc_for(
-        &self,
-        tenant: TenantId,
-        payload: Arc<Vec<u8>>,
-        encrypted: bool,
-        is_power: bool,
-        keystream_block: u32,
-    ) -> Result<InvokeOutput, DataPlaneError> {
-        let pool = self.ingest_pool.read().clone();
-        let lanes = match &pool {
-            Some(pool) => lane_plan(payload.len(), pool.workers(), min_lane_chunks()),
-            None => Vec::new(),
-        };
-        if lanes.len() < 2 {
-            return self.ingress_for(tenant, &payload, encrypted, is_power, keystream_block);
-        }
-        self.ingress_parallel(
-            tenant,
-            payload,
-            encrypted,
-            is_power,
-            keystream_block,
-            pool.expect("a multi-lane plan implies a pool").as_ref(),
-            &lanes,
-        )
-    }
-
-    /// The parallel body of [`ingress_arc_for`](DataPlane::ingress_arc_for):
-    /// one lane task per sub-range, each stream-decrypting through its own
-    /// fixed stack window into its own pooled buffer of the
-    /// [`DisjointWriter`], stitched into the single reserved extent inside
-    /// `produce_exact`'s fill.
-    #[allow(clippy::too_many_arguments)]
-    fn ingress_parallel(
-        &self,
-        tenant: TenantId,
-        payload: Arc<Vec<u8>>,
-        encrypted: bool,
-        is_power: bool,
-        keystream_block: u32,
-        pool: &dyn LanePool,
-        lanes: &[(usize, usize)],
-    ) -> Result<InvokeOutput, DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::ingress");
-        let ingest_start = self.telemetry.tracer().start();
-        let ts = self.tenant_state(tenant)?;
-        let record_bytes =
-            if is_power { sbt_types::POWER_EVENT_BYTES } else { sbt_types::EVENT_BYTES };
-        if !payload.len().is_multiple_of(record_bytes) {
-            return Err(DataPlaneError::BadIngress(if is_power {
-                "power payload not a whole event"
-            } else {
-                "payload not a whole event"
-            }));
-        }
-        let n_events = payload.len() / record_bytes;
-        let estimate = TeePager::pages_for((n_events * sbt_types::EVENT_BYTES) as u64) * PAGE_SIZE;
-        if self.alloc.lock().allocator.owner_would_exceed(tenant.owner_tag(), estimate) {
-            return Err(DataPlaneError::QuotaExceeded);
-        }
-        // Key material is copied out (128-bit arrays) so the `'static` lane
-        // tasks never borrow tenant state; each lane builds its own cipher
-        // and seeks the keystream to its byte offset.
-        let key_material = if encrypted {
-            let t = ts.lock();
-            Some((t.keys.source_key, t.keys.source_nonce))
-        } else {
-            None
-        };
-
-        let counts: Vec<usize> = lanes.iter().map(|&(_, len)| len / record_bytes).collect();
-        let recycled = std::mem::take(&mut *self.lane_buffers.lock());
-        let writer = Arc::new(DisjointWriter::new(recycled, &counts));
-        let decrypt_total = Arc::new(AtomicU64::new(0));
-        let tracer = self.telemetry.tracer();
-        let id = self.next_id();
-        let tasks: Vec<LaneTask> = lanes
-            .iter()
-            .enumerate()
-            .map(|(ix, &(off, len))| {
-                let payload = Arc::clone(&payload);
-                let writer = Arc::clone(&writer);
-                let decrypt_total = Arc::clone(&decrypt_total);
-                let tracer = Arc::clone(tracer);
-                let lane_block = AesCtr::block_at(keystream_block, off);
-                let lane_events = (len / record_bytes) as u64;
-                let tenant_raw = tenant.0;
-                let batch_tag = id.0;
-                Box::new(move || {
-                    let lane_start = tracer.start();
-                    let t0 = Instant::now();
-                    writer.fill(ix, |buf| {
-                        let mut window = [0u8; WIRE_CHUNK];
-                        let ctr = key_material.map(|(key, nonce)| AesCtr::new(&key, &nonce));
-                        let mut cursor = ctr.as_ref().map(|c| c.seek_to_block(lane_block));
-                        for chunk in payload[off..off + len].chunks(WIRE_CHUNK) {
-                            let cleartext: &[u8] = match &mut cursor {
-                                Some(cur) => {
-                                    cur.apply_into(chunk, &mut window[..chunk.len()]);
-                                    &window[..chunk.len()]
-                                }
-                                None => chunk,
-                            };
-                            if is_power {
-                                for rec in cleartext.chunks_exact(sbt_types::POWER_EVENT_BYTES) {
-                                    buf.push(PowerEvent::from_bytes(rec).unwrap().to_generic());
-                                }
-                            } else {
-                                for rec in cleartext.chunks_exact(sbt_types::EVENT_BYTES) {
-                                    buf.push(Event::from_bytes(rec).unwrap());
-                                }
-                            }
-                        }
-                    });
-                    if encrypted {
-                        // Decrypt accounting is the *sum* of lane CPU time
-                        // (not the batch's wall time), and every lane gets
-                        // its own span tagged with the parent batch, so
-                        // breakdowns stay correct under parallel ingest.
-                        let lane_nanos = t0.elapsed().as_nanos() as u64;
-                        decrypt_total.fetch_add(lane_nanos, Ordering::Relaxed);
-                        tracer.record_at(
-                            SpanKind::Decrypt,
-                            tenant_raw,
-                            lane_start,
-                            lane_nanos,
-                            decrypt_span_payload(batch_tag, lane_events),
-                        );
-                    }
-                }) as LaneTask
-            })
-            .collect();
-
-        // Pages for the whole batch commit first (all-or-nothing, exactly as
-        // the serial path); only then do the lanes run and stitch. On a
-        // failed reservation the fill never runs: no decrypt work is done
-        // and no lane buffer is filled.
-        let result = StoredData::events_exact(id, n_events, &self.pager, |dst| {
-            pool.run(tasks);
-            writer.stitch_into(dst);
-        });
-        // Return the lane buffers to the pool on both outcomes.
-        *self.lane_buffers.lock() = writer.reclaim();
-        let data = result?;
-        let decrypt_nanos = decrypt_total.load(Ordering::Relaxed);
-        let (id, opaque, len) =
-            self.register_output(tenant, &ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
-        self.stats.record_ingress(n_events as u64, payload.len() as u64, decrypt_nanos);
-        {
-            let mut t = ts.lock();
-            t.events_ingested += n_events as u64;
-            t.bytes_ingested += payload.len() as u64;
-        }
-        self.append_audit(
-            &ts,
-            AuditRecord::Ingress {
-                ts_ms: self.now_ms(),
-                data: DataRef::UArray(UArrayRef(id.0 as u32)),
-            },
-        );
-        self.telemetry.record_latency(
-            tenant.0,
-            LatencyKind::IngestToStore,
-            self.telemetry.tracer().elapsed_since(ingest_start),
-        );
-        Ok(InvokeOutput { opaque, len, window: None })
-    }
-
-    /// Ingest a watermark on the default tenant.
-    pub fn ingress_watermark(&self, wm: Watermark) {
-        let _ = self.ingress_watermark_for(TenantId::DEFAULT, wm);
-    }
-
     /// Ingest a watermark (watermarks are control metadata, not protected
     /// data, but they are audited because freshness attestation depends on
     /// them).
-    pub fn ingress_watermark_for(
-        &self,
-        tenant: TenantId,
-        wm: Watermark,
-    ) -> Result<(), DataPlaneError> {
+    pub fn ingress_watermark(&self, tenant: TenantId, wm: Watermark) -> Result<(), DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::ingress_watermark");
         let ts = self.tenant_state(tenant)?;
         self.append_audit(
@@ -1269,22 +1056,11 @@ impl DataPlane {
 
     // ----- the shared primitive entry point ------------------------------
 
-    /// Invoke a primitive on the default tenant.
-    pub fn invoke(
-        &self,
-        op: PrimitiveKind,
-        inputs: &[OpaqueRef],
-        params: PrimitiveParams,
-        hints: &HintSet,
-    ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
-        self.invoke_for(TenantId::DEFAULT, op, inputs, params, hints)
-    }
-
     /// Execute a trusted primitive over opaque inputs, producing opaque
     /// outputs (the single entry function shared by all 23 primitives).
     /// Inputs resolve only in the calling tenant's reference namespace;
     /// outputs are charged against the tenant's memory quota.
-    pub fn invoke_for(
+    pub fn invoke(
         &self,
         tenant: TenantId,
         op: PrimitiveKind,
@@ -1558,20 +1334,11 @@ impl DataPlane {
 
     // ----- egress and retirement -----------------------------------------
 
-    /// Externalize a result of the default tenant.
-    pub fn egress(&self, r: OpaqueRef) -> Result<EgressMessage, DataPlaneError> {
-        self.egress_for(TenantId::DEFAULT, r)
-    }
-
     /// Externalize a result: encrypt, sign, audit, flush the audit log. The
     /// reference must belong to the calling tenant; egress sequence numbers
     /// are per tenant, so each tenant's result stream is independently
     /// replay-protected.
-    pub fn egress_for(
-        &self,
-        tenant: TenantId,
-        r: OpaqueRef,
-    ) -> Result<EgressMessage, DataPlaneError> {
+    pub fn egress(&self, tenant: TenantId, r: OpaqueRef) -> Result<EgressMessage, DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::egress");
         let ts = self.tenant_state(tenant)?;
         // A forged or cross-tenant reference fails here, before a sequence
@@ -1583,7 +1350,7 @@ impl DataPlane {
             t.egress_seq += 1;
             (s, t.keys.clone())
         };
-        let pool = self.ingest_pool.read().clone();
+        let pool = self.lane_pool.read().clone();
         let msg = self.sealer.seal_egress(
             seq,
             data,
@@ -1605,15 +1372,10 @@ impl DataPlane {
         Ok(msg)
     }
 
-    /// Retire a reference of the default tenant.
-    pub fn retire(&self, r: OpaqueRef) -> Result<(), DataPlaneError> {
-        self.retire_for(TenantId::DEFAULT, r)
-    }
-
     /// Retire a reference: the control plane will not consume it again. The
     /// uArray becomes reclaimable; memory is released in uGroup order and
     /// un-charged from the tenant's quota.
-    pub fn retire_for(&self, tenant: TenantId, r: OpaqueRef) -> Result<(), DataPlaneError> {
+    pub fn retire(&self, tenant: TenantId, r: OpaqueRef) -> Result<(), DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::retire");
         let ts = self.tenant_state(tenant)?;
         let id = ts.lock().refs.revoke(r)?;
@@ -1654,6 +1416,7 @@ mod tests {
     use super::*;
     use crate::snapshot::WindowManifest;
     use sbt_types::Duration;
+    use sbt_types::LaneTask;
     use sbt_types::WindowSpec;
     use sbt_tz::World;
     use sbt_tz::WorldGuard;
@@ -1670,12 +1433,12 @@ mod tests {
 
     fn ingest_events(dp: &DataPlane, events: &[Event]) -> InvokeOutput {
         let bytes = Event::slice_to_bytes(events);
-        in_tee(|| dp.ingress(&bytes, false, false, 0)).unwrap()
+        in_tee(|| dp.ingress(TenantId::DEFAULT, &bytes, false, false, 0)).unwrap()
     }
 
     fn ingest_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> InvokeOutput {
         let bytes = Event::slice_to_bytes(events);
-        in_tee(|| dp.ingress_for(tenant, &bytes, false, false, 0)).unwrap()
+        in_tee(|| dp.ingress(tenant, &bytes, false, false, 0)).unwrap()
     }
 
     #[test]
@@ -1684,7 +1447,7 @@ mod tests {
         let events: Vec<Event> = (0..100).map(|i| Event::new(i, i * 2, i * 10)).collect();
         let out = ingest_events(&dp, &events);
         assert_eq!(out.len, 100);
-        assert_eq!(dp.live_refs(), 1);
+        assert_eq!(dp.live_refs(TenantId::DEFAULT), 1);
         assert_eq!(dp.stats().snapshot().events_ingested, 100);
         assert!(dp.memory_report().committed_bytes > 0);
     }
@@ -1697,12 +1460,18 @@ mod tests {
         // The source provisions the default tenant's epoch-0 derived keys.
         let ks = MasterSecret::demo().tenant_keys(TenantId::DEFAULT.0, 0);
         AesCtr::new(&ks.source_key, &ks.source_nonce).apply_keystream_at(&mut payload, 0);
-        let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
+        let out = in_tee(|| dp.ingress(TenantId::DEFAULT, &payload, true, false, 0)).unwrap();
         assert_eq!(out.len, 50);
         // Sorting the ingested array gives back the events (proves the
         // decryption produced real data, not garbage).
         let sorted = in_tee(|| {
-            dp.invoke(PrimitiveKind::Sort, &[out.opaque], PrimitiveParams::None, &HintSet::none())
+            dp.invoke(
+                TenantId::DEFAULT,
+                PrimitiveKind::Sort,
+                &[out.opaque],
+                PrimitiveParams::None,
+                &HintSet::none(),
+            )
         })
         .unwrap();
         assert_eq!(sorted[0].len, 50);
@@ -1715,14 +1484,15 @@ mod tests {
         let events: Vec<PowerEvent> =
             (0..10).map(|i| PowerEvent::new(100 + i, i, i / 2, i * 5)).collect();
         let bytes = PowerEvent::slice_to_bytes(&events);
-        let out = in_tee(|| dp.ingress(&bytes, false, true, 0)).unwrap();
+        let out = in_tee(|| dp.ingress(TenantId::DEFAULT, &bytes, false, true, 0)).unwrap();
         assert_eq!(out.len, 10);
     }
 
     #[test]
     fn malformed_ingress_is_rejected() {
         let dp = plane();
-        let err = in_tee(|| dp.ingress(&[1, 2, 3], false, false, 0)).unwrap_err();
+        let err =
+            in_tee(|| dp.ingress(TenantId::DEFAULT, &[1, 2, 3], false, false, 0)).unwrap_err();
         assert_eq!(err, DataPlaneError::BadIngress("payload not a whole event"));
     }
 
@@ -1731,6 +1501,7 @@ mod tests {
         let dp = plane();
         let err = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Sort,
                 &[OpaqueRef(0xBAD)],
                 PrimitiveParams::None,
@@ -1739,8 +1510,8 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, DataPlaneError::InvalidReference);
-        assert!(in_tee(|| dp.egress(OpaqueRef(0xBAD))).is_err());
-        assert!(in_tee(|| dp.retire(OpaqueRef(0xBAD))).is_err());
+        assert!(in_tee(|| dp.egress(TenantId::DEFAULT, OpaqueRef(0xBAD))).is_err());
+        assert!(in_tee(|| dp.retire(TenantId::DEFAULT, OpaqueRef(0xBAD))).is_err());
     }
 
     #[test]
@@ -1749,7 +1520,7 @@ mod tests {
         let dp = plane();
         // No WorldGuard: this models a control-plane thread trying to call
         // into data-plane code without going through the SMC interface.
-        let _ = dp.ingress(&[], false, false, 0);
+        let _ = dp.ingress(TenantId::DEFAULT, &[], false, false, 0);
     }
 
     #[test]
@@ -1764,6 +1535,7 @@ mod tests {
         let ingested = ingest_events(&dp, &events);
         let sorted = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Sort,
                 &[ingested.opaque],
                 PrimitiveParams::None,
@@ -1773,6 +1545,7 @@ mod tests {
         .unwrap();
         let aggs = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::SumCnt,
                 &[sorted[0].opaque],
                 PrimitiveParams::None,
@@ -1782,7 +1555,7 @@ mod tests {
         .unwrap();
         assert_eq!(aggs[0].len, 2);
         // Egress and decrypt on the "cloud side" to check the values.
-        let msg = in_tee(|| dp.egress(aggs[0].opaque)).unwrap();
+        let msg = in_tee(|| dp.egress(TenantId::DEFAULT, aggs[0].opaque)).unwrap();
         let (key, nonce, signing) = dp.cloud_keys();
         let plain = msg.open(&key, &nonce, &signing).unwrap();
         // KeyAgg wire layout: key(4) sum(8) count(8) per record.
@@ -1801,6 +1574,7 @@ mod tests {
         let spec = WindowSpec::fixed(Duration::from_secs(1));
         let outs = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Segment,
                 &[ingested.opaque],
                 PrimitiveParams::Window(spec),
@@ -1812,7 +1586,7 @@ mod tests {
         assert_eq!(outs[0].window, Some(WindowId(0)));
         assert_eq!(outs[2].window, Some(WindowId(2)));
         // Audit log contains ingress + 3 windowing records.
-        let segments = dp.drain_audit_segments();
+        let segments = dp.drain_audit_segments(TenantId::DEFAULT).unwrap();
         let records: Vec<AuditRecord> = segments
             .iter()
             .flat_map(|s| sbt_attest::decompress_records(&s.compressed).unwrap())
@@ -1829,12 +1603,12 @@ mod tests {
         let ingested = ingest_events(&dp, &events);
         let before = dp.memory_report().committed_bytes;
         assert!(before > 0);
-        in_tee(|| dp.retire(ingested.opaque)).unwrap();
+        in_tee(|| dp.retire(TenantId::DEFAULT, ingested.opaque)).unwrap();
         let after = dp.memory_report().committed_bytes;
         assert_eq!(after, 0);
-        assert_eq!(dp.live_refs(), 0);
+        assert_eq!(dp.live_refs(TenantId::DEFAULT), 0);
         // The reference is dead: further use is rejected.
-        assert!(in_tee(|| dp.egress(ingested.opaque)).is_err());
+        assert!(in_tee(|| dp.egress(TenantId::DEFAULT, ingested.opaque)).is_err());
     }
 
     #[test]
@@ -1844,6 +1618,7 @@ mod tests {
         // Merge needs two inputs.
         assert!(matches!(
             in_tee(|| dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Merge,
                 &[ingested.opaque],
                 PrimitiveParams::None,
@@ -1854,6 +1629,7 @@ mod tests {
         // TopK needs K.
         assert!(matches!(
             in_tee(|| dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::TopK,
                 &[ingested.opaque],
                 PrimitiveParams::None,
@@ -1864,6 +1640,7 @@ mod tests {
         // Boundary ops are not invokable.
         assert!(matches!(
             in_tee(|| dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Ingress,
                 &[ingested.opaque],
                 PrimitiveParams::None,
@@ -1881,6 +1658,7 @@ mod tests {
         let groups_before = dp.memory_report().live_groups;
         let _sorted = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Sort,
                 &[a.opaque],
                 PrimitiveParams::None,
@@ -1901,6 +1679,7 @@ mod tests {
         let spec = WindowSpec::fixed(Duration::from_secs(1));
         let windows = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Segment,
                 &[ingested.opaque],
                 PrimitiveParams::Window(spec),
@@ -1908,9 +1687,10 @@ mod tests {
             )
         })
         .unwrap();
-        in_tee(|| dp.ingress_watermark(Watermark::from_secs(1)));
+        in_tee(|| dp.ingress_watermark(TenantId::DEFAULT, Watermark::from_secs(1))).unwrap();
         let sorted = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Sort,
                 &[windows[0].opaque],
                 PrimitiveParams::None,
@@ -1920,6 +1700,7 @@ mod tests {
         .unwrap();
         let aggs = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::SumCnt,
                 &[sorted[0].opaque],
                 PrimitiveParams::None,
@@ -1927,10 +1708,11 @@ mod tests {
             )
         })
         .unwrap();
-        in_tee(|| dp.egress(aggs[0].opaque)).unwrap();
+        in_tee(|| dp.egress(TenantId::DEFAULT, aggs[0].opaque)).unwrap();
 
         let records: Vec<AuditRecord> = dp
-            .drain_audit_segments()
+            .drain_audit_segments(TenantId::DEFAULT)
+            .unwrap()
             .iter()
             .flat_map(|s| sbt_attest::decompress_records(&s.compressed).unwrap())
             .collect();
@@ -1961,11 +1743,18 @@ mod tests {
             let dp = dp.clone();
             handles.push(std::thread::spawn(move || {
                 let sorted = in_tee(|| {
-                    dp.invoke(PrimitiveKind::Sort, &[r], PrimitiveParams::None, &HintSet::none())
+                    dp.invoke(
+                        TenantId::DEFAULT,
+                        PrimitiveKind::Sort,
+                        &[r],
+                        PrimitiveParams::None,
+                        &HintSet::none(),
+                    )
                 })
                 .unwrap();
                 let aggs = in_tee(|| {
                     dp.invoke(
+                        TenantId::DEFAULT,
                         PrimitiveKind::SumCnt,
                         &[sorted[0].opaque],
                         PrimitiveParams::None,
@@ -1999,10 +1788,10 @@ mod tests {
     #[test]
     fn unknown_tenants_are_rejected() {
         let dp = plane();
-        let err = in_tee(|| dp.ingress_for(TenantId(9), &[], false, false, 0)).unwrap_err();
+        let err = in_tee(|| dp.ingress(TenantId(9), &[], false, false, 0)).unwrap_err();
         assert_eq!(err, DataPlaneError::UnknownTenant);
         assert_eq!(dp.tenant_memory(TenantId(9)), Err(DataPlaneError::UnknownTenant));
-        assert!(dp.drain_audit_segments_for(TenantId(9)).is_err());
+        assert!(dp.drain_audit_segments(TenantId(9)).is_err());
     }
 
     #[test]
@@ -2015,7 +1804,7 @@ mod tests {
         // Tenant 2 cannot invoke, egress or retire tenant 1's reference,
         // even knowing its exact value.
         let err = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(2),
                 PrimitiveKind::Sort,
                 &[a.opaque],
@@ -2025,10 +1814,10 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, DataPlaneError::InvalidReference);
-        assert!(in_tee(|| dp.egress_for(TenantId(2), a.opaque)).is_err());
-        assert!(in_tee(|| dp.retire_for(TenantId(2), a.opaque)).is_err());
+        assert!(in_tee(|| dp.egress(TenantId(2), a.opaque)).is_err());
+        assert!(in_tee(|| dp.retire(TenantId(2), a.opaque)).is_err());
         // The rightful owner still can.
-        assert!(in_tee(|| dp.egress_for(TenantId(1), a.opaque)).is_ok());
+        assert!(in_tee(|| dp.egress(TenantId(1), a.opaque)).is_ok());
     }
 
     #[test]
@@ -2038,14 +1827,14 @@ mod tests {
         dp.register_tenant(TenantId(2), None).unwrap();
         let events: Vec<Event> = (0..5).map(|i| Event::new(i, i, 0)).collect();
         let a = ingest_events_for(&dp, TenantId(1), &events);
-        in_tee(|| dp.egress_for(TenantId(1), a.opaque)).unwrap();
+        in_tee(|| dp.egress(TenantId(1), a.opaque)).unwrap();
         let b = ingest_events_for(&dp, TenantId(2), &events);
-        in_tee(|| dp.egress_for(TenantId(2), b.opaque)).unwrap();
+        in_tee(|| dp.egress(TenantId(2), b.opaque)).unwrap();
 
         let keys1 = dp.verifier_keys(TenantId(1)).unwrap();
         let keys2 = dp.verifier_keys(TenantId(2)).unwrap();
-        let seg1 = dp.drain_audit_segments_for(TenantId(1)).unwrap();
-        let seg2 = dp.drain_audit_segments_for(TenantId(2)).unwrap();
+        let seg1 = dp.drain_audit_segments(TenantId(1)).unwrap();
+        let seg2 = dp.drain_audit_segments(TenantId(2)).unwrap();
         assert!(seg1.iter().all(|s| s.tenant == TenantId(1)));
         assert!(seg2.iter().all(|s| s.tenant == TenantId(2)));
         let r1 = sbt_attest::verify_tenant_trail(&seg1, TenantId(1), &keys1).unwrap();
@@ -2067,7 +1856,7 @@ mod tests {
         let big: Vec<Event> = (0..2_000).map(|i| Event::new(i, i, 0)).collect(); // ~24 KB
         let small: Vec<Event> = (0..100).map(|i| Event::new(i, i, 0)).collect();
         let bytes = Event::slice_to_bytes(&big);
-        let err = in_tee(|| dp.ingress_for(TenantId(1), &bytes, false, false, 0)).unwrap_err();
+        let err = in_tee(|| dp.ingress(TenantId(1), &bytes, false, false, 0)).unwrap_err();
         assert_eq!(err, DataPlaneError::QuotaExceeded);
         // The rejected batch is not counted as ingested.
         assert_eq!(dp.tenant_ingest(TenantId(1)).unwrap(), (0, 0));
@@ -2080,7 +1869,7 @@ mod tests {
         let m1 = dp.tenant_memory(TenantId(1)).unwrap();
         assert!(m1.used_bytes > 0 && m1.used_bytes <= 16 * 1024);
         // Retiring releases the quota.
-        in_tee(|| dp.retire_for(TenantId(1), a.opaque)).unwrap();
+        in_tee(|| dp.retire(TenantId(1), a.opaque)).unwrap();
         assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
     }
 
@@ -2089,7 +1878,7 @@ mod tests {
         (
             dp.platform().secure_mem().in_use(),
             dp.tenant_memory(tenant).unwrap().used_bytes,
-            dp.live_refs_for(tenant),
+            dp.live_refs(tenant),
             dp.stats().snapshot().audit_records,
         )
     }
@@ -2104,7 +1893,7 @@ mod tests {
         let before = footprint(&dp, TenantId(1));
         dp.platform().secure_mem().reset_high_water();
         let err = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Sort,
                 &[a.opaque],
@@ -2120,7 +1909,7 @@ mod tests {
         assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 2 * 4096);
         assert_eq!(footprint(&dp, TenantId(1)), before);
         // The input is still usable.
-        assert!(in_tee(|| dp.egress_for(TenantId(1), a.opaque)).is_ok());
+        assert!(in_tee(|| dp.egress(TenantId(1), a.opaque)).is_ok());
     }
 
     #[test]
@@ -2135,7 +1924,7 @@ mod tests {
         let before = footprint(&dp, TenantId(1));
         dp.platform().secure_mem().reset_high_water();
         let err = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Segment,
                 &[a.opaque],
@@ -2152,7 +1941,7 @@ mod tests {
         // With room for all three the same call succeeds.
         dp.set_tenant_quota(TenantId(1), Some(18 * 4096)).unwrap();
         let outs = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Segment,
                 &[a.opaque],
@@ -2176,7 +1965,7 @@ mod tests {
         let before = footprint(&dp, TenantId(1));
         dp.platform().secure_mem().reset_high_water();
         let err = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Join,
                 &[l.opaque, r.opaque],
@@ -2189,7 +1978,7 @@ mod tests {
         // 14 pages of headroom were produced into, then handed back.
         assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 14 * 4096);
         assert_eq!(footprint(&dp, TenantId(1)), before);
-        assert!(in_tee(|| dp.egress_for(TenantId(1), l.opaque)).is_ok());
+        assert!(in_tee(|| dp.egress(TenantId(1), l.opaque)).is_ok());
     }
 
     #[test]
@@ -2206,6 +1995,7 @@ mod tests {
         let before = footprint(&dp, TenantId::DEFAULT);
         let err = in_tee(|| {
             dp.invoke(
+                TenantId::DEFAULT,
                 PrimitiveKind::Segment,
                 &[a.opaque],
                 PrimitiveParams::one_second_windows(),
@@ -2234,7 +2024,7 @@ mod tests {
             WindowSpec::Sliding { size: us(1_000), slide: us(1_001) },
         ] {
             let err = in_tee(|| {
-                dp.invoke_for(
+                dp.invoke(
                     TenantId(1),
                     PrimitiveKind::Segment,
                     &[a.opaque],
@@ -2248,7 +2038,7 @@ mod tests {
         }
         // The batch itself was fine.
         let outs = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Segment,
                 &[a.opaque],
@@ -2267,7 +2057,7 @@ mod tests {
         dp.register_tenant(TenantId(2), None).unwrap();
         let events: Vec<Event> = (0..4).map(|i| Event::new(i, i, 0)).collect();
         let a = ingest_events_for(&dp, TenantId(1), &events);
-        let msg = in_tee(|| dp.egress_for(TenantId(1), a.opaque)).unwrap();
+        let msg = in_tee(|| dp.egress(TenantId(1), a.opaque)).unwrap();
         // Opens under tenant 1's keychain, not under tenant 2's or the
         // platform default tenant's keys.
         let k1 = dp.verifier_keys(TenantId(1)).unwrap();
@@ -2287,12 +2077,12 @@ mod tests {
         dp.register_tenant(TenantId(2), None).unwrap();
         let events: Vec<Event> = (0..4).map(|i| Event::new(i, i, 0)).collect();
         let a0 = ingest_events_for(&dp, TenantId(1), &events);
-        let m0 = in_tee(|| dp.egress_for(TenantId(1), a0.opaque)).unwrap();
+        let m0 = in_tee(|| dp.egress(TenantId(1), a0.opaque)).unwrap();
         assert_eq!(dp.rekey_tenant(TenantId(1)).unwrap(), 1);
         assert_eq!(dp.tenant_epoch(TenantId(1)).unwrap(), 1);
         assert_eq!(dp.tenant_epoch(TenantId(2)).unwrap(), 0, "neighbour undisturbed");
         let a1 = ingest_events_for(&dp, TenantId(1), &events);
-        let m1 = in_tee(|| dp.egress_for(TenantId(1), a1.opaque)).unwrap();
+        let m1 = in_tee(|| dp.egress(TenantId(1), a1.opaque)).unwrap();
 
         let chain = dp.verifier_keys(TenantId(1)).unwrap();
         assert_eq!(chain.epoch_count(), 2);
@@ -2304,7 +2094,7 @@ mod tests {
 
         // The trail spans both epochs, carries the rekey record, and
         // verifies only under the full keychain.
-        let segs = dp.drain_audit_segments_for(TenantId(1)).unwrap();
+        let segs = dp.drain_audit_segments(TenantId(1)).unwrap();
         assert!(segs.iter().any(|s| s.epoch == 0) && segs.iter().any(|s| s.epoch == 1));
         let records = sbt_attest::verify_tenant_trail(&segs, TenantId(1), &chain).unwrap();
         assert!(records.iter().any(|r| matches!(r, AuditRecord::Rekey { epoch: 1, .. })));
@@ -2326,9 +2116,9 @@ mod tests {
         let stale = master.tenant_keys(1, 0);
         let mut payload = Event::slice_to_bytes(&events);
         AesCtr::new(&stale.source_key, &stale.source_nonce).apply_keystream_at(&mut payload, 0);
-        let out = in_tee(|| dp.ingress_for(TenantId(1), &payload, true, false, 0)).unwrap();
+        let out = in_tee(|| dp.ingress(TenantId(1), &payload, true, false, 0)).unwrap();
         let sorted = in_tee(|| {
-            dp.invoke_for(
+            dp.invoke(
                 TenantId(1),
                 PrimitiveKind::Sort,
                 &[out.opaque],
@@ -2338,7 +2128,7 @@ mod tests {
         })
         .unwrap();
         // Garbage in, garbage out: the decrypted events do not match.
-        let msg = in_tee(|| dp.egress_for(TenantId(1), sorted[0].opaque)).unwrap();
+        let msg = in_tee(|| dp.egress(TenantId(1), sorted[0].opaque)).unwrap();
         let chain = dp.verifier_keys(TenantId(1)).unwrap();
         let plain = msg.open_with(chain.latest()).unwrap();
         assert_ne!(Event::slice_from_bytes(&plain), {
@@ -2350,7 +2140,7 @@ mod tests {
         let fresh = master.tenant_keys(1, 1);
         let mut payload = Event::slice_to_bytes(&events);
         AesCtr::new(&fresh.source_key, &fresh.source_nonce).apply_keystream_at(&mut payload, 0);
-        let ok = in_tee(|| dp.ingress_for(TenantId(1), &payload, true, false, 0)).unwrap();
+        let ok = in_tee(|| dp.ingress(TenantId(1), &payload, true, false, 0)).unwrap();
         assert_eq!(ok.len, 16);
     }
 
@@ -2367,23 +2157,23 @@ mod tests {
         let in_use_before = dp.platform().secure_mem().in_use();
 
         let chain = dp.verifier_keys(TenantId(1)).unwrap();
-        let mut trail = dp.drain_audit_segments_for(TenantId(1)).unwrap();
+        let mut trail = dp.drain_audit_segments(TenantId(1)).unwrap();
         let teardown = dp.deregister_tenant(TenantId(1), DepartureReason::Evicted).unwrap();
         assert_eq!(teardown.reclaimed_bytes, used);
         assert_eq!(teardown.refs_revoked, 1);
         assert_eq!(teardown.final_epoch, 0);
 
         // The tenant is gone: its references and every entry point reject.
-        assert!(in_tee(|| dp.egress_for(TenantId(1), doomed.opaque)).is_err());
+        assert!(in_tee(|| dp.egress(TenantId(1), doomed.opaque)).is_err());
         assert_eq!(
-            in_tee(|| dp.ingress_for(TenantId(1), &[], false, false, 0)).unwrap_err(),
+            in_tee(|| dp.ingress(TenantId(1), &[], false, false, 0)).unwrap_err(),
             DataPlaneError::UnknownTenant
         );
         assert_eq!(dp.tenant_memory(TenantId(1)), Err(DataPlaneError::UnknownTenant));
         assert!(dp.deregister_tenant(TenantId(1), DepartureReason::Evicted).is_err());
         // Its secure memory came back; the survivor is untouched.
         assert_eq!(dp.platform().secure_mem().in_use(), in_use_before - used);
-        assert!(in_tee(|| dp.egress_for(TenantId(2), survivor.opaque)).is_ok());
+        assert!(in_tee(|| dp.egress(TenantId(2), survivor.opaque)).is_ok());
 
         // The final trail verifies and ends with the departure record.
         trail.extend(teardown.segments);
@@ -2407,11 +2197,11 @@ mod tests {
         let big: Vec<Event> = (0..2_000).map(|i| Event::new(i, i, 0)).collect();
         let bytes = Event::slice_to_bytes(&big);
         assert_eq!(
-            in_tee(|| dp.ingress_for(TenantId(1), &bytes, false, false, 0)).unwrap_err(),
+            in_tee(|| dp.ingress(TenantId(1), &bytes, false, false, 0)).unwrap_err(),
             DataPlaneError::QuotaExceeded
         );
         dp.set_tenant_quota(TenantId(1), Some(64 * 4096)).unwrap();
-        assert!(in_tee(|| dp.ingress_for(TenantId(1), &bytes, false, false, 0)).is_ok());
+        assert!(in_tee(|| dp.ingress(TenantId(1), &bytes, false, false, 0)).is_ok());
         assert!(dp.set_tenant_quota(TenantId(9), Some(1)).is_err());
     }
 
@@ -2442,7 +2232,7 @@ mod tests {
         let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
         assert_eq!((sealed.tenant, sealed.ckpt_seq, sealed.epoch), (1, 0, 0));
         assert!(dp.telemetry().last_checkpoint_age_nanos(1).is_some());
-        let prefix = dp.drain_audit_segments_for(TenantId(1)).unwrap();
+        let prefix = dp.drain_audit_segments(TenantId(1)).unwrap();
 
         // Crash: a fresh plane restores the tenant from the container as it
         // came back from untrusted storage.
@@ -2455,12 +2245,12 @@ mod tests {
         assert_eq!(restored.events_restored, 500);
         // The restored partition holds exactly the original events.
         let chain = dp2.verifier_keys(TenantId(1)).unwrap();
-        let msg = in_tee(|| dp2.egress_for(TenantId(1), restored.windows[0].left[0])).unwrap();
+        let msg = in_tee(|| dp2.egress(TenantId(1), restored.windows[0].left[0])).unwrap();
         assert_eq!(msg.open_with(chain.latest()).unwrap(), Event::slice_to_bytes(&events));
         // Prefix + post-restore suffix stitch into one verifiable trail
         // whose resume record matches the sealed checkpoint.
         let mut trail = prefix;
-        trail.extend(dp2.drain_audit_segments_for(TenantId(1)).unwrap());
+        trail.extend(dp2.drain_audit_segments(TenantId(1)).unwrap());
         let records = sbt_attest::verify_tenant_trail(&trail, TenantId(1), &chain).unwrap();
         assert!(records
             .iter()
@@ -2541,7 +2331,7 @@ mod tests {
         let _ = ingest_events_for(&dp, TenantId(1), &events);
         let fresh = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
         assert_eq!((stale.ckpt_seq, fresh.ckpt_seq), (0, 1));
-        let prefix = dp.drain_audit_segments_for(TenantId(1)).unwrap();
+        let prefix = dp.drain_audit_segments(TenantId(1)).unwrap();
 
         // Restart from the *stale* snapshot: its suffix forks the sealed
         // history, so stitching the cloud's full prefix with the resumed
@@ -2549,7 +2339,7 @@ mod tests {
         let dp2 = plane();
         in_tee(|| dp2.restore_tenant(TenantId(1), None, &stale, 0)).unwrap();
         let mut trail = prefix;
-        trail.extend(dp2.drain_audit_segments_for(TenantId(1)).unwrap());
+        trail.extend(dp2.drain_audit_segments(TenantId(1)).unwrap());
         let chain = dp2.verifier_keys(TenantId(1)).unwrap();
         let err = sbt_attest::verify_tenant_trail(&trail, TenantId(1), &chain).unwrap_err();
         // The parallel verifier reports the identical failure.
@@ -2608,66 +2398,6 @@ mod tests {
         let dp3 = plane();
         in_tee(|| dp3.restore_tenant(TenantId(1), None, &carried, 0)).unwrap();
         assert_eq!(dp3.tenant_retired_before(TenantId(1)).unwrap(), 1);
-    }
-
-    #[test]
-    fn short_lanes_match_serial_whatever_floor_the_back_end_sets() {
-        // The lane floor follows the active back-end (`min_lane_chunks`:
-        // 106 windows on AES-NI), so the integration suite's small batches
-        // stay serial on a hardware runner. This drives the parallel body
-        // directly with four-window lanes — the portable floor — so short,
-        // uneven and counter-wrapping lanes are compared against the serial
-        // path on every runner.
-        struct Threads(usize);
-        impl LanePool for Threads {
-            fn workers(&self) -> usize {
-                self.0
-            }
-            fn run(&self, tasks: Vec<LaneTask>) {
-                std::thread::scope(|s| {
-                    for task in tasks {
-                        s.spawn(task);
-                    }
-                });
-            }
-        }
-        let ks = MasterSecret::demo().tenant_keys(TenantId::DEFAULT.0, 0);
-        for (events, width, block) in
-            [(3_400usize, 2usize, 0u32), (20_000, 3, 12_345), (20_000, 8, u32::MAX - 100)]
-        {
-            let plain: Vec<Event> =
-                (0..events as u32).map(|i| Event::new(i.wrapping_mul(0x9E37_79B9), i, i)).collect();
-            let mut payload = Event::slice_to_bytes(&plain);
-            AesCtr::new(&ks.source_key, &ks.source_nonce).apply_keystream_at(&mut payload, block);
-            let lanes = lane_plan(payload.len(), width, 4);
-            assert_eq!(lanes.len(), width, "{events} events split {width} ways");
-
-            let (serial, parallel) = (plane(), plane());
-            let a = in_tee(|| serial.ingress_for(TenantId::DEFAULT, &payload, true, false, block))
-                .unwrap();
-            let b = in_tee(|| {
-                parallel.ingress_parallel(
-                    TenantId::DEFAULT,
-                    Arc::new(payload.clone()),
-                    true,
-                    false,
-                    block,
-                    &Threads(width),
-                    &lanes,
-                )
-            })
-            .unwrap();
-            assert_eq!((a.len, b.len), (events, events));
-            // Identical call sequences on fresh planes mint identical ids and
-            // sequence numbers, so equal stores seal to equal messages.
-            let sealed_a = in_tee(|| serial.egress(a.opaque)).unwrap();
-            let sealed_b = in_tee(|| parallel.egress(b.opaque)).unwrap();
-            assert!(sealed_a.ciphertext == sealed_b.ciphertext, "{events} events, {width} lanes");
-            assert_eq!(sealed_a.signature, sealed_b.signature);
-            let (key, nonce, signing) = parallel.cloud_keys();
-            let opened = sealed_b.open(&key, &nonce, &signing).expect("opens");
-            assert!(opened == Event::slice_to_bytes(&plain), "the lanes decrypted the batch");
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn plane() -> Arc<DataPlane> {
 
 fn ingest(dp: &DataPlane, events: &[Event]) -> OpaqueRef {
     let bytes = Event::slice_to_bytes(events);
-    in_tee(|| dp.ingress_for(T, &bytes, false, false, 0)).unwrap().opaque
+    in_tee(|| dp.ingress(T, &bytes, false, false, 0)).unwrap().opaque
 }
 
 fn invoke(
@@ -56,7 +56,7 @@ fn invoke(
     inputs: &[OpaqueRef],
     params: PrimitiveParams,
 ) -> Vec<InvokeOutput> {
-    in_tee(|| dp.invoke_for(T, op, inputs, params, &HintSet::none())).unwrap()
+    in_tee(|| dp.invoke(T, op, inputs, params, &HintSet::none())).unwrap()
 }
 
 /// Invoke and report the bytes the outputs were charged to the tenant.
@@ -73,7 +73,7 @@ fn invoke_charged(
 
 /// The wire bytes of a stored array, as the cloud opens them.
 fn opened(dp: &DataPlane, r: OpaqueRef) -> Vec<u8> {
-    let msg = in_tee(|| dp.egress_for(T, r)).unwrap();
+    let msg = in_tee(|| dp.egress(T, r)).unwrap();
     msg.open_with(dp.verifier_keys(T).unwrap().latest()).expect("egress opens under its keys")
 }
 
@@ -292,7 +292,7 @@ proptest! {
 /// A tenant's drained audit records with the wall-clock stamp zeroed.
 fn drained_records(dp: &DataPlane) -> Vec<AuditRecord> {
     let keys = dp.verifier_keys(T).unwrap();
-    let segments = dp.drain_audit_segments_for(T).unwrap();
+    let segments = dp.drain_audit_segments(T).unwrap();
     let mut records = sbt_attest::verify_tenant_trail(&segments, T, &keys).expect("trail verifies");
     for r in &mut records {
         match r {
@@ -343,7 +343,7 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
     let after = HintSet::consumed_after(UArrayId(0));
     let none = HintSet::none();
     let hinted = |dp: &DataPlane, op, inputs: &[OpaqueRef], params, hints: &HintSet| {
-        in_tee(|| dp.invoke_for(T, op, inputs, params, hints)).unwrap()[0].opaque
+        in_tee(|| dp.invoke(T, op, inputs, params, hints)).unwrap()[0].opaque
     };
 
     // TopK: two batches, each split over windows 0 and 1; window 0 fires.
@@ -357,7 +357,7 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
     let s2 = hinted(&dp, PrimitiveKind::Sort, &[w2[0].opaque], PrimitiveParams::None, &parallel);
     let m = hinted(&dp, PrimitiveKind::Merge, &[s1, s2], PrimitiveParams::None, &after); // 8
     let top = hinted(&dp, PrimitiveKind::TopKPerKey, &[m], PrimitiveParams::K(3), &none); // 9
-    in_tee(|| dp.egress_for(T, top)).unwrap();
+    in_tee(|| dp.egress(T, top)).unwrap();
     assert_eq!(
         drained_records(&dp),
         vec![
@@ -384,7 +384,7 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
     let ls = hinted(&dp, PrimitiveKind::Sort, &[lw[1].opaque], PrimitiveParams::None, &none); // 6
     let rs = hinted(&dp, PrimitiveKind::Sort, &[rw[1].opaque], PrimitiveParams::None, &none); // 7
     let joined = hinted(&dp, PrimitiveKind::Join, &[ls, rs], PrimitiveParams::None, &none); // 8
-    in_tee(|| dp.egress_for(T, joined)).unwrap();
+    in_tee(|| dp.egress(T, joined)).unwrap();
     assert_eq!(
         drained_records(&dp),
         vec![

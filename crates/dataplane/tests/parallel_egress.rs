@@ -387,23 +387,23 @@ fn forged_and_cross_tenant_refs_fail_before_any_task_is_spawned() {
     dp.register_tenant(TenantId(1), None).unwrap();
     dp.register_tenant(TenantId(2), None).unwrap();
     let pool = Arc::new(CountPool::default());
-    dp.set_ingest_pool(pool.clone());
+    dp.set_lane_pool(pool.clone());
     // A result large enough that a legitimate egress would fan out.
     let events: Vec<Event> = (0..20_000u32).map(|i| Event::new(i, i, i)).collect();
     let wire = Event::slice_to_bytes(&events);
-    let mine = in_tee(|| dp.ingress_for(TenantId(1), &wire, false, false, 0)).unwrap();
+    let mine = in_tee(|| dp.ingress(TenantId(1), &wire, false, false, 0)).unwrap();
 
     // Tenant 2 presents tenant 1's reference; and a reference nobody minted.
-    let cross = in_tee(|| dp.egress_for(TenantId(2), mine.opaque));
+    let cross = in_tee(|| dp.egress(TenantId(2), mine.opaque));
     assert_eq!(cross.unwrap_err(), DataPlaneError::InvalidReference);
-    let forged = in_tee(|| dp.egress_for(TenantId(1), sbt_dataplane::OpaqueRef(0xDEAD_BEEF)));
+    let forged = in_tee(|| dp.egress(TenantId(1), sbt_dataplane::OpaqueRef(0xDEAD_BEEF)));
     assert_eq!(forged.unwrap_err(), DataPlaneError::InvalidReference);
     assert_eq!(pool.runs.load(Ordering::SeqCst), 0, "a refused egress reached the pool");
 
     // Neither refusal spent a sequence number: with a real pool the
     // tenant's first egress is still message 0 and opens under its keys.
-    dp.set_ingest_pool(Arc::new(OrderPool { workers: 2, order: Order::Together }));
-    let msg = in_tee(|| dp.egress_for(TenantId(1), mine.opaque)).unwrap();
+    dp.set_lane_pool(Arc::new(OrderPool { workers: 2, order: Order::Together }));
+    let msg = in_tee(|| dp.egress(TenantId(1), mine.opaque)).unwrap();
     assert_eq!(msg.seq, 0);
     let opened = msg.open_any(&dp.verifier_keys(TenantId(1)).unwrap()).expect("opens");
     assert_eq!(opened.0, wire);
@@ -412,12 +412,12 @@ fn forged_and_cross_tenant_refs_fail_before_any_task_is_spawned() {
 #[test]
 fn each_stage_reports_its_cpu_time_and_bytes() {
     let dp = DataPlane::new(Platform::hikey(), DataPlaneConfig::default());
-    dp.set_ingest_pool(Arc::new(OrderPool { workers: 2, order: Order::Together }));
+    dp.set_lane_pool(Arc::new(OrderPool { workers: 2, order: Order::Together }));
     let events: Vec<Event> = (0..50_000u32).map(|i| Event::new(i, i, i)).collect();
     let wire = Event::slice_to_bytes(&events);
-    let r = in_tee(|| dp.ingress(&wire, false, false, 0)).unwrap();
+    let r = in_tee(|| dp.ingress(TenantId::DEFAULT, &wire, false, false, 0)).unwrap();
     dp.telemetry().set_enabled(true);
-    let msg = in_tee(|| dp.egress(r.opaque)).unwrap();
+    let msg = in_tee(|| dp.egress(TenantId::DEFAULT, r.opaque)).unwrap();
     dp.telemetry().set_enabled(false);
 
     let (mut mac_bytes, mut encrypt_bytes, mut stages) = (0, 0, 0);

@@ -99,7 +99,7 @@ fn strip_ts(records: Vec<sbt_attest::AuditRecord>) -> Vec<sbt_attest::AuditRecor
 
 fn drained_records(dp: &DataPlane) -> Vec<sbt_attest::AuditRecord> {
     let mut out = Vec::new();
-    for seg in dp.drain_audit_segments() {
+    for seg in dp.drain_audit_segments(TenantId::DEFAULT).unwrap() {
         out.extend(sbt_attest::decompress_records(&seg.compressed).expect("segment decodes"));
     }
     out
@@ -131,23 +131,24 @@ fn zero_copy_matches_staging_reference_everywhere() {
         let reference = staging_reference(&ciphertext, true, false, block);
         assert_eq!(reference, Event::slice_from_bytes(&wire), "reference sanity, n={n}");
 
-        let a = in_tee(|| dp_enc.ingress(&ciphertext, true, false, block)).unwrap();
-        let b = in_tee(|| dp_clear.ingress(&wire, false, false, block)).unwrap();
+        let a =
+            in_tee(|| dp_enc.ingress(TenantId::DEFAULT, &ciphertext, true, false, block)).unwrap();
+        let b = in_tee(|| dp_clear.ingress(TenantId::DEFAULT, &wire, false, false, block)).unwrap();
         assert_eq!(a.len, n, "encrypted ingest length, n={n} block={block}");
         assert_eq!(b.len, n);
 
         // Byte-identical stores: both planes run the same egress sequence
         // under the same cloud keys, so ciphertexts must be equal — and
         // open to the reference's wire bytes.
-        let msg_a = in_tee(|| dp_enc.egress(a.opaque)).unwrap();
-        let msg_b = in_tee(|| dp_clear.egress(b.opaque)).unwrap();
+        let msg_a = in_tee(|| dp_enc.egress(TenantId::DEFAULT, a.opaque)).unwrap();
+        let msg_b = in_tee(|| dp_clear.egress(TenantId::DEFAULT, b.opaque)).unwrap();
         assert_eq!(msg_a.ciphertext, msg_b.ciphertext, "stores diverge, n={n} block={block}");
         let (key, nonce, signing) = dp_enc.cloud_keys();
         let plain = msg_a.open(&key, &nonce, &signing).unwrap();
         assert_eq!(plain, Event::slice_to_bytes(&reference));
 
-        in_tee(|| dp_enc.retire(a.opaque)).unwrap();
-        in_tee(|| dp_clear.retire(b.opaque)).unwrap();
+        in_tee(|| dp_enc.retire(TenantId::DEFAULT, a.opaque)).unwrap();
+        in_tee(|| dp_clear.retire(TenantId::DEFAULT, b.opaque)).unwrap();
     }
 
     // Power layout: 16-byte events projected onto the generic layout.
@@ -158,19 +159,20 @@ fn zero_copy_matches_staging_reference_everywhere() {
         let ciphertext = encrypt(&wire, block);
         let reference = staging_reference(&ciphertext, true, true, block);
 
-        let a = in_tee(|| dp_enc.ingress(&ciphertext, true, true, block)).unwrap();
-        let b = in_tee(|| dp_clear.ingress(&wire, false, true, block)).unwrap();
+        let a =
+            in_tee(|| dp_enc.ingress(TenantId::DEFAULT, &ciphertext, true, true, block)).unwrap();
+        let b = in_tee(|| dp_clear.ingress(TenantId::DEFAULT, &wire, false, true, block)).unwrap();
         assert_eq!(a.len, n);
 
-        let msg_a = in_tee(|| dp_enc.egress(a.opaque)).unwrap();
-        let msg_b = in_tee(|| dp_clear.egress(b.opaque)).unwrap();
+        let msg_a = in_tee(|| dp_enc.egress(TenantId::DEFAULT, a.opaque)).unwrap();
+        let msg_b = in_tee(|| dp_clear.egress(TenantId::DEFAULT, b.opaque)).unwrap();
         assert_eq!(msg_a.ciphertext, msg_b.ciphertext, "power stores diverge, n={n}");
         let (key, nonce, signing) = dp_enc.cloud_keys();
         let plain = msg_a.open(&key, &nonce, &signing).unwrap();
         assert_eq!(plain, Event::slice_to_bytes(&reference));
 
-        in_tee(|| dp_enc.retire(a.opaque)).unwrap();
-        in_tee(|| dp_clear.retire(b.opaque)).unwrap();
+        in_tee(|| dp_enc.retire(TenantId::DEFAULT, a.opaque)).unwrap();
+        in_tee(|| dp_clear.retire(TenantId::DEFAULT, b.opaque)).unwrap();
     }
 
     // Admission counters agree exactly (timing counters excepted: the two
@@ -210,13 +212,13 @@ fn tenant_isolation_holds_on_the_zero_copy_path() {
     let mut ciphertext = wire.clone();
     AesCtr::new(&ks1.source_key, &ks1.source_nonce).apply_keystream_at(&mut ciphertext, 0);
 
-    let wrong = in_tee(|| dp.ingress_for(TenantId(2), &ciphertext, true, false, 0)).unwrap();
-    let right = in_tee(|| dp.ingress_for(TenantId(1), &ciphertext, true, false, 0)).unwrap();
-    let (wrong_plain, _) = in_tee(|| dp.egress_for(TenantId(2), wrong.opaque))
+    let wrong = in_tee(|| dp.ingress(TenantId(2), &ciphertext, true, false, 0)).unwrap();
+    let right = in_tee(|| dp.ingress(TenantId(1), &ciphertext, true, false, 0)).unwrap();
+    let (wrong_plain, _) = in_tee(|| dp.egress(TenantId(2), wrong.opaque))
         .unwrap()
         .open_any(&dp.verifier_keys(TenantId(2)).unwrap())
         .unwrap();
-    let (right_plain, _) = in_tee(|| dp.egress_for(TenantId(1), right.opaque))
+    let (right_plain, _) = in_tee(|| dp.egress(TenantId(1), right.opaque))
         .unwrap()
         .open_any(&dp.verifier_keys(TenantId(1)).unwrap())
         .unwrap();
@@ -237,8 +239,8 @@ fn encrypted_ingest_performs_no_staging_allocation() {
     // Warm up: size the audit encoder's buffers, the store and ref tables.
     for i in 0..8u32 {
         let payload = make_payload(4096, i);
-        let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
-        in_tee(|| dp.retire(out.opaque)).unwrap();
+        let out = in_tee(|| dp.ingress(TenantId::DEFAULT, &payload, true, false, 0)).unwrap();
+        in_tee(|| dp.retire(TenantId::DEFAULT, out.opaque)).unwrap();
     }
 
     // Steady state: the only size-dependent allocation one encrypted
@@ -257,12 +259,12 @@ fn encrypted_ingest_performs_no_staging_allocation() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
             let before = counting_alloc::counts();
-            let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
+            let out = in_tee(|| dp.ingress(TenantId::DEFAULT, &payload, true, false, 0)).unwrap();
             let spent = counting_alloc::counts().since(before);
             let (count, bytes) = (spent.allocations, spent.bytes);
             count_per_size[slot] = count_per_size[slot].min(count);
             bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
-            in_tee(|| dp.retire(out.opaque)).unwrap();
+            in_tee(|| dp.retire(TenantId::DEFAULT, out.opaque)).unwrap();
         }
     }
     assert_eq!(
@@ -292,7 +294,7 @@ fn failed_reservation_leaks_nothing() {
 
     let before_mem = dp.memory_report();
     let before_stats = dp.stats().snapshot();
-    let err = in_tee(|| dp.ingress(&ciphertext, true, false, 0)).unwrap_err();
+    let err = in_tee(|| dp.ingress(TenantId::DEFAULT, &ciphertext, true, false, 0)).unwrap_err();
     assert_eq!(err, sbt_dataplane::DataPlaneError::OutOfSecureMemory);
 
     // All-or-nothing: no partial array, no committed pages, no refs, no
@@ -300,15 +302,16 @@ fn failed_reservation_leaks_nothing() {
     let after_mem = dp.memory_report();
     assert_eq!(after_mem.committed_bytes, before_mem.committed_bytes);
     assert_eq!(after_mem.live_uarrays, before_mem.live_uarrays);
-    assert_eq!(dp.live_refs(), 0);
+    assert_eq!(dp.live_refs(TenantId::DEFAULT), 0);
     let after_stats = dp.stats().snapshot();
     assert_eq!(after_stats.events_ingested, before_stats.events_ingested);
     assert_eq!(after_stats.bytes_ingested, before_stats.bytes_ingested);
     assert_eq!(after_stats.audit_records, before_stats.audit_records);
+    assert_eq!(after_stats.decrypt_nanos, 0, "rejected batch spent decrypt time");
     assert_eq!(dp.tenant_ingest(TenantId::DEFAULT).unwrap(), (0, 0));
 
     // The plane still works: a batch that fits is admitted normally.
     let small = encrypt(&Event::slice_to_bytes(&generic_events(100, 2)), 0);
-    let out = in_tee(|| dp.ingress(&small, true, false, 0)).unwrap();
+    let out = in_tee(|| dp.ingress(TenantId::DEFAULT, &small, true, false, 0)).unwrap();
     assert_eq!(out.len, 100);
 }

@@ -42,10 +42,6 @@ pub struct AdaptiveBatcher {
     switches: u64,
     /// Output-delay target the batch must fit inside, in milliseconds.
     target_delay_ms: u32,
-    /// Worker threads available for in-enclave lane parallelism (parallel
-    /// ingest). Shapes the sub-batch split, never the batch size: the batch
-    /// still amortizes one set of crossings, it just decrypts on more cores.
-    workers: usize,
 }
 
 impl AdaptiveBatcher {
@@ -80,30 +76,7 @@ impl AdaptiveBatcher {
             per_event_nanos: per_event.max(1),
             switches,
             target_delay_ms,
-            workers: 1,
         }
-    }
-
-    /// This batcher with the worker count parallel ingest can split across
-    /// (the engine passes its executor size). Deliberately does **not**
-    /// change [`events_per_batch`](Self::events_per_batch): the batch is
-    /// sized for switch amortization exactly as before; the workers only
-    /// set how many in-enclave sub-batches the batch is split into.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sub-batches (parallel decrypt lanes) one batch should split into:
-    /// `max(workers, 1)`.
-    pub fn target_sub_batches(&self) -> usize {
-        self.workers.max(1)
-    }
-
-    /// Events one sub-batch carries when a full batch is split across the
-    /// target sub-batch count.
-    pub fn sub_batch_events(&self) -> usize {
-        self.events_per_batch().div_ceil(self.target_sub_batches()).max(1)
     }
 
     /// The fixed per-batch boundary cost this batcher amortizes, in
@@ -219,17 +192,6 @@ impl LiveBatcher {
         state.current
     }
 
-    /// Sub-batches one batch should split into (from the base model; the
-    /// worker count does not drift at runtime).
-    pub fn target_sub_batches(&self) -> usize {
-        self.base.target_sub_batches()
-    }
-
-    /// Events per sub-batch at the *current* live-derived batch size.
-    pub fn sub_batch_events(&self) -> usize {
-        self.events_per_batch().div_ceil(self.target_sub_batches()).max(1)
-    }
-
     fn refresh(&self, state: &mut LiveState) -> usize {
         let snap = self.registry.snapshot();
         let observed = state.last_snapshot.as_ref().map_or_else(
@@ -296,29 +258,6 @@ mod tests {
         assert!(tight.events_per_batch() < relaxed.events_per_batch());
         // 1 ms target / 4 = 250 µs budget at 20 ns/event → 12 500 events.
         assert_eq!(tight.events_per_batch(), 12_500);
-    }
-
-    #[test]
-    fn workers_shape_sub_batches_not_batch_size() {
-        let serial = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
-        let wide = serial.with_workers(8);
-        // Core-awareness never touches the switch-amortized batch size …
-        assert_eq!(wide.events_per_batch(), serial.events_per_batch());
-        // … it only sets how many in-enclave lanes the batch splits into.
-        assert_eq!(serial.target_sub_batches(), 1);
-        assert_eq!(serial.sub_batch_events(), serial.events_per_batch());
-        assert_eq!(wide.target_sub_batches(), 8);
-        assert_eq!(wide.sub_batch_events(), wide.events_per_batch().div_ceil(8));
-        // A zero-sized pool degenerates to serial, never to zero lanes.
-        assert_eq!(serial.with_workers(0).target_sub_batches(), 1);
-    }
-
-    #[test]
-    fn live_batcher_splits_its_live_size_across_workers() {
-        let base = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000).with_workers(4);
-        let live = LiveBatcher::new(base, Arc::new(MetricsRegistry::new()));
-        assert_eq!(live.target_sub_batches(), 4);
-        assert_eq!(live.sub_batch_events(), live.events_per_batch().div_ceil(4));
     }
 
     #[test]

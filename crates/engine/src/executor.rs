@@ -47,9 +47,8 @@
 //! deque or on the fire queue — both of which it searches — unless another
 //! thread already took it, in which case it is running.
 //!
-//! The old barrier API survives as [`Executor::run_all`] (and the
-//! `WorkerPool` alias in [`crate::pool`]) so call sites migrate
-//! incrementally.
+//! The barrier API survives as [`Executor::run_all`] for callers that
+//! submit a batch of tasks and wait for all of them.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -651,6 +650,36 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("legacy")), Box::new(|| 3)];
         exec.run_all(tasks);
+    }
+
+    #[test]
+    fn results_come_back_in_submission_order() {
+        let pool = Executor::new(4);
+        let tasks: Vec<_> = (0..32)
+            .map(|i| {
+                move || {
+                    // Vary the work so completion order differs from
+                    // submission order.
+                    std::thread::sleep(std::time::Duration::from_micros((32 - i) as u64 * 10));
+                    i * 2
+                }
+            })
+            .collect();
+        let results = pool.run_all(tasks);
+        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_task_list_returns_immediately() {
+        let pool = Executor::new(2);
+        let results: Vec<i32> = pool.run_all(Vec::<fn() -> i32>::new());
+        assert!(results.is_empty());
+    }
+
+    #[test]
+    fn pool_size_is_clamped_and_reported() {
+        assert_eq!(Executor::new(0).size(), 1);
+        assert_eq!(Executor::new(3).size(), 3);
     }
 
     #[test]

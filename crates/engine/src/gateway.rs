@@ -140,9 +140,8 @@ impl TeeGateway {
             self.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
         }
         self.io.deliver(payload.len());
-        let out = self.enter(|| {
-            self.dp.ingress_for(self.tenant, payload, encrypted, is_power, keystream_block)
-        });
+        let out = self
+            .enter(|| self.dp.ingress(self.tenant, payload, encrypted, is_power, keystream_block));
         if let Ok(ingested) = &out {
             // Charge the *measured* batch cost: compute plus the boundary
             // toll this batch actually paid under the platform's cost model
@@ -166,11 +165,7 @@ impl TeeGateway {
         out
     }
 
-    /// Ingest a batch whose bytes arrived as a shared buffer, letting the
-    /// data plane fan the in-enclave decrypt/parse across the installed
-    /// ingest pool. Metered *identically* to [`ingress`](TeeGateway::ingress):
-    /// one delivery, one TEE entry, one batch span — sub-batching happens
-    /// strictly inside the enclave and adds no boundary crossings.
+    /// [`ingress`](TeeGateway::ingress) of a batch held in a shared buffer.
     pub fn ingress_shared(
         &self,
         payload: &Arc<Vec<u8>>,
@@ -178,46 +173,13 @@ impl TeeGateway {
         is_power: bool,
         keystream_block: u32,
     ) -> Result<InvokeOutput, DataPlaneError> {
-        let span_start = self.dp.telemetry().tracer().start();
-        let via_os = self.io.path() == IngressPath::ViaOs;
-        if via_os {
-            self.switches.fetch_add(1, Ordering::Relaxed);
-            self.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        }
-        self.io.deliver(payload.len());
-        let out = self.enter(|| {
-            self.dp.ingress_arc_for(
-                self.tenant,
-                Arc::clone(payload),
-                encrypted,
-                is_power,
-                keystream_block,
-            )
-        });
-        if let Ok(ingested) = &out {
-            self.cost.fetch_add(
-                CycleCost::batch_measured(
-                    self.dp.platform().cost(),
-                    payload.len() as u64,
-                    ingested.len as u64,
-                    via_os,
-                ),
-                Ordering::Relaxed,
-            );
-            self.dp.telemetry().tracer().record(
-                SpanKind::IngestBatch,
-                self.tenant.0,
-                span_start,
-                ingested.len as u64,
-            );
-        }
-        out
+        self.ingress(payload, encrypted, is_power, keystream_block)
     }
 
     /// Ingest a watermark.
     pub fn ingress_watermark(&self, wm: Watermark) {
         self.enter(|| {
-            let _ = self.dp.ingress_watermark_for(self.tenant, wm);
+            let _ = self.dp.ingress_watermark(self.tenant, wm);
         });
     }
 
@@ -229,7 +191,7 @@ impl TeeGateway {
         params: PrimitiveParams,
         hints: &HintSet,
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
-        let out = self.enter(|| self.dp.invoke_for(self.tenant, op, inputs, params, hints));
+        let out = self.enter(|| self.dp.invoke(self.tenant, op, inputs, params, hints));
         if let Ok(outputs) = &out {
             let records: u64 = outputs.iter().map(|o| o.len as u64).sum();
             self.cost.fetch_add(records * CycleCost::PROCESS_RECORD, Ordering::Relaxed);
@@ -240,7 +202,7 @@ impl TeeGateway {
     /// Externalize a result.
     pub fn egress(&self, r: OpaqueRef) -> Result<EgressMessage, DataPlaneError> {
         let span_start = self.dp.telemetry().tracer().start();
-        let out = self.enter(|| self.dp.egress_for(self.tenant, r));
+        let out = self.enter(|| self.dp.egress(self.tenant, r));
         if let Ok(msg) = &out {
             self.cost.fetch_add(
                 msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
@@ -258,7 +220,7 @@ impl TeeGateway {
 
     /// Retire a reference the control plane will no longer consume.
     pub fn retire(&self, r: OpaqueRef) -> Result<(), DataPlaneError> {
-        self.enter(|| self.dp.retire_for(self.tenant, r))
+        self.enter(|| self.dp.retire(self.tenant, r))
     }
 
     /// Roll back the tenant's ingest counters after the control plane
@@ -266,7 +228,7 @@ impl TeeGateway {
     /// tenant's quota): the events never reached windowed state, so they do
     /// not count as ingested.
     pub fn uncount_ingest(&self, events: u64, bytes: u64) {
-        self.enter(|| self.dp.uncount_ingest_for(self.tenant, events, bytes));
+        self.enter(|| self.dp.uncount_ingest(self.tenant, events, bytes));
     }
 
     /// Drain the estimated cycle cost serviced through this gateway since
@@ -278,7 +240,7 @@ impl TeeGateway {
 
     /// Drain this tenant's flushed audit segments (for upload).
     pub fn drain_audit_segments(&self) -> Vec<LogSegment> {
-        self.dp.drain_audit_segments_for(self.tenant).unwrap_or_default()
+        self.dp.drain_audit_segments(self.tenant).unwrap_or_default()
     }
 
     /// Seal a checkpoint snapshot of this tenant's windowed state (one TEE
@@ -368,7 +330,7 @@ mod tests {
     fn watermarks_are_forwarded() {
         let gw = gateway();
         gw.ingress_watermark(Watermark::from_secs(1));
-        let segments = gw.data_plane().drain_audit_segments();
+        let segments = gw.data_plane().drain_audit_segments(TenantId::DEFAULT).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].record_count, 1);
     }

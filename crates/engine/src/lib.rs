@@ -32,7 +32,6 @@ pub mod gateway;
 pub mod metrics;
 pub mod operators;
 pub mod pipeline;
-pub mod pool;
 pub mod runner;
 
 pub use batcher::{AdaptiveBatcher, LiveBatcher};
@@ -42,5 +41,4 @@ pub use gateway::{GatewayBoundary, TeeGateway};
 pub use metrics::{CycleCost, EngineMetrics, WindowResult};
 pub use operators::Operator;
 pub use pipeline::Pipeline;
-pub use pool::WorkerPool;
 pub use runner::{Engine, IngestStatus, StreamSide, WindowTicket};

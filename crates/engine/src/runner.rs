@@ -207,10 +207,9 @@ impl Engine {
         let registry = gateway.data_plane().telemetry();
         registry.register_source(&gateway);
         registry.register_source(&pool);
-        // Lend the executor to the data plane as its parallel-ingest pool:
-        // large batches split into per-worker lanes inside the one ingress
-        // invocation (no extra crossings, no extra copies).
-        gateway.data_plane().set_ingest_pool(pool.clone());
+        // Lend the executor to the data plane for the encrypt lanes of its
+        // egress and checkpoint seals (inside the one crossing of each).
+        gateway.data_plane().set_lane_pool(pool.clone());
         Arc::new(Engine {
             pipeline,
             platform,
@@ -280,7 +279,6 @@ impl Engine {
             event_wire_bytes,
             self.pipeline.target_delay(),
         )
-        .with_workers(self.pool.size())
     }
 
     /// The worker pool (shared across engines in multi-tenant deployments).
@@ -354,7 +352,7 @@ impl Engine {
         spec: sbt_types::WindowSpec,
         delivery: &Delivery,
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
-        let ingested = gateway.ingress_shared(
+        let ingested = gateway.ingress(
             &delivery.wire_bytes,
             delivery.encrypted,
             delivery.is_power,
@@ -1373,7 +1371,7 @@ mod tests {
         let err = engine.ingest(&delivery).unwrap_err();
         assert_eq!(err, DataPlaneError::QuotaExceeded);
         assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
-        assert_eq!(dp.live_refs_for(TenantId(1)), 0);
+        assert_eq!(dp.live_refs(TenantId(1)), 0);
         // The batch entered the TEE (its ingress fit the quota) but was
         // dropped when windowing was rejected, so its events roll back out
         // of the tenant's ingest counters: nothing reached windowed state.

@@ -1,12 +1,8 @@
-//! The boundary half of the parallel-ingest equivalence: splitting a batch
-//! into per-worker decrypt lanes must not change what crosses the TEE
-//! boundary. An 8-worker engine and a 1-worker engine fed the identical
-//! encrypted stream must make exactly the same world switches, copy exactly
-//! the same bytes (via-OS) and produce byte-identical results.
-//!
-//! (The data-plane half — stores, audit trails and counters byte-identical
-//! across split counts — lives in `sbt_dataplane`'s `parallel_ingest`
-//! tests.)
+//! Pool width is invisible at the TEE boundary: an 8-worker engine and a
+//! 1-worker engine fed the identical encrypted stream must make exactly the
+//! same world switches, copy exactly the same bytes (via-OS) and produce
+//! byte-identical results. Each batch is one ingress crossing whatever the
+//! width; the extra workers only run window plans and seal lanes.
 
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline};
 use sbt_workloads::datasets::synthetic_stream;
@@ -15,8 +11,7 @@ use sbt_workloads::transport::Channel;
 use std::sync::Arc;
 
 /// Drive an engine with the same deterministic encrypted stream: 3 windows
-/// of 40 000 events in 20 000-event batches — large enough that the
-/// 8-worker engine splits every batch into 8 lanes.
+/// of 40 000 events in 20 000-event batches.
 fn drive(engine: &Arc<Engine>) {
     let chunks = synthetic_stream(3, 40_000, 64, 42);
     let mut generator =
@@ -41,17 +36,16 @@ fn run_variant(variant: EngineVariant, cores: usize) -> Arc<Engine> {
 }
 
 #[test]
-fn sub_batching_adds_no_crossings_and_no_copies() {
+fn pool_width_changes_no_crossings_copies_or_results() {
     for variant in [EngineVariant::Sbt, EngineVariant::SbtIoViaOs] {
         let serial = run_variant(variant, 1);
         let parallel = run_variant(variant, 8);
 
         // Identical boundary traffic: same switches, same copied bytes,
-        // same invocations — the lane split lives entirely inside the one
-        // ingress crossing per batch.
+        // same invocations.
         let b1 = serial.boundary_events();
         let b8 = parallel.boundary_events();
-        assert_eq!(b1, b8, "{variant:?}: sub-batching changed the boundary profile");
+        assert_eq!(b1, b8, "{variant:?}: pool width changed the boundary profile");
 
         // And identical results: same windows, byte-identical ciphertexts
         // (same keys, same egress sequence, same window contents).
@@ -63,7 +57,7 @@ fn sub_batching_adds_no_crossings_and_no_copies() {
             assert_eq!(a.ciphertext, b.ciphertext, "{variant:?}: results diverge");
         }
 
-        // Same admission totals, and the parallel engine really decrypted
+        // Same admission totals, and the 8-worker engine really decrypted
         // in the enclave (nonzero decrypt accounting).
         let s1 = serial.data_plane().stats().snapshot();
         let s8 = parallel.data_plane().stats().snapshot();

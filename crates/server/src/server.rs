@@ -196,10 +196,9 @@ impl StreamServer {
         let dp = DataPlane::new(platform.clone(), config.dataplane.clone());
         let pool = Arc::new(Executor::new(config.cores));
         dp.telemetry().register_source(&pool);
-        // The shared pool also serves as the data plane's parallel-ingest
-        // pool: every tenant's batches split into per-worker decrypt lanes
-        // inside their single ingress crossing.
-        dp.set_ingest_pool(pool.clone());
+        // The shared pool also runs the encrypt lanes of every tenant's
+        // egress and checkpoint seals, inside the seal's one crossing.
+        dp.set_lane_pool(pool.clone());
         Arc::new(StreamServer {
             platform,
             dp,

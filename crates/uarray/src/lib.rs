@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod allocator;
-pub mod disjoint;
 pub mod hints;
 pub mod pager;
 pub mod quota;
@@ -38,7 +37,6 @@ pub mod ugroup;
 pub mod vspace;
 
 pub use allocator::{Allocator, AllocatorConfig, MemoryReport, OwnerTeardown, PlacementPolicy};
-pub use disjoint::DisjointWriter;
 pub use hints::{ConsumptionHint, HintSet};
 pub use pager::{PageError, TeePager, PAGE_SIZE};
 pub use quota::{QuotaBook, QuotaError};

@@ -42,10 +42,11 @@ fn fabricated_opaque_references_are_rejected_by_the_data_plane() {
     // plane validates every reference against its live table.
     let _guard = streambox_tz::tz::WorldGuard::enter(streambox_tz::tz::World::Secure);
     for guess in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-        assert!(dp.egress(OpaqueRef(guess)).is_err());
-        assert!(dp.retire(OpaqueRef(guess)).is_err());
+        assert!(dp.egress(TenantId::DEFAULT, OpaqueRef(guess)).is_err());
+        assert!(dp.retire(TenantId::DEFAULT, OpaqueRef(guess)).is_err());
         assert!(dp
             .invoke(
+                TenantId::DEFAULT,
                 streambox_tz::types::PrimitiveKind::Sort,
                 &[OpaqueRef(guess)],
                 streambox_tz::dataplane::PrimitiveParams::None,
@@ -62,7 +63,7 @@ fn normal_world_cannot_reach_data_plane_without_smc() {
     // Without the SMC layer's world switch, the call must be refused (the
     // simulation models the architectural impossibility as a panic).
     let result = std::thread::spawn(move || {
-        let _ = dp.ingress(&[0u8; 12], false, false, 0);
+        let _ = dp.ingress(TenantId::DEFAULT, &[0u8; 12], false, false, 0);
     })
     .join();
     assert!(result.is_err(), "direct normal-world access must be impossible");

@@ -91,7 +91,7 @@ fn memory_is_reclaimed_after_windows_complete() {
     let report = engine.data_plane().memory_report();
     assert_eq!(report.committed_bytes, 0, "{report:?}");
     assert_eq!(report.live_uarrays, 0);
-    assert_eq!(engine.data_plane().live_refs(), 0);
+    assert_eq!(engine.data_plane().live_refs(TenantId::DEFAULT), 0);
     // But the run did use memory at some point.
     assert!(engine.metrics().peak_memory_bytes > 0);
 }
