@@ -35,7 +35,6 @@ pub mod error;
 pub mod opaque;
 pub mod params;
 pub mod plane;
-mod produce;
 pub mod snapshot;
 pub mod stats;
 pub mod store;

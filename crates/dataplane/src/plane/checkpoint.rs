@@ -1,0 +1,295 @@
+//! Crash recovery: sealed checkpoints, restore and epoch retirement.
+
+use super::{DataPlane, TenantState};
+use crate::error::DataPlaneError;
+use crate::opaque::RefTable;
+use crate::snapshot::{
+    seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, RestoredWindow,
+    SealedSnapshot, SnapshotPlaintext, SnapshotWindow,
+};
+use crate::store::StoredData;
+use parking_lot::Mutex;
+use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
+use sbt_telemetry::SpanKind;
+use sbt_types::{Event, PrimitiveKind, TenantId};
+use sbt_tz::WorldTracker;
+use sbt_uarray::UArrayId;
+use std::sync::Arc;
+
+impl DataPlane {
+    /// Seal a checkpoint of one tenant's streaming state.
+    ///
+    /// The control plane supplies a [`CheckpointManifest`] captured at a
+    /// quiescent point (no window mid-fire, no ingest in flight for this
+    /// tenant); the data plane materializes every referenced partition,
+    /// serializes the `SBTC` plaintext, chains its hash into the signed
+    /// trail as an [`AuditRecord::Checkpoint`] record (flushed as its own
+    /// segment, so the recorded audit cursor is exactly where a restored
+    /// log resumes), and seals it under keys derived per
+    /// `(tenant, epoch, ckpt_seq)`. Only the sealed container leaves the
+    /// enclave.
+    pub fn checkpoint_tenant(
+        &self,
+        tenant: TenantId,
+        manifest: &CheckpointManifest,
+    ) -> Result<SealedSnapshot, DataPlaneError> {
+        WorldTracker::assert_secure("DataPlane::checkpoint");
+        let span_start = self.telemetry.tracer().start();
+        let ts = self.tenant_state(tenant)?;
+        // Materialize the windowed state before taking the tenant lock
+        // (`lookup` takes it per reference). The quiescent-point contract
+        // means nothing mutates these windows concurrently.
+        let mut windows = Vec::with_capacity(manifest.windows.len());
+        for w in &manifest.windows {
+            let mut sides: [Vec<Vec<Event>>; 2] = [Vec::new(), Vec::new()];
+            for (side, refs) in sides.iter_mut().zip([&w.left, &w.right]) {
+                for r in refs {
+                    let (_, data) = self.lookup(&ts, *r)?;
+                    side.push(data.as_events()?.to_vec());
+                }
+            }
+            let [left, right] = sides;
+            windows.push(SnapshotWindow { win_no: w.win_no, left, right });
+        }
+        let next_uarray_id = self.alloc.lock().next_id.0;
+        let plain = {
+            let mut t = ts.lock();
+            // Flush whatever is pending so the checkpoint record becomes a
+            // segment of its own: the cursor names the segment right after
+            // it, which is where the resumed log continues.
+            if let Some(seg) = t.audit.flush() {
+                t.segments.push(seg);
+            }
+            SnapshotPlaintext {
+                tenant: tenant.0,
+                ckpt_seq: t.next_ckpt_seq,
+                epoch: t.keys.epoch,
+                retired_before: t.retired_before,
+                audit_cursor: t.audit.next_seq() + 1,
+                egress_seq: t.egress_seq,
+                events_ingested: t.events_ingested,
+                bytes_ingested: t.bytes_ingested,
+                left_watermark_ms: manifest.left_watermark_ms,
+                right_watermark_ms: manifest.right_watermark_ms,
+                next_unexecuted: manifest.next_unexecuted,
+                next_uarray_id,
+                windows,
+            }
+        };
+        // The seal runs with the tenant unlocked: its lanes join by helping,
+        // and a helping thread may pick up any queued task.
+        let pool = self.lane_pool.read().clone();
+        let (sealed, hash) =
+            seal_snapshot(&self.config.master, &plain, &self.sealer, pool.as_deref());
+        {
+            let mut t = ts.lock();
+            // The quiescent-point contract, checked: had anything of this
+            // tenant's run during the seal, the snapshot would no longer be
+            // the cut its cursor and counters describe.
+            if t.audit.pending_len() != 0
+                || t.audit.next_seq() + 1 != plain.audit_cursor
+                || t.next_ckpt_seq != plain.ckpt_seq
+                || t.keys.epoch != plain.epoch
+                || t.egress_seq != plain.egress_seq
+                || t.events_ingested != plain.events_ingested
+            {
+                return Err(DataPlaneError::BadArguments(
+                    "tenant was not quiescent during its checkpoint",
+                ));
+            }
+            let record = AuditRecord::Checkpoint {
+                ts_ms: self.now_ms(),
+                seq: plain.ckpt_seq,
+                resumed: false,
+                hash,
+            };
+            self.stats.record_audit(1);
+            if let Some(seg) = t.audit.append(record) {
+                t.segments.push(seg);
+            }
+            if let Some(seg) = t.audit.flush() {
+                t.segments.push(seg);
+            }
+            t.next_ckpt_seq = plain.ckpt_seq + 1;
+            t.last_ckpt_epoch = Some(plain.epoch);
+        }
+        self.telemetry.note_checkpoint(tenant.0);
+        self.telemetry.tracer().record(
+            SpanKind::Checkpoint,
+            tenant.0,
+            span_start,
+            sealed.len() as u64,
+        );
+        Ok(sealed)
+    }
+
+    /// Restore a tenant from a sealed checkpoint into this (fresh) plane.
+    ///
+    /// Fails closed: the snapshot must authenticate, parse, belong to
+    /// `tenant`, and be sealed under an epoch at or above both `min_epoch`
+    /// (the caller's retirement floor, e.g. from vault metadata) and the
+    /// horizon recorded in the snapshot itself. The tenant's audit log
+    /// resumes at the recorded cursor, opening with the matching
+    /// `resumed` checkpoint record so the cloud can stitch the suffix onto
+    /// its retained prefix and detect rollback; every restored partition is
+    /// re-committed to secure memory and re-announced to the trail as an
+    /// ordinary ingress + windowing pair.
+    ///
+    /// A failed restore can leave the tenant partially registered (e.g. on
+    /// quota rejection mid-recommit); callers must treat any error as fatal
+    /// for this plane instance and discard it.
+    pub fn restore_tenant(
+        &self,
+        tenant: TenantId,
+        quota_bytes: Option<u64>,
+        sealed: &SealedSnapshot,
+        min_epoch: u32,
+    ) -> Result<RestoredTenant, DataPlaneError> {
+        WorldTracker::assert_secure("DataPlane::restore");
+        let span_start = self.telemetry.tracer().start();
+        if sealed.tenant != tenant.0 {
+            return Err(DataPlaneError::SnapshotRejected("snapshot belongs to another tenant"));
+        }
+        let (plain, hash) = unseal_snapshot(&self.config.master, sealed)?;
+        let horizon = min_epoch.max(plain.retired_before);
+        if plain.epoch < horizon {
+            return Err(DataPlaneError::RetiredEpoch { epoch: plain.epoch, horizon });
+        }
+        {
+            let mut tenants = self.tenants.write();
+            if tenants.contains_key(&tenant) {
+                return Err(DataPlaneError::BadArguments("tenant already registered"));
+            }
+            let seed = self
+                .config
+                .ref_seed
+                .wrapping_add((tenant.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let keys = self.config.master.tenant_keys(tenant.0, plain.epoch);
+            let audit = AuditLog::resume(
+                keys.signing.clone(),
+                self.config.audit_flush_threshold,
+                tenant,
+                plain.epoch,
+                plain.audit_cursor,
+            );
+            tenants.insert(
+                tenant,
+                Arc::new(Mutex::new(TenantState {
+                    refs: RefTable::new(seed),
+                    audit,
+                    keys,
+                    segments: Vec::new(),
+                    egress_seq: plain.egress_seq,
+                    events_ingested: plain.events_ingested,
+                    bytes_ingested: plain.bytes_ingested,
+                    next_ckpt_seq: plain.ckpt_seq + 1,
+                    last_ckpt_epoch: Some(plain.epoch),
+                    retired_before: horizon,
+                })),
+            );
+        }
+        if let Some(quota) = quota_bytes {
+            self.alloc.lock().allocator.set_owner_quota(tenant.owner_tag(), quota);
+        }
+        self.telemetry.register_tenant(tenant.0);
+        {
+            // A fresh plane mints ids from zero; lift the floor past every
+            // id the trail prefix can reference so the suffix never reuses
+            // one in replay.
+            let mut alloc = self.alloc.lock();
+            if alloc.next_id.0 < plain.next_uarray_id {
+                alloc.next_id = UArrayId(plain.next_uarray_id);
+            }
+        }
+        let ts = self.tenant_state(tenant)?;
+        // The resumed trail opens with the resumed-checkpoint record: same
+        // sequence and hash as the sealed record the cloud already holds.
+        self.append_audit(
+            &ts,
+            AuditRecord::Checkpoint {
+                ts_ms: self.now_ms(),
+                seq: plain.ckpt_seq,
+                resumed: true,
+                hash,
+            },
+        );
+        // Re-commit every partition and re-announce it: the state re-enters
+        // the TEE and is re-windowed, so replay sees an ordinary ingress +
+        // windowing pair per array and rebuilds its lineage from there.
+        let mut windows = Vec::with_capacity(plain.windows.len());
+        let mut events_restored = 0u64;
+        for w in &plain.windows {
+            let mut restored =
+                RestoredWindow { win_no: w.win_no, left: Vec::new(), right: Vec::new() };
+            for (events_side, refs_side) in
+                [(&w.left, &mut restored.left), (&w.right, &mut restored.right)]
+            {
+                for events in events_side.iter() {
+                    events_restored += events.len() as u64;
+                    let pre_id = self.next_id();
+                    let data = StoredData::from_events(self.next_id(), events, &self.pager)?;
+                    let (rid, opaque, _) = self.register_output(
+                        tenant,
+                        &ts,
+                        data,
+                        PrimitiveKind::Segment.code() as u64,
+                        None,
+                    )?;
+                    self.append_audit(
+                        &ts,
+                        AuditRecord::Ingress {
+                            ts_ms: self.now_ms(),
+                            data: DataRef::UArray(UArrayRef(pre_id.0 as u32)),
+                        },
+                    );
+                    self.append_audit(
+                        &ts,
+                        AuditRecord::Windowing {
+                            ts_ms: self.now_ms(),
+                            input: UArrayRef(pre_id.0 as u32),
+                            win_no: w.win_no as u16,
+                            output: UArrayRef(rid.0 as u32),
+                        },
+                    );
+                    refs_side.push(opaque);
+                }
+            }
+            windows.push(restored);
+        }
+        self.telemetry.note_checkpoint(tenant.0);
+        self.telemetry.tracer().record(SpanKind::Restore, tenant.0, span_start, events_restored);
+        Ok(RestoredTenant {
+            tenant,
+            ckpt_seq: plain.ckpt_seq,
+            epoch: plain.epoch,
+            left_watermark_ms: plain.left_watermark_ms,
+            right_watermark_ms: plain.right_watermark_ms,
+            next_unexecuted: plain.next_unexecuted,
+            windows,
+            events_restored,
+        })
+    }
+
+    /// Retire a tenant's key epochs below `horizon` (forward secrecy):
+    /// retired epochs disappear from [`DataPlane::verifier_keys`] and
+    /// snapshots sealed under them are refused at restore. The horizon can
+    /// only advance, never past the epoch of the latest sealed checkpoint
+    /// (retiring it would make the tenant unrecoverable) and never past the
+    /// current epoch. Returns the number of epochs newly retired.
+    pub fn retire_epochs_before(
+        &self,
+        tenant: TenantId,
+        horizon: u32,
+    ) -> Result<usize, DataPlaneError> {
+        let ts = self.tenant_state(tenant)?;
+        let mut t = ts.lock();
+        let ckpt_epoch =
+            t.last_ckpt_epoch.ok_or(DataPlaneError::BadArguments("no checkpoint sealed yet"))?;
+        if horizon > ckpt_epoch || horizon > t.keys.epoch {
+            return Err(DataPlaneError::BadArguments("horizon beyond the checkpoint epoch"));
+        }
+        let newly = horizon.saturating_sub(t.retired_before);
+        t.retired_before = t.retired_before.max(horizon);
+        Ok(newly as usize)
+    }
+}
