@@ -290,9 +290,8 @@ impl HeavyOps for PrecomputedHeavy {
 ///
 /// Cross-thread dispatch (enqueue, wake, cache handoff) plus the per-call
 /// keychain share cost on the order of authenticating tens of KB, so shards
-/// carrying less make verification *slower* than the serial walk — the
-/// verify-side mirror of the data plane's minimum decrypt windows per
-/// ingest lane. A trail too small for two such shards stays serial.
+/// carrying less make verification *slower* than the serial walk. A trail
+/// too small for two such shards stays serial.
 pub const MIN_VERIFY_SHARD_BYTES: usize = 64 * 1024;
 
 /// [`verify_tenant_trail`] with the per-segment heavy work — HMAC check and

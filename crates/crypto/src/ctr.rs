@@ -278,9 +278,10 @@ mod tests {
 
     #[test]
     fn seeked_cursor_windows_match_one_contiguous_application() {
-        // The parallel-ingest property: splitting a stream at block-aligned
-        // boundaries and decrypting each sub-range through its own seeked
-        // cursor is byte-identical to one contiguous pass.
+        // The seekable-keystream property the egress seal lanes rely on:
+        // splitting a stream at block-aligned boundaries and decrypting each
+        // sub-range through its own seeked cursor is byte-identical to one
+        // contiguous pass.
         let ctr = AesCtr::new(&[0x4Au8; 16], &[0x5Bu8; 16]);
         for (len, window) in [(4096usize, 96usize), (1000, 48), (4080, 4080), (337, 64)] {
             for start in [0u32, 7, 0xFFFF_FFF0] {

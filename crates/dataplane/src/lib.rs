@@ -6,8 +6,10 @@
 //!
 //! * **Ingress** — event batches arrive through trusted IO (or via the OS,
 //!   paying a boundary copy), are decrypted with the key shared with the
-//!   sources, parsed into a fresh uArray and registered with the allocator.
-//!   The control plane receives only an opaque reference.
+//!   sources and parsed, in one serial pass per batch, into a fresh uArray
+//!   reserved up front, and registered with the allocator. The control
+//!   plane receives only an opaque reference. Multi-core ingest comes from
+//!   concurrent batches, each its own ingress call.
 //! * **Invoke** — the single entry function shared by all 23 trusted
 //!   primitives: the control plane names a primitive, passes opaque input
 //!   references, optional parameters and optional consumption hints; the

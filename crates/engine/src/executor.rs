@@ -555,9 +555,9 @@ impl Executor {
         handles.into_iter().map(|h| h.join()).collect()
     }
 
-    /// Compatibility shim for the old barrier-style pool API: run tasks to
-    /// completion, results in submission order. A task panic is re-raised
-    /// on the caller (the worker that caught it stays alive).
+    /// Barrier-style batch API: run tasks to completion, results in
+    /// submission order. A task panic is re-raised on the caller (the worker
+    /// that caught it stays alive).
     pub fn run_all<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -574,11 +574,11 @@ impl Executor {
 }
 
 /// The executor is the lane pool of every layer that fans out: the worker
-/// threads that run operators also run the data plane's ingest and egress
-/// lanes and the cloud verifier's per-segment checks. `run` is the
-/// barrier-style `run_all`, whose helping join keeps nested fan-out (a
-/// pool task spawning lane tasks) deadlock-free at any pool size and makes
-/// a one-thread executor degenerate to serial work on the caller.
+/// threads that run operators also run the data plane's egress and
+/// checkpoint seal lanes and the cloud verifier's per-segment checks. `run`
+/// is the barrier-style `run_all`, whose helping join keeps nested fan-out
+/// (a pool task spawning lane tasks) deadlock-free at any pool size and
+/// makes a one-thread executor degenerate to serial work on the caller.
 impl sbt_types::LanePool for Executor {
     fn workers(&self) -> usize {
         self.size()

@@ -60,15 +60,9 @@ impl SpanKind {
     }
 }
 
-/// Pack a [`SpanKind::Decrypt`] payload: the parent batch tag (low 32 bits
-/// of the batch's uArray id) in the high word, the sub-batch's event count
-/// in the low word.
-///
-/// Parallel ingest records one `Decrypt` span per sub-batch (lane); the
-/// batch tag ties the lanes of one batch together, and summing the lanes'
-/// durations yields the batch's decrypt CPU time. The serial path records
-/// one span in the same format (a single sub-batch), so consumers need no
-/// per-path cases.
+/// Pack a [`SpanKind::Decrypt`] payload: the batch tag (low 32 bits of the
+/// batch's uArray id) in the high word, the batch's event count in the low
+/// word. Ingest records one `Decrypt` span per batch.
 pub fn decrypt_span_payload(batch_tag: u64, events: u64) -> u64 {
     (batch_tag & 0xFFFF_FFFF) << 32 | (events & 0xFFFF_FFFF)
 }

@@ -1,7 +1,7 @@
 //! The worker-pool hook shared by every layer that fans work out in lanes.
 //!
-//! The data plane (ingest decrypt lanes, egress encrypt lanes) and the
-//! cloud-side verifier (per-segment signature checks and decompression)
+//! The data plane (the encrypt lanes of egress and checkpoint seals) and
+//! the cloud-side verifier (per-segment signature checks and decompression)
 //! both borrow worker threads from whoever assembled them, without
 //! depending on the engine crate that owns the threads. The engine's
 //! executor is the one production implementation.

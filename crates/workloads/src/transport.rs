@@ -41,9 +41,9 @@ impl Default for ChannelConfig {
 /// A delivered message: the wire bytes plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Delivery {
-    /// The payload exactly as it crossed the link. Shared (`Arc`) so the
-    /// receiver's parallel-ingest lanes can borrow it from `'static` worker
-    /// tasks without copying the batch.
+    /// The payload exactly as it crossed the link. Shared (`Arc`) so ingest
+    /// tasks on the receiver's worker threads can hold it without copying
+    /// the batch.
     pub wire_bytes: Arc<Vec<u8>>,
     /// Whether the payload is encrypted.
     pub encrypted: bool,
