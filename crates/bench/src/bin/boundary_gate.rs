@@ -193,11 +193,12 @@ fn main() {
     );
 
     // Recorded baselines (quick scale, HiKey model). The adaptive regime
-    // makes ~4 crossings per 100 K-event batch plus one watermark/egress
-    // crossing per window, well under 0.1 switches per 1 K events; via-OS
-    // ingress copies exactly the 12-byte wire record per event. Margins are
-    // ~25% so CI noise cannot trip the counters, which are deterministic.
-    let max_switches = env_f64("SBT_BOUNDARY_GATE_SWITCHES_PER_KEVENT", 0.125);
+    // makes one crossing per 40 K-event batch plus the watermark and fire
+    // crossings of each window: 20 over the 400 K-event run, 0.05 switches
+    // per 1 K events. Via-OS ingress copies exactly the 12-byte wire record
+    // per event. The switch ceiling keeps the 1.56x headroom the gate has
+    // always had over its measurement; the counters are deterministic.
+    let max_switches = env_f64("SBT_BOUNDARY_GATE_SWITCHES_PER_KEVENT", 0.078);
     let max_copied = env_f64("SBT_BOUNDARY_GATE_COPIED_BYTES_PER_EVENT", 15.0);
     let min_gain = env_f64("SBT_BOUNDARY_GATE_MIN_GAIN", 1.05);
 

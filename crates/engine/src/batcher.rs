@@ -1,20 +1,21 @@
 //! Adaptive ingest batching against the measured TEE boundary cost.
 //!
 //! Every ingested batch pays a fixed boundary toll that is independent of
-//! its size: the world switches for the ingress call, the windowing call
-//! and the retire of the raw array (plus one more switch and a boundary
-//! copy when ingress goes via the untrusted OS). With a fixed batch size
-//! that toll is either amortized by accident (large batches, high latency)
-//! or dominates throughput (small batches, low latency).
+//! its size: the one world switch whose command list ingests the batch,
+//! windows it and retires the raw array (plus one more switch and a
+//! boundary copy when ingress goes via the untrusted OS). With a fixed
+//! batch size that toll is either amortized by accident (large batches,
+//! high latency) or dominates throughput (small batches, low latency).
 //!
 //! [`AdaptiveBatcher`] sizes batches from the *measured* cost model
 //! instead: it grows the batch until the fixed per-batch boundary cost is
 //! a small fraction of the batch's useful per-event work, then caps the
 //! batch so that its processing time still fits comfortably inside the
-//! pipeline's output-delay target. On the HiKey model (40 µs per switch)
-//! this lands near the paper's 100 K-event batches; on a calibrated
-//! workstation model (sub-µs switches) it chooses far smaller batches and
-//! keeps latency low at the same amortization level.
+//! pipeline's output-delay target. On the HiKey model (40 µs per switch,
+//! one switch per batch) this lands at 40 K-event batches, the order of
+//! the paper's 100 K; on a calibrated workstation model (sub-µs switches)
+//! it chooses far smaller batches and keeps latency low at the same
+//! amortization level.
 
 use crate::metrics::CycleCost;
 use parking_lot::Mutex;
@@ -23,10 +24,10 @@ use sbt_tz::CostModel;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// TEE entries one ingested batch costs on the trusted-IO path: the
-/// ingress invocation, the windowing (segment) invocation, and the retire
-/// of the raw ingress array.
-pub const SWITCHES_PER_BATCH: u64 = 3;
+/// TEE entries one ingested batch costs on the trusted-IO path: one
+/// command list carries the ingress, the windowing (segment) invocation and
+/// the retire of the raw ingress array.
+pub const SWITCHES_PER_BATCH: u64 = 1;
 
 /// Sizes ingest batches so the per-batch world-switch toll is amortized
 /// without blowing the pipeline's latency budget.
@@ -228,11 +229,11 @@ mod tests {
 
     #[test]
     fn hikey_model_lands_near_the_papers_batch_size() {
-        // 3 switches × 40 µs = 120 µs fixed; 12-byte events cost 20 ns each;
-        // 5% amortization wants 120_000 × 20 / 20 = 120 K events → clamped
-        // to the 100 K cap. A relaxed delay target leaves the cap binding.
+        // 1 switch × 40 µs = 40 µs fixed; 12-byte events cost 20 ns each;
+        // 5% amortization wants 40_000 × 20 / 20 = 40 K events, under the
+        // 100 K cap. A relaxed delay target leaves the amortization binding.
         let b = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
-        assert_eq!(b.events_per_batch(), AdaptiveBatcher::MAX_EVENTS);
+        assert_eq!(b.events_per_batch(), 40_000);
         assert!(b.overhead_fraction(b.events_per_batch()) < 0.06);
     }
 
@@ -294,13 +295,13 @@ mod tests {
     #[test]
     fn live_batcher_reprices_from_observed_switch_cost() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        // Model says 40 µs switches (HiKey): batch lands on the 100 K cap.
+        // Model says 40 µs switches (HiKey): batch lands on 40 K events.
         let base = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
         let registry = Arc::new(MetricsRegistry::new());
         let tz = Arc::new(FakeTz { switches: AtomicU64::new(0), switch_nanos: AtomicU64::new(0) });
         registry.register_source(&tz);
         let live = LiveBatcher::new(base, registry);
-        assert_eq!(live.events_per_batch(), AdaptiveBatcher::MAX_EVENTS);
+        assert_eq!(live.events_per_batch(), 40_000);
 
         // Observed switches come in ~100× cheaper than the model (world-
         // switch batching amortized them): the live batch size collapses.
@@ -308,7 +309,7 @@ mod tests {
         tz.switch_nanos.store(1_000 * 400, Ordering::Relaxed); // 400 ns each
         let first = live.refresh_now();
         assert!(first < AdaptiveBatcher::MAX_EVENTS / 4, "live size {first} did not shrink");
-        assert_eq!(first, base.with_fixed_nanos(3 * 400).events_per_batch());
+        assert_eq!(first, base.with_fixed_nanos(400).events_per_batch());
 
         // Rates are windowed (delta since last refresh), not lifetime: a
         // subsequent window where switches got *expensive* grows the batch
@@ -316,7 +317,7 @@ mod tests {
         tz.switches.store(1_100, Ordering::Relaxed);
         tz.switch_nanos.store(1_000 * 400 + 100 * 40_000, Ordering::Relaxed);
         let second = live.refresh_now();
-        assert_eq!(second, base.with_fixed_nanos(3 * 40_000).events_per_batch());
+        assert_eq!(second, base.with_fixed_nanos(40_000).events_per_batch());
         assert!(second > first);
 
         // A quiet window (no new switches) falls back to the model.

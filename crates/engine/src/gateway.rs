@@ -7,6 +7,30 @@
 //! rest of the engine never touches the data plane directly, which keeps the
 //! boundary in one auditable place.
 //!
+//! # One crossing per command list
+//!
+//! The gateway has one way in: [`TeeGateway::call`] takes a list of
+//! [`Command`]s — ingress, watermark, invoke, egress, retire, uncount,
+//! checkpoint, restore — and runs the whole list inside **one** SMC
+//! invocation, metered as one world switch at the platform's unchanged
+//! price. Commands are data, not closures (the untrusted side never hands
+//! the secure world code), and a command may name an output of an earlier
+//! command of the same list ([`sbt_dataplane::Arg::Out`]), so the engine
+//! pays the boundary once per step of work rather than once per primitive:
+//!
+//! * a batch is `[Ingress, Invoke(Segment, Out 0), Retire(Out 0)]`;
+//! * a per-partition task is `[Invoke(op, r), Retire(r)]`;
+//! * a merge is `[Invoke(Merge, a, b), Retire(a), Retire(b)]`;
+//! * a window's tail is one list from the reduce through egress and the
+//!   final retire.
+//!
+//! The list stops at its first failing command and the [`Replies`] name
+//! what ran, so the engine cleans up exactly the references that are still
+//! live. The single-call methods ([`ingress`](TeeGateway::ingress),
+//! [`invoke`](TeeGateway::invoke), [`egress`](TeeGateway::egress),
+//! [`retire`](TeeGateway::retire), …) are one-command lists through the
+//! same path, so there is one metering path and no fork.
+//!
 //! A gateway is scoped to one **tenant**: every call it forwards executes in
 //! that tenant's namespace (reference table, audit log, memory quota). The
 //! multi-tenant server opens one gateway per admitted tenant over the one
@@ -15,10 +39,9 @@
 use crate::metrics::CycleCost;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
-    CheckpointManifest, DataPlane, DataPlaneError, EgressMessage, InvokeOutput, OpaqueRef,
-    PrimitiveParams, RestoredTenant, SealedSnapshot,
+    Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, InvokeOutput,
+    OpaqueRef, PrimitiveParams, Replies, Reply, RestoredTenant, SealedSnapshot,
 };
-use sbt_telemetry::SpanKind;
 use sbt_types::{PrimitiveKind, TenantId, Watermark};
 use sbt_tz::{EntryFunction, IngressPath, IoChannel, SmcSession};
 use sbt_uarray::HintSet;
@@ -34,13 +57,13 @@ use std::sync::Arc;
 /// pager is shared); they are not broken out here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayBoundary {
-    /// World switches this gateway's calls made (one per invocation, plus
-    /// one per via-OS delivery).
+    /// World switches this gateway's calls made (one per command list,
+    /// plus one per via-OS delivery).
     pub switches: u64,
     /// Bytes copied across the boundary on this gateway's behalf (via-OS
     /// deliveries only; trusted IO copies nothing).
     pub copied_bytes: u64,
-    /// SMC invocations issued.
+    /// SMC invocations issued: crossings, not commands (one per list).
     pub invocations: u64,
 }
 
@@ -89,6 +112,8 @@ impl TeeGateway {
     }
 
     /// Enter the TEE for one invocation, metering the boundary crossing.
+    /// [`call`](TeeGateway::call) is the only caller: every crossing is
+    /// metered here, once.
     fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
         self.switches.fetch_add(1, Ordering::Relaxed);
         self.invocations.fetch_add(1, Ordering::Relaxed);
@@ -122,8 +147,53 @@ impl TeeGateway {
         self.dp.under_memory_pressure() || self.dp.tenant_under_pressure(self.tenant)
     }
 
-    /// Ingest a batch of event bytes. Charges the ingress-path cost for the
-    /// delivery and one TEE entry for the ingress call.
+    /// Run a command list in one TEE entry: one SMC invocation and one
+    /// metered world switch, however many commands the list holds. Each
+    /// ingress in the list is delivered over the IO channel first (a
+    /// via-OS delivery adds its own switch and copy). The commands that
+    /// succeeded are charged to this gateway's cost meter as if made one by
+    /// one.
+    pub fn call(&self, cmds: &[Command<'_>]) -> Replies {
+        let via_os = self.io.path() == IngressPath::ViaOs;
+        for cmd in cmds {
+            if let Command::Ingress { payload, .. } = cmd {
+                if via_os {
+                    // The OS-mediated delivery crosses the boundary once
+                    // more and copies the payload across it.
+                    self.switches.fetch_add(1, Ordering::Relaxed);
+                    self.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                }
+                self.io.deliver(payload.len());
+            }
+        }
+        let replies = self.enter(|| self.dp.call(self.tenant, cmds));
+        let cost: u64 = cmds
+            .iter()
+            .zip(&replies.done)
+            .map(|(cmd, reply)| match (cmd, reply) {
+                // The *measured* batch cost: compute plus the boundary toll
+                // this batch actually paid under the platform's cost model
+                // (the scheduler's deficit currency).
+                (Command::Ingress { payload, .. }, Reply::Ingress(ingested)) => {
+                    CycleCost::batch_measured(
+                        self.dp.platform().cost(),
+                        payload.len() as u64,
+                        ingested.len as u64,
+                        via_os,
+                    )
+                }
+                (_, Reply::Invoke(outputs)) => {
+                    outputs.iter().map(|o| o.len as u64).sum::<u64>() * CycleCost::PROCESS_RECORD
+                }
+                (_, Reply::Egress(msg)) => msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
+                _ => 0,
+            })
+            .sum();
+        self.cost.fetch_add(cost, Ordering::Relaxed);
+        replies
+    }
+
+    /// Ingest a batch of event bytes (a one-command list).
     pub fn ingress(
         &self,
         payload: &[u8],
@@ -131,38 +201,13 @@ impl TeeGateway {
         is_power: bool,
         keystream_block: u32,
     ) -> Result<InvokeOutput, DataPlaneError> {
-        let span_start = self.dp.telemetry().tracer().start();
-        let via_os = self.io.path() == IngressPath::ViaOs;
-        if via_os {
-            // The OS-mediated delivery crosses the boundary once more and
-            // copies the payload across it.
-            self.switches.fetch_add(1, Ordering::Relaxed);
-            self.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        match self
+            .call(&[Command::Ingress { payload, encrypted, is_power, keystream_block }])
+            .single()?
+        {
+            Reply::Ingress(ingested) => Ok(ingested),
+            other => unreachable!("ingress replied {other:?}"),
         }
-        self.io.deliver(payload.len());
-        let out = self
-            .enter(|| self.dp.ingress(self.tenant, payload, encrypted, is_power, keystream_block));
-        if let Ok(ingested) = &out {
-            // Charge the *measured* batch cost: compute plus the boundary
-            // toll this batch actually paid under the platform's cost model
-            // (the scheduler's deficit currency).
-            self.cost.fetch_add(
-                CycleCost::batch_measured(
-                    self.dp.platform().cost(),
-                    payload.len() as u64,
-                    ingested.len as u64,
-                    via_os,
-                ),
-                Ordering::Relaxed,
-            );
-            self.dp.telemetry().tracer().record(
-                SpanKind::IngestBatch,
-                self.tenant.0,
-                span_start,
-                ingested.len as u64,
-            );
-        }
-        out
     }
 
     /// [`ingress`](TeeGateway::ingress) of a batch held in a shared buffer.
@@ -176,14 +221,12 @@ impl TeeGateway {
         self.ingress(payload, encrypted, is_power, keystream_block)
     }
 
-    /// Ingest a watermark.
+    /// Ingest a watermark (a one-command list).
     pub fn ingress_watermark(&self, wm: Watermark) {
-        self.enter(|| {
-            let _ = self.dp.ingress_watermark(self.tenant, wm);
-        });
+        let _ = self.call(&[Command::Watermark(wm)]);
     }
 
-    /// Invoke a trusted primitive.
+    /// Invoke a trusted primitive (a one-command list).
     pub fn invoke(
         &self,
         op: PrimitiveKind,
@@ -191,44 +234,33 @@ impl TeeGateway {
         params: PrimitiveParams,
         hints: &HintSet,
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
-        let out = self.enter(|| self.dp.invoke(self.tenant, op, inputs, params, hints));
-        if let Ok(outputs) = &out {
-            let records: u64 = outputs.iter().map(|o| o.len as u64).sum();
-            self.cost.fetch_add(records * CycleCost::PROCESS_RECORD, Ordering::Relaxed);
+        let inputs = inputs.iter().map(|r| Arg::Ref(*r)).collect();
+        match self.call(&[Command::Invoke { op, inputs, params, hints: hints.clone() }]).single()? {
+            Reply::Invoke(outputs) => Ok(outputs),
+            other => unreachable!("invoke replied {other:?}"),
         }
-        out
     }
 
-    /// Externalize a result.
+    /// Externalize a result (a one-command list).
     pub fn egress(&self, r: OpaqueRef) -> Result<EgressMessage, DataPlaneError> {
-        let span_start = self.dp.telemetry().tracer().start();
-        let out = self.enter(|| self.dp.egress(self.tenant, r));
-        if let Ok(msg) = &out {
-            self.cost.fetch_add(
-                msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
-                Ordering::Relaxed,
-            );
-            self.dp.telemetry().tracer().record(
-                SpanKind::EgressSeal,
-                self.tenant.0,
-                span_start,
-                msg.ciphertext.len() as u64,
-            );
+        match self.call(&[Command::Egress(Arg::Ref(r))]).single()? {
+            Reply::Egress(msg) => Ok(msg),
+            other => unreachable!("egress replied {other:?}"),
         }
-        out
     }
 
-    /// Retire a reference the control plane will no longer consume.
+    /// Retire a reference the control plane will no longer consume (a
+    /// one-command list).
     pub fn retire(&self, r: OpaqueRef) -> Result<(), DataPlaneError> {
-        self.enter(|| self.dp.retire(self.tenant, r))
+        self.call(&[Command::Retire(Arg::Ref(r))]).single().map(drop)
     }
 
     /// Roll back the tenant's ingest counters after the control plane
     /// dropped a batch it had already ingressed (e.g. windowing tripped the
     /// tenant's quota): the events never reached windowed state, so they do
-    /// not count as ingested.
+    /// not count as ingested. A one-command list.
     pub fn uncount_ingest(&self, events: u64, bytes: u64) {
-        self.enter(|| self.dp.uncount_ingest(self.tenant, events, bytes));
+        let _ = self.call(&[Command::UncountIngest { events, bytes }]);
     }
 
     /// Drain the estimated cycle cost serviced through this gateway since
@@ -243,24 +275,31 @@ impl TeeGateway {
         self.dp.drain_audit_segments(self.tenant).unwrap_or_default()
     }
 
-    /// Seal a checkpoint snapshot of this tenant's windowed state (one TEE
-    /// entry; only the sealed container crosses back).
+    /// Seal a checkpoint snapshot of this tenant's windowed state (a
+    /// one-command list; only the sealed container crosses back).
     pub fn checkpoint(
         &self,
         manifest: &CheckpointManifest,
     ) -> Result<SealedSnapshot, DataPlaneError> {
-        self.enter(|| self.dp.checkpoint_tenant(self.tenant, manifest))
+        match self.call(&[Command::Checkpoint(manifest)]).single()? {
+            Reply::Checkpoint(sealed) => Ok(sealed),
+            other => unreachable!("checkpoint replied {other:?}"),
+        }
     }
 
-    /// Restore this gateway's tenant from a sealed checkpoint (one TEE
-    /// entry). `min_epoch` is the caller's epoch-retirement floor.
+    /// Restore this gateway's tenant from a sealed checkpoint (a
+    /// one-command list). `min_epoch` is the caller's epoch-retirement
+    /// floor.
     pub fn restore(
         &self,
         quota_bytes: Option<u64>,
         sealed: &SealedSnapshot,
         min_epoch: u32,
     ) -> Result<RestoredTenant, DataPlaneError> {
-        self.enter(|| self.dp.restore_tenant(self.tenant, quota_bytes, sealed, min_epoch))
+        match self.call(&[Command::Restore { quota_bytes, sealed, min_epoch }]).single()? {
+            Reply::Restore(restored) => Ok(restored),
+            other => unreachable!("restore replied {other:?}"),
+        }
     }
 }
 

@@ -33,6 +33,7 @@ pub mod metrics;
 pub mod operators;
 pub mod pipeline;
 pub mod runner;
+mod steps;
 
 pub use batcher::{AdaptiveBatcher, LiveBatcher};
 pub use config::{EngineConfig, EngineVariant};

@@ -17,11 +17,12 @@ use crate::gateway::TeeGateway;
 use crate::metrics::{EngineMetrics, WindowResult};
 use crate::operators::ReduceKind;
 use crate::pipeline::Pipeline;
+use crate::steps::Steps;
 use parking_lot::Mutex;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
-    CheckpointManifest, DataPlane, DataPlaneConfig, DataPlaneError, EgressMessage, OpaqueRef,
-    PrimitiveParams, RestoredTenant, SealedSnapshot, WindowManifest,
+    Arg, CheckpointManifest, Command, DataPlane, DataPlaneConfig, DataPlaneError, EgressMessage,
+    OpaqueRef, PrimitiveParams, Replies, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
 };
 use sbt_telemetry::{FlightReason, LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
@@ -345,39 +346,49 @@ impl Engine {
         self.finish_ingest()
     }
 
-    /// The per-batch ingest path: deliver the bytes to the TEE, segment them
-    /// into windows, retire the raw ingress uArray.
+    /// The per-batch ingest path, one crossing: deliver the bytes to the
+    /// TEE, segment them into windows, retire the raw ingress uArray.
     fn ingest_and_segment(
         gateway: &TeeGateway,
         spec: sbt_types::WindowSpec,
         delivery: &Delivery,
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
-        let ingested = gateway.ingress(
-            &delivery.wire_bytes,
-            delivery.encrypted,
-            delivery.is_power,
-            delivery.keystream_block,
-        )?;
-        let outputs = match gateway.invoke(
-            PrimitiveKind::Segment,
-            &[ingested.opaque],
-            PrimitiveParams::Window(spec),
-            &HintSet::none(),
-        ) {
-            Ok(outputs) => outputs,
-            Err(e) => {
+        let Replies { done, failed } = gateway.call(&[
+            Command::Ingress {
+                payload: &delivery.wire_bytes,
+                encrypted: delivery.encrypted,
+                is_power: delivery.is_power,
+                keystream_block: delivery.keystream_block,
+            },
+            Command::Invoke {
+                op: PrimitiveKind::Segment,
+                inputs: vec![Arg::out(0)],
+                params: PrimitiveParams::Window(spec),
+                hints: HintSet::none(),
+            },
+            Command::Retire(Arg::out(0)),
+        ]);
+        if let Some(e) = failed {
+            if let [Reply::Ingress(ingested)] = done.as_slice() {
                 // Don't leak the ingested array (and its quota charge) when
                 // windowing is rejected — e.g. the segment outputs pushed
                 // the tenant past its memory quota. The batch is dropped, so
                 // its events also come back out of the tenant's ingest
                 // counters: "ingested" means reached windowed state.
-                let _ = gateway.retire(ingested.opaque);
-                gateway.uncount_ingest(ingested.len as u64, delivery.wire_bytes.len() as u64);
-                return Err(e);
+                let _ = gateway.call(&[
+                    Command::Retire(Arg::Ref(ingested.opaque)),
+                    Command::UncountIngest {
+                        events: ingested.len as u64,
+                        bytes: delivery.wire_bytes.len() as u64,
+                    },
+                ]);
             }
+            return Err(e);
+        }
+        let Some(Reply::Invoke(windows)) = done.into_iter().nth(1) else {
+            unreachable!("a batch list that ran replied to its Segment");
         };
-        gateway.retire(ingested.opaque)?;
-        Ok(outputs
+        Ok(windows
             .into_iter()
             .map(|out| (out.window.expect("Segment outputs carry window ids"), out.opaque))
             .collect())
@@ -645,44 +656,22 @@ impl Engine {
             }
         }
 
-        // 2. Terminal reduction.
-        let final_ref = match self.pipeline.terminal().reduce_kind() {
+        // 2. Terminal reduction, egress and retire: one command list from
+        // the reduce (with the concat of a whole-window reduce) through the
+        // egress and its retire.
+        let mut tail = Steps::default();
+        let result = match self.pipeline.terminal().reduce_kind() {
             ReduceKind::Grouped { primitive, params } => {
-                let merged = self.sort_and_merge(&left)?;
-                let Some(merged) = merged else {
+                let Some(merged) = self.sort_and_merge(&left)? else {
                     return Ok(());
                 };
-                let out = match self.gateway.invoke(primitive, &[merged], params, &HintSet::none())
-                {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.retire_all(&[merged]);
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = self.gateway.retire(merged) {
-                    self.retire_all(&[out[0].opaque]);
-                    return Err(e);
-                }
-                out[0].opaque
+                tail.consume(primitive, params, HintSet::none(), vec![Arg::Ref(merged)])
             }
             ReduceKind::Whole { primitive, params } => {
-                let Some(concat) = self.concat(&left)? else {
+                let Some(whole) = tail.concat(&left) else {
                     return Ok(());
                 };
-                let out = match self.gateway.invoke(primitive, &[concat], params, &HintSet::none())
-                {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.retire_all(&[concat]);
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = self.gateway.retire(concat) {
-                    self.retire_all(&[out[0].opaque]);
-                    return Err(e);
-                }
-                out[0].opaque
+                tail.consume(primitive, params, HintSet::none(), vec![whole])
             }
             ReduceKind::Join => {
                 let l = match self.sort_and_merge(&left) {
@@ -707,43 +696,41 @@ impl Engine {
                     }
                     return Ok(());
                 };
-                let out = match self.gateway.invoke(
+                tail.consume(
                     PrimitiveKind::Join,
-                    &[l, r],
                     PrimitiveParams::None,
-                    &HintSet::none(),
-                ) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.retire_all(&[l, r]);
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = self.gateway.retire(l).and_then(|()| self.gateway.retire(r)) {
-                    self.retire_all(&[r, out[0].opaque]);
-                    return Err(e);
-                }
-                out[0].opaque
+                    HintSet::none(),
+                    vec![Arg::Ref(l), Arg::Ref(r)],
+                )
             }
             ReduceKind::Passthrough => {
-                let Some(concat) = self.concat(&left)? else {
+                let Some(whole) = tail.concat(&left) else {
                     return Ok(());
                 };
-                concat
+                whole
             }
         };
-
-        // 3. Egress and retire.
-        let message = match self.gateway.egress(final_ref) {
-            Ok(m) => m,
-            Err(e) => {
-                self.retire_all(&[final_ref]);
-                return Err(e);
+        tail.egress(result);
+        let egressed = |done: Vec<Reply>| {
+            done.into_iter().find_map(|reply| match reply {
+                Reply::Egress(message) => Some(message),
+                _ => None,
+            })
+        };
+        let message = match tail.run(&self.gateway) {
+            Ok(done) => egressed(done).expect("the tail list egresses"),
+            Err(stopped) => {
+                // Only the final retire can fail after the egress: the
+                // result is sealed and stays delivered.
+                if let Some(message) = egressed(stopped.done) {
+                    self.results.lock().push(message);
+                }
+                self.retire_all(&stopped.live);
+                return Err(stopped.error);
             }
         };
         let result_records = message.ciphertext.len();
         self.results.lock().push(message);
-        self.gateway.retire(final_ref)?;
 
         // 4. Metrics. The reported memory is the peak observed while this
         // window was in flight (after completion everything has been
@@ -773,12 +760,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Best-effort retirement of references during error cleanup. The error
-    /// being unwound is the one worth reporting; a retire failing here just
-    /// means the reference is already gone.
+    /// Best-effort retirement of references during error cleanup, as one
+    /// list of retires. The error being unwound is the one worth reporting;
+    /// a retire failing here just means the reference is already gone, so
+    /// the list is re-sent past it.
     fn retire_all(&self, refs: &[OpaqueRef]) {
-        for r in refs {
-            let _ = self.gateway.retire(*r);
+        let mut rest = refs;
+        while !rest.is_empty() {
+            let retires: Vec<_> = rest.iter().map(|r| Command::Retire(Arg::Ref(*r))).collect();
+            let ran = self.gateway.call(&retires).done.len();
+            rest = &rest[(ran + 1).min(rest.len())..];
         }
     }
 
@@ -795,15 +786,17 @@ impl Engine {
             return Ok(results.into_iter().map(|r| r.expect("all ok")).collect());
         }
         let mut first = None;
+        let mut live = Vec::new();
         for result in results {
             match result {
-                Ok(out) => self.retire_all(&[out]),
-                Err((live, e)) => {
-                    self.retire_all(&live);
+                Ok(out) => live.push(out),
+                Err((still_live, e)) => {
+                    live.extend(still_live);
                     first.get_or_insert(e);
                 }
             }
         }
+        self.retire_all(&live);
         Err(first.expect("at least one task failed"))
     }
 
@@ -823,12 +816,11 @@ impl Engine {
             .map(|r| {
                 let gw = Arc::clone(&self.gateway);
                 let r = *r;
-                move || -> Result<OpaqueRef, (Vec<OpaqueRef>, DataPlaneError)> {
-                    let out = gw
-                        .invoke(op, &[r], params, &HintSet::consumed_in_parallel(k))
-                        .map_err(|e| (vec![r], e))?;
-                    gw.retire(r).map_err(|e| (vec![out[0].opaque], e))?;
-                    Ok(out[0].opaque)
+                move || {
+                    let mut steps = Steps::default();
+                    let hints = HintSet::consumed_in_parallel(k);
+                    let out = steps.consume(op, params, hints, vec![Arg::Ref(r)]);
+                    steps.run_to(&gw, out)
                 }
             })
             .collect();
@@ -852,25 +844,19 @@ impl Engine {
                     [a, b] => {
                         let (a, b) = (*a, *b);
                         let gw = Arc::clone(&self.gateway);
-                        tasks.push(
-                            move || -> Result<OpaqueRef, (Vec<OpaqueRef>, DataPlaneError)> {
-                                // The merged output is consumed after its
-                                // inputs have been fully consumed; hint
-                                // accordingly so the allocator can reclaim
-                                // the inputs' group.
-                                let out = gw
-                                    .invoke(
-                                        PrimitiveKind::Merge,
-                                        &[a, b],
-                                        PrimitiveParams::None,
-                                        &HintSet::consumed_after(sbt_uarray::UArrayId(0)),
-                                    )
-                                    .map_err(|e| (vec![a, b], e))?;
-                                gw.retire(a).map_err(|e| (vec![b, out[0].opaque], e))?;
-                                gw.retire(b).map_err(|e| (vec![out[0].opaque], e))?;
-                                Ok(out[0].opaque)
-                            },
-                        );
+                        tasks.push(move || {
+                            // The merged output is consumed after its inputs
+                            // have been fully consumed; hint accordingly so
+                            // the allocator can reclaim the inputs' group.
+                            let mut steps = Steps::default();
+                            let out = steps.consume(
+                                PrimitiveKind::Merge,
+                                PrimitiveParams::None,
+                                HintSet::consumed_after(sbt_uarray::UArrayId(0)),
+                                vec![Arg::Ref(a), Arg::Ref(b)],
+                            );
+                            steps.run_to(&gw, out)
+                        });
                     }
                     [a] => carried.push(*a),
                     _ => unreachable!(),
@@ -887,38 +873,6 @@ impl Engine {
             current = next;
         }
         Ok(Some(current[0]))
-    }
-
-    /// Concatenate all partitions into one (retiring them). Returns `None`
-    /// if there are no partitions; skips the call entirely for a single
-    /// partition. Cleans up the inputs on failure.
-    fn concat(&self, refs: &[OpaqueRef]) -> Result<Option<OpaqueRef>, DataPlaneError> {
-        match refs.len() {
-            0 => Ok(None),
-            1 => Ok(Some(refs[0])),
-            _ => {
-                let out = match self.gateway.invoke(
-                    PrimitiveKind::Concat,
-                    refs,
-                    PrimitiveParams::None,
-                    &HintSet::none(),
-                ) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.retire_all(refs);
-                        return Err(e);
-                    }
-                };
-                for (i, r) in refs.iter().enumerate() {
-                    if let Err(e) = self.gateway.retire(*r) {
-                        self.retire_all(&refs[i + 1..]);
-                        self.retire_all(&[out[0].opaque]);
-                        return Err(e);
-                    }
-                }
-                Ok(Some(out[0].opaque))
-            }
-        }
     }
 
     fn sample_memory(&self) -> u64 {

@@ -1,0 +1,104 @@
+//! The crossing budget: exactly how many world switches each step of the
+//! engine pays on trusted-IO, cleartext ingress.
+//!
+//! Each step is one command list, so the counts are small and exact: a
+//! batch is one crossing, a window's fire is one per parallel task plus one
+//! for its tail (reduce, egress, retires). A change that adds a crossing to
+//! any step fails here.
+
+use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
+use sbt_types::Watermark;
+use sbt_workloads::datasets::synthetic_stream;
+use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
+use sbt_workloads::transport::Channel;
+use std::sync::Arc;
+
+/// Partitions (batches) per window.
+const K: u64 = 5;
+const BATCH: usize = 1_000;
+
+fn engine(pipeline: Pipeline) -> Arc<Engine> {
+    Engine::new(
+        EngineConfig::for_variant(EngineVariant::SbtClearIngress, 2),
+        pipeline.target_delay_ms(10_000).batch_events(BATCH),
+    )
+}
+
+fn switches(engine: &Engine) -> u64 {
+    let b = engine.boundary_events();
+    // Trusted IO copies nothing and adds no delivery switch: every switch
+    // is one SMC invocation.
+    assert_eq!(b.switches, b.invocations);
+    assert_eq!(b.copied_bytes, 0);
+    b.switches
+}
+
+/// Ingest one window of `K` batches on `side`, checking each batch costs
+/// one crossing; returns the watermark that closes the window.
+fn ingest_window(engine: &Engine, side: StreamSide) -> Watermark {
+    let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let mut batches = 0;
+    loop {
+        match generator.next_offer().expect("the window closes with a watermark") {
+            Offer::Batch(delivery) => {
+                let before = switches(engine);
+                engine.ingest_on(&delivery, side).unwrap();
+                assert_eq!(switches(engine) - before, 1, "a batch is one crossing");
+                batches += 1;
+            }
+            Offer::Watermark(wm) => {
+                assert_eq!(batches, K);
+                return wm;
+            }
+        }
+    }
+}
+
+/// Crossings a watermark costs beyond its own one: the fire it triggers.
+fn fire(engine: &Engine, wm: Watermark, side: StreamSide) -> u64 {
+    let before = switches(engine);
+    engine.advance_watermark_on(wm, side).unwrap();
+    switches(engine) - before - 1
+}
+
+/// Crossings of the fire of one `K`-partition window of a single-stream
+/// pipeline.
+fn single_stream_fire(pipeline: Pipeline) -> u64 {
+    let engine = engine(pipeline);
+    let wm = ingest_window(&engine, StreamSide::Left);
+    let crossings = fire(&engine, wm, StreamSide::Left);
+    assert_eq!(engine.results().len(), 1, "the window fired");
+    crossings
+}
+
+#[test]
+fn a_winsum_fire_is_one_crossing() {
+    // Concat, Sum, egress and every retire: one list.
+    assert_eq!(single_stream_fire(Pipeline::winsum_benchmark()), 1);
+}
+
+#[test]
+fn a_topk_fire_is_sorts_merges_and_one_tail() {
+    // K sort tasks, K − 1 pairwise merges, one TopKPerKey + egress tail.
+    assert_eq!(single_stream_fire(Pipeline::topk_benchmark(10)), K + (K - 1) + 1);
+}
+
+#[test]
+fn a_filter_fire_is_one_crossing_per_partition_and_one_tail() {
+    // K filter tasks, then concat + egress in one list.
+    assert_eq!(single_stream_fire(Pipeline::filter_benchmark(0, 500)), K + 1);
+}
+
+#[test]
+fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
+    let engine = engine(Pipeline::join_benchmark());
+    let left = ingest_window(&engine, StreamSide::Left);
+    let right = ingest_window(&engine, StreamSide::Right);
+    // One side's watermark alone completes nothing.
+    assert_eq!(fire(&engine, left, StreamSide::Left), 0);
+    let crossings = fire(&engine, right, StreamSide::Right);
+    assert_eq!(engine.results().len(), 1, "the window fired");
+    assert_eq!(crossings, 2 * K + 2 * (K - 1) + 1);
+}
