@@ -1,9 +1,8 @@
 //! Where the streaming encoder spends its time at large (16 K-record)
-//! segments: full append+seal (what `codec_gate` times), append-only
-//! (seal skipped via `reset`), seal-only (the difference), a
-//! dispatch-and-touch-every-field walk as the floor no encoder can beat,
-//! and the v1 batch codec for scale. Not a gate — a diagnosis tool for
-//! the large-segment regime `codec_gate` enforces.
+//! segments: full append+seal, append-only (seal skipped via `reset`),
+//! seal-only (the difference), a dispatch-and-touch-every-field walk as
+//! the floor no encoder can beat, and the v1 batch codec for scale. A
+//! diagnosis tool for the large-segment regime, not a pass/fail check.
 //!
 //! Run with `cargo run --release -p sbt_bench --bin codec_profile`.
 use sbt_attest::{compress_records, AuditRecord, ColumnarEncoder};

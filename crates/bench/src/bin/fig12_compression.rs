@@ -156,8 +156,9 @@ fn main() {
     println!(
         "\nExpectation from the paper: 5x-6.7x columnar compression, ~1.9x better than gzip;\n\
          smaller batches and simpler pipelines generate records (and savings) at higher rates.\n\
-         The streaming (v2) codec must match or beat the batch (v1) ratio while encoding ≥2x\n\
-         faster at the 256-record segment granularity (see the codec_gate CI binary)."
+         The streaming (v2) codec matches or beats the batch (v1) ratio (a tier-1 test pins\n\
+         this); its encode speed is the benchmark's attest.append_ns_per_record and\n\
+         attest.seal_us_per_segment."
     );
     sbt_bench::dump_json("fig12_compression", &rows);
 }

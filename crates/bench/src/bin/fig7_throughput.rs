@@ -87,7 +87,7 @@ fn main() {
     sbt_bench::dump_json("fig7_throughput", &all);
 
     // Adaptive world-switch batching: the batcher derives an ingest batch
-    // size from the calibrated switch cost and the pipeline's delay budget;
+    // size from the modelled switch cost and the pipeline's delay budget;
     // sweep it against fixed small-batch regimes on the ingest-bound
     // benchmark. Measured at 4 cores — the boundary-dominated configuration
     // (at higher core counts a workstation hides the per-core share of the

@@ -40,6 +40,17 @@ impl<T: Copy> RecordSink<T> for Output<'_, T> {
     }
 }
 
+/// The grouped aggregates and `Join` read their inputs as key runs. Over an
+/// unsorted array they would return a well-sized but meaningless result, so
+/// an input that is not key-sorted is refused before anything is reserved.
+fn key_sorted(events: &[Event]) -> Result<&[Event], DataPlaneError> {
+    if events.windows(2).all(|w| w[0].key <= w[1].key) {
+        Ok(events)
+    } else {
+        Err(DataPlaneError::BadArguments("input not key-sorted"))
+    }
+}
+
 impl DataPlane {
     /// Execute a trusted primitive over opaque inputs, producing opaque
     /// outputs (the single entry function shared by all 23 primitives).
@@ -216,25 +227,25 @@ impl DataPlane {
                 events_of(total, &|w| prim::concat_events_into(&parts, w))?
             }
             PrimitiveKind::SumCnt | PrimitiveKind::AveragePerKey => {
-                let events = one_events(0)?;
+                let events = key_sorted(one_events(0)?)?;
                 self.produce(budget, prim::key_runs(events), StoredData::Aggs, |w| {
                     prim::sum_count_per_key_into(events, w)
                 })?
             }
             PrimitiveKind::CountPerKey => {
-                let events = one_events(0)?;
+                let events = key_sorted(one_events(0)?)?;
                 self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
                     prim::count_per_key_into(events, w)
                 })?
             }
             PrimitiveKind::MedianPerKey => {
-                let events = one_events(0)?;
+                let events = key_sorted(one_events(0)?)?;
                 self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
                     prim::median_per_key_into(events, w)
                 })?
             }
             PrimitiveKind::Unique => {
-                let events = one_events(0)?;
+                let events = key_sorted(one_events(0)?)?;
                 self.produce(budget, prim::key_runs(events), StoredData::Scalars, |w| {
                     prim::unique_keys_into(events, w)
                 })?
@@ -264,7 +275,7 @@ impl DataPlane {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopKPerKey needs K")),
                 };
-                let events = one_events(0)?;
+                let events = key_sorted(one_events(0)?)?;
                 self.produce(budget, prim::top_k_per_key_len(events, k), StoredData::Pairs, |w| {
                     prim::top_k_per_key_into(events, k, w)
                 })?
@@ -306,7 +317,7 @@ impl DataPlane {
                 })?
             }
             PrimitiveKind::Join => {
-                let (left, right) = (one_events(0)?, one_events(1)?);
+                let (left, right) = (key_sorted(one_events(0)?)?, key_sorted(one_events(1)?)?);
                 // Counted first: the result can be many times its inputs and
                 // must be reserved exactly so it never relocates.
                 self.produce(budget, prim::join_len(left, right), StoredData::Pairs, |w| {

@@ -9,9 +9,9 @@
 //! number spent). A bounded fuzz of random lists shows every outcome is a
 //! typed error or success and that nothing leaks: once the references the
 //! replies handed out are retired, the tenant's usage and the platform's
-//! secure memory are back to zero. (The fuzz draws primitives without an
-//! input-order contract: the grouped aggregates and Join take key-sorted
-//! input, which only a debug assertion checks.)
+//! secure memory are back to zero. The grouped aggregates and Join take
+//! key-sorted input; an unsorted one is refused like any other bad
+//! argument, so the fuzz draws them too.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,6 +59,7 @@ fn invoke(op: PrimitiveKind, inputs: Vec<Arg>) -> Command<'static> {
     let params = match op {
         PrimitiveKind::Segment => PrimitiveParams::one_second_windows(),
         PrimitiveKind::FilterBand => PrimitiveParams::Band { lo: 0, hi: 1 << 30 },
+        PrimitiveKind::TopKPerKey => PrimitiveParams::K(3),
         _ => PrimitiveParams::None,
     };
     Command::Invoke { op, inputs, params, hints: HintSet::none() }
@@ -235,6 +236,55 @@ fn another_tenants_reference_in_a_list_does_not_resolve() {
     in_tee(|| dp.retire(OTHER, theirs)).unwrap();
 }
 
+/// The primitives that read their inputs as key runs.
+const KEY_SORTED_OPS: [PrimitiveKind; 7] = [
+    PrimitiveKind::SumCnt,
+    PrimitiveKind::AveragePerKey,
+    PrimitiveKind::CountPerKey,
+    PrimitiveKind::MedianPerKey,
+    PrimitiveKind::Unique,
+    PrimitiveKind::TopKPerKey,
+    PrimitiveKind::Join,
+];
+
+#[test]
+fn an_unsorted_input_to_a_key_run_primitive_is_refused_before_any_work() {
+    let dp = plane(None);
+    let payload = wire(300, 6);
+    for op in KEY_SORTED_OPS {
+        let arity = if op == PrimitiveKind::Join { 2 } else { 1 };
+        // Ingress order is not key order.
+        let unsorted = call(&dp, T, &[ingress(&payload), invoke(op, vec![Arg::out(0); arity])]);
+        assert_eq!(
+            unsorted.failed,
+            Some(DataPlaneError::BadArguments("input not key-sorted")),
+            "{op:?}"
+        );
+        assert_eq!(unsorted.done.len(), 1, "{op:?}");
+        // The same events sorted first are accepted.
+        let sorted = call(
+            &dp,
+            T,
+            &[
+                ingress(&payload),
+                invoke(PrimitiveKind::Sort, vec![Arg::out(0)]),
+                invoke(op, vec![Arg::out(1); arity]),
+            ],
+        );
+        assert_eq!(sorted.failed, None, "{op:?}");
+        for r in unsorted.done.iter().chain(&sorted.done).flat_map(|r| r.outputs()) {
+            in_tee(|| dp.retire(T, r.opaque)).unwrap();
+        }
+    }
+    // A refused invocation mints nothing, audits nothing and spends no
+    // sequence number.
+    assert_eq!(next_egress_seq(&dp, &payload), 0);
+    let executions =
+        drained_records(&dp).iter().filter(|r| matches!(r, AuditRecord::Execution { .. })).count();
+    assert_eq!(executions, 2 * KEY_SORTED_OPS.len(), "one Sort and one op per sorted list");
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+}
+
 /// One random argument: a held reference, an earlier output (in or out of
 /// range), a forward reference, a forged reference or another tenant's.
 fn random_arg(rng: &mut StdRng, at: usize, held: &[OpaqueRef], theirs: OpaqueRef) -> Arg {
@@ -250,7 +300,7 @@ fn random_arg(rng: &mut StdRng, at: usize, held: &[OpaqueRef], theirs: OpaqueRef
 
 #[test]
 fn random_lists_fail_typed_and_leak_nothing() {
-    const OPS: [PrimitiveKind; 9] = [
+    let ops: Vec<PrimitiveKind> = [
         PrimitiveKind::Segment,
         PrimitiveKind::Sort,
         PrimitiveKind::Merge,
@@ -260,7 +310,10 @@ fn random_lists_fail_typed_and_leak_nothing() {
         PrimitiveKind::MinMax,
         PrimitiveKind::Ingress,
         PrimitiveKind::Egress,
-    ];
+    ]
+    .into_iter()
+    .chain(KEY_SORTED_OPS)
+    .collect();
     // A quota small enough that random lists also trip it.
     let dp = plane(Some(256 * 1024));
     let payloads: Vec<Vec<u8>> = (0..4u32).map(|i| wire(200 + 900 * i, i)).collect();
@@ -279,7 +332,7 @@ fn random_lists_fail_typed_and_leak_nothing() {
                     i => ingress(&payloads[i]),
                 },
                 3..=5 => {
-                    let op = OPS[rng.gen_range(0..OPS.len())];
+                    let op = ops[rng.gen_range(0..ops.len())];
                     let arity = rng.gen_range(1..3usize);
                     invoke(
                         op,

@@ -13,7 +13,7 @@
 //! batch so that its processing time still fits comfortably inside the
 //! pipeline's output-delay target. On the HiKey model (40 µs per switch,
 //! one switch per batch) this lands at 40 K-event batches, the order of
-//! the paper's 100 K; on a calibrated workstation model (sub-µs switches)
+//! the paper's 100 K; on a model with sub-µs switches (a workstation's)
 //! it chooses far smaller batches and keeps latency low at the same
 //! amortization level.
 
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn cheap_switches_choose_small_batches() {
-        // A calibrated workstation model with ~200 ns switches needs only
+        // A workstation-like model with ~200 ns switches needs only
         // tiny batches to amortize; the floor keeps them sane.
         let cost = CostModel {
             cpu_hz: 1_000_000_000,

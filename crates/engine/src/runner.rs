@@ -257,7 +257,7 @@ impl Engine {
         self.gateway.tenant()
     }
 
-    /// The platform's cost model (HiKey constants or a host calibration).
+    /// The platform's cost model (the HiKey constants unless overridden).
     pub fn cost_model(&self) -> &sbt_tz::CostModel {
         self.platform.cost()
     }

@@ -11,8 +11,9 @@
 //!   and caps the tenant count. Quotas are enforced inside the TEE through
 //!   the uArray allocator's owner accounting.
 //! * **Fair scheduling** ([`StreamServer::serve`]): tenant sources are
-//!   drained by weighted round-robin; each tenant's per-batch primitive
-//!   tasks then fan out onto the shared worker pool. Backpressure is per
+//!   served by deficit round-robin over their metered cycle cost; each
+//!   tenant's batches and window tasks run on the shared worker pool,
+//!   several in flight at once. Backpressure is per
 //!   tenant — a tenant nearing its quota is slowed (and its overflowing
 //!   batches rejected) without stalling the other tenants.
 //! * **Isolation**: opaque-reference namespaces, audit-log segment streams,

@@ -1,23 +1,15 @@
-//! Fair scheduling of tenant sources over the shared executor.
+//! Fair scheduling of tenant sources over the shared executor: deficit
+//! round-robin.
 //!
-//! Two disciplines are implemented:
-//!
-//! * **Deficit round-robin** ([`Scheduler::DeficitRoundRobin`], the
-//!   default): each lane (tenant stream) accrues a quantum of estimated
-//!   *cycle cost* (`weight × drr_quantum` units per refill round, see
-//!   [`sbt_engine::CycleCost`]) and spends it on work actually dispatched —
-//!   bytes decrypted, events windowed, records executed. Penalties
-//!   (backpressure, quota rejections) are deficit debits rather than
-//!   skipped rounds. Ingestion tasks and window-execution tickets from many
-//!   lanes stay **in flight simultaneously** and overlap with the offer
-//!   loop itself: there is no global round barrier, so one slow tenant's
-//!   window cannot stall another tenant's ingestion.
-//! * **Weighted round-robin** ([`Scheduler::WeightedRoundRobin`], the
-//!   pre-executor baseline): lanes are offered `weight` batches per round,
-//!   each round barriers on the pool, and watermark windows execute
-//!   serially on the calling thread. Kept for comparison — the
-//!   `fig_server_scaling` harness sweeps both and gates on DRR not
-//!   regressing.
+//! Each lane (tenant stream) accrues a quantum of estimated *cycle cost*
+//! (`weight × drr_quantum` units per refill round, see
+//! [`sbt_engine::CycleCost`]) and spends it on work actually dispatched —
+//! bytes decrypted, events windowed, records executed. Penalties
+//! (backpressure, quota rejections) are deficit debits rather than skipped
+//! rounds. Ingestion tasks and window-execution tickets from many lanes stay
+//! **in flight simultaneously** and overlap with the offer loop itself:
+//! there is no global round barrier, so one slow tenant's window cannot
+//! stall another tenant's ingestion.
 //!
 //! Service accounting is *post-paid*: the dispatch gate uses estimated
 //! batch costs, but deficits are charged with the cycle cost each tenant's
@@ -57,32 +49,13 @@ impl Drop for ServingGuard<'_> {
     }
 }
 
-/// Which serving discipline [`StreamServer::serve_with`] runs.
+/// The serving discipline [`StreamServer::serve_with`] runs. There is one:
+/// the enum names it so callers that pick a scheduler explicitly keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Batch-count rounds with a global pool barrier per round (baseline).
-    WeightedRoundRobin,
     /// Cycle-cost deficits with pipelined ingestion and window execution.
     DeficitRoundRobin,
-}
-
-impl Scheduler {
-    /// Parse a scheduler name as used by `SBT_SCHED` (`wrr` / `drr`).
-    pub fn from_name(name: &str) -> Option<Scheduler> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "wrr" => Some(Scheduler::WeightedRoundRobin),
-            "drr" => Some(Scheduler::DeficitRoundRobin),
-            _ => None,
-        }
-    }
-
-    /// The `SBT_SCHED` name of this scheduler.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheduler::WeightedRoundRobin => "wrr",
-            Scheduler::DeficitRoundRobin => "drr",
-        }
-    }
 }
 
 /// One tenant's input: its id plus the rate-controlled source draining into
@@ -247,7 +220,8 @@ fn batch_cost(engine: &Engine, delivery: &Delivery) -> u64 {
     )
 }
 
-/// Lane state shared by both disciplines.
+/// One tenant stream's serve-loop state: its source, its counters and the
+/// work it has in flight.
 struct Lane {
     tenant: TenantId,
     weight: u32,
@@ -260,11 +234,6 @@ struct Lane {
     ckpt_every_records: Option<u64>,
     ckpt_every_ms: Option<u64>,
     checkpoints_taken: u64,
-}
-
-/// DRR-only in-flight state layered over a [`Lane`].
-struct DrrLaneRt {
-    lane: Lane,
     /// The next undispatched offer, pulled ahead so its cost can gate
     /// dispatch.
     staged: Option<Offer>,
@@ -302,7 +271,7 @@ struct DrrLaneRt {
     ckpt_check_pending: bool,
 }
 
-impl DrrLaneRt {
+impl Lane {
     /// Whether the lane still has work the serve loop must see through.
     fn live(&self) -> bool {
         if self.dead {
@@ -314,7 +283,7 @@ impl DrrLaneRt {
                 || !self.inflight.is_empty()
                 || self.ticket.is_some();
         }
-        !self.lane.generator.is_exhausted()
+        !self.generator.is_exhausted()
             || self.staged.is_some()
             || self.pending_wm.is_some()
             || !self.inflight.is_empty()
@@ -326,7 +295,7 @@ impl DrrLaneRt {
         if self.dead || self.draining {
             return false;
         }
-        self.staged.is_some() || self.pending_wm.is_some() || !self.lane.generator.is_exhausted()
+        self.staged.is_some() || self.pending_wm.is_some() || !self.generator.is_exhausted()
     }
 }
 
@@ -412,6 +381,16 @@ impl StreamServer {
                 ckpt_every_records: config.checkpoint_every_records,
                 ckpt_every_ms: config.checkpoint_every_ms,
                 checkpoints_taken: 0,
+                staged: None,
+                pending_wm: None,
+                inflight: Vec::new(),
+                ticket: None,
+                draining: false,
+                dead: false,
+                last_ckpt_events: 0,
+                last_ckpt_at: Instant::now(),
+                fired_since_ckpt: false,
+                ckpt_check_pending: false,
             });
         }
         Ok(lanes)
@@ -440,60 +419,27 @@ impl StreamServer {
         ServeReport { wall_nanos, per_tenant }
     }
 
-    /// Drain every tenant stream to exhaustion under the default scheduler
-    /// (deficit round-robin).
+    /// Drain every tenant stream to exhaustion under deficit round-robin:
+    /// stage offers, dispatch them as executor tasks while deficits allow,
+    /// harvest ingestion completions and window tickets as they land, and
+    /// lend the calling thread to the executor when there is nothing to
+    /// orchestrate.
     ///
     /// Returns an error only for streams naming un-admitted (or duplicated)
     /// tenants or for data-plane failures other than quota rejections
     /// (those are counted, not fatal).
     pub fn serve(&self, streams: Vec<TenantStream>) -> Result<ServeReport, DataPlaneError> {
-        self.serve_with(streams, Scheduler::DeficitRoundRobin)
-    }
-
-    /// Drain every tenant stream to exhaustion under an explicit scheduler.
-    pub fn serve_with(
-        &self,
-        streams: Vec<TenantStream>,
-        scheduler: Scheduler,
-    ) -> Result<ServeReport, DataPlaneError> {
-        match scheduler {
-            Scheduler::WeightedRoundRobin => self.serve_wrr(streams),
-            Scheduler::DeficitRoundRobin => self.serve_drr(streams),
-        }
-    }
-
-    /// The deficit round-robin serve loop: stage offers, dispatch them as
-    /// executor tasks while deficits allow, harvest ingestion completions
-    /// and window tickets as they land, and lend the calling thread to the
-    /// executor when there is nothing to orchestrate.
-    fn serve_drr(&self, streams: Vec<TenantStream>) -> Result<ServeReport, DataPlaneError> {
-        let lanes = self.lanes_for(streams)?;
+        let mut lanes = self.lanes_for(streams)?;
         let _guard = ServingGuard::new(self, lanes.iter().map(|l| l.tenant).collect());
         let executor = self.worker_pool().clone();
-        let mut rt: Vec<DrrLaneRt> = lanes
-            .into_iter()
-            .map(|lane| {
-                // Reset the cost meter so this run's charges start at zero.
-                let _ = lane.engine.drain_serviced_cost();
-                DrrLaneRt {
-                    lane,
-                    staged: None,
-                    pending_wm: None,
-                    inflight: Vec::new(),
-                    ticket: None,
-                    draining: false,
-                    dead: false,
-                    last_ckpt_events: 0,
-                    last_ckpt_at: Instant::now(),
-                    fired_since_ckpt: false,
-                    ckpt_check_pending: false,
-                }
-            })
-            .collect();
-        let weights: Vec<u32> = rt.iter().map(|l| l.lane.weight).collect();
+        for lane in &lanes {
+            // Reset the cost meter so this run's charges start at zero.
+            let _ = lane.engine.drain_serviced_cost();
+        }
+        let weights: Vec<u32> = lanes.iter().map(|l| l.weight).collect();
         let mut drr = DrrAccounting::new(&weights, self.config().drr_quantum);
         let telemetry = self.telemetry().clone();
-        let drr_counters = Arc::new(DrrCounters::new(rt.len()));
+        let drr_counters = Arc::new(DrrCounters::new(lanes.len()));
         telemetry.register_source(&drr_counters);
         // Keep the mirror alive past this loop so post-run snapshots still
         // see the final deficits (the registry only holds it weakly).
@@ -501,12 +447,12 @@ impl StreamServer {
         let mut fatal: Option<DataPlaneError> = None;
         let start = Instant::now();
 
-        let lane_ids: Vec<TenantId> = rt.iter().map(|l| l.lane.tenant).collect();
+        let lane_ids: Vec<TenantId> = lanes.iter().map(|l| l.tenant).collect();
         loop {
             let mut progress = false;
             let phases = self.lane_phases(&lane_ids);
 
-            for (li, l) in rt.iter_mut().enumerate() {
+            for (li, l) in lanes.iter_mut().enumerate() {
                 // Lifecycle check: an eviction (from any thread) unwinds the
                 // lane mid-serve; a drain request stops its intake.
                 if !l.dead {
@@ -549,28 +495,27 @@ impl StreamServer {
                             // whatever the TEE answered (including
                             // UnknownTenant) is moot.
                         }
-                        Ok(Ok(IngestStatus::Accepted)) => l.lane.accepted_batches += 1,
+                        Ok(Ok(IngestStatus::Accepted)) => l.accepted_batches += 1,
                         Ok(Ok(IngestStatus::Backpressure)) => {
-                            l.lane.accepted_batches += 1;
-                            l.lane.backpressure_signals += 1;
+                            l.accepted_batches += 1;
+                            l.backpressure_signals += 1;
                             drr.penalize(li);
                             drr_counters.add_penalty();
-                            telemetry
-                                .flight_trigger(l.lane.tenant.0, FlightReason::BackpressureStall);
+                            telemetry.flight_trigger(l.tenant.0, FlightReason::BackpressureStall);
                         }
                         Ok(Err(DataPlaneError::QuotaExceeded)) => {
                             // The batch is dropped: the tenant outgrew its
                             // quota. The debit penalizes only this lane.
-                            l.lane.rejected_batches += 1;
+                            l.rejected_batches += 1;
                             drr.penalize(li);
                             drr_counters.add_penalty();
-                            telemetry.flight_trigger(l.lane.tenant.0, FlightReason::QuotaExhausted);
+                            telemetry.flight_trigger(l.tenant.0, FlightReason::QuotaExhausted);
                         }
                         // Evicted after this iteration's phase snapshot,
                         // with the batch in flight: the lane dies; nothing
                         // is fatal for the other tenants.
                         Ok(Err(DataPlaneError::UnknownTenant))
-                            if self.lane_phase(l.lane.tenant) == LanePhase::Departed =>
+                            if self.lane_phase(l.tenant) == LanePhase::Departed =>
                         {
                             l.dead = true;
                             l.staged = None;
@@ -580,7 +525,7 @@ impl StreamServer {
                             fatal.get_or_insert(e);
                         }
                         Err(p) => {
-                            telemetry.flight_trigger(l.lane.tenant.0, FlightReason::TaskPanic);
+                            telemetry.flight_trigger(l.tenant.0, FlightReason::TaskPanic);
                             panic!("ingest task panicked: {}", p.message)
                         }
                     }
@@ -588,7 +533,7 @@ impl StreamServer {
 
                 // Charge the cycle cost this tenant actually consumed since
                 // the last look (ingestion and window execution alike).
-                let serviced = l.lane.engine.drain_serviced_cost();
+                let serviced = l.engine.drain_serviced_cost();
                 if serviced > 0 {
                     drr.charge(li, serviced);
                     drr_counters.add_charged(serviced);
@@ -603,11 +548,8 @@ impl StreamServer {
                 // executes concurrently with everything else.
                 if l.inflight.is_empty() && l.ticket.is_none() && fatal.is_none() && !l.dead {
                     if let Some(wm) = l.pending_wm.take() {
-                        l.ticket = Some(Engine::advance_watermark_async(
-                            &l.lane.engine,
-                            wm,
-                            StreamSide::Left,
-                        ));
+                        l.ticket =
+                            Some(Engine::advance_watermark_async(&l.engine, wm, StreamSide::Left));
                         progress = true;
                     }
                 }
@@ -626,15 +568,15 @@ impl StreamServer {
                             // Window execution tripped the tenant's quota
                             // (intermediates count too): costs the tenant
                             // its window, nothing else.
-                            l.lane.rejected_batches += 1;
+                            l.rejected_batches += 1;
                             drr.penalize(li);
                             drr_counters.add_penalty();
-                            telemetry.flight_trigger(l.lane.tenant.0, FlightReason::QuotaExhausted);
+                            telemetry.flight_trigger(l.tenant.0, FlightReason::QuotaExhausted);
                         }
                         // Evicted with the window in flight: lane dies,
                         // others unaffected.
                         Err(DataPlaneError::UnknownTenant)
-                            if self.lane_phase(l.lane.tenant) == LanePhase::Departed =>
+                            if self.lane_phase(l.tenant) == LanePhase::Departed =>
                         {
                             l.dead = true;
                             l.staged = None;
@@ -651,7 +593,7 @@ impl StreamServer {
             // departs its tenant (the namespace disappears only after its
             // final windows executed and were audited).
             if fatal.is_none() {
-                for l in rt.iter_mut() {
+                for l in lanes.iter_mut() {
                     if l.draining
                         && !l.dead
                         && l.staged.is_none()
@@ -659,8 +601,8 @@ impl StreamServer {
                         && l.inflight.is_empty()
                         && l.ticket.is_none()
                     {
-                        l.lane.engine.quiesce();
-                        self.finish_drain(l.lane.tenant);
+                        l.engine.quiesce();
+                        self.finish_drain(l.tenant);
                         l.dead = true;
                         progress = true;
                     }
@@ -677,10 +619,10 @@ impl StreamServer {
             // other lanes' in-flight work keeps overlapping it, so the cost
             // is amortized exactly like any other dispatch.
             if fatal.is_none() {
-                for l in rt.iter_mut() {
+                for l in lanes.iter_mut() {
                     if l.dead
                         || l.draining
-                        || (l.lane.ckpt_every_records.is_none() && l.lane.ckpt_every_ms.is_none())
+                        || (l.ckpt_every_records.is_none() && l.ckpt_every_ms.is_none())
                         || !l.fired_since_ckpt
                         || !l.inflight.is_empty()
                         || l.ticket.is_some()
@@ -689,7 +631,6 @@ impl StreamServer {
                         continue;
                     }
                     let due_wall = l
-                        .lane
                         .ckpt_every_ms
                         .map(|ms| l.last_ckpt_at.elapsed().as_millis() as u64 >= ms)
                         .unwrap_or(false);
@@ -701,15 +642,9 @@ impl StreamServer {
                     // (see `ckpt_check_pending`), and never via
                     // `Engine::metrics()`, whose snapshot clones every
                     // window result.
-                    let events = l
-                        .lane
-                        .engine
-                        .data_plane()
-                        .tenant_ingest(l.lane.tenant)
-                        .map(|(e, _)| e)
-                        .unwrap_or(0);
+                    let events =
+                        l.engine.data_plane().tenant_ingest(l.tenant).map(|(e, _)| e).unwrap_or(0);
                     let due_records = l
-                        .lane
                         .ckpt_every_records
                         .map(|n| events.saturating_sub(l.last_ckpt_events) >= n)
                         .unwrap_or(false);
@@ -722,9 +657,9 @@ impl StreamServer {
                     l.last_ckpt_events = events;
                     l.last_ckpt_at = Instant::now();
                     l.fired_since_ckpt = false;
-                    if let Ok(sealed) = l.lane.engine.checkpoint() {
-                        if self.vault_store(l.lane.tenant, &sealed).is_ok() {
-                            l.lane.checkpoints_taken += 1;
+                    if let Ok(sealed) = l.engine.checkpoint() {
+                        if self.vault_store(l.tenant, &sealed).is_ok() {
+                            l.checkpoints_taken += 1;
                         }
                         progress = true;
                     }
@@ -734,7 +669,7 @@ impl StreamServer {
             // Offer phase: dispatch staged batches while deficits allow.
             let mut starved_by_credit = false;
             if fatal.is_none() {
-                for (li, l) in rt.iter_mut().enumerate() {
+                for (li, l) in lanes.iter_mut().enumerate() {
                     if l.dead {
                         continue;
                     }
@@ -749,7 +684,7 @@ impl StreamServer {
                     }
                     loop {
                         if l.staged.is_none() && l.pending_wm.is_none() {
-                            l.staged = l.lane.generator.next_offer();
+                            l.staged = l.generator.next_offer();
                         }
                         match l.staged.take() {
                             None => break,
@@ -760,7 +695,7 @@ impl StreamServer {
                                 break;
                             }
                             Some(Offer::Batch(delivery)) => {
-                                let est = batch_cost(&l.lane.engine, &delivery);
+                                let est = batch_cost(&l.engine, &delivery);
                                 if l.inflight.len() >= MAX_INFLIGHT_PER_LANE {
                                     l.staged = Some(Offer::Batch(delivery));
                                     break;
@@ -771,7 +706,7 @@ impl StreamServer {
                                     break;
                                 }
                                 drr.reserve(li, est);
-                                let engine = l.lane.engine.clone();
+                                let engine = l.engine.clone();
                                 let handle = executor
                                     .spawn(move || engine.ingest_on(&delivery, StreamSide::Left));
                                 l.inflight.push((est, handle));
@@ -788,10 +723,10 @@ impl StreamServer {
                 // Fatal error: stop offering (gated above), let in-flight
                 // tasks and tickets drain, then return the error — a lane
                 // with unoffered input must not keep the loop alive.
-                if rt.iter().all(|l| l.inflight.is_empty() && l.ticket.is_none()) {
+                if lanes.iter().all(|l| l.inflight.is_empty() && l.ticket.is_none()) {
                     break;
                 }
-            } else if !rt.iter().any(|l| l.live()) {
+            } else if !lanes.iter().any(|l| l.live()) {
                 break;
             }
 
@@ -799,7 +734,7 @@ impl StreamServer {
             // starved by in-flight caps or waiting on completions get
             // nothing, so idle tenants cannot hoard credit.
             if starved_by_credit && !progress {
-                drr.begin_round(|i| rt[i].backlogged());
+                drr.begin_round(|i| lanes[i].backlogged());
                 continue;
             }
 
@@ -813,138 +748,20 @@ impl StreamServer {
         }
 
         let wall_nanos = start.elapsed().as_nanos() as u64;
-        let lanes: Vec<Lane> = rt.into_iter().map(|l| l.lane).collect();
         match fatal {
             Some(e) => Err(e),
             None => Ok(self.report(&lanes, wall_nanos)),
         }
     }
 
-    /// The weighted round-robin baseline: batch-count rounds, a global pool
-    /// barrier per round, serial window execution on the caller. Lifecycle
-    /// transitions are handled at round boundaries (a WRR round leaves no
-    /// in-flight work behind): departed lanes die, draining lanes stop
-    /// pulling and depart at the end of their round.
-    fn serve_wrr(&self, streams: Vec<TenantStream>) -> Result<ServeReport, DataPlaneError> {
-        let mut lanes = self.lanes_for(streams)?;
-        let _guard = ServingGuard::new(self, lanes.iter().map(|l| l.tenant).collect());
-        // Rounds a lane sits out (backpressure / quota penalty).
-        let mut penalties: Vec<u32> = vec![0; lanes.len()];
-        let mut dead: Vec<bool> = vec![false; lanes.len()];
-        let pool = self.worker_pool().clone();
-        let start = Instant::now();
-        loop {
-            // Phase 0 — lifecycle.
-            for (li, lane) in lanes.iter().enumerate() {
-                if dead[li] {
-                    continue;
-                }
-                match self.lane_phase(lane.tenant) {
-                    LanePhase::Departed => dead[li] = true,
-                    LanePhase::Draining => {
-                        lane.engine.quiesce();
-                        self.finish_drain(lane.tenant);
-                        dead[li] = true;
-                    }
-                    LanePhase::Active => {}
-                }
-            }
-
-            // Phase 1 — weighted offer pull: each unpenalized lane
-            // contributes up to `weight` batches this round; a watermark
-            // ends the lane's turn (it must run after the lane's batches).
-            let mut round_batches = Vec::new();
-            let mut round_marks = Vec::new();
-            let mut any_live = false;
-            for (li, lane) in lanes.iter_mut().enumerate() {
-                if dead[li] || lane.generator.is_exhausted() {
-                    continue;
-                }
-                any_live = true;
-                if penalties[li] > 0 {
-                    // The penalized tenant sits this round out; because the
-                    // penalty is per lane, every other tenant still runs.
-                    penalties[li] -= 1;
-                    continue;
-                }
-                let mut pulled = 0;
-                while pulled < lane.weight {
-                    match lane.generator.next_offer() {
-                        None => break,
-                        Some(Offer::Batch(delivery)) => {
-                            round_batches.push((li, delivery));
-                            pulled += 1;
-                        }
-                        Some(Offer::Watermark(wm)) => {
-                            round_marks.push((li, wm));
-                            break;
-                        }
-                    }
-                }
-            }
-            if !any_live {
-                break;
-            }
-
-            // Phase 2 — parallel ingestion with a round barrier: every
-            // tenant's batches of this round enter the shared TEE
-            // concurrently, but the round completes only when the slowest
-            // batch does.
-            let tasks: Vec<_> = round_batches
-                .into_iter()
-                .map(|(li, delivery)| {
-                    let engine = lanes[li].engine.clone();
-                    move || (li, engine.ingest_on(&delivery, StreamSide::Left))
-                })
-                .collect();
-            for (li, outcome) in pool.run_all(tasks) {
-                let lane = &mut lanes[li];
-                match outcome {
-                    Ok(IngestStatus::Accepted) => lane.accepted_batches += 1,
-                    Ok(IngestStatus::Backpressure) => {
-                        lane.accepted_batches += 1;
-                        lane.backpressure_signals += 1;
-                        penalties[li] = 1;
-                    }
-                    Err(DataPlaneError::QuotaExceeded) => {
-                        lane.rejected_batches += 1;
-                        penalties[li] = 1;
-                    }
-                    // The tenant was evicted while its batch was in flight:
-                    // the lane dies, nothing else is affected.
-                    Err(DataPlaneError::UnknownTenant)
-                        if self.lane_phase(lane.tenant) == LanePhase::Departed =>
-                    {
-                        dead[li] = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // Phase 3 — watermarks: completed windows execute serially on
-            // this thread (their primitive fan-out reuses the pool).
-            for (li, wm) in round_marks {
-                let lane = &mut lanes[li];
-                if dead[li] {
-                    continue;
-                }
-                match lane.engine.advance_watermark(wm) {
-                    Ok(()) => {}
-                    Err(DataPlaneError::QuotaExceeded) => {
-                        lane.rejected_batches += 1;
-                        penalties[li] = 1;
-                    }
-                    Err(DataPlaneError::UnknownTenant)
-                        if self.lane_phase(lane.tenant) == LanePhase::Departed =>
-                    {
-                        dead[li] = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        let wall_nanos = start.elapsed().as_nanos() as u64;
-        Ok(self.report(&lanes, wall_nanos))
+    /// [`serve`](StreamServer::serve) under an explicitly named scheduler.
+    pub fn serve_with(
+        &self,
+        streams: Vec<TenantStream>,
+        scheduler: Scheduler,
+    ) -> Result<ServeReport, DataPlaneError> {
+        let Scheduler::DeficitRoundRobin = scheduler;
+        self.serve(streams)
     }
 }
 
@@ -981,13 +798,15 @@ mod tests {
             .collect()
     }
 
-    fn check_two_tenant_run(scheduler: Scheduler) {
+    #[test]
+    fn drr_serves_two_tenants_to_completion_with_correct_results() {
         let server = StreamServer::new(ServerConfig::default().with_cores(2));
         let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
         let b =
             server.admit(TenantConfig::new("b", 32 << 20).with_weight(2), pipeline("b")).unwrap();
         let loads = multi_tenant_streams(2, 2, 2_000, 16, 7);
-        let report = server.serve_with(streams_for(&[a, b], &loads), scheduler).unwrap();
+        let report =
+            server.serve_with(streams_for(&[a, b], &loads), Scheduler::DeficitRoundRobin).unwrap();
         assert_eq!(report.aggregate_events(), 2 * 2 * 2_000);
         assert!(report.aggregate_events_per_sec() > 0.0);
         // Every tenant produced one result per window, matching its oracle —
@@ -1010,32 +829,17 @@ mod tests {
     }
 
     #[test]
-    fn drr_serves_two_tenants_to_completion_with_correct_results() {
-        check_two_tenant_run(Scheduler::DeficitRoundRobin);
-    }
-
-    #[test]
-    fn wrr_serves_two_tenants_to_completion_with_correct_results() {
-        check_two_tenant_run(Scheduler::WeightedRoundRobin);
-    }
-
-    #[test]
     fn unadmitted_tenant_streams_are_refused() {
         let server = StreamServer::new(ServerConfig::default());
-        for scheduler in [Scheduler::WeightedRoundRobin, Scheduler::DeficitRoundRobin] {
-            let streams = vec![TenantStream {
-                tenant: TenantId(99),
-                generator: Generator::new(
-                    GeneratorConfig { batch_events: 100 },
-                    Channel::cleartext(),
-                    vec![],
-                ),
-            }];
-            assert_eq!(
-                server.serve_with(streams, scheduler).unwrap_err(),
-                DataPlaneError::UnknownTenant
-            );
-        }
+        let streams = vec![TenantStream {
+            tenant: TenantId(99),
+            generator: Generator::new(
+                GeneratorConfig { batch_events: 100 },
+                Channel::cleartext(),
+                vec![],
+            ),
+        }];
+        assert_eq!(server.serve(streams).unwrap_err(), DataPlaneError::UnknownTenant);
     }
 
     #[test]
@@ -1043,22 +847,8 @@ mod tests {
         let server = StreamServer::new(ServerConfig::default());
         let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
         let loads = multi_tenant_streams(2, 1, 500, 8, 3);
-        for scheduler in [Scheduler::WeightedRoundRobin, Scheduler::DeficitRoundRobin] {
-            let streams = streams_for(&[a, a], &loads);
-            assert_eq!(
-                server.serve_with(streams, scheduler).unwrap_err(),
-                DataPlaneError::UnknownTenant
-            );
-        }
-    }
-
-    #[test]
-    fn scheduler_names_round_trip() {
-        for s in [Scheduler::WeightedRoundRobin, Scheduler::DeficitRoundRobin] {
-            assert_eq!(Scheduler::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Scheduler::from_name(" DRR "), Some(Scheduler::DeficitRoundRobin));
-        assert_eq!(Scheduler::from_name("fifo"), None);
+        let streams = streams_for(&[a, a], &loads);
+        assert_eq!(server.serve(streams).unwrap_err(), DataPlaneError::UnknownTenant);
     }
 
     #[test]
@@ -1075,6 +865,31 @@ mod tests {
         assert!(snap.counter("drr.lane1_deficit").is_some());
         // The shared executor is registered as a source by the server too.
         assert!(snap.counter_u64("executor.executed") > 0);
+    }
+
+    #[test]
+    fn drr_serve_records_per_tenant_window_emit_histograms() {
+        let server = StreamServer::new(ServerConfig::default().with_cores(2));
+        server.telemetry().set_enabled(true);
+        let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
+        let b = server.admit(TenantConfig::new("b", 32 << 20), pipeline("b")).unwrap();
+        let windows = 2u64;
+        let loads = multi_tenant_streams(2, windows as u32, 1_000, 8, 13);
+        server.serve(streams_for(&[a, b], &loads)).unwrap();
+        let rows = server.telemetry().latency_rows();
+        for tenant in [a, b] {
+            let row = rows
+                .iter()
+                .find(|r| r.tenant == tenant.0 && r.kind == "window_emit")
+                .unwrap_or_else(|| panic!("{tenant} has no window-emit histogram: {rows:?}"));
+            assert!(row.count >= windows, "{tenant}: {} emits for {windows} windows", row.count);
+            assert!(
+                row.p50_nanos <= row.p95_nanos
+                    && row.p95_nanos <= row.p99_nanos
+                    && row.p99_nanos <= row.max_nanos,
+                "{tenant}: quantiles are not monotone: {row:?}"
+            );
+        }
     }
 
     #[test]

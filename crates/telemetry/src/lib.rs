@@ -18,9 +18,9 @@
 //!   on task panic, quota exhaustion, or backpressure stall.
 //!
 //! Telemetry is **off by default**: the disabled record path is a single
-//! relaxed atomic load and branch (measured by the `telemetry_gate` bench
-//! against the enabled path), so production benches pay nothing unless
-//! they opt in via [`MetricsRegistry::set_enabled`].
+//! relaxed atomic load and branch, so production benches pay nothing unless
+//! they opt in via [`MetricsRegistry::set_enabled`]. The benchmark's
+//! `telemetry.trace_overhead_frac` measures what opting in costs.
 //!
 //! The crate deliberately depends only on the vendored `serde` and
 //! `parking_lot` so the lowest layer (`sbt_tz`) can use it without a

@@ -17,7 +17,6 @@
 //! (8 × Cortex-A53 @ 1.2 GHz).
 
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Cycle/byte cost parameters for the simulated platform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,134 +118,6 @@ impl CostModel {
     pub fn relocation_nanos(&self, bytes: usize) -> u64 {
         self.cycles_to_nanos(self.relocation_cycles_per_byte * bytes as u64)
     }
-
-    /// Measure this host's boundary primitives and assemble a cost model
-    /// from them. See [`Calibration`] for what is measured and how; the
-    /// HiKey profile remains the fallback for anything that cannot be
-    /// measured meaningfully on a workstation.
-    pub fn calibrate() -> Calibration {
-        Calibration::measure()
-    }
-}
-
-/// A host-measured calibration of the boundary cost primitives.
-///
-/// The simulation cannot run a real SMC, so each modelled cost is measured
-/// through its closest host analogue:
-///
-/// * **World switch** — one `sched_yield` round trip: a kernel entry + exit
-///   with scheduler involvement, structurally the same path an SMC takes
-///   through the secure monitor (minus OP-TEE's thread bookkeeping, which is
-///   why the HiKey profile stays the reference for absolute claims).
-/// * **Boundary copy** — `memcpy` between two resident buffers, per byte.
-/// * **OS page commit** — allocating and first-touching fresh pages (fault +
-///   zero + allocator path).
-/// * **TEE page commit** — re-zeroing already-resident pages: the TEE pager
-///   commits from a pre-reserved physical carve-out, so it pays the zeroing
-///   but not the fault.
-///
-/// The assembled [`CostModel`] is expressed at a 1 GHz reference clock, so
-/// one cycle equals one nanosecond and the measurements are stored directly.
-/// Per-byte costs are floored at one cycle so boundary copies never become
-/// invisible to schedulers on hosts with very fast memory systems.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Calibration {
-    /// The cost model assembled from the measurements.
-    pub model: CostModel,
-    /// Measured nanoseconds for one kernel-mediated domain crossing.
-    pub switch_proxy_nanos: u64,
-    /// Measured nanoseconds to copy one 4 KiB page between buffers.
-    pub copy_nanos_per_page: u64,
-    /// Measured nanoseconds to commit (fault + zero) one fresh 4 KiB page.
-    pub os_page_commit_nanos: u64,
-    /// Measured nanoseconds to re-zero one already-resident 4 KiB page.
-    pub tee_page_commit_nanos: u64,
-}
-
-impl Calibration {
-    /// Run the host microbenchmarks. Takes a few milliseconds; each sample
-    /// is a best-of-N to shed scheduler noise.
-    pub fn measure() -> Calibration {
-        const PAGE: usize = 4096;
-        const COPY_PAGES: usize = 64;
-        const COMMIT_PAGES: usize = 512;
-
-        // Kernel round trip: 256 yields per sample amortizes timer overhead.
-        let switch_proxy_nanos = best_nanos(16, || {
-            for _ in 0..256 {
-                std::thread::yield_now();
-            }
-        }) / 256;
-
-        // Boundary copy: resident source and destination, whole-buffer copy.
-        let src = vec![0xA5u8; COPY_PAGES * PAGE];
-        let mut dst = vec![0u8; COPY_PAGES * PAGE];
-        let copy_nanos_per_page = best_nanos(16, || {
-            dst.copy_from_slice(std::hint::black_box(&src));
-            std::hint::black_box(&dst);
-        }) / COPY_PAGES as u64;
-
-        // OS commit: a fresh allocation is faulted in and zeroed on first
-        // touch; dropping it between samples hands the pages back so every
-        // sample pays the fault path again.
-        let os_page_commit_nanos = best_nanos(8, || {
-            let buf = vec![1u8; COMMIT_PAGES * PAGE];
-            std::hint::black_box(&buf);
-        }) / COMMIT_PAGES as u64;
-
-        // TEE commit: the pages stay resident; only the zeroing remains.
-        let mut resident = vec![1u8; COMMIT_PAGES * PAGE];
-        let tee_page_commit_nanos = best_nanos(8, || {
-            resident.fill(0);
-            std::hint::black_box(&resident);
-        }) / COMMIT_PAGES as u64;
-
-        let fallback = CostModel::hikey();
-        // 1 GHz reference clock: cycles == nanoseconds.
-        let model = CostModel {
-            cpu_hz: 1_000_000_000,
-            // The proxy measures the whole crossing; there is no way to
-            // split hardware trap from software path on a host, so the
-            // hardware share is folded into the (dominant) software one.
-            hw_switch_cycles: 0,
-            optee_switch_cycles: nonzero_or(switch_proxy_nanos, fallback.switch_cycles()),
-            boundary_copy_cycles_per_byte: (copy_nanos_per_page / PAGE as u64).max(1),
-            // Clamped below the fault path: measurement noise must not make
-            // the pre-reserved TEE commit look dearer than an OS fault.
-            tee_page_commit_cycles: nonzero_or(
-                tee_page_commit_nanos,
-                fallback.tee_page_commit_cycles,
-            )
-            .min(nonzero_or(os_page_commit_nanos, fallback.os_page_commit_cycles)),
-            os_page_commit_cycles: nonzero_or(os_page_commit_nanos, fallback.os_page_commit_cycles),
-            relocation_cycles_per_byte: (copy_nanos_per_page / PAGE as u64).max(1),
-        };
-        Calibration {
-            model,
-            switch_proxy_nanos,
-            copy_nanos_per_page,
-            os_page_commit_nanos,
-            tee_page_commit_nanos,
-        }
-    }
-}
-
-fn nonzero_or(measured: u64, fallback: u64) -> u64 {
-    if measured == 0 {
-        fallback
-    } else {
-        measured
-    }
-}
-
-fn best_nanos(reps: usize, mut f: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
 }
 
 #[cfg(test)]
@@ -295,22 +166,5 @@ mod tests {
     fn tee_paging_is_cheaper_than_os_paging() {
         let m = CostModel::hikey();
         assert!(m.tee_paging_nanos(100) < m.os_paging_nanos(100));
-    }
-
-    #[test]
-    fn calibration_produces_a_usable_model() {
-        let cal = CostModel::calibrate();
-        let m = cal.model;
-        // 1 GHz reference clock: cycles are nanoseconds.
-        assert_eq!(m.cpu_hz, 1_000_000_000);
-        assert_eq!(m.switch_nanos(), m.switch_cycles());
-        // Every charge is visible (non-zero for non-trivial sizes).
-        assert!(m.switch_nanos() > 0);
-        assert!(m.boundary_copy_nanos(1 << 20) > 0);
-        assert!(m.tee_paging_nanos(100) > 0);
-        assert!(m.os_paging_nanos(100) > 0);
-        // The re-zero path never costs more than the fault + zero path
-        // (equal is possible on hosts where the fault is in the noise).
-        assert!(m.tee_page_commit_cycles <= m.os_page_commit_cycles);
     }
 }

@@ -36,7 +36,7 @@ pub mod stats;
 pub mod trusted_io;
 pub mod world;
 
-pub use cost::{Calibration, CostModel};
+pub use cost::CostModel;
 pub use platform::{IngressPathConfig, Platform, PlatformConfig};
 pub use secure_mem::{SecureMemory, SecureMemoryError};
 pub use smc::{EntryFunction, SmcError, SmcInterface, SmcSession};

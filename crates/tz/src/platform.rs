@@ -82,8 +82,7 @@ impl PlatformConfig {
         self
     }
 
-    /// Use an explicit cost model — e.g. a host-calibrated one from
-    /// [`CostModel::calibrate`].
+    /// Use an explicit cost model in place of the HiKey default.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self

@@ -201,13 +201,42 @@ fn evict_mid_serve_unwinds_the_lane_without_disturbing_others() {
     let server2 = server.clone();
     let evictor = std::thread::spawn(move || {
         wait_for_ingest(&server2, victim);
-        server2.evict(victim)
+        // The cloud pulls the trail so far, then the tenant is evicted.
+        let pulled = server2.engine(victim).unwrap().drain_audit_segments();
+        server2.evict(victim).map(|departure| (pulled, departure))
     });
     // The serve loop must complete (not error) despite the mid-serve
     // eviction: the victim's lane unwinds, everyone else finishes.
     let report = server.serve(streams).unwrap();
-    evictor.join().unwrap().unwrap();
+    let (mut trail, departure) = evictor.join().unwrap().unwrap();
     assert!(report.per_tenant[0].departed);
+    // The evicted tenant's whole trail — what was pulled before eviction
+    // plus the departure report's — authenticates under its final-epoch
+    // keychain and ends in the eviction record. A command list is not
+    // atomic against teardown, so the eviction may cut an in-flight batch
+    // between its ingress and its windowing; that batch replays as
+    // unwindowed, and nothing else may be wrong.
+    assert_eq!(departure.reason, DepartureReason::Evicted);
+    trail.extend(departure.trail);
+    let keychain = server.verifier_keys(victim).unwrap();
+    let records = verify_tenant_trail_parallel(
+        &std::sync::Arc::new(trail),
+        victim,
+        &keychain,
+        &Executor::new(2),
+    )
+    .unwrap();
+    let replay = Verifier::new(winsum("v", 200).spec()).replay(&records);
+    assert!(
+        replay.violations.iter().all(|v| matches!(v, sbt_attest::Violation::UnwindowedIngress(_))),
+        "violations: {:?}",
+        replay.violations
+    );
+    assert!(replay.departed);
+    assert!(matches!(
+        records.last(),
+        Some(sbt_attest::AuditRecord::Departure { reason: DepartureReason::Evicted, .. })
+    ));
     let steady_progress = &report.per_tenant[1];
     assert_eq!(steady_progress.ingested_events, 6 * 8_000);
     assert_eq!(steady_progress.results, 6);
