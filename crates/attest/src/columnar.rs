@@ -8,9 +8,13 @@
 //!   monotonically → delta + zigzag + varint coding;
 //! * **tags, op codes and count fields** come from tiny, heavily skewed
 //!   alphabets → entropy coding (Huffman);
-//! * **hints** are rare and carried verbatim as varints.
+//! * **hints** carry a kind bit in the low bit of their first varint: a
+//!   consumed-after hint is `id << 1`, a consumed-in-parallel hint is
+//!   `(k << 1) | 1` followed by `index`. Both are small numbers, so a
+//!   hint costs a few bytes instead of the ten its 64-bit record encoding
+//!   (kind in bit 63) would.
 //!
-//! Two wire formats coexist, distinguished by a version prefix (see
+//! Three wire formats coexist, distinguished by a version prefix (see
 //! [`FORMAT_V2_PREFIX`]); the layout is self-describing so the cloud side
 //! can decompress without any out-of-band schema, and decompression
 //! restores the exact record sequence.
@@ -18,13 +22,19 @@
 //! * **v1** ([`compress_records`]) is the original batch codec: records are
 //!   buffered in row form and re-walked into columns at flush time, with
 //!   per-block Huffman trees. It is kept as the compatibility + baseline
-//!   path; [`decompress_records`] accepts it forever.
-//! * **v2** ([`ColumnarEncoder`]) is the streaming codec: fields go
+//!   path; [`decompress_records`] accepts it forever. It clamps port and
+//!   hint lists to 255 entries.
+//! * **v3** ([`ColumnarEncoder`]) is the streaming codec: fields go
 //!   straight into per-column delta/varint accumulators at *append* time,
 //!   so sealing a segment only entropy-codes the small byte columns and
 //!   copies the already-encoded numeric columns. Byte columns use the
-//!   mode-tagged v2 entropy blocks of [`crate::huffman`], whose static
-//!   tables let tiny segments skip tree construction entirely.
+//!   mode-tagged entropy blocks of [`crate::huffman`], whose static tables
+//!   let tiny segments skip tree construction entirely. Execution counts
+//!   that do not fit the packed count byte escape to three varints, so
+//!   lists of any length round-trip.
+//! * **v2** is v3's predecessor, decoded but no longer written: it stores
+//!   each hint as its raw 64-bit record value and escapes counts to three
+//!   bytes, which clamped longer lists to 255 entries.
 
 use crate::huffman;
 use crate::record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef};
@@ -53,8 +63,11 @@ const TAG_CKPT_RESUMED: u8 = 8;
 /// payload, and the third byte is free to carry the actual version.
 pub const FORMAT_V2_PREFIX: [u8; 2] = [0x00, 0xFF];
 
-/// Format version of the streaming columnar codec.
-pub const FORMAT_VERSION_STREAMING: u8 = 2;
+/// Format version the streaming columnar codec writes (v3).
+pub const FORMAT_VERSION_STREAMING: u8 = 3;
+
+/// Format version of the streaming codec's predecessor, still decoded.
+pub const FORMAT_VERSION_V2: u8 = 2;
 
 /// Errors from decompression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,13 +82,27 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------------
-// The streaming encoder (format v2)
+// The streaming encoder (format v3)
 // ---------------------------------------------------------------------------
 
 /// Packed execution count byte: `(inputs << 5) | (outputs << 2) | hints`.
 /// [`COUNTS_ESCAPE`] (which is also a *valid* packing — 7/7/3 — and must
-/// therefore spill) announces three verbatim count bytes instead.
+/// therefore spill) announces the three counts in full instead: as varints
+/// in v3, as single bytes in v2.
 const COUNTS_ESCAPE: u8 = 0xFF;
+
+/// The v3 numeric-stream words of one hint's 64-bit record value (kind in
+/// bit 63, see `sbt_uarray::ConsumptionHint::encode`): `id << 1` for a
+/// consumed-after hint, `(k << 1) | 1` then `index` for a consumed-in-
+/// parallel one. Every `u64` maps to words [`NumReader::hint`] inverts.
+#[inline]
+fn hint_words(raw: u64) -> ([u64; 2], usize) {
+    if raw >> 63 == 0 {
+        ([raw << 1, 0], 1)
+    } else {
+        ([(((raw >> 32) & 0x7FFF_FFFF) << 1) | 1, raw & 0xFFFF_FFFF], 2)
+    }
+}
 
 #[inline]
 fn pack_counts(n_in: usize, n_out: usize, n_hints: usize) -> Option<u8> {
@@ -400,16 +427,17 @@ impl ColumnarEncoder {
                         }
                     }
                     None => {
-                        // The three verbatim spill bytes are arbitrary
-                        // values the static table cannot promise to cover.
+                        // The spilled count varints are arbitrary bytes the
+                        // static table cannot promise to cover.
                         self.counts_sbad = true;
                         self.counts.push(COUNTS_ESCAPE);
-                        self.counts.push(inputs.len().min(255) as u8);
-                        self.counts.push(outputs.len().min(255) as u8);
-                        self.counts.push(hints.len().min(255) as u8);
+                        for count in [inputs.len(), outputs.len(), hints.len()] {
+                            varint::write_u64(count as u64, &mut self.counts);
+                        }
                     }
                 }
-                let fields = 1 + inputs.len() + outputs.len() + hints.len();
+                let hint_words_total: usize = hints.iter().map(|h| 1 + (h >> 63) as usize).sum();
+                let words = 1 + inputs.len() + outputs.len() + hint_words_total;
                 if let ([i0], [o0], []) = (&inputs[..], &outputs[..], &hints[..]) {
                     // 1-in/1-out, no hints: the overwhelmingly dominant
                     // execution shape — straight-line, loop-free.
@@ -424,9 +452,11 @@ impl ColumnarEncoder {
                     let di1 = Self::delta(&mut ctx.id, i1.0 as u64);
                     let dout = Self::delta(&mut ctx.id, o0.0 as u64);
                     Self::write_varint_group(nums, [dts, di0, di1, dout]);
-                } else if fields <= 8 {
-                    // Other shapes that still fit one group: gather the
-                    // deltas, then one store carries the whole record.
+                } else if words <= 8 {
+                    // Other shapes that still fit one group — among them
+                    // every per-partition invocation with its one parallel
+                    // hint: gather the words, then one store carries the
+                    // whole record.
                     let mut vals = [0u64; 8];
                     vals[0] = Self::delta(&mut ctx.ts, *ts_ms as u64);
                     let mut k = 1;
@@ -438,21 +468,25 @@ impl ColumnarEncoder {
                         vals[k] = Self::delta(&mut ctx.id, o.0 as u64);
                         k += 1;
                     }
-                    for h in hints.iter() {
-                        vals[k] = *h;
-                        k += 1;
+                    for &h in hints.iter() {
+                        let (w, n) = hint_words(h);
+                        vals[k..k + n].copy_from_slice(&w[..n]);
+                        k += n;
                     }
                     Self::write_varint_group_slice(nums, &vals[..k]);
                 } else {
                     varint::write_u64(Self::delta(&mut ctx.ts, *ts_ms as u64), nums);
-                    for i in inputs.iter().take(255) {
+                    for i in inputs.iter() {
                         varint::write_u64(Self::delta(&mut ctx.id, i.0 as u64), nums);
                     }
-                    for o in outputs.iter().take(255) {
+                    for o in outputs.iter() {
                         varint::write_u64(Self::delta(&mut ctx.id, o.0 as u64), nums);
                     }
-                    for h in hints.iter().take(255) {
-                        varint::write_u64(*h, nums);
+                    for &h in hints.iter() {
+                        let (w, n) = hint_words(h);
+                        for &word in &w[..n] {
+                            varint::write_u64(word, nums);
+                        }
                     }
                 }
             }
@@ -497,7 +531,7 @@ impl ColumnarEncoder {
         }
     }
 
-    /// Seal the pending records into a format-v2 payload appended to `out`,
+    /// Seal the pending records into a format-v3 payload appended to `out`,
     /// then reset (keeping buffer capacity) for the next segment.
     pub fn seal_into(&mut self, out: &mut Vec<u8>) {
         out.extend_from_slice(&FORMAT_V2_PREFIX);
@@ -571,7 +605,7 @@ impl ColumnarEncoder {
 }
 
 /// One-shot convenience over [`ColumnarEncoder`]: compress a batch of
-/// records into the streaming (format-v2) layout.
+/// records into the streaming (format-v3) layout.
 pub fn compress_records_streaming(records: &[AuditRecord]) -> Vec<u8> {
     let mut enc = ColumnarEncoder::with_capacity(records.len());
     for r in records {
@@ -761,10 +795,10 @@ pub fn compress_records(records: &[AuditRecord]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (both formats)
+// Decoding (all formats)
 // ---------------------------------------------------------------------------
 
-/// Decoded column set, shared between the v1 and v2 paths.
+/// Decoded column set of a v1 payload.
 struct Columns {
     tags: Vec<u8>,
     ops: Vec<u8>,
@@ -781,13 +815,16 @@ struct Columns {
     ckpt_hashes: Vec<u64>,
 }
 
-/// Decompress a payload produced by [`compress_records`] (format v1) or a
-/// [`ColumnarEncoder`] seal (format v2). The leading bytes select the
-/// format, so trails may freely mix segments from both codecs.
+/// Decompress a payload produced by [`compress_records`] (format v1), a
+/// [`ColumnarEncoder`] seal (format v3) or its predecessor (format v2). The
+/// leading bytes select the format, so trails may freely mix segments from
+/// all three.
 pub fn decompress_records(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
     if data.len() >= 3 && data[0..2] == FORMAT_V2_PREFIX {
         return match data[2] {
-            FORMAT_VERSION_STREAMING => decompress_v2(&data[3..]),
+            FORMAT_VERSION_STREAMING | FORMAT_VERSION_V2 => {
+                decompress_streaming(data[2], &data[3..])
+            }
             _ => Err(CodecError("unsupported format version")),
         };
     }
@@ -798,8 +835,8 @@ fn decode_block_v2(data: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> 
     huffman::decode_block_v2(data, pos).ok_or(CodecError("corrupt entropy block"))
 }
 
-/// Reader over the v2 interleaved numeric stream, holding the per-field
-/// delta contexts (mirror of the encoder's [`DeltaCtx`]).
+/// Reader over the streaming formats' interleaved numeric stream, holding
+/// the per-field delta contexts (mirror of the encoder's [`DeltaCtx`]).
 struct NumReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -810,6 +847,26 @@ impl NumReader<'_> {
     #[inline]
     fn varint(&mut self) -> Result<u64, CodecError> {
         varint::read_u64(self.data, &mut self.pos).ok_or(CodecError("truncated numeric stream"))
+    }
+
+    /// Bytes left in the stream: every field still to read costs at least
+    /// one.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// One v3 hint (the inverse of [`hint_words`]), as its 64-bit record
+    /// value.
+    fn hint(&mut self) -> Result<u64, CodecError> {
+        let first = self.varint()?;
+        if first & 1 == 0 {
+            return Ok(first >> 1);
+        }
+        let (k, index) = (first >> 1, self.varint()?);
+        if k > 0x7FFF_FFFF || index > 0xFFFF_FFFF {
+            return Err(CodecError("parallel hint out of range"));
+        }
+        Ok((1 << 63) | (k << 32) | index)
     }
 
     #[inline]
@@ -825,7 +882,11 @@ impl NumReader<'_> {
     }
 }
 
-fn decompress_v2(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
+/// Decode a v2 or v3 payload (after the version prefix). The two share
+/// every column; they differ only in how escaped counts and hints are
+/// written.
+fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
+    let v3 = version == FORMAT_VERSION_STREAMING;
     let mut pos = 0usize;
     let n = varint::read_u64(data, &mut pos).ok_or(CodecError("truncated record count"))? as usize;
     let tags = decode_block_v2(data, &mut pos)?;
@@ -898,20 +959,32 @@ fn decompress_v2(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
                     .ok_or(CodecError("unknown op code"))?;
                 let packed = *counts.get(cnt_i).ok_or(CodecError("missing count"))?;
                 cnt_i += 1;
-                let (n_in, n_out, n_hint) = if packed == COUNTS_ESCAPE {
+                let (n_in, n_out, n_hint) = if packed != COUNTS_ESCAPE {
+                    (
+                        (packed >> 5) as usize,
+                        ((packed >> 2) & 0x7) as usize,
+                        (packed & 0x3) as usize,
+                    )
+                } else if v3 {
+                    let mut count = || {
+                        varint::read_u64(&counts, &mut cnt_i)
+                            .map(|n| n as usize)
+                            .ok_or(CodecError("missing count"))
+                    };
+                    (count()?, count()?, count()?)
+                } else {
                     let n_in = *counts.get(cnt_i).ok_or(CodecError("missing count"))? as usize;
                     let n_out = *counts.get(cnt_i + 1).ok_or(CodecError("missing count"))? as usize;
                     let n_hint =
                         *counts.get(cnt_i + 2).ok_or(CodecError("missing count"))? as usize;
                     cnt_i += 3;
                     (n_in, n_out, n_hint)
-                } else {
-                    (
-                        (packed >> 5) as usize,
-                        ((packed >> 2) & 0x7) as usize,
-                        (packed & 0x3) as usize,
-                    )
                 };
+                // Every port and hint costs at least one byte: an
+                // adversarial count must not drive a huge reservation.
+                if n_in.saturating_add(n_out).saturating_add(n_hint) > nums.remaining() {
+                    return Err(CodecError("truncated numeric stream"));
+                }
                 let mut inputs = PortList::new();
                 for _ in 0..n_in {
                     inputs.push(UArrayRef(nums.delta(|c| &mut c.id)? as u32));
@@ -922,7 +995,7 @@ fn decompress_v2(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
                 }
                 let mut hints = Vec::with_capacity(n_hint);
                 for _ in 0..n_hint {
-                    hints.push(nums.varint()?);
+                    hints.push(if v3 { nums.hint()? } else { nums.varint()? });
                 }
                 AuditRecord::Execution { ts_ms, op, inputs, outputs, hints }
             }
@@ -1308,10 +1381,10 @@ mod tests {
     fn streaming_ratio_matches_or_beats_batch() {
         let records = sample_records(500);
         let v1 = compress_records(&records).len();
-        let v2 = compress_records_streaming(&records).len();
+        let v3 = compress_records_streaming(&records).len();
         // The 3-byte version prefix is paid back by the mode-tagged entropy
-        // blocks; v2 must never be meaningfully larger.
-        assert!(v2 <= v1, "streaming {v2} B vs batch {v1} B");
+        // blocks; v3 must never be meaningfully larger.
+        assert!(v3 <= v1, "streaming {v3} B vs batch {v1} B");
     }
 
     #[test]
@@ -1425,17 +1498,108 @@ mod tests {
 
     #[test]
     fn hints_survive_round_trip() {
-        let records = vec![AuditRecord::Execution {
+        let mut records = vec![AuditRecord::Execution {
             ts_ms: 1,
             op: PrimitiveKind::SumCnt,
             inputs: [UArrayRef(1), UArrayRef(2)].into(),
             outputs: [UArrayRef(3)].into(),
             hints: vec![0xDEAD_BEEF, (1 << 63) | 42],
         }];
+        // Every 64-bit value is a hint the record can carry; v3's hint
+        // words must round-trip the edges of both kinds exactly.
+        for hint in [
+            0,
+            0x7F,
+            u32::MAX as u64,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) | (25 << 32) | 24,
+            (1 << 63) | (0x7FFF_FFFF << 32),
+            u64::MAX,
+        ] {
+            records.push(AuditRecord::Execution {
+                ts_ms: 2,
+                op: PrimitiveKind::Sort,
+                inputs: [UArrayRef(3)].into(),
+                outputs: [UArrayRef(4)].into(),
+                hints: vec![hint],
+            });
+        }
         for codec in [compress_records, compress_records_streaming] {
             let rt = decompress_records(&codec(&records)).unwrap();
             assert_eq!(rt, records);
         }
+    }
+
+    #[test]
+    fn a_parallel_hint_costs_two_bytes() {
+        // Sibling 24 of 25: the shape every per-partition Sort carries.
+        let record = |hints| AuditRecord::Execution {
+            ts_ms: 1,
+            op: PrimitiveKind::Sort,
+            inputs: [UArrayRef(1)].into(),
+            outputs: [UArrayRef(2)].into(),
+            hints,
+        };
+        let bare = compress_records_streaming(&[record(vec![])]).len();
+        let hinted = compress_records_streaming(&[record(vec![(1 << 63) | (25 << 32) | 24])]);
+        assert_eq!(hinted.len(), bare + 2);
+        let after = compress_records_streaming(&[record(vec![40])]);
+        assert_eq!(after.len(), bare + 1);
+    }
+
+    /// A hand-built v3 payload of one `Sort` execution record with the
+    /// given counts column and numeric stream.
+    fn one_execution_v3(counts: &[u8], nums: &[u64]) -> Vec<u8> {
+        let mut payload = FORMAT_V2_PREFIX.to_vec();
+        payload.push(FORMAT_VERSION_STREAMING);
+        varint::write_u64(1, &mut payload);
+        for (column, table) in [
+            (&[TAG_EXECUTION][..], huffman::StaticTable::Tags),
+            (&[PrimitiveKind::Sort.code() as u8], huffman::StaticTable::Ops),
+            (counts, huffman::StaticTable::Counts),
+            (&[], huffman::StaticTable::Reasons),
+        ] {
+            huffman::encode_block_v2(column, Some(table), &mut payload);
+        }
+        varint::write_u64(0, &mut payload); // no ops-hi pairs
+        let mut stream = Vec::new();
+        for &v in nums {
+            varint::write_u64(v, &mut stream);
+        }
+        varint::write_u64(stream.len() as u64, &mut payload);
+        payload.extend_from_slice(&stream);
+        payload
+    }
+
+    #[test]
+    fn out_of_range_v3_parallel_hint_is_an_error() {
+        // 1 in, 1 out, 1 hint; then ts, input, output and the hint words.
+        let hinted = |first: u64| one_execution_v3(&[0x25], &[0, 2, 2, first, 1]);
+        let well_formed = AuditRecord::Execution {
+            ts_ms: 0,
+            op: PrimitiveKind::Sort,
+            inputs: [UArrayRef(1)].into(),
+            outputs: [UArrayRef(2)].into(),
+            hints: vec![(1 << 63) | (0x7FFF_FFFF << 32) | 1],
+        };
+        assert_eq!(decompress_records(&hinted((0x7FFF_FFFF << 1) | 1)), Ok(vec![well_formed]));
+        // k = 2³¹ has no 64-bit record encoding.
+        assert_eq!(
+            decompress_records(&hinted((1 << 32) | 1)),
+            Err(CodecError("parallel hint out of range"))
+        );
+    }
+
+    #[test]
+    fn an_adversarial_escaped_count_is_an_error_not_a_reservation() {
+        // An escaped hint count claiming 2⁶⁰ hints in a three-word stream.
+        let mut counts = vec![COUNTS_ESCAPE, 1, 1];
+        varint::write_u64(1 << 60, &mut counts);
+        assert_eq!(
+            decompress_records(&one_execution_v3(&counts, &[0, 2, 4])),
+            Err(CodecError("truncated numeric stream"))
+        );
     }
 
     #[test]

@@ -587,7 +587,7 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
                 (0x84, 6),     // 4 in, 1 out
                 (0x20, 6),     // 1 in, 0 out (sink/filter-all)
                 (0x26, 7),     // 1 in, 1 out, 2 hints
-                (0xFF, 7),     // escape: three verbatim count bytes follow
+                (0xFF, 7),     // escape: the three counts follow in full
             ] {
                 lengths[sym as usize] = len;
             }

@@ -11,9 +11,9 @@
 //! column buffers at append time (allocation-free on the steady state), so
 //! flushing a segment is a cheap seal — entropy-code the small byte columns
 //! against precomputed static tables, sign — rather than a batch re-encode.
-//! The legacy batch layout remains decodable: every payload opens with
-//! format-version bytes and the verifier accepts both (see
-//! [`columnar::FORMAT_V2_PREFIX`]).
+//! The legacy batch layout and the streaming codec's previous version
+//! remain decodable: every payload opens with format-version bytes and the
+//! verifier accepts all three (see [`columnar::FORMAT_V2_PREFIX`]).
 //!
 //! A **cloud verifier** replays the records symbolically against its own
 //! copy of the pipeline declaration to attest:
@@ -22,8 +22,9 @@
 //!   primitives of the declared pipeline, respecting windows and watermarks;
 //! * *freshness* — output delays (watermark ingress → result egress) stayed
 //!   below the deployment's target;
-//! * *hint honesty* — the consumption hints the control plane supplied did
-//!   not systematically contradict the observed consumption order.
+//! * *hint honesty* — the consumption hints the control plane supplied are
+//!   well formed and did not systematically contradict the observed
+//!   consumption order.
 //!
 //! The crate also contains a from-scratch LZ77+Huffman ("gzip-like")
 //! compressor used purely as the baseline that Figure 12's comparison quotes.
@@ -42,7 +43,7 @@ pub mod verifier;
 
 pub use columnar::{
     compress_records, compress_records_streaming, decompress_records, ColumnarEncoder,
-    FORMAT_V2_PREFIX, FORMAT_VERSION_STREAMING,
+    FORMAT_V2_PREFIX, FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
 };
 pub use log::{AuditLog, LogSegment};
 pub use record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef, OP_CODE_CHECKPOINT};

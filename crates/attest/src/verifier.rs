@@ -17,7 +17,9 @@
 //!   that triggered it and computes the output delay (egress timestamp minus
 //!   watermark ingress timestamp), flagging results whose delay exceeds the
 //!   deployment's target.
-//! * **Hint honesty.** Consumed-after hints whose promised consumption order
+//! * **Hint honesty.** Malformed hints — more hints than outputs, or a
+//!   consumed-in-parallel hint whose index is not below its sibling count —
+//!   are violations. Consumed-after hints whose promised consumption order
 //!   contradicts the observed execution order are counted as misleading.
 //!
 //! Because the control plane parallelizes work (several batches per window,
@@ -143,6 +145,25 @@ pub enum Violation {
     /// Records appeared after the tenant's departure record — the trail
     /// claims activity from a namespace that had already been torn down.
     PostDepartureActivity,
+    /// An execution carries more hints than outputs; a hint annotates one
+    /// output position, so the data plane never attests more.
+    ExcessHints {
+        /// The hinted primitive.
+        op: PrimitiveKind,
+        /// Hints the record carries.
+        hints: usize,
+        /// Outputs the record carries.
+        outputs: usize,
+    },
+    /// A consumed-in-parallel hint names a sibling outside `0..k`.
+    BadParallelHint {
+        /// The hinted primitive.
+        op: PrimitiveKind,
+        /// The sibling count the hint claims.
+        k: u32,
+        /// The sibling index the hint claims.
+        index: u32,
+    },
 }
 
 /// Per-result freshness measurements.
@@ -285,11 +306,28 @@ impl Verifier {
                         }
                         first_consumed_at.entry(*input).or_insert(*ts_ms);
                     }
+                    if hints.len() > outputs.len() {
+                        report.violations.push(Violation::ExcessHints {
+                            op: *op,
+                            hints: hints.len(),
+                            outputs: outputs.len(),
+                        });
+                    }
                     for h in hints {
                         if h >> 63 == 0 {
                             if let Some(out0) = outputs.first() {
                                 consumed_after_hints
                                     .push((UArrayRef((*h & 0xFFFF_FFFF) as u32), *out0));
+                            }
+                        } else {
+                            let k = ((h >> 32) & 0x7FFF_FFFF) as u32;
+                            let index = (h & 0xFFFF_FFFF) as u32;
+                            if index >= k {
+                                report.violations.push(Violation::BadParallelHint {
+                                    op: *op,
+                                    k,
+                                    index,
+                                });
                             }
                         }
                     }
@@ -681,6 +719,47 @@ mod tests {
         }
         let report = Verifier::new(spec()).replay(&records);
         assert_eq!(report.misleading_hints, 1);
+    }
+
+    #[test]
+    fn malformed_hints_are_violations() {
+        let parallel = |k: u64, index: u64| (1u64 << 63) | (k << 32) | index;
+        // Honest: each of a window's four Sorts carries its one sibling hint.
+        let mut records = honest_run(1, 4);
+        let mut index = 0;
+        for r in &mut records {
+            if let AuditRecord::Execution { op: PrimitiveKind::Sort, hints, .. } = r {
+                hints.push(parallel(4, index));
+                index += 1;
+            }
+        }
+        let report = Verifier::new(spec()).replay(&records);
+        assert!(report.is_correct(), "violations: {:?}", report.violations);
+
+        // Tampered: one Sort claims all four siblings for its one output,
+        // another names sibling 4 of 4, a third claims a sibling of none.
+        let mut sorts = 0;
+        for r in &mut records {
+            if let AuditRecord::Execution { op: PrimitiveKind::Sort, hints, .. } = r {
+                match sorts {
+                    0 => *hints = (0..4).map(|i| parallel(4, i)).collect(),
+                    1 => *hints = vec![parallel(4, 4)],
+                    2 => *hints = vec![parallel(0, 0)],
+                    _ => {}
+                }
+                sorts += 1;
+            }
+        }
+        let report = Verifier::new(spec()).replay(&records);
+        let sort = PrimitiveKind::Sort;
+        assert_eq!(
+            report.violations,
+            vec![
+                Violation::ExcessHints { op: sort, hints: 4, outputs: 1 },
+                Violation::BadParallelHint { op: sort, k: 4, index: 4 },
+                Violation::BadParallelHint { op: sort, k: 0, index: 0 },
+            ]
+        );
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Differential tests between the two columnar codec generations.
+//! Differential tests between the columnar codec generations.
 //!
-//! The streaming (format-v2) encoder must be observationally identical to
+//! The streaming (format-v3) encoder must be observationally identical to
 //! the legacy batch (format-v1) codec: for any record mix — including the
 //! `Rekey`/`Departure` lifecycle terminals — both payloads decode to
 //! exactly the same record sequence, and the trail verifier accepts trails
-//! that interleave segments from both formats (the format-version bytes in
-//! each payload select the decoder).
+//! that interleave segments from every format (the format-version bytes in
+//! each payload select the decoder). Format v2 is no longer written; a
+//! payload its encoder produced is kept as a fixture and must keep
+//! decoding to the records it was made from.
 
 use proptest::prelude::*;
 use sbt_attest::record::PortList;
 use sbt_attest::{
     compress_records, compress_records_streaming, decompress_records, verify_tenant_trail,
     AuditLog, AuditRecord, DataRef, DepartureReason, LogSegment, UArrayRef,
+    FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
 };
 use sbt_crypto::{SigningKey, TenantKeychain};
 use sbt_types::{PrimitiveKind, TenantId};
@@ -81,7 +84,7 @@ proptest! {
     }
 
     /// Segment-splitting invariance: encoding a stream as several sealed
-    /// v2 segments and concatenating the decodes equals the one-shot batch
+    /// v3 segments and concatenating the decodes equals the one-shot batch
     /// decode (each seal resets delta state, so segments stay independent).
     #[test]
     fn segmented_streaming_equals_batch(
@@ -104,9 +107,109 @@ proptest! {
     }
 }
 
-/// A trail interleaving legacy-format and streaming-format segments — the
-/// upgrade scenario where an edge device flushes v1 segments before a code
-/// update and v2 after — verifies end to end, honoring each payload's
+/// A format-v2 payload, sealed by the v2 streaming encoder from
+/// [`v2_fixture_records`].
+const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_segment.bin");
+
+/// A 64-bit consumed-in-parallel hint record value.
+fn parallel(k: u64, index: u64) -> u64 {
+    (1 << 63) | (k << 32) | index
+}
+
+/// The records [`V2_FIXTURE`] was sealed from: one four-partition TopK
+/// window as the v2-era engine attested it (every Sort carrying all four
+/// sibling hints, every Merge a consumed-after placeholder), a 9-input
+/// Concat whose counts spill to the escape, and the lifecycle records.
+fn v2_fixture_records() -> Vec<AuditRecord> {
+    let mut records = Vec::new();
+    let exec =
+        |ts_ms, op, inputs: &[u32], outputs: &[u32], hints: Vec<u64>| AuditRecord::Execution {
+            ts_ms,
+            op,
+            inputs: inputs.iter().map(|i| UArrayRef(*i)).collect(),
+            outputs: outputs.iter().map(|o| UArrayRef(*o)).collect(),
+            hints,
+        };
+    for i in 0..4u32 {
+        records.push(AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(2 * i)) });
+        records.push(AuditRecord::Windowing {
+            ts_ms: i,
+            input: UArrayRef(2 * i),
+            win_no: 0,
+            output: UArrayRef(2 * i + 1),
+        });
+    }
+    records.push(AuditRecord::Ingress { ts_ms: 5, data: DataRef::Watermark(1_000) });
+    for i in 0..4u32 {
+        let hints = (0..4).map(|index| parallel(4, index)).collect();
+        records.push(exec(6, PrimitiveKind::Sort, &[2 * i + 1], &[8 + i], hints));
+    }
+    records.push(exec(7, PrimitiveKind::Merge, &[8, 9], &[12], vec![0]));
+    records.push(exec(7, PrimitiveKind::Merge, &[10, 11], &[13], vec![0]));
+    records.push(exec(8, PrimitiveKind::Merge, &[12, 13], &[14], vec![0]));
+    records.push(exec(9, PrimitiveKind::TopKPerKey, &[14], &[15], vec![]));
+    records.push(AuditRecord::Egress { ts_ms: 9, data: UArrayRef(15) });
+    let many: Vec<u32> = (16..25).collect();
+    records.push(exec(
+        10,
+        PrimitiveKind::Concat,
+        &many,
+        &[25],
+        vec![7, parallel(25, 24), parallel(3, 0), u64::MAX >> 1, u64::MAX],
+    ));
+    records.push(AuditRecord::Rekey { ts_ms: 11, epoch: 1 });
+    records.push(AuditRecord::Checkpoint {
+        ts_ms: 12,
+        seq: 3,
+        resumed: false,
+        hash: std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(5)),
+    });
+    records.push(AuditRecord::Departure { ts_ms: 13, reason: DepartureReason::Drained });
+    records
+}
+
+#[test]
+fn a_v2_payload_still_decodes_to_its_records() {
+    assert_eq!(V2_FIXTURE[2], FORMAT_VERSION_V2);
+    assert_eq!(decompress_records(V2_FIXTURE).expect("v2 decodes"), v2_fixture_records());
+    // The same records re-sealed today are v3, and smaller: each of the
+    // fixture's parallel hints costs ten bytes in v2 and two in v3.
+    let v3 = compress_records_streaming(&v2_fixture_records());
+    assert_eq!(v3[2], FORMAT_VERSION_STREAMING);
+    assert_eq!(decompress_records(&v3).unwrap(), v2_fixture_records());
+    assert!(v3.len() < V2_FIXTURE.len(), "v3 {} B vs v2 {} B", v3.len(), V2_FIXTURE.len());
+}
+
+/// Lists past what a count byte holds: a 300-input `Concat` (a window of
+/// more than 255 batches) and a 256-hint record come back whole from v3.
+/// The legacy v1 encoder clamps both to 255 and is not held to this.
+#[test]
+fn long_port_and_hint_lists_round_trip_in_v3() {
+    let records = vec![
+        AuditRecord::Execution {
+            ts_ms: 1,
+            op: PrimitiveKind::Concat,
+            inputs: (0..300).map(UArrayRef).collect(),
+            outputs: [UArrayRef(300)].into(),
+            hints: vec![],
+        },
+        AuditRecord::Execution {
+            ts_ms: 2,
+            op: PrimitiveKind::Sort,
+            inputs: [UArrayRef(300)].into(),
+            outputs: [UArrayRef(301)].into(),
+            hints: (0..256).map(|i| if i % 2 == 0 { parallel(256, i) } else { i }).collect(),
+        },
+    ];
+    let decoded = decompress_records(&compress_records_streaming(&records)).expect("v3 decodes");
+    let AuditRecord::Execution { inputs, .. } = &decoded[0] else { panic!("an execution") };
+    assert_eq!(inputs.len(), 300);
+    assert_eq!(decoded, records);
+}
+
+/// A trail interleaving every format's segments — the upgrade scenario
+/// where an edge device flushes v1 segments, then v2 after a code update,
+/// then v3 after another — verifies end to end, honoring each payload's
 /// format-version bytes.
 #[test]
 fn mixed_format_trail_verifies() {
@@ -116,14 +219,18 @@ fn mixed_format_trail_verifies() {
 
     let mut segments = Vec::new();
     let mut all_records = Vec::new();
-    for seq in 0..6u64 {
-        let batch: Vec<AuditRecord> = (0..5).map(|i| record(seq as u32 * 5 + i)).collect();
-        let compressed = if seq.is_multiple_of(2) {
-            compress_records(&batch) // legacy v1 payload
-        } else {
-            compress_records_streaming(&batch) // streaming v2 payload
+    for (seq, format) in [1, 3, 2, 3, 1].into_iter().enumerate() {
+        let batch: Vec<AuditRecord> = match format {
+            2 => v2_fixture_records(),
+            _ => (0..5).map(|i| record(100 + seq as u32 * 5 + i)).collect(),
+        };
+        let compressed = match format {
+            1 => compress_records(&batch),
+            2 => V2_FIXTURE.to_vec(),
+            _ => compress_records_streaming(&batch),
         };
         let raw = AuditRecord::raw_size(&batch);
+        let seq = seq as u64;
         segments.push(LogSegment::new_signed(tenant, 0, seq, compressed, raw, batch.len(), &key));
         all_records.extend(batch);
     }
@@ -132,8 +239,8 @@ fn mixed_format_trail_verifies() {
     let verified = verify_tenant_trail(&segments, tenant, &keychain).expect("mixed trail verifies");
     assert_eq!(verified, all_records);
 
-    // Tampering with either format's payload still breaks the signature.
-    for idx in [0usize, 1] {
+    // Tampering with any format's payload still breaks the signature.
+    for idx in [0usize, 1, 2] {
         let mut tampered = segments.clone();
         tampered[idx].compressed[3] ^= 0x40;
         assert!(verify_tenant_trail(&tampered, tenant, &keychain).is_err());

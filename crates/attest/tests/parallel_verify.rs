@@ -96,7 +96,7 @@ fn chain_through(tenant: TenantId, through: u32) -> TenantKeychain {
 /// Build a trail of `records` split into `split`-record segments, each
 /// signed under a non-decreasing epoch (bumping every `rekey_every`
 /// segments) and compressed with alternating wire formats (even segments
-/// v1, odd v2 — the mixed-format upgrade scenario).
+/// v1, odd v3 — the mixed-format upgrade scenario).
 fn build_trail(
     records: &[AuditRecord],
     tenant: TenantId,
@@ -150,7 +150,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential property over *clean and broken* trails: an
-    /// arbitrary record mix is segmented (mixed v1/v2 formats, periodic
+    /// arbitrary record mix is segmented (mixed v1/v3 formats, periodic
     /// rekeys), then optionally mutated into one of the tamper classes the
     /// serial verifier detects. Whatever the serial verifier says — accept
     /// with these records, or reject with this error — the parallel

@@ -6,9 +6,12 @@
 //!
 //! Since the streaming-codec rewrite the figure also reproduces the codec
 //! upgrade itself: every row quotes the legacy batch (v1) codec and the
-//! streaming (v2) `ColumnarEncoder` side by side — compression ratio and
+//! streaming (v3) `ColumnarEncoder` side by side — compression ratio and
 //! encode throughput at the data plane's 256-record segment granularity —
-//! so the ≥2x encode win is part of the reproduced evaluation.
+//! so the ≥2x encode win is part of the reproduced evaluation. Power's
+//! per-key average sorts every partition under a consumed-in-parallel
+//! hint, so its rows also show what v3's hint words save over v1's
+//! verbatim 64-bit ones.
 //!
 //! Run with `cargo run --release -p sbt-bench --bin fig12_compression`.
 
@@ -146,17 +149,17 @@ fn main() {
             "raw KB/s",
             "compressed KB/s",
             "v1 ratio",
-            "v2 ratio",
+            "v3 ratio",
             "gzip-like ratio",
             "v1 enc MB/s",
-            "v2 enc MB/s",
+            "v3 enc MB/s",
         ],
         &table,
     );
     println!(
         "\nExpectation from the paper: 5x-6.7x columnar compression, ~1.9x better than gzip;\n\
          smaller batches and simpler pipelines generate records (and savings) at higher rates.\n\
-         The streaming (v2) codec matches or beats the batch (v1) ratio (a tier-1 test pins\n\
+         The streaming (v3) codec matches or beats the batch (v1) ratio (a tier-1 test pins\n\
          this); its encode speed is the benchmark's attest.append_ns_per_record and\n\
          attest.seal_us_per_segment."
     );

@@ -11,7 +11,9 @@ use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_primitives as prim;
 use sbt_types::{infallible, Event, PrimitiveKind, RecordCount, RecordSink, TenantId, WindowId};
 use sbt_tz::WorldTracker;
-use sbt_uarray::{CommitBudget, HintSet, UArray, UArrayError, UArrayId, UArrayWriter};
+use sbt_uarray::{
+    CommitBudget, ConsumptionHint, HintSet, UArray, UArrayError, UArrayId, UArrayWriter, PAGE_SIZE,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,11 +68,12 @@ impl DataPlane {
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::invoke");
         let ts = self.tenant_state(tenant)?;
-        // Validate all references before doing any work.
+        // Validate all references and hints before doing any work.
         let mut resolved = Vec::with_capacity(inputs.len());
         for r in inputs {
             resolved.push(self.lookup(&ts, *r)?);
         }
+        self.check_hints(tenant, op, hints)?;
         let input_ids: Vec<UArrayId> = resolved.iter().map(|(id, _)| *id).collect();
 
         // What the tenant may still commit: the outputs draw on it page by
@@ -83,6 +86,13 @@ impl DataPlane {
         let compute_start = Instant::now();
         let produced = self.execute(op, &resolved, &params, &budget)?;
         let compute_nanos = compute_start.elapsed().as_nanos() as u64;
+        if hints.len() > produced.len() {
+            // Only `Segment` gets here: its output count is known only now.
+            for (data, _) in produced {
+                self.pager.release_pages(data.committed_bytes() / PAGE_SIZE);
+            }
+            return Err(DataPlaneError::BadArguments("more hints than outputs"));
+        }
 
         // Register outputs: allocator placement (guided by hints) with quota
         // charging, reference minting, audit records. The producer tag
@@ -127,6 +137,41 @@ impl DataPlane {
         }
         self.stats.record_invocation(InvocationBreakdown { compute_nanos, memory_nanos });
         Ok(outputs)
+    }
+
+    /// Hints are control-plane input like the references they travel with,
+    /// and the trail attests them, so malformed ones are refused before
+    /// anything is reserved: more hints than outputs (every primitive but
+    /// `Segment` has one output; `Segment`'s count is checked once the
+    /// batch is cut), a parallel hint whose index is outside `0..k`, and a
+    /// consumed-after hint naming a uArray not charged to the caller —
+    /// placement would otherwise append the output to another tenant's
+    /// uGroup.
+    fn check_hints(
+        &self,
+        tenant: TenantId,
+        op: PrimitiveKind,
+        hints: &HintSet,
+    ) -> Result<(), DataPlaneError> {
+        if op != PrimitiveKind::Segment && hints.len() > 1 {
+            return Err(DataPlaneError::BadArguments("more hints than outputs"));
+        }
+        for hint in hints.iter() {
+            match hint {
+                ConsumptionHint::ConsumedInParallel { k, index } if index >= k => {
+                    return Err(DataPlaneError::BadArguments("parallel hint index outside 0..k"));
+                }
+                ConsumptionHint::ConsumedAfter(pred)
+                    if self.alloc.lock().allocator.owner_of(pred) != Some(tenant.owner_tag()) =>
+                {
+                    return Err(DataPlaneError::BadArguments(
+                        "consumed-after hint names a foreign uArray",
+                    ));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Produce one output in place: open a writer reserved for `items`

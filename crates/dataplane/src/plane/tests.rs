@@ -247,7 +247,7 @@ fn hints_guide_allocator_placement() {
             PrimitiveKind::Sort,
             &[a.opaque],
             PrimitiveParams::None,
-            &HintSet::consumed_in_parallel(1),
+            &HintSet::consumed_in_parallel(1, 0),
         )
     })
     .unwrap();

@@ -11,18 +11,21 @@
 //! replies handed out are retired, the tenant's usage and the platform's
 //! secure memory are back to zero. The grouped aggregates and Join take
 //! key-sorted input; an unsorted one is refused like any other bad
-//! argument, so the fuzz draws them too.
+//! argument, so the fuzz draws them too. Consumption hints are arguments as
+//! well: more hints than outputs, a parallel hint outside `0..k` and a
+//! consumed-after hint naming an array the caller does not own are refused,
+//! and the fuzz draws hints of every kind.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbt_attest::AuditRecord;
+use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_dataplane::{
     Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams, Replies,
     Reply,
 };
 use sbt_types::{Event, PrimitiveKind, TenantId, Watermark};
 use sbt_tz::{Platform, World, WorldGuard};
-use sbt_uarray::HintSet;
+use sbt_uarray::{ConsumptionHint, HintSet, UArrayId};
 use std::sync::Arc;
 
 const T: TenantId = TenantId(1);
@@ -56,13 +59,25 @@ fn ingress(payload: &[u8]) -> Command<'_> {
 }
 
 fn invoke(op: PrimitiveKind, inputs: Vec<Arg>) -> Command<'static> {
+    hinted(op, inputs, HintSet::none())
+}
+
+fn hinted(op: PrimitiveKind, inputs: Vec<Arg>, hints: HintSet) -> Command<'static> {
     let params = match op {
         PrimitiveKind::Segment => PrimitiveParams::one_second_windows(),
         PrimitiveKind::FilterBand => PrimitiveParams::Band { lo: 0, hi: 1 << 30 },
         PrimitiveKind::TopKPerKey => PrimitiveParams::K(3),
         _ => PrimitiveParams::None,
     };
-    Command::Invoke { op, inputs, params, hints: HintSet::none() }
+    Command::Invoke { op, inputs, params, hints }
+}
+
+fn hints(entries: &[ConsumptionHint]) -> HintSet {
+    let mut set = HintSet::none();
+    for hint in entries {
+        set.push(Some(*hint));
+    }
+    set
 }
 
 fn held(dp: &DataPlane, tenant: TenantId, payload: &[u8]) -> OpaqueRef {
@@ -285,6 +300,113 @@ fn an_unsorted_input_to_a_key_run_primitive_is_refused_before_any_work() {
     assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
 }
 
+/// The id of the data array a tenant ingested last, read off its trail
+/// (draining it).
+fn last_ingested_id(dp: &DataPlane, tenant: TenantId) -> UArrayId {
+    let keys = dp.verifier_keys(tenant).unwrap();
+    let segments = dp.drain_audit_segments(tenant).unwrap();
+    let records = sbt_attest::verify_tenant_trail(&segments, tenant, &keys).unwrap();
+    records
+        .iter()
+        .rev()
+        .find_map(|r| match r {
+            AuditRecord::Ingress { data: DataRef::UArray(id), .. } => Some(UArrayId(id.0 as u64)),
+            _ => None,
+        })
+        .expect("the tenant ingested an array")
+}
+
+#[test]
+fn malformed_hints_are_refused_before_any_work() {
+    let dp = plane(None);
+    let payload = wire(300, 7);
+    let theirs = held(&dp, OTHER, &payload);
+    let theirs_id = last_ingested_id(&dp, OTHER);
+    // Ids are minted densely: the caller's array is the next one (checked
+    // against its trail below).
+    let mine = held(&dp, T, &payload);
+    let mine_id = UArrayId(theirs_id.0 + 1);
+    let parallel = |k, index| ConsumptionHint::ConsumedInParallel { k, index };
+    let after = ConsumptionHint::ConsumedAfter;
+    let refused = [
+        // Two hints for Sort's one output.
+        (PrimitiveKind::Sort, hints(&[parallel(2, 0), parallel(2, 1)]), "more hints than outputs"),
+        // The batch lies in one window: Segment cuts one output.
+        (
+            PrimitiveKind::Segment,
+            hints(&[parallel(2, 0), parallel(2, 1)]),
+            "more hints than outputs",
+        ),
+        (PrimitiveKind::Sort, hints(&[parallel(3, 3)]), "parallel hint index outside 0..k"),
+        (PrimitiveKind::Sort, hints(&[parallel(0, 0)]), "parallel hint index outside 0..k"),
+        (
+            PrimitiveKind::Sort,
+            hints(&[after(theirs_id)]),
+            "consumed-after hint names a foreign uArray",
+        ),
+        (
+            PrimitiveKind::Sort,
+            hints(&[after(UArrayId(1 << 40))]),
+            "consumed-after hint names a foreign uArray",
+        ),
+    ];
+    for (op, hints, reason) in refused {
+        let replies = call(&dp, T, &[ingress(&payload), hinted(op, vec![Arg::out(0)], hints)]);
+        assert_eq!(replies.failed, Some(DataPlaneError::BadArguments(reason)), "{op:?} {reason}");
+        let [Reply::Ingress(ingested)] = replies.done.as_slice() else { panic!("ingress reply") };
+        in_tee(|| dp.retire(T, ingested.opaque)).unwrap();
+    }
+    // Well-formed hints are accepted: a sibling of a parallel set, and the
+    // caller's own array as a predecessor.
+    let accepted = call(
+        &dp,
+        T,
+        &[
+            ingress(&payload),
+            hinted(PrimitiveKind::Sort, vec![Arg::out(0)], hints(&[parallel(3, 2)])),
+            hinted(PrimitiveKind::Sort, vec![Arg::out(0)], hints(&[after(mine_id)])),
+        ],
+    );
+    assert_eq!(accepted.failed, None);
+    for r in accepted.done.iter().flat_map(|r| r.outputs()) {
+        in_tee(|| dp.retire(T, r.opaque)).unwrap();
+    }
+    in_tee(|| dp.retire(T, mine)).unwrap();
+    // The refusals minted nothing, audited nothing, charged nothing and
+    // spent no sequence number.
+    assert_eq!(next_egress_seq(&dp, &payload), 0);
+    let records = drained_records(&dp);
+    let mine_ref = UArrayRef(mine_id.0 as u32);
+    assert_eq!(records[0], AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(mine_ref) });
+    let executions = records.iter().filter(|r| matches!(r, AuditRecord::Execution { .. })).count();
+    assert_eq!(executions, 2, "the two accepted Sorts");
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+    in_tee(|| dp.retire(OTHER, theirs)).unwrap();
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
+}
+
+/// A random hint set: half the time none, otherwise one or two entries of
+/// any kind, well formed or not — parallel hints with any `k` and index,
+/// predecessors that are this tenant's, another tenant's, or nobody's.
+fn random_hints(rng: &mut StdRng) -> HintSet {
+    let mut hints = HintSet::none();
+    if rng.gen_range(0..2u32) == 0 {
+        return hints;
+    }
+    for _ in 0..rng.gen_range(1..3usize) {
+        hints.push(match rng.gen_range(0..4u32) {
+            0 => None,
+            1 => Some(ConsumptionHint::ConsumedInParallel {
+                k: rng.gen_range(0..4),
+                index: rng.gen_range(0..4),
+            }),
+            _ => Some(ConsumptionHint::ConsumedAfter(UArrayId(rng.gen_range(0..64)))),
+        });
+    }
+    hints
+}
+
 /// One random argument: a held reference, an earlier output (in or out of
 /// range), a forward reference, a forged reference or another tenant's.
 fn random_arg(rng: &mut StdRng, at: usize, held: &[OpaqueRef], theirs: OpaqueRef) -> Arg {
@@ -334,10 +456,9 @@ fn random_lists_fail_typed_and_leak_nothing() {
                 3..=5 => {
                     let op = ops[rng.gen_range(0..ops.len())];
                     let arity = rng.gen_range(1..3usize);
-                    invoke(
-                        op,
-                        (0..arity).map(|_| random_arg(&mut rng, at, recent, theirs)).collect(),
-                    )
+                    let inputs =
+                        (0..arity).map(|_| random_arg(&mut rng, at, recent, theirs)).collect();
+                    hinted(op, inputs, random_hints(&mut rng))
                 }
                 6 => Command::Egress(random_arg(&mut rng, at, recent, theirs)),
                 7 => Command::Retire(random_arg(&mut rng, at, recent, theirs)),

@@ -15,7 +15,8 @@
 //!    records, as a bulk copy would have committed.
 //! 3. **Trail**: a TopK and a Join pipeline, fed batches whose events meet
 //!    their windows out of order, mint the same uArray ids and append the
-//!    same audit records as before (compared modulo the wall-clock `ts_ms`).
+//!    same audit records as before (compared modulo the wall-clock `ts_ms`),
+//!    each carrying exactly the hints its invocation passed.
 //! 4. **Allocations**: an invocation makes one payload-sized allocation per
 //!    output uArray — its buffer — and none for staging.
 
@@ -24,7 +25,7 @@ use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_dataplane::{DataPlane, DataPlaneConfig, InvokeOutput, OpaqueRef, PrimitiveParams};
 use sbt_types::{Duration, Event, KeyValue, PrimitiveKind, TenantId, WindowSpec};
 use sbt_tz::{Platform, World, WorldGuard};
-use sbt_uarray::{ConsumptionHint, HintSet, UArrayId};
+use sbt_uarray::{ConsumptionHint, HintSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -339,8 +340,9 @@ fn two_window_batch(seed: u32) -> Vec<Event> {
 #[test]
 fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
     let spec = PrimitiveParams::one_second_windows();
-    let parallel = HintSet::consumed_in_parallel(2);
-    let after = HintSet::consumed_after(UArrayId(0));
+    // Each partition's Sort names its own sibling; the Merge carries none.
+    let (sibling0, sibling1) =
+        (HintSet::consumed_in_parallel(2, 0), HintSet::consumed_in_parallel(2, 1));
     let none = HintSet::none();
     let hinted = |dp: &DataPlane, op, inputs: &[OpaqueRef], params, hints: &HintSet| {
         in_tee(|| dp.invoke(T, op, inputs, params, hints)).unwrap()[0].opaque
@@ -353,9 +355,9 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
     let b2 = ingest(&dp, &two_window_batch(2)); // id 3
     let w2 = invoke(&dp, PrimitiveKind::Segment, &[b2], spec); // ids 4, 5
     assert_eq!(w1[0].window.unwrap().0, 0);
-    let s1 = hinted(&dp, PrimitiveKind::Sort, &[w1[0].opaque], PrimitiveParams::None, &parallel);
-    let s2 = hinted(&dp, PrimitiveKind::Sort, &[w2[0].opaque], PrimitiveParams::None, &parallel);
-    let m = hinted(&dp, PrimitiveKind::Merge, &[s1, s2], PrimitiveParams::None, &after); // 8
+    let s1 = hinted(&dp, PrimitiveKind::Sort, &[w1[0].opaque], PrimitiveParams::None, &sibling0);
+    let s2 = hinted(&dp, PrimitiveKind::Sort, &[w2[0].opaque], PrimitiveParams::None, &sibling1);
+    let m = hinted(&dp, PrimitiveKind::Merge, &[s1, s2], PrimitiveParams::None, &none); // 8
     let top = hinted(&dp, PrimitiveKind::TopKPerKey, &[m], PrimitiveParams::K(3), &none); // 9
     in_tee(|| dp.egress(T, top)).unwrap();
     assert_eq!(
@@ -367,9 +369,9 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
             ingress(3),
             windowing(3, 0, 4),
             windowing(3, 1, 5),
-            execution(PrimitiveKind::Sort, &[1], 6, &parallel),
-            execution(PrimitiveKind::Sort, &[4], 7, &parallel),
-            execution(PrimitiveKind::Merge, &[6, 7], 8, &after),
+            execution(PrimitiveKind::Sort, &[1], 6, &sibling0),
+            execution(PrimitiveKind::Sort, &[4], 7, &sibling1),
+            execution(PrimitiveKind::Merge, &[6, 7], 8, &none),
             execution(PrimitiveKind::TopKPerKey, &[8], 9, &none),
             AuditRecord::Egress { ts_ms: 0, data: UArrayRef(9) },
         ]

@@ -801,9 +801,10 @@ impl Engine {
     }
 
     /// Apply one primitive to every partition in parallel, retiring the
-    /// inputs. Outputs carry consumed-in-parallel hints (they will be
-    /// consumed by independent downstream tasks). On failure every still-
-    /// live input and output is retired before the error is returned.
+    /// inputs. Partition `i`'s output carries the one hint "sibling `i` of
+    /// `k` consumed in parallel" (the outputs are consumed by independent
+    /// downstream tasks). On failure every still-live input and output is
+    /// retired before the error is returned.
     fn parallel_map(
         &self,
         refs: &[OpaqueRef],
@@ -813,12 +814,13 @@ impl Engine {
         let k = refs.len() as u32;
         let tasks: Vec<_> = refs
             .iter()
-            .map(|r| {
+            .zip(0..)
+            .map(|(r, index)| {
                 let gw = Arc::clone(&self.gateway);
                 let r = *r;
                 move || {
                     let mut steps = Steps::default();
-                    let hints = HintSet::consumed_in_parallel(k);
+                    let hints = HintSet::consumed_in_parallel(k, index);
                     let out = steps.consume(op, params, hints, vec![Arg::Ref(r)]);
                     steps.run_to(&gw, out)
                 }
@@ -845,14 +847,14 @@ impl Engine {
                         let (a, b) = (*a, *b);
                         let gw = Arc::clone(&self.gateway);
                         tasks.push(move || {
-                            // The merged output is consumed after its inputs
-                            // have been fully consumed; hint accordingly so
-                            // the allocator can reclaim the inputs' group.
+                            // No hint: the engine holds opaque references,
+                            // not the ids a consumed-after hint names, and
+                            // an unhinted output opens its own uGroup.
                             let mut steps = Steps::default();
                             let out = steps.consume(
                                 PrimitiveKind::Merge,
                                 PrimitiveParams::None,
-                                HintSet::consumed_after(sbt_uarray::UArrayId(0)),
+                                HintSet::none(),
                                 vec![Arg::Ref(a), Arg::Ref(b)],
                             );
                             steps.run_to(&gw, out)

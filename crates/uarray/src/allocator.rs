@@ -251,6 +251,11 @@ impl Allocator {
         self.quotas.clear_quota(owner);
     }
 
+    /// The owner a live uArray is charged to, if any.
+    pub fn owner_of(&self, id: UArrayId) -> Option<u64> {
+        self.quotas.owner_of(id)
+    }
+
     /// Bytes currently charged to an owner.
     pub fn owner_used(&self, owner: u64) -> u64 {
         self.quotas.used_by(owner)

@@ -12,8 +12,10 @@
 //!   straggling consumer does not block reclamation of the others.
 //!
 //! Hints are untrusted input: they influence only placement policy. The data
-//! plane forwards them into audit records so the cloud verifier can detect
-//! systematically misleading hints in retrospect (§7).
+//! plane refuses malformed ones (more hints than outputs, a sibling index
+//! outside `0..k`, a predecessor the caller does not own) and forwards the
+//! rest into audit records so the cloud verifier can detect systematically
+//! misleading hints in retrospect (§7).
 
 use crate::uarray::UArrayId;
 
@@ -78,13 +80,11 @@ impl HintSet {
         HintSet { hints: vec![Some(ConsumptionHint::ConsumedAfter(predecessor))] }
     }
 
-    /// A hint set annotating `k` outputs as consumed in parallel.
-    pub fn consumed_in_parallel(k: u32) -> Self {
-        HintSet {
-            hints: (0..k)
-                .map(|index| Some(ConsumptionHint::ConsumedInParallel { k, index }))
-                .collect(),
-        }
+    /// A hint set for a single-output invocation whose output is sibling
+    /// `index` of `k` consumed in parallel — what each of `k` per-partition
+    /// invocations passes, one `index` apiece.
+    pub fn consumed_in_parallel(k: u32, index: u32) -> Self {
+        HintSet { hints: vec![Some(ConsumptionHint::ConsumedInParallel { k, index })] }
     }
 
     /// Add a hint for the next output position.
@@ -146,10 +146,11 @@ mod tests {
         assert_eq!(s.get(0), Some(ConsumptionHint::ConsumedAfter(UArrayId(9))));
         assert!(!s.is_empty());
 
-        let s = HintSet::consumed_in_parallel(4);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.get(2), Some(ConsumptionHint::ConsumedInParallel { k: 4, index: 2 }));
-        assert_eq!(s.iter().count(), 4);
+        let s = HintSet::consumed_in_parallel(4, 2);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(0), Some(ConsumptionHint::ConsumedInParallel { k: 4, index: 2 }));
+        assert_eq!(s.get(1), None);
+        assert_eq!(s.iter().count(), 1);
     }
 
     #[test]
