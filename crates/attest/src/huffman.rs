@@ -5,8 +5,8 @@
 //! distributions (record tags, primitive op codes, field counts, §7). Two
 //! block formats exist:
 //!
-//! * the **legacy block** ([`compress_block`]/[`decompress_block`]) stores
-//!   the per-symbol code lengths as a sparse header and is what format-v1
+//! * the **legacy block** ([`decompress_block`], decoded only) stores the
+//!   per-symbol code lengths as a sparse header and is what format-v1
 //!   columnar payloads embed;
 //! * the **v2 entropy block** ([`encode_block_v2`]/[`decode_block_v2`]) is
 //!   mode-tagged: tiny columns are stored raw or as a single repeated byte,
@@ -14,7 +14,7 @@
 //!   tree construction — the decoder ships the same table) or a dynamic
 //!   length-limited code when that measures smaller.
 //!
-//! Both encoders emit through a 64-bit-buffer [`BitWriter`]; both decoders
+//! The encoder emits through a 64-bit-buffer [`BitWriter`]; both decoders
 //! go through [`Decoder`], a canonical decoder with a single-lookup table
 //! for codes up to [`TABLE_BITS`] bits (every code the encoder emits) and a
 //! per-length canonical walk for longer codes found in legacy payloads.
@@ -336,15 +336,6 @@ impl HuffmanCode {
         }
     }
 
-    /// Encode `data`, returning the bitstream and its length in bits.
-    pub fn encode(&self, data: &[u8]) -> (Vec<u8>, u64) {
-        let mut out = Vec::with_capacity(data.len());
-        let mut writer = BitWriter::new(&mut out);
-        self.encode_into(data, &mut writer);
-        writer.finish();
-        (out, self.cost_bits(data))
-    }
-
     /// Decode `count` symbols from the bitstream.
     pub fn decode(&self, data: &[u8], count: usize) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(count);
@@ -619,38 +610,15 @@ pub fn static_table(id: u8) -> Option<&'static StaticEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy (format-v1) block
+// Legacy (format-v1) block, decoded only
 // ---------------------------------------------------------------------------
 
-/// Huffman-compress a byte block, producing the self-describing legacy
-/// layout embedded in format-v1 columnar payloads.
+/// Decode a legacy (format-v1) Huffman block. Returns `None` on corrupt or
+/// truncated input.
 ///
 /// Layout: `symbol_count: u32 LE`, `present_symbols: u16 LE`, then one
-/// `(symbol, code_length)` byte pair per present symbol, then the bitstream.
-/// The sparse header keeps the per-block overhead to a few bytes for the
-/// tiny alphabets of audit-record columns.
-pub fn compress_block(data: &[u8]) -> Vec<u8> {
-    let mut freqs = [0u64; 256];
-    for &b in data {
-        freqs[b as usize] += 1;
-    }
-    let code = HuffmanCode::from_frequencies(&freqs);
-    let (bits, _) = code.encode(data);
-    let present: Vec<u8> =
-        (0..256u16).filter(|&s| code.lengths[s as usize] > 0).map(|s| s as u8).collect();
-    let mut out = Vec::with_capacity(6 + present.len() * 2 + bits.len());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(present.len() as u16).to_le_bytes());
-    for s in &present {
-        out.push(*s);
-        out.push(code.lengths[*s as usize]);
-    }
-    out.extend_from_slice(&bits);
-    out
-}
-
-/// Inverse of [`compress_block`]. Returns `None` on corrupt or truncated
-/// input.
+/// `(symbol, code_length)` byte pair per present symbol, then the canonical
+/// code's bitstream.
 pub fn decompress_block(data: &[u8]) -> Option<Vec<u8>> {
     if data.len() < 6 {
         return None;
@@ -725,8 +693,6 @@ pub struct CodeCache {
     fit_bps: f64,
     /// That column's entropy in bits/symbol, the fit-time optimum bound.
     fit_eps: f64,
-    /// Fits performed (cache misses + first fills); for tests and telemetry.
-    pub fits: u64,
 }
 
 /// Encode a byte column as a self-delimiting v2 entropy block.
@@ -928,7 +894,6 @@ pub fn encode_block_v2_cached(
     });
     if !cached_fits {
         cache.code = Some(HuffmanCode::from_frequencies(&freqs));
-        cache.fits += 1;
         let fresh = cache.code.as_ref().expect("just stored");
         cache.fit_bps =
             freq_cost(&fresh.lengths).expect("fresh code covers the column") as f64 / total;
@@ -1057,40 +1022,77 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bitstream of `data` under `code`.
+    fn bits(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut writer = BitWriter::new(&mut out);
+        code.encode_into(data, &mut writer);
+        writer.finish();
+        out
+    }
+
+    /// The code fitted to `data`'s symbol frequencies.
+    fn fitted(data: &[u8]) -> HuffmanCode {
+        let mut freqs = [0u64; 256];
+        for &b in data {
+            freqs[b as usize] += 1;
+        }
+        HuffmanCode::from_frequencies(&freqs)
+    }
+
+    /// A legacy block laid out by hand: symbol count, present-symbol count,
+    /// one `(symbol, length)` pair per coded symbol, then the bitstream.
+    fn legacy_block(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
+        let present: Vec<u8> = (0..=255u8).filter(|&s| code.lengths[s as usize] > 0).collect();
+        let mut out = (data.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&(present.len() as u16).to_le_bytes());
+        for s in present {
+            out.extend_from_slice(&[s, code.lengths[s as usize]]);
+        }
+        out.extend_from_slice(&bits(code, data));
+        out
+    }
+
+    /// A v2 entropy block of `data` with no static table to lean on.
+    fn v2_block(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_block_v2(data, None, &mut out);
+        out
+    }
+
     #[test]
     fn skewed_data_compresses_well() {
         // 90% zeros, some other symbols: should compress far below 1 byte/sym.
         let mut data = vec![0u8; 9000];
         data.extend(std::iter::repeat_n(7u8, 900));
         data.extend(std::iter::repeat_n(200u8, 100));
-        let compressed = compress_block(&data);
+        let compressed = v2_block(&data);
         assert!(compressed.len() < data.len() / 3, "{} vs {}", compressed.len(), data.len());
-        assert_eq!(decompress_block(&compressed).unwrap(), data);
+        assert_eq!(decode_block_v2(&compressed, &mut 0).unwrap(), data);
     }
 
     #[test]
     fn empty_and_single_symbol_blocks() {
-        let compressed = compress_block(&[]);
-        assert_eq!(decompress_block(&compressed).unwrap(), Vec::<u8>::new());
+        assert_eq!(decompress_block(&[0; 6]).unwrap(), Vec::<u8>::new());
 
         let data = vec![42u8; 100];
-        let compressed = compress_block(&data);
-        assert_eq!(decompress_block(&compressed).unwrap(), data);
+        let block = legacy_block(&fitted(&data), &data);
+        assert_eq!(block[4..8], [1, 0, 42, 1], "one present symbol, one bit long");
+        assert_eq!(decompress_block(&block).unwrap(), data);
     }
 
     #[test]
     fn two_symbol_block() {
         let data: Vec<u8> = (0..100).map(|i| if i % 3 == 0 { 1 } else { 2 }).collect();
-        let compressed = compress_block(&data);
-        assert_eq!(decompress_block(&compressed).unwrap(), data);
+        assert_eq!(decompress_block(&legacy_block(&fitted(&data), &data)).unwrap(), data);
     }
 
     #[test]
     fn truncated_input_fails_gracefully() {
         let data = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let compressed = compress_block(&data);
-        assert_eq!(decompress_block(&compressed[..compressed.len() - 1]), None);
-        assert_eq!(decompress_block(&compressed[..5]), None);
+        let block = legacy_block(&fitted(&data), &data);
+        assert_eq!(decompress_block(&block[..block.len() - 1]), None);
+        assert_eq!(decompress_block(&block[..5]), None);
         assert_eq!(decompress_block(&[]), None);
     }
 
@@ -1100,7 +1102,7 @@ mod tests {
         // 200 bytes — the sparse header is what makes small audit batches
         // compressible at all.
         let data: Vec<u8> = (0..1000).map(|i| (i % 2) as u8).collect();
-        let compressed = compress_block(&data);
+        let compressed = v2_block(&data);
         assert!(compressed.len() < 200, "{}", compressed.len());
     }
 
@@ -1157,8 +1159,7 @@ mod tests {
                 code.lengths[s]
             );
         }
-        let compressed = compress_block(&data);
-        assert_eq!(decompress_block(&compressed).unwrap(), data);
+        assert_eq!(decompress_block(&legacy_block(&code, &data)).unwrap(), data);
 
         // The same block through the v2 entropy stage.
         let mut v2 = Vec::new();
@@ -1179,8 +1180,7 @@ mod tests {
         // Make it Kraft-satisfiable: lengths 16..=31 sum to well under 1.
         let code = HuffmanCode::from_lengths(lengths);
         let data: Vec<u8> = (0..16u8).cycle().take(200).collect();
-        let (bits, _) = code.encode(&data);
-        assert_eq!(code.decode(&bits, data.len()).unwrap(), data);
+        assert_eq!(decompress_block(&legacy_block(&code, &data)).unwrap(), data);
     }
 
     #[test]
@@ -1300,9 +1300,11 @@ mod tests {
             assert!(kraft <= 1.0 + 1e-12, "table {id} violates Kraft: {kraft}");
             // Round-trip every covered symbol.
             let covered: Vec<u8> = (0..=255u8).filter(|&s| lengths[s as usize] > 0).collect();
-            let (bits, _) = entry.code.encode(&covered);
             let mut out = Vec::new();
-            entry.decoder.decode_into(&bits, covered.len(), &mut out).unwrap();
+            entry
+                .decoder
+                .decode_into(&bits(&entry.code, &covered), covered.len(), &mut out)
+                .unwrap();
             assert_eq!(out, covered);
         }
         assert!(static_table(4).is_none());
@@ -1311,15 +1313,15 @@ mod tests {
     proptest! {
         #[test]
         fn round_trip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let compressed = compress_block(&data);
-            prop_assert_eq!(decompress_block(&compressed).unwrap(), data);
+            let block = legacy_block(&fitted(&data), &data);
+            prop_assert_eq!(decompress_block(&block).unwrap(), data);
         }
 
         #[test]
         fn round_trip_skewed(data in proptest::collection::vec(
             prop_oneof![9 => Just(0u8), 2 => Just(3u8), 1 => any::<u8>()], 0..3000)) {
-            let compressed = compress_block(&data);
-            prop_assert_eq!(decompress_block(&compressed).unwrap(), data);
+            let block = legacy_block(&fitted(&data), &data);
+            prop_assert_eq!(decompress_block(&block).unwrap(), data);
         }
 
         #[test]

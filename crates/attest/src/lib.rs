@@ -11,8 +11,9 @@
 //! column buffers at append time (allocation-free on the steady state), so
 //! flushing a segment is a cheap seal — entropy-code the small byte columns
 //! against precomputed static tables, sign — rather than a batch re-encode.
-//! The legacy batch layout and the streaming codec's previous version
-//! remain decodable: every payload opens with format-version bytes and the
+//! [`ColumnarEncoder`] is the crate's one record encoder. The two older
+//! layouts — the v1 batch codec and the streaming codec's v2 — are decoded
+//! but never written: every payload opens with format-version bytes and the
 //! verifier accepts all three (see [`columnar::FORMAT_V2_PREFIX`]).
 //!
 //! A **cloud verifier** replays the records symbolically against its own
@@ -25,9 +26,6 @@
 //! * *hint honesty* — the consumption hints the control plane supplied are
 //!   well formed and did not systematically contradict the observed
 //!   consumption order.
-//!
-//! The crate also contains a from-scratch LZ77+Huffman ("gzip-like")
-//! compressor used purely as the baseline that Figure 12's comparison quotes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,15 +33,14 @@
 pub mod columnar;
 pub mod huffman;
 pub mod log;
-pub mod lz77;
 pub mod record;
 pub mod trail;
 pub mod varint;
 pub mod verifier;
 
 pub use columnar::{
-    compress_records, compress_records_streaming, decompress_records, ColumnarEncoder,
-    FORMAT_V2_PREFIX, FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
+    compress_records_streaming, decompress_records, ColumnarEncoder, FORMAT_V2_PREFIX,
+    FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
 };
 pub use log::{AuditLog, LogSegment};
 pub use record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef, OP_CODE_CHECKPOINT};

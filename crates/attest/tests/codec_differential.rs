@@ -1,91 +1,28 @@
-//! Differential tests between the columnar codec generations.
+//! Tests across the columnar codec generations.
 //!
-//! The streaming (format-v3) encoder must be observationally identical to
-//! the legacy batch (format-v1) codec: for any record mix — including the
-//! `Rekey`/`Departure` lifecycle terminals — both payloads decode to
-//! exactly the same record sequence, and the trail verifier accepts trails
-//! that interleave segments from every format (the format-version bytes in
-//! each payload select the decoder). Format v2 is no longer written; a
-//! payload its encoder produced is kept as a fixture and must keep
-//! decoding to the records it was made from.
+//! Only format v3 is written. Formats v1 and v2 are decoded forever: a
+//! payload each older encoder produced is kept as a fixture and must keep
+//! decoding to the records it was made from, and the trail verifier accepts
+//! trails that interleave segments from every format (the format-version
+//! bytes in each payload select the decoder).
 
+mod common;
+
+use common::{exec, parallel, record_from_spec, v1_checkpoint_free_records, v1_fixtures};
 use proptest::prelude::*;
-use sbt_attest::record::PortList;
 use sbt_attest::{
-    compress_records, compress_records_streaming, decompress_records, verify_tenant_trail,
-    AuditLog, AuditRecord, DataRef, DepartureReason, LogSegment, UArrayRef,
-    FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
+    compress_records_streaming, decompress_records, verify_tenant_trail, AuditLog, AuditRecord,
+    DataRef, DepartureReason, LogSegment, UArrayRef, FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
 };
 use sbt_crypto::{SigningKey, TenantKeychain};
 use sbt_types::{PrimitiveKind, TenantId};
 
-/// Build an arbitrary record from a generated spec tuple.
-fn record_from_spec(kind: u8, ts: u32, id: u32, win: u16) -> AuditRecord {
-    match kind {
-        0 => AuditRecord::Ingress { ts_ms: ts, data: DataRef::UArray(UArrayRef(id)) },
-        1 => AuditRecord::Ingress { ts_ms: ts, data: DataRef::Watermark(id) },
-        2 => AuditRecord::Egress { ts_ms: ts, data: UArrayRef(id) },
-        3 => AuditRecord::Windowing {
-            ts_ms: ts,
-            input: UArrayRef(id),
-            win_no: win,
-            output: UArrayRef(id + 1),
-        },
-        4 => AuditRecord::Rekey { ts_ms: ts, epoch: id },
-        5 => AuditRecord::Departure {
-            ts_ms: ts,
-            reason: if id.is_multiple_of(2) {
-                DepartureReason::Drained
-            } else {
-                DepartureReason::Evicted
-            },
-        },
-        6 => {
-            // Execution with a heap-spilled port list: more inputs than fit
-            // inline, exercising the slow construction path end to end.
-            let inputs: PortList = (id..id + 6).map(UArrayRef).collect();
-            AuditRecord::Execution {
-                ts_ms: ts,
-                op: PrimitiveKind::TRUSTED_PRIMITIVES[(id % 23) as usize],
-                inputs,
-                outputs: [UArrayRef(id + 7)].into(),
-                hints: vec![id as u64, (id as u64) << 33],
-            }
-        }
-        _ => AuditRecord::Execution {
-            ts_ms: ts,
-            op: PrimitiveKind::TRUSTED_PRIMITIVES[(id % 23) as usize],
-            inputs: [UArrayRef(id)].into(),
-            outputs: [UArrayRef(id + 1), UArrayRef(id + 2)].into(),
-            hints: if id.is_multiple_of(3) { vec![id as u64] } else { vec![] },
-        },
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The core differential property: both codecs decode to the same
-    /// sequence — the original — for arbitrary record mixes.
-    #[test]
-    fn streaming_and_batch_codecs_agree(
-        specs in proptest::collection::vec(
-            (0u8..8, 0u32..100_000, 0u32..50_000, 0u16..500), 0..300),
-    ) {
-        let records: Vec<AuditRecord> =
-            specs.into_iter().map(|(k, ts, id, win)| record_from_spec(k, ts, id, win)).collect();
-        let batch = compress_records(&records);
-        let streaming = compress_records_streaming(&records);
-        let from_batch = decompress_records(&batch).expect("batch payload decodes");
-        let from_streaming = decompress_records(&streaming).expect("streaming payload decodes");
-        prop_assert_eq!(&from_batch, &records);
-        prop_assert_eq!(&from_streaming, &records);
-        prop_assert_eq!(&from_batch, &from_streaming);
-    }
-
     /// Segment-splitting invariance: encoding a stream as several sealed
-    /// v3 segments and concatenating the decodes equals the one-shot batch
-    /// decode (each seal resets delta state, so segments stay independent).
+    /// v3 segments and concatenating the decodes gives back the whole
+    /// stream (each seal resets delta state, so segments stay independent).
     #[test]
     fn segmented_streaming_equals_batch(
         specs in proptest::collection::vec(
@@ -111,9 +48,41 @@ proptest! {
 /// [`v2_fixture_records`].
 const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_segment.bin");
 
-/// A 64-bit consumed-in-parallel hint record value.
-fn parallel(k: u64, index: u64) -> u64 {
-    (1 << 63) | (k << 32) | index
+#[test]
+fn v1_payloads_still_decode_to_their_records() {
+    for (payload, records) in v1_fixtures() {
+        assert_eq!(decompress_records(payload).expect("v1 decodes"), records);
+    }
+}
+
+/// Every truncation and every single-bit flip of a v1 or v2 payload
+/// decodes to an error or to some records — never a panic.
+#[test]
+fn legacy_payloads_fail_closed_under_every_truncation_and_bit_flip() {
+    let v2 = (V2_FIXTURE, v2_fixture_records());
+    for (payload, records) in v1_fixtures().into_iter().chain([v2]) {
+        for cut in 0..payload.len() {
+            let _ = decompress_records(&payload[..cut]);
+        }
+        let mut flipped = payload.to_vec();
+        for bit in 0..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decompress_records(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(decompress_records(&flipped).unwrap(), records);
+    }
+}
+
+/// The v1 records re-sealed by today's encoder are v3, and no larger.
+#[test]
+fn v3_reseal_of_v1_payloads_is_no_larger() {
+    for (payload, records) in v1_fixtures() {
+        let v3 = compress_records_streaming(&records);
+        assert_eq!(v3[2], FORMAT_VERSION_STREAMING);
+        assert_eq!(decompress_records(&v3).unwrap(), records);
+        assert!(v3.len() <= payload.len(), "v3 {} B vs v1 {} B", v3.len(), payload.len());
+    }
 }
 
 /// The records [`V2_FIXTURE`] was sealed from: one four-partition TopK
@@ -122,14 +91,6 @@ fn parallel(k: u64, index: u64) -> u64 {
 /// Concat whose counts spill to the escape, and the lifecycle records.
 fn v2_fixture_records() -> Vec<AuditRecord> {
     let mut records = Vec::new();
-    let exec =
-        |ts_ms, op, inputs: &[u32], outputs: &[u32], hints: Vec<u64>| AuditRecord::Execution {
-            ts_ms,
-            op,
-            inputs: inputs.iter().map(|i| UArrayRef(*i)).collect(),
-            outputs: outputs.iter().map(|o| UArrayRef(*o)).collect(),
-            hints,
-        };
     for i in 0..4u32 {
         records.push(AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(2 * i)) });
         records.push(AuditRecord::Windowing {
@@ -182,7 +143,7 @@ fn a_v2_payload_still_decodes_to_its_records() {
 
 /// Lists past what a count byte holds: a 300-input `Concat` (a window of
 /// more than 255 batches) and a 256-hint record come back whole from v3.
-/// The legacy v1 encoder clamps both to 255 and is not held to this.
+/// The older formats clamped both to 255.
 #[test]
 fn long_port_and_hint_lists_round_trip_in_v3() {
     let records = vec![
@@ -219,16 +180,17 @@ fn mixed_format_trail_verifies() {
 
     let mut segments = Vec::new();
     let mut all_records = Vec::new();
-    for (seq, format) in [1, 3, 2, 3, 1].into_iter().enumerate() {
-        let batch: Vec<AuditRecord> = match format {
-            2 => v2_fixture_records(),
-            _ => (0..5).map(|i| record(100 + seq as u32 * 5 + i)).collect(),
-        };
-        let compressed = match format {
-            1 => compress_records(&batch),
-            2 => V2_FIXTURE.to_vec(),
-            _ => compress_records_streaming(&batch),
-        };
+    let [(v1, v1_records), (v1_legacy, v1_legacy_records)] = v1_fixtures();
+    let v3_batch =
+        |seq: u32| -> Vec<AuditRecord> { (0..5).map(|i| record(100 + seq * 5 + i)).collect() };
+    let trail = [
+        (v1.to_vec(), v1_records),
+        (compress_records_streaming(&v3_batch(1)), v3_batch(1)),
+        (V2_FIXTURE.to_vec(), v2_fixture_records()),
+        (compress_records_streaming(&v3_batch(3)), v3_batch(3)),
+        (v1_legacy.to_vec(), v1_legacy_records),
+    ];
+    for (seq, (compressed, batch)) in trail.into_iter().enumerate() {
         let raw = AuditRecord::raw_size(&batch);
         let seq = seq as u64;
         segments.push(LogSegment::new_signed(tenant, 0, seq, compressed, raw, batch.len(), &key));
@@ -257,12 +219,12 @@ fn audit_log_segments_extend_a_legacy_trail() {
     let record = |i: u32| AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(i)) };
 
     // Segment 0: legacy payload under epoch 0.
-    let old_batch: Vec<AuditRecord> = (0..4).map(record).collect();
+    let old_batch = v1_checkpoint_free_records();
     let seg0 = LogSegment::new_signed(
         tenant,
         0,
         0,
-        compress_records(&old_batch),
+        common::V1_CHECKPOINT_FREE.to_vec(),
         AuditRecord::raw_size(&old_batch),
         old_batch.len(),
         &key0,
@@ -306,6 +268,7 @@ fn audit_log_segments_extend_a_legacy_trail() {
     );
     let verified =
         verify_tenant_trail(&[seg0, seg1, seg2], tenant, &keychain).expect("trail verifies");
-    assert_eq!(verified.len(), 6);
-    assert_eq!(verified, (0..6).map(record).collect::<Vec<_>>());
+    let mut expected = old_batch;
+    expected.extend([record(4), record(5)]);
+    assert_eq!(verified, expected);
 }

@@ -8,15 +8,17 @@
 //! verifier detects — both verifiers must return the same records or reject
 //! with the same [`TrailError`].
 
+mod common;
+
+use common::{record_from_spec, v1_fixtures};
 use proptest::prelude::*;
-use sbt_attest::record::PortList;
 use sbt_attest::{
-    compress_records, compress_records_streaming, verify_tenant_trail,
-    verify_tenant_trail_parallel, verify_tenant_trail_parallel_min_shard, AuditRecord, DataRef,
-    DepartureReason, LogSegment, TrailError, UArrayRef,
+    compress_records_streaming, verify_tenant_trail, verify_tenant_trail_parallel,
+    verify_tenant_trail_parallel_min_shard, AuditRecord, DataRef, DepartureReason, LogSegment,
+    TrailError, UArrayRef,
 };
 use sbt_crypto::{SigningKey, TenantKeychain, VerifierKeySet};
-use sbt_types::{LanePool, LaneTask, PrimitiveKind, TenantId};
+use sbt_types::{LanePool, LaneTask, TenantId};
 use std::sync::Arc;
 
 /// Minimal conforming pool: every task on its own scoped thread, all joined
@@ -39,49 +41,6 @@ impl LanePool for ScopedPool {
     }
 }
 
-/// Build an arbitrary record from a generated spec tuple (same shape space
-/// as the codec differential tests: every tag, inline and heap-spilled port
-/// lists, hints, lifecycle terminals).
-fn record_from_spec(kind: u8, ts: u32, id: u32, win: u16) -> AuditRecord {
-    match kind {
-        0 => AuditRecord::Ingress { ts_ms: ts, data: DataRef::UArray(UArrayRef(id)) },
-        1 => AuditRecord::Ingress { ts_ms: ts, data: DataRef::Watermark(id) },
-        2 => AuditRecord::Egress { ts_ms: ts, data: UArrayRef(id) },
-        3 => AuditRecord::Windowing {
-            ts_ms: ts,
-            input: UArrayRef(id),
-            win_no: win,
-            output: UArrayRef(id + 1),
-        },
-        4 => AuditRecord::Rekey { ts_ms: ts, epoch: id },
-        5 => AuditRecord::Departure {
-            ts_ms: ts,
-            reason: if id.is_multiple_of(2) {
-                DepartureReason::Drained
-            } else {
-                DepartureReason::Evicted
-            },
-        },
-        6 => {
-            let inputs: PortList = (id..id + 6).map(UArrayRef).collect();
-            AuditRecord::Execution {
-                ts_ms: ts,
-                op: PrimitiveKind::TRUSTED_PRIMITIVES[(id % 23) as usize],
-                inputs,
-                outputs: [UArrayRef(id + 7)].into(),
-                hints: vec![id as u64, (id as u64) << 33],
-            }
-        }
-        _ => AuditRecord::Execution {
-            ts_ms: ts,
-            op: PrimitiveKind::TRUSTED_PRIMITIVES[(id % 23) as usize],
-            inputs: [UArrayRef(id)].into(),
-            outputs: [UArrayRef(id + 1), UArrayRef(id + 2)].into(),
-            hints: if id.is_multiple_of(3) { vec![id as u64] } else { vec![] },
-        },
-    }
-}
-
 fn epoch_key(epoch: u32) -> SigningKey {
     SigningKey::new(format!("parallel-verify-epoch-{epoch}").as_bytes())
 }
@@ -93,38 +52,42 @@ fn chain_through(tenant: TenantId, through: u32) -> TenantKeychain {
     )
 }
 
-/// Build a trail of `records` split into `split`-record segments, each
-/// signed under a non-decreasing epoch (bumping every `rekey_every`
-/// segments) and compressed with alternating wire formats (even segments
-/// v1, odd v3 — the mixed-format upgrade scenario).
+/// Build a trail of `records` split into `split`-record v3 segments, each
+/// behind a captured v1 segment (the mixed-format upgrade scenario): the
+/// all-kinds fixture first, since its checkpoint may appear only once in a
+/// trail, the checkpoint-free one after that. Every segment is signed under
+/// a non-decreasing epoch (bumping every `rekey_every` segments). Returns
+/// the segments, the last epoch and the records the whole trail carries.
 fn build_trail(
     records: &[AuditRecord],
     tenant: TenantId,
     split: usize,
     rekey_every: usize,
-) -> (Vec<LogSegment>, u32) {
-    let mut segments = Vec::new();
-    let mut epoch = 0u32;
-    for (seq, chunk) in records.chunks(split.max(1)).enumerate() {
+) -> (Vec<LogSegment>, u32, Vec<AuditRecord>) {
+    let mut payloads = Vec::new();
+    for (i, chunk) in records.chunks(split.max(1)).enumerate() {
+        let [full, checkpoint_free] = v1_fixtures();
+        let (v1, v1_records) = if i == 0 { full } else { checkpoint_free };
+        payloads.push((v1.to_vec(), v1_records));
+        payloads.push((compress_records_streaming(chunk), chunk.to_vec()));
+    }
+    let (mut segments, mut carried, mut epoch) = (Vec::new(), Vec::new(), 0u32);
+    for (seq, (compressed, chunk)) in payloads.into_iter().enumerate() {
         if rekey_every > 0 && seq > 0 && seq.is_multiple_of(rekey_every) {
             epoch += 1;
         }
-        let compressed = if seq.is_multiple_of(2) {
-            compress_records(chunk)
-        } else {
-            compress_records_streaming(chunk)
-        };
         segments.push(LogSegment::new_signed(
             tenant,
             epoch,
             seq as u64,
             compressed,
-            AuditRecord::raw_size(chunk),
+            AuditRecord::raw_size(&chunk),
             chunk.len(),
             &epoch_key(epoch),
         ));
+        carried.extend(chunk);
     }
-    (segments, epoch)
+    (segments, epoch, carried)
 }
 
 /// Assert the parallel verifier agrees with the serial one for every worker
@@ -150,7 +113,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential property over *clean and broken* trails: an
-    /// arbitrary record mix is segmented (mixed v1/v3 formats, periodic
+    /// arbitrary record mix is segmented (v3, behind captured v1 segments, periodic
     /// rekeys), then optionally mutated into one of the tamper classes the
     /// serial verifier detects. Whatever the serial verifier says — accept
     /// with these records, or reject with this error — the parallel
@@ -167,7 +130,7 @@ proptest! {
         let tenant = TenantId(9);
         let records: Vec<AuditRecord> =
             specs.into_iter().map(|(k, ts, id, win)| record_from_spec(k, ts, id, win)).collect();
-        let (mut segments, last_epoch) = build_trail(&records, tenant, split, rekey_every);
+        let (mut segments, last_epoch, carried) = build_trail(&records, tenant, split, rekey_every);
         let k = target % segments.len();
         let mut keys = chain_through(tenant, last_epoch);
         match mutation {
@@ -230,7 +193,7 @@ proptest! {
         let serial = assert_parallel_matches_serial(segments, tenant, &keys);
         if mutation == 0 {
             prop_assert!(serial.is_ok(), "clean trail rejected: {:?}", serial);
-            prop_assert_eq!(serial.unwrap(), records);
+            prop_assert_eq!(serial.unwrap(), carried);
         }
     }
 }
@@ -249,11 +212,11 @@ fn post_departure_trails_verify_identically() {
     records.push(AuditRecord::Departure { ts_ms: 40, reason: DepartureReason::Drained });
     // Records flushed after the departure terminal.
     records.push(AuditRecord::Ingress { ts_ms: 41, data: DataRef::UArray(UArrayRef(41)) });
-    let (segments, last_epoch) = build_trail(&records, tenant, 7, 2);
+    let (segments, last_epoch, carried) = build_trail(&records, tenant, 7, 2);
     let keys = chain_through(tenant, last_epoch);
     let verified = assert_parallel_matches_serial(segments, tenant, &keys)
         .expect("authentic post-departure trail verifies");
-    assert_eq!(verified, records);
+    assert_eq!(verified, carried);
 }
 
 /// The keychain-mismatch rejection is identical (and upfront) in both.
@@ -261,7 +224,7 @@ fn post_departure_trails_verify_identically() {
 fn wrong_keychain_rejects_identically() {
     let tenant = TenantId(2);
     let records = vec![AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(UArrayRef(0)) }; 10];
-    let (segments, _) = build_trail(&records, tenant, 3, 0);
+    let (segments, ..) = build_trail(&records, tenant, 3, 0);
     let wrong = chain_through(TenantId(5), 0);
     let err = assert_parallel_matches_serial(segments, tenant, &wrong).unwrap_err();
     assert_eq!(err, TrailError::WrongKeychain { expected: tenant, keychain: TenantId(5) });
@@ -286,12 +249,12 @@ impl LanePool for PanicPool {
 fn degenerate_pools_fall_back_to_serial() {
     let tenant = TenantId(1);
     let records = vec![AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(UArrayRef(3)) }; 6];
-    let (segments, _) = build_trail(&records, tenant, 2, 0);
+    let (segments, _, carried) = build_trail(&records, tenant, 2, 0);
     let keys = chain_through(tenant, 0);
     let shared = Arc::new(segments);
     let records_out = verify_tenant_trail_parallel(&shared, tenant, &keys, &PanicPool(1))
         .expect("serial fallback verifies");
-    assert_eq!(records_out, records);
+    assert_eq!(records_out, carried);
 }
 
 /// Trails below the per-shard payload floor stay serial no matter how wide
@@ -303,7 +266,7 @@ fn small_trails_stay_serial_under_the_shard_floor() {
     let records: Vec<AuditRecord> = (0..200)
         .map(|i| AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(i)) })
         .collect();
-    let (segments, _) = build_trail(&records, tenant, 10, 0);
+    let (segments, _, carried) = build_trail(&records, tenant, 10, 0);
     let payload: usize = segments.iter().map(|s| s.compressed.len()).sum();
     assert!(
         payload < sbt_attest::MIN_VERIFY_SHARD_BYTES,
@@ -313,10 +276,10 @@ fn small_trails_stay_serial_under_the_shard_floor() {
     let shared = Arc::new(segments);
     let records_out = verify_tenant_trail_parallel(&shared, tenant, &keys, &PanicPool(8))
         .expect("small trail verifies serially");
-    assert_eq!(records_out, records);
+    assert_eq!(records_out, carried);
 
     // The same trail fans out once the floor is waived.
     let fanned = verify_tenant_trail_parallel_min_shard(&shared, tenant, &keys, &ScopedPool(8), 0)
         .expect("small trail verifies fanned out");
-    assert_eq!(fanned, records);
+    assert_eq!(fanned, carried);
 }

@@ -20,6 +20,8 @@
 //! * [`hash_engine`] — a windowed hash-based grouping core shared by the
 //!   commodity baselines, also used to contrast memory behaviour with the
 //!   uArray design (Flink's 3× memory in §9.2).
+//! * [`lz77`] — a from-scratch LZ77 + Huffman ("gzip-like") compressor,
+//!   the general-purpose codec Figure 12 compares the audit codec against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@
 pub mod commodity;
 pub mod growth;
 pub mod hash_engine;
+pub mod lz77;
 pub mod securestreams;
 
 pub use commodity::{CommodityEngine, CommodityKind};

@@ -5,11 +5,12 @@
 //! same audit-record byte streams and finds the columnar codec about 1.9×
 //! better. This module provides an in-repo stand-in from the same algorithm
 //! family as DEFLATE: greedy LZ77 matching over a 32 KiB window with a
-//! hash-chain matcher, followed by a Huffman pass over the token stream. It
-//! is not wire-compatible with gzip; only the achieved ratio matters for the
-//! comparison.
+//! hash-chain matcher, followed by an entropy pass over the token stream —
+//! the audit codec's own v2 entropy blocks, each token column fitted a
+//! Huffman code of its own. It is not wire-compatible with gzip; only the
+//! achieved ratio matters for the comparison.
 
-use crate::huffman;
+use sbt_attest::huffman;
 
 const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 4;
@@ -90,14 +91,12 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     }
 
-    // Serialize: original length, then each Huffman-compressed column with a
-    // length prefix.
+    // Serialize: original length, then each column as a self-delimiting
+    // entropy block.
     let mut out = Vec::new();
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     for col in [&cols.flags, &cols.literals, &cols.offsets, &cols.lengths] {
-        let block = huffman::compress_block(col);
-        out.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        out.extend_from_slice(&block);
+        huffman::encode_block_v2(col, None, &mut out);
     }
     out
 }
@@ -105,24 +104,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// Decompress a buffer produced by [`compress`]. Returns `None` on corrupt
 /// input.
 pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let read_u64 = |data: &[u8], pos: &mut usize| -> Option<u64> {
-        if *pos + 8 > data.len() {
-            return None;
-        }
-        let v = u64::from_le_bytes(data[*pos..*pos + 8].try_into().ok()?);
-        *pos += 8;
-        Some(v)
-    };
-    let original_len = read_u64(data, &mut pos)? as usize;
+    let original_len = u64::from_le_bytes(data.get(..8)?.try_into().ok()?) as usize;
+    let mut pos = 8;
     let mut columns = Vec::new();
     for _ in 0..4 {
-        let len = read_u64(data, &mut pos)? as usize;
-        if pos + len > data.len() {
-            return None;
-        }
-        columns.push(huffman::decompress_block(&data[pos..pos + len])?);
-        pos += len;
+        columns.push(huffman::decode_block_v2(data, &mut pos)?);
     }
     let (flags, literals, offsets, lengths) = (&columns[0], &columns[1], &columns[2], &columns[3]);
 

@@ -2,9 +2,8 @@
 //! decompression, and the gzip-like baseline) and the verifier's replay rate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sbt_attest::{
-    compress_records, decompress_records, lz77, ColumnarEncoder, PipelineSpec, Verifier,
-};
+use sbt_attest::{decompress_records, ColumnarEncoder, PipelineSpec, Verifier};
+use sbt_baselines::lz77;
 use sbt_bench::synthetic_audit_records;
 use sbt_types::PrimitiveKind;
 
@@ -20,15 +19,9 @@ fn bench_codec(c: &mut Criterion) {
         buf
     };
     group.throughput(Throughput::Elements(records.len() as u64));
-    group.bench_function("columnar_compress", |b| b.iter(|| compress_records(&records)));
-    let compressed = compress_records(&records);
-    group.bench_function("columnar_decompress", |b| {
-        b.iter(|| decompress_records(&compressed).unwrap())
-    });
-    group.bench_function("gzip_like_compress", |b| b.iter(|| lz77::compress(&raw)));
     let mut encoder = ColumnarEncoder::with_capacity(records.len());
     let mut out = Vec::new();
-    group.bench_function("columnar_compress_streaming", |b| {
+    group.bench_function("columnar_compress", |b| {
         b.iter(|| {
             for r in &records {
                 encoder.append(r);
@@ -38,10 +31,11 @@ fn bench_codec(c: &mut Criterion) {
             std::hint::black_box(&out);
         })
     });
-    let streaming = sbt_attest::compress_records_streaming(&records);
-    group.bench_function("columnar_decompress_streaming", |b| {
-        b.iter(|| decompress_records(&streaming).unwrap())
+    let compressed = sbt_attest::compress_records_streaming(&records);
+    group.bench_function("columnar_decompress", |b| {
+        b.iter(|| decompress_records(&compressed).unwrap())
     });
+    group.bench_function("gzip_like_compress", |b| b.iter(|| lz77::compress(&raw)));
     group.finish();
 }
 

@@ -1,15 +1,14 @@
 //! Audit-log compression throughput: MB/s of the gzip-like LZ77+Huffman
 //! baseline (encode and decode) over realistic audit-record row bytes, with
-//! both generations of the domain-specific columnar codec alongside — the
-//! legacy batch (format-v1) codec and the streaming (format-v2)
-//! `ColumnarEncoder`. Columnar entries run at the data plane's production
-//! segment granularity (256-record flush threshold), which is the rate the
-//! ingest path actually experiences; whole-stream entries are kept for the
-//! large-batch comparison. This anchors the ROADMAP's audit-log-compression
-//! numbers: codec work must beat these rates at equal-or-better ratios.
+//! the domain-specific columnar codec (`ColumnarEncoder`, format v3)
+//! alongside. Columnar entries run at the data plane's production segment
+//! granularity (256-record flush threshold), which is the rate the ingest
+//! path actually experiences; a whole-stream entry is kept for the
+//! large-batch comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sbt_attest::{compress_records, decompress_records, lz77, ColumnarEncoder};
+use sbt_attest::{decompress_records, ColumnarEncoder};
+use sbt_baselines::lz77;
 use sbt_bench::synthetic_audit_records;
 
 /// The data plane's default `audit_flush_threshold`.
@@ -34,29 +33,11 @@ fn bench_compression_throughput(c: &mut Criterion) {
         b.iter(|| lz77::decompress(&lz).expect("round-trips"))
     });
 
-    // The legacy batch columnar codec at production segment granularity.
-    group.bench_function("columnar_encode", |b| {
-        b.iter(|| {
-            for chunk in records.chunks(SEGMENT_RECORDS) {
-                std::hint::black_box(compress_records(chunk));
-            }
-        })
-    });
-    let col_segments: Vec<Vec<u8>> =
-        records.chunks(SEGMENT_RECORDS).map(compress_records).collect();
-    group.bench_function("columnar_decode", |b| {
-        b.iter(|| {
-            for seg in &col_segments {
-                std::hint::black_box(decompress_records(seg).expect("round-trips"));
-            }
-        })
-    });
-
-    // The streaming encoder on the same segments, reused across seals as
-    // the audit log uses it.
+    // The columnar encoder at production segment granularity, reused across
+    // seals as the audit log uses it.
     let mut encoder = ColumnarEncoder::with_capacity(SEGMENT_RECORDS);
     let mut out = Vec::new();
-    group.bench_function("columnar_encode_streaming", |b| {
+    group.bench_function("columnar_encode", |b| {
         b.iter(|| {
             for chunk in records.chunks(SEGMENT_RECORDS) {
                 for r in chunk {
@@ -68,7 +49,7 @@ fn bench_compression_throughput(c: &mut Criterion) {
             }
         })
     });
-    let v2_segments: Vec<Vec<u8>> = records
+    let segments: Vec<Vec<u8>> = records
         .chunks(SEGMENT_RECORDS)
         .map(|chunk| {
             for r in chunk {
@@ -77,17 +58,16 @@ fn bench_compression_throughput(c: &mut Criterion) {
             encoder.seal()
         })
         .collect();
-    group.bench_function("columnar_decode_streaming", |b| {
+    group.bench_function("columnar_decode", |b| {
         b.iter(|| {
-            for seg in &v2_segments {
+            for seg in &segments {
                 std::hint::black_box(decompress_records(seg).expect("round-trips"));
             }
         })
     });
 
-    // Whole-stream single-segment variants for the large-batch comparison.
-    group.bench_function("columnar_encode_onebatch", |b| b.iter(|| compress_records(&records)));
-    group.bench_function("columnar_encode_streaming_onebatch", |b| {
+    // Whole-stream single segment for the large-batch comparison.
+    group.bench_function("columnar_encode_onebatch", |b| {
         b.iter(|| {
             for r in &records {
                 encoder.append(r);
@@ -99,18 +79,15 @@ fn bench_compression_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    let col: usize = col_segments.iter().map(Vec::len).sum();
-    let v2: usize = v2_segments.iter().map(Vec::len).sum();
+    let columnar: usize = segments.iter().map(Vec::len).sum();
     println!(
-        "audit_compression: raw {} B, lz77+huffman {} B ({:.1}x), columnar v1 {} B ({:.1}x), \
-         columnar v2 streaming {} B ({:.1}x) [{}-record segments]",
+        "audit_compression: raw {} B, lz77+huffman {} B ({:.1}x), columnar {} B ({:.1}x) \
+         [{}-record segments]",
         raw_bytes,
         lz.len(),
         raw_bytes as f64 / lz.len().max(1) as f64,
-        col,
-        raw_bytes as f64 / col.max(1) as f64,
-        v2,
-        raw_bytes as f64 / v2.max(1) as f64,
+        columnar,
+        raw_bytes as f64 / columnar.max(1) as f64,
         SEGMENT_RECORDS,
     );
 }

@@ -1,11 +1,11 @@
 //! Where the streaming encoder spends its time at large (16 K-record)
 //! segments: full append+seal, append-only (seal skipped via `reset`),
-//! seal-only (the difference), a dispatch-and-touch-every-field walk as
-//! the floor no encoder can beat, and the v1 batch codec for scale. A
-//! diagnosis tool for the large-segment regime, not a pass/fail check.
+//! seal-only (the difference), and a dispatch-and-touch-every-field walk
+//! as the floor no encoder can beat. A diagnosis tool for the large-segment
+//! regime, not a pass/fail check.
 //!
 //! Run with `cargo run --release -p sbt_bench --bin codec_profile`.
-use sbt_attest::{compress_records, AuditRecord, ColumnarEncoder};
+use sbt_attest::{AuditRecord, ColumnarEncoder};
 use sbt_bench::{best_secs, synthetic_audit_records};
 
 fn main() {
@@ -84,27 +84,21 @@ fn main() {
         std::hint::black_box(acc);
     });
 
-    let v1_secs = best_secs(iters, || {
-        for chunk in records.chunks(seg) {
-            std::hint::black_box(compress_records(chunk));
-        }
-    });
-
     println!("records {n}, raw {:.0} KB", raw / 1024.0);
     println!(
-        "v2 append+seal: {:.3} ms  ({:.0} MB/s, {:.1} ns/rec)",
+        "v3 append+seal: {:.3} ms  ({:.0} MB/s, {:.1} ns/rec)",
         full_secs * 1e3,
         raw / full_secs / 1e6,
         full_secs * 1e9 / n as f64
     );
     println!(
-        "v2 append-only: {:.3} ms  ({:.0} MB/s, {:.1} ns/rec)",
+        "v3 append-only: {:.3} ms  ({:.0} MB/s, {:.1} ns/rec)",
         append_only_secs * 1e3,
         raw / append_only_secs / 1e6,
         append_only_secs * 1e9 / n as f64
     );
     println!(
-        "v2 seal-only:   {:.3} ms  ({:.1} ns/rec)",
+        "v3 seal-only:   {:.3} ms  ({:.1} ns/rec)",
         (full_secs - append_only_secs) * 1e3,
         (full_secs - append_only_secs) * 1e9 / n as f64
     );
@@ -112,11 +106,5 @@ fn main() {
         "walk floor:     {:.3} ms  ({:.1} ns/rec)",
         walk_secs * 1e3,
         walk_secs * 1e9 / n as f64
-    );
-    println!(
-        "v1 batch:       {:.3} ms  ({:.0} MB/s, {:.1} ns/rec)",
-        v1_secs * 1e3,
-        raw / v1_secs / 1e6,
-        v1_secs * 1e9 / n as f64
     );
 }

@@ -9,7 +9,7 @@ use sbt_crypto::AesCtr;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, SpanKind};
 use sbt_types::{Event, PowerEvent, PrimitiveKind, TenantId, Watermark};
 use sbt_tz::WorldTracker;
-use sbt_uarray::{TeePager, PAGE_SIZE};
+use sbt_uarray::{TeePager, UArray, PAGE_SIZE};
 use std::time::Instant;
 
 /// The fixed decrypt window of zero-copy ingest, in bytes.
@@ -79,7 +79,7 @@ impl DataPlane {
         // allocation of the payload on either path.
         let decrypt_start = Instant::now();
         let id = self.next_id();
-        let data = StoredData::events_exact(id, n_events, &self.pager, |dst| {
+        let data = UArray::produce_exact(id, n_events, &self.pager, |dst| {
             let mut window = [0u8; WIRE_CHUNK];
             for (i, chunk) in payload.chunks(WIRE_CHUNK).enumerate() {
                 let cleartext: &[u8] = match &ctr {
@@ -101,7 +101,8 @@ impl DataPlane {
                     }
                 }
             }
-        })?;
+        })
+        .map(StoredData::Events)?;
         let decrypt_nanos = if encrypted { decrypt_start.elapsed().as_nanos() as u64 } else { 0 };
         let (id, opaque, len) =
             self.register_output(tenant, &ts, data, PrimitiveKind::Ingress.code() as u64, None)?;

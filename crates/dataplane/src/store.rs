@@ -24,6 +24,18 @@ pub enum StoredData {
     Scalars(UArray<u64>),
 }
 
+/// A sealed uArray holding a copy of `records`.
+fn sealed_copy<T: Copy>(
+    id: UArrayId,
+    records: &[T],
+    pager: &TeePager,
+) -> Result<UArray<T>, DataPlaneError> {
+    let mut ua = UArray::with_reservation(id, records.len());
+    ua.extend_from_slice(records, pager)?;
+    ua.seal();
+    Ok(ua)
+}
+
 impl StoredData {
     // The `from_*` constructors copy a slice the caller already holds
     // (restored checkpoint partitions, test fixtures). Primitive outputs are
@@ -36,23 +48,7 @@ impl StoredData {
         events: &[Event],
         pager: &TeePager,
     ) -> Result<StoredData, DataPlaneError> {
-        let mut ua = UArray::with_reservation(id, events.len());
-        ua.extend_from_slice(events, pager)?;
-        ua.seal();
-        Ok(StoredData::Events(ua))
-    }
-
-    /// Build an events array of exactly `items` records produced in place by
-    /// `fill` — the zero-copy ingest path. Pages for the whole extent are
-    /// committed before `fill` runs, so quota exhaustion fails cleanly with
-    /// nothing allocated and `fill` never invoked.
-    pub fn events_exact(
-        id: UArrayId,
-        items: usize,
-        pager: &TeePager,
-        fill: impl FnOnce(&mut Vec<Event>),
-    ) -> Result<StoredData, DataPlaneError> {
-        Ok(StoredData::Events(UArray::produce_exact(id, items, pager, fill)?))
+        sealed_copy(id, events, pager).map(StoredData::Events)
     }
 
     /// Build an aggregate array from a slice.
@@ -61,10 +57,7 @@ impl StoredData {
         aggs: &[KeyAgg],
         pager: &TeePager,
     ) -> Result<StoredData, DataPlaneError> {
-        let mut ua = UArray::with_reservation(id, aggs.len());
-        ua.extend_from_slice(aggs, pager)?;
-        ua.seal();
-        Ok(StoredData::Aggs(ua))
+        sealed_copy(id, aggs, pager).map(StoredData::Aggs)
     }
 
     /// Build a key/value-pair array from a slice.
@@ -73,10 +66,7 @@ impl StoredData {
         pairs: &[KeyValue],
         pager: &TeePager,
     ) -> Result<StoredData, DataPlaneError> {
-        let mut ua = UArray::with_reservation(id, pairs.len());
-        ua.extend_from_slice(pairs, pager)?;
-        ua.seal();
-        Ok(StoredData::Pairs(ua))
+        sealed_copy(id, pairs, pager).map(StoredData::Pairs)
     }
 
     /// Build a scalar array from a slice.
@@ -85,10 +75,7 @@ impl StoredData {
         scalars: &[u64],
         pager: &TeePager,
     ) -> Result<StoredData, DataPlaneError> {
-        let mut ua = UArray::with_reservation(id, scalars.len());
-        ua.extend_from_slice(scalars, pager)?;
-        ua.seal();
-        Ok(StoredData::Scalars(ua))
+        sealed_copy(id, scalars, pager).map(StoredData::Scalars)
     }
 
     /// The internal uArray id.

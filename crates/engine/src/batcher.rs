@@ -18,11 +18,7 @@
 //! amortization level.
 
 use crate::metrics::CycleCost;
-use parking_lot::Mutex;
-use sbt_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use sbt_tz::CostModel;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// TEE entries one ingested batch costs on the trusted-IO path: one
 /// command list carries the ingress, the windowing (segment) invocation and
@@ -39,8 +35,6 @@ pub struct AdaptiveBatcher {
     /// Modelled per-event cost in nanoseconds (decrypt + windowing), from
     /// [`CycleCost`]'s 1 unit ≈ 1 ns currency.
     per_event_nanos: u64,
-    /// World switches one batch pays on this ingress path.
-    switches: u64,
     /// Output-delay target the batch must fit inside, in milliseconds.
     target_delay_ms: u32,
 }
@@ -75,15 +69,8 @@ impl AdaptiveBatcher {
         AdaptiveBatcher {
             fixed_nanos: switches * cost.switch_nanos(),
             per_event_nanos: per_event.max(1),
-            switches,
             target_delay_ms,
         }
-    }
-
-    /// The fixed per-batch boundary cost this batcher amortizes, in
-    /// modelled nanoseconds.
-    pub fn fixed_nanos(&self) -> u64 {
-        self.fixed_nanos
     }
 
     /// The chosen events-per-batch: large enough that the fixed switch toll
@@ -100,127 +87,6 @@ impl AdaptiveBatcher {
         let latency_cap = (budget_nanos / self.per_event_nanos).max(1) as usize;
         amortized.clamp(Self::MIN_EVENTS, Self::MAX_EVENTS).min(latency_cap).max(1)
     }
-
-    /// Boundary overhead fraction a batch of `events` pays under this
-    /// model: fixed cost over fixed-plus-per-event cost.
-    pub fn overhead_fraction(&self, events: usize) -> f64 {
-        let work = events as u64 * self.per_event_nanos;
-        self.fixed_nanos as f64 / (self.fixed_nanos + work) as f64
-    }
-
-    /// This batcher with its fixed per-batch cost replaced (the live
-    /// batcher substitutes an *observed* switch cost for the modelled one).
-    pub fn with_fixed_nanos(mut self, fixed_nanos: u64) -> Self {
-        self.fixed_nanos = fixed_nanos;
-        self
-    }
-
-    /// World switches one batch pays on this batcher's ingress path.
-    pub fn switches_per_batch(&self) -> u64 {
-        self.switches
-    }
-
-    fn target_delay_ms(&self) -> u32 {
-        self.target_delay_ms
-    }
-}
-
-/// Live-feedback batch sizing: re-derives the batch size from *observed*
-/// boundary rates instead of trusting the admission-time model forever.
-///
-/// The model-based [`AdaptiveBatcher`] prices a batch's fixed boundary
-/// toll from the cost model once, at admission. But the effective switch
-/// cost drifts at runtime — calibration error, world-switch batching
-/// (PR 6) amortizing entries, contention on the secure side. The live
-/// batcher keeps the model as its prior and, once per delay window, reads
-/// the registry's `tz.switch_nanos` / `tz.world_switches` delta to
-/// re-price the toll with the switch cost the platform *actually* paid,
-/// then re-runs the same amortize-then-cap sizing. With no traffic (no
-/// new switches) it falls back to the model.
-pub struct LiveBatcher {
-    base: AdaptiveBatcher,
-    registry: Arc<MetricsRegistry>,
-    /// Refresh period: one output-delay window, in nanoseconds.
-    refresh_nanos: u64,
-    state: Mutex<LiveState>,
-}
-
-struct LiveState {
-    last_refresh: Instant,
-    last_snapshot: Option<TelemetrySnapshot>,
-    current: usize,
-}
-
-impl LiveBatcher {
-    /// Wrap a model-based batcher with live registry feedback.
-    pub fn new(base: AdaptiveBatcher, registry: Arc<MetricsRegistry>) -> Self {
-        let refresh_nanos = (base.target_delay_ms() as u64).max(1) * 1_000_000;
-        let current = base.events_per_batch();
-        LiveBatcher {
-            base,
-            registry,
-            refresh_nanos,
-            state: Mutex::new(LiveState {
-                last_refresh: Instant::now(),
-                last_snapshot: None,
-                current,
-            }),
-        }
-    }
-
-    /// The model-derived batch size the live batcher starts from.
-    pub fn model_events_per_batch(&self) -> usize {
-        self.base.events_per_batch()
-    }
-
-    /// The current batch size: the last live-derived value, refreshed from
-    /// the registry once per delay window.
-    pub fn events_per_batch(&self) -> usize {
-        let mut state = self.state.lock();
-        if state.last_refresh.elapsed().as_nanos() >= u128::from(self.refresh_nanos) {
-            state.current = self.refresh(&mut state);
-            state.last_refresh = Instant::now();
-        }
-        state.current
-    }
-
-    /// Force a refresh from the registry now (harness/test hook); returns
-    /// the newly derived batch size.
-    pub fn refresh_now(&self) -> usize {
-        let mut state = self.state.lock();
-        state.current = self.refresh(&mut state);
-        state.last_refresh = Instant::now();
-        state.current
-    }
-
-    fn refresh(&self, state: &mut LiveState) -> usize {
-        let snap = self.registry.snapshot();
-        let observed = state.last_snapshot.as_ref().map_or_else(
-            || Self::observed_switch_cost(&snap),
-            |prev| Self::observed_switch_cost(&snap.delta_since(prev)),
-        );
-        state.last_snapshot = Some(snap);
-        match observed {
-            // Re-price the fixed toll with the observed per-switch cost and
-            // the same per-batch switch count the model assumed.
-            Some(per_switch) => self
-                .base
-                .with_fixed_nanos(self.base.switches_per_batch() * per_switch)
-                .events_per_batch(),
-            // No boundary traffic since the last refresh: keep the model.
-            None => self.base.events_per_batch(),
-        }
-    }
-
-    /// Observed nanoseconds per world switch in a snapshot window, if any
-    /// switches happened.
-    fn observed_switch_cost(delta: &TelemetrySnapshot) -> Option<u64> {
-        let switches = delta.counter_u64("tz.world_switches");
-        if switches == 0 {
-            return None;
-        }
-        Some(delta.counter_u64("tz.switch_nanos") / switches)
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +100,6 @@ mod tests {
         // 100 K cap. A relaxed delay target leaves the amortization binding.
         let b = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
         assert_eq!(b.events_per_batch(), 40_000);
-        assert!(b.overhead_fraction(b.events_per_batch()) < 0.06);
     }
 
     #[test]
@@ -265,71 +130,13 @@ mod tests {
     fn via_os_pays_one_more_switch() {
         let direct = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
         let via_os = AdaptiveBatcher::new(&CostModel::hikey(), true, 12, 60_000);
-        assert!(via_os.fixed_nanos() > direct.fixed_nanos());
+        // Twice the fixed toll to amortize: twice the batch, under the cap.
+        assert_eq!(via_os.events_per_batch(), 2 * direct.events_per_batch());
     }
 
     #[test]
     fn free_cost_model_hits_the_floor() {
         let b = AdaptiveBatcher::new(&CostModel::free(), false, 12, 60_000);
         assert_eq!(b.events_per_batch(), AdaptiveBatcher::MIN_EVENTS);
-    }
-
-    /// A fake TZ source feeding the live batcher a controllable
-    /// world-switch rate through a real registry.
-    struct FakeTz {
-        switches: std::sync::atomic::AtomicU64,
-        switch_nanos: std::sync::atomic::AtomicU64,
-    }
-
-    impl sbt_telemetry::CounterSource for FakeTz {
-        fn section(&self) -> String {
-            "tz".to_string()
-        }
-        fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
-            use std::sync::atomic::Ordering;
-            emit("world_switches", self.switches.load(Ordering::Relaxed) as i64);
-            emit("switch_nanos", self.switch_nanos.load(Ordering::Relaxed) as i64);
-        }
-    }
-
-    #[test]
-    fn live_batcher_reprices_from_observed_switch_cost() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Model says 40 µs switches (HiKey): batch lands on 40 K events.
-        let base = AdaptiveBatcher::new(&CostModel::hikey(), false, 12, 60_000);
-        let registry = Arc::new(MetricsRegistry::new());
-        let tz = Arc::new(FakeTz { switches: AtomicU64::new(0), switch_nanos: AtomicU64::new(0) });
-        registry.register_source(&tz);
-        let live = LiveBatcher::new(base, registry);
-        assert_eq!(live.events_per_batch(), 40_000);
-
-        // Observed switches come in ~100× cheaper than the model (world-
-        // switch batching amortized them): the live batch size collapses.
-        tz.switches.store(1_000, Ordering::Relaxed);
-        tz.switch_nanos.store(1_000 * 400, Ordering::Relaxed); // 400 ns each
-        let first = live.refresh_now();
-        assert!(first < AdaptiveBatcher::MAX_EVENTS / 4, "live size {first} did not shrink");
-        assert_eq!(first, base.with_fixed_nanos(400).events_per_batch());
-
-        // Rates are windowed (delta since last refresh), not lifetime: a
-        // subsequent window where switches got *expensive* grows the batch
-        // again even though the lifetime average is still cheap.
-        tz.switches.store(1_100, Ordering::Relaxed);
-        tz.switch_nanos.store(1_000 * 400 + 100 * 40_000, Ordering::Relaxed);
-        let second = live.refresh_now();
-        assert_eq!(second, base.with_fixed_nanos(40_000).events_per_batch());
-        assert!(second > first);
-
-        // A quiet window (no new switches) falls back to the model.
-        assert_eq!(live.refresh_now(), base.events_per_batch());
-    }
-
-    #[test]
-    fn live_batcher_without_traffic_matches_the_model() {
-        let base = AdaptiveBatcher::new(&CostModel::hikey(), true, 16, 500);
-        let live = LiveBatcher::new(base, Arc::new(MetricsRegistry::new()));
-        assert_eq!(live.events_per_batch(), base.events_per_batch());
-        assert_eq!(live.model_events_per_batch(), base.events_per_batch());
-        assert_eq!(live.refresh_now(), base.events_per_batch());
     }
 }

@@ -35,7 +35,7 @@ pub mod pipeline;
 pub mod runner;
 mod steps;
 
-pub use batcher::{AdaptiveBatcher, LiveBatcher};
+pub use batcher::AdaptiveBatcher;
 pub use config::{EngineConfig, EngineVariant};
 pub use executor::{Executor, JoinHandle, TaskPanicked, TaskResult, TaskSet};
 pub use gateway::{GatewayBoundary, TeeGateway};

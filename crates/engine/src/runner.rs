@@ -268,20 +268,6 @@ impl Engine {
         self.gateway.boundary_events()
     }
 
-    /// An adaptive ingest batcher for this engine: sizes batches from the
-    /// platform's cost model, the configured ingress path and the
-    /// pipeline's output-delay target. `event_wire_bytes` is the wire size
-    /// of one source event (12 generic, 16 power).
-    pub fn adaptive_batcher(&self, event_wire_bytes: usize) -> crate::batcher::AdaptiveBatcher {
-        let via_os = matches!(self.config.variant, crate::config::EngineVariant::SbtIoViaOs);
-        crate::batcher::AdaptiveBatcher::new(
-            self.platform.cost(),
-            via_os,
-            event_wire_bytes,
-            self.pipeline.target_delay(),
-        )
-    }
-
     /// The worker pool (shared across engines in multi-tenant deployments).
     pub fn worker_pool(&self) -> &Arc<Executor> {
         &self.pool
@@ -290,16 +276,6 @@ impl Engine {
     /// The data plane's unified metrics registry.
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
         self.gateway.data_plane().telemetry()
-    }
-
-    /// A live-feedback batcher for this engine: starts from the model-based
-    /// [`AdaptiveBatcher`] and re-derives the batch size each delay window
-    /// from the *observed* world-switch cost in the registry.
-    pub fn live_batcher(&self, event_wire_bytes: usize) -> crate::batcher::LiveBatcher {
-        crate::batcher::LiveBatcher::new(
-            self.adaptive_batcher(event_wire_bytes),
-            self.telemetry().clone(),
-        )
     }
 
     /// Ingest a batch on the primary stream.

@@ -19,7 +19,7 @@
 use crate::server::{LanePhase, StreamServer};
 use parking_lot::Mutex;
 use sbt_dataplane::DataPlaneError;
-use sbt_engine::{CycleCost, Engine, IngestStatus, JoinHandle, StreamSide, WindowTicket};
+use sbt_engine::{CycleCost, Engine, Executor, IngestStatus, JoinHandle, StreamSide, WindowTicket};
 use sbt_telemetry::FlightReason;
 use sbt_types::{TenantId, Watermark};
 use sbt_workloads::generator::{Generator, Offer};
@@ -224,6 +224,8 @@ fn batch_cost(engine: &Engine, delivery: &Delivery) -> u64 {
 /// work it has in flight.
 struct Lane {
     tenant: TenantId,
+    /// The lane's index in the serve loop's [`DrrAccounting`].
+    slot: usize,
     weight: u32,
     engine: Arc<Engine>,
     generator: Generator,
@@ -272,22 +274,22 @@ struct Lane {
 }
 
 impl Lane {
+    /// Whether an ingestion task or a window ticket is still out.
+    fn in_flight(&self) -> bool {
+        !self.inflight.is_empty() || self.ticket.is_some()
+    }
+
+    /// Whether nothing is staged, pending or in flight.
+    fn quiescent(&self) -> bool {
+        self.staged.is_none() && self.pending_wm.is_none() && !self.in_flight()
+    }
+
     /// Whether the lane still has work the serve loop must see through.
     fn live(&self) -> bool {
         if self.dead {
-            return !self.inflight.is_empty() || self.ticket.is_some();
+            return self.in_flight();
         }
-        if self.draining {
-            return self.staged.is_some()
-                || self.pending_wm.is_some()
-                || !self.inflight.is_empty()
-                || self.ticket.is_some();
-        }
-        !self.generator.is_exhausted()
-            || self.staged.is_some()
-            || self.pending_wm.is_some()
-            || !self.inflight.is_empty()
-            || self.ticket.is_some()
+        !self.quiescent() || (!self.draining && !self.generator.is_exhausted())
     }
 
     /// Whether the lane has offerable input (backlogged, in DRR terms).
@@ -296,6 +298,257 @@ impl Lane {
             return false;
         }
         self.staged.is_some() || self.pending_wm.is_some() || !self.generator.is_exhausted()
+    }
+
+    /// The tenant is gone: drop what never entered the TEE and keep the
+    /// lane only to absorb in-flight completions.
+    fn die(&mut self) {
+        self.dead = true;
+        self.staged = None;
+        self.pending_wm = None;
+    }
+
+    /// Lifecycle step: an eviction (from any thread) unwinds the lane
+    /// mid-serve; a drain request stops its intake.
+    fn apply_phase(&mut self, phase: LanePhase) -> bool {
+        if self.dead {
+            return false;
+        }
+        match phase {
+            LanePhase::Departed => self.die(),
+            LanePhase::Draining if !self.draining => {
+                self.draining = true;
+                // The staged batch never entered the TEE; drop it. A staged
+                // watermark still closes the windows whose batches are
+                // already in.
+                if matches!(self.staged, Some(Offer::Batch(_))) {
+                    self.staged = None;
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Ingest-harvest step: settle finished ingestion tasks (any
+    /// completion order).
+    fn harvest_ingest(&mut self, ctx: &mut Serving<'_>) -> bool {
+        let mut harvested = Vec::new();
+        self.inflight.retain_mut(|(est, handle)| match handle.try_join() {
+            None => true,
+            Some(done) => {
+                harvested.push((*est, done));
+                false
+            }
+        });
+        let progress = !harvested.is_empty();
+        for (est, done) in harvested {
+            ctx.drr.release(self.slot, est);
+            match done {
+                Ok(outcome) => self.on_ingest(ctx, outcome),
+                Err(_) if self.dead => {}
+                Err(p) => {
+                    ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
+                    panic!("ingest task panicked: {}", p.message)
+                }
+            }
+        }
+        progress
+    }
+
+    /// Settle one ingestion outcome into the lane's counters and deficit.
+    fn on_ingest(&mut self, ctx: &mut Serving<'_>, outcome: Result<IngestStatus, DataPlaneError>) {
+        match outcome {
+            // The tenant departed with this batch in flight: whatever the
+            // TEE answered (including UnknownTenant) is moot.
+            _ if self.dead => {}
+            Ok(IngestStatus::Accepted) => self.accepted_batches += 1,
+            Ok(IngestStatus::Backpressure) => {
+                self.accepted_batches += 1;
+                self.backpressure_signals += 1;
+                ctx.penalize(self, FlightReason::BackpressureStall);
+            }
+            Err(e) => self.on_error(ctx, e),
+        }
+    }
+
+    /// Settle one window-execution outcome.
+    fn on_fire(&mut self, ctx: &mut Serving<'_>, outcome: Result<(), DataPlaneError>) {
+        match outcome {
+            _ if self.dead => {}
+            Ok(()) => {
+                self.fired_since_ckpt = true;
+                self.ckpt_check_pending = true;
+            }
+            Err(e) => self.on_error(ctx, e),
+        }
+    }
+
+    /// The error outcomes ingestion and window execution share.
+    fn on_error(&mut self, ctx: &mut Serving<'_>, e: DataPlaneError) {
+        match e {
+            // The batch is dropped, or the window whose intermediates
+            // tripped the quota: the tenant outgrew its quota. The debit
+            // penalizes only this lane.
+            DataPlaneError::QuotaExceeded => {
+                self.rejected_batches += 1;
+                ctx.penalize(self, FlightReason::QuotaExhausted);
+            }
+            // Evicted after this iteration's phase snapshot, with work in
+            // flight: the lane dies; nothing is fatal for the other tenants.
+            DataPlaneError::UnknownTenant
+                if ctx.server.lane_phase(self.tenant) == LanePhase::Departed =>
+            {
+                self.die()
+            }
+            e => {
+                ctx.fatal.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Cost-charge step: charge the cycle cost this tenant actually
+    /// consumed since the last look (ingestion and window execution alike).
+    fn charge_serviced(&mut self, ctx: &mut Serving<'_>) {
+        let serviced = self.engine.drain_serviced_cost();
+        if serviced > 0 {
+            ctx.drr.charge(self.slot, serviced);
+            ctx.counters.add_charged(serviced);
+        }
+    }
+
+    /// Watermark-launch step: launch a pending watermark once its window's
+    /// batches have all been stashed and the lane's previous fire has
+    /// resolved (one closed-but-unemitted window per lane: intake stops at
+    /// a pending watermark, so a fast ingest cannot run windows ahead of a
+    /// slow fire and pile their state onto the quota); the returned ticket
+    /// joins the in-flight set and its window executes concurrently with
+    /// everything else.
+    fn launch_watermark(&mut self, ctx: &Serving<'_>) -> bool {
+        if self.in_flight() || ctx.fatal.is_some() || self.dead {
+            return false;
+        }
+        let Some(wm) = self.pending_wm.take() else { return false };
+        self.ticket = Some(Engine::advance_watermark_async(&self.engine, wm, StreamSide::Left));
+        true
+    }
+
+    /// Ticket-harvest step: settle the window ticket once it resolves.
+    fn harvest_ticket(&mut self, ctx: &mut Serving<'_>) -> bool {
+        let Some(result) = self.ticket.as_mut().and_then(WindowTicket::try_wait) else {
+            return false;
+        };
+        self.ticket = None;
+        self.on_fire(ctx, result);
+        true
+    }
+
+    /// Drain-finish step: a draining lane with nothing left in flight
+    /// departs its tenant (the namespace disappears only after its final
+    /// windows executed and were audited).
+    fn finish_drain(&mut self, server: &StreamServer) -> bool {
+        if !self.draining || self.dead || !self.quiescent() {
+            return false;
+        }
+        self.engine.quiesce();
+        server.finish_drain(self.tenant);
+        self.dead = true;
+        true
+    }
+
+    /// Checkpoint-due step: a lane with a checkpoint policy whose interval
+    /// is due seals a snapshot at its next quiescent post-fire point (no
+    /// in-flight batches, window tickets or staged watermark, and a window
+    /// fired since the last attempt — right after a fire the buffered state
+    /// is minimal, so the seal hashes a few hundred bytes, not a whole
+    /// in-progress window). The seal is one world crossing on the serve
+    /// thread; the other lanes' in-flight work keeps overlapping it, so the
+    /// cost is amortized exactly like any other dispatch.
+    fn checkpoint_if_due(&mut self, server: &StreamServer) -> bool {
+        if self.dead
+            || self.draining
+            || (self.ckpt_every_records.is_none() && self.ckpt_every_ms.is_none())
+            || !self.fired_since_ckpt
+            || self.in_flight()
+            || self.pending_wm.is_some()
+        {
+            return false;
+        }
+        let due_wall = self
+            .ckpt_every_ms
+            .map(|ms| self.last_ckpt_at.elapsed().as_millis() as u64 >= ms)
+            .unwrap_or(false);
+        if !due_wall && !self.ckpt_check_pending {
+            return false;
+        }
+        self.ckpt_check_pending = false;
+        // The raw ingest counter — read at most once per fire (see
+        // `ckpt_check_pending`), and never via `Engine::metrics()`, whose
+        // snapshot clones every window result.
+        let events =
+            self.engine.data_plane().tenant_ingest(self.tenant).map(|(e, _)| e).unwrap_or(0);
+        let due_records = self
+            .ckpt_every_records
+            .map(|n| events.saturating_sub(self.last_ckpt_events) >= n)
+            .unwrap_or(false);
+        if !(due_records || due_wall) {
+            return false;
+        }
+        // Mark the attempt whether or not it lands: a vault fault or a
+        // racing departure must not become a per-iteration retry storm.
+        self.last_ckpt_events = events;
+        self.last_ckpt_at = Instant::now();
+        self.fired_since_ckpt = false;
+        let Ok(sealed) = self.engine.checkpoint() else { return false };
+        if server.vault_store(self.tenant, &sealed).is_ok() {
+            self.checkpoints_taken += 1;
+        }
+        true
+    }
+
+    /// Offer step: dispatch staged batches while the lane's deficit allows.
+    /// Returns whether anything moved and whether credit, rather than the
+    /// in-flight cap or the input, is what stopped it.
+    fn offer(&mut self, drr: &mut DrrAccounting, executor: &Executor) -> (bool, bool) {
+        if self.dead {
+            return (false, false);
+        }
+        if self.draining {
+            // Intake is closed: only promote an already-staged watermark so
+            // the lane can finish its windows.
+            let Some(Offer::Watermark(wm)) = self.staged.take() else { return (false, false) };
+            self.pending_wm = Some(wm);
+            return (true, false);
+        }
+        let mut progress = false;
+        loop {
+            if self.staged.is_none() && self.pending_wm.is_none() {
+                self.staged = self.generator.next_offer();
+            }
+            match self.staged.take() {
+                None => return (progress, false),
+                Some(Offer::Watermark(wm)) => {
+                    // Stop pulling until the watermark launches: batches
+                    // behind it belong to later windows.
+                    self.pending_wm = Some(wm);
+                    return (progress, false);
+                }
+                Some(Offer::Batch(delivery)) => {
+                    let est = batch_cost(&self.engine, &delivery);
+                    let capped = self.inflight.len() >= MAX_INFLIGHT_PER_LANE;
+                    if capped || !drr.can_dispatch(self.slot, est) {
+                        self.staged = Some(Offer::Batch(delivery));
+                        return (progress, !capped);
+                    }
+                    drr.reserve(self.slot, est);
+                    let engine = self.engine.clone();
+                    let handle =
+                        executor.spawn(move || engine.ingest_on(&delivery, StreamSide::Left));
+                    self.inflight.push((est, handle));
+                    progress = true;
+                }
+            }
+        }
     }
 }
 
@@ -352,6 +605,36 @@ impl sbt_telemetry::CounterSource for DrrCounters {
     }
 }
 
+/// The serve loop's shared state that lane steps report into: the server,
+/// the DRR bookkeeping and its registry mirror, and the first fatal error.
+struct Serving<'a> {
+    server: &'a StreamServer,
+    drr: DrrAccounting,
+    counters: Arc<DrrCounters>,
+    fatal: Option<DataPlaneError>,
+}
+
+impl<'a> Serving<'a> {
+    fn new(server: &'a StreamServer, lanes: &[Lane]) -> Self {
+        let weights: Vec<u32> = lanes.iter().map(|l| l.weight).collect();
+        let drr = DrrAccounting::new(&weights, server.config().drr_quantum);
+        let counters = Arc::new(DrrCounters::new(lanes.len()));
+        server.telemetry().register_source(&counters);
+        // Keep the mirror alive past this loop so post-run snapshots still
+        // see the final deficits (the registry only holds it weakly).
+        server.retain_drr_mirror(counters.clone());
+        Serving { server, drr, counters, fatal: None }
+    }
+
+    /// Debit a misbehaving lane one round's credit, count the penalty and
+    /// dump the flight recorder for its tenant.
+    fn penalize(&mut self, lane: &Lane, reason: FlightReason) {
+        self.drr.penalize(lane.slot);
+        self.counters.add_penalty();
+        self.server.telemetry().flight_trigger(lane.tenant.0, reason);
+    }
+}
+
 impl StreamServer {
     /// Resolve streams against the admitted tenants: one lane per stream,
     /// erroring on unknown tenants and on two streams naming the same
@@ -372,6 +655,7 @@ impl StreamServer {
             }
             lanes.push(Lane {
                 tenant: s.tenant,
+                slot: lanes.len(),
                 weight: config.weight,
                 engine,
                 generator: s.generator,
@@ -430,303 +714,50 @@ impl StreamServer {
     /// (those are counted, not fatal).
     pub fn serve(&self, streams: Vec<TenantStream>) -> Result<ServeReport, DataPlaneError> {
         let mut lanes = self.lanes_for(streams)?;
-        let _guard = ServingGuard::new(self, lanes.iter().map(|l| l.tenant).collect());
+        let lane_ids: Vec<TenantId> = lanes.iter().map(|l| l.tenant).collect();
+        let _guard = ServingGuard::new(self, lane_ids.clone());
         let executor = self.worker_pool().clone();
         for lane in &lanes {
             // Reset the cost meter so this run's charges start at zero.
             let _ = lane.engine.drain_serviced_cost();
         }
-        let weights: Vec<u32> = lanes.iter().map(|l| l.weight).collect();
-        let mut drr = DrrAccounting::new(&weights, self.config().drr_quantum);
-        let telemetry = self.telemetry().clone();
-        let drr_counters = Arc::new(DrrCounters::new(lanes.len()));
-        telemetry.register_source(&drr_counters);
-        // Keep the mirror alive past this loop so post-run snapshots still
-        // see the final deficits (the registry only holds it weakly).
-        self.retain_drr_mirror(drr_counters.clone());
-        let mut fatal: Option<DataPlaneError> = None;
+        let mut ctx = Serving::new(self, &lanes);
         let start = Instant::now();
 
-        let lane_ids: Vec<TenantId> = lanes.iter().map(|l| l.tenant).collect();
         loop {
             let mut progress = false;
             let phases = self.lane_phases(&lane_ids);
-
-            for (li, l) in lanes.iter_mut().enumerate() {
-                // Lifecycle check: an eviction (from any thread) unwinds the
-                // lane mid-serve; a drain request stops its intake.
-                if !l.dead {
-                    match phases[li] {
-                        LanePhase::Departed => {
-                            l.dead = true;
-                            l.staged = None;
-                            l.pending_wm = None;
-                            progress = true;
-                        }
-                        LanePhase::Draining if !l.draining => {
-                            l.draining = true;
-                            // The staged batch never entered the TEE; drop
-                            // it. A staged watermark still closes the
-                            // windows whose batches are already in.
-                            if matches!(l.staged, Some(Offer::Batch(_))) {
-                                l.staged = None;
-                            }
-                            progress = true;
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Harvest finished ingestion tasks (any completion order).
-                let mut harvested = Vec::new();
-                l.inflight.retain_mut(|(est, handle)| match handle.try_join() {
-                    None => true,
-                    Some(done) => {
-                        harvested.push((*est, done));
-                        false
-                    }
-                });
-                for (est, done) in harvested {
-                    drr.release(li, est);
-                    progress = true;
-                    match done {
-                        _ if l.dead => {
-                            // The tenant departed with this batch in flight:
-                            // whatever the TEE answered (including
-                            // UnknownTenant) is moot.
-                        }
-                        Ok(Ok(IngestStatus::Accepted)) => l.accepted_batches += 1,
-                        Ok(Ok(IngestStatus::Backpressure)) => {
-                            l.accepted_batches += 1;
-                            l.backpressure_signals += 1;
-                            drr.penalize(li);
-                            drr_counters.add_penalty();
-                            telemetry.flight_trigger(l.tenant.0, FlightReason::BackpressureStall);
-                        }
-                        Ok(Err(DataPlaneError::QuotaExceeded)) => {
-                            // The batch is dropped: the tenant outgrew its
-                            // quota. The debit penalizes only this lane.
-                            l.rejected_batches += 1;
-                            drr.penalize(li);
-                            drr_counters.add_penalty();
-                            telemetry.flight_trigger(l.tenant.0, FlightReason::QuotaExhausted);
-                        }
-                        // Evicted after this iteration's phase snapshot,
-                        // with the batch in flight: the lane dies; nothing
-                        // is fatal for the other tenants.
-                        Ok(Err(DataPlaneError::UnknownTenant))
-                            if self.lane_phase(l.tenant) == LanePhase::Departed =>
-                        {
-                            l.dead = true;
-                            l.staged = None;
-                            l.pending_wm = None;
-                        }
-                        Ok(Err(e)) => {
-                            fatal.get_or_insert(e);
-                        }
-                        Err(p) => {
-                            telemetry.flight_trigger(l.tenant.0, FlightReason::TaskPanic);
-                            panic!("ingest task panicked: {}", p.message)
-                        }
-                    }
-                }
-
-                // Charge the cycle cost this tenant actually consumed since
-                // the last look (ingestion and window execution alike).
-                let serviced = l.engine.drain_serviced_cost();
-                if serviced > 0 {
-                    drr.charge(li, serviced);
-                    drr_counters.add_charged(serviced);
-                }
-
-                // Launch a pending watermark once its window's batches have
-                // all been stashed and the lane's previous fire has resolved
-                // (one closed-but-unemitted window per lane: intake stops at
-                // a pending watermark, so a fast ingest cannot run windows
-                // ahead of a slow fire and pile their state onto the quota);
-                // the returned ticket joins the in-flight set and its window
-                // executes concurrently with everything else.
-                if l.inflight.is_empty() && l.ticket.is_none() && fatal.is_none() && !l.dead {
-                    if let Some(wm) = l.pending_wm.take() {
-                        l.ticket =
-                            Some(Engine::advance_watermark_async(&l.engine, wm, StreamSide::Left));
-                        progress = true;
-                    }
-                }
-
-                // Harvest the window ticket once it resolves.
-                if let Some(result) = l.ticket.as_mut().and_then(WindowTicket::try_wait) {
-                    l.ticket = None;
-                    progress = true;
-                    match result {
-                        _ if l.dead => {}
-                        Ok(()) => {
-                            l.fired_since_ckpt = true;
-                            l.ckpt_check_pending = true;
-                        }
-                        Err(DataPlaneError::QuotaExceeded) => {
-                            // Window execution tripped the tenant's quota
-                            // (intermediates count too): costs the tenant
-                            // its window, nothing else.
-                            l.rejected_batches += 1;
-                            drr.penalize(li);
-                            drr_counters.add_penalty();
-                            telemetry.flight_trigger(l.tenant.0, FlightReason::QuotaExhausted);
-                        }
-                        // Evicted with the window in flight: lane dies,
-                        // others unaffected.
-                        Err(DataPlaneError::UnknownTenant)
-                            if self.lane_phase(l.tenant) == LanePhase::Departed =>
-                        {
-                            l.dead = true;
-                            l.staged = None;
-                            l.pending_wm = None;
-                        }
-                        Err(e) => {
-                            fatal.get_or_insert(e);
-                        }
-                    }
-                }
+            for (l, phase) in lanes.iter_mut().zip(phases) {
+                progress |= l.apply_phase(phase);
+                progress |= l.harvest_ingest(&mut ctx);
+                l.charge_serviced(&mut ctx);
+                progress |= l.launch_watermark(&ctx);
+                progress |= l.harvest_ticket(&mut ctx);
             }
-
-            // Finalize drains: a draining lane with nothing left in flight
-            // departs its tenant (the namespace disappears only after its
-            // final windows executed and were audited).
-            if fatal.is_none() {
-                for l in lanes.iter_mut() {
-                    if l.draining
-                        && !l.dead
-                        && l.staged.is_none()
-                        && l.pending_wm.is_none()
-                        && l.inflight.is_empty()
-                        && l.ticket.is_none()
-                    {
-                        l.engine.quiesce();
-                        self.finish_drain(l.tenant);
-                        l.dead = true;
-                        progress = true;
-                    }
-                }
-            }
-
-            // Amortized checkpoints: a lane with a checkpoint policy whose
-            // interval is due seals a snapshot at its next quiescent
-            // post-fire point (no in-flight batches, window tickets or
-            // staged watermark, and a window fired since the last attempt —
-            // right after a fire the buffered state is minimal, so the
-            // seal hashes a few hundred bytes, not a whole in-progress
-            // window). The seal is one world crossing on this thread; the
-            // other lanes' in-flight work keeps overlapping it, so the cost
-            // is amortized exactly like any other dispatch.
-            if fatal.is_none() {
-                for l in lanes.iter_mut() {
-                    if l.dead
-                        || l.draining
-                        || (l.ckpt_every_records.is_none() && l.ckpt_every_ms.is_none())
-                        || !l.fired_since_ckpt
-                        || !l.inflight.is_empty()
-                        || l.ticket.is_some()
-                        || l.pending_wm.is_some()
-                    {
-                        continue;
-                    }
-                    let due_wall = l
-                        .ckpt_every_ms
-                        .map(|ms| l.last_ckpt_at.elapsed().as_millis() as u64 >= ms)
-                        .unwrap_or(false);
-                    if !due_wall && !l.ckpt_check_pending {
-                        continue;
-                    }
-                    l.ckpt_check_pending = false;
-                    // The raw ingest counter — read at most once per fire
-                    // (see `ckpt_check_pending`), and never via
-                    // `Engine::metrics()`, whose snapshot clones every
-                    // window result.
-                    let events =
-                        l.engine.data_plane().tenant_ingest(l.tenant).map(|(e, _)| e).unwrap_or(0);
-                    let due_records = l
-                        .ckpt_every_records
-                        .map(|n| events.saturating_sub(l.last_ckpt_events) >= n)
-                        .unwrap_or(false);
-                    if !(due_records || due_wall) {
-                        continue;
-                    }
-                    // Mark the attempt whether or not it lands: a vault
-                    // fault or a racing departure must not become a
-                    // per-iteration retry storm.
-                    l.last_ckpt_events = events;
-                    l.last_ckpt_at = Instant::now();
-                    l.fired_since_ckpt = false;
-                    if let Ok(sealed) = l.engine.checkpoint() {
-                        if self.vault_store(l.tenant, &sealed).is_ok() {
-                            l.checkpoints_taken += 1;
-                        }
-                        progress = true;
-                    }
-                }
-            }
-
-            // Offer phase: dispatch staged batches while deficits allow.
             let mut starved_by_credit = false;
-            if fatal.is_none() {
-                for (li, l) in lanes.iter_mut().enumerate() {
-                    if l.dead {
-                        continue;
-                    }
-                    if l.draining {
-                        // Intake is closed: only promote an already-staged
-                        // watermark so the lane can finish its windows.
-                        if let Some(Offer::Watermark(wm)) = l.staged.take() {
-                            l.pending_wm = Some(wm);
-                            progress = true;
-                        }
-                        continue;
-                    }
-                    loop {
-                        if l.staged.is_none() && l.pending_wm.is_none() {
-                            l.staged = l.generator.next_offer();
-                        }
-                        match l.staged.take() {
-                            None => break,
-                            Some(Offer::Watermark(wm)) => {
-                                // Stop pulling until the watermark launches:
-                                // batches behind it belong to later windows.
-                                l.pending_wm = Some(wm);
-                                break;
-                            }
-                            Some(Offer::Batch(delivery)) => {
-                                let est = batch_cost(&l.engine, &delivery);
-                                if l.inflight.len() >= MAX_INFLIGHT_PER_LANE {
-                                    l.staged = Some(Offer::Batch(delivery));
-                                    break;
-                                }
-                                if !drr.can_dispatch(li, est) {
-                                    l.staged = Some(Offer::Batch(delivery));
-                                    starved_by_credit = true;
-                                    break;
-                                }
-                                drr.reserve(li, est);
-                                let engine = l.engine.clone();
-                                let handle = executor
-                                    .spawn(move || engine.ingest_on(&delivery, StreamSide::Left));
-                                l.inflight.push((est, handle));
-                                progress = true;
-                            }
-                        }
-                    }
+            if ctx.fatal.is_none() {
+                for l in lanes.iter_mut() {
+                    progress |= l.finish_drain(self);
+                }
+                for l in lanes.iter_mut() {
+                    progress |= l.checkpoint_if_due(self);
+                }
+                for l in lanes.iter_mut() {
+                    let (offered, starved) = l.offer(&mut ctx.drr, &executor);
+                    progress |= offered;
+                    starved_by_credit |= starved;
                 }
             }
+            ctx.counters.sync_deficits(&ctx.drr);
 
-            drr_counters.sync_deficits(&drr);
-
-            if fatal.is_some() {
+            if ctx.fatal.is_some() {
                 // Fatal error: stop offering (gated above), let in-flight
                 // tasks and tickets drain, then return the error — a lane
                 // with unoffered input must not keep the loop alive.
-                if lanes.iter().all(|l| l.inflight.is_empty() && l.ticket.is_none()) {
+                if !lanes.iter().any(Lane::in_flight) {
                     break;
                 }
-            } else if !lanes.iter().any(|l| l.live()) {
+            } else if !lanes.iter().any(Lane::live) {
                 break;
             }
 
@@ -734,21 +765,18 @@ impl StreamServer {
             // starved by in-flight caps or waiting on completions get
             // nothing, so idle tenants cannot hoard credit.
             if starved_by_credit && !progress {
-                drr.begin_round(|i| lanes[i].backlogged());
+                ctx.drr.begin_round(|i| lanes[i].backlogged());
                 continue;
             }
-
-            if !progress {
-                // Nothing to orchestrate right now: lend this thread to the
-                // executor rather than spinning.
-                if !executor.help_one() {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
+            // Nothing to orchestrate right now: lend this thread to the
+            // executor rather than spinning.
+            if !progress && !executor.help_one() {
+                std::thread::sleep(Duration::from_micros(50));
             }
         }
 
         let wall_nanos = start.elapsed().as_nanos() as u64;
-        match fatal {
+        match ctx.fatal {
             Some(e) => Err(e),
             None => Ok(self.report(&lanes, wall_nanos)),
         }
@@ -907,6 +935,76 @@ mod tests {
                 && matches!(d.reason, sbt_telemetry::FlightReason::QuotaExhausted)),
             "expected a QuotaExhausted dump for tenant {a}, got {dumps:?}"
         );
+    }
+
+    /// The serve loop's outcome table, one row per ingest/ticket outcome:
+    /// what each does to the lane's counters, its deficit, the penalty
+    /// count and the loop's fatal error.
+    #[test]
+    fn lane_steps_settle_every_ingest_and_fire_outcome() {
+        let server = StreamServer::new(ServerConfig::default().with_drr_quantum(100));
+        let a =
+            server.admit(TenantConfig::new("a", 32 << 20).with_weight(2), pipeline("a")).unwrap();
+        let mut lanes = server.lanes_for(streams_for(&[a], &[vec![]])).unwrap();
+        let mut ctx = Serving::new(&server, &lanes);
+        let lane = &mut lanes[0];
+        // (accepted, rejected, backpressure, deficit, penalties)
+        let row = |lane: &Lane, ctx: &Serving<'_>| {
+            (
+                lane.accepted_batches,
+                lane.rejected_batches,
+                lane.backpressure_signals,
+                ctx.drr.deficit(0),
+                ctx.counters.penalties.load(Ordering::Relaxed),
+            )
+        };
+
+        lane.on_ingest(&mut ctx, Ok(IngestStatus::Accepted));
+        assert_eq!(row(lane, &ctx), (1, 0, 0, 0, 0));
+        lane.on_ingest(&mut ctx, Ok(IngestStatus::Backpressure));
+        assert_eq!(row(lane, &ctx), (2, 0, 1, -200, 1), "backpressure costs a weighted round");
+        lane.on_ingest(&mut ctx, Err(DataPlaneError::QuotaExceeded));
+        assert_eq!(row(lane, &ctx), (2, 1, 1, -400, 2));
+        lane.on_fire(&mut ctx, Err(DataPlaneError::QuotaExceeded));
+        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3), "a window over quota costs the same");
+        assert!(!lane.fired_since_ckpt);
+        lane.on_fire(&mut ctx, Ok(()));
+        assert!(lane.fired_since_ckpt && lane.ckpt_check_pending);
+        let reasons: Vec<FlightReason> =
+            server.telemetry().take_flight_dumps().into_iter().map(|d| d.reason).collect();
+        assert_eq!(
+            reasons,
+            [
+                FlightReason::BackpressureStall,
+                FlightReason::QuotaExhausted,
+                FlightReason::QuotaExhausted
+            ]
+        );
+        assert_eq!(ctx.fatal, None);
+
+        // Fatal: UnknownTenant while the tenant is still admitted, or any
+        // other error. The first one sticks.
+        lane.on_ingest(&mut ctx, Err(DataPlaneError::UnknownTenant));
+        lane.on_fire(&mut ctx, Err(DataPlaneError::BadArguments("later")));
+        assert_eq!(ctx.fatal, Some(DataPlaneError::UnknownTenant));
+        assert!(!lane.dead);
+        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3));
+        ctx.fatal = None;
+
+        // UnknownTenant after a departure: the lane dies, dropping what never
+        // entered the TEE, and nothing is fatal or penalized.
+        lane.staged = Some(Offer::Watermark(Watermark::from_millis(1)));
+        lane.pending_wm = Some(Watermark::from_millis(2));
+        server.evict(a).unwrap();
+        lane.on_ingest(&mut ctx, Err(DataPlaneError::UnknownTenant));
+        assert!(lane.dead && lane.staged.is_none() && lane.pending_wm.is_none());
+        assert_eq!(ctx.fatal, None);
+        // A dead lane's outcomes are moot.
+        lane.on_ingest(&mut ctx, Ok(IngestStatus::Backpressure));
+        lane.on_fire(&mut ctx, Err(DataPlaneError::QuotaExceeded));
+        lane.on_fire(&mut ctx, Err(DataPlaneError::BadArguments("moot")));
+        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3));
+        assert_eq!(ctx.fatal, None);
     }
 
     #[test]

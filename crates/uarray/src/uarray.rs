@@ -150,7 +150,8 @@ impl<T: Copy> UArray<T> {
     /// zero-copy ingest path.
     ///
     /// Pages for the whole extent are committed **before** any record is
-    /// written, so a secure-memory failure is all-or-nothing: the error
+    /// written — through the same page accounting [`UArrayWriter`] grows
+    /// by — so a secure-memory failure is all-or-nothing: the error
     /// returns with no pages charged and no partially populated array ever
     /// existing. (The incremental [`append`]/[`extend_from_slice`] path, by
     /// contrast, keeps the committed prefix — right for producers whose
@@ -170,20 +171,13 @@ impl<T: Copy> UArray<T> {
         pager: &TeePager,
         fill: impl FnOnce(&mut Vec<T>),
     ) -> Result<Self, UArrayError> {
-        let needed = (items * std::mem::size_of::<T>()) as u64;
-        let committed = needed.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let paging_nanos =
-            pager.commit_pages(committed / PAGE_SIZE).map_err(UArrayError::OutOfSecureMemory)?;
-        let mut data = Vec::with_capacity(items);
-        fill(&mut data);
-        data.truncate(items);
-        Ok(UArray {
-            id,
-            data,
-            state: UArrayState::Produced,
-            committed_bytes: committed,
-            paging_nanos,
-        })
+        let mut array = UArray::with_reservation(id, 0);
+        array.commit_to(items, pager, &CommitBudget::unlimited())?;
+        array.data.reserve_exact(items);
+        fill(&mut array.data);
+        array.data.truncate(items);
+        array.seal();
+        Ok(array)
     }
 
     /// The uArray's identifier.
@@ -464,6 +458,29 @@ mod tests {
         assert!(matches!(r, Err(UArrayError::OutOfSecureMemory(_))));
         assert!(!ran.get());
         assert_eq!(p.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn produce_exact_commits_what_a_writer_commits_for_the_same_records() {
+        // One page-commit path: the up-front extent and a writer appending
+        // the same records page by page charge the same pages (in one
+        // commit instead of three).
+        let records: Vec<u32> = (0..2500).collect();
+        let (p1, p2) = (pager(1 << 20), pager(1 << 20));
+        let exact = UArray::produce_exact(UArrayId(1), records.len(), &p1, |dst| {
+            dst.extend_from_slice(&records)
+        })
+        .unwrap();
+        let budget = CommitBudget::unlimited();
+        let mut writer = UArrayWriter::reserve(records.len(), &p2, &budget);
+        for chunk in records.chunks(1000) {
+            writer.extend_from_slice(chunk).unwrap();
+        }
+        let written = writer.seal(UArrayId(1));
+        assert_eq!(exact.as_slice(), written.as_slice());
+        assert_eq!(exact.committed_bytes(), written.committed_bytes());
+        assert_eq!(p1.committed_bytes(), p2.committed_bytes());
+        assert_eq!(exact.state(), written.state());
     }
 
     #[test]
