@@ -23,8 +23,8 @@
 //!   contradicts the observed execution order are counted as misleading.
 //!
 //! Because the control plane parallelizes work (several batches per window,
-//! pairwise merge trees), the per-window dataflow is a DAG rather than a
-//! straight line. The declaration therefore lists *required stages* in
+//! sorted per partition and joined by a k-way merge), the per-window dataflow
+//! is a DAG rather than a straight line. The declaration therefore lists *required stages* in
 //! order, plus *structural* primitives (Merge, Concat, …) that may appear
 //! anywhere between stages; the replay checks that every root's observed
 //! primitive sequence progresses monotonically through the declared stages

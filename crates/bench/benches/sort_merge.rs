@@ -1,16 +1,16 @@
 //! Criterion benchmarks for the Sort/Merge trusted primitives versus the
 //! generic comparison sorts the paper compares against (§9.3), and for the
-//! other kernels on a pipeline's hot path — Segment, event Merge,
+//! other kernels on a pipeline's hot path — Segment, MergeK, event Merge,
 //! TopKPerKey, Join — at the shapes the repository's benchmark drives them
 //! with. All run over the `Vec` sink: the same kernels the data plane runs
 //! over a uArray writer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbt_primitives::{
-    join_by_key, merge_sorted_by_key, merge_sorted_u64, multiway_merge_u64, segment_by_window,
+    join_by_key, merge_runs_by_key_into, merge_sorted_by_key, segment_by_window,
     sort_events_by_key, top_k_per_key, vector_sort_u64,
 };
-use sbt_types::{Duration, Event, WindowSpec};
+use sbt_types::{infallible, Duration, Event, WindowSpec};
 
 fn make_u64s(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| (i.wrapping_mul(2654435761)) & 0xFFFF_FFFF).collect()
@@ -66,29 +66,25 @@ fn bench_event_sort(c: &mut Criterion) {
     group.finish();
 }
 
+/// MergeK at a fire's two shapes: `topk`'s 4 sorted partitions of 25 000
+/// events and a `tenants4_small_batch` TopK tenant's 25 of 1 000, both over
+/// 1 000 keys.
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge");
     group.sample_size(10);
-    let mut a = make_u64s(100_000);
-    let mut b_run = make_u64s(100_000);
-    a.sort_unstable();
-    b_run.sort_unstable();
-    group.throughput(Throughput::Elements(200_000));
-    group.bench_function("two_way_200k", |b| {
-        b.iter(|| merge_sorted_u64(&a, &b_run));
-    });
-
-    let runs: Vec<Vec<u64>> = (0..16)
-        .map(|_| {
-            let mut r = make_u64s(20_000);
-            r.sort_unstable();
-            r
-        })
-        .collect();
-    group.throughput(Throughput::Elements(16 * 20_000));
-    group.bench_function("multiway_16x20k", |b| {
-        b.iter(|| multiway_merge_u64(&runs));
-    });
+    for (k, run_len) in [(4usize, 25_000usize), (25, 1_000)] {
+        let events = make_stream(k * run_len, 1_000, 1_000);
+        let runs: Vec<Vec<Event>> = events.chunks(run_len).map(sort_events_by_key).collect();
+        let runs: Vec<&[Event]> = runs.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::with_capacity(events.len());
+        group.throughput(Throughput::Elements(events.len() as u64));
+        group.bench_function(format!("merge_k_{k}x{run_len}"), |b| {
+            b.iter(|| {
+                out.clear();
+                infallible(merge_runs_by_key_into(&runs, &mut out));
+            })
+        });
+    }
     group.finish();
 }
 

@@ -22,19 +22,19 @@ fn main() {
 
     let operators = vec![
         ("Windowing", "Segment"),
-        ("GroupByKey / SumByKey / AggregateByKey", "Sort + Merge + SumCnt"),
-        ("AvgPerKey", "Sort + Merge + SumCnt"),
-        ("CountByKey", "Sort + Merge + CountPerKey"),
-        ("MedianByKey", "Sort + Merge + MedianPerKey"),
-        ("Distinct", "Sort + Merge + Unique"),
-        ("TopKPerKey", "Sort + Merge + TopKPerKey"),
+        ("GroupByKey / SumByKey / AggregateByKey", "Sort + MergeK + SumCnt"),
+        ("AvgPerKey", "Sort + MergeK + SumCnt"),
+        ("CountByKey", "Sort + MergeK + CountPerKey"),
+        ("MedianByKey", "Sort + MergeK + MedianPerKey"),
+        ("Distinct", "Sort + MergeK + Unique"),
+        ("TopKPerKey", "Sort + MergeK + TopKPerKey"),
         ("CountByWindow", "Concat + Count"),
         ("Windowed aggregation (WinSum)", "Concat + Sum"),
         ("Windowed average / min / max / median", "Concat + Average / MinMax / Median"),
         ("Filter", "FilterBand / FilterTime"),
         ("Sample", "Sample"),
         ("Projection", "Project"),
-        ("TempJoin", "Sort + Merge + Join"),
+        ("TempJoin", "Sort + MergeK + Join"),
         ("Union", "Union"),
     ];
     let rows: Vec<Vec<String>> =

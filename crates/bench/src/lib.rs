@@ -270,10 +270,10 @@ pub fn summarize(
 
 /// A realistic synthetic audit-record stream for codec benchmarking: per
 /// window, `batches_per_window` partitions flow through ingress → windowing
-/// → sort, then a pairwise merge tree, a sum, and an egress, with a
-/// watermark per window — the record mix and monotone id/timestamp shape a
-/// real pipeline produces. Shared by the codec benches and the CI
-/// throughput gate so they measure identical input.
+/// → sort, then one `MergeK` over the sorted runs, a sum, and an egress, with
+/// a watermark per window — the record mix and monotone id/timestamp shape
+/// the engine's fire produces. Shared by the codec benches and
+/// `fig12_compression` so they measure identical input.
 pub fn synthetic_audit_records(
     windows: u32,
     batches_per_window: u32,
@@ -311,18 +311,16 @@ pub fn synthetic_audit_records(
             ts += 3;
         }
         records.push(AuditRecord::Ingress { ts_ms: ts, data: DataRef::Watermark((w + 1) * 1000) });
-        while sorted.len() > 1 {
-            let a = sorted.remove(0);
-            let b = sorted.remove(0);
+        if sorted.len() > 1 {
             let m = fresh(&mut id);
             records.push(AuditRecord::Execution {
                 ts_ms: ts,
-                op: sbt_types::PrimitiveKind::Merge,
-                inputs: [a, b].into(),
+                op: sbt_types::PrimitiveKind::MergeK,
+                inputs: sorted.as_slice().into(),
                 outputs: [m].into(),
                 hints: vec![],
             });
-            sorted.push(m);
+            sorted = vec![m];
             ts += 1;
         }
         let out = fresh(&mut id);

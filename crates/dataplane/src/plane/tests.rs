@@ -607,6 +607,8 @@ fn hostile_window_specs_are_rejected_before_any_work() {
         WindowSpec::Sliding { size: us(0), slide: us(1) },
         WindowSpec::Sliding { size: us(1_000), slide: us(0) },
         WindowSpec::Sliding { size: us(1_000), slide: us(1_001) },
+        // A million windows per event, each opened inside Segment.
+        WindowSpec::Sliding { size: us(1_000_000), slide: us(1) },
     ] {
         let err = in_tee(|| {
             dp.invoke(

@@ -23,7 +23,9 @@
 use proptest::prelude::*;
 use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_dataplane::{DataPlane, DataPlaneConfig, InvokeOutput, OpaqueRef, PrimitiveParams};
-use sbt_types::{Duration, Event, KeyValue, PrimitiveKind, TenantId, WindowSpec};
+use sbt_types::{
+    Duration, Event, KeyValue, PrimitiveKind, TenantId, WindowSpec, MAX_WINDOWS_PER_EVENT,
+};
 use sbt_tz::{Platform, World, WorldGuard};
 use sbt_uarray::{ConsumptionHint, HintSet};
 use std::collections::BTreeMap;
@@ -281,7 +283,8 @@ proptest! {
         check_top_k_per_key(&dp, &a, k);
         check_join(&dp, &b, &a[..a.len().min(150)]);
         let slide = Duration::from_millis(slide_ms);
-        check_segment(&dp, &a, WindowSpec::sliding(Duration::from_millis(slide_ms + extra_ms), slide));
+        let size = (slide_ms + extra_ms).min(slide_ms * MAX_WINDOWS_PER_EVENT);
+        check_segment(&dp, &a, WindowSpec::sliding(Duration::from_millis(size), slide));
         check_segment(&dp, &a, WindowSpec::fixed(slide));
     }
 }

@@ -23,10 +23,10 @@
 //! # The fire class
 //!
 //! Tasks come in two classes, one bit apart. A window fire is *latency*:
-//! its result is due at the watermark, and everything it spawns (sort
-//! partitions, merge rounds, seal lanes) is on its critical path. An ingest
-//! batch is *throughput*: nobody waits for the one batch. With both in one
-//! FIFO a fire queues behind every tenant's ingest, and — worse — a fire
+//! its result is due at the watermark, and everything it spawns (partition
+//! lists, seal lanes) is on its critical path. An ingest batch is
+//! *throughput*: nobody waits for the one batch. With both in one FIFO a
+//! fire queues behind every tenant's ingest, and — worse — a fire
 //! that joins its subtasks *helps*, so it can pick a foreign ingest batch
 //! off the queue and sit under it mid-window. So:
 //!

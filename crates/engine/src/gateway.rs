@@ -19,10 +19,10 @@
 //! pays the boundary once per step of work rather than once per primitive:
 //!
 //! * a batch is `[Ingress, Invoke(Segment, Out 0), Retire(Out 0)]`;
-//! * a per-partition task is `[Invoke(op, r), Retire(r)]`;
-//! * a merge is `[Invoke(Merge, a, b), Retire(a), Retire(b)]`;
-//! * a window's tail is one list from the reduce through egress and the
-//!   final retire.
+//! * a partition's fire is one list: `[Invoke(op, r), Retire(r)]` for each
+//!   transform and, for a keyed reduce, its Sort;
+//! * a window's tail is one list from the gather (`MergeK` or `Concat` over
+//!   the partitions) through the reduce, the egress and the final retire.
 //!
 //! The list stops at its first failing command and the [`Replies`] name
 //! what ran, so the engine cleans up exactly the references that are still

@@ -4,12 +4,13 @@
 //! The runner is the untrusted control plane in action. It receives event
 //! batches and watermarks from sources, keeps per-window bookkeeping of the
 //! opaque references the data plane hands back, and — when a watermark
-//! completes a window — executes the window's plan: parallel per-partition
-//! primitives on the worker pool, a pairwise merge tree, the terminal
-//! primitive, then egress. Along the way it attaches consumption hints for
-//! the TEE allocator, retires references it no longer needs, measures output
-//! delay, applies backpressure under TEE memory pressure, and collects
-//! uploadable results and audit segments.
+//! completes a window — fires it in two steps, each a command list: one list
+//! per partition on the worker pool (every transform, then `Sort` when the
+//! reduce is keyed), then one tail list that gathers the partitions (`MergeK`
+//! over sorted runs, `Concat` otherwise), reduces, egresses and retires.
+//! Along the way it attaches consumption hints for the TEE allocator,
+//! measures output delay, applies backpressure under TEE memory pressure, and
+//! collects uploadable results and audit segments.
 
 use crate::config::EngineConfig;
 use crate::executor::Executor;
@@ -605,86 +606,47 @@ impl Engine {
         let overhead_before = self.platform.stats().snapshot();
         let span_start = self.telemetry().tracer().start();
 
-        // 1. Transform operators, applied per partition in parallel. Every
-        // fallible step below cleans up the references it holds on error
-        // (the helpers retire their own; siblings are retired here), so a
-        // mid-window failure — e.g. an intermediate tripping the tenant's
-        // quota — costs the window but never strands quota or pages.
-        let mut left = state.left;
-        let mut right = state.right;
-        for t in self.pipeline.transforms() {
-            let (op, params) = t.transform_primitive();
-            left = match self.parallel_map(&left, op, params) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.retire_all(&right);
-                    return Err(e);
-                }
-            };
-            if !right.is_empty() {
-                right = match self.parallel_map(&right, op, params) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.retire_all(&left);
-                        return Err(e);
-                    }
-                };
-            }
+        // A window without partitions, or a join with one side empty, leaves
+        // nothing to fire: retire what the other side holds, in one list.
+        let reduce = self.pipeline.terminal().reduce_kind();
+        if state.left.is_empty() || (reduce == ReduceKind::Join && state.right.is_empty()) {
+            self.retire_all(&[state.left, state.right].concat());
+            return Ok(());
         }
 
-        // 2. Terminal reduction, egress and retire: one command list from
-        // the reduce (with the concat of a whole-window reduce) through the
+        // 1. Partitions, in parallel: one list each. On failure every
+        // partition's still-live references are retired, so a mid-window
+        // failure — e.g. an intermediate tripping the tenant's quota — costs
+        // the window but never strands quota or pages.
+        let keyed = matches!(reduce, ReduceKind::Grouped { .. } | ReduceKind::Join);
+        let (left, right) = self.run_partitions(state.left, state.right, keyed)?;
+
+        // 2. The tail: one list from the gather through the reduce, the
         // egress and its retire.
         let mut tail = Steps::default();
-        let result = match self.pipeline.terminal().reduce_kind() {
+        let gathered = |tail: &mut Steps, op, refs: &[OpaqueRef]| {
+            tail.gather(op, refs).expect("a fired side has partitions")
+        };
+        let result = match reduce {
             ReduceKind::Grouped { primitive, params } => {
-                let Some(merged) = self.sort_and_merge(&left)? else {
-                    return Ok(());
-                };
-                tail.consume(primitive, params, HintSet::none(), vec![Arg::Ref(merged)])
+                let merged = gathered(&mut tail, PrimitiveKind::MergeK, &left);
+                tail.consume(primitive, params, HintSet::none(), vec![merged])
             }
             ReduceKind::Whole { primitive, params } => {
-                let Some(whole) = tail.concat(&left) else {
-                    return Ok(());
-                };
+                let whole = gathered(&mut tail, PrimitiveKind::Concat, &left);
                 tail.consume(primitive, params, HintSet::none(), vec![whole])
             }
             ReduceKind::Join => {
-                let l = match self.sort_and_merge(&left) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        self.retire_all(&right);
-                        return Err(e);
-                    }
-                };
-                let r = match self.sort_and_merge(&right) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.retire_all(&l.into_iter().collect::<Vec<_>>());
-                        return Err(e);
-                    }
-                };
-                let (Some(l), Some(r)) = (l, r) else {
-                    // One side has no data for the window: retire whatever
-                    // the other side produced and skip.
-                    for opt in [l, r].into_iter().flatten() {
-                        self.gateway.retire(opt)?;
-                    }
-                    return Ok(());
-                };
+                let l = gathered(&mut tail, PrimitiveKind::MergeK, &left);
+                let r = gathered(&mut tail, PrimitiveKind::MergeK, &right);
                 tail.consume(
                     PrimitiveKind::Join,
                     PrimitiveParams::None,
                     HintSet::none(),
-                    vec![Arg::Ref(l), Arg::Ref(r)],
+                    vec![l, r],
                 )
             }
-            ReduceKind::Passthrough => {
-                let Some(whole) = tail.concat(&left) else {
-                    return Ok(());
-                };
-                whole
-            }
+            ReduceKind::Passthrough => gathered(&mut tail, PrimitiveKind::Concat, &left),
         };
         tail.egress(result);
         let egressed = |done: Vec<Reply>| {
@@ -708,7 +670,7 @@ impl Engine {
         let result_records = message.ciphertext.len();
         self.results.lock().push(message);
 
-        // 4. Metrics. The reported memory is the peak observed while this
+        // 3. Metrics. The reported memory is the peak observed while this
         // window was in flight (after completion everything has been
         // reclaimed, so sampling now would always read near zero).
         let overhead_after = self.platform.stats().snapshot();
@@ -776,81 +738,45 @@ impl Engine {
         Err(first.expect("at least one task failed"))
     }
 
-    /// Apply one primitive to every partition in parallel, retiring the
-    /// inputs. Partition `i`'s output carries the one hint "sibling `i` of
-    /// `k` consumed in parallel" (the outputs are consumed by independent
-    /// downstream tasks). On failure every still-live input and output is
-    /// retired before the error is returned.
-    fn parallel_map(
+    /// Run every partition's chain — each transform, then `Sort` when the
+    /// reduce is `keyed` — as one list per partition, all partitions of both
+    /// sides in parallel, each retiring its inputs. Partition `i` of a
+    /// side's `k` carries the one hint "sibling `i` of `k` consumed in
+    /// parallel" on every output. An empty chain costs nothing. On failure
+    /// every still-live partition is retired before the error is returned.
+    fn run_partitions(
         &self,
-        refs: &[OpaqueRef],
-        op: PrimitiveKind,
-        params: PrimitiveParams,
-    ) -> Result<Vec<OpaqueRef>, DataPlaneError> {
-        let k = refs.len() as u32;
-        let tasks: Vec<_> = refs
-            .iter()
-            .zip(0..)
-            .map(|(r, index)| {
-                let gw = Arc::clone(&self.gateway);
-                let r = *r;
+        left: Vec<OpaqueRef>,
+        right: Vec<OpaqueRef>,
+        keyed: bool,
+    ) -> Result<(Vec<OpaqueRef>, Vec<OpaqueRef>), DataPlaneError> {
+        let mut chain: Vec<_> =
+            self.pipeline.transforms().iter().map(|t| t.transform_primitive()).collect();
+        if keyed {
+            chain.push((PrimitiveKind::Sort, PrimitiveParams::None));
+        }
+        if chain.is_empty() {
+            return Ok((left, right));
+        }
+        let chain = Arc::new(chain);
+        let tasks: Vec<_> = [&left, &right]
+            .into_iter()
+            .flat_map(|side| side.iter().zip(0..).map(|(r, index)| (*r, side.len() as u32, index)))
+            .map(|(r, k, index)| {
+                let (gw, chain) = (Arc::clone(&self.gateway), Arc::clone(&chain));
                 move || {
                     let mut steps = Steps::default();
                     let hints = HintSet::consumed_in_parallel(k, index);
-                    let out = steps.consume(op, params, hints, vec![Arg::Ref(r)]);
+                    let out = chain.iter().fold(Arg::Ref(r), |input, &(op, params)| {
+                        steps.consume(op, params, hints.clone(), vec![input])
+                    });
                     steps.run_to(&gw, out)
                 }
             })
             .collect();
-        self.collect_or_cleanup(self.pool.run_all(tasks))
-    }
-
-    /// Sort every partition in parallel, then merge pairwise in parallel
-    /// rounds down to one key-sorted partition. Returns `None` if there are
-    /// no partitions. Cleans up all intermediates on failure.
-    fn sort_and_merge(&self, refs: &[OpaqueRef]) -> Result<Option<OpaqueRef>, DataPlaneError> {
-        if refs.is_empty() {
-            return Ok(None);
-        }
-        let mut current = self.parallel_map(refs, PrimitiveKind::Sort, PrimitiveParams::None)?;
-        while current.len() > 1 {
-            let mut tasks = Vec::new();
-            let mut carried: Vec<OpaqueRef> = Vec::new();
-            let mut iter = current.chunks(2);
-            for pair in &mut iter {
-                match pair {
-                    [a, b] => {
-                        let (a, b) = (*a, *b);
-                        let gw = Arc::clone(&self.gateway);
-                        tasks.push(move || {
-                            // No hint: the engine holds opaque references,
-                            // not the ids a consumed-after hint names, and
-                            // an unhinted output opens its own uGroup.
-                            let mut steps = Steps::default();
-                            let out = steps.consume(
-                                PrimitiveKind::Merge,
-                                PrimitiveParams::None,
-                                HintSet::none(),
-                                vec![Arg::Ref(a), Arg::Ref(b)],
-                            );
-                            steps.run_to(&gw, out)
-                        });
-                    }
-                    [a] => carried.push(*a),
-                    _ => unreachable!(),
-                }
-            }
-            let mut next = match self.collect_or_cleanup(self.pool.run_all(tasks)) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.retire_all(&carried);
-                    return Err(e);
-                }
-            };
-            next.extend(carried);
-            current = next;
-        }
-        Ok(Some(current[0]))
+        let mut outs = self.collect_or_cleanup(self.pool.run_all(tasks))?;
+        let right = outs.split_off(left.len());
+        Ok((outs, right))
     }
 
     fn sample_memory(&self) -> u64 {

@@ -59,13 +59,14 @@ impl<'a> Steps<'a> {
     }
 
     /// Gather partitions into one: `None` for none, the partition itself
-    /// for one (no command), a `Concat` consuming them otherwise.
-    pub fn concat(&mut self, refs: &[OpaqueRef]) -> Option<Arg> {
+    /// for one (no command), an `op` (`Concat` or `MergeK`) consuming them
+    /// otherwise.
+    pub fn gather(&mut self, op: PrimitiveKind, refs: &[OpaqueRef]) -> Option<Arg> {
         match refs {
             [] => None,
             [one] => Some(Arg::Ref(*one)),
             _ => Some(self.consume(
-                PrimitiveKind::Concat,
+                op,
                 PrimitiveParams::None,
                 HintSet::none(),
                 refs.iter().map(|r| Arg::Ref(*r)).collect(),
@@ -113,7 +114,7 @@ mod tests {
         let (a, b) = (Arg::Ref(OpaqueRef(1)), Arg::Ref(OpaqueRef(2)));
         let mut steps = Steps::default();
         let out =
-            steps.consume(PrimitiveKind::Merge, PrimitiveParams::None, HintSet::none(), vec![a, b]);
+            steps.consume(PrimitiveKind::Join, PrimitiveParams::None, HintSet::none(), vec![a, b]);
         assert_eq!(out, Arg::out(0));
         assert_eq!(steps.live_on_failure, vec![vec![a, b], vec![b, out], vec![out]]);
         steps.egress(out);
@@ -123,10 +124,14 @@ mod tests {
     #[test]
     fn concat_of_one_partition_costs_no_command() {
         let mut steps = Steps::default();
-        assert_eq!(steps.concat(&[]), None);
-        assert_eq!(steps.concat(&[OpaqueRef(7)]), Some(Arg::Ref(OpaqueRef(7))));
+        for op in [PrimitiveKind::Concat, PrimitiveKind::MergeK] {
+            assert_eq!(steps.gather(op, &[]), None);
+            assert_eq!(steps.gather(op, &[OpaqueRef(7)]), Some(Arg::Ref(OpaqueRef(7))));
+        }
         assert!(steps.cmds.is_empty());
-        assert_eq!(steps.concat(&[OpaqueRef(7), OpaqueRef(8)]), Some(Arg::out(0)));
-        assert_eq!(steps.cmds.len(), 3);
+        let parts = [OpaqueRef(7), OpaqueRef(8), OpaqueRef(9)];
+        assert_eq!(steps.gather(PrimitiveKind::MergeK, &parts), Some(Arg::out(0)));
+        assert!(matches!(steps.cmds[0], Command::Invoke { op: PrimitiveKind::MergeK, .. }));
+        assert_eq!(steps.cmds.len(), 4);
     }
 }

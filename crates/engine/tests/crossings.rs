@@ -2,8 +2,9 @@
 //! engine pays on trusted-IO, cleartext ingress.
 //!
 //! Each step is one command list, so the counts are small and exact: a
-//! batch is one crossing, a window's fire is one per parallel task plus one
-//! for its tail (reduce, egress, retires). A change that adds a crossing to
+//! batch is one crossing, a window's fire is one per partition that has work
+//! (its transforms, then its Sort when the reduce is keyed) plus one for its
+//! tail (gather, reduce, egress, retires). A change that adds a crossing to
 //! any step fails here.
 
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
@@ -81,8 +82,8 @@ fn a_winsum_fire_is_one_crossing() {
 
 #[test]
 fn a_topk_fire_is_sorts_merges_and_one_tail() {
-    // K sort tasks, K − 1 pairwise merges, one TopKPerKey + egress tail.
-    assert_eq!(single_stream_fire(Pipeline::topk_benchmark(10)), K + (K - 1) + 1);
+    // K sort lists, then MergeK + TopKPerKey + egress in one list.
+    assert_eq!(single_stream_fire(Pipeline::topk_benchmark(10)), K + 1);
 }
 
 #[test]
@@ -100,5 +101,6 @@ fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     assert_eq!(fire(&engine, left, StreamSide::Left), 0);
     let crossings = fire(&engine, right, StreamSide::Right);
     assert_eq!(engine.results().len(), 1, "the window fired");
-    assert_eq!(crossings, 2 * K + 2 * (K - 1) + 1);
+    // K sort lists a side, then both MergeKs + Join + egress in one list.
+    assert_eq!(crossings, 2 * K + 1);
 }

@@ -51,10 +51,7 @@ pub use grouped::{
     sum_count_per_key, sum_count_per_key_into, unique_keys, unique_keys_into,
 };
 pub use join::{join_by_key, join_by_key_into, join_len};
-pub use merge::{
-    merge_runs_by_key_into, merge_sorted_by_key, merge_sorted_by_key_into, merge_sorted_u64,
-    multiway_merge_u64,
-};
+pub use merge::{merge_runs_by_key_into, merge_sorted_by_key, merge_sorted_by_key_into};
 pub use segment::{segment_by_window, segment_into};
 pub use sort::{
     sort_events_by_key, sort_events_by_time, sort_events_by_value, sort_events_into,

@@ -1,59 +1,12 @@
 //! The Merge / MergeK trusted primitives (§5).
 //!
 //! Sorted runs produced by parallel Sort invocations are combined by merge
-//! passes. Like the sort kernel, the merge loop is written with branch-light
-//! index arithmetic over flat arrays; multi-way merges are performed by
-//! iterative pairwise merging, which is also the microbenchmark used by
-//! Figure 11 (128-way merge over growing buffers).
+//! passes: `Merge` joins two runs, `MergeK` joins all of a window's runs in
+//! one pass over a tournament of run heads, copying each stretch of a run
+//! that stays ahead of every other head with one `extend_from_slice`.
 
+use crate::scratch::with_scratch;
 use sbt_types::{infallible, Event, RecordSink};
-
-/// Merge two key-sorted `u64` runs into a new sorted vector.
-pub fn merge_sorted_u64(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = vec![0u64; a.len() + b.len()];
-    merge_into(a, b, &mut out);
-    out
-}
-
-#[inline]
-fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    debug_assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        let take_a = a[i] <= b[j];
-        out[k] = if take_a { a[i] } else { b[j] };
-        i += take_a as usize;
-        j += !take_a as usize;
-        k += 1;
-    }
-    if i < a.len() {
-        out[k..].copy_from_slice(&a[i..]);
-    } else if j < b.len() {
-        out[k..].copy_from_slice(&b[j..]);
-    }
-}
-
-/// Merge `runs` (each individually sorted) into a single sorted vector by
-/// iterative pairwise merging. This is the `MergeK` primitive.
-pub fn multiway_merge_u64(runs: &[Vec<u64>]) -> Vec<u64> {
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    let mut current: Vec<Vec<u64>> = runs.to_vec();
-    while current.len() > 1 {
-        let mut next = Vec::with_capacity(current.len().div_ceil(2));
-        let mut iter = current.chunks(2);
-        for pair in &mut iter {
-            match pair {
-                [a, b] => next.push(merge_sorted_u64(a, b)),
-                [a] => next.push(a.clone()),
-                _ => unreachable!(),
-            }
-        }
-        current = next;
-    }
-    current.pop().unwrap_or_default()
-}
 
 /// Merge two event runs that are each sorted by key, preserving the relative
 /// order of equal keys (events from `a` come first). This is the `Merge`
@@ -86,58 +39,81 @@ pub fn merge_sorted_by_key_into<S: RecordSink<Event>>(
 
 /// The MergeK kernel over event runs: append the stable merge of all `runs`
 /// (equal keys in run order) to `sink` — what merging them pairwise from the
-/// left yields, without the intermediate arrays. The next record is found by
-/// scanning the run heads, so this suits the handful of runs a window has,
-/// not hundreds.
+/// left yields, without the intermediate arrays.
+///
+/// The run heads play a tournament: a winner tree (a min-heap whose every
+/// node holds the least `(head key << 32) | run` word below it) of one leaf
+/// per run, so ties between equal keys go to the earlier run. Each record
+/// taken replays one leaf-to-root path, branch-free. When the same run wins
+/// twice in a row, the stretch of it that stays ahead of the runner-up is
+/// found by galloping and appended with one `extend_from_slice`. The tree
+/// and the run cursors live in this thread's scratch: after the first call
+/// with as many runs, the kernel allocates nothing of its own.
 pub fn merge_runs_by_key_into<S: RecordSink<Event>>(
     runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    let mut rest: Vec<&[Event]> = runs.to_vec();
-    loop {
-        let mut next: Option<(usize, u32)> = None;
-        for (r, run) in rest.iter().enumerate() {
-            if let Some(head) = run.first() {
-                if next.is_none_or(|(_, key)| head.key < key) {
-                    next = Some((r, head.key));
-                }
-            }
+    const RUN: u64 = 0xFFFF_FFFF;
+    const DONE: u64 = u64::MAX;
+    let word = |key: u32, run: usize| (key as u64) << 32 | run as u64;
+    let leaves = runs.len().next_power_of_two();
+    with_scratch(|scratch| {
+        let (tree, cursors) = (&mut scratch.packed, &mut scratch.spare);
+        tree.clear();
+        tree.resize(2 * leaves, DONE);
+        for (r, run) in runs.iter().enumerate() {
+            tree[leaves + r] = run.first().map_or(DONE, |head| word(head.key, r));
         }
-        let Some((r, _)) = next else {
-            return Ok(());
-        };
-        sink.push(rest[r][0])?;
-        rest[r] = &rest[r][1..];
+        for i in (1..leaves).rev() {
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
+        cursors.clear();
+        cursors.resize(runs.len(), 0);
+        let mut previous = usize::MAX;
+        while tree[1] != DONE {
+            let r = (tree[1] & RUN) as usize;
+            let rest = &runs[r][cursors[r] as usize..];
+            let taken = if r == previous {
+                let runner_up = (0..).map(|level| (leaves + r) >> level).take_while(|&i| i > 1);
+                let next = runner_up.map(|i| tree[i ^ 1]).min().unwrap_or(DONE);
+                let taken = stretch(rest, |e| word(e.key, r) < next);
+                sink.extend_from_slice(&rest[..taken])?;
+                taken
+            } else {
+                sink.push(rest[0])?;
+                1
+            };
+            cursors[r] += taken as u64;
+            let mut i = leaves + r;
+            let mut winner = rest.get(taken).map_or(DONE, |head| word(head.key, r));
+            tree[i] = winner;
+            while i > 1 {
+                winner = winner.min(tree[i ^ 1]);
+                i >>= 1;
+                tree[i] = winner;
+            }
+            previous = r;
+        }
+        Ok(())
+    })
+}
+
+/// How many leading records of `run` are `ahead`, given that the first is:
+/// galloping, so a stretch of n costs O(log n) comparisons. At least one,
+/// so a run that is not sorted cannot stall the merge.
+fn stretch(run: &[Event], ahead: impl Fn(&Event) -> bool) -> usize {
+    let mut bound = 1;
+    while bound < run.len() && ahead(&run[bound]) {
+        bound *= 2;
     }
+    let from = bound / 2 + 1;
+    from + run[from..bound.min(run.len())].partition_point(ahead)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn merge_two_runs() {
-        assert_eq!(merge_sorted_u64(&[1, 3, 5], &[2, 4, 6]), vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(merge_sorted_u64(&[], &[1, 2]), vec![1, 2]);
-        assert_eq!(merge_sorted_u64(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(merge_sorted_u64(&[], &[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn merge_with_duplicates_is_stable_between_runs() {
-        assert_eq!(merge_sorted_u64(&[1, 2, 2], &[2, 3]), vec![1, 2, 2, 2, 3]);
-    }
-
-    #[test]
-    fn multiway_merge_handles_degenerate_inputs() {
-        assert_eq!(multiway_merge_u64(&[]), Vec::<u64>::new());
-        assert_eq!(multiway_merge_u64(&[vec![3, 1].tap_sort()]), vec![1, 3]);
-        assert_eq!(
-            multiway_merge_u64(&[vec![1, 4], vec![2, 5], vec![3, 6]]),
-            vec![1, 2, 3, 4, 5, 6]
-        );
-    }
 
     #[test]
     fn merge_events_by_key_prefers_left_run_on_ties() {
@@ -151,6 +127,18 @@ mod tests {
         assert_eq!(merged[1].value, 200);
     }
 
+    /// The `MergeK` contract: merging `Merge`'s way, pairwise from the left.
+    fn pairwise_from_the_left(runs: &[Vec<Event>]) -> Vec<Event> {
+        runs.iter().fold(Vec::new(), |merged, run| merge_sorted_by_key(&merged, run))
+    }
+
+    fn merge_runs(runs: &[Vec<Event>]) -> Vec<Event> {
+        let slices: Vec<&[Event]> = runs.iter().map(Vec::as_slice).collect();
+        let mut merged = Vec::new();
+        infallible(merge_runs_by_key_into(&slices, &mut merged));
+        merged
+    }
+
     #[test]
     fn merging_runs_equals_merging_pairwise_from_the_left() {
         let ev = sbt_types::Event::new;
@@ -160,57 +148,38 @@ mod tests {
             vec![ev(1, 20, 0), ev(2, 21, 0), ev(3, 22, 0)],
             vec![ev(0, 30, 0), ev(3, 31, 0)],
         ];
-        let mut pairwise = runs[0].clone();
-        for run in &runs[1..] {
-            pairwise = merge_sorted_by_key(&pairwise, run);
-        }
-        let slices: Vec<&[Event]> = runs.iter().map(Vec::as_slice).collect();
-        let mut merged = Vec::new();
-        infallible(merge_runs_by_key_into(&slices, &mut merged));
-        assert_eq!(merged, pairwise);
-        let mut none: Vec<Event> = Vec::new();
-        infallible(merge_runs_by_key_into(&[], &mut none));
-        assert!(none.is_empty());
+        assert_eq!(merge_runs(&runs), pairwise_from_the_left(&runs));
+        assert!(merge_runs(&[]).is_empty());
+        assert_eq!(merge_runs(&runs[..1]), runs[0]);
     }
 
-    /// Helper to sort a literal vec inline in tests.
-    trait TapSort {
-        fn tap_sort(self) -> Self;
-    }
-    impl TapSort for Vec<u64> {
-        fn tap_sort(mut self) -> Self {
-            self.sort_unstable();
-            self
-        }
+    #[test]
+    fn unsorted_runs_are_merged_without_stalling() {
+        let ev = |key| sbt_types::Event::new(key, 0, 0);
+        let runs = vec![vec![ev(5), ev(9), ev(1)], vec![ev(6), ev(2)]];
+        let mut keys: Vec<u32> = merge_runs(&runs).iter().map(|e| e.key).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, vec![1, 2, 5, 6, 9]);
     }
 
     proptest! {
         #[test]
-        fn merge_matches_concat_then_sort(
-            mut a in proptest::collection::vec(any::<u64>(), 0..300),
-            mut b in proptest::collection::vec(any::<u64>(), 0..300),
-        ) {
-            a.sort_unstable();
-            b.sort_unstable();
-            let merged = merge_sorted_u64(&a, &b);
-            let mut expected = [a.clone(), b.clone()].concat();
-            expected.sort_unstable();
-            prop_assert_eq!(merged, expected);
-        }
-
-        #[test]
-        fn multiway_merge_matches_flatten_then_sort(
+        fn merge_runs_matches_pairwise_from_the_left(
             runs in proptest::collection::vec(
-                proptest::collection::vec(any::<u64>(), 0..100), 0..16),
+                proptest::collection::vec((0u32..8, any::<u32>()), 0..60), 0..41),
         ) {
-            let sorted_runs: Vec<Vec<u64>> = runs
-                .iter()
-                .map(|r| { let mut r = r.clone(); r.sort_unstable(); r })
+            // Eight keys over up to 40 runs: nearly every key is in every run.
+            let runs: Vec<Vec<Event>> = runs
+                .into_iter()
+                .enumerate()
+                .map(|(r, run)| {
+                    let mut run: Vec<Event> =
+                        run.into_iter().map(|(key, value)| Event::new(key, value, r as u32)).collect();
+                    run.sort_by_key(|e| e.key);
+                    run
+                })
                 .collect();
-            let merged = multiway_merge_u64(&sorted_runs);
-            let mut expected: Vec<u64> = runs.concat();
-            expected.sort_unstable();
-            prop_assert_eq!(merged, expected);
+            prop_assert_eq!(merge_runs(&runs), pairwise_from_the_left(&runs));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-thread working memory for the kernels that need any.
 //!
 //! The radix sort needs its packed words and a ping-pong buffer, the order
-//! statistics a buffer of values. Allocating them per call was a measurable
+//! statistics a buffer of values, MergeK a heap and a cursor per run. Allocating them per call was a measurable
 //! share of Sort (three `Vec`s per invocation) and most of TopKPerKey (two
 //! per ~100-event key group), so each worker thread keeps one set and reuses
 //! it: after the first call at a given size a kernel allocates nothing but
@@ -14,9 +14,10 @@ use std::cell::RefCell;
 /// One thread's reusable buffers.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// `(field << 32) | index` words of the array being sorted.
+    /// `(field << 32) | index` words of the array being sorted; MergeK's
+    /// heap of `(head key << 32) | run` words.
     pub packed: Vec<u64>,
-    /// The radix passes' second buffer.
+    /// The radix passes' second buffer; MergeK's run cursors.
     pub spare: Vec<u64>,
     /// Values of the key group (or window) an order statistic is taken over.
     pub values: Vec<u32>,

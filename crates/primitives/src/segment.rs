@@ -67,7 +67,7 @@ pub fn segment_into<S: RecordSink<Event>>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sbt_types::Duration;
+    use sbt_types::{Duration, MAX_WINDOWS_PER_EVENT};
 
     fn ev(ts_ms: u32) -> Event {
         Event::new(1, 0, ts_ms)
@@ -202,7 +202,8 @@ mod tests {
             }
             let events: Vec<Event> =
                 ts.iter().enumerate().map(|(i, t)| Event::new(i as u32, *t, *t)).collect();
-            let size = Duration::from_millis(size_ms.max(slide_ms));
+            let size = size_ms.max(slide_ms).min(slide_ms * MAX_WINDOWS_PER_EVENT);
+            let size = Duration::from_millis(size);
             for spec in [
                 WindowSpec::fixed(size),
                 WindowSpec::sliding(size, Duration::from_millis(slide_ms)),

@@ -9,8 +9,10 @@
 //! output buffer through the `Vec`-returning functions. Segment opens one
 //! sink per output window and allocates nothing else.
 //!
-//! CI runs this in `--release` as well: a debug build re-walks every input
-//! in `debug_assert!(sorted)`, which allocates nothing either but is slow.
+//! MergeK keeps its heap and run cursors in the same scratch, so it too is
+//! clean once warmed. CI runs this in `--release` as well (Sort, Merge,
+//! MergeK, TopKPerKey, Join, …): a debug build re-walks every input in
+//! `debug_assert!(sorted)`, which allocates nothing either but is slow.
 
 use sbt_primitives as prim;
 use sbt_types::{infallible, Duration, Event, KeyValue, WindowId, WindowSpec};
@@ -46,6 +48,9 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
     let (a, b) = (prim::sort_events_by_key(a), prim::sort_events_by_key(b));
     let left = prim::sort_events_by_key(&stream(8_000, 2_000, 1_000));
     let right = prim::sort_events_by_key(&stream(8_000, 2_000, 1_000));
+    // A window's 25 partitions, each sorted: MergeK's input.
+    let sorted_runs: Vec<Vec<Event>> = events.chunks(2_000).map(prim::sort_events_by_key).collect();
+    let runs: Vec<&[Event]> = sorted_runs.iter().map(Vec::as_slice).collect();
 
     // The sinks stand in for reserved uArrays: sized once, outside the count.
     let mut events_out: Vec<Event> = Vec::with_capacity(events.len());
@@ -64,6 +69,11 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
         let merge =
             allocations(|| infallible(prim::merge_sorted_by_key_into(&a, &b, &mut events_out)));
         check("Merge", merge.0);
+        events_out.clear();
+        let merge_k =
+            allocations(|| infallible(prim::merge_runs_by_key_into(&runs, &mut events_out)));
+        check("MergeK", merge_k.0);
+        assert_eq!(events_out, sorted, "MergeK of the sorted runs");
         pairs_out.clear();
         let topk =
             allocations(|| infallible(prim::top_k_per_key_into(&sorted, 10, &mut pairs_out)));

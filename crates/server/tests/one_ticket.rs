@@ -7,12 +7,13 @@
 //! fast ingest is. Without the rule its ingest runs as many windows ahead
 //! as the fire is slow, every one of them resident, until a batch trips the
 //! quota (the regime hardware-speed decryption put `tenants4_small_batch`
-//! in: ingest outruns the TopK tenant's sort-and-merge fire severalfold).
+//! in: ingest outruns the TopK tenant's sort-and-MergeK fire severalfold).
 //!
 //! The bound is structural, so the assertion needs no timing: the slow
 //! tenant's quota holds two of its windows (one firing — inputs, then their
-//! sorted and merged copies as the inputs retire — and one waiting), not the
-//! five or more that unbounded run-ahead piles up over this stream.
+//! sorted copies and the one merged copy as the inputs retire — and one
+//! waiting), not the five or more that unbounded run-ahead piles up over
+//! this stream.
 
 use sbt_attest::verify_tenant_trail;
 use sbt_crypto::MasterSecret;
@@ -25,7 +26,7 @@ use sbt_workloads::transport::Channel;
 const WINDOWS: u32 = 14;
 const BATCH: usize = 1_000;
 /// The slow tenant's window: 40 000 events, 480 KB resident. Its fire sorts
-/// 40 partitions and merges them pairwise over six rounds.
+/// 40 partitions and joins them with one 40-way MergeK.
 const SLOW_WINDOW: usize = 40_000;
 /// The other three tenants' window.
 const FAST_WINDOW: usize = 5_000;

@@ -33,4 +33,4 @@ pub use sink::{infallible, RecordCount, RecordSink};
 pub use tenant::TenantId;
 pub use time::{Duration, EventTime, ProcessingTime};
 pub use watermark::Watermark;
-pub use window::{WindowAssignment, WindowId, WindowSpec, WindowedKey};
+pub use window::{WindowAssignment, WindowId, WindowSpec, WindowedKey, MAX_WINDOWS_PER_EVENT};

@@ -9,6 +9,12 @@
 use crate::time::{Duration, EventTime};
 use serde::{Deserialize, Serialize};
 
+/// The most windows one event may belong to. A sliding window's fan-out is
+/// `⌈size / slide⌉`; a specification above this is refused before any
+/// window opens, since every event would otherwise be copied into that many
+/// windows inside the TEE.
+pub const MAX_WINDOWS_PER_EVENT: u64 = 1_024;
+
 /// A monotonically increasing window sequence number.
 ///
 /// Audit records (§7) identify windows by this number; the verifier checks
@@ -79,10 +85,15 @@ impl WindowSpec {
     }
 
     /// Convenience constructor for sliding windows. Panics if `slide` is zero
-    /// or larger than `size` — that would not be a valid sliding window.
+    /// or larger than `size` — that would not be a valid sliding window — or
+    /// if an event would belong to more than [`MAX_WINDOWS_PER_EVENT`].
     pub fn sliding(size: Duration, slide: Duration) -> Self {
         assert!(slide.raw() > 0, "slide must be positive");
         assert!(slide <= size, "slide must not exceed window size");
+        assert!(
+            size.raw().div_ceil(slide.raw()) <= MAX_WINDOWS_PER_EVENT,
+            "an event would belong to more than MAX_WINDOWS_PER_EVENT windows"
+        );
         WindowSpec::Sliding { size, slide }
     }
 
@@ -100,13 +111,18 @@ impl WindowSpec {
     }
 
     /// Whether the specification describes real windows: positive `size`,
-    /// and for sliding windows `0 < slide <= size`. The fields are public
+    /// and for sliding windows `0 < slide <= size` with at most
+    /// [`MAX_WINDOWS_PER_EVENT`] windows per event. The fields are public
     /// and specifications arrive from the untrusted control plane, so the
     /// data plane checks this before windowing anything.
     pub fn is_well_formed(&self) -> bool {
         match *self {
             WindowSpec::Fixed { size } => size.raw() > 0,
-            WindowSpec::Sliding { size, slide } => slide.raw() > 0 && slide <= size,
+            WindowSpec::Sliding { size, slide } => {
+                slide.raw() > 0
+                    && slide <= size
+                    && size.raw().div_ceil(slide.raw()) <= MAX_WINDOWS_PER_EVENT
+            }
             WindowSpec::Global => true,
         }
     }
@@ -271,6 +287,27 @@ mod tests {
     #[should_panic(expected = "slide must not exceed")]
     fn sliding_window_rejects_slide_larger_than_size() {
         let _ = WindowSpec::sliding(Duration::from_secs(1), Duration::from_secs(2));
+    }
+
+    #[test]
+    fn a_sliding_window_fans_out_to_at_most_the_cap() {
+        let us = Duration::from_micros;
+        let cap = MAX_WINDOWS_PER_EVENT;
+        assert!(WindowSpec::Sliding { size: us(cap), slide: us(1) }.is_well_formed());
+        assert!(WindowSpec::Sliding { size: us(cap * 10), slide: us(10) }.is_well_formed());
+        // One more window per event than the cap, exactly or by rounding up.
+        assert!(!WindowSpec::Sliding { size: us(cap + 1), slide: us(1) }.is_well_formed());
+        assert!(!WindowSpec::Sliding { size: us(cap * 10 + 1), slide: us(10) }.is_well_formed());
+        // A second of window sliding by a microsecond: 10⁶ windows per event.
+        let hostile = WindowSpec::Sliding { size: Duration::from_secs(1), slide: us(1) };
+        assert!(!hostile.is_well_formed());
+        assert_eq!(windows_at(&WindowSpec::sliding(us(cap), us(1)), 5_000).len(), cap as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_WINDOWS_PER_EVENT")]
+    fn sliding_window_rejects_a_fan_out_above_the_cap() {
+        let _ = WindowSpec::sliding(Duration::from_secs(1), Duration::from_micros(1));
     }
 
     #[test]
