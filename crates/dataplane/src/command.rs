@@ -13,10 +13,15 @@
 //! what it produced without a round trip. Either way the reference is
 //! resolved in the calling tenant's namespace like any input.
 //!
-//! A list runs in order and stops at the first failing command. The
-//! [`Replies`] hold every reply before it and the error that stopped it, so
-//! the control plane knows exactly which references are still live and can
-//! clean up as if it had made the calls one by one.
+//! A list is also the unit of failure. It runs in order, and what it would
+//! publish — audit records, ingest-counter moves, egress messages — is held
+//! back until its last command succeeds. If a command fails, the list
+//! publishes nothing: [`DataPlane::call`](crate::DataPlane::call) returns
+//! the error alone, releases every output the list produced, and retires
+//! every held reference the list names in a [`Command::Retire`], whether or
+//! not that command ran. Either way the caller then holds what it would
+//! hold had the list succeeded, minus the outputs, so it has nothing to
+//! clean up. [`Command::Checkpoint`] and [`Command::Restore`] run alone.
 
 use crate::egress::EgressMessage;
 use crate::error::DataPlaneError;
@@ -92,16 +97,9 @@ pub enum Command<'a> {
     Egress(Arg),
     /// Retire a reference.
     Retire(Arg),
-    /// Roll back the tenant's ingest counters for a dropped batch.
-    UncountIngest {
-        /// Events to take back.
-        events: u64,
-        /// Plaintext bytes to take back.
-        bytes: u64,
-    },
-    /// Seal a checkpoint of the tenant's windowed state.
+    /// Seal a checkpoint of the tenant's windowed state (alone in its list).
     Checkpoint(&'a CheckpointManifest),
-    /// Restore the tenant from a sealed checkpoint.
+    /// Restore the tenant from a sealed checkpoint (alone in its list).
     Restore {
         /// The tenant's quota after the restore.
         quota_bytes: Option<u64>,
@@ -123,11 +121,17 @@ impl Command<'_> {
     }
 }
 
-/// Refuse a list that names an output not produced before it: a forward or
-/// self reference, or an output of a command that produces none (or, for
-/// ingress, more than its one). Invocation outputs are counted only once
-/// the invocation has run.
+/// Refuse a list that puts `Checkpoint` or `Restore` beside another command
+/// (both audit outside a list's held-back records), or that names an output
+/// not produced before it: a forward or self reference, or an output of a
+/// command that produces none (or, for ingress, more than its one).
+/// Invocation outputs are counted only once the invocation has run.
 pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
+    if cmds.len() > 1
+        && cmds.iter().any(|cmd| matches!(cmd, Command::Checkpoint(_) | Command::Restore { .. }))
+    {
+        return Err(DataPlaneError::BadArguments("checkpoint and restore run alone"));
+    }
     for (i, cmd) in cmds.iter().enumerate() {
         for arg in cmd.args() {
             if let Arg::Out { cmd: producer, idx } = *arg {
@@ -161,7 +165,7 @@ pub enum Reply {
     Checkpoint(SealedSnapshot),
     /// The restored tenant.
     Restore(RestoredTenant),
-    /// A command with nothing to return (watermark, retire, uncount).
+    /// A command with nothing to return (watermark, retire).
     Done,
 }
 
@@ -172,27 +176,6 @@ impl Reply {
             Reply::Ingress(out) => std::slice::from_ref(out),
             Reply::Invoke(outs) => outs,
             _ => &[],
-        }
-    }
-}
-
-/// What a command list returned: the replies of the commands that ran, in
-/// list order, and the error of the command that stopped the list, if one
-/// failed. A list refused before any command ran has no replies.
-#[derive(Debug, Clone, Default)]
-pub struct Replies {
-    /// One reply per command that succeeded, in order.
-    pub done: Vec<Reply>,
-    /// The error of command `done.len()`, which stopped the list.
-    pub failed: Option<DataPlaneError>,
-}
-
-impl Replies {
-    /// The reply of a one-command list, or its error.
-    pub fn single(mut self) -> Result<Reply, DataPlaneError> {
-        match self.failed {
-            Some(e) => Err(e),
-            None => Ok(self.done.pop().expect("a list that succeeded replied to its command")),
         }
     }
 }
@@ -235,6 +218,29 @@ mod tests {
         assert!(check(&[sort(Arg::out(0))]).is_err());
         assert!(check(&[retire(held), retire(Arg::out(0))]).is_err());
         assert!(check(&[retire(Arg::out(usize::MAX))]).is_err());
+    }
+
+    #[test]
+    fn checkpoint_and_restore_are_refused_beside_another_command() {
+        let manifest = CheckpointManifest::default();
+        let sealed = SealedSnapshot {
+            tenant: 1,
+            ckpt_seq: 0,
+            epoch: 0,
+            ciphertext: Vec::new(),
+            mac: sbt_crypto::Signature([0; 32]),
+        };
+        let restore = Command::Restore { quota_bytes: None, sealed: &sealed, min_epoch: 0 };
+        let alone = "checkpoint and restore run alone";
+        for lone in [Command::Checkpoint(&manifest), restore] {
+            assert!(check(std::slice::from_ref(&lone)).is_ok());
+            let other = retire(Arg::Ref(OpaqueRef(1)));
+            let first = [lone.clone(), other.clone()];
+            let last = [other, lone.clone()];
+            assert_eq!(check(&first), Err(DataPlaneError::BadArguments(alone)));
+            assert_eq!(check(&last), Err(DataPlaneError::BadArguments(alone)));
+            assert_eq!(check(&[lone.clone(), lone]), Err(DataPlaneError::BadArguments(alone)));
+        }
     }
 
     #[test]

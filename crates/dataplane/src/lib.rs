@@ -27,7 +27,8 @@
 //! The control plane reaches all four through [`DataPlane::call`]: a
 //! [`Command`] list run inside one world switch, so a batch's ingress,
 //! windowing and retire, or a window's reduce, egress and retires, pay for
-//! the boundary once.
+//! the boundary once. A list succeeds or fails as a whole: a failed one
+//! leaves no record, counter move or output behind.
 //!
 //! Opaque references are long random integers; every incoming reference is
 //! validated against the table of live references, so fabricated references
@@ -47,7 +48,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod store;
 
-pub use command::{Arg, Command, Replies, Reply};
+pub use command::{Arg, Command, Reply};
 pub use egress::{EgressMessage, Sealer};
 pub use error::DataPlaneError;
 pub use opaque::OpaqueRef;

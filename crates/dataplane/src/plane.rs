@@ -37,7 +37,10 @@
 //! modules, one per concern: `ingress` (batches and watermarks), `invoke`
 //! (the primitive dispatch table), `egress` (sealed results and
 //! retirement), `checkpoint` (seal, restore, epoch retirement) and `call`
-//! (command lists: many of these calls inside one crossing).
+//! (command lists: many of these calls inside one crossing, committed or
+//! unwound as one). Each entry point is a one-command list through `call`;
+//! its body, which stages what it would publish, is reached only from
+//! there.
 
 use crate::egress::Sealer;
 use crate::error::DataPlaneError;
@@ -131,6 +134,9 @@ struct TenantState {
     /// Epoch-retirement horizon: epochs below this are retired — excluded
     /// from the tenant's verifier keychain and refused at restore.
     retired_before: u32,
+    /// Set, under this state's lock, when the tenant departs: a command
+    /// list still running for it then commits nothing.
+    departed: bool,
 }
 
 /// What [`DataPlane::deregister_tenant`] hands back: the tenant's final
@@ -269,6 +275,7 @@ impl DataPlane {
                     next_ckpt_seq: 0,
                     last_ckpt_epoch: None,
                     retired_before: 0,
+                    departed: false,
                 })),
             );
         }
@@ -353,10 +360,12 @@ impl DataPlane {
             return Err(DataPlaneError::BadArguments("the default tenant cannot depart"));
         }
         // Remove from the map first: new calls fail with UnknownTenant from
-        // here on; only calls already holding the state Arc can still race.
+        // here on. A list already holding the state Arc sees the departure
+        // mark at its commit and publishes nothing.
         let ts = self.tenants.write().remove(&tenant).ok_or(DataPlaneError::UnknownTenant)?;
         let (segments, final_epoch, refs_revoked) = {
             let mut t = ts.lock();
+            t.departed = true;
             let refs_revoked = t.refs.live_count();
             let record = AuditRecord::Departure { ts_ms: self.now_ms(), reason };
             if let Some(seg) = t.audit.append(record) {
@@ -470,19 +479,6 @@ impl DataPlane {
         Ok((t.events_ingested, t.bytes_ingested))
     }
 
-    /// Roll back a tenant's ingest counters for a batch the control plane
-    /// dropped after ingress (its windowing was rejected, e.g. by the
-    /// tenant's quota): the events never reached windowed state, so they do
-    /// not count as ingested. Platform-wide throughput stats are untouched
-    /// (the decryption work really happened).
-    pub fn uncount_ingest(&self, tenant: TenantId, events: u64, bytes: u64) {
-        if let Ok(ts) = self.tenant_state(tenant) {
-            let mut t = ts.lock();
-            t.events_ingested = t.events_ingested.saturating_sub(events);
-            t.bytes_ingested = t.bytes_ingested.saturating_sub(bytes);
-        }
-    }
-
     /// Whether the engine should apply backpressure to sources (platform-wide
     /// secure-memory pressure).
     pub fn under_memory_pressure(&self) -> bool {
@@ -527,12 +523,8 @@ impl DataPlane {
 
     // ----- internal helpers ---------------------------------------------
 
-    /// Append one audit record to the tenant's log. This sits on every
-    /// tenant's every-event path: the record's ports live inline
-    /// (`PortList`) and `AuditLog::append` streams the fields straight into
-    /// the segment's pre-laid-out column buffers, so the steady-state append
-    /// performs no heap allocation and holds the tenant lock only for the
-    /// column pushes (plus, once per threshold, the cheap seal-and-sign).
+    /// Append one audit record to the tenant's log at once, outside any
+    /// list's held-back records (restore's own records).
     fn append_audit(&self, ts: &Mutex<TenantState>, record: AuditRecord) {
         self.stats.record_audit(1);
         let mut t = ts.lock();

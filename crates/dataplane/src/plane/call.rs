@@ -1,81 +1,188 @@
-//! The command-list entry point: one world switch, many calls.
+//! The command-list entry point: one world switch, many calls, one outcome.
+//!
+//! Every way into the data plane is a command list; the single-call methods
+//! (`ingress`, `invoke`, `egress`, `retire`, …) are one-command lists. A
+//! list runs its commands in order, each through its own body, and holds
+//! back what it would publish — its audit records, its ingest-counter moves
+//! and its egress messages — until its last command succeeds. It then
+//! commits them under one tenant lock, unless the tenant departed meanwhile.
+//!
+//! A list that fails publishes nothing. `call` returns the error alone,
+//! releases every output the list produced, and retires every held
+//! reference the list names in a `Retire`, whether or not that command ran.
+//! An egress sequence number the list took is given back if no other list
+//! took one since. Retires themselves are not deferred: a window's tail
+//! list frees each input as soon as it is consumed.
 
-use super::DataPlane;
-use crate::command::{self, Command, Replies, Reply};
+use super::{DataPlane, TenantState};
+use crate::command::{self, Arg, Command, Reply};
 use crate::error::DataPlaneError;
+use parking_lot::Mutex;
+use sbt_attest::AuditRecord;
 use sbt_telemetry::SpanKind;
 use sbt_types::TenantId;
 use sbt_tz::WorldTracker;
 
+/// A command list in flight: the tenant it runs for, and what it would
+/// publish, held back until its last command succeeds.
+pub(super) struct Staged<'a> {
+    pub(super) tenant: TenantId,
+    pub(super) ts: &'a Mutex<TenantState>,
+    /// Audit records, in list order.
+    pub(super) records: Vec<AuditRecord>,
+    /// Events the list ingested.
+    pub(super) events: u64,
+    /// Plaintext bytes the list ingested.
+    pub(super) bytes: u64,
+}
+
 impl DataPlane {
-    /// Run a command list for `tenant` inside one crossing: each command
-    /// through the same body as its single entry point, in list order, so
-    /// the audit records are those of the calls made one by one. The list
-    /// stops at the first failing command; a list naming an output that no
-    /// earlier command produces is refused before any command runs.
-    pub fn call(&self, tenant: TenantId, cmds: &[Command<'_>]) -> Replies {
+    /// Run a command list for `tenant` inside one crossing, all or nothing:
+    /// on success the replies, one per command in list order, and the audit
+    /// records of the calls made one by one; on failure only the error of
+    /// the command that failed, with the list unwound (see the module
+    /// docs). A list naming an output that no earlier command produces, or
+    /// putting `Checkpoint` or `Restore` beside another command, is refused
+    /// before any command runs, and unwound like any other failed list.
+    pub fn call(
+        &self,
+        tenant: TenantId,
+        cmds: &[Command<'_>],
+    ) -> Result<Vec<Reply>, DataPlaneError> {
         WorldTracker::assert_secure("DataPlane::call");
-        let mut replies = Replies { done: Vec::with_capacity(cmds.len()), failed: None };
-        if let Err(e) = command::check(cmds) {
-            replies.failed = Some(e);
-            return replies;
+        // Checkpoint and Restore run alone and append and flush their own
+        // records; Restore creates the tenant it runs for.
+        match cmds {
+            [Command::Checkpoint(manifest)] => {
+                return Ok(vec![Reply::Checkpoint(self.run_checkpoint(tenant, manifest)?)]);
+            }
+            [Command::Restore { quota_bytes, sealed, min_epoch }] => {
+                let restored = self.run_restore(tenant, *quota_bytes, sealed, *min_epoch)?;
+                return Ok(vec![Reply::Restore(restored)]);
+            }
+            _ => {}
         }
-        for cmd in cmds {
-            match self.run_command(tenant, cmd, &replies.done) {
-                Ok(reply) => replies.done.push(reply),
-                Err(e) => {
-                    replies.failed = Some(e);
-                    break;
-                }
+        let ts = self.tenant_state(tenant)?;
+        let mut list = Staged { tenant, ts: &ts, records: Vec::new(), events: 0, bytes: 0 };
+        let mut done = Vec::with_capacity(cmds.len());
+        let ran = command::check(cmds).and_then(|()| {
+            cmds.iter().try_for_each(|cmd| {
+                let reply = self.run_command(&mut list, cmd, &done)?;
+                done.push(reply);
+                Ok(())
+            })
+        });
+        match ran.and_then(|()| self.commit(list)) {
+            Ok(()) => Ok(done),
+            Err(e) => {
+                self.unwind(&ts, cmds, &done);
+                Err(e)
             }
         }
-        replies
+    }
+
+    /// Run a one-command list and return its one reply.
+    pub(super) fn call_one(
+        &self,
+        tenant: TenantId,
+        cmd: Command<'_>,
+    ) -> Result<Reply, DataPlaneError> {
+        let mut replies = self.call(tenant, std::slice::from_ref(&cmd))?;
+        Ok(replies.pop().expect("a list that succeeded replied to its command"))
     }
 
     /// Run one command; `done` holds the replies of the commands before it.
     fn run_command(
         &self,
-        tenant: TenantId,
+        list: &mut Staged<'_>,
         cmd: &Command<'_>,
         done: &[Reply],
     ) -> Result<Reply, DataPlaneError> {
         let tracer = self.telemetry.tracer();
+        let tenant = list.tenant.0;
         Ok(match cmd {
             Command::Ingress { payload, encrypted, is_power, keystream_block } => {
                 let start = tracer.start();
-                let out = self.ingress(tenant, payload, *encrypted, *is_power, *keystream_block)?;
-                tracer.record(SpanKind::IngestBatch, tenant.0, start, out.len as u64);
+                let out =
+                    self.run_ingress(list, payload, *encrypted, *is_power, *keystream_block)?;
+                tracer.record(SpanKind::IngestBatch, tenant, start, out.len as u64);
                 Reply::Ingress(out)
             }
             Command::Watermark(wm) => {
-                self.ingress_watermark(tenant, *wm)?;
+                self.run_watermark(list, *wm);
                 Reply::Done
             }
             Command::Invoke { op, inputs, params, hints } => {
                 let refs =
                     inputs.iter().map(|arg| arg.resolve(done)).collect::<Result<Vec<_>, _>>()?;
-                Reply::Invoke(self.invoke(tenant, *op, &refs, *params, hints)?)
+                Reply::Invoke(self.run_invoke(list, *op, &refs, *params, hints)?)
             }
             Command::Egress(arg) => {
                 let start = tracer.start();
-                let msg = self.egress(tenant, arg.resolve(done)?)?;
-                tracer.record(SpanKind::EgressSeal, tenant.0, start, msg.ciphertext.len() as u64);
+                let msg = self.run_egress(list, arg.resolve(done)?)?;
+                tracer.record(SpanKind::EgressSeal, tenant, start, msg.ciphertext.len() as u64);
                 Reply::Egress(msg)
             }
             Command::Retire(arg) => {
-                self.retire(tenant, arg.resolve(done)?)?;
+                self.run_retire(list.ts, arg.resolve(done)?)?;
                 Reply::Done
             }
-            Command::UncountIngest { events, bytes } => {
-                self.uncount_ingest(tenant, *events, *bytes);
-                Reply::Done
-            }
-            Command::Checkpoint(manifest) => {
-                Reply::Checkpoint(self.checkpoint_tenant(tenant, manifest)?)
-            }
-            Command::Restore { quota_bytes, sealed, min_epoch } => {
-                Reply::Restore(self.restore_tenant(tenant, *quota_bytes, sealed, *min_epoch)?)
+            Command::Checkpoint(_) | Command::Restore { .. } => {
+                unreachable!("checkpoint and restore run alone, before any list")
             }
         })
+    }
+
+    /// Publish a list's held-back records and counter moves under one
+    /// tenant lock, unless the tenant departed while the list ran. The log
+    /// is flushed right after each egress record, as the paper requires of
+    /// externalization.
+    fn commit(&self, list: Staged<'_>) -> Result<(), DataPlaneError> {
+        let mut t = list.ts.lock();
+        if t.departed {
+            return Err(DataPlaneError::UnknownTenant);
+        }
+        t.events_ingested += list.events;
+        t.bytes_ingested += list.bytes;
+        self.stats.record_audit(list.records.len() as u64);
+        for record in list.records {
+            let externalized = matches!(record, AuditRecord::Egress { .. });
+            if let Some(segment) = t.audit.append(record) {
+                t.segments.push(segment);
+            }
+            if externalized {
+                if let Some(segment) = t.audit.flush() {
+                    t.segments.push(segment);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Unwind a failed list: release the outputs it produced, retire the
+    /// held references its `Retire`s name, and give back its egress
+    /// sequence numbers if they are still the last ones taken. A reference
+    /// the list already retired, or one that was never the tenant's, fails
+    /// its retire here harmlessly.
+    fn unwind(&self, ts: &Mutex<TenantState>, cmds: &[Command<'_>], done: &[Reply]) {
+        let produced = done.iter().flat_map(Reply::outputs).map(|out| out.opaque);
+        let named = cmds.iter().filter_map(|cmd| match cmd {
+            Command::Retire(Arg::Ref(r)) => Some(*r),
+            _ => None,
+        });
+        for r in produced.chain(named) {
+            let _ = self.run_retire(ts, r);
+        }
+        let mut seqs = done.iter().filter_map(|reply| match reply {
+            Reply::Egress(msg) => Some(msg.seq),
+            _ => None,
+        });
+        if let Some(first) = seqs.next() {
+            let taken = 1 + seqs.count() as u64;
+            let mut t = ts.lock();
+            if t.egress_seq == first + taken {
+                t.egress_seq = first;
+            }
+        }
     }
 }

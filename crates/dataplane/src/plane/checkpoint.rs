@@ -1,6 +1,7 @@
 //! Crash recovery: sealed checkpoints, restore and epoch retirement.
 
 use super::{DataPlane, TenantState};
+use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
 use crate::opaque::RefTable;
 use crate::snapshot::{
@@ -12,7 +13,6 @@ use parking_lot::Mutex;
 use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_telemetry::SpanKind;
 use sbt_types::{Event, PrimitiveKind, TenantId};
-use sbt_tz::WorldTracker;
 use sbt_uarray::UArrayId;
 use std::sync::Arc;
 
@@ -27,13 +27,25 @@ impl DataPlane {
     /// segment, so the recorded audit cursor is exactly where a restored
     /// log resumes), and seals it under keys derived per
     /// `(tenant, epoch, ckpt_seq)`. Only the sealed container leaves the
-    /// enclave.
+    /// enclave. A one-command list.
     pub fn checkpoint_tenant(
         &self,
         tenant: TenantId,
         manifest: &CheckpointManifest,
     ) -> Result<SealedSnapshot, DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::checkpoint");
+        match self.call_one(tenant, Command::Checkpoint(manifest))? {
+            Reply::Checkpoint(sealed) => Ok(sealed),
+            other => unreachable!("checkpoint replied {other:?}"),
+        }
+    }
+
+    /// The body of a `Checkpoint` command, which runs alone: its record is
+    /// appended and flushed here, not held back.
+    pub(super) fn run_checkpoint(
+        &self,
+        tenant: TenantId,
+        manifest: &CheckpointManifest,
+    ) -> Result<SealedSnapshot, DataPlaneError> {
         let span_start = self.telemetry.tracer().start();
         let ts = self.tenant_state(tenant)?;
         // Materialize the windowed state before taking the tenant lock
@@ -137,7 +149,7 @@ impl DataPlane {
     ///
     /// A failed restore can leave the tenant partially registered (e.g. on
     /// quota rejection mid-recommit); callers must treat any error as fatal
-    /// for this plane instance and discard it.
+    /// for this plane instance and discard it. A one-command list.
     pub fn restore_tenant(
         &self,
         tenant: TenantId,
@@ -145,7 +157,21 @@ impl DataPlane {
         sealed: &SealedSnapshot,
         min_epoch: u32,
     ) -> Result<RestoredTenant, DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::restore");
+        match self.call_one(tenant, Command::Restore { quota_bytes, sealed, min_epoch })? {
+            Reply::Restore(restored) => Ok(restored),
+            other => unreachable!("restore replied {other:?}"),
+        }
+    }
+
+    /// The body of a `Restore` command, which runs alone: it registers the
+    /// tenant, and appends its records itself.
+    pub(super) fn run_restore(
+        &self,
+        tenant: TenantId,
+        quota_bytes: Option<u64>,
+        sealed: &SealedSnapshot,
+        min_epoch: u32,
+    ) -> Result<RestoredTenant, DataPlaneError> {
         let span_start = self.telemetry.tracer().start();
         if sealed.tenant != tenant.0 {
             return Err(DataPlaneError::SnapshotRejected("snapshot belongs to another tenant"));
@@ -185,6 +211,7 @@ impl DataPlane {
                     next_ckpt_seq: plain.ckpt_seq + 1,
                     last_ckpt_epoch: Some(plain.epoch),
                     retired_before: horizon,
+                    departed: false,
                 })),
             );
         }

@@ -1,6 +1,8 @@
 //! Ingress: event batches and watermarks enter a tenant's namespace.
 
+use super::call::Staged;
 use super::DataPlane;
+use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
 use crate::params::InvokeOutput;
 use crate::store::StoredData;
@@ -8,7 +10,6 @@ use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::AesCtr;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, SpanKind};
 use sbt_types::{Event, PowerEvent, PrimitiveKind, TenantId, Watermark};
-use sbt_tz::WorldTracker;
 use sbt_uarray::{TeePager, UArray, PAGE_SIZE};
 use std::time::Instant;
 
@@ -32,7 +33,8 @@ impl DataPlane {
     /// encrypted by the source (the source advances it per batch).
     ///
     /// The batch is decrypted and parsed in one serial pass inside this one
-    /// crossing; multi-core ingest comes from concurrent batches.
+    /// crossing; multi-core ingest comes from concurrent batches. A
+    /// one-command list.
     pub fn ingress(
         &self,
         tenant: TenantId,
@@ -41,9 +43,25 @@ impl DataPlane {
         is_power: bool,
         keystream_block: u32,
     ) -> Result<InvokeOutput, DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::ingress");
+        let cmd = Command::Ingress { payload, encrypted, is_power, keystream_block };
+        match self.call_one(tenant, cmd)? {
+            Reply::Ingress(ingested) => Ok(ingested),
+            other => unreachable!("ingress replied {other:?}"),
+        }
+    }
+
+    /// The body of an `Ingress` command: the batch's array is registered
+    /// at once, its counter moves and record are staged in `list`.
+    pub(super) fn run_ingress(
+        &self,
+        list: &mut Staged<'_>,
+        payload: &[u8],
+        encrypted: bool,
+        is_power: bool,
+        keystream_block: u32,
+    ) -> Result<InvokeOutput, DataPlaneError> {
         let ingest_start = self.telemetry.tracer().start();
-        let ts = self.tenant_state(tenant)?;
+        let (tenant, ts) = (list.tenant, list.ts);
         // Wire-format check first: the payload either is whole events or the
         // batch is rejected before any secure memory moves.
         let record_bytes =
@@ -105,22 +123,17 @@ impl DataPlane {
         .map(StoredData::Events)?;
         let decrypt_nanos = if encrypted { decrypt_start.elapsed().as_nanos() as u64 } else { 0 };
         let (id, opaque, len) =
-            self.register_output(tenant, &ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
+            self.register_output(tenant, ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
         // Counters move only after the batch has actually been admitted
-        // (registration can still fail on the tenant's quota).
+        // (registration can still fail on the tenant's quota); the tenant's
+        // counters move at the list's commit.
         self.stats.record_ingress(n_events as u64, payload.len() as u64, decrypt_nanos);
-        {
-            let mut t = ts.lock();
-            t.events_ingested += n_events as u64;
-            t.bytes_ingested += payload.len() as u64;
-        }
-        self.append_audit(
-            &ts,
-            AuditRecord::Ingress {
-                ts_ms: self.now_ms(),
-                data: DataRef::UArray(UArrayRef(id.0 as u32)),
-            },
-        );
+        list.events += n_events as u64;
+        list.bytes += payload.len() as u64;
+        list.records.push(AuditRecord::Ingress {
+            ts_ms: self.now_ms(),
+            data: DataRef::UArray(UArrayRef(id.0 as u32)),
+        });
         // Ingest-to-store latency (call entry to registered output) plus a
         // decrypt span carrying the measured decrypt time. Both are relaxed
         // no-ops while telemetry is disabled.
@@ -145,17 +158,16 @@ impl DataPlane {
 
     /// Ingest a watermark (watermarks are control metadata, not protected
     /// data, but they are audited because freshness attestation depends on
-    /// them).
+    /// them). A one-command list.
     pub fn ingress_watermark(&self, tenant: TenantId, wm: Watermark) -> Result<(), DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::ingress_watermark");
-        let ts = self.tenant_state(tenant)?;
-        self.append_audit(
-            &ts,
-            AuditRecord::Ingress {
-                ts_ms: self.now_ms(),
-                data: DataRef::Watermark(wm.event_time.as_millis() as u32),
-            },
-        );
-        Ok(())
+        self.call_one(tenant, Command::Watermark(wm)).map(drop)
+    }
+
+    /// The body of a `Watermark` command: its record is staged in `list`.
+    pub(super) fn run_watermark(&self, list: &mut Staged<'_>, wm: Watermark) {
+        list.records.push(AuditRecord::Ingress {
+            ts_ms: self.now_ms(),
+            data: DataRef::Watermark(wm.event_time.as_millis() as u32),
+        });
     }
 }

@@ -1,7 +1,9 @@
 //! The shared primitive entry point: reference resolution, the dispatch
 //! table, and in-place production into uArrays.
 
+use super::call::Staged;
 use super::DataPlane;
+use crate::command::{Arg, Command, Reply};
 use crate::error::DataPlaneError;
 use crate::opaque::OpaqueRef;
 use crate::params::{InvokeOutput, PrimitiveParams};
@@ -10,7 +12,6 @@ use crate::store::StoredData;
 use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_primitives as prim;
 use sbt_types::{infallible, Event, PrimitiveKind, RecordCount, RecordSink, TenantId, WindowId};
-use sbt_tz::WorldTracker;
 use sbt_uarray::{
     CommitBudget, ConsumptionHint, HintSet, UArray, UArrayError, UArrayId, UArrayWriter, PAGE_SIZE,
 };
@@ -57,7 +58,8 @@ impl DataPlane {
     /// Execute a trusted primitive over opaque inputs, producing opaque
     /// outputs (the single entry function shared by all 23 primitives).
     /// Inputs resolve only in the calling tenant's reference namespace;
-    /// outputs are charged against the tenant's memory quota.
+    /// outputs are charged against the tenant's memory quota. A one-command
+    /// list.
     pub fn invoke(
         &self,
         tenant: TenantId,
@@ -66,12 +68,28 @@ impl DataPlane {
         params: PrimitiveParams,
         hints: &HintSet,
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
-        WorldTracker::assert_secure("DataPlane::invoke");
-        let ts = self.tenant_state(tenant)?;
+        let inputs = inputs.iter().map(|r| Arg::Ref(*r)).collect();
+        match self.call_one(tenant, Command::Invoke { op, inputs, params, hints: hints.clone() })? {
+            Reply::Invoke(outputs) => Ok(outputs),
+            other => unreachable!("invoke replied {other:?}"),
+        }
+    }
+
+    /// The body of an `Invoke` command: the outputs are registered at once,
+    /// their records staged in `list`.
+    pub(super) fn run_invoke(
+        &self,
+        list: &mut Staged<'_>,
+        op: PrimitiveKind,
+        inputs: &[OpaqueRef],
+        params: PrimitiveParams,
+        hints: &HintSet,
+    ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
+        let (tenant, ts) = (list.tenant, list.ts);
         // Validate all references and hints before doing any work.
         let mut resolved = Vec::with_capacity(inputs.len());
         for r in inputs {
-            resolved.push(self.lookup(&ts, *r)?);
+            resolved.push(self.lookup(ts, *r)?);
         }
         self.check_hints(tenant, op, hints)?;
         let input_ids: Vec<UArrayId> = resolved.iter().map(|(id, _)| *id).collect();
@@ -110,30 +128,24 @@ impl DataPlane {
             output_ids.push(id);
             outputs.push(InvokeOutput { opaque, len, window });
             if let Some(w) = window {
-                self.append_audit(
-                    &ts,
-                    AuditRecord::Windowing {
-                        ts_ms: self.now_ms(),
-                        input: UArrayRef(input_ids[0].0 as u32),
-                        win_no: w.0 as u16,
-                        output: UArrayRef(id.0 as u32),
-                    },
-                );
+                list.records.push(AuditRecord::Windowing {
+                    ts_ms: self.now_ms(),
+                    input: UArrayRef(input_ids[0].0 as u32),
+                    win_no: w.0 as u16,
+                    output: UArrayRef(id.0 as u32),
+                });
             }
         }
         // Windowing is fully described by its Windowing records; everything
         // else gets an Execution record.
         if op != PrimitiveKind::Segment {
-            self.append_audit(
-                &ts,
-                AuditRecord::Execution {
-                    ts_ms: self.now_ms(),
-                    op,
-                    inputs: input_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
-                    outputs: output_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
-                    hints: hints.iter().map(|h| h.encode()).collect(),
-                },
-            );
+            list.records.push(AuditRecord::Execution {
+                ts_ms: self.now_ms(),
+                op,
+                inputs: input_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
+                outputs: output_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
+                hints: hints.iter().map(|h| h.encode()).collect(),
+            });
         }
         self.stats.record_invocation(InvocationBreakdown { compute_nanos, memory_nanos });
         Ok(outputs)

@@ -1,15 +1,18 @@
-//! Command lists fail closed.
+//! Command lists fail closed, and fail whole.
 //!
 //! A command list is control-plane input like any other: every argument it
 //! names — a held reference or an earlier command's output — is checked
 //! before it is used. A list that names an output no earlier command
 //! produces is refused before anything runs; a bad reference inside a list
-//! stops the list at that command, with the replies of the commands before
-//! it returned and nothing of the failing command done (no egress sequence
-//! number spent). A bounded fuzz of random lists shows every outcome is a
-//! typed error or success and that nothing leaks: once the references the
-//! replies handed out are retired, the tenant's usage and the platform's
-//! secure memory are back to zero. The grouped aggregates and Join take
+//! fails the list at that command. A failed list leaves no trace: no audit
+//! record, no ingest count, no egress message or sequence number, no
+//! output. The held references it names in a `Retire` are retired all the
+//! same, so the caller holds what it would hold had the list succeeded,
+//! minus the outputs — whichever command failed (the ordinal property
+//! below). A bounded fuzz of random lists shows every outcome is a typed
+//! error or success and that nothing leaks: once the references the
+//! successful lists handed out are retired, the tenant's usage and the
+//! platform's secure memory are back to zero. The grouped aggregates and Join take
 //! key-sorted input; an unsorted one is refused like any other bad
 //! argument, so the fuzz draws them too. Consumption hints are arguments as
 //! well: more hints than outputs, a parallel hint outside `0..k` and a
@@ -18,15 +21,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbt_attest::{AuditRecord, DataRef, UArrayRef};
+use sbt_attest::{AuditRecord, DataRef, DepartureReason, UArrayRef};
+use sbt_crypto::MasterSecret;
 use sbt_dataplane::{
-    Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams, Replies,
-    Reply,
+    Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams, Reply,
 };
-use sbt_types::{Event, PrimitiveKind, TenantId, Watermark};
+use sbt_types::{Event, LanePool, LaneTask, PrimitiveKind, TenantId, Watermark};
 use sbt_tz::{Platform, World, WorldGuard};
 use sbt_uarray::{ConsumptionHint, HintSet, UArrayId};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 const T: TenantId = TenantId(1);
 const OTHER: TenantId = TenantId(2);
@@ -43,7 +46,11 @@ fn plane(quota: Option<u64>) -> Arc<DataPlane> {
     dp
 }
 
-fn call(dp: &DataPlane, tenant: TenantId, cmds: &[Command<'_>]) -> Replies {
+fn call(
+    dp: &DataPlane,
+    tenant: TenantId,
+    cmds: &[Command<'_>],
+) -> Result<Vec<Reply>, DataPlaneError> {
     in_tee(|| dp.call(tenant, cmds))
 }
 
@@ -128,9 +135,9 @@ fn a_list_runs_its_commands_in_order_and_audits_them_as_single_calls() {
             Command::Retire(Arg::out(3)),
             Command::Watermark(Watermark::from_secs(1)),
         ],
-    );
-    assert_eq!(replies.failed, None);
-    assert_eq!(replies.done.len(), 8);
+    )
+    .unwrap();
+    assert_eq!(replies.len(), 8);
 
     let single = plane(None);
     in_tee(|| {
@@ -158,7 +165,7 @@ fn a_list_runs_its_commands_in_order_and_audits_them_as_single_calls() {
         let msg = single.egress(T, sorted[0].opaque).unwrap();
         single.retire(T, sorted[0].opaque).unwrap();
         single.ingress_watermark(T, Watermark::from_secs(1)).unwrap();
-        let Reply::Egress(listed_msg) = &replies.done[5] else { panic!("egress reply") };
+        let Reply::Egress(listed_msg) = &replies[5] else { panic!("egress reply") };
         assert_eq!(listed_msg.ciphertext, msg.ciphertext);
     });
     assert_eq!(drained_records(&listed), drained_records(&single));
@@ -169,13 +176,12 @@ fn a_list_runs_its_commands_in_order_and_audits_them_as_single_calls() {
 fn a_forward_reference_is_refused_before_anything_runs() {
     let dp = plane(None);
     let payload = wire(100, 2);
-    let replies = call(
+    let refused = call(
         &dp,
         T,
         &[Command::Retire(Arg::out(1)), ingress(&payload), Command::Egress(Arg::out(1))],
     );
-    assert!(replies.done.is_empty());
-    assert!(matches!(replies.failed, Some(DataPlaneError::BadArguments(_))));
+    assert!(matches!(refused, Err(DataPlaneError::BadArguments(_))));
     // Nothing ran: no array, no record, no sequence number.
     assert_eq!(dp.live_refs(T), 0);
     assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
@@ -187,7 +193,7 @@ fn a_forward_reference_is_refused_before_anything_runs() {
 fn an_index_past_a_commands_outputs_stops_the_list_there() {
     let dp = plane(None);
     let payload = wire(100, 3);
-    let replies = call(
+    let failed = call(
         &dp,
         T,
         &[
@@ -197,23 +203,20 @@ fn an_index_past_a_commands_outputs_stops_the_list_there() {
             Command::Retire(Arg::out(1)),
         ],
     );
-    assert!(matches!(replies.failed, Some(DataPlaneError::BadArguments(_))));
-    // The earlier outputs come back: the caller still holds them.
-    assert_eq!(replies.done.len(), 2);
-    let live: Vec<OpaqueRef> =
-        replies.done.iter().flat_map(|r| r.outputs()).map(|o| o.opaque).collect();
-    assert_eq!(live.len(), 2);
-    assert_eq!(dp.live_refs(T), 2);
+    assert!(matches!(failed, Err(DataPlaneError::BadArguments(_))));
+    // The list stops there and is unwound: the outputs of the commands
+    // before it are released, and nothing of it is counted or audited.
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+    assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
+    assert!(drained_records(&dp).is_empty());
     assert_eq!(next_egress_seq(&dp, &payload), 0, "no sequence number was spent");
     // An ingress has exactly one output: naming a second is refused up
     // front.
     let refused = call(&dp, T, &[ingress(&payload), Command::Retire(Arg::Out { cmd: 0, idx: 1 })]);
-    assert!(refused.done.is_empty());
-    assert_eq!(dp.live_refs(T), 2);
-    for r in live {
-        in_tee(|| dp.retire(T, r)).unwrap();
-    }
-    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+    assert!(matches!(refused, Err(DataPlaneError::BadArguments(_))));
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
 }
 
 #[test]
@@ -221,12 +224,14 @@ fn a_forged_reference_in_a_list_is_rejected_without_spending_a_sequence_number()
     let dp = plane(None);
     let payload = wire(100, 4);
     let forged = OpaqueRef(0xDEAD_BEEF_0BAD_F00D);
-    let replies = call(&dp, T, &[ingress(&payload), Command::Egress(Arg::Ref(forged))]);
-    assert_eq!(replies.failed, Some(DataPlaneError::InvalidReference));
-    let [Reply::Ingress(ingested)] = replies.done.as_slice() else { panic!("ingress reply") };
-    assert_eq!(next_egress_seq(&dp, &payload), 0);
-    in_tee(|| dp.retire(T, ingested.opaque)).unwrap();
+    let failed = call(&dp, T, &[ingress(&payload), Command::Egress(Arg::Ref(forged))]);
+    assert_eq!(failed.unwrap_err(), DataPlaneError::InvalidReference);
+    // The ingested batch went with the list.
     assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
+    assert!(drained_records(&dp).is_empty());
+    assert_eq!(next_egress_seq(&dp, &payload), 0);
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
 }
 
 #[test]
@@ -234,19 +239,21 @@ fn another_tenants_reference_in_a_list_does_not_resolve() {
     let dp = plane(None);
     let payload = wire(100, 5);
     let theirs = held(&dp, OTHER, &payload);
-    let replies = call(
+    let failed = call(
         &dp,
         T,
         &[
             ingress(&payload),
             invoke(PrimitiveKind::Merge, vec![Arg::out(0), Arg::Ref(theirs)]),
+            Command::Retire(Arg::Ref(theirs)),
             Command::Egress(Arg::Ref(theirs)),
         ],
     );
-    assert_eq!(replies.failed, Some(DataPlaneError::InvalidReference));
-    assert_eq!(replies.done.len(), 1);
+    assert_eq!(failed.unwrap_err(), DataPlaneError::InvalidReference);
+    assert_eq!(dp.live_refs(T), 0);
     assert_eq!(next_egress_seq(&dp, &payload), 0);
-    // The other tenant's array is untouched and still theirs.
+    // The other tenant's array is untouched and still theirs, though the
+    // failed list named it in a retire.
     assert_eq!(dp.live_refs(OTHER), 1);
     in_tee(|| dp.retire(OTHER, theirs)).unwrap();
 }
@@ -271,11 +278,11 @@ fn an_unsorted_input_to_a_key_run_primitive_is_refused_before_any_work() {
         // Ingress order is not key order.
         let unsorted = call(&dp, T, &[ingress(&payload), invoke(op, vec![Arg::out(0); arity])]);
         assert_eq!(
-            unsorted.failed,
-            Some(DataPlaneError::BadArguments("input not key-sorted")),
+            unsorted.unwrap_err(),
+            DataPlaneError::BadArguments("input not key-sorted"),
             "{op:?}"
         );
-        assert_eq!(unsorted.done.len(), 1, "{op:?}");
+        assert_eq!(dp.live_refs(T), 0, "{op:?}");
         // The same events sorted first are accepted.
         let sorted = call(
             &dp,
@@ -286,8 +293,7 @@ fn an_unsorted_input_to_a_key_run_primitive_is_refused_before_any_work() {
                 invoke(op, vec![Arg::out(1); arity]),
             ],
         );
-        assert_eq!(sorted.failed, None, "{op:?}");
-        for r in unsorted.done.iter().chain(&sorted.done).flat_map(|r| r.outputs()) {
+        for r in sorted.unwrap().iter().flat_map(|r| r.outputs()) {
             in_tee(|| dp.retire(T, r.opaque)).unwrap();
         }
     }
@@ -351,10 +357,9 @@ fn malformed_hints_are_refused_before_any_work() {
         ),
     ];
     for (op, hints, reason) in refused {
-        let replies = call(&dp, T, &[ingress(&payload), hinted(op, vec![Arg::out(0)], hints)]);
-        assert_eq!(replies.failed, Some(DataPlaneError::BadArguments(reason)), "{op:?} {reason}");
-        let [Reply::Ingress(ingested)] = replies.done.as_slice() else { panic!("ingress reply") };
-        in_tee(|| dp.retire(T, ingested.opaque)).unwrap();
+        let refused = call(&dp, T, &[ingress(&payload), hinted(op, vec![Arg::out(0)], hints)]);
+        assert_eq!(refused.unwrap_err(), DataPlaneError::BadArguments(reason), "{op:?} {reason}");
+        assert_eq!(dp.live_refs(T), 1, "only the held array is live: {op:?} {reason}");
     }
     // Well-formed hints are accepted: a sibling of a parallel set, and the
     // caller's own array as a predecessor.
@@ -367,19 +372,20 @@ fn malformed_hints_are_refused_before_any_work() {
             hinted(PrimitiveKind::Sort, vec![Arg::out(0)], hints(&[after(mine_id)])),
         ],
     );
-    assert_eq!(accepted.failed, None);
-    for r in accepted.done.iter().flat_map(|r| r.outputs()) {
+    for r in accepted.unwrap().iter().flat_map(|r| r.outputs()) {
         in_tee(|| dp.retire(T, r.opaque)).unwrap();
     }
     in_tee(|| dp.retire(T, mine)).unwrap();
-    // The refusals minted nothing, audited nothing, charged nothing and
-    // spent no sequence number.
+    // The refused lists minted nothing, audited nothing (not even their
+    // ingress), charged nothing and spent no sequence number.
     assert_eq!(next_egress_seq(&dp, &payload), 0);
     let records = drained_records(&dp);
     let mine_ref = UArrayRef(mine_id.0 as u32);
     assert_eq!(records[0], AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(mine_ref) });
     let executions = records.iter().filter(|r| matches!(r, AuditRecord::Execution { .. })).count();
     assert_eq!(executions, 2, "the two accepted Sorts");
+    let ingresses = records.iter().filter(|r| matches!(r, AuditRecord::Ingress { .. })).count();
+    assert_eq!(ingresses, 3, "the held array, the accepted list's and the probe's");
     assert_eq!(dp.live_refs(T), 0);
     assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
     in_tee(|| dp.retire(OTHER, theirs)).unwrap();
@@ -448,7 +454,7 @@ fn random_lists_fail_typed_and_leak_nothing() {
         let len = rng.gen_range(1..8usize);
         let recent = &handed_out[handed_out.len().saturating_sub(8)..];
         let cmds: Vec<Command<'_>> = (0..len)
-            .map(|at| match rng.gen_range(0..10u32) {
+            .map(|at| match rng.gen_range(0..9u32) {
                 0..=2 => match rng.gen_range(0..5usize) {
                     4 => ingress(&ragged),
                     i => ingress(&payloads[i]),
@@ -462,22 +468,23 @@ fn random_lists_fail_typed_and_leak_nothing() {
                 }
                 6 => Command::Egress(random_arg(&mut rng, at, recent, theirs)),
                 7 => Command::Retire(random_arg(&mut rng, at, recent, theirs)),
-                8 => Command::Watermark(Watermark::from_secs(rng.gen_range(0..5u64))),
-                _ => Command::UncountIngest { events: rng.gen_range(0..100u64), bytes: 0 },
+                _ => Command::Watermark(Watermark::from_secs(rng.gen_range(0..5u64))),
             })
             .collect();
-        let replies = call(&dp, T, &cmds);
-        match &replies.failed {
-            None => {
-                assert_eq!(replies.done.len(), cmds.len());
+        let (live_before, ingest_before) = (dp.live_refs(T), dp.tenant_ingest(T).unwrap());
+        match call(&dp, T, &cmds) {
+            Ok(replies) => {
+                assert_eq!(replies.len(), cmds.len());
+                handed_out.extend(replies.iter().flat_map(|r| r.outputs()).map(|o| o.opaque));
                 ok += 1;
             }
-            Some(_) => {
-                assert!(replies.done.len() < cmds.len());
+            Err(_) => {
+                // A failed list hands out nothing and counts nothing.
+                assert!(dp.live_refs(T) <= live_before);
+                assert_eq!(dp.tenant_ingest(T).unwrap(), ingest_before);
                 failed += 1;
             }
         }
-        handed_out.extend(replies.done.iter().flat_map(|r| r.outputs()).map(|o| o.opaque));
     }
     assert!(ok > 20 && failed > 20, "the fuzz exercises both outcomes: {ok} ok, {failed} failed");
     for r in handed_out {
@@ -489,4 +496,129 @@ fn random_lists_fail_typed_and_leak_nothing() {
     assert_eq!(dp.platform().secure_mem().in_use(), 0);
     // The trail still verifies after all of it.
     drained_records(&dp);
+}
+
+/// A list shaped like a window's tail — invoke over held references, retire
+/// them, egress the result, retire it — fails at each position in turn: the
+/// command there is replaced by an `Invoke` or an `Egress` naming a forged
+/// reference. Whichever command fails, the list leaves no record, no egress
+/// message or sequence number and no ingest count; the caller holds what it
+/// held minus the list's `Retire` targets; once it retires those, nothing
+/// is charged anywhere.
+#[test]
+fn a_list_failing_at_any_command_leaves_no_trace() {
+    let forged = OpaqueRef(0xDEAD_BEEF_0BAD_F00D);
+    let payloads = [wire(300, 8), wire(200, 9), wire(100, 10)];
+    let tail = |a, b| {
+        vec![
+            invoke(PrimitiveKind::MergeK, vec![Arg::Ref(a), Arg::Ref(b)]),
+            Command::Retire(Arg::Ref(a)),
+            Command::Retire(Arg::Ref(b)),
+            Command::Egress(Arg::out(0)),
+            Command::Retire(Arg::out(0)),
+        ]
+    };
+    let failing: [fn(OpaqueRef) -> Command<'static>; 2] = [
+        |forged| invoke(PrimitiveKind::Sort, vec![Arg::Ref(forged)]),
+        |forged| Command::Egress(Arg::Ref(forged)),
+    ];
+    // The honest list succeeds and egresses.
+    let dp = plane(None);
+    let [a, b] = [held(&dp, T, &payloads[0]), held(&dp, T, &payloads[1])];
+    let replies = call(&dp, T, &tail(a, b)).unwrap();
+    assert!(matches!(replies[3], Reply::Egress(_)));
+    assert_eq!(dp.live_refs(T), 0);
+
+    for j in 0..tail(a, b).len() {
+        for fail in failing {
+            let dp = plane(None);
+            // `c` is held but never named by the list.
+            let held_refs: Vec<OpaqueRef> = payloads.iter().map(|p| held(&dp, T, p)).collect();
+            let [a, b, c] = held_refs[..] else { unreachable!() };
+            let mut cmds = tail(a, b);
+            cmds[j] = fail(forged);
+            let trail_before = dp.drain_audit_segments(T).unwrap();
+            let ingest_before = dp.tenant_ingest(T).unwrap();
+
+            let failed = call(&dp, T, &cmds);
+            assert!(failed.is_err(), "position {j}: {failed:?}");
+            let after = dp.drain_audit_segments(T).unwrap();
+            assert!(!trail_before.is_empty());
+            assert!(after.is_empty(), "position {j}: the failed list reached the trail");
+            assert_eq!(dp.tenant_ingest(T).unwrap(), ingest_before, "position {j}");
+
+            let retired: Vec<OpaqueRef> = cmds
+                .iter()
+                .filter_map(|cmd| match cmd {
+                    Command::Retire(Arg::Ref(r)) => Some(*r),
+                    _ => None,
+                })
+                .collect();
+            let live: Vec<OpaqueRef> =
+                [a, b, c].into_iter().filter(|r| !retired.contains(r)).collect();
+            assert_eq!(dp.live_refs(T), live.len(), "position {j}");
+            for r in live {
+                in_tee(|| dp.retire(T, r)).unwrap_or_else(|e| panic!("position {j}: {e:?}"));
+            }
+            assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0, "position {j}");
+            assert_eq!(dp.platform().secure_mem().in_use(), 0, "position {j}");
+            assert_eq!(next_egress_seq(&dp, &payloads[2]), 0, "position {j}");
+        }
+    }
+}
+
+/// A lane pool that holds the seal lent to it until the test lets it go: a
+/// list that egresses stays in flight for as long as the test needs.
+struct Gate {
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl LanePool for Gate {
+    fn workers(&self) -> usize {
+        1
+    }
+
+    fn run(&self, tasks: Vec<LaneTask>) {
+        let _ = self.entered.lock().unwrap().send(());
+        let _ = self.release.lock().unwrap().recv();
+        for task in tasks {
+            task();
+        }
+    }
+}
+
+#[test]
+fn a_list_its_tenant_departs_during_commits_nothing() {
+    let dp = plane(None);
+    // Two seal chunks, so the egress fans out onto the gated pool.
+    let big = wire(12_000, 11);
+    let small = wire(100, 12);
+    let r = held(&dp, T, &big);
+    let (entered, has_entered) = mpsc::channel();
+    let (release, gate) = mpsc::channel();
+    dp.set_lane_pool(Arc::new(Gate { entered: Mutex::new(entered), release: Mutex::new(gate) }));
+    let list = {
+        let dp = dp.clone();
+        std::thread::spawn(move || {
+            call(
+                &dp,
+                T,
+                &[ingress(&small), Command::Egress(Arg::Ref(r)), Command::Retire(Arg::Ref(r))],
+            )
+        })
+    };
+    // The list has ingested and is sealing when the tenant departs.
+    has_entered.recv().unwrap();
+    let teardown = dp.deregister_tenant(T, DepartureReason::Evicted).unwrap();
+    release.send(()).unwrap();
+    assert_eq!(list.join().unwrap().unwrap_err(), DataPlaneError::UnknownTenant);
+    // The trail ends at the departure: the batch the list ingested and the
+    // result it sealed are not on it.
+    let keys = MasterSecret::demo().keychain(T.0, 0);
+    let records = sbt_attest::verify_tenant_trail(&teardown.segments, T, &keys).unwrap();
+    assert_eq!(records.len(), 2, "{records:?}");
+    assert!(matches!(records[0], AuditRecord::Ingress { data: DataRef::UArray(_), .. }));
+    assert!(matches!(records[1], AuditRecord::Departure { .. }));
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
 }

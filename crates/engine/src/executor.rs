@@ -13,9 +13,8 @@
 //! * every task runs in a panic-safe slot: a panicking task is caught,
 //!   surfaced to the submitter as a [`TaskPanicked`] error, and the worker
 //!   thread survives;
-//! * callers get [`JoinHandle`]s and [`TaskSet`]s, so work can be submitted
-//!   incrementally and completions harvested out of order instead of
-//!   barriering on a whole batch;
+//! * callers get a [`JoinHandle`] per task, so work can be submitted
+//!   incrementally and each result joined when it is needed;
 //! * joining **helps**: a thread blocked on a handle runs queued tasks
 //!   while it waits, so tasks may freely submit and join subtasks on the
 //!   same executor (nested parallelism cannot deadlock the pool).
@@ -353,89 +352,6 @@ impl<T> JoinHandle<T> {
     }
 }
 
-/// A growable set of spawned tasks whose completions can be harvested out
-/// of submission order — the non-barrier replacement for `run_all`.
-pub struct TaskSet<T> {
-    handles: Vec<Option<JoinHandle<T>>>,
-    /// Completions discovered by a poll but not yet handed to the caller.
-    ready: VecDeque<(usize, TaskResult<T>)>,
-}
-
-impl<T: Send + 'static> TaskSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        TaskSet { handles: Vec::new(), ready: VecDeque::new() }
-    }
-
-    /// Submit one task; returns its index within the set.
-    pub fn spawn<F>(&mut self, executor: &Executor, task: F) -> usize
-    where
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.handles.push(Some(executor.spawn(task)));
-        self.handles.len() - 1
-    }
-
-    /// Number of tasks not yet harvested.
-    pub fn pending(&self) -> usize {
-        self.handles.iter().filter(|h| h.is_some()).count() + self.ready.len()
-    }
-
-    /// Whether every task has been harvested.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Move every newly finished task's result into the ready queue.
-    fn poll(&mut self) {
-        for (i, handle) in self.handles.iter_mut().enumerate() {
-            if let Some(h) = handle {
-                if let Some(result) = h.try_join() {
-                    *handle = None;
-                    self.ready.push_back((i, result));
-                }
-            }
-        }
-    }
-
-    /// Harvest every task that has completed so far, without blocking.
-    /// Returns `(index, result)` pairs in completion-discovery order.
-    pub fn try_harvest(&mut self) -> Vec<(usize, TaskResult<T>)> {
-        self.poll();
-        self.ready.drain(..).collect()
-    }
-
-    /// Block (helping) until at least one pending task completes; `None`
-    /// if the set has no pending tasks.
-    pub fn join_next(&mut self) -> Option<(usize, TaskResult<T>)> {
-        loop {
-            self.poll();
-            if let Some(next) = self.ready.pop_front() {
-                return Some(next);
-            }
-            let shared = self.handles.iter().flatten().next()?.shared.clone();
-            if !shared.help_one() {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
-
-    /// Block (helping) until every pending task completes.
-    pub fn join_all(&mut self) -> Vec<(usize, TaskResult<T>)> {
-        let mut all = Vec::new();
-        while let Some(done) = self.join_next() {
-            all.push(done);
-        }
-        all
-    }
-}
-
-impl<T: Send + 'static> Default for TaskSet<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The work-stealing pool of worker threads.
 pub struct Executor {
     shared: Arc<Shared>,
@@ -543,29 +459,19 @@ impl Executor {
         self.shared.help_one()
     }
 
-    /// Run a set of tasks to completion and return their results in
-    /// submission order, surfacing any task panic as an error. The calling
-    /// thread helps execute while it waits.
-    pub fn try_run_all<T, F>(&self, tasks: Vec<F>) -> Vec<TaskResult<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let handles: Vec<_> = tasks.into_iter().map(|t| self.spawn(t)).collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    }
-
     /// Barrier-style batch API: run tasks to completion, results in
-    /// submission order. A task panic is re-raised on the caller (the worker
-    /// that caught it stays alive).
+    /// submission order. The calling thread helps execute while it waits.
+    /// A task panic is re-raised on the caller (the worker that caught it
+    /// stays alive).
     pub fn run_all<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.try_run_all(tasks)
+        let handles: Vec<_> = tasks.into_iter().map(|t| self.spawn(t)).collect();
+        handles
             .into_iter()
-            .map(|r| match r {
+            .map(|h| match h.join() {
                 Ok(value) => value,
                 Err(p) => panic!("pool task panicked: {}", p.message),
             })
@@ -706,25 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn taskset_harvests_out_of_completion_order() {
-        let exec = Executor::new(4);
-        let mut set: TaskSet<usize> = TaskSet::new();
-        for i in 0..8 {
-            set.spawn(&exec, move || {
-                // Earlier tasks sleep longer, so completion order inverts
-                // submission order.
-                std::thread::sleep(Duration::from_micros((8 - i) as u64 * 300));
-                i
-            });
-        }
-        let mut got: Vec<(usize, usize)> =
-            set.join_all().into_iter().map(|(ix, r)| (ix, r.unwrap())).collect();
-        assert!(set.is_empty());
-        got.sort_unstable();
-        assert_eq!(got, (0..8).map(|i| (i, i)).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn nested_spawns_and_joins_do_not_deadlock() {
         // Tasks submit and join subtasks on the same (tiny) pool: the
         // joining tasks must help execute or this deadlocks instantly.
@@ -768,7 +655,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let mut set: TaskSet<u64> = TaskSet::new();
+        let mut handles: Vec<JoinHandle<u64>> = Vec::new();
         let mut expected: u64 = 0;
         for i in 0..200u64 {
             let micros = next() % 400;
@@ -792,10 +679,9 @@ mod tests {
                     i
                 }
             };
-            let handle = if fire { exec.spawn_fire(task) } else { exec.spawn(task) };
-            set.handles.push(Some(handle));
+            handles.push(if fire { exec.spawn_fire(task) } else { exec.spawn(task) });
         }
-        let total: u64 = set.join_all().into_iter().map(|(_, r)| r.unwrap()).sum();
+        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, expected);
         assert_eq!(counter.load(Ordering::Relaxed), 200);
         assert!(exec.executed() >= 200);

@@ -10,8 +10,8 @@
 //! # One crossing per command list
 //!
 //! The gateway has one way in: [`TeeGateway::call`] takes a list of
-//! [`Command`]s — ingress, watermark, invoke, egress, retire, uncount,
-//! checkpoint, restore — and runs the whole list inside **one** SMC
+//! [`Command`]s — ingress, watermark, invoke, egress, retire, checkpoint,
+//! restore — and runs the whole list inside **one** SMC
 //! invocation, metered as one world switch at the platform's unchanged
 //! price. Commands are data, not closures (the untrusted side never hands
 //! the secure world code), and a command may name an output of an earlier
@@ -24,9 +24,11 @@
 //! * a window's tail is one list from the gather (`MergeK` or `Concat` over
 //!   the partitions) through the reduce, the egress and the final retire.
 //!
-//! The list stops at its first failing command and the [`Replies`] name
-//! what ran, so the engine cleans up exactly the references that are still
-//! live. The single-call methods ([`ingress`](TeeGateway::ingress),
+//! A list succeeds or fails as a whole. A failed list returns only its
+//! error: the data plane has already released its outputs and retired
+//! every held reference it names in a `Retire`, and nothing of it reached
+//! the trail or the ingest counters, so the engine has nothing to clean up.
+//! The single-call methods ([`ingress`](TeeGateway::ingress),
 //! [`invoke`](TeeGateway::invoke), [`egress`](TeeGateway::egress),
 //! [`retire`](TeeGateway::retire), …) are one-command lists through the
 //! same path, so there is one metering path and no fork.
@@ -40,7 +42,7 @@ use crate::metrics::CycleCost;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
     Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, InvokeOutput,
-    OpaqueRef, PrimitiveParams, Replies, Reply, RestoredTenant, SealedSnapshot,
+    OpaqueRef, PrimitiveParams, Reply, RestoredTenant, SealedSnapshot,
 };
 use sbt_types::{PrimitiveKind, TenantId, Watermark};
 use sbt_tz::{EntryFunction, IngressPath, IoChannel, SmcSession};
@@ -150,10 +152,10 @@ impl TeeGateway {
     /// Run a command list in one TEE entry: one SMC invocation and one
     /// metered world switch, however many commands the list holds. Each
     /// ingress in the list is delivered over the IO channel first (a
-    /// via-OS delivery adds its own switch and copy). The commands that
-    /// succeeded are charged to this gateway's cost meter as if made one by
-    /// one.
-    pub fn call(&self, cmds: &[Command<'_>]) -> Replies {
+    /// via-OS delivery adds its own switch and copy). A list that succeeds
+    /// is charged to this gateway's cost meter as if its commands were made
+    /// one by one; a failed list charges nothing.
+    pub fn call(&self, cmds: &[Command<'_>]) -> Result<Vec<Reply>, DataPlaneError> {
         let via_os = self.io.path() == IngressPath::ViaOs;
         for cmd in cmds {
             if let Command::Ingress { payload, .. } = cmd {
@@ -166,10 +168,10 @@ impl TeeGateway {
                 self.io.deliver(payload.len());
             }
         }
-        let replies = self.enter(|| self.dp.call(self.tenant, cmds));
+        let replies = self.enter(|| self.dp.call(self.tenant, cmds))?;
         let cost: u64 = cmds
             .iter()
-            .zip(&replies.done)
+            .zip(&replies)
             .map(|(cmd, reply)| match (cmd, reply) {
                 // The *measured* batch cost: compute plus the boundary toll
                 // this batch actually paid under the platform's cost model
@@ -190,7 +192,13 @@ impl TeeGateway {
             })
             .sum();
         self.cost.fetch_add(cost, Ordering::Relaxed);
-        replies
+        Ok(replies)
+    }
+
+    /// Run a one-command list and return its one reply.
+    fn call_one(&self, cmd: Command<'_>) -> Result<Reply, DataPlaneError> {
+        let mut replies = self.call(std::slice::from_ref(&cmd))?;
+        Ok(replies.pop().expect("a list that succeeded replied to its command"))
     }
 
     /// Ingest a batch of event bytes (a one-command list).
@@ -201,10 +209,7 @@ impl TeeGateway {
         is_power: bool,
         keystream_block: u32,
     ) -> Result<InvokeOutput, DataPlaneError> {
-        match self
-            .call(&[Command::Ingress { payload, encrypted, is_power, keystream_block }])
-            .single()?
-        {
+        match self.call_one(Command::Ingress { payload, encrypted, is_power, keystream_block })? {
             Reply::Ingress(ingested) => Ok(ingested),
             other => unreachable!("ingress replied {other:?}"),
         }
@@ -235,7 +240,7 @@ impl TeeGateway {
         hints: &HintSet,
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
         let inputs = inputs.iter().map(|r| Arg::Ref(*r)).collect();
-        match self.call(&[Command::Invoke { op, inputs, params, hints: hints.clone() }]).single()? {
+        match self.call_one(Command::Invoke { op, inputs, params, hints: hints.clone() })? {
             Reply::Invoke(outputs) => Ok(outputs),
             other => unreachable!("invoke replied {other:?}"),
         }
@@ -243,7 +248,7 @@ impl TeeGateway {
 
     /// Externalize a result (a one-command list).
     pub fn egress(&self, r: OpaqueRef) -> Result<EgressMessage, DataPlaneError> {
-        match self.call(&[Command::Egress(Arg::Ref(r))]).single()? {
+        match self.call_one(Command::Egress(Arg::Ref(r)))? {
             Reply::Egress(msg) => Ok(msg),
             other => unreachable!("egress replied {other:?}"),
         }
@@ -252,15 +257,7 @@ impl TeeGateway {
     /// Retire a reference the control plane will no longer consume (a
     /// one-command list).
     pub fn retire(&self, r: OpaqueRef) -> Result<(), DataPlaneError> {
-        self.call(&[Command::Retire(Arg::Ref(r))]).single().map(drop)
-    }
-
-    /// Roll back the tenant's ingest counters after the control plane
-    /// dropped a batch it had already ingressed (e.g. windowing tripped the
-    /// tenant's quota): the events never reached windowed state, so they do
-    /// not count as ingested. A one-command list.
-    pub fn uncount_ingest(&self, events: u64, bytes: u64) {
-        let _ = self.call(&[Command::UncountIngest { events, bytes }]);
+        self.call_one(Command::Retire(Arg::Ref(r))).map(drop)
     }
 
     /// Drain the estimated cycle cost serviced through this gateway since
@@ -281,7 +278,7 @@ impl TeeGateway {
         &self,
         manifest: &CheckpointManifest,
     ) -> Result<SealedSnapshot, DataPlaneError> {
-        match self.call(&[Command::Checkpoint(manifest)]).single()? {
+        match self.call_one(Command::Checkpoint(manifest))? {
             Reply::Checkpoint(sealed) => Ok(sealed),
             other => unreachable!("checkpoint replied {other:?}"),
         }
@@ -296,7 +293,7 @@ impl TeeGateway {
         sealed: &SealedSnapshot,
         min_epoch: u32,
     ) -> Result<RestoredTenant, DataPlaneError> {
-        match self.call(&[Command::Restore { quota_bytes, sealed, min_epoch }]).single()? {
+        match self.call_one(Command::Restore { quota_bytes, sealed, min_epoch })? {
             Reply::Restore(restored) => Ok(restored),
             other => unreachable!("restore replied {other:?}"),
         }

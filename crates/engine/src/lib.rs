@@ -37,7 +37,7 @@ mod steps;
 
 pub use batcher::AdaptiveBatcher;
 pub use config::{EngineConfig, EngineVariant};
-pub use executor::{Executor, JoinHandle, TaskPanicked, TaskResult, TaskSet};
+pub use executor::{Executor, JoinHandle, TaskPanicked, TaskResult};
 pub use gateway::{GatewayBoundary, TeeGateway};
 pub use metrics::{CycleCost, EngineMetrics, WindowResult};
 pub use operators::Operator;

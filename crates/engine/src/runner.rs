@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
     Arg, CheckpointManifest, Command, DataPlane, DataPlaneConfig, DataPlaneError, EgressMessage,
-    OpaqueRef, PrimitiveParams, Replies, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
+    OpaqueRef, PrimitiveParams, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
 };
 use sbt_telemetry::{FlightReason, LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
@@ -324,13 +324,16 @@ impl Engine {
     }
 
     /// The per-batch ingest path, one crossing: deliver the bytes to the
-    /// TEE, segment them into windows, retire the raw ingress uArray.
+    /// TEE, segment them into windows, retire the raw ingress uArray. A
+    /// batch the TEE rejects part-way — its windowing trips the tenant's
+    /// quota, say — is unwound there whole: no array, record or ingest
+    /// count of it survives.
     fn ingest_and_segment(
         gateway: &TeeGateway,
         spec: sbt_types::WindowSpec,
         delivery: &Delivery,
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
-        let Replies { done, failed } = gateway.call(&[
+        let done = gateway.call(&[
             Command::Ingress {
                 payload: &delivery.wire_bytes,
                 encrypted: delivery.encrypted,
@@ -344,24 +347,7 @@ impl Engine {
                 hints: HintSet::none(),
             },
             Command::Retire(Arg::out(0)),
-        ]);
-        if let Some(e) = failed {
-            if let [Reply::Ingress(ingested)] = done.as_slice() {
-                // Don't leak the ingested array (and its quota charge) when
-                // windowing is rejected — e.g. the segment outputs pushed
-                // the tenant past its memory quota. The batch is dropped, so
-                // its events also come back out of the tenant's ingest
-                // counters: "ingested" means reached windowed state.
-                let _ = gateway.call(&[
-                    Command::Retire(Arg::Ref(ingested.opaque)),
-                    Command::UncountIngest {
-                        events: ingested.len as u64,
-                        bytes: delivery.wire_bytes.len() as u64,
-                    },
-                ]);
-            }
-            return Err(e);
-        }
+        ])?;
         let Some(Reply::Invoke(windows)) = done.into_iter().nth(1) else {
             unreachable!("a batch list that ran replied to its Segment");
         };
@@ -610,19 +596,19 @@ impl Engine {
         // nothing to fire: retire what the other side holds, in one list.
         let reduce = self.pipeline.terminal().reduce_kind();
         if state.left.is_empty() || (reduce == ReduceKind::Join && state.right.is_empty()) {
-            self.retire_all(&[state.left, state.right].concat());
+            self.retire(state.left.into_iter().chain(state.right));
             return Ok(());
         }
 
-        // 1. Partitions, in parallel: one list each. On failure every
-        // partition's still-live references are retired, so a mid-window
-        // failure — e.g. an intermediate tripping the tenant's quota — costs
-        // the window but never strands quota or pages.
+        // 1. Partitions, in parallel: one list each. A mid-window failure —
+        // e.g. an intermediate tripping the tenant's quota — costs the
+        // window but never strands quota or pages.
         let keyed = matches!(reduce, ReduceKind::Grouped { .. } | ReduceKind::Join);
         let (left, right) = self.run_partitions(state.left, state.right, keyed)?;
 
         // 2. The tail: one list from the gather through the reduce, the
-        // egress and its retire.
+        // egress and its retire. If it fails, the data plane retires the
+        // partitions it names and drops the sealed result with the rest.
         let mut tail = Steps::default();
         let gathered = |tail: &mut Steps, op, refs: &[OpaqueRef]| {
             tail.gather(op, refs).expect("a fired side has partitions")
@@ -649,24 +635,14 @@ impl Engine {
             ReduceKind::Passthrough => gathered(&mut tail, PrimitiveKind::Concat, &left),
         };
         tail.egress(result);
-        let egressed = |done: Vec<Reply>| {
-            done.into_iter().find_map(|reply| match reply {
+        let message = tail
+            .run(&self.gateway)?
+            .into_iter()
+            .find_map(|reply| match reply {
                 Reply::Egress(message) => Some(message),
                 _ => None,
             })
-        };
-        let message = match tail.run(&self.gateway) {
-            Ok(done) => egressed(done).expect("the tail list egresses"),
-            Err(stopped) => {
-                // Only the final retire can fail after the egress: the
-                // result is sealed and stays delivered.
-                if let Some(message) = egressed(stopped.done) {
-                    self.results.lock().push(message);
-                }
-                self.retire_all(&stopped.live);
-                return Err(stopped.error);
-            }
-        };
+            .expect("the tail list egresses");
         let result_records = message.ciphertext.len();
         self.results.lock().push(message);
 
@@ -698,52 +674,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Best-effort retirement of references during error cleanup, as one
-    /// list of retires. The error being unwound is the one worth reporting;
-    /// a retire failing here just means the reference is already gone, so
-    /// the list is re-sent past it.
-    fn retire_all(&self, refs: &[OpaqueRef]) {
-        let mut rest = refs;
-        while !rest.is_empty() {
-            let retires: Vec<_> = rest.iter().map(|r| Command::Retire(Arg::Ref(*r))).collect();
-            let ran = self.gateway.call(&retires).done.len();
-            rest = &rest[(ran + 1).min(rest.len())..];
+    /// Retire references in one list. Should one retire fail, the data
+    /// plane still retires all the others as it unwinds the list, so the
+    /// error is moot.
+    fn retire(&self, refs: impl IntoIterator<Item = OpaqueRef>) {
+        let retires: Vec<_> = refs.into_iter().map(|r| Command::Retire(Arg::Ref(r))).collect();
+        if !retires.is_empty() {
+            let _ = self.gateway.call(&retires);
         }
-    }
-
-    /// Collect parallel ref-producing task outcomes. On any failure, retires
-    /// every reference that survived — successful tasks' outputs and failed
-    /// tasks' still-live references — so no quota or pages stay charged, and
-    /// returns the first error.
-    #[allow(clippy::type_complexity)]
-    fn collect_or_cleanup(
-        &self,
-        results: Vec<Result<OpaqueRef, (Vec<OpaqueRef>, DataPlaneError)>>,
-    ) -> Result<Vec<OpaqueRef>, DataPlaneError> {
-        if results.iter().all(|r| r.is_ok()) {
-            return Ok(results.into_iter().map(|r| r.expect("all ok")).collect());
-        }
-        let mut first = None;
-        let mut live = Vec::new();
-        for result in results {
-            match result {
-                Ok(out) => live.push(out),
-                Err((still_live, e)) => {
-                    live.extend(still_live);
-                    first.get_or_insert(e);
-                }
-            }
-        }
-        self.retire_all(&live);
-        Err(first.expect("at least one task failed"))
     }
 
     /// Run every partition's chain — each transform, then `Sort` when the
     /// reduce is `keyed` — as one list per partition, all partitions of both
     /// sides in parallel, each retiring its inputs. Partition `i` of a
     /// side's `k` carries the one hint "sibling `i` of `k` consumed in
-    /// parallel" on every output. An empty chain costs nothing. On failure
-    /// every still-live partition is retired before the error is returned.
+    /// parallel" on every output. An empty chain costs nothing. A partition
+    /// list that fails has retired its own partition; when one does, the
+    /// outputs of its siblings are retired in one list and the first error
+    /// is returned.
     fn run_partitions(
         &self,
         left: Vec<OpaqueRef>,
@@ -774,7 +722,20 @@ impl Engine {
                 }
             })
             .collect();
-        let mut outs = self.collect_or_cleanup(self.pool.run_all(tasks))?;
+        let mut outs = Vec::with_capacity(left.len() + right.len());
+        let mut failure = None;
+        for result in self.pool.run_all(tasks) {
+            match result {
+                Ok(out) => outs.push(out),
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failure {
+            self.retire(outs);
+            return Err(e);
+        }
         let right = outs.split_off(left.len());
         Ok((outs, right))
     }
@@ -1203,26 +1164,32 @@ mod tests {
         assert_eq!(engine.metrics().windows.len(), 0);
     }
 
-    #[test]
-    fn quota_rejected_ingest_leaves_no_residue() {
-        // The tenant's quota fits the raw ingress array (~6 pages) but not
-        // ingress + its windowed copy, so windowing is rejected — and the
-        // already-ingested array must be retired, not leaked.
+    /// An engine for a tenant whose quota fits the raw ingress array of a
+    /// 2 000-event batch (~6 pages) but not ingress + its windowed copy, so
+    /// windowing is rejected; and a generator of one such batch and its
+    /// watermark.
+    fn quota_tripping_tenant() -> (Arc<Engine>, Arc<DataPlane>, Generator) {
         let config = EngineConfig::for_variant(EngineVariant::Sbt, 1);
         let platform = sbt_tz::Platform::new(config.platform_config());
         let dp = sbt_dataplane::DataPlane::new(platform, config.dataplane.clone());
         dp.register_tenant(TenantId(1), Some(8 * 4096)).unwrap();
-        let pool = Arc::new(Executor::new(1));
         let engine = Engine::for_tenant(
             config,
             Pipeline::winsum_benchmark().batch_events(10_000),
             dp.clone(),
             TenantId(1),
-            pool,
+            Arc::new(Executor::new(1)),
         );
         let chunks = synthetic_stream(1, 2_000, 16, 1);
-        let mut generator =
+        let generator =
             Generator::new(GeneratorConfig { batch_events: 2_000 }, Channel::cleartext(), chunks);
+        (engine, dp, generator)
+    }
+
+    #[test]
+    fn quota_rejected_ingest_leaves_no_residue() {
+        // The already-ingested array must be released, not leaked.
+        let (engine, dp, mut generator) = quota_tripping_tenant();
         let Some(Offer::Batch(delivery)) = generator.next_offer() else {
             panic!("first offer is a batch")
         };
@@ -1231,9 +1198,32 @@ mod tests {
         assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
         assert_eq!(dp.live_refs(TenantId(1)), 0);
         // The batch entered the TEE (its ingress fit the quota) but was
-        // dropped when windowing was rejected, so its events roll back out
-        // of the tenant's ingest counters: nothing reached windowed state.
+        // dropped when windowing was rejected, so its events never reach
+        // the tenant's ingest counters: nothing reached windowed state.
         assert_eq!(engine.metrics().events_ingested, 0);
+    }
+
+    #[test]
+    fn a_quota_tripped_batch_leaves_an_honest_trail() {
+        // The same quota trip, seen by the cloud: the rejected batch leaves
+        // no record, so the tenant's trail verifies and replays with no
+        // violation (no unwindowed ingress).
+        let (engine, dp, mut generator) = quota_tripping_tenant();
+        while let Some(offer) = generator.next_offer() {
+            match offer {
+                Offer::Batch(delivery) => {
+                    assert_eq!(engine.ingest(&delivery), Err(DataPlaneError::QuotaExceeded));
+                }
+                Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+            }
+        }
+        let keys = dp.verifier_keys(TenantId(1)).unwrap();
+        let records =
+            sbt_attest::verify_tenant_trail(&engine.drain_audit_segments(), TenantId(1), &keys)
+                .expect("the trail verifies");
+        assert!(!records.is_empty(), "the watermark is on the trail");
+        let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+        assert!(replay.is_correct(), "violations: {:?}", replay.violations);
     }
 
     #[test]

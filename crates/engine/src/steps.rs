@@ -1,46 +1,25 @@
-//! Command lists paired with their cleanup.
+//! Command lists built step by step.
 //!
 //! The engine sends each step of work to the TEE as one command list (one
-//! world switch). When a list stops part-way, the engine owes the data
-//! plane the retirement of every reference that is still live — exactly
-//! what it would owe had it made the calls one by one. [`Steps`] records
-//! that debt next to each command as the list is built, so the error arm
-//! is the same one line wherever a list is run.
+//! world switch). [`Steps`] builds such a list from the shapes the engine
+//! uses: consume inputs, gather partitions, egress a result. A list
+//! succeeds or fails as a whole: when it fails, the data plane releases its
+//! outputs and retires every held reference it names in a `Retire`, so the
+//! caller gets the error and has nothing left to clean up.
 
 use crate::gateway::TeeGateway;
 use sbt_dataplane::{Arg, Command, DataPlaneError, OpaqueRef, PrimitiveParams, Reply};
 use sbt_types::PrimitiveKind;
 use sbt_uarray::HintSet;
 
-/// A command list under construction, each command paired with the
-/// references still live should that command fail.
+/// A command list under construction.
 #[derive(Default)]
 pub(crate) struct Steps<'a> {
     cmds: Vec<Command<'a>>,
-    live_on_failure: Vec<Vec<Arg>>,
-}
-
-/// A list that stopped at a failing command.
-pub(crate) struct Stopped {
-    /// Replies of the commands that ran before it.
-    pub done: Vec<Reply>,
-    /// References its failure left live, for the caller to retire.
-    pub live: Vec<OpaqueRef>,
-    /// Its error.
-    pub error: DataPlaneError,
 }
 
 impl<'a> Steps<'a> {
-    /// Append a command and the references live if it fails.
-    fn push(&mut self, cmd: Command<'a>, live_on_failure: Vec<Arg>) -> usize {
-        self.cmds.push(cmd);
-        self.live_on_failure.push(live_on_failure);
-        self.cmds.len() - 1
-    }
-
     /// Run `op` over `inputs`, then retire the inputs; returns the output.
-    /// If the invocation fails every input is still live; if retiring input
-    /// `i` fails, the inputs after it and the output are.
     pub fn consume(
         &mut self,
         op: PrimitiveKind,
@@ -49,12 +28,8 @@ impl<'a> Steps<'a> {
         inputs: Vec<Arg>,
     ) -> Arg {
         let out = Arg::out(self.cmds.len());
-        self.push(Command::Invoke { op, inputs: inputs.clone(), params, hints }, inputs.clone());
-        for (i, input) in inputs.iter().enumerate() {
-            let mut live = inputs[i + 1..].to_vec();
-            live.push(out);
-            self.push(Command::Retire(*input), live);
-        }
+        self.cmds.push(Command::Invoke { op, inputs: inputs.clone(), params, hints });
+        self.cmds.extend(inputs.into_iter().map(Command::Retire));
         out
     }
 
@@ -76,31 +51,18 @@ impl<'a> Steps<'a> {
 
     /// Seal `result` for upload, then retire it.
     pub fn egress(&mut self, result: Arg) {
-        self.push(Command::Egress(result), vec![result]);
-        self.push(Command::Retire(result), Vec::new());
+        self.cmds.push(Command::Egress(result));
+        self.cmds.push(Command::Retire(result));
     }
 
     /// Run the list in one crossing.
-    pub fn run(&self, gateway: &TeeGateway) -> Result<Vec<Reply>, Stopped> {
-        let replies = gateway.call(&self.cmds);
-        let Some(error) = replies.failed else {
-            return Ok(replies.done);
-        };
-        let live = self.live_on_failure[replies.done.len()]
-            .iter()
-            .filter_map(|arg| arg.resolve(&replies.done).ok())
-            .collect();
-        Err(Stopped { done: replies.done, live, error })
+    pub fn run(&self, gateway: &TeeGateway) -> Result<Vec<Reply>, DataPlaneError> {
+        gateway.call(&self.cmds)
     }
 
-    /// Run the list and resolve `result` among its outputs; on failure,
-    /// the references left live and the error (a parallel task's outcome).
-    pub fn run_to(
-        &self,
-        gateway: &TeeGateway,
-        result: Arg,
-    ) -> Result<OpaqueRef, (Vec<OpaqueRef>, DataPlaneError)> {
-        let done = self.run(gateway).map_err(|s| (s.live, s.error))?;
+    /// Run the list and resolve `result` among its outputs.
+    pub fn run_to(&self, gateway: &TeeGateway, result: Arg) -> Result<OpaqueRef, DataPlaneError> {
+        let done = self.run(gateway)?;
         Ok(result.resolve(&done).expect("a list that ran names its own outputs"))
     }
 }
@@ -108,18 +70,6 @@ impl<'a> Steps<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn consume_owes_the_unretired_inputs_and_the_output() {
-        let (a, b) = (Arg::Ref(OpaqueRef(1)), Arg::Ref(OpaqueRef(2)));
-        let mut steps = Steps::default();
-        let out =
-            steps.consume(PrimitiveKind::Join, PrimitiveParams::None, HintSet::none(), vec![a, b]);
-        assert_eq!(out, Arg::out(0));
-        assert_eq!(steps.live_on_failure, vec![vec![a, b], vec![b, out], vec![out]]);
-        steps.egress(out);
-        assert_eq!(steps.live_on_failure[3..], [vec![out], vec![]]);
-    }
 
     #[test]
     fn concat_of_one_partition_costs_no_command() {

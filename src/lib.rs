@@ -74,7 +74,7 @@ pub mod prelude {
     pub use sbt_dataplane::EgressMessage;
     pub use sbt_engine::{
         CycleCost, Engine, EngineConfig, EngineVariant, Executor, IngestStatus, Operator, Pipeline,
-        StreamSide, TaskSet, WindowTicket,
+        StreamSide, WindowTicket,
     };
     pub use sbt_server::{
         AdmissionError, DepartureReport, DrrAccounting, LifecycleError, Scheduler, ServeReport,
