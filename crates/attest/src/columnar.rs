@@ -37,7 +37,9 @@
 //!   from its last encoder (`tests/fixtures/v1_*.bin`) pin the layout.
 
 use crate::huffman;
-use crate::record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef};
+use crate::record::{
+    join_hint, split_hint, AuditRecord, DataRef, DepartureReason, HintWord, PortList, UArrayRef,
+};
 use crate::varint;
 use sbt_types::PrimitiveKind;
 
@@ -91,16 +93,14 @@ impl std::error::Error for CodecError {}
 /// in v3, as single bytes in v2.
 const COUNTS_ESCAPE: u8 = 0xFF;
 
-/// The v3 numeric-stream words of one hint's 64-bit record value (kind in
-/// bit 63, see `sbt_uarray::ConsumptionHint::encode`): `id << 1` for a
-/// consumed-after hint, `(k << 1) | 1` then `index` for a consumed-in-
+/// The v3 numeric-stream words of one hint's 64-bit record value: `id << 1`
+/// for a consumed-after hint, `(k << 1) | 1` then `index` for a consumed-in-
 /// parallel one. Every `u64` maps to words [`NumReader::hint`] inverts.
 #[inline]
 fn hint_words(raw: u64) -> ([u64; 2], usize) {
-    if raw >> 63 == 0 {
-        ([raw << 1, 0], 1)
-    } else {
-        ([(((raw >> 32) & 0x7FFF_FFFF) << 1) | 1, raw & 0xFFFF_FFFF], 2)
+    match split_hint(raw) {
+        HintWord::After(id) => ([id << 1, 0], 1),
+        HintWord::Parallel { k, index } => ([((k as u64) << 1) | 1, index as u64], 2),
     }
 }
 
@@ -436,7 +436,7 @@ impl ColumnarEncoder {
                         }
                     }
                 }
-                let hint_words_total: usize = hints.iter().map(|h| 1 + (h >> 63) as usize).sum();
+                let hint_words_total: usize = hints.iter().map(|&h| hint_words(h).1).sum();
                 let words = 1 + inputs.len() + outputs.len() + hint_words_total;
                 if let ([i0], [o0], []) = (&inputs[..], &outputs[..], &hints[..]) {
                     // 1-in/1-out, no hints: the overwhelmingly dominant
@@ -662,13 +662,13 @@ impl NumReader<'_> {
     fn hint(&mut self) -> Result<u64, CodecError> {
         let first = self.varint()?;
         if first & 1 == 0 {
-            return Ok(first >> 1);
+            return Ok(join_hint(HintWord::After(first >> 1)));
         }
         let (k, index) = (first >> 1, self.varint()?);
         if k > 0x7FFF_FFFF || index > 0xFFFF_FFFF {
             return Err(CodecError("parallel hint out of range"));
         }
-        Ok((1 << 63) | (k << 32) | index)
+        Ok(join_hint(HintWord::Parallel { k: k as u32, index: index as u32 }))
     }
 
     #[inline]

@@ -137,6 +137,38 @@ impl<'a> IntoIterator for &'a PortList {
     }
 }
 
+/// One consumption hint's fields, as split from (and joined back into) its
+/// 64-bit record value by [`split_hint`] and [`join_hint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HintWord {
+    /// Consumed after the predecessor with this id (bits 0–62).
+    After(u64),
+    /// One of `k` siblings consumed in parallel (k in bits 32–62, index in
+    /// bits 0–31).
+    Parallel { k: u32, index: u32 },
+}
+
+/// Split a hint's record value: the kind in bit 63, then its fields (the
+/// layout of `sbt_uarray::ConsumptionHint::encode`). Every `u64` splits.
+#[inline]
+pub(crate) fn split_hint(raw: u64) -> HintWord {
+    if raw >> 63 == 0 {
+        HintWord::After(raw)
+    } else {
+        HintWord::Parallel { k: ((raw >> 32) & 0x7FFF_FFFF) as u32, index: raw as u32 }
+    }
+}
+
+/// The inverse of [`split_hint`] for fields in range: an id below 2⁶³, a
+/// `k` below 2³¹.
+#[inline]
+pub(crate) fn join_hint(hint: HintWord) -> u64 {
+    match hint {
+        HintWord::After(id) => id,
+        HintWord::Parallel { k, index } => (1 << 63) | ((k as u64) << 32) | index as u64,
+    }
+}
+
 /// The payload of an ingress record: either a data uArray or a watermark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataRef {
@@ -473,6 +505,15 @@ mod tests {
             assert_eq!(DepartureReason::from_code(reason.code()), Some(reason));
         }
         assert_eq!(DepartureReason::from_code(9), None);
+    }
+
+    #[test]
+    fn hint_words_split_and_join() {
+        for raw in [0, 42, (1 << 63) - 1, 1 << 63, (1 << 63) | (25 << 32) | 24, u64::MAX] {
+            assert_eq!(join_hint(split_hint(raw)), raw, "{raw:#x}");
+        }
+        assert_eq!(split_hint(7), HintWord::After(7));
+        assert_eq!(split_hint((1 << 63) | (4 << 32) | 3), HintWord::Parallel { k: 4, index: 3 });
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::columnar::decompress_records;
 use crate::log::LogSegment;
 use crate::record::AuditRecord;
-use sbt_crypto::{SigningKey, TenantKeychain};
+use sbt_crypto::TenantKeychain;
 use sbt_types::{LanePool, LaneTask, TenantId};
 use std::sync::{Arc, Mutex};
 
@@ -146,37 +146,37 @@ pub fn verify_tenant_trail(
     tenant: TenantId,
     keys: &TenantKeychain,
 ) -> Result<Vec<AuditRecord>, TrailError> {
-    stitch_trail(segments, tenant, keys, &mut InlineHeavy)
+    stitch_trail(segments, tenant, keys, segments.iter().map(|seg| open_segment(seg, keys)))
 }
 
-/// The two per-segment operations whose cost dominates verification —
-/// checking the HMAC over the payload and decompressing it. [`stitch_trail`]
-/// is generic over where they run: inline on the stitching walk (serial
-/// verification) or precomputed on a worker pool (parallel verification).
-/// Everything *else* — the tenant tag, epoch, splice, and sequence checks,
-/// and their order relative to these two — lives only in the walk, so the
-/// serial and parallel verifiers cannot disagree on which error a broken
-/// trail reports.
-trait HeavyOps {
-    fn signature_ok(&mut self, index: usize, seg: &LogSegment, key: &SigningKey) -> bool;
-    fn decode(&mut self, index: usize, seg: &LogSegment) -> Option<Vec<AuditRecord>>;
+/// One segment's heavy work — the near-totality of verification time —
+/// done: its HMAC checked, then its payload decompressed.
+struct Opened {
+    /// Whether the HMAC verified under the segment's epoch key (`false` for
+    /// an epoch the keychain lacks, which the walk reports before ever
+    /// reading this).
+    sig_ok: bool,
+    /// The decoded records, attempted only when the signature verified: a
+    /// tampered segment is rejected on its signature, not on the decode of
+    /// its corrupted payload. `None` with `sig_ok` means the payload failed
+    /// to decompress.
+    records: Option<Vec<AuditRecord>>,
 }
 
-/// Serial strategy: run the heavy work right on the walk.
-struct InlineHeavy;
-
-impl HeavyOps for InlineHeavy {
-    fn signature_ok(&mut self, _index: usize, seg: &LogSegment, key: &SigningKey) -> bool {
-        seg.verify(key)
-    }
-
-    fn decode(&mut self, _index: usize, seg: &LogSegment) -> Option<Vec<AuditRecord>> {
-        decompress_records(&seg.compressed).ok()
-    }
+/// Open one segment: a pure function of the segment and the keychain, so
+/// where it runs — on the walk or ahead of it on a worker — cannot change
+/// what the walk reports.
+fn open_segment(seg: &LogSegment, keys: &TenantKeychain) -> Opened {
+    let sig_ok = keys.epoch(seg.epoch).is_some_and(|epoch_keys| seg.verify(&epoch_keys.signing));
+    let records = if sig_ok { decompress_records(&seg.compressed).ok() } else { None };
+    Opened { sig_ok, records }
 }
 
-/// The sequential stitching pass over a trail: cheap per-segment checks in
-/// their canonical order, with the heavy work delegated to `heavy`.
+/// The one walk over a trail: per-segment checks in their canonical order,
+/// taking the next [`Opened`] from `opened` (one per segment, in trail
+/// order) when a segment reaches its signature check. The serial verifier
+/// opens lazily, so a broken trail stops opening segments at its first
+/// error; the parallel one hands in outcomes its workers computed ahead.
 ///
 /// Canonical per-segment order (the first failing segment's first failing
 /// check wins): tenant tag → epoch known → epoch non-decreasing →
@@ -185,7 +185,7 @@ fn stitch_trail(
     segments: &[LogSegment],
     tenant: TenantId,
     keys: &TenantKeychain,
-    heavy: &mut dyn HeavyOps,
+    mut opened: impl Iterator<Item = Opened>,
 ) -> Result<Vec<AuditRecord>, TrailError> {
     if keys.tenant() != tenant.0 {
         return Err(TrailError::WrongKeychain {
@@ -204,9 +204,9 @@ fn stitch_trail(
         if seg.tenant != tenant {
             return Err(TrailError::WrongTenant { expected: tenant, found: seg.tenant });
         }
-        let epoch_keys = keys
-            .epoch(seg.epoch)
-            .ok_or(TrailError::UnknownEpoch { seq: seg.seq, epoch: seg.epoch })?;
+        if keys.epoch(seg.epoch).is_none() {
+            return Err(TrailError::UnknownEpoch { seq: seg.seq, epoch: seg.epoch });
+        }
         if seg.epoch < current_epoch {
             return Err(TrailError::EpochSplice {
                 seq: seg.seq,
@@ -215,13 +215,14 @@ fn stitch_trail(
             });
         }
         current_epoch = seg.epoch;
-        if !heavy.signature_ok(i, seg, &epoch_keys.signing) {
+        let opened = opened.next().expect("one outcome per segment");
+        if !opened.sig_ok {
             return Err(TrailError::BadSignature { seq: seg.seq });
         }
         if seg.seq != i as u64 {
             return Err(TrailError::BrokenSequence { expected: i as u64, found: seg.seq });
         }
-        let decoded = heavy.decode(i, seg).ok_or(TrailError::CorruptSegment { seq: seg.seq })?;
+        let decoded = opened.records.ok_or(TrailError::CorruptSegment { seq: seg.seq })?;
         for rec in &decoded {
             let AuditRecord::Checkpoint { seq: ckpt, resumed, hash, .. } = rec else {
                 continue;
@@ -258,33 +259,6 @@ fn stitch_trail(
 // Parallel verification
 // ---------------------------------------------------------------------------
 
-/// Heavy-work outcome for one segment, precomputed by a pool worker.
-struct SegmentHeavy {
-    /// Whether the HMAC verified under the segment's epoch key. `false`
-    /// when the epoch is unknown to the keychain — the stitching pass
-    /// reports `UnknownEpoch` before ever consulting the signature, so the
-    /// placeholder is never observed.
-    sig_ok: bool,
-    /// The decoded records, attempted only when the signature verified
-    /// (mirroring the serial order: a tampered segment is rejected on its
-    /// signature, not on the decode of its corrupted payload). `None` with
-    /// `sig_ok` means the payload failed to decompress.
-    decoded: Option<Vec<AuditRecord>>,
-}
-
-/// Parallel strategy: the walk consumes worker-precomputed outcomes.
-struct PrecomputedHeavy(Vec<Option<SegmentHeavy>>);
-
-impl HeavyOps for PrecomputedHeavy {
-    fn signature_ok(&mut self, index: usize, _seg: &LogSegment, _key: &SigningKey) -> bool {
-        self.0[index].as_ref().expect("pool ran every verify task to completion").sig_ok
-    }
-
-    fn decode(&mut self, index: usize, _seg: &LogSegment) -> Option<Vec<AuditRecord>> {
-        self.0[index].take().expect("pool ran every verify task to completion").decoded
-    }
-}
-
 /// Minimum compressed payload bytes per shard before parallel verification
 /// fans out.
 ///
@@ -294,12 +268,12 @@ impl HeavyOps for PrecomputedHeavy {
 /// too small for two such shards stays serial.
 pub const MIN_VERIFY_SHARD_BYTES: usize = 64 * 1024;
 
-/// [`verify_tenant_trail`] with the per-segment heavy work — HMAC check and
-/// decompression, the near-totality of verification time — fanned out over
-/// `pool` in contiguous, balanced shards. The cheap stitching pass (tenant
-/// tag, epoch chain, splice, sequence contiguity) stays sequential and
-/// shares its code with the serial verifier, so every tamper, cross-epoch
-/// and post-departure detection reports the identical [`TrailError`].
+/// [`verify_tenant_trail`] with every segment opened first — HMAC check and
+/// decompression, the near-totality of verification time — on `pool`, in
+/// contiguous, balanced shards. The serial verifier's walk then runs over
+/// those outcomes (tenant tag, epoch chain, splice, sequence contiguity,
+/// checkpoint chain), so every tamper, cross-epoch and post-departure
+/// detection reports the identical [`TrailError`].
 ///
 /// The trail is shared with the workers (`Arc`), never copied. With one
 /// worker, a one-segment trail, or less than [`MIN_VERIFY_SHARD_BYTES`] of
@@ -341,11 +315,11 @@ pub fn verify_tenant_trail_parallel_min_shard(
         });
     }
 
-    // Contiguous shards balanced to within one segment; each task fills its
-    // shard's slots of the shared outcome table with one lock at the end.
+    // Contiguous shards balanced to within one segment; each task opens its
+    // shard and files the outcomes under its shard number.
     let shards = workers.min(segments.len()).min(byte_cap);
-    let outcomes: Arc<Mutex<Vec<Option<SegmentHeavy>>>> =
-        Arc::new(Mutex::new((0..segments.len()).map(|_| None).collect()));
+    let outcomes: Arc<Mutex<Vec<Vec<Opened>>>> =
+        Arc::new(Mutex::new((0..shards).map(|_| Vec::new()).collect()));
     let keys = Arc::new(keys.clone());
     let mut tasks: Vec<LaneTask> = Vec::with_capacity(shards);
     let mut start = 0usize;
@@ -353,24 +327,15 @@ pub fn verify_tenant_trail_parallel_min_shard(
         let len = segments.len() / shards + usize::from(shard < segments.len() % shards);
         let (segments, keys, outcomes) = (segments.clone(), keys.clone(), outcomes.clone());
         tasks.push(Box::new(move || {
-            let mut local = Vec::with_capacity(len);
-            for seg in &segments[start..start + len] {
-                let sig_ok =
-                    keys.epoch(seg.epoch).is_some_and(|epoch_keys| seg.verify(&epoch_keys.signing));
-                let decoded = if sig_ok { decompress_records(&seg.compressed).ok() } else { None };
-                local.push(Some(SegmentHeavy { sig_ok, decoded }));
-            }
-            let mut table = outcomes.lock().expect("verify outcome table");
-            for (slot, outcome) in table[start..start + len].iter_mut().zip(local) {
-                *slot = outcome;
-            }
+            let opened = segments[start..start + len].iter().map(|s| open_segment(s, &keys));
+            outcomes.lock().expect("verify outcome table")[shard] = opened.collect();
         }));
         start += len;
     }
     pool.run(tasks);
 
     let table = std::mem::take(&mut *outcomes.lock().expect("verify outcome table"));
-    stitch_trail(segments, tenant, keys.as_ref(), &mut PrecomputedHeavy(table))
+    stitch_trail(segments, tenant, keys.as_ref(), table.into_iter().flatten())
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //! * **Correctness.** Every ingested data uArray is segmented into windows;
 //!   every per-window dataflow uses only declared primitives, applies them
 //!   in declaration order, and covers every declared stage before the
-//!   window's results are externalized; once any later window has produced
+//!   window's results are externalized; an egressed uArray has itself
+//!   passed the last declared stage; once any later window has produced
 //!   results, earlier windows must have produced theirs too. Deviations —
 //!   dropped data, skipped or reordered primitives, undeclared computations,
-//!   uArrays conjured out of thin air, missing egress — are reported as
-//!   violations.
+//!   uArrays conjured out of thin air, an intermediate egressed as a
+//!   result, missing egress — are reported as violations.
 //! * **Freshness.** For each egress, the verifier identifies the watermark
 //!   that triggered it and computes the output delay (egress timestamp minus
 //!   watermark ingress timestamp), flagging results whose delay exceeds the
@@ -22,20 +23,22 @@
 //!   are violations. Consumed-after hints whose promised consumption order
 //!   contradicts the observed execution order are counted as misleading.
 //!
-//! Because the control plane parallelizes work (several batches per window,
-//! sorted per partition and joined by a k-way merge), the per-window dataflow
-//! is a DAG rather than a straight line. The declaration therefore lists *required stages* in
-//! order, plus *structural* primitives (Merge, Concat, …) that may appear
-//! anywhere between stages; the replay checks that every root's observed
-//! primitive sequence progresses monotonically through the declared stages
-//! and that each window's dataflow, taken together, covers all of them.
-//!
-//! The verifier works purely on record structure; it never needs the stream
-//! data itself, which never leaves the edge TEE unencrypted.
+//! The control plane parallelizes work (partitions sorted apart, then
+//! gathered by a k-way merge), so a window's dataflow is a DAG. The
+//! declaration lists *required stages* in order, plus *structural*
+//! primitives (Merge, Concat, …) allowed anywhere between them; the replay
+//! checks that every root's dataflow progresses monotonically through the
+//! stages and that each window's, taken together, covers all of them. It is
+//! one pass into one table with an entry per uArray, then a finish step for
+//! what needs the whole trail. The report is a deterministic function of
+//! the records: per-record violations in trail order, then unwindowed
+//! ingress, window checks by window and stale results by egress. Only
+//! record structure is needed, never the stream data, which never leaves
+//! the edge TEE unencrypted.
 
-use crate::record::{AuditRecord, DataRef, UArrayRef};
+use crate::record::{split_hint, AuditRecord, DataRef, HintWord, UArrayRef};
 use sbt_types::PrimitiveKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The verifier's copy of a pipeline declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,6 +136,9 @@ pub enum Violation {
     },
     /// An egressed uArray does not derive from any windowed dataflow.
     UntraceableEgress(UArrayRef),
+    /// An egressed uArray whose dataflow had not passed the last declared
+    /// stage: an intermediate (a sort output, a raw window), not a result.
+    IntermediateEgress(UArrayRef),
     /// An egress result whose output delay exceeded the freshness target.
     StaleResult {
         /// The egressed uArray.
@@ -245,142 +251,130 @@ impl Verifier {
     pub fn replay(&self, records: &[AuditRecord]) -> VerificationReport {
         let mut report =
             VerificationReport { records_replayed: records.len(), ..Default::default() };
+        let violations = &mut report.violations;
+        let stages = &self.spec.stages;
+        // An egressed array must have passed the last declared stage.
+        let terminal = stages.last().and_then(|s| self.spec.stage_index(*s)).map_or(0, |i| i + 1);
 
-        // ---- Phase 1: index the log. ------------------------------------
-        let mut ingressed_data: HashMap<UArrayRef, u32> = HashMap::new();
-        let mut watermarks: Vec<(u32, u32)> = Vec::new(); // (value_ms, ingress ts)
-        let mut windowed_inputs: HashSet<UArrayRef> = HashSet::new();
-        // windowed output (root) -> window number
-        let mut roots: HashMap<UArrayRef, u16> = HashMap::new();
-        // every produced uArray -> (max declared stage reached, root, win_no)
-        let mut lineage: HashMap<UArrayRef, (usize, UArrayRef, u16)> = HashMap::new();
-        // per-window set of declared stages observed.
-        let mut window_stages: HashMap<u16, HashSet<PrimitiveKind>> = HashMap::new();
-        let mut exec_ts: HashMap<UArrayRef, u32> = HashMap::new();
+        let mut arrays: HashMap<UArrayRef, ArrayState> = HashMap::new();
+        // Per window, which declared stages its dataflow ran, by position.
+        let mut windows: BTreeMap<u16, Vec<bool>> = BTreeMap::new();
+        // Data uArrays in the order of their first ingress.
+        let mut ingressed: Vec<UArrayRef> = Vec::new();
+        let mut watermark_ts: Vec<u32> = Vec::new();
         let mut egresses: Vec<(UArrayRef, u32)> = Vec::new();
-        let mut known: HashSet<UArrayRef> = HashSet::new();
-        let mut first_consumed_at: HashMap<UArrayRef, u32> = HashMap::new();
-        let mut consumed_after_hints: Vec<(UArrayRef, UArrayRef)> = Vec::new();
+        // (predecessor, hinted output) of every consumed-after hint.
+        let mut consumed_after: Vec<(UArrayRef, UArrayRef)> = Vec::new();
 
         let mut post_departure_flagged = false;
         for rec in records {
-            // Departure is terminal: a torn-down namespace cannot have kept
-            // producing records.
-            if report.departed && !post_departure_flagged {
-                report.violations.push(Violation::PostDepartureActivity);
-                post_departure_flagged = true;
+            // Departure is terminal: a torn-down namespace records nothing.
+            if report.departed && !std::mem::replace(&mut post_departure_flagged, true) {
+                violations.push(Violation::PostDepartureActivity);
             }
             match rec {
                 AuditRecord::Ingress { ts_ms, data } => match data {
                     DataRef::UArray(id) => {
-                        ingressed_data.insert(*id, *ts_ms);
-                        known.insert(*id);
+                        if !std::mem::replace(&mut arrays.entry(*id).or_default().ingressed, true) {
+                            ingressed.push(*id);
+                        }
                         report.ingested_uarrays += 1;
                     }
-                    DataRef::Watermark(wm) => {
-                        watermarks.push((*wm, *ts_ms));
+                    DataRef::Watermark(_) => {
+                        watermark_ts.push(*ts_ms);
                         report.watermarks += 1;
                     }
                 },
                 AuditRecord::Windowing { ts_ms, input, win_no, output } => {
-                    if !known.contains(input) {
-                        report.violations.push(Violation::UnknownInput {
+                    let array = arrays.entry(*input).or_default();
+                    if !(array.ingressed || array.produced_at.is_some()) {
+                        violations.push(Violation::UnknownInput {
                             op: PrimitiveKind::Segment,
                             input: *input,
                         });
                     }
-                    windowed_inputs.insert(*input);
-                    roots.insert(*output, *win_no);
-                    known.insert(*output);
-                    lineage.insert(*output, (0, *output, *win_no));
-                    window_stages.entry(*win_no).or_default();
-                    exec_ts.insert(*output, *ts_ms);
-                    first_consumed_at.entry(*input).or_insert(*ts_ms);
+                    array.windowed = true;
+                    array.first_consumed_at.get_or_insert(*ts_ms);
+                    let root = arrays.entry(*output).or_default();
+                    root.lineage = Some(Lineage { passed: 0, root: *output, win_no: *win_no });
+                    root.produced_at = Some(*ts_ms);
+                    windows.entry(*win_no).or_insert_with(|| vec![false; stages.len()]);
                 }
                 AuditRecord::Execution { ts_ms, op, inputs, outputs, hints } => {
                     for input in inputs {
-                        if !known.contains(input) {
-                            report
-                                .violations
-                                .push(Violation::UnknownInput { op: *op, input: *input });
+                        let array = arrays.entry(*input).or_default();
+                        if !(array.ingressed || array.produced_at.is_some()) {
+                            violations.push(Violation::UnknownInput { op: *op, input: *input });
                         }
-                        first_consumed_at.entry(*input).or_insert(*ts_ms);
+                        array.first_consumed_at.get_or_insert(*ts_ms);
                     }
                     if hints.len() > outputs.len() {
-                        report.violations.push(Violation::ExcessHints {
-                            op: *op,
-                            hints: hints.len(),
-                            outputs: outputs.len(),
-                        });
+                        let (hints, outputs) = (hints.len(), outputs.len());
+                        violations.push(Violation::ExcessHints { op: *op, hints, outputs });
                     }
-                    for h in hints {
-                        if h >> 63 == 0 {
-                            if let Some(out0) = outputs.first() {
-                                consumed_after_hints
-                                    .push((UArrayRef((*h & 0xFFFF_FFFF) as u32), *out0));
+                    for &h in hints {
+                        match split_hint(h) {
+                            HintWord::After(pred) => consumed_after.extend(
+                                outputs.first().map(|out0| (UArrayRef(pred as u32), *out0)),
+                            ),
+                            HintWord::Parallel { k, index } if index >= k => {
+                                violations.push(Violation::BadParallelHint { op: *op, k, index })
                             }
-                        } else {
-                            let k = ((h >> 32) & 0x7FFF_FFFF) as u32;
-                            let index = (h & 0xFFFF_FFFF) as u32;
-                            if index >= k {
-                                report.violations.push(Violation::BadParallelHint {
-                                    op: *op,
-                                    k,
-                                    index,
-                                });
-                            }
+                            HintWord::Parallel { .. } => {}
                         }
                     }
-                    // Dataflow tracking: the stage reached by the inputs.
+                    // Dataflow: the outputs continue the furthest-staged input's
+                    // lineage (the last such; a root ties with a stage-0 output).
                     let inherited = inputs
                         .iter()
-                        .filter_map(|i| lineage.get(i).copied())
-                        .max_by_key(|(stage, _, _)| *stage);
+                        .filter_map(|i| arrays[i].lineage)
+                        .max_by_key(|l| l.passed.max(1));
                     let mut next = inherited;
-                    if let Some((stage, root, win)) = inherited {
+                    if let Some(l) = inherited {
                         if let Some(idx) = self.spec.stage_index(*op) {
-                            if idx < stage {
-                                report.violations.push(Violation::OutOfOrderPrimitive {
-                                    root,
+                            if idx + 1 < l.passed {
+                                violations.push(Violation::OutOfOrderPrimitive {
+                                    root: l.root,
                                     op: *op,
-                                    after_stage: stage,
+                                    after_stage: l.passed - 1,
                                 });
                             }
-                            window_stages.entry(win).or_default().insert(*op);
-                            next = Some((idx.max(stage), root, win));
+                            let window = windows.get_mut(&l.win_no).expect("opened by Windowing");
+                            for (covered, stage) in window.iter_mut().zip(stages) {
+                                *covered |= stage == op;
+                            }
+                            next = Some(Lineage { passed: l.passed.max(idx + 1), ..l });
                         } else if !self.spec.is_structural(*op) {
-                            report
-                                .violations
-                                .push(Violation::UndeclaredPrimitive { root, op: *op });
+                            violations
+                                .push(Violation::UndeclaredPrimitive { root: l.root, op: *op });
                         }
                     }
                     for output in outputs {
-                        known.insert(*output);
-                        exec_ts.insert(*output, *ts_ms);
-                        if let Some(l) = next {
-                            lineage.insert(*output, l);
+                        let array = arrays.entry(*output).or_default();
+                        array.produced_at = Some(*ts_ms);
+                        if next.is_some() {
+                            array.lineage = next;
                         }
                     }
                 }
                 AuditRecord::Egress { ts_ms, data } => {
-                    if !known.contains(data) || !lineage.contains_key(data) {
-                        report.violations.push(Violation::UntraceableEgress(*data));
+                    let array = arrays.entry(*data).or_default();
+                    if array.lineage.is_none() {
+                        violations.push(Violation::UntraceableEgress(*data));
+                    } else if array.lineage.is_some_and(|l| l.passed < terminal) {
+                        violations.push(Violation::IntermediateEgress(*data));
                     }
                     egresses.push((*data, *ts_ms));
                     report.egressed += 1;
-                    first_consumed_at.entry(*data).or_insert(*ts_ms);
+                    array.first_consumed_at.get_or_insert(*ts_ms);
                 }
-                // Key-lifecycle records don't participate in dataflow; their
-                // integrity is enforced at the segment layer (each segment
-                // verifies only under its epoch's key).
+                // Key-lifecycle records don't participate in dataflow; each
+                // segment verifies only under its epoch's key.
                 AuditRecord::Rekey { .. } => report.rekeys += 1,
                 AuditRecord::Departure { .. } => report.departed = true,
                 // Checkpoint records don't participate in dataflow either:
-                // the seal/resume chain (seq and snapshot-hash matching) is
-                // enforced by trail stitching, where the records are bound
-                // to their signed segments. The restored window state itself
-                // re-enters the replay through the Ingress + Windowing
-                // records the restore path re-announces.
+                // stitching enforces their seal/resume chain, and restored
+                // windows re-enter as re-announced Ingress + Windowing records.
                 AuditRecord::Checkpoint { resumed, .. } => {
                     report.checkpoints += 1;
                     report.resumed |= *resumed;
@@ -388,81 +382,83 @@ impl Verifier {
             }
         }
 
-        // ---- Phase 2: correctness checks. --------------------------------
-
-        // 2a. Every ingested data uArray must have been windowed.
-        for id in ingressed_data.keys() {
-            if !windowed_inputs.contains(id) {
-                report.violations.push(Violation::UnwindowedIngress(*id));
+        // Finish: what only the whole trail decides. Every ingested data
+        // uArray must have been windowed.
+        for id in &ingressed {
+            if !arrays[id].windowed {
+                violations.push(Violation::UnwindowedIngress(*id));
             }
         }
 
-        // 2b. Which windows egressed results?
-        let mut egressed_windows: HashSet<u16> = HashSet::new();
-        for (id, _) in &egresses {
-            if let Some((_, _, win)) = lineage.get(id) {
-                egressed_windows.insert(*win);
-            }
-        }
-
-        // 2c. Stage coverage: any window that egressed (or precedes a window
-        // that egressed) must have run every declared stage.
-        let max_egressed_window = egressed_windows.iter().copied().max();
-        let mut all_windows: Vec<u16> = window_stages.keys().copied().collect();
-        all_windows.sort_unstable();
-        for win in &all_windows {
-            let must_be_complete = egressed_windows.contains(win)
-                || max_egressed_window.map(|m| *win < m).unwrap_or(false);
-            if !must_be_complete {
-                continue;
-            }
-            let observed = &window_stages[win];
-            for stage in &self.spec.stages {
-                if !observed.contains(stage) {
-                    report
-                        .violations
-                        .push(Violation::IncompleteWindow { win_no: *win, missing: *stage });
+        // Stage coverage: a window that egressed, or precedes one that did
+        // (by its array's final lineage), must have run every declared stage.
+        let egressed: BTreeSet<u16> =
+            egresses.iter().filter_map(|(id, _)| Some(arrays[id].lineage?.win_no)).collect();
+        if let Some(&last) = egressed.last() {
+            for (win_no, ran) in windows.range(..=last) {
+                for (stage, _) in stages.iter().zip(ran).filter(|(_, ran)| !**ran) {
+                    violations
+                        .push(Violation::IncompleteWindow { win_no: *win_no, missing: *stage });
+                }
+                if !egressed.contains(win_no) {
+                    violations.push(Violation::MissingEgress { win_no: *win_no });
                 }
             }
-            if !egressed_windows.contains(win) {
-                report.violations.push(Violation::MissingEgress { win_no: *win });
-            }
         }
 
-        // ---- Phase 3: freshness. -----------------------------------------
+        // Freshness: the trigger is the latest watermark ingested at or before
+        // the array was produced; concurrent lists ingest them out of order.
+        watermark_ts.sort_unstable();
+        let target_ms = self.spec.target_delay_ms;
         for (id, egress_ts) in &egresses {
-            let produce_ts = exec_ts.get(id).copied().unwrap_or(*egress_ts);
-            let trigger = watermarks
-                .iter()
-                .filter(|(_, wm_ts)| *wm_ts <= produce_ts)
-                .map(|(_, wm_ts)| *wm_ts)
-                .max();
-            if let Some(wm_ts) = trigger {
-                let delay = egress_ts.saturating_sub(wm_ts);
-                report.freshness.delays_ms.push(delay);
-                if delay > self.spec.target_delay_ms {
-                    report.violations.push(Violation::StaleResult {
-                        uarray: *id,
-                        delay_ms: delay,
-                        target_ms: self.spec.target_delay_ms,
-                    });
+            let produce_ts = arrays[id].produced_at.unwrap_or(*egress_ts);
+            let triggers = &watermark_ts[..watermark_ts.partition_point(|ts| *ts <= produce_ts)];
+            if let Some(&wm_ts) = triggers.last() {
+                let delay_ms = egress_ts.saturating_sub(wm_ts);
+                report.freshness.delays_ms.push(delay_ms);
+                if delay_ms > target_ms {
+                    violations.push(Violation::StaleResult { uarray: *id, delay_ms, target_ms });
                 }
             }
         }
 
-        // ---- Phase 4: hint honesty. ---------------------------------------
-        for (pred, succ) in &consumed_after_hints {
-            if let (Some(pred_ts), Some(succ_ts)) =
-                (first_consumed_at.get(pred), first_consumed_at.get(succ))
-            {
-                if succ_ts < pred_ts {
-                    report.misleading_hints += 1;
-                }
-            }
-        }
+        // Hint honesty: a hinted output consumed before its promised predecessor.
+        let first_consumed = |id| arrays.get(id).and_then(|a: &ArrayState| a.first_consumed_at);
+        report.misleading_hints = consumed_after
+            .iter()
+            .filter_map(|(pred, succ)| first_consumed(pred).zip(first_consumed(succ)))
+            .filter(|(pred_ts, succ_ts)| succ_ts < pred_ts)
+            .count();
 
         report
     }
+}
+
+/// What the replay knows about one uArray id.
+#[derive(Debug, Default)]
+struct ArrayState {
+    /// Entered the TEE as an ingested data uArray.
+    ingressed: bool,
+    /// Consumed by a Windowing record.
+    windowed: bool,
+    /// The windowed dataflow the array belongs to, if any.
+    lineage: Option<Lineage>,
+    /// Timestamp of the last record that produced it. An input neither
+    /// ingested nor produced before is unknown: conjured out of thin air.
+    produced_at: Option<u32>,
+    /// Timestamp of the first record that consumed it.
+    first_consumed_at: Option<u32>,
+}
+
+/// Where an array sits in its window's declared dataflow.
+#[derive(Debug, Clone, Copy)]
+struct Lineage {
+    /// Declared stages passed: one past the furthest stage index, 0 for a root.
+    passed: usize,
+    /// The Windowing output the dataflow started from.
+    root: UArrayRef,
+    /// Its window.
+    win_no: u16,
 }
 
 #[cfg(test)]
@@ -580,6 +576,30 @@ mod tests {
         let report = Verifier::new(spec()).replay(&records);
         assert!(!report.is_correct());
         assert!(report.violations.iter().any(|v| matches!(v, Violation::UnwindowedIngress(_))));
+
+        // Two dropped batches are reported in trail order, on every replay.
+        let mut records = honest_run(3, 2);
+        let mut expected = Vec::new();
+        for w in [0, 2] {
+            let pos = records
+                .iter()
+                .position(|r| matches!(r, AuditRecord::Windowing { win_no, .. } if *win_no == w))
+                .unwrap();
+            if let AuditRecord::Windowing { input, .. } = records.remove(pos) {
+                expected.push(Violation::UnwindowedIngress(input));
+            }
+        }
+        let first = Verifier::new(spec()).replay(&records);
+        let unwindowed: Vec<Violation> = first
+            .violations
+            .iter()
+            .filter(|v| matches!(v, Violation::UnwindowedIngress(_)))
+            .cloned()
+            .collect();
+        assert_eq!(unwindowed, expected);
+        for _ in 0..20 {
+            assert_eq!(Verifier::new(spec()).replay(&records), first);
+        }
     }
 
     #[test]
@@ -672,6 +692,34 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::MissingEgress { win_no: 0 })));
+
+        // Windows 0 and 1 neither reduce nor egress behind an egressed
+        // window 2: each reports its missing stage and its missing egress,
+        // in window order.
+        let mut records = honest_run(3, 1);
+        let withheld: Vec<UArrayRef> = records
+            .iter()
+            .filter_map(|r| match r {
+                AuditRecord::Egress { data, .. } => Some(*data),
+                _ => None,
+            })
+            .take(2)
+            .collect();
+        records.retain(|r| match r {
+            AuditRecord::Egress { data, .. } => !withheld.contains(data),
+            AuditRecord::Execution { outputs, .. } => !withheld.contains(&outputs[0]),
+            _ => true,
+        });
+        let sum = PrimitiveKind::Sum;
+        assert_eq!(
+            Verifier::new(spec()).replay(&records).violations,
+            vec![
+                Violation::IncompleteWindow { win_no: 0, missing: sum },
+                Violation::MissingEgress { win_no: 0 },
+                Violation::IncompleteWindow { win_no: 1, missing: sum },
+                Violation::MissingEgress { win_no: 1 },
+            ]
+        );
     }
 
     #[test]
@@ -685,6 +733,41 @@ mod tests {
         let report = Verifier::new(spec()).replay(&records);
         assert!(report.violations.iter().any(|v| matches!(v, Violation::StaleResult { .. })));
         assert!(report.freshness.max_delay_ms() > 100);
+
+        // Watermark timestamps out of trail order (concurrent lists): the
+        // trigger is the latest one at or before the result was produced,
+        // not the last one ingested before it.
+        let data = |id| AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(UArrayRef(id)) };
+        let wm = |ts_ms| AuditRecord::Ingress { ts_ms, data: DataRef::Watermark(1000) };
+        let exec = |ts_ms, op, input, output| AuditRecord::Execution {
+            ts_ms,
+            op,
+            inputs: [UArrayRef(input)].into(),
+            outputs: [UArrayRef(output)].into(),
+            hints: vec![],
+        };
+        let records = vec![
+            data(0),
+            AuditRecord::Windowing {
+                ts_ms: 1,
+                input: UArrayRef(0),
+                win_no: 0,
+                output: UArrayRef(1),
+            },
+            wm(40),
+            wm(25),
+            wm(10),
+            wm(90),
+            exec(30, PrimitiveKind::Sort, 1, 2),
+            exec(30, PrimitiveKind::Sum, 2, 3),
+            AuditRecord::Egress { ts_ms: 180, data: UArrayRef(3) },
+        ];
+        let report = Verifier::new(spec()).replay(&records);
+        assert_eq!(report.freshness.delays_ms, vec![155]);
+        assert_eq!(
+            report.violations,
+            vec![Violation::StaleResult { uarray: UArrayRef(3), delay_ms: 155, target_ms: 100 }]
+        );
     }
 
     #[test]
@@ -696,6 +779,52 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::UntraceableEgress(UArrayRef(9999)))));
+    }
+
+    #[test]
+    fn intermediate_egress_is_detected() {
+        // Window 0 egresses one of its partitions' Sort outputs in place of
+        // its Sum: every stage still ran, but the result is an intermediate.
+        let mut records = honest_run(2, 2);
+        let sorted = records
+            .iter()
+            .find_map(|r| match r {
+                AuditRecord::Execution { op: PrimitiveKind::Sort, outputs, .. } => Some(outputs[0]),
+                _ => None,
+            })
+            .unwrap();
+        let egress = records.iter_mut().find(|r| matches!(r, AuditRecord::Egress { .. })).unwrap();
+        *egress = AuditRecord::Egress { ts_ms: egress.ts_ms(), data: sorted };
+        let report = Verifier::new(spec()).replay(&records);
+        assert_eq!(report.violations, vec![Violation::IntermediateEgress(sorted)]);
+
+        // On a one-stage pipeline a raw window (a root that passed no stage)
+        // is caught too.
+        let winsum = PipelineSpec::new("winsum", vec![PrimitiveKind::Sum], 100);
+        let mut records = vec![
+            AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(UArrayRef(0)) },
+            AuditRecord::Windowing {
+                ts_ms: 1,
+                input: UArrayRef(0),
+                win_no: 0,
+                output: UArrayRef(1),
+            },
+            AuditRecord::Execution {
+                ts_ms: 2,
+                op: PrimitiveKind::Sum,
+                inputs: [UArrayRef(1)].into(),
+                outputs: [UArrayRef(2)].into(),
+                hints: vec![],
+            },
+            AuditRecord::Egress { ts_ms: 3, data: UArrayRef(1) },
+        ];
+        let report = Verifier::new(winsum).replay(&records);
+        assert_eq!(report.violations, vec![Violation::IntermediateEgress(UArrayRef(1))]);
+        // ... while with no declared stage (Passthrough) the window is the
+        // result.
+        records.remove(2);
+        let passthrough = PipelineSpec::new("pass", vec![], 100);
+        assert!(Verifier::new(passthrough).replay(&records).is_correct());
     }
 
     #[test]
@@ -719,6 +848,25 @@ mod tests {
         }
         let report = Verifier::new(spec()).replay(&records);
         assert_eq!(report.misleading_hints, 1);
+
+        // A promise naming a predecessor the trail never mentions cannot be
+        // contradicted: it is not counted. One naming an unknown array that
+        // was nevertheless consumed (an `UnknownInput`) is judged like any.
+        let mut preds = [9_999, 5_000].into_iter();
+        for r in &mut records {
+            if let AuditRecord::Execution { op: PrimitiveKind::Sum, hints, .. } = r {
+                hints.extend(preds.next());
+            }
+        }
+        records.push(AuditRecord::Execution {
+            ts_ms: 999,
+            op: PrimitiveKind::Sum,
+            inputs: [UArrayRef(5_000)].into(),
+            outputs: [UArrayRef(5_001)].into(),
+            hints: vec![],
+        });
+        let report = Verifier::new(spec()).replay(&records);
+        assert_eq!(report.misleading_hints, 2);
     }
 
     #[test]

@@ -56,10 +56,7 @@ pub struct EngineConfig {
     pub cores: usize,
     /// Secure-memory budget in bytes.
     pub secure_mem_bytes: u64,
-    /// Whether the allocator uses consumption hints (`true`, the paper's
-    /// design) or the same-producer baseline policy (Figure 10 comparison).
-    pub use_hints: bool,
-    /// Data-plane keys and audit settings.
+    /// Data-plane keys, audit settings and allocator policy.
     pub dataplane: DataPlaneConfig,
 }
 
@@ -70,14 +67,13 @@ impl EngineConfig {
             variant,
             cores: cores.max(1),
             secure_mem_bytes: 256 * 1024 * 1024,
-            use_hints: true,
             dataplane: DataPlaneConfig::default(),
         }
     }
 
-    /// Disable hint-guided placement (Figure 10 baseline).
+    /// Disable hint-guided placement: the allocator takes the same-producer
+    /// baseline policy (Figure 10 baseline).
     pub fn without_hints(mut self) -> Self {
-        self.use_hints = false;
         self.dataplane.allocator =
             AllocatorConfig { policy: PlacementPolicy::SameProducer, ..self.dataplane.allocator };
         self
@@ -135,8 +131,9 @@ mod tests {
 
     #[test]
     fn without_hints_switches_allocator_policy() {
-        let cfg = EngineConfig::for_variant(EngineVariant::Sbt, 2).without_hints();
-        assert!(!cfg.use_hints);
+        let default = EngineConfig::for_variant(EngineVariant::Sbt, 2);
+        assert_ne!(default.dataplane.allocator.policy, PlacementPolicy::SameProducer);
+        let cfg = default.without_hints();
         assert_eq!(cfg.dataplane.allocator.policy, PlacementPolicy::SameProducer);
     }
 

@@ -22,8 +22,8 @@ use crate::steps::Steps;
 use parking_lot::Mutex;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
-    Arg, CheckpointManifest, Command, DataPlane, DataPlaneConfig, DataPlaneError, EgressMessage,
-    OpaqueRef, PrimitiveParams, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
+    Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, OpaqueRef,
+    PrimitiveParams, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
 };
 use sbt_telemetry::{FlightReason, LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
@@ -169,11 +169,7 @@ impl Engine {
     /// default tenant).
     pub fn new(config: EngineConfig, pipeline: Pipeline) -> Arc<Self> {
         let platform = Platform::new(config.platform_config());
-        let mut dp_config: DataPlaneConfig = config.dataplane.clone();
-        if !config.use_hints {
-            dp_config.allocator.policy = sbt_uarray::PlacementPolicy::SameProducer;
-        }
-        let dp = DataPlane::new(platform.clone(), dp_config);
+        let dp = DataPlane::new(platform.clone(), config.dataplane.clone());
         let pool = Arc::new(Executor::new(config.cores));
         Self::assemble(config, pipeline, dp, TenantId::DEFAULT, pool)
     }

@@ -27,18 +27,14 @@ fn run_edge() -> (Vec<AuditRecord>, PipelineSpec, usize) {
         }
     }
     let segments = engine.drain_audit_segments();
-    // The audit segments are signed inside the TEE; the cloud checks the
-    // signatures before replaying.
-    let signing = engine.data_plane().cloud_keys().2;
-    let mut records = Vec::new();
-    let mut compressed = 0usize;
-    let mut raw = 0usize;
-    for segment in &segments {
-        assert!(segment.verify(&signing), "audit segment signature must verify");
-        compressed += segment.compressed.len();
-        raw += segment.raw_bytes;
-        records.extend(decompress_records(&segment.compressed).expect("segment decodes"));
-    }
+    // The audit segments are signed inside the TEE; the cloud authenticates
+    // the trail (tenant tag, key epoch, signature, sequence) before
+    // replaying it, holding only the tenant's verifier keys.
+    let keys = engine.data_plane().verifier_keys(TenantId::DEFAULT).expect("tenant keys");
+    let records =
+        verify_tenant_trail(&segments, TenantId::DEFAULT, &keys).expect("audit trail verifies");
+    let compressed: usize = segments.iter().map(|s| s.compressed.len()).sum();
+    let raw: usize = segments.iter().map(|s| s.raw_bytes).sum();
     println!(
         "edge produced {} audit records in {} segments ({} B raw -> {} B compressed, {:.1}x)",
         records.len(),

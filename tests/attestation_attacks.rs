@@ -26,12 +26,21 @@ fn run_honest_engine() -> (std::sync::Arc<Engine>, Vec<AuditRecord>) {
             Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
         }
     }
-    let records = engine
+    let records = audit_records(&engine);
+    (engine, records)
+}
+
+fn audit_records(engine: &Engine) -> Vec<AuditRecord> {
+    engine
         .drain_audit_segments()
         .iter()
         .flat_map(|s| decompress_records(&s.compressed).expect("decodes"))
-        .collect();
-    (engine, records)
+        .collect()
+}
+
+/// Replay an engine's drained trail against its own declaration.
+fn replay(engine: &Engine) -> VerificationReport {
+    Verifier::new(engine.pipeline().spec()).replay(&audit_records(engine))
 }
 
 #[test]
@@ -179,6 +188,122 @@ fn withholding_results_is_detected() {
     censored.remove(first_egress.expect("has egress"));
     let report = Verifier::new(spec).replay(&censored);
     assert!(report.violations.iter().any(|v| matches!(v, Violation::MissingEgress { .. })));
+}
+
+#[test]
+fn egressing_an_intermediate_is_detected() {
+    use streambox_tz::attest::UArrayRef;
+    use streambox_tz::types::PrimitiveKind;
+    let (engine, mut records) = run_honest_engine();
+    // The control plane runs (and retires) the real reduce, then egresses a
+    // partition's Sort output of the same window instead: every stage ran,
+    // so window coverage alone is satisfied. Walk back from the egressed
+    // result along first inputs to that Sort output.
+    let producer_of = |records: &[AuditRecord], id: UArrayRef| {
+        records.iter().find_map(|r| match r {
+            AuditRecord::Execution { op, inputs, outputs, .. } if outputs.contains(&id) => {
+                Some((*op, inputs[0]))
+            }
+            _ => None,
+        })
+    };
+    let egress = records.iter().position(|r| matches!(r, AuditRecord::Egress { .. })).unwrap();
+    let AuditRecord::Egress { ts_ms, data } = records[egress] else { unreachable!() };
+    let mut sorted = data;
+    while let Some((op, input)) = producer_of(&records, sorted) {
+        if op == PrimitiveKind::Sort {
+            break;
+        }
+        sorted = input;
+    }
+    assert_eq!(producer_of(&records, sorted).map(|(op, _)| op), Some(PrimitiveKind::Sort));
+    records[egress] = AuditRecord::Egress { ts_ms, data: sorted };
+
+    let report = Verifier::new(engine.pipeline().spec()).replay(&records);
+    assert_eq!(report.violations, vec![Violation::IntermediateEgress(sorted)]);
+}
+
+#[test]
+fn honest_trails_of_every_window_shape_verify_clean() {
+    // Passthrough (no declared stage), a filter-only pipeline, one partition
+    // per window, and a join window with one side empty.
+    let pipelines = [
+        (Pipeline::new("pass").then(Operator::Passthrough), 1_000),
+        (Pipeline::new("filter").then(Operator::Filter { lo: 0, hi: 500_000 }), 1_000),
+        (Pipeline::new("one-partition").then(Operator::SumByKey), 10_000),
+    ];
+    for (pipeline, batch_events) in pipelines {
+        let pipeline = pipeline.target_delay_ms(60_000).batch_events(batch_events);
+        let engine = Engine::new(EngineConfig::for_variant(EngineVariant::Sbt, 2), pipeline);
+        let chunks = synthetic_stream(2, 3_000, 16, 5);
+        let mut generator =
+            Generator::new(GeneratorConfig { batch_events }, Channel::encrypted_demo(), chunks);
+        while let Some(offer) = generator.next_offer() {
+            match offer {
+                Offer::Batch(batch) => {
+                    engine.ingest(&batch).expect("ingest");
+                }
+                Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            }
+        }
+        let report = replay(&engine);
+        assert!(report.is_correct(), "{}: {:?}", engine.pipeline().name(), report.violations);
+        assert_eq!(report.egressed, 2);
+    }
+
+    // The last window of the join sees only left events: it fires, retires
+    // its left partitions and egresses nothing.
+    let report = replay(&one_sided_join(2));
+    assert!(report.is_correct(), "join: {:?}", report.violations);
+    assert_eq!(report.egressed, 2);
+}
+
+/// A three-window join whose window `one_sided` has no right events; every
+/// window fires.
+fn one_sided_join(one_sided: usize) -> std::sync::Arc<Engine> {
+    let join = Pipeline::new("join").then(Operator::TempJoin).target_delay_ms(60_000);
+    let engine = Engine::new(EngineConfig::for_variant(EngineVariant::Sbt, 2), join);
+    let left = synthetic_stream(3, 3_000, 16, 5);
+    let right = synthetic_stream(3, 3_000, 16, 6);
+    for (w, (l, r)) in left.into_iter().zip(right).enumerate() {
+        for (side, chunk) in [(StreamSide::Left, l), (StreamSide::Right, r)] {
+            let mut generator = Generator::new(
+                GeneratorConfig { batch_events: 1_000 },
+                Channel::encrypted_demo(),
+                vec![chunk],
+            );
+            while let Some(offer) = generator.next_offer() {
+                match offer {
+                    Offer::Batch(_) if w == one_sided && side == StreamSide::Right => {}
+                    Offer::Batch(batch) => {
+                        engine.ingest_on(&batch, side).expect("ingest");
+                    }
+                    Offer::Watermark(wm) => {
+                        engine.advance_watermark_on(wm, side).expect("watermark")
+                    }
+                }
+            }
+        }
+    }
+    engine
+}
+
+#[test]
+fn a_one_sided_join_window_before_an_egressed_window_is_flagged() {
+    // Known gap: Windowing records do not say which side a partition came
+    // from, so an honest one-sided join window that a later window's egress
+    // makes due cannot be told from a withheld result.
+    let report = replay(&one_sided_join(1));
+    use streambox_tz::types::PrimitiveKind::{Join, Sort};
+    assert_eq!(
+        report.violations,
+        vec![
+            Violation::IncompleteWindow { win_no: 1, missing: Sort },
+            Violation::IncompleteWindow { win_no: 1, missing: Join },
+            Violation::MissingEgress { win_no: 1 },
+        ]
+    );
+    assert_eq!(report.egressed, 2);
 }
 
 #[test]
