@@ -14,27 +14,19 @@
 //!   hint costs a few bytes instead of the ten its 64-bit record encoding
 //!   (kind in bit 63) would.
 //!
-//! Three wire formats coexist, distinguished by a version prefix (see
-//! [`FORMAT_V2_PREFIX`]); the layout is self-describing so the cloud side
-//! can decompress without any out-of-band schema, and decompression
-//! restores the exact record sequence.
+//! There is one wire format, v3: every payload opens with [`FORMAT_PREFIX`]
+//! and [`FORMAT_VERSION_STREAMING`], and [`decompress_records`] rejects any
+//! other opening with a [`CodecError`]. The layout is self-describing, so
+//! the cloud side can decompress without any out-of-band schema, and
+//! decompression restores the exact record sequence.
 //!
-//! * **v3** ([`ColumnarEncoder`], the one encoder) is the streaming codec:
-//!   fields go straight into per-column delta/varint accumulators at
-//!   *append* time, so sealing a segment only entropy-codes the small byte
-//!   columns and copies the already-encoded numeric columns. Byte columns use the
-//!   mode-tagged entropy blocks of [`crate::huffman`], whose static tables
-//!   let tiny segments skip tree construction entirely. Execution counts
-//!   that do not fit the packed count byte escape to three varints, so
-//!   lists of any length round-trip.
-//! * **v2** is v3's predecessor, decoded but no longer written: it stores
-//!   each hint as its raw 64-bit record value and escapes counts to three
-//!   bytes, which clamped longer lists to 255 entries.
-//! * **v1** is the original batch codec, decoded but no longer written:
-//!   records were re-walked into whole columns at flush time, with a
-//!   legacy Huffman tree per byte column, and lists were clamped to 255
-//!   entries. [`decompress_records`] accepts it forever; payloads captured
-//!   from its last encoder (`tests/fixtures/v1_*.bin`) pin the layout.
+//! [`ColumnarEncoder`], the one encoder, streams: fields go straight into
+//! per-column delta/varint accumulators at *append* time, so sealing a
+//! segment only entropy-codes the small byte columns and copies the
+//! already-encoded numeric stream. Byte columns use the mode-tagged entropy
+//! blocks of [`crate::huffman`], whose static tables let tiny segments skip
+//! tree construction entirely. Execution counts that do not fit the packed
+//! count byte escape to three varints, so lists of any length round-trip.
 
 use crate::huffman;
 use crate::record::{
@@ -55,21 +47,12 @@ const TAG_DEPARTURE: u8 = 6;
 const TAG_CKPT_SEALED: u8 = 7;
 const TAG_CKPT_RESUMED: u8 = 8;
 
-/// Two-byte prefix announcing a versioned (v2+) payload, followed by the
+/// Two-byte prefix every payload opens with, followed by the
 /// format-version byte.
-///
-/// Why these bytes are unambiguous: a v1 payload starts with the record
-/// count as a varint, so its first byte is `0x00` only for an *empty*
-/// batch — and an empty v1 batch always continues with `0x06` (the length
-/// of an empty Huffman block). `[0x00, 0xFF]` therefore never opens a v1
-/// payload, and the third byte is free to carry the actual version.
-pub const FORMAT_V2_PREFIX: [u8; 2] = [0x00, 0xFF];
+pub const FORMAT_PREFIX: [u8; 2] = [0x00, 0xFF];
 
-/// Format version the streaming columnar codec writes (v3).
+/// The format version the codec writes and the only one it reads (v3).
 pub const FORMAT_VERSION_STREAMING: u8 = 3;
-
-/// Format version of the streaming codec's predecessor, still decoded.
-pub const FORMAT_VERSION_V2: u8 = 2;
 
 /// Errors from decompression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,11 +72,10 @@ impl std::error::Error for CodecError {}
 
 /// Packed execution count byte: `(inputs << 5) | (outputs << 2) | hints`.
 /// [`COUNTS_ESCAPE`] (which is also a *valid* packing — 7/7/3 — and must
-/// therefore spill) announces the three counts in full instead: as varints
-/// in v3, as single bytes in v2.
+/// therefore spill) announces the three counts in full instead, as varints.
 const COUNTS_ESCAPE: u8 = 0xFF;
 
-/// The v3 numeric-stream words of one hint's 64-bit record value: `id << 1`
+/// The numeric-stream words of one hint's 64-bit record value: `id << 1`
 /// for a consumed-after hint, `(k << 1) | 1` then `index` for a consumed-in-
 /// parallel one. Every `u64` maps to words [`NumReader::hint`] inverts.
 #[inline]
@@ -116,10 +98,9 @@ fn pack_counts(n_in: usize, n_out: usize, n_hints: usize) -> Option<u8> {
 }
 
 /// Per-field-type delta contexts of the interleaved numeric stream. Each
-/// field kind keeps its own previous value, exactly like the per-column
-/// delta coding of format v1 — only the byte *placement* is interleaved in
-/// record order, which is what lets one `extend_from_slice` carry a whole
-/// record.
+/// field kind keeps its own previous value, as if it were delta-coded in a
+/// column of its own — only the byte *placement* is interleaved in record
+/// order, which is what lets one `extend_from_slice` carry a whole record.
 #[derive(Default)]
 struct DeltaCtx {
     ts: i64,
@@ -225,7 +206,7 @@ const TAG_SLEN: [u64; 9] = [2, 4, 3, 2, 2, 6, 6, 6, 6];
 /// cost (the same "static fits well" rule as the small-column fast path —
 /// at most 2.5 bits/symbol and smaller than raw), and only falling back to
 /// the full planner (frequency pass + cached dynamic fit) when neither
-/// cheap plan applies. Every mode is a valid v2 block; decoders are
+/// cheap plan applies. Every mode is a valid entropy block; decoders are
 /// oblivious to which plan ran.
 fn seal_column(
     data: &[u8],
@@ -238,7 +219,7 @@ fn seal_column(
     if !data.is_empty() && data.len() <= huffman::CONST_MAX {
         let first = data[0];
         if data.iter().all(|&b| b == first) {
-            huffman::encode_block_v2_const(data.len(), first, out);
+            huffman::encode_block_const(data.len(), first, out);
             return;
         }
     }
@@ -247,11 +228,11 @@ fn seal_column(
         let sbytes = static_bits.div_ceil(8) as usize;
         let scost = 3 + huffman::varint_len(sbytes as u64) + sbytes;
         if static_bits * 2 <= data.len() as u64 * 5 && scost < raw_cost {
-            huffman::encode_block_v2_static(data, id, static_bits, out);
+            huffman::encode_block_static(data, id, static_bits, out);
             return;
         }
     }
-    huffman::encode_block_v2_cached(data, Some(id), cache, out);
+    huffman::encode_block_cached(data, Some(id), cache, out);
 }
 
 impl ColumnarEncoder {
@@ -534,7 +515,7 @@ impl ColumnarEncoder {
     /// Seal the pending records into a format-v3 payload appended to `out`,
     /// then reset (keeping buffer capacity) for the next segment.
     pub fn seal_into(&mut self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&FORMAT_V2_PREFIX);
+        out.extend_from_slice(&FORMAT_PREFIX);
         out.push(FORMAT_VERSION_STREAMING);
         varint::write_u64(self.n, out);
         // Layout: tags / ops-lo / packed counts / reasons entropy blocks,
@@ -615,30 +596,23 @@ pub fn compress_records_streaming(records: &[AuditRecord]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (all formats)
+// Decoding
 // ---------------------------------------------------------------------------
 
-/// Decompress a [`ColumnarEncoder`] seal (format v3) or a payload of either
-/// older format (v2, v1). The leading bytes select the format, so trails
-/// may freely mix segments from all three.
+/// Decompress a [`ColumnarEncoder`] seal. A payload that does not open with
+/// [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is a [`CodecError`].
 pub fn decompress_records(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
-    if data.len() >= 3 && data[0..2] == FORMAT_V2_PREFIX {
-        return match data[2] {
-            FORMAT_VERSION_STREAMING | FORMAT_VERSION_V2 => {
-                decompress_streaming(data[2], &data[3..])
-            }
-            _ => Err(CodecError("unsupported format version")),
-        };
+    let versioned =
+        data.strip_prefix(&FORMAT_PREFIX[..]).ok_or(CodecError("missing format prefix"))?;
+    match versioned.split_first() {
+        Some((&FORMAT_VERSION_STREAMING, body)) => decompress_streaming(body),
+        Some(_) => Err(CodecError("unsupported format version")),
+        None => Err(CodecError("missing format version")),
     }
-    decompress_v1(data)
 }
 
-fn decode_block_v2(data: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> {
-    huffman::decode_block_v2(data, pos).ok_or(CodecError("corrupt entropy block"))
-}
-
-/// Reader over the streaming formats' interleaved numeric stream, holding
-/// the per-field delta contexts (mirror of the encoder's [`DeltaCtx`]).
+/// Reader over the interleaved numeric stream, holding the per-field delta
+/// contexts (mirror of the encoder's [`DeltaCtx`]).
 struct NumReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -657,8 +631,7 @@ impl NumReader<'_> {
         self.data.len() - self.pos
     }
 
-    /// One v3 hint (the inverse of [`hint_words`]), as its 64-bit record
-    /// value.
+    /// One hint (the inverse of [`hint_words`]), as its 64-bit record value.
     fn hint(&mut self) -> Result<u64, CodecError> {
         let first = self.varint()?;
         if first & 1 == 0 {
@@ -682,22 +655,43 @@ impl NumReader<'_> {
         *prev = v;
         Ok(v as u64)
     }
+
+    /// A delta-coded field of a record type narrower than 64 bits: a value
+    /// the type cannot hold is an error, never a silent truncation.
+    #[inline]
+    fn field<T: TryFrom<u64>>(
+        &mut self,
+        which: fn(&mut DeltaCtx) -> &mut i64,
+    ) -> Result<T, CodecError> {
+        T::try_from(self.delta(which)?).map_err(|_| CodecError("field out of range"))
+    }
+
+    fn id(&mut self) -> Result<UArrayRef, CodecError> {
+        self.field(|c| &mut c.id).map(UArrayRef)
+    }
 }
 
-/// Decode a v2 or v3 payload (after the version prefix). The two share
-/// every column; they differ only in how escaped counts and hints are
-/// written.
-fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
-    let v3 = version == FORMAT_VERSION_STREAMING;
+/// Decode a payload after its format prefix and version byte.
+fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
     let mut pos = 0usize;
-    let n = varint::read_u64(data, &mut pos).ok_or(CodecError("truncated record count"))? as usize;
-    let tags = decode_block_v2(data, &mut pos)?;
+    let n = varint::read_u64(data, &mut pos).ok_or(CodecError("truncated record count"))?;
+    // Every record costs at least one byte of the numeric stream: a forged
+    // count must not drive a reservation the payload cannot back.
+    if n > (data.len() - pos) as u64 {
+        return Err(CodecError("record count exceeds payload"));
+    }
+    let n = n as usize;
+    let block = |pos: &mut usize, max_count: usize| {
+        huffman::decode_block(data, pos, max_count).ok_or(CodecError("corrupt entropy block"))
+    };
+    let tags = block(&mut pos, n)?;
     if tags.len() != n {
         return Err(CodecError("column length mismatch"));
     }
-    let ops = decode_block_v2(data, &mut pos)?;
-    let counts = decode_block_v2(data, &mut pos)?;
-    let reasons = decode_block_v2(data, &mut pos)?;
+    let ops = block(&mut pos, n)?;
+    // A count is one packed byte, or the escape and three 10-byte varints.
+    let counts = block(&mut pos, n.saturating_mul(31))?;
+    let reasons = block(&mut pos, n)?;
     // Sparse op-code high bytes: (execution-index delta, value) pairs.
     let hi_count =
         varint::read_u64(data, &mut pos).ok_or(CodecError("truncated ops-hi count"))? as usize;
@@ -726,24 +720,17 @@ fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, Co
     let (mut op_i, mut cnt_i, mut reason_i, mut hi_i) = (0usize, 0usize, 0usize, 0usize);
     let mut exec_i = 0u64;
     for &tag in &tags {
-        let ts_ms = nums.delta(|c| &mut c.ts)? as u32;
+        let ts_ms = nums.field(|c| &mut c.ts)?;
         let rec = match tag {
-            TAG_INGRESS_DATA => {
-                let id = nums.delta(|c| &mut c.id)?;
-                AuditRecord::Ingress { ts_ms, data: DataRef::UArray(UArrayRef(id as u32)) }
-            }
+            TAG_INGRESS_DATA => AuditRecord::Ingress { ts_ms, data: DataRef::UArray(nums.id()?) },
             TAG_INGRESS_WM => {
-                let wm = nums.delta(|c| &mut c.wm)?;
-                AuditRecord::Ingress { ts_ms, data: DataRef::Watermark(wm as u32) }
+                AuditRecord::Ingress { ts_ms, data: DataRef::Watermark(nums.field(|c| &mut c.wm)?) }
             }
-            TAG_EGRESS => {
-                let id = nums.delta(|c| &mut c.id)?;
-                AuditRecord::Egress { ts_ms, data: UArrayRef(id as u32) }
-            }
+            TAG_EGRESS => AuditRecord::Egress { ts_ms, data: nums.id()? },
             TAG_WINDOWING => {
-                let input = UArrayRef(nums.delta(|c| &mut c.id)? as u32);
-                let output = UArrayRef(nums.delta(|c| &mut c.id)? as u32);
-                let win_no = nums.delta(|c| &mut c.win)? as u16;
+                let input = nums.id()?;
+                let output = nums.id()?;
+                let win_no = nums.field(|c| &mut c.win)?;
                 AuditRecord::Windowing { ts_ms, input, win_no, output }
             }
             TAG_EXECUTION => {
@@ -767,20 +754,13 @@ fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, Co
                         ((packed >> 2) & 0x7) as usize,
                         (packed & 0x3) as usize,
                     )
-                } else if v3 {
+                } else {
                     let mut count = || {
                         varint::read_u64(&counts, &mut cnt_i)
                             .map(|n| n as usize)
                             .ok_or(CodecError("missing count"))
                     };
                     (count()?, count()?, count()?)
-                } else {
-                    let n_in = *counts.get(cnt_i).ok_or(CodecError("missing count"))? as usize;
-                    let n_out = *counts.get(cnt_i + 1).ok_or(CodecError("missing count"))? as usize;
-                    let n_hint =
-                        *counts.get(cnt_i + 2).ok_or(CodecError("missing count"))? as usize;
-                    cnt_i += 3;
-                    (n_in, n_out, n_hint)
                 };
                 // Every port and hint costs at least one byte: an
                 // adversarial count must not drive a huge reservation.
@@ -789,22 +769,19 @@ fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, Co
                 }
                 let mut inputs = PortList::new();
                 for _ in 0..n_in {
-                    inputs.push(UArrayRef(nums.delta(|c| &mut c.id)? as u32));
+                    inputs.push(nums.id()?);
                 }
                 let mut outputs = PortList::new();
                 for _ in 0..n_out {
-                    outputs.push(UArrayRef(nums.delta(|c| &mut c.id)? as u32));
+                    outputs.push(nums.id()?);
                 }
                 let mut hints = Vec::with_capacity(n_hint);
                 for _ in 0..n_hint {
-                    hints.push(if v3 { nums.hint()? } else { nums.varint()? });
+                    hints.push(nums.hint()?);
                 }
                 AuditRecord::Execution { ts_ms, op, inputs, outputs, hints }
             }
-            TAG_REKEY => {
-                let epoch = nums.delta(|c| &mut c.epoch)? as u32;
-                AuditRecord::Rekey { ts_ms, epoch }
-            }
+            TAG_REKEY => AuditRecord::Rekey { ts_ms, epoch: nums.field(|c| &mut c.epoch)? },
             TAG_DEPARTURE => {
                 let code = *reasons.get(reason_i).ok_or(CodecError("missing reason"))?;
                 reason_i += 1;
@@ -817,168 +794,6 @@ fn decompress_streaming(version: u8, data: &[u8]) -> Result<Vec<AuditRecord>, Co
                 let mut hash = [0u8; 32];
                 for word in hash.chunks_exact_mut(8) {
                     word.copy_from_slice(&nums.varint()?.to_le_bytes());
-                }
-                AuditRecord::Checkpoint { ts_ms, seq, resumed: tag == TAG_CKPT_RESUMED, hash }
-            }
-            _ => return Err(CodecError("unknown record tag")),
-        };
-        out.push(rec);
-    }
-    Ok(out)
-}
-
-// Format v1 is decoded only. A payload is the record count, then one
-// length-prefixed column each: tags, op-code low and high bytes and
-// execution counts (legacy Huffman blocks, three count bytes per record);
-// timestamps, uArray ids, watermarks and window numbers (delta + zigzag +
-// varint); hints (plain varints); rekey epochs (delta); departure reasons
-// (Huffman); and, only when checkpoint records are present, checkpoint
-// sequence numbers (delta) and hash words (varints). The captured payloads
-// under `tests/fixtures/` pin the layout.
-
-fn decode_delta(data: &[u8], pos: &mut usize) -> Result<Vec<u64>, CodecError> {
-    let len = varint::read_u64(data, pos).ok_or(CodecError("truncated delta length"))? as usize;
-    if len > data.len().saturating_sub(*pos) {
-        // Every delta value costs at least one byte: an adversarial length
-        // must not drive a huge reservation.
-        return Err(CodecError("truncated delta column"));
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut prev = 0i64;
-    for _ in 0..len {
-        let z = varint::read_u64(data, pos).ok_or(CodecError("truncated delta value"))?;
-        let v = prev.checked_add(varint::unzigzag(z)).ok_or(CodecError("delta out of range"))?;
-        if v < 0 {
-            return Err(CodecError("negative value after delta decoding"));
-        }
-        out.push(v as u64);
-        prev = v;
-    }
-    Ok(out)
-}
-
-fn decode_varints(data: &[u8], pos: &mut usize) -> Result<Vec<u64>, CodecError> {
-    let len = varint::read_u64(data, pos).ok_or(CodecError("truncated varint length"))? as usize;
-    if len > data.len().saturating_sub(*pos) {
-        return Err(CodecError("truncated varint column"));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(varint::read_u64(data, pos).ok_or(CodecError("truncated varint value"))?);
-    }
-    Ok(out)
-}
-
-fn decode_huffman(data: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> {
-    let len = varint::read_u64(data, pos).ok_or(CodecError("truncated huffman length"))? as usize;
-    // checked_add: an adversarial varint length must not wrap the bounds
-    // check into a slice panic.
-    let end = pos.checked_add(len).ok_or(CodecError("truncated huffman block"))?;
-    if end > data.len() {
-        return Err(CodecError("truncated huffman block"));
-    }
-    let block = &data[*pos..end];
-    *pos = end;
-    huffman::decompress_block(block).ok_or(CodecError("corrupt huffman block"))
-}
-
-fn decompress_v1(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
-    let mut pos = 0usize;
-    let n = varint::read_u64(data, &mut pos).ok_or(CodecError("truncated record count"))? as usize;
-    let tags = decode_huffman(data, &mut pos)?;
-    let ops = decode_huffman(data, &mut pos)?;
-    let ops_hi = decode_huffman(data, &mut pos)?;
-    let counts = decode_huffman(data, &mut pos)?;
-    let timestamps = decode_delta(data, &mut pos)?;
-    let ids = decode_delta(data, &mut pos)?;
-    let watermarks = decode_delta(data, &mut pos)?;
-    let win_nos = decode_delta(data, &mut pos)?;
-    let hints = decode_varints(data, &mut pos)?;
-    let epochs = decode_delta(data, &mut pos)?;
-    let reasons = decode_huffman(data, &mut pos)?;
-    // Trailing checkpoint columns: absent (end of payload) in both
-    // checkpoint-free and pre-checkpoint payloads.
-    let (ckpt_seqs, ckpt_hashes) = if pos < data.len() {
-        (decode_delta(data, &mut pos)?, decode_varints(data, &mut pos)?)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    if tags.len() != n || timestamps.len() != n {
-        return Err(CodecError("column length mismatch"));
-    }
-    let mut out = Vec::with_capacity(n);
-    let (mut id_i, mut wm_i, mut win_i, mut op_i, mut cnt_i, mut hint_i) = (0, 0, 0, 0, 0, 0);
-    let (mut epoch_i, mut reason_i, mut ckpt_i) = (0, 0, 0);
-    let next_id = |id_i: &mut usize| -> Result<UArrayRef, CodecError> {
-        let v = *ids.get(*id_i).ok_or(CodecError("missing id column value"))?;
-        *id_i += 1;
-        Ok(UArrayRef(v as u32))
-    };
-    for (&tag, &ts) in tags.iter().zip(&timestamps) {
-        let ts_ms = ts as u32;
-        let rec = match tag {
-            TAG_INGRESS_DATA => {
-                AuditRecord::Ingress { ts_ms, data: DataRef::UArray(next_id(&mut id_i)?) }
-            }
-            TAG_INGRESS_WM => {
-                let wm = *watermarks.get(wm_i).ok_or(CodecError("missing watermark"))?;
-                wm_i += 1;
-                AuditRecord::Ingress { ts_ms, data: DataRef::Watermark(wm as u32) }
-            }
-            TAG_EGRESS => AuditRecord::Egress { ts_ms, data: next_id(&mut id_i)? },
-            TAG_WINDOWING => {
-                let input = next_id(&mut id_i)?;
-                let output = next_id(&mut id_i)?;
-                let win_no = *win_nos.get(win_i).ok_or(CodecError("missing window number"))?;
-                win_i += 1;
-                AuditRecord::Windowing { ts_ms, input, win_no: win_no as u16, output }
-            }
-            TAG_EXECUTION => {
-                let lo = *ops.get(op_i).ok_or(CodecError("missing op code"))?;
-                let hi = *ops_hi.get(op_i).ok_or(CodecError("missing op code hi"))?;
-                op_i += 1;
-                let op = PrimitiveKind::from_code(u16::from_le_bytes([lo, hi]))
-                    .ok_or(CodecError("unknown op code"))?;
-                let n_in = *counts.get(cnt_i).ok_or(CodecError("missing count"))? as usize;
-                let n_out = *counts.get(cnt_i + 1).ok_or(CodecError("missing count"))? as usize;
-                let n_hint = *counts.get(cnt_i + 2).ok_or(CodecError("missing count"))? as usize;
-                cnt_i += 3;
-                let mut inputs = PortList::new();
-                for _ in 0..n_in {
-                    inputs.push(next_id(&mut id_i)?);
-                }
-                let mut outputs = PortList::new();
-                for _ in 0..n_out {
-                    outputs.push(next_id(&mut id_i)?);
-                }
-                let mut h = Vec::with_capacity(n_hint);
-                for _ in 0..n_hint {
-                    h.push(*hints.get(hint_i).ok_or(CodecError("missing hint"))?);
-                    hint_i += 1;
-                }
-                AuditRecord::Execution { ts_ms, op, inputs, outputs, hints: h }
-            }
-            TAG_REKEY => {
-                let epoch = *epochs.get(epoch_i).ok_or(CodecError("missing epoch"))?;
-                epoch_i += 1;
-                AuditRecord::Rekey { ts_ms, epoch: epoch as u32 }
-            }
-            TAG_DEPARTURE => {
-                let code = *reasons.get(reason_i).ok_or(CodecError("missing reason"))?;
-                reason_i += 1;
-                let reason =
-                    DepartureReason::from_code(code).ok_or(CodecError("unknown reason code"))?;
-                AuditRecord::Departure { ts_ms, reason }
-            }
-            TAG_CKPT_SEALED | TAG_CKPT_RESUMED => {
-                let seq = *ckpt_seqs.get(ckpt_i).ok_or(CodecError("missing checkpoint seq"))?;
-                let words = ckpt_hashes
-                    .get(ckpt_i * 4..ckpt_i * 4 + 4)
-                    .ok_or(CodecError("missing checkpoint hash"))?;
-                ckpt_i += 1;
-                let mut hash = [0u8; 32];
-                for (chunk, word) in hash.chunks_exact_mut(8).zip(words) {
-                    chunk.copy_from_slice(&word.to_le_bytes());
                 }
                 AuditRecord::Checkpoint { ts_ms, seq, resumed: tag == TAG_CKPT_RESUMED, hash }
             }
@@ -1010,26 +825,14 @@ mod tests {
 
     #[test]
     fn adversarial_huffman_length_is_an_error_not_a_panic() {
-        // Record count, then a huffman block claiming u64::MAX bytes: the
-        // length + position must not wrap around the bounds check.
-        let mut data = Vec::new();
+        // Record count, then a tags block claiming u64::MAX symbols: the
+        // count must not wrap around a bounds check or drive a reservation.
+        let mut data = FORMAT_PREFIX.to_vec();
+        data.push(FORMAT_VERSION_STREAMING);
         varint::write_u64(3, &mut data);
         varint::write_u64(u64::MAX, &mut data);
-        assert!(decompress_records(&data).is_err());
-    }
-
-    #[test]
-    fn overflowing_v1_deltas_are_an_error_not_a_panic() {
-        // Four empty Huffman blocks, then a timestamp column whose two
-        // deltas of 2⁶² sum past i64::MAX.
-        let mut data = vec![0];
-        for _ in 0..4 {
-            data.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0]);
-        }
-        for v in [2, varint::zigzag(1 << 62), varint::zigzag(1 << 62)] {
-            varint::write_u64(v, &mut data);
-        }
-        assert_eq!(decompress_records(&data), Err(CodecError("delta out of range")));
+        data.extend_from_slice(&[1, TAG_EGRESS]);
+        assert_eq!(decompress_records(&data), Err(CodecError("corrupt entropy block")));
     }
 
     fn sample_records(n: u32) -> Vec<AuditRecord> {
@@ -1077,7 +880,7 @@ mod tests {
     fn streaming_round_trip_realistic_stream() {
         let records = sample_records(200);
         let compressed = compress_records_streaming(&records);
-        assert_eq!(compressed[0..2], FORMAT_V2_PREFIX);
+        assert_eq!(compressed[0..2], FORMAT_PREFIX);
         assert_eq!(compressed[2], FORMAT_VERSION_STREAMING);
         let decompressed = decompress_records(&compressed).unwrap();
         assert_eq!(decompressed, records);
@@ -1151,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_records_round_trip_in_both_formats() {
+    fn checkpoint_records_round_trip() {
         // A sealed/resumed pair with distinct hashes, mixed into ordinary
         // traffic; hashes use bytes exercising every varint length.
         let mut hash_a = [0u8; 32];
@@ -1168,83 +971,31 @@ mod tests {
             AuditRecord::Checkpoint { ts_ms: 5, seq: 1, resumed: true, hash: hash_b },
         ];
         assert_eq!(decompress_records(&compress_records_streaming(&records)).unwrap(), records);
-        // v1: the captured payload's sealed/resumed pair, hash intact.
-        let v1_checkpoints: Vec<AuditRecord> = decompress_records(V1_FIXTURE)
-            .unwrap()
-            .into_iter()
-            .filter(|r| matches!(r, AuditRecord::Checkpoint { .. }))
-            .collect();
-        assert_eq!(
-            v1_checkpoints,
-            [
-                AuditRecord::Checkpoint { ts_ms: 7, seq: 0, resumed: false, hash: hash_a },
-                AuditRecord::Checkpoint { ts_ms: 9, seq: 0, resumed: true, hash: hash_a },
-            ]
-        );
-    }
-
-    /// Payloads captured from the last v1 encoder: one with every record
-    /// kind, one checkpoint-free (see `tests/common/mod.rs` for the records
-    /// they decode to).
-    const V1_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v1_segment.bin");
-    const V1_CHECKPOINT_FREE: &[u8] = include_bytes!("../tests/fixtures/v1_checkpoint_free.bin");
-
-    #[test]
-    fn checkpoint_free_v1_payload_keeps_the_legacy_layout() {
-        // The trailing checkpoint columns were written only when checkpoint
-        // records existed: a checkpoint-free payload ends at the reasons
-        // column, and an empty pair of checkpoint columns changes nothing.
-        let records = decompress_records(V1_CHECKPOINT_FREE).unwrap();
-        assert!(!records.iter().any(|r| matches!(r, AuditRecord::Checkpoint { .. })));
-        let mut with_columns = V1_CHECKPOINT_FREE.to_vec();
-        with_columns.extend_from_slice(&[0, 0]);
-        assert_eq!(decompress_records(&with_columns).unwrap(), records);
-        // The all-kinds payload carries them.
-        let with_ckpt = decompress_records(V1_FIXTURE).unwrap();
-        assert!(with_ckpt.iter().any(|r| matches!(r, AuditRecord::Checkpoint { .. })));
     }
 
     #[test]
-    fn empty_batch_round_trips_in_both_formats() {
-        // The v1 empty payload, by hand: a zero record count, four empty
-        // legacy Huffman blocks (length 6: count u32, present u16), six
-        // empty numeric columns, one more empty block. Its `[0x00, 0x06]`
-        // opening is what makes the version prefix unambiguous.
-        let empty_block = [6, 0, 0, 0, 0, 0, 0];
-        let mut v1 = vec![0x00];
-        for _ in 0..4 {
-            v1.extend_from_slice(&empty_block);
-        }
-        v1.extend_from_slice(&[0; 6]);
-        v1.extend_from_slice(&empty_block);
-        assert_eq!(v1[..2], [0x00, 0x06]);
-        assert_eq!(decompress_records(&v1).unwrap(), Vec::<AuditRecord>::new());
-
-        let streaming = compress_records_streaming(&[]);
-        assert_eq!(decompress_records(&streaming).unwrap(), Vec::<AuditRecord>::new());
+    fn empty_batch_round_trips() {
+        let empty = compress_records_streaming(&[]);
+        assert_eq!(decompress_records(&empty).unwrap(), Vec::<AuditRecord>::new());
     }
 
+    /// Only v3 decodes: a future version, an old one (1, 2), and a payload
+    /// too short to carry a prefix and a version are each a typed error.
     #[test]
     fn unsupported_future_version_is_an_error() {
-        let data = [FORMAT_V2_PREFIX[0], FORMAT_V2_PREFIX[1], 0x77, 0x00];
-        assert_eq!(
-            decompress_records(&data).unwrap_err(),
-            CodecError("unsupported format version")
-        );
-    }
-
-    #[test]
-    fn corrupt_input_is_rejected_not_panicking() {
-        let records = sample_records(20);
-        let compressed = compress_records_streaming(&records);
-        // Truncations at various points must not panic.
-        for cut in [0, 1, 5, compressed.len() / 2, compressed.len() - 1] {
-            let _ = decompress_records(&compressed[..cut]);
+        let version = |v: u8| [FORMAT_PREFIX[0], FORMAT_PREFIX[1], v, 0x00];
+        for (payload, err) in [
+            (&[][..], "missing format prefix"),
+            (&[0x00], "missing format prefix"),
+            // An old v1 empty batch: no prefix.
+            (&[0x00, 0x06, 0, 0, 0, 0, 0, 0], "missing format prefix"),
+            (&FORMAT_PREFIX, "missing format version"),
+            (&version(1), "unsupported format version"),
+            (&version(2), "unsupported format version"),
+            (&version(0x77), "unsupported format version"),
+        ] {
+            assert_eq!(decompress_records(payload), Err(CodecError(err)), "{payload:?}");
         }
-        // Bit flips must either fail or decode to *something* without panic.
-        let mut flipped = compressed.clone();
-        flipped[10] ^= 0xFF;
-        let _ = decompress_records(&flipped);
     }
 
     #[test]
@@ -1296,19 +1047,21 @@ mod tests {
         assert_eq!(after.len(), bare + 1);
     }
 
-    /// A hand-built v3 payload of one `Sort` execution record with the
-    /// given counts column and numeric stream.
-    fn one_execution_v3(counts: &[u8], nums: &[u64]) -> Vec<u8> {
-        let mut payload = FORMAT_V2_PREFIX.to_vec();
+    /// A hand-built v3 payload of one record with the given tag, counts
+    /// column and numeric stream; an execution record is a `Sort`.
+    fn one_record_v3(tag: u8, counts: &[u8], nums: &[u64]) -> Vec<u8> {
+        let mut payload = FORMAT_PREFIX.to_vec();
         payload.push(FORMAT_VERSION_STREAMING);
         varint::write_u64(1, &mut payload);
+        let ops: &[u8] =
+            if tag == TAG_EXECUTION { &[PrimitiveKind::Sort.code() as u8] } else { &[] };
         for (column, table) in [
-            (&[TAG_EXECUTION][..], huffman::StaticTable::Tags),
-            (&[PrimitiveKind::Sort.code() as u8], huffman::StaticTable::Ops),
+            (&[tag][..], huffman::StaticTable::Tags),
+            (ops, huffman::StaticTable::Ops),
             (counts, huffman::StaticTable::Counts),
             (&[], huffman::StaticTable::Reasons),
         ] {
-            huffman::encode_block_v2(column, Some(table), &mut payload);
+            huffman::encode_block(column, Some(table), &mut payload);
         }
         varint::write_u64(0, &mut payload); // no ops-hi pairs
         let mut stream = Vec::new();
@@ -1318,6 +1071,43 @@ mod tests {
         varint::write_u64(stream.len() as u64, &mut payload);
         payload.extend_from_slice(&stream);
         payload
+    }
+
+    /// [`one_record_v3`] for a `Sort` execution record.
+    fn one_execution_v3(counts: &[u8], nums: &[u64]) -> Vec<u8> {
+        one_record_v3(TAG_EXECUTION, counts, nums)
+    }
+
+    #[test]
+    fn out_of_range_fields_are_an_error_not_a_truncation() {
+        // Per field kind: a record's tag, the length of its numeric stream
+        // (timestamp first), the field's place in it and its widest value.
+        let (u32_max, u16_max) = (u32::MAX as u64, u16::MAX as u64);
+        for (tag, words, at, max) in [
+            (TAG_INGRESS_DATA, 2, 0, u32_max), // timestamp
+            (TAG_EGRESS, 2, 1, u32_max),       // uArray id
+            (TAG_INGRESS_WM, 2, 1, u32_max),   // watermark
+            (TAG_REKEY, 2, 1, u32_max),        // epoch
+            (TAG_WINDOWING, 4, 3, u16_max),    // window number
+            (TAG_EXECUTION, 3, 2, u32_max),    // output id
+        ] {
+            let counts: &[u8] = if tag == TAG_EXECUTION { &[0x24] } else { &[] };
+            let payload = |v: u64| {
+                let mut nums = vec![0; words];
+                nums[at] = varint::zigzag(v as i64);
+                one_record_v3(tag, counts, &nums)
+            };
+            assert!(decompress_records(&payload(max)).is_ok(), "tag {tag}: the widest value");
+            // One past it must not wrap to 0, which would decode two
+            // payloads to the same records.
+            for v in [max + 1, i64::MAX as u64] {
+                assert_eq!(
+                    decompress_records(&payload(v)),
+                    Err(CodecError("field out of range")),
+                    "tag {tag}, value {v}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1348,6 +1138,15 @@ mod tests {
             decompress_records(&one_execution_v3(&counts, &[0, 2, 4])),
             Err(CodecError("truncated numeric stream"))
         );
+    }
+
+    #[test]
+    fn a_column_longer_than_its_records_allow_is_an_error() {
+        // One record: its counts column holds at most an escape and three
+        // 10-byte varints.
+        let counts = |len: usize| one_execution_v3(&vec![0x24; len], &[0, 2, 2]);
+        assert!(decompress_records(&counts(31)).is_ok());
+        assert_eq!(decompress_records(&counts(32)), Err(CodecError("corrupt entropy block")));
     }
 
     #[test]

@@ -1,25 +1,19 @@
 //! Canonical Huffman coding over byte symbols — the audit codec's entropy
 //! stage.
 //!
-//! The columnar codec uses Huffman coding for the columns with skewed value
-//! distributions (record tags, primitive op codes, field counts, §7). Two
-//! block formats exist:
+//! The columnar codec entropy-codes the columns with skewed value
+//! distributions (record tags, primitive op codes, field counts, §7) as
+//! mode-tagged **entropy blocks** ([`encode_block`]/[`decode_block`]): tiny
+//! columns are stored raw or as a single repeated byte, skewed columns use
+//! either a **precomputed static table** (no header, no tree construction —
+//! the decoder ships the same table) or a dynamic length-limited code when
+//! that measures smaller.
 //!
-//! * the **legacy block** ([`decompress_block`], decoded only) stores the
-//!   per-symbol code lengths as a sparse header and is what format-v1
-//!   columnar payloads embed;
-//! * the **v2 entropy block** ([`encode_block_v2`]/[`decode_block_v2`]) is
-//!   mode-tagged: tiny columns are stored raw or as a single repeated byte,
-//!   skewed columns use either a **precomputed static table** (no header, no
-//!   tree construction — the decoder ships the same table) or a dynamic
-//!   length-limited code when that measures smaller.
-//!
-//! The encoder emits through a 64-bit-buffer [`BitWriter`]; both decoders
-//! go through [`Decoder`], a canonical decoder with a single-lookup table
-//! for codes up to [`TABLE_BITS`] bits (every code the encoder emits) and a
-//! per-length canonical walk for longer codes found in legacy payloads.
-//! Encoder-built codes are **length-limited** to [`ENC_MAX_CODE_LEN`] bits
-//! via a Kraft-sum fixup, so the fast path covers them entirely.
+//! Every code, fitted or static, is at most [`ENC_MAX_CODE_LEN`] bits long
+//! (fitted codes are length-limited by a Kraft-sum fixup). The encoder
+//! emits through a 64-bit-buffer [`BitWriter`]; the [`Decoder`] resolves
+//! every symbol with one lookup in a table indexed by the next 12 bits of
+//! the stream, and a block header carrying a longer code is rejected.
 
 /// A built Huffman code: per-symbol bit lengths and codes.
 #[derive(Debug, Clone)]
@@ -28,17 +22,12 @@ pub struct HuffmanCode {
     codes: [u64; 256],
 }
 
-/// Maximum code length the *decoder* accepts (defensive bound; legacy
-/// payloads may carry codes this deep).
-pub const MAX_CODE_LEN: u8 = 56;
-
-/// Maximum code length the *encoder* emits: [`build_lengths`] length-limits
-/// the code so every emitted symbol decodes through the one-lookup fast
-/// table.
+/// Maximum code length: the encoder length-limits every fitted code to it,
+/// the static tables stay within it, and the decoder rejects anything
+/// longer, so every symbol decodes through the one-lookup table.
 pub const ENC_MAX_CODE_LEN: u8 = 12;
 
-/// Width of the decoder's fast lookup table. Codes at most this long decode
-/// with a single table access.
+/// Width of the decoder's lookup table: one access resolves any code.
 const TABLE_BITS: u32 = ENC_MAX_CODE_LEN as u32;
 
 // ---------------------------------------------------------------------------
@@ -59,39 +48,28 @@ impl<'a> BitWriter<'a> {
     }
 
     /// Append the low `len` bits of `code`, most significant first.
-    /// `len` must be at most [`MAX_CODE_LEN`].
+    /// `len` must be at most 32.
     #[inline]
     pub fn put(&mut self, code: u64, len: u32) {
-        debug_assert!(len <= MAX_CODE_LEN as u32);
-        if self.bits + len > 64 {
-            // Only reachable with legacy >32-bit codes; the fast flush below
-            // otherwise keeps the buffer under 48 bits.
-            self.spill();
-        }
+        debug_assert!(len <= 32);
         self.buf = (self.buf << len) | code;
         self.bits += len;
         if self.bits >= 32 {
             // Flush four whole bytes at once: a single u32 store every few
             // symbols. The 32-bit threshold leaves ≤ 31 bits buffered, so
-            // the paired puts of [`HuffmanCode::encode_into`] (≤ 32 bits)
-            // never overflow the 64-bit accumulator.
+            // the next put (≤ 32 bits) never overflows the accumulator.
             self.bits -= 32;
             let word = (self.buf >> self.bits) as u32;
             self.out.extend_from_slice(&word.to_be_bytes());
         }
     }
 
-    #[cold]
-    fn spill(&mut self) {
+    /// Flush the trailing bytes (zero-padded low bits of the last one).
+    pub fn finish(mut self) {
         while self.bits >= 8 {
             self.bits -= 8;
             self.out.push((self.buf >> self.bits) as u8);
         }
-    }
-
-    /// Flush the trailing bytes (zero-padded low bits of the last one).
-    pub fn finish(mut self) {
-        self.spill();
         if self.bits > 0 {
             self.out.push((self.buf << (8 - self.bits)) as u8);
         }
@@ -248,17 +226,12 @@ impl HuffmanCode {
         Self::from_lengths(lengths)
     }
 
-    /// Build the canonical code implied by per-symbol code lengths.
-    ///
-    /// Lengths above [`MAX_CODE_LEN`] are clamped; callers that accept
-    /// untrusted headers must validate lengths first (see
-    /// [`decompress_block`]).
-    pub fn from_lengths(mut lengths: [u8; 256]) -> Self {
-        for l in lengths.iter_mut() {
-            if *l > MAX_CODE_LEN {
-                *l = MAX_CODE_LEN;
-            }
-        }
+    /// Build the canonical code implied by per-symbol code lengths, each at
+    /// most [`ENC_MAX_CODE_LEN`]. Callers that accept untrusted headers must
+    /// validate the lengths with [`kraft_valid`] first (see
+    /// [`decode_block`]).
+    pub fn from_lengths(lengths: [u8; 256]) -> Self {
+        debug_assert!(lengths.iter().all(|&l| l <= ENC_MAX_CODE_LEN), "code longer than the limit");
         // Canonical assignment: sort symbols by (length, symbol).
         let mut symbols: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
         symbols.sort_by_key(|&s| (lengths[s], s));
@@ -294,9 +267,9 @@ impl HuffmanCode {
     /// Encode `data` through `writer`, four symbols per `put` when their
     /// concatenated codes fit one put — for the short (1–3-bit) codes of
     /// the skewed audit columns this quarters the flush checks on the
-    /// seal's hottest loop. Longer codes split into pairs (always ≤ 32
-    /// bits for encoder-built and static codes, which are ≤ 12 bits). The
-    /// bitstream is identical either way.
+    /// seal's hottest loop. Otherwise two puts of a pair each: codes are at
+    /// most 12 bits, so a pair always fits. The bitstream is identical
+    /// either way.
     #[inline]
     pub fn encode_into(&self, data: &[u8], writer: &mut BitWriter<'_>) {
         let mut quads = data.chunks_exact(4);
@@ -314,8 +287,8 @@ impl HuffmanCode {
                     | self.codes[d];
                 writer.put(code, la + lb + lc + ld);
             } else {
-                Self::put_pair(self.codes[a], la, self.codes[b], lb, writer);
-                Self::put_pair(self.codes[c], lc, self.codes[d], ld, writer);
+                writer.put((self.codes[a] << lb) | self.codes[b], la + lb);
+                writer.put((self.codes[c] << ld) | self.codes[d], lc + ld);
             }
         }
         for &b in quads.remainder() {
@@ -324,178 +297,80 @@ impl HuffmanCode {
             writer.put(self.codes[b as usize], len);
         }
     }
-
-    /// Two codes in one `put` when they fit 32 bits, else two puts.
-    #[inline]
-    fn put_pair(ca: u64, la: u32, cb: u64, lb: u32, writer: &mut BitWriter<'_>) {
-        if la + lb <= 32 {
-            writer.put((ca << lb) | cb, la + lb);
-        } else {
-            writer.put(ca, la);
-            writer.put(cb, lb);
-        }
-    }
-
-    /// Decode `count` symbols from the bitstream.
-    pub fn decode(&self, data: &[u8], count: usize) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(count);
-        Decoder::new(self).decode_into(data, count, &mut out)?;
-        Some(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Table-driven decoding
 // ---------------------------------------------------------------------------
 
-/// A canonical Huffman decoder.
-///
-/// Codes up to [`TABLE_BITS`] bits — everything the length-limited encoder
-/// produces — resolve with one lookup in a `(symbol, length)` table indexed
-/// by the next `table_bits` bits of the stream. Deeper codes (legacy
-/// payloads only) fall back to a per-length canonical range walk.
+/// A canonical Huffman decoder: one `(symbol, length)` lookup table indexed
+/// by the next `table_bits` bits of the stream. Every code is at most
+/// [`ENC_MAX_CODE_LEN`] bits, so one access resolves any symbol, and a
+/// table miss is an invalid code.
 pub struct Decoder {
     table_bits: u32,
-    /// `(len << 8) | symbol`; 0 marks an escape to the slow path.
+    /// `(len << 8) | symbol`; 0 marks a bit pattern no code starts with.
     lut: Vec<u16>,
-    max_len: u8,
-    /// Per length: canonical code of the first symbol of that length.
-    first_code: [u64; MAX_CODE_LEN as usize + 1],
-    /// Per length: number of symbols of that length.
-    count: [u16; MAX_CODE_LEN as usize + 1],
-    /// Per length: index of its first symbol in `symbols`.
-    offset: [u16; MAX_CODE_LEN as usize + 1],
-    /// Symbols sorted by (length, symbol) — canonical order.
-    symbols: Vec<u8>,
 }
 
-/// Whether `lengths` satisfies the Kraft inequality — i.e. a canonical
-/// prefix-free code can actually assign them. Untrusted code-length headers
-/// must pass this before a [`Decoder`] is built: oversubscribed lengths
-/// would assign canonical codes that overflow their own bit width.
+/// Whether `lengths` are all at most [`ENC_MAX_CODE_LEN`] and satisfy the
+/// Kraft inequality — i.e. a canonical prefix-free code can actually assign
+/// them. Untrusted code-length headers must pass this before a [`Decoder`]
+/// is built: oversubscribed lengths would assign canonical codes that
+/// overflow their own bit width.
 pub fn kraft_valid(lengths: &[u8; 256]) -> bool {
-    // Units of 2^-MAX_CODE_LEN: per symbol at most 2^55, 256 symbols still
-    // fit in u64 without overflow.
-    let budget = 1u64 << MAX_CODE_LEN as u32;
-    let mut sum = 0u64;
-    for &l in lengths.iter() {
-        if l > 0 {
-            if l > MAX_CODE_LEN {
-                return false;
-            }
-            sum = sum.saturating_add(1u64 << (MAX_CODE_LEN - l) as u32);
+    // Units of 2^-12: one symbol costs at most 2^11, 256 of them 2^19.
+    let mut sum = 0u32;
+    for &l in lengths.iter().filter(|&&l| l > 0) {
+        if l > ENC_MAX_CODE_LEN {
+            return false;
         }
+        sum += 1 << (ENC_MAX_CODE_LEN - l);
     }
-    sum <= budget
+    sum <= 1 << ENC_MAX_CODE_LEN
 }
 
 impl Decoder {
-    /// Build the decode tables for `code`.
+    /// Build the decode table for `code`.
     ///
-    /// The code's lengths must satisfy the Kraft inequality (always true
-    /// for codes built by [`HuffmanCode::from_frequencies`] and for the
-    /// static tables); callers holding *untrusted* length headers must
-    /// check [`kraft_valid`] first.
+    /// The code's lengths must pass [`kraft_valid`] (always true for codes
+    /// built by [`HuffmanCode::from_frequencies`] and for the static
+    /// tables); callers holding *untrusted* length headers must check it
+    /// first.
     pub fn new(code: &HuffmanCode) -> Self {
-        debug_assert!(kraft_valid(&code.lengths), "decoder built from oversubscribed lengths");
-        let mut max_len = 0u8;
-        let mut count = [0u16; MAX_CODE_LEN as usize + 1];
-        for &l in code.lengths.iter() {
-            if l > 0 {
-                count[l as usize] += 1;
-                max_len = max_len.max(l);
-            }
-        }
-        let mut offset = [0u16; MAX_CODE_LEN as usize + 1];
-        let mut next = 0u16;
-        for l in 1..=max_len as usize {
-            offset[l] = next;
-            next += count[l];
-        }
-        // Canonical order: (length, symbol) ascending, the same order
-        // `from_lengths` assigns codes in.
-        let mut by_canon: Vec<usize> = (0..256).filter(|&s| code.lengths[s] > 0).collect();
-        by_canon.sort_by_key(|&s| (code.lengths[s], s));
-        let symbols: Vec<u8> = by_canon.iter().map(|&s| s as u8).collect();
-        // first_code per length is the code of the first canonical symbol of
-        // that length.
-        let mut first_code = [0u64; MAX_CODE_LEN as usize + 1];
-        {
-            let mut idx = 0usize;
-            for l in 1..=max_len as usize {
-                if count[l] > 0 {
-                    first_code[l] = code.codes[symbols[idx] as usize];
-                    idx += count[l] as usize;
-                }
-            }
-        }
-        let table_bits = (max_len as u32).clamp(1, TABLE_BITS);
+        debug_assert!(kraft_valid(&code.lengths), "decoder built from invalid lengths");
+        let max_len = code.lengths.iter().copied().max().unwrap_or(0) as u32;
+        let table_bits = max_len.clamp(1, TABLE_BITS);
         let mut lut = vec![0u16; 1 << table_bits];
-        for &s in &by_canon {
-            let l = code.lengths[s] as u32;
-            if l <= table_bits {
-                let base = (code.codes[s] << (table_bits - l)) as usize;
-                let span = 1usize << (table_bits - l);
-                let entry = ((l as u16) << 8) | s as u16;
-                // The range clamp is defense in depth: Kraft-valid lengths
-                // (the documented precondition) can never exceed the table.
-                let table_len = lut.len();
-                let end = (base + span).min(table_len);
-                for e in &mut lut[base.min(table_len)..end] {
-                    *e = entry;
-                }
+        for (s, &l) in code.lengths.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            let l = l as u32;
+            let base = (code.codes[s] << (table_bits - l)) as usize;
+            let span = 1usize << (table_bits - l);
+            let entry = ((l as u16) << 8) | s as u16;
+            // The range clamp is defense in depth: Kraft-valid lengths
+            // (the documented precondition) can never exceed the table.
+            let table_len = lut.len();
+            let end = (base + span).min(table_len);
+            for e in &mut lut[base.min(table_len)..end] {
+                *e = entry;
             }
         }
-        Decoder { table_bits, lut, max_len, first_code, count, offset, symbols }
+        Decoder { table_bits, lut }
     }
 
     /// Decode `count` symbols from `data` into `out`. Returns `None` on
     /// truncated input or an invalid code.
     pub fn decode_into(&self, data: &[u8], count: usize, out: &mut Vec<u8>) -> Option<()> {
-        if count == 0 {
-            return Some(());
-        }
-        if self.symbols.is_empty() {
-            return None;
-        }
         out.reserve(count);
         let mut reader = BitReader::new(data);
         for _ in 0..count {
-            let window = reader.peek(self.table_bits);
-            let entry = self.lut[window as usize];
-            if entry != 0 {
-                if !reader.consume((entry >> 8) as u32) {
-                    return None;
-                }
-                out.push(entry as u8);
-                continue;
+            let entry = self.lut[reader.peek(self.table_bits) as usize];
+            if entry == 0 || !reader.consume((entry >> 8) as u32) {
+                return None;
             }
-            // Escape: a code longer than the table (legacy payloads only).
-            self.decode_slow(&mut reader, out)?;
+            out.push(entry as u8);
         }
         Some(())
-    }
-
-    #[cold]
-    fn decode_slow(&self, reader: &mut BitReader<'_>, out: &mut Vec<u8>) -> Option<()> {
-        let window = reader.peek(self.max_len as u32);
-        for l in (self.table_bits + 1)..=(self.max_len as u32) {
-            let n = self.count[l as usize] as u64;
-            if n == 0 {
-                continue;
-            }
-            let code = window >> (self.max_len as u32 - l);
-            let first = self.first_code[l as usize];
-            if code >= first && code - first < n {
-                let sym = self.symbols[self.offset[l as usize] as usize + (code - first) as usize];
-                if !reader.consume(l) {
-                    return None;
-                }
-                out.push(sym);
-                return Some(());
-            }
-        }
-        None
     }
 }
 
@@ -503,7 +378,7 @@ impl Decoder {
 // Static tables
 // ---------------------------------------------------------------------------
 
-/// Identifier of a precomputed static code table carried in v2 entropy
+/// Identifier of a precomputed static code table carried in entropy
 /// blocks. The encoder and the verifier ship identical tables, so a block
 /// using one needs no code header and no per-block tree construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -541,11 +416,14 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
             }
         }
         // Op codes (low byte): skewed toward the primitives real pipelines
-        // execute constantly — Sort and Merge dominate (one per batch and a
-        // near-1:1 merge tree), sorts-by and aggregations follow, plumbing
-        // and rare primitives get long codes. Covers 0..=31 so any
-        // primitive encodes; ill-matched distributions fall back to a
-        // fitted dynamic code.
+        // execute constantly — Sort (one per partition of every window) and
+        // Merge get the shortest codes, sorts-by, MergeK and aggregations
+        // follow, plumbing and rare primitives get long codes. Merge is
+        // rare in today's traffic (a window gathers its partitions with one
+        // k-way MergeK), but the lengths are wire format: a block naming
+        // this table carries no header, so they cannot change.
+        // Covers 0..=31 so any primitive encodes; ill-matched distributions
+        // fall back to a fitted dynamic code.
         1 => {
             for l in lengths.iter_mut().take(32) {
                 *l = 9;
@@ -564,7 +442,7 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
             }
         }
         // Counts: packed `(inputs << 5) | (outputs << 2) | hints` bytes (the
-        // v2 columnar layout). Executions are overwhelmingly 1-in/1-out with
+        // columnar layout's counts column). Executions are overwhelmingly 1-in/1-out with
         // no hints; merges are 2-in/1-out; 0xFF is the spill escape. Columns
         // containing other shapes fall through to the dynamic path.
         2 => {
@@ -610,50 +488,7 @@ pub fn static_table(id: u8) -> Option<&'static StaticEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy (format-v1) block, decoded only
-// ---------------------------------------------------------------------------
-
-/// Decode a legacy (format-v1) Huffman block. Returns `None` on corrupt or
-/// truncated input.
-///
-/// Layout: `symbol_count: u32 LE`, `present_symbols: u16 LE`, then one
-/// `(symbol, code_length)` byte pair per present symbol, then the canonical
-/// code's bitstream.
-pub fn decompress_block(data: &[u8]) -> Option<Vec<u8>> {
-    if data.len() < 6 {
-        return None;
-    }
-    let count = u32::from_le_bytes(data[0..4].try_into().ok()?) as usize;
-    let present = u16::from_le_bytes(data[4..6].try_into().ok()?) as usize;
-    let header_end = 6 + present * 2;
-    if data.len() < header_end {
-        return None;
-    }
-    if count == 0 {
-        return Some(Vec::new());
-    }
-    if present == 0 {
-        // Symbols claimed but no code table: corrupt.
-        return None;
-    }
-    let mut lengths = [0u8; 256];
-    for i in 0..present {
-        let sym = data[6 + i * 2] as usize;
-        let len = data[6 + i * 2 + 1];
-        if len == 0 || len > MAX_CODE_LEN {
-            return None;
-        }
-        lengths[sym] = len;
-    }
-    if !kraft_valid(&lengths) {
-        return None;
-    }
-    let code = HuffmanCode::from_lengths(lengths);
-    code.decode(&data[header_end..], count)
-}
-
-// ---------------------------------------------------------------------------
-// v2 entropy block
+// Entropy blocks
 // ---------------------------------------------------------------------------
 
 const MODE_RAW: u8 = 0;
@@ -675,7 +510,7 @@ pub(crate) const CONST_MAX: usize = 1 << 24;
 const DYNAMIC_MIN_LEN: usize = 2048;
 
 /// A recycled dynamic entropy code, reused across seals by
-/// [`encode_block_v2_cached`].
+/// [`encode_block_cached`].
 ///
 /// Fitting a Huffman code is the only seal-time cost that does not amortize
 /// with column length: every large segment re-runs the heap-and-tree
@@ -695,7 +530,7 @@ pub struct CodeCache {
     fit_eps: f64,
 }
 
-/// Encode a byte column as a self-delimiting v2 entropy block.
+/// Encode a byte column as a self-delimiting entropy block.
 ///
 /// `static_id` names the [`StaticTable`] to try; the encoder picks the
 /// smallest of raw / constant / static / dynamic representations.
@@ -706,8 +541,8 @@ pub struct CodeCache {
 /// * `2` static — table-id byte, `varint byte_len`, bitstream;
 /// * `3` dynamic — `present - 1` byte, `present` `(symbol, length)` pairs,
 ///   `varint byte_len`, bitstream.
-pub fn encode_block_v2(data: &[u8], static_id: Option<StaticTable>, out: &mut Vec<u8>) {
-    encode_block_v2_cached(data, static_id, &mut CodeCache::default(), out)
+pub fn encode_block(data: &[u8], static_id: Option<StaticTable>, out: &mut Vec<u8>) {
+    encode_block_cached(data, static_id, &mut CodeCache::default(), out)
 }
 
 /// The static-table code length of `symbol` (0 = no code), for callers
@@ -717,7 +552,7 @@ pub(crate) fn static_code_len(id: StaticTable, symbol: u8) -> u8 {
     static_table(id as u8).expect("static table ids are exhaustive").code.lengths[symbol as usize]
 }
 
-/// Emit a v2 entropy block in a caller-chosen mode, for callers that
+/// Emit an entropy block in a caller-chosen mode, for callers that
 /// already know the plan — the streaming encoder tracks each column's
 /// static-table bit cost and constness *incrementally at append time*, so
 /// its seal can skip the per-column frequency pass the full planner needs.
@@ -725,7 +560,7 @@ pub(crate) fn static_code_len(id: StaticTable, symbol: u8) -> u8 {
 /// `precosted_bits` must equal the static table's `cost_bits` over `data`
 /// (debug-asserted); the produced bytes are identical to what the planner
 /// writes when it picks the same mode.
-pub(crate) fn encode_block_v2_static(
+pub(crate) fn encode_block_static(
     data: &[u8],
     id: StaticTable,
     precosted_bits: u64,
@@ -747,22 +582,22 @@ pub(crate) fn encode_block_v2_static(
     writer.finish();
 }
 
-/// Emit a constant-column v2 entropy block (`value` repeated `count`
+/// Emit a constant-column entropy block (`value` repeated `count`
 /// times): the two-byte plan the streaming seal uses when its vectorized
 /// constant scan hits, bypassing the planner entirely.
-pub(crate) fn encode_block_v2_const(count: usize, value: u8, out: &mut Vec<u8>) {
+pub(crate) fn encode_block_const(count: usize, value: u8, out: &mut Vec<u8>) {
     debug_assert!(count > 0 && count <= CONST_MAX);
     crate::varint::write_u64(count as u64, out);
     out.push(MODE_CONST);
     out.push(value);
 }
 
-/// [`encode_block_v2`] with a [`CodeCache`]: recycles the last fitted
+/// [`encode_block`] with a [`CodeCache`]: recycles the last fitted
 /// dynamic code across calls when it is still near-optimal for the column,
 /// skipping tree construction (and all planner allocation) in the steady
 /// state. Byte-compatible with the uncached path — the chosen code's
 /// lengths travel in the block header either way.
-pub fn encode_block_v2_cached(
+pub fn encode_block_cached(
     data: &[u8],
     static_id: Option<StaticTable>,
     cache: &mut CodeCache,
@@ -937,10 +772,17 @@ pub(crate) fn varint_len(v: u64) -> usize {
     ((64 - v.max(1).leading_zeros()) as usize).div_ceil(7)
 }
 
-/// Decode a v2 entropy block written by [`encode_block_v2`], advancing
-/// `pos`. Returns `None` on corrupt or truncated input.
-pub fn decode_block_v2(data: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
-    let count = crate::varint::read_u64(data, pos)? as usize;
+/// Decode an entropy block written by [`encode_block`], advancing `pos`.
+/// Returns `None` on corrupt or truncated input, and on a block of more
+/// than `max_count` symbols — checked before anything is materialised, so
+/// a caller that knows how many symbols can be there bounds what a forged
+/// count costs.
+pub fn decode_block(data: &[u8], pos: &mut usize, max_count: usize) -> Option<Vec<u8>> {
+    let count = crate::varint::read_u64(data, pos)?;
+    if count > max_count as u64 {
+        return None;
+    }
+    let count = count as usize;
     if count == 0 {
         return Some(Vec::new());
     }
@@ -992,11 +834,12 @@ pub fn decode_block_v2(data: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
             for i in 0..present {
                 let sym = data[*pos + i * 2] as usize;
                 let len = data[*pos + i * 2 + 1];
-                if len == 0 || len > MAX_CODE_LEN {
+                if len == 0 {
                     return None;
                 }
                 lengths[sym] = len;
             }
+            // Also rejects a length past `ENC_MAX_CODE_LEN`.
             if !kraft_valid(&lengths) {
                 return None;
             }
@@ -1040,23 +883,38 @@ mod tests {
         HuffmanCode::from_frequencies(&freqs)
     }
 
-    /// A legacy block laid out by hand: symbol count, present-symbol count,
-    /// one `(symbol, length)` pair per coded symbol, then the bitstream.
-    fn legacy_block(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
+    /// A dynamic block laid out by hand, whichever mode the planner would
+    /// pick: symbol count, mode, `present - 1`, one `(symbol, length)` pair
+    /// per coded symbol, then the bitstream's length and the bitstream.
+    fn dynamic_block(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::varint::write_u64(data.len() as u64, &mut out);
+        if data.is_empty() {
+            return out;
+        }
         let present: Vec<u8> = (0..=255u8).filter(|&s| code.lengths[s as usize] > 0).collect();
-        let mut out = (data.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(&(present.len() as u16).to_le_bytes());
+        out.extend_from_slice(&[MODE_DYNAMIC, (present.len() - 1) as u8]);
         for s in present {
             out.extend_from_slice(&[s, code.lengths[s as usize]]);
         }
-        out.extend_from_slice(&bits(code, data));
+        let stream = bits(code, data);
+        crate::varint::write_u64(stream.len() as u64, &mut out);
+        out.extend_from_slice(&stream);
         out
     }
 
-    /// A v2 entropy block of `data` with no static table to lean on.
+    /// Decode one whole block with no count limit; `None` if it fails or
+    /// leaves bytes over.
+    fn decode(block: &[u8]) -> Option<Vec<u8>> {
+        let mut pos = 0;
+        let out = decode_block(block, &mut pos, usize::MAX)?;
+        (pos == block.len()).then_some(out)
+    }
+
+    /// An entropy block of `data` with no static table to lean on.
     fn v2_block(data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_block_v2(data, None, &mut out);
+        encode_block(data, None, &mut out);
         out
     }
 
@@ -1068,32 +926,33 @@ mod tests {
         data.extend(std::iter::repeat_n(200u8, 100));
         let compressed = v2_block(&data);
         assert!(compressed.len() < data.len() / 3, "{} vs {}", compressed.len(), data.len());
-        assert_eq!(decode_block_v2(&compressed, &mut 0).unwrap(), data);
+        assert_eq!(decode(&compressed).unwrap(), data);
     }
 
     #[test]
     fn empty_and_single_symbol_blocks() {
-        assert_eq!(decompress_block(&[0; 6]).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode(&[0]).unwrap(), Vec::<u8>::new());
 
         let data = vec![42u8; 100];
-        let block = legacy_block(&fitted(&data), &data);
-        assert_eq!(block[4..8], [1, 0, 42, 1], "one present symbol, one bit long");
-        assert_eq!(decompress_block(&block).unwrap(), data);
+        let block = dynamic_block(&fitted(&data), &data);
+        assert_eq!(block[2..5], [0, 42, 1], "one present symbol, one bit long");
+        assert_eq!(decode(&block).unwrap(), data);
     }
 
     #[test]
     fn two_symbol_block() {
         let data: Vec<u8> = (0..100).map(|i| if i % 3 == 0 { 1 } else { 2 }).collect();
-        assert_eq!(decompress_block(&legacy_block(&fitted(&data), &data)).unwrap(), data);
+        assert_eq!(decode(&dynamic_block(&fitted(&data), &data)).unwrap(), data);
     }
 
     #[test]
     fn truncated_input_fails_gracefully() {
         let data = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let block = legacy_block(&fitted(&data), &data);
-        assert_eq!(decompress_block(&block[..block.len() - 1]), None);
-        assert_eq!(decompress_block(&block[..5]), None);
-        assert_eq!(decompress_block(&[]), None);
+        let block = dynamic_block(&fitted(&data), &data);
+        for cut in 0..block.len() {
+            assert_eq!(decode_block(&block[..cut], &mut 0, usize::MAX), None, "cut at {cut}");
+        }
+        assert_eq!(decode(&block).unwrap(), data);
     }
 
     #[test]
@@ -1159,70 +1018,75 @@ mod tests {
                 code.lengths[s]
             );
         }
-        assert_eq!(decompress_block(&legacy_block(&code, &data)).unwrap(), data);
+        assert_eq!(decode(&dynamic_block(&code, &data)).unwrap(), data);
 
-        // The same block through the v2 entropy stage.
-        let mut v2 = Vec::new();
-        encode_block_v2(&data, None, &mut v2);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&v2, &mut pos).unwrap(), data);
-        assert_eq!(pos, v2.len());
+        // The same column through the planner.
+        assert_eq!(decode(&v2_block(&data)).unwrap(), data);
     }
 
     #[test]
-    fn deep_legacy_codes_still_decode() {
-        // Hand-build a code whose depths exceed the fast table: the decoder
-        // must fall back to the per-length walk, not reject or misdecode.
-        let mut lengths = [0u8; 256];
-        for s in 0..16u8 {
-            lengths[s as usize] = 16 + s; // 16..=31 bits, all past TABLE_BITS
+    fn a_13_bit_length_in_a_dynamic_header_is_rejected() {
+        // Symbol 0 one bit long, symbols 1 and 2 `deep` bits long: a valid
+        // prefix code at any depth, but the decoder takes codes of at most
+        // ENC_MAX_CODE_LEN bits.
+        let block = |deep: u8| {
+            let mut lengths = [0u8; 256];
+            lengths[0] = 1;
+            lengths[1] = ENC_MAX_CODE_LEN;
+            lengths[2] = ENC_MAX_CODE_LEN;
+            let code = HuffmanCode::from_lengths(lengths);
+            let mut block = dynamic_block(&code, &[0, 1, 2, 0]);
+            // The header pairs of symbols 1 and 2.
+            block[6] = deep;
+            block[8] = deep;
+            block
+        };
+        assert_eq!(decode(&block(ENC_MAX_CODE_LEN)).unwrap(), [0, 1, 2, 0]);
+        assert_eq!(decode_block(&block(ENC_MAX_CODE_LEN + 1), &mut 0, usize::MAX), None);
+    }
+
+    #[test]
+    fn a_block_longer_than_its_caller_allows_is_rejected() {
+        for block in [v2_block(&[7; 40]), v2_block(&(0..40).collect::<Vec<u8>>())] {
+            assert_eq!(decode_block(&block, &mut 0, 40).unwrap().len(), 40);
+            assert_eq!(decode_block(&block, &mut 0, 39), None);
         }
-        // Make it Kraft-satisfiable: lengths 16..=31 sum to well under 1.
-        let code = HuffmanCode::from_lengths(lengths);
-        let data: Vec<u8> = (0..16u8).cycle().take(200).collect();
-        assert_eq!(decompress_block(&legacy_block(&code, &data)).unwrap(), data);
     }
 
     #[test]
     fn v2_block_modes_cover_their_inputs() {
         // Constant column.
-        let mut out = Vec::new();
-        encode_block_v2(&[9u8; 500], None, &mut out);
+        let out = v2_block(&[9u8; 500]);
         assert!(out.len() < 8, "constant block should be a few bytes, got {}", out.len());
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), vec![9u8; 500]);
+        assert_eq!(decode(&out).unwrap(), vec![9u8; 500]);
 
         // Static-table column (tags-like skew).
         let tags: Vec<u8> = (0..300).map(|i| [0u8, 3, 4, 4, 0, 2][i % 6]).collect();
         let mut out = Vec::new();
-        encode_block_v2(&tags, Some(StaticTable::Tags), &mut out);
+        encode_block(&tags, Some(StaticTable::Tags), &mut out);
         assert!(out.len() < tags.len() / 2, "{} vs {}", out.len(), tags.len());
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), tags);
+        assert_eq!(decode(&out).unwrap(), tags);
 
         // Incompressible column falls back to raw without exploding.
         let noise: Vec<u8> =
             (0..100u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         let mut out = Vec::new();
-        encode_block_v2(&noise, Some(StaticTable::Tags), &mut out);
+        encode_block(&noise, Some(StaticTable::Tags), &mut out);
         assert!(out.len() <= noise.len() + 4);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), noise);
+        assert_eq!(decode(&out).unwrap(), noise);
 
         // Empty column.
         let mut out = Vec::new();
-        encode_block_v2(&[], Some(StaticTable::Counts), &mut out);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), Vec::<u8>::new());
-        assert_eq!(pos, out.len());
+        encode_block(&[], Some(StaticTable::Counts), &mut out);
+        assert_eq!(decode(&out).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn oversubscribed_length_headers_are_rejected_not_panicking() {
         // Three symbols all claiming code length 1 violate the Kraft
         // inequality: canonical assignment would give codes 0, 1, 2 — and 2
-        // does not fit in one bit. Both untrusted header paths must return
-        // None instead of building a decoder (which would panic).
+        // does not fit in one bit. An untrusted header must return None
+        // instead of building a decoder (which would panic).
         let mut lengths = [0u8; 256];
         lengths[..3].fill(1);
         assert!(!kraft_valid(&lengths));
@@ -1234,60 +1098,44 @@ mod tests {
         ok[1] = 1;
         assert!(kraft_valid(&ok));
 
-        // Legacy block: count=4, 3 present symbols each length 1.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&4u32.to_le_bytes());
-        v1.extend_from_slice(&3u16.to_le_bytes());
+        // A dynamic block with the oversubscribed header.
+        let mut block = Vec::new();
+        crate::varint::write_u64(4, &mut block);
+        block.push(MODE_DYNAMIC);
+        block.push(2); // present - 1
         for s in 0..3u8 {
-            v1.push(s);
-            v1.push(1);
+            block.push(s);
+            block.push(1);
         }
-        v1.push(0b0101_0101);
-        assert_eq!(decompress_block(&v1), None);
-
-        // v2 dynamic block with the same oversubscribed header.
-        let mut v2 = Vec::new();
-        crate::varint::write_u64(4, &mut v2);
-        v2.push(MODE_DYNAMIC);
-        v2.push(2); // present - 1
-        for s in 0..3u8 {
-            v2.push(s);
-            v2.push(1);
-        }
-        crate::varint::write_u64(1, &mut v2);
-        v2.push(0b0101_0101);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&v2, &mut pos), None);
+        crate::varint::write_u64(1, &mut block);
+        block.push(0b0101_0101);
+        assert_eq!(decode_block(&block, &mut 0, usize::MAX), None);
     }
 
     #[test]
     fn v2_block_rejects_corruption_without_panicking() {
         let tags: Vec<u8> = (0..300).map(|i| [0u8, 3, 4, 4, 0, 2][i % 6]).collect();
         let mut out = Vec::new();
-        encode_block_v2(&tags, Some(StaticTable::Tags), &mut out);
+        encode_block(&tags, Some(StaticTable::Tags), &mut out);
         for cut in 0..out.len() {
-            let mut pos = 0;
-            let _ = decode_block_v2(&out[..cut], &mut pos);
+            let _ = decode_block(&out[..cut], &mut 0, usize::MAX);
         }
         for i in 0..out.len().min(16) {
             let mut flipped = out.clone();
             flipped[i] ^= 0xFF;
-            let mut pos = 0;
-            let _ = decode_block_v2(&flipped, &mut pos);
+            let _ = decode_block(&flipped, &mut 0, usize::MAX);
         }
         // Unknown static table id.
         let mut bogus = Vec::new();
         crate::varint::write_u64(4, &mut bogus);
         bogus.extend_from_slice(&[MODE_STATIC, 99, 1, 0xAA]);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&bogus, &mut pos), None);
+        assert_eq!(decode_block(&bogus, &mut 0, usize::MAX), None);
         // Adversarial huge count with no payload.
         let mut huge = Vec::new();
         crate::varint::write_u64(u64::MAX, &mut huge);
         huge.push(MODE_CONST);
         huge.push(1);
-        let mut pos = 0;
-        assert_eq!(decode_block_v2(&huge, &mut pos), None);
+        assert_eq!(decode_block(&huge, &mut 0, usize::MAX), None);
     }
 
     #[test]
@@ -1313,33 +1161,27 @@ mod tests {
     proptest! {
         #[test]
         fn round_trip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let block = legacy_block(&fitted(&data), &data);
-            prop_assert_eq!(decompress_block(&block).unwrap(), data);
+            let block = dynamic_block(&fitted(&data), &data);
+            prop_assert_eq!(decode(&block).unwrap(), data);
         }
 
         #[test]
         fn round_trip_skewed(data in proptest::collection::vec(
             prop_oneof![9 => Just(0u8), 2 => Just(3u8), 1 => any::<u8>()], 0..3000)) {
-            let block = legacy_block(&fitted(&data), &data);
-            prop_assert_eq!(decompress_block(&block).unwrap(), data);
+            let block = dynamic_block(&fitted(&data), &data);
+            prop_assert_eq!(decode(&block).unwrap(), data);
         }
 
         #[test]
         fn v2_round_trip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let mut out = Vec::new();
-            encode_block_v2(&data, None, &mut out);
-            let mut pos = 0;
-            prop_assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), data);
-            prop_assert_eq!(pos, out.len());
+            prop_assert_eq!(decode(&v2_block(&data)).unwrap(), data);
         }
 
         #[test]
         fn v2_round_trip_tagged(data in proptest::collection::vec(0u8..7, 0..3000)) {
             let mut out = Vec::new();
-            encode_block_v2(&data, Some(StaticTable::Tags), &mut out);
-            let mut pos = 0;
-            prop_assert_eq!(decode_block_v2(&out, &mut pos).unwrap(), data);
-            prop_assert_eq!(pos, out.len());
+            encode_block(&data, Some(StaticTable::Tags), &mut out);
+            prop_assert_eq!(decode(&out).unwrap(), data);
         }
     }
 }

@@ -11,10 +11,9 @@
 //! column buffers at append time (allocation-free on the steady state), so
 //! flushing a segment is a cheap seal — entropy-code the small byte columns
 //! against precomputed static tables, sign — rather than a batch re-encode.
-//! [`ColumnarEncoder`] is the crate's one record encoder. The two older
-//! layouts — the v1 batch codec and the streaming codec's v2 — are decoded
-//! but never written: every payload opens with format-version bytes and the
-//! verifier accepts all three (see [`columnar::FORMAT_V2_PREFIX`]).
+//! [`ColumnarEncoder`] is the crate's one record encoder, and its format,
+//! v3, is the one the verifier reads: a payload that does not open with
+//! [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is rejected.
 //!
 //! A **cloud verifier** replays the records symbolically against its own
 //! copy of the pipeline declaration to attest:
@@ -39,8 +38,8 @@ pub mod varint;
 pub mod verifier;
 
 pub use columnar::{
-    compress_records_streaming, decompress_records, ColumnarEncoder, FORMAT_V2_PREFIX,
-    FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
+    compress_records_streaming, decompress_records, ColumnarEncoder, FORMAT_PREFIX,
+    FORMAT_VERSION_STREAMING,
 };
 pub use log::{AuditLog, LogSegment};
 pub use record::{AuditRecord, DataRef, DepartureReason, PortList, UArrayRef, OP_CODE_CHECKPOINT};

@@ -29,9 +29,9 @@ pub const INLINE_PORTS: usize = 4;
 ///
 /// [`AuditRecord::Execution`] carries one of these for its inputs and one
 /// for its outputs. Up to [`INLINE_PORTS`] entries live inline in the record
-/// itself — the steady-state append path performs no heap allocation. Longer
-/// lists (possible only through hand-built records or decoded legacy
-/// payloads) spill to a `Vec` transparently.
+/// itself — the common append path performs no heap allocation. Longer
+/// lists (a `MergeK` or `Concat` over more than four inputs) spill to a
+/// `Vec` transparently.
 #[derive(Clone, Default)]
 pub struct PortList {
     inline: [UArrayRef; INLINE_PORTS],

@@ -7,7 +7,7 @@
 /// Append an unsigned varint to `out`. The one-byte case — the vast
 /// majority of delta-coded audit columns — is a single push on the hot
 /// path; longer encodings go through the word-at-a-time store of
-/// [`encode_u64`].
+/// `encode_u64`.
 #[inline]
 pub fn write_u64(value: u64, out: &mut Vec<u8>) {
     if value < 0x80 {

@@ -7,6 +7,10 @@
 //! wraps the system allocator; after a warm-up flush cycle has sized the
 //! encoder's buffers, a burst of appends — including the records' own
 //! construction — must allocate exactly nothing.
+//!
+//! On the cloud side, the same allocator bounds what decoding a forged
+//! payload may reserve: in proportion to the bytes it holds, not to the
+//! counts it claims.
 
 use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::SigningKey;
@@ -125,4 +129,29 @@ fn steady_state_large_segment_flush_allocates_nothing() {
     let seg = log.flush().expect("pending records flush");
     let decoded = sbt_attest::decompress_records(&seg.compressed).expect("segment decodes");
     assert_eq!(decoded.len(), seg.record_count);
+}
+
+/// 18 bytes announcing 2²⁴ records, all in a constant tags block: the
+/// decoder refuses the count before it reserves anything for it (a record
+/// costs at least one byte of the numeric stream), not after asking for
+/// the 16 MiB of tags and 2 GiB of records the count claims.
+#[test]
+fn a_forged_record_count_is_refused_before_any_reservation() {
+    use sbt_attest::varint::write_u64;
+    let n = 1u64 << 24;
+    let mut payload = sbt_attest::FORMAT_PREFIX.to_vec();
+    payload.push(sbt_attest::FORMAT_VERSION_STREAMING);
+    write_u64(n, &mut payload);
+    // The tags block: n symbols, constant mode (1), all tag 3.
+    write_u64(n, &mut payload);
+    payload.extend_from_slice(&[1, 3]);
+    // Empty ops, counts and reasons blocks, no ops-hi pairs, no numbers.
+    payload.extend_from_slice(&[0; 5]);
+    assert_eq!(payload.len(), 18);
+
+    let before = counting_alloc::counts();
+    let decoded = sbt_attest::decompress_records(&payload);
+    let spent = counting_alloc::counts().since(before);
+    assert!(decoded.is_err(), "a forged count decoded: {decoded:?}");
+    assert!(spent.bytes < 64 * 1024, "decoding 18 bytes asked for {} bytes", spent.bytes);
 }

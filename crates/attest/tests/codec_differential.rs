@@ -1,20 +1,18 @@
-//! Tests across the columnar codec generations.
+//! Tests of the columnar codec across segments and trails.
 //!
-//! Only format v3 is written. Formats v1 and v2 are decoded forever: a
-//! payload each older encoder produced is kept as a fixture and must keep
-//! decoding to the records it was made from, and the trail verifier accepts
-//! trails that interleave segments from every format (the format-version
-//! bytes in each payload select the decoder).
+//! Only format v3 exists: a captured seal pins its bytes, every truncation
+//! and bit flip of a seal fails closed, and trails of sealed segments
+//! verify across rekeys.
 
 mod common;
 
-use common::{exec, parallel, record_from_spec, v1_checkpoint_free_records, v1_fixtures};
+use common::{all_kinds_records, exec, parallel, record_from_spec, winsum_window_records};
 use proptest::prelude::*;
 use sbt_attest::{
     compress_records_streaming, decompress_records, verify_tenant_trail, AuditLog, AuditRecord,
-    DataRef, DepartureReason, LogSegment, UArrayRef, FORMAT_VERSION_STREAMING, FORMAT_VERSION_V2,
+    DataRef, DepartureReason, LogSegment, UArrayRef,
 };
-use sbt_crypto::{SigningKey, TenantKeychain};
+use sbt_crypto::{SigningKey, TenantKeychain, VerifierKeySet};
 use sbt_types::{PrimitiveKind, TenantId};
 
 proptest! {
@@ -44,27 +42,28 @@ proptest! {
     }
 }
 
-/// A format-v2 payload, sealed by the v2 streaming encoder from
-/// [`v2_fixture_records`].
-const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_segment.bin");
+/// The seal of [`all_kinds_records`], captured from the encoder.
+const V3_SEGMENT: &[u8] = include_bytes!("fixtures/v3_segment.bin");
 
+/// Today's encoder reproduces the captured seal byte for byte, and the seal
+/// decodes to its records: the wire format has not moved.
 #[test]
-fn v1_payloads_still_decode_to_their_records() {
-    for (payload, records) in v1_fixtures() {
-        assert_eq!(decompress_records(payload).expect("v1 decodes"), records);
-    }
+fn the_v3_segment_fixture_is_reproduced_byte_for_byte() {
+    assert_eq!(compress_records_streaming(&all_kinds_records()), V3_SEGMENT);
+    assert_eq!(decompress_records(V3_SEGMENT).expect("v3 decodes"), all_kinds_records());
 }
 
-/// Every truncation and every single-bit flip of a v1 or v2 payload
-/// decodes to an error or to some records — never a panic.
+/// Every truncation of a seal is an error, and every single-bit flip
+/// decodes to an error or to some records — never a panic. Flipped back,
+/// the payload decodes to its records again.
 #[test]
-fn legacy_payloads_fail_closed_under_every_truncation_and_bit_flip() {
-    let v2 = (V2_FIXTURE, v2_fixture_records());
-    for (payload, records) in v1_fixtures().into_iter().chain([v2]) {
+fn v3_payloads_fail_closed_under_every_truncation_and_bit_flip() {
+    for records in [all_kinds_records(), escaped_counts_records(), winsum_window_records()] {
+        let payload = compress_records_streaming(&records);
         for cut in 0..payload.len() {
-            let _ = decompress_records(&payload[..cut]);
+            assert!(decompress_records(&payload[..cut]).is_err(), "cut at {cut}");
         }
-        let mut flipped = payload.to_vec();
+        let mut flipped = payload.clone();
         for bit in 0..payload.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = decompress_records(&flipped);
@@ -74,22 +73,12 @@ fn legacy_payloads_fail_closed_under_every_truncation_and_bit_flip() {
     }
 }
 
-/// The v1 records re-sealed by today's encoder are v3, and no larger.
-#[test]
-fn v3_reseal_of_v1_payloads_is_no_larger() {
-    for (payload, records) in v1_fixtures() {
-        let v3 = compress_records_streaming(&records);
-        assert_eq!(v3[2], FORMAT_VERSION_STREAMING);
-        assert_eq!(decompress_records(&v3).unwrap(), records);
-        assert!(v3.len() <= payload.len(), "v3 {} B vs v1 {} B", v3.len(), payload.len());
-    }
-}
-
-/// The records [`V2_FIXTURE`] was sealed from: one four-partition TopK
-/// window as the v2-era engine attested it (every Sort carrying all four
-/// sibling hints, every Merge a consumed-after placeholder), a 9-input
-/// Concat whose counts spill to the escape, and the lifecycle records.
-fn v2_fixture_records() -> Vec<AuditRecord> {
+/// One four-partition TopK window whose Sorts each carry all four sibling
+/// hints (a shape whose counts spill to the escape) and whose Merges each
+/// carry a consumed-after hint, a 9-input Concat (another escape) with
+/// hints at the edges of both kinds, then a rekey, a checkpoint and a
+/// departure.
+fn escaped_counts_records() -> Vec<AuditRecord> {
     let mut records = Vec::new();
     for i in 0..4u32 {
         records.push(AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(2 * i)) });
@@ -129,21 +118,8 @@ fn v2_fixture_records() -> Vec<AuditRecord> {
     records
 }
 
-#[test]
-fn a_v2_payload_still_decodes_to_its_records() {
-    assert_eq!(V2_FIXTURE[2], FORMAT_VERSION_V2);
-    assert_eq!(decompress_records(V2_FIXTURE).expect("v2 decodes"), v2_fixture_records());
-    // The same records re-sealed today are v3, and smaller: each of the
-    // fixture's parallel hints costs ten bytes in v2 and two in v3.
-    let v3 = compress_records_streaming(&v2_fixture_records());
-    assert_eq!(v3[2], FORMAT_VERSION_STREAMING);
-    assert_eq!(decompress_records(&v3).unwrap(), v2_fixture_records());
-    assert!(v3.len() < V2_FIXTURE.len(), "v3 {} B vs v2 {} B", v3.len(), V2_FIXTURE.len());
-}
-
 /// Lists past what a count byte holds: a 300-input `Concat` (a window of
-/// more than 255 batches) and a 256-hint record come back whole from v3.
-/// The older formats clamped both to 255.
+/// more than 255 batches) and a 256-hint record come back whole.
 #[test]
 fn long_port_and_hint_lists_round_trip_in_v3() {
     let records = vec![
@@ -168,63 +144,74 @@ fn long_port_and_hint_lists_round_trip_in_v3() {
     assert_eq!(decoded, records);
 }
 
-/// A trail interleaving every format's segments — the upgrade scenario
-/// where an edge device flushes v1 segments, then v2 after a code update,
-/// then v3 after another — verifies end to end, honoring each payload's
-/// format-version bytes.
+/// A trail of sealed segments verifies end to end across a rekey: the
+/// segments after the all-kinds one (whose records include the rekey) are
+/// signed under the next epoch's key.
 #[test]
-fn mixed_format_trail_verifies() {
+fn a_multi_segment_trail_verifies_across_a_rekey() {
     let tenant = TenantId(7);
-    let key = SigningKey::new(b"mixed-format-trail");
+    let keys =
+        [SigningKey::new(b"multi-segment-trail-0"), SigningKey::new(b"multi-segment-trail-1")];
     let record = |i: u32| AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(i)) };
+    let batch =
+        |seq: u32| -> Vec<AuditRecord> { (0..5).map(|i| record(100 + seq * 5 + i)).collect() };
+    let trail = [
+        all_kinds_records(),
+        batch(1),
+        escaped_counts_records(),
+        batch(3),
+        winsum_window_records(),
+    ];
 
     let mut segments = Vec::new();
     let mut all_records = Vec::new();
-    let [(v1, v1_records), (v1_legacy, v1_legacy_records)] = v1_fixtures();
-    let v3_batch =
-        |seq: u32| -> Vec<AuditRecord> { (0..5).map(|i| record(100 + seq * 5 + i)).collect() };
-    let trail = [
-        (v1.to_vec(), v1_records),
-        (compress_records_streaming(&v3_batch(1)), v3_batch(1)),
-        (V2_FIXTURE.to_vec(), v2_fixture_records()),
-        (compress_records_streaming(&v3_batch(3)), v3_batch(3)),
-        (v1_legacy.to_vec(), v1_legacy_records),
-    ];
-    for (seq, (compressed, batch)) in trail.into_iter().enumerate() {
-        let raw = AuditRecord::raw_size(&batch);
-        let seq = seq as u64;
-        segments.push(LogSegment::new_signed(tenant, 0, seq, compressed, raw, batch.len(), &key));
-        all_records.extend(batch);
+    for (seq, records) in trail.into_iter().enumerate() {
+        let epoch = (seq > 0) as u32;
+        let raw = AuditRecord::raw_size(&records);
+        let payload = compress_records_streaming(&records);
+        segments.push(LogSegment::new_signed(
+            tenant,
+            epoch,
+            seq as u64,
+            payload,
+            raw,
+            records.len(),
+            &keys[epoch as usize],
+        ));
+        all_records.extend(records);
     }
 
-    let keychain = TenantKeychain::single(tenant.0, key.clone());
-    let verified = verify_tenant_trail(&segments, tenant, &keychain).expect("mixed trail verifies");
+    let keychain = TenantKeychain::from_epochs(
+        tenant.0,
+        (0..2).map(|e| VerifierKeySet::signing_only(e, keys[e as usize].clone())).collect(),
+    );
+    let verified = verify_tenant_trail(&segments, tenant, &keychain).expect("trail verifies");
     assert_eq!(verified, all_records);
 
-    // Tampering with any format's payload still breaks the signature.
-    for idx in [0usize, 1, 2] {
+    // Tampering with any segment's payload breaks its signature.
+    for idx in 0..segments.len() {
         let mut tampered = segments.clone();
         tampered[idx].compressed[3] ^= 0x40;
         assert!(verify_tenant_trail(&tampered, tenant, &keychain).is_err());
     }
 }
 
-/// An `AuditLog` (always streaming) interoperates with hand-built legacy
-/// segments in one trail, across a rekey boundary.
+/// An `AuditLog`'s segments extend a trail that opens with a segment sealed
+/// elsewhere, across a rekey boundary.
 #[test]
-fn audit_log_segments_extend_a_legacy_trail() {
+fn audit_log_segments_extend_a_sealed_trail() {
     let tenant = TenantId(3);
     let key0 = SigningKey::new(b"epoch-0");
     let key1 = SigningKey::new(b"epoch-1");
     let record = |i: u32| AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(i)) };
 
-    // Segment 0: legacy payload under epoch 0.
-    let old_batch = v1_checkpoint_free_records();
+    // Segment 0: sealed on its own under epoch 0.
+    let old_batch = winsum_window_records();
     let seg0 = LogSegment::new_signed(
         tenant,
         0,
         0,
-        common::V1_CHECKPOINT_FREE.to_vec(),
+        compress_records_streaming(&old_batch),
         AuditRecord::raw_size(&old_batch),
         old_batch.len(),
         &key0,
@@ -232,11 +219,11 @@ fn audit_log_segments_extend_a_legacy_trail() {
 
     // Segments 1..: produced by a live AuditLog that rekeys to epoch 1.
     let mut log = AuditLog::for_tenant(key0.clone(), 100, tenant);
-    // Seed the log's sequence counter past the legacy segment.
+    // Seed the log's sequence counter past the first segment.
     log.append(record(4));
     let seg_probe = log.flush().unwrap();
     assert_eq!(seg_probe.seq, 0);
-    // Renumber: the legacy trail owns seq 0, so rebuild the probe as seq 1.
+    // Renumber: the first segment owns seq 0, so rebuild the probe as seq 1.
     let seg1 = LogSegment::new_signed(
         tenant,
         0,
@@ -261,10 +248,7 @@ fn audit_log_segments_extend_a_legacy_trail() {
 
     let keychain = TenantKeychain::from_epochs(
         tenant.0,
-        vec![
-            sbt_crypto::VerifierKeySet::signing_only(0, key0),
-            sbt_crypto::VerifierKeySet::signing_only(1, key1),
-        ],
+        vec![VerifierKeySet::signing_only(0, key0), VerifierKeySet::signing_only(1, key1)],
     );
     let verified =
         verify_tenant_trail(&[seg0, seg1, seg2], tenant, &keychain).expect("trail verifies");

@@ -50,15 +50,6 @@ pub fn record_from_spec(kind: u8, ts: u32, id: u32, win: u16) -> AuditRecord {
     }
 }
 
-/// A format-v1 payload, compressed by the v1 batch encoder from
-/// [`v1_fixture_records`]: every record kind.
-pub const V1_FIXTURE: &[u8] = include_bytes!("../fixtures/v1_segment.bin");
-
-/// A checkpoint-free format-v1 payload, compressed by the v1 batch encoder
-/// from [`v1_checkpoint_free_records`]: the legacy layout, which ends at
-/// the departure-reasons column.
-pub const V1_CHECKPOINT_FREE: &[u8] = include_bytes!("../fixtures/v1_checkpoint_free.bin");
-
 /// A 64-bit consumed-in-parallel hint record value.
 pub fn parallel(k: u64, index: u64) -> u64 {
     (1 << 63) | (k << 32) | index
@@ -81,11 +72,12 @@ pub fn exec(
     }
 }
 
-/// The records [`V1_FIXTURE`] was compressed from: a two-partition TopK
-/// window with hinted sorts, a 6-input `Concat` whose port list spills to
-/// the heap (with a consumed-after, a parallel and an all-ones hint), and
-/// a checkpoint sealed, a rekey, the checkpoint resumed and an eviction.
-pub fn v1_fixture_records() -> Vec<AuditRecord> {
+/// Every record kind: a two-partition TopK window with hinted sorts, a
+/// 6-input `Concat` whose port list spills to the heap (with a
+/// consumed-after, a parallel and an all-ones hint), and a checkpoint
+/// sealed, a rekey, the checkpoint resumed and an eviction. A trail may
+/// carry these only once: the checkpoint's sequence number is 0.
+pub fn all_kinds_records() -> Vec<AuditRecord> {
     let mut records = Vec::new();
     for i in 0..2u32 {
         records.push(AuditRecord::Ingress { ts_ms: i, data: DataRef::UArray(UArrayRef(2 * i)) });
@@ -118,9 +110,9 @@ pub fn v1_fixture_records() -> Vec<AuditRecord> {
     records
 }
 
-/// The records [`V1_CHECKPOINT_FREE`] was compressed from: one WinSum
-/// window of three batches.
-pub fn v1_checkpoint_free_records() -> Vec<AuditRecord> {
+/// One WinSum window of three batches, with no checkpoint: a trail may
+/// carry it any number of times.
+pub fn winsum_window_records() -> Vec<AuditRecord> {
     let mut records = Vec::new();
     for i in 0..3u32 {
         records.push(AuditRecord::Ingress {
@@ -139,9 +131,4 @@ pub fn v1_checkpoint_free_records() -> Vec<AuditRecord> {
     records.push(exec(106, PrimitiveKind::Sum, &[26], &[27], vec![]));
     records.push(AuditRecord::Egress { ts_ms: 106, data: UArrayRef(27) });
     records
-}
-
-/// Both v1 fixtures with the records they decode to.
-pub fn v1_fixtures() -> [(&'static [u8], Vec<AuditRecord>); 2] {
-    [(V1_FIXTURE, v1_fixture_records()), (V1_CHECKPOINT_FREE, v1_checkpoint_free_records())]
 }

@@ -4,13 +4,12 @@
 //! The parallel verifier fans the per-segment heavy work (HMAC check,
 //! decompression) over a [`LanePool`] and keeps the stitching pass
 //! sequential. For any trail — arbitrary record mixes, any worker count,
-//! segments in either wire format, and every tamper class the serial
-//! verifier detects — both verifiers must return the same records or reject
-//! with the same [`TrailError`].
+//! and every tamper class the serial verifier detects — both verifiers must
+//! return the same records or reject with the same [`TrailError`].
 
 mod common;
 
-use common::{record_from_spec, v1_fixtures};
+use common::{all_kinds_records, record_from_spec, winsum_window_records};
 use proptest::prelude::*;
 use sbt_attest::{
     compress_records_streaming, verify_tenant_trail, verify_tenant_trail_parallel,
@@ -52,12 +51,12 @@ fn chain_through(tenant: TenantId, through: u32) -> TenantKeychain {
     )
 }
 
-/// Build a trail of `records` split into `split`-record v3 segments, each
-/// behind a captured v1 segment (the mixed-format upgrade scenario): the
-/// all-kinds fixture first, since its checkpoint may appear only once in a
-/// trail, the checkpoint-free one after that. Every segment is signed under
-/// a non-decreasing epoch (bumping every `rekey_every` segments). Returns
-/// the segments, the last epoch and the records the whole trail carries.
+/// Build a trail of `records` split into `split`-record segments, each
+/// behind a segment of fixed records: the all-kinds records first, since
+/// their checkpoint may appear only once in a trail, a WinSum window after
+/// that. Every segment is signed under a non-decreasing epoch (bumping
+/// every `rekey_every` segments). Returns the segments, the last epoch and
+/// the records the whole trail carries.
 fn build_trail(
     records: &[AuditRecord],
     tenant: TenantId,
@@ -66,9 +65,8 @@ fn build_trail(
 ) -> (Vec<LogSegment>, u32, Vec<AuditRecord>) {
     let mut payloads = Vec::new();
     for (i, chunk) in records.chunks(split.max(1)).enumerate() {
-        let [full, checkpoint_free] = v1_fixtures();
-        let (v1, v1_records) = if i == 0 { full } else { checkpoint_free };
-        payloads.push((v1.to_vec(), v1_records));
+        let fixed = if i == 0 { all_kinds_records() } else { winsum_window_records() };
+        payloads.push((compress_records_streaming(&fixed), fixed));
         payloads.push((compress_records_streaming(chunk), chunk.to_vec()));
     }
     let (mut segments, mut carried, mut epoch) = (Vec::new(), Vec::new(), 0u32);
@@ -113,8 +111,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential property over *clean and broken* trails: an
-    /// arbitrary record mix is segmented (v3, behind captured v1 segments, periodic
-    /// rekeys), then optionally mutated into one of the tamper classes the
+    /// arbitrary record mix is segmented (behind fixed-record segments,
+    /// periodic rekeys), then optionally mutated into one of the tamper classes the
     /// serial verifier detects. Whatever the serial verifier says — accept
     /// with these records, or reject with this error — the parallel
     /// verifier must say verbatim, at every pool width.

@@ -6,7 +6,7 @@
 //! better. This module provides an in-repo stand-in from the same algorithm
 //! family as DEFLATE: greedy LZ77 matching over a 32 KiB window with a
 //! hash-chain matcher, followed by an entropy pass over the token stream —
-//! the audit codec's own v2 entropy blocks, each token column fitted a
+//! the audit codec's own entropy blocks, each token column fitted a
 //! Huffman code of its own. It is not wire-compatible with gzip; only the
 //! achieved ratio matters for the comparison.
 
@@ -96,7 +96,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     for col in [&cols.flags, &cols.literals, &cols.offsets, &cols.lengths] {
-        huffman::encode_block_v2(col, None, &mut out);
+        huffman::encode_block(col, None, &mut out);
     }
     out
 }
@@ -108,7 +108,8 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut pos = 8;
     let mut columns = Vec::new();
     for _ in 0..4 {
-        columns.push(huffman::decode_block_v2(data, &mut pos)?);
+        // No column holds more symbols than the input has bytes.
+        columns.push(huffman::decode_block(data, &mut pos, original_len)?);
     }
     let (flags, literals, offsets, lengths) = (&columns[0], &columns[1], &columns[2], &columns[3]);
 

@@ -28,7 +28,7 @@
 //! for a chunk some running lane holds — so the seal finishes under any
 //! task order, including all tasks one after another on one thread (the
 //! first does everything, the rest find nothing left to claim). Lanes may
-//! run at most [`SEAL_WINDOW`] chunks ahead of the MAC, which bounds the
+//! run at most `SEAL_WINDOW` chunks ahead of the MAC, which bounds the
 //! staging memory.
 //!
 //! Stages wait by polling ([`sbt_types::poll_wait`]), not by blocking: a
@@ -369,7 +369,7 @@ impl Sealer {
 
     /// Encrypt and sign one result inside the TEE. `pool` lends the encrypt
     /// lanes their threads; `None`, or a result under
-    /// [`MIN_FANOUT_CHUNKS`] chunks, seals on the caller alone. The sealed
+    /// `MIN_FANOUT_CHUNKS` chunks, seals on the caller alone. The sealed
     /// bytes do not depend on the pool.
     pub fn seal_egress(
         &self,

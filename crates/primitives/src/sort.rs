@@ -23,7 +23,7 @@
 //! output sink. This keeps the hot loop operating on flat machine words —
 //! the essence of the paper's "array-based algorithms to suit TEE" decision.
 //! The packed words and the scatter buffer are per-thread scratch (see
-//! [`crate::scratch`]), so a sort allocates nothing of its own.
+//! the crate's `scratch` module), so a sort allocates nothing of its own.
 
 use crate::scratch::{with_scratch, Scratch};
 use sbt_types::{infallible, Event, RecordSink};
