@@ -23,10 +23,11 @@
 //! [`ColumnarEncoder`], the one encoder, streams: fields go straight into
 //! per-column delta/varint accumulators at *append* time, so sealing a
 //! segment only entropy-codes the small byte columns and copies the
-//! already-encoded numeric stream. Byte columns use the mode-tagged entropy
-//! blocks of [`crate::huffman`], whose static tables let tiny segments skip
-//! tree construction entirely. Execution counts that do not fit the packed
-//! count byte escape to three varints, so lists of any length round-trip.
+//! already-encoded numeric stream. The seal hands each byte column, with its
+//! static table and its code cache, to [`huffman::encode_block_cached`],
+//! the one planner, which costs the column once. Execution counts that do
+//! not fit the packed count byte escape to three varints, so lists of any
+//! length round-trip.
 
 use crate::huffman;
 use crate::record::{
@@ -150,89 +151,6 @@ pub struct ColumnarEncoder {
     /// near-optimality check) instead of re-running tree construction per
     /// column per seal. Survives [`reset`](Self::reset) by design.
     code_caches: [huffman::CodeCache; 4],
-    /// Incremental static-table bit costs, one per byte column: each append
-    /// adds the appended symbol's static code length, so the seal knows the
-    /// exact MODE_STATIC cost without the planner's frequency pass. A
-    /// `*_sbad` flag goes sticky (until reset) when a symbol without a
-    /// static code was appended; tags cannot go bad — every record tag has
-    /// a static code by construction.
-    tags_sbits: u64,
-    ops_sbits: u64,
-    ops_sbad: bool,
-    counts_sbits: u64,
-    counts_sbad: bool,
-    reasons_sbits: u64,
-    reasons_sbad: bool,
-    /// Flat per-symbol static code lengths for the incremental cost
-    /// tracking above, copied out of the shared lazy tables once per
-    /// encoder: the per-record append indexes a plain array instead of
-    /// dereferencing a `LazyLock` table per symbol column.
-    slen: StaticLens,
-}
-
-/// Per-symbol static-table code lengths (0 = symbol not covered) for the
-/// symbol columns whose static cost [`ColumnarEncoder::append`] tracks
-/// incrementally; tags use the [`TAG_SLEN`] constant instead.
-struct StaticLens {
-    ops: [u8; 256],
-    counts: [u8; 256],
-    reasons: [u8; 256],
-}
-
-impl Default for StaticLens {
-    fn default() -> Self {
-        let fill = |id: huffman::StaticTable| {
-            let mut lens = [0u8; 256];
-            for (symbol, len) in lens.iter_mut().enumerate() {
-                *len = huffman::static_code_len(id, symbol as u8);
-            }
-            lens
-        };
-        StaticLens {
-            ops: fill(huffman::StaticTable::Ops),
-            counts: fill(huffman::StaticTable::Counts),
-            reasons: fill(huffman::StaticTable::Reasons),
-        }
-    }
-}
-
-/// Static-table code lengths of the record-kind tags (mirrors the Tags
-/// table in [`huffman::static_table`]; asserted equal in tests), letting
-/// `append` track the tags column's static cost with one constant add.
-const TAG_SLEN: [u64; 9] = [2, 4, 3, 2, 2, 6, 6, 6, 6];
-
-/// Seal one byte column, preferring the plans the append path has already
-/// costed: a vectorizable constant scan, then the incremental static-table
-/// cost (the same "static fits well" rule as the small-column fast path —
-/// at most 2.5 bits/symbol and smaller than raw), and only falling back to
-/// the full planner (frequency pass + cached dynamic fit) when neither
-/// cheap plan applies. Every mode is a valid entropy block; decoders are
-/// oblivious to which plan ran.
-fn seal_column(
-    data: &[u8],
-    id: huffman::StaticTable,
-    static_bits: u64,
-    static_bad: bool,
-    cache: &mut huffman::CodeCache,
-    out: &mut Vec<u8>,
-) {
-    if !data.is_empty() && data.len() <= huffman::CONST_MAX {
-        let first = data[0];
-        if data.iter().all(|&b| b == first) {
-            huffman::encode_block_const(data.len(), first, out);
-            return;
-        }
-    }
-    if !data.is_empty() && !static_bad {
-        let raw_cost = 1 + data.len();
-        let sbytes = static_bits.div_ceil(8) as usize;
-        let scost = 3 + huffman::varint_len(sbytes as u64) + sbytes;
-        if static_bits * 2 <= data.len() as u64 * 5 && scost < raw_cost {
-            huffman::encode_block_static(data, id, static_bits, out);
-            return;
-        }
-    }
-    huffman::encode_block_cached(data, Some(id), cache, out);
 }
 
 impl ColumnarEncoder {
@@ -285,37 +203,8 @@ impl ColumnarEncoder {
     /// little-endian word written with one 8-byte extend. Larger values
     /// fall back to per-value varint writes; both paths produce identical
     /// bytes, so the decoder is oblivious to which one ran.
-    ///
-    /// `N` is const so the packing fully unrolls: every fixed-layout record
-    /// kind compiles to a handful of straight-line OR/shift ops plus one
-    /// store, with no loop back-edge to predict.
     #[inline]
-    fn write_varint_group<const N: usize>(nums: &mut Vec<u8>, vals: [u64; N]) {
-        const { assert!(N <= 8) }
-        let mut word = 0u64;
-        let mut any = 0u64;
-        let mut i = 0;
-        while i < N {
-            any |= vals[i];
-            word |= (vals[i] & 0x7F) << (8 * i);
-            i += 1;
-        }
-        if any < 0x80 {
-            let start = nums.len();
-            nums.extend_from_slice(&word.to_le_bytes());
-            nums.truncate(start + N);
-        } else {
-            for &v in &vals {
-                varint::write_u64(v, nums);
-            }
-        }
-    }
-
-    /// Runtime-length variant of [`write_varint_group`](Self::write_varint_group)
-    /// for the rare execution shapes whose field count is not a compile-time
-    /// constant.
-    #[inline]
-    fn write_varint_group_slice(nums: &mut Vec<u8>, vals: &[u64]) {
+    fn write_varint_group(nums: &mut Vec<u8>, vals: &[u64]) {
         debug_assert!(vals.len() <= 8);
         let mut word = 0u64;
         let mut any = 0u64;
@@ -340,57 +229,44 @@ impl ColumnarEncoder {
     #[inline]
     pub fn append(&mut self, r: &AuditRecord) {
         self.n += 1;
+        self.raw_bytes += r.row_len() as u64;
         let nums = &mut self.nums;
         let ctx = &mut self.ctx;
         match r {
             AuditRecord::Ingress { ts_ms, data } => {
-                self.raw_bytes += 11;
                 let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
                 match data {
                     DataRef::UArray(id) => {
                         self.tags.push(TAG_INGRESS_DATA);
-                        self.tags_sbits += TAG_SLEN[TAG_INGRESS_DATA as usize];
                         let did = Self::delta(&mut ctx.id, id.0 as u64);
-                        Self::write_varint_group(nums, [dts, did]);
+                        Self::write_varint_group(nums, &[dts, did]);
                     }
                     DataRef::Watermark(wm) => {
                         self.tags.push(TAG_INGRESS_WM);
-                        self.tags_sbits += TAG_SLEN[TAG_INGRESS_WM as usize];
                         let dwm = Self::delta(&mut ctx.wm, *wm as u64);
-                        Self::write_varint_group(nums, [dts, dwm]);
+                        Self::write_varint_group(nums, &[dts, dwm]);
                     }
                 }
             }
             AuditRecord::Egress { ts_ms, data } => {
-                self.raw_bytes += 11;
                 self.tags.push(TAG_EGRESS);
-                self.tags_sbits += TAG_SLEN[TAG_EGRESS as usize];
                 let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
                 let did = Self::delta(&mut ctx.id, data.0 as u64);
-                Self::write_varint_group(nums, [dts, did]);
+                Self::write_varint_group(nums, &[dts, did]);
             }
             AuditRecord::Windowing { ts_ms, input, win_no, output } => {
-                self.raw_bytes += 16;
                 self.tags.push(TAG_WINDOWING);
-                self.tags_sbits += TAG_SLEN[TAG_WINDOWING as usize];
                 let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
                 let din = Self::delta(&mut ctx.id, input.0 as u64);
                 let dout = Self::delta(&mut ctx.id, output.0 as u64);
                 let dwin = Self::delta(&mut ctx.win, *win_no as u64);
-                Self::write_varint_group(nums, [dts, din, dout, dwin]);
+                Self::write_varint_group(nums, &[dts, din, dout, dwin]);
             }
             AuditRecord::Execution { ts_ms, op, inputs, outputs, hints } => {
-                self.raw_bytes +=
-                    (12 + 4 * (inputs.len() + outputs.len()) + 8 * hints.len()) as u64;
                 self.tags.push(TAG_EXECUTION);
-                self.tags_sbits += TAG_SLEN[TAG_EXECUTION as usize];
                 let code = op.code();
                 let lo = (code & 0xFF) as u8;
                 self.ops.push(lo);
-                match self.slen.ops[lo as usize] {
-                    0 => self.ops_sbad = true,
-                    l => self.ops_sbits += l as u64,
-                }
                 if code >= 0x100 {
                     // Sparse high byte (never hit by real primitives).
                     varint::write_u64(self.exec_idx - self.last_hi_exec_idx, &mut self.ops_hi);
@@ -400,17 +276,8 @@ impl ColumnarEncoder {
                 }
                 self.exec_idx += 1;
                 match pack_counts(inputs.len(), outputs.len(), hints.len()) {
-                    Some(packed) => {
-                        self.counts.push(packed);
-                        match self.slen.counts[packed as usize] {
-                            0 => self.counts_sbad = true,
-                            l => self.counts_sbits += l as u64,
-                        }
-                    }
+                    Some(packed) => self.counts.push(packed),
                     None => {
-                        // The spilled count varints are arbitrary bytes the
-                        // static table cannot promise to cover.
-                        self.counts_sbad = true;
                         self.counts.push(COUNTS_ESCAPE);
                         for count in [inputs.len(), outputs.len(), hints.len()] {
                             varint::write_u64(count as u64, &mut self.counts);
@@ -419,25 +286,11 @@ impl ColumnarEncoder {
                 }
                 let hint_words_total: usize = hints.iter().map(|&h| hint_words(h).1).sum();
                 let words = 1 + inputs.len() + outputs.len() + hint_words_total;
-                if let ([i0], [o0], []) = (&inputs[..], &outputs[..], &hints[..]) {
-                    // 1-in/1-out, no hints: the overwhelmingly dominant
-                    // execution shape — straight-line, loop-free.
-                    let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
-                    let din = Self::delta(&mut ctx.id, i0.0 as u64);
-                    let dout = Self::delta(&mut ctx.id, o0.0 as u64);
-                    Self::write_varint_group(nums, [dts, din, dout]);
-                } else if let ([i0, i1], [o0], []) = (&inputs[..], &outputs[..], &hints[..]) {
-                    // 2-in/1-out, no hints: every merge step.
-                    let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
-                    let di0 = Self::delta(&mut ctx.id, i0.0 as u64);
-                    let di1 = Self::delta(&mut ctx.id, i1.0 as u64);
-                    let dout = Self::delta(&mut ctx.id, o0.0 as u64);
-                    Self::write_varint_group(nums, [dts, di0, di1, dout]);
-                } else if words <= 8 {
-                    // Other shapes that still fit one group — among them
-                    // every per-partition invocation with its one parallel
-                    // hint: gather the words, then one store carries the
-                    // whole record.
+                if words <= 8 {
+                    // Every common shape fits one group — among them every
+                    // per-partition invocation with its one parallel hint:
+                    // gather the words, then one store carries the whole
+                    // record.
                     let mut vals = [0u64; 8];
                     vals[0] = Self::delta(&mut ctx.ts, *ts_ms as u64);
                     let mut k = 1;
@@ -454,7 +307,7 @@ impl ColumnarEncoder {
                         vals[k..k + n].copy_from_slice(&w[..n]);
                         k += n;
                     }
-                    Self::write_varint_group_slice(nums, &vals[..k]);
+                    Self::write_varint_group(nums, &vals[..k]);
                 } else {
                     varint::write_u64(Self::delta(&mut ctx.ts, *ts_ms as u64), nums);
                     for i in inputs.iter() {
@@ -472,36 +325,24 @@ impl ColumnarEncoder {
                 }
             }
             AuditRecord::Rekey { ts_ms, epoch } => {
-                self.raw_bytes += 10;
                 self.tags.push(TAG_REKEY);
-                self.tags_sbits += TAG_SLEN[TAG_REKEY as usize];
                 let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
                 let dep = Self::delta(&mut ctx.epoch, *epoch as u64);
-                Self::write_varint_group(nums, [dts, dep]);
+                Self::write_varint_group(nums, &[dts, dep]);
             }
             AuditRecord::Departure { ts_ms, reason } => {
-                self.raw_bytes += 7;
                 self.tags.push(TAG_DEPARTURE);
-                self.tags_sbits += TAG_SLEN[TAG_DEPARTURE as usize];
-                let rc = reason.code();
-                self.reasons.push(rc);
-                match self.slen.reasons[rc as usize] {
-                    0 => self.reasons_sbad = true,
-                    l => self.reasons_sbits += l as u64,
-                }
+                self.reasons.push(reason.code());
                 varint::write_u64(Self::delta(&mut ctx.ts, *ts_ms as u64), nums);
             }
             AuditRecord::Checkpoint { ts_ms, seq, resumed, hash } => {
-                self.raw_bytes += 47;
-                let tag = if *resumed { TAG_CKPT_RESUMED } else { TAG_CKPT_SEALED };
-                self.tags.push(tag);
-                self.tags_sbits += TAG_SLEN[tag as usize];
+                self.tags.push(if *resumed { TAG_CKPT_RESUMED } else { TAG_CKPT_SEALED });
                 // Timestamp and checkpoint-seq deltas, then the snapshot
                 // hash as four verbatim little-endian words (uniformly
                 // random bytes — no transform helps them).
                 let dts = Self::delta(&mut ctx.ts, *ts_ms as u64);
                 let dseq = Self::delta(&mut ctx.ckpt, *seq);
-                Self::write_varint_group(nums, [dts, dseq]);
+                Self::write_varint_group(nums, &[dts, dseq]);
                 for word in hash.chunks_exact(8) {
                     varint::write_u64(
                         u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
@@ -520,32 +361,15 @@ impl ColumnarEncoder {
         varint::write_u64(self.n, out);
         // Layout: tags / ops-lo / packed counts / reasons entropy blocks,
         // the sparse ops-hi pairs, then the interleaved numeric stream.
-        let [c_tags, c_ops, c_counts, c_reasons] = &mut self.code_caches;
-        seal_column(&self.tags, huffman::StaticTable::Tags, self.tags_sbits, false, c_tags, out);
-        seal_column(
-            &self.ops,
-            huffman::StaticTable::Ops,
-            self.ops_sbits,
-            self.ops_sbad,
-            c_ops,
-            out,
-        );
-        seal_column(
-            &self.counts,
-            huffman::StaticTable::Counts,
-            self.counts_sbits,
-            self.counts_sbad,
-            c_counts,
-            out,
-        );
-        seal_column(
-            &self.reasons,
-            huffman::StaticTable::Reasons,
-            self.reasons_sbits,
-            self.reasons_sbad,
-            c_reasons,
-            out,
-        );
+        let columns = [
+            (&self.tags, huffman::StaticTable::Tags),
+            (&self.ops, huffman::StaticTable::Ops),
+            (&self.counts, huffman::StaticTable::Counts),
+            (&self.reasons, huffman::StaticTable::Reasons),
+        ];
+        for ((column, table), cache) in columns.into_iter().zip(&mut self.code_caches) {
+            huffman::encode_block_cached(column, Some(table), cache, out);
+        }
         varint::write_u64(self.ops_hi_count, out);
         out.extend_from_slice(&self.ops_hi);
         varint::write_u64(self.nums.len() as u64, out);
@@ -568,13 +392,6 @@ impl ColumnarEncoder {
         self.ctx = DeltaCtx::default();
         self.n = 0;
         self.raw_bytes = 0;
-        self.tags_sbits = 0;
-        self.ops_sbits = 0;
-        self.ops_sbad = false;
-        self.counts_sbits = 0;
-        self.counts_sbad = false;
-        self.reasons_sbits = 0;
-        self.reasons_sbad = false;
     }
 
     /// Seal into a fresh buffer.
@@ -809,20 +626,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// `TAG_SLEN` is a copy of the static Tags table's code lengths so
-    /// `append` can cost the tags column with one array index; the two must
-    /// never drift apart.
-    #[test]
-    fn tag_slen_mirrors_static_tags_table() {
-        for (tag, &len) in TAG_SLEN.iter().enumerate() {
-            assert_eq!(
-                huffman::static_code_len(huffman::StaticTable::Tags, tag as u8) as u64,
-                len,
-                "TAG_SLEN[{tag}] disagrees with the static Tags table"
-            );
-        }
-    }
-
     #[test]
     fn adversarial_huffman_length_is_an_error_not_a_panic() {
         // Record count, then a tags block claiming u64::MAX symbols: the
@@ -889,9 +692,7 @@ mod tests {
     #[test]
     fn streaming_encoder_is_reusable_across_seals() {
         let mut enc = ColumnarEncoder::new();
-        // Cover every record variant: `append` inlines each variant's
-        // row-format size (for speed), and this equality pins those
-        // literals to `AuditRecord::raw_size` / `row_len`.
+        // Cover every record variant, so every arm of `append` runs.
         let mut records = sample_records(40);
         records.push(AuditRecord::Rekey { ts_ms: 900, epoch: 1 });
         records.push(AuditRecord::Checkpoint {

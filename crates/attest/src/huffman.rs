@@ -3,11 +3,11 @@
 //!
 //! The columnar codec entropy-codes the columns with skewed value
 //! distributions (record tags, primitive op codes, field counts, §7) as
-//! mode-tagged **entropy blocks** ([`encode_block`]/[`decode_block`]): tiny
-//! columns are stored raw or as a single repeated byte, skewed columns use
-//! either a **precomputed static table** (no header, no tree construction —
-//! the decoder ships the same table) or a dynamic length-limited code when
-//! that measures smaller.
+//! mode-tagged **entropy blocks** ([`encode_block`]/[`decode_block`]): a
+//! column is stored raw, as a single repeated byte, under a **precomputed
+//! static table** (no header, no tree construction — the decoder ships the
+//! same table) or under a dynamic length-limited code. One planner,
+//! [`encode_block_cached`], chooses among them from one frequency pass.
 //!
 //! Every code, fitted or static, is at most [`ENC_MAX_CODE_LEN`] bits long
 //! (fitted codes are length-limited by a Kraft-sum fixup). The encoder
@@ -253,17 +253,6 @@ impl HuffmanCode {
         &self.lengths
     }
 
-    /// Total encoded size of `data` in bits under this code. Symbols without
-    /// a code count as zero (callers check coverage separately).
-    pub fn cost_bits(&self, data: &[u8]) -> u64 {
-        data.iter().map(|&b| self.lengths[b as usize] as u64).sum()
-    }
-
-    /// Whether every byte of `data` has a code.
-    pub fn covers(&self, data: &[u8]) -> bool {
-        data.iter().all(|&b| self.lengths[b as usize] > 0)
-    }
-
     /// Encode `data` through `writer`, four symbols per `put` when their
     /// concatenated codes fit one put — for the short (1–3-bit) codes of
     /// the skewed audit columns this quarters the flush checks on the
@@ -498,16 +487,9 @@ const MODE_DYNAMIC: u8 = 3;
 
 /// Largest count a constant block may carry. The decoder enforces it (a
 /// constant block's payload cannot bound `count` against adversarial
-/// headers) and the encoder respects it symmetrically, falling back to the
-/// planner for absurdly long constant columns.
-pub(crate) const CONST_MAX: usize = 1 << 24;
-
-/// Columns shorter than this never bother fitting a dynamic code: the
-/// (symbol, length) header plus the tree construction would eat the savings
-/// that the header-free static tables already deliver — this is what lets
-/// small segments (the data plane flushes every 256 records and at every
-/// egress) skip tree construction entirely.
-const DYNAMIC_MIN_LEN: usize = 2048;
+/// headers) and the encoder respects it symmetrically, planning absurdly
+/// long constant columns like any other.
+const CONST_MAX: usize = 1 << 24;
 
 /// A recycled dynamic entropy code, reused across seals by
 /// [`encode_block_cached`].
@@ -532,8 +514,8 @@ pub struct CodeCache {
 
 /// Encode a byte column as a self-delimiting entropy block.
 ///
-/// `static_id` names the [`StaticTable`] to try; the encoder picks the
-/// smallest of raw / constant / static / dynamic representations.
+/// `static_id` names the [`StaticTable`] to try; [`encode_block_cached`]
+/// documents how the mode is chosen.
 ///
 /// Layout: `varint count`, then (for non-empty blocks) a mode byte:
 /// * `0` raw — `count` verbatim bytes;
@@ -545,58 +527,20 @@ pub fn encode_block(data: &[u8], static_id: Option<StaticTable>, out: &mut Vec<u
     encode_block_cached(data, static_id, &mut CodeCache::default(), out)
 }
 
-/// The static-table code length of `symbol` (0 = no code), for callers
-/// that track a column's static cost incrementally at append time.
-#[inline]
-pub(crate) fn static_code_len(id: StaticTable, symbol: u8) -> u8 {
-    static_table(id as u8).expect("static table ids are exhaustive").code.lengths[symbol as usize]
-}
-
-/// Emit an entropy block in a caller-chosen mode, for callers that
-/// already know the plan — the streaming encoder tracks each column's
-/// static-table bit cost and constness *incrementally at append time*, so
-/// its seal can skip the per-column frequency pass the full planner needs.
+/// [`encode_block`] with a [`CodeCache`] — the one entropy planner.
 ///
-/// `precosted_bits` must equal the static table's `cost_bits` over `data`
-/// (debug-asserted); the produced bytes are identical to what the planner
-/// writes when it picks the same mode.
-pub(crate) fn encode_block_static(
-    data: &[u8],
-    id: StaticTable,
-    precosted_bits: u64,
-    out: &mut Vec<u8>,
-) {
-    let entry = static_table(id as u8).expect("static table ids are exhaustive");
-    debug_assert_eq!(precosted_bits, entry.code.cost_bits(data), "precosted bits drifted");
-    debug_assert!(entry.code.covers(data), "static emit of uncovered column");
-    crate::varint::write_u64(data.len() as u64, out);
-    if data.is_empty() {
-        return;
-    }
-    out.push(MODE_STATIC);
-    out.push(id as u8);
-    let bytes = precosted_bits.div_ceil(8);
-    crate::varint::write_u64(bytes, out);
-    let mut writer = BitWriter::new(out);
-    entry.code.encode_into(data, &mut writer);
-    writer.finish();
-}
-
-/// Emit a constant-column entropy block (`value` repeated `count`
-/// times): the two-byte plan the streaming seal uses when its vectorized
-/// constant scan hits, bypassing the planner entirely.
-pub(crate) fn encode_block_const(count: usize, value: u8, out: &mut Vec<u8>) {
-    debug_assert!(count > 0 && count <= CONST_MAX);
-    crate::varint::write_u64(count as u64, out);
-    out.push(MODE_CONST);
-    out.push(value);
-}
-
-/// [`encode_block`] with a [`CodeCache`]: recycles the last fitted
-/// dynamic code across calls when it is still near-optimal for the column,
-/// skipping tree construction (and all planner allocation) in the steady
-/// state. Byte-compatible with the uncached path — the chosen code's
-/// lengths travel in the block header either way.
+/// One frequency pass over the column yields every plan's cost, and the
+/// first rule that applies picks the block:
+/// 1. **constant** — one repeated symbol, at most `CONST_MAX` (2²⁴) of them;
+/// 2. **static fits well** — the static table covers the column at ≤ 2.5
+///    bits/symbol and costs less than raw: no tree construction;
+/// 3. **dynamic** — the cached code (when it still covers the column and
+///    its distribution has not drifted) or a freshly fitted one, if it
+///    costs less than raw and no more than static;
+/// 4. otherwise **static** if it costs less than raw, else **raw**.
+///
+/// Reuse changes only which lengths a dynamic header carries; decoders are
+/// oblivious to which rule ran.
 pub fn encode_block_cached(
     data: &[u8],
     static_id: Option<StaticTable>,
@@ -607,86 +551,15 @@ pub fn encode_block_cached(
     if data.is_empty() {
         return;
     }
-    if data.len() < DYNAMIC_MIN_LEN {
-        // Small-column fast path: one fused pass computes constness and the
-        // static-table cost — no frequency table, no tree construction. If
-        // the static table fits *well* (≤ 2.5 bits/symbol on average) it
-        // wins outright; a poor or missing fit falls through to the full
-        // planner below so an ill-matched table can never cost ratio.
-        let static_lengths =
-            static_id.and_then(|id| static_table(id as u8)).map(|e| (e, e.code.lengths()));
-        let mut all_same = true;
-        let mut static_bits: Option<u64> = static_lengths.as_ref().map(|_| 0);
-        for &b in data {
-            all_same &= b == data[0];
-            if let (Some(bits), Some((_, lengths))) = (&mut static_bits, &static_lengths) {
-                if lengths[b as usize] == 0 {
-                    static_bits = None;
-                } else {
-                    *bits += lengths[b as usize] as u64;
-                }
-            }
-        }
-        if all_same {
-            out.push(MODE_CONST);
-            out.push(data[0]);
-            return;
-        }
-        let raw_cost = 1 + data.len();
-        if let (Some(bits), Some((entry, _))) = (static_bits, static_lengths) {
-            let bytes = bits.div_ceil(8) as usize;
-            if bits * 2 <= data.len() as u64 * 5 && 3 + varint_len(bytes as u64) + bytes < raw_cost
-            {
-                out.push(MODE_STATIC);
-                out.push(static_id.expect("static cost implies an id") as u8);
-                crate::varint::write_u64(bytes as u64, out);
-                let mut writer = BitWriter::new(out);
-                entry.code.encode_into(data, &mut writer);
-                writer.finish();
-                return;
-            }
-        }
-        // Fall through to the full planner (freq pass + fitted code).
-    }
-    // Full planner (large columns, plus small ones the static tables serve
-    // poorly): one pass yields the frequency table; every plan's cost —
-    // coverage, bit counts, constness — derives from it in O(256).
-    //
-    // The count is striped over four sub-tables so consecutive bytes of a
-    // skewed column (which mostly repeat a handful of symbols) do not
-    // serialize on store-to-load forwarding of a single counter.
     let mut freqs = [0u64; 256];
-    if data.len() >= u32::MAX as usize {
-        // Columns this large cannot stripe into u32 counters; the plain
-        // loop is memory-bound at that size anyway.
-        for &b in data {
-            freqs[b as usize] += 1;
-        }
-    } else {
-        let mut stripes = [[0u32; 256]; 4];
-        let mut chunks = data.chunks_exact(4);
-        for c in &mut chunks {
-            stripes[0][c[0] as usize] += 1;
-            stripes[1][c[1] as usize] += 1;
-            stripes[2][c[2] as usize] += 1;
-            stripes[3][c[3] as usize] += 1;
-        }
-        for &b in chunks.remainder() {
-            stripes[0][b as usize] += 1;
-        }
-        for s in 0..256 {
-            freqs[s] = stripes[0][s] as u64
-                + stripes[1][s] as u64
-                + stripes[2][s] as u64
-                + stripes[3][s] as u64;
-        }
+    for &b in data {
+        freqs[b as usize] += 1;
     }
     if freqs[data[0] as usize] == data.len() as u64 && data.len() <= CONST_MAX {
         out.push(MODE_CONST);
         out.push(data[0]);
         return;
     }
-    let raw_cost = 1 + data.len();
     let freq_cost = |lengths: &[u8; 256]| -> Option<u64> {
         let mut bits = 0u64;
         for (s, &f) in freqs.iter().enumerate() {
@@ -699,14 +572,31 @@ pub fn encode_block_cached(
         }
         Some(bits)
     };
-
-    let static_entry = static_id.and_then(|id| static_table(id as u8));
-    let static_plan = static_entry.and_then(|e| {
-        freq_cost(e.code.lengths()).map(|bits| {
-            let bytes = bits.div_ceil(8) as usize;
-            (e, bytes, 3 + varint_len(bytes as u64) + bytes)
-        })
+    // Block size: mode byte, `header` bytes, the bitstream's varint length
+    // and the bitstream.
+    let coded_cost = |header: usize, bits: u64| {
+        let bytes = bits.div_ceil(8);
+        1 + header + varint_len(bytes) + bytes as usize
+    };
+    let raw_cost = 1 + data.len();
+    let static_plan = static_id.and_then(|id| {
+        let entry = static_table(id as u8).expect("static table ids are exhaustive");
+        freq_cost(entry.code.lengths()).map(|bits| (id, entry, bits))
     });
+    // A static block's header is its table-id byte. The cost counts one
+    // byte more than that; the captured seals pin the choices it makes.
+    let static_cost = static_plan.map_or(usize::MAX, |(_, _, bits)| coded_cost(2, bits));
+    let write_static = |out: &mut Vec<u8>| {
+        let (id, entry, bits) = static_plan.expect("static plan chosen");
+        out.extend_from_slice(&[MODE_STATIC, id as u8]);
+        write_bitstream(&entry.code, bits, data, out);
+    };
+    if static_plan.is_some_and(|(_, _, bits)| bits * 2 <= data.len() as u64 * 5)
+        && static_cost < raw_cost
+    {
+        write_static(out);
+        return;
+    }
 
     // The dynamic code: reuse the cached fit when it still covers the
     // column and the distribution has not drifted — the test is O(256)
@@ -737,9 +627,7 @@ pub fn encode_block_cached(
     let dyn_code: &HuffmanCode = cache.code.as_ref().expect("fitted above");
     let present = dyn_code.lengths.iter().filter(|&&l| l > 0).count();
     let dyn_bits = freq_cost(&dyn_code.lengths).expect("dynamic code covers the column");
-    let dyn_bytes = dyn_bits.div_ceil(8) as usize;
-    let dynamic_cost = 2 + 2 * present + varint_len(dyn_bytes as u64) + dyn_bytes;
-    let static_cost = static_plan.as_ref().map(|p| p.2).unwrap_or(usize::MAX);
+    let dynamic_cost = coded_cost(1 + 2 * present, dyn_bits);
 
     if dynamic_cost < raw_cost && dynamic_cost <= static_cost {
         out.push(MODE_DYNAMIC);
@@ -750,25 +638,25 @@ pub fn encode_block_cached(
                 out.push(l);
             }
         }
-        crate::varint::write_u64(dyn_bytes as u64, out);
-        let mut writer = BitWriter::new(out);
-        dyn_code.encode_into(data, &mut writer);
-        writer.finish();
+        write_bitstream(dyn_code, dyn_bits, data, out);
     } else if static_cost < raw_cost {
-        let (entry, bytes, _) = static_plan.expect("static plan chosen");
-        out.push(MODE_STATIC);
-        out.push(static_id.expect("static plan implies an id") as u8);
-        crate::varint::write_u64(bytes as u64, out);
-        let mut writer = BitWriter::new(out);
-        entry.code.encode_into(data, &mut writer);
-        writer.finish();
+        write_static(out);
     } else {
         out.push(MODE_RAW);
         out.extend_from_slice(data);
     }
 }
 
-pub(crate) fn varint_len(v: u64) -> usize {
+/// A coded block's tail: the bitstream's varint byte length (`bits` is
+/// `code`'s cost over `data`), then the bitstream.
+fn write_bitstream(code: &HuffmanCode, bits: u64, data: &[u8], out: &mut Vec<u8>) {
+    crate::varint::write_u64(bits.div_ceil(8), out);
+    let mut writer = BitWriter::new(out);
+    code.encode_into(data, &mut writer);
+    writer.finish();
+}
+
+fn varint_len(v: u64) -> usize {
     ((64 - v.max(1).leading_zeros()) as usize).div_ceil(7)
 }
 
@@ -1079,6 +967,22 @@ mod tests {
         let mut out = Vec::new();
         encode_block(&[], Some(StaticTable::Counts), &mut out);
         assert_eq!(decode(&out).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn a_column_the_static_table_fits_well_is_static_at_any_length() {
+        // Three 2-bit tags in equal shares: a fitted code would spend 1.67
+        // bits/symbol, but the static table's 2 fit well, so the planner
+        // stops there and builds no tree, however long the column.
+        for len in [300, 3000] {
+            let tags: Vec<u8> = (0..len).map(|i| [0u8, 3, 4][i % 3]).collect();
+            let mut out = Vec::new();
+            encode_block(&tags, Some(StaticTable::Tags), &mut out);
+            let mut pos = 0;
+            crate::varint::read_u64(&out, &mut pos);
+            assert_eq!(out[pos..pos + 2], [MODE_STATIC, StaticTable::Tags as u8], "{len} symbols");
+            assert_eq!(decode(&out).unwrap(), tags);
+        }
     }
 
     #[test]

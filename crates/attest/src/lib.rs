@@ -9,8 +9,9 @@
 //! ones), signed, and uploaded to the cloud. Encoding is *streaming*: the
 //! in-TEE [`AuditLog`] delta/varint-codes every field into pre-laid-out
 //! column buffers at append time (allocation-free on the steady state), so
-//! flushing a segment is a cheap seal — entropy-code the small byte columns
-//! against precomputed static tables, sign — rather than a batch re-encode.
+//! flushing a segment is a cheap seal — entropy-code each small byte column
+//! once, with the mode [`huffman::encode_block_cached`] plans from one
+//! frequency pass, and sign — rather than a batch re-encode.
 //! [`ColumnarEncoder`] is the crate's one record encoder, and its format,
 //! v3, is the one the verifier reads: a payload that does not open with
 //! [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is rejected.

@@ -333,8 +333,9 @@ impl AuditRecord {
     }
 
     /// Size of the record's uncompressed row format (Figure 6) in bytes,
-    /// without serializing. The streaming encoder uses this to account raw
-    /// bandwidth incrementally at append time.
+    /// without serializing: the one statement of the row layout's size.
+    /// The streaming encoder accounts raw bandwidth with it at append time.
+    #[inline]
     pub fn row_len(&self) -> usize {
         // op(2) + ts(4) + variant payload.
         6 + match self {
@@ -404,11 +405,7 @@ impl AuditRecord {
 
     /// Total row-format size of a batch of records, in bytes.
     pub fn raw_size(records: &[AuditRecord]) -> usize {
-        let mut buf = Vec::new();
-        for r in records {
-            r.to_row_bytes(&mut buf);
-        }
-        buf.len()
+        records.iter().map(AuditRecord::row_len).sum()
     }
 }
 
@@ -444,31 +441,40 @@ mod tests {
         assert_eq!(r.op_code(), PrimitiveKind::Egress.code());
     }
 
+    /// The row bytes of `r`, whose length [`AuditRecord::row_len`] states.
+    fn row(r: &AuditRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        r.to_row_bytes(&mut buf);
+        assert_eq!(buf.len(), r.row_len(), "{r:?}");
+        buf
+    }
+
     #[test]
     fn row_bytes_have_expected_sizes() {
-        let mut buf = Vec::new();
-        AuditRecord::Ingress { ts_ms: 1, data: DataRef::UArray(UArrayRef(2)) }
-            .to_row_bytes(&mut buf);
         // op(2) + ts(4) + tag(1) + id(4)
-        assert_eq!(buf.len(), 11);
+        let ingress = AuditRecord::Ingress { ts_ms: 1, data: DataRef::UArray(UArrayRef(2)) };
+        assert_eq!(row(&ingress).len(), 11);
+        assert_eq!(row(&AuditRecord::Ingress { ts_ms: 1, data: DataRef::Watermark(9) }).len(), 11);
+        assert_eq!(row(&AuditRecord::Egress { ts_ms: 1, data: UArrayRef(2) }).len(), 11);
 
-        let mut buf = Vec::new();
-        AuditRecord::Windowing { ts_ms: 1, input: UArrayRef(1), win_no: 0, output: UArrayRef(2) }
-            .to_row_bytes(&mut buf);
         // op(2) + ts(4) + in(4) + win(2) + out(4)
-        assert_eq!(buf.len(), 16);
+        let windowing = AuditRecord::Windowing {
+            ts_ms: 1,
+            input: UArrayRef(1),
+            win_no: 0,
+            output: UArrayRef(2),
+        };
+        assert_eq!(row(&windowing).len(), 16);
 
-        let mut buf = Vec::new();
-        AuditRecord::Execution {
+        // op(2) + ts(4) + cnt(2) + 2*4 + cnt(2) + 4 + cnt(2) + 8
+        let execution = AuditRecord::Execution {
             ts_ms: 1,
             op: PrimitiveKind::Sum,
             inputs: [UArrayRef(1), UArrayRef(2)].into(),
             outputs: [UArrayRef(3)].into(),
             hints: vec![42],
-        }
-        .to_row_bytes(&mut buf);
-        // op(2) + ts(4) + cnt(2) + 2*4 + cnt(2) + 4 + cnt(2) + 8
-        assert_eq!(buf.len(), 32);
+        };
+        assert_eq!(row(&execution).len(), 32);
     }
 
     #[test]
@@ -476,26 +482,19 @@ mod tests {
         let rekey = AuditRecord::Rekey { ts_ms: 4, epoch: 2 };
         assert_eq!(rekey.ts_ms(), 4);
         assert_eq!(rekey.op_code(), OP_CODE_REKEY);
-        let mut buf = Vec::new();
-        rekey.to_row_bytes(&mut buf);
         // op(2) + ts(4) + epoch(4)
-        assert_eq!(buf.len(), 10);
+        assert_eq!(row(&rekey).len(), 10);
 
         let dep = AuditRecord::Departure { ts_ms: 9, reason: DepartureReason::Evicted };
         assert_eq!(dep.op_code(), OP_CODE_DEPARTURE);
-        let mut buf = Vec::new();
-        dep.to_row_bytes(&mut buf);
         // op(2) + ts(4) + reason(1)
-        assert_eq!(buf.len(), 7);
+        assert_eq!(row(&dep).len(), 7);
 
         let ckpt = AuditRecord::Checkpoint { ts_ms: 12, seq: 3, resumed: false, hash: [0xAB; 32] };
         assert_eq!(ckpt.op_code(), OP_CODE_CHECKPOINT);
         assert_eq!(ckpt.ts_ms(), 12);
-        let mut buf = Vec::new();
-        ckpt.to_row_bytes(&mut buf);
         // op(2) + ts(4) + resumed(1) + seq(8) + hash(32)
-        assert_eq!(buf.len(), 47);
-        assert_eq!(buf.len(), ckpt.row_len());
+        assert_eq!(row(&ckpt).len(), 47);
 
         // The lifecycle codes stay clear of every primitive's code.
         assert!(PrimitiveKind::from_code(OP_CODE_REKEY).is_none());

@@ -1,13 +1,14 @@
 //! Tests of the columnar codec across segments and trails.
 //!
-//! Only format v3 exists: a captured seal pins its bytes, every truncation
-//! and bit flip of a seal fails closed, and trails of sealed segments
-//! verify across rekeys.
+//! Only format v3 exists: captured seals pin its bytes and the entropy
+//! planner's choices, every truncation and bit flip of a seal fails closed,
+//! and trails of sealed segments verify across rekeys.
 
 mod common;
 
 use common::{all_kinds_records, exec, parallel, record_from_spec, winsum_window_records};
 use proptest::prelude::*;
+use sbt_attest::huffman;
 use sbt_attest::{
     compress_records_streaming, decompress_records, verify_tenant_trail, AuditLog, AuditRecord,
     DataRef, DepartureReason, LogSegment, UArrayRef,
@@ -255,4 +256,235 @@ fn audit_log_segments_extend_a_sealed_trail() {
     let mut expected = old_batch;
     expected.extend([record(4), record(5)]);
     assert_eq!(verified, expected);
+}
+
+/// An entropy block's mode, as [`column_plans`] reads it off a seal.
+#[derive(Debug, PartialEq)]
+enum Plan {
+    Empty,
+    Raw,
+    Const,
+    Static,
+    /// A dynamic block: its header's code lengths and the decoded column.
+    Dynamic {
+        lengths: Box<[u8; 256]>,
+        column: Vec<u8>,
+    },
+}
+
+/// The plans of a seal's four byte columns (tags, ops, counts, reasons).
+fn column_plans(seal: &[u8]) -> [Plan; 4] {
+    let mut pos = 3;
+    let n = sbt_attest::varint::read_u64(seal, &mut pos).expect("record count") as usize;
+    std::array::from_fn(|_| {
+        let start = pos;
+        let column = huffman::decode_block(seal, &mut pos, 31 * n).expect("block decodes");
+        let mut header = start;
+        let count = sbt_attest::varint::read_u64(seal, &mut header).expect("block count");
+        if count == 0 {
+            return Plan::Empty;
+        }
+        match seal[header] {
+            0 => Plan::Raw,
+            1 => Plan::Const,
+            2 => Plan::Static,
+            3 => {
+                let present = seal[header + 1] as usize + 1;
+                let mut lengths = Box::new([0u8; 256]);
+                for pair in seal[header + 2..header + 2 + 2 * present].chunks_exact(2) {
+                    lengths[pair[0] as usize] = pair[1];
+                }
+                Plan::Dynamic { lengths, column }
+            }
+            mode => panic!("unknown block mode {mode}"),
+        }
+    })
+}
+
+/// An engine-shaped record stream: batches ingested and windowed, then a
+/// watermark fires the window through per-partition lists and one tail.
+#[derive(Default)]
+struct EngineShaped {
+    ts: u32,
+    id: u32,
+    win: u16,
+    records: Vec<AuditRecord>,
+}
+
+impl EngineShaped {
+    fn next_id(&mut self) -> u32 {
+        self.id += 1;
+        self.id
+    }
+
+    /// `n` batches ingested and windowed into the current window; the
+    /// windowed partitions' ids.
+    fn batches(&mut self, n: u32) -> Vec<u32> {
+        (0..n)
+            .map(|_| {
+                self.ts += 3;
+                let input = self.next_id();
+                let output = self.next_id();
+                self.records.push(AuditRecord::Ingress {
+                    ts_ms: self.ts,
+                    data: DataRef::UArray(UArrayRef(input)),
+                });
+                self.records.push(AuditRecord::Windowing {
+                    ts_ms: self.ts,
+                    input: UArrayRef(input),
+                    win_no: self.win,
+                    output: UArrayRef(output),
+                });
+                output
+            })
+            .collect()
+    }
+
+    fn watermark(&mut self) {
+        self.ts += 1;
+        self.win += 1;
+        self.records.push(AuditRecord::Ingress {
+            ts_ms: self.ts,
+            data: DataRef::Watermark(self.win as u32 * 1_000),
+        });
+    }
+
+    fn exec(&mut self, op: PrimitiveKind, inputs: &[u32], hints: Vec<u64>) -> u32 {
+        let output = self.next_id();
+        self.records.push(exec(self.ts, op, inputs, &[output], hints));
+        output
+    }
+
+    fn egress(&mut self, id: u32) {
+        self.records.push(AuditRecord::Egress { ts_ms: self.ts, data: UArrayRef(id) });
+    }
+
+    /// A WinSum-like window: `n` batches, one `Concat` tail reduced by `agg`.
+    fn concat_window(&mut self, n: u32, agg: PrimitiveKind) {
+        let parts = self.batches(n);
+        self.watermark();
+        let all = self.exec(PrimitiveKind::Concat, &parts, vec![]);
+        let reduced = self.exec(agg, &[all], vec![]);
+        self.egress(reduced);
+    }
+
+    /// A TopK-like window: `n` batches, each sorted under a parallel hint,
+    /// one `MergeK` over the sorted runs, then `TopKPerKey`.
+    fn sorted_window(&mut self, n: u32) {
+        let parts = self.batches(n);
+        self.watermark();
+        let runs: Vec<u32> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| self.exec(PrimitiveKind::Sort, &[p], vec![parallel(n as u64, i as u64)]))
+            .collect();
+        let merged = self.exec(PrimitiveKind::MergeK, &runs, vec![]);
+        let top = self.exec(PrimitiveKind::TopKPerKey, &[merged], vec![]);
+        self.egress(top);
+    }
+
+    /// The first 256 records of the stream, the data plane's segment size.
+    fn seal_of(mut self) -> Vec<AuditRecord> {
+        assert!(self.records.len() >= 256, "only {} records", self.records.len());
+        self.records.truncate(256);
+        self.records
+    }
+}
+
+/// Five 256-record seals, sealed in order through one encoder:
+/// WinSum-like windows whose tails reduce with `Sum` and, once, `Unique`
+/// (ops and counts go dynamic); the same without `Unique` (the cached code
+/// still covers, so it is reused); TopK-like windows; one long window fired
+/// by two executions (raw ops and counts); and small windows ending in a
+/// checkpoint and a departure (a constant reasons column).
+fn planner_segments() -> Vec<Vec<AuditRecord>> {
+    let mut seals = Vec::new();
+    let mut s = EngineShaped::default();
+    for w in 0..24 {
+        s.concat_window(4, if w == 5 { PrimitiveKind::Unique } else { PrimitiveKind::Sum });
+    }
+    seals.push(s.seal_of());
+    let mut s = EngineShaped::default();
+    for _ in 0..24 {
+        s.concat_window(4, PrimitiveKind::Sum);
+    }
+    seals.push(s.seal_of());
+    let mut s = EngineShaped::default();
+    for _ in 0..17 {
+        s.sorted_window(4);
+    }
+    seals.push(s.seal_of());
+    let mut s = EngineShaped::default();
+    s.concat_window(126, PrimitiveKind::Sum);
+    s.concat_window(2, PrimitiveKind::Sum);
+    seals.push(s.seal_of());
+    let mut s = EngineShaped::default();
+    for _ in 0..20 {
+        s.concat_window(5, PrimitiveKind::Sum);
+    }
+    s.records.truncate(254);
+    s.records.push(AuditRecord::Checkpoint {
+        ts_ms: s.ts,
+        seq: 0,
+        resumed: false,
+        hash: [0x5A; 32],
+    });
+    s.records.push(AuditRecord::Departure { ts_ms: s.ts + 1, reason: DepartureReason::Drained });
+    seals.push(s.seal_of());
+    seals
+}
+
+/// [`planner_segments`] sealed through one reused encoder, each seal
+/// framed by its varint length.
+const V3_PLANNER_SEGMENTS: &[u8] = include_bytes!("fixtures/v3_planner_segments.bin");
+
+fn sealed_planner_segments() -> Vec<u8> {
+    let mut enc = sbt_attest::ColumnarEncoder::with_capacity(256);
+    let mut out = Vec::new();
+    for records in planner_segments() {
+        for r in &records {
+            enc.append(r);
+        }
+        let seal = enc.seal();
+        sbt_attest::varint::write_u64(seal.len() as u64, &mut out);
+        out.extend_from_slice(&seal);
+    }
+    out
+}
+
+/// Today's encoder reproduces the captured planner seals byte for byte,
+/// each decodes to its records, and between them the seals exercise every
+/// block mode and one reuse of a cached dynamic code: a dynamic header that
+/// repeats the column's previous one where a fresh fit would differ.
+#[test]
+fn the_planner_segments_fixture_is_reproduced_byte_for_byte() {
+    assert_eq!(sealed_planner_segments(), V3_PLANNER_SEGMENTS);
+    let (mut pos, mut plans) = (0, Vec::new());
+    for records in planner_segments() {
+        let len = sbt_attest::varint::read_u64(V3_PLANNER_SEGMENTS, &mut pos).unwrap() as usize;
+        let seal = &V3_PLANNER_SEGMENTS[pos..pos + len];
+        assert_eq!(decompress_records(seal).expect("v3 decodes"), records);
+        plans.push(column_plans(seal));
+        pos += len;
+    }
+    assert_eq!(pos, V3_PLANNER_SEGMENTS.len());
+    let modes: Vec<&Plan> = plans.iter().flatten().collect();
+    assert!(modes.contains(&&Plan::Raw), "a raw block");
+    assert!(modes.contains(&&Plan::Const), "a constant block");
+    assert!(modes.contains(&&Plan::Static), "a static block");
+    let reused = (0..4).any(|column| {
+        let mut last: Option<&[u8; 256]> = None;
+        plans.iter().any(|seal| {
+            let Plan::Dynamic { lengths, column: data } = &seal[column] else { return false };
+            let mut freqs = [0u64; 256];
+            for &b in data {
+                freqs[b as usize] += 1;
+            }
+            let fresh = huffman::HuffmanCode::from_frequencies(&freqs);
+            let reuse = last == Some(&**lengths) && fresh.lengths() != &**lengths;
+            last = Some(&**lengths);
+            reuse
+        })
+    });
+    assert!(reused, "a cached dynamic code reused");
 }

@@ -2,7 +2,7 @@
 //! baseline (encode and decode) over realistic audit-record row bytes, with
 //! the domain-specific columnar codec (`ColumnarEncoder`, format v3)
 //! alongside. Columnar entries run at the data plane's production segment
-//! granularity (256-record flush threshold), which is the rate the ingest
+//! granularity (`AUDIT_SEGMENT_RECORDS`), which is the rate the ingest
 //! path actually experiences; a whole-stream entry is kept for the
 //! large-batch comparison.
 
@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sbt_attest::{decompress_records, ColumnarEncoder};
 use sbt_baselines::lz77;
 use sbt_bench::synthetic_audit_records;
-
-/// The data plane's default `audit_flush_threshold`.
-const SEGMENT_RECORDS: usize = 256;
+use sbt_dataplane::AUDIT_SEGMENT_RECORDS;
 
 fn bench_compression_throughput(c: &mut Criterion) {
     let records = synthetic_audit_records(50, 32);
@@ -35,11 +33,11 @@ fn bench_compression_throughput(c: &mut Criterion) {
 
     // The columnar encoder at production segment granularity, reused across
     // seals as the audit log uses it.
-    let mut encoder = ColumnarEncoder::with_capacity(SEGMENT_RECORDS);
+    let mut encoder = ColumnarEncoder::with_capacity(AUDIT_SEGMENT_RECORDS);
     let mut out = Vec::new();
     group.bench_function("columnar_encode", |b| {
         b.iter(|| {
-            for chunk in records.chunks(SEGMENT_RECORDS) {
+            for chunk in records.chunks(AUDIT_SEGMENT_RECORDS) {
                 for r in chunk {
                     encoder.append(r);
                 }
@@ -50,7 +48,7 @@ fn bench_compression_throughput(c: &mut Criterion) {
         })
     });
     let segments: Vec<Vec<u8>> = records
-        .chunks(SEGMENT_RECORDS)
+        .chunks(AUDIT_SEGMENT_RECORDS)
         .map(|chunk| {
             for r in chunk {
                 encoder.append(r);
@@ -88,7 +86,7 @@ fn bench_compression_throughput(c: &mut Criterion) {
         raw_bytes as f64 / lz.len().max(1) as f64,
         columnar,
         raw_bytes as f64 / columnar.max(1) as f64,
-        SEGMENT_RECORDS,
+        AUDIT_SEGMENT_RECORDS,
     );
 }
 

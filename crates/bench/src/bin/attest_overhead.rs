@@ -5,20 +5,18 @@
 //! replayed per verifier core).
 //!
 //! The compression share times what the data plane does: `ColumnarEncoder`
-//! appends every record and seals a segment every 256 records (its flush
-//! threshold).
+//! appends every record and seals a segment every `AUDIT_SEGMENT_RECORDS`
+//! (256) records.
 //!
 //! Run with `cargo run --release -p sbt_bench --bin attest_overhead`.
 
 use sbt_attest::record::AuditRecord;
 use sbt_attest::{decompress_records, ColumnarEncoder, Verifier};
 use sbt_bench::{best_secs, drive, print_table, BenchId, RunScale};
+use sbt_dataplane::AUDIT_SEGMENT_RECORDS;
 use sbt_engine::{Engine, EngineConfig, EngineVariant, StreamSide};
 use serde::Serialize;
 use std::time::Instant;
-
-/// The data plane's default `audit_flush_threshold`.
-const SEGMENT_RECORDS: usize = 256;
 
 #[derive(Serialize)]
 struct AttestRow {
@@ -47,10 +45,10 @@ fn run(bench: BenchId, scale: RunScale) -> AttestRow {
 
     // Compression CPU share: the encoder's appends and per-segment seals
     // over the run's records, relative to the whole edge run.
-    let mut encoder = ColumnarEncoder::with_capacity(SEGMENT_RECORDS);
+    let mut encoder = ColumnarEncoder::with_capacity(AUDIT_SEGMENT_RECORDS);
     let mut sealed = Vec::new();
     let compress_secs = best_secs(10, || {
-        for chunk in records.chunks(SEGMENT_RECORDS) {
+        for chunk in records.chunks(AUDIT_SEGMENT_RECORDS) {
             for r in chunk {
                 encoder.append(r);
             }

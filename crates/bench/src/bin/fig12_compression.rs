@@ -16,11 +16,9 @@ use sbt_attest::record::AuditRecord;
 use sbt_attest::{decompress_records, ColumnarEncoder};
 use sbt_baselines::lz77;
 use sbt_bench::{best_secs, drive, print_table, BenchId, RunScale};
+use sbt_dataplane::AUDIT_SEGMENT_RECORDS;
 use sbt_engine::{Engine, EngineConfig, EngineVariant, StreamSide};
 use serde::Serialize;
-
-/// The data plane's default `audit_flush_threshold`.
-const SEGMENT_RECORDS: usize = 256;
 
 #[derive(Serialize)]
 struct CompressionRow {
@@ -50,12 +48,12 @@ fn run(bench: BenchId, batch_events: usize, scale: RunScale) -> CompressionRow {
     let raw_bytes = AuditRecord::raw_size(&records);
 
     // The data plane's encoder at production segment granularity.
-    let mut encoder = ColumnarEncoder::with_capacity(SEGMENT_RECORDS);
+    let mut encoder = ColumnarEncoder::with_capacity(AUDIT_SEGMENT_RECORDS);
     let mut out = Vec::new();
     let mut columnar = 0usize;
     let encode_secs = best_secs(10, || {
         columnar = 0;
-        for chunk in records.chunks(SEGMENT_RECORDS) {
+        for chunk in records.chunks(AUDIT_SEGMENT_RECORDS) {
             for r in chunk {
                 encoder.append(r);
             }

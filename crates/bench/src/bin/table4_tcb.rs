@@ -2,7 +2,8 @@
 //! and untrusted (control-plane / library) code, demonstrating the lean TCB.
 //!
 //! The reproduction measures its own source tree: the crates that would run
-//! inside the TEE versus those that stay in the normal world. Run with
+//! inside the TEE versus those that stay in the normal world. Every crate
+//! under `crates/` belongs to exactly one row. Run with
 //! `cargo run -p sbt-bench --bin table4_tcb` from the repository root.
 
 use sbt_bench::print_table;
@@ -60,8 +61,12 @@ fn main() {
         ("Data plane: crypto", vec!["crypto"], true),
         ("Data plane: attestation (records + codec)", vec!["attest"], true),
         ("Data plane: dispatch/ingress/egress", vec!["dataplane"], true),
+        // The data plane links it and records spans and latencies from
+        // inside the TEE.
+        ("Data plane: telemetry (spans, latencies)", vec!["telemetry"], true),
         // The control plane and everything else (untrusted).
         ("Control plane: engine, operators, scheduler", vec!["engine"], false),
+        ("Control plane: multi-tenant server", vec!["server"], false),
         ("Shared types", vec!["types"], false),
         ("Platform simulation (OP-TEE/TrustZone stand-in)", vec!["tz"], false),
         ("Workloads & transport", vec!["workloads"], false),

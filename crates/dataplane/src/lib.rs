@@ -53,7 +53,7 @@ pub use egress::{EgressMessage, Sealer};
 pub use error::DataPlaneError;
 pub use opaque::OpaqueRef;
 pub use params::{InvokeOutput, PrimitiveParams};
-pub use plane::{DataPlane, DataPlaneConfig, TenantMemory, TenantTeardown};
+pub use plane::{DataPlane, DataPlaneConfig, TenantMemory, TenantTeardown, AUDIT_SEGMENT_RECORDS};
 pub use snapshot::{
     CheckpointManifest, RestoredTenant, RestoredWindow, SealedSnapshot, WindowManifest,
 };

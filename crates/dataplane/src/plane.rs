@@ -69,34 +69,41 @@ mod invoke;
 #[cfg(test)]
 mod tests;
 
+/// Records per audit segment: every tenant's audit log seals a segment
+/// every this many records (and at every egress). Figure binaries and
+/// benches that model the data plane's segments seal at the same size.
+pub const AUDIT_SEGMENT_RECORDS: usize = 256;
+
+/// Seed of the opaque-reference RNG; each tenant's stream is derived from
+/// it and the tenant id.
+const REF_SEED: u64 = 0x5b7_57a7e;
+
 /// Configuration of a data plane instance.
 ///
 /// No raw key material appears here: every tenant's source, cloud and
 /// signing keys are derived on demand from the platform's [`MasterSecret`]
 /// per `(tenant, epoch)`, so a leaked configuration exposes only what the
 /// master secret protects, and per-tenant keys never need to be plumbed.
+/// The audit segment size and the reference seed are constants
+/// ([`AUDIT_SEGMENT_RECORDS`]), not configuration.
 #[derive(Clone)]
 pub struct DataPlaneConfig {
     /// The platform master secret every per-tenant key set is derived from.
     pub master: MasterSecret,
     /// Allocator configuration (placement policy, reservation size).
     pub allocator: AllocatorConfig,
-    /// Flush the audit log every this many records (in addition to flushes
-    /// at egress).
-    pub audit_flush_threshold: usize,
-    /// Seed for the opaque-reference RNG (tests pass a fixed value).
-    pub ref_seed: u64,
 }
 
 impl Default for DataPlaneConfig {
     fn default() -> Self {
-        DataPlaneConfig {
-            master: MasterSecret::demo(),
-            allocator: AllocatorConfig::default(),
-            audit_flush_threshold: 256,
-            ref_seed: 0x5b7_57a7e,
-        }
+        DataPlaneConfig { master: MasterSecret::demo(), allocator: AllocatorConfig::default() }
     }
+}
+
+/// The opaque-reference RNG seed of `tenant`: distinct per-tenant streams
+/// for the reference namespaces.
+fn reference_seed(tenant: TenantId) -> u64 {
+    REF_SEED.wrapping_add((tenant.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Mutable bookkeeping guarded by one mutex (allocator + id minting +
@@ -252,19 +259,14 @@ impl DataPlane {
             if tenants.contains_key(&tenant) {
                 return Err(DataPlaneError::BadArguments("tenant already registered"));
             }
-            // Distinct per-tenant RNG streams for the reference namespaces.
-            let seed = self
-                .config
-                .ref_seed
-                .wrapping_add((tenant.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let keys = self.config.master.tenant_keys(tenant.0, 0);
             tenants.insert(
                 tenant,
                 Arc::new(Mutex::new(TenantState {
-                    refs: RefTable::new(seed),
+                    refs: RefTable::new(reference_seed(tenant)),
                     audit: AuditLog::for_tenant(
                         keys.signing.clone(),
-                        self.config.audit_flush_threshold,
+                        AUDIT_SEGMENT_RECORDS,
                         tenant,
                     ),
                     keys,

@@ -1,6 +1,6 @@
 //! Crash recovery: sealed checkpoints, restore and epoch retirement.
 
-use super::{DataPlane, TenantState};
+use super::{reference_seed, DataPlane, TenantState, AUDIT_SEGMENT_RECORDS};
 use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
 use crate::opaque::RefTable;
@@ -186,14 +186,10 @@ impl DataPlane {
             if tenants.contains_key(&tenant) {
                 return Err(DataPlaneError::BadArguments("tenant already registered"));
             }
-            let seed = self
-                .config
-                .ref_seed
-                .wrapping_add((tenant.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let keys = self.config.master.tenant_keys(tenant.0, plain.epoch);
             let audit = AuditLog::resume(
                 keys.signing.clone(),
-                self.config.audit_flush_threshold,
+                AUDIT_SEGMENT_RECORDS,
                 tenant,
                 plain.epoch,
                 plain.audit_cursor,
@@ -201,7 +197,7 @@ impl DataPlane {
             tenants.insert(
                 tenant,
                 Arc::new(Mutex::new(TenantState {
-                    refs: RefTable::new(seed),
+                    refs: RefTable::new(reference_seed(tenant)),
                     audit,
                     keys,
                     segments: Vec::new(),

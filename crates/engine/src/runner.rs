@@ -297,6 +297,8 @@ impl Engine {
     /// into the TEE per batch, as with [`ingest_on`], but the per-batch
     /// decryption and segmentation run in parallel — the control plane's
     /// task parallelism applies to ingestion just as it does to operators).
+    /// A rejected batch strands none of the others: every admitted batch
+    /// joins its windows, then the first rejection is returned.
     ///
     /// [`ingest_on`]: Engine::ingest_on
     pub fn ingest_many(
@@ -313,10 +315,21 @@ impl Engine {
                 move || Self::ingest_and_segment(&gw, spec, &delivery)
             })
             .collect();
+        // An admitted batch's windowed partitions are committed in the TEE:
+        // they must reach their windows to be fired and retired.
+        let mut first_err = None;
         for result in self.pool.run_all(tasks) {
-            self.stash_windowed(result?, side);
+            match result {
+                Ok(windowed) => self.stash_windowed(windowed, side),
+                Err(err) => {
+                    first_err.get_or_insert(err);
+                }
+            }
         }
-        self.finish_ingest()
+        match first_err {
+            Some(err) => Err(err),
+            None => self.finish_ingest(),
+        }
     }
 
     /// The per-batch ingest path, one crossing: deliver the bytes to the
@@ -1197,6 +1210,42 @@ mod tests {
         // dropped when windowing was rejected, so its events never reach
         // the tenant's ingest counters: nothing reached windowed state.
         assert_eq!(engine.metrics().events_ingested, 0);
+    }
+
+    #[test]
+    fn a_failed_batch_strands_none_of_the_batches_after_it() {
+        // `ingest_many` of a batch the quota rejects, then one it admits:
+        // the call reports the rejection, and the admitted batch's windowed
+        // partition is still fired and retired with its window.
+        let (engine, dp, mut generator) = quota_tripping_tenant();
+        let Some(Offer::Batch(rejected)) = generator.next_offer() else {
+            panic!("first offer is a batch")
+        };
+        let mut small = Generator::new(
+            GeneratorConfig { batch_events: 200 },
+            Channel::cleartext(),
+            synthetic_stream(1, 200, 16, 1),
+        );
+        let Some(Offer::Batch(admitted)) = small.next_offer() else {
+            panic!("first offer is a batch")
+        };
+        assert_eq!(
+            engine.ingest_many(vec![rejected, admitted], StreamSide::Left),
+            Err(DataPlaneError::QuotaExceeded)
+        );
+        while let Some(offer) = generator.next_offer() {
+            let Offer::Watermark(wm) = offer else { panic!("one batch per window") };
+            engine.advance_watermark(wm).unwrap();
+        }
+        assert_eq!(engine.results().len(), 1);
+        assert_eq!(dp.live_refs(TenantId(1)), 0);
+        assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
+        let keys = dp.verifier_keys(TenantId(1)).unwrap();
+        let records =
+            sbt_attest::verify_tenant_trail(&engine.drain_audit_segments(), TenantId(1), &keys)
+                .expect("the trail verifies");
+        let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+        assert!(replay.is_correct(), "violations: {:?}", replay.violations);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::recovery::CheckpointVault;
 use crate::tenant::{AdmissionError, LifecycleError, TenantConfig};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sbt_attest::{DepartureReason, LogSegment};
 use sbt_crypto::TenantKeychain;
 use sbt_dataplane::{DataPlane, DataPlaneConfig, DataPlaneError, RestoredTenant, SealedSnapshot};
@@ -223,27 +223,31 @@ impl StreamServer {
         CycleCost::window_bound(quota_bytes) / u64::from(target_delay_ms.max(1))
     }
 
-    /// Admit a tenant: check capacity, quota headroom and pool headroom
-    /// (the delay target must be meetable at current load), register the
-    /// tenant's namespace and quota inside the TEE, and build its
-    /// control-plane engine over the shared data plane and executor.
-    pub fn admit(
+    /// The admission gate [`admit`](Self::admit) and
+    /// [`restore_tenant_from_bytes`](Self::restore_tenant_from_bytes) share.
+    /// In order: an empty quota, an invalid checkpoint policy, a full server,
+    /// a taken name (or, on restore, a taken id), an unmeetable delay target
+    /// and a quota overcommit each refuse the tenant. A tenant that passes
+    /// has its quota reserved, and the caller gets the locked tenant list
+    /// to add it to.
+    fn admission_gate(
         &self,
-        tenant_config: TenantConfig,
-        pipeline: Pipeline,
-    ) -> Result<TenantId, AdmissionError> {
+        tenant_config: &TenantConfig,
+        pipeline: &Pipeline,
+        restoring: Option<TenantId>,
+    ) -> Result<MutexGuard<'_, Vec<TenantEntry>>, AdmissionError> {
         if tenant_config.quota_bytes == 0 {
             return Err(AdmissionError::EmptyQuota);
         }
         if let Some(reason) = tenant_config.checkpoint_policy_error() {
             return Err(AdmissionError::InvalidCheckpointPolicy { reason });
         }
-        let mut tenants = self.tenants.lock();
+        let tenants = self.tenants.lock();
         if tenants.len() >= self.config.max_tenants {
             return Err(AdmissionError::ServerFull { max_tenants: self.config.max_tenants });
         }
-        if tenants.iter().any(|t| t.config.name == tenant_config.name) {
-            return Err(AdmissionError::DuplicateName(tenant_config.name));
+        if tenants.iter().any(|t| t.config.name == tenant_config.name || Some(t.id) == restoring) {
+            return Err(AdmissionError::DuplicateName(tenant_config.name.clone()));
         }
         // Pool-aware admission: sum every admitted tenant's estimated cycle
         // demand plus the candidate's; refuse if the worker pool cannot
@@ -258,17 +262,38 @@ impl StreamServer {
         if required > capacity {
             return Err(AdmissionError::DelayUnmeetable { required, capacity });
         }
-        {
-            let mut reserved = self.reserved_quota.lock();
-            let available = self.config.secure_mem_bytes.saturating_sub(*reserved);
-            if tenant_config.quota_bytes > available {
-                return Err(AdmissionError::QuotaOvercommit {
-                    requested: tenant_config.quota_bytes,
-                    available,
-                });
-            }
-            *reserved += tenant_config.quota_bytes;
+        let mut reserved = self.reserved_quota.lock();
+        let available = self.config.secure_mem_bytes.saturating_sub(*reserved);
+        if tenant_config.quota_bytes > available {
+            return Err(AdmissionError::QuotaOvercommit {
+                requested: tenant_config.quota_bytes,
+                available,
+            });
         }
+        *reserved += tenant_config.quota_bytes;
+        Ok(tenants)
+    }
+
+    /// A tenant's control-plane engine over the shared data plane and pool.
+    fn tenant_engine(&self, id: TenantId, pipeline: Pipeline) -> Arc<Engine> {
+        let engine_config = EngineConfig {
+            dataplane: self.config.dataplane.clone(),
+            ..EngineConfig::for_variant(self.config.variant, self.config.cores)
+                .with_secure_mem(self.config.secure_mem_bytes)
+        };
+        Engine::for_tenant(engine_config, pipeline, self.dp.clone(), id, self.pool.clone())
+    }
+
+    /// Admit a tenant: check capacity, quota headroom and pool headroom
+    /// (the delay target must be meetable at current load), register the
+    /// tenant's namespace and quota inside the TEE, and build its
+    /// control-plane engine over the shared data plane and executor.
+    pub fn admit(
+        &self,
+        tenant_config: TenantConfig,
+        pipeline: Pipeline,
+    ) -> Result<TenantId, AdmissionError> {
+        let mut tenants = self.admission_gate(&tenant_config, &pipeline, None)?;
         let id = {
             let mut next = self.next_tenant.lock();
             let id = TenantId(*next);
@@ -279,13 +304,7 @@ impl StreamServer {
             *self.reserved_quota.lock() -= tenant_config.quota_bytes;
             return Err(AdmissionError::Rejected(e));
         }
-        let engine_config = EngineConfig {
-            dataplane: self.config.dataplane.clone(),
-            ..EngineConfig::for_variant(self.config.variant, self.config.cores)
-                .with_secure_mem(self.config.secure_mem_bytes)
-        };
-        let engine =
-            Engine::for_tenant(engine_config, pipeline, self.dp.clone(), id, self.pool.clone());
+        let engine = self.tenant_engine(id, pipeline);
         tenants.push(TenantEntry { id, config: tenant_config, engine, phase: TenantPhase::Active });
         Ok(id)
     }
@@ -485,46 +504,8 @@ impl StreamServer {
     ) -> Result<RestoredTenant, AdmissionError> {
         let sealed = SealedSnapshot::from_bytes(bytes).map_err(AdmissionError::Rejected)?;
         let tenant = TenantId(sealed.tenant);
-        if tenant_config.quota_bytes == 0 {
-            return Err(AdmissionError::EmptyQuota);
-        }
-        if let Some(reason) = tenant_config.checkpoint_policy_error() {
-            return Err(AdmissionError::InvalidCheckpointPolicy { reason });
-        }
-        let mut tenants = self.tenants.lock();
-        if tenants.len() >= self.config.max_tenants {
-            return Err(AdmissionError::ServerFull { max_tenants: self.config.max_tenants });
-        }
-        if tenants.iter().any(|t| t.config.name == tenant_config.name || t.id == tenant) {
-            return Err(AdmissionError::DuplicateName(tenant_config.name));
-        }
-        let required = tenants
-            .iter()
-            .map(|t| Self::demand_per_ms(t.config.quota_bytes, t.engine.pipeline().target_delay()))
-            .sum::<u64>()
-            + Self::demand_per_ms(tenant_config.quota_bytes, pipeline.target_delay());
-        let capacity = self.config.cores as u64 * CycleCost::CORE_CAPACITY_PER_MS;
-        if required > capacity {
-            return Err(AdmissionError::DelayUnmeetable { required, capacity });
-        }
-        {
-            let mut reserved = self.reserved_quota.lock();
-            let available = self.config.secure_mem_bytes.saturating_sub(*reserved);
-            if tenant_config.quota_bytes > available {
-                return Err(AdmissionError::QuotaOvercommit {
-                    requested: tenant_config.quota_bytes,
-                    available,
-                });
-            }
-            *reserved += tenant_config.quota_bytes;
-        }
-        let engine_config = EngineConfig {
-            dataplane: self.config.dataplane.clone(),
-            ..EngineConfig::for_variant(self.config.variant, self.config.cores)
-                .with_secure_mem(self.config.secure_mem_bytes)
-        };
-        let engine =
-            Engine::for_tenant(engine_config, pipeline, self.dp.clone(), tenant, self.pool.clone());
+        let mut tenants = self.admission_gate(&tenant_config, &pipeline, Some(tenant))?;
+        let engine = self.tenant_engine(tenant, pipeline);
         let restored =
             match engine.restore_from(Some(tenant_config.quota_bytes), &sealed, min_epoch) {
                 Ok(restored) => restored,
