@@ -28,7 +28,8 @@
 //! [`Command`] list run inside one world switch, so a batch's ingress,
 //! windowing and retire, or a window's reduce, egress and retires, pay for
 //! the boundary once. A list succeeds or fails as a whole: a failed one
-//! leaves no record, counter move or output behind.
+//! leaves no record, outcome count or output behind (only the cost meters
+//! count the work it did).
 //!
 //! Opaque references are long random integers; every incoming reference is
 //! validated against the table of live references, so fabricated references

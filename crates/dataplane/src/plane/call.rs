@@ -3,9 +3,10 @@
 //! Every way into the data plane is a command list; the single-call methods
 //! (`ingress`, `invoke`, `egress`, `retire`, …) are one-command lists. A
 //! list runs its commands in order, each through its own body, and holds
-//! back what it would publish — its audit records, its ingest-counter moves
-//! and its egress messages — until its last command succeeds. It then
-//! commits them under one tenant lock, unless the tenant departed meanwhile.
+//! back what it would publish — its audit records, its ingest, egress and
+//! audit counts, and its egress messages — until its last command
+//! succeeds. It then commits them under one tenant lock, unless the tenant
+//! departed meanwhile.
 //!
 //! A list that fails publishes nothing. `call` returns the error alone,
 //! releases every output the list produced, and retires every held
@@ -34,6 +35,8 @@ pub(super) struct Staged<'a> {
     pub(super) events: u64,
     /// Plaintext bytes the list ingested.
     pub(super) bytes: u64,
+    /// Results the list egressed.
+    pub(super) egresses: u64,
 }
 
 impl DataPlane {
@@ -63,7 +66,8 @@ impl DataPlane {
             _ => {}
         }
         let ts = self.tenant_state(tenant)?;
-        let mut list = Staged { tenant, ts: &ts, records: Vec::new(), events: 0, bytes: 0 };
+        let mut list =
+            Staged { tenant, ts: &ts, records: Vec::new(), events: 0, bytes: 0, egresses: 0 };
         let mut done = Vec::with_capacity(cmds.len());
         let ran = command::check(cmds).and_then(|()| {
             cmds.iter().try_for_each(|cmd| {
@@ -133,7 +137,7 @@ impl DataPlane {
         })
     }
 
-    /// Publish a list's held-back records and counter moves under one
+    /// Publish a list's held-back records and outcome counts under one
     /// tenant lock, unless the tenant departed while the list ran. The log
     /// is flushed right after each egress record, as the paper requires of
     /// externalization.
@@ -144,7 +148,8 @@ impl DataPlane {
         }
         t.events_ingested += list.events;
         t.bytes_ingested += list.bytes;
-        self.stats.record_audit(list.records.len() as u64);
+        let records = list.records.len() as u64;
+        self.stats.record_commit(list.events, list.bytes, list.egresses, records);
         for record in list.records {
             let externalized = matches!(record, AuditRecord::Egress { .. });
             if let Some(segment) = t.audit.append(record) {

@@ -51,7 +51,7 @@ impl DataPlane {
             self.telemetry.tracer(),
             tenant.0,
         );
-        self.stats.record_egress();
+        list.egresses += 1;
         list.records
             .push(AuditRecord::Egress { ts_ms: self.now_ms(), data: UArrayRef(id.0 as u32) });
         Ok(msg)

@@ -124,10 +124,9 @@ impl DataPlane {
         let decrypt_nanos = if encrypted { decrypt_start.elapsed().as_nanos() as u64 } else { 0 };
         let (id, opaque, len) =
             self.register_output(tenant, ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
-        // Counters move only after the batch has actually been admitted
-        // (registration can still fail on the tenant's quota); the tenant's
-        // counters move at the list's commit.
-        self.stats.record_ingress(n_events as u64, payload.len() as u64, decrypt_nanos);
+        // The decrypt work is counted as done; the ingest counts, the
+        // tenant's and the plane's, move at the list's commit.
+        self.stats.record_decrypt(decrypt_nanos);
         list.events += n_events as u64;
         list.bytes += payload.len() as u64;
         list.records.push(AuditRecord::Ingress {

@@ -6,7 +6,7 @@
 //! measures the first and third per invocation (the switch cost lives in the
 //! `sbt-tz` counters) and accumulates them here.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Breakdown of one invocation's cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,33 +17,34 @@ pub struct InvocationBreakdown {
     pub memory_nanos: u64,
 }
 
-/// Aggregate counters over a data plane's lifetime.
-#[derive(Debug, Default)]
-pub struct DataPlaneStats {
-    /// Total primitive invocations.
-    pub invocations: AtomicU64,
-    /// Total nanoseconds of primitive compute.
-    pub compute_nanos: AtomicU64,
-    /// Total simulated nanoseconds of TEE memory management.
-    pub memory_nanos: AtomicU64,
-    /// Total events ingested.
-    pub events_ingested: AtomicU64,
-    /// Total bytes ingested (plaintext size).
-    pub bytes_ingested: AtomicU64,
-    /// Total nanoseconds spent decrypting ingress data.
-    pub decrypt_nanos: AtomicU64,
-    /// Total results egressed.
-    pub egress_count: AtomicU64,
-    /// Total audit records generated.
-    pub audit_records: AtomicU64,
+sbt_telemetry::counters! {
+    /// Aggregate counters over a data plane's lifetime (registry section
+    /// `plane`). The cost meters move as the TEE does the work, even for a
+    /// command list that fails later; the outcome counts (events, bytes,
+    /// egresses, audit records) move only when a list commits.
+    pub struct DataPlaneStats in "plane" {
+        /// Total primitive invocations.
+        invocations,
+        /// Total nanoseconds of primitive compute.
+        compute_nanos,
+        /// Total simulated nanoseconds of TEE memory management.
+        memory_nanos,
+        /// Total events ingested.
+        events_ingested,
+        /// Total bytes ingested (plaintext size).
+        bytes_ingested,
+        /// Total nanoseconds spent decrypting ingress data.
+        decrypt_nanos,
+        /// Total results egressed.
+        egress_count,
+        /// Total audit records generated.
+        audit_records,
+    }
+    /// Point-in-time copy of [`DataPlaneStats`].
+    pub struct DataPlaneSnapshot;
 }
 
 impl DataPlaneStats {
-    /// Create zeroed stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one primitive invocation's breakdown.
     pub fn record_invocation(&self, breakdown: InvocationBreakdown) {
         self.invocations.fetch_add(1, Ordering::Relaxed);
@@ -51,76 +52,26 @@ impl DataPlaneStats {
         self.memory_nanos.fetch_add(breakdown.memory_nanos, Ordering::Relaxed);
     }
 
-    /// Record an ingress of `events` events / `bytes` bytes taking
-    /// `decrypt_nanos` to decrypt (zero for cleartext links).
-    pub fn record_ingress(&self, events: u64, bytes: u64, decrypt_nanos: u64) {
+    /// Record `nanos` spent decrypting one ingress batch.
+    pub fn record_decrypt(&self, nanos: u64) {
+        self.decrypt_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Record what a committed command list published: `events` events and
+    /// `bytes` bytes ingested, `egresses` results egressed and
+    /// `audit_records` records appended.
+    pub fn record_commit(&self, events: u64, bytes: u64, egresses: u64, audit_records: u64) {
         self.events_ingested.fetch_add(events, Ordering::Relaxed);
         self.bytes_ingested.fetch_add(bytes, Ordering::Relaxed);
-        self.decrypt_nanos.fetch_add(decrypt_nanos, Ordering::Relaxed);
+        self.egress_count.fetch_add(egresses, Ordering::Relaxed);
+        self.audit_records.fetch_add(audit_records, Ordering::Relaxed);
     }
 
-    /// Record one egress.
-    pub fn record_egress(&self) {
-        self.egress_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` audit records generated.
+    /// Record `n` audit records appended outside a command list
+    /// (checkpoint and restore).
     pub fn record_audit(&self, n: u64) {
         self.audit_records.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Snapshot of the counters.
-    pub fn snapshot(&self) -> DataPlaneSnapshot {
-        DataPlaneSnapshot {
-            invocations: self.invocations.load(Ordering::Relaxed),
-            compute_nanos: self.compute_nanos.load(Ordering::Relaxed),
-            memory_nanos: self.memory_nanos.load(Ordering::Relaxed),
-            events_ingested: self.events_ingested.load(Ordering::Relaxed),
-            bytes_ingested: self.bytes_ingested.load(Ordering::Relaxed),
-            decrypt_nanos: self.decrypt_nanos.load(Ordering::Relaxed),
-            egress_count: self.egress_count.load(Ordering::Relaxed),
-            audit_records: self.audit_records.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl sbt_telemetry::CounterSource for DataPlaneStats {
-    fn section(&self) -> String {
-        "plane".to_string()
-    }
-
-    fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
-        let s = self.snapshot();
-        emit("invocations", s.invocations as i64);
-        emit("compute_nanos", s.compute_nanos as i64);
-        emit("memory_nanos", s.memory_nanos as i64);
-        emit("events_ingested", s.events_ingested as i64);
-        emit("bytes_ingested", s.bytes_ingested as i64);
-        emit("decrypt_nanos", s.decrypt_nanos as i64);
-        emit("egress_count", s.egress_count as i64);
-        emit("audit_records", s.audit_records as i64);
-    }
-}
-
-/// Point-in-time copy of [`DataPlaneStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataPlaneSnapshot {
-    /// Total primitive invocations.
-    pub invocations: u64,
-    /// Total nanoseconds of primitive compute.
-    pub compute_nanos: u64,
-    /// Total simulated nanoseconds of TEE memory management.
-    pub memory_nanos: u64,
-    /// Total events ingested.
-    pub events_ingested: u64,
-    /// Total bytes ingested.
-    pub bytes_ingested: u64,
-    /// Total nanoseconds spent decrypting ingress data.
-    pub decrypt_nanos: u64,
-    /// Total results egressed.
-    pub egress_count: u64,
-    /// Total audit records generated.
-    pub audit_records: u64,
 }
 
 #[cfg(test)]
@@ -132,9 +83,8 @@ mod tests {
         let s = DataPlaneStats::new();
         s.record_invocation(InvocationBreakdown { compute_nanos: 100, memory_nanos: 10 });
         s.record_invocation(InvocationBreakdown { compute_nanos: 50, memory_nanos: 5 });
-        s.record_ingress(1000, 12_000, 77);
-        s.record_egress();
-        s.record_audit(3);
+        s.record_decrypt(77);
+        s.record_commit(1000, 12_000, 1, 3);
         let snap = s.snapshot();
         assert_eq!(snap.invocations, 2);
         assert_eq!(snap.compute_nanos, 150);

@@ -501,8 +501,10 @@ fn random_lists_fail_typed_and_leak_nothing() {
 /// A list shaped like a window's tail — invoke over held references, retire
 /// them, egress the result, retire it — fails at each position in turn: the
 /// command there is replaced by an `Invoke` or an `Egress` naming a forged
-/// reference. Whichever command fails, the list leaves no record, no egress
-/// message or sequence number and no ingest count; the caller holds what it
+/// reference, and an ingress followed by a failing command. Whichever
+/// command fails, the list leaves no record, no egress message or sequence
+/// number and no ingest, egress or audit count, the tenant's or the
+/// plane's; the caller holds what it
 /// held minus the list's `Retire` targets; once it retires those, nothing
 /// is charged anywhere.
 #[test]
@@ -529,16 +531,25 @@ fn a_list_failing_at_any_command_leaves_no_trace() {
     assert!(matches!(replies[3], Reply::Egress(_)));
     assert_eq!(dp.live_refs(T), 0);
 
-    for j in 0..tail(a, b).len() {
+    let outcome_counts = |dp: &DataPlane| {
+        let s = dp.stats().snapshot();
+        (s.events_ingested, s.bytes_ingested, s.egress_count, s.audit_records)
+    };
+    // Position `tail.len()` stands for the list `[Ingress, failing command]`.
+    for j in 0..=tail(a, b).len() {
         for fail in failing {
             let dp = plane(None);
             // `c` is held but never named by the list.
             let held_refs: Vec<OpaqueRef> = payloads.iter().map(|p| held(&dp, T, p)).collect();
             let [a, b, c] = held_refs[..] else { unreachable!() };
             let mut cmds = tail(a, b);
-            cmds[j] = fail(forged);
+            match cmds.get_mut(j) {
+                Some(cmd) => *cmd = fail(forged),
+                None => cmds = vec![ingress(&payloads[0]), fail(forged)],
+            }
             let trail_before = dp.drain_audit_segments(T).unwrap();
             let ingest_before = dp.tenant_ingest(T).unwrap();
+            let counts_before = outcome_counts(&dp);
 
             let failed = call(&dp, T, &cmds);
             assert!(failed.is_err(), "position {j}: {failed:?}");
@@ -546,6 +557,7 @@ fn a_list_failing_at_any_command_leaves_no_trace() {
             assert!(!trail_before.is_empty());
             assert!(after.is_empty(), "position {j}: the failed list reached the trail");
             assert_eq!(dp.tenant_ingest(T).unwrap(), ingest_before, "position {j}");
+            assert_eq!(outcome_counts(&dp), counts_before, "position {j}: plane counters moved");
 
             let retired: Vec<OpaqueRef> = cmds
                 .iter()

@@ -52,7 +52,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
@@ -180,12 +180,24 @@ struct Shared {
     work_ready: Condvar,
     /// Rotates the first victim probed so steals spread across workers.
     probe: AtomicUsize,
-    steals: AtomicU64,
-    executed: AtomicU64,
-    /// Times a worker went to sleep with nothing runnable.
-    parks: AtomicU64,
-    /// Task panics caught in their slots.
-    panics: AtomicU64,
+    counters: PoolCounters,
+}
+
+sbt_telemetry::counters! {
+    /// The pool's work counters (registry section `executor`, beside the
+    /// `workers` gauge).
+    struct PoolCounters {
+        /// Tasks stolen across worker deques.
+        steals,
+        /// Tasks executed, including those run by helping joiners.
+        executed,
+        /// Times a worker went to sleep with nothing runnable.
+        parks,
+        /// Task panics caught in their slots.
+        panics,
+    }
+    /// A point-in-time copy of [`PoolCounters`].
+    struct PoolCounts;
 }
 
 thread_local! {
@@ -251,7 +263,7 @@ impl Shared {
             }
             let mut deque = self.locals[ix].lock().expect("queue lock");
             if deque.front().is_some_and(|job| job.fire || !fire_only) {
-                self.steals.fetch_add(1, Ordering::Relaxed);
+                self.counters.steals.fetch_add(1, Ordering::Relaxed);
                 return deque.pop_front();
             }
         }
@@ -265,7 +277,7 @@ impl Shared {
         let outer = IN_FIRE.replace(job.fire);
         (job.run)();
         IN_FIRE.set(outer);
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.counters.executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Run one queued job on the calling thread, if any is available.
@@ -306,7 +318,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         if signal.version == version {
             // Nothing arrived since the scan; sleep until a push (or the
             // safety timeout) wakes us.
-            shared.parks.fetch_add(1, Ordering::Relaxed);
+            shared.counters.parks.fetch_add(1, Ordering::Relaxed);
             let _ = shared
                 .work_ready
                 .wait_timeout(signal, Duration::from_millis(10))
@@ -370,10 +382,7 @@ impl Executor {
             signal: Mutex::new(Signal { version: 0, shutdown: false }),
             work_ready: Condvar::new(),
             probe: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
+            counters: PoolCounters::new(),
         });
         let threads = (0..size)
             .map(|i| {
@@ -394,22 +403,22 @@ impl Executor {
 
     /// Tasks stolen across worker deques so far (observability).
     pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.shared.counters.steals.load(Ordering::Relaxed)
     }
 
     /// Tasks executed so far, including those run by helping joiners.
     pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
+        self.shared.counters.executed.load(Ordering::Relaxed)
     }
 
     /// Times a worker parked with nothing runnable (idle-pressure signal).
     pub fn parks(&self) -> u64 {
-        self.shared.parks.load(Ordering::Relaxed)
+        self.shared.counters.parks.load(Ordering::Relaxed)
     }
 
     /// Task panics caught so far (the workers survived each one).
     pub fn panics(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
+        self.shared.counters.panics.load(Ordering::Relaxed)
     }
 
     /// Submit one task and get a joinable handle on its result. The task
@@ -443,7 +452,7 @@ impl Executor {
         let shared = self.shared.clone();
         let run = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
+                shared.counters.panics.fetch_add(1, Ordering::Relaxed);
                 TaskPanicked::from_payload(payload)
             });
             task_slot.complete(result);
@@ -502,10 +511,7 @@ impl sbt_telemetry::CounterSource for Executor {
 
     fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
         emit("workers", self.size as i64);
-        emit("steals", self.steals() as i64);
-        emit("executed", self.executed() as i64);
-        emit("parks", self.parks() as i64);
-        emit("panics", self.panics() as i64);
+        self.shared.counters.export(emit);
     }
 }
 

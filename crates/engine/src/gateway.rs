@@ -50,23 +50,27 @@ use sbt_uarray::HintSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-gateway (per-tenant) TEE-boundary event counts.
-///
-/// The platform's [`sbt_tz::TzStats`] counts crossings globally; the
-/// gateway additionally meters the crossings *this tenant's* calls caused,
-/// so multi-tenant harnesses can report switches-per-event and copied
-/// bytes-per-event per tenant. Secure-page commits stay platform-wide (the
-/// pager is shared); they are not broken out here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GatewayBoundary {
-    /// World switches this gateway's calls made (one per command list,
-    /// plus one per via-OS delivery).
-    pub switches: u64,
-    /// Bytes copied across the boundary on this gateway's behalf (via-OS
-    /// deliveries only; trusted IO copies nothing).
-    pub copied_bytes: u64,
-    /// SMC invocations issued: crossings, not commands (one per list).
-    pub invocations: u64,
+sbt_telemetry::counters! {
+    /// The boundary events this gateway's calls caused (registry section
+    /// `gateway.t{tenant}`).
+    struct GatewayMeter {
+        /// World switches this gateway's calls made (one per command list,
+        /// plus one per via-OS delivery).
+        switches,
+        /// Bytes copied across the boundary on this gateway's behalf (via-OS
+        /// deliveries only; trusted IO copies nothing).
+        copied_bytes,
+        /// SMC invocations issued: crossings, not commands (one per list).
+        invocations,
+    }
+    /// Per-gateway (per-tenant) TEE-boundary event counts.
+    ///
+    /// The platform's [`sbt_tz::TzStats`] counts crossings globally; the
+    /// gateway additionally meters the crossings *this tenant's* calls
+    /// caused, so multi-tenant harnesses can report switches-per-event and
+    /// copied bytes-per-event per tenant. Secure-page commits stay
+    /// platform-wide (the pager is shared); they are not broken out here.
+    pub struct GatewayBoundary;
 }
 
 /// The gateway: SMC session + IO channel + data plane handle, scoped to one
@@ -80,10 +84,7 @@ pub struct TeeGateway {
     /// this gateway since the last drain — the scheduler's per-tenant
     /// accounting signal.
     cost: AtomicU64,
-    /// Boundary events this gateway's calls caused (see [`GatewayBoundary`]).
-    switches: AtomicU64,
-    copied_bytes: AtomicU64,
-    invocations: AtomicU64,
+    meter: GatewayMeter,
 }
 
 impl TeeGateway {
@@ -101,24 +102,15 @@ impl TeeGateway {
             .invoke(EntryFunction::Initialize, || {})
             .expect("initializing the data plane cannot fail");
         let io = dp.platform().io_channel();
-        TeeGateway {
-            io,
-            session,
-            tenant,
-            dp,
-            cost: AtomicU64::new(0),
-            switches: AtomicU64::new(0),
-            copied_bytes: AtomicU64::new(0),
-            invocations: AtomicU64::new(0),
-        }
+        TeeGateway { io, session, tenant, dp, cost: AtomicU64::new(0), meter: GatewayMeter::new() }
     }
 
     /// Enter the TEE for one invocation, metering the boundary crossing.
     /// [`call`](TeeGateway::call) is the only caller: every crossing is
     /// metered here, once.
     fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.switches.fetch_add(1, Ordering::Relaxed);
-        self.invocations.fetch_add(1, Ordering::Relaxed);
+        self.meter.switches.fetch_add(1, Ordering::Relaxed);
+        self.meter.invocations.fetch_add(1, Ordering::Relaxed);
         self.session
             .invoke(EntryFunction::InvokePrimitive, f)
             .expect("session is open and initialized")
@@ -126,11 +118,7 @@ impl TeeGateway {
 
     /// The boundary events this gateway's calls have caused so far.
     pub fn boundary_events(&self) -> GatewayBoundary {
-        GatewayBoundary {
-            switches: self.switches.load(Ordering::Relaxed),
-            copied_bytes: self.copied_bytes.load(Ordering::Relaxed),
-            invocations: self.invocations.load(Ordering::Relaxed),
-        }
+        self.meter.snapshot()
     }
 
     /// The underlying data plane (read-only introspection: stats, memory).
@@ -162,8 +150,8 @@ impl TeeGateway {
                 if via_os {
                     // The OS-mediated delivery crosses the boundary once
                     // more and copies the payload across it.
-                    self.switches.fetch_add(1, Ordering::Relaxed);
-                    self.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    self.meter.switches.fetch_add(1, Ordering::Relaxed);
+                    self.meter.copied_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 }
                 self.io.deliver(payload.len());
             }
@@ -306,10 +294,7 @@ impl sbt_telemetry::CounterSource for TeeGateway {
     }
 
     fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
-        let b = self.boundary_events();
-        emit("switches", b.switches as i64);
-        emit("copied_bytes", b.copied_bytes as i64);
-        emit("invocations", b.invocations as i64);
+        self.meter.export(emit)
     }
 }
 

@@ -34,6 +34,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How long a thread waiting on window execution sleeps when the pool has
+/// no task for it to run instead.
+const HELP_SLEEP: Duration = Duration::from_micros(100);
+
 /// Which input stream a batch belongs to (joins consume two streams; all
 /// other pipelines use only [`StreamSide::Left`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,15 +134,10 @@ impl WindowTicket {
 
     /// Block until the windows behind this ticket resolve, helping the
     /// executor while waiting.
-    pub fn wait(mut self) -> Result<(), DataPlaneError> {
-        loop {
-            if let Some(result) = self.try_wait() {
-                return result;
-            }
-            let engine = self.engine.as_ref().expect("pending ticket keeps its engine");
-            if !engine.pool.help_one() {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+    pub fn wait(self) -> Result<(), DataPlaneError> {
+        match self.engine {
+            None => Ok(()),
+            Some(engine) => engine.wait_windows_through(self.last),
         }
     }
 }
@@ -410,17 +409,7 @@ impl Engine {
         let Some((last, arrival)) = self.note_watermark(wm, side) else {
             return Ok(());
         };
-        let claimed = {
-            let mut st = self.window_exec.lock();
-            st.merge_target(last, arrival);
-            if st.draining {
-                false
-            } else {
-                st.draining = true;
-                true
-            }
-        };
-        if claimed {
+        if self.claim_drainer(last, arrival) {
             match self.drain_windows() {
                 Ok(()) => Ok(()),
                 Err(e) => {
@@ -452,17 +441,7 @@ impl Engine {
         let Some((last, arrival)) = engine.note_watermark(wm, side) else {
             return WindowTicket::resolved();
         };
-        let spawn_drainer = {
-            let mut st = engine.window_exec.lock();
-            st.merge_target(last, arrival);
-            if st.draining {
-                false
-            } else {
-                st.draining = true;
-                true
-            }
-        };
-        if spawn_drainer {
+        if engine.claim_drainer(last, arrival) {
             let drainer = Arc::clone(engine);
             // Detached: errors are parked in the engine's window-exec state
             // for the ticket. A panic in the drainer would otherwise vanish
@@ -582,14 +561,28 @@ impl Engine {
     /// Wait (helping the executor) until a concurrent drainer has executed
     /// every window through `last`, surfacing a parked window failure.
     fn wait_windows_through(&self, last: WindowId) -> Result<(), DataPlaneError> {
+        self.help_until(|| self.windows_outcome(last))
+    }
+
+    /// Run queued executor tasks on the calling thread until `done` yields,
+    /// sleeping [`HELP_SLEEP`] whenever the pool has nothing to lend.
+    fn help_until<T>(&self, mut done: impl FnMut() -> Option<T>) -> T {
         loop {
-            if let Some(outcome) = self.windows_outcome(last) {
-                return outcome;
+            if let Some(value) = done() {
+                return value;
             }
             if !self.pool.help_one() {
-                std::thread::sleep(Duration::from_micros(200));
+                std::thread::sleep(HELP_SLEEP);
             }
         }
+    }
+
+    /// Merge `last` into the drain target, and claim window execution if
+    /// no drainer owns it. Returns whether the caller is now the drainer.
+    fn claim_drainer(&self, last: WindowId, arrival: Instant) -> bool {
+        let mut st = self.window_exec.lock();
+        st.merge_target(last, arrival);
+        !std::mem::replace(&mut st.draining, true)
     }
 
     /// Execute one completed window end to end.
@@ -768,14 +761,7 @@ impl Engine {
     /// before tearing its tenant down, so a drained tenant's final windows
     /// finish (and are audited) before the namespace disappears.
     pub fn quiesce(&self) {
-        loop {
-            if !self.window_exec.lock().draining {
-                return;
-            }
-            if !self.pool.help_one() {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
+        self.help_until(|| (!self.window_exec.lock().draining).then_some(()))
     }
 
     /// Capture this engine's window bookkeeping as a checkpoint manifest:

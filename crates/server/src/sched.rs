@@ -25,7 +25,7 @@ use sbt_types::{TenantId, Watermark};
 use sbt_workloads::generator::{Generator, Offer};
 use sbt_workloads::transport::Delivery;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -413,7 +413,7 @@ impl Lane {
         let serviced = self.engine.drain_serviced_cost();
         if serviced > 0 {
             ctx.drr.charge(self.slot, serviced);
-            ctx.counters.add_charged(serviced);
+            ctx.counters().charged.fetch_add(serviced, Ordering::Relaxed);
         }
     }
 
@@ -556,49 +556,45 @@ impl Lane {
 /// small enough that no lane floods the queues.
 const MAX_INFLIGHT_PER_LANE: usize = 4;
 
-/// Live mirror of [`DrrAccounting`] state published to the telemetry
-/// registry (section `drr`): total cycle cost charged, penalties issued and
-/// each lane's current deficit. The serve loop owns the real bookkeeping;
-/// observers read this mirror so snapshots never contend with dispatch.
-pub(crate) struct DrrCounters {
-    charged: AtomicU64,
-    penalties: AtomicU64,
+sbt_telemetry::counters! {
+    /// What deficit round-robin has charged, over the server's lifetime.
+    struct DrrCounters {
+        /// Cycle cost charged against lane deficits.
+        charged,
+        /// Penalties issued (backpressure, quota rejections).
+        penalties,
+    }
+    /// A point-in-time copy of [`DrrCounters`].
+    struct DrrCounts;
+}
+
+/// DRR's registry section (`drr`): the server-lifetime counters, plus each
+/// lane's current deficit as the latest serve loop left it. The serve loop
+/// owns the real bookkeeping; observers read this mirror so snapshots
+/// never contend with dispatch.
+#[derive(Default)]
+pub(crate) struct DrrTelemetry {
+    counters: DrrCounters,
     deficits: Mutex<Vec<i64>>,
 }
 
-impl DrrCounters {
-    fn new(lanes: usize) -> Self {
-        DrrCounters {
-            charged: AtomicU64::new(0),
-            penalties: AtomicU64::new(0),
-            deficits: Mutex::new(vec![0; lanes]),
-        }
-    }
-
-    fn add_charged(&self, cost: u64) {
-        self.charged.fetch_add(cost, Ordering::Relaxed);
-    }
-
-    fn add_penalty(&self) {
-        self.penalties.fetch_add(1, Ordering::Relaxed);
-    }
-
+impl DrrTelemetry {
+    /// Rewrite the deficit gauge from one serve loop's lanes (in place:
+    /// the loop calls this every pass).
     fn sync_deficits(&self, drr: &DrrAccounting) {
         let mut deficits = self.deficits.lock();
-        for (i, d) in deficits.iter_mut().enumerate() {
-            *d = drr.deficit(i);
-        }
+        deficits.clear();
+        deficits.extend(drr.lanes.iter().map(|lane| lane.deficit));
     }
 }
 
-impl sbt_telemetry::CounterSource for DrrCounters {
+impl sbt_telemetry::CounterSource for DrrTelemetry {
     fn section(&self) -> String {
         "drr".to_string()
     }
 
     fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
-        emit("charged", self.charged.load(Ordering::Relaxed) as i64);
-        emit("penalties", self.penalties.load(Ordering::Relaxed) as i64);
+        self.counters.export(emit);
         for (i, d) in self.deficits.lock().iter().enumerate() {
             emit(&format!("lane{i}_deficit"), *d);
         }
@@ -606,11 +602,10 @@ impl sbt_telemetry::CounterSource for DrrCounters {
 }
 
 /// The serve loop's shared state that lane steps report into: the server,
-/// the DRR bookkeeping and its registry mirror, and the first fatal error.
+/// the DRR bookkeeping, and the first fatal error.
 struct Serving<'a> {
     server: &'a StreamServer,
     drr: DrrAccounting,
-    counters: Arc<DrrCounters>,
     fatal: Option<DataPlaneError>,
 }
 
@@ -618,19 +613,19 @@ impl<'a> Serving<'a> {
     fn new(server: &'a StreamServer, lanes: &[Lane]) -> Self {
         let weights: Vec<u32> = lanes.iter().map(|l| l.weight).collect();
         let drr = DrrAccounting::new(&weights, server.config().drr_quantum);
-        let counters = Arc::new(DrrCounters::new(lanes.len()));
-        server.telemetry().register_source(&counters);
-        // Keep the mirror alive past this loop so post-run snapshots still
-        // see the final deficits (the registry only holds it weakly).
-        server.retain_drr_mirror(counters.clone());
-        Serving { server, drr, counters, fatal: None }
+        server.drr_telemetry().sync_deficits(&drr);
+        Serving { server, drr, fatal: None }
+    }
+
+    fn counters(&self) -> &DrrCounters {
+        &self.server.drr_telemetry().counters
     }
 
     /// Debit a misbehaving lane one round's credit, count the penalty and
     /// dump the flight recorder for its tenant.
     fn penalize(&mut self, lane: &Lane, reason: FlightReason) {
         self.drr.penalize(lane.slot);
-        self.counters.add_penalty();
+        self.counters().penalties.fetch_add(1, Ordering::Relaxed);
         self.server.telemetry().flight_trigger(lane.tenant.0, reason);
     }
 }
@@ -748,7 +743,7 @@ impl StreamServer {
                     starved_by_credit |= starved;
                 }
             }
-            ctx.counters.sync_deficits(&ctx.drr);
+            self.drr_telemetry().sync_deficits(&ctx.drr);
 
             if ctx.fatal.is_some() {
                 // Fatal error: stop offering (gated above), let in-flight
@@ -895,6 +890,28 @@ mod tests {
         assert!(snap.counter_u64("executor.executed") > 0);
     }
 
+    /// `drr.*` counts over the server's lifetime: a second serve adds to
+    /// what the first charged, so a registry delta across it reads what
+    /// that serve charged.
+    #[test]
+    fn drr_counters_accumulate_across_serves() {
+        let server = StreamServer::new(ServerConfig::default().with_cores(2));
+        let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
+        let b = server.admit(TenantConfig::new("b", 32 << 20), pipeline("b")).unwrap();
+        let loads = multi_tenant_streams(2, 1, 1_000, 8, 11);
+        let start = server.telemetry().snapshot();
+        server.serve(streams_for(&[a, b], &loads)).unwrap();
+        let first = server.telemetry().snapshot();
+        server.serve(streams_for(&[a, b], &loads)).unwrap();
+        let second = server.telemetry().snapshot();
+        let charged = |later: &sbt_telemetry::TelemetrySnapshot, earlier: &_| {
+            later.delta_since(earlier).counter("drr.charged").unwrap()
+        };
+        let (d1, d2) = (charged(&first, &start), charged(&second, &first));
+        assert!(d1 > 0 && d2 >= 0, "drr.charged fell: first serve {d1}, second serve {d2}");
+        assert!(d2 > d1 / 2, "the second serve charged {d2}, the first {d1}");
+    }
+
     #[test]
     fn drr_serve_records_per_tenant_window_emit_histograms() {
         let server = StreamServer::new(ServerConfig::default().with_cores(2));
@@ -955,7 +972,7 @@ mod tests {
                 lane.rejected_batches,
                 lane.backpressure_signals,
                 ctx.drr.deficit(0),
-                ctx.counters.penalties.load(Ordering::Relaxed),
+                ctx.counters().snapshot().penalties,
             )
         };
 

@@ -12,6 +12,7 @@
 //! can admit, churn and re-admit tenants indefinitely.
 
 use crate::recovery::CheckpointVault;
+use crate::sched::DrrTelemetry;
 use crate::tenant::{AdmissionError, LifecycleError, TenantConfig};
 use parking_lot::{Mutex, MutexGuard};
 use sbt_attest::{DepartureReason, LogSegment};
@@ -164,9 +165,8 @@ pub struct StreamServer {
     serving: Mutex<HashMap<TenantId, usize>>,
     /// Departure records of every tenant that ever left.
     departed: Mutex<HashMap<TenantId, DepartureReport>>,
-    /// The latest DRR serve loop's telemetry mirror, retained so its
-    /// registry section outlives the loop for post-run snapshots.
-    drr_mirror: Mutex<Option<Arc<crate::sched::DrrCounters>>>,
+    /// DRR's registry section, registered once: every serve adds to it.
+    drr: Arc<DrrTelemetry>,
     /// Untrusted storage for sealed checkpoints; shared with (and outliving)
     /// crashed predecessors when recovery hands it over.
     vault: Arc<CheckpointVault>,
@@ -195,7 +195,9 @@ impl StreamServer {
         let platform = Platform::new(platform_config);
         let dp = DataPlane::new(platform.clone(), config.dataplane.clone());
         let pool = Arc::new(Executor::new(config.cores));
+        let drr = Arc::new(DrrTelemetry::default());
         dp.telemetry().register_source(&pool);
+        dp.telemetry().register_source(&drr);
         // The shared pool also runs the encrypt lanes of every tenant's
         // egress and checkpoint seals, inside the seal's one crossing.
         dp.set_lane_pool(pool.clone());
@@ -210,7 +212,7 @@ impl StreamServer {
             reserved_quota: Mutex::new(0),
             serving: Mutex::new(HashMap::new()),
             departed: Mutex::new(HashMap::new()),
-            drr_mirror: Mutex::new(None),
+            drr,
             vault: config.vault.clone().unwrap_or_default(),
             config,
         })
@@ -683,8 +685,8 @@ impl StreamServer {
         Some(self.config.dataplane.master.keychain(tenant.0, final_epoch))
     }
 
-    pub(crate) fn retain_drr_mirror(&self, mirror: Arc<crate::sched::DrrCounters>) {
-        *self.drr_mirror.lock() = Some(mirror);
+    pub(crate) fn drr_telemetry(&self) -> &DrrTelemetry {
+        &self.drr
     }
 
     pub(crate) fn entries_snapshot(&self) -> Vec<(TenantId, TenantConfig, Arc<Engine>)> {

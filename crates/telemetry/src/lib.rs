@@ -1,7 +1,13 @@
 //! Unified observability for the StreamBox-TZ pipeline.
 //!
-//! Four pieces, layered bottom-up:
+//! Five pieces, layered bottom-up:
 //!
+//! - [`counters`](mod@counters): the one counter mechanism. [`counters!`] declares a
+//!   counter set once, each field with its doc comment, and generates the
+//!   atomics, the snapshot type, `snapshot`, `delta_since` and the export
+//!   to the registry. Every counter set in the workspace (TZ boundary
+//!   events, gateway boundary, data-plane stats, DRR accounting, executor
+//!   steal/park counts) is declared with it.
 //! - [`span`]: lock-free sharded ring buffers recording typed [`Span`]s
 //!   (ingest batch, decrypt, window fire, egress seal, SMC) with
 //!   nanosecond timestamps and tenant tags. Workers never block: a full
@@ -9,11 +15,9 @@
 //! - [`hist`]: fixed-size log-bucketed (HDR-style) latency histograms,
 //!   allocation-free on the record path and mergeable across workers,
 //!   reporting p50/p95/p99/max.
-//! - [`registry`]: the [`MetricsRegistry`] aggregates the workspace's
-//!   siloed counters (TZ boundary events, gateway boundary, data-plane
-//!   stats, DRR lane accounting, executor steal/park counts) behind one
-//!   [`CounterSource`] trait into a versioned, serde-exportable
-//!   [`TelemetrySnapshot`].
+//! - [`registry`]: the [`MetricsRegistry`] gathers every counter set, and
+//!   the few gauges beside them, behind one [`CounterSource`] trait into a
+//!   versioned, serde-exportable [`TelemetrySnapshot`].
 //! - [`flight`]: a bounded per-tenant ring of recent spans dumped to JSON
 //!   on task panic, quota exhaustion, or backpressure stall.
 //!
@@ -29,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod flight;
 pub mod hist;
 pub mod registry;

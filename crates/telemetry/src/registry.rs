@@ -1,7 +1,8 @@
-//! The metrics registry: one coherent snapshot of every counter silo.
+//! The metrics registry: one coherent snapshot of every counter set.
 //!
-//! Subsystems implement [`CounterSource`] (TZ stats, data-plane stats,
-//! per-tenant gateways, DRR lanes, the executor) and register with the
+//! Counter sets declared with [`counters!`](crate::counters!) (TZ stats,
+//! data-plane stats, per-tenant gateways, DRR lanes, the executor) are
+//! [`CounterSource`]s, directly or through their owner, and register with the
 //! [`MetricsRegistry`] as weak references: when a gateway closes or a
 //! serve loop returns, its source simply vanishes from the next snapshot
 //! — no deregistration calls on teardown paths. The registry also owns

@@ -5,38 +5,37 @@
 //! number of SMC invocations. All counters are lock-free atomics so worker
 //! threads can update them from the hot path without contention.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters accumulated over the lifetime of a [`crate::Platform`].
-#[derive(Debug, Default)]
-pub struct TzStats {
-    /// Number of world switches (each counts one entry + exit pair).
-    pub world_switches: AtomicU64,
-    /// Simulated nanoseconds spent in world switches.
-    pub switch_nanos: AtomicU64,
-    /// Bytes copied across the TEE boundary (via-OS ingress and explicit
-    /// parameter marshalling).
-    pub boundary_copy_bytes: AtomicU64,
-    /// Simulated nanoseconds spent copying across the boundary.
-    pub boundary_copy_nanos: AtomicU64,
-    /// 4 KiB pages committed by the TEE pager on behalf of uArrays.
-    pub tee_pages_committed: AtomicU64,
-    /// Simulated nanoseconds spent in TEE paging / memory management.
-    pub tee_paging_nanos: AtomicU64,
-    /// Number of SMC invocations (one per trusted-primitive call).
-    pub smc_invocations: AtomicU64,
-    /// Bytes ingested through trusted IO (no boundary copy).
-    pub trusted_io_bytes: AtomicU64,
-    /// Bytes ingested via the untrusted OS (boundary copy paid).
-    pub via_os_bytes: AtomicU64,
+sbt_telemetry::counters! {
+    /// Monotonic counters accumulated over the lifetime of a
+    /// [`crate::Platform`] (registry section `tz`).
+    pub struct TzStats in "tz" {
+        /// Number of world switches (each counts one entry + exit pair).
+        world_switches,
+        /// Simulated nanoseconds spent in world switches.
+        switch_nanos,
+        /// Bytes copied across the TEE boundary (via-OS ingress and explicit
+        /// parameter marshalling).
+        boundary_copy_bytes,
+        /// Simulated nanoseconds spent copying across the boundary.
+        boundary_copy_nanos,
+        /// 4 KiB pages committed by the TEE pager on behalf of uArrays.
+        tee_pages_committed,
+        /// Simulated nanoseconds spent in TEE paging / memory management.
+        tee_paging_nanos,
+        /// Number of SMC invocations (one per trusted-primitive call).
+        smc_invocations,
+        /// Bytes ingested through trusted IO (no boundary copy).
+        trusted_io_bytes,
+        /// Bytes ingested via the untrusted OS (boundary copy paid).
+        via_os_bytes,
+    }
+    /// A point-in-time copy of [`TzStats`].
+    pub struct StatSnapshot;
 }
 
 impl TzStats {
-    /// Create a zeroed counter set.
-    pub fn new() -> Self {
-        TzStats::default()
-    }
-
     /// Record one world switch costing `nanos` simulated nanoseconds.
     pub fn record_switch(&self, nanos: u64) {
         self.world_switches.fetch_add(1, Ordering::Relaxed);
@@ -69,78 +68,6 @@ impl TzStats {
     pub fn record_via_os(&self, bytes: u64) {
         self.via_os_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Take a consistent-enough snapshot of all counters (individual loads
-    /// are relaxed; exact cross-counter consistency is not required by the
-    /// harnesses).
-    pub fn snapshot(&self) -> StatSnapshot {
-        StatSnapshot {
-            world_switches: self.world_switches.load(Ordering::Relaxed),
-            switch_nanos: self.switch_nanos.load(Ordering::Relaxed),
-            boundary_copy_bytes: self.boundary_copy_bytes.load(Ordering::Relaxed),
-            boundary_copy_nanos: self.boundary_copy_nanos.load(Ordering::Relaxed),
-            tee_pages_committed: self.tee_pages_committed.load(Ordering::Relaxed),
-            tee_paging_nanos: self.tee_paging_nanos.load(Ordering::Relaxed),
-            smc_invocations: self.smc_invocations.load(Ordering::Relaxed),
-            trusted_io_bytes: self.trusted_io_bytes.load(Ordering::Relaxed),
-            via_os_bytes: self.via_os_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero (harness use between runs).
-    pub fn reset(&self) {
-        self.world_switches.store(0, Ordering::Relaxed);
-        self.switch_nanos.store(0, Ordering::Relaxed);
-        self.boundary_copy_bytes.store(0, Ordering::Relaxed);
-        self.boundary_copy_nanos.store(0, Ordering::Relaxed);
-        self.tee_pages_committed.store(0, Ordering::Relaxed);
-        self.tee_paging_nanos.store(0, Ordering::Relaxed);
-        self.smc_invocations.store(0, Ordering::Relaxed);
-        self.trusted_io_bytes.store(0, Ordering::Relaxed);
-        self.via_os_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-impl sbt_telemetry::CounterSource for TzStats {
-    fn section(&self) -> String {
-        "tz".to_string()
-    }
-
-    fn collect(&self, emit: &mut dyn FnMut(&str, i64)) {
-        let s = self.snapshot();
-        emit("world_switches", s.world_switches as i64);
-        emit("switch_nanos", s.switch_nanos as i64);
-        emit("boundary_copy_bytes", s.boundary_copy_bytes as i64);
-        emit("boundary_copy_nanos", s.boundary_copy_nanos as i64);
-        emit("tee_pages_committed", s.tee_pages_committed as i64);
-        emit("tee_paging_nanos", s.tee_paging_nanos as i64);
-        emit("smc_invocations", s.smc_invocations as i64);
-        emit("trusted_io_bytes", s.trusted_io_bytes as i64);
-        emit("via_os_bytes", s.via_os_bytes as i64);
-    }
-}
-
-/// A point-in-time copy of [`TzStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatSnapshot {
-    /// Number of world switches.
-    pub world_switches: u64,
-    /// Simulated nanoseconds spent switching worlds.
-    pub switch_nanos: u64,
-    /// Bytes copied across the TEE boundary.
-    pub boundary_copy_bytes: u64,
-    /// Simulated nanoseconds spent copying across the boundary.
-    pub boundary_copy_nanos: u64,
-    /// TEE pages committed.
-    pub tee_pages_committed: u64,
-    /// Simulated nanoseconds spent in TEE paging.
-    pub tee_paging_nanos: u64,
-    /// SMC invocations.
-    pub smc_invocations: u64,
-    /// Bytes ingested through trusted IO.
-    pub trusted_io_bytes: u64,
-    /// Bytes ingested via the OS.
-    pub via_os_bytes: u64,
 }
 
 impl StatSnapshot {
@@ -159,28 +86,6 @@ impl StatSnapshot {
             copied_bytes: self.boundary_copy_bytes,
             pages_committed: self.tee_pages_committed,
             invocations: self.smc_invocations,
-        }
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating), for measuring
-    /// a window of execution.
-    pub fn delta_since(&self, earlier: &StatSnapshot) -> StatSnapshot {
-        StatSnapshot {
-            world_switches: self.world_switches.saturating_sub(earlier.world_switches),
-            switch_nanos: self.switch_nanos.saturating_sub(earlier.switch_nanos),
-            boundary_copy_bytes: self
-                .boundary_copy_bytes
-                .saturating_sub(earlier.boundary_copy_bytes),
-            boundary_copy_nanos: self
-                .boundary_copy_nanos
-                .saturating_sub(earlier.boundary_copy_nanos),
-            tee_pages_committed: self
-                .tee_pages_committed
-                .saturating_sub(earlier.tee_pages_committed),
-            tee_paging_nanos: self.tee_paging_nanos.saturating_sub(earlier.tee_paging_nanos),
-            smc_invocations: self.smc_invocations.saturating_sub(earlier.smc_invocations),
-            trusted_io_bytes: self.trusted_io_bytes.saturating_sub(earlier.trusted_io_bytes),
-            via_os_bytes: self.via_os_bytes.saturating_sub(earlier.via_os_bytes),
         }
     }
 }
@@ -242,15 +147,6 @@ mod tests {
         assert_eq!(snap.trusted_io_bytes, 1000);
         assert_eq!(snap.via_os_bytes, 2000);
         assert_eq!(snap.total_overhead_nanos(), 200 + 10 + 5);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = TzStats::new();
-        s.record_switch(100);
-        s.record_via_os(5);
-        s.reset();
-        assert_eq!(s.snapshot(), StatSnapshot::default());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::cost::CostModel;
 use crate::stats::TzStats;
-use crate::world::WorldTracker;
 use std::sync::Arc;
 
 /// How ingested bytes reach the data plane.
@@ -62,10 +61,6 @@ impl IoChannel {
                 self.stats.record_via_os(len as u64);
                 self.stats.record_boundary_copy(len as u64, copy);
                 self.stats.record_switch(switch);
-                // The delivering thread made this crossing on the tenant's
-                // behalf; keep the per-thread boundary counter in step with
-                // the platform-global one.
-                WorldTracker::note_switch();
                 copy + switch
             }
         }

@@ -17,20 +17,8 @@ pub enum World {
     Secure,
 }
 
-impl World {
-    /// The other world.
-    pub fn other(self) -> World {
-        match self {
-            World::Normal => World::Secure,
-            World::Secure => World::Normal,
-        }
-    }
-}
-
 thread_local! {
     static CURRENT_WORLD: Cell<World> = const { Cell::new(World::Normal) };
-    /// Secure-world entries made by this thread (one per entry + exit pair).
-    static THREAD_SWITCHES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Per-thread world bookkeeping.
@@ -52,33 +40,7 @@ impl WorldTracker {
 
     /// Switch the calling thread to `world`, returning the previous world.
     pub fn switch_to(world: World) -> World {
-        let previous = CURRENT_WORLD.with(|w| w.replace(world));
-        if world == World::Secure && previous == World::Normal {
-            THREAD_SWITCHES.with(|c| c.set(c.get() + 1));
-        }
-        previous
-    }
-
-    /// World switches (secure entries) the calling thread has made so far.
-    ///
-    /// The platform-global [`crate::TzStats`] counters aggregate across all
-    /// threads; this per-thread counter lets a bench attribute boundary
-    /// events to exactly the batch it just drove, without cross-thread
-    /// noise.
-    pub fn thread_switches() -> u64 {
-        THREAD_SWITCHES.with(|c| c.get())
-    }
-
-    /// Reset the calling thread's switch counter, returning the old value.
-    pub fn reset_thread_switches() -> u64 {
-        THREAD_SWITCHES.with(|c| c.replace(0))
-    }
-
-    /// Count one modelled switch that does not pass through a
-    /// [`WorldGuard`] — the via-OS delivery path's extra entry, which the
-    /// OS makes on the tenant's behalf.
-    pub fn note_switch() {
-        THREAD_SWITCHES.with(|c| c.set(c.get() + 1));
+        CURRENT_WORLD.with(|w| w.replace(world))
     }
 
     /// Assert that the calling thread is in the secure world.
@@ -107,11 +69,6 @@ impl WorldGuard {
         let previous = WorldTracker::switch_to(world);
         WorldGuard { previous }
     }
-
-    /// The world that was active before the guard was created.
-    pub fn previous(&self) -> World {
-        self.previous
-    }
 }
 
 impl Drop for WorldGuard {
@@ -138,8 +95,7 @@ mod tests {
         std::thread::spawn(|| {
             assert_eq!(WorldTracker::current(), World::Normal);
             {
-                let g = WorldGuard::enter(World::Secure);
-                assert_eq!(g.previous(), World::Normal);
+                let _g = WorldGuard::enter(World::Secure);
                 assert!(WorldTracker::in_secure_world());
                 {
                     // Nested entry (e.g. a foreign-function call back into the
@@ -156,12 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn world_other_flips() {
-        assert_eq!(World::Normal.other(), World::Secure);
-        assert_eq!(World::Secure.other(), World::Normal);
-    }
-
-    #[test]
     #[should_panic(expected = "secure-world code reached")]
     fn assert_secure_panics_in_normal_world() {
         // Run on a dedicated thread so the thread-local state of other tests
@@ -170,28 +120,6 @@ mod tests {
         if let Err(e) = res {
             std::panic::resume_unwind(e);
         }
-    }
-
-    #[test]
-    fn thread_switches_count_secure_entries() {
-        std::thread::spawn(|| {
-            assert_eq!(WorldTracker::thread_switches(), 0);
-            {
-                let _g = WorldGuard::enter(World::Secure);
-                // A nested entry is not a new switch: the thread is already
-                // in the secure world.
-                let _g2 = WorldGuard::enter(World::Secure);
-            }
-            {
-                let _g = WorldGuard::enter(World::Secure);
-            }
-            WorldTracker::note_switch();
-            assert_eq!(WorldTracker::thread_switches(), 3);
-            assert_eq!(WorldTracker::reset_thread_switches(), 3);
-            assert_eq!(WorldTracker::thread_switches(), 0);
-        })
-        .join()
-        .unwrap();
     }
 
     #[test]
