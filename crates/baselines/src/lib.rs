@@ -10,10 +10,6 @@
 //!   and boxing overhead, parallel), "Esper-like" and "SensorBee-like"
 //!   (single-threaded, per-event interpretation over dynamic tuples). These
 //!   are the Figure 8 comparison points.
-//! * [`securestreams`] — a SecureStreams-like engine where every operator
-//!   lives in its own "enclave" (thread) and operators exchange
-//!   AES-encrypted serialized batches, instead of sharing one coherent TEE
-//!   address space. This is the qualitative comparison of §9.2.
 //! * [`growth`] — a relocating growable buffer mirroring `std::vector`
 //!   semantics, used by the Figure 11 microbenchmark as the counterpart of
 //!   the uArray's in-place growth.
@@ -30,9 +26,7 @@ pub mod commodity;
 pub mod growth;
 pub mod hash_engine;
 pub mod lz77;
-pub mod securestreams;
 
 pub use commodity::{CommodityEngine, CommodityKind};
 pub use growth::RelocatingBuffer;
 pub use hash_engine::HashWindowEngine;
-pub use securestreams::SecureStreamsLike;

@@ -20,7 +20,7 @@ use sbt_dataplane::{DataPlane, DataPlaneConfig, PrimitiveParams};
 use sbt_engine::{Executor, TeeGateway};
 use sbt_telemetry::SpanKind;
 use sbt_types::{Event, PrimitiveKind};
-use sbt_tz::{BoundaryEvents, IngressPathConfig, Platform, PlatformConfig};
+use sbt_tz::{BoundaryEvents, IngressPath, Platform, PlatformConfig};
 use sbt_uarray::HintSet;
 use serde::Serialize;
 use std::sync::Arc;
@@ -50,7 +50,7 @@ fn run_groupby(
     batch_events: usize,
     batches: usize,
     threads: usize,
-    path: IngressPathConfig,
+    path: IngressPath,
 ) -> BreakdownRow {
     let platform = Platform::new(PlatformConfig::hikey().with_ingress(path));
     let dp = DataPlane::new(platform.clone(), DataPlaneConfig::default());
@@ -132,8 +132,8 @@ fn run_groupby(
     let pct = |x: u64| 100.0 * x as f64 / total.max(1) as f64;
     BreakdownRow {
         ingress: match path {
-            IngressPathConfig::TrustedIo => "trusted-io",
-            IngressPathConfig::ViaOs => "via-os",
+            IngressPath::TrustedIo => "trusted-io",
+            IngressPath::ViaOs => "via-os",
         },
         batch_events,
         decrypt_pct: pct(decrypt),
@@ -162,7 +162,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut table = Vec::new();
-    for path in [IngressPathConfig::TrustedIo, IngressPathConfig::ViaOs] {
+    for path in [IngressPath::TrustedIo, IngressPath::ViaOs] {
         for &batch in &batch_sizes {
             let batches = (total_events / batch).max(1);
             let row = run_groupby(batch, batches, threads, path);

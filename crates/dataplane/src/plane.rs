@@ -146,6 +146,26 @@ struct TenantState {
     departed: bool,
 }
 
+impl TenantState {
+    /// A fresh namespace for `tenant`: no references, counters at zero,
+    /// its trail in `audit`.
+    fn new(tenant: TenantId, keys: KeySet, audit: AuditLog) -> Self {
+        TenantState {
+            refs: RefTable::new(reference_seed(tenant)),
+            keys,
+            audit,
+            segments: Vec::new(),
+            egress_seq: 0,
+            events_ingested: 0,
+            bytes_ingested: 0,
+            next_ckpt_seq: 0,
+            last_ckpt_epoch: None,
+            retired_before: 0,
+            departed: false,
+        }
+    }
+}
+
 /// What [`DataPlane::deregister_tenant`] hands back: the tenant's final
 /// trail and an accounting of everything the teardown reclaimed.
 pub struct TenantTeardown {
@@ -254,40 +274,38 @@ impl DataPlane {
         tenant: TenantId,
         quota_bytes: Option<u64>,
     ) -> Result<(), DataPlaneError> {
+        let keys = self.config.master.tenant_keys(tenant.0, 0);
+        let audit = AuditLog::for_tenant(keys.signing.clone(), AUDIT_SEGMENT_RECORDS, tenant);
+        self.install_tenant(tenant, TenantState::new(tenant, keys, audit), quota_bytes)?;
+        Ok(())
+    }
+
+    /// Publish `state` as `tenant`'s namespace under `quota_bytes`. Fails
+    /// if the tenant already exists.
+    fn install_tenant(
+        &self,
+        tenant: TenantId,
+        state: TenantState,
+        quota_bytes: Option<u64>,
+    ) -> Result<Arc<Mutex<TenantState>>, DataPlaneError> {
+        let ts = Arc::new(Mutex::new(state));
         {
             let mut tenants = self.tenants.write();
             if tenants.contains_key(&tenant) {
                 return Err(DataPlaneError::BadArguments("tenant already registered"));
             }
-            let keys = self.config.master.tenant_keys(tenant.0, 0);
-            tenants.insert(
-                tenant,
-                Arc::new(Mutex::new(TenantState {
-                    refs: RefTable::new(reference_seed(tenant)),
-                    audit: AuditLog::for_tenant(
-                        keys.signing.clone(),
-                        AUDIT_SEGMENT_RECORDS,
-                        tenant,
-                    ),
-                    keys,
-                    segments: Vec::new(),
-                    egress_seq: 0,
-                    events_ingested: 0,
-                    bytes_ingested: 0,
-                    next_ckpt_seq: 0,
-                    last_ckpt_epoch: None,
-                    retired_before: 0,
-                    departed: false,
-                })),
-            );
+            tenants.insert(tenant, ts.clone());
         }
-        if let Some(quota) = quota_bytes {
-            self.alloc.lock().allocator.set_owner_quota(tenant.owner_tag(), quota);
+        let mut alloc = self.alloc.lock();
+        match quota_bytes {
+            Some(quota) => alloc.allocator.set_owner_quota(tenant.owner_tag(), quota),
+            None => alloc.allocator.clear_owner_quota(tenant.owner_tag()),
         }
+        drop(alloc);
         // Pre-create the tenant's latency histograms so the ingest hot
         // path never takes the registry's write lock.
         self.telemetry.register_tenant(tenant.0);
-        Ok(())
+        Ok(ts)
     }
 
     /// Replace (or install) a tenant's TEE memory quota. `None` makes the
@@ -378,6 +396,14 @@ impl DataPlane {
             }
             (std::mem::take(&mut t.segments), t.keys.epoch, refs_revoked)
         };
+        let reclaimed_bytes = self.sweep_tenant(tenant);
+        Ok(TenantTeardown { tenant, reason, final_epoch, segments, reclaimed_bytes, refs_revoked })
+    }
+
+    /// Free everything a tenant removed from the map still owns: every
+    /// uArray charged to it in one allocator pass, their store entries and
+    /// pages, and its observability state. Returns the bytes reclaimed.
+    fn sweep_tenant(&self, tenant: TenantId) -> u64 {
         let torn = {
             let mut alloc = self.alloc.lock();
             // Seal before sweeping: an in-flight invocation that raced past
@@ -403,14 +429,7 @@ impl DataPlane {
         // histogram rows, the checkpoint gauge, and the flight-recorder ring
         // all key on the tenant id, which deployments recycle.
         self.telemetry.deregister_tenant(tenant.0);
-        Ok(TenantTeardown {
-            tenant,
-            reason,
-            final_epoch,
-            segments,
-            reclaimed_bytes: torn.reclaimed_bytes,
-            refs_revoked,
-        })
+        torn.reclaimed_bytes
     }
 
     /// A tenant's epoch-retirement horizon (0 = nothing retired).

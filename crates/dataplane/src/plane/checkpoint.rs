@@ -1,12 +1,11 @@
 //! Crash recovery: sealed checkpoints, restore and epoch retirement.
 
-use super::{reference_seed, DataPlane, TenantState, AUDIT_SEGMENT_RECORDS};
+use super::{DataPlane, TenantState, AUDIT_SEGMENT_RECORDS};
 use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
-use crate::opaque::RefTable;
 use crate::snapshot::{
-    seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, RestoredWindow,
-    SealedSnapshot, SnapshotPlaintext, SnapshotWindow,
+    seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, SealedSnapshot,
+    SnapshotPlaintext, SnapshotWindow, WindowManifest,
 };
 use crate::store::StoredData;
 use parking_lot::Mutex;
@@ -14,7 +13,6 @@ use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_telemetry::SpanKind;
 use sbt_types::{Event, PrimitiveKind, TenantId};
 use sbt_uarray::UArrayId;
-use std::sync::Arc;
 
 impl DataPlane {
     /// Seal a checkpoint of one tenant's streaming state.
@@ -147,9 +145,9 @@ impl DataPlane {
     /// re-committed to secure memory and re-announced to the trail as an
     /// ordinary ingress + windowing pair.
     ///
-    /// A failed restore can leave the tenant partially registered (e.g. on
-    /// quota rejection mid-recommit); callers must treat any error as fatal
-    /// for this plane instance and discard it. A one-command list.
+    /// A restore that fails after registering the tenant (a quota rejection
+    /// mid-recommit, say) unregisters it again and frees what it
+    /// re-committed, so the restore can be retried. A one-command list.
     pub fn restore_tenant(
         &self,
         tenant: TenantId,
@@ -181,40 +179,24 @@ impl DataPlane {
         if plain.epoch < horizon {
             return Err(DataPlaneError::RetiredEpoch { epoch: plain.epoch, horizon });
         }
-        {
-            let mut tenants = self.tenants.write();
-            if tenants.contains_key(&tenant) {
-                return Err(DataPlaneError::BadArguments("tenant already registered"));
-            }
-            let keys = self.config.master.tenant_keys(tenant.0, plain.epoch);
-            let audit = AuditLog::resume(
-                keys.signing.clone(),
-                AUDIT_SEGMENT_RECORDS,
-                tenant,
-                plain.epoch,
-                plain.audit_cursor,
-            );
-            tenants.insert(
-                tenant,
-                Arc::new(Mutex::new(TenantState {
-                    refs: RefTable::new(reference_seed(tenant)),
-                    audit,
-                    keys,
-                    segments: Vec::new(),
-                    egress_seq: plain.egress_seq,
-                    events_ingested: plain.events_ingested,
-                    bytes_ingested: plain.bytes_ingested,
-                    next_ckpt_seq: plain.ckpt_seq + 1,
-                    last_ckpt_epoch: Some(plain.epoch),
-                    retired_before: horizon,
-                    departed: false,
-                })),
-            );
-        }
-        if let Some(quota) = quota_bytes {
-            self.alloc.lock().allocator.set_owner_quota(tenant.owner_tag(), quota);
-        }
-        self.telemetry.register_tenant(tenant.0);
+        let keys = self.config.master.tenant_keys(tenant.0, plain.epoch);
+        let audit = AuditLog::resume(
+            keys.signing.clone(),
+            AUDIT_SEGMENT_RECORDS,
+            tenant,
+            plain.epoch,
+            plain.audit_cursor,
+        );
+        let state = TenantState {
+            egress_seq: plain.egress_seq,
+            events_ingested: plain.events_ingested,
+            bytes_ingested: plain.bytes_ingested,
+            next_ckpt_seq: plain.ckpt_seq + 1,
+            last_ckpt_epoch: Some(plain.epoch),
+            retired_before: horizon,
+            ..TenantState::new(tenant, keys, audit)
+        };
+        let ts = self.install_tenant(tenant, state, quota_bytes)?;
         {
             // A fresh plane mints ids from zero; lift the floor past every
             // id the trail prefix can reference so the suffix never reuses
@@ -224,7 +206,6 @@ impl DataPlane {
                 alloc.next_id = UArrayId(plain.next_uarray_id);
             }
         }
-        let ts = self.tenant_state(tenant)?;
         // The resumed trail opens with the resumed-checkpoint record: same
         // sequence and hash as the sealed record the cloud already holds.
         self.append_audit(
@@ -236,49 +217,17 @@ impl DataPlane {
                 hash,
             },
         );
-        // Re-commit every partition and re-announce it: the state re-enters
-        // the TEE and is re-windowed, so replay sees an ordinary ingress +
-        // windowing pair per array and rebuilds its lineage from there.
-        let mut windows = Vec::with_capacity(plain.windows.len());
-        let mut events_restored = 0u64;
-        for w in &plain.windows {
-            let mut restored =
-                RestoredWindow { win_no: w.win_no, left: Vec::new(), right: Vec::new() };
-            for (events_side, refs_side) in
-                [(&w.left, &mut restored.left), (&w.right, &mut restored.right)]
-            {
-                for events in events_side.iter() {
-                    events_restored += events.len() as u64;
-                    let pre_id = self.next_id();
-                    let data = StoredData::from_events(self.next_id(), events, &self.pager)?;
-                    let (rid, opaque, _) = self.register_output(
-                        tenant,
-                        &ts,
-                        data,
-                        PrimitiveKind::Segment.code() as u64,
-                        None,
-                    )?;
-                    self.append_audit(
-                        &ts,
-                        AuditRecord::Ingress {
-                            ts_ms: self.now_ms(),
-                            data: DataRef::UArray(UArrayRef(pre_id.0 as u32)),
-                        },
-                    );
-                    self.append_audit(
-                        &ts,
-                        AuditRecord::Windowing {
-                            ts_ms: self.now_ms(),
-                            input: UArrayRef(pre_id.0 as u32),
-                            win_no: w.win_no as u16,
-                            output: UArrayRef(rid.0 as u32),
-                        },
-                    );
-                    refs_side.push(opaque);
-                }
+        let (windows, events_restored) = match self.recommit_windows(tenant, &ts, &plain.windows) {
+            Ok(recommitted) => recommitted,
+            Err(e) => {
+                // Unwind the registration: the tenant never resumed, so it
+                // leaves nothing behind, not even a departure record.
+                self.tenants.write().remove(&tenant);
+                ts.lock().departed = true;
+                self.sweep_tenant(tenant);
+                return Err(e);
             }
-            windows.push(restored);
-        }
+        };
         self.telemetry.note_checkpoint(tenant.0);
         self.telemetry.tracer().record(SpanKind::Restore, tenant.0, span_start, events_restored);
         Ok(RestoredTenant {
@@ -291,6 +240,60 @@ impl DataPlane {
             windows,
             events_restored,
         })
+    }
+
+    /// Re-commit every partition of a restored tenant and re-announce it:
+    /// the state re-enters the TEE and is re-windowed, so replay sees an
+    /// ordinary ingress + windowing pair per array and rebuilds its lineage
+    /// from there. Returns the windows with fresh references and the events
+    /// re-committed.
+    fn recommit_windows(
+        &self,
+        tenant: TenantId,
+        ts: &Mutex<TenantState>,
+        snapshot: &[SnapshotWindow],
+    ) -> Result<(Vec<WindowManifest>, u64), DataPlaneError> {
+        let mut windows = Vec::with_capacity(snapshot.len());
+        let mut events_restored = 0u64;
+        for w in snapshot {
+            let mut restored =
+                WindowManifest { win_no: w.win_no, left: Vec::new(), right: Vec::new() };
+            for (events_side, refs_side) in
+                [(&w.left, &mut restored.left), (&w.right, &mut restored.right)]
+            {
+                for events in events_side.iter() {
+                    events_restored += events.len() as u64;
+                    let pre_id = self.next_id();
+                    let data = StoredData::from_events(self.next_id(), events, &self.pager)?;
+                    let (rid, opaque, _) = self.register_output(
+                        tenant,
+                        ts,
+                        data,
+                        PrimitiveKind::Segment.code() as u64,
+                        None,
+                    )?;
+                    self.append_audit(
+                        ts,
+                        AuditRecord::Ingress {
+                            ts_ms: self.now_ms(),
+                            data: DataRef::UArray(UArrayRef(pre_id.0 as u32)),
+                        },
+                    );
+                    self.append_audit(
+                        ts,
+                        AuditRecord::Windowing {
+                            ts_ms: self.now_ms(),
+                            input: UArrayRef(pre_id.0 as u32),
+                            win_no: w.win_no as u16,
+                            output: UArrayRef(rid.0 as u32),
+                        },
+                    );
+                    refs_side.push(opaque);
+                }
+            }
+            windows.push(restored);
+        }
+        Ok((windows, events_restored))
     }
 
     /// Retire a tenant's key epochs below `horizon` (forward secrecy):

@@ -135,18 +135,6 @@ impl SealedSnapshot {
     }
 }
 
-/// One restored window handed back to the control plane: freshly minted
-/// references to the re-committed partition arrays.
-#[derive(Debug, Clone)]
-pub struct RestoredWindow {
-    /// The window number.
-    pub win_no: u32,
-    /// Primary-stream partition references.
-    pub left: Vec<OpaqueRef>,
-    /// Secondary-stream partition references.
-    pub right: Vec<OpaqueRef>,
-}
-
 /// The outcome of [`crate::DataPlane::restore_tenant`]: everything the
 /// control plane needs to adopt the recovered state and resume serving.
 #[derive(Debug, Clone)]
@@ -163,8 +151,9 @@ pub struct RestoredTenant {
     pub right_watermark_ms: u64,
     /// First window not yet executed at checkpoint time.
     pub next_unexecuted: u32,
-    /// Restored windows with fresh references.
-    pub windows: Vec<RestoredWindow>,
+    /// Restored windows with fresh references to the re-committed
+    /// partition arrays.
+    pub windows: Vec<WindowManifest>,
     /// Total events re-committed into secure memory.
     pub events_restored: u64,
 }

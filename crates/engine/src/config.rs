@@ -1,7 +1,7 @@
 //! Engine configuration and the evaluation's engine variants (Table 5).
 
 use sbt_dataplane::DataPlaneConfig;
-use sbt_tz::platform::IngressPathConfig;
+use sbt_tz::IngressPath;
 use sbt_tz::PlatformConfig;
 use sbt_uarray::{AllocatorConfig, PlacementPolicy};
 
@@ -91,12 +91,10 @@ impl EngineConfig {
             PlatformConfig::hikey().with_cores(self.cores).with_secure_mem(self.secure_mem_bytes);
         match self.variant {
             EngineVariant::Sbt | EngineVariant::SbtClearIngress => {
-                base.with_ingress(IngressPathConfig::TrustedIo)
+                base.with_ingress(IngressPath::TrustedIo)
             }
-            EngineVariant::SbtIoViaOs => base.with_ingress(IngressPathConfig::ViaOs),
-            EngineVariant::Insecure => {
-                base.with_ingress(IngressPathConfig::TrustedIo).with_free_costs()
-            }
+            EngineVariant::SbtIoViaOs => base.with_ingress(IngressPath::ViaOs),
+            EngineVariant::Insecure => base.with_ingress(IngressPath::TrustedIo).with_free_costs(),
         }
     }
 }
@@ -120,10 +118,10 @@ mod tests {
         let sbt = EngineConfig::for_variant(EngineVariant::Sbt, 4).platform_config();
         assert_eq!(sbt.cores, 4);
         assert!(sbt.cost.optee_switch_cycles > 0);
-        assert_eq!(sbt.ingress_path, IngressPathConfig::TrustedIo);
+        assert_eq!(sbt.ingress_path, IngressPath::TrustedIo);
 
         let via_os = EngineConfig::for_variant(EngineVariant::SbtIoViaOs, 4).platform_config();
-        assert_eq!(via_os.ingress_path, IngressPathConfig::ViaOs);
+        assert_eq!(via_os.ingress_path, IngressPath::ViaOs);
 
         let insecure = EngineConfig::for_variant(EngineVariant::Insecure, 4).platform_config();
         assert_eq!(insecure.cost.optee_switch_cycles, 0);

@@ -4,8 +4,9 @@
 //! Programmers assemble pipelines from high-level operators (Windowing,
 //! GroupBy/Aggregate families, Distinct, TopK, Filter, temporal Join, …)
 //! much like they would with a commodity stream engine. The engine compiles
-//! each pipeline into a per-window plan over the data plane's trusted
-//! primitives and orchestrates its execution:
+//! each pipeline once into a [`WindowPlan`] over the data plane's trusted
+//! primitives — the plan every window runs, and the one the verifier's
+//! declaration is read from — and orchestrates its execution:
 //!
 //! * it ingests event batches and watermarks from sources, handing the bytes
 //!   to the data plane through the platform's ingress path;
@@ -13,7 +14,8 @@
 //!   pool of worker threads, all entering the one shared TEE concurrently —
 //!   and attaches consumption hints so the TEE allocator can lay memory out
 //!   compactly;
-//! * it tracks watermarks, triggers window completion, measures output
+//! * it tracks watermarks and fires completed windows, inline or as an
+//!   executor task whose [`JoinHandle`] the caller harvests; measures output
 //!   delay, applies backpressure when the TEE reports memory pressure, and
 //!   uploads results and audit segments.
 //!
@@ -40,6 +42,6 @@ pub use config::{EngineConfig, EngineVariant};
 pub use executor::{Executor, JoinHandle, TaskPanicked, TaskResult};
 pub use gateway::{GatewayBoundary, TeeGateway};
 pub use metrics::{CycleCost, EngineMetrics, WindowResult};
-pub use operators::Operator;
+pub use operators::{Operator, PlanOp, WindowPlan};
 pub use pipeline::Pipeline;
-pub use runner::{Engine, IngestStatus, StreamSide, WindowTicket};
+pub use runner::{Engine, IngestStatus, StreamSide};

@@ -1,12 +1,13 @@
 //! Declarative stream operators and their compilation onto trusted
 //! primitives (Table 2 of the paper).
 //!
-//! Programmers declare pipelines with the operators in this module; the
-//! engine compiles each operator into the sequence of trusted primitives the
-//! data plane must execute per window. The compilation also yields the
-//! [`sbt_attest::PipelineSpec`] the cloud verifier uses, so the declaration
-//! installed on the cloud and the plan executed on the edge come from the
-//! same source.
+//! Programmers declare pipelines with the operators in this module.
+//! [`WindowPlan::compile`] turns a pipeline's operators into the one plan
+//! every window runs: a per-partition chain, a gather and a reduce. The
+//! engine fires windows from that plan alone, and the cloud verifier's
+//! [`sbt_attest::PipelineSpec`] is read off it ([`WindowPlan::spec`]), so
+//! the declaration installed on the cloud and what the edge executes are
+//! one value.
 
 use sbt_attest::PipelineSpec;
 use sbt_dataplane::PrimitiveParams;
@@ -77,29 +78,6 @@ pub enum Operator {
     Passthrough,
 }
 
-/// How a terminal operator reduces a window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReduceKind {
-    /// Sort each partition, merge, then apply a grouped primitive.
-    Grouped {
-        /// The grouped primitive applied after the merge.
-        primitive: PrimitiveKind,
-        /// Its parameters.
-        params: PrimitiveParams,
-    },
-    /// Concatenate partitions, then apply a whole-window primitive.
-    Whole {
-        /// The whole-window primitive.
-        primitive: PrimitiveKind,
-        /// Its parameters.
-        params: PrimitiveParams,
-    },
-    /// Sort/merge both input streams, then join them.
-    Join,
-    /// Concatenate partitions and externalize the events unchanged.
-    Passthrough,
-}
-
 impl Operator {
     /// Whether this operator transforms events to events (and therefore may
     /// be followed by further operators).
@@ -110,106 +88,95 @@ impl Operator {
         )
     }
 
-    /// The trusted primitive and parameters a transform operator runs on
-    /// each partition. Panics if called on a terminal operator.
-    pub fn transform_primitive(&self) -> (PrimitiveKind, PrimitiveParams) {
-        match *self {
-            Operator::Filter { lo, hi } => {
-                (PrimitiveKind::FilterBand, PrimitiveParams::Band { lo, hi })
-            }
+    /// The trusted primitive this operator runs, its parameters, and whether
+    /// it reads key runs (and so needs its input sorted). `None` for
+    /// [`Operator::Passthrough`], which runs nothing.
+    fn primitive(&self) -> Option<(PrimitiveKind, PrimitiveParams, bool)> {
+        use PrimitiveKind as P;
+        let none = PrimitiveParams::None;
+        Some(match *self {
+            Operator::Filter { lo, hi } => (P::FilterBand, PrimitiveParams::Band { lo, hi }, false),
             Operator::FilterTime { start, end } => {
-                (PrimitiveKind::FilterTime, PrimitiveParams::TimeRange { start, end })
+                (P::FilterTime, PrimitiveParams::TimeRange { start, end }, false)
             }
-            Operator::Sample { every } => (PrimitiveKind::Sample, PrimitiveParams::Every(every)),
-            _ => panic!("not a transform operator: {self:?}"),
-        }
-    }
-
-    /// How this terminal operator reduces a window. Panics if called on a
-    /// transform operator.
-    pub fn reduce_kind(&self) -> ReduceKind {
-        match *self {
-            Operator::SumByKey => ReduceKind::Grouped {
-                primitive: PrimitiveKind::SumCnt,
-                params: PrimitiveParams::None,
-            },
-            Operator::AvgPerKey => ReduceKind::Grouped {
-                primitive: PrimitiveKind::AveragePerKey,
-                params: PrimitiveParams::None,
-            },
-            Operator::CountByKey => ReduceKind::Grouped {
-                primitive: PrimitiveKind::CountPerKey,
-                params: PrimitiveParams::None,
-            },
-            Operator::MedianByKey => ReduceKind::Grouped {
-                primitive: PrimitiveKind::MedianPerKey,
-                params: PrimitiveParams::None,
-            },
-            Operator::Distinct => ReduceKind::Grouped {
-                primitive: PrimitiveKind::Unique,
-                params: PrimitiveParams::None,
-            },
-            Operator::TopKPerKey { k } => ReduceKind::Grouped {
-                primitive: PrimitiveKind::TopKPerKey,
-                params: PrimitiveParams::K(k),
-            },
-            Operator::TopK { k } => {
-                ReduceKind::Whole { primitive: PrimitiveKind::TopK, params: PrimitiveParams::K(k) }
-            }
-            Operator::WindowSum => {
-                ReduceKind::Whole { primitive: PrimitiveKind::Sum, params: PrimitiveParams::None }
-            }
-            Operator::CountByWindow => {
-                ReduceKind::Whole { primitive: PrimitiveKind::Count, params: PrimitiveParams::None }
-            }
-            Operator::WindowAverage => ReduceKind::Whole {
-                primitive: PrimitiveKind::Average,
-                params: PrimitiveParams::None,
-            },
-            Operator::WindowMinMax => ReduceKind::Whole {
-                primitive: PrimitiveKind::MinMax,
-                params: PrimitiveParams::None,
-            },
-            Operator::WindowMedian => ReduceKind::Whole {
-                primitive: PrimitiveKind::Median,
-                params: PrimitiveParams::None,
-            },
-            Operator::TempJoin => ReduceKind::Join,
-            Operator::Passthrough => ReduceKind::Passthrough,
-            Operator::Filter { .. } | Operator::FilterTime { .. } | Operator::Sample { .. } => {
-                panic!("not a terminal operator: {self:?}")
-            }
-        }
+            Operator::Sample { every } => (P::Sample, PrimitiveParams::Every(every), false),
+            Operator::SumByKey => (P::SumCnt, none, true),
+            Operator::AvgPerKey => (P::AveragePerKey, none, true),
+            Operator::CountByKey => (P::CountPerKey, none, true),
+            Operator::MedianByKey => (P::MedianPerKey, none, true),
+            Operator::Distinct => (P::Unique, none, true),
+            Operator::TopKPerKey { k } => (P::TopKPerKey, PrimitiveParams::K(k), true),
+            Operator::TempJoin => (P::Join, none, true),
+            Operator::TopK { k } => (P::TopK, PrimitiveParams::K(k), false),
+            Operator::WindowSum => (P::Sum, none, false),
+            Operator::CountByWindow => (P::Count, none, false),
+            Operator::WindowAverage => (P::Average, none, false),
+            Operator::WindowMinMax => (P::MinMax, none, false),
+            Operator::WindowMedian => (P::Median, none, false),
+            Operator::Passthrough => return None,
+        })
     }
 }
 
-/// Derive the verifier's pipeline declaration from an operator chain.
+/// One trusted primitive of a plan, with its parameters.
+pub type PlanOp = (PrimitiveKind, PrimitiveParams);
+
+/// What every window of a pipeline runs, compiled once from its operators.
 ///
-/// `transforms` are the event-to-event operators in order; `terminal` is the
-/// final aggregating operator.
-pub fn derive_spec(
-    name: &str,
-    transforms: &[Operator],
-    terminal: Operator,
-    target_delay_ms: u32,
-) -> PipelineSpec {
-    let mut stages: Vec<PrimitiveKind> = Vec::new();
-    for t in transforms {
-        stages.push(t.transform_primitive().0);
-    }
-    match terminal.reduce_kind() {
-        ReduceKind::Grouped { primitive, .. } => {
-            stages.push(PrimitiveKind::Sort);
-            stages.push(primitive);
+/// A window fires in two steps. Each partition of each side the plan reads
+/// runs `chain` as one command list; then one tail list gathers each side's
+/// partitions with `gather`, applies `reduce` (if any) to the gathered
+/// sides, and egresses the result. The verifier's declaration is read off
+/// the same plan ([`WindowPlan::spec`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowPlan {
+    /// Run on every partition, in order: each transform, then `Sort` when
+    /// the reduce reads key runs.
+    pub chain: Vec<PlanOp>,
+    /// Stream sides the plan reads: 2 for [`Operator::TempJoin`], else 1.
+    pub sides: usize,
+    /// How a side's partitions become one array: `MergeK` over sorted runs
+    /// when the reduce is keyed, `Concat` otherwise.
+    pub gather: PrimitiveKind,
+    /// Applied to the gathered sides; `None` egresses the gathered events.
+    pub reduce: Option<PlanOp>,
+}
+
+impl WindowPlan {
+    /// Compile a pipeline's `transforms` (event-to-event operators, in
+    /// order) and its `terminal` operator.
+    ///
+    /// # Panics
+    /// Panics if a transform is passed as the terminal or a terminal among
+    /// the transforms ([`crate::Pipeline::then`] never builds either).
+    pub fn compile(transforms: &[Operator], terminal: Operator) -> WindowPlan {
+        assert!(!terminal.is_transform(), "not a terminal operator: {terminal:?}");
+        let reduce = terminal.primitive();
+        let keyed = matches!(reduce, Some((_, _, true)));
+        let mut chain: Vec<PlanOp> = transforms
+            .iter()
+            .map(|t| match t.primitive() {
+                Some((op, params, _)) if t.is_transform() => (op, params),
+                _ => panic!("not a transform operator: {t:?}"),
+            })
+            .collect();
+        if keyed {
+            chain.push((PrimitiveKind::Sort, PrimitiveParams::None));
         }
-        ReduceKind::Whole { primitive, .. } => stages.push(primitive),
-        ReduceKind::Join => {
-            stages.push(PrimitiveKind::Sort);
-            stages.push(PrimitiveKind::Join);
+        WindowPlan {
+            chain,
+            sides: if terminal == Operator::TempJoin { 2 } else { 1 },
+            gather: if keyed { PrimitiveKind::MergeK } else { PrimitiveKind::Concat },
+            reduce: reduce.map(|(op, params, _)| (op, params)),
         }
-        ReduceKind::Passthrough => {}
     }
-    PipelineSpec::new(name, stages, target_delay_ms)
+
+    /// The verifier's declaration of this plan: the chain's primitives,
+    /// then the reduce's.
+    pub fn spec(&self, name: &str, target_delay_ms: u32) -> PipelineSpec {
+        let stages = self.chain.iter().chain(&self.reduce).map(|(op, _)| *op).collect();
+        PipelineSpec::new(name, stages, target_delay_ms)
+    }
 }
 
 #[cfg(test)]
@@ -226,64 +193,70 @@ mod tests {
 
     #[test]
     fn transform_primitives_carry_their_params() {
-        let (p, params) = Operator::Filter { lo: 5, hi: 9 }.transform_primitive();
-        assert_eq!(p, PrimitiveKind::FilterBand);
-        assert_eq!(params, PrimitiveParams::Band { lo: 5, hi: 9 });
-        let (p, params) = Operator::Sample { every: 3 }.transform_primitive();
-        assert_eq!(p, PrimitiveKind::Sample);
-        assert_eq!(params, PrimitiveParams::Every(3));
+        let plan = WindowPlan::compile(
+            &[Operator::Filter { lo: 5, hi: 9 }, Operator::Sample { every: 3 }],
+            Operator::TopK { k: 4 },
+        );
+        assert_eq!(
+            plan,
+            WindowPlan {
+                chain: vec![
+                    (PrimitiveKind::FilterBand, PrimitiveParams::Band { lo: 5, hi: 9 }),
+                    (PrimitiveKind::Sample, PrimitiveParams::Every(3)),
+                ],
+                sides: 1,
+                gather: PrimitiveKind::Concat,
+                reduce: Some((PrimitiveKind::TopK, PrimitiveParams::K(4))),
+            }
+        );
+        assert_eq!(WindowPlan::compile(&[], Operator::Passthrough).reduce, None);
     }
 
     #[test]
     #[should_panic(expected = "not a transform operator")]
     fn terminal_operator_has_no_transform_primitive() {
-        let _ = Operator::WindowSum.transform_primitive();
+        let _ = WindowPlan::compile(&[Operator::WindowSum], Operator::Passthrough);
     }
 
     #[test]
     #[should_panic(expected = "not a terminal operator")]
     fn transform_operator_has_no_reduce_kind() {
-        let _ = Operator::Filter { lo: 0, hi: 1 }.reduce_kind();
+        let _ = WindowPlan::compile(&[], Operator::Filter { lo: 0, hi: 1 });
     }
 
     #[test]
     fn grouped_operators_compile_to_sort_plus_grouped_primitive() {
-        match Operator::SumByKey.reduce_kind() {
-            ReduceKind::Grouped { primitive, .. } => assert_eq!(primitive, PrimitiveKind::SumCnt),
-            other => panic!("unexpected {other:?}"),
-        }
-        match (Operator::TopKPerKey { k: 3 }).reduce_kind() {
-            ReduceKind::Grouped { primitive, params } => {
-                assert_eq!(primitive, PrimitiveKind::TopKPerKey);
-                assert_eq!(params, PrimitiveParams::K(3));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let plan =
+            WindowPlan::compile(&[Operator::Sample { every: 2 }], Operator::TopKPerKey { k: 3 });
+        assert_eq!(
+            plan.chain,
+            vec![
+                (PrimitiveKind::Sample, PrimitiveParams::Every(2)),
+                (PrimitiveKind::Sort, PrimitiveParams::None),
+            ]
+        );
+        assert_eq!(plan.gather, PrimitiveKind::MergeK);
+        assert_eq!(plan.reduce, Some((PrimitiveKind::TopKPerKey, PrimitiveParams::K(3))));
+        let join = WindowPlan::compile(&[], Operator::TempJoin);
+        assert_eq!((join.sides, join.gather), (2, PrimitiveKind::MergeK));
+        assert_eq!(join.chain, vec![(PrimitiveKind::Sort, PrimitiveParams::None)]);
     }
 
     #[test]
     fn spec_derivation_matches_plan_shapes() {
-        let spec = derive_spec("winsum", &[], Operator::WindowSum, 20);
-        assert_eq!(spec.stages, vec![PrimitiveKind::Sum]);
-
-        let spec = derive_spec("topk", &[], Operator::TopKPerKey { k: 10 }, 500);
-        assert_eq!(spec.stages, vec![PrimitiveKind::Sort, PrimitiveKind::TopKPerKey]);
-
-        let spec = derive_spec(
-            "filter-distinct",
-            &[Operator::Filter { lo: 0, hi: 100 }],
-            Operator::Distinct,
-            200,
+        let stages = |transforms: &[Operator], terminal| {
+            WindowPlan::compile(transforms, terminal).spec("p", 20).stages
+        };
+        assert_eq!(stages(&[], Operator::WindowSum), vec![PrimitiveKind::Sum]);
+        assert_eq!(
+            stages(&[], Operator::TopKPerKey { k: 10 }),
+            vec![PrimitiveKind::Sort, PrimitiveKind::TopKPerKey]
         );
         assert_eq!(
-            spec.stages,
+            stages(&[Operator::Filter { lo: 0, hi: 100 }], Operator::Distinct),
             vec![PrimitiveKind::FilterBand, PrimitiveKind::Sort, PrimitiveKind::Unique]
         );
-
-        let spec = derive_spec("join", &[], Operator::TempJoin, 250);
-        assert_eq!(spec.stages, vec![PrimitiveKind::Sort, PrimitiveKind::Join]);
-
-        let spec = derive_spec("pass", &[], Operator::Passthrough, 10);
-        assert!(spec.stages.is_empty());
+        assert_eq!(stages(&[], Operator::TempJoin), vec![PrimitiveKind::Sort, PrimitiveKind::Join]);
+        assert!(stages(&[], Operator::Passthrough).is_empty());
     }
 }

@@ -3,10 +3,10 @@
 //! Mirrors the style of the paper's Figure 2(c): declare a windowing policy,
 //! chain operators, set a freshness target, and hand the pipeline to a
 //! runner. The builder validates the shape (transform operators may appear
-//! only before the single terminal operator) and knows how to derive both
-//! the execution plan and the verifier's declaration.
+//! only before the single terminal operator) and compiles it into the one
+//! [`WindowPlan`] both the engine and the verifier's declaration read.
 
-use crate::operators::{derive_spec, Operator};
+use crate::operators::{Operator, WindowPlan};
 use sbt_attest::PipelineSpec;
 use sbt_types::{Duration, WindowSpec};
 
@@ -119,9 +119,15 @@ impl Pipeline {
         matches!(self.terminal, Operator::TempJoin)
     }
 
-    /// Derive the declaration the cloud verifier installs.
+    /// Compile the plan every window of this pipeline runs.
+    pub fn plan(&self) -> WindowPlan {
+        WindowPlan::compile(&self.transforms, self.terminal)
+    }
+
+    /// The declaration the cloud verifier installs, read off
+    /// [`plan`](Pipeline::plan).
     pub fn spec(&self) -> PipelineSpec {
-        derive_spec(&self.name, &self.transforms, self.terminal, self.target_delay_ms)
+        self.plan().spec(&self.name, self.target_delay_ms)
     }
 
     // ---- The six evaluation pipelines (§9.2). --------------------------

@@ -1,22 +1,26 @@
 //! The engine runner: ingestion, watermark-driven window completion, and
-//! parallel execution of per-window plans against the data plane.
+//! parallel execution of the pipeline's [`WindowPlan`] against the data
+//! plane.
 //!
 //! The runner is the untrusted control plane in action. It receives event
 //! batches and watermarks from sources, keeps per-window bookkeeping of the
 //! opaque references the data plane hands back, and — when a watermark
-//! completes a window — fires it in two steps, each a command list: one list
-//! per partition on the worker pool (every transform, then `Sort` when the
-//! reduce is keyed), then one tail list that gathers the partitions (`MergeK`
-//! over sorted runs, `Concat` otherwise), reduces, egresses and retires.
-//! Along the way it attaches consumption hints for the TEE allocator,
-//! measures output delay, applies backpressure under TEE memory pressure, and
-//! collects uploadable results and audit segments.
+//! completes a window — fires it from the plan it compiled once, the same
+//! steps for every plan, each a command list: one list per partition on the
+//! worker pool (the plan's chain), then one tail list that gathers each
+//! side, applies the plan's reduce, egresses and retires. A watermark fires
+//! its windows inline ([`Engine::advance_watermark_on`]) or as an executor
+//! task whose [`JoinHandle`] the caller harvests
+//! ([`Engine::advance_watermark_async`]). Along the way it attaches
+//! consumption hints for the TEE allocator, measures output delay, applies
+//! backpressure under TEE memory pressure, and collects uploadable results
+//! and audit segments.
 
 use crate::config::EngineConfig;
-use crate::executor::Executor;
+use crate::executor::{Executor, JoinHandle};
 use crate::gateway::TeeGateway;
 use crate::metrics::{EngineMetrics, WindowResult};
-use crate::operators::ReduceKind;
+use crate::operators::WindowPlan;
 use crate::pipeline::Pipeline;
 use crate::steps::Steps;
 use parking_lot::Mutex;
@@ -25,7 +29,7 @@ use sbt_dataplane::{
     Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, OpaqueRef,
     PrimitiveParams, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
 };
-use sbt_telemetry::{FlightReason, LatencyKind, MetricsRegistry, SpanKind};
+use sbt_telemetry::{LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::HintSet;
@@ -58,15 +62,12 @@ pub enum IngestStatus {
     Backpressure,
 }
 
-/// Per-window bookkeeping: the windowed partitions of each stream side.
-#[derive(Default)]
-struct WindowState {
-    left: Vec<OpaqueRef>,
-    right: Vec<OpaqueRef>,
-}
+/// Per-window bookkeeping: the windowed partitions of each stream side,
+/// indexed by [`StreamSide`].
+type WindowState = [Vec<OpaqueRef>; 2];
 
-/// Window-execution coordination: at most one drainer (a submitted task or
-/// an inline caller) executes this engine's completed windows at a time, in
+/// Window-execution coordination: at most one drainer (a fire task or an
+/// inline caller) executes this engine's completed windows at a time, in
 /// window order, up to the furthest watermark-completed window asked for.
 #[derive(Default)]
 struct WindowExec {
@@ -76,8 +77,7 @@ struct WindowExec {
     target: Option<(WindowId, Instant)>,
     /// Whether a drainer currently owns window execution.
     draining: bool,
-    /// Window-execution errors from a detached drainer, waiting to be
-    /// claimed by a [`WindowTicket`].
+    /// Window failures a drainer parked for the callers waiting on it.
     errors: VecDeque<DataPlaneError>,
 }
 
@@ -90,54 +90,15 @@ impl WindowExec {
     }
 }
 
-/// A joinable handle on the asynchronous execution of the windows a
-/// watermark completed (see [`Engine::advance_watermark_async`]).
-///
-/// The ticket resolves when every window up to the watermark's last
-/// completed window has executed or failed. Waiting
-/// **helps**: the waiting thread runs queued executor tasks, so tickets can
-/// be awaited from anywhere without idling a core.
-pub struct WindowTicket {
-    engine: Option<Arc<Engine>>,
-    last: WindowId,
-}
+/// A drainer's claim on window execution. Dropped by a panicking window,
+/// it releases the claim, so the panic cannot wedge [`Engine::quiesce`] or
+/// the next watermark.
+struct DrainerClaim<'a>(&'a Mutex<WindowExec>);
 
-impl WindowTicket {
-    /// A ticket that is already resolved (the watermark completed nothing).
-    fn resolved() -> Self {
-        WindowTicket { engine: None, last: WindowId(0) }
-    }
-
-    /// Whether the windows behind this ticket have finished executing.
-    pub fn is_finished(&self) -> bool {
-        match &self.engine {
-            None => true,
-            Some(engine) => engine.windows_covered(&engine.window_exec.lock(), self.last),
-        }
-    }
-
-    /// Harvest the outcome without blocking: `None` while windows are still
-    /// executing, `Some(result)` once resolved. A parked window failure is
-    /// claimed by the first resolved ticket that observes it (tickets of one
-    /// engine belong to one lane, so the lane sees its own failures either
-    /// way).
-    pub fn try_wait(&mut self) -> Option<Result<(), DataPlaneError>> {
-        let Some(engine) = &self.engine else {
-            return Some(Ok(()));
-        };
-        let outcome = engine.windows_outcome(self.last);
-        if outcome.is_some() {
-            self.engine = None;
-        }
-        outcome
-    }
-
-    /// Block until the windows behind this ticket resolve, helping the
-    /// executor while waiting.
-    pub fn wait(self) -> Result<(), DataPlaneError> {
-        match self.engine {
-            None => Ok(()),
-            Some(engine) => engine.wait_windows_through(self.last),
+impl Drop for DrainerClaim<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().draining = false;
         }
     }
 }
@@ -146,6 +107,8 @@ impl WindowTicket {
 pub struct Engine {
     config: EngineConfig,
     pipeline: Pipeline,
+    /// The pipeline's plan, compiled once: what every window runs.
+    plan: Arc<WindowPlan>,
     platform: Arc<Platform>,
     gateway: Arc<TeeGateway>,
     pool: Arc<Executor>,
@@ -170,25 +133,16 @@ impl Engine {
         let platform = Platform::new(config.platform_config());
         let dp = DataPlane::new(platform.clone(), config.dataplane.clone());
         let pool = Arc::new(Executor::new(config.cores));
-        Self::assemble(config, pipeline, dp, TenantId::DEFAULT, pool)
+        Self::for_tenant(config, pipeline, dp, TenantId::DEFAULT, pool)
     }
 
     /// Build an engine for one tenant over a **shared** data plane and worker
     /// pool (the multi-tenant server's constructor). The tenant must already
     /// be registered with the data plane; all of this engine's calls execute
     /// in the tenant's namespace, and its parallelism is mapped onto the
-    /// shared pool alongside the other tenants'.
+    /// shared pool alongside the other tenants'. The pipeline's plan is
+    /// compiled here, once.
     pub fn for_tenant(
-        config: EngineConfig,
-        pipeline: Pipeline,
-        dp: Arc<DataPlane>,
-        tenant: TenantId,
-        pool: Arc<Executor>,
-    ) -> Arc<Self> {
-        Self::assemble(config, pipeline, dp, tenant, pool)
-    }
-
-    fn assemble(
         config: EngineConfig,
         pipeline: Pipeline,
         dp: Arc<DataPlane>,
@@ -208,6 +162,7 @@ impl Engine {
         // egress and checkpoint seals (inside the one crossing of each).
         gateway.data_plane().set_lane_pool(pool.clone());
         Arc::new(Engine {
+            plan: Arc::new(pipeline.plan()),
             pipeline,
             platform,
             gateway,
@@ -368,11 +323,7 @@ impl Engine {
     fn stash_windowed(&self, windowed: Vec<(WindowId, OpaqueRef)>, side: StreamSide) {
         let mut windows = self.windows.lock();
         for (win, opaque) in windowed {
-            let state = windows.entry(win).or_default();
-            match side {
-                StreamSide::Left => state.left.push(opaque),
-                StreamSide::Right => state.right.push(opaque),
-            }
+            windows.entry(win).or_default()[side as usize].push(opaque);
         }
     }
 
@@ -396,9 +347,10 @@ impl Engine {
     }
 
     /// Advance one side's watermark; executes any windows completed by the
-    /// combined (minimum) watermark before returning. If a detached drainer
-    /// (from [`advance_watermark_async`]) is already executing this
-    /// engine's windows, the call waits for it to cover this watermark.
+    /// combined (minimum) watermark before returning. If another drainer
+    /// (an inline caller, or a fire task from [`advance_watermark_async`])
+    /// is already executing this engine's windows, the call waits for it to
+    /// cover this watermark.
     ///
     /// [`advance_watermark_async`]: Engine::advance_watermark_async
     pub fn advance_watermark_on(
@@ -406,68 +358,35 @@ impl Engine {
         wm: Watermark,
         side: StreamSide,
     ) -> Result<(), DataPlaneError> {
-        let Some((last, arrival)) = self.note_watermark(wm, side) else {
-            return Ok(());
-        };
-        if self.claim_drainer(last, arrival) {
-            match self.drain_windows() {
-                Ok(()) => Ok(()),
-                Err(e) => {
-                    // The error was also parked for potential concurrent
-                    // waiters; claim the parked copy if no one has yet.
-                    let mut st = self.window_exec.lock();
-                    if let Some(pos) = st.errors.iter().position(|parked| *parked == e) {
-                        st.errors.remove(pos);
-                    }
-                    Err(e)
-                }
-            }
-        } else {
-            self.wait_windows_through(last)
+        match self.note_watermark(wm, side) {
+            Some((last, arrival)) => self.fire_through(last, arrival),
+            None => Ok(()),
         }
     }
 
-    /// Advance one side's watermark and submit the execution of any windows
-    /// it completes to the executor, returning a joinable [`WindowTicket`]
-    /// instead of blocking. Windows of one engine still execute serially and
-    /// in window order (a single drainer task per engine at a time), but
-    /// windows of *different* engines — and this engine's subsequent
-    /// ingestion — pipeline freely against them.
+    /// Advance one side's watermark and fire the windows it completes as an
+    /// executor task, returning the task's handle instead of blocking. The
+    /// watermark is ingested, and its arrival stamped, on the caller; the
+    /// task runs [`advance_watermark_on`]'s fire. Windows of one engine
+    /// still execute serially and in window order (one drainer per engine
+    /// at a time), but windows of *different* engines — and this engine's
+    /// subsequent ingestion — pipeline freely against them. A window that
+    /// panics surfaces as the handle's [`crate::TaskPanicked`].
+    ///
+    /// [`advance_watermark_on`]: Engine::advance_watermark_on
     pub fn advance_watermark_async(
         engine: &Arc<Engine>,
         wm: Watermark,
         side: StreamSide,
-    ) -> WindowTicket {
-        let Some((last, arrival)) = engine.note_watermark(wm, side) else {
-            return WindowTicket::resolved();
-        };
-        if engine.claim_drainer(last, arrival) {
-            let drainer = Arc::clone(engine);
-            // Detached: errors are parked in the engine's window-exec state
-            // for the ticket. A panic in the drainer would otherwise vanish
-            // into the dropped handle with `draining` stuck true, wedging
-            // every ticket — catch it, restore the state, and surface it as
-            // a parked error instead.
-            //
-            // Fire class: the windows are already due, so the drainer (and
-            // the sort, merge and seal tasks it fans out) runs ahead of any
-            // queued ingest and never under it.
-            drop(engine.pool.spawn_fire(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = drainer.drain_windows();
-                }));
-                if outcome.is_err() {
-                    // Flight-record the tenant's recent spans before the
-                    // state is patched up: the post-mortem wants the window
-                    // fires and boundary crossings leading into the panic.
-                    drainer.telemetry().flight_trigger(drainer.tenant().0, FlightReason::TaskPanic);
-                    let mut st = drainer.window_exec.lock();
-                    st.draining = false;
-                    st.errors.push_back(DataPlaneError::BadArguments("window drainer panicked"));
-                }
-            }));
-        }
-        WindowTicket { engine: Some(Arc::clone(engine)), last }
+    ) -> JoinHandle<Result<(), DataPlaneError>> {
+        let due = engine.note_watermark(wm, side);
+        let fire = Arc::clone(engine);
+        // Fire class: the windows are already due, so the fire (and the
+        // sort, merge and seal tasks it fans out) runs ahead of any queued
+        // ingest and never under it.
+        engine.pool.spawn_fire(move || {
+            due.map_or(Ok(()), |(last, arrival)| fire.fire_through(last, arrival))
+        })
     }
 
     /// Record a watermark's ingress and compute what it completes: the last
@@ -498,21 +417,42 @@ impl Engine {
         }
     }
 
+    /// Fire every window through `last`: claim window execution and drain
+    /// on this thread, or — when a drainer already owns it — wait, helping
+    /// the executor, until that drainer has covered `last`, surfacing a
+    /// failure it parked.
+    fn fire_through(&self, last: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
+        if !self.claim_drainer(last, arrival) {
+            return self.help_until(|| self.windows_outcome(last));
+        }
+        let outcome = self.drain_windows();
+        if let Err(e) = &outcome {
+            // The error was also parked for concurrent waiters; claim the
+            // parked copy if no one has yet.
+            let mut st = self.window_exec.lock();
+            if let Some(pos) = st.errors.iter().position(|parked| parked == e) {
+                st.errors.remove(pos);
+            }
+        }
+        outcome
+    }
+
     /// The drainer: execute completed windows in order until the asked-for
     /// target is covered, re-checking for targets that advanced while
     /// draining. Exactly one drainer runs per engine at a time (the
-    /// `draining` flag); it never blocks on another drainer, so it is safe
-    /// to run as an executor task.
+    /// `draining` flag, which the caller has claimed); it never blocks on
+    /// another drainer, so it is safe to run as an executor task.
     ///
     /// A window that fails — its intermediates tripped the tenant's quota,
     /// say — costs the tenant that window and nothing else: its state was
-    /// consumed by the attempt, so the drainer parks the error for waiters
-    /// ([`WindowTicket`]s and concurrent sync watermark calls), steps past
-    /// the window and keeps draining. Stopping instead would strand every
-    /// later window whose watermark had already been merged into the
-    /// target: with no further watermark to respawn a drainer, they would
-    /// never fire. Returns the first failure once the target is covered.
+    /// consumed by the attempt, so the drainer parks the error for the
+    /// callers waiting on it, steps past the window and keeps draining.
+    /// Stopping instead would strand every later window whose watermark had
+    /// already been merged into the target: with no further watermark to
+    /// start a drainer, they would never fire. Returns the first failure
+    /// once the target is covered.
     fn drain_windows(&self) -> Result<(), DataPlaneError> {
+        let _claim = DrainerClaim(&self.window_exec);
         let mut first_failure = None;
         loop {
             let (last, arrival) = {
@@ -543,25 +483,15 @@ impl Engine {
         }
     }
 
-    /// Whether the drainer is past `last` (or no drainer is running).
-    fn windows_covered(&self, st: &WindowExec, last: WindowId) -> bool {
-        !st.draining || *self.next_unexecuted.lock() > last
-    }
-
-    /// `None` while windows through `last` are still executing; once they
-    /// are covered, the oldest unclaimed window failure or `Ok`. A failure
-    /// is never surfaced earlier: the drainer keeps going past a failed
-    /// window, and a waiter released by the failure alone would see the
-    /// windows behind it as not yet fired.
+    /// `None` while a drainer is still short of `last`; once it is past
+    /// `last` (or none is running), the oldest unclaimed window failure or
+    /// `Ok`. A failure is never surfaced earlier: the drainer keeps going
+    /// past a failed window, and a waiter released by the failure alone
+    /// would see the windows behind it as not yet fired.
     fn windows_outcome(&self, last: WindowId) -> Option<Result<(), DataPlaneError>> {
         let mut st = self.window_exec.lock();
-        self.windows_covered(&st, last).then(|| st.errors.pop_front().map_or(Ok(()), Err))
-    }
-
-    /// Wait (helping the executor) until a concurrent drainer has executed
-    /// every window through `last`, surfacing a parked window failure.
-    fn wait_windows_through(&self, last: WindowId) -> Result<(), DataPlaneError> {
-        self.help_until(|| self.windows_outcome(last))
+        let covered = !st.draining || *self.next_unexecuted.lock() > last;
+        covered.then(|| st.errors.pop_front().map_or(Ok(()), Err))
     }
 
     /// Run queued executor tasks on the calling thread until `done` yields,
@@ -585,57 +515,44 @@ impl Engine {
         !std::mem::replace(&mut st.draining, true)
     }
 
-    /// Execute one completed window end to end.
+    /// Execute one completed window from the plan, the same steps for every
+    /// plan: retire the window if a side the plan reads is empty; run the
+    /// partition lists; then one tail list that gathers each side, applies
+    /// the reduce (if any) and egresses.
     fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
-        let state = self.windows.lock().remove(&win);
-        let Some(state) = state else {
+        let Some(window) = self.windows.lock().remove(&win) else {
             return Ok(()); // empty window: nothing to do, nothing to egress
         };
         let overhead_before = self.platform.stats().snapshot();
         let span_start = self.telemetry().tracer().start();
 
-        // A window without partitions, or a join with one side empty, leaves
-        // nothing to fire: retire what the other side holds, in one list.
-        let reduce = self.pipeline.terminal().reduce_kind();
-        if state.left.is_empty() || (reduce == ReduceKind::Join && state.right.is_empty()) {
-            self.retire(state.left.into_iter().chain(state.right));
+        // 1. A side the plan reads is empty: nothing to fire. Retire what
+        // the window holds, in one list. (A side it does not read is only
+        // ever retired.)
+        let mut sides = Vec::from(window);
+        let unread = sides.split_off(self.plan.sides);
+        if sides.iter().any(Vec::is_empty) {
+            self.retire(sides.into_iter().chain(unread).flatten());
             return Ok(());
         }
+        self.retire(unread.into_iter().flatten());
 
-        // 1. Partitions, in parallel: one list each. A mid-window failure —
+        // 2. Partitions, in parallel: one list each. A mid-window failure —
         // e.g. an intermediate tripping the tenant's quota — costs the
         // window but never strands quota or pages.
-        let keyed = matches!(reduce, ReduceKind::Grouped { .. } | ReduceKind::Join);
-        let (left, right) = self.run_partitions(state.left, state.right, keyed)?;
+        let sides = self.run_partitions(sides)?;
 
-        // 2. The tail: one list from the gather through the reduce, the
+        // 3. The tail: one list from the gathers through the reduce, the
         // egress and its retire. If it fails, the data plane retires the
         // partitions it names and drops the sealed result with the rest.
         let mut tail = Steps::default();
-        let gathered = |tail: &mut Steps, op, refs: &[OpaqueRef]| {
-            tail.gather(op, refs).expect("a fired side has partitions")
-        };
-        let result = match reduce {
-            ReduceKind::Grouped { primitive, params } => {
-                let merged = gathered(&mut tail, PrimitiveKind::MergeK, &left);
-                tail.consume(primitive, params, HintSet::none(), vec![merged])
-            }
-            ReduceKind::Whole { primitive, params } => {
-                let whole = gathered(&mut tail, PrimitiveKind::Concat, &left);
-                tail.consume(primitive, params, HintSet::none(), vec![whole])
-            }
-            ReduceKind::Join => {
-                let l = gathered(&mut tail, PrimitiveKind::MergeK, &left);
-                let r = gathered(&mut tail, PrimitiveKind::MergeK, &right);
-                tail.consume(
-                    PrimitiveKind::Join,
-                    PrimitiveParams::None,
-                    HintSet::none(),
-                    vec![l, r],
-                )
-            }
-            ReduceKind::Passthrough => gathered(&mut tail, PrimitiveKind::Concat, &left),
-        };
+        let gathered: Vec<Arg> = sides
+            .iter()
+            .map(|refs| tail.gather(self.plan.gather, refs).expect("a fired side has partitions"))
+            .collect();
+        let result = self.plan.reduce.map_or(gathered[0], |(op, params)| {
+            tail.consume(op, params, HintSet::none(), gathered)
+        });
         tail.egress(result);
         let message = tail
             .run(&self.gateway)?
@@ -648,7 +565,7 @@ impl Engine {
         let result_records = message.ciphertext.len();
         self.results.lock().push(message);
 
-        // 3. Metrics. The reported memory is the peak observed while this
+        // 4. Metrics. The reported memory is the peak observed while this
         // window was in flight (after completion everything has been
         // reclaimed, so sampling now would always read near zero).
         let overhead_after = self.platform.stats().snapshot();
@@ -686,45 +603,36 @@ impl Engine {
         }
     }
 
-    /// Run every partition's chain — each transform, then `Sort` when the
-    /// reduce is `keyed` — as one list per partition, all partitions of both
-    /// sides in parallel, each retiring its inputs. Partition `i` of a
-    /// side's `k` carries the one hint "sibling `i` of `k` consumed in
-    /// parallel" on every output. An empty chain costs nothing. A partition
-    /// list that fails has retired its own partition; when one does, the
-    /// outputs of its siblings are retired in one list and the first error
-    /// is returned.
+    /// Run the plan's chain on every partition of every side as one list
+    /// per partition, all in parallel, each retiring its input. Partition
+    /// `i` of a side's `k` carries the one hint "sibling `i` of `k` consumed
+    /// in parallel" on every output. An empty chain costs nothing. A
+    /// partition list that fails has retired its own partition; when one
+    /// does, the outputs of its siblings are retired in one list and the
+    /// first error is returned.
     fn run_partitions(
         &self,
-        left: Vec<OpaqueRef>,
-        right: Vec<OpaqueRef>,
-        keyed: bool,
-    ) -> Result<(Vec<OpaqueRef>, Vec<OpaqueRef>), DataPlaneError> {
-        let mut chain: Vec<_> =
-            self.pipeline.transforms().iter().map(|t| t.transform_primitive()).collect();
-        if keyed {
-            chain.push((PrimitiveKind::Sort, PrimitiveParams::None));
+        sides: Vec<Vec<OpaqueRef>>,
+    ) -> Result<Vec<Vec<OpaqueRef>>, DataPlaneError> {
+        if self.plan.chain.is_empty() {
+            return Ok(sides);
         }
-        if chain.is_empty() {
-            return Ok((left, right));
-        }
-        let chain = Arc::new(chain);
-        let tasks: Vec<_> = [&left, &right]
-            .into_iter()
+        let tasks: Vec<_> = sides
+            .iter()
             .flat_map(|side| side.iter().zip(0..).map(|(r, index)| (*r, side.len() as u32, index)))
             .map(|(r, k, index)| {
-                let (gw, chain) = (Arc::clone(&self.gateway), Arc::clone(&chain));
+                let (gw, plan) = (Arc::clone(&self.gateway), Arc::clone(&self.plan));
                 move || {
                     let mut steps = Steps::default();
                     let hints = HintSet::consumed_in_parallel(k, index);
-                    let out = chain.iter().fold(Arg::Ref(r), |input, &(op, params)| {
+                    let out = plan.chain.iter().fold(Arg::Ref(r), |input, &(op, params)| {
                         steps.consume(op, params, hints.clone(), vec![input])
                     });
                     steps.run_to(&gw, out)
                 }
             })
             .collect();
-        let mut outs = Vec::with_capacity(left.len() + right.len());
+        let mut outs = Vec::with_capacity(tasks.len());
         let mut failure = None;
         for result in self.pool.run_all(tasks) {
             match result {
@@ -738,28 +646,26 @@ impl Engine {
             self.retire(outs);
             return Err(e);
         }
-        let right = outs.split_off(left.len());
-        Ok((outs, right))
+        let mut outs = outs.into_iter();
+        Ok(sides.iter().map(|side| outs.by_ref().take(side.len()).collect()).collect())
     }
 
-    fn sample_memory(&self) -> u64 {
+    /// Fold the data plane's committed bytes into the run's and the window's
+    /// peaks.
+    fn sample_memory(&self) {
         let committed = self.data_plane().memory_report().committed_bytes;
-        let mut peak = self.peak_memory.lock();
-        if committed > *peak {
-            *peak = committed;
+        for peak in [&self.peak_memory, &self.window_peak_memory] {
+            let mut peak = peak.lock();
+            *peak = (*peak).max(committed);
         }
-        let mut window_peak = self.window_peak_memory.lock();
-        if committed > *window_peak {
-            *window_peak = committed;
-        }
-        committed
     }
 
-    /// Wait (helping the executor) until no window drainer owns this
-    /// engine's window execution — every submitted window task has run to
-    /// completion or parked its error. The serving layer quiesces an engine
-    /// before tearing its tenant down, so a drained tenant's final windows
-    /// finish (and are audited) before the namespace disappears.
+    /// Wait (helping the executor) until no drainer owns this engine's
+    /// window execution: the fire under way has run to completion or parked
+    /// its error. A fire task not yet started holds no claim; its handle is
+    /// the caller's to join. The serving layer quiesces an engine before
+    /// tearing its tenant down, so a drained tenant's final windows finish
+    /// (and are audited) before the namespace disappears.
     pub fn quiesce(&self) {
         self.help_until(|| (!self.window_exec.lock().draining).then_some(()))
     }
@@ -775,10 +681,10 @@ impl Engine {
             .windows
             .lock()
             .iter()
-            .map(|(id, st)| WindowManifest {
+            .map(|(id, [left, right])| WindowManifest {
                 win_no: id.0 as u32,
-                left: st.left.clone(),
-                right: st.right.clone(),
+                left: left.clone(),
+                right: right.clone(),
             })
             .collect();
         windows.sort_by_key(|w| w.win_no);
@@ -822,9 +728,9 @@ impl Engine {
         {
             let mut windows = self.windows.lock();
             for w in &restored.windows {
-                let entry = windows.entry(WindowId(w.win_no as u64)).or_default();
-                entry.left.extend(w.left.iter().copied());
-                entry.right.extend(w.right.iter().copied());
+                let [left, right] = windows.entry(WindowId(w.win_no as u64)).or_default();
+                left.extend(w.left.iter().copied());
+                right.extend(w.right.iter().copied());
             }
         }
         *self.next_unexecuted.lock() = WindowId(restored.next_unexecuted as u64);
@@ -1135,7 +1041,7 @@ mod tests {
         }
         assert_eq!(tickets.len(), 4);
         for t in tickets {
-            t.wait().unwrap();
+            t.join().expect("no window panicked").unwrap();
         }
         let results = engine.results();
         assert_eq!(results.len(), 4);

@@ -6,7 +6,7 @@
 //! [`sbt_engine::CycleCost`]) and spends it on work actually dispatched —
 //! bytes decrypted, events windowed, records executed. Penalties
 //! (backpressure, quota rejections) are deficit debits rather than skipped
-//! rounds. Ingestion tasks and window-execution tickets from many lanes stay
+//! rounds. Ingestion tasks and window fires from many lanes stay
 //! **in flight simultaneously** and overlap with the offer loop itself:
 //! there is no global round barrier, so one slow tenant's window cannot
 //! stall another tenant's ingestion.
@@ -19,7 +19,7 @@
 use crate::server::{LanePhase, StreamServer};
 use parking_lot::Mutex;
 use sbt_dataplane::DataPlaneError;
-use sbt_engine::{CycleCost, Engine, Executor, IngestStatus, JoinHandle, StreamSide, WindowTicket};
+use sbt_engine::{CycleCost, Engine, Executor, IngestStatus, JoinHandle, StreamSide};
 use sbt_telemetry::FlightReason;
 use sbt_types::{TenantId, Watermark};
 use sbt_workloads::generator::{Generator, Offer};
@@ -234,7 +234,6 @@ struct Lane {
     backpressure_signals: u64,
     /// Checkpoint policy from the tenant's admitted config.
     ckpt_every_records: Option<u64>,
-    ckpt_every_ms: Option<u64>,
     checkpoints_taken: u64,
     /// The next undispatched offer, pulled ahead so its cost can gate
     /// dispatch.
@@ -244,9 +243,10 @@ struct Lane {
     pending_wm: Option<Watermark>,
     /// In-flight ingestion tasks: (estimated cost, handle).
     inflight: Vec<(u64, JoinHandle<Result<IngestStatus, DataPlaneError>>)>,
-    /// The lane's unresolved window-execution ticket. At most one: the next
-    /// watermark launches only after this one resolves.
-    ticket: Option<WindowTicket>,
+    /// The lane's in-flight window fire (an executor task; its handle is
+    /// the lane's ticket). At most one: the next watermark launches only
+    /// after this one is harvested.
+    ticket: Option<JoinHandle<Result<(), DataPlaneError>>>,
     /// Drain requested: finish staged/pending/in-flight work, pull nothing
     /// new, then depart the tenant.
     draining: bool,
@@ -254,12 +254,9 @@ struct Lane {
     /// lane only exists to absorb in-flight completions, whose outcomes —
     /// `UnknownTenant` included — are discarded.
     dead: bool,
-    /// Engine event count at the last checkpoint attempt (record-driven
-    /// policies measure progress from here).
+    /// Engine event count at the last checkpoint attempt (the policy
+    /// measures progress from here).
     last_ckpt_events: u64,
-    /// When the last checkpoint attempt happened (wall-driven policies
-    /// measure from here).
-    last_ckpt_at: Instant,
     /// A window fired since the last checkpoint attempt. Amortized
     /// checkpoints wait for this: right after a fire the lane's buffered
     /// state is minimal, so the snapshot seals a few hundred bytes instead
@@ -433,13 +430,21 @@ impl Lane {
         true
     }
 
-    /// Ticket-harvest step: settle the window ticket once it resolves.
+    /// Ticket-harvest step: settle the window fire once its task is done.
+    /// A fire that panicked is flight-recorded for the tenant and becomes
+    /// the serve loop's fatal error.
     fn harvest_ticket(&mut self, ctx: &mut Serving<'_>) -> bool {
-        let Some(result) = self.ticket.as_mut().and_then(WindowTicket::try_wait) else {
+        let Some(done) = self.ticket.as_ref().and_then(JoinHandle::try_join) else {
             return false;
         };
         self.ticket = None;
-        self.on_fire(ctx, result);
+        let outcome = done.unwrap_or_else(|_| {
+            if !self.dead {
+                ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
+            }
+            Err(DataPlaneError::BadArguments("window drainer panicked"))
+        });
+        self.on_fire(ctx, outcome);
         true
     }
 
@@ -458,27 +463,21 @@ impl Lane {
 
     /// Checkpoint-due step: a lane with a checkpoint policy whose interval
     /// is due seals a snapshot at its next quiescent post-fire point (no
-    /// in-flight batches, window tickets or staged watermark, and a window
+    /// in-flight batches, window fire or staged watermark, and a window
     /// fired since the last attempt — right after a fire the buffered state
     /// is minimal, so the seal hashes a few hundred bytes, not a whole
     /// in-progress window). The seal is one world crossing on the serve
     /// thread; the other lanes' in-flight work keeps overlapping it, so the
     /// cost is amortized exactly like any other dispatch.
     fn checkpoint_if_due(&mut self, server: &StreamServer) -> bool {
+        let Some(every) = self.ckpt_every_records else { return false };
         if self.dead
             || self.draining
-            || (self.ckpt_every_records.is_none() && self.ckpt_every_ms.is_none())
             || !self.fired_since_ckpt
+            || !self.ckpt_check_pending
             || self.in_flight()
             || self.pending_wm.is_some()
         {
-            return false;
-        }
-        let due_wall = self
-            .ckpt_every_ms
-            .map(|ms| self.last_ckpt_at.elapsed().as_millis() as u64 >= ms)
-            .unwrap_or(false);
-        if !due_wall && !self.ckpt_check_pending {
             return false;
         }
         self.ckpt_check_pending = false;
@@ -487,17 +486,12 @@ impl Lane {
         // snapshot clones every window result.
         let events =
             self.engine.data_plane().tenant_ingest(self.tenant).map(|(e, _)| e).unwrap_or(0);
-        let due_records = self
-            .ckpt_every_records
-            .map(|n| events.saturating_sub(self.last_ckpt_events) >= n)
-            .unwrap_or(false);
-        if !(due_records || due_wall) {
+        if events.saturating_sub(self.last_ckpt_events) < every {
             return false;
         }
         // Mark the attempt whether or not it lands: a vault fault or a
         // racing departure must not become a per-iteration retry storm.
         self.last_ckpt_events = events;
-        self.last_ckpt_at = Instant::now();
         self.fired_since_ckpt = false;
         let Ok(sealed) = self.engine.checkpoint() else { return false };
         if server.vault_store(self.tenant, &sealed).is_ok() {
@@ -658,7 +652,6 @@ impl StreamServer {
                 rejected_batches: 0,
                 backpressure_signals: 0,
                 ckpt_every_records: config.checkpoint_every_records,
-                ckpt_every_ms: config.checkpoint_every_ms,
                 checkpoints_taken: 0,
                 staged: None,
                 pending_wm: None,
@@ -667,7 +660,6 @@ impl StreamServer {
                 draining: false,
                 dead: false,
                 last_ckpt_events: 0,
-                last_ckpt_at: Instant::now(),
                 fired_since_ckpt: false,
                 ckpt_check_pending: false,
             });

@@ -442,13 +442,6 @@ impl StreamServer {
         self.vault_store(tenant, &sealed)
     }
 
-    /// Checkpoint every admitted tenant, returning per-tenant outcomes
-    /// (one tenant's vault fault or mid-flight departure must not mask the
-    /// others' checkpoints).
-    pub fn checkpoint_all(&self) -> Vec<(TenantId, Result<CheckpointReceipt, LifecycleError>)> {
-        self.tenants().into_iter().map(|t| (t, self.checkpoint(t))).collect()
-    }
-
     /// Park an already-sealed snapshot in the vault (the serve loop's
     /// amortized checkpoints land here too).
     pub(crate) fn vault_store(
@@ -849,21 +842,11 @@ mod tests {
             .admit(TenantConfig::new("z", 1024).with_checkpoint_every_records(0), pipeline())
             .unwrap_err();
         assert!(matches!(err, AdmissionError::InvalidCheckpointPolicy { .. }));
-        let err = server
-            .admit(
-                TenantConfig::new("z", 1024)
-                    .with_checkpoint_every_ms(crate::tenant::MAX_CHECKPOINT_INTERVAL_MS + 1),
-                pipeline(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, AdmissionError::InvalidCheckpointPolicy { .. }));
         // A well-formed policy admits; no tenant slot was leaked by the
         // rejections.
         server
             .admit(
-                TenantConfig::new("z", 1024 * 1024)
-                    .with_checkpoint_every_records(1_000)
-                    .with_checkpoint_every_ms(100),
+                TenantConfig::new("z", 1024 * 1024).with_checkpoint_every_records(1_000),
                 pipeline(),
             )
             .unwrap();
@@ -907,6 +890,47 @@ mod tests {
                 .unwrap_err(),
             AdmissionError::NoCheckpoint
         );
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_no_tenant_behind_and_a_retry_succeeds() {
+        use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
+        use sbt_workloads::transport::Channel;
+
+        const QUOTA: u64 = 8 * 1024 * 1024;
+        let server = StreamServer::new(ServerConfig::default());
+        let t = server.admit(TenantConfig::new("t", QUOTA), pipeline()).unwrap();
+        let engine = server.engine(t).unwrap();
+        // 4 000 windowed events, their watermark withheld: the checkpoint
+        // holds them all.
+        let mut generator = Generator::new(
+            GeneratorConfig { batch_events: 1_000 },
+            Channel::for_tenant(&sbt_crypto::MasterSecret::demo(), t, 0),
+            sbt_workloads::datasets::synthetic_stream(1, 4_000, 16, 1),
+        );
+        while let Some(Offer::Batch(delivery)) = generator.next_offer() {
+            engine.ingest(&delivery).unwrap();
+        }
+        server.checkpoint(t).unwrap();
+        let vault = server.vault().clone();
+        drop((engine, server));
+
+        let server = StreamServer::new(ServerConfig::default().with_vault(vault));
+        let dp = server.data_plane().clone();
+        let committed = dp.memory_report().committed_bytes;
+        // One page of quota cannot hold the re-committed windows.
+        assert_eq!(
+            server.restore_tenant(t, TenantConfig::new("t", 4096), pipeline(), 0).unwrap_err(),
+            AdmissionError::Rejected(DataPlaneError::QuotaExceeded)
+        );
+        assert!(server.tenants().is_empty());
+        assert!(!dp.tenants().contains(&t), "the failed restore left the tenant registered");
+        assert_eq!(dp.memory_report().committed_bytes, committed);
+        assert_eq!(server.unreserved_quota(), server.config().secure_mem_bytes);
+
+        let restored = server.restore_tenant(t, TenantConfig::new("t", QUOTA), pipeline(), 0);
+        assert_eq!(restored.unwrap().events_restored, 4_000);
+        assert_eq!(server.tenants(), vec![t]);
     }
 
     #[test]

@@ -2,11 +2,6 @@
 
 use sbt_dataplane::DataPlaneError;
 
-/// Upper bound on a wall-clock checkpoint interval: it must survive
-/// conversion to nanoseconds (the unit the telemetry gauges and span clocks
-/// use) without wrapping a `u64`.
-pub const MAX_CHECKPOINT_INTERVAL_MS: u64 = u64::MAX / 1_000_000;
-
 /// Upper bound on a record-count checkpoint interval: intervals are compared
 /// against event-counter *differences*, which must never be able to wrap the
 /// signed arithmetic the DRR accounting shares.
@@ -26,9 +21,6 @@ pub struct TenantConfig {
     /// the lane's next quiescent point in the serve loop). `None` disables
     /// record-driven checkpoints.
     pub checkpoint_every_records: Option<u64>,
-    /// Seal a checkpoint after this much wall time, in milliseconds.
-    /// `None` disables interval-driven checkpoints.
-    pub checkpoint_every_ms: Option<u64>,
 }
 
 impl TenantConfig {
@@ -40,7 +32,6 @@ impl TenantConfig {
             quota_bytes,
             weight: 1,
             checkpoint_every_records: None,
-            checkpoint_every_ms: None,
         }
     }
 
@@ -59,27 +50,12 @@ impl TenantConfig {
         self
     }
 
-    /// Request a checkpoint every `ms` milliseconds of wall time. Validated
-    /// at admission, like
-    /// [`with_checkpoint_every_records`](TenantConfig::with_checkpoint_every_records).
-    pub fn with_checkpoint_every_ms(mut self, ms: u64) -> Self {
-        self.checkpoint_every_ms = Some(ms);
-        self
-    }
-
     /// Validate the checkpoint policy, returning the reason it is invalid.
     pub(crate) fn checkpoint_policy_error(&self) -> Option<&'static str> {
         match self.checkpoint_every_records {
-            Some(0) => return Some("checkpoint record interval must be nonzero"),
+            Some(0) => Some("checkpoint record interval must be nonzero"),
             Some(n) if n > MAX_CHECKPOINT_INTERVAL_RECORDS => {
-                return Some("checkpoint record interval overflows counter arithmetic")
-            }
-            _ => {}
-        }
-        match self.checkpoint_every_ms {
-            Some(0) => Some("checkpoint wall interval must be nonzero"),
-            Some(ms) if ms > MAX_CHECKPOINT_INTERVAL_MS => {
-                Some("checkpoint wall interval overflows the nanosecond clock")
+                Some("checkpoint record interval overflows counter arithmetic")
             }
             _ => None,
         }
@@ -211,19 +187,12 @@ mod tests {
 
     #[test]
     fn checkpoint_policy_validation_rejects_zero_and_overflow() {
-        let ok = TenantConfig::new("a", 1024)
-            .with_checkpoint_every_records(10_000)
-            .with_checkpoint_every_ms(250);
+        let ok = TenantConfig::new("a", 1024).with_checkpoint_every_records(10_000);
         assert!(ok.checkpoint_policy_error().is_none());
         assert!(TenantConfig::new("a", 1024).checkpoint_policy_error().is_none());
         // Zero intervals could never fire sanely; they are refused.
         assert!(TenantConfig::new("a", 1024)
             .with_checkpoint_every_records(0)
-            .checkpoint_policy_error()
-            .unwrap()
-            .contains("nonzero"));
-        assert!(TenantConfig::new("a", 1024)
-            .with_checkpoint_every_ms(0)
             .checkpoint_policy_error()
             .unwrap()
             .contains("nonzero"));
@@ -233,15 +202,9 @@ mod tests {
             .checkpoint_policy_error()
             .unwrap()
             .contains("overflow"));
-        assert!(TenantConfig::new("a", 1024)
-            .with_checkpoint_every_ms(MAX_CHECKPOINT_INTERVAL_MS + 1)
-            .checkpoint_policy_error()
-            .unwrap()
-            .contains("overflow"));
-        // The boundary values themselves are valid.
+        // The boundary value itself is valid.
         assert!(TenantConfig::new("a", 1024)
             .with_checkpoint_every_records(MAX_CHECKPOINT_INTERVAL_RECORDS)
-            .with_checkpoint_every_ms(MAX_CHECKPOINT_INTERVAL_MS)
             .checkpoint_policy_error()
             .is_none());
     }

@@ -273,16 +273,6 @@ impl MetricsRegistry {
         rows
     }
 
-    /// A cumulative latency histogram snapshot for one tenant and kind
-    /// (`None` if the tenant has no histograms yet).
-    pub fn latency_snapshot(
-        &self,
-        tenant: u32,
-        kind: LatencyKind,
-    ) -> Option<crate::hist::HistogramSnapshot> {
-        self.tenants.read().get(&tenant).map(|lat| lat.of(kind).snapshot())
-    }
-
     /// Drain tracer rings into the flight recorder's per-tenant history.
     /// Collectors call this periodically; triggers call it implicitly.
     pub fn pump(&self) {

@@ -75,11 +75,6 @@ impl ProcessingTime {
     /// Zero processing time.
     pub const ZERO: ProcessingTime = ProcessingTime(0);
 
-    /// Build from nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
-        ProcessingTime(ns)
-    }
-
     /// Build from microseconds.
     pub fn from_micros(us: u64) -> Self {
         ProcessingTime(us * 1_000)
@@ -108,11 +103,6 @@ impl ProcessingTime {
     /// Elapsed duration since `earlier` (saturating at zero).
     pub fn since(self, earlier: ProcessingTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration (interpreted in nanoseconds).
-    pub fn saturating_add_nanos(self, ns: u64) -> ProcessingTime {
-        ProcessingTime(self.0.saturating_add(ns))
     }
 }
 

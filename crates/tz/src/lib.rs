@@ -37,7 +37,7 @@ pub mod trusted_io;
 pub mod world;
 
 pub use cost::CostModel;
-pub use platform::{IngressPathConfig, Platform, PlatformConfig};
+pub use platform::{Platform, PlatformConfig};
 pub use secure_mem::{SecureMemory, SecureMemoryError};
 pub use smc::{EntryFunction, SmcError, SmcInterface, SmcSession};
 pub use stats::{BoundaryEvents, StatSnapshot, TzStats};

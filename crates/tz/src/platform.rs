@@ -23,27 +23,9 @@ pub struct PlatformConfig {
     /// Backpressure threshold as a percentage of the budget.
     pub backpressure_percent: u8,
     /// How ingress data reaches the data plane.
-    pub ingress_path: IngressPathConfig,
+    pub ingress_path: IngressPath,
     /// Number of CPU cores the engine may use.
     pub cores: usize,
-}
-
-/// Serializable mirror of [`IngressPath`] for configuration files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IngressPathConfig {
-    /// Trusted IO straight into the TEE.
-    TrustedIo,
-    /// Ingestion via the untrusted OS with a boundary copy.
-    ViaOs,
-}
-
-impl From<IngressPathConfig> for IngressPath {
-    fn from(value: IngressPathConfig) -> Self {
-        match value {
-            IngressPathConfig::TrustedIo => IngressPath::TrustedIo,
-            IngressPathConfig::ViaOs => IngressPath::ViaOs,
-        }
-    }
 }
 
 impl Default for PlatformConfig {
@@ -59,7 +41,7 @@ impl PlatformConfig {
             cost: CostModel::hikey(),
             secure_mem_bytes: 256 * 1024 * 1024,
             backpressure_percent: 80,
-            ingress_path: IngressPathConfig::TrustedIo,
+            ingress_path: IngressPath::TrustedIo,
             cores: 8,
         }
     }
@@ -71,7 +53,7 @@ impl PlatformConfig {
     }
 
     /// Set the ingress path.
-    pub fn with_ingress(mut self, path: IngressPathConfig) -> Self {
+    pub fn with_ingress(mut self, path: IngressPath) -> Self {
         self.ingress_path = path;
         self
     }
@@ -150,7 +132,7 @@ impl Platform {
 
     /// Build an IO channel following the configured ingress path.
     pub fn io_channel(&self) -> IoChannel {
-        IoChannel::new(self.config.ingress_path.into(), self.config.cost, self.stats.clone())
+        IoChannel::new(self.config.ingress_path, self.config.cost, self.stats.clone())
     }
 }
 
@@ -171,7 +153,7 @@ mod tests {
     fn config_builders_apply() {
         let cfg = PlatformConfig::hikey()
             .with_cores(2)
-            .with_ingress(IngressPathConfig::ViaOs)
+            .with_ingress(IngressPath::ViaOs)
             .with_secure_mem(64 * 1024 * 1024)
             .with_free_costs();
         let p = Platform::new(cfg);

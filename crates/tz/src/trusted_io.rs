@@ -10,10 +10,11 @@
 
 use crate::cost::CostModel;
 use crate::stats::TzStats;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How ingested bytes reach the data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IngressPath {
     /// The peripheral is owned by the secure world; bytes land directly in
     /// TEE memory.

@@ -84,11 +84,6 @@ impl VirtualSpace {
     pub fn peak_reservations(&self) -> u64 {
         self.peak_reservations
     }
-
-    /// The per-uGroup reservation size.
-    pub fn reservation_bytes_each(&self) -> u64 {
-        self.reservation_bytes
-    }
 }
 
 #[cfg(test)]

@@ -73,8 +73,8 @@ pub mod prelude {
     pub use sbt_crypto::{KeySet, MasterSecret, TenantKeychain, VerifierKeySet};
     pub use sbt_dataplane::EgressMessage;
     pub use sbt_engine::{
-        CycleCost, Engine, EngineConfig, EngineVariant, Executor, IngestStatus, Operator, Pipeline,
-        StreamSide, WindowTicket,
+        CycleCost, Engine, EngineConfig, EngineVariant, Executor, IngestStatus, JoinHandle,
+        Operator, Pipeline, StreamSide, WindowPlan,
     };
     pub use sbt_server::{
         AdmissionError, DepartureReport, DrrAccounting, LifecycleError, Scheduler, ServeReport,
