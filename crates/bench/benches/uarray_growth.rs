@@ -65,7 +65,7 @@ fn bench_growth(c: &mut Criterion) {
 
     group.bench_function("uarray_in_place", |b| {
         let pager = TeePager::new(
-            Arc::new(SecureMemory::new(1 << 30, 90)),
+            Arc::new(SecureMemory::new(1 << 30)),
             Arc::new(TzStats::new()),
             CostModel::hikey(),
         );

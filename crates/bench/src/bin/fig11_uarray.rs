@@ -84,8 +84,7 @@ fn main() {
 
     // uArray variant: growth backed by the TEE pager (cheap page commits).
     let cost = CostModel::hikey();
-    let pager =
-        TeePager::new(Arc::new(SecureMemory::new(1 << 30, 90)), Arc::new(TzStats::new()), cost);
+    let pager = TeePager::new(Arc::new(SecureMemory::new(1 << 30)), Arc::new(TzStats::new()), cost);
     let start = Instant::now();
     let (merged_ua, paging_nanos) = merge_with_uarrays(&runs, &pager);
     let uarray_secs = start.elapsed().as_secs_f64() + paging_nanos as f64 / 1e9;

@@ -95,11 +95,13 @@ const MIN_FANOUT_CHUNKS: usize = 2;
 /// (≈ 345 against ≈ 290 MB/s), fivefold with AES-NI against SHA-NI (≈ 9.6
 /// against ≈ 1.9 GB/s); the second covers a descheduled lane. More would
 /// only wait. At hardware speed what a lane overlaps with the MAC is the
-/// serialising as much as the AES, and the gain is small: worth 4–14 % on
-/// seals of 2–8 chunks in isolation, nothing resolvable on `join`'s 1.9 MB
-/// seals (three 8 s rounds each on the reference host: 15.8–19.5 Mev/s with
-/// lanes, 17.0–19.7 without). On the portable kernels it is the 1.3–1.7×
-/// under `MIN_FANOUT_CHUNKS`, which is why the lanes stay.
+/// serialising as much as the AES, and the gain is smaller but real: worth
+/// 4–14 % on seals of 2–8 chunks in isolation, and on `join`'s 1.9 MB seals
+/// end to end. In 8 alternating 15 s pairs on the reference host (2 vCPUs,
+/// AES-NI), disabling the lanes (no pool, same bytes) moved `join`'s median
+/// `delay_p50_ms` from 7.93 to 8.28 ms (+4.4 %), and by +27 % and +31 % in
+/// the two pairs taken while the host ran fast. On the portable kernels it
+/// is the 1.3–1.7× under `MIN_FANOUT_CHUNKS`. Both are why the lanes stay.
 const MAX_ENCRYPT_LANES: usize = 2;
 
 /// A result message as uploaded to the cloud.

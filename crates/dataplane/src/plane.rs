@@ -21,9 +21,9 @@
 //!   state even if it learns the raw reference value;
 //! * a per-tenant **audit log** whose segments are tagged with (and signed
 //!   under) the tenant id, so the cloud verifies each trail independently;
-//! * a per-tenant **memory quota** enforced through the uArray allocator's
-//!   owner accounting — a tenant that fills its quota is rejected without
-//!   disturbing the others' committed memory.
+//! * a per-tenant **memory quota** enforced by the uArray allocator, whose
+//!   ledger charges every array to its owner — a tenant that fills its
+//!   quota is rejected without disturbing the others' committed memory.
 //!
 //! Every entry point names the tenant it acts for. Single-pipeline
 //! deployments (the paper's setting) pass [`TenantId::DEFAULT`], which is
@@ -33,7 +33,7 @@
 //!
 //! This module holds the plane's state, its construction, tenancy and keys,
 //! and the helpers every entry point shares (`lookup`, `commit_outputs`,
-//! `register_output`, `append_audit`). The entry points live in child
+//! `register_output`, `free`, `append_audit`). The entry points live in child
 //! modules, one per concern: `ingress` (batches and watermarks), `invoke`
 //! (the primitive dispatch table), `egress` (sealed results and
 //! retirement), `checkpoint` (seal, restore, epoch retirement) and `call`
@@ -55,7 +55,7 @@ use sbt_types::{LanePool, TenantId, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::{
     Allocator, AllocatorConfig, ConsumptionHint, HintSet, MemoryReport, TeePager, UArrayId,
-    UArrayState, PAGE_SIZE,
+    PAGE_SIZE,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,14 +106,12 @@ fn reference_seed(tenant: TenantId) -> u64 {
     REF_SEED.wrapping_add((tenant.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Mutable bookkeeping guarded by one mutex (allocator + id minting +
-/// committed-size map). These are all short, metadata-only operations.
+/// Mutable bookkeeping guarded by one mutex: the allocator, the one ledger
+/// of live uArrays, and id minting. These are all short, metadata-only
+/// operations.
 struct AllocState {
     allocator: Allocator,
     next_id: UArrayId,
-    /// committed bytes per live uArray (needed to release pages on reclaim,
-    /// since the record storage itself is dropped via `Arc`).
-    committed: HashMap<UArrayId, u64>,
 }
 
 /// The per-tenant namespace inside the TEE.
@@ -195,13 +193,12 @@ pub struct TenantMemory {
 }
 
 impl TenantMemory {
-    /// Whether the tenant is near its quota (≥ 80 %, mirroring the global
-    /// backpressure threshold): its sources should slow down.
+    /// Whether the tenant is near its quota (at least
+    /// [`BACKPRESSURE_PERCENT`](sbt_tz::BACKPRESSURE_PERCENT) of it, the
+    /// threshold the platform's secure memory uses too): its sources should
+    /// slow down.
     pub fn under_pressure(&self) -> bool {
-        match self.quota_bytes {
-            Some(quota) => self.used_bytes >= quota - quota / 5,
-            None => false,
-        }
+        self.quota_bytes.is_some_and(|quota| sbt_tz::under_pressure(self.used_bytes, quota))
     }
 }
 
@@ -252,7 +249,6 @@ impl DataPlane {
             alloc: Mutex::new(AllocState {
                 allocator: Allocator::new(config.allocator),
                 next_id: UArrayId(0),
-                committed: HashMap::new(),
             }),
             stats,
             telemetry,
@@ -296,12 +292,7 @@ impl DataPlane {
             }
             tenants.insert(tenant, ts.clone());
         }
-        let mut alloc = self.alloc.lock();
-        match quota_bytes {
-            Some(quota) => alloc.allocator.set_owner_quota(tenant.owner_tag(), quota),
-            None => alloc.allocator.clear_owner_quota(tenant.owner_tag()),
-        }
-        drop(alloc);
+        self.alloc.lock().allocator.set_owner_quota(tenant.owner_tag(), quota_bytes);
         // Pre-create the tenant's latency histograms so the ingest hot
         // path never takes the registry's write lock.
         self.telemetry.register_tenant(tenant.0);
@@ -317,11 +308,7 @@ impl DataPlane {
         quota_bytes: Option<u64>,
     ) -> Result<(), DataPlaneError> {
         self.tenant_state(tenant)?;
-        let mut alloc = self.alloc.lock();
-        match quota_bytes {
-            Some(bytes) => alloc.allocator.set_owner_quota(tenant.owner_tag(), bytes),
-            None => alloc.allocator.clear_owner_quota(tenant.owner_tag()),
-        }
+        self.alloc.lock().allocator.set_owner_quota(tenant.owner_tag(), quota_bytes);
         Ok(())
     }
 
@@ -402,29 +389,21 @@ impl DataPlane {
 
     /// Free everything a tenant removed from the map still owns: every
     /// uArray charged to it in one allocator pass, their store entries and
-    /// pages, and its observability state. Returns the bytes reclaimed.
+    /// pages (with any other tenant's retired arrays the pass exposed at a
+    /// group's front), and its observability state. Returns the bytes of
+    /// the tenant's own arrays reclaimed.
     fn sweep_tenant(&self, tenant: TenantId) -> u64 {
         let torn = {
             let mut alloc = self.alloc.lock();
             // Seal before sweeping: an in-flight invocation that raced past
-            // the tenant-map removal can no longer charge new arrays to the
+            // the tenant-map removal can no longer admit new arrays for the
             // departed owner — it fails its quota check and unpublishes its
             // own store entries and pages (commits are published before they
-            // charge, so anything this sweep finds charged is in the store).
-            alloc.allocator.set_owner_quota(tenant.owner_tag(), 0);
-            let torn = alloc.allocator.release_owner(tenant.owner_tag());
-            for (id, _) in &torn.arrays {
-                alloc.committed.remove(id);
-            }
-            torn
+            // are admitted, so anything this sweep finds is in the store).
+            alloc.allocator.set_owner_quota(tenant.owner_tag(), Some(0));
+            alloc.allocator.release_owner(tenant.owner_tag())
         };
-        if !torn.arrays.is_empty() {
-            let mut store = self.store.write();
-            for (id, bytes) in &torn.arrays {
-                store.remove(id);
-                self.pager.release_pages(bytes / PAGE_SIZE);
-            }
-        }
+        self.free(&torn.arrays);
         // Purge the tenant's observability state along with its namespace:
         // histogram rows, the checkpoint gauge, and the flight-recorder ring
         // all key on the tenant id, which deployments recycle.
@@ -554,12 +533,11 @@ impl DataPlane {
         }
     }
 
-    /// Place, quota-charge and commit `produced` under one allocator critical
-    /// section (all-or-nothing with respect to the tenant's quota), then
-    /// publish the arrays to the store. Returns per-output
-    /// `(id, len, window, paging_nanos)`; references are minted by the
-    /// caller. On quota rejection every produced array's pages are released
-    /// and nothing is published.
+    /// Publish `produced` to the store and admit it to the allocator in one
+    /// call (all-or-nothing with respect to the tenant's quota). Returns
+    /// per-output `(id, len, window, paging_nanos)`; references are minted
+    /// by the caller. On quota rejection every produced array is freed and
+    /// nothing stays published.
     #[allow(clippy::type_complexity)]
     fn commit_outputs(
         &self,
@@ -568,11 +546,9 @@ impl DataPlane {
         produced: Vec<(StoredData, Option<WindowId>)>,
         hints: &HintSet,
     ) -> Result<Vec<(UArrayId, usize, Option<WindowId>, u64)>, DataPlaneError> {
-        let owner = tenant.owner_tag();
-        let total: u64 = produced.iter().map(|(d, _)| d.committed_bytes()).sum();
-        // Publish to the store *before* charging: the owner-teardown sweep
-        // in `deregister_tenant` discovers a tenant's arrays through their
-        // quota charges, so any array it can see charged is already in the
+        // Publish to the store *before* admitting: the owner-teardown sweep
+        // in `deregister_tenant` discovers a tenant's arrays in the
+        // allocator's ledger, so any array it can see is already in the
         // store and gets removed by the sweep's store pass. A commit that
         // instead hits the post-teardown sealed quota (or a plain quota
         // rejection) unpublishes its own entries below. Either way no store
@@ -587,32 +563,26 @@ impl DataPlane {
                 store.insert(data.id(), Arc::new(data));
             }
         }
-        let rejected = {
-            let mut alloc = self.alloc.lock();
-            if alloc.allocator.owner_would_exceed(owner, total) {
-                true
-            } else {
-                for (i, (id, bytes)) in metas.iter().enumerate() {
-                    alloc.allocator.place(*id, producer, hints.get(i));
-                    alloc.allocator.update(*id, UArrayState::Produced, *bytes);
-                    alloc
-                        .allocator
-                        .charge_owner(owner, *id, *bytes)
-                        .expect("quota checked under the same allocator lock");
-                    alloc.committed.insert(*id, *bytes);
-                }
-                false
-            }
-        };
-        if rejected {
-            let mut store = self.store.write();
-            for (id, bytes) in &metas {
-                store.remove(id);
-                self.pager.release_pages(bytes / PAGE_SIZE);
-            }
+        let admitted =
+            self.alloc.lock().allocator.admit(tenant.owner_tag(), producer, &metas, hints);
+        if admitted.is_err() {
+            self.free(&metas);
             return Err(DataPlaneError::QuotaExceeded);
         }
         Ok(out)
+    }
+
+    /// Drop arrays the allocator no longer holds from the store and hand
+    /// their pages back: retired, swept with a tenant, or refused admission.
+    fn free(&self, arrays: &[(UArrayId, u64)]) {
+        if arrays.is_empty() {
+            return;
+        }
+        let mut store = self.store.write();
+        for (id, bytes) in arrays {
+            store.remove(id);
+            self.pager.release_pages(bytes / PAGE_SIZE);
+        }
     }
 
     /// Convenience wrapper for single-output boundary paths (ingress).

@@ -10,7 +10,6 @@ use crate::opaque::OpaqueRef;
 use parking_lot::Mutex;
 use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_types::TenantId;
-use sbt_uarray::{UArrayId, UArrayState, PAGE_SIZE};
 
 impl DataPlane {
     /// Externalize a result: encrypt, sign, audit, flush the audit log. The
@@ -72,25 +71,8 @@ impl DataPlane {
         r: OpaqueRef,
     ) -> Result<(), DataPlaneError> {
         let id = ts.lock().refs.revoke(r)?;
-        let reclaimed: Vec<(UArrayId, u64)> = {
-            let mut alloc = self.alloc.lock();
-            let committed = alloc.committed.get(&id).copied().unwrap_or(0);
-            alloc.allocator.update(id, UArrayState::Retired, committed);
-            let ids = alloc.allocator.reclaim();
-            ids.into_iter()
-                .map(|rid| {
-                    let bytes = alloc.committed.remove(&rid).unwrap_or(0);
-                    (rid, bytes)
-                })
-                .collect()
-        };
-        if !reclaimed.is_empty() {
-            let mut store = self.store.write();
-            for (rid, bytes) in reclaimed {
-                store.remove(&rid);
-                self.pager.release_pages(bytes / PAGE_SIZE);
-            }
-        }
+        let freed = self.alloc.lock().allocator.retire(id);
+        self.free(&freed);
         Ok(())
     }
 }

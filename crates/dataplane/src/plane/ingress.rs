@@ -75,9 +75,10 @@ impl DataPlane {
         }
         let n_events = payload.len() / record_bytes;
         // Cheap early quota check before decrypting and parsing: the batch
-        // will commit its page-rounded destination size.
+        // will commit its page-rounded destination size, which must fit the
+        // tenant's headroom (the admission stays the authority).
         let estimate = TeePager::pages_for((n_events * sbt_types::EVENT_BYTES) as u64) * PAGE_SIZE;
-        if self.alloc.lock().allocator.owner_would_exceed(tenant.owner_tag(), estimate) {
+        if estimate > self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()) {
             return Err(DataPlaneError::QuotaExceeded);
         }
         // Decrypt under the calling tenant's current-epoch source key: a

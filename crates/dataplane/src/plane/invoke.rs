@@ -96,9 +96,9 @@ impl DataPlane {
 
         // What the tenant may still commit: the outputs draw on it page by
         // page as they are produced, so an invocation that would overrun the
-        // quota stops mid-production with its pages released. (The charge in
-        // `commit_outputs` stays the authority: a concurrent invocation of
-        // the same tenant may have used the headroom meanwhile.)
+        // quota stops mid-production with its pages released. (The admission
+        // in `commit_outputs` stays the authority: a concurrent invocation
+        // of the same tenant may have used the headroom meanwhile.)
         let budget =
             CommitBudget::new(self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()));
         let compute_start = Instant::now();

@@ -772,6 +772,41 @@ fn deregister_revokes_refs_frees_memory_and_emits_departure() {
 }
 
 #[test]
+fn evicting_a_tenant_frees_a_neighbours_retired_array_behind_it() {
+    // The Figure 10 baseline co-locates by producer, so two tenants'
+    // ingress arrays share one group: tenant 1's in front, tenant 2's
+    // behind it.
+    let config = DataPlaneConfig {
+        allocator: AllocatorConfig {
+            policy: sbt_uarray::PlacementPolicy::SameProducer,
+            ..AllocatorConfig::default()
+        },
+        ..DataPlaneConfig::default()
+    };
+    let dp = DataPlane::new(Platform::hikey(), config);
+    dp.register_tenant(TenantId(1), Some(1 << 20)).unwrap();
+    dp.register_tenant(TenantId(2), Some(1 << 20)).unwrap();
+    let events: Vec<Event> = (0..2_000).map(|i| Event::new(i, i, 0)).collect();
+    let _front = ingest_events_for(&dp, TenantId(1), &events);
+    let behind = ingest_events_for(&dp, TenantId(2), &events);
+    assert_eq!(dp.memory_report().live_groups, 1);
+    let used = dp.tenant_memory(TenantId(1)).unwrap().used_bytes;
+    // Tenant 2's retired array is stuck behind tenant 1's live one.
+    in_tee(|| dp.retire(TenantId(2), behind.opaque)).unwrap();
+    assert_eq!(dp.memory_report().stuck_bytes, used);
+
+    let teardown = dp.deregister_tenant(TenantId(1), DepartureReason::Evicted).unwrap();
+    // The departing tenant is credited with its own bytes only, and the
+    // neighbour's array its removal exposed is freed with it.
+    assert_eq!(teardown.reclaimed_bytes, used);
+    assert_eq!(dp.tenant_memory(TenantId(2)).unwrap().used_bytes, 0);
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
+    let report = dp.memory_report();
+    assert_eq!((report.committed_bytes, report.live_uarrays, report.live_groups), (0, 0, 0));
+    assert_eq!(report.reclaimed_bytes, 2 * used);
+}
+
+#[test]
 fn default_tenant_cannot_be_deregistered() {
     let dp = plane();
     assert!(dp.deregister_tenant(TenantId::DEFAULT, DepartureReason::Drained).is_err());

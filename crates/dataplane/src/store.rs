@@ -229,7 +229,7 @@ mod tests {
 
     fn pager() -> TeePager {
         TeePager::new(
-            Arc::new(SecureMemory::new(1 << 24, 80)),
+            Arc::new(SecureMemory::new(1 << 24)),
             Arc::new(TzStats::new()),
             CostModel::hikey(),
         )
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn oom_surfaces_as_data_plane_error() {
         let tiny = TeePager::new(
-            Arc::new(SecureMemory::new(4096, 80)),
+            Arc::new(SecureMemory::new(4096)),
             Arc::new(TzStats::new()),
             CostModel::hikey(),
         );

@@ -130,7 +130,7 @@ impl LanePool for CountPool {
 
 fn pager() -> TeePager {
     TeePager::new(
-        Arc::new(SecureMemory::new(1 << 27, 80)),
+        Arc::new(SecureMemory::new(1 << 27)),
         Arc::new(TzStats::new()),
         CostModel::hikey(),
     )

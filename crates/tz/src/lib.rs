@@ -38,7 +38,7 @@ pub mod world;
 
 pub use cost::CostModel;
 pub use platform::{Platform, PlatformConfig};
-pub use secure_mem::{SecureMemory, SecureMemoryError};
+pub use secure_mem::{under_pressure, SecureMemory, SecureMemoryError, BACKPRESSURE_PERCENT};
 pub use smc::{EntryFunction, SmcError, SmcInterface, SmcSession};
 pub use stats::{BoundaryEvents, StatSnapshot, TzStats};
 pub use trusted_io::{IngressPath, IoChannel};

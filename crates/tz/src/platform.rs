@@ -20,8 +20,6 @@ pub struct PlatformConfig {
     pub cost: CostModel,
     /// Secure-world DRAM budget in bytes.
     pub secure_mem_bytes: u64,
-    /// Backpressure threshold as a percentage of the budget.
-    pub backpressure_percent: u8,
     /// How ingress data reaches the data plane.
     pub ingress_path: IngressPath,
     /// Number of CPU cores the engine may use.
@@ -40,7 +38,6 @@ impl PlatformConfig {
         PlatformConfig {
             cost: CostModel::hikey(),
             secure_mem_bytes: 256 * 1024 * 1024,
-            backpressure_percent: 80,
             ingress_path: IngressPath::TrustedIo,
             cores: 8,
         }
@@ -89,8 +86,7 @@ impl Platform {
     /// Build a platform from a configuration.
     pub fn new(config: PlatformConfig) -> Arc<Self> {
         let stats = Arc::new(TzStats::new());
-        let secure_mem =
-            Arc::new(SecureMemory::new(config.secure_mem_bytes, config.backpressure_percent));
+        let secure_mem = Arc::new(SecureMemory::new(config.secure_mem_bytes));
         let smc = Arc::new(SmcInterface::new(config.cost, stats.clone()));
         Arc::new(Platform { config, stats, secure_mem, smc })
     }

@@ -8,6 +8,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The share of a memory budget, in percent, from which its user is under
+/// pressure and its sources are slowed: the threshold of the platform's
+/// secure carve-out and of every tenant's quota alike.
+pub const BACKPRESSURE_PERCENT: u64 = 80;
+
+/// Whether `in_use` bytes reach [`BACKPRESSURE_PERCENT`] of `budget`.
+pub fn under_pressure(in_use: u64, budget: u64) -> bool {
+    in_use as u128 * 100 >= budget as u128 * BACKPRESSURE_PERCENT as u128
+}
+
 /// Error returned when a reservation would exceed the secure-memory budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecureMemoryError {
@@ -40,27 +50,19 @@ pub struct SecureMemory {
     budget_bytes: u64,
     in_use: AtomicU64,
     high_water: AtomicU64,
-    backpressure_threshold: u64,
 }
 
 impl SecureMemory {
-    /// Create a tracker with the given budget and a backpressure threshold
-    /// expressed as a fraction of the budget in percent (e.g. 80 means
-    /// "signal backpressure above 80% usage").
-    pub fn new(budget_bytes: u64, backpressure_percent: u8) -> Self {
-        let pct = backpressure_percent.min(100) as u64;
-        SecureMemory {
-            budget_bytes,
-            in_use: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            backpressure_threshold: budget_bytes / 100 * pct,
-        }
+    /// Create a tracker with the given budget; it signals backpressure from
+    /// [`BACKPRESSURE_PERCENT`] of the budget.
+    pub fn new(budget_bytes: u64) -> Self {
+        SecureMemory { budget_bytes, in_use: AtomicU64::new(0), high_water: AtomicU64::new(0) }
     }
 
     /// The paper's evaluation platform: HiKey with 2 GB DRAM; OP-TEE's secure
     /// carve-out is modelled as 256 MB with backpressure at 80%.
     pub fn hikey_default() -> Self {
-        SecureMemory::new(256 * 1024 * 1024, 80)
+        SecureMemory::new(256 * 1024 * 1024)
     }
 
     /// Total budget in bytes.
@@ -85,10 +87,10 @@ impl SecureMemory {
         self.high_water.store(self.in_use(), Ordering::Relaxed);
     }
 
-    /// Whether usage exceeds the backpressure threshold. The engine slows
-    /// ingestion (backpressure to sources) while this holds.
+    /// Whether usage reaches [`BACKPRESSURE_PERCENT`] of the budget. The
+    /// engine slows ingestion (backpressure to sources) while this holds.
     pub fn under_pressure(&self) -> bool {
-        self.in_use() >= self.backpressure_threshold
+        under_pressure(self.in_use(), self.budget_bytes)
     }
 
     /// Charge `bytes` against the budget. Fails without charging if the
@@ -146,7 +148,7 @@ mod tests {
 
     #[test]
     fn charge_and_release_track_usage() {
-        let m = SecureMemory::new(1000, 80);
+        let m = SecureMemory::new(1000);
         m.charge(400).unwrap();
         assert_eq!(m.in_use(), 400);
         m.charge(500).unwrap();
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn charge_fails_when_budget_exceeded() {
-        let m = SecureMemory::new(1000, 80);
+        let m = SecureMemory::new(1000);
         m.charge(900).unwrap();
         let err = m.charge(200).unwrap_err();
         assert_eq!(err.requested, 200);
@@ -170,18 +172,21 @@ mod tests {
 
     #[test]
     fn backpressure_threshold() {
-        let m = SecureMemory::new(1000, 80);
+        let m = SecureMemory::new(1000);
         m.charge(799).unwrap();
         assert!(!m.under_pressure());
         m.charge(1).unwrap();
         assert!(m.under_pressure());
         m.release(200);
         assert!(!m.under_pressure());
+        // The rule is exact at any budget, without overflow.
+        assert!(under_pressure(u64::MAX / 5 * 4 + 1, u64::MAX));
+        assert!(!under_pressure(u64::MAX / 5 * 4 - 1, u64::MAX));
     }
 
     #[test]
     fn high_water_reset() {
-        let m = SecureMemory::new(1000, 80);
+        let m = SecureMemory::new(1000);
         m.charge(500).unwrap();
         m.release(500);
         assert_eq!(m.high_water(), 500);
@@ -198,7 +203,7 @@ mod tests {
 
     #[test]
     fn concurrent_charges_never_exceed_budget() {
-        let m = std::sync::Arc::new(SecureMemory::new(10_000, 100));
+        let m = std::sync::Arc::new(SecureMemory::new(10_000));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let m = m.clone();

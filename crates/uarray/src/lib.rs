@@ -13,6 +13,13 @@
 //! * **uGroups** — the allocator co-locates uArrays that will be consumed
 //!   consecutively into a uGroup and reclaims from the front of the group,
 //!   which keeps the physical layout compact with trivial bookkeeping.
+//! * **One ledger** — the [`Allocator`] is the only record of a live uArray:
+//!   one entry per array holds its uGroup, owner, committed bytes and
+//!   retired flag, and a uGroup keeps only its members' placement order. The
+//!   data plane hands over an invocation's outputs in one call
+//!   ([`Allocator::admit`], all-or-nothing against the owner's quota) and
+//!   gets freed arrays back from one call ([`Allocator::retire`], or
+//!   [`Allocator::release_owner`] when a tenant departs).
 //! * **Consumption hints** — the untrusted control plane may annotate
 //!   invocations with *consumed-after* and *consumed-in-parallel* hints;
 //!   the allocator uses them to choose uGroup placement. Hints are
@@ -31,15 +38,15 @@
 pub mod allocator;
 pub mod hints;
 pub mod pager;
-pub mod quota;
 pub mod uarray;
 pub mod ugroup;
 pub mod vspace;
 
-pub use allocator::{Allocator, AllocatorConfig, MemoryReport, OwnerTeardown, PlacementPolicy};
+pub use allocator::{
+    Allocator, AllocatorConfig, MemoryReport, OwnerTeardown, PlacementPolicy, QuotaError,
+};
 pub use hints::{ConsumptionHint, HintSet};
 pub use pager::{PageError, TeePager, PAGE_SIZE};
-pub use quota::{QuotaBook, QuotaError};
 pub use uarray::{CommitBudget, UArray, UArrayError, UArrayId, UArrayState, UArrayWriter};
 pub use ugroup::{UGroup, UGroupId};
 pub use vspace::VirtualSpace;

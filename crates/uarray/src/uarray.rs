@@ -398,7 +398,7 @@ mod tests {
 
     fn pager(budget: u64) -> TeePager {
         TeePager::new(
-            Arc::new(SecureMemory::new(budget, 80)),
+            Arc::new(SecureMemory::new(budget)),
             Arc::new(TzStats::new()),
             CostModel::hikey(),
         )

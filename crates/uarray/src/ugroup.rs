@@ -2,31 +2,22 @@
 //! (§6.2, Figure 5).
 //!
 //! A uGroup spans one (large) virtual reservation and holds a sequence of
-//! uArrays: zero or more `retired`/`produced` uArrays followed by at most
-//! one `open` uArray at its end. The allocator reclaims memory by scanning
+//! uArrays in placement order. The allocator reclaims memory by scanning
 //! from the *front* of the group and releasing uArrays while they are
 //! retired — so placement order must match future consumption order, which
 //! is exactly what the consumption hints communicate.
 //!
+//! A group records only that order; each member's owner, size and state
+//! live in the allocator's ledger.
 //! The grouping is purely a placement/reclamation concern: trusted
 //! primitives and the control plane never observe it.
 
-use crate::uarray::{UArrayId, UArrayState};
+use crate::uarray::UArrayId;
+use std::collections::VecDeque;
 
 /// Identifier of a uGroup within one allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UGroupId(pub u64);
-
-/// Per-member bookkeeping the group needs for reclamation decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemberInfo {
-    /// The member uArray.
-    pub id: UArrayId,
-    /// Last state reported for the member.
-    pub state: UArrayState,
-    /// Bytes of secure memory committed for the member.
-    pub committed_bytes: u64,
-}
 
 /// A uGroup: an ordered sequence of uArrays sharing one virtual reservation.
 #[derive(Debug)]
@@ -34,17 +25,14 @@ pub struct UGroup {
     id: UGroupId,
     /// Base virtual address of the group's reservation (for reporting).
     base_addr: u64,
-    /// Members in placement order. The reclaim frontier is index 0; members
-    /// are removed from the front as they are reclaimed.
-    members: Vec<MemberInfo>,
-    /// Total bytes reclaimed from this group so far.
-    reclaimed_bytes: u64,
+    /// Members in placement order; the reclaim frontier is the front.
+    members: VecDeque<UArrayId>,
 }
 
 impl UGroup {
     /// Create an empty group over the reservation starting at `base_addr`.
     pub fn new(id: UGroupId, base_addr: u64) -> Self {
-        UGroup { id, base_addr, members: Vec::new(), reclaimed_bytes: 0 }
+        UGroup { id, base_addr, members: VecDeque::new() }
     }
 
     /// The group's identifier.
@@ -67,94 +55,41 @@ impl UGroup {
         self.members.is_empty()
     }
 
-    /// Ids of live members in placement order.
-    pub fn member_ids(&self) -> impl Iterator<Item = UArrayId> + '_ {
-        self.members.iter().map(|m| m.id)
-    }
-
-    /// The last member of the group, if any.
-    pub fn tail(&self) -> Option<&MemberInfo> {
-        self.members.last()
-    }
-
-    /// Whether a new uArray may be appended: the group must not end in an
-    /// `Open` uArray (a group has at most one open uArray, at its end).
-    pub fn can_append(&self) -> bool {
-        self.members.last().map(|m| m.state != UArrayState::Open).unwrap_or(true)
-    }
-
-    /// Append a new (open) member to the end of the group.
+    /// Append a new member to the end of the group.
     pub fn append(&mut self, id: UArrayId) {
-        debug_assert!(self.can_append(), "appending to a group whose tail is still open");
-        self.members.push(MemberInfo { id, state: UArrayState::Open, committed_bytes: 0 });
+        self.members.push_back(id);
     }
 
-    /// Record a state/commit update for a member. Unknown members are
-    /// ignored (they may already have been reclaimed).
-    pub fn update_member(&mut self, id: UArrayId, state: UArrayState, committed_bytes: u64) {
-        if let Some(m) = self.members.iter_mut().find(|m| m.id == id) {
-            m.state = state;
-            m.committed_bytes = committed_bytes;
+    /// The member at the reclaim frontier.
+    pub fn front(&self) -> Option<UArrayId> {
+        self.members.front().copied()
+    }
+
+    /// The last member placed.
+    pub fn back(&self) -> Option<UArrayId> {
+        self.members.back().copied()
+    }
+
+    /// Remove a member from wherever it sits: the front when it is
+    /// reclaimed, anywhere when its owner is torn down. Returns whether it
+    /// was a member.
+    pub fn remove(&mut self, id: UArrayId) -> bool {
+        match self.members.iter().position(|m| *m == id) {
+            Some(at) => self.members.remove(at).is_some(),
+            None => false,
         }
     }
 
-    /// Whether the member at the reclaim frontier is retired.
-    pub fn front_is_retired(&self) -> bool {
-        self.members.first().map(|m| m.state == UArrayState::Retired).unwrap_or(false)
-    }
-
-    /// Pop reclaimable members from the front of the group: members are
-    /// reclaimed strictly in placement order, stopping at the first member
-    /// that is not retired. Returns the reclaimed ids.
-    pub fn take_reclaimable(&mut self) -> Vec<UArrayId> {
-        let mut out = Vec::new();
-        while self.front_is_retired() {
-            let m = self.members.remove(0);
-            self.reclaimed_bytes += m.committed_bytes;
-            out.push(m.id);
-        }
-        out
-    }
-
-    /// Forcibly remove a member from anywhere in the group (owner teardown:
-    /// the member's storage is being released regardless of its position or
-    /// state). Returns the member's committed bytes, which count as
-    /// reclaimed. Unlike [`take_reclaimable`](UGroup::take_reclaimable) this
-    /// does not respect the front-of-group frontier — eviction frees a
-    /// tenant's memory wherever it sits.
-    pub fn remove_member(&mut self, id: UArrayId) -> Option<u64> {
-        let pos = self.members.iter().position(|m| m.id == id)?;
-        let m = self.members.remove(pos);
-        self.reclaimed_bytes += m.committed_bytes;
-        Some(m.committed_bytes)
-    }
-
-    /// Bytes committed by live members of this group.
-    pub fn committed_bytes(&self) -> u64 {
-        self.members.iter().map(|m| m.committed_bytes).sum()
-    }
-
-    /// Bytes committed by members that are retired but cannot yet be
-    /// reclaimed because an earlier member is still live — the memory the
-    /// hint-guided placement exists to minimize (Figure 10).
-    pub fn stuck_bytes(&self) -> u64 {
-        // Find the first non-retired member; everything after it that is
-        // retired is stuck.
-        let mut seen_live = false;
-        let mut stuck = 0;
-        for m in &self.members {
-            if m.state != UArrayState::Retired {
-                seen_live = true;
-            } else if seen_live {
-                stuck += m.committed_bytes;
-            }
-        }
-        stuck
-    }
-
-    /// Total bytes reclaimed from this group over its lifetime.
-    pub fn reclaimed_bytes(&self) -> u64 {
-        self.reclaimed_bytes
+    /// Bytes of members that are retired but cannot yet be reclaimed because
+    /// an earlier member is still live — the memory the hint-guided
+    /// placement exists to minimize (Figure 10). `retired_bytes` gives a
+    /// retired member's committed bytes and `None` for a live one.
+    pub fn stuck_bytes(&self, retired_bytes: impl Fn(UArrayId) -> Option<u64>) -> u64 {
+        self.members
+            .iter()
+            .skip_while(|id| retired_bytes(**id).is_some())
+            .filter_map(|id| retired_bytes(*id))
+            .sum()
     }
 }
 
@@ -162,103 +97,47 @@ impl UGroup {
 mod tests {
     use super::*;
 
-    fn group() -> UGroup {
-        UGroup::new(UGroupId(1), 0x1000)
+    fn group(members: &[u64]) -> UGroup {
+        let mut g = UGroup::new(UGroupId(1), 0x1000);
+        for id in members {
+            g.append(UArrayId(*id));
+        }
+        g
     }
 
     #[test]
     fn append_and_reclaim_in_order() {
-        let mut g = group();
-        g.append(UArrayId(1));
-        g.update_member(UArrayId(1), UArrayState::Produced, 4096);
-        g.append(UArrayId(2));
-        g.update_member(UArrayId(2), UArrayState::Produced, 4096);
-        assert_eq!(g.len(), 2);
-
-        // Retiring the second member first does not allow reclamation (the
-        // frontier is the first member).
-        g.update_member(UArrayId(2), UArrayState::Retired, 4096);
-        assert!(g.take_reclaimable().is_empty());
-        assert_eq!(g.stuck_bytes(), 4096);
-
-        // Retiring the first member reclaims both, in order.
-        g.update_member(UArrayId(1), UArrayState::Retired, 4096);
-        assert_eq!(g.take_reclaimable(), vec![UArrayId(1), UArrayId(2)]);
-        assert!(g.is_empty());
-        assert_eq!(g.reclaimed_bytes(), 8192);
-        assert_eq!(g.stuck_bytes(), 0);
-    }
-
-    #[test]
-    fn can_append_only_when_tail_not_open() {
-        let mut g = group();
-        assert!(g.can_append());
-        g.append(UArrayId(1));
-        assert!(!g.can_append());
-        g.update_member(UArrayId(1), UArrayState::Produced, 0);
-        assert!(g.can_append());
-    }
-
-    #[test]
-    fn committed_bytes_sum_live_members() {
-        let mut g = group();
-        g.append(UArrayId(1));
-        g.update_member(UArrayId(1), UArrayState::Produced, 1000);
-        g.append(UArrayId(2));
-        g.update_member(UArrayId(2), UArrayState::Open, 500);
-        assert_eq!(g.committed_bytes(), 1500);
-    }
-
-    #[test]
-    fn unknown_member_updates_are_ignored() {
-        let mut g = group();
-        g.append(UArrayId(1));
-        g.update_member(UArrayId(99), UArrayState::Retired, 123);
-        assert_eq!(g.committed_bytes(), 0);
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn stuck_bytes_only_counts_blocked_retirees() {
-        let mut g = group();
-        for i in 1..=4 {
-            g.append(UArrayId(i));
-            g.update_member(UArrayId(i), UArrayState::Produced, 100);
+        let mut g = group(&[5, 6, 7]);
+        assert_eq!((g.front(), g.back(), g.len()), (Some(UArrayId(5)), Some(UArrayId(7)), 3));
+        // Reclaiming from the front yields the members in placement order.
+        let mut reclaimed = Vec::new();
+        while let Some(id) = g.front() {
+            assert!(g.remove(id));
+            reclaimed.push(id.0);
         }
-        // Retire members 3 and 4; member 1 and 2 still produced -> 3,4 stuck.
-        g.update_member(UArrayId(3), UArrayState::Retired, 100);
-        g.update_member(UArrayId(4), UArrayState::Retired, 100);
-        assert_eq!(g.stuck_bytes(), 200);
-        // Retire member 1: it is at the frontier, so it is *not* stuck.
-        g.update_member(UArrayId(1), UArrayState::Retired, 100);
-        assert_eq!(g.stuck_bytes(), 200);
-        assert_eq!(g.take_reclaimable(), vec![UArrayId(1)]);
+        assert_eq!(reclaimed, vec![5, 6, 7]);
+        assert!(g.is_empty() && g.back().is_none());
+        assert_eq!(g.base_addr(), 0x1000);
+        assert_eq!(g.id(), UGroupId(1));
     }
 
     #[test]
     fn remove_member_frees_from_anywhere() {
-        let mut g = group();
-        for i in 1..=3 {
-            g.append(UArrayId(i));
-            g.update_member(UArrayId(i), UArrayState::Produced, 100 * i);
-        }
-        // Remove the middle member, live, not at the frontier.
-        assert_eq!(g.remove_member(UArrayId(2)), Some(200));
-        assert_eq!(g.member_ids().collect::<Vec<_>>(), vec![UArrayId(1), UArrayId(3)]);
-        assert_eq!(g.reclaimed_bytes(), 200);
-        assert_eq!(g.committed_bytes(), 400);
-        assert_eq!(g.remove_member(UArrayId(2)), None, "already gone");
+        let mut g = group(&[1, 2, 3]);
+        // Remove the middle member, not at the frontier.
+        assert!(g.remove(UArrayId(2)));
+        assert_eq!((g.front(), g.back(), g.len()), (Some(UArrayId(1)), Some(UArrayId(3)), 2));
+        assert!(!g.remove(UArrayId(2)), "already gone");
     }
 
     #[test]
-    fn tail_and_member_ids() {
-        let mut g = group();
-        g.append(UArrayId(5));
-        g.update_member(UArrayId(5), UArrayState::Produced, 0);
-        g.append(UArrayId(6));
-        assert_eq!(g.tail().unwrap().id, UArrayId(6));
-        assert_eq!(g.member_ids().collect::<Vec<_>>(), vec![UArrayId(5), UArrayId(6)]);
-        assert_eq!(g.base_addr(), 0x1000);
-        assert_eq!(g.id(), UGroupId(1));
+    fn stuck_bytes_only_counts_blocked_retirees() {
+        let g = group(&[1, 2, 3, 4]);
+        // Members 3 and 4 retired behind live 1 and 2: stuck.
+        let retired = |ids: &'static [u64]| move |id: UArrayId| ids.contains(&id.0).then_some(100);
+        assert_eq!(g.stuck_bytes(retired(&[3, 4])), 200);
+        // A retired member at the frontier is reclaimable, not stuck.
+        assert_eq!(g.stuck_bytes(retired(&[1, 3, 4])), 200);
+        assert_eq!(g.stuck_bytes(retired(&[1, 2, 3, 4])), 0);
     }
 }
