@@ -659,6 +659,19 @@ mod tests {
     }
 
     #[test]
+    fn release_owner_lists_only_the_owners_arrays() {
+        let mut a = Allocator::hint_guided();
+        charge(&mut a, 1, 10, 100).unwrap();
+        charge(&mut a, 1, 11, 200).unwrap();
+        charge(&mut a, 2, 12, 300).unwrap();
+        let mut mine = a.release_owner(1).arrays;
+        mine.sort_by_key(|(id, _)| *id);
+        assert_eq!(mine, vec![(UArrayId(10), 100), (UArrayId(11), 200)]);
+        assert!(a.release_owner(9).arrays.is_empty());
+        assert_eq!(a.owner_of(UArrayId(12)), Some(2));
+    }
+
+    #[test]
     fn release_owner_reclaims_the_neighbour_fronts_it_exposes() {
         // One shared group: [owner 1 live, owner 2 retired, owner 2 live,
         // owner 2 retired].

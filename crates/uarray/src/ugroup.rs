@@ -117,8 +117,25 @@ mod tests {
         }
         assert_eq!(reclaimed, vec![5, 6, 7]);
         assert!(g.is_empty() && g.back().is_none());
+    }
+
+    #[test]
+    fn tail_and_member_ids() {
+        let mut g = group(&[5]);
+        g.append(UArrayId(6));
+        // The tail is the last member placed; the front the first.
+        assert_eq!((g.front(), g.back()), (Some(UArrayId(5)), Some(UArrayId(6))));
         assert_eq!(g.base_addr(), 0x1000);
         assert_eq!(g.id(), UGroupId(1));
+    }
+
+    #[test]
+    fn unknown_member_updates_are_ignored() {
+        let mut g = group(&[1]);
+        assert!(!g.remove(UArrayId(99)));
+        assert_eq!((g.front(), g.len()), (Some(UArrayId(1)), 1));
+        // A retired non-member does not count towards the stuck bytes.
+        assert_eq!(g.stuck_bytes(|id| (id == UArrayId(99)).then_some(123)), 0);
     }
 
     #[test]
