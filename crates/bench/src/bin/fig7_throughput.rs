@@ -9,8 +9,7 @@
 //! (set `SBT_FULL=1` for the paper's 1 M-event windows).
 
 use sbt_bench::{print_table, run_benchmark, BenchId, RunResult, RunScale};
-use sbt_engine::{AdaptiveBatcher, EngineVariant};
-use sbt_tz::CostModel;
+use sbt_engine::EngineVariant;
 
 fn main() {
     sbt_bench::print_crypto_backend();
@@ -85,56 +84,4 @@ fn main() {
     );
 
     sbt_bench::dump_json("fig7_throughput", &all);
-
-    // Adaptive world-switch batching: the batcher derives an ingest batch
-    // size from the modelled switch cost and the pipeline's delay budget;
-    // sweep it against fixed small-batch regimes on the ingest-bound
-    // benchmark. Measured at 4 cores — the boundary-dominated configuration
-    // (at higher core counts a workstation hides the per-core share of the
-    // switch cost behind wall-clock parallelism, which the HiKey's in-order
-    // cores do not).
-    let bench = BenchId::WinSum;
-    let adaptive_cores = 4usize;
-    let batcher = AdaptiveBatcher::new(&CostModel::hikey(), false, bench.event_bytes(), 60_000);
-    let adaptive = batcher.events_per_batch();
-    let regimes = [("fixed-tiny", 500usize), ("fixed-small", 2_000), ("adaptive", adaptive)];
-    let runs: Vec<RunResult> = regimes
-        .iter()
-        .map(|&(_, batch)| {
-            run_benchmark(
-                bench,
-                EngineVariant::Sbt,
-                adaptive_cores,
-                RunScale { batch_events: batch, ..scale },
-            )
-        })
-        .collect();
-    let adaptive_tput = runs.last().unwrap().mevents_per_sec;
-    let adaptive_rows: Vec<Vec<String>> = regimes
-        .iter()
-        .zip(&runs)
-        .map(|(&(label, batch), r)| {
-            vec![
-                label.to_string(),
-                if label == "adaptive" { format!("{batch} (chosen)") } else { batch.to_string() },
-                format!("{:.2}", r.mevents_per_sec),
-                format!("{:+.1}%", 100.0 * (adaptive_tput / r.mevents_per_sec - 1.0)),
-                format!("{:.1}", r.avg_delay_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "Adaptive batching — {} on {} ({adaptive_cores} cores, switch cost {} ns)",
-            bench.name(),
-            EngineVariant::Sbt.label(),
-            CostModel::hikey().switch_nanos()
-        ),
-        &["regime", "batch events", "Mevents/s", "adaptive gain", "avg delay ms"],
-        &adaptive_rows,
-    );
-    sbt_bench::dump_json(
-        "fig7_adaptive_batching",
-        &regimes.iter().map(|(l, _)| l.to_string()).zip(runs).collect::<Vec<_>>(),
-    );
 }

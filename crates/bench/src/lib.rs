@@ -76,14 +76,6 @@ impl BenchId {
         }
     }
 
-    /// Bytes per event for this benchmark's stream.
-    pub fn event_bytes(&self) -> usize {
-        match self {
-            BenchId::Power => sbt_types::POWER_EVENT_BYTES,
-            _ => sbt_types::EVENT_BYTES,
-        }
-    }
-
     /// The declarative pipeline for this benchmark.
     pub fn pipeline(&self, batch_events: usize) -> Pipeline {
         let p = match self {
@@ -405,7 +397,6 @@ mod tests {
         for b in BenchId::ALL {
             assert!(!b.name().is_empty());
             assert!(b.target_delay_ms() > 0);
-            assert!(b.event_bytes() == 12 || b.event_bytes() == 16);
             let p = b.pipeline(1_000);
             assert_eq!(p.batch_size(), 1_000);
             let chunks = b.stream(1, 100, 7);

@@ -579,6 +579,64 @@ fn a_list_failing_at_any_command_leaves_no_trace() {
     }
 }
 
+/// One ingest group: `[Ingress, Segment(Out 3i), Retire(Out 3i)]` for each
+/// batch i, the list a server lane sends as one crossing.
+fn ingest_group<'a>(payloads: &[&'a [u8]]) -> Vec<Command<'a>> {
+    payloads
+        .iter()
+        .enumerate()
+        .flat_map(|(i, payload)| {
+            [
+                ingress(payload),
+                invoke(PrimitiveKind::Segment, vec![Arg::out(3 * i)]),
+                Command::Retire(Arg::out(3 * i)),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn a_group_that_trips_the_quota_at_any_batch_leaves_no_trace_of_any() {
+    // Four batches of 100 events fit the quota together; one of 20 000
+    // (240 KB) does not fit it alone.
+    const QUOTA: u64 = 64 * 1024;
+    let small: Vec<Vec<u8>> = (0..4).map(|b| wire(100, 20 + b)).collect();
+    let big = wire(20_000, 30);
+
+    // The honest group: one window partition per batch, in batch order.
+    let dp = plane(Some(QUOTA));
+    let refs: Vec<&[u8]> = small.iter().map(Vec::as_slice).collect();
+    let replies = call(&dp, T, &ingest_group(&refs)).unwrap();
+    let windowed: Vec<OpaqueRef> = replies
+        .iter()
+        .filter_map(|r| match r {
+            Reply::Invoke(outs) => Some(outs[0].opaque),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(windowed.len(), 4);
+    assert_eq!(dp.tenant_ingest(T).unwrap().0, 400);
+    assert_eq!(dp.live_refs(T), 4, "only the windowed partitions are held");
+    for r in windowed {
+        in_tee(|| dp.retire(T, r)).unwrap();
+    }
+
+    for j in 0..4 {
+        let dp = plane(Some(QUOTA));
+        let mut refs: Vec<&[u8]> = small.iter().map(Vec::as_slice).collect();
+        refs[j] = &big;
+        let failed = call(&dp, T, &ingest_group(&refs));
+        assert_eq!(failed.unwrap_err(), DataPlaneError::QuotaExceeded, "batch {j}");
+        // Nothing of any batch survives, those before j included.
+        assert!(drained_records(&dp).is_empty(), "batch {j}: a record reached the trail");
+        assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0), "batch {j}");
+        assert_eq!(dp.live_refs(T), 0, "batch {j}");
+        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0, "batch {j}");
+        assert_eq!(dp.memory_report().committed_bytes, 0, "batch {j}");
+        assert_eq!(dp.platform().secure_mem().in_use(), 0, "batch {j}");
+    }
+}
+
 /// A lane pool that holds the seal lent to it until the test lets it go: a
 /// list that egresses stays in flight for as long as the test needs.
 struct Gate {

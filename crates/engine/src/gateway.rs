@@ -18,7 +18,8 @@
 //! command of the same list ([`sbt_dataplane::Arg::Out`]), so the engine
 //! pays the boundary once per step of work rather than once per primitive:
 //!
-//! * a batch is `[Ingress, Invoke(Segment, Out 0), Retire(Out 0)]`;
+//! * a group of n batches is `[Ingress, Invoke(Segment, Out 3i),
+//!   Retire(Out 3i)]` for each batch i — a lone batch is a group of one;
 //! * a partition's fire is one list: `[Invoke(op, r), Retire(r)]` for each
 //!   transform and, for a keyed reduce, its Sort;
 //! * a window's tail is one list from the gather (`MergeK` or `Concat` over
@@ -141,10 +142,11 @@ impl TeeGateway {
     /// metered world switch, however many commands the list holds. Each
     /// ingress in the list is delivered over the IO channel first (a
     /// via-OS delivery adds its own switch and copy). A list that succeeds
-    /// is charged to this gateway's cost meter as if its commands were made
-    /// one by one; a failed list charges nothing.
+    /// is charged to this gateway's cost meter — its batches as one
+    /// [`CycleCost::ingest_list`], its primitives and egress per record and
+    /// byte; a failed list charges nothing.
     pub fn call(&self, cmds: &[Command<'_>]) -> Result<Vec<Reply>, DataPlaneError> {
-        let via_os = self.io.path() == IngressPath::ViaOs;
+        let via_os = self.via_os();
         for cmd in cmds {
             if let Command::Ingress { payload, .. } = cmd {
                 if via_os {
@@ -157,30 +159,44 @@ impl TeeGateway {
             }
         }
         let replies = self.enter(|| self.dp.call(self.tenant, cmds))?;
-        let cost: u64 = cmds
+        let mut batches = cmds
             .iter()
             .zip(&replies)
-            .map(|(cmd, reply)| match (cmd, reply) {
-                // The *measured* batch cost: compute plus the boundary toll
-                // this batch actually paid under the platform's cost model
-                // (the scheduler's deficit currency).
+            .filter_map(|(cmd, reply)| match (cmd, reply) {
                 (Command::Ingress { payload, .. }, Reply::Ingress(ingested)) => {
-                    CycleCost::batch_measured(
-                        self.dp.platform().cost(),
-                        payload.len() as u64,
-                        ingested.len as u64,
-                        via_os,
-                    )
+                    Some((payload.len() as u64, ingested.len as u64))
                 }
-                (_, Reply::Invoke(outputs)) => {
+                _ => None,
+            })
+            .peekable();
+        let ingest = if batches.peek().is_some() { self.ingest_cost(batches) } else { 0 };
+        let work: u64 = replies
+            .iter()
+            .map(|reply| match reply {
+                Reply::Invoke(outputs) => {
                     outputs.iter().map(|o| o.len as u64).sum::<u64>() * CycleCost::PROCESS_RECORD
                 }
-                (_, Reply::Egress(msg)) => msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
+                Reply::Egress(msg) => msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
                 _ => 0,
             })
             .sum();
-        self.cost.fetch_add(cost, Ordering::Relaxed);
+        self.cost.fetch_add(ingest + work, Ordering::Relaxed);
         Ok(replies)
+    }
+
+    /// Whether this gateway's ingress path runs through the untrusted OS:
+    /// read off its IO channel, the one place the path is configured.
+    fn via_os(&self) -> bool {
+        self.io.path() == IngressPath::ViaOs
+    }
+
+    /// The *measured* cost of one ingest list carrying `batches` (payload
+    /// bytes, events) through this gateway: [`CycleCost::ingest_list`]
+    /// under the platform's cost model and this gateway's ingress path.
+    /// The scheduler's dispatch estimate and the metered charge of
+    /// [`call`](TeeGateway::call) are both this function.
+    pub(crate) fn ingest_cost(&self, batches: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+        CycleCost::ingest_list(self.dp.platform().cost(), batches, self.via_os())
     }
 
     /// Run a one-command list and return its one reply.
@@ -308,6 +324,39 @@ mod tests {
     fn gateway() -> TeeGateway {
         let dp = DataPlane::new(Platform::hikey(), DataPlaneConfig::default());
         TeeGateway::open(dp)
+    }
+
+    #[test]
+    fn a_list_of_batches_is_charged_its_ingest_cost() {
+        // The metered charge of an ingest list is the same function the
+        // scheduler estimates with: one switch for the list, not one per
+        // batch.
+        let gw = gateway();
+        let _ = gw.drain_cost();
+        let payloads: Vec<Vec<u8>> = (0..4u32)
+            .map(|b| {
+                let events: Vec<Event> = (0..100).map(|i| Event::new(i % 5, i + b, 0)).collect();
+                Event::slice_to_bytes(&events)
+            })
+            .collect();
+        let cmds: Vec<Command<'_>> = payloads
+            .iter()
+            .map(|payload| Command::Ingress {
+                payload,
+                encrypted: false,
+                is_power: false,
+                keystream_block: 0,
+            })
+            .collect();
+        let replies = gw.call(&cmds).unwrap();
+        let expected = gw.ingest_cost(payloads.iter().map(|p| (p.len() as u64, 100)));
+        assert_eq!(gw.drain_cost(), expected);
+        let one_switch = CycleCost::ingest_list(gw.data_plane().platform().cost(), [], false);
+        assert_eq!(expected, 4 * CycleCost::batch(1_200, 100) + one_switch);
+        for reply in replies {
+            let Reply::Ingress(out) = reply else { panic!("an ingress reply") };
+            gw.retire(out.opaque).unwrap();
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod config;
 pub mod executor;
 pub mod gateway;
@@ -37,7 +36,6 @@ pub mod pipeline;
 pub mod runner;
 mod steps;
 
-pub use batcher::AdaptiveBatcher;
 pub use config::{EngineConfig, EngineVariant};
 pub use executor::{Executor, JoinHandle, TaskPanicked, TaskResult};
 pub use gateway::{GatewayBoundary, TeeGateway};

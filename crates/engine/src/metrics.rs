@@ -46,24 +46,29 @@ impl CycleCost {
         payload_bytes * Self::DECRYPT_BYTE + events * Self::WINDOW_EVENT
     }
 
-    /// Measured cost of ingesting one batch: [`batch`](Self::batch) plus
-    /// the TEE-boundary toll the batch actually pays under `cost` — the
-    /// world switches of the ingress/segment/retire calls and, on the
-    /// via-OS path, one more switch and the boundary copy of the payload.
-    /// [`CycleCost`]'s currency is 1 unit ≈ 1 ns
-    /// ([`CORE_CAPACITY_PER_MS`](Self::CORE_CAPACITY_PER_MS) units per
+    /// Measured cost of one ingest command list carrying `batches`
+    /// (payload bytes, events): [`batch`](Self::batch) of each, plus the
+    /// TEE-boundary toll the list pays under `cost` — **one** world switch
+    /// for the whole list and, on the via-OS path, one more switch and the
+    /// boundary copy of each payload. [`CycleCost`]'s currency is 1 unit ≈
+    /// 1 ns ([`CORE_CAPACITY_PER_MS`](Self::CORE_CAPACITY_PER_MS) units per
     /// millisecond), so modelled nanoseconds add in directly. Schedulers
     /// charging this rank a small-batch tenant correctly: its per-event
-    /// boundary cost is higher, so it drains its deficit faster.
-    pub fn batch_measured(
+    /// boundary cost is higher, so it drains its deficit faster — and a
+    /// group of batches pays one switch, not one per batch.
+    pub fn ingest_list(
         cost: &sbt_tz::CostModel,
-        payload_bytes: u64,
-        events: u64,
+        batches: impl IntoIterator<Item = (u64, u64)>,
         via_os: bool,
     ) -> u64 {
-        let switches = crate::batcher::SWITCHES_PER_BATCH + u64::from(via_os);
-        let copy = if via_os { cost.boundary_copy_nanos(payload_bytes as usize) } else { 0 };
-        Self::batch(payload_bytes, events) + switches * cost.switch_nanos() + copy
+        batches.into_iter().fold(cost.switch_nanos(), |sum, (payload_bytes, events)| {
+            let delivery = if via_os {
+                cost.switch_nanos() + cost.boundary_copy_nanos(payload_bytes as usize)
+            } else {
+                0
+            };
+            sum + Self::batch(payload_bytes, events) + delivery
+        })
     }
 
     /// Upper-bound cost of executing one window whose resident working set
@@ -187,6 +192,19 @@ mod tests {
             peak_memory_bytes: 80_000_000,
             backpressure_events: 1,
         }
+    }
+
+    #[test]
+    fn an_ingest_list_pays_one_switch_and_each_delivery_its_own() {
+        let cost = sbt_tz::CostModel::hikey();
+        let batch = CycleCost::batch(12_000, 1_000);
+        let one = CycleCost::ingest_list(&cost, [(12_000, 1_000)], false);
+        assert_eq!(one, batch + cost.switch_nanos());
+        let four = CycleCost::ingest_list(&cost, [(12_000, 1_000); 4], false);
+        assert_eq!(four, 4 * batch + cost.switch_nanos(), "one switch for the whole list");
+        let via_os = CycleCost::ingest_list(&cost, [(12_000, 1_000); 4], true);
+        let delivery = cost.switch_nanos() + cost.boundary_copy_nanos(12_000);
+        assert_eq!(via_os, four + 4 * delivery, "each via-OS delivery crosses and copies");
     }
 
     #[test]

@@ -208,11 +208,6 @@ impl Engine {
         self.gateway.tenant()
     }
 
-    /// The platform's cost model (the HiKey constants unless overridden).
-    pub fn cost_model(&self) -> &sbt_tz::CostModel {
-        self.platform.cost()
-    }
-
     /// Boundary events this engine's gateway has caused so far (per-tenant
     /// world switches, copied bytes, invocations).
     pub fn boundary_events(&self) -> crate::gateway::GatewayBoundary {
@@ -234,25 +229,40 @@ impl Engine {
         self.ingest_on(delivery, StreamSide::Left)
     }
 
-    /// Ingest a batch on a specific stream side.
+    /// Ingest a batch on a specific stream side: a group of one.
     pub fn ingest_on(
         &self,
         delivery: &Delivery,
         side: StreamSide,
     ) -> Result<IngestStatus, DataPlaneError> {
+        self.ingest_group(std::slice::from_ref(delivery), side)
+    }
+
+    /// Ingest a group of batches on one stream side in **one** crossing:
+    /// one command list, `[Ingress, Segment, Retire]` per batch. Each
+    /// batch's windowed partitions join their windows in delivery order.
+    /// The list is one transaction: a group the TEE rejects part-way — batch
+    /// j's windowing trips the tenant's quota, say — is unwound there whole,
+    /// so no array, record or ingest count of *any* of its batches survives,
+    /// and the one error is returned.
+    pub fn ingest_group(
+        &self,
+        deliveries: &[Delivery],
+        side: StreamSide,
+    ) -> Result<IngestStatus, DataPlaneError> {
         self.started.lock().get_or_insert_with(Instant::now);
-        let windowed =
-            Self::ingest_and_segment(&self.gateway, self.pipeline.window_spec(), delivery)?;
+        let windowed = Self::ingest_list(&self.gateway, self.pipeline.window_spec(), deliveries)?;
         self.stash_windowed(windowed, side);
         self.finish_ingest()
     }
 
-    /// Ingest a set of batches concurrently on the worker pool (one entry
-    /// into the TEE per batch, as with [`ingest_on`], but the per-batch
-    /// decryption and segmentation run in parallel — the control plane's
-    /// task parallelism applies to ingestion just as it does to operators).
-    /// A rejected batch strands none of the others: every admitted batch
-    /// joins its windows, then the first rejection is returned.
+    /// Ingest a set of batches concurrently on the worker pool: each
+    /// delivery is a group of one (one entry into the TEE per batch, as
+    /// with [`ingest_on`]), but the per-batch decryption and segmentation
+    /// run in parallel — the control plane's task parallelism applies to
+    /// ingestion just as it does to operators. A rejected batch strands
+    /// none of the others: every admitted batch joins its windows, then the
+    /// first rejection is returned.
     ///
     /// [`ingest_on`]: Engine::ingest_on
     pub fn ingest_many(
@@ -266,7 +276,7 @@ impl Engine {
             .into_iter()
             .map(|delivery| {
                 let gw = Arc::clone(&self.gateway);
-                move || Self::ingest_and_segment(&gw, spec, &delivery)
+                move || Self::ingest_list(&gw, spec, std::slice::from_ref(&delivery))
             })
             .collect();
         // An admitted batch's windowed partitions are committed in the TEE:
@@ -286,36 +296,56 @@ impl Engine {
         }
     }
 
-    /// The per-batch ingest path, one crossing: deliver the bytes to the
-    /// TEE, segment them into windows, retire the raw ingress uArray. A
-    /// batch the TEE rejects part-way — its windowing trips the tenant's
-    /// quota, say — is unwound there whole: no array, record or ingest
-    /// count of it survives.
-    fn ingest_and_segment(
+    /// The modelled cost of ingesting `deliveries` as one group through
+    /// this engine's gateway ([`crate::CycleCost::ingest_list`] under the
+    /// platform's cost model and the gateway's ingress path): what a
+    /// scheduler reserves before dispatching the group, and what the
+    /// gateway meters once it ran.
+    pub fn ingest_cost(&self, deliveries: &[Delivery]) -> u64 {
+        self.gateway.ingest_cost(
+            deliveries.iter().map(|d| (d.wire_bytes.len() as u64, d.event_count as u64)),
+        )
+    }
+
+    /// The one ingest list builder, one crossing: for each batch, deliver
+    /// its bytes to the TEE, segment them into windows and retire the raw
+    /// ingress uArray. Returns every batch's windowed partitions, in
+    /// delivery order.
+    fn ingest_list(
         gateway: &TeeGateway,
         spec: sbt_types::WindowSpec,
-        delivery: &Delivery,
+        deliveries: &[Delivery],
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
-        let done = gateway.call(&[
-            Command::Ingress {
-                payload: &delivery.wire_bytes,
-                encrypted: delivery.encrypted,
-                is_power: delivery.is_power,
-                keystream_block: delivery.keystream_block,
-            },
-            Command::Invoke {
-                op: PrimitiveKind::Segment,
-                inputs: vec![Arg::out(0)],
-                params: PrimitiveParams::Window(spec),
-                hints: HintSet::none(),
-            },
-            Command::Retire(Arg::out(0)),
-        ])?;
-        let Some(Reply::Invoke(windows)) = done.into_iter().nth(1) else {
-            unreachable!("a batch list that ran replied to its Segment");
-        };
-        Ok(windows
+        let cmds: Vec<Command<'_>> = deliveries
+            .iter()
+            .enumerate()
+            .flat_map(|(i, delivery)| {
+                let ingress = 3 * i;
+                [
+                    Command::Ingress {
+                        payload: &delivery.wire_bytes,
+                        encrypted: delivery.encrypted,
+                        is_power: delivery.is_power,
+                        keystream_block: delivery.keystream_block,
+                    },
+                    Command::Invoke {
+                        op: PrimitiveKind::Segment,
+                        inputs: vec![Arg::out(ingress)],
+                        params: PrimitiveParams::Window(spec),
+                        hints: HintSet::none(),
+                    },
+                    Command::Retire(Arg::out(ingress)),
+                ]
+            })
+            .collect();
+        Ok(gateway
+            .call(&cmds)?
             .into_iter()
+            .filter_map(|reply| match reply {
+                Reply::Invoke(windows) => Some(windows),
+                _ => None,
+            })
+            .flatten()
             .map(|out| (out.window.expect("Segment outputs carry window ids"), out.opaque))
             .collect())
     }

@@ -2,7 +2,9 @@
 //! engine pays on trusted-IO, cleartext ingress.
 //!
 //! Each step is one command list, so the counts are small and exact: a
-//! batch is one crossing, a window's fire is one per partition that has work
+//! batch is one crossing, and so is a group of batches sent together
+//! (`ingest_group`, the server lane's group commit); each delivery of
+//! `ingest_many` stays its own list. A window's fire is one per partition that has work
 //! (its transforms, then its Sort when the reduce is keyed) plus one for its
 //! tail (gather, reduce, egress, retires). A change that adds a crossing to
 //! any step fails here.
@@ -72,6 +74,50 @@ fn single_stream_fire(pipeline: Pipeline) -> u64 {
     let crossings = fire(&engine, wm, StreamSide::Left);
     assert_eq!(engine.results().len(), 1, "the window fired");
     crossings
+}
+
+#[test]
+fn a_group_of_batches_is_one_crossing() {
+    let engine = engine(Pipeline::winsum_benchmark());
+    let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let mut group = Vec::new();
+    let wm = loop {
+        match generator.next_offer().expect("the window closes with a watermark") {
+            Offer::Batch(delivery) => group.push(delivery),
+            Offer::Watermark(wm) => break wm,
+        }
+    };
+    for n in [1, K as usize - 1] {
+        let before = switches(&engine);
+        let batches: Vec<_> = group.drain(..n).collect();
+        engine.ingest_group(&batches, StreamSide::Left).unwrap();
+        assert_eq!(switches(&engine) - before, 1, "a group of {n} is one crossing");
+    }
+    // The window's partitions are all in: its fire is the usual one list,
+    // over all K batches.
+    assert_eq!(fire(&engine, wm, StreamSide::Left), 1);
+    assert_eq!(engine.metrics().events_ingested, K * BATCH as u64);
+}
+
+#[test]
+fn each_delivery_of_ingest_many_is_one_crossing() {
+    let engine = engine(Pipeline::winsum_benchmark());
+    let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let (mut batches, mut wms) = (Vec::new(), Vec::new());
+    while let Some(offer) = generator.next_offer() {
+        match offer {
+            Offer::Batch(delivery) => batches.push(delivery),
+            Offer::Watermark(wm) => wms.push(wm),
+        }
+    }
+    let before = switches(&engine);
+    engine.ingest_many(batches, StreamSide::Left).unwrap();
+    assert_eq!(switches(&engine) - before, K, "one crossing per delivery");
+    assert_eq!(fire(&engine, wms[0], StreamSide::Left), 1);
 }
 
 #[test]

@@ -11,15 +11,23 @@
 //! there is no global round barrier, so one slow tenant's window cannot
 //! stall another tenant's ingestion.
 //!
-//! Service accounting is *post-paid*: the dispatch gate uses estimated
-//! batch costs, but deficits are charged with the cycle cost each tenant's
-//! gateway actually metered, so tenants pay for the cycles they consumed —
-//! including their window executions — not for a batch count.
+//! **Group commit.** A lane ingests its batches in groups of up to four,
+//! each group one command list and so one world switch
+//! ([`Engine::ingest_group`]). A group stops at a watermark and never waits
+//! on a source, and a lane has one group in flight at a time, so a window
+//! of 25 batches costs 7 ingest crossings instead of 25.
+//!
+//! Service accounting is *post-paid*: the dispatch gate uses the group's
+//! estimated cost, but deficits are charged with the cycle cost each
+//! tenant's gateway actually metered — the same [`Engine::ingest_cost`]
+//! function for a group, plus primitive and egress work — so tenants pay
+//! for the cycles they consumed, including their window executions, not
+//! for a batch count.
 
 use crate::server::{LanePhase, StreamServer};
 use parking_lot::Mutex;
 use sbt_dataplane::DataPlaneError;
-use sbt_engine::{CycleCost, Engine, Executor, IngestStatus, JoinHandle, StreamSide};
+use sbt_engine::{Engine, Executor, IngestStatus, JoinHandle, StreamSide};
 use sbt_telemetry::FlightReason;
 use sbt_types::{TenantId, Watermark};
 use sbt_workloads::generator::{Generator, Offer};
@@ -76,7 +84,9 @@ pub struct TenantProgress {
     pub offered_events: u64,
     /// Batches accepted into the TEE.
     pub accepted_batches: u64,
-    /// Batches rejected because they would exceed the tenant's quota.
+    /// Batches rejected because they would exceed the tenant's quota
+    /// (every batch of a rejected group), plus one per window whose fire
+    /// the quota rejected.
     pub rejected_batches: u64,
     /// Backpressure signals the tenant's engine raised.
     pub backpressure_signals: u64,
@@ -205,19 +215,17 @@ impl DrrAccounting {
     }
 }
 
-/// Estimated dispatch cost of one batch delivery for a lane's engine:
-/// compute plus the *measured* TEE-boundary toll (world switches, and the
-/// via-OS copy where configured) under the engine's platform cost model —
-/// not a guessed constant. Small-batch tenants therefore pay their real,
-/// higher per-event boundary cost.
-fn batch_cost(engine: &Engine, delivery: &Delivery) -> u64 {
-    let via_os = matches!(engine.config().variant, sbt_engine::EngineVariant::SbtIoViaOs);
-    CycleCost::batch_measured(
-        engine.cost_model(),
-        delivery.wire_bytes.len() as u64,
-        delivery.event_count as u64,
-        via_os,
-    )
+/// Most batches one ingest group (one command list, one world switch)
+/// carries, and so the most a lane has in flight.
+const GROUP_CAP: usize = 4;
+
+/// A lane's in-flight ingest group.
+struct InflightGroup {
+    /// The group's estimated cost, reserved against the lane's deficit.
+    est: u64,
+    /// Batches in the group.
+    batches: u64,
+    handle: JoinHandle<Result<IngestStatus, DataPlaneError>>,
 }
 
 /// One tenant stream's serve-loop state: its source, its counters and the
@@ -235,14 +243,19 @@ struct Lane {
     /// Checkpoint policy from the tenant's admitted config.
     ckpt_every_records: Option<u64>,
     checkpoints_taken: u64,
-    /// The next undispatched offer, pulled ahead so its cost can gate
-    /// dispatch.
-    staged: Option<Offer>,
-    /// A watermark waiting for this lane's in-flight batches to drain
-    /// (batches of a window must be stashed before its watermark fires).
+    /// Batches pulled from the source and not yet dispatched: the next
+    /// ingest group, held until the lane's deficit covers all of it.
+    staged: Vec<Delivery>,
+    /// A watermark pulled from the source. Intake stops here; it launches
+    /// once the batches ahead of it are dispatched and landed (batches of a
+    /// window must be stashed before its watermark fires).
     pending_wm: Option<Watermark>,
-    /// In-flight ingestion tasks: (estimated cost, handle).
-    inflight: Vec<(u64, JoinHandle<Result<IngestStatus, DataPlaneError>>)>,
+    /// The in-flight ingest group, if any: at most one per lane.
+    ingest: Option<InflightGroup>,
+    /// The last outcome was backpressure or a quota rejection: groups are
+    /// one batch each until a group is accepted, so one quota trip never
+    /// costs a whole group.
+    single_batches: bool,
     /// The lane's in-flight window fire (an executor task; its handle is
     /// the lane's ticket). At most one: the next watermark launches only
     /// after this one is harvested.
@@ -271,14 +284,14 @@ struct Lane {
 }
 
 impl Lane {
-    /// Whether an ingestion task or a window ticket is still out.
+    /// Whether an ingest group or a window ticket is still out.
     fn in_flight(&self) -> bool {
-        !self.inflight.is_empty() || self.ticket.is_some()
+        self.ingest.is_some() || self.ticket.is_some()
     }
 
     /// Whether nothing is staged, pending or in flight.
     fn quiescent(&self) -> bool {
-        self.staged.is_none() && self.pending_wm.is_none() && !self.in_flight()
+        self.staged.is_empty() && self.pending_wm.is_none() && !self.in_flight()
     }
 
     /// Whether the lane still has work the serve loop must see through.
@@ -294,14 +307,14 @@ impl Lane {
         if self.dead || self.draining {
             return false;
         }
-        self.staged.is_some() || self.pending_wm.is_some() || !self.generator.is_exhausted()
+        !self.staged.is_empty() || self.pending_wm.is_some() || !self.generator.is_exhausted()
     }
 
     /// The tenant is gone: drop what never entered the TEE and keep the
     /// lane only to absorb in-flight completions.
     fn die(&mut self) {
         self.dead = true;
-        self.staged = None;
+        self.staged.clear();
         self.pending_wm = None;
     }
 
@@ -315,11 +328,13 @@ impl Lane {
             LanePhase::Departed => self.die(),
             LanePhase::Draining if !self.draining => {
                 self.draining = true;
-                // The staged batch never entered the TEE; drop it. A staged
-                // watermark still closes the windows whose batches are
-                // already in.
-                if matches!(self.staged, Some(Offer::Batch(_))) {
-                    self.staged = None;
+                // The staged batches never entered the TEE; drop them, and
+                // the watermark behind them, which would fire their window
+                // without them. A watermark with nothing staged ahead of
+                // it still closes the windows whose batches are all in.
+                if !self.staged.is_empty() {
+                    self.staged.clear();
+                    self.pending_wm = None;
                 }
             }
             _ => return false,
@@ -327,45 +342,50 @@ impl Lane {
         true
     }
 
-    /// Ingest-harvest step: settle finished ingestion tasks (any
-    /// completion order).
+    /// Ingest-harvest step: settle the in-flight group once its task is
+    /// done.
     fn harvest_ingest(&mut self, ctx: &mut Serving<'_>) -> bool {
-        let mut harvested = Vec::new();
-        self.inflight.retain_mut(|(est, handle)| match handle.try_join() {
-            None => true,
-            Some(done) => {
-                harvested.push((*est, done));
-                false
-            }
-        });
-        let progress = !harvested.is_empty();
-        for (est, done) in harvested {
-            ctx.drr.release(self.slot, est);
-            match done {
-                Ok(outcome) => self.on_ingest(ctx, outcome),
-                Err(_) if self.dead => {}
-                Err(p) => {
-                    ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
-                    panic!("ingest task panicked: {}", p.message)
-                }
+        let Some(done) = self.ingest.as_ref().and_then(|group| group.handle.try_join()) else {
+            return false;
+        };
+        let InflightGroup { est, batches, .. } = self.ingest.take().expect("a group was in flight");
+        ctx.drr.release(self.slot, est);
+        match done {
+            Ok(outcome) => self.on_ingest(ctx, batches, outcome),
+            Err(_) if self.dead => {}
+            Err(p) => {
+                ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
+                panic!("ingest task panicked: {}", p.message)
             }
         }
-        progress
+        true
     }
 
-    /// Settle one ingestion outcome into the lane's counters and deficit.
-    fn on_ingest(&mut self, ctx: &mut Serving<'_>, outcome: Result<IngestStatus, DataPlaneError>) {
+    /// Settle one ingest group's outcome into the lane's counters and
+    /// deficit. The group is one transaction: all its `batches` were
+    /// accepted or all rejected, and either way it earns at most one
+    /// penalty.
+    fn on_ingest(
+        &mut self,
+        ctx: &mut Serving<'_>,
+        batches: u64,
+        outcome: Result<IngestStatus, DataPlaneError>,
+    ) {
         match outcome {
-            // The tenant departed with this batch in flight: whatever the
+            // The tenant departed with this group in flight: whatever the
             // TEE answered (including UnknownTenant) is moot.
             _ if self.dead => {}
-            Ok(IngestStatus::Accepted) => self.accepted_batches += 1,
+            Ok(IngestStatus::Accepted) => {
+                self.accepted_batches += batches;
+                self.single_batches = false;
+            }
             Ok(IngestStatus::Backpressure) => {
-                self.accepted_batches += 1;
+                self.accepted_batches += batches;
                 self.backpressure_signals += 1;
+                self.single_batches = true;
                 ctx.penalize(self, FlightReason::BackpressureStall);
             }
-            Err(e) => self.on_error(ctx, e),
+            Err(e) => self.on_error(ctx, batches, e),
         }
     }
 
@@ -377,18 +397,21 @@ impl Lane {
                 self.fired_since_ckpt = true;
                 self.ckpt_check_pending = true;
             }
-            Err(e) => self.on_error(ctx, e),
+            Err(e) => self.on_error(ctx, 1, e),
         }
     }
 
-    /// The error outcomes ingestion and window execution share.
-    fn on_error(&mut self, ctx: &mut Serving<'_>, e: DataPlaneError) {
+    /// The error outcomes ingestion and window execution share; `rejected`
+    /// is what a quota rejection costs the lane's count (a group's batches,
+    /// or one window).
+    fn on_error(&mut self, ctx: &mut Serving<'_>, rejected: u64, e: DataPlaneError) {
         match e {
-            // The batch is dropped, or the window whose intermediates
+            // The group is dropped, or the window whose intermediates
             // tripped the quota: the tenant outgrew its quota. The debit
             // penalizes only this lane.
             DataPlaneError::QuotaExceeded => {
-                self.rejected_batches += 1;
+                self.rejected_batches += rejected;
+                self.single_batches = true;
                 ctx.penalize(self, FlightReason::QuotaExhausted);
             }
             // Evicted after this iteration's phase snapshot, with work in
@@ -422,7 +445,7 @@ impl Lane {
     /// joins the in-flight set and its window executes concurrently with
     /// everything else.
     fn launch_watermark(&mut self, ctx: &Serving<'_>) -> bool {
-        if self.in_flight() || ctx.fatal.is_some() || self.dead {
+        if self.in_flight() || !self.staged.is_empty() || ctx.fatal.is_some() || self.dead {
             return false;
         }
         let Some(wm) = self.pending_wm.take() else { return false };
@@ -500,55 +523,44 @@ impl Lane {
         true
     }
 
-    /// Offer step: dispatch staged batches while the lane's deficit allows.
-    /// Returns whether anything moved and whether credit, rather than the
-    /// in-flight cap or the input, is what stopped it.
+    /// Offer step: fill the next ingest group and dispatch it as one task
+    /// once the lane's deficit covers the whole group. The group takes the
+    /// staged batches, then pulls from the source; it stops at
+    /// [`GROUP_CAP`] batches (one while `single_batches` holds), at a
+    /// watermark, which stays pending behind it, or where the source runs
+    /// dry — it never waits for input. Nothing is offered while the lane's
+    /// previous group is in flight. Returns whether anything moved and
+    /// whether credit, rather than the input, is what stopped it.
     fn offer(&mut self, drr: &mut DrrAccounting, executor: &Executor) -> (bool, bool) {
-        if self.dead {
+        if self.dead || self.draining || self.ingest.is_some() {
             return (false, false);
         }
-        if self.draining {
-            // Intake is closed: only promote an already-staged watermark so
-            // the lane can finish its windows.
-            let Some(Offer::Watermark(wm)) = self.staged.take() else { return (false, false) };
-            self.pending_wm = Some(wm);
-            return (true, false);
-        }
-        let mut progress = false;
-        loop {
-            if self.staged.is_none() && self.pending_wm.is_none() {
-                self.staged = self.generator.next_offer();
+        let cap = if self.single_batches { 1 } else { GROUP_CAP };
+        let mut pulled = false;
+        while self.staged.len() < cap && self.pending_wm.is_none() {
+            match self.generator.next_offer() {
+                None => break,
+                Some(Offer::Watermark(wm)) => self.pending_wm = Some(wm),
+                Some(Offer::Batch(delivery)) => self.staged.push(delivery),
             }
-            match self.staged.take() {
-                None => return (progress, false),
-                Some(Offer::Watermark(wm)) => {
-                    // Stop pulling until the watermark launches: batches
-                    // behind it belong to later windows.
-                    self.pending_wm = Some(wm);
-                    return (progress, false);
-                }
-                Some(Offer::Batch(delivery)) => {
-                    let est = batch_cost(&self.engine, &delivery);
-                    let capped = self.inflight.len() >= MAX_INFLIGHT_PER_LANE;
-                    if capped || !drr.can_dispatch(self.slot, est) {
-                        self.staged = Some(Offer::Batch(delivery));
-                        return (progress, !capped);
-                    }
-                    drr.reserve(self.slot, est);
-                    let engine = self.engine.clone();
-                    let handle =
-                        executor.spawn(move || engine.ingest_on(&delivery, StreamSide::Left));
-                    self.inflight.push((est, handle));
-                    progress = true;
-                }
-            }
+            pulled = true;
         }
+        let n = self.staged.len().min(cap);
+        if n == 0 {
+            return (pulled, false);
+        }
+        let est = self.engine.ingest_cost(&self.staged[..n]);
+        if !drr.can_dispatch(self.slot, est) {
+            return (pulled, true);
+        }
+        drr.reserve(self.slot, est);
+        let group: Vec<Delivery> = self.staged.drain(..n).collect();
+        let engine = self.engine.clone();
+        let handle = executor.spawn(move || engine.ingest_group(&group, StreamSide::Left));
+        self.ingest = Some(InflightGroup { est, batches: n as u64, handle });
+        (true, false)
     }
 }
-
-/// Cap on in-flight ingestion tasks per lane: enough to keep the pool fed,
-/// small enough that no lane floods the queues.
-const MAX_INFLIGHT_PER_LANE: usize = 4;
 
 sbt_telemetry::counters! {
     /// What deficit round-robin has charged, over the server's lifetime.
@@ -653,9 +665,10 @@ impl StreamServer {
                 backpressure_signals: 0,
                 ckpt_every_records: config.checkpoint_every_records,
                 checkpoints_taken: 0,
-                staged: None,
+                staged: Vec::new(),
                 pending_wm: None,
-                inflight: Vec::new(),
+                ingest: None,
+                single_batches: false,
                 ticket: None,
                 draining: false,
                 dead: false,
@@ -691,10 +704,10 @@ impl StreamServer {
     }
 
     /// Drain every tenant stream to exhaustion under deficit round-robin:
-    /// stage offers, dispatch them as executor tasks while deficits allow,
-    /// harvest ingestion completions and window tickets as they land, and
-    /// lend the calling thread to the executor when there is nothing to
-    /// orchestrate.
+    /// fill each lane's ingest group, dispatch it as one executor task once
+    /// the lane's deficit covers it, harvest group completions and window
+    /// tickets as they land, and lend the calling thread to the executor
+    /// when there is nothing to orchestrate.
     ///
     /// Returns an error only for streams naming un-admitted (or duplicated)
     /// tenants or for data-plane failures other than quota rejections
@@ -968,14 +981,21 @@ mod tests {
             )
         };
 
-        lane.on_ingest(&mut ctx, Ok(IngestStatus::Accepted));
-        assert_eq!(row(lane, &ctx), (1, 0, 0, 0, 0));
-        lane.on_ingest(&mut ctx, Ok(IngestStatus::Backpressure));
-        assert_eq!(row(lane, &ctx), (2, 0, 1, -200, 1), "backpressure costs a weighted round");
-        lane.on_ingest(&mut ctx, Err(DataPlaneError::QuotaExceeded));
-        assert_eq!(row(lane, &ctx), (2, 1, 1, -400, 2));
+        // A group of 4 settles as one outcome: its batches counted, at
+        // most one penalty.
+        lane.on_ingest(&mut ctx, 4, Ok(IngestStatus::Accepted));
+        assert_eq!(row(lane, &ctx), (4, 0, 0, 0, 0));
+        assert!(!lane.single_batches);
+        lane.on_ingest(&mut ctx, 4, Ok(IngestStatus::Backpressure));
+        assert_eq!(row(lane, &ctx), (8, 0, 1, -200, 1), "backpressure costs a weighted round");
+        assert!(lane.single_batches, "backpressure shrinks groups to one batch");
+        lane.on_ingest(&mut ctx, 1, Ok(IngestStatus::Accepted));
+        assert!(!lane.single_batches, "an accepted group restores full groups");
+        lane.on_ingest(&mut ctx, 4, Err(DataPlaneError::QuotaExceeded));
+        assert_eq!(row(lane, &ctx), (9, 4, 1, -400, 2), "a rejected group: n batches, 1 penalty");
+        assert!(lane.single_batches);
         lane.on_fire(&mut ctx, Err(DataPlaneError::QuotaExceeded));
-        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3), "a window over quota costs the same");
+        assert_eq!(row(lane, &ctx), (9, 5, 1, -600, 3), "a window over quota costs one");
         assert!(!lane.fired_since_ckpt);
         lane.on_fire(&mut ctx, Ok(()));
         assert!(lane.fired_since_ckpt && lane.ckpt_check_pending);
@@ -993,27 +1013,108 @@ mod tests {
 
         // Fatal: UnknownTenant while the tenant is still admitted, or any
         // other error. The first one sticks.
-        lane.on_ingest(&mut ctx, Err(DataPlaneError::UnknownTenant));
+        lane.on_ingest(&mut ctx, 4, Err(DataPlaneError::UnknownTenant));
         lane.on_fire(&mut ctx, Err(DataPlaneError::BadArguments("later")));
         assert_eq!(ctx.fatal, Some(DataPlaneError::UnknownTenant));
         assert!(!lane.dead);
-        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3));
+        assert_eq!(row(lane, &ctx), (9, 5, 1, -600, 3));
         ctx.fatal = None;
 
         // UnknownTenant after a departure: the lane dies, dropping what never
         // entered the TEE, and nothing is fatal or penalized.
-        lane.staged = Some(Offer::Watermark(Watermark::from_millis(1)));
+        let Some(Offer::Batch(batch)) = single_batch_stream().next_offer() else {
+            panic!("a batch comes first")
+        };
+        lane.staged.push(batch);
         lane.pending_wm = Some(Watermark::from_millis(2));
         server.evict(a).unwrap();
-        lane.on_ingest(&mut ctx, Err(DataPlaneError::UnknownTenant));
-        assert!(lane.dead && lane.staged.is_none() && lane.pending_wm.is_none());
+        lane.on_ingest(&mut ctx, 4, Err(DataPlaneError::UnknownTenant));
+        assert!(lane.dead && lane.staged.is_empty() && lane.pending_wm.is_none());
         assert_eq!(ctx.fatal, None);
         // A dead lane's outcomes are moot.
-        lane.on_ingest(&mut ctx, Ok(IngestStatus::Backpressure));
+        lane.on_ingest(&mut ctx, 4, Ok(IngestStatus::Backpressure));
         lane.on_fire(&mut ctx, Err(DataPlaneError::QuotaExceeded));
         lane.on_fire(&mut ctx, Err(DataPlaneError::BadArguments("moot")));
-        assert_eq!(row(lane, &ctx), (2, 2, 1, -600, 3));
+        assert_eq!(row(lane, &ctx), (9, 5, 1, -600, 3));
         assert_eq!(ctx.fatal, None);
+    }
+
+    /// A generator of one window of 500 events, cut into one batch.
+    fn single_batch_stream() -> Generator {
+        Generator::new(
+            GeneratorConfig { batch_events: 500 },
+            Channel::cleartext(),
+            multi_tenant_streams(1, 1, 500, 8, 3).remove(0),
+        )
+    }
+
+    /// Run the lane's in-flight group to completion and settle it as
+    /// `outcome` says; returns how many batches it carried.
+    fn settle_group(
+        lane: &mut Lane,
+        ctx: &mut Serving<'_>,
+        outcome: Result<IngestStatus, DataPlaneError>,
+    ) -> u64 {
+        let group = lane.ingest.take().expect("a group is in flight");
+        group.handle.join().expect("no panic").expect("the group ingests");
+        ctx.drr.release(lane.slot, group.est);
+        lane.on_ingest(ctx, group.batches, outcome);
+        group.batches
+    }
+
+    #[test]
+    fn a_lane_groups_up_to_four_batches_and_one_after_backpressure() {
+        // One window of 3 000 events in 500-event batches: 6 batches, then
+        // the watermark. Credit is plentiful, so only the group rules cut.
+        let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1 << 40));
+        let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
+        let loads = multi_tenant_streams(1, 1, 3_000, 8, 5);
+        let mut lanes = server.lanes_for(streams_for(&[a], &loads)).unwrap();
+        let mut ctx = Serving::new(&server, &lanes);
+        let executor = server.worker_pool().clone();
+        let lane = &mut lanes[0];
+        ctx.drr.begin_round(|_| true);
+
+        assert_eq!(lane.offer(&mut ctx.drr, &executor), (true, false));
+        assert_eq!(lane.offer(&mut ctx.drr, &executor), (false, false), "one group in flight");
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Backpressure)), 4);
+        // After backpressure (which cost the lane a round's credit): groups
+        // of one, until one is accepted.
+        ctx.drr.begin_round(|_| true);
+        lane.offer(&mut ctx.drr, &executor);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 1);
+        // The last batch of the window: the group stops at the watermark,
+        // which stays pending until the group lands.
+        lane.offer(&mut ctx.drr, &executor);
+        assert!(lane.pending_wm.is_some() && lane.staged.is_empty());
+        assert!(!lane.launch_watermark(&ctx), "the group ahead of the watermark is in flight");
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 1);
+        assert!(lane.launch_watermark(&ctx));
+        lane.ticket.take().unwrap().join().expect("no panic").expect("the window fires");
+        assert_eq!(lane.engine.results_len(), 1);
+        assert_eq!(lane.accepted_batches, 6);
+    }
+
+    #[test]
+    fn a_group_waits_for_credit_to_cover_all_of_it() {
+        let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1));
+        let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
+        let loads = multi_tenant_streams(1, 1, 2_000, 8, 5);
+        let mut lanes = server.lanes_for(streams_for(&[a], &loads)).unwrap();
+        let mut ctx = Serving::new(&server, &lanes);
+        let executor = server.worker_pool().clone();
+        let lane = &mut lanes[0];
+        // The group is filled, then held for credit.
+        assert_eq!(lane.offer(&mut ctx.drr, &executor), (true, true));
+        assert_eq!(lane.staged.len(), 4);
+        let est = lane.engine.ingest_cost(&lane.staged);
+        for _ in 1..est {
+            ctx.drr.begin_round(|_| true);
+        }
+        assert_eq!(lane.offer(&mut ctx.drr, &executor), (false, true), "one unit short");
+        ctx.drr.begin_round(|_| true);
+        assert_eq!(lane.offer(&mut ctx.drr, &executor), (true, false));
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 4);
     }
 
     #[test]

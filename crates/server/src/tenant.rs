@@ -14,8 +14,10 @@ pub struct TenantConfig {
     pub name: String,
     /// TEE memory quota in bytes, enforced through the uArray allocator.
     pub quota_bytes: u64,
-    /// Weighted-round-robin scheduling weight (≥ 1): a tenant with weight 2
-    /// is offered twice as many batches per round as a weight-1 tenant.
+    /// Deficit round-robin weight (≥ 1): each refill round credits the
+    /// tenant's lane `weight × drr_quantum` cycle-cost units, so a tenant
+    /// with weight 2 gets twice the share of serviced cycle cost of a
+    /// weight-1 tenant, however its traffic is cut into batches.
     pub weight: u32,
     /// Seal a checkpoint after this many newly ingested events (taken at
     /// the lane's next quiescent point in the serve loop). `None` disables

@@ -1,0 +1,108 @@
+//! Group commit: a lane ingests its batches in groups, one world switch
+//! per group.
+//!
+//! A lane fills a group of up to four batches from its source and sends it
+//! as one command list. A group stops at a watermark, so a window of 25
+//! batches is 4 + 4 + 4 + 4 + 4 + 4 + 1 = 7 ingest crossings, and no group
+//! carries batches of two windows (were it to, 3 windows of 25 batches would
+//! take ⌈75 / 4⌉ = 19 groups, not 21). A group is one transaction: a quota
+//! trip rejects every batch in it, for one penalty, and the lane then sends
+//! groups of one until a group is accepted.
+
+use sbt_attest::{verify_tenant_trail, Verifier};
+use sbt_crypto::MasterSecret;
+use sbt_engine::{Operator, Pipeline};
+use sbt_server::{ServerConfig, StreamServer, TenantConfig, TenantStream};
+use sbt_telemetry::FlightReason;
+use sbt_types::TenantId;
+use sbt_workloads::datasets::{multi_tenant_streams, StreamChunk};
+use sbt_workloads::generator::{Generator, GeneratorConfig};
+use sbt_workloads::transport::Channel;
+
+const BATCH: usize = 1_000;
+
+fn window_sum(name: &str, batch: usize) -> Pipeline {
+    Pipeline::new(name).then(Operator::WindowSum).target_delay_ms(60_000).batch_events(batch)
+}
+
+fn stream(tenant: TenantId, batch: usize, chunks: Vec<StreamChunk>) -> TenantStream {
+    TenantStream {
+        tenant,
+        generator: Generator::new(
+            GeneratorConfig { batch_events: batch },
+            Channel::for_tenant(&MasterSecret::demo(), tenant, 0),
+            chunks,
+        ),
+    }
+}
+
+#[test]
+fn a_window_of_25_batches_is_7_ingest_crossings_per_lane() {
+    const WINDOWS: u32 = 3;
+    const WINDOW: usize = 25 * BATCH;
+    let server = StreamServer::new(ServerConfig::default().with_cores(2));
+    let tenants = ["a", "b"].map(|name| {
+        server.admit(TenantConfig::new(name, 32 << 20), window_sum(name, BATCH)).unwrap()
+    });
+    let loads = multi_tenant_streams(2, WINDOWS, WINDOW, 64, 21);
+    let before = tenants.map(|id| server.engine(id).unwrap().boundary_events());
+    let streams =
+        tenants.iter().zip(&loads).map(|(id, chunks)| stream(*id, BATCH, chunks.clone())).collect();
+    let report = server.serve(streams).unwrap();
+
+    for (t, id) in tenants.iter().enumerate() {
+        let progress = &report.per_tenant[t];
+        assert_eq!(progress.accepted_batches, u64::from(WINDOWS) * 25);
+        assert_eq!(progress.rejected_batches, 0);
+        assert_eq!(progress.results, WINDOWS as usize);
+        let engine = server.engine(*id).unwrap();
+        let boundary = engine.boundary_events();
+        // Trusted IO: every switch is one SMC invocation.
+        assert_eq!(boundary.switches, boundary.invocations);
+        // Per window: 7 ingest groups, the watermark's own crossing, and
+        // the WindowSum fire's one list.
+        let crossings = boundary.switches - before[t].switches;
+        assert_eq!(crossings, u64::from(WINDOWS) * (7 + 1 + 1), "tenant {t}");
+
+        // The opened results are the per-window oracle's, and the trail
+        // replays clean against the declared plan.
+        let keys = server.verifier_keys(*id).unwrap();
+        for (w, message) in engine.results().iter().enumerate() {
+            let plain = message.open_with(keys.latest()).expect("opens under its own keys");
+            let sum = u64::from_le_bytes(plain[..8].try_into().unwrap());
+            let expected: u64 = loads[t][w].events.iter().map(|e| e.value as u64).sum();
+            assert_eq!(sum, expected, "tenant {t} window {w}");
+        }
+        let records = verify_tenant_trail(&engine.drain_audit_segments(), *id, &keys)
+            .expect("the trail verifies");
+        let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+        assert!(replay.is_correct(), "tenant {t}: {:?}", replay.violations);
+        assert_eq!(replay.egressed, WINDOWS as usize);
+    }
+}
+
+#[test]
+fn a_rejected_group_counts_every_batch_once_penalized_then_groups_shrink_to_one() {
+    // A quota below one 500-event batch: every group is rejected. Window 0
+    // is one group of 4 (4 rejected, 1 penalty); after it the lane sends
+    // groups of one, so window 1 is 4 groups (4 rejected, 4 penalties).
+    let server = StreamServer::new(ServerConfig::default().with_cores(2));
+    let tiny = server.admit(TenantConfig::new("tiny", 4 * 1024), window_sum("tiny", 500)).unwrap();
+    let loads = multi_tenant_streams(1, 2, 2_000, 64, 5);
+    let penalties = || server.telemetry().snapshot().counter_u64("drr.penalties");
+    let penalties_before = penalties();
+    let _ = server.telemetry().take_flight_dumps();
+
+    let report = server.serve(vec![stream(tiny, 500, loads[0].clone())]).unwrap();
+    let progress = &report.per_tenant[0];
+    assert_eq!(progress.accepted_batches, 0);
+    assert_eq!(progress.rejected_batches, 8);
+    assert_eq!(progress.ingested_events, 0);
+    assert_eq!(penalties() - penalties_before, 1 + 4);
+    let dumps = server.telemetry().take_flight_dumps();
+    assert_eq!(dumps.len(), 1 + 4, "one flight dump per rejected group: {dumps:?}");
+    assert!(dumps.iter().all(|d| d.tenant == tiny.0 && d.reason == FlightReason::QuotaExhausted));
+    let memory = server.data_plane().tenant_memory(tiny).unwrap();
+    assert_eq!(memory.used_bytes, 0, "no rejected batch holds quota");
+    assert_eq!(server.data_plane().live_refs(tiny), 0);
+}
