@@ -6,11 +6,14 @@
 //! batches and watermarks from sources, keeps per-window bookkeeping of the
 //! opaque references the data plane hands back, and — when a watermark
 //! completes a window — fires it from the plan it compiled once, the same
-//! steps for every plan, each a command list: one list per partition on the
-//! worker pool (the plan's chain), then one tail list that gathers each
-//! side, applies the plan's reduce, egresses and retires. A watermark fires
-//! its windows inline ([`Engine::advance_watermark_on`]) or as an executor
-//! task whose [`JoinHandle`] the caller harvests
+//! steps for every plan, each a command list: the plan's chain over the
+//! window's partitions, cut into at most W contiguous lists run on the
+//! worker pool (W is the pool's workers plus the joining thread), then one
+//! tail list that gathers each side, applies the plan's reduce, egresses
+//! and retires. A fire therefore crosses at most W + 1 times, whatever its
+//! batch count. A watermark fires its windows inline
+//! ([`Engine::advance_watermark_on`]) or as an executor task whose
+//! [`JoinHandle`] the caller harvests
 //! ([`Engine::advance_watermark_async`]). Along the way it attaches
 //! consumption hints for the TEE allocator, measures output delay, applies
 //! backpressure under TEE memory pressure, and collects uploadable results
@@ -547,8 +550,9 @@ impl Engine {
 
     /// Execute one completed window from the plan, the same steps for every
     /// plan: retire the window if a side the plan reads is empty; run the
-    /// partition lists; then one tail list that gathers each side, applies
-    /// the reduce (if any) and egresses.
+    /// chain over the partitions in at most W lists ([`Self::run_partitions`]);
+    /// then one tail list that gathers each side, applies the reduce (if
+    /// any) and egresses.
     fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
         let Some(window) = self.windows.lock().remove(&win) else {
             return Ok(()); // empty window: nothing to do, nothing to egress
@@ -567,9 +571,10 @@ impl Engine {
         }
         self.retire(unread.into_iter().flatten());
 
-        // 2. Partitions, in parallel: one list each. A mid-window failure —
-        // e.g. an intermediate tripping the tenant's quota — costs the
-        // window but never strands quota or pages.
+        // 2. Partitions, in parallel: at most W lists of contiguous
+        // partitions. A mid-window failure — e.g. an intermediate tripping
+        // the tenant's quota — costs the window but never strands quota or
+        // pages.
         let sides = self.run_partitions(sides)?;
 
         // 3. The tail: one list from the gathers through the reduce, the
@@ -633,13 +638,18 @@ impl Engine {
         }
     }
 
-    /// Run the plan's chain on every partition of every side as one list
-    /// per partition, all in parallel, each retiring its input. Partition
-    /// `i` of a side's `k` carries the one hint "sibling `i` of `k` consumed
-    /// in parallel" on every output. An empty chain costs nothing. A
-    /// partition list that fails has retired its own partition; when one
-    /// does, the outputs of its siblings are retired in one list and the
-    /// first error is returned.
+    /// Run the plan's chain on every partition of every side: the sides'
+    /// partitions, in order, cut into `min(total, W)` contiguous command
+    /// lists run in parallel, where `total` counts the partitions of all
+    /// sides and `W` is the pool's workers plus the joining thread. So this
+    /// step crosses at most `W` times whatever the batch count. A list
+    /// carries, for each of its partitions, the chain and the retire of its
+    /// input; partition `i` of a side's `k` carries the one hint "sibling
+    /// `i` of `k` consumed in parallel" on every output. An empty chain
+    /// costs nothing. Outputs come back in partition order. A list that
+    /// fails has retired every partition it names; when one does, the
+    /// outputs of the other lists are retired in one list and the first
+    /// error is returned.
     fn run_partitions(
         &self,
         sides: Vec<Vec<OpaqueRef>>,
@@ -647,26 +657,39 @@ impl Engine {
         if self.plan.chain.is_empty() {
             return Ok(sides);
         }
-        let tasks: Vec<_> = sides
-            .iter()
-            .flat_map(|side| side.iter().zip(0..).map(|(r, index)| (*r, side.len() as u32, index)))
-            .map(|(r, k, index)| {
+        let mut parts = sides.iter().flat_map(|side| {
+            let k = side.len() as u32;
+            side.iter().zip(0..).map(move |(r, i)| (*r, HintSet::consumed_in_parallel(k, i)))
+        });
+        let total: usize = sides.iter().map(Vec::len).sum();
+        let n = total.min(self.pool.size() + 1);
+        let tasks: Vec<_> = (0..n)
+            .map(|list| {
+                let len = total / n + usize::from(list < total % n);
+                let list: Vec<_> = parts.by_ref().take(len).collect();
                 let (gw, plan) = (Arc::clone(&self.gateway), Arc::clone(&self.plan));
                 move || {
                     let mut steps = Steps::default();
-                    let hints = HintSet::consumed_in_parallel(k, index);
-                    let out = plan.chain.iter().fold(Arg::Ref(r), |input, &(op, params)| {
-                        steps.consume(op, params, hints.clone(), vec![input])
-                    });
-                    steps.run_to(&gw, out)
+                    let outs: Vec<Arg> = list
+                        .into_iter()
+                        .map(|(r, hints)| {
+                            plan.chain.iter().fold(Arg::Ref(r), |input, &(op, params)| {
+                                steps.consume(op, params, hints.clone(), vec![input])
+                            })
+                        })
+                        .collect();
+                    let done = steps.run(&gw)?;
+                    let resolve =
+                        |out: &Arg| out.resolve(&done).expect("a list that ran names its outputs");
+                    Ok(outs.iter().map(resolve).collect::<Vec<_>>())
                 }
             })
             .collect();
-        let mut outs = Vec::with_capacity(tasks.len());
+        let mut outs = Vec::with_capacity(total);
         let mut failure = None;
         for result in self.pool.run_all(tasks) {
             match result {
-                Ok(out) => outs.push(out),
+                Ok(list) => outs.extend(list),
                 Err(e) => {
                     failure.get_or_insert(e);
                 }

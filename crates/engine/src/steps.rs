@@ -59,12 +59,6 @@ impl<'a> Steps<'a> {
     pub fn run(&self, gateway: &TeeGateway) -> Result<Vec<Reply>, DataPlaneError> {
         gateway.call(&self.cmds)
     }
-
-    /// Run the list and resolve `result` among its outputs.
-    pub fn run_to(&self, gateway: &TeeGateway, result: Arg) -> Result<OpaqueRef, DataPlaneError> {
-        let done = self.run(gateway)?;
-        Ok(result.resolve(&done).expect("a list that ran names its own outputs"))
-    }
 }
 
 #[cfg(test)]

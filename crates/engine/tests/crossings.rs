@@ -4,10 +4,12 @@
 //! Each step is one command list, so the counts are small and exact: a
 //! batch is one crossing, and so is a group of batches sent together
 //! (`ingest_group`, the server lane's group commit); each delivery of
-//! `ingest_many` stays its own list. A window's fire is one per partition that has work
-//! (its transforms, then its Sort when the reduce is keyed) plus one for its
-//! tail (gather, reduce, egress, retires). A change that adds a crossing to
-//! any step fails here.
+//! `ingest_many` stays its own list. A window's fire runs the plan's chain
+//! (its transforms, then a Sort when the reduce is keyed) over the window's
+//! k partitions in `min(k, W)` lists, W being the pool's workers plus the
+//! joining thread, then one tail list (gather, reduce, egress, retires): at
+//! most W + 1 crossings whatever the batch count, and 1 when the chain is
+//! empty. A change that adds a crossing to any step fails here.
 
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
 use sbt_types::Watermark;
@@ -19,10 +21,17 @@ use std::sync::Arc;
 /// Partitions (batches) per window.
 const K: u64 = 5;
 const BATCH: usize = 1_000;
+/// Fire lists at most: the 2-worker engine's workers plus the joining
+/// thread.
+const W: u64 = 3;
 
 fn engine(pipeline: Pipeline) -> Arc<Engine> {
+    engine_on(2, pipeline)
+}
+
+fn engine_on(workers: usize, pipeline: Pipeline) -> Arc<Engine> {
     Engine::new(
-        EngineConfig::for_variant(EngineVariant::SbtClearIngress, 2),
+        EngineConfig::for_variant(EngineVariant::SbtClearIngress, workers),
         pipeline.target_delay_ms(10_000).batch_events(BATCH),
     )
 }
@@ -36,10 +45,10 @@ fn switches(engine: &Engine) -> u64 {
     b.switches
 }
 
-/// Ingest one window of `K` batches on `side`, checking each batch costs
+/// Ingest one window of `k` batches on `side`, checking each batch costs
 /// one crossing; returns the watermark that closes the window.
-fn ingest_window(engine: &Engine, side: StreamSide) -> Watermark {
-    let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
+fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
+    let chunks = synthetic_stream(1, k as usize * BATCH, 16, 7);
     let mut generator =
         Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
     let mut batches = 0;
@@ -52,7 +61,7 @@ fn ingest_window(engine: &Engine, side: StreamSide) -> Watermark {
                 batches += 1;
             }
             Offer::Watermark(wm) => {
-                assert_eq!(batches, K);
+                assert_eq!(batches, k);
                 return wm;
             }
         }
@@ -66,11 +75,11 @@ fn fire(engine: &Engine, wm: Watermark, side: StreamSide) -> u64 {
     switches(engine) - before - 1
 }
 
-/// Crossings of the fire of one `K`-partition window of a single-stream
-/// pipeline.
-fn single_stream_fire(pipeline: Pipeline) -> u64 {
-    let engine = engine(pipeline);
-    let wm = ingest_window(&engine, StreamSide::Left);
+/// Crossings of the fire of one `k`-partition window of a single-stream
+/// pipeline on a `workers`-worker engine.
+fn single_stream_fire(workers: usize, k: u64, pipeline: Pipeline) -> u64 {
+    let engine = engine_on(workers, pipeline);
+    let wm = ingest_window(&engine, StreamSide::Left, k);
     let crossings = fire(&engine, wm, StreamSide::Left);
     assert_eq!(engine.results().len(), 1, "the window fired");
     crossings
@@ -123,30 +132,40 @@ fn each_delivery_of_ingest_many_is_one_crossing() {
 #[test]
 fn a_winsum_fire_is_one_crossing() {
     // Concat, Sum, egress and every retire: one list.
-    assert_eq!(single_stream_fire(Pipeline::winsum_benchmark()), 1);
+    assert_eq!(single_stream_fire(2, K, Pipeline::winsum_benchmark()), 1);
 }
 
 #[test]
 fn a_topk_fire_is_sorts_merges_and_one_tail() {
-    // K sort lists, then MergeK + TopKPerKey + egress in one list.
-    assert_eq!(single_stream_fire(Pipeline::topk_benchmark(10)), K + 1);
+    // The K sorts in min(K, W) lists, then MergeK + TopKPerKey + egress in
+    // one list.
+    assert_eq!(single_stream_fire(2, K, Pipeline::topk_benchmark(10)), K.min(W) + 1);
 }
 
 #[test]
-fn a_filter_fire_is_one_crossing_per_partition_and_one_tail() {
-    // K filter tasks, then concat + egress in one list.
-    assert_eq!(single_stream_fire(Pipeline::filter_benchmark(0, 500)), K + 1);
+fn a_filter_fire_is_one_crossing_per_list_and_one_tail() {
+    // The K filters in min(K, W) lists, then concat + egress in one list.
+    assert_eq!(single_stream_fire(2, K, Pipeline::filter_benchmark(0, 500)), K.min(W) + 1);
+}
+
+#[test]
+fn a_fire_on_one_worker_is_three_crossings_whatever_its_batch_count() {
+    // One worker and the joining thread: 25 partitions in 2 lists, then the
+    // tail.
+    assert_eq!(single_stream_fire(1, 25, Pipeline::topk_benchmark(10)), 3);
+    assert_eq!(single_stream_fire(1, 25, Pipeline::filter_benchmark(0, 500)), 3);
 }
 
 #[test]
 fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     let engine = engine(Pipeline::join_benchmark());
-    let left = ingest_window(&engine, StreamSide::Left);
-    let right = ingest_window(&engine, StreamSide::Right);
+    let left = ingest_window(&engine, StreamSide::Left, K);
+    let right = ingest_window(&engine, StreamSide::Right, K);
     // One side's watermark alone completes nothing.
     assert_eq!(fire(&engine, left, StreamSide::Left), 0);
     let crossings = fire(&engine, right, StreamSide::Right);
     assert_eq!(engine.results().len(), 1, "the window fired");
-    // K sort lists a side, then both MergeKs + Join + egress in one list.
-    assert_eq!(crossings, 2 * K + 1);
+    // Both sides' 2K sorts in min(2K, W) lists, then both MergeKs + Join +
+    // egress in one list.
+    assert_eq!(crossings, (2 * K).min(W) + 1);
 }

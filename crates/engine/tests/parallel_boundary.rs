@@ -1,13 +1,18 @@
-//! Pool width is invisible at the TEE boundary: an 8-worker engine and a
-//! 1-worker engine fed the identical encrypted stream must make exactly the
-//! same world switches, copy exactly the same bytes (via-OS) and produce
-//! byte-identical results. Each batch is one ingress crossing whatever the
-//! width; the extra workers only run window plans and seal lanes.
+//! Pool width is invisible at the TEE boundary, except in how many lists a
+//! fire's chain runs in: an 8-worker engine and a 1-worker engine fed the
+//! identical encrypted stream must copy exactly the same bytes (via-OS),
+//! write the same audit records and produce byte-identical results. Each
+//! batch is one ingress crossing whatever the width. A fire runs the plan's
+//! chain over its k partitions in `min(k, W)` lists, W being the pool's
+//! workers plus the joining thread, so only a plan with a chain (a keyed
+//! reduce's sorts, a transform) crosses more often on a wider pool; WinSum's
+//! chain is empty and its boundary profile does not move at all.
 //!
 //! The same boundary is metered three times over — by the tenant's gateway,
 //! by the platform's global counters and by the telemetry registry that
 //! mirrors both — and the three must agree exactly.
 
+use sbt_attest::decompress_records;
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline};
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
@@ -70,6 +75,61 @@ fn pool_width_changes_no_crossings_copies_or_results() {
         assert_eq!(s1.bytes_ingested, s8.bytes_ingested);
         assert!(s8.decrypt_nanos > 0);
     }
+}
+
+/// A TopK engine of `workers` workers fed 3 windows of 40 000 encrypted
+/// events in 5 000-event batches (8 partitions a window). Returns its
+/// engine, its ingest crossings and its fire crossings (each watermark's
+/// own crossing left out).
+fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
+    let engine = Engine::new(
+        EngineConfig::for_variant(EngineVariant::Sbt, workers),
+        Pipeline::topk_benchmark(10).batch_events(5_000),
+    );
+    let chunks = synthetic_stream(3, 40_000, 64, 42);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: 5_000 }, Channel::encrypted_demo(), chunks);
+    let (mut ingest, mut fire) = (0, 0);
+    while let Some(offer) = generator.next_offer() {
+        let before = engine.boundary_events().switches;
+        match offer {
+            Offer::Batch(delivery) => {
+                engine.ingest(&delivery).unwrap();
+                ingest += engine.boundary_events().switches - before;
+            }
+            Offer::Watermark(wm) => {
+                engine.advance_watermark(wm).unwrap();
+                fire += engine.boundary_events().switches - before - 1;
+            }
+        }
+    }
+    (engine, ingest, fire)
+}
+
+#[test]
+fn pool_width_shows_only_in_a_keyed_fires_list_count() {
+    const K: u64 = 8;
+    let (serial, ingest1, fire1) = topk_run(1);
+    let (parallel, ingest8, fire8) = topk_run(8);
+
+    let (r1, r8) = (serial.results(), parallel.results());
+    assert_eq!(r1.len(), 3);
+    assert_eq!(r1.len(), r8.len());
+    for (a, b) in r1.iter().zip(r8.iter()) {
+        assert_eq!(a.ciphertext, b.ciphertext, "results diverge");
+    }
+    assert_eq!(ingest1, 3 * K, "a batch is one crossing");
+    assert_eq!(ingest1, ingest8);
+    let records = |engine: &Engine| -> usize {
+        let segments = engine.drain_audit_segments();
+        segments.iter().map(|s| decompress_records(&s.compressed).unwrap().len()).sum()
+    };
+    assert_eq!(records(&serial), records(&parallel));
+
+    // Per window: the 8 sorts in min(K, W) lists, then the tail. W is 2 on
+    // one worker and 9 on eight.
+    assert_eq!(fire1, 3 * (K.min(2) + 1));
+    assert_eq!(fire8, 3 * (K.min(9) + 1));
 }
 
 /// A crossing the gateway does not meter, a via-OS copy of anything but the

@@ -7,7 +7,9 @@
 //! carries batches of two windows (were it to, 3 windows of 25 batches would
 //! take ⌈75 / 4⌉ = 19 groups, not 21). A group is one transaction: a quota
 //! trip rejects every batch in it, for one penalty, and the lane then sends
-//! groups of one until a group is accepted.
+//! groups of one until a group is accepted. The window's fire adds its own
+//! lists: one for WinSum, and 3 for a 25-batch TopK window on one worker
+//! (its sorts in 2 lists, then the tail).
 
 use sbt_attest::{verify_tenant_trail, Verifier};
 use sbt_crypto::MasterSecret;
@@ -18,6 +20,7 @@ use sbt_types::TenantId;
 use sbt_workloads::datasets::{multi_tenant_streams, StreamChunk};
 use sbt_workloads::generator::{Generator, GeneratorConfig};
 use sbt_workloads::transport::Channel;
+use std::collections::BTreeMap;
 
 const BATCH: usize = 1_000;
 
@@ -79,6 +82,60 @@ fn a_window_of_25_batches_is_7_ingest_crossings_per_lane() {
         assert!(replay.is_correct(), "tenant {t}: {:?}", replay.violations);
         assert_eq!(replay.egressed, WINDOWS as usize);
     }
+}
+
+#[test]
+fn a_topk_window_of_25_batches_on_one_worker_is_7_ingest_1_watermark_and_3_fire_crossings() {
+    const WINDOWS: u32 = 3;
+    const WINDOW: usize = 25 * BATCH;
+    let server = StreamServer::new(ServerConfig::default().with_cores(1));
+    let pipeline = Pipeline::new("topk")
+        .then(Operator::TopKPerKey { k: 10 })
+        .target_delay_ms(60_000)
+        .batch_events(BATCH);
+    let id = server.admit(TenantConfig::new("topk", 32 << 20), pipeline).unwrap();
+    let loads = multi_tenant_streams(1, WINDOWS, WINDOW, 64, 33);
+    let before = server.engine(id).unwrap().boundary_events();
+    let report = server.serve(vec![stream(id, BATCH, loads[0].clone())]).unwrap();
+
+    let progress = &report.per_tenant[0];
+    assert_eq!(progress.accepted_batches, u64::from(WINDOWS) * 25);
+    assert_eq!(progress.results, WINDOWS as usize);
+    let engine = server.engine(id).unwrap();
+    let boundary = engine.boundary_events();
+    assert_eq!(boundary.switches, boundary.invocations);
+    // Per window: 7 ingest groups, the watermark's own crossing, and the
+    // fire: the 25 sorts in 2 lists (the one worker and the thread joining
+    // them), then the tail.
+    let crossings = boundary.switches - before.switches;
+    assert_eq!(crossings, u64::from(WINDOWS) * (7 + 1 + 3));
+
+    // The opened results are the per-window top 10 of each key, and the
+    // trail replays clean against the declared plan.
+    let keys = server.verifier_keys(id).unwrap();
+    for (w, message) in engine.results().iter().enumerate() {
+        let plain = message.open_with(keys.latest()).expect("opens under its own keys");
+        let mut got: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for pair in plain.chunks_exact(12) {
+            let key = u32::from_le_bytes(pair[..4].try_into().unwrap());
+            let value = u64::from_le_bytes(pair[4..].try_into().unwrap()) as u32;
+            got.entry(key).or_default().push(value);
+        }
+        let mut expected: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for e in &loads[0][w].events {
+            expected.entry(e.key).or_default().push(e.value);
+        }
+        for values in expected.values_mut() {
+            values.sort_unstable_by(|a, b| b.cmp(a));
+            values.truncate(10);
+        }
+        assert_eq!(got, expected, "window {w}");
+    }
+    let records =
+        verify_tenant_trail(&engine.drain_audit_segments(), id, &keys).expect("the trail verifies");
+    let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+    assert!(replay.is_correct(), "{:?}", replay.violations);
+    assert_eq!(replay.egressed, WINDOWS as usize);
 }
 
 #[test]
