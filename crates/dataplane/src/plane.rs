@@ -200,6 +200,12 @@ impl TenantMemory {
     pub fn under_pressure(&self) -> bool {
         self.quota_bytes.is_some_and(|quota| sbt_tz::under_pressure(self.used_bytes, quota))
     }
+
+    /// Bytes the tenant may still commit before its quota refuses them
+    /// (`u64::MAX` when unconstrained).
+    pub fn headroom_bytes(&self) -> u64 {
+        self.quota_bytes.map_or(u64::MAX, |quota| quota.saturating_sub(self.used_bytes))
+    }
 }
 
 /// The StreamBox-TZ trusted data plane.

@@ -50,6 +50,14 @@ impl DataPlane {
         }
     }
 
+    /// The bytes a batch of `events` events commits on ingress: its
+    /// page-rounded destination size, which the ingress pre-check charges
+    /// against the tenant's headroom. Segmenting it into one window commits
+    /// as much again.
+    pub fn ingress_charge(events: u64) -> u64 {
+        TeePager::pages_for(events * sbt_types::EVENT_BYTES as u64) * PAGE_SIZE
+    }
+
     /// The body of an `Ingress` command: the batch's array is registered
     /// at once, its counter moves and record are staged in `list`.
     pub(super) fn run_ingress(
@@ -77,7 +85,7 @@ impl DataPlane {
         // Cheap early quota check before decrypting and parsing: the batch
         // will commit its page-rounded destination size, which must fit the
         // tenant's headroom (the admission stays the authority).
-        let estimate = TeePager::pages_for((n_events * sbt_types::EVENT_BYTES) as u64) * PAGE_SIZE;
+        let estimate = Self::ingress_charge(n_events as u64);
         if estimate > self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()) {
             return Err(DataPlaneError::QuotaExceeded);
         }

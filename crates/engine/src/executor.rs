@@ -39,7 +39,12 @@
 //!   then the injector, then steals;
 //! * a thread that is *inside* a fire-class task takes fire-class work only:
 //!   never the injector, and from a sibling's deque only a fire-class task.
-//!   A fire is thus never suspended under someone else's ingest batch.
+//!   A fire is thus never suspended under someone else's ingest batch;
+//! * nor does it take a **root** fire, one [`Executor::spawn_fire`] queued
+//!   from outside any fire: a root may be a later watermark's fire of the
+//!   same engine, which waits for the window execution the thread is running
+//!   beneath it, and would sit on it forever. Idle workers and threads
+//!   outside a fire run roots.
 //!
 //! The helping join stays deadlock-free at any pool size: a task is awaited
 //! by the task that spawned it, and a fire-class spawner put it on its own
@@ -62,6 +67,9 @@ struct Job {
     run: Box<dyn FnOnce() + Send + 'static>,
     /// Whether the task is fire class (see the module docs).
     fire: bool,
+    /// Whether the task is a root fire: spawned fire class from outside
+    /// any fire (see the module docs).
+    root: bool,
 }
 
 /// How long a worker with nothing to run keeps polling for work before it
@@ -237,18 +245,24 @@ impl Shared {
 
     /// Find one runnable job: own deque back first, then the fire queue,
     /// then the injector, then steal from the front of a sibling's deque. A
-    /// thread inside a fire-class task skips the injector and steals only
-    /// fire-class jobs.
-    fn find_job(&self, home: Option<usize>) -> Option<Job> {
-        let fire_only = IN_FIRE.get();
+    /// thread inside a fire-class task takes only fire-class jobs that are
+    /// not roots: it skips the injector and every root fire. `fire_only`
+    /// asks for fire-class jobs alone outside a fire too.
+    fn find_job(&self, home: Option<usize>, fire_only: bool) -> Option<Job> {
+        let in_fire = IN_FIRE.get();
+        let fire_only = fire_only || in_fire;
+        let takes = |job: &Job| (job.fire || !fire_only) && !(in_fire && job.root);
         if let Some(ix) = home {
-            if let Some(job) = self.locals[ix].lock().expect("queue lock").pop_back() {
-                return Some(job);
+            let mut deque = self.locals[ix].lock().expect("queue lock");
+            if let Some(at) = deque.iter().rposition(takes) {
+                return deque.remove(at);
             }
         }
-        if let Some(job) = self.fire_queue.lock().expect("queue lock").pop_front() {
-            return Some(job);
+        let mut fire_queue = self.fire_queue.lock().expect("queue lock");
+        if let Some(at) = fire_queue.iter().position(takes) {
+            return fire_queue.remove(at);
         }
+        drop(fire_queue);
         if !fire_only {
             if let Some(job) = self.injector.lock().expect("queue lock").pop_front() {
                 return Some(job);
@@ -262,7 +276,7 @@ impl Shared {
                 continue;
             }
             let mut deque = self.locals[ix].lock().expect("queue lock");
-            if deque.front().is_some_and(|job| job.fire || !fire_only) {
+            if deque.front().is_some_and(takes) {
                 self.counters.steals.fetch_add(1, Ordering::Relaxed);
                 return deque.pop_front();
             }
@@ -280,9 +294,10 @@ impl Shared {
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Run one queued job on the calling thread, if any is available.
-    fn help_one(self: &Arc<Self>) -> bool {
-        match self.find_job(self.home_of()) {
+    /// Run one queued job on the calling thread, if any is available: a
+    /// fire-class one if `fire_only`.
+    fn help_one(self: &Arc<Self>, fire_only: bool) -> bool {
+        match self.find_job(self.home_of(), fire_only) {
             Some(job) => {
                 self.run(job);
                 true
@@ -300,7 +315,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             let signal = shared.signal.lock().expect("signal lock");
             signal.version
         };
-        if let Some(job) = shared.find_job(Some(index)) {
+        if let Some(job) = shared.find_job(Some(index), false) {
             shared.run(job);
             idle_since = None;
             continue;
@@ -355,7 +370,7 @@ impl<T> JoinHandle<T> {
             if let Some(result) = self.slot.try_take() {
                 return result;
             }
-            if !self.shared.help_one() {
+            if !self.shared.help_one(false) {
                 // The task is running on a worker: poll rather than block,
                 // for the reason given at `IDLE_POLL`.
                 sbt_types::poll_wait();
@@ -457,7 +472,10 @@ impl Executor {
             });
             task_slot.complete(result);
         });
-        self.shared.push(Job { run, fire });
+        // Inside a fire, every task is the fire's own: only one spawned from
+        // outside any fire is a root.
+        let root = fire && !IN_FIRE.get();
+        self.shared.push(Job { run, fire, root });
         JoinHandle { slot, shared: self.shared.clone() }
     }
 
@@ -465,7 +483,14 @@ impl Executor {
     /// orchestration thread (e.g. the server's offer loop) lend itself to
     /// the pool while it has nothing else to do.
     pub fn help_one(&self) -> bool {
-        self.shared.help_one()
+        self.shared.help_one(false)
+    }
+
+    /// Run one queued fire-class task on the calling thread, if any is
+    /// ready: [`help_one`](Executor::help_one) for a thread that must not
+    /// sit under an ingest batch while a window fire waits.
+    pub fn help_fire(&self) -> bool {
+        self.shared.help_one(true)
     }
 
     /// Barrier-style batch API: run tasks to completion, results in
@@ -754,6 +779,45 @@ mod tests {
         let ran: Vec<_> = (0..9).map(|_| order.recv().unwrap()).collect();
         assert_eq!(ran[0], "fire", "{ran:?}");
         assert!(ran[1..].iter().all(|&name| name == "normal"));
+        assert_eq!(held.join(), Ok(()));
+    }
+
+    #[test]
+    fn help_fire_runs_fire_class_work_only() {
+        let (exec, release, held) = gated_single_worker();
+        let normal = exec.spawn(|| "normal");
+        let fire = exec.spawn_fire(|| "fire");
+        assert!(exec.help_fire());
+        assert_eq!(fire.try_join(), Some(Ok("fire")));
+        assert!(!exec.help_fire(), "only a normal task is left");
+        assert_eq!(normal.try_join(), None);
+        assert!(exec.help_one());
+        assert_eq!(normal.try_join(), Some(Ok("normal")));
+        release.send(()).unwrap();
+        assert_eq!(held.join(), Ok(()));
+    }
+
+    #[test]
+    fn a_fire_helps_its_own_subtasks_but_never_another_root_fire() {
+        let (exec, release, held) = gated_single_worker();
+        let e2 = exec.clone();
+        let first = exec.spawn_fire(move || {
+            // A child spawned ahead of nothing: the fire runs it while it
+            // joins. The second root fire queued behind the first is not
+            // this fire's to run.
+            let child = e2.spawn_fire(|| 7);
+            let got = child.join();
+            (got, e2.help_one())
+        });
+        let second = exec.spawn_fire(|| "second");
+        // The worker is held: the test thread, outside any fire, takes the
+        // first root, and then the second.
+        assert!(exec.help_one());
+        assert_eq!(first.try_join(), Some(Ok((Ok(7), false))));
+        assert_eq!(second.try_join(), None);
+        assert!(exec.help_one());
+        assert_eq!(second.try_join(), Some(Ok("second")));
+        release.send(()).unwrap();
         assert_eq!(held.join(), Ok(()));
     }
 

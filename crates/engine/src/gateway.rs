@@ -19,11 +19,15 @@
 //! pays the boundary once per step of work rather than once per primitive:
 //!
 //! * a group of n batches is `[Ingress, Invoke(Segment, Out 3i),
-//!   Retire(Out 3i)]` for each batch i — a lone batch is a group of one;
-//! * a partition's fire is one list: `[Invoke(op, r), Retire(r)]` for each
-//!   transform and, for a keyed reduce, its Sort;
-//! * a window's tail is one list from the gather (`MergeK` or `Concat` over
-//!   the partitions) through the reduce, the egress and the final retire.
+//!   Retire(Out 3i)]` for each batch i — a lone batch is a group of one; a
+//!   server lane sends a window's batches as one group;
+//! * a fire's partitions run in at most W lists, each `[Invoke(op, r),
+//!   Retire(r)]` for each transform and, for a keyed reduce, its Sort, of
+//!   each of its partitions;
+//! * a window's tail is one list from the `Watermark` of the watermark that
+//!   completed the window, through the gather (`MergeK` or `Concat` over
+//!   the partitions), the reduce, the egress and the final retire; a
+//!   watermark no tail carries is a list of its own.
 //!
 //! A list succeeds or fails as a whole. A failed list returns only its
 //! error: the data plane has already released its outputs and retired

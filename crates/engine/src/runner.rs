@@ -18,6 +18,15 @@
 //! consumption hints for the TEE allocator, measures output delay, applies
 //! backpressure under TEE memory pressure, and collects uploadable results
 //! and audit segments.
+//!
+//! A watermark that completes a window makes no crossing of its own: it is
+//! queued with the last window it completes and recorded at the head of
+//! that window's tail list, so the trail shows it just before the window's
+//! egress and never before an earlier window's. A watermark crosses alone
+//! only when no tail records it: it completes nothing (one side of a
+//! join), its window has no tail (empty or one-sided), or the tail list
+//! failed and so left no trace. A drainer records every watermark whose
+//! windows it has executed before it releases its claim.
 
 use crate::config::EngineConfig;
 use crate::executor::{Executor, JoinHandle};
@@ -82,6 +91,9 @@ struct WindowExec {
     draining: bool,
     /// Window failures a drainer parked for the callers waiting on it.
     errors: VecDeque<DataPlaneError>,
+    /// Watermarks that completed a window and are not on the trail yet,
+    /// each with the last window it completes, in arrival order.
+    unrecorded: Vec<(WindowId, Watermark)>,
 }
 
 impl WindowExec {
@@ -90,6 +102,20 @@ impl WindowExec {
             Some((l, a)) => (l.max(last), a.min(arrival)),
             None => (last, arrival),
         });
+    }
+
+    /// Take the unrecorded watermarks whose last window is before `end`,
+    /// in arrival order.
+    fn take_before(&mut self, end: WindowId) -> Vec<Watermark> {
+        let mut due = Vec::new();
+        self.unrecorded.retain(|&(win, wm)| {
+            let taken = win < end;
+            if taken {
+                due.push(wm);
+            }
+            !taken
+        });
+        due
     }
 }
 
@@ -399,12 +425,13 @@ impl Engine {
 
     /// Advance one side's watermark and fire the windows it completes as an
     /// executor task, returning the task's handle instead of blocking. The
-    /// watermark is ingested, and its arrival stamped, on the caller; the
-    /// task runs [`advance_watermark_on`]'s fire. Windows of one engine
-    /// still execute serially and in window order (one drainer per engine
-    /// at a time), but windows of *different* engines — and this engine's
-    /// subsequent ingestion — pipeline freely against them. A window that
-    /// panics surfaces as the handle's [`crate::TaskPanicked`].
+    /// watermark is noted, and its arrival stamped, on the caller; the task
+    /// runs [`advance_watermark_on`]'s fire, whose tail records it. Windows
+    /// of one engine still execute serially and in window order (one
+    /// drainer per engine at a time), but windows of *different* engines —
+    /// and this engine's subsequent ingestion — pipeline freely against
+    /// them. A window that panics surfaces as the handle's
+    /// [`crate::TaskPanicked`].
     ///
     /// [`advance_watermark_on`]: Engine::advance_watermark_on
     pub fn advance_watermark_async(
@@ -422,12 +449,13 @@ impl Engine {
         })
     }
 
-    /// Record a watermark's ingress and compute what it completes: the last
-    /// completed window and the arrival instant (for output-delay
-    /// accounting), or `None` when no window completes.
+    /// Note a watermark and compute what it completes: the last completed
+    /// window and the arrival instant (for output-delay accounting), or
+    /// `None` when no window completes. A watermark that completes a window
+    /// still to execute is queued for that window's tail to record; any
+    /// other crosses alone, here.
     fn note_watermark(&self, wm: Watermark, side: StreamSide) -> Option<(WindowId, Instant)> {
         self.started.lock().get_or_insert_with(Instant::now);
-        self.gateway.ingress_watermark(wm);
         let effective = {
             let mut marks = self.watermarks.lock();
             match side {
@@ -441,12 +469,29 @@ impl Engine {
             }
         };
         let arrival = Instant::now();
-        match self.pipeline.window_spec().last_complete(effective.event_time) {
-            Some(last) => Some((last, arrival)),
-            None => {
-                *self.finished.lock() = Some(Instant::now());
-                None
-            }
+        let Some(last) = self.pipeline.window_spec().last_complete(effective.event_time) else {
+            self.record_watermarks(&[wm]);
+            *self.finished.lock() = Some(Instant::now());
+            return None;
+        };
+        // A running drainer records the watermark, at its window's tail or
+        // before it releases its claim; with none running, only a window
+        // not yet executed has a tail left to carry it.
+        let mut st = self.window_exec.lock();
+        if st.draining || last >= *self.next_unexecuted.lock() {
+            st.unrecorded.push((last, wm));
+        } else {
+            drop(st);
+            self.record_watermarks(&[wm]);
+        }
+        Some((last, arrival))
+    }
+
+    /// Record watermarks no tail list carried, in one list of their own.
+    fn record_watermarks(&self, wms: &[Watermark]) {
+        if !wms.is_empty() {
+            let cmds: Vec<_> = wms.iter().map(|wm| Command::Watermark(*wm)).collect();
+            let _ = self.gateway.call(&cmds);
         }
     }
 
@@ -484,17 +529,29 @@ impl Engine {
     /// already been merged into the target: with no further watermark to
     /// start a drainer, they would never fire. Returns the first failure
     /// once the target is covered.
+    ///
+    /// Before it releases its claim, under the `window_exec` lock, the
+    /// drainer records every queued watermark whose windows have all
+    /// executed (one queued after its window's tail was sent): whatever is
+    /// still queued then belongs to a window a fire has yet to run, so
+    /// [`Engine::quiesce`] never returns over an unrecorded watermark of an
+    /// executed window.
     fn drain_windows(&self) -> Result<(), DataPlaneError> {
         let _claim = DrainerClaim(&self.window_exec);
         let mut first_failure = None;
         loop {
             let (last, arrival) = {
                 let mut st = self.window_exec.lock();
+                let next = *self.next_unexecuted.lock();
                 match st.target {
-                    Some((last, arrival)) if *self.next_unexecuted.lock() <= last => {
-                        (last, arrival)
-                    }
+                    Some((last, arrival)) if next <= last => (last, arrival),
                     _ => {
+                        let stale = st.take_before(next);
+                        if !stale.is_empty() {
+                            drop(st);
+                            self.record_watermarks(&stale);
+                            continue;
+                        }
                         st.target = None;
                         st.draining = false;
                         *self.finished.lock() = Some(Instant::now());
@@ -548,12 +605,28 @@ impl Engine {
         !std::mem::replace(&mut st.draining, true)
     }
 
-    /// Execute one completed window from the plan, the same steps for every
+    /// Execute one completed window and record the watermarks queued for
+    /// it and for earlier windows: at the head of its tail list, or — when
+    /// no tail list ran to completion — in a list of their own.
+    fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
+        let mut watermarks = self.window_exec.lock().take_before(win.next());
+        let outcome = self.fire_window(win, arrival, &mut watermarks);
+        self.record_watermarks(&watermarks);
+        outcome
+    }
+
+    /// Fire one completed window from the plan, the same steps for every
     /// plan: retire the window if a side the plan reads is empty; run the
     /// chain over the partitions in at most W lists ([`Self::run_partitions`]);
-    /// then one tail list that gathers each side, applies the reduce (if
-    /// any) and egresses.
-    fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
+    /// then one tail list that records `watermarks`, gathers each side,
+    /// applies the reduce (if any) and egresses. `watermarks` is emptied
+    /// once the tail list has recorded them.
+    fn fire_window(
+        &self,
+        win: WindowId,
+        arrival: Instant,
+        watermarks: &mut Vec<Watermark>,
+    ) -> Result<(), DataPlaneError> {
         let Some(window) = self.windows.lock().remove(&win) else {
             return Ok(()); // empty window: nothing to do, nothing to egress
         };
@@ -577,10 +650,12 @@ impl Engine {
         // pages.
         let sides = self.run_partitions(sides)?;
 
-        // 3. The tail: one list from the gathers through the reduce, the
-        // egress and its retire. If it fails, the data plane retires the
-        // partitions it names and drops the sealed result with the rest.
+        // 3. The tail: one list from the watermarks through the gathers, the
+        // reduce, the egress and its retire. If it fails, the data plane
+        // retires the partitions it names and drops the sealed result and
+        // the watermark records with the rest.
         let mut tail = Steps::default();
+        tail.watermarks(watermarks);
         let gathered: Vec<Arg> = sides
             .iter()
             .map(|refs| tail.gather(self.plan.gather, refs).expect("a fired side has partitions"))
@@ -589,8 +664,9 @@ impl Engine {
             tail.consume(op, params, HintSet::none(), gathered)
         });
         tail.egress(result);
-        let message = tail
-            .run(&self.gateway)?
+        let replies = tail.run(&self.gateway)?;
+        watermarks.clear();
+        let message = replies
             .into_iter()
             .find_map(|reply| match reply {
                 Reply::Egress(message) => Some(message),

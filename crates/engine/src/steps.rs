@@ -2,14 +2,15 @@
 //!
 //! The engine sends each step of work to the TEE as one command list (one
 //! world switch). [`Steps`] builds such a list from the shapes the engine
-//! uses: consume inputs, gather partitions, egress a result. A list
-//! succeeds or fails as a whole: when it fails, the data plane releases its
-//! outputs and retires every held reference it names in a `Retire`, so the
-//! caller gets the error and has nothing left to clean up.
+//! uses: record watermarks, consume inputs, gather partitions, egress a
+//! result. A list succeeds or fails as a whole: when it fails, the data
+//! plane releases its outputs and retires every held reference it names in
+//! a `Retire`, so the caller gets the error and has nothing left to clean
+//! up (a watermark it carried left no record either).
 
 use crate::gateway::TeeGateway;
 use sbt_dataplane::{Arg, Command, DataPlaneError, OpaqueRef, PrimitiveParams, Reply};
-use sbt_types::PrimitiveKind;
+use sbt_types::{PrimitiveKind, Watermark};
 use sbt_uarray::HintSet;
 
 /// A command list under construction.
@@ -19,6 +20,11 @@ pub(crate) struct Steps<'a> {
 }
 
 impl<'a> Steps<'a> {
+    /// Record watermarks on the trail, in order.
+    pub fn watermarks(&mut self, wms: &[Watermark]) {
+        self.cmds.extend(wms.iter().map(|wm| Command::Watermark(*wm)));
+    }
+
     /// Run `op` over `inputs`, then retire the inputs; returns the output.
     pub fn consume(
         &mut self,

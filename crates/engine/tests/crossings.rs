@@ -7,9 +7,12 @@
 //! `ingest_many` stays its own list. A window's fire runs the plan's chain
 //! (its transforms, then a Sort when the reduce is keyed) over the window's
 //! k partitions in `min(k, W)` lists, W being the pool's workers plus the
-//! joining thread, then one tail list (gather, reduce, egress, retires): at
-//! most W + 1 crossings whatever the batch count, and 1 when the chain is
-//! empty. A change that adds a crossing to any step fails here.
+//! joining thread, then one tail list (the watermark's record, gather,
+//! reduce, egress, retires): at most W + 1 crossings whatever the batch
+//! count, and 1 when the chain is empty. The watermark that completes the
+//! window costs nothing beyond its fire; one that completes nothing (the
+//! first side of a join) crosses alone. A change that adds a crossing to
+//! any step fails here.
 
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
 use sbt_types::Watermark;
@@ -68,11 +71,12 @@ fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
     }
 }
 
-/// Crossings a watermark costs beyond its own one: the fire it triggers.
+/// Crossings a watermark costs: the fire it triggers, whose tail records
+/// it, or its own one when it completes nothing.
 fn fire(engine: &Engine, wm: Watermark, side: StreamSide) -> u64 {
     let before = switches(engine);
     engine.advance_watermark_on(wm, side).unwrap();
-    switches(engine) - before - 1
+    switches(engine) - before
 }
 
 /// Crossings of the fire of one `k`-partition window of a single-stream
@@ -131,7 +135,8 @@ fn each_delivery_of_ingest_many_is_one_crossing() {
 
 #[test]
 fn a_winsum_fire_is_one_crossing() {
-    // Concat, Sum, egress and every retire: one list.
+    // The watermark's record, Concat, Sum, egress and every retire: one
+    // list.
     assert_eq!(single_stream_fire(2, K, Pipeline::winsum_benchmark()), 1);
 }
 
@@ -161,11 +166,11 @@ fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     let engine = engine(Pipeline::join_benchmark());
     let left = ingest_window(&engine, StreamSide::Left, K);
     let right = ingest_window(&engine, StreamSide::Right, K);
-    // One side's watermark alone completes nothing.
-    assert_eq!(fire(&engine, left, StreamSide::Left), 0);
+    // One side's watermark alone completes nothing: it crosses alone.
+    assert_eq!(fire(&engine, left, StreamSide::Left), 1);
     let crossings = fire(&engine, right, StreamSide::Right);
     assert_eq!(engine.results().len(), 1, "the window fired");
-    // Both sides' 2K sorts in min(2K, W) lists, then both MergeKs + Join +
-    // egress in one list.
+    // Both sides' 2K sorts in min(2K, W) lists, then the watermark's record,
+    // both MergeKs, Join and egress in one list.
     assert_eq!(crossings, (2 * K).min(W) + 1);
 }

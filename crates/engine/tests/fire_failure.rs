@@ -4,11 +4,12 @@
 //! lists, so one list carries several partitions. Here the second
 //! partition of a list trips the tenant's quota: the data plane unwinds
 //! that list whole, the engine retires what the other list produced, and
-//! the caller gets the error. Nothing of the window is left, the next
-//! window fires, and the cloud's replay flags the lost window and nothing
-//! else.
+//! the caller gets the error. Nothing of the window is left but its
+//! watermark, which the failed fire could not carry and so crossed alone;
+//! the next window fires, and the cloud's replay flags the lost window and
+//! nothing else.
 
-use sbt_attest::{verify_tenant_trail, AuditRecord, Verifier, Violation};
+use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier, Violation};
 use sbt_dataplane::{DataPlane, DataPlaneError};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Executor, Pipeline};
 use sbt_types::{PrimitiveKind, TenantId, Watermark};
@@ -52,15 +53,15 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
     let engine =
         Engine::for_tenant(config, pipeline, dp.clone(), TENANT, Arc::new(Executor::new(1)));
 
-    let wm = ingest(&engine, 0, &[2_000, 20_000, 2_000, 2_000]);
-    assert_eq!(engine.advance_watermark(wm), Err(DataPlaneError::QuotaExceeded));
+    let refused = ingest(&engine, 0, &[2_000, 20_000, 2_000, 2_000]);
+    assert_eq!(engine.advance_watermark(refused), Err(DataPlaneError::QuotaExceeded));
     assert_eq!(dp.live_refs(TENANT), 0);
     assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, 0);
     assert!(engine.results().is_empty(), "the failed window egressed nothing");
 
     // The next window fires.
-    let wm = ingest(&engine, 1, &[2_000, 2_000]);
-    engine.advance_watermark(wm).unwrap();
+    let fired = ingest(&engine, 1, &[2_000, 2_000]);
+    engine.advance_watermark(fired).unwrap();
     assert_eq!(engine.results().len(), 1);
     assert_eq!(dp.live_refs(TENANT), 0);
     assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, 0);
@@ -93,4 +94,15 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
         .filter(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Sort, .. }))
         .count();
     assert!((2..=4).contains(&sorts), "{sorts} sorts on the trail");
+    // The refused window's watermark is on the trail all the same, ahead of
+    // the next window's.
+    let watermarks: Vec<u32> = records
+        .iter()
+        .filter_map(|r| match r {
+            AuditRecord::Ingress { data: DataRef::Watermark(ms), .. } => Some(*ms),
+            _ => None,
+        })
+        .collect();
+    let ms = |wm: Watermark| wm.event_time.as_millis() as u32;
+    assert_eq!(watermarks, [ms(refused), ms(fired)]);
 }

@@ -79,8 +79,8 @@ fn pool_width_changes_no_crossings_copies_or_results() {
 
 /// A TopK engine of `workers` workers fed 3 windows of 40 000 encrypted
 /// events in 5 000-event batches (8 partitions a window). Returns its
-/// engine, its ingest crossings and its fire crossings (each watermark's
-/// own crossing left out).
+/// engine, its ingest crossings and its fire crossings (each watermark
+/// rides its fire's tail and costs none of its own).
 fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
     let engine = Engine::new(
         EngineConfig::for_variant(EngineVariant::Sbt, workers),
@@ -99,7 +99,7 @@ fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
             }
             Offer::Watermark(wm) => {
                 engine.advance_watermark(wm).unwrap();
-                fire += engine.boundary_events().switches - before - 1;
+                fire += engine.boundary_events().switches - before;
             }
         }
     }
@@ -126,8 +126,8 @@ fn pool_width_shows_only_in_a_keyed_fires_list_count() {
     };
     assert_eq!(records(&serial), records(&parallel));
 
-    // Per window: the 8 sorts in min(K, W) lists, then the tail. W is 2 on
-    // one worker and 9 on eight.
+    // Per window: the 8 sorts in min(K, W) lists, then the tail, which
+    // records the watermark. W is 2 on one worker and 9 on eight.
     assert_eq!(fire1, 3 * (K.min(2) + 1));
     assert_eq!(fire8, 3 * (K.min(9) + 1));
 }

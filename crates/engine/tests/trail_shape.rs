@@ -8,14 +8,21 @@
 //! hint. The sealed trail shows it too: it is 377 B (455 B when the runs
 //! were merged pairwise by 24 `Merge`s), while the same window attesting `K`
 //! hints per Sort at ten bytes apiece sealed 6.7 KB.
+//!
+//! A window's watermark is recorded at the head of that window's tail list:
+//! on the trail it comes just before the window's egress, and never before
+//! an earlier window's, so the cloud's freshness check pairs each result
+//! with its own watermark.
 
-use sbt_attest::{verify_tenant_trail, AuditRecord};
+use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
 use sbt_types::PrimitiveKind;
 use sbt_uarray::ConsumptionHint;
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
 use sbt_workloads::transport::Channel;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Partitions (batches) per window: as many as a `tenants4_small_batch`
 /// TopK tenant cuts.
@@ -78,4 +85,79 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
 
     let sealed: usize = segments.iter().map(|s| s.compressed.len()).sum();
     assert!(sealed < CEILING, "the window's trail is {sealed} B");
+}
+
+#[test]
+fn each_async_watermark_is_recorded_just_before_its_own_windows_egress() {
+    const WINDOWS: usize = 3;
+    let engine = Engine::new(
+        EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1),
+        Pipeline::topk_benchmark(10).target_delay_ms(10_000).batch_events(BATCH),
+    );
+    let chunks = synthetic_stream(WINDOWS as u32, 4 * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let mut watermarks = Vec::new();
+    while let Some(offer) = generator.next_offer() {
+        match offer {
+            Offer::Batch(delivery) => {
+                engine.ingest_on(&delivery, StreamSide::Left).unwrap();
+            }
+            Offer::Watermark(wm) => watermarks.push(wm),
+        }
+    }
+    // Hold the pool's one worker, so all three watermarks are noted before
+    // any fire runs.
+    let (started, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let blocker = {
+        let (started, release) = (started.clone(), release.clone());
+        engine.worker_pool().spawn(move || {
+            started.store(true, Ordering::SeqCst);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })
+    };
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let tickets: Vec<_> = watermarks
+        .iter()
+        .map(|wm| Engine::advance_watermark_async(&engine, *wm, StreamSide::Left))
+        .collect();
+    release.store(true, Ordering::SeqCst);
+    blocker.join().expect("the blocker does not panic");
+    for ticket in tickets {
+        ticket.join().expect("no window panicked").unwrap();
+    }
+    engine.quiesce();
+    assert_eq!(engine.results().len(), WINDOWS);
+
+    let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
+    let records = verify_tenant_trail(&engine.drain_audit_segments(), engine.tenant(), &keys)
+        .expect("trail verifies");
+    // Walk the trail: window w's egress follows exactly the watermarks of
+    // windows 0..=w, the last of them its own.
+    let mut seen = Vec::new();
+    let mut egressed = 0;
+    for record in &records {
+        match record {
+            AuditRecord::Ingress { data: DataRef::Watermark(ms), .. } => seen.push(*ms),
+            AuditRecord::Egress { .. } => {
+                let expected: Vec<u32> = watermarks[..=egressed]
+                    .iter()
+                    .map(|wm| wm.event_time.as_millis() as u32)
+                    .collect();
+                assert_eq!(seen, expected, "the watermarks before window {egressed}'s egress");
+                egressed += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(egressed, WINDOWS);
+    // After quiesce no watermark is left unrecorded.
+    assert_eq!(seen.len(), WINDOWS, "every watermark is on the trail");
+    let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+    assert!(replay.is_correct(), "violations: {:?}", replay.violations);
+    assert_eq!(replay.freshness.delays_ms.len(), WINDOWS);
 }

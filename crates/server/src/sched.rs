@@ -11,11 +11,20 @@
 //! there is no global round barrier, so one slow tenant's window cannot
 //! stall another tenant's ingestion.
 //!
-//! **Group commit.** A lane ingests its batches in groups of up to four,
-//! each group one command list and so one world switch
-//! ([`Engine::ingest_group`]). A group stops at a watermark and never waits
-//! on a source, and a lane has one group in flight at a time, so a window
-//! of 25 batches costs 7 ingest crossings instead of 25.
+//! **Group commit.** A lane ingests a window's batches as one group, one
+//! command list and so one world switch ([`Engine::ingest_group`]). A group
+//! stops at the watermark, and before its committed bytes would exceed the
+//! tenant's quota headroom (read once per group), so a group that fits is
+//! never refused whole. It never waits on a source, a lane has one group in
+//! flight at a time, and after backpressure or a refusal the lane sends
+//! groups of one batch until one is accepted. A window of 25 batches costs
+//! one ingest crossing, not 25; its watermark costs none, since the
+//! window's fire records it.
+//!
+//! **Checkpoints.** A lane counts the events of its accepted groups. Once
+//! they reach the tenant's checkpoint interval, the lane dispatches nothing
+//! more until its window fire lands, and seals the checkpoint at that
+//! quiescent point, so every due checkpoint is taken.
 //!
 //! Service accounting is *post-paid*: the dispatch gate uses the group's
 //! estimated cost, but deficits are charged with the cycle cost each
@@ -26,7 +35,7 @@
 
 use crate::server::{LanePhase, StreamServer};
 use parking_lot::Mutex;
-use sbt_dataplane::DataPlaneError;
+use sbt_dataplane::{DataPlane, DataPlaneError};
 use sbt_engine::{Engine, Executor, IngestStatus, JoinHandle, StreamSide};
 use sbt_telemetry::FlightReason;
 use sbt_types::{TenantId, Watermark};
@@ -215,16 +224,14 @@ impl DrrAccounting {
     }
 }
 
-/// Most batches one ingest group (one command list, one world switch)
-/// carries, and so the most a lane has in flight.
-const GROUP_CAP: usize = 4;
-
 /// A lane's in-flight ingest group.
 struct InflightGroup {
     /// The group's estimated cost, reserved against the lane's deficit.
     est: u64,
     /// Batches in the group.
     batches: u64,
+    /// Events in the group.
+    events: u64,
     handle: JoinHandle<Result<IngestStatus, DataPlaneError>>,
 }
 
@@ -243,6 +250,8 @@ struct Lane {
     /// Checkpoint policy from the tenant's admitted config.
     ckpt_every_records: Option<u64>,
     checkpoints_taken: u64,
+    /// Events of the groups accepted since the last checkpoint attempt.
+    events_since_ckpt: u64,
     /// Batches pulled from the source and not yet dispatched: the next
     /// ingest group, held until the lane's deficit covers all of it.
     staged: Vec<Delivery>,
@@ -267,20 +276,6 @@ struct Lane {
     /// lane only exists to absorb in-flight completions, whose outcomes —
     /// `UnknownTenant` included — are discarded.
     dead: bool,
-    /// Engine event count at the last checkpoint attempt (the policy
-    /// measures progress from here).
-    last_ckpt_events: u64,
-    /// A window fired since the last checkpoint attempt. Amortized
-    /// checkpoints wait for this: right after a fire the lane's buffered
-    /// state is minimal, so the snapshot seals a few hundred bytes instead
-    /// of a whole in-progress window's events.
-    fired_since_ckpt: bool,
-    /// A fire happened and the record-driven due-check hasn't looked at the
-    /// ingest counter yet. Reading that counter takes the tenant-state lock
-    /// that in-flight ingest workers hold, so the serve loop reads it once
-    /// per fire — never per iteration, which would serialize against
-    /// ingest.
-    ckpt_check_pending: bool,
 }
 
 impl Lane {
@@ -292,6 +287,12 @@ impl Lane {
     /// Whether nothing is staged, pending or in flight.
     fn quiescent(&self) -> bool {
         self.staged.is_empty() && self.pending_wm.is_none() && !self.in_flight()
+    }
+
+    /// Whether the lane's accepted events since the last checkpoint attempt
+    /// have reached the tenant's checkpoint interval.
+    fn checkpoint_due(&self) -> bool {
+        self.ckpt_every_records.is_some_and(|every| self.events_since_ckpt >= every)
     }
 
     /// Whether the lane still has work the serve loop must see through.
@@ -348,10 +349,16 @@ impl Lane {
         let Some(done) = self.ingest.as_ref().and_then(|group| group.handle.try_join()) else {
             return false;
         };
-        let InflightGroup { est, batches, .. } = self.ingest.take().expect("a group was in flight");
+        let InflightGroup { est, batches, events, .. } =
+            self.ingest.take().expect("a group was in flight");
         ctx.drr.release(self.slot, est);
         match done {
-            Ok(outcome) => self.on_ingest(ctx, batches, outcome),
+            Ok(outcome) => {
+                if outcome.is_ok() {
+                    self.events_since_ckpt += events;
+                }
+                self.on_ingest(ctx, batches, outcome)
+            }
             Err(_) if self.dead => {}
             Err(p) => {
                 ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
@@ -392,12 +399,8 @@ impl Lane {
     /// Settle one window-execution outcome.
     fn on_fire(&mut self, ctx: &mut Serving<'_>, outcome: Result<(), DataPlaneError>) {
         match outcome {
-            _ if self.dead => {}
-            Ok(()) => {
-                self.fired_since_ckpt = true;
-                self.ckpt_check_pending = true;
-            }
-            Err(e) => self.on_error(ctx, 1, e),
+            Err(e) if !self.dead => self.on_error(ctx, 1, e),
+            _ => {}
         }
     }
 
@@ -484,38 +487,21 @@ impl Lane {
         true
     }
 
-    /// Checkpoint-due step: a lane with a checkpoint policy whose interval
-    /// is due seals a snapshot at its next quiescent post-fire point (no
-    /// in-flight batches, window fire or staged watermark, and a window
-    /// fired since the last attempt — right after a fire the buffered state
-    /// is minimal, so the seal hashes a few hundred bytes, not a whole
-    /// in-progress window). The seal is one world crossing on the serve
-    /// thread; the other lanes' in-flight work keeps overlapping it, so the
-    /// cost is amortized exactly like any other dispatch.
+    /// Checkpoint-due step: a lane whose checkpoint is due seals a snapshot
+    /// at its quiescent point: [`offer`](Lane::offer) holds the next group
+    /// while the due window's fire is out, so the lane gets there right
+    /// after that fire lands, when its buffered state is minimal and the
+    /// seal hashes a few hundred bytes, not a whole in-progress window. The
+    /// seal is one world crossing on the serve thread; the other lanes'
+    /// in-flight work keeps overlapping it, so the cost is amortized exactly
+    /// like any other dispatch.
     fn checkpoint_if_due(&mut self, server: &StreamServer) -> bool {
-        let Some(every) = self.ckpt_every_records else { return false };
-        if self.dead
-            || self.draining
-            || !self.fired_since_ckpt
-            || !self.ckpt_check_pending
-            || self.in_flight()
-            || self.pending_wm.is_some()
-        {
-            return false;
-        }
-        self.ckpt_check_pending = false;
-        // The raw ingest counter — read at most once per fire (see
-        // `ckpt_check_pending`), and never via `Engine::metrics()`, whose
-        // snapshot clones every window result.
-        let events =
-            self.engine.data_plane().tenant_ingest(self.tenant).map(|(e, _)| e).unwrap_or(0);
-        if events.saturating_sub(self.last_ckpt_events) < every {
+        if self.dead || self.draining || !self.checkpoint_due() || !self.quiescent() {
             return false;
         }
         // Mark the attempt whether or not it lands: a vault fault or a
         // racing departure must not become a per-iteration retry storm.
-        self.last_ckpt_events = events;
-        self.fired_since_ckpt = false;
+        self.events_since_ckpt = 0;
         let Ok(sealed) = self.engine.checkpoint() else { return false };
         if server.vault_store(self.tenant, &sealed).is_ok() {
             self.checkpoints_taken += 1;
@@ -524,20 +510,25 @@ impl Lane {
     }
 
     /// Offer step: fill the next ingest group and dispatch it as one task
-    /// once the lane's deficit covers the whole group. The group takes the
-    /// staged batches, then pulls from the source; it stops at
-    /// [`GROUP_CAP`] batches (one while `single_batches` holds), at a
-    /// watermark, which stays pending behind it, or where the source runs
-    /// dry — it never waits for input. Nothing is offered while the lane's
-    /// previous group is in flight. Returns whether anything moved and
-    /// whether credit, rather than the input, is what stopped it.
+    /// once the lane's deficit covers the whole group. The lane pulls from
+    /// the source up to the window's watermark, which stays pending behind
+    /// the group, or until the source runs dry — it never waits for input.
+    /// The group takes the staged batches up to the tenant's quota headroom
+    /// ([`Lane::group_len`]), or one batch while `single_batches` holds.
+    /// Nothing is offered while the lane's previous group is in flight, nor
+    /// while a due checkpoint waits for the lane's window fire to land.
+    /// Returns whether anything moved and whether credit, rather than the
+    /// input, is what stopped it.
     fn offer(&mut self, drr: &mut DrrAccounting, executor: &Executor) -> (bool, bool) {
-        if self.dead || self.draining || self.ingest.is_some() {
+        if self.dead
+            || self.draining
+            || self.ingest.is_some()
+            || (self.checkpoint_due() && self.ticket.is_some())
+        {
             return (false, false);
         }
-        let cap = if self.single_batches { 1 } else { GROUP_CAP };
         let mut pulled = false;
-        while self.staged.len() < cap && self.pending_wm.is_none() {
+        while self.pending_wm.is_none() {
             match self.generator.next_offer() {
                 None => break,
                 Some(Offer::Watermark(wm)) => self.pending_wm = Some(wm),
@@ -545,20 +536,51 @@ impl Lane {
             }
             pulled = true;
         }
-        let n = self.staged.len().min(cap);
-        if n == 0 {
+        if self.staged.is_empty() {
             return (pulled, false);
         }
+        let n = if self.single_batches { 1 } else { self.group_len() };
         let est = self.engine.ingest_cost(&self.staged[..n]);
         if !drr.can_dispatch(self.slot, est) {
             return (pulled, true);
         }
         drr.reserve(self.slot, est);
         let group: Vec<Delivery> = self.staged.drain(..n).collect();
+        let events = group.iter().map(|d| d.event_count as u64).sum();
         let engine = self.engine.clone();
         let handle = executor.spawn(move || engine.ingest_group(&group, StreamSide::Left));
-        self.ingest = Some(InflightGroup { est, batches: n as u64, handle });
+        self.ingest = Some(InflightGroup { est, batches: n as u64, events, handle });
         (true, false)
+    }
+
+    /// How many staged batches the next group takes: as many as fit the
+    /// tenant's quota headroom, read once. A batch commits
+    /// [`DataPlane::ingress_charge`] for its windowed copy, and as much
+    /// again for its raw array until the list retires it, beside what the
+    /// batches ahead of it committed. A headroom too small for even the
+    /// first batch leaves the group whole: the data plane refuses it at its
+    /// first batch whatever its length, for one penalty.
+    fn group_len(&self) -> usize {
+        let headroom = self
+            .engine
+            .data_plane()
+            .tenant_memory(self.tenant)
+            .map_or(u64::MAX, |memory| memory.headroom_bytes());
+        let mut committed = 0u64;
+        let fit = self
+            .staged
+            .iter()
+            .take_while(|delivery| {
+                let charge = DataPlane::ingress_charge(delivery.event_count as u64);
+                committed = committed.saturating_add(charge);
+                committed.saturating_add(charge) <= headroom
+            })
+            .count();
+        if fit == 0 {
+            self.staged.len()
+        } else {
+            fit
+        }
     }
 }
 
@@ -665,6 +687,7 @@ impl StreamServer {
                 backpressure_signals: 0,
                 ckpt_every_records: config.checkpoint_every_records,
                 checkpoints_taken: 0,
+                events_since_ckpt: 0,
                 staged: Vec::new(),
                 pending_wm: None,
                 ingest: None,
@@ -672,9 +695,6 @@ impl StreamServer {
                 ticket: None,
                 draining: false,
                 dead: false,
-                last_ckpt_events: 0,
-                fired_since_ckpt: false,
-                ckpt_check_pending: false,
             });
         }
         Ok(lanes)
@@ -706,8 +726,9 @@ impl StreamServer {
     /// Drain every tenant stream to exhaustion under deficit round-robin:
     /// fill each lane's ingest group, dispatch it as one executor task once
     /// the lane's deficit covers it, harvest group completions and window
-    /// tickets as they land, and lend the calling thread to the executor
-    /// when there is nothing to orchestrate.
+    /// tickets as they land, run queued window fires before the lanes pull
+    /// again, and lend the calling thread to the executor when there is
+    /// nothing to orchestrate.
     ///
     /// Returns an error only for streams naming un-admitted (or duplicated)
     /// tenants or for data-plane failures other than quota rejections
@@ -741,6 +762,13 @@ impl StreamServer {
                 }
                 for l in lanes.iter_mut() {
                     progress |= l.checkpoint_if_due(self);
+                }
+                // Fires first: a window fire launched this pass and not yet
+                // taken by a worker (likely deep in a window's ingest group)
+                // runs here, before the lanes pull their next windows, the
+                // longest stretch of this thread's own work.
+                while executor.help_fire() {
+                    progress = true;
                 }
                 for l in lanes.iter_mut() {
                     let (offered, starved) = l.offer(&mut ctx.drr, &executor);
@@ -996,9 +1024,8 @@ mod tests {
         assert!(lane.single_batches);
         lane.on_fire(&mut ctx, Err(DataPlaneError::QuotaExceeded));
         assert_eq!(row(lane, &ctx), (9, 5, 1, -600, 3), "a window over quota costs one");
-        assert!(!lane.fired_since_ckpt);
         lane.on_fire(&mut ctx, Ok(()));
-        assert!(lane.fired_since_ckpt && lane.ckpt_check_pending);
+        assert_eq!(row(lane, &ctx), (9, 5, 1, -600, 3), "a fire that lands costs nothing");
         let reasons: Vec<FlightReason> =
             server.telemetry().take_flight_dumps().into_iter().map(|d| d.reason).collect();
         assert_eq!(
@@ -1063,36 +1090,80 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_groups_up_to_four_batches_and_one_after_backpressure() {
-        // One window of 3 000 events in 500-event batches: 6 batches, then
-        // the watermark. Credit is plentiful, so only the group rules cut.
+    fn a_lane_groups_a_window_and_one_batch_after_backpressure() {
+        // Two windows of 3 000 events in 500-event batches: 6 batches, then
+        // the watermark, each. Credit is plentiful, so only the group rules
+        // cut.
         let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1 << 40));
         let a = server.admit(TenantConfig::new("a", 32 << 20), pipeline("a")).unwrap();
-        let loads = multi_tenant_streams(1, 1, 3_000, 8, 5);
+        let loads = multi_tenant_streams(1, 2, 3_000, 8, 5);
         let mut lanes = server.lanes_for(streams_for(&[a], &loads)).unwrap();
         let mut ctx = Serving::new(&server, &lanes);
         let executor = server.worker_pool().clone();
         let lane = &mut lanes[0];
         ctx.drr.begin_round(|_| true);
 
+        // The whole window is one group; the watermark stays pending until
+        // it lands.
         assert_eq!(lane.offer(&mut ctx.drr, &executor), (true, false));
+        assert!(lane.pending_wm.is_some() && lane.staged.is_empty());
         assert_eq!(lane.offer(&mut ctx.drr, &executor), (false, false), "one group in flight");
-        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Backpressure)), 4);
+        assert!(!lane.launch_watermark(&ctx), "the group ahead of the watermark is in flight");
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Backpressure)), 6);
+        assert!(lane.launch_watermark(&ctx));
+        lane.ticket.take().unwrap().join().expect("no panic").expect("the window fires");
         // After backpressure (which cost the lane a round's credit): groups
         // of one, until one is accepted.
         ctx.drr.begin_round(|_| true);
         lane.offer(&mut ctx.drr, &executor);
+        assert_eq!(lane.staged.len(), 5, "the window is staged up to its watermark");
         assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 1);
-        // The last batch of the window: the group stops at the watermark,
-        // which stays pending until the group lands.
         lane.offer(&mut ctx.drr, &executor);
-        assert!(lane.pending_wm.is_some() && lane.staged.is_empty());
-        assert!(!lane.launch_watermark(&ctx), "the group ahead of the watermark is in flight");
-        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 1);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 5);
         assert!(lane.launch_watermark(&ctx));
         lane.ticket.take().unwrap().join().expect("no panic").expect("the window fires");
-        assert_eq!(lane.engine.results_len(), 1);
+        assert_eq!(lane.engine.results_len(), 2);
+        assert_eq!(lane.accepted_batches, 12);
+    }
+
+    #[test]
+    fn a_group_stops_at_the_tenants_headroom() {
+        // A 500-event batch commits 2 pages (its windowed copy) and 2 more
+        // while its raw array lives, so a window of 6 batches ingests in
+        // 14 pages as one group. The quota is 24 pages, and 16 of them are
+        // held by another array when the window is offered: its headroom
+        // fits a group of 3 (3 × 2 + 2 pages), the rest lands once the
+        // array is retired, and no batch is refused.
+        const PAGE: u64 = 4096;
+        let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1 << 40));
+        let a = server.admit(TenantConfig::new("a", 24 * PAGE), pipeline("a")).unwrap();
+        let loads = multi_tenant_streams(1, 1, 3_000, 8, 5);
+        let mut lanes = server.lanes_for(streams_for(&[a], &loads)).unwrap();
+        let mut ctx = Serving::new(&server, &lanes);
+        let executor = server.worker_pool().clone();
+        let lane = &mut lanes[0];
+        ctx.drr.begin_round(|_| true);
+        let dp = server.data_plane().clone();
+        fn in_tee<R>(f: impl FnOnce() -> R) -> R {
+            let _secure = sbt_tz::WorldGuard::enter(sbt_tz::World::Secure);
+            f()
+        }
+        let events: Vec<sbt_types::Event> =
+            (0..16 * PAGE as u32 / 12).map(|i| sbt_types::Event::new(i, i, 0)).collect();
+        let bytes = sbt_types::Event::slice_to_bytes(&events);
+        let held = in_tee(|| dp.ingress(a, &bytes, false, false, 0)).unwrap().opaque;
+        assert_eq!(dp.tenant_memory(a).unwrap().headroom_bytes(), 8 * PAGE);
+
+        lane.offer(&mut ctx.drr, &executor);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 3);
+        in_tee(|| dp.retire(a, held)).unwrap();
+        lane.offer(&mut ctx.drr, &executor);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 3);
+        assert!(lane.staged.is_empty() && lane.pending_wm.is_some());
         assert_eq!(lane.accepted_batches, 6);
+        assert_eq!(lane.rejected_batches, 0);
+        let ingested = lane.engine.metrics().events_ingested;
+        assert_eq!(ingested, events.len() as u64 + 3_000, "the held array and the window");
     }
 
     #[test]

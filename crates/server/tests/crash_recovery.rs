@@ -358,6 +358,42 @@ fn policy_driven_checkpoints_fire_during_serve_and_restore_mid_window() {
     );
 }
 
+#[test]
+fn every_due_checkpoint_is_taken_and_recovery_restores_from_the_last() {
+    // Two tenants of 16 windows each, a checkpoint due every 4 windows'
+    // events: a lane holds its next group while the due window's fire is
+    // out, so it seals at the quiescent point right after that fire, 4
+    // times, the last after window 15.
+    const WINDOWS: u32 = 16;
+    let server = StreamServer::new(ServerConfig::default().with_cores(2));
+    let every = 4 * EVENTS_PER_WINDOW as u64;
+    let config = |name| TenantConfig::new(name, QUOTA).with_checkpoint_every_records(every);
+    let names = ["a", "b"];
+    let tenants = names.map(|name| server.admit(config(name), pipeline(name)).unwrap());
+    let loads = multi_tenant_streams(2, WINDOWS, EVENTS_PER_WINDOW, 16, 42);
+    let streams = tenants.iter().zip(&loads).map(|(t, chunks)| stream(*t, 0, chunks)).collect();
+    let report = server.serve(streams).unwrap();
+    for (i, progress) in report.per_tenant.iter().enumerate() {
+        assert_eq!(progress.checkpoints_taken, 4, "tenant {i}: {progress:?}");
+        assert_eq!(opened_results(&server, tenants[i]), window_sums(&loads[i]), "tenant {i}");
+    }
+
+    // Crash after the run: each tenant restores from its fourth and last
+    // checkpoint, taken once all 16 windows had fired.
+    let vault = server.vault().clone();
+    drop(server);
+    let recovered = StreamServer::new(ServerConfig::default().with_cores(2).with_vault(vault));
+    for (i, tenant) in tenants.into_iter().enumerate() {
+        let restored =
+            recovered.restore_tenant(tenant, config(names[i]), pipeline(names[i]), 0).unwrap();
+        assert_eq!(restored.ckpt_seq, 3, "tenant {i}");
+        assert_eq!(restored.next_unexecuted, WINDOWS, "tenant {i}");
+        assert!(restored.windows.is_empty(), "tenant {i}: no window was left in progress");
+        let events = recovered.engine(tenant).unwrap().metrics().events_ingested;
+        assert_eq!(events, u64::from(WINDOWS) * EVENTS_PER_WINDOW as u64, "tenant {i}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property: arbitrary interleavings of serve / checkpoint / rekey /
 // crash+restore / evict keep the cloud-held trail verifiable.

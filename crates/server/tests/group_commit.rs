@@ -1,15 +1,16 @@
 //! Group commit: a lane ingests its batches in groups, one world switch
 //! per group.
 //!
-//! A lane fills a group of up to four batches from its source and sends it
-//! as one command list. A group stops at a watermark, so a window of 25
-//! batches is 4 + 4 + 4 + 4 + 4 + 4 + 1 = 7 ingest crossings, and no group
-//! carries batches of two windows (were it to, 3 windows of 25 batches would
-//! take ⌈75 / 4⌉ = 19 groups, not 21). A group is one transaction: a quota
-//! trip rejects every batch in it, for one penalty, and the lane then sends
-//! groups of one until a group is accepted. The window's fire adds its own
-//! lists: one for WinSum, and 3 for a 25-batch TopK window on one worker
-//! (its sorts in 2 lists, then the tail).
+//! A lane sends a window's batches as one command list: a group stops at
+//! the watermark (or at the tenant's quota headroom, which these quotas
+//! never reach), so a window of 25 batches is one ingest crossing and no
+//! group carries batches of two windows. The watermark makes no crossing of
+//! its own: the window's fire records it at the head of its tail list. The
+//! fire adds its own lists: one for WinSum, and 3 for a 25-batch TopK
+//! window on one worker (its sorts in 2 lists, then the tail). A group is
+//! one transaction: a quota trip rejects every batch in it, for one
+//! penalty, and the lane then sends groups of one until a group is
+//! accepted.
 
 use sbt_attest::{verify_tenant_trail, Verifier};
 use sbt_crypto::MasterSecret;
@@ -40,7 +41,7 @@ fn stream(tenant: TenantId, batch: usize, chunks: Vec<StreamChunk>) -> TenantStr
 }
 
 #[test]
-fn a_window_of_25_batches_is_7_ingest_crossings_per_lane() {
+fn a_winsum_window_of_25_batches_is_1_ingest_and_1_fire_crossing_per_lane() {
     const WINDOWS: u32 = 3;
     const WINDOW: usize = 25 * BATCH;
     let server = StreamServer::new(ServerConfig::default().with_cores(2));
@@ -62,10 +63,10 @@ fn a_window_of_25_batches_is_7_ingest_crossings_per_lane() {
         let boundary = engine.boundary_events();
         // Trusted IO: every switch is one SMC invocation.
         assert_eq!(boundary.switches, boundary.invocations);
-        // Per window: 7 ingest groups, the watermark's own crossing, and
-        // the WindowSum fire's one list.
+        // Per window: one ingest group, and the WindowSum fire's one list,
+        // which records the watermark.
         let crossings = boundary.switches - before[t].switches;
-        assert_eq!(crossings, u64::from(WINDOWS) * (7 + 1 + 1), "tenant {t}");
+        assert_eq!(crossings, u64::from(WINDOWS) * (1 + 1), "tenant {t}");
 
         // The opened results are the per-window oracle's, and the trail
         // replays clean against the declared plan.
@@ -85,7 +86,7 @@ fn a_window_of_25_batches_is_7_ingest_crossings_per_lane() {
 }
 
 #[test]
-fn a_topk_window_of_25_batches_on_one_worker_is_7_ingest_1_watermark_and_3_fire_crossings() {
+fn a_topk_window_of_25_batches_on_one_worker_is_1_ingest_and_3_fire_crossings() {
     const WINDOWS: u32 = 3;
     const WINDOW: usize = 25 * BATCH;
     let server = StreamServer::new(ServerConfig::default().with_cores(1));
@@ -104,11 +105,11 @@ fn a_topk_window_of_25_batches_on_one_worker_is_7_ingest_1_watermark_and_3_fire_
     let engine = server.engine(id).unwrap();
     let boundary = engine.boundary_events();
     assert_eq!(boundary.switches, boundary.invocations);
-    // Per window: 7 ingest groups, the watermark's own crossing, and the
-    // fire: the 25 sorts in 2 lists (the one worker and the thread joining
-    // them), then the tail.
+    // Per window: one ingest group, and the fire: the 25 sorts in 2 lists
+    // (the one worker and the thread joining them), then the tail, which
+    // records the watermark.
     let crossings = boundary.switches - before.switches;
-    assert_eq!(crossings, u64::from(WINDOWS) * (7 + 1 + 3));
+    assert_eq!(crossings, u64::from(WINDOWS) * (1 + 3));
 
     // The opened results are the per-window top 10 of each key, and the
     // trail replays clean against the declared plan.
