@@ -24,10 +24,11 @@
 //! * a fire's partitions run in at most W lists, each `[Invoke(op, r),
 //!   Retire(r)]` for each transform and, for a keyed reduce, its Sort, of
 //!   each of its partitions;
-//! * a window's tail is one list from the `Watermark` of the watermark that
-//!   completed the window, through the gather (`MergeK` or `Concat` over
-//!   the partitions), the reduce, the egress and the final retire; a
-//!   watermark no tail carries is a list of its own.
+//! * a window's tail is one list from the gather (`MergeK` or `Concat` over
+//!   the partitions) through the reduce, the egress and the final retire;
+//! * the `Watermark` of the watermark that completed a window heads the
+//!   fire's first list (its first partition list, or its tail when the
+//!   chain is empty); a watermark no fire carries is a list of its own.
 //!
 //! A list succeeds or fails as a whole. A failed list returns only its
 //! error: the data plane has already released its outputs and retired
@@ -49,7 +50,7 @@ use sbt_dataplane::{
     Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, InvokeOutput,
     OpaqueRef, PrimitiveParams, Reply, RestoredTenant, SealedSnapshot,
 };
-use sbt_types::{PrimitiveKind, TenantId, Watermark};
+use sbt_types::{PrimitiveKind, TenantId};
 use sbt_tz::{EntryFunction, IngressPath, IoChannel, SmcSession};
 use sbt_uarray::HintSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,11 +235,6 @@ impl TeeGateway {
         self.ingress(payload, encrypted, is_power, keystream_block)
     }
 
-    /// Ingest a watermark (a one-command list).
-    pub fn ingress_watermark(&self, wm: Watermark) {
-        let _ = self.call(&[Command::Watermark(wm)]);
-    }
-
     /// Invoke a trusted primitive (a one-command list).
     pub fn invoke(
         &self,
@@ -322,7 +318,7 @@ impl sbt_telemetry::CounterSource for TeeGateway {
 mod tests {
     use super::*;
     use sbt_dataplane::DataPlaneConfig;
-    use sbt_types::Event;
+    use sbt_types::{Event, Watermark};
     use sbt_tz::Platform;
 
     fn gateway() -> TeeGateway {
@@ -403,7 +399,7 @@ mod tests {
     #[test]
     fn watermarks_are_forwarded() {
         let gw = gateway();
-        gw.ingress_watermark(Watermark::from_secs(1));
+        gw.call(&[Command::Watermark(Watermark::from_secs(1))]).unwrap();
         let segments = gw.data_plane().drain_audit_segments(TenantId::DEFAULT).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].record_count, 1);

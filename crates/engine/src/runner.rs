@@ -20,13 +20,15 @@
 //! and audit segments.
 //!
 //! A watermark that completes a window makes no crossing of its own: it is
-//! queued with the last window it completes and recorded at the head of
-//! that window's tail list, so the trail shows it just before the window's
-//! egress and never before an earlier window's. A watermark crosses alone
-//! only when no tail records it: it completes nothing (one side of a
-//! join), its window has no tail (empty or one-sided), or the tail list
-//! failed and so left no trace. A drainer records every watermark whose
-//! windows it has executed before it releases its claim.
+//! queued with the first window it completes and recorded at the head of
+//! that window's first list (its first partition list, or its tail when
+//! the chain is empty), so the trail shows it before the egress of every
+//! window it completes and never before an earlier window's, and the
+//! attested delay spans the whole fire. A watermark crosses alone only
+//! when no fire records it: it completes nothing (one side of a join), its
+//! window has no fire (empty or one-sided), or the first list failed and
+//! so left no trace. A drainer records every watermark whose windows it
+//! has executed before it releases its claim.
 
 use crate::config::EngineConfig;
 use crate::executor::{Executor, JoinHandle};
@@ -92,7 +94,7 @@ struct WindowExec {
     /// Window failures a drainer parked for the callers waiting on it.
     errors: VecDeque<DataPlaneError>,
     /// Watermarks that completed a window and are not on the trail yet,
-    /// each with the last window it completes, in arrival order.
+    /// each with the first window it completes, in arrival order.
     unrecorded: Vec<(WindowId, Watermark)>,
 }
 
@@ -104,7 +106,7 @@ impl WindowExec {
         });
     }
 
-    /// Take the unrecorded watermarks whose last window is before `end`,
+    /// Take the unrecorded watermarks whose first window is before `end`,
     /// in arrival order.
     fn take_before(&mut self, end: WindowId) -> Vec<Watermark> {
         let mut due = Vec::new();
@@ -426,7 +428,7 @@ impl Engine {
     /// Advance one side's watermark and fire the windows it completes as an
     /// executor task, returning the task's handle instead of blocking. The
     /// watermark is noted, and its arrival stamped, on the caller; the task
-    /// runs [`advance_watermark_on`]'s fire, whose tail records it. Windows
+    /// runs [`advance_watermark_on`]'s fire, which records it. Windows
     /// of one engine still execute serially and in window order (one
     /// drainer per engine at a time), but windows of *different* engines —
     /// and this engine's subsequent ingestion — pipeline freely against
@@ -452,34 +454,41 @@ impl Engine {
     /// Note a watermark and compute what it completes: the last completed
     /// window and the arrival instant (for output-delay accounting), or
     /// `None` when no window completes. A watermark that completes a window
-    /// still to execute is queued for that window's tail to record; any
+    /// still to execute is queued for the fire of the first window it
+    /// completes (of its last when it completes none anew) to record; any
     /// other crosses alone, here.
     fn note_watermark(&self, wm: Watermark, side: StreamSide) -> Option<(WindowId, Instant)> {
         self.started.lock().get_or_insert_with(Instant::now);
-        let effective = {
+        let (before, effective) = {
             let mut marks = self.watermarks.lock();
+            let effective = |marks: &(Watermark, Watermark)| {
+                if self.pipeline.is_join() {
+                    marks.0.merge_min(marks.1)
+                } else {
+                    marks.0
+                }
+            };
+            let before = effective(&marks);
             match side {
                 StreamSide::Left => marks.0 = marks.0.max(wm),
                 StreamSide::Right => marks.1 = marks.1.max(wm),
             }
-            if self.pipeline.is_join() {
-                marks.0.merge_min(marks.1)
-            } else {
-                marks.0
-            }
+            (before, effective(&marks))
         };
         let arrival = Instant::now();
-        let Some(last) = self.pipeline.window_spec().last_complete(effective.event_time) else {
+        let spec = self.pipeline.window_spec();
+        let Some(last) = spec.last_complete(effective.event_time) else {
             self.record_watermarks(&[wm]);
             *self.finished.lock() = Some(Instant::now());
             return None;
         };
-        // A running drainer records the watermark, at its window's tail or
-        // before it releases its claim; with none running, only a window
-        // not yet executed has a tail left to carry it.
+        let first = spec.last_complete(before.event_time).map_or(WindowId::FIRST, WindowId::next);
+        // A running drainer records the watermark, at its first window's
+        // fire or before it releases its claim; with none running, only a
+        // window not yet executed has a fire left to carry it.
         let mut st = self.window_exec.lock();
         if st.draining || last >= *self.next_unexecuted.lock() {
-            st.unrecorded.push((last, wm));
+            st.unrecorded.push((first.min(last), wm));
         } else {
             drop(st);
             self.record_watermarks(&[wm]);
@@ -487,11 +496,12 @@ impl Engine {
         Some((last, arrival))
     }
 
-    /// Record watermarks no tail list carried, in one list of their own.
+    /// Record watermarks no fire carried, in one list of their own.
     fn record_watermarks(&self, wms: &[Watermark]) {
         if !wms.is_empty() {
-            let cmds: Vec<_> = wms.iter().map(|wm| Command::Watermark(*wm)).collect();
-            let _ = self.gateway.call(&cmds);
+            let mut steps = Steps::default();
+            steps.watermarks(wms);
+            let _ = steps.run(&self.gateway);
         }
     }
 
@@ -606,8 +616,8 @@ impl Engine {
     }
 
     /// Execute one completed window and record the watermarks queued for
-    /// it and for earlier windows: at the head of its tail list, or — when
-    /// no tail list ran to completion — in a list of their own.
+    /// it and for earlier windows: at the head of its first list, or — when
+    /// no first list ran to completion — in a list of their own.
     fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
         let mut watermarks = self.window_exec.lock().take_before(win.next());
         let outcome = self.fire_window(win, arrival, &mut watermarks);
@@ -618,9 +628,11 @@ impl Engine {
     /// Fire one completed window from the plan, the same steps for every
     /// plan: retire the window if a side the plan reads is empty; run the
     /// chain over the partitions in at most W lists ([`Self::run_partitions`]);
-    /// then one tail list that records `watermarks`, gathers each side,
-    /// applies the reduce (if any) and egresses. `watermarks` is emptied
-    /// once the tail list has recorded them.
+    /// then one tail list that gathers each side, applies the reduce (if
+    /// any) and egresses. The fire's first list — its first partition list,
+    /// or the tail when the chain is empty — records `watermarks` at its
+    /// head, so the attested delay from them to the egress spans the whole
+    /// fire; `watermarks` is emptied once that list has run.
     fn fire_window(
         &self,
         win: WindowId,
@@ -648,12 +660,13 @@ impl Engine {
         // partitions. A mid-window failure — e.g. an intermediate tripping
         // the tenant's quota — costs the window but never strands quota or
         // pages.
-        let sides = self.run_partitions(sides)?;
+        let sides = self.run_partitions(sides, watermarks)?;
 
-        // 3. The tail: one list from the watermarks through the gathers, the
-        // reduce, the egress and its retire. If it fails, the data plane
-        // retires the partitions it names and drops the sealed result and
-        // the watermark records with the rest.
+        // 3. The tail: one list from the watermarks (when no partition list
+        // recorded them) through the gathers, the reduce, the egress and its
+        // retire. If it fails, the data plane retires the partitions it
+        // names and drops the sealed result and any watermark records with
+        // the rest.
         let mut tail = Steps::default();
         tail.watermarks(watermarks);
         let gathered: Vec<Arg> = sides
@@ -722,13 +735,15 @@ impl Engine {
     /// carries, for each of its partitions, the chain and the retire of its
     /// input; partition `i` of a side's `k` carries the one hint "sibling
     /// `i` of `k` consumed in parallel" on every output. An empty chain
-    /// costs nothing. Outputs come back in partition order. A list that
-    /// fails has retired every partition it names; when one does, the
-    /// outputs of the other lists are retired in one list and the first
-    /// error is returned.
+    /// costs nothing. The first list records `watermarks` at its head and,
+    /// once it has run, empties them. Outputs come back in partition order.
+    /// A list that fails has retired every partition it names; when one
+    /// does, the outputs of the other lists are retired in one list and the
+    /// first error is returned.
     fn run_partitions(
         &self,
         sides: Vec<Vec<OpaqueRef>>,
+        watermarks: &mut Vec<Watermark>,
     ) -> Result<Vec<Vec<OpaqueRef>>, DataPlaneError> {
         if self.plan.chain.is_empty() {
             return Ok(sides);
@@ -742,10 +757,12 @@ impl Engine {
         let tasks: Vec<_> = (0..n)
             .map(|list| {
                 let len = total / n + usize::from(list < total % n);
+                let head = if list == 0 { watermarks.clone() } else { Vec::new() };
                 let list: Vec<_> = parts.by_ref().take(len).collect();
                 let (gw, plan) = (Arc::clone(&self.gateway), Arc::clone(&self.plan));
                 move || {
                     let mut steps = Steps::default();
+                    steps.watermarks(&head);
                     let outs: Vec<Arg> = list
                         .into_iter()
                         .map(|(r, hints)| {
@@ -763,9 +780,14 @@ impl Engine {
             .collect();
         let mut outs = Vec::with_capacity(total);
         let mut failure = None;
-        for result in self.pool.run_all(tasks) {
+        for (list, result) in self.pool.run_all(tasks).into_iter().enumerate() {
             match result {
-                Ok(list) => outs.extend(list),
+                Ok(done) => {
+                    if list == 0 {
+                        watermarks.clear();
+                    }
+                    outs.extend(done)
+                }
                 Err(e) => {
                     failure.get_or_insert(e);
                 }

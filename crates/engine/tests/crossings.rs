@@ -7,10 +7,10 @@
 //! `ingest_many` stays its own list. A window's fire runs the plan's chain
 //! (its transforms, then a Sort when the reduce is keyed) over the window's
 //! k partitions in `min(k, W)` lists, W being the pool's workers plus the
-//! joining thread, then one tail list (the watermark's record, gather,
-//! reduce, egress, retires): at most W + 1 crossings whatever the batch
-//! count, and 1 when the chain is empty. The watermark that completes the
-//! window costs nothing beyond its fire; one that completes nothing (the
+//! joining thread, then one tail list (gather, reduce, egress, retires):
+//! at most W + 1 crossings whatever the batch count, and 1 when the chain
+//! is empty. The watermark that completes the window costs nothing beyond
+//! its fire, whose first list records it; one that completes nothing (the
 //! first side of a join) crosses alone. A change that adds a crossing to
 //! any step fails here.
 
@@ -71,8 +71,8 @@ fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
     }
 }
 
-/// Crossings a watermark costs: the fire it triggers, whose tail records
-/// it, or its own one when it completes nothing.
+/// Crossings a watermark costs: the fire it triggers, whose first list
+/// records it, or its own one when it completes nothing.
 fn fire(engine: &Engine, wm: Watermark, side: StreamSide) -> u64 {
     let before = switches(engine);
     engine.advance_watermark_on(wm, side).unwrap();

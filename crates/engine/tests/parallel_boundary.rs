@@ -126,8 +126,9 @@ fn pool_width_shows_only_in_a_keyed_fires_list_count() {
     };
     assert_eq!(records(&serial), records(&parallel));
 
-    // Per window: the 8 sorts in min(K, W) lists, then the tail, which
-    // records the watermark. W is 2 on one worker and 9 on eight.
+    // Per window: the 8 sorts in min(K, W) lists, the first of which
+    // records the watermark, then the tail. W is 2 on one worker and 9 on
+    // eight.
     assert_eq!(fire1, 3 * (K.min(2) + 1));
     assert_eq!(fire8, 3 * (K.min(9) + 1));
 }

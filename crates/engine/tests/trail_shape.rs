@@ -9,10 +9,11 @@
 //! were merged pairwise by 24 `Merge`s), while the same window attesting `K`
 //! hints per Sort at ten bytes apiece sealed 6.7 KB.
 //!
-//! A window's watermark is recorded at the head of that window's tail list:
-//! on the trail it comes just before the window's egress, and never before
-//! an earlier window's, so the cloud's freshness check pairs each result
-//! with its own watermark.
+//! A watermark is recorded at the head of the first list of the first
+//! window it completes: on the trail it comes before the fire of every
+//! window it completes, and never before an earlier window's egress, so
+//! the cloud's freshness check pairs each result with the watermark that
+//! completed it and times the whole fire.
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
@@ -160,4 +161,51 @@ fn each_async_watermark_is_recorded_just_before_its_own_windows_egress() {
     let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
     assert!(replay.is_correct(), "violations: {:?}", replay.violations);
     assert_eq!(replay.freshness.delays_ms.len(), WINDOWS);
+}
+
+#[test]
+fn one_watermark_completing_three_windows_precedes_all_three_fires() {
+    const WINDOWS: usize = 3;
+    let engine = Engine::new(
+        EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1),
+        Pipeline::topk_benchmark(10).target_delay_ms(10_000).batch_events(BATCH),
+    );
+    let chunks = synthetic_stream(WINDOWS as u32, 4 * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let mut last = None;
+    while let Some(offer) = generator.next_offer() {
+        match offer {
+            Offer::Batch(delivery) => {
+                engine.ingest_on(&delivery, StreamSide::Left).unwrap();
+            }
+            Offer::Watermark(wm) => last = Some(wm),
+        }
+    }
+    // Only the last watermark is sent: it completes all three windows.
+    engine.advance_watermark(last.expect("the stream ends in a watermark")).unwrap();
+    assert_eq!(engine.results().len(), WINDOWS);
+
+    let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
+    let records = verify_tenant_trail(&engine.drain_audit_segments(), engine.tenant(), &keys)
+        .expect("trail verifies");
+    let position = |wanted: &dyn Fn(&AuditRecord) -> bool| records.iter().position(wanted);
+    let watermark =
+        position(&|r| matches!(r, AuditRecord::Ingress { data: DataRef::Watermark(_), .. }))
+            .expect("the watermark is on the trail");
+    let first_merge =
+        position(&|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::MergeK, .. }))
+            .expect("the first window's tail merges");
+    // The watermark heads the first window's first partition list, not its
+    // tail: that list's sorts (half the window's 4, with W = 2) follow it,
+    // whatever order the two lists ran in.
+    let sorts_after = records[watermark..first_merge]
+        .iter()
+        .filter(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Sort, .. }))
+        .count();
+    assert!(sorts_after >= 2, "{sorts_after} sorts of the first window follow its watermark");
+    let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+    assert!(replay.is_correct(), "violations: {:?}", replay.violations);
+    assert_eq!(replay.watermarks, 1);
+    assert_eq!(replay.freshness.delays_ms.len(), WINDOWS, "every window is timed from it");
 }

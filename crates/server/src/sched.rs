@@ -15,7 +15,9 @@
 //! command list and so one world switch ([`Engine::ingest_group`]). A group
 //! stops at the watermark, and before its committed bytes would exceed the
 //! tenant's quota headroom (read once per group), so a group that fits is
-//! never refused whole. It never waits on a source, a lane has one group in
+//! never refused whole; a headroom short of one batch makes a group of one
+//! (unless the batches are too big for the whole quota).
+//! It never waits on a source, a lane has one group in
 //! flight at a time, and after backpressure or a refusal the lane sends
 //! groups of one batch until one is accepted. A window of 25 batches costs
 //! one ingest crossing, not 25; its watermark costs none, since the
@@ -557,30 +559,30 @@ impl Lane {
     /// tenant's quota headroom, read once. A batch commits
     /// [`DataPlane::ingress_charge`] for its windowed copy, and as much
     /// again for its raw array until the list retires it, beside what the
-    /// batches ahead of it committed. A headroom too small for even the
-    /// first batch leaves the group whole: the data plane refuses it at its
-    /// first batch whatever its length, for one penalty.
+    /// batches ahead of it committed. When not even the first batch fits,
+    /// a batch that only waits for headroom goes alone: should the data
+    /// plane refuse it, the lane risks one batch, not the window, and
+    /// sends groups of one until one is accepted. Batches too big for the
+    /// whole quota are refused in any group, so they go together, for one
+    /// penalty.
     fn group_len(&self) -> usize {
-        let headroom = self
-            .engine
-            .data_plane()
-            .tenant_memory(self.tenant)
-            .map_or(u64::MAX, |memory| memory.headroom_bytes());
+        let memory = self.engine.data_plane().tenant_memory(self.tenant).ok();
+        let headroom = memory.map_or(u64::MAX, |memory| memory.headroom_bytes());
+        let quota = memory.and_then(|memory| memory.quota_bytes).unwrap_or(u64::MAX);
+        let charge = |delivery: &Delivery| DataPlane::ingress_charge(delivery.event_count as u64);
         let mut committed = 0u64;
         let fit = self
             .staged
             .iter()
             .take_while(|delivery| {
-                let charge = DataPlane::ingress_charge(delivery.event_count as u64);
-                committed = committed.saturating_add(charge);
-                committed.saturating_add(charge) <= headroom
+                committed = committed.saturating_add(charge(delivery));
+                committed.saturating_add(charge(delivery)) <= headroom
             })
             .count();
-        if fit == 0 {
-            self.staged.len()
-        } else {
-            fit
+        if fit > 0 {
+            return fit;
         }
+        self.staged.iter().take_while(|delivery| 2 * charge(delivery) > quota).count().max(1)
     }
 }
 
@@ -1164,6 +1166,56 @@ mod tests {
         assert_eq!(lane.rejected_batches, 0);
         let ingested = lane.engine.metrics().events_ingested;
         assert_eq!(ingested, events.len() as u64 + 3_000, "the held array and the window");
+    }
+
+    #[test]
+    fn a_lane_short_of_headroom_risks_one_batch_not_the_window() {
+        // The quota is 24 pages and 21 are held by another array, so not
+        // even the first batch of the 6-batch window fits (4 pages): the
+        // lane sends it alone, the data plane refuses it, and the lane
+        // keeps to groups of one until the array is retired. Two batches
+        // are lost, not the window.
+        const PAGE: u64 = 4096;
+        let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1 << 40));
+        let a = server.admit(TenantConfig::new("a", 24 * PAGE), pipeline("a")).unwrap();
+        let loads = multi_tenant_streams(1, 1, 3_000, 8, 5);
+        let mut lanes = server.lanes_for(streams_for(&[a], &loads)).unwrap();
+        let mut ctx = Serving::new(&server, &lanes);
+        let executor = server.worker_pool().clone();
+        let lane = &mut lanes[0];
+        let dp = server.data_plane().clone();
+        fn in_tee<R>(f: impl FnOnce() -> R) -> R {
+            let _secure = sbt_tz::WorldGuard::enter(sbt_tz::World::Secure);
+            f()
+        }
+        let events: Vec<sbt_types::Event> =
+            (0..21 * PAGE as u32 / 12).map(|i| sbt_types::Event::new(i, i, 0)).collect();
+        let held =
+            in_tee(|| dp.ingress(a, &sbt_types::Event::slice_to_bytes(&events), false, false, 0))
+                .unwrap()
+                .opaque;
+        assert_eq!(dp.tenant_memory(a).unwrap().headroom_bytes(), 3 * PAGE);
+        // Land the group in flight with the outcome the data plane gave it.
+        let mut land = |lane: &mut Lane| {
+            for _ in 0..4 {
+                ctx.drr.begin_round(|_| true);
+            }
+            assert!(lane.offer(&mut ctx.drr, &executor).0);
+            let group = lane.ingest.take().expect("a group is in flight");
+            let outcome = group.handle.join().expect("no panic");
+            ctx.drr.release(lane.slot, group.est);
+            lane.on_ingest(&mut ctx, group.batches, outcome.clone());
+            (group.batches, outcome.map_err(|_| ()))
+        };
+
+        assert_eq!(land(lane), (1, Err(())), "no batch fits: a group of one, refused");
+        assert!(lane.single_batches);
+        assert_eq!(land(lane), (1, Err(())), "still short: one batch more");
+        in_tee(|| dp.retire(a, held)).unwrap();
+        assert_eq!(land(lane), (1, Ok(IngestStatus::Accepted)));
+        assert_eq!(land(lane), (3, Ok(IngestStatus::Accepted)), "full groups again");
+        assert!(lane.staged.is_empty() && lane.pending_wm.is_some());
+        assert_eq!((lane.accepted_batches, lane.rejected_batches), (4, 2));
     }
 
     #[test]

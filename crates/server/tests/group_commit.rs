@@ -5,7 +5,7 @@
 //! the watermark (or at the tenant's quota headroom, which these quotas
 //! never reach), so a window of 25 batches is one ingest crossing and no
 //! group carries batches of two windows. The watermark makes no crossing of
-//! its own: the window's fire records it at the head of its tail list. The
+//! its own: the window's fire records it at the head of its first list. The
 //! fire adds its own lists: one for WinSum, and 3 for a 25-batch TopK
 //! window on one worker (its sorts in 2 lists, then the tail). A group is
 //! one transaction: a quota trip rejects every batch in it, for one
@@ -141,9 +141,10 @@ fn a_topk_window_of_25_batches_on_one_worker_is_1_ingest_and_3_fire_crossings() 
 
 #[test]
 fn a_rejected_group_counts_every_batch_once_penalized_then_groups_shrink_to_one() {
-    // A quota below one 500-event batch: every group is rejected. Window 0
-    // is one group of 4 (4 rejected, 1 penalty); after it the lane sends
-    // groups of one, so window 1 is 4 groups (4 rejected, 4 penalties).
+    // A quota below one 500-event batch: every group is rejected. No batch
+    // could ever fit, so window 0 is one group of 4 (4 rejected, 1
+    // penalty); after it the lane sends groups of one, so window 1 is 4
+    // groups (4 rejected, 4 penalties).
     let server = StreamServer::new(ServerConfig::default().with_cores(2));
     let tiny = server.admit(TenantConfig::new("tiny", 4 * 1024), window_sum("tiny", 500)).unwrap();
     let loads = multi_tenant_streams(1, 2, 2_000, 64, 5);
