@@ -183,9 +183,12 @@ pub fn channel_for(variant: EngineVariant) -> Channel {
 /// Drive `engine` with the chunks of one benchmark on one stream side.
 ///
 /// Batches belonging to one window are ingested together through
-/// [`Engine::ingest_many`], which spreads ingestion (including decryption
-/// inside the TEE) over the worker pool — the control plane's task
-/// parallelism applies to ingestion as well as to operators.
+/// [`Engine::ingest_many`], which cuts them into one group per pool thread
+/// (each group one crossing) and runs the groups in parallel, so ingestion
+/// (including decryption inside the TEE) spreads over the worker pool — the
+/// control plane's task parallelism applies to ingestion as well as to
+/// operators. Each watermark then fires its windows inline
+/// ([`Engine::advance_watermark_on`]).
 pub fn drive(
     engine: &Arc<Engine>,
     chunks: Vec<StreamChunk>,

@@ -42,9 +42,11 @@
 //!   A fire is thus never suspended under someone else's ingest batch;
 //! * nor does it take a **root** fire, one [`Executor::spawn_fire`] queued
 //!   from outside any fire: a root may be a later watermark's fire of the
-//!   same engine, which waits for the window execution the thread is running
-//!   beneath it, and would sit on it forever. Idle workers and threads
-//!   outside a fire run roots.
+//!   same engine, which blocks on the engine's fire lock — held by the fire
+//!   the thread is running beneath it — and would block forever. Idle
+//!   workers and threads outside a fire run roots. An engine's inline fire
+//!   and its checkpoint hold that lock on the caller's thread, outside any
+//!   task, so they run as fire class too (`as_fire`).
 //!
 //! The helping join stays deadlock-free at any pool size: a task is awaited
 //! by the task that spawned it, and a fire-class spawner put it on its own
@@ -305,6 +307,20 @@ impl Shared {
             None => false,
         }
     }
+}
+
+/// Run `f` on the calling thread as a fire-class task runs (see the module
+/// docs): what it spawns is fire class, and its helping joins take no root
+/// fire. For work that holds an engine's fire lock outside any task.
+pub(crate) fn as_fire<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_FIRE.set(self.0);
+        }
+    }
+    let _outer = Restore(IN_FIRE.replace(true));
+    f()
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
@@ -818,6 +834,26 @@ mod tests {
         assert!(exec.help_one());
         assert_eq!(second.try_join(), Some(Ok("second")));
         release.send(()).unwrap();
+        assert_eq!(held.join(), Ok(()));
+    }
+
+    #[test]
+    fn a_thread_running_as_fire_takes_no_root_fire() {
+        let (exec, release, held) = gated_single_worker();
+        let root = exec.spawn_fire(|| "root");
+        let normal = exec.spawn(|| "normal");
+        as_fire(|| {
+            // What it spawns is its own fire-class work, and it runs that;
+            // the queued root fire and the normal task are not its to run.
+            let child = exec.spawn(|| IN_FIRE.get());
+            assert_eq!(child.join(), Ok(true));
+            assert!(!exec.help_one());
+        });
+        assert!(!IN_FIRE.get(), "the class is restored");
+        assert!(exec.help_one());
+        assert_eq!(root.try_join(), Some(Ok("root")));
+        release.send(()).unwrap();
+        assert_eq!(normal.join(), Ok("normal"));
         assert_eq!(held.join(), Ok(()));
     }
 

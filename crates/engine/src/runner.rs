@@ -11,13 +11,23 @@
 //! worker pool (W is the pool's workers plus the joining thread), then one
 //! tail list that gathers each side, applies the plan's reduce, egresses
 //! and retires. A fire therefore crosses at most W + 1 times, whatever its
-//! batch count. A watermark fires its windows inline
-//! ([`Engine::advance_watermark_on`]) or as an executor task whose
-//! [`JoinHandle`] the caller harvests
-//! ([`Engine::advance_watermark_async`]). Along the way it attaches
-//! consumption hints for the TEE allocator, measures output delay, applies
-//! backpressure under TEE memory pressure, and collects uploadable results
-//! and audit segments.
+//! batch count. Along the way it attaches consumption hints for the TEE
+//! allocator, measures output delay, applies backpressure under TEE memory
+//! pressure, and collects uploadable results and audit segments.
+//!
+//! Batches enter through one call, [`Engine::ingest_group`]: a group of
+//! batches is one command list, so one crossing. [`Engine::ingest_many`]
+//! cuts its deliveries the way a fire cuts its partitions, into at most W
+//! contiguous groups run on the pool.
+//!
+//! A watermark fires its windows inline ([`Engine::advance_watermark_on`])
+//! or as an executor task whose [`JoinHandle`] the caller harvests
+//! ([`Engine::advance_watermark_async`]). Either way the fire holds the
+//! engine's one fire lock for the whole of its windows, from the next
+//! unexecuted window through the last its watermark completes: one
+//! engine's windows execute one fire at a time and in window order, and a
+//! fire whose windows an earlier fire already ran returns at once.
+//! [`Engine::quiesce`] and [`Engine::checkpoint`] take the same lock.
 //!
 //! A watermark that completes a window makes no crossing of its own: it is
 //! queued with the first window it completes and recorded at the head of
@@ -25,13 +35,12 @@
 //! the chain is empty), so the trail shows it before the egress of every
 //! window it completes and never before an earlier window's, and the
 //! attested delay spans the whole fire. A watermark crosses alone only
-//! when no fire records it: it completes nothing (one side of a join), its
-//! window has no fire (empty or one-sided), or the first list failed and
-//! so left no trace. A drainer records every watermark whose windows it
-//! has executed before it releases its claim.
+//! when no fire records it: it completes nothing (one side of a join), it
+//! completes only windows already executed, its window has no fire (empty
+//! or one-sided), or the first list failed and so left no trace.
 
 use crate::config::EngineConfig;
-use crate::executor::{Executor, JoinHandle};
+use crate::executor::{as_fire, Executor, JoinHandle};
 use crate::gateway::TeeGateway;
 use crate::metrics::{EngineMetrics, WindowResult};
 use crate::operators::WindowPlan;
@@ -48,13 +57,9 @@ use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::HintSet;
 use sbt_workloads::transport::Delivery;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long a thread waiting on window execution sleeps when the pool has
-/// no task for it to run instead.
-const HELP_SLEEP: Duration = Duration::from_micros(100);
+use std::time::Instant;
 
 /// Which input stream a batch belongs to (joins consume two streams; all
 /// other pipelines use only [`StreamSide::Left`]).
@@ -80,37 +85,20 @@ pub enum IngestStatus {
 /// indexed by [`StreamSide`].
 type WindowState = [Vec<OpaqueRef>; 2];
 
-/// Window-execution coordination: at most one drainer (a fire task or an
-/// inline caller) executes this engine's completed windows at a time, in
-/// window order, up to the furthest watermark-completed window asked for.
-#[derive(Default)]
-struct WindowExec {
-    /// Furthest window a drainer must execute through, with the arrival
-    /// instant of the earliest watermark still being served (output-delay
-    /// accounting stays conservative under coalescing).
-    target: Option<(WindowId, Instant)>,
-    /// Whether a drainer currently owns window execution.
-    draining: bool,
-    /// Window failures a drainer parked for the callers waiting on it.
-    errors: VecDeque<DataPlaneError>,
-    /// Watermarks that completed a window and are not on the trail yet,
-    /// each with the first window it completes, in arrival order.
-    unrecorded: Vec<(WindowId, Watermark)>,
+/// What the engine's fire lock guards: window execution's cursor, and the
+/// watermarks that completed a window and are not on the trail yet, each
+/// with the first window it completes and its arrival, in arrival order.
+struct Fires {
+    next_unexecuted: WindowId,
+    unrecorded: Vec<(WindowId, Watermark, Instant)>,
 }
 
-impl WindowExec {
-    fn merge_target(&mut self, last: WindowId, arrival: Instant) {
-        self.target = Some(match self.target {
-            Some((l, a)) => (l.max(last), a.min(arrival)),
-            None => (last, arrival),
-        });
-    }
-
+impl Fires {
     /// Take the unrecorded watermarks whose first window is before `end`,
     /// in arrival order.
     fn take_before(&mut self, end: WindowId) -> Vec<Watermark> {
         let mut due = Vec::new();
-        self.unrecorded.retain(|&(win, wm)| {
+        self.unrecorded.retain(|&(win, wm, _)| {
             let taken = win < end;
             if taken {
                 due.push(wm);
@@ -118,19 +106,6 @@ impl WindowExec {
             !taken
         });
         due
-    }
-}
-
-/// A drainer's claim on window execution. Dropped by a panicking window,
-/// it releases the claim, so the panic cannot wedge [`Engine::quiesce`] or
-/// the next watermark.
-struct DrainerClaim<'a>(&'a Mutex<WindowExec>);
-
-impl Drop for DrainerClaim<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().draining = false;
-        }
     }
 }
 
@@ -144,8 +119,8 @@ pub struct Engine {
     gateway: Arc<TeeGateway>,
     pool: Arc<Executor>,
     windows: Mutex<HashMap<WindowId, WindowState>>,
-    next_unexecuted: Mutex<WindowId>,
-    window_exec: Mutex<WindowExec>,
+    /// The fire lock: a fire holds it for the whole of its windows.
+    fires: Mutex<Fires>,
     watermarks: Mutex<(Watermark, Watermark)>,
     results: Mutex<Vec<EgressMessage>>,
     window_results: Mutex<Vec<WindowResult>>,
@@ -199,8 +174,7 @@ impl Engine {
             gateway,
             pool,
             windows: Mutex::new(HashMap::new()),
-            next_unexecuted: Mutex::new(WindowId(0)),
-            window_exec: Mutex::new(WindowExec::default()),
+            fires: Mutex::new(Fires { next_unexecuted: WindowId::FIRST, unrecorded: Vec::new() }),
             watermarks: Mutex::new((Watermark::default(), Watermark::default())),
             results: Mutex::new(Vec::new()),
             window_results: Mutex::new(Vec::new()),
@@ -255,22 +229,9 @@ impl Engine {
         self.gateway.data_plane().telemetry()
     }
 
-    /// Ingest a batch on the primary stream.
-    pub fn ingest(&self, delivery: &Delivery) -> Result<IngestStatus, DataPlaneError> {
-        self.ingest_on(delivery, StreamSide::Left)
-    }
-
-    /// Ingest a batch on a specific stream side: a group of one.
-    pub fn ingest_on(
-        &self,
-        delivery: &Delivery,
-        side: StreamSide,
-    ) -> Result<IngestStatus, DataPlaneError> {
-        self.ingest_group(std::slice::from_ref(delivery), side)
-    }
-
     /// Ingest a group of batches on one stream side in **one** crossing:
-    /// one command list, `[Ingress, Segment, Retire]` per batch. Each
+    /// one command list, `[Ingress, Segment, Retire]` per batch (a lone
+    /// batch is a group of one). Each
     /// batch's windowed partitions join their windows in delivery order.
     /// The list is one transaction: a group the TEE rejects part-way — batch
     /// j's windowing trips the tenant's quota, say — is unwound there whole,
@@ -287,15 +248,15 @@ impl Engine {
         self.finish_ingest()
     }
 
-    /// Ingest a set of batches concurrently on the worker pool: each
-    /// delivery is a group of one (one entry into the TEE per batch, as
-    /// with [`ingest_on`]), but the per-batch decryption and segmentation
-    /// run in parallel — the control plane's task parallelism applies to
-    /// ingestion just as it does to operators. A rejected batch strands
-    /// none of the others: every admitted batch joins its windows, then the
-    /// first rejection is returned.
+    /// Ingest a set of batches on the worker pool: the deliveries, in
+    /// order, cut into `min(n, W)` contiguous groups (W is the pool's
+    /// workers plus the joining thread), each one crossing, as with
+    /// [`ingest_group`], and run in parallel, so the per-batch decryption
+    /// and segmentation still spread over the pool. A rejected group costs
+    /// only its own batches: every admitted group's batches join their
+    /// windows, then the first rejection is returned.
     ///
-    /// [`ingest_on`]: Engine::ingest_on
+    /// [`ingest_group`]: Engine::ingest_group
     pub fn ingest_many(
         &self,
         deliveries: Vec<Delivery>,
@@ -303,28 +264,24 @@ impl Engine {
     ) -> Result<IngestStatus, DataPlaneError> {
         self.started.lock().get_or_insert_with(Instant::now);
         let spec = self.pipeline.window_spec();
-        let tasks: Vec<_> = deliveries
+        let tasks: Vec<_> = self
+            .cut(deliveries)
             .into_iter()
-            .map(|delivery| {
+            .map(|group| {
                 let gw = Arc::clone(&self.gateway);
-                move || Self::ingest_list(&gw, spec, std::slice::from_ref(&delivery))
+                move || Self::ingest_list(&gw, spec, &group)
             })
             .collect();
-        // An admitted batch's windowed partitions are committed in the TEE:
+        // An admitted group's windowed partitions are committed in the TEE:
         // they must reach their windows to be fired and retired.
-        let mut first_err = None;
+        let mut outcome = Ok(());
         for result in self.pool.run_all(tasks) {
             match result {
                 Ok(windowed) => self.stash_windowed(windowed, side),
-                Err(err) => {
-                    first_err.get_or_insert(err);
-                }
+                Err(e) => outcome = outcome.and(Err(e)),
             }
         }
-        match first_err {
-            Some(err) => Err(err),
-            None => self.finish_ingest(),
-        }
+        outcome.and_then(|()| self.finish_ingest())
     }
 
     /// The modelled cost of ingesting `deliveries` as one group through
@@ -401,17 +358,12 @@ impl Engine {
         }
     }
 
-    /// Advance the primary stream's watermark; executes any windows this
-    /// completes before returning.
-    pub fn advance_watermark(&self, wm: Watermark) -> Result<(), DataPlaneError> {
-        self.advance_watermark_on(wm, StreamSide::Left)
-    }
-
-    /// Advance one side's watermark; executes any windows completed by the
-    /// combined (minimum) watermark before returning. If another drainer
-    /// (an inline caller, or a fire task from [`advance_watermark_async`])
-    /// is already executing this engine's windows, the call waits for it to
-    /// cover this watermark.
+    /// Advance one side's watermark and execute, on the calling thread, the
+    /// windows the combined (minimum) watermark completes before returning.
+    /// The call holds the engine's fire lock from noting the watermark to
+    /// its last window's egress, so if another fire of this engine is
+    /// running (a task from [`advance_watermark_async`]) it waits for that
+    /// fire to finish, then fires whatever is left through its own window.
     ///
     /// [`advance_watermark_async`]: Engine::advance_watermark_async
     pub fn advance_watermark_on(
@@ -419,45 +371,55 @@ impl Engine {
         wm: Watermark,
         side: StreamSide,
     ) -> Result<(), DataPlaneError> {
-        match self.note_watermark(wm, side) {
-            Some((last, arrival)) => self.fire_through(last, arrival),
-            None => Ok(()),
-        }
+        let arrival = Instant::now();
+        as_fire(|| {
+            let mut fires = self.fires.lock();
+            match self.note_watermark(&mut fires, wm, side, arrival) {
+                Some(last) => self.fire_through(&mut fires, last),
+                None => Ok(()),
+            }
+        })
     }
 
     /// Advance one side's watermark and fire the windows it completes as an
     /// executor task, returning the task's handle instead of blocking. The
-    /// watermark is noted, and its arrival stamped, on the caller; the task
-    /// runs [`advance_watermark_on`]'s fire, which records it. Windows
-    /// of one engine still execute serially and in window order (one
-    /// drainer per engine at a time), but windows of *different* engines —
-    /// and this engine's subsequent ingestion — pipeline freely against
-    /// them. A window that panics surfaces as the handle's
-    /// [`crate::TaskPanicked`].
-    ///
-    /// [`advance_watermark_on`]: Engine::advance_watermark_on
+    /// watermark is noted, and its arrival stamped, on the caller (which
+    /// takes the fire lock to note it, so waits out a running fire of this
+    /// engine); the task takes the lock and fires from the next unexecuted
+    /// window through the last this watermark completes, or returns `Ok`
+    /// if an earlier fire already ran them. Windows of one engine still
+    /// execute one fire at a time and in window order, but windows of
+    /// *different* engines — and this engine's subsequent ingestion —
+    /// pipeline freely against them. A window that panics surfaces as the
+    /// handle's [`crate::TaskPanicked`].
     pub fn advance_watermark_async(
         engine: &Arc<Engine>,
         wm: Watermark,
         side: StreamSide,
     ) -> JoinHandle<Result<(), DataPlaneError>> {
-        let due = engine.note_watermark(wm, side);
+        let arrival = Instant::now();
+        let due = engine.note_watermark(&mut engine.fires.lock(), wm, side, arrival);
         let fire = Arc::clone(engine);
         // Fire class: the windows are already due, so the fire (and the
         // sort, merge and seal tasks it fans out) runs ahead of any queued
         // ingest and never under it.
         engine.pool.spawn_fire(move || {
-            due.map_or(Ok(()), |(last, arrival)| fire.fire_through(last, arrival))
+            due.map_or(Ok(()), |last| fire.fire_through(&mut fire.fires.lock(), last))
         })
     }
 
-    /// Note a watermark and compute what it completes: the last completed
-    /// window and the arrival instant (for output-delay accounting), or
-    /// `None` when no window completes. A watermark that completes a window
-    /// still to execute is queued for the fire of the first window it
-    /// completes (of its last when it completes none anew) to record; any
-    /// other crosses alone, here.
-    fn note_watermark(&self, wm: Watermark, side: StreamSide) -> Option<(WindowId, Instant)> {
+    /// Note a watermark under the fire lock and return the last window it
+    /// completes, queueing it for the fire of the first window it completes
+    /// (of its last when it completes none anew). A watermark that
+    /// completes no window still to execute crosses alone, here, and
+    /// returns `None`.
+    fn note_watermark(
+        &self,
+        fires: &mut Fires,
+        wm: Watermark,
+        side: StreamSide,
+        arrival: Instant,
+    ) -> Option<WindowId> {
         self.started.lock().get_or_insert_with(Instant::now);
         let (before, effective) = {
             let mut marks = self.watermarks.lock();
@@ -475,25 +437,17 @@ impl Engine {
             }
             (before, effective(&marks))
         };
-        let arrival = Instant::now();
         let spec = self.pipeline.window_spec();
-        let Some(last) = spec.last_complete(effective.event_time) else {
+        let Some(last) =
+            spec.last_complete(effective.event_time).filter(|&last| last >= fires.next_unexecuted)
+        else {
             self.record_watermarks(&[wm]);
             *self.finished.lock() = Some(Instant::now());
             return None;
         };
         let first = spec.last_complete(before.event_time).map_or(WindowId::FIRST, WindowId::next);
-        // A running drainer records the watermark, at its first window's
-        // fire or before it releases its claim; with none running, only a
-        // window not yet executed has a fire left to carry it.
-        let mut st = self.window_exec.lock();
-        if st.draining || last >= *self.next_unexecuted.lock() {
-            st.unrecorded.push((first.min(last), wm));
-        } else {
-            drop(st);
-            self.record_watermarks(&[wm]);
-        }
-        Some((last, arrival))
+        fires.unrecorded.push((first.min(last), wm, arrival));
+        Some(last)
     }
 
     /// Record watermarks no fire carried, in one list of their own.
@@ -505,123 +459,30 @@ impl Engine {
         }
     }
 
-    /// Fire every window through `last`: claim window execution and drain
-    /// on this thread, or — when a drainer already owns it — wait, helping
-    /// the executor, until that drainer has covered `last`, surfacing a
-    /// failure it parked.
-    fn fire_through(&self, last: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
-        if !self.claim_drainer(last, arrival) {
-            return self.help_until(|| self.windows_outcome(last));
-        }
-        let outcome = self.drain_windows();
-        if let Err(e) = &outcome {
-            // The error was also parked for concurrent waiters; claim the
-            // parked copy if no one has yet.
-            let mut st = self.window_exec.lock();
-            if let Some(pos) = st.errors.iter().position(|parked| parked == e) {
-                st.errors.remove(pos);
-            }
-        }
-        outcome
-    }
-
-    /// The drainer: execute completed windows in order until the asked-for
-    /// target is covered, re-checking for targets that advanced while
-    /// draining. Exactly one drainer runs per engine at a time (the
-    /// `draining` flag, which the caller has claimed); it never blocks on
-    /// another drainer, so it is safe to run as an executor task.
+    /// Fire every window from the next unexecuted one through `last`, under
+    /// the fire lock the caller holds, timing each from the earliest arrival
+    /// among the watermarks this fire records. Each window
+    /// records the watermarks queued for it and for earlier windows: at the
+    /// head of its first list, or — when no first list ran to completion —
+    /// in a list of their own.
     ///
     /// A window that fails — its intermediates tripped the tenant's quota,
     /// say — costs the tenant that window and nothing else: its state was
-    /// consumed by the attempt, so the drainer parks the error for the
-    /// callers waiting on it, steps past the window and keeps draining.
-    /// Stopping instead would strand every later window whose watermark had
-    /// already been merged into the target: with no further watermark to
-    /// start a drainer, they would never fire. Returns the first failure
-    /// once the target is covered.
-    ///
-    /// Before it releases its claim, under the `window_exec` lock, the
-    /// drainer records every queued watermark whose windows have all
-    /// executed (one queued after its window's tail was sent): whatever is
-    /// still queued then belongs to a window a fire has yet to run, so
-    /// [`Engine::quiesce`] never returns over an unrecorded watermark of an
-    /// executed window.
-    fn drain_windows(&self) -> Result<(), DataPlaneError> {
-        let _claim = DrainerClaim(&self.window_exec);
-        let mut first_failure = None;
-        loop {
-            let (last, arrival) = {
-                let mut st = self.window_exec.lock();
-                let next = *self.next_unexecuted.lock();
-                match st.target {
-                    Some((last, arrival)) if next <= last => (last, arrival),
-                    _ => {
-                        let stale = st.take_before(next);
-                        if !stale.is_empty() {
-                            drop(st);
-                            self.record_watermarks(&stale);
-                            continue;
-                        }
-                        st.target = None;
-                        st.draining = false;
-                        *self.finished.lock() = Some(Instant::now());
-                        return first_failure.map_or(Ok(()), Err);
-                    }
-                }
-            };
-            loop {
-                let next = *self.next_unexecuted.lock();
-                if next > last {
-                    break;
-                }
-                if let Err(e) = self.execute_window(next, arrival) {
-                    self.window_exec.lock().errors.push_back(e.clone());
-                    first_failure.get_or_insert(e);
-                }
-                *self.next_unexecuted.lock() = next.next();
-            }
+    /// consumed by the attempt, so the fire steps past it and keeps going,
+    /// since stopping would strand the later windows the watermark
+    /// completed. Returns the first failure.
+    fn fire_through(&self, fires: &mut Fires, last: WindowId) -> Result<(), DataPlaneError> {
+        let served = fires.unrecorded.iter().filter(|&&(win, ..)| win <= last);
+        let arrival = served.map(|&(.., at)| at).min().unwrap_or_else(Instant::now);
+        let mut outcome = Ok(());
+        while fires.next_unexecuted <= last {
+            let win = fires.next_unexecuted;
+            let mut watermarks = fires.take_before(win.next());
+            outcome = outcome.and(self.fire_window(win, arrival, &mut watermarks));
+            self.record_watermarks(&watermarks);
+            fires.next_unexecuted = win.next();
         }
-    }
-
-    /// `None` while a drainer is still short of `last`; once it is past
-    /// `last` (or none is running), the oldest unclaimed window failure or
-    /// `Ok`. A failure is never surfaced earlier: the drainer keeps going
-    /// past a failed window, and a waiter released by the failure alone
-    /// would see the windows behind it as not yet fired.
-    fn windows_outcome(&self, last: WindowId) -> Option<Result<(), DataPlaneError>> {
-        let mut st = self.window_exec.lock();
-        let covered = !st.draining || *self.next_unexecuted.lock() > last;
-        covered.then(|| st.errors.pop_front().map_or(Ok(()), Err))
-    }
-
-    /// Run queued executor tasks on the calling thread until `done` yields,
-    /// sleeping [`HELP_SLEEP`] whenever the pool has nothing to lend.
-    fn help_until<T>(&self, mut done: impl FnMut() -> Option<T>) -> T {
-        loop {
-            if let Some(value) = done() {
-                return value;
-            }
-            if !self.pool.help_one() {
-                std::thread::sleep(HELP_SLEEP);
-            }
-        }
-    }
-
-    /// Merge `last` into the drain target, and claim window execution if
-    /// no drainer owns it. Returns whether the caller is now the drainer.
-    fn claim_drainer(&self, last: WindowId, arrival: Instant) -> bool {
-        let mut st = self.window_exec.lock();
-        st.merge_target(last, arrival);
-        !std::mem::replace(&mut st.draining, true)
-    }
-
-    /// Execute one completed window and record the watermarks queued for
-    /// it and for earlier windows: at the head of its first list, or — when
-    /// no first list ran to completion — in a list of their own.
-    fn execute_window(&self, win: WindowId, arrival: Instant) -> Result<(), DataPlaneError> {
-        let mut watermarks = self.window_exec.lock().take_before(win.next());
-        let outcome = self.fire_window(win, arrival, &mut watermarks);
-        self.record_watermarks(&watermarks);
+        *self.finished.lock() = Some(Instant::now());
         outcome
     }
 
@@ -748,17 +609,19 @@ impl Engine {
         if self.plan.chain.is_empty() {
             return Ok(sides);
         }
-        let mut parts = sides.iter().flat_map(|side| {
-            let k = side.len() as u32;
-            side.iter().zip(0..).map(move |(r, i)| (*r, HintSet::consumed_in_parallel(k, i)))
-        });
-        let total: usize = sides.iter().map(Vec::len).sum();
-        let n = total.min(self.pool.size() + 1);
-        let tasks: Vec<_> = (0..n)
-            .map(|list| {
-                let len = total / n + usize::from(list < total % n);
-                let head = if list == 0 { watermarks.clone() } else { Vec::new() };
-                let list: Vec<_> = parts.by_ref().take(len).collect();
+        let parts: Vec<_> = sides
+            .iter()
+            .flat_map(|side| {
+                let k = side.len() as u32;
+                side.iter().zip(0..).map(move |(r, i)| (*r, HintSet::consumed_in_parallel(k, i)))
+            })
+            .collect();
+        let tasks: Vec<_> = self
+            .cut(parts)
+            .into_iter()
+            .enumerate()
+            .map(|(i, list)| {
+                let head = if i == 0 { watermarks.clone() } else { Vec::new() };
                 let (gw, plan) = (Arc::clone(&self.gateway), Arc::clone(&self.plan));
                 move || {
                     let mut steps = Steps::default();
@@ -778,8 +641,8 @@ impl Engine {
                 }
             })
             .collect();
-        let mut outs = Vec::with_capacity(total);
-        let mut failure = None;
+        let mut outs = Vec::new();
+        let mut outcome = Ok(());
         for (list, result) in self.pool.run_all(tasks).into_iter().enumerate() {
             match result {
                 Ok(done) => {
@@ -788,17 +651,28 @@ impl Engine {
                     }
                     outs.extend(done)
                 }
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
+                Err(e) => outcome = outcome.and(Err(e)),
             }
         }
-        if let Some(e) = failure {
+        if let Err(e) = outcome {
             self.retire(outs);
             return Err(e);
         }
         let mut outs = outs.into_iter();
         Ok(sides.iter().map(|side| outs.by_ref().take(side.len()).collect()).collect())
+    }
+
+    /// Cut `items`, in order, into `min(n, W)` contiguous lists whose
+    /// lengths differ by at most one (the longer ones first), W being the
+    /// pool's workers plus the joining thread: how a fire's partitions and
+    /// [`Engine::ingest_many`]'s deliveries spread over the pool.
+    fn cut<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
+        let total = items.len();
+        let n = total.min(self.pool.size() + 1);
+        let mut items = items.into_iter();
+        (0..n)
+            .map(|list| items.by_ref().take(total / n + usize::from(list < total % n)).collect())
+            .collect()
     }
 
     /// Fold the data plane's committed bytes into the run's and the window's
@@ -811,22 +685,27 @@ impl Engine {
         }
     }
 
-    /// Wait (helping the executor) until no drainer owns this engine's
-    /// window execution: the fire under way has run to completion or parked
-    /// its error. A fire task not yet started holds no claim; its handle is
-    /// the caller's to join. The serving layer quiesces an engine before
-    /// tearing its tenant down, so a drained tenant's final windows finish
-    /// (and are audited) before the namespace disappears.
+    /// Wait until no fire of this engine is running: take the fire lock
+    /// and release it. A fire task not yet started holds no lock; its
+    /// handle is the caller's to join. The serving layer quiesces an engine
+    /// before tearing its tenant down, so a drained tenant's final windows
+    /// finish (and are audited) before the namespace disappears.
     pub fn quiesce(&self) {
-        self.help_until(|| (!self.window_exec.lock().draining).then_some(()))
+        drop(self.fires.lock());
     }
 
     /// Capture this engine's window bookkeeping as a checkpoint manifest:
-    /// every pending window's partition references, both watermarks and the
-    /// window-execution cursor. Only consistent at a quiescent point —
-    /// [`Engine::checkpoint`] quiesces first; call this directly only when
-    /// no ingest or window execution is in flight.
+    /// every pending window's partition references, both watermarks and
+    /// the window-execution cursor. Only consistent with no ingest in
+    /// flight; [`Engine::checkpoint`] also keeps a fire from starting
+    /// between the capture and the seal.
     pub fn checkpoint_manifest(&self) -> CheckpointManifest {
+        self.manifest_at(self.fires.lock().next_unexecuted)
+    }
+
+    /// [`Engine::checkpoint_manifest`] with the cursor read by a caller
+    /// that holds the fire lock.
+    fn manifest_at(&self, next_unexecuted: WindowId) -> CheckpointManifest {
         let (left_wm, right_wm) = *self.watermarks.lock();
         let mut windows: Vec<WindowManifest> = self
             .windows
@@ -842,20 +721,24 @@ impl Engine {
         CheckpointManifest {
             left_watermark_ms: left_wm.event_time.as_millis(),
             right_watermark_ms: right_wm.event_time.as_millis(),
-            next_unexecuted: self.next_unexecuted.lock().0 as u32,
+            next_unexecuted: next_unexecuted.0 as u32,
             windows,
         }
     }
 
-    /// Seal a checkpoint of this engine's tenant: wait for in-flight window
-    /// execution to drain, capture the manifest, and seal the snapshot
-    /// inside the TEE (one entry). The returned container is safe to hand
-    /// to untrusted storage; the matching sealed-checkpoint record is
-    /// already chained into the tenant's audit trail.
+    /// Seal a checkpoint of this engine's tenant: take the fire lock
+    /// (waiting out a running fire), capture the manifest and seal the
+    /// snapshot inside the TEE (one entry), holding the lock across both so
+    /// no fire starts between them. Only consistent with no ingest in
+    /// flight. The returned container is safe to hand to untrusted storage;
+    /// the matching sealed-checkpoint record is already chained into the
+    /// tenant's audit trail.
     pub fn checkpoint(&self) -> Result<SealedSnapshot, DataPlaneError> {
-        self.quiesce();
-        let manifest = self.checkpoint_manifest();
-        self.gateway.checkpoint(&manifest)
+        as_fire(|| {
+            let fires = self.fires.lock();
+            let manifest = self.manifest_at(fires.next_unexecuted);
+            self.gateway.checkpoint(&manifest)
+        })
     }
 
     /// Restore this engine's tenant from a sealed checkpoint and adopt the
@@ -884,7 +767,7 @@ impl Engine {
                 right.extend(w.right.iter().copied());
             }
         }
-        *self.next_unexecuted.lock() = WindowId(restored.next_unexecuted as u64);
+        self.fires.lock().next_unexecuted = WindowId(restored.next_unexecuted as u64);
         *self.watermarks.lock() = (
             Watermark::from_millis(restored.left_watermark_ms),
             Watermark::from_millis(restored.right_watermark_ms),
@@ -970,9 +853,9 @@ mod tests {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(delivery) => {
-                    engine.ingest(&delivery).unwrap();
+                    engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
                 }
-                Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+                Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
             }
         }
     }
@@ -1119,7 +1002,7 @@ mod tests {
             while let Some(offer) = generator.next_offer() {
                 match offer {
                     Offer::Batch(d) => {
-                        engine.ingest_on(&d, side).unwrap();
+                        engine.ingest_group(&[d], side).unwrap();
                     }
                     Offer::Watermark(wm) => engine.advance_watermark_on(wm, side).unwrap(),
                 }
@@ -1183,7 +1066,7 @@ mod tests {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(d) => {
-                    engine.ingest(&d).unwrap();
+                    engine.ingest_group(&[d], StreamSide::Left).unwrap();
                 }
                 Offer::Watermark(wm) => {
                     tickets.push(Engine::advance_watermark_async(&engine, wm, StreamSide::Left));
@@ -1203,7 +1086,7 @@ mod tests {
             let expected: u64 = chunks[i].events.iter().map(|e| e.value as u64).sum();
             assert_eq!(got, expected, "window {i}");
         }
-        // The drainer charged its work to the tenant's cost meter.
+        // The fires charged their work to the tenant's cost meter.
         assert!(engine.drain_serviced_cost() > 0);
         assert_eq!(engine.drain_serviced_cost(), 0, "drain resets the meter");
     }
@@ -1211,7 +1094,7 @@ mod tests {
     #[test]
     fn watermark_only_stream_produces_no_results() {
         let engine = winsum_engine(1, EngineVariant::Sbt);
-        engine.advance_watermark(Watermark::from_secs(5)).unwrap();
+        engine.advance_watermark_on(Watermark::from_secs(5), StreamSide::Left).unwrap();
         assert!(engine.results().is_empty());
         assert_eq!(engine.metrics().windows.len(), 0);
     }
@@ -1245,7 +1128,7 @@ mod tests {
         let Some(Offer::Batch(delivery)) = generator.next_offer() else {
             panic!("first offer is a batch")
         };
-        let err = engine.ingest(&delivery).unwrap_err();
+        let err = engine.ingest_group(&[delivery], StreamSide::Left).unwrap_err();
         assert_eq!(err, DataPlaneError::QuotaExceeded);
         assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
         assert_eq!(dp.live_refs(TenantId(1)), 0);
@@ -1257,28 +1140,44 @@ mod tests {
 
     #[test]
     fn a_failed_batch_strands_none_of_the_batches_after_it() {
-        // `ingest_many` of a batch the quota rejects, then one it admits:
-        // the call reports the rejection, and the admitted batch's windowed
-        // partition is still fired and retired with its window.
-        let (engine, dp, mut generator) = quota_tripping_tenant();
-        let Some(Offer::Batch(rejected)) = generator.next_offer() else {
+        // `ingest_many` of four batches on W = 2 (the one worker and the
+        // joining thread) runs the lists [mate, rejected] and [a1, a2]. The
+        // quota refuses `rejected` (its ingress alone is larger than the
+        // quota, so it is refused before it holds a page, whatever the other
+        // list holds meanwhile) and its list-mate with it; the call reports
+        // the rejection, and the other list's partitions are still fired and
+        // retired with their window.
+        let (engine, dp, _) = quota_tripping_tenant();
+        let mut big = Generator::new(
+            GeneratorConfig { batch_events: 4_000 },
+            Channel::cleartext(),
+            synthetic_stream(1, 4_000, 16, 2),
+        );
+        let Some(Offer::Batch(rejected)) = big.next_offer() else {
             panic!("first offer is a batch")
         };
         let mut small = Generator::new(
-            GeneratorConfig { batch_events: 200 },
+            GeneratorConfig { batch_events: 50 },
             Channel::cleartext(),
-            synthetic_stream(1, 200, 16, 1),
+            synthetic_stream(1, 150, 16, 1),
         );
-        let Some(Offer::Batch(admitted)) = small.next_offer() else {
-            panic!("first offer is a batch")
-        };
+        let (mut batches, mut wms) = (Vec::new(), Vec::new());
+        while let Some(offer) = small.next_offer() {
+            match offer {
+                Offer::Batch(delivery) => batches.push(delivery),
+                Offer::Watermark(wm) => wms.push(wm),
+            }
+        }
+        batches.insert(1, rejected);
+        assert_eq!(batches.len(), 4);
         assert_eq!(
-            engine.ingest_many(vec![rejected, admitted], StreamSide::Left),
+            engine.ingest_many(batches, StreamSide::Left),
             Err(DataPlaneError::QuotaExceeded)
         );
-        while let Some(offer) = generator.next_offer() {
-            let Offer::Watermark(wm) = offer else { panic!("one batch per window") };
-            engine.advance_watermark(wm).unwrap();
+        // Only the second list's two batches reached their window.
+        assert_eq!(engine.metrics().events_ingested, 100);
+        for wm in wms {
+            engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
         }
         assert_eq!(engine.results().len(), 1);
         assert_eq!(dp.live_refs(TenantId(1)), 0);
@@ -1300,9 +1199,12 @@ mod tests {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(delivery) => {
-                    assert_eq!(engine.ingest(&delivery), Err(DataPlaneError::QuotaExceeded));
+                    assert_eq!(
+                        engine.ingest_group(&[delivery], StreamSide::Left),
+                        Err(DataPlaneError::QuotaExceeded)
+                    );
                 }
-                Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+                Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
             }
         }
         let keys = dp.verifier_keys(TenantId(1)).unwrap();
@@ -1329,7 +1231,9 @@ mod tests {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(d) => {
-                    if let Ok(IngestStatus::Backpressure) = engine.ingest(&d) {
+                    if let Ok(IngestStatus::Backpressure) =
+                        engine.ingest_group(&[d], StreamSide::Left)
+                    {
                         saw_backpressure = true;
                     }
                 }
@@ -1337,7 +1241,7 @@ mod tests {
                     // Window execution itself may exhaust the deliberately
                     // tiny budget; the property under test is that the
                     // engine signalled backpressure during ingestion.
-                    let _ = engine.advance_watermark(wm);
+                    let _ = engine.advance_watermark_on(wm, StreamSide::Left);
                 }
             }
         }

@@ -3,8 +3,8 @@
 //!
 //! Each step is one command list, so the counts are small and exact: a
 //! batch is one crossing, and so is a group of batches sent together
-//! (`ingest_group`, the server lane's group commit); each delivery of
-//! `ingest_many` stays its own list. A window's fire runs the plan's chain
+//! (`ingest_group`, the server lane's group commit); `ingest_many` cuts its
+//! n deliveries into `min(n, W)` groups. A window's fire runs the plan's chain
 //! (its transforms, then a Sort when the reduce is keyed) over the window's
 //! k partitions in `min(k, W)` lists, W being the pool's workers plus the
 //! joining thread, then one tail list (gather, reduce, egress, retires):
@@ -59,7 +59,7 @@ fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
         match generator.next_offer().expect("the window closes with a watermark") {
             Offer::Batch(delivery) => {
                 let before = switches(engine);
-                engine.ingest_on(&delivery, side).unwrap();
+                engine.ingest_group(&[delivery], side).unwrap();
                 assert_eq!(switches(engine) - before, 1, "a batch is one crossing");
                 batches += 1;
             }
@@ -115,22 +115,28 @@ fn a_group_of_batches_is_one_crossing() {
 }
 
 #[test]
-fn each_delivery_of_ingest_many_is_one_crossing() {
-    let engine = engine(Pipeline::winsum_benchmark());
-    let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
-    let mut generator =
-        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
-    let (mut batches, mut wms) = (Vec::new(), Vec::new());
-    while let Some(offer) = generator.next_offer() {
-        match offer {
-            Offer::Batch(delivery) => batches.push(delivery),
-            Offer::Watermark(wm) => wms.push(wm),
+fn ingest_many_is_one_crossing_per_pool_thread() {
+    // K = 5 deliveries in min(K, W) contiguous groups: W = 2 on one worker,
+    // W = 3 on two.
+    for workers in [1, 2] {
+        let engine = engine_on(workers, Pipeline::winsum_benchmark());
+        let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
+        let mut generator =
+            Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+        let (mut batches, mut wms) = (Vec::new(), Vec::new());
+        while let Some(offer) = generator.next_offer() {
+            match offer {
+                Offer::Batch(delivery) => batches.push(delivery),
+                Offer::Watermark(wm) => wms.push(wm),
+            }
         }
+        let w = workers as u64 + 1;
+        let before = switches(&engine);
+        engine.ingest_many(batches, StreamSide::Left).unwrap();
+        assert_eq!(switches(&engine) - before, K.min(w), "W = {w}");
+        assert_eq!(engine.metrics().events_ingested, K * BATCH as u64);
+        assert_eq!(fire(&engine, wms[0], StreamSide::Left), 1);
     }
-    let before = switches(&engine);
-    engine.ingest_many(batches, StreamSide::Left).unwrap();
-    assert_eq!(switches(&engine) - before, K, "one crossing per delivery");
-    assert_eq!(fire(&engine, wms[0], StreamSide::Left), 1);
 }
 
 #[test]

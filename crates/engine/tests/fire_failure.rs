@@ -11,7 +11,7 @@
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier, Violation};
 use sbt_dataplane::{DataPlane, DataPlaneError};
-use sbt_engine::{Engine, EngineConfig, EngineVariant, Executor, Pipeline};
+use sbt_engine::{Engine, EngineConfig, EngineVariant, Executor, Pipeline, StreamSide};
 use sbt_types::{PrimitiveKind, TenantId, Watermark};
 use sbt_tz::Platform;
 use sbt_workloads::datasets::{synthetic_stream, StreamChunk};
@@ -32,7 +32,7 @@ fn ingest(engine: &Engine, w: u32, sizes: &[usize]) -> Watermark {
         events = rest;
         let batch =
             StreamChunk { events: batch.to_vec(), power_events: Vec::new(), ..chunk.clone() };
-        engine.ingest(&channel.send(&batch)).unwrap();
+        engine.ingest_group(&[channel.send(&batch)], StreamSide::Left).unwrap();
     }
     chunk.watermark
 }
@@ -54,14 +54,17 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
         Engine::for_tenant(config, pipeline, dp.clone(), TENANT, Arc::new(Executor::new(1)));
 
     let refused = ingest(&engine, 0, &[2_000, 20_000, 2_000, 2_000]);
-    assert_eq!(engine.advance_watermark(refused), Err(DataPlaneError::QuotaExceeded));
+    assert_eq!(
+        engine.advance_watermark_on(refused, StreamSide::Left),
+        Err(DataPlaneError::QuotaExceeded)
+    );
     assert_eq!(dp.live_refs(TENANT), 0);
     assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, 0);
     assert!(engine.results().is_empty(), "the failed window egressed nothing");
 
     // The next window fires.
     let fired = ingest(&engine, 1, &[2_000, 2_000]);
-    engine.advance_watermark(fired).unwrap();
+    engine.advance_watermark_on(fired, StreamSide::Left).unwrap();
     assert_eq!(engine.results().len(), 1);
     assert_eq!(dp.live_refs(TENANT), 0);
     assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, 0);

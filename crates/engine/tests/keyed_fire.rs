@@ -33,7 +33,7 @@ fn feed(engine: &Engine, k: usize, seed: u64, side: StreamSide) -> Vec<Vec<Event
     loop {
         match generator.next_offer().expect("the window closes with a watermark") {
             Offer::Batch(delivery) => {
-                engine.ingest_on(&delivery, side).unwrap();
+                engine.ingest_group(&[delivery], side).unwrap();
             }
             Offer::Watermark(wm) => {
                 engine.advance_watermark_on(wm, side).unwrap();

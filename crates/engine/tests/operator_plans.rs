@@ -49,7 +49,7 @@ fn run(pipeline: Pipeline) -> (Pipeline, Vec<AuditRecord>) {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(delivery) => {
-                    engine.ingest_on(&delivery, side).unwrap();
+                    engine.ingest_group(&[delivery], side).unwrap();
                 }
                 Offer::Watermark(wm) => engine.advance_watermark_on(wm, side).unwrap(),
             }

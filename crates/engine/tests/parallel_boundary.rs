@@ -13,7 +13,7 @@
 //! mirrors both — and the three must agree exactly.
 
 use sbt_attest::decompress_records;
-use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline};
+use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
 use sbt_workloads::transport::Channel;
@@ -28,9 +28,9 @@ fn drive(engine: &Arc<Engine>) {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(delivery) => {
-                engine.ingest(&delivery).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+            Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
         }
     }
 }
@@ -94,11 +94,11 @@ fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
         let before = engine.boundary_events().switches;
         match offer {
             Offer::Batch(delivery) => {
-                engine.ingest(&delivery).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
                 ingest += engine.boundary_events().switches - before;
             }
             Offer::Watermark(wm) => {
-                engine.advance_watermark(wm).unwrap();
+                engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
                 fire += engine.boundary_events().switches - before;
             }
         }

@@ -17,7 +17,7 @@
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
-use sbt_types::PrimitiveKind;
+use sbt_types::{PrimitiveKind, Watermark, WindowId};
 use sbt_uarray::ConsumptionHint;
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
@@ -44,7 +44,7 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
     loop {
         match generator.next_offer().expect("the window closes with a watermark") {
             Offer::Batch(delivery) => {
-                engine.ingest_on(&delivery, StreamSide::Left).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
             }
             Offer::Watermark(wm) => {
                 engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
@@ -102,7 +102,7 @@ fn each_async_watermark_is_recorded_just_before_its_own_windows_egress() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(delivery) => {
-                engine.ingest_on(&delivery, StreamSide::Left).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
             }
             Offer::Watermark(wm) => watermarks.push(wm),
         }
@@ -177,13 +177,15 @@ fn one_watermark_completing_three_windows_precedes_all_three_fires() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(delivery) => {
-                engine.ingest_on(&delivery, StreamSide::Left).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
             }
             Offer::Watermark(wm) => last = Some(wm),
         }
     }
     // Only the last watermark is sent: it completes all three windows.
-    engine.advance_watermark(last.expect("the stream ends in a watermark")).unwrap();
+    engine
+        .advance_watermark_on(last.expect("the stream ends in a watermark"), StreamSide::Left)
+        .unwrap();
     assert_eq!(engine.results().len(), WINDOWS);
 
     let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
@@ -208,4 +210,99 @@ fn one_watermark_completing_three_windows_precedes_all_three_fires() {
     assert!(replay.is_correct(), "violations: {:?}", replay.violations);
     assert_eq!(replay.watermarks, 1);
     assert_eq!(replay.freshness.delays_ms.len(), WINDOWS, "every window is timed from it");
+}
+
+/// A one-worker TopK engine (W = 2) holding two ingested windows of `K`
+/// batches of `batch` events, and the two watermarks that complete them.
+fn two_topk_windows(batch: usize) -> (Arc<Engine>, Vec<Watermark>) {
+    let engine = Engine::new(
+        EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1),
+        Pipeline::topk_benchmark(10).target_delay_ms(10_000).batch_events(batch),
+    );
+    let chunks = synthetic_stream(2, K as usize * batch, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: batch }, Channel::cleartext(), chunks);
+    let mut watermarks = Vec::new();
+    while let Some(offer) = generator.next_offer() {
+        match offer {
+            Offer::Batch(delivery) => {
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
+            }
+            Offer::Watermark(wm) => watermarks.push(wm),
+        }
+    }
+    (engine, watermarks)
+}
+
+/// Both windows egressed in window order, and each watermark sits just
+/// before its own window's egress: no egress between it and its window's,
+/// and its window's egress is the next one. The trail verifies and replays.
+fn assert_fired_in_order_each_after_its_watermark(engine: &Engine, watermarks: &[Watermark]) {
+    let fired: Vec<_> = engine.metrics().windows.iter().map(|w| w.window).collect();
+    assert_eq!(fired, [WindowId(0), WindowId(1)]);
+    assert_eq!(engine.results().len(), 2);
+    let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
+    let records = verify_tenant_trail(&engine.drain_audit_segments(), engine.tenant(), &keys)
+        .expect("trail verifies");
+    let ms = |wm: &Watermark| wm.event_time.as_millis() as u32;
+    let trail: Vec<Option<u32>> = records
+        .iter()
+        .filter_map(|record| match record {
+            AuditRecord::Ingress { data: DataRef::Watermark(at), .. } => Some(Some(*at)),
+            AuditRecord::Egress { .. } => Some(None),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(trail, [Some(ms(&watermarks[0])), None, Some(ms(&watermarks[1])), None]);
+    let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+    assert!(replay.is_correct(), "violations: {:?}", replay.violations);
+    assert_eq!(replay.freshness.delays_ms.len(), 2);
+}
+
+#[test]
+fn an_inline_watermark_waits_for_the_running_async_fire_then_fires_its_own_window() {
+    // Batches ten times the usual size, so that window 0's fire is still
+    // running when window 1's watermark arrives.
+    let (engine, watermarks) = two_topk_windows(10 * BATCH);
+    // Window 0 fires as a task; once it has made its first crossing, window
+    // 1's watermark arrives inline on this thread.
+    let before = engine.boundary_events().switches;
+    let ticket = Engine::advance_watermark_async(&engine, watermarks[0], StreamSide::Left);
+    while engine.boundary_events().switches == before && !ticket.is_finished() {
+        std::hint::spin_loop();
+    }
+    engine.advance_watermark_on(watermarks[1], StreamSide::Left).unwrap();
+    // The inline call returned only once both windows had egressed.
+    assert_fired_in_order_each_after_its_watermark(&engine, &watermarks);
+    ticket.join().expect("no window panicked").unwrap();
+}
+
+#[test]
+fn an_inline_watermark_fires_past_a_queued_async_fire_which_then_returns_ok() {
+    let (engine, watermarks) = two_topk_windows(BATCH);
+    // Hold the pool's one worker, so window 0's fire task stays queued.
+    let (started, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let blocker = {
+        let (started, release) = (started.clone(), release.clone());
+        engine.worker_pool().spawn(move || {
+            started.store(true, Ordering::SeqCst);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })
+    };
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let ticket = Engine::advance_watermark_async(&engine, watermarks[0], StreamSide::Left);
+    // The inline call fires both windows on this thread. Its fire lists'
+    // joins help, but never with the queued root fire, which would block on
+    // the fire lock this thread holds.
+    engine.advance_watermark_on(watermarks[1], StreamSide::Left).unwrap();
+    assert_fired_in_order_each_after_its_watermark(&engine, &watermarks);
+    release.store(true, Ordering::SeqCst);
+    blocker.join().expect("the blocker does not panic");
+    // The task finds its window already executed.
+    ticket.join().expect("no window panicked").unwrap();
+    assert_eq!(engine.results().len(), 2);
 }

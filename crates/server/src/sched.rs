@@ -470,7 +470,7 @@ impl Lane {
             if !self.dead {
                 ctx.server.telemetry().flight_trigger(self.tenant.0, FlightReason::TaskPanic);
             }
-            Err(DataPlaneError::BadArguments("window drainer panicked"))
+            Err(DataPlaneError::BadArguments("window fire panicked"))
         });
         self.on_fire(ctx, outcome);
         true

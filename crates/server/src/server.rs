@@ -894,6 +894,7 @@ mod tests {
 
     #[test]
     fn a_failed_restore_leaves_no_tenant_behind_and_a_retry_succeeds() {
+        use sbt_engine::StreamSide;
         use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
         use sbt_workloads::transport::Channel;
 
@@ -909,7 +910,7 @@ mod tests {
             sbt_workloads::datasets::synthetic_stream(1, 4_000, 16, 1),
         );
         while let Some(Offer::Batch(delivery)) = generator.next_offer() {
-            engine.ingest(&delivery).unwrap();
+            engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
         }
         server.checkpoint(t).unwrap();
         let vault = server.vault().clone();

@@ -144,7 +144,7 @@ fn run_crash_scenario(point: CrashPoint) {
                 power_events: Vec::new(),
                 watermark: all[2].watermark,
             };
-            engine.ingest_on(&ch.send(&sub), StreamSide::Left).unwrap();
+            engine.ingest_group(&[ch.send(&sub)], StreamSide::Left).unwrap();
         }
         CrashPoint::MidWindowFire => {
             // Window 2 fully fires, but neither its result nor its audit

@@ -1,6 +1,6 @@
 //! One closed-but-unemitted window per lane.
 //!
-//! `serve_drr` launches a lane's pending watermark only once the lane's
+//! `StreamServer::serve` launches a lane's pending watermark only once the lane's
 //! previous window ticket has resolved, and intake stops at a pending
 //! watermark. A tenant whose fire is slower than its ingest therefore holds
 //! at most the window being fired plus the one ingested behind it — however

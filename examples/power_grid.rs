@@ -26,9 +26,11 @@ fn main() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
 

@@ -31,7 +31,7 @@ fn main() {
             while let Some(offer) = generator.next_offer() {
                 match offer {
                     Offer::Batch(batch) => {
-                        engine.ingest_on(&batch, side).expect("ingest");
+                        engine.ingest_group(&[batch], side).expect("ingest");
                     }
                     Offer::Watermark(wm) => {
                         engine.advance_watermark_on(wm, side).expect("watermark")

@@ -21,12 +21,16 @@ fn main() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                if let Ok(IngestStatus::Backpressure) = engine.ingest(&batch) {
+                if let Ok(IngestStatus::Backpressure) =
+                    engine.ingest_group(&[batch], StreamSide::Left)
+                {
                     // A real deployment would slow the source down here.
                     eprintln!("(backpressure signalled)");
                 }
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
 

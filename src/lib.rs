@@ -31,8 +31,8 @@
 //! );
 //! while let Some(offer) = generator.next_offer() {
 //!     match offer {
-//!         Offer::Batch(batch) => { engine.ingest(&batch).unwrap(); }
-//!         Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+//!         Offer::Batch(batch) => { engine.ingest_group(&[batch], StreamSide::Left).unwrap(); }
+//!         Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
 //!     }
 //! }
 //! assert_eq!(engine.results().len(), 1);

@@ -21,9 +21,11 @@ fn run_honest_engine() -> (std::sync::Arc<Engine>, Vec<AuditRecord>) {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
     let records = audit_records(&engine);
@@ -90,9 +92,11 @@ fn tampered_results_and_audit_segments_fail_authentication() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
     let (key, nonce, signing) = engine.data_plane().cloud_keys();
@@ -241,9 +245,11 @@ fn honest_trails_of_every_window_shape_verify_clean() {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(batch) => {
-                    engine.ingest(&batch).expect("ingest");
+                    engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
                 }
-                Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+                Offer::Watermark(wm) => {
+                    engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+                }
             }
         }
         let report = replay(&engine);
@@ -276,7 +282,7 @@ fn one_sided_join(one_sided: usize) -> std::sync::Arc<Engine> {
                 match offer {
                     Offer::Batch(_) if w == one_sided && side == StreamSide::Right => {}
                     Offer::Batch(batch) => {
-                        engine.ingest_on(&batch, side).expect("ingest");
+                        engine.ingest_group(&[batch], side).expect("ingest");
                     }
                     Offer::Watermark(wm) => {
                         engine.advance_watermark_on(wm, side).expect("watermark")

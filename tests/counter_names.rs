@@ -23,9 +23,9 @@ fn a_single_engine_exports_exactly_the_pinned_counter_names() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(delivery) => {
-                engine.ingest(&delivery).unwrap();
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+            Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
         }
     }
     let expected = [

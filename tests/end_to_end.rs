@@ -16,9 +16,11 @@ fn drive(engine: &std::sync::Arc<Engine>, chunks: Vec<sbt_workloads::datasets::S
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
 }
@@ -139,9 +141,11 @@ fn filter_end_to_end_matches_oracle() {
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
     let plains = decrypt_all(&engine);
@@ -226,7 +230,7 @@ fn join_end_to_end_matches_oracle() {
         while let Some(offer) = generator.next_offer() {
             match offer {
                 Offer::Batch(batch) => {
-                    engine.ingest_on(&batch, side).expect("ingest");
+                    engine.ingest_group(&[batch], side).expect("ingest");
                 }
                 Offer::Watermark(wm) => engine.advance_watermark_on(wm, side).expect("watermark"),
             }

@@ -24,9 +24,11 @@ fn run(variant: EngineVariant, use_hints: bool) -> (Vec<Vec<u8>>, std::sync::Arc
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(batch) => {
-                engine.ingest(&batch).expect("ingest");
+                engine.ingest_group(&[batch], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
     let (key, nonce, signing) = engine.data_plane().cloud_keys();

@@ -223,9 +223,9 @@ proptest! {
                 let engine = server.engine(ids[pick]).unwrap();
                 match offer {
                     Offer::Batch(d) => {
-                        engine.ingest(&d).unwrap();
+                        engine.ingest_group(&[d], StreamSide::Left).unwrap();
                     }
-                    Offer::Watermark(wm) => engine.advance_watermark(wm).unwrap(),
+                    Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
                 }
             }
         }

@@ -32,9 +32,11 @@ fn run_pipeline(
     while let Some(offer) = generator.next_offer() {
         match offer {
             Offer::Batch(b) => {
-                engine.ingest(&b).expect("ingest");
+                engine.ingest_group(&[b], StreamSide::Left).expect("ingest");
             }
-            Offer::Watermark(wm) => engine.advance_watermark(wm).expect("watermark"),
+            Offer::Watermark(wm) => {
+                engine.advance_watermark_on(wm, StreamSide::Left).expect("watermark")
+            }
         }
     }
     let (key, nonce, signing) = engine.data_plane().cloud_keys();
