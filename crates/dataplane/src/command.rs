@@ -2,8 +2,9 @@
 //!
 //! A world switch costs the same whether the secure world then runs one
 //! primitive or ten, so the control plane batches the calls of one step — a
-//! batch's ingress, windowing and retire; a window's reduce, egress and
-//! retires — into one [`Command`] list and crosses once for the whole list.
+//! group's batches, each decrypted straight into its windows; a window's
+//! reduce, egress and retires — into one [`Command`] list and crosses once
+//! for the whole list.
 //!
 //! Commands are plain data, never closures: the untrusted control plane
 //! names what the data plane should do, it never hands the secure world
@@ -28,7 +29,7 @@ use crate::error::DataPlaneError;
 use crate::opaque::OpaqueRef;
 use crate::params::{InvokeOutput, PrimitiveParams};
 use crate::snapshot::{CheckpointManifest, RestoredTenant, SealedSnapshot};
-use sbt_types::{PrimitiveKind, Watermark};
+use sbt_types::{PrimitiveKind, Watermark, WindowSpec};
 use sbt_uarray::HintSet;
 
 /// A uArray argument of a command.
@@ -80,6 +81,23 @@ pub enum Command<'a> {
         /// CTR block offset the source encrypted the payload at.
         keystream_block: u32,
     },
+    /// Ingest a batch straight into its windows: what `Ingress`, a
+    /// `Segment` of its output and a `Retire` of it leave behind — the same
+    /// window arrays, ids, records and counts — without the batch's own
+    /// array. The batch id is still minted first and named by the trail's
+    /// `Ingress` and `Windowing` records, but no array is stored under it.
+    WindowedIngress {
+        /// The batch's wire bytes.
+        payload: &'a [u8],
+        /// Whether the payload is encrypted under the source key.
+        encrypted: bool,
+        /// Whether the payload holds 16-byte power events.
+        is_power: bool,
+        /// CTR block offset the source encrypted the payload at.
+        keystream_block: u32,
+        /// The windows the batch's events are cut into.
+        spec: WindowSpec,
+    },
     /// Ingest a watermark.
     Watermark(Watermark),
     /// Run a trusted primitive ([`DataPlane::invoke`](crate::DataPlane::invoke)).
@@ -125,7 +143,8 @@ impl Command<'_> {
 /// (both audit outside a list's held-back records), or that names an output
 /// not produced before it: a forward or self reference, or an output of a
 /// command that produces none (or, for ingress, more than its one).
-/// Invocation outputs are counted only once the invocation has run.
+/// Invocation and windowed-ingress outputs are counted only once the
+/// command has run.
 pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
     if cmds.len() > 1
         && cmds.iter().any(|cmd| matches!(cmd, Command::Checkpoint(_) | Command::Restore { .. }))
@@ -138,7 +157,7 @@ pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
                 let produces = producer < i
                     && match cmds[producer] {
                         Command::Ingress { .. } => idx == 0,
-                        Command::Invoke { .. } => true,
+                        Command::Invoke { .. } | Command::WindowedIngress { .. } => true,
                         _ => false,
                     };
                 if !produces {
@@ -157,6 +176,13 @@ pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
 pub enum Reply {
     /// The ingested batch.
     Ingress(InvokeOutput),
+    /// A batch ingested into its windows.
+    WindowedIngress {
+        /// The batch's event count.
+        events: usize,
+        /// Its window arrays, in window order.
+        windows: Vec<InvokeOutput>,
+    },
     /// The primitive's outputs.
     Invoke(Vec<InvokeOutput>),
     /// The sealed result.
@@ -174,7 +200,7 @@ impl Reply {
     pub fn outputs(&self) -> &[InvokeOutput] {
         match self {
             Reply::Ingress(out) => std::slice::from_ref(out),
-            Reply::Invoke(outs) => outs,
+            Reply::Invoke(outs) | Reply::WindowedIngress { windows: outs, .. } => outs,
             _ => &[],
         }
     }
@@ -206,8 +232,17 @@ mod tests {
             keystream_block: 0,
         };
         assert!(check(&[ingress.clone(), sort(Arg::out(0)), retire(Arg::out(1))]).is_ok());
-        // An invocation's output count is only known once it has run.
+        // An invocation's output count is only known once it has run, and
+        // so is a windowed batch's window count.
         assert!(check(&[sort(Arg::Ref(OpaqueRef(1))), retire(Arg::Out { cmd: 0, idx: 7 })]).is_ok());
+        let windowed = Command::WindowedIngress {
+            payload: &[],
+            encrypted: false,
+            is_power: false,
+            keystream_block: 0,
+            spec: WindowSpec::Global,
+        };
+        assert!(check(&[windowed, retire(Arg::Out { cmd: 0, idx: 2 })]).is_ok());
         assert!(check(&[ingress, retire(Arg::Out { cmd: 0, idx: 1 })]).is_err());
     }
 
@@ -246,12 +281,18 @@ mod tests {
     #[test]
     fn outputs_resolve_against_the_replies_before_them() {
         let out = |r| InvokeOutput { opaque: OpaqueRef(r), len: 1, window: None };
-        let done = [Reply::Ingress(out(10)), Reply::Invoke(vec![out(20), out(21)]), Reply::Done];
+        let done = [
+            Reply::Ingress(out(10)),
+            Reply::Invoke(vec![out(20), out(21)]),
+            Reply::Done,
+            Reply::WindowedIngress { events: 1, windows: vec![out(30), out(31)] },
+        ];
         assert_eq!(Arg::out(0).resolve(&done), Ok(OpaqueRef(10)));
         assert_eq!(Arg::Out { cmd: 1, idx: 1 }.resolve(&done), Ok(OpaqueRef(21)));
         assert!(Arg::Out { cmd: 1, idx: 2 }.resolve(&done).is_err());
         assert!(Arg::out(2).resolve(&done).is_err());
-        assert!(Arg::out(3).resolve(&done).is_err());
+        assert_eq!(Arg::Out { cmd: 3, idx: 1 }.resolve(&done), Ok(OpaqueRef(31)));
+        assert!(Arg::out(4).resolve(&done).is_err());
         assert_eq!(Arg::Ref(OpaqueRef(5)).resolve(&done), Ok(OpaqueRef(5)));
     }
 }

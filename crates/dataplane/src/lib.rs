@@ -6,10 +6,12 @@
 //!
 //! * **Ingress** — event batches arrive through trusted IO (or via the OS,
 //!   paying a boundary copy), are decrypted with the key shared with the
-//!   sources and parsed, in one serial pass per batch, into a fresh uArray
-//!   reserved up front, and registered with the allocator. The control
-//!   plane receives only an opaque reference. Multi-core ingest comes from
-//!   concurrent batches, each its own ingress call.
+//!   sources and parsed, in one serial pass per batch, and cut straight
+//!   into their window arrays (or, through the single-call `ingress`, into
+//!   one fresh uArray reserved up front), which are registered with the
+//!   allocator. The control plane receives only opaque references.
+//!   Multi-core ingest comes from concurrent batches, each its own ingress
+//!   call.
 //! * **Invoke** — the single entry function shared by all 23 trusted
 //!   primitives: the control plane names a primitive, passes opaque input
 //!   references, optional parameters and optional consumption hints; the
@@ -25,9 +27,8 @@
 //!   delay results — never corrupt them.
 //!
 //! The control plane reaches all four through [`DataPlane::call`]: a
-//! [`Command`] list run inside one world switch, so a batch's ingress,
-//! windowing and retire, or a window's reduce, egress and retires, pay for
-//! the boundary once. A list succeeds or fails as a whole: a failed one
+//! [`Command`] list run inside one world switch, so a group's batches, or
+//! a window's reduce, egress and retires, pay for the boundary once. A list succeeds or fails as a whole: a failed one
 //! leaves no record, outcome count or output behind (only the cost meters
 //! count the work it did).
 //!

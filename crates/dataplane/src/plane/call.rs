@@ -15,6 +15,7 @@
 //! took one since. Retires themselves are not deferred: a window's tail
 //! list frees each input as soon as it is consumed.
 
+use super::ingress::Batch;
 use super::{DataPlane, TenantState};
 use crate::command::{self, Arg, Command, Reply};
 use crate::error::DataPlaneError;
@@ -107,10 +108,27 @@ impl DataPlane {
         Ok(match cmd {
             Command::Ingress { payload, encrypted, is_power, keystream_block } => {
                 let start = tracer.start();
-                let out =
-                    self.run_ingress(list, payload, *encrypted, *is_power, *keystream_block)?;
+                let batch = Batch {
+                    payload,
+                    encrypted: *encrypted,
+                    is_power: *is_power,
+                    keystream_block: *keystream_block,
+                };
+                let out = self.run_ingress(list, batch)?;
                 tracer.record(SpanKind::IngestBatch, tenant, start, out.len as u64);
                 Reply::Ingress(out)
+            }
+            Command::WindowedIngress { payload, encrypted, is_power, keystream_block, spec } => {
+                let start = tracer.start();
+                let batch = Batch {
+                    payload,
+                    encrypted: *encrypted,
+                    is_power: *is_power,
+                    keystream_block: *keystream_block,
+                };
+                let (events, windows) = self.run_windowed_ingress(list, batch, *spec)?;
+                tracer.record(SpanKind::IngestBatch, tenant, start, events as u64);
+                Reply::WindowedIngress { events, windows }
             }
             Command::Watermark(wm) => {
                 self.run_watermark(list, *wm);

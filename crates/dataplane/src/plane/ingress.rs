@@ -1,16 +1,29 @@
 //! Ingress: event batches and watermarks enter a tenant's namespace.
+//!
+//! A batch enters one of two ways, both through one decrypt-and-parse
+//! loop (`decode_batch`): cut straight into its windows
+//! (`WindowedIngress`, what the engine sends), so each event's pages are
+//! committed once, in the window array it stays in; or as an array of its
+//! own (`Ingress`, what the single-call `DataPlane::ingress` returns).
 
 use super::call::Staged;
-use super::DataPlane;
+use super::invoke::Output;
+use super::{DataPlane, TenantState};
 use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
 use crate::params::InvokeOutput;
+use crate::stats::InvocationBreakdown;
 use crate::store::StoredData;
+use parking_lot::Mutex;
 use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::AesCtr;
+use sbt_primitives as prim;
 use sbt_telemetry::{decrypt_span_payload, LatencyKind, SpanKind};
-use sbt_types::{Event, PowerEvent, PrimitiveKind, TenantId, Watermark};
-use sbt_uarray::{TeePager, UArray, PAGE_SIZE};
+use sbt_types::{
+    infallible, Event, PowerEvent, PrimitiveKind, TenantId, Watermark, WindowSpec, EVENT_BYTES,
+    POWER_EVENT_BYTES,
+};
+use sbt_uarray::{CommitBudget, HintSet, TeePager, UArray, UArrayId, UArrayWriter, PAGE_SIZE};
 use std::time::Instant;
 
 /// The fixed decrypt window of zero-copy ingest, in bytes.
@@ -19,6 +32,34 @@ use std::time::Instant;
 /// size, so every window holds whole events and starts on a CTR block
 /// boundary.
 const WIRE_CHUNK: usize = 4080;
+
+/// The events one decrypt window parses into: 340 generic events, or 255
+/// power events projected onto the generic layout.
+const CHUNK_EVENTS: usize = WIRE_CHUNK / EVENT_BYTES;
+
+/// A batch as it arrived: its wire bytes and how to read them.
+#[derive(Clone, Copy)]
+pub(super) struct Batch<'p> {
+    /// The wire bytes.
+    pub(super) payload: &'p [u8],
+    /// Whether the payload is encrypted under the source key.
+    pub(super) encrypted: bool,
+    /// Whether the payload holds 16-byte power events.
+    pub(super) is_power: bool,
+    /// CTR block offset the source encrypted the payload at.
+    pub(super) keystream_block: u32,
+}
+
+impl Batch<'_> {
+    /// The bytes of one event on the wire.
+    fn record_bytes(&self) -> usize {
+        if self.is_power {
+            POWER_EVENT_BYTES
+        } else {
+            EVENT_BYTES
+        }
+    }
+}
 
 impl DataPlane {
     /// Ingest a batch of events whose bytes have arrived in the secure world
@@ -51,11 +92,12 @@ impl DataPlane {
     }
 
     /// The bytes a batch of `events` events commits on ingress: its
-    /// page-rounded destination size, which the ingress pre-check charges
-    /// against the tenant's headroom. Segmenting it into one window commits
-    /// as much again.
+    /// page-rounded size, which the ingress pre-check charges against the
+    /// tenant's headroom. Cut into windows, a batch commits this once (a
+    /// page more for each further window it straddles, and a copy per
+    /// window an event of a sliding spec falls in).
     pub fn ingress_charge(events: u64) -> u64 {
-        TeePager::pages_for(events * sbt_types::EVENT_BYTES as u64) * PAGE_SIZE
+        TeePager::pages_for(events * EVENT_BYTES as u64) * PAGE_SIZE
     }
 
     /// The body of an `Ingress` command: the batch's array is registered
@@ -63,105 +105,199 @@ impl DataPlane {
     pub(super) fn run_ingress(
         &self,
         list: &mut Staged<'_>,
-        payload: &[u8],
-        encrypted: bool,
-        is_power: bool,
-        keystream_block: u32,
+        batch: Batch<'_>,
     ) -> Result<InvokeOutput, DataPlaneError> {
         let ingest_start = self.telemetry.tracer().start();
         let (tenant, ts) = (list.tenant, list.ts);
-        // Wire-format check first: the payload either is whole events or the
-        // batch is rejected before any secure memory moves.
-        let record_bytes =
-            if is_power { sbt_types::POWER_EVENT_BYTES } else { sbt_types::EVENT_BYTES };
-        if !payload.len().is_multiple_of(record_bytes) {
-            return Err(DataPlaneError::BadIngress(if is_power {
+        let (n_events, _) = self.admit_batch(tenant, &batch)?;
+        // Zero-copy ingest: the destination uArray is reserved first (pages
+        // committed up front, all-or-nothing), then each decrypt window is
+        // appended to it as it is parsed.
+        let id = self.next_id();
+        let mut decrypt_nanos = 0;
+        let data = UArray::produce_exact(id, n_events, &self.pager, |dst| {
+            (decrypt_nanos, _) = infallible(self.decode_batch(ts, &batch, |events, _| {
+                dst.extend_from_slice(events);
+                Ok(())
+            }));
+        })
+        .map(StoredData::Events)?;
+        let (id, opaque, len) =
+            self.register_output(tenant, ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
+        self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);
+        Ok(InvokeOutput { opaque, len, window: None })
+    }
+
+    /// The body of a `WindowedIngress` command: each decrypt window is cut
+    /// by the Segment kernel straight into the batch's window arrays, which
+    /// are registered at once; the batch's counter moves, its `Ingress`
+    /// record and one `Windowing` record per window are staged in `list`.
+    /// Returns the batch's event count and its windows, in window order.
+    pub(super) fn run_windowed_ingress(
+        &self,
+        list: &mut Staged<'_>,
+        batch: Batch<'_>,
+        spec: WindowSpec,
+    ) -> Result<(usize, Vec<InvokeOutput>), DataPlaneError> {
+        let ingest_start = self.telemetry.tracer().start();
+        let (tenant, ts) = (list.tenant, list.ts);
+        let (n_events, headroom) = self.admit_batch(tenant, &batch)?;
+        // The spec's fields come straight from the control plane: a zero
+        // size or slide would mean a window per microsecond or an unbounded
+        // replication loop inside the TEE.
+        if !spec.is_well_formed() {
+            return Err(DataPlaneError::BadArguments("malformed window spec"));
+        }
+        // The batch id names the batch on the trail; no array is stored
+        // under it. The windows draw on the headroom page by page, and each
+        // is reserved for the rest of the batch, so it never grows.
+        let id = self.next_id();
+        let budget = CommitBudget::new(headroom);
+        let mut open = Vec::new();
+        let (decrypt_nanos, route_nanos) = self.decode_batch(ts, &batch, |events, after| {
+            prim::segment_into(events, &spec, &mut open, |at_most| {
+                Output(UArrayWriter::reserve(at_most + after, &self.pager, &budget))
+            })
+        })?;
+        // Ids are minted once every window is produced, in window order.
+        let windows = open
+            .into_iter()
+            .map(|(win, w)| (StoredData::Events(w.0.seal(self.next_id())), Some(win)))
+            .collect();
+        let producer = PrimitiveKind::Segment.code() as u64;
+        let committed = self.commit_outputs(tenant, producer, windows, &HintSet::none())?;
+        self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);
+        let (outputs, _, memory_nanos) = self.stage_outputs(list, &[id], committed);
+        self.stats
+            .record_invocation(InvocationBreakdown { compute_nanos: route_nanos, memory_nanos });
+        Ok((n_events, outputs))
+    }
+
+    /// The checks a batch passes before any secure memory moves: the
+    /// payload is whole events, and their page-rounded size
+    /// ([`ingress_charge`](DataPlane::ingress_charge)) fits the tenant's
+    /// headroom — a cheap early check; the admission stays the authority.
+    /// Returns the batch's event count and the headroom read.
+    fn admit_batch(
+        &self,
+        tenant: TenantId,
+        batch: &Batch<'_>,
+    ) -> Result<(usize, u64), DataPlaneError> {
+        let record_bytes = batch.record_bytes();
+        if !batch.payload.len().is_multiple_of(record_bytes) {
+            return Err(DataPlaneError::BadIngress(if batch.is_power {
                 "power payload not a whole event"
             } else {
                 "payload not a whole event"
             }));
         }
-        let n_events = payload.len() / record_bytes;
-        // Cheap early quota check before decrypting and parsing: the batch
-        // will commit its page-rounded destination size, which must fit the
-        // tenant's headroom (the admission stays the authority).
-        let estimate = Self::ingress_charge(n_events as u64);
-        if estimate > self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()) {
+        let n_events = batch.payload.len() / record_bytes;
+        let headroom = self.alloc.lock().allocator.owner_headroom(tenant.owner_tag());
+        if Self::ingress_charge(n_events as u64) > headroom {
             return Err(DataPlaneError::QuotaExceeded);
         }
-        // Decrypt under the calling tenant's current-epoch source key: a
-        // batch encrypted under another tenant's key (or a stale epoch)
-        // decrypts to garbage values — the wire format is position-based, so
-        // garbage still parses, just never into meaningful records.
-        let ctr = if encrypted {
-            let t = ts.lock();
-            Some(AesCtr::new(&t.keys.source_key, &t.keys.source_nonce))
-        } else {
-            None
-        };
+        Ok((n_events, headroom))
+    }
 
-        // Zero-copy ingest: the destination uArray is reserved first (pages
-        // committed up front, all-or-nothing), then ciphertext is decrypted
-        // through a fixed stack window directly into it. No staging heap
-        // allocation of the payload on either path.
-        let decrypt_start = Instant::now();
-        let id = self.next_id();
-        let data = UArray::produce_exact(id, n_events, &self.pager, |dst| {
-            let mut window = [0u8; WIRE_CHUNK];
-            for (i, chunk) in payload.chunks(WIRE_CHUNK).enumerate() {
-                let cleartext: &[u8] = match &ctr {
-                    Some(ctr) => {
-                        let block = keystream_block.wrapping_add((i * (WIRE_CHUNK / 16)) as u32);
-                        ctr.apply_keystream_into(chunk, &mut window[..chunk.len()], block);
-                        &window[..chunk.len()]
-                    }
-                    None => chunk,
-                };
-                if is_power {
-                    for rec in cleartext.chunks_exact(sbt_types::POWER_EVENT_BYTES) {
-                        // from_bytes only fails on short input; rec is whole.
-                        dst.push(PowerEvent::from_bytes(rec).unwrap().to_generic());
-                    }
-                } else {
-                    for rec in cleartext.chunks_exact(sbt_types::EVENT_BYTES) {
-                        dst.push(Event::from_bytes(rec).unwrap());
-                    }
+    /// The one decrypt-and-parse loop of both ingress commands: each
+    /// 4 080-byte chunk of the payload is decrypted into a stack window,
+    /// parsed into a stack array of events and handed to `take`, with the
+    /// number of the batch's events after it. No staging heap allocation
+    /// on either path.
+    ///
+    /// Decrypts under the calling tenant's current-epoch source key: a
+    /// batch encrypted under another tenant's key (or a stale epoch)
+    /// decrypts to garbage values — the wire format is position-based, so
+    /// garbage still parses, just never into meaningful records.
+    ///
+    /// Returns the nanoseconds spent decrypting and parsing (0 for a
+    /// cleartext batch), and those spent in `take`.
+    fn decode_batch<E>(
+        &self,
+        ts: &Mutex<TenantState>,
+        batch: &Batch<'_>,
+        mut take: impl FnMut(&[Event], usize) -> Result<(), E>,
+    ) -> Result<(u64, u64), E> {
+        let ctr = batch.encrypted.then(|| {
+            let t = ts.lock();
+            AesCtr::new(&t.keys.source_key, &t.keys.source_nonce)
+        });
+        let record_bytes = batch.record_bytes();
+        let mut left = batch.payload.len() / record_bytes;
+        let mut window = [0u8; WIRE_CHUNK];
+        let mut events = [Event::default(); CHUNK_EVENTS];
+        let (mut decode_nanos, mut take_nanos) = (0, 0);
+        let mut mark = Instant::now();
+        for (i, chunk) in batch.payload.chunks(WIRE_CHUNK).enumerate() {
+            let cleartext: &[u8] = match &ctr {
+                Some(ctr) => {
+                    let block = batch.keystream_block.wrapping_add((i * (WIRE_CHUNK / 16)) as u32);
+                    ctr.apply_keystream_into(chunk, &mut window[..chunk.len()], block);
+                    &window[..chunk.len()]
+                }
+                None => chunk,
+            };
+            let n = cleartext.len() / record_bytes;
+            // from_bytes only fails on short input; every record is whole.
+            if batch.is_power {
+                for (event, rec) in events.iter_mut().zip(cleartext.chunks_exact(record_bytes)) {
+                    *event = PowerEvent::from_bytes(rec).unwrap().to_generic();
+                }
+            } else {
+                for (event, rec) in events.iter_mut().zip(cleartext.chunks_exact(record_bytes)) {
+                    *event = Event::from_bytes(rec).unwrap();
                 }
             }
-        })
-        .map(StoredData::Events)?;
-        let decrypt_nanos = if encrypted { decrypt_start.elapsed().as_nanos() as u64 } else { 0 };
-        let (id, opaque, len) =
-            self.register_output(tenant, ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
-        // The decrypt work is counted as done; the ingest counts, the
-        // tenant's and the plane's, move at the list's commit.
+            left -= n;
+            let parsed = Instant::now();
+            decode_nanos += (parsed - mark).as_nanos() as u64;
+            take(&events[..n], left)?;
+            mark = Instant::now();
+            take_nanos += (mark - parsed).as_nanos() as u64;
+        }
+        Ok((if batch.encrypted { decode_nanos } else { 0 }, take_nanos))
+    }
+
+    /// Stage an ingested batch in `list` — its ingest counts and its
+    /// `Ingress` record under `id` — and record its decrypt time, its
+    /// ingest-to-store latency (call entry to registered output) and, for
+    /// an encrypted batch, one decrypt span carrying the same decrypt time.
+    /// The telemetry is a relaxed no-op while disabled; the counts move at
+    /// the list's commit.
+    fn stage_batch(
+        &self,
+        list: &mut Staged<'_>,
+        batch: &Batch<'_>,
+        id: UArrayId,
+        n_events: usize,
+        decrypt_nanos: u64,
+        ingest_start: u64,
+    ) {
+        let tenant = list.tenant.0;
         self.stats.record_decrypt(decrypt_nanos);
         list.events += n_events as u64;
-        list.bytes += payload.len() as u64;
+        list.bytes += batch.payload.len() as u64;
         list.records.push(AuditRecord::Ingress {
             ts_ms: self.now_ms(),
             data: DataRef::UArray(UArrayRef(id.0 as u32)),
         });
-        // Ingest-to-store latency (call entry to registered output) plus a
-        // decrypt span carrying the measured decrypt time. Both are relaxed
-        // no-ops while telemetry is disabled.
+        let tracer = self.telemetry.tracer();
         self.telemetry.record_latency(
-            tenant.0,
+            tenant,
             LatencyKind::IngestToStore,
-            self.telemetry.tracer().elapsed_since(ingest_start),
+            tracer.elapsed_since(ingest_start),
         );
-        if encrypted {
+        if batch.encrypted {
             // One span per batch, its payload packing the batch tag and the
             // batch's event count.
-            self.telemetry.tracer().record_at(
+            tracer.record_at(
                 SpanKind::Decrypt,
-                tenant.0,
+                tenant,
                 ingest_start,
                 decrypt_nanos,
                 decrypt_span_payload(id.0, n_events as u64),
             );
         }
-        Ok(InvokeOutput { opaque, len, window: None })
     }
 
     /// Ingest a watermark (watermarks are control metadata, not protected

@@ -119,23 +119,7 @@ impl DataPlane {
         // co-locates them.
         let producer_tag = op.code() as u64;
         let committed = self.commit_outputs(tenant, producer_tag, produced, hints)?;
-        let mut outputs = Vec::with_capacity(committed.len());
-        let mut output_ids = Vec::with_capacity(committed.len());
-        let mut memory_nanos = 0;
-        for (id, len, window, paging_nanos) in committed {
-            memory_nanos += paging_nanos;
-            let opaque = ts.lock().refs.mint(id);
-            output_ids.push(id);
-            outputs.push(InvokeOutput { opaque, len, window });
-            if let Some(w) = window {
-                list.records.push(AuditRecord::Windowing {
-                    ts_ms: self.now_ms(),
-                    input: UArrayRef(input_ids[0].0 as u32),
-                    win_no: w.0 as u16,
-                    output: UArrayRef(id.0 as u32),
-                });
-            }
-        }
+        let (outputs, output_ids, memory_nanos) = self.stage_outputs(list, &input_ids, committed);
         // Windowing is fully described by its Windowing records; everything
         // else gets an Execution record.
         if op != PrimitiveKind::Segment {
@@ -149,6 +133,36 @@ impl DataPlane {
         }
         self.stats.record_invocation(InvocationBreakdown { compute_nanos, memory_nanos });
         Ok(outputs)
+    }
+
+    /// Mint a reference for each committed output and stage a `Windowing`
+    /// record, its input the first of `input_ids`, for each output assigned
+    /// a window. Returns the outputs, their ids and the simulated paging
+    /// time they took.
+    pub(super) fn stage_outputs(
+        &self,
+        list: &mut Staged<'_>,
+        input_ids: &[UArrayId],
+        committed: Vec<(UArrayId, usize, Option<WindowId>, u64)>,
+    ) -> (Vec<InvokeOutput>, Vec<UArrayId>, u64) {
+        let mut outputs = Vec::with_capacity(committed.len());
+        let mut output_ids = Vec::with_capacity(committed.len());
+        let mut memory_nanos = 0;
+        for (id, len, window, paging_nanos) in committed {
+            memory_nanos += paging_nanos;
+            let opaque = list.ts.lock().refs.mint(id);
+            output_ids.push(id);
+            outputs.push(InvokeOutput { opaque, len, window });
+            if let Some(w) = window {
+                list.records.push(AuditRecord::Windowing {
+                    ts_ms: self.now_ms(),
+                    input: UArrayRef(input_ids[0].0 as u32),
+                    win_no: w.0 as u16,
+                    output: UArrayRef(id.0 as u32),
+                });
+            }
+        }
+        (outputs, output_ids, memory_nanos)
     }
 
     /// Hints are control-plane input like the references they travel with,

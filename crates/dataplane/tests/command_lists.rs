@@ -16,8 +16,9 @@
 //! key-sorted input; an unsorted one is refused like any other bad
 //! argument, so the fuzz draws them too. Consumption hints are arguments as
 //! well: more hints than outputs, a parallel hint outside `0..k` and a
-//! consumed-after hint naming an array the caller does not own are refused,
-//! and the fuzz draws hints of every kind.
+//! consumed-after hint naming an array the caller does not own are refused.
+//! The fuzz draws hints of every kind, and windowed ingress under a
+//! well-formed and a malformed window spec.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,9 @@ use sbt_crypto::MasterSecret;
 use sbt_dataplane::{
     Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams, Reply,
 };
-use sbt_types::{Event, LanePool, LaneTask, PrimitiveKind, TenantId, Watermark};
+use sbt_types::{
+    Duration, Event, LanePool, LaneTask, PrimitiveKind, TenantId, Watermark, WindowSpec,
+};
 use sbt_tz::{Platform, World, WorldGuard};
 use sbt_uarray::{ConsumptionHint, HintSet, UArrayId};
 use std::sync::{mpsc, Arc, Mutex};
@@ -63,6 +66,16 @@ fn wire(n: u32, seed: u32) -> Vec<u8> {
 
 fn ingress(payload: &[u8]) -> Command<'_> {
     Command::Ingress { payload, encrypted: false, is_power: false, keystream_block: 0 }
+}
+
+fn windowed(payload: &[u8], spec: WindowSpec) -> Command<'_> {
+    Command::WindowedIngress {
+        payload,
+        encrypted: false,
+        is_power: false,
+        keystream_block: 0,
+        spec,
+    }
 }
 
 fn invoke(op: PrimitiveKind, inputs: Vec<Arg>) -> Command<'static> {
@@ -446,6 +459,8 @@ fn random_lists_fail_typed_and_leak_nothing() {
     let dp = plane(Some(256 * 1024));
     let payloads: Vec<Vec<u8>> = (0..4u32).map(|i| wire(200 + 900 * i, i)).collect();
     let ragged = vec![0u8; 13];
+    let one_second = WindowSpec::fixed(Duration::from_secs(1));
+    let malformed = WindowSpec::Fixed { size: Duration::from_micros(0) };
     let theirs = held(&dp, OTHER, &payloads[0]);
     let mut rng = StdRng::seed_from_u64(0x5b7_c0de);
     let mut handed_out: Vec<OpaqueRef> = Vec::new();
@@ -455,8 +470,10 @@ fn random_lists_fail_typed_and_leak_nothing() {
         let recent = &handed_out[handed_out.len().saturating_sub(8)..];
         let cmds: Vec<Command<'_>> = (0..len)
             .map(|at| match rng.gen_range(0..9u32) {
-                0..=2 => match rng.gen_range(0..5usize) {
+                0..=2 => match rng.gen_range(0..7usize) {
                     4 => ingress(&ragged),
+                    5 => windowed(&payloads[rng.gen_range(0..4usize)], one_second),
+                    6 => windowed(&payloads[rng.gen_range(0..4usize)], malformed),
                     i => ingress(&payloads[i]),
                 },
                 3..=5 => {
@@ -579,19 +596,12 @@ fn a_list_failing_at_any_command_leaves_no_trace() {
     }
 }
 
-/// One ingest group: `[Ingress, Segment(Out 3i), Retire(Out 3i)]` for each
-/// batch i, the list a server lane sends as one crossing.
+/// One ingest group: a `WindowedIngress` into one-second windows for each
+/// batch, the list a server lane sends as one crossing.
 fn ingest_group<'a>(payloads: &[&'a [u8]]) -> Vec<Command<'a>> {
     payloads
         .iter()
-        .enumerate()
-        .flat_map(|(i, payload)| {
-            [
-                ingress(payload),
-                invoke(PrimitiveKind::Segment, vec![Arg::out(3 * i)]),
-                Command::Retire(Arg::out(3 * i)),
-            ]
-        })
+        .map(|payload| windowed(payload, WindowSpec::fixed(Duration::from_secs(1))))
         .collect()
 }
 
@@ -610,7 +620,7 @@ fn a_group_that_trips_the_quota_at_any_batch_leaves_no_trace_of_any() {
     let windowed: Vec<OpaqueRef> = replies
         .iter()
         .filter_map(|r| match r {
-            Reply::Invoke(outs) => Some(outs[0].opaque),
+            Reply::WindowedIngress { windows, .. } => Some(windows[0].opaque),
             _ => None,
         })
         .collect();

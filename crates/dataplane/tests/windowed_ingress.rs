@@ -1,0 +1,270 @@
+//! `WindowedIngress` against the list it replaces.
+//!
+//! One windowed ingress decrypts a batch straight into its window arrays.
+//! `[Ingress, Segment(Out 0), Retire(Out 0)]` decrypts it into an array of
+//! its own, copies that into the window arrays and retires it. Two fresh
+//! planes run the same batches, one form each, and everything observable
+//! must agree: the window arrays (egressed under the same sequence numbers,
+//! so their ciphertexts compare), their ids and window ids, the audit
+//! records with their wall-clock stamps zeroed, and the ingest counts. The
+//! windowed plane commits exactly the raw array's pages fewer. The batches
+//! cover encrypted and cleartext payloads, generic and power events, fixed
+//! and sliding windows, shuffled timestamps, sizes off the 340-event decrypt
+//! window, an empty payload, and a payload that is not whole events — which
+//! both forms refuse with `BadIngress`, holding nothing.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sbt_attest::AuditRecord;
+use sbt_crypto::{AesCtr, MasterSecret};
+use sbt_dataplane::{
+    Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, InvokeOutput, PrimitiveParams, Reply,
+};
+use sbt_types::{Duration, Event, PowerEvent, PrimitiveKind, TenantId, WindowSpec, EVENT_BYTES};
+use sbt_tz::{Platform, World, WorldGuard};
+use sbt_uarray::{HintSet, TeePager};
+use std::sync::Arc;
+
+const T: TenantId = TenantId::DEFAULT;
+
+fn in_tee<R>(f: impl FnOnce() -> R) -> R {
+    let _g = WorldGuard::enter(World::Secure);
+    f()
+}
+
+fn plane() -> Arc<DataPlane> {
+    DataPlane::new(Platform::hikey(), DataPlaneConfig::default())
+}
+
+/// One batch and the windows it is cut into.
+struct Case {
+    payload: Vec<u8>,
+    encrypted: bool,
+    is_power: bool,
+    keystream_block: u32,
+    spec: WindowSpec,
+}
+
+impl Case {
+    /// `n` events over `span_ms` of event time from `from_ms`, shuffled
+    /// when `shuffle` holds, sent as generic or power events, encrypted at
+    /// `keystream_block` or in the clear.
+    fn new(n: u32, from_ms: u32, span_ms: u32, shuffle: bool, seed: u64) -> Self {
+        let mut ts: Vec<u32> = (0..n).map(|i| from_ms + i * span_ms / n.max(1)).collect();
+        if shuffle {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..ts.len()).rev() {
+                ts.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let events: Vec<Event> = ts
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Event::new((i as u32 * 7 + seed as u32) % 13, i as u32 ^ 0xA5A5, t))
+            .collect();
+        Case {
+            payload: Event::slice_to_bytes(&events),
+            encrypted: false,
+            is_power: false,
+            keystream_block: 0,
+            spec: WindowSpec::fixed(Duration::from_secs(1)),
+        }
+    }
+
+    /// The same events' timestamps as 16-byte power events.
+    fn power(mut self) -> Self {
+        let power: Vec<PowerEvent> = Event::slice_from_bytes(&self.payload)
+            .iter()
+            .map(|e| PowerEvent::new(e.value, e.key, e.key >> 2, e.ts_ms))
+            .collect();
+        self.payload = PowerEvent::slice_to_bytes(&power);
+        self.is_power = true;
+        self
+    }
+
+    /// Encrypted under the default tenant's epoch-0 source key at `block`.
+    fn encrypted(mut self, block: u32) -> Self {
+        let keys = MasterSecret::demo().tenant_keys(T.0, 0);
+        AesCtr::new(&keys.source_key, &keys.source_nonce)
+            .apply_keystream_at(&mut self.payload, block);
+        self.encrypted = true;
+        self.keystream_block = block;
+        self
+    }
+
+    fn windows(mut self, spec: WindowSpec) -> Self {
+        self.spec = spec;
+        self
+    }
+
+    fn events(&self) -> u64 {
+        let record = if self.is_power { 16 } else { EVENT_BYTES };
+        (self.payload.len() / record) as u64
+    }
+
+    fn windowed(&self) -> Command<'_> {
+        Command::WindowedIngress {
+            payload: &self.payload,
+            encrypted: self.encrypted,
+            is_power: self.is_power,
+            keystream_block: self.keystream_block,
+            spec: self.spec,
+        }
+    }
+
+    fn triple(&self) -> [Command<'_>; 3] {
+        [
+            Command::Ingress {
+                payload: &self.payload,
+                encrypted: self.encrypted,
+                is_power: self.is_power,
+                keystream_block: self.keystream_block,
+            },
+            Command::Invoke {
+                op: PrimitiveKind::Segment,
+                inputs: vec![Arg::out(0)],
+                params: PrimitiveParams::Window(self.spec),
+                hints: HintSet::none(),
+            },
+            Command::Retire(Arg::out(0)),
+        ]
+    }
+}
+
+/// Zero the wall-clock stamps so two planes' records compare.
+fn strip_ts(records: Vec<AuditRecord>) -> Vec<AuditRecord> {
+    use AuditRecord::*;
+    records
+        .into_iter()
+        .map(|r| match r {
+            Ingress { data, .. } => Ingress { ts_ms: 0, data },
+            Egress { data, .. } => Egress { ts_ms: 0, data },
+            Windowing { input, win_no, output, .. } => {
+                Windowing { ts_ms: 0, input, win_no, output }
+            }
+            other => other,
+        })
+        .collect()
+}
+
+fn records(dp: &DataPlane) -> Vec<AuditRecord> {
+    let segments = dp.drain_audit_segments(T).unwrap();
+    strip_ts(
+        segments
+            .iter()
+            .flat_map(|s| sbt_attest::decompress_records(&s.compressed).expect("segment decodes"))
+            .collect(),
+    )
+}
+
+fn pages(dp: &DataPlane) -> u64 {
+    dp.platform().stats().snapshot().tee_pages_committed
+}
+
+/// Egress and retire each window array, in order; the sealed results.
+fn drain_windows(dp: &DataPlane, windows: &[InvokeOutput]) -> Vec<Vec<u8>> {
+    windows
+        .iter()
+        .map(|w| {
+            let msg = in_tee(|| dp.egress(T, w.opaque)).unwrap();
+            in_tee(|| dp.retire(T, w.opaque)).unwrap();
+            msg.ciphertext
+        })
+        .collect()
+}
+
+/// Run every case in both forms on two fresh planes and compare them.
+fn agree(cases: &[Case]) {
+    let (windowed, tripled) = (plane(), plane());
+    let mut raw_pages = 0;
+    for (i, case) in cases.iter().enumerate() {
+        let a = in_tee(|| windowed.call(T, &[case.windowed()])).unwrap();
+        let b = in_tee(|| tripled.call(T, &case.triple())).unwrap();
+        let [Reply::WindowedIngress { events, windows: wa }] = &a[..] else {
+            panic!("case {i}: a windowed ingress replies its windows, got {a:?}")
+        };
+        let Reply::Invoke(wb) = &b[1] else { panic!("case {i}: Segment replies its windows") };
+        assert_eq!(*events as u64, case.events(), "case {i}: event count");
+        let shape = |ws: &[InvokeOutput]| ws.iter().map(|w| (w.window, w.len)).collect::<Vec<_>>();
+        assert_eq!(shape(wa), shape(wb), "case {i}: window ids and lengths");
+        assert_eq!(
+            drain_windows(&windowed, wa),
+            drain_windows(&tripled, wb),
+            "case {i}: window arrays"
+        );
+        raw_pages += TeePager::pages_for(case.events() * EVENT_BYTES as u64);
+    }
+    // The egress records name the window arrays' ids, so equal records mean
+    // equal ids too.
+    let ra = records(&windowed);
+    assert!(ra.iter().any(|r| matches!(r, AuditRecord::Windowing { .. })));
+    assert_eq!(ra, records(&tripled));
+    assert_eq!(windowed.tenant_ingest(T).unwrap(), tripled.tenant_ingest(T).unwrap());
+    let (sa, sb) = (windowed.stats().snapshot(), tripled.stats().snapshot());
+    assert_eq!(
+        (sa.events_ingested, sa.bytes_ingested, sa.audit_records, sa.invocations),
+        (sb.events_ingested, sb.bytes_ingested, sb.audit_records, sb.invocations)
+    );
+    assert_eq!(pages(&tripled) - pages(&windowed), raw_pages, "the raw arrays' pages");
+    for dp in [&windowed, &tripled] {
+        assert_eq!(dp.live_refs(T), 0);
+        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+    }
+}
+
+/// Sizes around the 340-event decrypt window (255 power events), none a
+/// multiple of it, and the empty batch.
+const SIZES: [u32; 7] = [0, 1, 339, 341, 1_000, 2_500, 4_321];
+
+#[test]
+fn fixed_windows_agree_across_sizes_layouts_and_keystreams() {
+    let mut cases = Vec::new();
+    for (i, &n) in SIZES.iter().enumerate() {
+        let from = i as u32 * 700;
+        cases.push(Case::new(n, from, 1_500, false, i as u64));
+        cases.push(Case::new(n, from, 2_500, false, i as u64).encrypted(12_345 + i as u32));
+        cases.push(Case::new(n, from, 1_500, false, i as u64).power());
+        cases.push(Case::new(n, from, 800, false, i as u64).power().encrypted(u32::MAX - 100));
+    }
+    agree(&cases);
+}
+
+#[test]
+fn sliding_windows_and_shuffled_timestamps_agree() {
+    let sliding = WindowSpec::sliding(Duration::from_millis(2_500), Duration::from_secs(1));
+    let mut cases = Vec::new();
+    for (i, &n) in SIZES.iter().enumerate() {
+        let seed = 40 + i as u64;
+        cases.push(Case::new(n, 300, 3_000, true, seed));
+        cases.push(Case::new(n, 300, 3_000, false, seed).windows(sliding));
+        cases.push(Case::new(n, 0, 5_000, true, seed).windows(sliding).encrypted(7));
+        cases.push(Case::new(n, 0, 5_000, true, seed).power().windows(sliding));
+    }
+    agree(&cases);
+}
+
+#[test]
+fn a_payload_of_no_whole_events_is_refused_alike_holding_nothing() {
+    let (windowed, tripled) = (plane(), plane());
+    for (len, is_power) in [(13, false), (11, false), (20, true), (4_081, false)] {
+        let case = Case {
+            payload: vec![7; len],
+            encrypted: false,
+            is_power,
+            keystream_block: 0,
+            spec: WindowSpec::fixed(Duration::from_secs(1)),
+        };
+        let a = in_tee(|| windowed.call(T, &[case.windowed()])).unwrap_err();
+        let b = in_tee(|| tripled.call(T, &case.triple())).unwrap_err();
+        assert!(matches!(a, DataPlaneError::BadIngress(_)), "{len} bytes: {a:?}");
+        assert_eq!(a, b);
+    }
+    for dp in [&windowed, &tripled] {
+        assert_eq!(dp.live_refs(T), 0);
+        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+        assert_eq!(dp.platform().secure_mem().in_use(), 0);
+        assert_eq!(pages(dp), 0);
+        assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
+        assert!(records(dp).is_empty());
+    }
+}

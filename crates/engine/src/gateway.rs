@@ -10,17 +10,19 @@
 //! # One crossing per command list
 //!
 //! The gateway has one way in: [`TeeGateway::call`] takes a list of
-//! [`Command`]s — ingress, watermark, invoke, egress, retire, checkpoint,
-//! restore — and runs the whole list inside **one** SMC
+//! [`Command`]s — ingress (windowed or raw), watermark, invoke, egress,
+//! retire, checkpoint, restore — and runs the whole list inside **one** SMC
 //! invocation, metered as one world switch at the platform's unchanged
 //! price. Commands are data, not closures (the untrusted side never hands
 //! the secure world code), and a command may name an output of an earlier
 //! command of the same list ([`sbt_dataplane::Arg::Out`]), so the engine
 //! pays the boundary once per step of work rather than once per primitive:
 //!
-//! * a group of n batches is `[Ingress, Invoke(Segment, Out 3i),
-//!   Retire(Out 3i)]` for each batch i — a lone batch is a group of one; a
-//!   server lane sends a window's batches as one group;
+//! * a group of n batches is one `WindowedIngress` per batch, each
+//!   decrypted straight into its window arrays (what `[Ingress,
+//!   Invoke(Segment, Out 0), Retire(Out 0)]` leaves, without the raw
+//!   array) — a lone batch is a group of one; a server lane sends a
+//!   window's batches as one group;
 //! * a fire's partitions run in at most W lists, each `[Invoke(op, r),
 //!   Retire(r)]` for each transform and, for a keyed reduce, its Sort, of
 //!   each of its partitions;
@@ -149,11 +151,13 @@ impl TeeGateway {
     /// via-OS delivery adds its own switch and copy). A list that succeeds
     /// is charged to this gateway's cost meter — its batches as one
     /// [`CycleCost::ingest_list`], its primitives and egress per record and
-    /// byte; a failed list charges nothing.
+    /// byte, a windowed batch's window arrays per record as the `Segment`
+    /// that made them once was; a failed list charges nothing.
     pub fn call(&self, cmds: &[Command<'_>]) -> Result<Vec<Reply>, DataPlaneError> {
         let via_os = self.via_os();
         for cmd in cmds {
-            if let Command::Ingress { payload, .. } = cmd {
+            if let Command::Ingress { payload, .. } | Command::WindowedIngress { payload, .. } = cmd
+            {
                 if via_os {
                     // The OS-mediated delivery crosses the boundary once
                     // more and copies the payload across it.
@@ -171,6 +175,10 @@ impl TeeGateway {
                 (Command::Ingress { payload, .. }, Reply::Ingress(ingested)) => {
                     Some((payload.len() as u64, ingested.len as u64))
                 }
+                (
+                    Command::WindowedIngress { payload, .. },
+                    Reply::WindowedIngress { events, .. },
+                ) => Some((payload.len() as u64, *events as u64)),
                 _ => None,
             })
             .peekable();
@@ -178,7 +186,7 @@ impl TeeGateway {
         let work: u64 = replies
             .iter()
             .map(|reply| match reply {
-                Reply::Invoke(outputs) => {
+                Reply::Invoke(outputs) | Reply::WindowedIngress { windows: outputs, .. } => {
                     outputs.iter().map(|o| o.len as u64).sum::<u64>() * CycleCost::PROCESS_RECORD
                 }
                 Reply::Egress(msg) => msg.ciphertext.len() as u64 * CycleCost::ENCRYPT_BYTE,
@@ -357,6 +365,52 @@ mod tests {
             let Reply::Ingress(out) = reply else { panic!("an ingress reply") };
             gw.retire(out.opaque).unwrap();
         }
+    }
+
+    #[test]
+    fn a_windowed_batch_is_charged_what_its_segmented_batch_was() {
+        // One windowed ingress against `[Ingress, Segment, Retire]` of the
+        // same batch: the same ingest share and the same per-record charge
+        // for the window arrays, so deficit round-robin charges the same.
+        let events: Vec<Event> = (0..1_000).map(|i| Event::new(i % 5, i, i * 2)).collect();
+        let payload = Event::slice_to_bytes(&events);
+        let spec = sbt_types::WindowSpec::fixed(sbt_types::Duration::from_millis(700));
+        let (windowed, tripled) = (gateway(), gateway());
+        let _ = (windowed.drain_cost(), tripled.drain_cost());
+        let replies = windowed
+            .call(&[Command::WindowedIngress {
+                payload: &payload,
+                encrypted: false,
+                is_power: false,
+                keystream_block: 0,
+                spec,
+            }])
+            .unwrap();
+        assert_eq!(replies[0].outputs().len(), 3, "the batch spans three windows");
+        tripled
+            .call(&[
+                Command::Ingress {
+                    payload: &payload,
+                    encrypted: false,
+                    is_power: false,
+                    keystream_block: 0,
+                },
+                Command::Invoke {
+                    op: PrimitiveKind::Segment,
+                    inputs: vec![Arg::out(0)],
+                    params: PrimitiveParams::Window(spec),
+                    hints: HintSet::none(),
+                },
+                Command::Retire(Arg::out(0)),
+            ])
+            .unwrap();
+        let charged = windowed.drain_cost();
+        assert_eq!(charged, tripled.drain_cost());
+        assert_eq!(
+            charged,
+            windowed.ingest_cost([(payload.len() as u64, 1_000)])
+                + 1_000 * CycleCost::PROCESS_RECORD
+        );
     }
 
     #[test]

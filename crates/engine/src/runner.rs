@@ -16,7 +16,9 @@
 //! pressure, and collects uploadable results and audit segments.
 //!
 //! Batches enter through one call, [`Engine::ingest_group`]: a group of
-//! batches is one command list, so one crossing. [`Engine::ingest_many`]
+//! batches is one command list, so one crossing, and the TEE decrypts each
+//! batch straight into its window arrays, so an event's pages are committed
+//! once, in the array the window's fire reads. [`Engine::ingest_many`]
 //! cuts its deliveries the way a fire cuts its partitions, into at most W
 //! contiguous groups run on the pool.
 //!
@@ -49,11 +51,11 @@ use crate::steps::Steps;
 use parking_lot::Mutex;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
-    Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, OpaqueRef,
-    PrimitiveParams, Reply, RestoredTenant, SealedSnapshot, WindowManifest,
+    Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, OpaqueRef, Reply,
+    RestoredTenant, SealedSnapshot, WindowManifest,
 };
 use sbt_telemetry::{LatencyKind, MetricsRegistry, SpanKind};
-use sbt_types::{PrimitiveKind, TenantId, Watermark, WindowId};
+use sbt_types::{TenantId, Watermark, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::HintSet;
 use sbt_workloads::transport::Delivery;
@@ -230,11 +232,11 @@ impl Engine {
     }
 
     /// Ingest a group of batches on one stream side in **one** crossing:
-    /// one command list, `[Ingress, Segment, Retire]` per batch (a lone
-    /// batch is a group of one). Each
+    /// one command list, a `WindowedIngress` per batch (a lone batch is a
+    /// group of one), each decrypted straight into its window arrays. Each
     /// batch's windowed partitions join their windows in delivery order.
     /// The list is one transaction: a group the TEE rejects part-way — batch
-    /// j's windowing trips the tenant's quota, say — is unwound there whole,
+    /// j's window arrays trip the tenant's quota, say — is unwound there whole,
     /// so no array, record or ingest count of *any* of its batches survives,
     /// and the one error is returned.
     pub fn ingest_group(
@@ -296,8 +298,8 @@ impl Engine {
     }
 
     /// The one ingest list builder, one crossing: for each batch, deliver
-    /// its bytes to the TEE, segment them into windows and retire the raw
-    /// ingress uArray. Returns every batch's windowed partitions, in
+    /// its bytes to the TEE, which decrypts them straight into their
+    /// window arrays. Returns every batch's windowed partitions, in
     /// delivery order.
     fn ingest_list(
         gateway: &TeeGateway,
@@ -306,35 +308,23 @@ impl Engine {
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
         let cmds: Vec<Command<'_>> = deliveries
             .iter()
-            .enumerate()
-            .flat_map(|(i, delivery)| {
-                let ingress = 3 * i;
-                [
-                    Command::Ingress {
-                        payload: &delivery.wire_bytes,
-                        encrypted: delivery.encrypted,
-                        is_power: delivery.is_power,
-                        keystream_block: delivery.keystream_block,
-                    },
-                    Command::Invoke {
-                        op: PrimitiveKind::Segment,
-                        inputs: vec![Arg::out(ingress)],
-                        params: PrimitiveParams::Window(spec),
-                        hints: HintSet::none(),
-                    },
-                    Command::Retire(Arg::out(ingress)),
-                ]
+            .map(|delivery| Command::WindowedIngress {
+                payload: &delivery.wire_bytes,
+                encrypted: delivery.encrypted,
+                is_power: delivery.is_power,
+                keystream_block: delivery.keystream_block,
+                spec,
             })
             .collect();
         Ok(gateway
             .call(&cmds)?
             .into_iter()
             .filter_map(|reply| match reply {
-                Reply::Invoke(windows) => Some(windows),
+                Reply::WindowedIngress { windows, .. } => Some(windows),
                 _ => None,
             })
             .flatten()
-            .map(|out| (out.window.expect("Segment outputs carry window ids"), out.opaque))
+            .map(|out| (out.window.expect("window arrays carry window ids"), out.opaque))
             .collect())
     }
 
@@ -1099,15 +1089,18 @@ mod tests {
         assert_eq!(engine.metrics().windows.len(), 0);
     }
 
-    /// An engine for a tenant whose quota fits the raw ingress array of a
-    /// 2 000-event batch (~6 pages) but not ingress + its windowed copy, so
-    /// windowing is rejected; and a generator of one such batch and its
-    /// watermark.
+    /// The quota of [`quota_tripping_tenant`]: 6 pages.
+    const TRIP_QUOTA: u64 = 6 * 4096;
+
+    /// An engine for a tenant whose 6-page quota is smaller than the
+    /// windowed copy of a 2 500-event batch (30 000 bytes, 8 pages), so the
+    /// ingress pre-check refuses the batch before it holds a page; and a
+    /// generator of one such batch and its watermark.
     fn quota_tripping_tenant() -> (Arc<Engine>, Arc<DataPlane>, Generator) {
         let config = EngineConfig::for_variant(EngineVariant::Sbt, 1);
         let platform = sbt_tz::Platform::new(config.platform_config());
         let dp = sbt_dataplane::DataPlane::new(platform, config.dataplane.clone());
-        dp.register_tenant(TenantId(1), Some(8 * 4096)).unwrap();
+        dp.register_tenant(TenantId(1), Some(TRIP_QUOTA)).unwrap();
         let engine = Engine::for_tenant(
             config,
             Pipeline::winsum_benchmark().batch_events(10_000),
@@ -1115,34 +1108,83 @@ mod tests {
             TenantId(1),
             Arc::new(Executor::new(1)),
         );
-        let chunks = synthetic_stream(1, 2_000, 16, 1);
+        let chunks = synthetic_stream(1, 2_500, 16, 1);
         let generator =
-            Generator::new(GeneratorConfig { batch_events: 2_000 }, Channel::cleartext(), chunks);
+            Generator::new(GeneratorConfig { batch_events: 2_500 }, Channel::cleartext(), chunks);
         (engine, dp, generator)
+    }
+
+    /// Check that the batches a quota-tripping tenant was refused left
+    /// nothing: no used byte, no live reference, no ingested event, and a
+    /// trail that verifies and replays with no violation (no unwindowed
+    /// ingress) and holds the watermark the caller advanced.
+    fn assert_no_residue(engine: &Engine, dp: &DataPlane) {
+        assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
+        assert_eq!(dp.live_refs(TenantId(1)), 0);
+        assert_eq!(engine.metrics().events_ingested, 0);
+        let keys = dp.verifier_keys(TenantId(1)).unwrap();
+        let records =
+            sbt_attest::verify_tenant_trail(&engine.drain_audit_segments(), TenantId(1), &keys)
+                .expect("the trail verifies");
+        assert!(!records.is_empty(), "the watermark is on the trail");
+        let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
+        assert!(replay.is_correct(), "violations: {:?}", replay.violations);
+    }
+
+    /// The 4 KiB secure pages the tenant's platform has committed so far.
+    fn pages_committed(dp: &DataPlane) -> u64 {
+        dp.platform().stats().snapshot().tee_pages_committed
     }
 
     #[test]
     fn quota_rejected_ingest_leaves_no_residue() {
-        // The already-ingested array must be released, not leaked.
+        // The pre-check refuses the batch: its windowed copy alone is over
+        // the quota, so not a page is committed.
         let (engine, dp, mut generator) = quota_tripping_tenant();
         let Some(Offer::Batch(delivery)) = generator.next_offer() else {
             panic!("first offer is a batch")
         };
+        let Some(Offer::Watermark(wm)) = generator.next_offer() else {
+            panic!("the watermark follows")
+        };
+        assert!(DataPlane::ingress_charge(delivery.event_count as u64) > TRIP_QUOTA);
+        let before = pages_committed(&dp);
         let err = engine.ingest_group(&[delivery], StreamSide::Left).unwrap_err();
         assert_eq!(err, DataPlaneError::QuotaExceeded);
-        assert_eq!(dp.tenant_memory(TenantId(1)).unwrap().used_bytes, 0);
-        assert_eq!(dp.live_refs(TenantId(1)), 0);
-        // The batch entered the TEE (its ingress fit the quota) but was
-        // dropped when windowing was rejected, so its events never reach
-        // the tenant's ingest counters: nothing reached windowed state.
-        assert_eq!(engine.metrics().events_ingested, 0);
+        assert_eq!(pages_committed(&dp), before, "refused before it held a page");
+        engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
+        assert_no_residue(&engine, &dp);
+    }
+
+    #[test]
+    fn a_batch_straddling_two_windows_trips_the_budget_mid_production() {
+        // 2 000 events fit the pre-check (24 000 bytes, 6 pages), but they
+        // straddle two windows: 1 100 in the first (13 200 bytes, 4 pages)
+        // and 900 in the second (10 800 bytes, 3 pages). The second window
+        // crosses the 6-page budget while it is produced, and the pages
+        // already committed are released.
+        let (engine, dp, _) = quota_tripping_tenant();
+        let ts = |i: u32| if i < 1_100 { i * 900 / 1_100 } else { 1_000 + (i - 1_100) };
+        let chunk = sbt_workloads::datasets::StreamChunk {
+            events: (0..2_000).map(|i| sbt_types::Event::new(i % 16, i, ts(i))).collect(),
+            power_events: Vec::new(),
+            watermark: Watermark::from_millis(2_000),
+        };
+        let delivery = Channel::cleartext().send(&chunk);
+        assert!(DataPlane::ingress_charge(delivery.event_count as u64) <= TRIP_QUOTA);
+        let before = pages_committed(&dp);
+        let err = engine.ingest_group(&[delivery], StreamSide::Left).unwrap_err();
+        assert_eq!(err, DataPlaneError::QuotaExceeded);
+        assert!(pages_committed(&dp) > before, "the windows committed pages before the trip");
+        engine.advance_watermark_on(chunk.watermark, StreamSide::Left).unwrap();
+        assert_no_residue(&engine, &dp);
     }
 
     #[test]
     fn a_failed_batch_strands_none_of_the_batches_after_it() {
         // `ingest_many` of four batches on W = 2 (the one worker and the
         // joining thread) runs the lists [mate, rejected] and [a1, a2]. The
-        // quota refuses `rejected` (its ingress alone is larger than the
+        // quota refuses `rejected` (its windowed copy alone is larger than the
         // quota, so it is refused before it holds a page, whatever the other
         // list holds meanwhile) and its list-mate with it; the call reports
         // the rejection, and the other list's partitions are still fired and
@@ -1192,28 +1234,29 @@ mod tests {
 
     #[test]
     fn a_quota_tripped_batch_leaves_an_honest_trail() {
-        // The same quota trip, seen by the cloud: the rejected batch leaves
-        // no record, so the tenant's trail verifies and replays with no
-        // violation (no unwindowed ingress).
+        // The same quota trip inside a group, seen by the cloud: the
+        // rejected batch takes the batch ahead of it in its list down too,
+        // and neither leaves a record, so the tenant's trail verifies and
+        // replays with no violation.
         let (engine, dp, mut generator) = quota_tripping_tenant();
-        while let Some(offer) = generator.next_offer() {
-            match offer {
-                Offer::Batch(delivery) => {
-                    assert_eq!(
-                        engine.ingest_group(&[delivery], StreamSide::Left),
-                        Err(DataPlaneError::QuotaExceeded)
-                    );
-                }
-                Offer::Watermark(wm) => engine.advance_watermark_on(wm, StreamSide::Left).unwrap(),
-            }
-        }
-        let keys = dp.verifier_keys(TenantId(1)).unwrap();
-        let records =
-            sbt_attest::verify_tenant_trail(&engine.drain_audit_segments(), TenantId(1), &keys)
-                .expect("the trail verifies");
-        assert!(!records.is_empty(), "the watermark is on the trail");
-        let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
-        assert!(replay.is_correct(), "violations: {:?}", replay.violations);
+        let Some(Offer::Batch(rejected)) = generator.next_offer() else {
+            panic!("first offer is a batch")
+        };
+        let Some(Offer::Watermark(wm)) = generator.next_offer() else {
+            panic!("the watermark follows")
+        };
+        let mut small = Generator::new(
+            GeneratorConfig { batch_events: 100 },
+            Channel::cleartext(),
+            synthetic_stream(1, 100, 16, 2),
+        );
+        let Some(Offer::Batch(mate)) = small.next_offer() else { panic!("first offer is a batch") };
+        assert_eq!(
+            engine.ingest_group(&[mate, rejected], StreamSide::Left),
+            Err(DataPlaneError::QuotaExceeded)
+        );
+        engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
+        assert_no_residue(&engine, &dp);
     }
 
     #[test]

@@ -42,10 +42,10 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
     // A one-worker TopK engine: W = 2 (the worker and the joining thread),
     // so window 0's partitions [2 000, 20 000, 2 000, 2 000] events run as
     // the lists [p0, p1] and [p2, p3]. In pages: the partitions hold
-    // 6 + 59 + 6 + 6 = 77, ingesting p1 peaks at 124 (its raw array beside
-    // its windowed copy), sorting p0 or p2 needs 77 + 6, and sorting p1
-    // 77 + 59 = 136. A 130-page quota admits every batch and trips at p1's
-    // sort, the second partition of its list.
+    // 6 + 59 + 6 + 6 = 77 (each batch is decrypted straight into its
+    // window, so ingest never holds more), sorting p0 or p2 needs 77 + 6,
+    // and sorting p1 77 + 59 = 136. A 130-page quota admits every batch
+    // and trips at p1's sort, the second partition of its list.
     let config = EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1);
     let dp = DataPlane::new(Platform::new(config.platform_config()), config.dataplane.clone());
     dp.register_tenant(TENANT, Some(130 * PAGE)).unwrap();

@@ -556,15 +556,14 @@ impl Lane {
     }
 
     /// How many staged batches the next group takes: as many as fit the
-    /// tenant's quota headroom, read once. A batch commits
-    /// [`DataPlane::ingress_charge`] for its windowed copy, and as much
-    /// again for its raw array until the list retires it, beside what the
-    /// batches ahead of it committed. When not even the first batch fits,
-    /// a batch that only waits for headroom goes alone: should the data
-    /// plane refuse it, the lane risks one batch, not the window, and
-    /// sends groups of one until one is accepted. Batches too big for the
-    /// whole quota are refused in any group, so they go together, for one
-    /// penalty.
+    /// tenant's quota headroom, read once. A batch is decrypted straight
+    /// into its windows, so it commits [`DataPlane::ingress_charge`] once,
+    /// beside what the batches ahead of it committed. When not even the
+    /// first batch fits, a batch that only waits for headroom goes alone:
+    /// should the data plane refuse it, the lane risks one batch, not the
+    /// window, and sends groups of one until one is accepted. Batches too
+    /// big for the whole quota are refused in any group, so they go
+    /// together, for one penalty.
     fn group_len(&self) -> usize {
         let memory = self.engine.data_plane().tenant_memory(self.tenant).ok();
         let headroom = memory.map_or(u64::MAX, |memory| memory.headroom_bytes());
@@ -576,13 +575,13 @@ impl Lane {
             .iter()
             .take_while(|delivery| {
                 committed = committed.saturating_add(charge(delivery));
-                committed.saturating_add(charge(delivery)) <= headroom
+                committed <= headroom
             })
             .count();
         if fit > 0 {
             return fit;
         }
-        self.staged.iter().take_while(|delivery| 2 * charge(delivery) > quota).count().max(1)
+        self.staged.iter().take_while(|delivery| charge(delivery) > quota).count().max(1)
     }
 }
 
@@ -1130,12 +1129,12 @@ mod tests {
 
     #[test]
     fn a_group_stops_at_the_tenants_headroom() {
-        // A 500-event batch commits 2 pages (its windowed copy) and 2 more
-        // while its raw array lives, so a window of 6 batches ingests in
-        // 14 pages as one group. The quota is 24 pages, and 16 of them are
-        // held by another array when the window is offered: its headroom
-        // fits a group of 3 (3 × 2 + 2 pages), the rest lands once the
-        // array is retired, and no batch is refused.
+        // A 500-event batch commits 2 pages, its windowed copy, so a
+        // window of 6 batches ingests in 12 pages as one group. The quota
+        // is 24 pages, and 16 of them are held by another array when the
+        // window is offered: its headroom fits a group of 4 (4 × 2 pages),
+        // the rest lands once the array is retired, and no batch is
+        // refused.
         const PAGE: u64 = 4096;
         let server = StreamServer::new(ServerConfig::default().with_drr_quantum(1 << 40));
         let a = server.admit(TenantConfig::new("a", 24 * PAGE), pipeline("a")).unwrap();
@@ -1157,10 +1156,10 @@ mod tests {
         assert_eq!(dp.tenant_memory(a).unwrap().headroom_bytes(), 8 * PAGE);
 
         lane.offer(&mut ctx.drr, &executor);
-        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 3);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 4);
         in_tee(|| dp.retire(a, held)).unwrap();
         lane.offer(&mut ctx.drr, &executor);
-        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 3);
+        assert_eq!(settle_group(lane, &mut ctx, Ok(IngestStatus::Accepted)), 2);
         assert!(lane.staged.is_empty() && lane.pending_wm.is_some());
         assert_eq!(lane.accepted_batches, 6);
         assert_eq!(lane.rejected_batches, 0);
@@ -1170,8 +1169,8 @@ mod tests {
 
     #[test]
     fn a_lane_short_of_headroom_risks_one_batch_not_the_window() {
-        // The quota is 24 pages and 21 are held by another array, so not
-        // even the first batch of the 6-batch window fits (4 pages): the
+        // The quota is 24 pages and 23 are held by another array, so not
+        // even the first batch of the 6-batch window fits (2 pages): the
         // lane sends it alone, the data plane refuses it, and the lane
         // keeps to groups of one until the array is retired. Two batches
         // are lost, not the window.
@@ -1189,12 +1188,12 @@ mod tests {
             f()
         }
         let events: Vec<sbt_types::Event> =
-            (0..21 * PAGE as u32 / 12).map(|i| sbt_types::Event::new(i, i, 0)).collect();
+            (0..23 * PAGE as u32 / 12).map(|i| sbt_types::Event::new(i, i, 0)).collect();
         let held =
             in_tee(|| dp.ingress(a, &sbt_types::Event::slice_to_bytes(&events), false, false, 0))
                 .unwrap()
                 .opaque;
-        assert_eq!(dp.tenant_memory(a).unwrap().headroom_bytes(), 3 * PAGE);
+        assert_eq!(dp.tenant_memory(a).unwrap().headroom_bytes(), PAGE);
         // Land the group in flight with the outcome the data plane gave it.
         let mut land = |lane: &mut Lane| {
             for _ in 0..4 {
