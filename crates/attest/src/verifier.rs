@@ -23,8 +23,12 @@
 //!   are violations. Consumed-after hints whose promised consumption order
 //!   contradicts the observed execution order are counted as misleading.
 //!
-//! The control plane parallelizes work (partitions sorted apart, then
-//! gathered by a k-way merge), so a window's dataflow is a DAG. The
+//! A window array grows in place: each batch routed to it leaves a
+//! `Windowing` record naming the same output, which is accepted while the
+//! array is unconsumed and under the window it opened in; an append after
+//! its consumption, or under another window, is a violation. The control
+//! plane parallelizes work (a window's arrays sorted apart, then gathered
+//! by a k-way merge), so a window's dataflow is a DAG. The
 //! declaration lists *required stages* in order, plus *structural*
 //! primitives (Merge, Concat, …) allowed anywhere between them; the replay
 //! checks that every root's dataflow progresses monotonically through the
@@ -96,6 +100,22 @@ impl PipelineSpec {
 pub enum Violation {
     /// An ingested data uArray never reached the Windowing primitive.
     UnwindowedIngress(UArrayRef),
+    /// A batch was appended to a window array after that array was
+    /// consumed: no result can hold the batch.
+    AppendAfterConsumption {
+        /// The window array.
+        array: UArrayRef,
+        /// The window the append names.
+        win_no: u16,
+    },
+    /// A batch was appended to an array that opened under another window
+    /// (or is no window array at all).
+    CrossWindowAppend {
+        /// The array appended to.
+        array: UArrayRef,
+        /// The window the append names.
+        win_no: u16,
+    },
     /// A primitive consumed a uArray the data plane never produced/ingested.
     UnknownInput {
         /// The offending primitive.
@@ -296,9 +316,20 @@ impl Verifier {
                     array.windowed = true;
                     array.first_consumed_at.get_or_insert(*ts_ms);
                     let root = arrays.entry(*output).or_default();
-                    root.lineage = Some(Lineage { passed: 0, root: *output, win_no: *win_no });
+                    let (array, win_no) = (*output, *win_no);
+                    match root.lineage {
+                        // A later batch appended to an open window array.
+                        Some(l) if l.root != array || l.win_no != win_no => {
+                            violations.push(Violation::CrossWindowAppend { array, win_no })
+                        }
+                        Some(_) if root.first_consumed_at.is_some() => {
+                            violations.push(Violation::AppendAfterConsumption { array, win_no })
+                        }
+                        Some(_) => {}
+                        None => root.lineage = Some(Lineage { passed: 0, root: array, win_no }),
+                    }
                     root.produced_at = Some(*ts_ms);
-                    windows.entry(*win_no).or_insert_with(|| vec![false; stages.len()]);
+                    windows.entry(win_no).or_insert_with(|| vec![false; stages.len()]);
                 }
                 AuditRecord::Execution { ts_ms, op, inputs, outputs, hints } => {
                     for input in inputs {
@@ -981,5 +1012,87 @@ mod tests {
         );
         assert!(custom.is_structural(PrimitiveKind::Concat));
         assert!(!custom.is_structural(PrimitiveKind::Merge));
+    }
+
+    /// A window of two batches appended to one array `A` (id 10), sorted,
+    /// summed and egressed; `tail` is spliced in after the sort.
+    fn appended_window(tail: &[AuditRecord]) -> Vec<AuditRecord> {
+        let array = UArrayRef(10);
+        let batch = |id: u32, ts_ms: u32| {
+            [
+                AuditRecord::Ingress { ts_ms, data: DataRef::UArray(UArrayRef(id)) },
+                AuditRecord::Windowing { ts_ms, input: UArrayRef(id), win_no: 0, output: array },
+            ]
+        };
+        let exec = |op, input: u32, output: u32| AuditRecord::Execution {
+            ts_ms: 5,
+            op,
+            inputs: [UArrayRef(input)].into(),
+            outputs: [UArrayRef(output)].into(),
+            hints: vec![],
+        };
+        let mut records = Vec::new();
+        records.extend(batch(1, 1));
+        records.extend(batch(2, 2));
+        records.push(AuditRecord::Ingress { ts_ms: 3, data: DataRef::Watermark(1_000) });
+        records.push(exec(PrimitiveKind::Sort, 10, 11));
+        records.extend_from_slice(tail);
+        records.push(exec(PrimitiveKind::Sum, 11, 12));
+        records.push(AuditRecord::Egress { ts_ms: 6, data: UArrayRef(12) });
+        records
+    }
+
+    #[test]
+    fn an_honest_appended_window_replays_clean() {
+        let report = Verifier::new(spec()).replay(&appended_window(&[]));
+        assert!(report.is_correct(), "violations: {:?}", report.violations);
+        assert_eq!((report.ingested_uarrays, report.egressed), (2, 1));
+    }
+
+    #[test]
+    fn an_append_to_a_consumed_array_is_flagged() {
+        // A third batch appended to A after its Sort consumed it: no result
+        // can hold that batch.
+        let late = [
+            AuditRecord::Ingress { ts_ms: 5, data: DataRef::UArray(UArrayRef(3)) },
+            AuditRecord::Windowing {
+                ts_ms: 5,
+                input: UArrayRef(3),
+                win_no: 0,
+                output: UArrayRef(10),
+            },
+        ];
+        let report = Verifier::new(spec()).replay(&appended_window(&late));
+        assert_eq!(
+            report.violations,
+            vec![Violation::AppendAfterConsumption { array: UArrayRef(10), win_no: 0 }]
+        );
+    }
+
+    #[test]
+    fn an_append_under_another_window_is_flagged() {
+        // The second batch names window 1 for the array window 0 opened.
+        let mut records = appended_window(&[]);
+        let AuditRecord::Windowing { win_no, .. } = &mut records[3] else { unreachable!() };
+        *win_no = 1;
+        let report = Verifier::new(spec()).replay(&records);
+        assert!(
+            report
+                .violations
+                .contains(&Violation::CrossWindowAppend { array: UArrayRef(10), win_no: 1 }),
+            "violations: {:?}",
+            report.violations
+        );
+        // An append to an array no window opened — a sort's output — too.
+        let stray = [AuditRecord::Windowing {
+            ts_ms: 5,
+            input: UArrayRef(2),
+            win_no: 0,
+            output: UArrayRef(11),
+        }];
+        let report = Verifier::new(spec()).replay(&appended_window(&stray));
+        assert!(report
+            .violations
+            .contains(&Violation::CrossWindowAppend { array: UArrayRef(11), win_no: 0 }));
     }
 }

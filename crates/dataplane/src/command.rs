@@ -81,11 +81,14 @@ pub enum Command<'a> {
         /// CTR block offset the source encrypted the payload at.
         keystream_block: u32,
     },
-    /// Ingest a batch straight into its windows: what `Ingress`, a
-    /// `Segment` of its output and a `Retire` of it leave behind — the same
-    /// window arrays, ids, records and counts — without the batch's own
-    /// array. The batch id is still minted first and named by the trail's
-    /// `Ingress` and `Windowing` records, but no array is stored under it.
+    /// Ingest a batch straight into its windows: each window's slice is
+    /// appended to the tenant's one open array for that (window, `side`,
+    /// `lane`), which the batch opens if it is the first to reach it. The
+    /// batch id is minted first and named by the trail's `Ingress` and
+    /// `Windowing` records, but no array is stored under it. While the
+    /// list runs it holds the arrays it appends to: another list that
+    /// names one of them fails with `BadArguments`, and if this list fails
+    /// each is cut back to its length before the list.
     WindowedIngress {
         /// The batch's wire bytes.
         payload: &'a [u8],
@@ -97,6 +100,12 @@ pub enum Command<'a> {
         keystream_block: u32,
         /// The windows the batch's events are cut into.
         spec: WindowSpec,
+        /// The stream side the batch belongs to (0, or 1 for a join's
+        /// secondary stream).
+        side: u8,
+        /// The appender: one array per (window, side, lane), so appenders
+        /// running at once never share one.
+        lane: u32,
     },
     /// Ingest a watermark.
     Watermark(Watermark),
@@ -115,7 +124,8 @@ pub enum Command<'a> {
     Egress(Arg),
     /// Retire a reference.
     Retire(Arg),
-    /// Seal a checkpoint of the tenant's windowed state (alone in its list).
+    /// Seal a checkpoint of the tenant's window arrays and the control
+    /// plane's cursor (alone in its list).
     Checkpoint(&'a CheckpointManifest),
     /// Restore the tenant from a sealed checkpoint (alone in its list).
     Restore {
@@ -180,7 +190,8 @@ pub enum Reply {
     WindowedIngress {
         /// The batch's event count.
         events: usize,
-        /// Its window arrays, in window order.
+        /// The window arrays it appended to, in window order: each one's
+        /// reference (the same for every batch the array holds) and length.
         windows: Vec<InvokeOutput>,
     },
     /// The primitive's outputs.
@@ -241,6 +252,8 @@ mod tests {
             is_power: false,
             keystream_block: 0,
             spec: WindowSpec::Global,
+            side: 0,
+            lane: 0,
         };
         assert!(check(&[windowed, retire(Arg::Out { cmd: 0, idx: 2 })]).is_ok());
         assert!(check(&[ingress, retire(Arg::Out { cmd: 0, idx: 1 })]).is_err());

@@ -56,6 +56,6 @@ pub use error::DataPlaneError;
 pub use opaque::OpaqueRef;
 pub use params::{InvokeOutput, PrimitiveParams};
 pub use plane::{DataPlane, DataPlaneConfig, TenantMemory, TenantTeardown, AUDIT_SEGMENT_RECORDS};
-pub use snapshot::{CheckpointManifest, RestoredTenant, SealedSnapshot, WindowManifest};
+pub use snapshot::{CheckpointManifest, RestoredTenant, SealedSnapshot, WindowArray};
 pub use stats::{DataPlaneStats, InvocationBreakdown};
 pub use store::StoredData;

@@ -23,7 +23,11 @@
 //!   under) the tenant id, so the cloud verifies each trail independently;
 //! * a per-tenant **memory quota** enforced by the uArray allocator, whose
 //!   ledger charges every array to its owner — a tenant that fills its
-//!   quota is rejected without disturbing the others' committed memory.
+//!   quota is rejected without disturbing the others' committed memory;
+//! * a per-tenant **window map**: one open array per (window, stream side,
+//!   ingest lane), grown in place by every batch that lane routes to the
+//!   window, until a consumer (the window's fire) seals it and takes it
+//!   out. The map is what a checkpoint snapshots.
 //!
 //! Every entry point names the tenant it acts for. Single-pipeline
 //! deployments (the paper's setting) pass [`TenantId::DEFAULT`], which is
@@ -51,13 +55,13 @@ use parking_lot::{Mutex, RwLock};
 use sbt_attest::{AuditLog, AuditRecord, DepartureReason, LogSegment};
 use sbt_crypto::{Key128, KeySet, MasterSecret, Nonce, SigningKey, TenantKeychain};
 use sbt_telemetry::MetricsRegistry;
-use sbt_types::{LanePool, TenantId, WindowId};
+use sbt_types::{Event, LanePool, TenantId, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::{
-    Allocator, AllocatorConfig, ConsumptionHint, HintSet, MemoryReport, TeePager, UArrayId,
+    Allocator, AllocatorConfig, ConsumptionHint, HintSet, MemoryReport, TeePager, UArray, UArrayId,
     PAGE_SIZE,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,10 +118,26 @@ struct AllocState {
     next_id: UArrayId,
 }
 
+/// A window array's place in its tenant's window map: the window, the
+/// stream side and the ingest lane that append to it.
+type WindowKey = (WindowId, u8, u32);
+
+/// A window array of a tenant's window map.
+struct WindowSlot {
+    id: UArrayId,
+    /// The reference minted when it opened; every batch appended to it
+    /// replies with it.
+    opaque: OpaqueRef,
+    /// The open array; `None` while a command list holds it to append.
+    array: Option<UArray<Event>>,
+}
+
 /// The per-tenant namespace inside the TEE.
 struct TenantState {
     /// The tenant's private opaque-reference table.
     refs: RefTable,
+    /// The tenant's window arrays.
+    windows: BTreeMap<WindowKey, WindowSlot>,
     /// The tenant's current-epoch key set (source decrypt, cloud encrypt,
     /// trail signing). Replaced wholesale on rekey.
     keys: KeySet,
@@ -145,11 +165,27 @@ struct TenantState {
 }
 
 impl TenantState {
+    /// Take window array `id` out of the map for its consumer, sealed: no
+    /// batch can append to it from here on. `None` when `id` is no window
+    /// array; refused while a command list is appending to it.
+    fn take_window(&mut self, id: UArrayId) -> Result<Option<UArray<Event>>, DataPlaneError> {
+        let Some((&key, slot)) = self.windows.iter().find(|(_, w)| w.id == id) else {
+            return Ok(None);
+        };
+        if slot.array.is_none() {
+            return Err(DataPlaneError::BadArguments("a command list is appending to this array"));
+        }
+        let mut array = self.windows.remove(&key).and_then(|w| w.array).expect("checked open");
+        array.seal();
+        Ok(Some(array))
+    }
+
     /// A fresh namespace for `tenant`: no references, counters at zero,
     /// its trail in `audit`.
     fn new(tenant: TenantId, keys: KeySet, audit: AuditLog) -> Self {
         TenantState {
             refs: RefTable::new(reference_seed(tenant)),
+            windows: BTreeMap::new(),
             keys,
             audit,
             segments: Vec::new(),
@@ -615,12 +651,23 @@ impl DataPlane {
         id
     }
 
+    /// Resolve a reference to its array. An open window array is consumed
+    /// here: sealed, out of the window map and into the store.
     fn lookup(
         &self,
         ts: &Mutex<TenantState>,
         r: OpaqueRef,
     ) -> Result<(UArrayId, Arc<StoredData>), DataPlaneError> {
-        let id = ts.lock().refs.resolve(r)?;
+        let (id, window) = {
+            let mut t = ts.lock();
+            let id = t.refs.resolve(r)?;
+            (id, t.take_window(id)?)
+        };
+        if let Some(array) = window {
+            let data = Arc::new(StoredData::Events(array));
+            self.store.write().insert(id, data.clone());
+            return Ok((id, data));
+        }
         let store = self.store.read();
         let data = store.get(&id).cloned().ok_or(DataPlaneError::InvalidReference)?;
         Ok((id, data))

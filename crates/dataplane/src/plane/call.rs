@@ -9,14 +9,16 @@
 //! departed meanwhile.
 //!
 //! A list that fails publishes nothing. `call` returns the error alone,
-//! releases every output the list produced, and retires every held
-//! reference the list names in a `Retire`, whether or not that command ran.
-//! An egress sequence number the list took is given back if no other list
-//! took one since. Retires themselves are not deferred: a window's tail
-//! list frees each input as soon as it is consumed.
+//! releases every output the list produced, cuts every window array it
+//! appended to back to its length before the list (an array the list
+//! opened goes), and retires every held reference the list names in a
+//! `Retire`, whether or not that command ran. An egress sequence number
+//! the list took is given back if no other list took one since. Retires
+//! themselves are not deferred: a window's tail list frees each input as
+//! soon as it is consumed.
 
-use super::ingress::Batch;
-use super::{DataPlane, TenantState};
+use super::ingress::{Batch, Held};
+use super::{DataPlane, TenantState, WindowSlot};
 use crate::command::{self, Arg, Command, Reply};
 use crate::error::DataPlaneError;
 use parking_lot::Mutex;
@@ -24,6 +26,7 @@ use sbt_attest::AuditRecord;
 use sbt_telemetry::SpanKind;
 use sbt_types::TenantId;
 use sbt_tz::WorldTracker;
+use sbt_uarray::PAGE_SIZE;
 
 /// A command list in flight: the tenant it runs for, and what it would
 /// publish, held back until its last command succeeds.
@@ -38,6 +41,9 @@ pub(super) struct Staged<'a> {
     pub(super) bytes: u64,
     /// Results the list egressed.
     pub(super) egresses: u64,
+    /// The window arrays the list appends to, out of the tenant's window
+    /// map until the list commits or unwinds.
+    pub(super) held: Vec<Held>,
 }
 
 impl DataPlane {
@@ -67,8 +73,15 @@ impl DataPlane {
             _ => {}
         }
         let ts = self.tenant_state(tenant)?;
-        let mut list =
-            Staged { tenant, ts: &ts, records: Vec::new(), events: 0, bytes: 0, egresses: 0 };
+        let mut list = Staged {
+            tenant,
+            ts: &ts,
+            records: Vec::new(),
+            events: 0,
+            bytes: 0,
+            egresses: 0,
+            held: Vec::new(),
+        };
         let mut done = Vec::with_capacity(cmds.len());
         let ran = command::check(cmds).and_then(|()| {
             cmds.iter().try_for_each(|cmd| {
@@ -77,10 +90,10 @@ impl DataPlane {
                 Ok(())
             })
         });
-        match ran.and_then(|()| self.commit(list)) {
+        match ran.and_then(|()| self.commit(&mut list)) {
             Ok(()) => Ok(done),
             Err(e) => {
-                self.unwind(&ts, cmds, &done);
+                self.unwind(&ts, cmds, &done, list.held);
                 Err(e)
             }
         }
@@ -118,7 +131,15 @@ impl DataPlane {
                 tracer.record(SpanKind::IngestBatch, tenant, start, out.len as u64);
                 Reply::Ingress(out)
             }
-            Command::WindowedIngress { payload, encrypted, is_power, keystream_block, spec } => {
+            Command::WindowedIngress {
+                payload,
+                encrypted,
+                is_power,
+                keystream_block,
+                spec,
+                side,
+                lane,
+            } => {
                 let start = tracer.start();
                 let batch = Batch {
                     payload,
@@ -126,7 +147,8 @@ impl DataPlane {
                     is_power: *is_power,
                     keystream_block: *keystream_block,
                 };
-                let (events, windows) = self.run_windowed_ingress(list, batch, *spec)?;
+                let (events, windows) =
+                    self.run_windowed_ingress(list, batch, *spec, (*side, *lane))?;
                 tracer.record(SpanKind::IngestBatch, tenant, start, events as u64);
                 Reply::WindowedIngress { events, windows }
             }
@@ -155,20 +177,25 @@ impl DataPlane {
         })
     }
 
-    /// Publish a list's held-back records and outcome counts under one
-    /// tenant lock, unless the tenant departed while the list ran. The log
-    /// is flushed right after each egress record, as the paper requires of
+    /// Publish a list's held-back records and outcome counts, and put the
+    /// window arrays it grew back into the window map, under one tenant
+    /// lock, unless the tenant departed while the list ran. The log is
+    /// flushed right after each egress record, as the paper requires of
     /// externalization.
-    fn commit(&self, list: Staged<'_>) -> Result<(), DataPlaneError> {
+    fn commit(&self, list: &mut Staged<'_>) -> Result<(), DataPlaneError> {
         let mut t = list.ts.lock();
         if t.departed {
             return Err(DataPlaneError::UnknownTenant);
         }
         t.events_ingested += list.events;
         t.bytes_ingested += list.bytes;
+        for h in list.held.drain(..) {
+            t.windows
+                .insert(h.key, WindowSlot { id: h.id, opaque: h.opaque, array: Some(h.array) });
+        }
         let records = list.records.len() as u64;
         self.stats.record_commit(list.events, list.bytes, list.egresses, records);
-        for record in list.records {
+        for record in list.records.drain(..) {
             let externalized = matches!(record, AuditRecord::Egress { .. });
             if let Some(segment) = t.audit.append(record) {
                 t.segments.push(segment);
@@ -182,13 +209,52 @@ impl DataPlane {
         Ok(())
     }
 
-    /// Unwind a failed list: release the outputs it produced, retire the
+    /// Unwind a failed list: cut the window arrays it appended to back to
+    /// their length before it, release the outputs it produced, retire the
     /// held references its `Retire`s name, and give back its egress
     /// sequence numbers if they are still the last ones taken. A reference
     /// the list already retired, or one that was never the tenant's, fails
     /// its retire here harmlessly.
-    fn unwind(&self, ts: &Mutex<TenantState>, cmds: &[Command<'_>], done: &[Reply]) {
-        let produced = done.iter().flat_map(Reply::outputs).map(|out| out.opaque);
+    fn unwind(
+        &self,
+        ts: &Mutex<TenantState>,
+        cmds: &[Command<'_>],
+        done: &[Reply],
+        held: Vec<Held>,
+    ) {
+        for mut h in held {
+            {
+                let mut alloc = self.alloc.lock();
+                if alloc.allocator.owner_of(h.id).is_some() {
+                    h.array.truncate(h.before, &self.pager);
+                    alloc.allocator.resize(h.id, h.array.committed_bytes());
+                } else {
+                    // Never charged, or swept with its departed tenant,
+                    // which gave back the ledger's pages: the rest are the
+                    // list's.
+                    self.pager.release_pages((h.array.committed_bytes() - h.ledgered) / PAGE_SIZE);
+                }
+            }
+            let mut t = ts.lock();
+            if h.before > 0 {
+                t.windows
+                    .insert(h.key, WindowSlot { id: h.id, opaque: h.opaque, array: Some(h.array) });
+            } else {
+                // Opened by this list: it goes, reference and all.
+                t.windows.remove(&h.key);
+                let _ = t.refs.revoke(h.opaque);
+                drop(t);
+                let freed = self.alloc.lock().allocator.retire(h.id);
+                self.free(&freed);
+            }
+        }
+        // A windowed ingress replies the window arrays it appended to; they
+        // were cut back above, not produced.
+        let produced = done
+            .iter()
+            .filter(|reply| !matches!(reply, Reply::WindowedIngress { .. }))
+            .flat_map(Reply::outputs)
+            .map(|out| out.opaque);
         let named = cmds.iter().filter_map(|cmd| match cmd {
             Command::Retire(Arg::Ref(r)) => Some(*r),
             _ => None,

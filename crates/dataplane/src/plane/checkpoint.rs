@@ -1,26 +1,25 @@
 //! Crash recovery: sealed checkpoints, restore and epoch retirement.
 
-use super::{DataPlane, TenantState, AUDIT_SEGMENT_RECORDS};
+use super::{DataPlane, TenantState, WindowSlot, AUDIT_SEGMENT_RECORDS};
 use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
 use crate::snapshot::{
     seal_snapshot, unseal_snapshot, CheckpointManifest, RestoredTenant, SealedSnapshot,
-    SnapshotPlaintext, SnapshotWindow, WindowManifest,
+    SnapshotArray, SnapshotPlaintext, WindowArray,
 };
-use crate::store::StoredData;
 use parking_lot::Mutex;
 use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_telemetry::SpanKind;
-use sbt_types::{Event, PrimitiveKind, TenantId};
-use sbt_uarray::UArrayId;
+use sbt_types::{PrimitiveKind, TenantId, WindowId};
+use sbt_uarray::{HintSet, UArray, UArrayId};
 
 impl DataPlane {
     /// Seal a checkpoint of one tenant's streaming state.
     ///
-    /// The control plane supplies a [`CheckpointManifest`] captured at a
+    /// The control plane supplies its cursor ([`CheckpointManifest`]) at a
     /// quiescent point (no window mid-fire, no ingest in flight for this
-    /// tenant); the data plane materializes every referenced partition,
-    /// serializes the `SBTC` plaintext, chains its hash into the signed
+    /// tenant); the data plane copies every array of the tenant's window
+    /// map — the cut is its own — serializes the `SBTC` plaintext, chains its hash into the signed
     /// trail as an [`AuditRecord::Checkpoint`] record (flushed as its own
     /// segment, so the recorded audit cursor is exactly where a restored
     /// log resumes), and seals it under keys derived per
@@ -46,24 +45,17 @@ impl DataPlane {
     ) -> Result<SealedSnapshot, DataPlaneError> {
         let span_start = self.telemetry.tracer().start();
         let ts = self.tenant_state(tenant)?;
-        // Materialize the windowed state before taking the tenant lock
-        // (`lookup` takes it per reference). The quiescent-point contract
-        // means nothing mutates these windows concurrently.
-        let mut windows = Vec::with_capacity(manifest.windows.len());
-        for w in &manifest.windows {
-            let mut sides: [Vec<Vec<Event>>; 2] = [Vec::new(), Vec::new()];
-            for (side, refs) in sides.iter_mut().zip([&w.left, &w.right]) {
-                for r in refs {
-                    let (_, data) = self.lookup(&ts, *r)?;
-                    side.push(data.as_events()?.to_vec());
-                }
-            }
-            let [left, right] = sides;
-            windows.push(SnapshotWindow { win_no: w.win_no, left, right });
-        }
         let next_uarray_id = self.alloc.lock().next_id.0;
         let plain = {
             let mut t = ts.lock();
+            let mut arrays = Vec::with_capacity(t.windows.len());
+            for (&(win, side, lane), slot) in &t.windows {
+                let array = slot.array.as_ref().ok_or(DataPlaneError::BadArguments(
+                    "tenant was not quiescent during its checkpoint",
+                ))?;
+                let events = array.as_slice().to_vec();
+                arrays.push(SnapshotArray { win_no: win.0 as u32, side, lane, events });
+            }
             // Flush whatever is pending so the checkpoint record becomes a
             // segment of its own: the cursor names the segment right after
             // it, which is where the resumed log continues.
@@ -83,7 +75,7 @@ impl DataPlane {
                 right_watermark_ms: manifest.right_watermark_ms,
                 next_unexecuted: manifest.next_unexecuted,
                 next_uarray_id,
-                windows,
+                arrays,
             }
         };
         // The seal runs with the tenant unlocked: its lanes join by helping,
@@ -141,9 +133,10 @@ impl DataPlane {
     /// horizon recorded in the snapshot itself. The tenant's audit log
     /// resumes at the recorded cursor, opening with the matching
     /// `resumed` checkpoint record so the cloud can stitch the suffix onto
-    /// its retained prefix and detect rollback; every restored partition is
-    /// re-committed to secure memory and re-announced to the trail as an
-    /// ordinary ingress + windowing pair.
+    /// its retained prefix and detect rollback; every restored window array
+    /// is re-committed to secure memory, re-entered into the window map
+    /// (its lane's next batch appends to it) and re-announced to the trail
+    /// as an ordinary ingress + windowing pair.
     ///
     /// A restore that fails after registering the tenant (a quota rejection
     /// mid-recommit, say) unregisters it again and frees what it
@@ -217,7 +210,7 @@ impl DataPlane {
                 hash,
             },
         );
-        let (windows, events_restored) = match self.recommit_windows(tenant, &ts, &plain.windows) {
+        let (windows, events_restored) = match self.recommit_windows(tenant, &ts, plain.arrays) {
             Ok(recommitted) => recommitted,
             Err(e) => {
                 // Unwind the registration: the tenant never resumed, so it
@@ -242,56 +235,54 @@ impl DataPlane {
         })
     }
 
-    /// Re-commit every partition of a restored tenant and re-announce it:
-    /// the state re-enters the TEE and is re-windowed, so replay sees an
-    /// ordinary ingress + windowing pair per array and rebuilds its lineage
-    /// from there. Returns the windows with fresh references and the events
+    /// Re-commit every window array of a restored tenant, re-enter it into
+    /// the window map and re-announce it: replay sees an ordinary ingress +
+    /// windowing pair per array and rebuilds its lineage from there.
+    /// Returns the arrays with fresh references and the events
     /// re-committed.
     fn recommit_windows(
         &self,
         tenant: TenantId,
         ts: &Mutex<TenantState>,
-        snapshot: &[SnapshotWindow],
-    ) -> Result<(Vec<WindowManifest>, u64), DataPlaneError> {
+        snapshot: Vec<SnapshotArray>,
+    ) -> Result<(Vec<WindowArray>, u64), DataPlaneError> {
         let mut windows = Vec::with_capacity(snapshot.len());
         let mut events_restored = 0u64;
-        for w in snapshot {
-            let mut restored =
-                WindowManifest { win_no: w.win_no, left: Vec::new(), right: Vec::new() };
-            for (events_side, refs_side) in
-                [(&w.left, &mut restored.left), (&w.right, &mut restored.right)]
-            {
-                for events in events_side.iter() {
-                    events_restored += events.len() as u64;
-                    let pre_id = self.next_id();
-                    let data = StoredData::from_events(self.next_id(), events, &self.pager)?;
-                    let (rid, opaque, _) = self.register_output(
-                        tenant,
-                        ts,
-                        data,
-                        PrimitiveKind::Segment.code() as u64,
-                        None,
-                    )?;
-                    self.append_audit(
-                        ts,
-                        AuditRecord::Ingress {
-                            ts_ms: self.now_ms(),
-                            data: DataRef::UArray(UArrayRef(pre_id.0 as u32)),
-                        },
-                    );
-                    self.append_audit(
-                        ts,
-                        AuditRecord::Windowing {
-                            ts_ms: self.now_ms(),
-                            input: UArrayRef(pre_id.0 as u32),
-                            win_no: w.win_no as u16,
-                            output: UArrayRef(rid.0 as u32),
-                        },
-                    );
-                    refs_side.push(opaque);
-                }
+        for a in snapshot {
+            events_restored += a.events.len() as u64;
+            let (pre_id, id) = (self.next_id(), self.next_id());
+            let mut array = UArray::with_reservation(id, a.events.len());
+            array.extend_from_slice(&a.events, &self.pager)?;
+            let producer = PrimitiveKind::Segment.code() as u64;
+            let charge = [(id, array.committed_bytes())];
+            let admitted = self.alloc.lock().allocator.admit(
+                tenant.owner_tag(),
+                producer,
+                &charge,
+                &HintSet::none(),
+            );
+            if admitted.is_err() {
+                array.reclaim(&self.pager);
+                return Err(DataPlaneError::QuotaExceeded);
             }
-            windows.push(restored);
+            let window = WindowId(a.win_no as u64);
+            let opaque = {
+                let mut t = ts.lock();
+                let opaque = t.refs.mint(id);
+                t.windows.insert(
+                    (window, a.side, a.lane),
+                    WindowSlot { id, opaque, array: Some(array) },
+                );
+                opaque
+            };
+            let (ts_ms, input) = (self.now_ms(), UArrayRef(pre_id.0 as u32));
+            self.append_audit(ts, AuditRecord::Ingress { ts_ms, data: DataRef::UArray(input) });
+            let output = UArrayRef(id.0 as u32);
+            self.append_audit(
+                ts,
+                AuditRecord::Windowing { ts_ms, input, win_no: a.win_no as u16, output },
+            );
+            windows.push(WindowArray { window, side: a.side, lane: a.lane, opaque });
         }
         Ok((windows, events_restored))
     }

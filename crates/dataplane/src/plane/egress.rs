@@ -64,13 +64,19 @@ impl DataPlane {
     }
 
     /// The body of a `Retire` command, and of a failed list's unwinding:
-    /// retirement publishes nothing, so it is never held back.
+    /// retirement publishes nothing, so it is never held back. An open
+    /// window array retired unread leaves the window map with it.
     pub(super) fn run_retire(
         &self,
         ts: &Mutex<TenantState>,
         r: OpaqueRef,
     ) -> Result<(), DataPlaneError> {
-        let id = ts.lock().refs.revoke(r)?;
+        let id = {
+            let mut t = ts.lock();
+            let id = t.refs.resolve(r)?;
+            t.take_window(id)?;
+            t.refs.revoke(r)?
+        };
         let freed = self.alloc.lock().allocator.retire(id);
         self.free(&freed);
         Ok(())

@@ -2,15 +2,18 @@
 //!
 //! A batch enters one of two ways, both through one decrypt-and-parse
 //! loop (`decode_batch`): cut straight into its windows
-//! (`WindowedIngress`, what the engine sends), so each event's pages are
-//! committed once, in the window array it stays in; or as an array of its
-//! own (`Ingress`, what the single-call `DataPlane::ingress` returns).
+//! (`WindowedIngress`, what the engine sends), each window's slice
+//! appended to the one array of the tenant's window map that the batch's
+//! (window, side, lane) names, so each event's pages are committed once, in
+//! the window array it stays in; or as an array of its own (`Ingress`,
+//! what the single-call `DataPlane::ingress` returns).
 
 use super::call::Staged;
 use super::invoke::Output;
-use super::{DataPlane, TenantState};
+use super::{DataPlane, TenantState, WindowKey, WindowSlot};
 use crate::command::{Command, Reply};
 use crate::error::DataPlaneError;
+use crate::opaque::OpaqueRef;
 use crate::params::InvokeOutput;
 use crate::stats::InvocationBreakdown;
 use crate::store::StoredData;
@@ -24,6 +27,7 @@ use sbt_types::{
     POWER_EVENT_BYTES,
 };
 use sbt_uarray::{CommitBudget, HintSet, TeePager, UArray, UArrayId, UArrayWriter, PAGE_SIZE};
+use std::collections::btree_map::Entry;
 use std::time::Instant;
 
 /// The fixed decrypt window of zero-copy ingest, in bytes.
@@ -48,6 +52,25 @@ pub(super) struct Batch<'p> {
     pub(super) is_power: bool,
     /// CTR block offset the source encrypted the payload at.
     pub(super) keystream_block: u32,
+}
+
+/// The id of a window array a batch opened, until the batch has reached
+/// all its windows and names the new ones in window order.
+const UNNAMED: UArrayId = UArrayId(u64::MAX);
+
+/// A window array a command list appends to: out of the tenant's window
+/// map from the list's first append to it until the list commits (back
+/// into the map) or unwinds (cut back to `before`).
+pub(super) struct Held {
+    pub(super) key: WindowKey,
+    pub(super) id: UArrayId,
+    pub(super) opaque: OpaqueRef,
+    pub(super) array: UArray<Event>,
+    /// Its length when the list took it: 0 for an array the list opened
+    /// (a window array in the map always holds an event).
+    pub(super) before: usize,
+    /// Its bytes in the allocator's ledger; the pages above are the list's.
+    pub(super) ledgered: u64,
 }
 
 impl Batch<'_> {
@@ -93,9 +116,12 @@ impl DataPlane {
 
     /// The bytes a batch of `events` events commits on ingress: its
     /// page-rounded size, which the ingress pre-check charges against the
-    /// tenant's headroom. Cut into windows, a batch commits this once (a
-    /// page more for each further window it straddles, and a copy per
-    /// window an event of a sliding spec falls in).
+    /// tenant's headroom. Appended to its windows' open arrays, a batch
+    /// fills their part-filled last pages first, so it commits at most
+    /// this, plus a page for each further window it touches (and a copy
+    /// per window an event of a sliding spec falls in). The charge cannot
+    /// count those pages: an encrypted batch does not show its windows
+    /// before it is decrypted.
     pub fn ingress_charge(events: u64) -> u64 {
         TeePager::pages_for(events * EVENT_BYTES as u64) * PAGE_SIZE
     }
@@ -129,15 +155,19 @@ impl DataPlane {
     }
 
     /// The body of a `WindowedIngress` command: each decrypt window is cut
-    /// by the Segment kernel straight into the batch's window arrays, which
-    /// are registered at once; the batch's counter moves, its `Ingress`
-    /// record and one `Windowing` record per window are staged in `list`.
-    /// Returns the batch's event count and its windows, in window order.
+    /// by the Segment kernel straight into the window arrays of `side` and
+    /// `lane`, each appended to in place (and opened by the first batch to
+    /// reach it), drawing on the headroom page by page. Their growth is
+    /// charged to the tenant at once; the batch's counter moves, its
+    /// `Ingress` record and one `Windowing` record per window (naming the
+    /// array it appended to) are staged in `list`. Returns the batch's
+    /// event count and its windows' arrays, in window order.
     pub(super) fn run_windowed_ingress(
         &self,
         list: &mut Staged<'_>,
         batch: Batch<'_>,
         spec: WindowSpec,
+        (side, lane): (u8, u32),
     ) -> Result<(usize, Vec<InvokeOutput>), DataPlaneError> {
         let ingest_start = self.telemetry.tracer().start();
         let (tenant, ts) = (list.tenant, list.ts);
@@ -149,28 +179,110 @@ impl DataPlane {
             return Err(DataPlaneError::BadArguments("malformed window spec"));
         }
         // The batch id names the batch on the trail; no array is stored
-        // under it. The windows draw on the headroom page by page, and each
-        // is reserved for the rest of the batch, so it never grows.
+        // under it.
         let id = self.next_id();
         let budget = CommitBudget::new(headroom);
-        let mut open = Vec::new();
-        let (decrypt_nanos, route_nanos) = self.decode_batch(ts, &batch, |events, after| {
-            prim::segment_into(events, &spec, &mut open, |at_most| {
-                Output(UArrayWriter::reserve(at_most + after, &self.pager, &budget))
+        let (mut open, mut taken) = (Vec::new(), Vec::new());
+        let decoded = self.decode_batch(ts, &batch, |events, after| {
+            prim::segment_into(events, &spec, &mut open, |win, at_most| {
+                let mut held = self.hold(list, (win, side, lane))?;
+                let array =
+                    std::mem::replace(&mut held.array, UArray::with_reservation(UNNAMED, 0));
+                taken.push((held, array.paging_nanos()));
+                Ok(Output(if array.is_empty() {
+                    UArrayWriter::reserve(at_most + after, &self.pager, &budget)
+                } else {
+                    UArrayWriter::resume(array, &self.pager, &budget)?
+                }))
             })
-        })?;
-        // Ids are minted once every window is produced, in window order.
-        let windows = open
-            .into_iter()
-            .map(|(win, w)| (StoredData::Events(w.0.seal(self.next_id())), Some(win)))
-            .collect();
-        let producer = PrimitiveKind::Segment.code() as u64;
-        let committed = self.commit_outputs(tenant, producer, windows, &HintSet::none())?;
+        });
+        // The arrays go back to the list whatever happened: an unwind cuts
+        // them back. The ones the batch opened are named now, in window
+        // order, whatever order its events met them in.
+        let mut memory_nanos = 0;
+        let mut outputs = Vec::with_capacity(open.len());
+        let mut windowing = Vec::with_capacity(open.len());
+        for (win, writer) in open {
+            let at = taken.iter().position(|(h, _)| h.key.0 == win).expect("taken");
+            let (mut held, paging) = taken.swap_remove(at);
+            if held.id == UNNAMED {
+                held.id = self.next_id();
+                held.opaque = ts.lock().refs.mint(held.id);
+            }
+            held.array = writer.0.into_open(held.id);
+            memory_nanos += held.array.paging_nanos() - paging;
+            let (opaque, len) = (held.opaque, held.array.len());
+            outputs.push(InvokeOutput { opaque, len, window: Some(win) });
+            windowing.push(AuditRecord::Windowing {
+                ts_ms: self.now_ms(),
+                input: UArrayRef(id.0 as u32),
+                win_no: win.0 as u16,
+                output: UArrayRef(held.id.0 as u32),
+            });
+            list.held.push(held);
+        }
+        // And any array a writer could not take up.
+        list.held.extend(taken.into_iter().map(|(held, _)| held));
+        let (decrypt_nanos, route_nanos) = decoded?;
+        self.charge_growth(list)?;
         self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);
-        let (outputs, _, memory_nanos) = self.stage_outputs(list, &[id], committed);
+        list.records.extend(windowing);
         self.stats
             .record_invocation(InvocationBreakdown { compute_nanos: route_nanos, memory_nanos });
         Ok((n_events, outputs))
+    }
+
+    /// Take window array `key` for `list` to append to: the one the list
+    /// already holds, else the tenant's open one, else — the first batch to
+    /// reach it — a new one, charged at its first growth. An array another
+    /// list holds is refused.
+    fn hold(&self, list: &mut Staged<'_>, key: WindowKey) -> Result<Held, DataPlaneError> {
+        if let Some(at) = list.held.iter().position(|h| h.key == key) {
+            return Ok(list.held.swap_remove(at));
+        }
+        let mut t = list.ts.lock();
+        match t.windows.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let slot = slot.get_mut();
+                let array = slot.array.take().ok_or(DataPlaneError::BadArguments(
+                    "another command list is appending to this window array",
+                ))?;
+                let (before, ledgered) = (array.len(), array.committed_bytes());
+                Ok(Held { key, id: slot.id, opaque: slot.opaque, array, before, ledgered })
+            }
+            Entry::Vacant(slot) => {
+                // Held from the start; its commit or unwind fills the slot
+                // in or removes it.
+                let (id, opaque) = (UNNAMED, OpaqueRef(0));
+                slot.insert(WindowSlot { id, opaque, array: None });
+                let array = UArray::with_reservation(id, 0);
+                Ok(Held { key, id, opaque, array, before: 0, ledgered: 0 })
+            }
+        }
+    }
+
+    /// Charge the growth of the window arrays `list` holds to its tenant,
+    /// all or nothing against the quota: an array it opened is admitted to
+    /// the ledger, one it grew is resized there.
+    fn charge_growth(&self, list: &mut Staged<'_>) -> Result<(), DataPlaneError> {
+        let owner = list.tenant.owner_tag();
+        let mut alloc = self.alloc.lock();
+        let growth: u64 = list.held.iter().map(|h| h.array.committed_bytes() - h.ledgered).sum();
+        if growth > alloc.allocator.owner_headroom(owner) {
+            return Err(DataPlaneError::QuotaExceeded);
+        }
+        let producer = PrimitiveKind::Segment.code() as u64;
+        for h in &mut list.held {
+            let bytes = h.array.committed_bytes();
+            if !alloc.allocator.resize(h.id, bytes) {
+                alloc
+                    .allocator
+                    .admit(owner, producer, &[(h.id, bytes)], &HintSet::none())
+                    .map_err(|_| DataPlaneError::QuotaExceeded)?;
+            }
+            h.ledgered = bytes;
+        }
+        Ok(())
     }
 
     /// The checks a batch passes before any secure memory moves: the

@@ -13,13 +13,13 @@ use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_primitives as prim;
 use sbt_types::{infallible, Event, PrimitiveKind, RecordCount, RecordSink, TenantId, WindowId};
 use sbt_uarray::{
-    CommitBudget, ConsumptionHint, HintSet, UArray, UArrayError, UArrayId, UArrayWriter, PAGE_SIZE,
+    CommitBudget, ConsumptionHint, HintSet, UArray, UArrayId, UArrayWriter, PAGE_SIZE,
 };
 use std::sync::Arc;
 use std::time::Instant;
 
 /// An output uArray under production: the record sink primitives produce
-/// into inside the TEE.
+/// into inside the TEE, and a windowed ingress appends to.
 ///
 /// A primitive's kernel appends to a [`RecordSink`]; here that sink is an
 /// open [`UArrayWriter`], so records are written once, in their final
@@ -30,16 +30,16 @@ use std::time::Instant;
 pub(crate) struct Output<'a, T: Copy>(pub(crate) UArrayWriter<'a, T>);
 
 impl<T: Copy> RecordSink<T> for Output<'_, T> {
-    type Error = UArrayError;
+    type Error = DataPlaneError;
 
     #[inline]
-    fn push(&mut self, record: T) -> Result<(), UArrayError> {
-        self.0.push(record)
+    fn push(&mut self, record: T) -> Result<(), DataPlaneError> {
+        Ok(self.0.push(record)?)
     }
 
     #[inline]
-    fn extend_from_slice(&mut self, records: &[T]) -> Result<(), UArrayError> {
-        self.0.extend_from_slice(records)
+    fn extend_from_slice(&mut self, records: &[T]) -> Result<(), DataPlaneError> {
+        Ok(self.0.extend_from_slice(records)?)
     }
 }
 
@@ -210,7 +210,7 @@ impl DataPlane {
         budget: &'a CommitBudget,
         items: usize,
         layout: fn(UArray<T>) -> StoredData,
-        fill: impl FnOnce(&mut Output<'a, T>) -> Result<(), UArrayError>,
+        fill: impl FnOnce(&mut Output<'a, T>) -> Result<(), DataPlaneError>,
     ) -> Result<StoredData, DataPlaneError> {
         let mut output = Output(UArrayWriter::reserve(items, &self.pager, budget));
         fill(&mut output)?;
@@ -233,8 +233,13 @@ impl DataPlane {
         let one_events = |n: usize| -> Result<&[Event], DataPlaneError> {
             inputs.get(n).ok_or(DataPlaneError::BadArguments("missing input"))?.1.as_events()
         };
-        let all_events = || (0..inputs.len()).map(one_events).collect::<Result<Vec<_>, _>>();
-        let events_of = |items, fill: &dyn Fn(&mut Output<Event>) -> Result<(), UArrayError>| {
+        // Every input, at least one: what a merge, a concatenation and an
+        // unkeyed reduce (over a window's arrays) read.
+        let all_events = || {
+            one_events(0)?;
+            (0..inputs.len()).map(one_events).collect::<Result<Vec<_>, _>>()
+        };
+        let events_of = |items, fill: &dyn Fn(&mut Output<Event>) -> Result<(), DataPlaneError>| {
             self.produce(budget, items, StoredData::Events, fill)
         };
         let scalars_of = |scalars: &[u64]| {
@@ -262,8 +267,8 @@ impl DataPlane {
                 // Ids are minted once every window is produced, in window
                 // order, whatever order the batch's events met them in.
                 let mut open = Vec::new();
-                prim::segment_into(one_events(0)?, &spec, &mut open, |at_most| {
-                    Output(UArrayWriter::reserve(at_most, &self.pager, budget))
+                prim::segment_into(one_events(0)?, &spec, &mut open, |_, at_most| {
+                    Ok(Output(UArrayWriter::reserve(at_most, &self.pager, budget)))
                 })?;
                 return Ok(open
                     .into_iter()
@@ -287,7 +292,6 @@ impl DataPlane {
                 events_of(a.len() + b.len(), &|w| prim::merge_sorted_by_key_into(a, b, w))?
             }
             PrimitiveKind::MergeK => {
-                one_events(0)?;
                 let runs = all_events()?;
                 let total = runs.iter().map(|r| r.len()).sum();
                 events_of(total, &|w| prim::merge_runs_by_key_into(&runs, w))?
@@ -321,14 +325,28 @@ impl DataPlane {
                     prim::unique_keys_into(events, w)
                 })?
             }
-            PrimitiveKind::Sum => scalars_of(&[prim::sum(one_events(0)?)])?,
-            PrimitiveKind::Count => scalars_of(&[prim::count(one_events(0)?)])?,
-            PrimitiveKind::Average => scalars_of(&[prim::average(one_events(0)?)])?,
+            // The unkeyed reduces read all their inputs as one window: a
+            // window's arrays, without a concatenated copy.
+            PrimitiveKind::Sum => scalars_of(&[all_events()?.into_iter().map(prim::sum).sum()])?,
+            PrimitiveKind::Count => {
+                scalars_of(&[all_events()?.into_iter().map(prim::count).sum()])?
+            }
+            PrimitiveKind::Average => {
+                let runs = all_events()?;
+                let (sum, count) =
+                    (runs.iter().map(|r| prim::sum(r)), runs.iter().map(|r| r.len()));
+                scalars_of(&[sum
+                    .sum::<u64>()
+                    .checked_div(count.sum::<usize>() as u64)
+                    .unwrap_or(0)])?
+            }
             PrimitiveKind::Median => {
-                scalars_of(&[prim::median(one_events(0)?).unwrap_or(0) as u64])?
+                scalars_of(&[prim::median(&all_events()?).unwrap_or(0) as u64])?
             }
             PrimitiveKind::MinMax => {
-                let (lo, hi) = prim::min_max(one_events(0)?).unwrap_or((0, 0));
+                let ranges = all_events()?.into_iter().filter_map(prim::min_max);
+                let (lo, hi) =
+                    ranges.reduce(|(a, b), (c, d)| (a.min(c), b.max(d))).unwrap_or((0, 0));
                 scalars_of(&[lo as u64, hi as u64])?
             }
             PrimitiveKind::TopK => {
@@ -336,9 +354,10 @@ impl DataPlane {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopK needs K")),
                 };
-                let events = one_events(0)?;
-                self.produce(budget, events.len().min(k), StoredData::Scalars, |w| {
-                    prim::top_k_by_value_into(events, k, w)
+                let runs = all_events()?;
+                let events: usize = runs.iter().map(|r| r.len()).sum();
+                self.produce(budget, events.min(k), StoredData::Scalars, |w| {
+                    prim::top_k_by_value_into(&runs, k, w)
                 })?
             }
             PrimitiveKind::TopKPerKey => {

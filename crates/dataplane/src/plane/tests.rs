@@ -2,7 +2,7 @@
 
 use super::*;
 use crate::params::{InvokeOutput, PrimitiveParams};
-use crate::snapshot::{CheckpointManifest, SealedSnapshot, WindowManifest};
+use crate::snapshot::{CheckpointManifest, SealedSnapshot};
 use sbt_crypto::AesCtr;
 use sbt_types::{Duration, Event, LaneTask, PowerEvent, PrimitiveKind, Watermark, WindowSpec};
 use sbt_tz::World;
@@ -26,6 +26,25 @@ fn ingest_events(dp: &DataPlane, events: &[Event]) -> InvokeOutput {
 fn ingest_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> InvokeOutput {
     let bytes = Event::slice_to_bytes(events);
     in_tee(|| dp.ingress(tenant, &bytes, false, false, 0)).unwrap()
+}
+
+/// Append `events` to `tenant`'s one global-window array on side 0, lane
+/// 0; returns the array.
+fn window_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> InvokeOutput {
+    let payload = Event::slice_to_bytes(events);
+    let cmd = crate::Command::WindowedIngress {
+        payload: &payload,
+        encrypted: false,
+        is_power: false,
+        keystream_block: 0,
+        spec: WindowSpec::Global,
+        side: 0,
+        lane: 0,
+    };
+    match in_tee(|| dp.call_one(tenant, cmd)).unwrap() {
+        crate::Reply::WindowedIngress { mut windows, .. } => windows.remove(0),
+        other => panic!("a windowed ingress replied {other:?}"),
+    }
 }
 
 #[test]
@@ -844,13 +863,11 @@ fn checkpoint_restore_round_trips_state_and_stitched_trail_verifies() {
     let dp = plane();
     dp.register_tenant(TenantId(1), None).unwrap();
     let events: Vec<Event> = (0..500).map(|i| Event::new(i % 7, i, i * 3)).collect();
-    let a = ingest_events_for(&dp, TenantId(1), &events);
-    let manifest = CheckpointManifest {
-        left_watermark_ms: 1_500,
-        right_watermark_ms: 0,
-        next_unexecuted: 0,
-        windows: vec![WindowManifest { win_no: 0, left: vec![a.opaque], right: Vec::new() }],
-    };
+    // Two appends to the window's one array.
+    window_events_for(&dp, TenantId(1), &events[..200]);
+    assert_eq!(window_events_for(&dp, TenantId(1), &events[200..]).len, 500);
+    let manifest =
+        CheckpointManifest { left_watermark_ms: 1_500, right_watermark_ms: 0, next_unexecuted: 0 };
     let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
     assert_eq!((sealed.tenant, sealed.ckpt_seq, sealed.epoch), (1, 0, 0));
     assert!(dp.telemetry().last_checkpoint_age_nanos(1).is_some());
@@ -865,10 +882,15 @@ fn checkpoint_restore_round_trips_state_and_stitched_trail_verifies() {
     assert_eq!(restored.left_watermark_ms, 1_500);
     assert_eq!(restored.windows.len(), 1);
     assert_eq!(restored.events_restored, 500);
-    // The restored partition holds exactly the original events.
+    // The restored array holds exactly the original events, and is open:
+    // its lane's next batch appends to it.
     let chain = dp2.verifier_keys(TenantId(1)).unwrap();
-    let msg = in_tee(|| dp2.egress(TenantId(1), restored.windows[0].left[0])).unwrap();
-    assert_eq!(msg.open_with(chain.latest()).unwrap(), Event::slice_to_bytes(&events));
+    let extra = [Event::new(1, 1, 1)];
+    let appended = window_events_for(&dp2, TenantId(1), &extra);
+    assert_eq!((appended.opaque, appended.len), (restored.windows[0].opaque, 501));
+    let msg = in_tee(|| dp2.egress(TenantId(1), appended.opaque)).unwrap();
+    let all: Vec<Event> = events.iter().chain(&extra).copied().collect();
+    assert_eq!(msg.open_with(chain.latest()).unwrap(), Event::slice_to_bytes(&all));
     // Prefix + post-restore suffix stitch into one verifiable trail
     // whose resume record matches the sealed checkpoint.
     let mut trail = prefix;
@@ -893,13 +915,9 @@ fn a_snapshot_sealed_on_either_crypto_back_end_restores_on_the_other() {
     let dp = plane();
     dp.register_tenant(TenantId(1), None).unwrap();
     let events: Vec<Event> = (0..12_000).map(|i| Event::new(i % 97, i * 7, i)).collect();
-    let a = ingest_events_for(&dp, TenantId(1), &events);
-    let manifest = CheckpointManifest {
-        left_watermark_ms: 900,
-        right_watermark_ms: 0,
-        next_unexecuted: 0,
-        windows: vec![WindowManifest { win_no: 0, left: vec![a.opaque], right: Vec::new() }],
-    };
+    window_events_for(&dp, TenantId(1), &events);
+    let manifest =
+        CheckpointManifest { left_watermark_ms: 900, right_watermark_ms: 0, next_unexecuted: 0 };
     let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
     assert!(sealed.ciphertext.len() > 2 * crate::egress::SEAL_CHUNK);
 
@@ -941,13 +959,10 @@ fn restore_from_a_stale_checkpoint_is_detected_by_both_verifiers() {
     let dp = plane();
     dp.register_tenant(TenantId(1), None).unwrap();
     let events: Vec<Event> = (0..64).map(|i| Event::new(i, i, i)).collect();
-    let a = ingest_events_for(&dp, TenantId(1), &events);
-    let manifest = CheckpointManifest {
-        windows: vec![WindowManifest { win_no: 0, left: vec![a.opaque], right: Vec::new() }],
-        ..CheckpointManifest::default()
-    };
+    window_events_for(&dp, TenantId(1), &events);
+    let manifest = CheckpointManifest::default();
     let stale = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
-    let _ = ingest_events_for(&dp, TenantId(1), &events);
+    window_events_for(&dp, TenantId(1), &events);
     let fresh = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
     assert_eq!((stale.ckpt_seq, fresh.ckpt_seq), (0, 1));
     let prefix = dp.drain_audit_segments(TenantId(1)).unwrap();

@@ -1,9 +1,11 @@
 //! Sealed per-tenant checkpoint snapshots (crash recovery).
 //!
 //! A checkpoint captures everything a tenant needs to resume mid-stream
-//! after the enclave is killed: its windowed state (the event arrays of
-//! every not-yet-fired window), watermarks, ingest/egress counters, and
-//! the audit-trail cursor the resumed log continues from. The plaintext
+//! after the enclave is killed: its window arrays (every array of the data
+//! plane's window map, each with its window, side and ingest lane — the
+//! cut is the TEE's own, not a list the control plane hands in), the
+//! control plane's watermarks and cursor, ingest/egress counters, and the
+//! audit-trail cursor the resumed log continues from. The plaintext
 //! is serialized to the versioned `SBTC` wire format below, hashed
 //! (the hash is chained into the signed audit trail through an
 //! [`sbt_attest::AuditRecord::Checkpoint`] record, so the cloud detects
@@ -13,11 +15,11 @@
 //! plaintext state ever crosses the boundary, and untrusted storage can
 //! at worst withhold or corrupt a snapshot, which unsealing rejects.
 //!
-//! # Snapshot plaintext wire format (`SBTC` v1)
+//! # Snapshot plaintext wire format (`SBTC` v2)
 //!
 //! ```text
 //! magic            4 B   "SBTC"
-//! version          u16   1
+//! version          u16   2
 //! tenant           u32
 //! ckpt_seq         u64   monotone per-tenant checkpoint counter
 //! epoch            u32   key epoch the snapshot is sealed under
@@ -30,11 +32,12 @@
 //! right_watermark  u64   milliseconds
 //! next_unexecuted  u32   first window not yet fired
 //! next_uarray_id   u64   id floor for the restored plane's allocator
-//! n_windows        u32
-//! per window:
+//! n_arrays         u32
+//! per array, in (window, side, lane) order:
 //!   win_no         u32
-//!   n_left         u32, then per array: n_events u32 + 12 B events
-//!   n_right        u32, same layout
+//!   side           u8
+//!   lane           u32
+//!   n_events       u32, then 12 B per event
 //! ```
 //!
 //! All integers little-endian. Parsing fails closed: any truncation,
@@ -44,28 +47,17 @@ use crate::egress::{Plaintext, Sealer};
 use crate::error::DataPlaneError;
 use crate::opaque::OpaqueRef;
 use sbt_crypto::{sha256, AesCtr, MasterSecret, Signature};
-use sbt_types::{Event, LanePool, TenantId, EVENT_BYTES};
+use sbt_types::{Event, LanePool, TenantId, WindowId, EVENT_BYTES};
 use std::sync::Arc;
 
 /// Magic opening every snapshot plaintext.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SBTC";
 /// Current snapshot wire-format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
-/// One window's partitions as the control plane tracks them: the opaque
-/// references of each stream side, in arrival order.
-#[derive(Debug, Clone)]
-pub struct WindowManifest {
-    /// The window number.
-    pub win_no: u32,
-    /// Primary-stream partition references.
-    pub left: Vec<OpaqueRef>,
-    /// Secondary-stream partition references (joins only).
-    pub right: Vec<OpaqueRef>,
-}
-
-/// What the control plane asks the data plane to checkpoint: its
-/// window-state bookkeeping at a quiescent point (no window mid-fire).
+/// What the control plane hands a checkpoint: its cursor at a quiescent
+/// point (no window mid-fire, no ingest in flight). The window arrays are
+/// not named here; the data plane snapshots every one it holds.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointManifest {
     /// Primary-stream watermark, milliseconds.
@@ -74,8 +66,20 @@ pub struct CheckpointManifest {
     pub right_watermark_ms: u64,
     /// First window not yet executed.
     pub next_unexecuted: u32,
-    /// Pending windows and their partition references.
-    pub windows: Vec<WindowManifest>,
+}
+
+/// One window array a restore put back into the data plane's window map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowArray {
+    /// Its window.
+    pub window: WindowId,
+    /// Its stream side (0, or 1 for a join's secondary stream).
+    pub side: u8,
+    /// The ingest lane that appends to it.
+    pub lane: u32,
+    /// A fresh reference to it; later batches of its lane append to it and
+    /// reply with the same reference.
+    pub opaque: OpaqueRef,
 }
 
 /// A sealed snapshot: safe to hand to untrusted storage. The header
@@ -151,9 +155,8 @@ pub struct RestoredTenant {
     pub right_watermark_ms: u64,
     /// First window not yet executed at checkpoint time.
     pub next_unexecuted: u32,
-    /// Restored windows with fresh references to the re-committed
-    /// partition arrays.
-    pub windows: Vec<WindowManifest>,
+    /// The re-committed window arrays, in (window, side, lane) order.
+    pub windows: Vec<WindowArray>,
     /// Total events re-committed into secure memory.
     pub events_restored: u64,
 }
@@ -172,25 +175,23 @@ pub(crate) struct SnapshotPlaintext {
     pub right_watermark_ms: u64,
     pub next_unexecuted: u32,
     pub next_uarray_id: u64,
-    pub windows: Vec<SnapshotWindow>,
+    pub arrays: Vec<SnapshotArray>,
 }
 
-/// One window's materialized partitions inside a decoded snapshot.
-pub(crate) struct SnapshotWindow {
+/// One window array inside a decoded snapshot.
+pub(crate) struct SnapshotArray {
     pub win_no: u32,
-    pub left: Vec<Vec<Event>>,
-    pub right: Vec<Vec<Event>>,
+    pub side: u8,
+    pub lane: u32,
+    pub events: Vec<Event>,
 }
 
 impl SnapshotPlaintext {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let arrays = || self.windows.iter().flat_map(|w| w.left.iter().chain(&w.right));
-        let events: usize = arrays().map(Vec::len).sum();
-        // 90 header bytes (magic through `n_windows`), 12 per window
-        // (`win_no` and its two array counts), 4 per array (`n_events`).
-        let mut out = Vec::with_capacity(
-            90 + 12 * self.windows.len() + 4 * arrays().count() + EVENT_BYTES * events,
-        );
+        let events: usize = self.arrays.iter().map(|a| a.events.len()).sum();
+        // 90 header bytes (magic through `n_arrays`), 13 per array (its
+        // window, side, lane and event count).
+        let mut out = Vec::with_capacity(90 + 13 * self.arrays.len() + EVENT_BYTES * events);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.tenant.to_le_bytes());
@@ -205,17 +206,14 @@ impl SnapshotPlaintext {
         out.extend_from_slice(&self.right_watermark_ms.to_le_bytes());
         out.extend_from_slice(&self.next_unexecuted.to_le_bytes());
         out.extend_from_slice(&self.next_uarray_id.to_le_bytes());
-        out.extend_from_slice(&(self.windows.len() as u32).to_le_bytes());
-        for w in &self.windows {
-            out.extend_from_slice(&w.win_no.to_le_bytes());
-            for side in [&w.left, &w.right] {
-                out.extend_from_slice(&(side.len() as u32).to_le_bytes());
-                for events in side.iter() {
-                    out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-                    for e in events {
-                        out.extend_from_slice(&e.to_bytes());
-                    }
-                }
+        out.extend_from_slice(&(self.arrays.len() as u32).to_le_bytes());
+        for a in &self.arrays {
+            out.extend_from_slice(&a.win_no.to_le_bytes());
+            out.push(a.side);
+            out.extend_from_slice(&a.lane.to_le_bytes());
+            out.extend_from_slice(&(a.events.len() as u32).to_le_bytes());
+            for e in &a.events {
+                out.extend_from_slice(&e.to_bytes());
             }
         }
         out
@@ -241,21 +239,13 @@ impl SnapshotPlaintext {
         let right_watermark_ms = cur.u64()?;
         let next_unexecuted = cur.u32()?;
         let next_uarray_id = cur.u64()?;
-        let n_windows = cur.u32()? as usize;
-        let mut windows = Vec::new();
-        for _ in 0..n_windows {
-            let win_no = cur.u32()?;
-            let mut sides: [Vec<Vec<Event>>; 2] = [Vec::new(), Vec::new()];
-            for side in &mut sides {
-                let n_arrays = cur.u32()? as usize;
-                for _ in 0..n_arrays {
-                    let n_events = cur.u32()? as usize;
-                    let raw = cur.bytes(n_events * EVENT_BYTES)?;
-                    side.push(Event::slice_from_bytes(raw));
-                }
-            }
-            let [left, right] = sides;
-            windows.push(SnapshotWindow { win_no, left, right });
+        let n_arrays = cur.u32()? as usize;
+        let mut arrays = Vec::new();
+        for _ in 0..n_arrays {
+            let (win_no, side, lane) = (cur.u32()?, cur.bytes(1)?[0], cur.u32()?);
+            let n_events = cur.u32()? as usize;
+            let events = Event::slice_from_bytes(cur.bytes(n_events * EVENT_BYTES)?);
+            arrays.push(SnapshotArray { win_no, side, lane, events });
         }
         if !cur.at_end() {
             return Err(DataPlaneError::SnapshotRejected("trailing bytes in snapshot"));
@@ -273,7 +263,7 @@ impl SnapshotPlaintext {
             right_watermark_ms,
             next_unexecuted,
             next_uarray_id,
-            windows,
+            arrays,
         })
     }
 }
@@ -408,16 +398,20 @@ mod tests {
             right_watermark_ms: 0,
             next_unexecuted: 9,
             next_uarray_id: 77,
-            windows: vec![
-                SnapshotWindow {
+            arrays: vec![
+                SnapshotArray {
                     win_no: 9,
-                    left: vec![
-                        (0..10u32).map(|i| Event::new(i, i * 2, 9_000 + i)).collect(),
-                        vec![Event::new(99, 1, 9_500)],
-                    ],
-                    right: Vec::new(),
+                    side: 0,
+                    lane: 0,
+                    events: (0..10u32).map(|i| Event::new(i, i * 2, 9_000 + i)).collect(),
                 },
-                SnapshotWindow { win_no: 10, left: Vec::new(), right: Vec::new() },
+                SnapshotArray {
+                    win_no: 9,
+                    side: 0,
+                    lane: 3,
+                    events: vec![Event::new(99, 1, 9_500)],
+                },
+                SnapshotArray { win_no: 10, side: 1, lane: 0, events: Vec::new() },
             ],
         }
     }
@@ -456,10 +450,10 @@ mod tests {
         assert_eq!(decoded.tenant, 3);
         assert_eq!(decoded.ckpt_seq, 7);
         assert_eq!(decoded.audit_cursor, 42);
-        assert_eq!(decoded.windows.len(), 2);
-        assert_eq!(decoded.windows[0].left.len(), 2);
-        assert_eq!(decoded.windows[0].left[0], plain.windows[0].left[0]);
-        assert_eq!(decoded.windows[1].win_no, 10);
+        assert_eq!(decoded.arrays.len(), 3);
+        assert_eq!(decoded.arrays[0].events, plain.arrays[0].events);
+        assert_eq!((decoded.arrays[1].win_no, decoded.arrays[1].lane), (9, 3));
+        assert_eq!((decoded.arrays[2].win_no, decoded.arrays[2].side), (10, 1));
     }
 
     #[test]
@@ -469,7 +463,7 @@ mod tests {
         assert_eq!(sealed.tenant, 3);
         let (plain, unhash) = unseal_snapshot(&master, &sealed).unwrap();
         assert_eq!(unhash, hash);
-        assert_eq!(plain.windows[0].left[1], vec![Event::new(99, 1, 9_500)]);
+        assert_eq!(plain.arrays[1].events, vec![Event::new(99, 1, 9_500)]);
         // The ciphertext is not the plaintext.
         assert_ne!(sealed.ciphertext, sample().encode());
     }

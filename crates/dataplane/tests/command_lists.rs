@@ -75,6 +75,8 @@ fn windowed(payload: &[u8], spec: WindowSpec) -> Command<'_> {
         is_power: false,
         keystream_block: 0,
         spec,
+        side: 0,
+        lane: 0,
     }
 }
 
@@ -613,23 +615,23 @@ fn a_group_that_trips_the_quota_at_any_batch_leaves_no_trace_of_any() {
     let small: Vec<Vec<u8>> = (0..4).map(|b| wire(100, 20 + b)).collect();
     let big = wire(20_000, 30);
 
-    // The honest group: one window partition per batch, in batch order.
+    // The honest group: every batch appends to the window's one array.
     let dp = plane(Some(QUOTA));
     let refs: Vec<&[u8]> = small.iter().map(Vec::as_slice).collect();
     let replies = call(&dp, T, &ingest_group(&refs)).unwrap();
-    let windowed: Vec<OpaqueRef> = replies
+    let windowed: Vec<(OpaqueRef, usize)> = replies
         .iter()
         .filter_map(|r| match r {
-            Reply::WindowedIngress { windows, .. } => Some(windows[0].opaque),
+            Reply::WindowedIngress { windows, .. } => Some((windows[0].opaque, windows[0].len)),
             _ => None,
         })
         .collect();
-    assert_eq!(windowed.len(), 4);
+    let lens: Vec<usize> = windowed.iter().map(|(_, len)| *len).collect();
+    assert_eq!(lens, [100, 200, 300, 400], "each batch grows the one array");
+    assert!(windowed.iter().all(|(r, _)| *r == windowed[0].0));
     assert_eq!(dp.tenant_ingest(T).unwrap().0, 400);
-    assert_eq!(dp.live_refs(T), 4, "only the windowed partitions are held");
-    for r in windowed {
-        in_tee(|| dp.retire(T, r)).unwrap();
-    }
+    assert_eq!(dp.live_refs(T), 1, "only the window array is held");
+    in_tee(|| dp.retire(T, windowed[0].0)).unwrap();
 
     for j in 0..4 {
         let dp = plane(Some(QUOTA));

@@ -133,3 +133,72 @@ fn books_agree_under_hint_guided_placement() {
 fn books_agree_under_same_producer_placement() {
     random_traffic(PlacementPolicy::SameProducer, 0x5EED_0002);
 }
+
+/// A window array grows in place: after each group that appends to it, and
+/// after a group that trips the quota part-way and is cut back, the ledger,
+/// the carve-out and the tenant's charge all hold exactly the array's
+/// page-rounded length; once the fire consumes and retires it, nothing.
+#[test]
+fn books_agree_as_a_window_array_grows_is_cut_back_and_retires() {
+    use sbt_dataplane::{Command, Reply};
+    use sbt_types::{Duration, WindowSpec};
+    const TENANT: TenantId = TenantId(1);
+    let dp = DataPlane::new(Platform::hikey(), DataPlaneConfig::default());
+    dp.register_tenant(TENANT, Some(10 * PAGE_SIZE)).unwrap();
+    let spec = WindowSpec::fixed(Duration::from_secs(1));
+    // Every event in window 0.
+    let payload = |n: u32| {
+        Event::slice_to_bytes(&(0..n).map(|i| Event::new(i % 7, i, i % 1_000)).collect::<Vec<_>>())
+    };
+    let group = |payloads: &[Vec<u8>]| {
+        let cmds: Vec<Command<'_>> = payloads
+            .iter()
+            .map(|payload| Command::WindowedIngress {
+                payload,
+                encrypted: false,
+                is_power: false,
+                keystream_block: 0,
+                spec,
+                side: 0,
+                lane: 0,
+            })
+            .collect();
+        in_tee(|| dp.call(TENANT, &cmds))
+    };
+    let books = |len: usize, at: &str| {
+        let in_use = dp.platform().secure_mem().in_use();
+        assert_eq!(in_use, page_rounded(len), "{at}: the carve-out holds the array");
+        assert_eq!(dp.memory_report().committed_bytes, in_use, "{at}: the ledger");
+        assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, in_use, "{at}: the charge");
+    };
+    let array = |replies: Vec<Reply>| match replies.last() {
+        Some(Reply::WindowedIngress { windows, .. }) => (windows[0].opaque, windows[0].len),
+        other => panic!("a windowed ingress replies its array: {other:?}"),
+    };
+
+    // Two groups append to the window's one array: 3 pages, then 5.
+    let (first, len) = array(group(&[payload(1_000)]).unwrap());
+    books(len, "after the first group");
+    let (second, len) = array(group(&[payload(400), payload(300)]).unwrap());
+    assert_eq!((second, len), (first, 1_700), "the second group grew the same array");
+    books(1_700, "after the second group");
+
+    // A third group appends 300 events (6 pages), then a batch that does
+    // not fit the 4 pages left: the group is refused and the array cut
+    // back to its 1 700 events.
+    let err = group(&[payload(300), payload(1_500)]).unwrap_err();
+    assert_eq!(err, DataPlaneError::QuotaExceeded);
+    books(1_700, "after the refused group");
+    assert_eq!(dp.tenant_ingest(TENANT).unwrap().0, 1_700);
+
+    // The fire consumes the array and retires it, and its output.
+    let total = in_tee(|| {
+        dp.invoke(TENANT, PrimitiveKind::Sum, &[first], PrimitiveParams::None, &HintSet::none())
+    })
+    .unwrap();
+    in_tee(|| dp.retire(TENANT, first)).unwrap();
+    in_tee(|| dp.retire(TENANT, total[0].opaque)).unwrap();
+    books(0, "after the fire");
+    assert_eq!(dp.memory_report().live_uarrays, 0);
+    assert_eq!(dp.live_refs(TENANT), 0);
+}

@@ -12,6 +12,10 @@
 //! and sliding windows, shuffled timestamps, sizes off the 340-event decrypt
 //! window, an empty payload, and a payload that is not whole events — which
 //! both forms refuse with `BadIngress`, holding nothing.
+//!
+//! Batches of one window appended to its one array, whether in one list
+//! or in three on the same lane, grow that array alike; on three lanes they
+//! are three arrays, which cost the part-filled pages the appends save.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,12 +107,18 @@ impl Case {
     }
 
     fn windowed(&self) -> Command<'_> {
+        self.windowed_on(0)
+    }
+
+    fn windowed_on(&self, lane: u32) -> Command<'_> {
         Command::WindowedIngress {
             payload: &self.payload,
             encrypted: self.encrypted,
             is_power: self.is_power,
             keystream_block: self.keystream_block,
             spec: self.spec,
+            side: 0,
+            lane,
         }
     }
 
@@ -266,5 +276,67 @@ fn a_payload_of_no_whole_events_is_refused_alike_holding_nothing() {
         assert_eq!(pages(dp), 0);
         assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
         assert!(records(dp).is_empty());
+    }
+}
+
+#[test]
+fn one_group_or_three_on_one_lane_grow_one_window_array_alike() {
+    // Three batches inside the first one-second window, none a whole
+    // number of pages: one list on lane 0, three lists on lane 0, and
+    // three lists on lanes 0, 1 and 2.
+    let cases = [
+        Case::new(700, 0, 900, false, 1),
+        Case::new(1_000, 0, 900, true, 2),
+        Case::new(341, 100, 800, false, 3).encrypted(9),
+    ];
+    let (one, three, lanes) = (plane(), plane(), plane());
+    let grouped: Vec<Command<'_>> = cases.iter().map(Case::windowed).collect();
+    let mut replies = [in_tee(|| one.call(T, &grouped)).unwrap(), Vec::new(), Vec::new()];
+    for (lane, case) in (0..).zip(&cases) {
+        replies[1].extend(in_tee(|| three.call(T, &[case.windowed()])).unwrap());
+        replies[2].extend(in_tee(|| lanes.call(T, &[case.windowed_on(lane)])).unwrap());
+    }
+    // Each plane's window arrays, in the order they opened.
+    let [wa, wb, wc] = replies.map(|replies| {
+        let mut arrays: Vec<InvokeOutput> = Vec::new();
+        for reply in replies {
+            let Reply::WindowedIngress { windows, .. } = reply else { panic!("{reply:?}") };
+            let [w] = &windows[..] else { panic!("one window, got {windows:?}") };
+            match arrays.iter_mut().find(|a| a.opaque == w.opaque) {
+                Some(a) => *a = *w,
+                None => arrays.push(*w),
+            }
+        }
+        arrays
+    });
+    let total: usize = cases.iter().map(|c| c.events() as usize).sum();
+    assert_eq!((wa.len(), wb.len(), wc.len()), (1, 1, 3));
+    assert_eq!((wa[0].len, wb[0].len), (total, total), "each batch grew the one array");
+    // The lanes' arrays, opened one after another, hold what the one
+    // array holds.
+    let opened = |dp: &DataPlane, windows: &[InvokeOutput]| -> Vec<u8> {
+        let keys = dp.verifier_keys(T).unwrap();
+        let messages: Vec<_> = windows.iter().map(|w| in_tee(|| dp.egress(T, w.opaque))).collect();
+        messages.into_iter().flat_map(|m| m.unwrap().open_with(keys.latest()).unwrap()).collect()
+    };
+    let (pa, pb, pc) = (opened(&one, &wa), opened(&three, &wb), opened(&lanes, &wc));
+    assert_eq!(pa, pb, "the same array contents");
+    assert_eq!(pa, pc, "the same events, over three arrays");
+    for (dp, windows) in [(&one, &wa), (&three, &wb), (&lanes, &wc)] {
+        for w in windows {
+            in_tee(|| dp.retire(T, w.opaque)).unwrap();
+        }
+    }
+    let ra = records(&one);
+    assert_eq!(ra, records(&three), "the same records, ids and all");
+    assert_eq!(ra.len(), 2 * cases.len() + 1, "an ingress and a windowing per batch, an egress");
+    assert_eq!(pages(&one), pages(&three), "the same pages");
+    let apart: u64 = cases.iter().map(|c| TeePager::pages_for(c.events() * 12)).sum();
+    let together = TeePager::pages_for(total as u64 * 12);
+    assert_eq!(pages(&lanes) - pages(&one), apart - together, "the part-filled pages saved");
+    for dp in [&one, &three, &lanes] {
+        assert_eq!(dp.live_refs(T), 0);
+        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+        assert_eq!(dp.platform().secure_mem().in_use(), 0);
     }
 }

@@ -19,15 +19,15 @@
 //! pays the boundary once per step of work rather than once per primitive:
 //!
 //! * a group of n batches is one `WindowedIngress` per batch, each
-//!   decrypted straight into its window arrays (what `[Ingress,
-//!   Invoke(Segment, Out 0), Retire(Out 0)]` leaves, without the raw
-//!   array) — a lone batch is a group of one; a server lane sends a
-//!   window's batches as one group;
-//! * a fire's partitions run in at most W lists, each `[Invoke(op, r),
-//!   Retire(r)]` for each transform and, for a keyed reduce, its Sort, of
-//!   each of its partitions;
+//!   decrypted and appended straight to its windows' arrays — a lone batch
+//!   is a group of one; a server lane sends a window's batches as one
+//!   group;
+//! * a fire's arrays (one per window, side and ingest lane) run in at most
+//!   W lists, each `[Invoke(op, r), Retire(r)]` for each transform and, for
+//!   a keyed reduce, its Sort, of each of its arrays;
 //! * a window's tail is one list from the gather (`MergeK` or `Concat` over
-//!   the partitions) through the reduce, the egress and the final retire;
+//!   the arrays; an unkeyed reduce reads them directly) through the
+//!   reduce, the egress and the final retire;
 //! * the `Watermark` of the watermark that completed a window heads the
 //!   fire's first list (its first partition list, or its tail when the
 //!   chain is empty); a watermark no fire carries is a list of its own.
@@ -284,8 +284,9 @@ impl TeeGateway {
         self.dp.drain_audit_segments(self.tenant).unwrap_or_default()
     }
 
-    /// Seal a checkpoint snapshot of this tenant's windowed state (a
-    /// one-command list; only the sealed container crosses back).
+    /// Seal a checkpoint snapshot of this tenant's window arrays and the
+    /// control plane's cursor (a one-command list; only the sealed
+    /// container crosses back).
     pub fn checkpoint(
         &self,
         manifest: &CheckpointManifest,
@@ -384,6 +385,8 @@ mod tests {
                 is_power: false,
                 keystream_block: 0,
                 spec,
+                side: 0,
+                lane: 0,
             }])
             .unwrap();
         assert_eq!(replies[0].outputs().len(), 3, "the batch spans three windows");

@@ -3,7 +3,7 @@
 //!
 //! Programmers declare pipelines with the operators in this module.
 //! [`WindowPlan::compile`] turns a pipeline's operators into the one plan
-//! every window runs: a per-partition chain, a gather and a reduce. The
+//! every window runs: a per-array chain, a gather and a reduce. The
 //! engine fires windows from that plan alone, and the cloud verifier's
 //! [`sbt_attest::PipelineSpec`] is read off it ([`WindowPlan::spec`]), so
 //! the declaration installed on the cloud and what the edge executes are
@@ -123,21 +123,22 @@ pub type PlanOp = (PrimitiveKind, PrimitiveParams);
 
 /// What every window of a pipeline runs, compiled once from its operators.
 ///
-/// A window fires in two steps. Each partition of each side the plan reads
-/// runs `chain` as one command list; then one tail list gathers each side's
-/// partitions with `gather`, applies `reduce` (if any) to the gathered
-/// sides, and egresses the result. The verifier's declaration is read off
-/// the same plan ([`WindowPlan::spec`]).
+/// A window fires in two steps. Each of a side's arrays (one per ingest
+/// lane, at most W) runs `chain`; then one tail list gathers each side's
+/// arrays with `gather`, applies `reduce` (if any) and egresses the result.
+/// The verifier's declaration is read off the same plan
+/// ([`WindowPlan::spec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowPlan {
-    /// Run on every partition, in order: each transform, then `Sort` when
-    /// the reduce reads key runs.
+    /// Run on every array, in order: each transform, then `Sort` when the
+    /// reduce reads key runs.
     pub chain: Vec<PlanOp>,
     /// Stream sides the plan reads: 2 for [`Operator::TempJoin`], else 1.
     pub sides: usize,
-    /// How a side's partitions become one array: `MergeK` over sorted runs
-    /// when the reduce is keyed, `Concat` otherwise.
-    pub gather: PrimitiveKind,
+    /// How a side's arrays become one: `MergeK` over sorted runs when the
+    /// reduce is keyed, `Concat` when there is no reduce and one array is
+    /// egressed; `None` when an unkeyed reduce reads them all directly.
+    pub gather: Option<PrimitiveKind>,
     /// Applied to the gathered sides; `None` egresses the gathered events.
     pub reduce: Option<PlanOp>,
 }
@@ -166,7 +167,11 @@ impl WindowPlan {
         WindowPlan {
             chain,
             sides: if terminal == Operator::TempJoin { 2 } else { 1 },
-            gather: if keyed { PrimitiveKind::MergeK } else { PrimitiveKind::Concat },
+            gather: match reduce {
+                Some((_, _, true)) => Some(PrimitiveKind::MergeK),
+                Some(_) => None,
+                None => Some(PrimitiveKind::Concat),
+            },
             reduce: reduce.map(|(op, params, _)| (op, params)),
         }
     }
@@ -205,11 +210,12 @@ mod tests {
                     (PrimitiveKind::Sample, PrimitiveParams::Every(3)),
                 ],
                 sides: 1,
-                gather: PrimitiveKind::Concat,
+                gather: None,
                 reduce: Some((PrimitiveKind::TopK, PrimitiveParams::K(4))),
             }
         );
-        assert_eq!(WindowPlan::compile(&[], Operator::Passthrough).reduce, None);
+        let passthrough = WindowPlan::compile(&[], Operator::Passthrough);
+        assert_eq!((passthrough.gather, passthrough.reduce), (Some(PrimitiveKind::Concat), None));
     }
 
     #[test]
@@ -235,10 +241,10 @@ mod tests {
                 (PrimitiveKind::Sort, PrimitiveParams::None),
             ]
         );
-        assert_eq!(plan.gather, PrimitiveKind::MergeK);
+        assert_eq!(plan.gather, Some(PrimitiveKind::MergeK));
         assert_eq!(plan.reduce, Some((PrimitiveKind::TopKPerKey, PrimitiveParams::K(3))));
         let join = WindowPlan::compile(&[], Operator::TempJoin);
-        assert_eq!((join.sides, join.gather), (2, PrimitiveKind::MergeK));
+        assert_eq!((join.sides, join.gather), (2, Some(PrimitiveKind::MergeK)));
         assert_eq!(join.chain, vec![(PrimitiveKind::Sort, PrimitiveParams::None)]);
     }
 

@@ -2,44 +2,40 @@
 //! parallel execution of the pipeline's [`WindowPlan`] against the data
 //! plane.
 //!
-//! The runner is the untrusted control plane in action. It receives event
-//! batches and watermarks from sources, keeps per-window bookkeeping of the
-//! opaque references the data plane hands back, and — when a watermark
-//! completes a window — fires it from the plan it compiled once, the same
-//! steps for every plan, each a command list: the plan's chain over the
-//! window's partitions, cut into at most W contiguous lists run on the
-//! worker pool (W is the pool's workers plus the joining thread), then one
-//! tail list that gathers each side, applies the plan's reduce, egresses
-//! and retires. A fire therefore crosses at most W + 1 times, whatever its
-//! batch count. Along the way it attaches consumption hints for the TEE
-//! allocator, measures output delay, applies backpressure under TEE memory
-//! pressure, and collects uploadable results and audit segments.
+//! The runner is the untrusted control plane in action. Batches enter
+//! through one call, [`Engine::ingest_group`]: a group of batches is one
+//! command list, so one crossing, and the TEE appends each batch straight
+//! to its windows' arrays — one array per window, stream side and ingest
+//! lane, held by the data plane and grown in place, so an event's pages
+//! are committed once, in the array the window's fire reads. A group runs
+//! on lane 0; [`Engine::ingest_many`] cuts its deliveries into at most W
+//! contiguous groups run on the pool, group i on lane i (W is the pool's
+//! workers plus the joining thread). The runner keeps one reference per
+//! window array, whatever its batch count.
 //!
-//! Batches enter through one call, [`Engine::ingest_group`]: a group of
-//! batches is one command list, so one crossing, and the TEE decrypts each
-//! batch straight into its window arrays, so an event's pages are committed
-//! once, in the array the window's fire reads. [`Engine::ingest_many`]
-//! cuts its deliveries the way a fire cuts its partitions, into at most W
-//! contiguous groups run on the pool.
+//! When a watermark completes a window, the runner fires it from the plan
+//! it compiled once: the plan's chain over the window's arrays (at most W
+//! a side), in at most W lists run on the pool, then one tail list that
+//! gathers each side, applies the reduce, egresses and retires. A fire
+//! therefore crosses at most W + 1 times, whatever its batch count. Along
+//! the way it attaches consumption hints for the TEE allocator, measures
+//! output delay, applies backpressure under TEE memory pressure, and
+//! collects uploadable results and audit segments.
 //!
 //! A watermark fires its windows inline ([`Engine::advance_watermark_on`])
 //! or as an executor task whose [`JoinHandle`] the caller harvests
 //! ([`Engine::advance_watermark_async`]). Either way the fire holds the
-//! engine's one fire lock for the whole of its windows, from the next
-//! unexecuted window through the last its watermark completes: one
-//! engine's windows execute one fire at a time and in window order, and a
-//! fire whose windows an earlier fire already ran returns at once.
+//! engine's one fire lock for the whole of its windows: one engine's
+//! windows execute one fire at a time and in window order, and a fire
+//! whose windows an earlier fire already ran returns at once.
 //! [`Engine::quiesce`] and [`Engine::checkpoint`] take the same lock.
 //!
 //! A watermark that completes a window makes no crossing of its own: it is
-//! queued with the first window it completes and recorded at the head of
-//! that window's first list (its first partition list, or its tail when
-//! the chain is empty), so the trail shows it before the egress of every
-//! window it completes and never before an earlier window's, and the
-//! attested delay spans the whole fire. A watermark crosses alone only
-//! when no fire records it: it completes nothing (one side of a join), it
-//! completes only windows already executed, its window has no fire (empty
-//! or one-sided), or the first list failed and so left no trace.
+//! recorded at the head of the first list of the first window it completes,
+//! so the trail shows it before the egress of every window it completes and
+//! the attested delay spans the whole fire. It crosses alone only when no
+//! fire records it: it completes nothing (one side of a join), only windows
+//! already executed, a window with no fire, or the first list failed.
 
 use crate::config::EngineConfig;
 use crate::executor::{as_fire, Executor, JoinHandle};
@@ -52,14 +48,14 @@ use parking_lot::Mutex;
 use sbt_attest::LogSegment;
 use sbt_dataplane::{
     Arg, CheckpointManifest, Command, DataPlane, DataPlaneError, EgressMessage, OpaqueRef, Reply,
-    RestoredTenant, SealedSnapshot, WindowManifest,
+    RestoredTenant, SealedSnapshot,
 };
 use sbt_telemetry::{LatencyKind, MetricsRegistry, SpanKind};
 use sbt_types::{TenantId, Watermark, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::HintSet;
 use sbt_workloads::transport::Delivery;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,9 +79,9 @@ pub enum IngestStatus {
     Backpressure,
 }
 
-/// Per-window bookkeeping: the windowed partitions of each stream side,
-/// indexed by [`StreamSide`].
-type WindowState = [Vec<OpaqueRef>; 2];
+/// Per window, the reference of each of its arrays in the data plane, by
+/// stream side ([`StreamSide`] indexes it) and ingest lane.
+type WindowState = [BTreeMap<u32, OpaqueRef>; 2];
 
 /// What the engine's fire lock guards: window execution's cursor, and the
 /// watermarks that completed a window and are not on the trail yet, each
@@ -233,30 +229,29 @@ impl Engine {
 
     /// Ingest a group of batches on one stream side in **one** crossing:
     /// one command list, a `WindowedIngress` per batch (a lone batch is a
-    /// group of one), each decrypted straight into its window arrays. Each
-    /// batch's windowed partitions join their windows in delivery order.
+    /// group of one), each appended straight to its windows' lane-0 arrays.
     /// The list is one transaction: a group the TEE rejects part-way — batch
-    /// j's window arrays trip the tenant's quota, say — is unwound there whole,
-    /// so no array, record or ingest count of *any* of its batches survives,
-    /// and the one error is returned.
+    /// j's appends trip the tenant's quota, say — is unwound there whole,
+    /// so no event, record or ingest count of *any* of its batches survives
+    /// (the arrays are cut back), and the one error is returned.
     pub fn ingest_group(
         &self,
         deliveries: &[Delivery],
         side: StreamSide,
     ) -> Result<IngestStatus, DataPlaneError> {
         self.started.lock().get_or_insert_with(Instant::now);
-        let windowed = Self::ingest_list(&self.gateway, self.pipeline.window_spec(), deliveries)?;
-        self.stash_windowed(windowed, side);
+        let spec = self.pipeline.window_spec();
+        let arrays = Self::ingest_list(&self.gateway, spec, deliveries, side, 0)?;
+        self.stash(arrays, side, 0);
         self.finish_ingest()
     }
 
     /// Ingest a set of batches on the worker pool: the deliveries, in
-    /// order, cut into `min(n, W)` contiguous groups (W is the pool's
-    /// workers plus the joining thread), each one crossing, as with
-    /// [`ingest_group`], and run in parallel, so the per-batch decryption
-    /// and segmentation still spread over the pool. A rejected group costs
-    /// only its own batches: every admitted group's batches join their
-    /// windows, then the first rejection is returned.
+    /// order, cut into `min(n, W)` contiguous groups, group i one crossing
+    /// on lane i, as with [`ingest_group`], run in parallel, so the
+    /// per-batch decryption and segmentation still spread over the pool and
+    /// no two groups append to one array. A rejected group costs only its
+    /// own batches; the first rejection is returned.
     ///
     /// [`ingest_group`]: Engine::ingest_group
     pub fn ingest_many(
@@ -266,20 +261,16 @@ impl Engine {
     ) -> Result<IngestStatus, DataPlaneError> {
         self.started.lock().get_or_insert_with(Instant::now);
         let spec = self.pipeline.window_spec();
-        let tasks: Vec<_> = self
-            .cut(deliveries)
-            .into_iter()
-            .map(|group| {
+        let tasks: Vec<_> = (self.cut(deliveries).into_iter().zip(0..))
+            .map(|(group, lane)| {
                 let gw = Arc::clone(&self.gateway);
-                move || Self::ingest_list(&gw, spec, &group)
+                move || Self::ingest_list(&gw, spec, &group, side, lane)
             })
             .collect();
-        // An admitted group's windowed partitions are committed in the TEE:
-        // they must reach their windows to be fired and retired.
         let mut outcome = Ok(());
-        for result in self.pool.run_all(tasks) {
+        for (result, lane) in self.pool.run_all(tasks).into_iter().zip(0..) {
             match result {
-                Ok(windowed) => self.stash_windowed(windowed, side),
+                Ok(arrays) => self.stash(arrays, side, lane),
                 Err(e) => outcome = outcome.and(Err(e)),
             }
         }
@@ -298,13 +289,14 @@ impl Engine {
     }
 
     /// The one ingest list builder, one crossing: for each batch, deliver
-    /// its bytes to the TEE, which decrypts them straight into their
-    /// window arrays. Returns every batch's windowed partitions, in
-    /// delivery order.
+    /// its bytes to the TEE, which appends them straight to their windows'
+    /// arrays of `side` and `lane`. Returns the arrays it appended to.
     fn ingest_list(
         gateway: &TeeGateway,
         spec: sbt_types::WindowSpec,
         deliveries: &[Delivery],
+        side: StreamSide,
+        lane: u32,
     ) -> Result<Vec<(WindowId, OpaqueRef)>, DataPlaneError> {
         let cmds: Vec<Command<'_>> = deliveries
             .iter()
@@ -314,24 +306,24 @@ impl Engine {
                 is_power: delivery.is_power,
                 keystream_block: delivery.keystream_block,
                 spec,
+                side: side as u8,
+                lane,
             })
             .collect();
-        Ok(gateway
-            .call(&cmds)?
-            .into_iter()
-            .filter_map(|reply| match reply {
-                Reply::WindowedIngress { windows, .. } => Some(windows),
-                _ => None,
-            })
-            .flatten()
-            .map(|out| (out.window.expect("window arrays carry window ids"), out.opaque))
-            .collect())
+        let replies = gateway.call(&cmds)?.into_iter();
+        let arrays = replies.flat_map(|reply| match reply {
+            Reply::WindowedIngress { windows, .. } => windows,
+            _ => Vec::new(),
+        });
+        Ok(arrays.map(|out| (out.window.expect("a window array"), out.opaque)).collect())
     }
 
-    fn stash_windowed(&self, windowed: Vec<(WindowId, OpaqueRef)>, side: StreamSide) {
+    /// Note the reference of each window array `side` and `lane` appended
+    /// to: one per array, however many batches it holds.
+    fn stash(&self, arrays: Vec<(WindowId, OpaqueRef)>, side: StreamSide, lane: u32) {
         let mut windows = self.windows.lock();
-        for (win, opaque) in windowed {
-            windows.entry(win).or_default()[side as usize].push(opaque);
+        for (win, opaque) in arrays {
+            windows.entry(win).or_default()[side as usize].insert(lane, opaque);
         }
     }
 
@@ -478,12 +470,13 @@ impl Engine {
 
     /// Fire one completed window from the plan, the same steps for every
     /// plan: retire the window if a side the plan reads is empty; run the
-    /// chain over the partitions in at most W lists ([`Self::run_partitions`]);
-    /// then one tail list that gathers each side, applies the reduce (if
-    /// any) and egresses. The fire's first list — its first partition list,
-    /// or the tail when the chain is empty — records `watermarks` at its
-    /// head, so the attested delay from them to the egress spans the whole
-    /// fire; `watermarks` is emptied once that list has run.
+    /// chain over its arrays in at most W lists ([`Self::run_partitions`]);
+    /// then one tail list that gathers each side (an unkeyed reduce reads
+    /// the arrays directly), applies the reduce (if any) and egresses. The
+    /// fire's first list — its first chain list, or the tail when the chain
+    /// is empty — records `watermarks` at its head, so the attested delay
+    /// from them to the egress spans the whole fire; `watermarks` is
+    /// emptied once that list has run.
     fn fire_window(
         &self,
         win: WindowId,
@@ -499,7 +492,8 @@ impl Engine {
         // 1. A side the plan reads is empty: nothing to fire. Retire what
         // the window holds, in one list. (A side it does not read is only
         // ever retired.)
-        let mut sides = Vec::from(window);
+        let mut sides: Vec<Vec<OpaqueRef>> =
+            window.into_iter().map(|lanes| lanes.into_values().collect()).collect();
         let unread = sides.split_off(self.plan.sides);
         if sides.iter().any(Vec::is_empty) {
             self.retire(sides.into_iter().chain(unread).flatten());
@@ -507,22 +501,24 @@ impl Engine {
         }
         self.retire(unread.into_iter().flatten());
 
-        // 2. Partitions, in parallel: at most W lists of contiguous
-        // partitions. A mid-window failure — e.g. an intermediate tripping
-        // the tenant's quota — costs the window but never strands quota or
-        // pages.
+        // 2. The chain over the arrays, in at most W parallel lists. A
+        // mid-window failure — e.g. an intermediate tripping the tenant's
+        // quota — costs the window but never strands quota or pages.
         let sides = self.run_partitions(sides, watermarks)?;
 
-        // 3. The tail: one list from the watermarks (when no partition list
+        // 3. The tail: one list from the watermarks (when no chain list
         // recorded them) through the gathers, the reduce, the egress and its
-        // retire. If it fails, the data plane retires the partitions it
-        // names and drops the sealed result and any watermark records with
-        // the rest.
+        // retire. If it fails, the data plane retires the arrays it names
+        // and drops the sealed result and any watermark records with the
+        // rest.
         let mut tail = Steps::default();
         tail.watermarks(watermarks);
         let gathered: Vec<Arg> = sides
             .iter()
-            .map(|refs| tail.gather(self.plan.gather, refs).expect("a fired side has partitions"))
+            .flat_map(|refs| match self.plan.gather {
+                Some(op) => vec![tail.gather(op, refs).expect("a fired side has arrays")],
+                None => refs.iter().map(|r| Arg::Ref(*r)).collect(),
+            })
             .collect();
         let result = self.plan.reduce.map_or(gathered[0], |(op, params)| {
             tail.consume(op, params, HintSet::none(), gathered)
@@ -578,17 +574,16 @@ impl Engine {
         }
     }
 
-    /// Run the plan's chain on every partition of every side: the sides'
-    /// partitions, in order, cut into `min(total, W)` contiguous command
-    /// lists run in parallel, where `total` counts the partitions of all
-    /// sides and `W` is the pool's workers plus the joining thread. So this
-    /// step crosses at most `W` times whatever the batch count. A list
-    /// carries, for each of its partitions, the chain and the retire of its
-    /// input; partition `i` of a side's `k` carries the one hint "sibling
-    /// `i` of `k` consumed in parallel" on every output. An empty chain
-    /// costs nothing. The first list records `watermarks` at its head and,
-    /// once it has run, empties them. Outputs come back in partition order.
-    /// A list that fails has retired every partition it names; when one
+    /// Run the plan's chain once on every array of every side: the sides'
+    /// arrays, in lane order, cut into `min(total, W)` contiguous command
+    /// lists run in parallel, where `total` counts the arrays of all sides
+    /// (at most W a side) and `W` is the pool's workers plus the joining
+    /// thread. A list carries, for each of its arrays, the chain and the
+    /// retire of its input; array `i` of a side's `n` carries the one hint
+    /// "sibling `i` of `n` consumed in parallel" on every output. An empty
+    /// chain costs nothing. The first list records `watermarks` at its head
+    /// and, once it has run, empties them. Outputs come back in array
+    /// order. A list that fails has retired every array it names; when one
     /// does, the outputs of the other lists are retired in one list and the
     /// first error is returned.
     fn run_partitions(
@@ -654,7 +649,7 @@ impl Engine {
 
     /// Cut `items`, in order, into `min(n, W)` contiguous lists whose
     /// lengths differ by at most one (the longer ones first), W being the
-    /// pool's workers plus the joining thread: how a fire's partitions and
+    /// pool's workers plus the joining thread: how a fire's arrays and
     /// [`Engine::ingest_many`]'s deliveries spread over the pool.
     fn cut<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
         let total = items.len();
@@ -684,57 +679,29 @@ impl Engine {
         drop(self.fires.lock());
     }
 
-    /// Capture this engine's window bookkeeping as a checkpoint manifest:
-    /// every pending window's partition references, both watermarks and
-    /// the window-execution cursor. Only consistent with no ingest in
-    /// flight; [`Engine::checkpoint`] also keeps a fire from starting
-    /// between the capture and the seal.
-    pub fn checkpoint_manifest(&self) -> CheckpointManifest {
-        self.manifest_at(self.fires.lock().next_unexecuted)
-    }
-
-    /// [`Engine::checkpoint_manifest`] with the cursor read by a caller
-    /// that holds the fire lock.
-    fn manifest_at(&self, next_unexecuted: WindowId) -> CheckpointManifest {
-        let (left_wm, right_wm) = *self.watermarks.lock();
-        let mut windows: Vec<WindowManifest> = self
-            .windows
-            .lock()
-            .iter()
-            .map(|(id, [left, right])| WindowManifest {
-                win_no: id.0 as u32,
-                left: left.clone(),
-                right: right.clone(),
-            })
-            .collect();
-        windows.sort_by_key(|w| w.win_no);
-        CheckpointManifest {
-            left_watermark_ms: left_wm.event_time.as_millis(),
-            right_watermark_ms: right_wm.event_time.as_millis(),
-            next_unexecuted: next_unexecuted.0 as u32,
-            windows,
-        }
-    }
-
     /// Seal a checkpoint of this engine's tenant: take the fire lock
-    /// (waiting out a running fire), capture the manifest and seal the
-    /// snapshot inside the TEE (one entry), holding the lock across both so
-    /// no fire starts between them. Only consistent with no ingest in
-    /// flight. The returned container is safe to hand to untrusted storage;
-    /// the matching sealed-checkpoint record is already chained into the
-    /// tenant's audit trail.
+    /// (waiting out a running fire) and seal, inside the TEE (one entry),
+    /// the data plane's window arrays with this engine's watermarks and
+    /// window cursor, holding the lock so no fire starts meanwhile. Only
+    /// consistent with no ingest in flight. The returned container is safe
+    /// to hand to untrusted storage; the matching sealed-checkpoint record
+    /// is already chained into the tenant's audit trail.
     pub fn checkpoint(&self) -> Result<SealedSnapshot, DataPlaneError> {
         as_fire(|| {
             let fires = self.fires.lock();
-            let manifest = self.manifest_at(fires.next_unexecuted);
-            self.gateway.checkpoint(&manifest)
+            let (left, right) = *self.watermarks.lock();
+            self.gateway.checkpoint(&CheckpointManifest {
+                left_watermark_ms: left.event_time.as_millis(),
+                right_watermark_ms: right.event_time.as_millis(),
+                next_unexecuted: fires.next_unexecuted.0 as u32,
+            })
         })
     }
 
     /// Restore this engine's tenant from a sealed checkpoint and adopt the
-    /// recovered state: the data plane re-commits every partition (fresh
+    /// recovered state: the data plane re-commits every window array (fresh
     /// references, re-announced to the audit trail) and this engine resumes
-    /// with the recovered windows, watermarks and execution cursor.
+    /// with the recovered arrays, watermarks and execution cursor.
     pub fn restore_from(
         &self,
         quota_bytes: Option<u64>,
@@ -751,10 +718,8 @@ impl Engine {
     pub fn adopt_restored(&self, restored: &RestoredTenant) {
         {
             let mut windows = self.windows.lock();
-            for w in &restored.windows {
-                let [left, right] = windows.entry(WindowId(w.win_no as u64)).or_default();
-                left.extend(w.left.iter().copied());
-                right.extend(w.right.iter().copied());
+            for a in &restored.windows {
+                windows.entry(a.window).or_default()[a.side as usize].insert(a.lane, a.opaque);
             }
         }
         self.fires.lock().next_unexecuted = WindowId(restored.next_unexecuted as u64);

@@ -3,25 +3,26 @@
 //!
 //! Each step is one command list, so the counts are small and exact: a
 //! batch is one crossing, and so is a group of batches sent together
-//! (`ingest_group`, the server lane's group commit); `ingest_many` cuts its
-//! n deliveries into `min(n, W)` groups. A window's fire runs the plan's chain
-//! (its transforms, then a Sort when the reduce is keyed) over the window's
-//! k partitions in `min(k, W)` lists, W being the pool's workers plus the
-//! joining thread, then one tail list (gather, reduce, egress, retires):
-//! at most W + 1 crossings whatever the batch count, and 1 when the chain
-//! is empty. The watermark that completes the window costs nothing beyond
-//! its fire, whose first list records it; one that completes nothing (the
-//! first side of a join) crosses alone. A change that adds a crossing to
-//! any step fails here.
+//! (`ingest_group`, the server lane's group commit, on lane 0);
+//! `ingest_many` cuts its n deliveries into `min(n, W)` groups, group i on
+//! lane i, W being the pool's workers plus the joining thread. A window is
+//! one array per side and lane, however many batches reached it. Its fire
+//! runs the plan's chain (its transforms, then a Sort when the reduce is
+//! keyed) over its a arrays in `min(a, W)` lists, then one tail list
+//! (gather, reduce, egress, retires): at most a + 1 crossings whatever the
+//! batch count, and 1 when the chain is empty. The watermark that
+//! completes the window costs nothing beyond its fire, whose first list
+//! records it; one that completes nothing (the first side of a join)
+//! crosses alone. A change that adds a crossing to any step fails here.
 
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Pipeline, StreamSide};
 use sbt_types::Watermark;
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
-use sbt_workloads::transport::Channel;
+use sbt_workloads::transport::{Channel, Delivery};
 use std::sync::Arc;
 
-/// Partitions (batches) per window.
+/// Batches per window.
 const K: u64 = 5;
 const BATCH: usize = 1_000;
 /// Fire lists at most: the 2-worker engine's workers plus the joining
@@ -48,27 +49,33 @@ fn switches(engine: &Engine) -> u64 {
     b.switches
 }
 
-/// Ingest one window of `k` batches on `side`, checking each batch costs
-/// one crossing; returns the watermark that closes the window.
-fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
+/// One window of `k` batches and the watermark that closes it.
+fn window(k: u64) -> (Vec<Delivery>, Watermark) {
     let chunks = synthetic_stream(1, k as usize * BATCH, 16, 7);
     let mut generator =
         Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
-    let mut batches = 0;
+    let mut batches = Vec::new();
     loop {
         match generator.next_offer().expect("the window closes with a watermark") {
-            Offer::Batch(delivery) => {
-                let before = switches(engine);
-                engine.ingest_group(&[delivery], side).unwrap();
-                assert_eq!(switches(engine) - before, 1, "a batch is one crossing");
-                batches += 1;
-            }
+            Offer::Batch(delivery) => batches.push(delivery),
             Offer::Watermark(wm) => {
-                assert_eq!(batches, k);
-                return wm;
+                assert_eq!(batches.len() as u64, k);
+                return (batches, wm);
             }
         }
     }
+}
+
+/// Ingest one window of `k` batches on `side` through `ingest_many`,
+/// checking it costs one crossing per group (so the window is that many
+/// arrays); returns the watermark that closes the window.
+fn ingest_window(engine: &Engine, side: StreamSide, k: u64) -> Watermark {
+    let (batches, wm) = window(k);
+    let w = engine.worker_pool().size() as u64 + 1;
+    let before = switches(engine);
+    engine.ingest_many(batches, side).unwrap();
+    assert_eq!(switches(engine) - before, k.min(w), "a group is one crossing");
+    wm
 }
 
 /// Crossings a watermark costs: the fire it triggers, whose first list
@@ -79,8 +86,8 @@ fn fire(engine: &Engine, wm: Watermark, side: StreamSide) -> u64 {
     switches(engine) - before
 }
 
-/// Crossings of the fire of one `k`-partition window of a single-stream
-/// pipeline on a `workers`-worker engine.
+/// Crossings of the fire of one `k`-batch window of a single-stream
+/// pipeline on a `workers`-worker engine, ingested as `min(k, W)` arrays.
 fn single_stream_fire(workers: usize, k: u64, pipeline: Pipeline) -> u64 {
     let engine = engine_on(workers, pipeline);
     let wm = ingest_window(&engine, StreamSide::Left, k);
@@ -108,8 +115,8 @@ fn a_group_of_batches_is_one_crossing() {
         engine.ingest_group(&batches, StreamSide::Left).unwrap();
         assert_eq!(switches(&engine) - before, 1, "a group of {n} is one crossing");
     }
-    // The window's partitions are all in: its fire is the usual one list,
-    // over all K batches.
+    // The window's batches are all in its one array: its fire is the usual
+    // one list.
     assert_eq!(fire(&engine, wm, StreamSide::Left), 1);
     assert_eq!(engine.metrics().events_ingested, K * BATCH as u64);
 }
@@ -141,30 +148,55 @@ fn ingest_many_is_one_crossing_per_pool_thread() {
 
 #[test]
 fn a_winsum_fire_is_one_crossing() {
-    // The watermark's record, Concat, Sum, egress and every retire: one
-    // list.
+    // The watermark's record, Sum over the arrays, egress and every
+    // retire: one list.
     assert_eq!(single_stream_fire(2, K, Pipeline::winsum_benchmark()), 1);
 }
 
 #[test]
 fn a_topk_fire_is_sorts_merges_and_one_tail() {
-    // The K sorts in min(K, W) lists, then MergeK + TopKPerKey + egress in
-    // one list.
+    // The min(K, W) arrays' sorts in as many lists, then MergeK +
+    // TopKPerKey + egress in one list.
     assert_eq!(single_stream_fire(2, K, Pipeline::topk_benchmark(10)), K.min(W) + 1);
 }
 
 #[test]
 fn a_filter_fire_is_one_crossing_per_list_and_one_tail() {
-    // The K filters in min(K, W) lists, then concat + egress in one list.
+    // The min(K, W) arrays' filters in as many lists, then concat + egress
+    // in one list.
     assert_eq!(single_stream_fire(2, K, Pipeline::filter_benchmark(0, 500)), K.min(W) + 1);
 }
 
 #[test]
 fn a_fire_on_one_worker_is_three_crossings_whatever_its_batch_count() {
-    // One worker and the joining thread: 25 partitions in 2 lists, then the
-    // tail.
+    // One worker and the joining thread: 25 batches in 2 arrays, 2 lists,
+    // then the tail.
     assert_eq!(single_stream_fire(1, 25, Pipeline::topk_benchmark(10)), 3);
     assert_eq!(single_stream_fire(1, 25, Pipeline::filter_benchmark(0, 500)), 3);
+}
+
+#[test]
+fn a_window_sent_on_one_lane_fires_from_one_array_whatever_its_batch_count() {
+    // Batches sent one group each all append to lane 0's array: one sort
+    // (or filter) list and the tail — a + 1 crossings for a = 1 — whether
+    // the window holds 5 batches or 25, on one worker or two.
+    for (workers, k) in [(1, K), (1, 25), (2, 25)] {
+        for (pipeline, fire_crossings) in [
+            (Pipeline::topk_benchmark(10), 2),
+            (Pipeline::filter_benchmark(0, 500), 2),
+            (Pipeline::winsum_benchmark(), 1),
+        ] {
+            let engine = engine_on(workers, pipeline);
+            let (batches, wm) = window(k);
+            for delivery in batches {
+                let before = switches(&engine);
+                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
+                assert_eq!(switches(&engine) - before, 1, "a batch is one crossing");
+            }
+            assert_eq!(fire(&engine, wm, StreamSide::Left), fire_crossings, "{k} batches");
+            assert_eq!(engine.results().len(), 1, "the window fired");
+        }
+    }
 }
 
 #[test]
@@ -176,7 +208,8 @@ fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     assert_eq!(fire(&engine, left, StreamSide::Left), 1);
     let crossings = fire(&engine, right, StreamSide::Right);
     assert_eq!(engine.results().len(), 1, "the window fired");
-    // Both sides' 2K sorts in min(2K, W) lists, then the watermark's record,
-    // both MergeKs, Join and egress in one list.
-    assert_eq!(crossings, (2 * K).min(W) + 1);
+    // Both sides' 2 min(K, W) arrays sorted in min(2 min(K, W), W) lists,
+    // then the watermark's record, both MergeKs, Join and egress in one
+    // list.
+    assert_eq!(crossings, (2 * K.min(W)).min(W) + 1);
 }

@@ -1,13 +1,13 @@
 //! A fire list that fails part-way leaves no trace of its window.
 //!
-//! A fire runs the plan's chain over the window's partitions in at most W
-//! lists, so one list carries several partitions. Here the second
-//! partition of a list trips the tenant's quota: the data plane unwinds
-//! that list whole, the engine retires what the other list produced, and
-//! the caller gets the error. Nothing of the window is left but its
-//! watermark, which the failed fire could not carry and so crossed alone;
-//! the next window fires, and the cloud's replay flags the lost window and
-//! nothing else.
+//! A fire runs the plan's chain over the window's arrays (one per ingest
+//! lane) in at most W lists, the first headed by the watermark's record.
+//! Here that first list trips the tenant's quota past its first command:
+//! the data plane unwinds the list whole, the engine retires what the
+//! other list produced, and the caller gets the error. Nothing of the
+//! window is left but its watermark, which the failed fire could not carry
+//! and so crossed alone; the next window fires, and the cloud's replay
+//! flags the lost window and nothing else.
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier, Violation};
 use sbt_dataplane::{DataPlane, DataPlaneError};
@@ -21,31 +21,34 @@ use std::sync::Arc;
 const TENANT: TenantId = TenantId(1);
 const PAGE: u64 = 4096;
 
-/// Ingest window `w` as batches of the given sizes, in order; returns the
-/// watermark that closes it.
+/// Ingest window `w` as batches of the given sizes, in order, through
+/// `ingest_many`; returns the watermark that closes it.
 fn ingest(engine: &Engine, w: u32, sizes: &[usize]) -> Watermark {
     let chunk = synthetic_stream(w + 1, sizes.iter().sum(), 16, 9).pop().unwrap();
     let mut channel = Channel::cleartext();
     let mut events = chunk.events.as_slice();
+    let mut batches = Vec::new();
     for &n in sizes {
         let (batch, rest) = events.split_at(n);
         events = rest;
         let batch =
             StreamChunk { events: batch.to_vec(), power_events: Vec::new(), ..chunk.clone() };
-        engine.ingest_group(&[channel.send(&batch)], StreamSide::Left).unwrap();
+        batches.push(channel.send(&batch));
     }
+    engine.ingest_many(batches, StreamSide::Left).unwrap();
     chunk.watermark
 }
 
 #[test]
-fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
+fn a_list_that_trips_the_quota_past_its_first_command_leaves_no_trace() {
     // A one-worker TopK engine: W = 2 (the worker and the joining thread),
-    // so window 0's partitions [2 000, 20 000, 2 000, 2 000] events run as
-    // the lists [p0, p1] and [p2, p3]. In pages: the partitions hold
-    // 6 + 59 + 6 + 6 = 77 (each batch is decrypted straight into its
-    // window, so ingest never holds more), sorting p0 or p2 needs 77 + 6,
-    // and sorting p1 77 + 59 = 136. A 130-page quota admits every batch
-    // and trips at p1's sort, the second partition of its list.
+    // so window 0's batches [20 000, 2 000, 2 000, 2 000] events go in as
+    // the groups [b0, b1] and [b2, b3], one array each: a0 of 22 000
+    // events (65 pages, each batch decrypted straight into it) and a1 of
+    // 4 000 (12 pages), 77 in all. The fire's lists are [watermark, sort
+    // a0] and [sort a1]: sorting a1 needs at most 77 + 12, sorting a0
+    // 77 + 65 = 142 or more. A 130-page quota admits every batch and trips
+    // at a0's sort, past its list's first command.
     let config = EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1);
     let dp = DataPlane::new(Platform::new(config.platform_config()), config.dataplane.clone());
     dp.register_tenant(TENANT, Some(130 * PAGE)).unwrap();
@@ -53,7 +56,7 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
     let engine =
         Engine::for_tenant(config, pipeline, dp.clone(), TENANT, Arc::new(Executor::new(1)));
 
-    let refused = ingest(&engine, 0, &[2_000, 20_000, 2_000, 2_000]);
+    let refused = ingest(&engine, 0, &[20_000, 2_000, 2_000, 2_000]);
     assert_eq!(
         engine.advance_watermark_on(refused, StreamSide::Left),
         Err(DataPlaneError::QuotaExceeded)
@@ -89,14 +92,14 @@ fn a_list_that_trips_the_quota_past_its_first_partition_leaves_no_trace() {
             replay.violations
         );
     }
-    // Window 1's two sorts, and at most p2's and p3's: the failed list
-    // published no record. (Had the window failed in its tail instead, all
-    // four of window 0's sorts would be on the trail.)
+    // Window 1's two sorts, and at most a1's: the failed list published no
+    // record. (Had the window failed in its tail instead, both of window
+    // 0's sorts would be on the trail.)
     let sorts = records
         .iter()
         .filter(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Sort, .. }))
         .count();
-    assert!((2..=4).contains(&sorts), "{sorts} sorts on the trail");
+    assert!((2..=3).contains(&sorts), "{sorts} sorts on the trail");
     // The refused window's watermark is on the trail all the same, ahead of
     // the next window's.
     let watermarks: Vec<u32> = records

@@ -1,36 +1,41 @@
 //! Every operator runs end to end, and its trail is its plan.
 //!
 //! Each of the 17 operators — plus a `Filter` → `SumByKey` chain — runs
-//! through an engine for two windows (`TempJoin` fed on both sides). The
-//! tenant's trail must replay clean against `Pipeline::spec()`, and each
-//! window's `Execution` records must name exactly what the pipeline's
-//! `WindowPlan` declares: the chain once per partition, then one gather
-//! per side when that side has more than one partition, then the reduce.
+//! through an engine for two windows (`TempJoin` fed on both sides), each
+//! window's four batches sent through `ingest_many` on W = 3, so a side's
+//! window is three arrays, one per ingest lane, the first holding two
+//! batches. The tenant's trail must replay clean against
+//! `Pipeline::spec()`, and each window's `Execution` records must name
+//! exactly what the pipeline's `WindowPlan` declares: the chain once per
+//! array, then one gather per side when the plan gathers, then the reduce
+//! (an unkeyed reduce reads the three arrays at once).
 
-use sbt_attest::{verify_tenant_trail, AuditRecord, Verifier};
+use sbt_attest::{verify_tenant_trail, AuditRecord, UArrayRef, Verifier};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Operator, Pipeline, StreamSide};
 use sbt_types::{EventTime, PrimitiveKind};
 use sbt_workloads::datasets::synthetic_stream;
 use sbt_workloads::generator::{Generator, GeneratorConfig, Offer};
 use sbt_workloads::transport::Channel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const WINDOWS: u32 = 2;
 const BATCH: usize = 500;
-/// Partitions per window and side.
-const K: usize = 3;
+/// Batches per window and side.
+const K: usize = 4;
+/// Arrays per window and side: one per ingest lane, W = 3.
+const ARRAYS: usize = 3;
 
 /// What one window of `pipeline` runs, read off its compiled plan: the
-/// per-partition chain, the sides it reads, the gather and the reduce.
+/// per-array chain, the sides it reads, the gather and the reduce.
 fn declared(
     pipeline: &Pipeline,
-) -> (Vec<PrimitiveKind>, usize, PrimitiveKind, Option<PrimitiveKind>) {
+) -> (Vec<PrimitiveKind>, usize, Option<PrimitiveKind>, Option<PrimitiveKind>) {
     let plan = pipeline.plan();
     let chain = plan.chain.iter().map(|(op, _)| *op).collect();
     (chain, plan.sides, plan.gather, plan.reduce.map(|(op, _)| op))
 }
 
-/// Run `pipeline` for [`WINDOWS`] windows of [`K`] partitions per side and
+/// Run `pipeline` for [`WINDOWS`] windows of [`K`] batches per side and
 /// return the engine's verified trail.
 fn run(pipeline: Pipeline) -> (Pipeline, Vec<AuditRecord>) {
     let engine = Engine::new(
@@ -46,12 +51,14 @@ fn run(pipeline: Pipeline) -> (Pipeline, Vec<AuditRecord>) {
         let chunks = synthetic_stream(WINDOWS, K * BATCH, 16, seed);
         let mut generator =
             Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+        let mut batches = Vec::new();
         while let Some(offer) = generator.next_offer() {
             match offer {
-                Offer::Batch(delivery) => {
-                    engine.ingest_group(&[delivery], side).unwrap();
+                Offer::Batch(delivery) => batches.push(delivery),
+                Offer::Watermark(wm) => {
+                    engine.ingest_many(std::mem::take(&mut batches), side).unwrap();
+                    engine.advance_watermark_on(wm, side).unwrap();
                 }
-                Offer::Watermark(wm) => engine.advance_watermark_on(wm, side).unwrap(),
             }
         }
     }
@@ -75,13 +82,18 @@ fn check(pipeline: Pipeline) {
     assert!(report.is_correct(), "{name}: violations {:?}", report.violations);
     assert_eq!(report.egressed, WINDOWS as usize, "{name}");
 
-    // Partitions per window, and each window's executions: a window's
-    // fire ends with its egress, and windows fire one after another.
-    let mut partitions: BTreeMap<u16, usize> = BTreeMap::new();
+    // Appends and arrays per window, and each window's executions: a
+    // window's fire ends with its egress, and windows fire one after
+    // another.
+    let mut windows: BTreeMap<u16, (usize, BTreeSet<UArrayRef>)> = BTreeMap::new();
     let mut fires: Vec<Vec<PrimitiveKind>> = vec![Vec::new()];
     for record in &records {
         match record {
-            AuditRecord::Windowing { win_no, .. } => *partitions.entry(*win_no).or_default() += 1,
+            AuditRecord::Windowing { win_no, output, .. } => {
+                let (appends, arrays) = windows.entry(*win_no).or_default();
+                *appends += 1;
+                arrays.insert(*output);
+            }
             AuditRecord::Execution { op, .. } => fires.last_mut().unwrap().push(*op),
             AuditRecord::Egress { .. } => fires.push(Vec::new()),
             _ => {}
@@ -91,11 +103,12 @@ fn check(pipeline: Pipeline) {
     assert_eq!(fires.len(), WINDOWS as usize, "{name}");
 
     let (chain, sides, gather, reduce) = declared(&pipeline);
-    for (fire, (win, parts)) in fires.iter().zip(&partitions) {
-        assert_eq!(*parts, K * sides, "{name}: window {win} partitions");
-        // K > 1, so every side the plan reads is gathered.
-        let mut expected = chain.repeat(*parts);
-        expected.extend(std::iter::repeat_n(gather, sides));
+    for (fire, (win, (appends, arrays))) in fires.iter().zip(&windows) {
+        assert_eq!(*appends, K * sides, "{name}: window {win} batches");
+        assert_eq!(arrays.len(), ARRAYS * sides, "{name}: window {win} arrays");
+        // More than one array a side, so a plan that gathers gathers each.
+        let mut expected = chain.repeat(arrays.len());
+        expected.extend(gather.into_iter().flat_map(|op| std::iter::repeat_n(op, sides)));
         expected.extend(reduce);
         assert_eq!(fire, &expected, "{name}: window {win} ran what its plan declares");
     }

@@ -1,12 +1,14 @@
-//! Pool width is invisible at the TEE boundary, except in how many lists a
-//! fire's chain runs in: an 8-worker engine and a 1-worker engine fed the
-//! identical encrypted stream must copy exactly the same bytes (via-OS),
-//! write the same audit records and produce byte-identical results. Each
-//! batch is one ingress crossing whatever the width. A fire runs the plan's
-//! chain over its k partitions in `min(k, W)` lists, W being the pool's
-//! workers plus the joining thread, so only a plan with a chain (a keyed
-//! reduce's sorts, a transform) crosses more often on a wider pool; WinSum's
-//! chain is empty and its boundary profile does not move at all.
+//! Pool width is invisible at the TEE boundary of a stream sent one batch
+//! group at a time: an 8-worker engine and a 1-worker engine fed the
+//! identical encrypted stream must cross as often, copy exactly the same
+//! bytes (via-OS), write the same audit records and produce byte-identical
+//! results. Each batch is one ingress crossing whatever the width, and
+//! appends to its window's one lane-0 array. A fire runs the plan's chain
+//! over a window's arrays in `min(a, W)` lists, W being the pool's workers
+//! plus the joining thread, so a window of one array — even a keyed
+//! reduce's, with its sort — fires in the same lists on any pool; only
+//! `ingest_many`, which spreads a window over up to W lanes, lets the width
+//! show (`crossings.rs`).
 //!
 //! The same boundary is metered three times over — by the tenant's gateway,
 //! by the platform's global counters and by the telemetry registry that
@@ -78,9 +80,9 @@ fn pool_width_changes_no_crossings_copies_or_results() {
 }
 
 /// A TopK engine of `workers` workers fed 3 windows of 40 000 encrypted
-/// events in 5 000-event batches (8 partitions a window). Returns its
-/// engine, its ingest crossings and its fire crossings (each watermark
-/// rides its fire's tail and costs none of its own).
+/// events in 5 000-event batches (8 a window, all in its one array).
+/// Returns its engine, its ingest crossings and its fire crossings (each
+/// watermark rides its fire's first list and costs none of its own).
 fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
     let engine = Engine::new(
         EngineConfig::for_variant(EngineVariant::Sbt, workers),
@@ -107,7 +109,7 @@ fn topk_run(workers: usize) -> (Arc<Engine>, u64, u64) {
 }
 
 #[test]
-fn pool_width_shows_only_in_a_keyed_fires_list_count() {
+fn pool_width_changes_no_keyed_fire_of_a_window_on_one_lane() {
     const K: u64 = 8;
     let (serial, ingest1, fire1) = topk_run(1);
     let (parallel, ingest8, fire8) = topk_run(8);
@@ -126,11 +128,10 @@ fn pool_width_shows_only_in_a_keyed_fires_list_count() {
     };
     assert_eq!(records(&serial), records(&parallel));
 
-    // Per window: the 8 sorts in min(K, W) lists, the first of which
-    // records the watermark, then the tail. W is 2 on one worker and 9 on
-    // eight.
-    assert_eq!(fire1, 3 * (K.min(2) + 1));
-    assert_eq!(fire8, 3 * (K.min(9) + 1));
+    // Per window: the one array's sort in one list, which records the
+    // watermark, then the tail — on one worker (W = 2) as on eight (W = 9).
+    assert_eq!(fire1, 3 * 2);
+    assert_eq!(fire8, fire1);
 }
 
 /// A crossing the gateway does not meter, a via-OS copy of anything but the

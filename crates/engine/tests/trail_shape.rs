@@ -1,13 +1,14 @@
 //! The trail one window leaves: exactly the hints the engine means.
 //!
-//! A TopK window over `K` partitions sorts each partition as one of `K`
-//! parallel lists and joins the sorted runs with one `MergeK` in the tail.
-//! Each Sort output is hinted "sibling `i` of `K` consumed in parallel" —
-//! one hint, since a Sort has one output — and the `K` Sorts name the `K`
-//! siblings between them. The MergeK names no predecessor, so it carries no
-//! hint. The sealed trail shows it too: it is 377 B (455 B when the runs
-//! were merged pairwise by 24 `Merge`s), while the same window attesting `K`
-//! hints per Sort at ten bytes apiece sealed 6.7 KB.
+//! A TopK window of `K` batches sent through `ingest_many` on W = 3 is
+//! three arrays, one per ingest lane. The fire sorts each array as one of
+//! three parallel lists and joins the sorted runs with one `MergeK` in the
+//! tail. Each Sort output is hinted "sibling `i` of 3 consumed in
+//! parallel" — one hint, since a Sort has one output — and the three Sorts
+//! name the three siblings between them. The MergeK names no predecessor,
+//! so it carries no hint. The sealed trail shows it too: it is under 415 B,
+//! while the same window cut into 25 partitions, each attesting 25 hints
+//! per Sort at ten bytes apiece, sealed 6.7 KB.
 //!
 //! A watermark is recorded at the head of the first list of the first
 //! window it completes: on the trail it comes before the fire of every
@@ -25,11 +26,14 @@ use sbt_workloads::transport::Channel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Partitions (batches) per window: as many as a `tenants4_small_batch`
-/// TopK tenant cuts.
+/// Batches per window: as many as a `tenants4_small_batch` TopK tenant
+/// sends.
 const K: u32 = 25;
 const BATCH: usize = 200;
-/// Bytes the window's sealed trail stays under: 377 B measured, plus 10 %.
+/// Arrays per window: one per ingest lane of a 2-worker engine.
+const ARRAYS: u32 = 3;
+/// Bytes the window's sealed trail stays under: 377 B measured when it was
+/// 25 partitions, plus 10 %.
 const CEILING: usize = 415;
 
 #[test]
@@ -41,12 +45,12 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
     let chunks = synthetic_stream(1, K as usize * BATCH, 16, 7);
     let mut generator =
         Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    let mut batches = Vec::new();
     loop {
         match generator.next_offer().expect("the window closes with a watermark") {
-            Offer::Batch(delivery) => {
-                engine.ingest_group(&[delivery], StreamSide::Left).unwrap();
-            }
+            Offer::Batch(delivery) => batches.push(delivery),
             Offer::Watermark(wm) => {
+                engine.ingest_many(std::mem::take(&mut batches), StreamSide::Left).unwrap();
                 engine.advance_watermark_on(wm, StreamSide::Left).unwrap();
                 break;
             }
@@ -69,7 +73,7 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
                 else {
                     panic!("a Sort's hint is a parallel one")
                 };
-                assert_eq!(k, K);
+                assert_eq!(k, ARRAYS);
                 siblings.push(index);
             }
             PrimitiveKind::MergeK => {
@@ -81,8 +85,8 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
         }
     }
     siblings.sort_unstable();
-    assert_eq!(siblings, (0..K).collect::<Vec<_>>(), "the Sorts name every sibling once");
-    assert_eq!(merge_ks, [K as usize], "one MergeK over the K sorted runs");
+    assert_eq!(siblings, (0..ARRAYS).collect::<Vec<_>>(), "the Sorts name every sibling once");
+    assert_eq!(merge_ks, [ARRAYS as usize], "one MergeK over the sorted runs");
 
     let sealed: usize = segments.iter().map(|s| s.compressed.len()).sum();
     assert!(sealed < CEILING, "the window's trail is {sealed} B");
@@ -195,17 +199,16 @@ fn one_watermark_completing_three_windows_precedes_all_three_fires() {
     let watermark =
         position(&|r| matches!(r, AuditRecord::Ingress { data: DataRef::Watermark(_), .. }))
             .expect("the watermark is on the trail");
-    let first_merge =
-        position(&|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::MergeK, .. }))
-            .expect("the first window's tail merges");
-    // The watermark heads the first window's first partition list, not its
-    // tail: that list's sorts (half the window's 4, with W = 2) follow it,
-    // whatever order the two lists ran in.
-    let sorts_after = records[watermark..first_merge]
+    let first_tail =
+        position(&|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::TopKPerKey, .. }))
+            .expect("the first window's tail reduces");
+    // The watermark heads the first window's first chain list, not its
+    // tail: the sort of the window's one array follows it.
+    let sorts_after = records[watermark..first_tail]
         .iter()
         .filter(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Sort, .. }))
         .count();
-    assert!(sorts_after >= 2, "{sorts_after} sorts of the first window follow its watermark");
+    assert_eq!(sorts_after, 1, "the first window's sort follows its watermark");
     let replay = Verifier::new(engine.pipeline().spec()).replay(&records);
     assert!(replay.is_correct(), "violations: {:?}", replay.violations);
     assert_eq!(replay.watermarks, 1);

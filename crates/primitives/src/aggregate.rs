@@ -44,12 +44,13 @@ pub fn min_max(events: &[Event]) -> Option<(u32, u32)> {
     })
 }
 
-/// Median of the event values (the `Median` primitive), defined as the lower
-/// middle element for even-sized inputs. Returns `None` for an empty input.
-pub fn median(events: &[Event]) -> Option<u32> {
+/// Median of the event values of `runs` taken together (the `Median`
+/// primitive), defined as the lower middle element for even-sized inputs.
+/// Returns `None` for an empty input.
+pub fn median(runs: &[&[Event]]) -> Option<u32> {
     with_scratch(|scratch| {
         scratch.values.clear();
-        scratch.values.extend(events.iter().map(|e| e.value));
+        scratch.values.extend(runs.iter().flat_map(|run| run.iter().map(|e| e.value)));
         lower_median(&mut scratch.values)
     })
 }
@@ -79,6 +80,7 @@ mod tests {
         assert_eq!(average(&[]), 0);
         assert_eq!(min_max(&[]), None);
         assert_eq!(median(&[]), None);
+        assert_eq!(median(&[&[]]), None);
     }
 
     #[test]
@@ -91,10 +93,11 @@ mod tests {
     fn min_max_and_median() {
         let e = evs(&[5, 1, 9, 3, 7]);
         assert_eq!(min_max(&e), Some((1, 9)));
-        assert_eq!(median(&e), Some(5));
+        assert_eq!(median(&[&e]), Some(5));
         // Even length: lower middle.
         let e = evs(&[4, 1, 3, 2]);
-        assert_eq!(median(&e), Some(2));
+        assert_eq!(median(&[&e]), Some(2));
+        assert_eq!(median(&[&e[..1], &e[1..]]), Some(2));
     }
 
     proptest! {
@@ -108,7 +111,7 @@ mod tests {
                 prop_assert_eq!(min_max(&e), Some((*values.iter().min().unwrap(), *values.iter().max().unwrap())));
                 let mut sorted = values.clone();
                 sorted.sort_unstable();
-                prop_assert_eq!(median(&e), Some(sorted[(sorted.len() - 1) / 2]));
+                prop_assert_eq!(median(&[&e]), Some(sorted[(sorted.len() - 1) / 2]));
                 prop_assert_eq!(average(&e), expected_sum / values.len() as u64);
             }
         }

@@ -20,7 +20,7 @@ use sbt_types::{infallible, Event, RecordSink, WindowId, WindowSpec};
 /// events are not represented.
 pub fn segment_by_window(events: &[Event], spec: &WindowSpec) -> Vec<(WindowId, Vec<Event>)> {
     let mut outputs = Vec::new();
-    infallible(segment_into(events, spec, &mut outputs, Vec::with_capacity));
+    infallible(segment_into(events, spec, &mut outputs, |_, n| Ok(Vec::with_capacity(n))));
     outputs
 }
 
@@ -28,15 +28,16 @@ pub fn segment_by_window(events: &[Event], spec: &WindowSpec) -> Vec<(WindowId, 
 /// belongs to, keeping input order within a window.
 ///
 /// `outputs` holds the open windows ordered by id; a window seen for the
-/// first time gets a sink from `open`, which is told how many records that
-/// window can receive at most (the events from the run onwards), so a sink
-/// reserved for that many never has to grow. On an error the windows opened
-/// so far stay in `outputs` for the caller to drop.
+/// first time gets a sink from `open`, which is told the window and how
+/// many records it can receive at most (the events from the run onwards),
+/// so a sink reserved for that many never has to grow. On an error — a
+/// sink's or `open`'s — the windows opened so far stay in `outputs` for
+/// the caller to take back or drop.
 pub fn segment_into<S: RecordSink<Event>>(
     events: &[Event],
     spec: &WindowSpec,
     outputs: &mut Vec<(WindowId, S)>,
-    mut open: impl FnMut(usize) -> S,
+    mut open: impl FnMut(WindowId, usize) -> Result<S, S::Error>,
 ) -> Result<(), S::Error> {
     let mut start = 0;
     while start < events.len() {
@@ -52,7 +53,7 @@ pub fn segment_into<S: RecordSink<Event>>(
             let at = match outputs.binary_search_by_key(&window, |(id, _)| *id) {
                 Ok(at) => at,
                 Err(at) => {
-                    outputs.insert(at, (window, open(events.len() - start)));
+                    outputs.insert(at, (window, open(window, events.len() - start)?));
                     at
                 }
             };
@@ -152,9 +153,9 @@ mod tests {
         let events: Vec<Event> = (0..3_000).map(|i| Event::new(i, i, i)).collect();
         let mut opened = Vec::new();
         let mut outputs: Vec<(WindowId, Vec<Event>)> = Vec::new();
-        infallible(segment_into(&events, &spec, &mut outputs, |at_most| {
+        infallible(segment_into(&events, &spec, &mut outputs, |_, at_most| {
             opened.push(at_most);
-            Vec::with_capacity(at_most)
+            Ok(Vec::with_capacity(at_most))
         }));
         // Each window is told what is left of the batch when its run starts.
         assert_eq!(opened, vec![3_000, 2_000, 1_000]);

@@ -33,15 +33,16 @@ use sbt_types::{infallible, Event, KeyValue, RecordSink};
 /// it only pays from about a thousand values.
 const RADIX_MIN_LEN: usize = 1_024;
 
-/// Leave in `scratch.values` the `k` largest values of `events`, descending
-/// (duplicates kept; all of them if there are fewer than `k`).
-fn largest_values_desc(events: &[Event], k: usize, scratch: &mut Scratch) {
+/// Leave in `scratch.values` the `k` largest values of the events of
+/// `runs`, descending (duplicates kept; all of them if there are fewer
+/// than `k`).
+fn largest_values_desc(runs: &[&[Event]], k: usize, scratch: &mut Scratch) {
     let Scratch { packed, spare, values } = scratch;
     values.clear();
     if k == 0 {
         return;
     }
-    values.extend(events.iter().map(|e| e.value));
+    values.extend(runs.iter().flat_map(|run| run.iter().map(|e| e.value)));
     if k < values.len() {
         values.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
         values.truncate(k);
@@ -75,19 +76,19 @@ pub(crate) fn lower_median(values: &mut [u32]) -> Option<u32> {
 /// has fewer than `k` events, all values are returned.
 pub fn top_k_by_value(events: &[Event], k: usize) -> Vec<u32> {
     let mut out = Vec::new();
-    infallible(top_k_by_value_into(events, k, &mut out));
+    infallible(top_k_by_value_into(&[events], k, &mut out));
     out
 }
 
 /// The TopK kernel: append the `k` largest values of `events` to `sink`,
 /// descending, as whatever scalar record the sink holds.
 pub fn top_k_by_value_into<R: From<u32>, S: RecordSink<R>>(
-    events: &[Event],
+    runs: &[&[Event]],
     k: usize,
     sink: &mut S,
 ) -> Result<(), S::Error> {
     with_scratch(|scratch| {
-        largest_values_desc(events, k, scratch);
+        largest_values_desc(runs, k, scratch);
         scratch.values.iter().try_for_each(|v| sink.push(R::from(*v)))
     })
 }
@@ -120,7 +121,7 @@ pub fn top_k_per_key_into<S: RecordSink<KeyValue>>(
 ) -> Result<(), S::Error> {
     with_scratch(|scratch| {
         for_each_group(sorted_events, |key, group| {
-            largest_values_desc(group, k, scratch);
+            largest_values_desc(&[group], k, scratch);
             scratch.values.iter().try_for_each(|v| sink.push(KeyValue::new(key, *v as u64)))
         })
     })

@@ -88,10 +88,11 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
         let median = allocations(|| infallible(prim::median_per_key_into(&sorted, &mut pairs_out)));
         check("MedianPerKey", median.0);
         scalars_out.clear();
-        let top =
-            allocations(|| infallible(prim::top_k_by_value_into(&events, 5_000, &mut scalars_out)));
+        let top = allocations(|| {
+            infallible(prim::top_k_by_value_into(&[&events], 5_000, &mut scalars_out))
+        });
         check("TopK", top.0);
-        check("Median", allocations(|| prim::median(&events)).0);
+        check("Median", allocations(|| prim::median(&[&events])).0);
     };
     // The first round sizes this thread's scratch; the second must be clean.
     round(false);
@@ -121,7 +122,9 @@ fn segment_allocates_one_buffer_per_output_window() {
         let events = stream(30_000, 100, span_ms);
         outputs.clear();
         let (allocs, ()) = allocations(|| {
-            infallible(prim::segment_into(&events, &spec, &mut outputs, Vec::with_capacity))
+            infallible(prim::segment_into(&events, &spec, &mut outputs, |_, n| {
+                Ok(Vec::with_capacity(n))
+            }))
         });
         assert_eq!(outputs.len(), windows, "{spec:?} over {span_ms} ms");
         assert_eq!(allocs, windows as u64, "{spec:?}: one reservation per window, never a regrow");
@@ -131,7 +134,9 @@ fn segment_allocates_one_buffer_per_output_window() {
     shuffled.sort_by_key(|e| e.value);
     outputs.clear();
     let (allocs, ()) = allocations(|| {
-        infallible(prim::segment_into(&shuffled, &fixed, &mut outputs, Vec::with_capacity))
+        infallible(prim::segment_into(&shuffled, &fixed, &mut outputs, |_, n| {
+            Ok(Vec::with_capacity(n))
+        }))
     });
     assert_eq!((outputs.len(), allocs), (3, 3));
 }

@@ -394,6 +394,117 @@ fn every_due_checkpoint_is_taken_and_recovery_restores_from_the_last() {
     }
 }
 
+/// Window 0 of `chunks`, sent as groups of `batches[i]` batches of `batch`
+/// events each, encrypted for `tenant`; and its watermark.
+fn window_groups(
+    tenant: TenantId,
+    chunks: &[StreamChunk],
+    batch: usize,
+    batches: &[usize],
+) -> (Vec<Vec<sbt_workloads::transport::Delivery>>, sbt_types::Watermark) {
+    let mut channel = Channel::for_tenant(&MasterSecret::demo(), tenant, 0);
+    let mut events = chunks[0].events.chunks(batch);
+    let groups = batches
+        .iter()
+        .map(|&n| {
+            (0..n)
+                .map(|_| {
+                    let events = events.next().expect("the window has the batches").to_vec();
+                    channel.send(&StreamChunk { events, ..chunks[0].clone() })
+                })
+                .collect()
+        })
+        .collect();
+    (groups, chunks[0].watermark)
+}
+
+/// The executions of `op` on a tenant's trail since the last drain.
+fn executions(server: &StreamServer, tenant: TenantId, op: sbt_types::PrimitiveKind) -> usize {
+    let segments = server.engine(tenant).unwrap().drain_audit_segments();
+    let records = segments.iter().flat_map(|s| sbt_attest::decompress_records(&s.compressed));
+    let ran = records
+        .flatten()
+        .filter(|r| matches!(r, sbt_attest::AuditRecord::Execution { op: ran, .. } if *ran == op));
+    ran.count()
+}
+
+#[test]
+fn a_checkpoint_holds_every_live_window_array() {
+    // Three groups of window 0 append to its one lane-0 array; the
+    // checkpoint snapshots the data plane's window arrays, so the restore
+    // brings back every event of all three, whatever the control plane
+    // holds: it names no array at all.
+    let all = chunks();
+    let server = StreamServer::new(ServerConfig::default().with_cores(1));
+    let t = server.admit(TenantConfig::new("t", QUOTA), pipeline("t")).unwrap();
+    let (groups, watermark) = window_groups(t, &all, BATCH, &[1, 1, 1]);
+    let engine = server.engine(t).unwrap();
+    for group in &groups {
+        engine.ingest_group(group, StreamSide::Left).unwrap();
+    }
+    server.checkpoint(t).unwrap();
+    let vault = server.vault().clone();
+    drop((engine, server));
+
+    let recovered = StreamServer::new(ServerConfig::default().with_cores(1).with_vault(vault));
+    let restored = recovered.restore_tenant(t, TenantConfig::new("t", QUOTA), pipeline("t"), 0);
+    let restored = restored.unwrap();
+    assert_eq!(restored.events_restored, EVENTS_PER_WINDOW as u64);
+    assert_eq!(restored.windows.len(), 1, "one array for the window's three groups");
+    recovered.engine(t).unwrap().advance_watermark_on(watermark, StreamSide::Left).unwrap();
+    assert_eq!(opened_results(&recovered, t), window_sums(&all[..1]));
+}
+
+#[test]
+fn a_window_split_by_a_checkpoint_fires_from_one_array_per_lane_as_if_uninterrupted() {
+    // On one worker (W = 2) a window's two `ingest_many` calls each send
+    // their first batch on lane 0 and their second on lane 1, so the window
+    // is two arrays, [b0, b2] and [b1, b3]. Split by a checkpoint between
+    // the calls, the restore puts each array back on its lane, the second
+    // call appends to them, and the fire — two filters, one concatenation
+    // of their outputs in lane order — egresses what the uninterrupted run
+    // does, byte for byte.
+    let all = chunks();
+    let filter = || {
+        Pipeline::new("f")
+            .then(Operator::Filter { lo: 0, hi: u32::MAX / 2 })
+            .target_delay_ms(60_000)
+            .batch_events(BATCH)
+    };
+    let config = || TenantConfig::new("f", QUOTA);
+    let run = |split: bool| {
+        let server = StreamServer::new(ServerConfig::default().with_cores(1));
+        let t = server.admit(config(), filter()).unwrap();
+        let (groups, watermark) = window_groups(t, &all, EVENTS_PER_WINDOW / 4, &[2, 2]);
+        server.engine(t).unwrap().ingest_many(groups[0].clone(), StreamSide::Left).unwrap();
+        let server = if split {
+            server.checkpoint(t).unwrap();
+            let vault = server.vault().clone();
+            drop(server);
+            let recovered =
+                StreamServer::new(ServerConfig::default().with_cores(1).with_vault(vault));
+            let restored = recovered.restore_tenant(t, config(), filter(), 0).unwrap();
+            let lanes: Vec<u32> = restored.windows.iter().map(|a| a.lane).collect();
+            assert_eq!(lanes, [0, 1], "the window's arrays come back on their lanes");
+            recovered
+        } else {
+            server
+        };
+        let engine = server.engine(t).unwrap();
+        let _ = engine.drain_audit_segments();
+        engine.ingest_many(groups[1].clone(), StreamSide::Left).unwrap();
+        engine.advance_watermark_on(watermark, StreamSide::Left).unwrap();
+        let ciphertexts: Vec<Vec<u8>> =
+            engine.results().into_iter().map(|m| m.ciphertext).collect();
+        // The fire filtered one array per lane.
+        assert_eq!(executions(&server, t, sbt_types::PrimitiveKind::FilterBand), 2);
+        ciphertexts
+    };
+    let uninterrupted = run(false);
+    assert_eq!(uninterrupted.len(), 1);
+    assert_eq!(run(true), uninterrupted, "the split window egresses the same bytes");
+}
+
 // ---------------------------------------------------------------------------
 // Property: arbitrary interleavings of serve / checkpoint / rekey /
 // crash+restore / evict keep the cloud-held trail verifiable.

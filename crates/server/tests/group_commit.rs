@@ -6,8 +6,9 @@
 //! never reach), so a window of 25 batches is one ingest crossing and no
 //! group carries batches of two windows. The watermark makes no crossing of
 //! its own: the window's fire records it at the head of its first list. The
-//! fire adds its own lists: one for WinSum, and 3 for a 25-batch TopK
-//! window on one worker (its sorts in 2 lists, then the tail). A group is
+//! window's 25 batches are one array, so the fire adds its own lists: one
+//! for WinSum, and 2 for a TopK window on one worker (the array's sort,
+//! then the tail). A group is
 //! one transaction: a quota trip rejects every batch in it, for one
 //! penalty, and the lane then sends groups of one until a group is
 //! accepted.
@@ -86,7 +87,7 @@ fn a_winsum_window_of_25_batches_is_1_ingest_and_1_fire_crossing_per_lane() {
 }
 
 #[test]
-fn a_topk_window_of_25_batches_on_one_worker_is_1_ingest_and_3_fire_crossings() {
+fn a_topk_window_of_25_batches_on_one_worker_is_1_ingest_and_2_fire_crossings() {
     const WINDOWS: u32 = 3;
     const WINDOW: usize = 25 * BATCH;
     let server = StreamServer::new(ServerConfig::default().with_cores(1));
@@ -105,11 +106,10 @@ fn a_topk_window_of_25_batches_on_one_worker_is_1_ingest_and_3_fire_crossings() 
     let engine = server.engine(id).unwrap();
     let boundary = engine.boundary_events();
     assert_eq!(boundary.switches, boundary.invocations);
-    // Per window: one ingest group, and the fire: the 25 sorts in 2 lists
-    // (the one worker and the thread joining them), then the tail, which
-    // records the watermark.
+    // Per window: one ingest group, and the fire: the sort of the window's
+    // one array in one list, which records the watermark, then the tail.
     let crossings = boundary.switches - before.switches;
-    assert_eq!(crossings, u64::from(WINDOWS) * (1 + 3));
+    assert_eq!(crossings, u64::from(WINDOWS) * (1 + 2));
 
     // The opened results are the per-window top 10 of each key, and the
     // trail replays clean against the declared plan.

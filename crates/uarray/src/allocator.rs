@@ -289,6 +289,21 @@ impl Allocator {
         freed
     }
 
+    /// Set a live uArray's committed bytes — a window array grown in place
+    /// by appends, or cut back when an append is undone — and move its
+    /// owner's charge by the difference. Growth is the caller's to check
+    /// against [`owner_headroom`](Allocator::owner_headroom) first. Returns
+    /// whether the array is still live (an owner's teardown may have
+    /// removed it).
+    pub fn resize(&mut self, id: UArrayId, bytes: u64) -> bool {
+        let Some(entry) = self.entries.get_mut(&id) else { return false };
+        let before = std::mem::replace(&mut entry.bytes, bytes);
+        let used = self.used.entry(entry.owner).or_insert(0);
+        *used = *used - before + bytes;
+        self.committed = self.committed - before + bytes;
+        true
+    }
+
     /// Tear down everything an owner holds in one pass: every uArray charged
     /// to the owner — live or stuck-retired alike — is removed from its group
     /// wherever it sits, and its charge released. The groups it leaves then

@@ -268,6 +268,18 @@ impl<T: Copy> UArray<T> {
         }
     }
 
+    /// Cut the array back to its first `len` records and give back the
+    /// pages they no longer reach; returns the bytes released. How an
+    /// append that did not stand is undone.
+    pub fn truncate(&mut self, len: usize, pager: &TeePager) -> u64 {
+        self.data.truncate(len);
+        let kept = TeePager::pages_for((self.data.len() * std::mem::size_of::<T>()) as u64);
+        let released = self.committed_bytes - kept * PAGE_SIZE;
+        pager.release_pages(released / PAGE_SIZE);
+        self.committed_bytes -= released;
+        released
+    }
+
     /// Finalize production: the uArray becomes read-only.
     pub fn seal(&mut self) {
         if self.state == UArrayState::Open {
@@ -301,13 +313,17 @@ impl<T: Copy> UArray<T> {
 /// append index crosses a page boundary the pages behind it are committed
 /// through the pager and drawn from the invocation's [`CommitBudget`] —
 /// on-demand paging, no second copy. `seal` names the array and hands it
-/// over as `Produced`. A writer dropped before `seal` — its producer failed
+/// over as `Produced`; `into_open` hands it back still open, to grow again
+/// later through `resume`. A writer dropped instead — its producer failed
 /// mid-way, on the budget, the secure-memory carve-out or anything else —
 /// releases every page it had committed: production is fail-closed.
 pub struct UArrayWriter<'a, T: Copy> {
     array: UArray<T>,
     /// Records the committed pages can hold; an append past it commits more.
     backed: usize,
+    /// Records the array held when the writer took it: a drop gives back
+    /// only the pages committed after them.
+    base: usize,
     pager: &'a TeePager,
     budget: &'a CommitBudget,
 }
@@ -325,9 +341,25 @@ impl<'a, T: Copy> UArrayWriter<'a, T> {
         UArrayWriter {
             array: UArray::with_reservation(UArrayId::default(), cap),
             backed: 0,
+            base: 0,
             pager,
             budget,
         }
+    }
+
+    /// Take up an open array to append to it under `budget`: the uArray
+    /// grows in place. An array that is not `Open` — sealed, consumed — is
+    /// refused.
+    pub fn resume(
+        array: UArray<T>,
+        pager: &'a TeePager,
+        budget: &'a CommitBudget,
+    ) -> Result<Self, UArrayError> {
+        if array.state != UArrayState::Open {
+            return Err(UArrayError::NotOpen(array.state));
+        }
+        let backed = array.committed_bytes as usize / std::mem::size_of::<T>().max(1);
+        Ok(UArrayWriter { base: array.len(), array, backed, pager, budget })
     }
 
     /// Records appended so far.
@@ -375,18 +407,26 @@ impl<'a, T: Copy> UArrayWriter<'a, T> {
     }
 
     /// Finalize production under `id`: the array becomes read-only.
-    pub fn seal(mut self, id: UArrayId) -> UArray<T> {
-        let mut array = std::mem::replace(&mut self.array, UArray::with_reservation(id, 0));
-        array.id = id;
+    pub fn seal(self, id: UArrayId) -> UArray<T> {
+        let mut array = self.into_open(id);
         array.seal();
+        array
+    }
+
+    /// Stop appending and hand the array back under `id`, still open.
+    pub fn into_open(mut self, id: UArrayId) -> UArray<T> {
+        let mut array = std::mem::replace(&mut self.array, UArray::with_reservation(id, 0));
+        self.base = 0;
+        array.id = id;
         array
     }
 }
 
 impl<T: Copy> Drop for UArrayWriter<'_, T> {
     fn drop(&mut self) {
-        // After `seal` this holds an empty stand-in with nothing committed.
-        self.array.reclaim(self.pager);
+        // After `seal` or `into_open` this holds an empty stand-in with
+        // nothing committed.
+        self.array.truncate(self.base, self.pager);
     }
 }
 

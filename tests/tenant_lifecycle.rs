@@ -193,10 +193,12 @@ fn evict_mid_serve_unwinds_the_lane_without_disturbing_others() {
     let master = MasterSecret::demo();
     let victim = server.admit(TenantConfig::new("victim", 32 * MB), winsum("v", 200)).unwrap();
     let steady = server.admit(TenantConfig::new("steady", 32 * MB), winsum("s", 200)).unwrap();
-    let loads = multi_tenant_streams(2, 6, 8_000, 16, 9);
+    // The victim streams five times as long as the steady tenant, so the
+    // eviction lands while its lane is still serving.
+    let loads = multi_tenant_streams(2, 30, 8_000, 16, 9);
     let streams = vec![
         stream_for(&master, victim, 0, loads[0].clone(), 200),
-        stream_for(&master, steady, 0, loads[1].clone(), 200),
+        stream_for(&master, steady, 0, loads[1][..6].to_vec(), 200),
     ];
     let server2 = server.clone();
     let evictor = std::thread::spawn(move || {
