@@ -188,12 +188,14 @@ impl DataPlane {
                 let mut held = self.hold(list, (win, side, lane))?;
                 let array =
                     std::mem::replace(&mut held.array, UArray::with_reservation(UNNAMED, 0));
-                taken.push((held, array.paging_nanos()));
-                Ok(Output(if array.is_empty() {
+                let paging = array.paging_nanos();
+                let writer = if array.is_empty() {
                     UArrayWriter::reserve(at_most + after, &self.pager, &budget)
                 } else {
                     UArrayWriter::resume(array, &self.pager, &budget)?
-                }))
+                };
+                taken.push((held, paging));
+                Ok(Output(writer))
             })
         });
         // The arrays go back to the list whatever happened: an unwind cuts
@@ -221,8 +223,6 @@ impl DataPlane {
             });
             list.held.push(held);
         }
-        // And any array a writer could not take up.
-        list.held.extend(taken.into_iter().map(|(held, _)| held));
         let (decrypt_nanos, route_nanos) = decoded?;
         self.charge_growth(list)?;
         self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);

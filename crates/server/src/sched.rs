@@ -557,8 +557,11 @@ impl Lane {
 
     /// How many staged batches the next group takes: as many as fit the
     /// tenant's quota headroom, read once. A batch is decrypted straight
-    /// into its windows, so it commits [`DataPlane::ingress_charge`] once,
-    /// beside what the batches ahead of it committed. When not even the
+    /// into its windows and appended to each one's array, filling its
+    /// part-filled last page first, so it commits at most
+    /// [`DataPlane::ingress_charge`], plus a page for each further window it
+    /// touches — which the charge cannot count, since an encrypted batch
+    /// does not show its windows before the TEE decrypts it. When not even the
     /// first batch fits, a batch that only waits for headroom goes alone:
     /// should the data plane refuse it, the lane risks one batch, not the
     /// window, and sends groups of one until one is accepted. Batches too
