@@ -6,9 +6,9 @@
 //! tail. Each Sort output is hinted "sibling `i` of 3 consumed in
 //! parallel" — one hint, since a Sort has one output — and the three Sorts
 //! name the three siblings between them. The MergeK names no predecessor,
-//! so it carries no hint. The sealed trail shows it too: it is under 415 B,
-//! while the same window cut into 25 partitions, each attesting 25 hints
-//! per Sort at ten bytes apiece, sealed 6.7 KB.
+//! so it carries no hint. The sealed trail shows it too: it is 219 B (377 B
+//! when the window was 25 partitions sorted apart), while 25 partitions
+//! each attesting 25 hints per Sort at ten bytes apiece sealed 6.7 KB.
 //!
 //! A watermark is recorded at the head of the first list of the first
 //! window it completes: on the trail it comes before the fire of every
@@ -32,9 +32,8 @@ const K: u32 = 25;
 const BATCH: usize = 200;
 /// Arrays per window: one per ingest lane of a 2-worker engine.
 const ARRAYS: u32 = 3;
-/// Bytes the window's sealed trail stays under: 377 B measured when it was
-/// 25 partitions, plus 10 %.
-const CEILING: usize = 415;
+/// Bytes the window's sealed trail stays under: 219 B measured, plus 10 %.
+const CEILING: usize = 241;
 
 #[test]
 fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
