@@ -74,6 +74,7 @@ impl DataPlane {
                 left_watermark_ms: manifest.left_watermark_ms,
                 right_watermark_ms: manifest.right_watermark_ms,
                 next_unexecuted: manifest.next_unexecuted,
+                batches: manifest.batches,
                 next_uarray_id,
                 arrays,
             }
@@ -230,6 +231,7 @@ impl DataPlane {
             left_watermark_ms: plain.left_watermark_ms,
             right_watermark_ms: plain.right_watermark_ms,
             next_unexecuted: plain.next_unexecuted,
+            batches: plain.batches,
             windows,
             events_restored,
         })

@@ -866,8 +866,7 @@ fn checkpoint_restore_round_trips_state_and_stitched_trail_verifies() {
     // Two appends to the window's one array.
     window_events_for(&dp, TenantId(1), &events[..200]);
     assert_eq!(window_events_for(&dp, TenantId(1), &events[200..]).len, 500);
-    let manifest =
-        CheckpointManifest { left_watermark_ms: 1_500, right_watermark_ms: 0, next_unexecuted: 0 };
+    let manifest = CheckpointManifest { left_watermark_ms: 1_500, ..CheckpointManifest::default() };
     let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
     assert_eq!((sealed.tenant, sealed.ckpt_seq, sealed.epoch), (1, 0, 0));
     assert!(dp.telemetry().last_checkpoint_age_nanos(1).is_some());
@@ -916,8 +915,7 @@ fn a_snapshot_sealed_on_either_crypto_back_end_restores_on_the_other() {
     dp.register_tenant(TenantId(1), None).unwrap();
     let events: Vec<Event> = (0..12_000).map(|i| Event::new(i % 97, i * 7, i)).collect();
     window_events_for(&dp, TenantId(1), &events);
-    let manifest =
-        CheckpointManifest { left_watermark_ms: 900, right_watermark_ms: 0, next_unexecuted: 0 };
+    let manifest = CheckpointManifest { left_watermark_ms: 900, ..CheckpointManifest::default() };
     let sealed = in_tee(|| dp.checkpoint_tenant(TenantId(1), &manifest)).unwrap();
     assert!(sealed.ciphertext.len() > 2 * crate::egress::SEAL_CHUNK);
 

@@ -31,6 +31,8 @@
 //! left_watermark   u64   milliseconds
 //! right_watermark  u64   milliseconds
 //! next_unexecuted  u32   first window not yet fired
+//! batches          4 × u32  per side: batches since its last watermark,
+//!                        and in the window before
 //! next_uarray_id   u64   id floor for the restored plane's allocator
 //! n_arrays         u32
 //! per array, in (window, side, lane) order:
@@ -66,6 +68,10 @@ pub struct CheckpointManifest {
     pub right_watermark_ms: u64,
     /// First window not yet executed.
     pub next_unexecuted: u32,
+    /// Per stream side, the batches the control plane sent since the
+    /// side's last watermark and in the window before: where its ingest
+    /// lanes resume.
+    pub batches: [[u32; 2]; 2],
 }
 
 /// One window array a restore put back into the data plane's window map.
@@ -155,6 +161,9 @@ pub struct RestoredTenant {
     pub right_watermark_ms: u64,
     /// First window not yet executed at checkpoint time.
     pub next_unexecuted: u32,
+    /// The control plane's batch counts at checkpoint time
+    /// ([`CheckpointManifest::batches`]).
+    pub batches: [[u32; 2]; 2],
     /// The re-committed window arrays, in (window, side, lane) order.
     pub windows: Vec<WindowArray>,
     /// Total events re-committed into secure memory.
@@ -174,6 +183,7 @@ pub(crate) struct SnapshotPlaintext {
     pub left_watermark_ms: u64,
     pub right_watermark_ms: u64,
     pub next_unexecuted: u32,
+    pub batches: [[u32; 2]; 2],
     pub next_uarray_id: u64,
     pub arrays: Vec<SnapshotArray>,
 }
@@ -189,9 +199,9 @@ pub(crate) struct SnapshotArray {
 impl SnapshotPlaintext {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let events: usize = self.arrays.iter().map(|a| a.events.len()).sum();
-        // 90 header bytes (magic through `n_arrays`), 13 per array (its
+        // 106 header bytes (magic through `n_arrays`), 13 per array (its
         // window, side, lane and event count).
-        let mut out = Vec::with_capacity(90 + 13 * self.arrays.len() + EVENT_BYTES * events);
+        let mut out = Vec::with_capacity(106 + 13 * self.arrays.len() + EVENT_BYTES * events);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.tenant.to_le_bytes());
@@ -205,6 +215,9 @@ impl SnapshotPlaintext {
         out.extend_from_slice(&self.left_watermark_ms.to_le_bytes());
         out.extend_from_slice(&self.right_watermark_ms.to_le_bytes());
         out.extend_from_slice(&self.next_unexecuted.to_le_bytes());
+        for count in self.batches.as_flattened() {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
         out.extend_from_slice(&self.next_uarray_id.to_le_bytes());
         out.extend_from_slice(&(self.arrays.len() as u32).to_le_bytes());
         for a in &self.arrays {
@@ -238,6 +251,10 @@ impl SnapshotPlaintext {
         let left_watermark_ms = cur.u64()?;
         let right_watermark_ms = cur.u64()?;
         let next_unexecuted = cur.u32()?;
+        let mut batches = [[0; 2]; 2];
+        for count in batches.as_flattened_mut() {
+            *count = cur.u32()?;
+        }
         let next_uarray_id = cur.u64()?;
         let n_arrays = cur.u32()? as usize;
         let mut arrays = Vec::new();
@@ -262,6 +279,7 @@ impl SnapshotPlaintext {
             left_watermark_ms,
             right_watermark_ms,
             next_unexecuted,
+            batches,
             next_uarray_id,
             arrays,
         })
@@ -397,6 +415,7 @@ mod tests {
             left_watermark_ms: 9_000,
             right_watermark_ms: 0,
             next_unexecuted: 9,
+            batches: [[2, 4], [0, 3]],
             next_uarray_id: 77,
             arrays: vec![
                 SnapshotArray {
@@ -450,6 +469,7 @@ mod tests {
         assert_eq!(decoded.tenant, 3);
         assert_eq!(decoded.ckpt_seq, 7);
         assert_eq!(decoded.audit_cursor, 42);
+        assert_eq!(decoded.batches, [[2, 4], [0, 3]]);
         assert_eq!(decoded.arrays.len(), 3);
         assert_eq!(decoded.arrays[0].events, plain.arrays[0].events);
         assert_eq!((decoded.arrays[1].win_no, decoded.arrays[1].lane), (9, 3));

@@ -120,6 +120,9 @@ pub struct Engine {
     windows: Mutex<HashMap<WindowId, WindowState>>,
     /// The fire lock: a fire holds it for the whole of its windows.
     fires: Mutex<Fires>,
+    /// Per stream side, `ingest_many`'s deliveries since the side's last
+    /// watermark, and in the window before: where its lanes stand.
+    feed: Mutex<[[u32; 2]; 2]>,
     watermarks: Mutex<(Watermark, Watermark)>,
     results: Mutex<Vec<EgressMessage>>,
     window_results: Mutex<Vec<WindowResult>>,
@@ -174,6 +177,7 @@ impl Engine {
             pool,
             windows: Mutex::new(HashMap::new()),
             fires: Mutex::new(Fires { next_unexecuted: WindowId::FIRST, unrecorded: Vec::new() }),
+            feed: Mutex::new([[0; 2]; 2]),
             watermarks: Mutex::new((Watermark::default(), Watermark::default())),
             results: Mutex::new(Vec::new()),
             window_results: Mutex::new(Vec::new()),
@@ -247,12 +251,18 @@ impl Engine {
         self.finish_ingest()
     }
 
-    /// Ingest a set of batches on the worker pool: the deliveries, in
-    /// order, cut into `min(n, W)` contiguous groups, group i one crossing
-    /// on lane i, as with [`ingest_group`], run in parallel, so the
-    /// per-batch decryption and segmentation still spread over the pool and
-    /// no two groups append to one array. A rejected group costs only its
-    /// own batches; the first rejection is returned.
+    /// Ingest a set of batches on the worker pool, spread over up to W
+    /// lanes: each delivery's lane is its place in the side's current
+    /// window (the deliveries since the side's last watermark) spread
+    /// evenly over W by the batch count of the side's previous window, or
+    /// of this window so far for the first. So a window's arrays are
+    /// contiguous runs of its batches, in order, whether the window comes
+    /// in one call — cut into `min(n, W)` groups, as a fire cuts its
+    /// arrays — or a batch per call. Each lane's deliveries are one group,
+    /// one crossing, as with [`ingest_group`], and the groups run in
+    /// parallel, so the per-batch decryption and segmentation still spread
+    /// over the pool and no two groups append to one array. A rejected
+    /// group costs only its own batches; the first rejection is returned.
     ///
     /// [`ingest_group`]: Engine::ingest_group
     pub fn ingest_many(
@@ -261,15 +271,30 @@ impl Engine {
         side: StreamSide,
     ) -> Result<IngestStatus, DataPlaneError> {
         self.started.lock().get_or_insert_with(Instant::now);
+        let w = self.pool.size() as u32 + 1;
+        let (first, count) = {
+            let [seen, previous] = &mut self.feed.lock()[side as usize];
+            *seen += deliveries.len() as u32;
+            (*seen - deliveries.len() as u32, if *previous > 0 { *previous } else { *seen })
+        };
+        let mut groups: Vec<(u32, Vec<Delivery>)> = Vec::new();
+        for (i, delivery) in (first..).zip(deliveries) {
+            let lane = (i * w / count).min(w - 1);
+            match groups.last_mut() {
+                Some((last, group)) if *last == lane => group.push(delivery),
+                _ => groups.push((lane, vec![delivery])),
+            }
+        }
         let spec = self.pipeline.window_spec();
-        let tasks: Vec<_> = (self.cut(deliveries).into_iter().zip(0..))
-            .map(|(group, lane)| {
+        let lanes: Vec<u32> = groups.iter().map(|(lane, _)| *lane).collect();
+        let tasks: Vec<_> = (groups.into_iter())
+            .map(|(lane, group)| {
                 let gw = Arc::clone(&self.gateway);
                 move || Self::ingest_list(&gw, spec, &group, side, lane)
             })
             .collect();
         let mut outcome = Ok(());
-        for (result, lane) in self.pool.run_all(tasks).into_iter().zip(0..) {
+        for (result, lane) in self.pool.run_all(tasks).into_iter().zip(lanes) {
             match result {
                 Ok(arrays) => self.stash(arrays, side, lane),
                 Err(e) => outcome = outcome.and(Err(e)),
@@ -404,6 +429,12 @@ impl Engine {
         arrival: Instant,
     ) -> Option<WindowId> {
         self.started.lock().get_or_insert_with(Instant::now);
+        {
+            let [seen, previous] = &mut self.feed.lock()[side as usize];
+            if *seen > 0 {
+                *previous = std::mem::take(seen);
+            }
+        }
         let (before, effective) = {
             let mut marks = self.watermarks.lock();
             let effective = |marks: &(Watermark, Watermark)| {
@@ -489,6 +520,7 @@ impl Engine {
                 left_watermark_ms: left.event_time.as_millis(),
                 right_watermark_ms: right.event_time.as_millis(),
                 next_unexecuted: fires.next_unexecuted.0 as u32,
+                batches: *self.feed.lock(),
             })
         })
     }
@@ -518,6 +550,7 @@ impl Engine {
             }
         }
         self.fires.lock().next_unexecuted = WindowId(restored.next_unexecuted as u64);
+        *self.feed.lock() = restored.batches;
         *self.watermarks.lock() = (
             Watermark::from_millis(restored.left_watermark_ms),
             Watermark::from_millis(restored.right_watermark_ms),

@@ -4,9 +4,11 @@
 //! Each step is one command list, so the counts are small and exact: a
 //! batch is one crossing, and so is a group of batches sent together
 //! (`ingest_group`, the server lane's group commit, on lane 0);
-//! `ingest_many` cuts its n deliveries into `min(n, W)` groups, group i on
-//! lane i, W being the pool's workers plus the joining thread. A window is
-//! one array per side and lane, however many batches reached it. Its fire
+//! `ingest_many` spreads a window's deliveries over up to W lanes in
+//! contiguous runs, one group per lane — `min(n, W)` groups for a whole
+//! window in one call — W being the pool's workers plus the joining thread.
+//! A window is one array per side and lane, however many batches reached
+//! it. Its fire
 //! runs the plan's chain (its transforms, then a Sort when the reduce is
 //! keyed) over its a arrays in `min(a, W)` lists, then one tail list
 //! (gather, reduce, egress, retires): at most a + 1 crossings whatever the
@@ -212,4 +214,39 @@ fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     // then the watermark's record, both MergeKs, Join and egress in one
     // list.
     assert_eq!(crossings, (2 * K.min(W)).min(W) + 1);
+}
+
+#[test]
+fn a_window_sent_a_batch_per_call_spreads_over_the_lanes_by_the_window_before() {
+    // Six single-delivery `ingest_many` calls per window on W = 3: the
+    // first window has no count to go by and spreads as it goes (lanes 0,
+    // 1, then 2 for the rest); the second is cut by the first's six
+    // batches, two a lane. Each window is three arrays, and each TopK fire
+    // three sort lists and the tail.
+    let engine = engine_on(2, Pipeline::topk_benchmark(10));
+    let chunks = synthetic_stream(2, 6 * BATCH, 16, 7);
+    let mut generator =
+        Generator::new(GeneratorConfig { batch_events: BATCH }, Channel::cleartext(), chunks);
+    while let Some(offer) = generator.next_offer() {
+        match offer {
+            Offer::Batch(delivery) => {
+                let before = switches(&engine);
+                engine.ingest_many(vec![delivery], StreamSide::Left).unwrap();
+                assert_eq!(switches(&engine) - before, 1, "a batch is one crossing");
+            }
+            Offer::Watermark(wm) => assert_eq!(fire(&engine, wm, StreamSide::Left), 3 + 1),
+        }
+    }
+    let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
+    let segments = engine.drain_audit_segments();
+    let records = sbt_attest::verify_tenant_trail(&segments, engine.tenant(), &keys).unwrap();
+    let mut appends: Vec<std::collections::BTreeMap<u32, usize>> = vec![Default::default(); 2];
+    for record in &records {
+        if let sbt_attest::AuditRecord::Windowing { win_no, output, .. } = record {
+            *appends[*win_no as usize].entry(output.0).or_default() += 1;
+        }
+    }
+    let sizes = |w: usize| appends[w].values().copied().collect::<Vec<_>>();
+    assert_eq!(sizes(0), [1, 1, 4]);
+    assert_eq!(sizes(1), [2, 2, 2]);
 }

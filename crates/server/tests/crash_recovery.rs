@@ -457,13 +457,14 @@ fn a_checkpoint_holds_every_live_window_array() {
 
 #[test]
 fn a_window_split_by_a_checkpoint_fires_from_one_array_per_lane_as_if_uninterrupted() {
-    // On one worker (W = 2) a window's two `ingest_many` calls each send
-    // their first batch on lane 0 and their second on lane 1, so the window
-    // is two arrays, [b0, b2] and [b1, b3]. Split by a checkpoint between
-    // the calls, the restore puts each array back on its lane, the second
-    // call appends to them, and the fire — two filters, one concatenation
-    // of their outputs in lane order — egresses what the uninterrupted run
-    // does, byte for byte.
+    // On one worker (W = 2) a window's first `ingest_many` call sends b0 on
+    // lane 0 and b1 on lane 1; the second, counting on from there, sends b2
+    // and b3 on lane 1: the window is two arrays, [b0] and [b1, b2, b3].
+    // Split by a checkpoint between the calls, the restore puts each array
+    // back on its lane and the lanes' count where it stood, the second call
+    // appends to the same array, and the fire — two filters, one
+    // concatenation of their outputs in lane order — egresses what the
+    // uninterrupted run does, byte for byte.
     let all = chunks();
     let filter = || {
         Pipeline::new("f")
