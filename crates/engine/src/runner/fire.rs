@@ -229,4 +229,17 @@ impl Engine {
         let mut outs = outs.into_iter();
         Ok(sides.iter().map(|side| outs.by_ref().take(side.len()).collect()).collect())
     }
+
+    /// Cut `items`, in order, into `min(n, W)` contiguous lists whose
+    /// lengths differ by at most one (the longer ones first), W being the
+    /// pool's workers plus the joining thread: how a fire's arrays spread
+    /// over the pool.
+    fn cut<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
+        let total = items.len();
+        let n = total.min(self.pool.size() + 1);
+        let mut items = items.into_iter();
+        (0..n)
+            .map(|list| items.by_ref().take(total / n + usize::from(list < total % n)).collect())
+            .collect()
+    }
 }
