@@ -50,7 +50,9 @@ pub fn min_max(events: &[Event]) -> Option<(u32, u32)> {
 pub fn median(runs: &[&[Event]]) -> Option<u32> {
     with_scratch(|scratch| {
         scratch.values.clear();
-        scratch.values.extend(runs.iter().flat_map(|run| run.iter().map(|e| e.value)));
+        for run in runs {
+            scratch.values.extend(run.iter().map(|e| e.value));
+        }
         lower_median(&mut scratch.values)
     })
 }

@@ -42,7 +42,11 @@ fn largest_values_desc(runs: &[&[Event]], k: usize, scratch: &mut Scratch) {
     if k == 0 {
         return;
     }
-    values.extend(runs.iter().flat_map(|run| run.iter().map(|e| e.value)));
+    // A run at a time: each extend knows its length, where one over
+    // every run would grow the buffer as it goes.
+    for run in runs {
+        values.extend(run.iter().map(|e| e.value));
+    }
     if k < values.len() {
         values.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
         values.truncate(k);
