@@ -704,3 +704,97 @@ fn a_list_its_tenant_departs_during_commits_nothing() {
     assert!(matches!(records[1], AuditRecord::Departure { .. }));
     assert_eq!(dp.platform().secure_mem().in_use(), 0);
 }
+
+/// A windowed ingress on `lane` into one-second windows.
+fn windowed_on(payload: &[u8], lane: u32) -> Command<'_> {
+    match windowed(payload, WindowSpec::fixed(Duration::from_secs(1))) {
+        Command::WindowedIngress {
+            payload,
+            encrypted,
+            is_power,
+            keystream_block,
+            spec,
+            side,
+            ..
+        } => Command::WindowedIngress {
+            payload,
+            encrypted,
+            is_power,
+            keystream_block,
+            spec,
+            side,
+            lane,
+        },
+        other => other,
+    }
+}
+
+/// The window array a windowed ingress appended to.
+fn window_array(replies: &[Reply]) -> (OpaqueRef, usize) {
+    match replies.first() {
+        Some(Reply::WindowedIngress { windows, .. }) => (windows[0].opaque, windows[0].len),
+        other => panic!("a windowed ingress replies its array: {other:?}"),
+    }
+}
+
+#[test]
+fn a_window_array_a_list_appends_to_is_closed_to_every_other_list() {
+    // A list appends a batch to window 0's lane-0 array, then holds at an
+    // egress seal: meanwhile a second appender on that lane, a consumer and
+    // a retire of the array are refused, and another lane's array is not
+    // touched. Once the list commits, the array holds both batches.
+    let dp = plane(None);
+    let (first, second, third) = (wire(300, 1), wire(200, 2), wire(100, 3));
+    let (array, _) = window_array(&call(&dp, T, &[windowed_on(&first, 0)]).unwrap());
+    let sealed = held(&dp, T, &wire(12_000, 4));
+    let (entered, has_entered) = mpsc::channel();
+    let (release, gate) = mpsc::channel();
+    dp.set_lane_pool(Arc::new(Gate { entered: Mutex::new(entered), release: Mutex::new(gate) }));
+    let list = {
+        let (dp, second) = (dp.clone(), second.clone());
+        std::thread::spawn(move || {
+            let cmds = [windowed_on(&second, 0), Command::Egress(Arg::Ref(sealed))];
+            call(&dp, T, &cmds).map(|replies| window_array(&replies))
+        })
+    };
+    has_entered.recv().unwrap();
+    let held_elsewhere = |result: Result<Vec<Reply>, DataPlaneError>| {
+        assert!(matches!(result, Err(DataPlaneError::BadArguments(_))), "{result:?}");
+    };
+    held_elsewhere(call(&dp, T, &[windowed_on(&third, 0)]));
+    held_elsewhere(call(&dp, T, &[invoke(PrimitiveKind::Sort, vec![Arg::Ref(array)])]));
+    held_elsewhere(call(&dp, T, &[Command::Retire(Arg::Ref(array))]));
+    let (other_lane, _) = window_array(&call(&dp, T, &[windowed_on(&third, 1)]).unwrap());
+    assert_ne!(other_lane, array);
+    release.send(()).unwrap();
+    assert_eq!(list.join().unwrap().unwrap(), (array, 500), "the list appended to the array");
+    assert_eq!(window_array(&call(&dp, T, &[windowed_on(&third, 0)]).unwrap()), (array, 600));
+    // The sealed array's 12 000 events, and the four windowed batches.
+    assert_eq!(dp.tenant_ingest(T).unwrap().0, 12_000 + 700);
+}
+
+#[test]
+fn a_list_holding_window_arrays_when_its_tenant_departs_leaves_no_page() {
+    // The departure sweeps the ledger, the array's grown pages with it,
+    // while the list still holds the array: the list commits nothing, and
+    // between the sweep and the unwind every page comes back exactly once.
+    let dp = plane(None);
+    let (first, second) = (wire(300, 1), wire(700, 2));
+    call(&dp, T, &[windowed_on(&first, 0)]).unwrap();
+    let sealed = held(&dp, T, &wire(12_000, 4));
+    let (entered, has_entered) = mpsc::channel();
+    let (release, gate) = mpsc::channel();
+    dp.set_lane_pool(Arc::new(Gate { entered: Mutex::new(entered), release: Mutex::new(gate) }));
+    let list = {
+        let (dp, second) = (dp.clone(), second.clone());
+        std::thread::spawn(move || {
+            call(&dp, T, &[windowed_on(&second, 0), Command::Egress(Arg::Ref(sealed))]).map(drop)
+        })
+    };
+    has_entered.recv().unwrap();
+    dp.deregister_tenant(T, DepartureReason::Evicted).unwrap();
+    release.send(()).unwrap();
+    assert_eq!(list.join().unwrap().unwrap_err(), DataPlaneError::UnknownTenant);
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
+    assert_eq!(dp.memory_report().committed_bytes, 0);
+}

@@ -717,4 +717,17 @@ mod tests {
         assert_eq!(a.report().live_uarrays, 2);
         assert_eq!(a.report().live_groups, 2);
     }
+
+    #[test]
+    fn resize_moves_the_owners_charge_and_the_committed_total() {
+        let mut a = Allocator::hint_guided();
+        charge(&mut a, OWNER, 1, 4096).unwrap();
+        assert!(a.resize(UArrayId(1), 3 * 4096));
+        assert_eq!((a.owner_used(OWNER), a.report().committed_bytes), (3 * 4096, 3 * 4096));
+        assert!(a.resize(UArrayId(1), 4096));
+        assert_eq!((a.owner_used(OWNER), a.report().committed_bytes), (4096, 4096));
+        assert!(!a.resize(UArrayId(9), 4096), "an unknown array is not live");
+        assert_eq!(a.retire(UArrayId(1)), vec![(UArrayId(1), 4096)]);
+        assert_eq!(a.owner_used(OWNER), 0);
+    }
 }

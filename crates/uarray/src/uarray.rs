@@ -742,4 +742,37 @@ mod tests {
         let w2: UArrayWriter<u64> = UArrayWriter::reserve(usize::MAX, &p, &small);
         assert!(w2.array.data.capacity() <= PAGE_SIZE as usize / 8);
     }
+
+    #[test]
+    fn a_resumed_writer_grows_in_place_and_gives_back_only_its_own_pages() {
+        let p = pager(1 << 20);
+        let budget = CommitBudget::unlimited();
+        let mut w: UArrayWriter<u32> = UArrayWriter::reserve(1_500, &p, &budget);
+        w.extend_from_slice(&[1; 1_500]).unwrap(); // 6 000 B: 2 pages
+        let open = w.into_open(UArrayId(3));
+        assert_eq!((open.state(), open.len()), (UArrayState::Open, 1_500));
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE, "handed back with its pages");
+        let mut w = UArrayWriter::resume(open, &p, &budget).unwrap();
+        w.extend_from_slice(&[2; 1_000]).unwrap(); // 10 000 B: 3 pages
+        let mut grown = w.into_open(UArrayId(3));
+        assert_eq!(
+            (grown.id(), grown.as_slice()[1_500], p.committed_bytes()),
+            (UArrayId(3), 2, 3 * PAGE_SIZE)
+        );
+        // Undoing the second append gives back the page it started.
+        assert_eq!(grown.truncate(1_500, &p), PAGE_SIZE);
+        assert_eq!((grown.len(), grown.committed_bytes()), (1_500, 2 * PAGE_SIZE));
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE);
+        // A resumed writer dropped mid-way gives back only what it committed.
+        let mut w = UArrayWriter::resume(grown, &p, &budget).unwrap();
+        w.extend_from_slice(&[3; 2_000]).unwrap();
+        drop(w);
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE);
+        // A sealed array is never taken up again.
+        let sealed: UArray<u32> = UArrayWriter::reserve(1, &p, &budget).seal(UArrayId(4));
+        assert!(matches!(
+            UArrayWriter::resume(sealed, &p, &budget),
+            Err(UArrayError::NotOpen(UArrayState::Produced))
+        ));
+    }
 }
