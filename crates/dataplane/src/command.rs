@@ -181,6 +181,28 @@ pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
     Ok(())
 }
 
+/// Whether command `at` of `cmds` consumes its input `input`: a `Retire`
+/// of the list names that array, and no other argument of the list — of
+/// another command, or another input of this one — names it. An argument
+/// is compared by the reference it names, given `done`, the replies of the
+/// commands before `at`; an output of `at` or of a later command is an
+/// array that does not exist yet, so it never names an input.
+pub(crate) fn consumes(cmds: &[Command<'_>], at: usize, input: usize, done: &[Reply]) -> bool {
+    let named = |arg: &Arg| arg.resolve(done).ok();
+    let Some(target) = cmds.get(at).and_then(|cmd| cmd.args().get(input)).and_then(named) else {
+        return false;
+    };
+    let (mut retired, mut reads) = (false, 0);
+    for cmd in cmds {
+        let names = cmd.args().iter().filter(|arg| named(arg) == Some(target)).count();
+        match cmd {
+            Command::Retire(_) => retired |= names > 0,
+            _ => reads += names,
+        }
+    }
+    retired && reads == 1
+}
+
 /// What one command returned.
 #[derive(Debug, Clone)]
 pub enum Reply {
@@ -289,6 +311,35 @@ mod tests {
             assert_eq!(check(&last), Err(DataPlaneError::BadArguments(alone)));
             assert_eq!(check(&[lone.clone(), lone]), Err(DataPlaneError::BadArguments(alone)));
         }
+    }
+
+    #[test]
+    fn an_input_is_consumed_only_when_the_list_retires_it_and_reads_it_once() {
+        let (a, b) = (Arg::Ref(OpaqueRef(1)), Arg::Ref(OpaqueRef(2)));
+        let egress = |arg| Command::Egress(arg);
+        let merge = |x, y| Command::Invoke {
+            op: PrimitiveKind::MergeK,
+            inputs: vec![x, y],
+            params: PrimitiveParams::None,
+            hints: HintSet::none(),
+        };
+        assert!(consumes(&[sort(a), retire(a)], 0, 0, &[]));
+        assert!(!consumes(&[sort(a)], 0, 0, &[]), "not retired");
+        assert!(!consumes(&[sort(a), retire(b)], 0, 0, &[]), "another array retired");
+        assert!(!consumes(&[sort(a), egress(a), retire(a)], 0, 0, &[]), "read again");
+        assert!(!consumes(&[egress(a), sort(a), retire(a)], 1, 0, &[Reply::Done]), "read before");
+        assert!(!consumes(&[merge(a, a), retire(a)], 0, 0, &[]), "read twice by one command");
+        assert!(consumes(&[merge(a, b), retire(a), retire(b)], 0, 1, &[]));
+        assert!(!consumes(&[sort(a), retire(a)], 0, 1, &[]), "no such input");
+        // An earlier command's output is named by its reference.
+        let out = InvokeOutput { opaque: OpaqueRef(1), len: 1, window: None };
+        let done = [Reply::Invoke(vec![out])];
+        let list = [sort(b), sort(Arg::out(0)), retire(a)];
+        assert!(consumes(&list, 1, 0, &done), "`Out(0)` and `a` name one array");
+        let list = [sort(b), sort(a), egress(Arg::out(0)), retire(a)];
+        assert!(!consumes(&list, 1, 0, &done));
+        // A later command's output does not exist yet: it names nothing.
+        assert!(consumes(&[sort(a), retire(a), retire(Arg::out(0))], 0, 0, &[]));
     }
 
     #[test]

@@ -46,6 +46,8 @@
 //! its body, which stages what it would publish, is reached only from
 //! there.
 
+use self::call::Staged;
+use self::invoke::Input;
 use crate::egress::Sealer;
 use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
@@ -138,6 +140,10 @@ struct TenantState {
     refs: RefTable,
     /// The tenant's window arrays.
     windows: BTreeMap<WindowKey, WindowSlot>,
+    /// Arrays a running command list took out of the window map or the
+    /// store for its output to take over: closed to every other list until
+    /// that list retires them.
+    consuming: Vec<UArrayId>,
     /// The tenant's current-epoch key set (source decrypt, cloud encrypt,
     /// trail signing). Replaced wholesale on rekey.
     keys: KeySet,
@@ -165,6 +171,16 @@ struct TenantState {
 }
 
 impl TenantState {
+    /// Resolve `r` for a reader: refused while a command list is consuming
+    /// its array.
+    fn resolve(&self, r: OpaqueRef) -> Result<UArrayId, DataPlaneError> {
+        let id = self.refs.resolve(r)?;
+        if self.consuming.contains(&id) {
+            return Err(DataPlaneError::BadArguments("a command list is consuming this array"));
+        }
+        Ok(id)
+    }
+
     /// Take window array `id` out of the map for its consumer, sealed: no
     /// batch can append to it from here on. `None` when `id` is no window
     /// array; refused while a command list is appending to it.
@@ -186,6 +202,7 @@ impl TenantState {
         TenantState {
             refs: RefTable::new(reference_seed(tenant)),
             windows: BTreeMap::new(),
+            consuming: Vec::new(),
             keys,
             audit,
             segments: Vec::new(),
@@ -580,6 +597,12 @@ impl DataPlane {
     /// per-output `(id, len, window, paging_nanos)`; references are minted
     /// by the caller. On quota rejection every produced array is freed and
     /// nothing stays published.
+    ///
+    /// `from` names the consumed input — its id and committed bytes — whose
+    /// pages the one output took over: the allocator moves the input's
+    /// bytes to the output in the same call. Those pages are not the
+    /// output's to give back on a rejection: they stay with the input's
+    /// ledger entry until its retire, or went with its owner's teardown.
     #[allow(clippy::type_complexity)]
     fn commit_outputs(
         &self,
@@ -587,6 +610,7 @@ impl DataPlane {
         producer: u64,
         produced: Vec<(StoredData, Option<WindowId>)>,
         hints: &HintSet,
+        from: Option<(UArrayId, u64)>,
     ) -> Result<Vec<(UArrayId, usize, Option<WindowId>, u64)>, DataPlaneError> {
         // Publish to the store *before* admitting: the owner-teardown sweep
         // in `deregister_tenant` discovers a tenant's arrays in the
@@ -605,9 +629,18 @@ impl DataPlane {
                 store.insert(data.id(), Arc::new(data));
             }
         }
-        let admitted =
-            self.alloc.lock().allocator.admit(tenant.owner_tag(), producer, &metas, hints);
+        let owner = tenant.owner_tag();
+        let admitted = {
+            let allocator = &mut self.alloc.lock().allocator;
+            match from {
+                Some((input, _)) => allocator.hand_over(owner, producer, input, metas[0], hints),
+                None => allocator.admit(owner, producer, &metas, hints),
+            }
+        };
         if admitted.is_err() {
+            if let Some((_, moved)) = from {
+                metas[0].1 -= moved;
+            }
             self.free(&metas);
             return Err(DataPlaneError::QuotaExceeded);
         }
@@ -638,7 +671,7 @@ impl DataPlane {
     ) -> Result<(UArrayId, OpaqueRef, usize), DataPlaneError> {
         let mut hints = HintSet::none();
         hints.push(hint);
-        let committed = self.commit_outputs(tenant, producer, vec![(data, None)], &hints)?;
+        let committed = self.commit_outputs(tenant, producer, vec![(data, None)], &hints, None)?;
         let (id, len, _, _) = committed[0];
         let opaque = ts.lock().refs.mint(id);
         Ok((id, opaque, len))
@@ -660,7 +693,7 @@ impl DataPlane {
     ) -> Result<(UArrayId, Arc<StoredData>), DataPlaneError> {
         let (id, window) = {
             let mut t = ts.lock();
-            let id = t.refs.resolve(r)?;
+            let id = t.resolve(r)?;
             (id, t.take_window(id)?)
         };
         if let Some(array) = window {
@@ -671,6 +704,39 @@ impl DataPlane {
         let store = self.store.read();
         let data = store.get(&id).cloned().ok_or(DataPlaneError::InvalidReference)?;
         Ok((id, data))
+    }
+
+    /// Resolve a reference that `list` consumes (see
+    /// [`command::consumes`](crate::command)) for its output to take over:
+    /// the array itself when the data plane holds its only handle — a
+    /// window array, sealed and out of the window map, or a store entry
+    /// whose `Arc` no one else holds. The array is then closed to every
+    /// other list until `list` retires it. Otherwise the shared handle
+    /// [`lookup`](DataPlane::lookup) gives.
+    fn take(
+        &self,
+        list: &mut Staged<'_>,
+        r: OpaqueRef,
+    ) -> Result<(UArrayId, Input), DataPlaneError> {
+        let mut t = list.ts.lock();
+        let id = t.resolve(r)?;
+        let owned = match t.take_window(id)? {
+            Some(array) => StoredData::Events(array),
+            None => {
+                let mut store = self.store.write();
+                let data = store.remove(&id).ok_or(DataPlaneError::InvalidReference)?;
+                match Arc::try_unwrap(data) {
+                    Ok(data) => data,
+                    Err(shared) => {
+                        store.insert(id, shared.clone());
+                        return Ok((id, Input::Shared(shared)));
+                    }
+                }
+            }
+        };
+        t.consuming.push(id);
+        list.taken.push(id);
+        Ok((id, Input::Owned(owned)))
     }
 
     /// The default tenant's current cloud-side keys (what the cloud consumer

@@ -16,6 +16,21 @@
 //! the list took is given back if no other list took one since. Retires
 //! themselves are not deferred: a window's tail list frees each input as
 //! soon as it is consumed.
+//!
+//! A consumed input's pages pass to its consumer. When a list retires an
+//! input that no other command of it reads (`command::consumes`: what
+//! `Steps::consume` emits for every chain step), and the data plane holds
+//! the input's only handle — a window array, or a store entry nobody else
+//! holds — a `Sort` rewrites the input in its own pages: its output is the
+//! input's records and pages under a new id, and the allocator moves the
+//! input's ledger bytes to the output in one call. From then until the
+//! list retires it, the input is closed to every other list, whose reads
+//! and retires of it fail. Otherwise — the input read again, shared, or
+//! not retired, as in every one-command `invoke` — the output is a fresh
+//! array holding a copy of the input, sorted by the same kernel. Records,
+//! ids and hints are the same either way; only pages move. If the list
+//! then fails, the output is released without the pages it took over, and
+//! the input's retire gives those back.
 
 use super::ingress::{Batch, Held};
 use super::{DataPlane, TenantState, WindowSlot};
@@ -26,7 +41,7 @@ use sbt_attest::AuditRecord;
 use sbt_telemetry::SpanKind;
 use sbt_types::TenantId;
 use sbt_tz::WorldTracker;
-use sbt_uarray::PAGE_SIZE;
+use sbt_uarray::{UArrayId, PAGE_SIZE};
 
 /// A command list in flight: the tenant it runs for, and what it would
 /// publish, held back until its last command succeeds.
@@ -44,6 +59,9 @@ pub(super) struct Staged<'a> {
     /// The window arrays the list appends to, out of the tenant's window
     /// map until the list commits or unwinds.
     pub(super) held: Vec<Held>,
+    /// The consumed inputs the list took over (the tenant's `consuming`
+    /// entries that are this list's to retire).
+    pub(super) taken: Vec<UArrayId>,
 }
 
 impl DataPlane {
@@ -81,11 +99,12 @@ impl DataPlane {
             bytes: 0,
             egresses: 0,
             held: Vec::new(),
+            taken: Vec::new(),
         };
         let mut done = Vec::with_capacity(cmds.len());
         let ran = command::check(cmds).and_then(|()| {
-            cmds.iter().try_for_each(|cmd| {
-                let reply = self.run_command(&mut list, cmd, &done)?;
+            (0..cmds.len()).try_for_each(|at| {
+                let reply = self.run_command(&mut list, cmds, at, &done)?;
                 done.push(reply);
                 Ok(())
             })
@@ -93,7 +112,7 @@ impl DataPlane {
         match ran.and_then(|()| self.commit(&mut list)) {
             Ok(()) => Ok(done),
             Err(e) => {
-                self.unwind(&ts, cmds, &done, list.held);
+                self.unwind(cmds, &done, list);
                 Err(e)
             }
         }
@@ -109,16 +128,18 @@ impl DataPlane {
         Ok(replies.pop().expect("a list that succeeded replied to its command"))
     }
 
-    /// Run one command; `done` holds the replies of the commands before it.
+    /// Run command `at` of `cmds`; `done` holds the replies of the
+    /// commands before it.
     fn run_command(
         &self,
         list: &mut Staged<'_>,
-        cmd: &Command<'_>,
+        cmds: &[Command<'_>],
+        at: usize,
         done: &[Reply],
     ) -> Result<Reply, DataPlaneError> {
         let tracer = self.telemetry.tracer();
         let tenant = list.tenant.0;
-        Ok(match cmd {
+        Ok(match &cmds[at] {
             Command::Ingress { payload, encrypted, is_power, keystream_block } => {
                 let start = tracer.start();
                 let batch = Batch {
@@ -159,7 +180,8 @@ impl DataPlane {
             Command::Invoke { op, inputs, params, hints } => {
                 let refs =
                     inputs.iter().map(|arg| arg.resolve(done)).collect::<Result<Vec<_>, _>>()?;
-                Reply::Invoke(self.run_invoke(list, *op, &refs, *params, hints)?)
+                let take_first = command::consumes(cmds, at, 0, done);
+                Reply::Invoke(self.run_invoke(list, *op, &refs, *params, hints, take_first)?)
             }
             Command::Egress(arg) => {
                 let start = tracer.start();
@@ -168,7 +190,7 @@ impl DataPlane {
                 Reply::Egress(msg)
             }
             Command::Retire(arg) => {
-                self.run_retire(list.ts, arg.resolve(done)?)?;
+                self.run_retire(list.ts, arg.resolve(done)?, &list.taken)?;
                 Reply::Done
             }
             Command::Checkpoint(_) | Command::Restore { .. } => {
@@ -213,15 +235,10 @@ impl DataPlane {
     /// their length before it, release the outputs it produced, retire the
     /// held references its `Retire`s name, and give back its egress
     /// sequence numbers if they are still the last ones taken. A reference
-    /// the list already retired, or one that was never the tenant's, fails
-    /// its retire here harmlessly.
-    fn unwind(
-        &self,
-        ts: &Mutex<TenantState>,
-        cmds: &[Command<'_>],
-        done: &[Reply],
-        held: Vec<Held>,
-    ) {
+    /// the list already retired, one that was never the tenant's, or one
+    /// another list is consuming, fails its retire here harmlessly.
+    fn unwind(&self, cmds: &[Command<'_>], done: &[Reply], list: Staged<'_>) {
+        let Staged { ts, held, taken, .. } = list;
         for mut h in held {
             {
                 let mut alloc = self.alloc.lock();
@@ -260,8 +277,11 @@ impl DataPlane {
             _ => None,
         });
         for r in produced.chain(named) {
-            let _ = self.run_retire(ts, r);
+            let _ = self.run_retire(ts, r, &taken);
         }
+        // Every input the list took over is named by one of its retires;
+        // should one still be open, the control plane's own retire frees it.
+        ts.lock().consuming.retain(|id| !taken.contains(id));
         let mut seqs = done.iter().filter_map(|reply| match reply {
             Reply::Egress(msg) => Some(msg.seq),
             _ => None,

@@ -10,6 +10,7 @@ use crate::opaque::OpaqueRef;
 use parking_lot::Mutex;
 use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_types::TenantId;
+use sbt_uarray::UArrayId;
 
 impl DataPlane {
     /// Externalize a result: encrypt, sign, audit, flush the audit log. The
@@ -65,15 +66,26 @@ impl DataPlane {
 
     /// The body of a `Retire` command, and of a failed list's unwinding:
     /// retirement publishes nothing, so it is never held back. An open
-    /// window array retired unread leaves the window map with it.
+    /// window array retired unread leaves the window map with it. An array
+    /// a list is consuming is retired only by that list, whose takes are
+    /// `own`.
     pub(super) fn run_retire(
         &self,
         ts: &Mutex<TenantState>,
         r: OpaqueRef,
+        own: &[UArrayId],
     ) -> Result<(), DataPlaneError> {
         let id = {
             let mut t = ts.lock();
             let id = t.refs.resolve(r)?;
+            if let Some(at) = t.consuming.iter().position(|c| *c == id) {
+                if !own.contains(&id) {
+                    return Err(DataPlaneError::BadArguments(
+                        "a command list is consuming this array",
+                    ));
+                }
+                t.consuming.swap_remove(at);
+            }
             t.take_window(id)?;
             t.refs.revoke(r)?
         };

@@ -1,5 +1,6 @@
 //! The shared primitive entry point: reference resolution, the dispatch
-//! table, and in-place production into uArrays.
+//! table, and in-place production into uArrays — into fresh pages, or, for
+//! a `Sort` of an input its list consumes, into the input's own.
 
 use super::call::Staged;
 use super::DataPlane;
@@ -43,6 +44,34 @@ impl<T: Copy> RecordSink<T> for Output<'_, T> {
     }
 }
 
+/// An input of an invocation.
+pub(super) enum Input {
+    /// Shared with the store, and with whoever else holds it.
+    Shared(Arc<StoredData>),
+    /// Consumed by the invoking list and held by nothing else: the output
+    /// may take over its pages.
+    Owned(StoredData),
+}
+
+impl Input {
+    fn data(&self) -> &StoredData {
+        match self {
+            Input::Shared(data) => data,
+            Input::Owned(data) => data,
+        }
+    }
+}
+
+/// The field a sort primitive orders by; `None` for every other primitive.
+fn sort_field(op: PrimitiveKind) -> Option<fn(&Event) -> u32> {
+    match op {
+        PrimitiveKind::Sort => Some(|e| e.key),
+        PrimitiveKind::SortByValue => Some(|e| e.value),
+        PrimitiveKind::SortByTime => Some(|e| e.ts_ms),
+        _ => None,
+    }
+}
+
 /// The grouped aggregates and `Join` read their inputs as key runs. Over an
 /// unsorted array they would return a well-sized but meaningless result, so
 /// an input that is not key-sorted is refused before anything is reserved.
@@ -76,7 +105,9 @@ impl DataPlane {
     }
 
     /// The body of an `Invoke` command: the outputs are registered at once,
-    /// their records staged in `list`.
+    /// their records staged in `list`. `take_first`: the list consumes the
+    /// first input (see [`command::consumes`](crate::command)), so a sort
+    /// may take over its pages.
     pub(super) fn run_invoke(
         &self,
         list: &mut Staged<'_>,
@@ -84,15 +115,27 @@ impl DataPlane {
         inputs: &[OpaqueRef],
         params: PrimitiveParams,
         hints: &HintSet,
+        take_first: bool,
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
-        let (tenant, ts) = (list.tenant, list.ts);
+        let tenant = list.tenant;
         // Validate all references and hints before doing any work.
         let mut resolved = Vec::with_capacity(inputs.len());
-        for r in inputs {
-            resolved.push(self.lookup(ts, *r)?);
+        for (i, r) in inputs.iter().enumerate() {
+            resolved.push(if i == 0 && take_first && sort_field(op).is_some() {
+                self.take(list, *r)?
+            } else {
+                let (id, data) = self.lookup(list.ts, *r)?;
+                (id, Input::Shared(data))
+            });
         }
         self.check_hints(tenant, op, hints)?;
         let input_ids: Vec<UArrayId> = resolved.iter().map(|(id, _)| *id).collect();
+        // The output of a sort that takes over its input holds the input's
+        // pages: the ledger moves them from one to the other.
+        let from = match resolved.first() {
+            Some((id, Input::Owned(data))) => Some((*id, data.committed_bytes())),
+            _ => None,
+        };
 
         // What the tenant may still commit: the outputs draw on it page by
         // page as they are produced, so an invocation that would overrun the
@@ -102,7 +145,8 @@ impl DataPlane {
         let budget =
             CommitBudget::new(self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()));
         let compute_start = Instant::now();
-        let produced = self.execute(op, &resolved, &params, &budget)?;
+        let inputs = resolved.into_iter().map(|(_, input)| input).collect();
+        let produced = self.execute(op, inputs, &params, &budget)?;
         let compute_nanos = compute_start.elapsed().as_nanos() as u64;
         if hints.len() > produced.len() {
             // Only `Segment` gets here: its output count is known only now.
@@ -118,7 +162,7 @@ impl DataPlane {
         // treats all outputs of the same primitive as one generation and
         // co-locates them.
         let producer_tag = op.code() as u64;
-        let committed = self.commit_outputs(tenant, producer_tag, produced, hints)?;
+        let committed = self.commit_outputs(tenant, producer_tag, produced, hints, from)?;
         let (outputs, output_ids, memory_nanos) = self.stage_outputs(list, &input_ids, committed);
         // Windowing is fully described by its Windowing records; everything
         // else gets an Execution record.
@@ -217,21 +261,51 @@ impl DataPlane {
         Ok(layout(output.0.seal(self.next_id())))
     }
 
-    /// The primitive dispatch table. Every arm runs its primitive's kernel
-    /// with an open uArray writer as the record sink (see
-    /// [`produce`](DataPlane::produce)), reserved for the output's exact
-    /// size where the inputs determine it and for an upper bound otherwise.
-    /// Returns the produced arrays, each with an optional window assignment
-    /// (only `Segment` assigns windows).
+    /// Sort an event array in place, by `field`: in the input's own pages
+    /// when the list consumes it and nothing else holds it, otherwise in
+    /// fresh pages holding a copy of it. One kernel either way.
+    fn sort(
+        &self,
+        input: Input,
+        field: fn(&Event) -> u32,
+        budget: &CommitBudget,
+    ) -> Result<StoredData, DataPlaneError> {
+        let mut output = match input {
+            Input::Owned(StoredData::Events(array)) => {
+                UArrayWriter::take_over(array, &self.pager, budget)?
+            }
+            input => {
+                let events = input.data().as_events()?;
+                let mut fresh = UArrayWriter::reserve(events.len(), &self.pager, budget);
+                fresh.extend_from_slice(events)?;
+                fresh
+            }
+        };
+        prim::sort_events_in_place(output.records_mut(), field);
+        Ok(StoredData::Events(output.seal(self.next_id())))
+    }
+
+    /// The primitive dispatch table. A sort rewrites its input in place
+    /// (see [`sort`](DataPlane::sort)); every other arm runs its
+    /// primitive's kernel with an open uArray writer as the record sink
+    /// (see [`produce`](DataPlane::produce)), reserved for the output's
+    /// exact size where the inputs determine it and for an upper bound
+    /// otherwise. Returns the produced arrays, each with an optional window
+    /// assignment (only `Segment` assigns windows).
     fn execute(
         &self,
         op: PrimitiveKind,
-        inputs: &[(UArrayId, Arc<StoredData>)],
+        inputs: Vec<Input>,
         params: &PrimitiveParams,
         budget: &CommitBudget,
     ) -> Result<Vec<(StoredData, Option<WindowId>)>, DataPlaneError> {
+        if let Some(field) = sort_field(op) {
+            let input =
+                inputs.into_iter().next().ok_or(DataPlaneError::BadArguments("missing input"))?;
+            return Ok(vec![(self.sort(input, field, budget)?, None)]);
+        }
         let one_events = |n: usize| -> Result<&[Event], DataPlaneError> {
-            inputs.get(n).ok_or(DataPlaneError::BadArguments("missing input"))?.1.as_events()
+            inputs.get(n).ok_or(DataPlaneError::BadArguments("missing input"))?.data().as_events()
         };
         // Every input, at least one: what a merge, a concatenation and an
         // unkeyed reduce (over a window's arrays) read.
@@ -275,17 +349,8 @@ impl DataPlane {
                     .map(|(win, w)| (StoredData::Events(w.0.seal(self.next_id())), Some(win)))
                     .collect());
             }
-            PrimitiveKind::Sort => {
-                let events = one_events(0)?;
-                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.key, w))?
-            }
-            PrimitiveKind::SortByValue => {
-                let events = one_events(0)?;
-                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.value, w))?
-            }
-            PrimitiveKind::SortByTime => {
-                let events = one_events(0)?;
-                events_of(events.len(), &|w| prim::sort_events_into(events, |e| e.ts_ms, w))?
+            PrimitiveKind::Sort | PrimitiveKind::SortByValue | PrimitiveKind::SortByTime => {
+                unreachable!("a sort rewrites its input in place")
             }
             PrimitiveKind::Merge | PrimitiveKind::Union => {
                 let (a, b) = (one_events(0)?, one_events(1)?);

@@ -507,10 +507,11 @@ fn quota_rejection_of_invoke_outputs_releases_pages() {
     })
     .unwrap_err();
     assert_eq!(err, DataPlaneError::QuotaExceeded);
-    // The limit fell inside the output: production stopped at the page
-    // that crossed it (two pages of headroom, not the six the sorted
-    // copy needs), and the transiently committed pages were released.
-    assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 2 * 4096);
+    // The limit fell inside the output: a one-command sort is not
+    // consumed, so it copies its input into fresh pages before sorting
+    // them, and the copy's one commit stride (six pages, with two of
+    // headroom) was refused whole — nothing was committed.
+    assert_eq!(dp.platform().secure_mem().high_water(), before.0);
     assert_eq!(footprint(&dp, TenantId(1)), before);
     // The input is still usable.
     assert!(in_tee(|| dp.egress(TenantId(1), a.opaque)).is_ok());

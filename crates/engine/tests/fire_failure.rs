@@ -1,13 +1,16 @@
-//! A fire list that fails part-way leaves no trace of its window.
+//! A fire list that fails leaves no trace of its window.
 //!
 //! A fire runs the plan's chain over the window's arrays (one per ingest
-//! lane) in at most W lists, the first headed by the watermark's record.
-//! Here that first list trips the tenant's quota past its first command:
-//! the data plane unwinds the list whole, the engine retires what the
-//! other list produced, and the caller gets the error. Nothing of the
-//! window is left but its watermark, which the failed fire could not carry
-//! and so crossed alone; the next window fires, and the cloud's replay
-//! flags the lost window and nothing else.
+//! lane) in at most W lists, the first headed by the watermark's record,
+//! then one tail list that gathers, reduces and egresses. A consumed sort
+//! rewrites its array in its own pages and commits none, so the chain
+//! lists cannot trip a quota that the window's arrays fit under; the
+//! tail's `MergeK` still writes a fresh array beside its runs. Here that
+//! merge trips the tenant's quota: the data plane unwinds the tail whole
+//! and retires the sorted runs it names, and the caller gets the error.
+//! Nothing of the window is left but its watermark and its sorts' records;
+//! the next window fires, and the cloud's replay flags the lost window and
+//! nothing else.
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier, Violation};
 use sbt_dataplane::{DataPlane, DataPlaneError};
@@ -40,15 +43,16 @@ fn ingest(engine: &Engine, w: u32, sizes: &[usize]) -> Watermark {
 }
 
 #[test]
-fn a_list_that_trips_the_quota_past_its_first_command_leaves_no_trace() {
+fn a_tail_list_that_trips_the_quota_leaves_no_trace_of_its_window() {
     // A one-worker TopK engine: W = 2 (the worker and the joining thread),
     // so window 0's batches [20 000, 2 000, 2 000, 2 000] events go in as
     // the groups [b0, b1] and [b2, b3], one array each: a0 of 22 000
     // events (65 pages, each batch decrypted straight into it) and a1 of
     // 4 000 (12 pages), 77 in all. The fire's lists are [watermark, sort
-    // a0] and [sort a1]: sorting a1 needs at most 77 + 12, sorting a0
-    // 77 + 65 = 142 or more. A 130-page quota admits every batch and trips
-    // at a0's sort, past its list's first command.
+    // a0] and [sort a1], which sort each array in its own pages (77 pages
+    // still), then the tail [MergeK, …], whose merged array needs 77 more:
+    // 154. A 130-page quota admits every batch and both sorts, and trips
+    // at the tail's merge.
     let config = EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1);
     let dp = DataPlane::new(Platform::new(config.platform_config()), config.dataplane.clone());
     dp.register_tenant(TENANT, Some(130 * PAGE)).unwrap();
@@ -92,14 +96,18 @@ fn a_list_that_trips_the_quota_past_its_first_command_leaves_no_trace() {
             replay.violations
         );
     }
-    // Window 1's two sorts, and at most a1's: the failed list published no
-    // record. (Had the window failed in its tail instead, both of window
-    // 0's sorts would be on the trail.)
-    let sorts = records
-        .iter()
-        .filter(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Sort, .. }))
-        .count();
-    assert!((2..=3).contains(&sorts), "{sorts} sorts on the trail");
+    // Window 0's two sorts, which committed, and window 1's one (its two
+    // batches, after window 0's four, land on one lane); the failed tail
+    // published no record: no merge of window 0's runs.
+    let count = |op| {
+        records
+            .iter()
+            .filter(|r| matches!(r, AuditRecord::Execution { op: o, .. } if *o == op))
+            .count()
+    };
+    assert_eq!(count(PrimitiveKind::Sort), 3, "sorts on the trail");
+    assert_eq!(count(PrimitiveKind::MergeK), 0, "merges on the trail");
+    assert_eq!(count(PrimitiveKind::TopKPerKey), 1, "reduces on the trail");
     // The refused window's watermark is on the trail all the same, ahead of
     // the next window's.
     let watermarks: Vec<u32> = records

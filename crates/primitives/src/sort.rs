@@ -16,17 +16,19 @@
 //! comparison sorts (`qsort`, `std::sort`) that §9.3 swaps in, by a similar
 //! margin.
 //!
-//! Events are sorted indirectly: the key (or value, or timestamp) is packed
-//! with the element index into one `u64` (the histogram sweep rides along
-//! with the packing), the packed array is sorted by the kernel, and the
-//! events are gathered through the resulting permutation straight into the
-//! output sink. This keeps the hot loop operating on flat machine words —
-//! the essence of the paper's "array-based algorithms to suit TEE" decision.
-//! The packed words and the scatter buffer are per-thread scratch (see
-//! the crate's `scratch` module), so a sort allocates nothing of its own.
+//! Events are sorted directly, in place: one sweep counts the field's four
+//! digit histograms, then each scatter pass moves the 12-byte events
+//! themselves between the array and a per-thread buffer of events (see the
+//! crate's `scratch` module), and an odd number of passes ends with one
+//! copy back. There is no packed `(field, index)` word and no gather through
+//! a permutation, so a pass reads and writes memory strictly in order and
+//! the scratch is 12 bytes per event. The array is rewritten where it lies,
+//! which is what lets the data plane sort a consumed uArray in its own
+//! pages; the `Vec`-returning functions copy their input and sort the copy
+//! with the same kernel.
 
-use crate::scratch::{with_scratch, Scratch};
-use sbt_types::{infallible, Event, RecordSink};
+use crate::scratch::with_scratch;
+use sbt_types::Event;
 
 /// Per-digit value counts of one byte position.
 type Histogram = [usize; 256];
@@ -45,57 +47,32 @@ pub(crate) fn radix_sort_by_bytes<const LO: usize, const HI: usize>(
     data: &mut Vec<u64>,
     spare: &mut Vec<u64>,
 ) {
+    let n = data.len();
+    if n <= 1 {
+        return;
+    }
     let mut histograms = [[0usize; 256]; 8];
     for &v in data.iter() {
         for (byte, histogram) in histograms.iter_mut().enumerate().take(HI).skip(LO) {
             histogram[((v >> (byte * 8)) & 0xFF) as usize] += 1;
         }
     }
-    scatter_by_digits(data, spare, &histograms[LO..HI], LO);
-}
-
-/// The scatter passes: `histograms[i]` counts the digits at byte position
-/// `lo_byte + i` (counts do not depend on the order of the words, so all of
-/// them can be taken before the first pass moves anything).
-fn scatter_by_digits(
-    data: &mut Vec<u64>,
-    spare: &mut Vec<u64>,
-    histograms: &[Histogram],
-    lo_byte: usize,
-) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
     if spare.len() < n {
         spare.resize(n, 0);
     }
     let mut sorted_in_data = true;
-    for (i, histogram) in histograms.iter().enumerate() {
+    for (byte, histogram) in histograms.iter().enumerate().take(HI).skip(LO) {
         // One digit value holding every word: this byte orders nothing
         // (common for small key ranges, whose high bytes are all zero).
         if histogram.contains(&n) {
             continue;
-        }
-        let shift = ((lo_byte + i) * 8) as u32;
-        // Exclusive prefix sum -> bucket start offsets.
-        let mut starts = [0usize; 256];
-        let mut offset = 0usize;
-        for (start, count) in starts.iter_mut().zip(histogram) {
-            *start = offset;
-            offset += count;
         }
         let (src, dst): (&[u64], &mut [u64]) = if sorted_in_data {
             (&data[..], &mut spare[..n])
         } else {
             (&spare[..n], &mut data[..])
         };
-        // Stable scatter.
-        for &v in src {
-            let digit = ((v >> shift) & 0xFF) as usize;
-            dst[starts[digit]] = v;
-            starts[digit] += 1;
-        }
+        scatter(src, dst, bucket_starts(histogram), |v| ((v >> (byte * 8)) & 0xFF) as usize);
         sorted_in_data = !sorted_in_data;
     }
     if !sorted_in_data {
@@ -104,14 +81,6 @@ fn scatter_by_digits(
         std::mem::swap(data, spare);
         data.truncate(n);
     }
-}
-
-/// Pack a 32-bit sort key and a 32-bit payload (element index) into a `u64`
-/// so that sorting the packed words by the key bytes sorts by key with a
-/// stable tiebreak on the original position.
-#[inline]
-fn pack(key: u32, index: u32) -> u64 {
-    ((key as u64) << 32) | index as u64
 }
 
 /// Sort events by grouping key (stable). This is the `Sort` primitive.
@@ -130,45 +99,74 @@ pub fn sort_events_by_time(events: &[Event]) -> Vec<Event> {
 }
 
 fn sorted_vec(events: &[Event], field: impl Fn(&Event) -> u32) -> Vec<Event> {
-    let mut out = Vec::with_capacity(events.len());
-    infallible(sort_events_into(events, field, &mut out));
+    let mut out = events.to_vec();
+    sort_events_in_place(&mut out, field);
     out
 }
 
-/// The sort kernel: append `events`, stably ordered by `field`, to `sink`.
+/// The sort kernel: order `events` stably by `field`, in place.
 ///
-/// Pack `(field, index)` while counting the field's four digit histograms,
-/// scatter by the digits that vary (the low 32 bits already carry the
-/// original order, and the counting passes are stable), then gather the
-/// events through the permutation into the sink.
-pub fn sort_events_into<S: RecordSink<Event>>(
-    events: &[Event],
-    field: impl Fn(&Event) -> u32,
-    sink: &mut S,
-) -> Result<(), S::Error> {
-    assert!(
-        events.len() <= u32::MAX as usize,
-        "uArray larger than 2^32 events cannot be index-packed"
-    );
+/// Count the field's four digit histograms in one sweep, then scatter the
+/// events by each digit that varies (least significant first; each pass is
+/// stable, so equal fields keep their order), ping-ponging between `events`
+/// and this thread's scratch buffer, and copy back after an odd number of
+/// passes.
+pub fn sort_events_in_place(events: &mut [Event], field: impl Fn(&Event) -> u32) {
+    let n = events.len();
+    if n <= 1 {
+        return;
+    }
+    let mut histograms = [[0usize; 256]; 4];
+    for e in events.iter() {
+        let f = field(e);
+        for (byte, histogram) in histograms.iter_mut().enumerate() {
+            histogram[((f >> (byte * 8)) & 0xFF) as usize] += 1;
+        }
+    }
     with_scratch(|scratch| {
-        let Scratch { packed, spare, .. } = scratch;
-        packed.clear();
-        packed.reserve(events.len());
-        let mut histograms = [[0usize; 256]; 4];
-        for (i, e) in events.iter().enumerate() {
-            let f = field(e);
-            for (byte, histogram) in histograms.iter_mut().enumerate() {
-                histogram[((f >> (byte * 8)) & 0xFF) as usize] += 1;
+        let spare = &mut scratch.events;
+        if spare.len() < n {
+            spare.resize(n, Event::default());
+        }
+        let spare = &mut spare[..n];
+        let mut sorted_in_events = true;
+        for (byte, histogram) in histograms.iter().enumerate() {
+            // One digit value holding every event: this byte orders nothing.
+            if histogram.contains(&n) {
+                continue;
             }
-            packed.push(pack(f, i as u32));
+            let starts = bucket_starts(histogram);
+            let (src, dst): (&[Event], &mut [Event]) =
+                if sorted_in_events { (events, spare) } else { (spare, events) };
+            scatter(src, dst, starts, |e| ((field(e) >> (byte * 8)) & 0xFF) as usize);
+            sorted_in_events = !sorted_in_events;
         }
-        // The field occupies byte positions 4..8 of the packed word.
-        scatter_by_digits(packed, spare, &histograms, 4);
-        for p in packed.iter() {
-            sink.push(events[(p & 0xFFFF_FFFF) as usize])?;
+        if !sorted_in_events {
+            events.copy_from_slice(spare);
         }
-        Ok(())
     })
+}
+
+/// Exclusive prefix sums of a digit histogram: each digit's first slot.
+fn bucket_starts(histogram: &Histogram) -> Histogram {
+    let mut starts = [0usize; 256];
+    let mut offset = 0usize;
+    for (start, count) in starts.iter_mut().zip(histogram) {
+        *start = offset;
+        offset += count;
+    }
+    starts
+}
+
+/// One stable counting-sort pass: each record of `src` to the next free
+/// slot of its digit's bucket in `dst`.
+#[inline]
+fn scatter<T: Copy>(src: &[T], dst: &mut [T], mut starts: Histogram, digit: impl Fn(&T) -> usize) {
+    for v in src {
+        let d = digit(v);
+        dst[starts[d]] = *v;
+        starts[d] += 1;
+    }
 }
 
 #[cfg(test)]
@@ -253,13 +251,23 @@ mod tests {
 
         #[test]
         fn event_sort_matches_std_stable_sort(
-            keys in proptest::collection::vec(any::<u32>(), 0..500),
+            fields in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..2000),
+            varying in 0u32..16,
         ) {
-            let events: Vec<Event> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, k)| Event::new(*k, i as u32, i as u32))
-                .collect();
+            // `varying` picks the bytes a field may vary in, so the kernel
+            // runs 0 to 4 scatter passes (an odd count ends in the copy
+            // back); few distinct values make ties, which must keep order.
+            let mask = (0..4).filter(|b| varying >> b & 1 == 1).fold(0, |m, b| m | 0xFF << (b * 8));
+            let events: Vec<Event> =
+                fields.iter().map(|&(k, v, t)| Event::new(k & mask, v & mask, t & mask)).collect();
+            let by: [fn(&Event) -> u32; 3] = [|e| e.key, |e| e.value, |e| e.ts_ms];
+            for field in by {
+                let mut expected = events.clone();
+                expected.sort_by_key(field);
+                let mut sorted = events.clone();
+                sort_events_in_place(&mut sorted, field);
+                prop_assert_eq!(sorted, expected);
+            }
             let mut expected = events.clone();
             expected.sort_by_key(|e| e.key);
             prop_assert_eq!(sort_events_by_key(&events), expected);

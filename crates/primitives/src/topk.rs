@@ -37,7 +37,7 @@ const RADIX_MIN_LEN: usize = 1_024;
 /// `runs`, descending (duplicates kept; all of them if there are fewer
 /// than `k`).
 fn largest_values_desc(runs: &[&[Event]], k: usize, scratch: &mut Scratch) {
-    let Scratch { packed, spare, values } = scratch;
+    let Scratch { packed, spare, values, .. } = scratch;
     values.clear();
     if k == 0 {
         return;

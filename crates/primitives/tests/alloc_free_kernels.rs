@@ -1,9 +1,9 @@
 //! The kernels allocate nothing of their own.
 //!
-//! Every hot primitive is one pass over a record sink; whatever working
-//! memory it needs (the sort's packed words and scatter buffer, the order
-//! statistics' value buffer) is per-thread scratch that is sized by the
-//! first call and reused. So in steady state the only allocations an
+//! Every hot primitive is one pass over a record sink, or — Sort — a
+//! rewrite of its array in place; whatever working memory it needs (the
+//! sort's second buffer of events, the order statistics' value buffer) is
+//! per-thread scratch that is sized by the first call and reused. So in steady state the only allocations an
 //! invocation makes are its sink's: none at all into a sink that is already
 //! reserved — which is what an open uArray writer is — and exactly the
 //! output buffer through the `Vec`-returning functions. Segment opens one
@@ -62,9 +62,18 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
             assert!(!measured || allocs == 0, "{name} allocated {allocs} times in steady state");
         };
         events_out.clear();
-        let sort =
-            allocations(|| infallible(prim::sort_events_into(&events, |e| e.key, &mut events_out)));
+        events_out.extend_from_slice(&events);
+        let sort = allocations(|| prim::sort_events_in_place(&mut events_out, |e| e.key));
         check("Sort", sort.0);
+        assert_eq!(events_out, sorted, "Sort in place");
+        for field in [|e: &Event| e.value, |e: &Event| e.ts_ms] {
+            events_out.clear();
+            events_out.extend_from_slice(&events);
+            check(
+                "Sort by another field",
+                allocations(|| prim::sort_events_in_place(&mut events_out, field)).0,
+            );
+        }
         events_out.clear();
         let merge =
             allocations(|| infallible(prim::merge_sorted_by_key_into(&a, &b, &mut events_out)));

@@ -11,9 +11,11 @@
 //!
 //! The reproduction needs no timing. Every window of the stream arrives
 //! under a single closing watermark, so one drain target covers them all;
-//! one window is large enough that its fire (which holds its inputs and
-//! their sorted copies at once) exceeds a quota that its resident events
-//! alone fit under; every other window is small.
+//! one window is large enough that its fire (which holds its events and
+//! their filtered copy at once: a filter that keeps every event writes a
+//! fresh array, where a sort would rewrite its input in place) exceeds a
+//! quota that its resident events alone fit under; every other window is
+//! small.
 
 use sbt_attest::verify_tenant_trail;
 use sbt_crypto::MasterSecret;
@@ -32,8 +34,8 @@ const BIG_WINDOW: usize = 2;
 const BATCH: usize = 1_000;
 const K: usize = 3;
 /// Holds all 40 000 resident events (480 KB, page-rounded per batch) with
-/// room to fire a small window, but not the big window's inputs plus their
-/// sorted copies (2 × 360 KB on top of the other windows).
+/// room to fire a small window, but not the big window's events plus their
+/// filtered copy (2 × 360 KB on top of the other windows).
 const QUOTA: u64 = 768 * 1024;
 
 /// The whole stream as one chunk: six windows of events, one watermark.
@@ -83,6 +85,7 @@ fn a_window_that_trips_the_quota_costs_only_itself() {
     let (chunk, per_window) = single_watermark_stream();
     let server = StreamServer::new(ServerConfig::default().with_cores(1));
     let pipeline = Pipeline::new("topk")
+        .then(Operator::Filter { lo: 0, hi: u32::MAX })
         .then(Operator::TopKPerKey { k: K })
         .target_delay_ms(60_000)
         .batch_events(BATCH);

@@ -11,6 +11,10 @@
 //! * [`admit`](Allocator::admit) takes every output of one invocation at
 //!   once: all-or-nothing against the owner's quota, it places each array,
 //!   charges it to the owner and records it produced;
+//! * [`hand_over`](Allocator::hand_over) admits the one output of an
+//!   invocation that took over its consumed input's pages: the input's
+//!   bytes move to the output in the same call, so the owner is charged
+//!   only what the output grew by;
 //! * [`retire`](Allocator::retire) marks one array retired and reclaims its
 //!   own group's front, returning the `(id, bytes)` freed;
 //! * [`release_owner`](Allocator::release_owner) removes everything one
@@ -267,13 +271,64 @@ impl Allocator {
             }
         }
         for (i, &(id, bytes)) in arrays.iter().enumerate() {
-            let (group, after) = self.choose_group(producer, hints.get(i));
-            self.groups.get_mut(&group).expect("chosen group exists").append(id);
-            self.entries.insert(id, Entry { group, owner, bytes, retired: false, after });
+            self.place(owner, producer, id, bytes, hints.get(i));
         }
         self.committed += requested;
         *self.used.entry(owner).or_insert(0) += requested;
         Ok(())
+    }
+
+    /// Admit `output`, the one output of an invocation, which took over the
+    /// committed pages of the invocation's consumed input `from`: `from`'s
+    /// bytes move to `output` here, so against the owner's quota `output`
+    /// counts only what it grew by. `from` stays live, at no bytes, until
+    /// its retire. Refused with nothing moved or placed when the growth
+    /// would overrun the quota, or when `from` is no longer a live array of
+    /// `owner` — its owner was torn down meanwhile, and its pages with it.
+    pub fn hand_over(
+        &mut self,
+        owner: u64,
+        producer: u64,
+        from: UArrayId,
+        output: (UArrayId, u64),
+        hints: &HintSet,
+    ) -> Result<(), QuotaError> {
+        let (id, bytes) = output;
+        let in_use = self.owner_used(owner);
+        let quota = self.owner_quota(owner);
+        let moved = match self.entries.get(&from) {
+            Some(entry) if entry.owner == owner && entry.bytes <= bytes => entry.bytes,
+            _ => {
+                let quota = quota.unwrap_or(0);
+                return Err(QuotaError { owner, requested: bytes, in_use, quota });
+            }
+        };
+        let growth = bytes - moved;
+        if let Some(quota) = quota {
+            if in_use.saturating_add(growth) > quota {
+                return Err(QuotaError { owner, requested: growth, in_use, quota });
+            }
+        }
+        self.entries.get_mut(&from).expect("checked live").bytes = 0;
+        self.place(owner, producer, id, bytes, hints.get(0));
+        self.committed += growth;
+        *self.used.entry(owner).or_insert(0) += growth;
+        Ok(())
+    }
+
+    /// Place one array and enter it in the ledger; its bytes are the
+    /// caller's to charge.
+    fn place(
+        &mut self,
+        owner: u64,
+        producer: u64,
+        id: UArrayId,
+        bytes: u64,
+        hint: Option<ConsumptionHint>,
+    ) {
+        let (group, after) = self.choose_group(producer, hint);
+        self.groups.get_mut(&group).expect("chosen group exists").append(id);
+        self.entries.insert(id, Entry { group, owner, bytes, retired: false, after });
     }
 
     /// Retire a uArray: its consumer is done. Reclaims the retired members
@@ -729,5 +784,31 @@ mod tests {
         assert!(!a.resize(UArrayId(9), 4096), "an unknown array is not live");
         assert_eq!(a.retire(UArrayId(1)), vec![(UArrayId(1), 4096)]);
         assert_eq!(a.owner_used(OWNER), 0);
+    }
+
+    #[test]
+    fn a_hand_over_moves_the_inputs_bytes_and_charges_only_the_growth() {
+        let mut a = Allocator::hint_guided();
+        a.set_owner_quota(OWNER, Some(5 * 4096));
+        charge(&mut a, OWNER, 1, 4 * 4096).unwrap();
+        let none = HintSet::none();
+        // Taken over in place: the output holds the input's 4 pages, and
+        // the owner is charged nothing more.
+        a.hand_over(OWNER, 0, UArrayId(1), (UArrayId(2), 4 * 4096), &none).unwrap();
+        assert_eq!((a.owner_used(OWNER), a.report().committed_bytes), (4 * 4096, 4 * 4096));
+        assert_eq!(a.report().live_uarrays, 2, "the input stays live until its retire");
+        assert_eq!(a.retire(UArrayId(1)), vec![(UArrayId(1), 0)]);
+        // Growth counts against the quota: one page fits, two do not.
+        let over = a.hand_over(OWNER, 0, UArrayId(2), (UArrayId(3), 6 * 4096), &none);
+        assert_eq!(over.unwrap_err().requested, 2 * 4096);
+        assert_eq!(a.owner_used(OWNER), 4 * 4096, "a refused hand-over moves nothing");
+        a.hand_over(OWNER, 0, UArrayId(2), (UArrayId(3), 5 * 4096), &none).unwrap();
+        assert_eq!(a.owner_used(OWNER), 5 * 4096);
+        // An input that is not the owner's live array hands nothing over.
+        assert!(a.hand_over(OWNER, 0, UArrayId(9), (UArrayId(4), 0), &none).is_err());
+        assert!(a.hand_over(OWNER + 1, 0, UArrayId(3), (UArrayId(4), 5 * 4096), &none).is_err());
+        assert_eq!(a.retire(UArrayId(2)), vec![(UArrayId(2), 0)]);
+        assert_eq!(a.retire(UArrayId(3)), vec![(UArrayId(3), 5 * 4096)]);
+        assert_eq!((a.owner_used(OWNER), a.report().committed_bytes), (0, 0));
     }
 }

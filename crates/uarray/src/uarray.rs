@@ -314,9 +314,15 @@ impl<T: Copy> UArray<T> {
 /// through the pager and drawn from the invocation's [`CommitBudget`] —
 /// on-demand paging, no second copy. `seal` names the array and hands it
 /// over as `Produced`; `into_open` hands it back still open, to grow again
-/// later through `resume`. A writer dropped instead — its producer failed
+/// later through `resume`. A writer may also `take_over` a sealed array
+/// whose consumer holds its only handle — an input its command list
+/// consumes — and rewrite it in its own pages (`records_mut`): the output
+/// is sealed under a new id with the input's pages, and no page is
+/// committed twice. A writer dropped instead — its producer failed
 /// mid-way, on the budget, the secure-memory carve-out or anything else —
-/// releases every page it had committed: production is fail-closed.
+/// releases every page it had committed: production is fail-closed. (The
+/// pages an array brought to `resume` or `take_over` are not the writer's
+/// to release: they stay with the array's own ledger entry.)
 pub struct UArrayWriter<'a, T: Copy> {
     array: UArray<T>,
     /// Records the committed pages can hold; an append past it commits more.
@@ -360,6 +366,29 @@ impl<'a, T: Copy> UArrayWriter<'a, T> {
         }
         let backed = array.committed_bytes as usize / std::mem::size_of::<T>().max(1);
         Ok(UArrayWriter { base: array.len(), array, backed, pager, budget })
+    }
+
+    /// Take over a sealed array to rewrite it in place under `budget`: the
+    /// array opens again with its records and committed pages, which its
+    /// sealed output keeps. An array that is not `Produced` — still open,
+    /// or consumed — is refused. The paging time it took to commit them
+    /// was its producer's, so the output counts only its own.
+    pub fn take_over(
+        mut array: UArray<T>,
+        pager: &'a TeePager,
+        budget: &'a CommitBudget,
+    ) -> Result<Self, UArrayError> {
+        if array.state != UArrayState::Produced {
+            return Err(UArrayError::NotOpen(array.state));
+        }
+        array.state = UArrayState::Open;
+        array.paging_nanos = 0;
+        Self::resume(array, pager, budget)
+    }
+
+    /// The records appended so far, to rewrite in place.
+    pub fn records_mut(&mut self) -> &mut [T] {
+        &mut self.array.data
     }
 
     /// Records appended so far.
@@ -773,6 +802,48 @@ mod tests {
         assert!(matches!(
             UArrayWriter::resume(sealed, &p, &budget),
             Err(UArrayError::NotOpen(UArrayState::Produced))
+        ));
+    }
+
+    #[test]
+    fn a_taken_over_array_is_rewritten_in_its_own_pages() {
+        let p = pager(1 << 20);
+        let budget = CommitBudget::new(0);
+        let unlimited = CommitBudget::unlimited();
+        let mut w: UArrayWriter<u32> = UArrayWriter::reserve(2_000, &p, &unlimited);
+        w.extend_from_slice(&(0..2_000).rev().collect::<Vec<_>>()).unwrap(); // 2 pages
+        let input = w.seal(UArrayId(1));
+        let base = input.as_slice().as_ptr();
+        // Rewriting in place commits nothing, so even a spent budget does.
+        let mut w = UArrayWriter::take_over(input, &p, &budget).unwrap();
+        w.records_mut().sort_unstable();
+        let output = w.seal(UArrayId(2));
+        assert_eq!(
+            (output.id(), output.state(), output.len()),
+            (UArrayId(2), UArrayState::Produced, 2_000)
+        );
+        assert_eq!(output.as_slice().as_ptr(), base, "the records never moved");
+        assert!(output.as_slice().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!((output.committed_bytes(), output.paging_nanos()), (2 * PAGE_SIZE, 0));
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE, "no page committed twice");
+        // Dropped unsealed, a taking writer gives back only what it grew by:
+        // the pages it took stay with the input's ledger entry.
+        let mut w = UArrayWriter::take_over(output, &p, &unlimited).unwrap();
+        w.extend_from_slice(&[7; 1_000]).unwrap(); // 12 000 B: a third page
+        assert_eq!(p.committed_bytes(), 3 * PAGE_SIZE);
+        drop(w);
+        assert_eq!(p.committed_bytes(), 2 * PAGE_SIZE);
+        // Only a sealed array is taken over: not an open one, not a consumed one.
+        let open = UArrayWriter::<u32>::reserve(1, &p, &unlimited).into_open(UArrayId(3));
+        assert!(matches!(
+            UArrayWriter::take_over(open, &p, &unlimited),
+            Err(UArrayError::NotOpen(UArrayState::Open))
+        ));
+        let mut retired = UArrayWriter::<u32>::reserve(1, &p, &unlimited).seal(UArrayId(4));
+        retired.retire();
+        assert!(matches!(
+            UArrayWriter::take_over(retired, &p, &unlimited),
+            Err(UArrayError::NotOpen(UArrayState::Retired))
         ));
     }
 }
