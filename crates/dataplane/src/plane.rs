@@ -36,8 +36,8 @@
 //! # Layout
 //!
 //! This module holds the plane's state, its construction, tenancy and keys,
-//! and the helpers every entry point shares (`lookup`, `commit_outputs`,
-//! `register_output`, `free`, `append_audit`). The entry points live in child
+//! and the helpers every entry point shares (`lookup`, `take`,
+//! `commit_outputs`, `register_output`, `free`, `append_audit`). The entry points live in child
 //! modules, one per concern: `ingress` (batches and watermarks), `invoke`
 //! (the primitive dispatch table), `egress` (sealed results and
 //! retirement), `checkpoint` (seal, restore, epoch retirement) and `call`

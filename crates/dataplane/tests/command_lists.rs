@@ -798,3 +798,115 @@ fn a_list_holding_window_arrays_when_its_tenant_departs_leaves_no_page() {
     assert_eq!(dp.platform().secure_mem().in_use(), 0);
     assert_eq!(dp.memory_report().committed_bytes, 0);
 }
+
+/// The events a result egressed, opened under the tenant's keys.
+fn opened(dp: &DataPlane, reply: &Reply) -> Vec<Event> {
+    let Reply::Egress(message) = reply else { panic!("an egress replies its message: {reply:?}") };
+    let keys = dp.verifier_keys(T).unwrap();
+    Event::slice_from_bytes(&message.open_with(keys.latest()).expect("the result opens"))
+}
+
+#[test]
+fn a_list_that_reads_a_sorts_input_again_sorts_a_fresh_copy() {
+    // The list egresses the input after sorting it, so the sort does not
+    // consume it: its output is a fresh array, and the input is egressed
+    // as it was ingested.
+    let dp = plane(None);
+    let payload = wire(2_000, 5);
+    let input = held(&dp, T, &payload);
+    let carve_out = dp.platform().secure_mem();
+    let before = carve_out.in_use();
+    carve_out.reset_high_water();
+    let cmds = [
+        invoke(PrimitiveKind::Sort, vec![Arg::Ref(input)]),
+        Command::Egress(Arg::out(0)),
+        Command::Egress(Arg::Ref(input)),
+        Command::Retire(Arg::Ref(input)),
+    ];
+    let replies = call(&dp, T, &cmds).unwrap();
+    assert_eq!(carve_out.high_water(), 2 * before, "the sort wrote a copy beside its input");
+    let events = Event::slice_from_bytes(&payload);
+    let mut sorted = events.clone();
+    sorted.sort_by_key(|e| e.key);
+    assert_eq!(opened(&dp, &replies[1]), sorted);
+    assert_eq!(opened(&dp, &replies[2]), events, "the input is untouched");
+    in_tee(|| dp.retire(T, replies[0].outputs()[0].opaque)).unwrap();
+    assert_eq!(carve_out.in_use(), 0);
+}
+
+#[test]
+fn a_one_command_sort_commits_its_output_in_fresh_pages() {
+    // No list retires the input, so the sort writes a copy: the output
+    // commits its own page-rounded size, and the input stays usable.
+    let dp = plane(None);
+    let input = held(&dp, T, &wire(3_000, 6));
+    let carve_out = dp.platform().secure_mem();
+    let before = carve_out.in_use();
+    assert_eq!(before, 9 * 4096, "3 000 events fill 9 pages");
+    let out = in_tee(|| {
+        dp.invoke(T, PrimitiveKind::Sort, &[input], PrimitiveParams::None, &HintSet::none())
+    })
+    .unwrap();
+    assert_eq!(carve_out.in_use(), 2 * before);
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 2 * before);
+    assert!(in_tee(|| dp.egress(T, input)).is_ok(), "the input is still held");
+    for r in [input, out[0].opaque] {
+        in_tee(|| dp.retire(T, r)).unwrap();
+    }
+    assert_eq!(carve_out.in_use(), 0);
+}
+
+#[test]
+fn of_two_lists_consuming_one_array_one_succeeds_and_the_other_leaves_no_page() {
+    // List A sorts an array in its own pages, then holds at an egress seal
+    // of another array before it retires its input. Meanwhile list B,
+    // which consumes the same array, finds it closed: B fails, and its
+    // unwinding retire of the array is refused too, so A's output keeps
+    // its pages. Once A commits, nothing is left but A's output and the
+    // array A egressed. For a window array and for an array in the store.
+    for window in [true, false] {
+        let dp = plane(None);
+        let payload = wire(1_000, 7);
+        let array = if window {
+            window_array(&call(&dp, T, &[windowed_on(&payload, 0)]).unwrap()).0
+        } else {
+            held(&dp, T, &payload)
+        };
+        let sealed = held(&dp, T, &wire(12_000, 8));
+        let carve_out = dp.platform().secure_mem();
+        let before = carve_out.in_use();
+        carve_out.reset_high_water();
+        let (entered, has_entered) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        let pool = Gate { entered: Mutex::new(entered), release: Mutex::new(gate) };
+        dp.set_lane_pool(Arc::new(pool));
+        let consume =
+            [invoke(PrimitiveKind::Sort, vec![Arg::Ref(array)]), Command::Retire(Arg::Ref(array))];
+        let a = {
+            let (dp, consume) = (dp.clone(), consume.clone());
+            std::thread::spawn(move || {
+                let cmds =
+                    [consume[0].clone(), Command::Egress(Arg::Ref(sealed)), consume[1].clone()];
+                call(&dp, T, &cmds).map(|replies| replies[0].outputs()[0].opaque)
+            })
+        };
+        has_entered.recv().unwrap();
+        let refused = call(&dp, T, &consume);
+        assert!(matches!(refused, Err(DataPlaneError::BadArguments(_))), "{refused:?}");
+        assert_eq!(carve_out.in_use(), before, "B committed nothing and released nothing");
+        release.send(()).unwrap();
+        let sorted = a.join().unwrap().expect("A commits");
+        assert_eq!(carve_out.high_water(), before, "A's sort took over its input's pages");
+        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, before);
+        assert_eq!(dp.memory_report().committed_bytes, before);
+        let replies = call(&dp, T, &[Command::Egress(Arg::Ref(sorted))]).unwrap();
+        let mut expected = Event::slice_from_bytes(&payload);
+        expected.sort_by_key(|e| e.key);
+        assert_eq!(opened(&dp, &replies[0]), expected, "window array: {window}");
+        for r in [sorted, sealed] {
+            in_tee(|| dp.retire(T, r)).unwrap();
+        }
+        assert_eq!(carve_out.in_use(), 0);
+        assert_eq!(dp.live_refs(T), 0);
+    }
+}

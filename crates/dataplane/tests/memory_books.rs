@@ -1,8 +1,9 @@
 //! The plane's memory books agree under random multi-tenant traffic.
 //!
 //! A seeded random sequence of ingress, `Sort` (with and without a
-//! consumed-in-parallel hint), retirement and tenant eviction runs under
-//! both placement policies. After every step three views of the secure
+//! consumed-in-parallel hint, and consumed: a `[Sort, Retire]` list whose
+//! output takes over its input's pages), retirement and tenant eviction
+//! runs under both placement policies. After every step three views of the secure
 //! memory must agree:
 //!
 //! * (a) the allocator's committed bytes equal the carve-out's bytes in use;
@@ -12,7 +13,9 @@
 //!   live arrays — nothing retired is left committed at a group's front.
 
 use sbt_attest::DepartureReason;
-use sbt_dataplane::{DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams};
+use sbt_dataplane::{
+    Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, OpaqueRef, PrimitiveParams, Reply,
+};
 use sbt_types::{Event, PrimitiveKind, TenantId};
 use sbt_tz::{Platform, World, WorldGuard};
 use sbt_uarray::{AllocatorConfig, HintSet, PlacementPolicy, TeePager, PAGE_SIZE};
@@ -73,7 +76,7 @@ fn random_traffic(policy: PlacementPolicy, seed: u64) {
     for step in 0..STEPS {
         let ti = rng.below(TENANTS.len());
         let tenant = TENANTS[ti];
-        match rng.below(15) {
+        match rng.below(17) {
             0 => {
                 dp.deregister_tenant(tenant, DepartureReason::Evicted).unwrap();
                 held[ti].clear();
@@ -104,6 +107,21 @@ fn random_traffic(policy: PlacementPolicy, seed: u64) {
                     Err(e) => assert_eq!(e, DataPlaneError::QuotaExceeded, "step {step}"),
                 }
             }
+            15 | 16 if !held[ti].is_empty() => {
+                // Consumed: the output takes over the input's pages.
+                let at = rng.below(held[ti].len());
+                let (input, _) = held[ti].swap_remove(at);
+                let list =
+                    [sort(Arg::Ref(input), HintSet::none()), Command::Retire(Arg::Ref(input))];
+                match in_tee(|| dp.call(tenant, &list)) {
+                    Ok(replies) => {
+                        held[ti].extend(replies[0].outputs().iter().map(|o| (o.opaque, o.len)))
+                    }
+                    Err(e) => {
+                        panic!("a sort in place commits nothing, yet failed at step {step}: {e}")
+                    }
+                }
+            }
             _ if !held[ti].is_empty() => {
                 let at = rng.below(held[ti].len());
                 let (r, _) = held[ti].swap_remove(at);
@@ -124,6 +142,15 @@ fn random_traffic(policy: PlacementPolicy, seed: u64) {
     assert_eq!(dp.memory_report().live_uarrays, 0);
 }
 
+fn sort(input: Arg, hints: HintSet) -> Command<'static> {
+    Command::Invoke {
+        op: PrimitiveKind::Sort,
+        inputs: vec![input],
+        params: PrimitiveParams::None,
+        hints,
+    }
+}
+
 #[test]
 fn books_agree_under_hint_guided_placement() {
     random_traffic(PlacementPolicy::HintGuided, 0x5EED_0001);
@@ -140,7 +167,6 @@ fn books_agree_under_same_producer_placement() {
 /// page-rounded length; once the fire consumes and retires it, nothing.
 #[test]
 fn books_agree_as_a_window_array_grows_is_cut_back_and_retires() {
-    use sbt_dataplane::{Command, Reply};
     use sbt_types::{Duration, WindowSpec};
     const TENANT: TenantId = TenantId(1);
     let dp = DataPlane::new(Platform::hikey(), DataPlaneConfig::default());
@@ -201,4 +227,91 @@ fn books_agree_as_a_window_array_grows_is_cut_back_and_retires() {
     books(0, "after the fire");
     assert_eq!(dp.memory_report().live_uarrays, 0);
     assert_eq!(dp.live_refs(TENANT), 0);
+}
+
+/// A consumed sort hands its window array's pages to its output: after
+/// each sort the ledger, the carve-out and the tenant's charge still hold
+/// exactly the window's arrays, and not one page more was ever committed.
+/// A merge of the sorted runs that trips the quota part-way releases what
+/// it wrote and retires its runs, leaving nothing; one with room leaves its
+/// fresh array, and its retire nothing.
+#[test]
+fn books_agree_as_sorts_take_over_their_arrays_and_a_merge_trips_the_quota() {
+    use sbt_types::{Duration, WindowSpec};
+    const TENANT: TenantId = TenantId(1);
+    const LEN: u32 = 1_700; // 5 pages
+    let dp = DataPlane::new(Platform::hikey(), DataPlaneConfig::default());
+    dp.register_tenant(TENANT, Some(14 * PAGE_SIZE)).unwrap();
+    let spec = WindowSpec::fixed(Duration::from_secs(1));
+    let carve_out = dp.platform().secure_mem();
+    let books = |bytes: u64, at: &str| {
+        assert_eq!(carve_out.in_use(), bytes, "{at}: the carve-out");
+        assert_eq!(dp.memory_report().committed_bytes, bytes, "{at}: the ledger");
+        assert_eq!(dp.tenant_memory(TENANT).unwrap().used_bytes, bytes, "{at}: the charge");
+    };
+    // Window `w`'s array on ingest lane `lane`: LEN events, keys descending.
+    let ingest = |w: u32, lane: u32| {
+        let events: Vec<Event> =
+            (0..LEN).map(|i| Event::new(LEN - i, i, w * 1_000 + i % 1_000)).collect();
+        let payload = Event::slice_to_bytes(&events);
+        let cmd = Command::WindowedIngress {
+            payload: &payload,
+            encrypted: false,
+            is_power: false,
+            keystream_block: 0,
+            spec,
+            side: 0,
+            lane,
+        };
+        match in_tee(|| dp.call(TENANT, &[cmd])).unwrap().pop() {
+            Some(Reply::WindowedIngress { windows, .. }) => windows[0].opaque,
+            other => panic!("a windowed ingress replies its array: {other:?}"),
+        }
+    };
+    let sort_consumed = |r: OpaqueRef, i: u32| {
+        let hints = HintSet::consumed_in_parallel(2, i);
+        let list = [sort(Arg::Ref(r), hints), Command::Retire(Arg::Ref(r))];
+        let replies = in_tee(|| dp.call(TENANT, &list)).unwrap();
+        replies[0].outputs()[0].opaque
+    };
+    let merge = |runs: [OpaqueRef; 2]| {
+        let cmds = [
+            Command::Invoke {
+                op: PrimitiveKind::MergeK,
+                inputs: runs.map(Arg::Ref).to_vec(),
+                params: PrimitiveParams::None,
+                hints: HintSet::none(),
+            },
+            Command::Retire(Arg::Ref(runs[0])),
+            Command::Retire(Arg::Ref(runs[1])),
+        ];
+        in_tee(|| dp.call(TENANT, &cmds))
+    };
+    let runs = page_rounded(LEN as usize);
+
+    for round in 0..2 {
+        let (a0, a1) = (ingest(round, 0), ingest(round, 1));
+        books(2 * runs, "after ingest");
+        carve_out.reset_high_water();
+        let s0 = sort_consumed(a0, 0);
+        books(2 * runs, "after the first sort");
+        let s1 = sort_consumed(a1, 1);
+        books(2 * runs, "after the second sort");
+        assert_eq!(carve_out.high_water(), 2 * runs, "a sort in place commits no page");
+        if round == 0 {
+            // The merged array needs 10 pages; 4 are left.
+            assert_eq!(merge([s0, s1]).unwrap_err(), DataPlaneError::QuotaExceeded);
+            assert_eq!(carve_out.high_water(), 14 * PAGE_SIZE, "the merge stopped at the quota");
+            books(0, "after the refused merge");
+            dp.set_tenant_quota(TENANT, Some(20 * PAGE_SIZE)).unwrap();
+        } else {
+            let merged = merge([s0, s1]).unwrap()[0].outputs()[0].clone();
+            assert_eq!(merged.len, 2 * LEN as usize);
+            books(page_rounded(merged.len), "after the merge");
+            in_tee(|| dp.retire(TENANT, merged.opaque)).unwrap();
+            books(0, "after the retire");
+        }
+        assert_eq!(dp.memory_report().live_uarrays, 0);
+        assert_eq!(dp.live_refs(TENANT), 0);
+    }
 }

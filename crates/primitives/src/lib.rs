@@ -16,7 +16,10 @@
 //! allocates nothing of its own (working memory is per-thread scratch). The
 //! data plane runs the kernel over an open uArray writer, so the output is
 //! written once, in place; the `Vec`-returning function of the same name is
-//! the same kernel over a `Vec`. Where the output size is not implied by the
+//! the same kernel over a `Vec`. Sort is the exception that proves the
+//! rule: [`sort_events_in_place`] rewrites its array where it lies, so the
+//! data plane can sort a consumed uArray in its own pages (or a fresh copy
+//! of a shared one), and `sort_events_by_*` sort a copy. Where the output size is not implied by the
 //! input lengths a cheap `…_len` pass (or a run over
 //! [`sbt_types::RecordCount`]) gives it exactly, for producers that reserve
 //! before they write.
