@@ -305,7 +305,7 @@ fn books_agree_as_sorts_take_over_their_arrays_and_a_merge_trips_the_quota() {
             books(0, "after the refused merge");
             dp.set_tenant_quota(TENANT, Some(20 * PAGE_SIZE)).unwrap();
         } else {
-            let merged = merge([s0, s1]).unwrap()[0].outputs()[0].clone();
+            let merged = merge([s0, s1]).unwrap()[0].outputs()[0];
             assert_eq!(merged.len, 2 * LEN as usize);
             books(page_rounded(merged.len), "after the merge");
             in_tee(|| dp.retire(TENANT, merged.opaque)).unwrap();
