@@ -37,14 +37,14 @@
 //!
 //! This module holds the plane's state, its construction, tenancy and keys,
 //! and the helpers every entry point shares (`lookup`, `take`,
-//! `commit_outputs`, `register_output`, `free`, `append_audit`). The entry points live in child
-//! modules, one per concern: `ingress` (batches and watermarks), `invoke`
-//! (the primitive dispatch table), `egress` (sealed results and
-//! retirement), `checkpoint` (seal, restore, epoch retirement) and `call`
-//! (command lists: many of these calls inside one crossing, committed or
-//! unwound as one). Each entry point is a one-command list through `call`;
-//! its body, which stages what it would publish, is reached only from
-//! there.
+//! `commit_outputs`, `register_output`, `free`, `append_audit`). The entry
+//! points live in child modules, one per concern: `ingress` (batches and
+//! watermarks), `invoke` (the primitive dispatch table), `egress` (sealed
+//! results and retirement), `checkpoint` (seal, restore, epoch retirement)
+//! and `call` (command lists: many of these calls inside one crossing,
+//! committed or unwound as one). Each entry point is a one-command list
+//! through `call`; its body, which stages what it would publish, is
+//! reached only from there.
 
 use self::call::Staged;
 use self::invoke::Input;
