@@ -16,11 +16,10 @@
 //! comparison sorts (`qsort`, `std::sort`) that §9.3 swaps in, by a similar
 //! margin.
 //!
-//! Events are sorted directly, in place: one sweep counts the field's four
-//! digit histograms, then each scatter pass moves the 12-byte events
-//! themselves between the array and a per-thread buffer of events (see the
-//! crate's `scratch` module), and an odd number of passes ends with one
-//! copy back. There is no packed `(field, index)` word and no gather through
+//! Events are sorted directly, in place: each scatter pass moves the
+//! 12-byte events themselves between the array and a per-thread buffer of
+//! events (see the crate's `scratch` module), and an odd number of passes
+//! ends with one copy back. There is no packed `(field, index)` word and no gather through
 //! a permutation, so a pass reads and writes memory strictly in order and
 //! the scratch is 12 bytes per event. The array is rewritten where it lies,
 //! which is what lets the data plane sort a consumed uArray in its own
