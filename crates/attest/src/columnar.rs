@@ -14,7 +14,7 @@
 //!   hint costs a few bytes instead of the ten its 64-bit record encoding
 //!   (kind in bit 63) would.
 //!
-//! There is one wire format, v3: every payload opens with [`FORMAT_PREFIX`]
+//! There is one wire format, v4: every payload opens with [`FORMAT_PREFIX`]
 //! and [`FORMAT_VERSION_STREAMING`], and [`decompress_records`] rejects any
 //! other opening with a [`CodecError`]. The layout is self-describing, so
 //! the cloud side can decompress without any out-of-band schema, and
@@ -24,10 +24,10 @@
 //! per-column delta/varint accumulators at *append* time, so sealing a
 //! segment only entropy-codes the small byte columns and copies the
 //! already-encoded numeric stream. The seal hands each byte column, with its
-//! static table and its code cache, to [`huffman::encode_block_cached`],
-//! the one planner, which costs the column once. Execution counts that do
-//! not fit the packed count byte escape to three varints, so lists of any
-//! length round-trip.
+//! static table, to [`huffman::encode_block`]: a constant, static or raw
+//! block. The counts column holds one byte per execution; an execution whose
+//! counts do not fit that byte escapes, and its three counts follow its
+//! timestamp in the numeric stream, so lists of any length round-trip.
 
 use crate::huffman;
 use crate::record::{
@@ -52,8 +52,8 @@ const TAG_CKPT_RESUMED: u8 = 8;
 /// format-version byte.
 pub const FORMAT_PREFIX: [u8; 2] = [0x00, 0xFF];
 
-/// The format version the codec writes and the only one it reads (v3).
-pub const FORMAT_VERSION_STREAMING: u8 = 3;
+/// The format version the codec writes and the only one it reads (v4).
+pub const FORMAT_VERSION_STREAMING: u8 = 4;
 
 /// Errors from decompression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +68,13 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------------
-// The streaming encoder (format v3)
+// The streaming encoder (format v4)
 // ---------------------------------------------------------------------------
 
 /// Packed execution count byte: `(inputs << 5) | (outputs << 2) | hints`.
 /// [`COUNTS_ESCAPE`] (which is also a *valid* packing — 7/7/3 — and must
-/// therefore spill) announces the three counts in full instead, as varints.
+/// therefore spill) announces the three counts in full instead, as varints
+/// in the numeric stream after the record's timestamp.
 const COUNTS_ESCAPE: u8 = 0xFF;
 
 /// The numeric-stream words of one hint's 64-bit record value: `id << 1`
@@ -128,16 +129,11 @@ pub struct ColumnarEncoder {
     raw_bytes: u64,
     /// Record-kind tags, one byte per record.
     tags: Vec<u8>,
-    /// Low bytes of execution op codes, one per execution record.
+    /// Execution op codes (`PrimitiveKind` codes are 0..=26), one per
+    /// execution record.
     ops: Vec<u8>,
-    /// Sparse non-zero op-code high bytes: varint-encoded
-    /// `(execution-index delta, value)` pairs. Real primitives all have
-    /// codes under 256, so this column is almost always empty.
-    ops_hi: Vec<u8>,
-    ops_hi_count: u64,
-    last_hi_exec_idx: u64,
-    exec_idx: u64,
-    /// Packed execution counts (see [`pack_counts`]), with escapes.
+    /// Packed execution counts (see [`pack_counts`]) or the escape, one per
+    /// execution record.
     counts: Vec<u8>,
     /// Departure reason codes.
     reasons: Vec<u8>,
@@ -145,12 +141,6 @@ pub struct ColumnarEncoder {
     /// its tag-specific numeric fields.
     nums: Vec<u8>,
     ctx: DeltaCtx,
-    /// Recycled dynamic entropy codes, one per byte column. Large segments
-    /// of one stream draw from near-identical symbol distributions, so the
-    /// seal reuses the previous segment's fitted code (an O(256)
-    /// near-optimality check) instead of re-running tree construction per
-    /// column per seal. Survives [`reset`](Self::reset) by design.
-    code_caches: [huffman::CodeCache; 4],
 }
 
 impl ColumnarEncoder {
@@ -165,7 +155,6 @@ impl ColumnarEncoder {
         ColumnarEncoder {
             tags: Vec::with_capacity(records),
             ops: Vec::with_capacity(records),
-            ops_hi: Vec::with_capacity(8),
             counts: Vec::with_capacity(records),
             reasons: Vec::with_capacity(8),
             nums: Vec::with_capacity(records * 8),
@@ -264,29 +253,12 @@ impl ColumnarEncoder {
             }
             AuditRecord::Execution { ts_ms, op, inputs, outputs, hints } => {
                 self.tags.push(TAG_EXECUTION);
-                let code = op.code();
-                let lo = (code & 0xFF) as u8;
-                self.ops.push(lo);
-                if code >= 0x100 {
-                    // Sparse high byte (never hit by real primitives).
-                    varint::write_u64(self.exec_idx - self.last_hi_exec_idx, &mut self.ops_hi);
-                    self.ops_hi.push((code >> 8) as u8);
-                    self.last_hi_exec_idx = self.exec_idx;
-                    self.ops_hi_count += 1;
-                }
-                self.exec_idx += 1;
-                match pack_counts(inputs.len(), outputs.len(), hints.len()) {
-                    Some(packed) => self.counts.push(packed),
-                    None => {
-                        self.counts.push(COUNTS_ESCAPE);
-                        for count in [inputs.len(), outputs.len(), hints.len()] {
-                            varint::write_u64(count as u64, &mut self.counts);
-                        }
-                    }
-                }
+                self.ops.push(u8::try_from(op.code()).expect("op codes are 0..=26"));
+                let packed = pack_counts(inputs.len(), outputs.len(), hints.len());
+                self.counts.push(packed.unwrap_or(COUNTS_ESCAPE));
                 let hint_words_total: usize = hints.iter().map(|&h| hint_words(h).1).sum();
                 let words = 1 + inputs.len() + outputs.len() + hint_words_total;
-                if words <= 8 {
+                if packed.is_some() && words <= 8 {
                     // Every common shape fits one group — among them every
                     // per-partition invocation with its one parallel hint:
                     // gather the words, then one store carries the whole
@@ -310,6 +282,11 @@ impl ColumnarEncoder {
                     Self::write_varint_group(nums, &vals[..k]);
                 } else {
                     varint::write_u64(Self::delta(&mut ctx.ts, *ts_ms as u64), nums);
+                    if packed.is_none() {
+                        for count in [inputs.len(), outputs.len(), hints.len()] {
+                            varint::write_u64(count as u64, nums);
+                        }
+                    }
                     for i in inputs.iter() {
                         varint::write_u64(Self::delta(&mut ctx.id, i.0 as u64), nums);
                     }
@@ -353,25 +330,22 @@ impl ColumnarEncoder {
         }
     }
 
-    /// Seal the pending records into a format-v3 payload appended to `out`,
+    /// Seal the pending records into a format-v4 payload appended to `out`,
     /// then reset (keeping buffer capacity) for the next segment.
     pub fn seal_into(&mut self, out: &mut Vec<u8>) {
         out.extend_from_slice(&FORMAT_PREFIX);
         out.push(FORMAT_VERSION_STREAMING);
         varint::write_u64(self.n, out);
-        // Layout: tags / ops-lo / packed counts / reasons entropy blocks,
-        // the sparse ops-hi pairs, then the interleaved numeric stream.
-        let columns = [
+        // Layout: tags / ops / packed counts / reasons entropy blocks, then
+        // the interleaved numeric stream.
+        for (column, table) in [
             (&self.tags, huffman::StaticTable::Tags),
             (&self.ops, huffman::StaticTable::Ops),
             (&self.counts, huffman::StaticTable::Counts),
             (&self.reasons, huffman::StaticTable::Reasons),
-        ];
-        for ((column, table), cache) in columns.into_iter().zip(&mut self.code_caches) {
-            huffman::encode_block_cached(column, Some(table), cache, out);
+        ] {
+            huffman::encode_block(column, table, out);
         }
-        varint::write_u64(self.ops_hi_count, out);
-        out.extend_from_slice(&self.ops_hi);
         varint::write_u64(self.nums.len() as u64, out);
         out.extend_from_slice(&self.nums);
         self.reset();
@@ -382,13 +356,9 @@ impl ColumnarEncoder {
     pub fn reset(&mut self) {
         self.tags.clear();
         self.ops.clear();
-        self.ops_hi.clear();
         self.counts.clear();
         self.reasons.clear();
         self.nums.clear();
-        self.ops_hi_count = 0;
-        self.last_hi_exec_idx = 0;
-        self.exec_idx = 0;
         self.ctx = DeltaCtx::default();
         self.n = 0;
         self.raw_bytes = 0;
@@ -403,7 +373,7 @@ impl ColumnarEncoder {
 }
 
 /// One-shot convenience over [`ColumnarEncoder`]: compress a batch of
-/// records into the streaming (format-v3) layout.
+/// records into the streaming (format-v4) layout.
 pub fn compress_records_streaming(records: &[AuditRecord]) -> Vec<u8> {
     let mut enc = ColumnarEncoder::with_capacity(records.len());
     for r in records {
@@ -417,7 +387,8 @@ pub fn compress_records_streaming(records: &[AuditRecord]) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// Decompress a [`ColumnarEncoder`] seal. A payload that does not open with
-/// [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is a [`CodecError`].
+/// [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is a [`CodecError`],
+/// and so is an entropy block of a mode other than raw, constant or static.
 pub fn decompress_records(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
     let versioned =
         data.strip_prefix(&FORMAT_PREFIX[..]).ok_or(CodecError("missing format prefix"))?;
@@ -483,6 +454,17 @@ impl NumReader<'_> {
         T::try_from(self.delta(which)?).map_err(|_| CodecError("field out of range"))
     }
 
+    /// An escaped port or hint count. Each port and hint costs at least one
+    /// byte further on, so a count past the bytes left is an error, never a
+    /// reservation.
+    fn count(&mut self) -> Result<usize, CodecError> {
+        let n = self.varint()?;
+        if n > self.remaining() as u64 {
+            return Err(CodecError("truncated numeric stream"));
+        }
+        Ok(n as usize)
+    }
+
     fn id(&mut self) -> Result<UArrayRef, CodecError> {
         self.field(|c| &mut c.id).map(UArrayRef)
     }
@@ -506,24 +488,8 @@ fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
         return Err(CodecError("column length mismatch"));
     }
     let ops = block(&mut pos, n)?;
-    // A count is one packed byte, or the escape and three 10-byte varints.
-    let counts = block(&mut pos, n.saturating_mul(31))?;
+    let counts = block(&mut pos, n)?;
     let reasons = block(&mut pos, n)?;
-    // Sparse op-code high bytes: (execution-index delta, value) pairs.
-    let hi_count =
-        varint::read_u64(data, &mut pos).ok_or(CodecError("truncated ops-hi count"))? as usize;
-    if hi_count > ops.len() {
-        return Err(CodecError("ops-hi count exceeds executions"));
-    }
-    let mut hi_pairs: Vec<(u64, u8)> = Vec::with_capacity(hi_count);
-    let mut hi_idx = 0u64;
-    for _ in 0..hi_count {
-        let delta = varint::read_u64(data, &mut pos).ok_or(CodecError("truncated ops-hi pair"))?;
-        let val = *data.get(pos).ok_or(CodecError("truncated ops-hi pair"))?;
-        pos += 1;
-        hi_idx = hi_idx.checked_add(delta).ok_or(CodecError("ops-hi index overflow"))?;
-        hi_pairs.push((hi_idx, val));
-    }
     // The interleaved numeric stream.
     let nums_len =
         varint::read_u64(data, &mut pos).ok_or(CodecError("truncated numeric length"))? as usize;
@@ -534,8 +500,7 @@ fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
     let mut nums = NumReader { data: &data[pos..nums_end], pos: 0, ctx: DeltaCtx::default() };
 
     let mut out = Vec::with_capacity(n);
-    let (mut op_i, mut cnt_i, mut reason_i, mut hi_i) = (0usize, 0usize, 0usize, 0usize);
-    let mut exec_i = 0u64;
+    let (mut exec_i, mut reason_i) = (0usize, 0usize);
     for &tag in &tags {
         let ts_ms = nums.field(|c| &mut c.ts)?;
         let rec = match tag {
@@ -551,20 +516,11 @@ fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
                 AuditRecord::Windowing { ts_ms, input, win_no, output }
             }
             TAG_EXECUTION => {
-                let lo = *ops.get(op_i).ok_or(CodecError("missing op code"))?;
-                op_i += 1;
-                let hi = match hi_pairs.get(hi_i) {
-                    Some(&(idx, val)) if idx == exec_i => {
-                        hi_i += 1;
-                        val
-                    }
-                    _ => 0,
-                };
+                let code = *ops.get(exec_i).ok_or(CodecError("missing op code"))?;
+                let op =
+                    PrimitiveKind::from_code(code as u16).ok_or(CodecError("unknown op code"))?;
+                let packed = *counts.get(exec_i).ok_or(CodecError("missing count"))?;
                 exec_i += 1;
-                let op = PrimitiveKind::from_code(u16::from_le_bytes([lo, hi]))
-                    .ok_or(CodecError("unknown op code"))?;
-                let packed = *counts.get(cnt_i).ok_or(CodecError("missing count"))?;
-                cnt_i += 1;
                 let (n_in, n_out, n_hint) = if packed != COUNTS_ESCAPE {
                     (
                         (packed >> 5) as usize,
@@ -572,12 +528,7 @@ fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
                         (packed & 0x3) as usize,
                     )
                 } else {
-                    let mut count = || {
-                        varint::read_u64(&counts, &mut cnt_i)
-                            .map(|n| n as usize)
-                            .ok_or(CodecError("missing count"))
-                    };
-                    (count()?, count()?, count()?)
+                    (nums.count()?, nums.count()?, nums.count()?)
                 };
                 // Every port and hint costs at least one byte: an
                 // adversarial count must not drive a huge reservation.
@@ -780,7 +731,7 @@ mod tests {
         assert_eq!(decompress_records(&empty).unwrap(), Vec::<AuditRecord>::new());
     }
 
-    /// Only v3 decodes: a future version, an old one (1, 2), and a payload
+    /// Only v4 decodes: a future version, an old one (1–3), and a payload
     /// too short to carry a prefix and a version are each a typed error.
     #[test]
     fn unsupported_future_version_is_an_error() {
@@ -793,6 +744,7 @@ mod tests {
             (&FORMAT_PREFIX, "missing format version"),
             (&version(1), "unsupported format version"),
             (&version(2), "unsupported format version"),
+            (&version(3), "unsupported format version"),
             (&version(0x77), "unsupported format version"),
         ] {
             assert_eq!(decompress_records(payload), Err(CodecError(err)), "{payload:?}");
@@ -808,7 +760,7 @@ mod tests {
             outputs: [UArrayRef(3)].into(),
             hints: vec![0xDEAD_BEEF, (1 << 63) | 42],
         }];
-        // Every 64-bit value is a hint the record can carry; v3's hint
+        // Every 64-bit value is a hint the record can carry; the codec's hint
         // words must round-trip the edges of both kinds exactly.
         for hint in [
             0,
@@ -848,8 +800,8 @@ mod tests {
         assert_eq!(after.len(), bare + 1);
     }
 
-    /// A hand-built v3 payload of one record with the given tag, counts
-    /// column and numeric stream; an execution record is a `Sort`.
+    /// A hand-built payload of one record with the given tag, counts column
+    /// and numeric stream; an execution record is a `Sort`.
     fn one_record_v3(tag: u8, counts: &[u8], nums: &[u64]) -> Vec<u8> {
         let mut payload = FORMAT_PREFIX.to_vec();
         payload.push(FORMAT_VERSION_STREAMING);
@@ -862,9 +814,8 @@ mod tests {
             (counts, huffman::StaticTable::Counts),
             (&[], huffman::StaticTable::Reasons),
         ] {
-            huffman::encode_block(column, Some(table), &mut payload);
+            huffman::encode_block(column, table, &mut payload);
         }
-        varint::write_u64(0, &mut payload); // no ops-hi pairs
         let mut stream = Vec::new();
         for &v in nums {
             varint::write_u64(v, &mut stream);
@@ -932,22 +883,32 @@ mod tests {
 
     #[test]
     fn an_adversarial_escaped_count_is_an_error_not_a_reservation() {
-        // An escaped hint count claiming 2⁶⁰ hints in a three-word stream.
-        let mut counts = vec![COUNTS_ESCAPE, 1, 1];
-        varint::write_u64(1 << 60, &mut counts);
-        assert_eq!(
-            decompress_records(&one_execution_v3(&counts, &[0, 2, 4])),
-            Err(CodecError("truncated numeric stream"))
-        );
+        // An escaped execution: its timestamp, then 1 input, 1 output and a
+        // hint count of 2⁶⁰ in a stream with two words left.
+        let escaped = |hints: u64| one_execution_v3(&[COUNTS_ESCAPE], &[0, 1, 1, hints, 2, 4]);
+        let well_formed = AuditRecord::Execution {
+            ts_ms: 0,
+            op: PrimitiveKind::Sort,
+            inputs: [UArrayRef(1)].into(),
+            outputs: [UArrayRef(3)].into(),
+            hints: vec![],
+        };
+        assert_eq!(decompress_records(&escaped(0)), Ok(vec![well_formed]));
+        for hints in [3, 1 << 60, u64::MAX] {
+            assert_eq!(
+                decompress_records(&escaped(hints)),
+                Err(CodecError("truncated numeric stream")),
+                "{hints} hints"
+            );
+        }
     }
 
     #[test]
     fn a_column_longer_than_its_records_allow_is_an_error() {
-        // One record: its counts column holds at most an escape and three
-        // 10-byte varints.
+        // One record: its counts column holds one byte.
         let counts = |len: usize| one_execution_v3(&vec![0x24; len], &[0, 2, 2]);
-        assert!(decompress_records(&counts(31)).is_ok());
-        assert_eq!(decompress_records(&counts(32)), Err(CodecError("corrupt entropy block")));
+        assert!(decompress_records(&counts(1)).is_ok());
+        assert_eq!(decompress_records(&counts(2)), Err(CodecError("corrupt entropy block")));
     }
 
     #[test]

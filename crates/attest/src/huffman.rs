@@ -4,16 +4,15 @@
 //! The columnar codec entropy-codes the columns with skewed value
 //! distributions (record tags, primitive op codes, field counts, §7) as
 //! mode-tagged **entropy blocks** ([`encode_block`]/[`decode_block`]): a
-//! column is stored raw, as a single repeated byte, under a **precomputed
+//! column is stored as a single repeated byte, under its **precomputed
 //! static table** (no header, no tree construction — the decoder ships the
-//! same table) or under a dynamic length-limited code. One planner,
-//! [`encode_block_cached`], chooses among them from one frequency pass.
+//! same table), or raw. The trusted side never fits a code and never parses
+//! a code-length header; a block of any other mode is refused.
 //!
-//! Every code, fitted or static, is at most [`ENC_MAX_CODE_LEN`] bits long
-//! (fitted codes are length-limited by a Kraft-sum fixup). The encoder
+//! Every static code is at most [`ENC_MAX_CODE_LEN`] bits long. The encoder
 //! emits through a 64-bit-buffer [`BitWriter`]; the [`Decoder`] resolves
 //! every symbol with one lookup in a table indexed by the next 12 bits of
-//! the stream, and a block header carrying a longer code is rejected.
+//! the stream.
 
 /// A built Huffman code: per-symbol bit lengths and codes.
 #[derive(Debug, Clone)]
@@ -22,9 +21,9 @@ pub struct HuffmanCode {
     codes: [u64; 256],
 }
 
-/// Maximum code length: the encoder length-limits every fitted code to it,
-/// the static tables stay within it, and the decoder rejects anything
-/// longer, so every symbol decodes through the one-lookup table.
+/// Maximum code length: the static tables stay within it, and a code built
+/// from untrusted lengths must too, so every symbol decodes through the
+/// one-lookup table.
 pub const ENC_MAX_CODE_LEN: u8 = 12;
 
 /// Width of the decoder's lookup table: one access resolves any code.
@@ -126,110 +125,11 @@ impl<'a> BitReader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Code construction
-// ---------------------------------------------------------------------------
-
-/// Build canonical code lengths from symbol frequencies using the standard
-/// two-queue/heap construction, then length-limit them to
-/// [`ENC_MAX_CODE_LEN`] bits with a Kraft-sum fixup.
-fn build_lengths(freqs: &[u64; 256]) -> [u8; 256] {
-    // Collect present symbols.
-    let present: Vec<usize> = (0..256).filter(|&s| freqs[s] > 0).collect();
-    let mut lengths = [0u8; 256];
-    match present.len() {
-        0 => return lengths,
-        1 => {
-            lengths[present[0]] = 1;
-            return lengths;
-        }
-        _ => {}
-    }
-    // Huffman tree via a simple binary heap of (weight, node).
-    #[derive(Debug)]
-    enum Node {
-        Leaf(usize),
-        Internal(Box<Node>, Box<Node>),
-    }
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    // BinaryHeap needs Ord on the element; wrap weight and a tiebreaker.
-    let mut heap: BinaryHeap<(Reverse<u64>, Reverse<u64>, usize)> = BinaryHeap::new();
-    let mut nodes: Vec<Option<Node>> = Vec::new();
-    let mut counter = 0u64;
-    for &s in &present {
-        nodes.push(Some(Node::Leaf(s)));
-        heap.push((Reverse(freqs[s]), Reverse(counter), nodes.len() - 1));
-        counter += 1;
-    }
-    while heap.len() > 1 {
-        let (Reverse(w1), _, i1) = heap.pop().expect("heap has >1 element");
-        let (Reverse(w2), _, i2) = heap.pop().expect("heap has >1 element");
-        let left = nodes[i1].take().expect("node taken twice");
-        let right = nodes[i2].take().expect("node taken twice");
-        nodes.push(Some(Node::Internal(Box::new(left), Box::new(right))));
-        heap.push((Reverse(w1.saturating_add(w2)), Reverse(counter), nodes.len() - 1));
-        counter += 1;
-    }
-    let (_, _, root_idx) = heap.pop().expect("exactly one root remains");
-    let root = nodes[root_idx].take().expect("root exists");
-    // Walk the tree to get depths.
-    fn walk(node: &Node, depth: u8, lengths: &mut [u8; 256]) {
-        match node {
-            Node::Leaf(s) => lengths[*s] = depth.max(1),
-            Node::Internal(l, r) => {
-                walk(l, depth + 1, lengths);
-                walk(r, depth + 1, lengths);
-            }
-        }
-    }
-    walk(&root, 0, &mut lengths);
-    limit_code_lengths(&mut lengths, ENC_MAX_CODE_LEN);
-    lengths
-}
-
-/// Clamp code lengths to `limit` bits and restore the Kraft inequality by
-/// demoting (lengthening) the deepest still-short codes until the code is
-/// decodable again. Lengths of zero (absent symbols) are untouched.
-fn limit_code_lengths(lengths: &mut [u8; 256], limit: u8) {
-    let mut clamped = false;
-    for l in lengths.iter_mut() {
-        if *l > limit {
-            *l = limit;
-            clamped = true;
-        }
-    }
-    if !clamped {
-        return;
-    }
-    // Kraft sum in units of 2^-limit; a prefix-free code needs k <= budget.
-    let unit = |l: u8| 1u64 << (limit - l) as u32;
-    let budget = 1u64 << limit as u32;
-    let mut k: u64 = lengths.iter().filter(|&&l| l > 0).map(|&l| unit(l)).sum();
-    while k > budget {
-        // Demote the longest code still below the limit: the cheapest
-        // per-step reduction, guaranteed to exist while k exceeds budget
-        // (256 symbols all at `limit` sum to 256 <= 2^limit for limit >= 8).
-        let s = (0..256)
-            .filter(|&s| lengths[s] > 0 && lengths[s] < limit)
-            .max_by_key(|&s| lengths[s])
-            .expect("kraft fixup always finds a demotable symbol");
-        k -= unit(lengths[s]) / 2;
-        lengths[s] += 1;
-    }
-}
-
 impl HuffmanCode {
-    /// Build a canonical, length-limited code from per-symbol frequencies.
-    pub fn from_frequencies(freqs: &[u64; 256]) -> Self {
-        let lengths = build_lengths(freqs);
-        Self::from_lengths(lengths)
-    }
-
     /// Build the canonical code implied by per-symbol code lengths, each at
-    /// most [`ENC_MAX_CODE_LEN`]. Callers that accept untrusted headers must
-    /// validate the lengths with [`kraft_valid`] first (see
-    /// [`decode_block`]).
+    /// most [`ENC_MAX_CODE_LEN`] and together satisfying the Kraft
+    /// inequality: oversubscribed lengths would assign codes that overflow
+    /// their own bit width.
     pub fn from_lengths(lengths: [u8; 256]) -> Self {
         debug_assert!(lengths.iter().all(|&l| l <= ENC_MAX_CODE_LEN), "code longer than the limit");
         // Canonical assignment: sort symbols by (length, symbol).
@@ -302,32 +202,10 @@ pub struct Decoder {
     lut: Vec<u16>,
 }
 
-/// Whether `lengths` are all at most [`ENC_MAX_CODE_LEN`] and satisfy the
-/// Kraft inequality — i.e. a canonical prefix-free code can actually assign
-/// them. Untrusted code-length headers must pass this before a [`Decoder`]
-/// is built: oversubscribed lengths would assign canonical codes that
-/// overflow their own bit width.
-pub fn kraft_valid(lengths: &[u8; 256]) -> bool {
-    // Units of 2^-12: one symbol costs at most 2^11, 256 of them 2^19.
-    let mut sum = 0u32;
-    for &l in lengths.iter().filter(|&&l| l > 0) {
-        if l > ENC_MAX_CODE_LEN {
-            return false;
-        }
-        sum += 1 << (ENC_MAX_CODE_LEN - l);
-    }
-    sum <= 1 << ENC_MAX_CODE_LEN
-}
-
 impl Decoder {
-    /// Build the decode table for `code`.
-    ///
-    /// The code's lengths must pass [`kraft_valid`] (always true for codes
-    /// built by [`HuffmanCode::from_frequencies`] and for the static
-    /// tables); callers holding *untrusted* length headers must check it
-    /// first.
+    /// Build the decode table for `code`, whose lengths must satisfy the
+    /// Kraft inequality (see [`HuffmanCode::from_lengths`]).
     pub fn new(code: &HuffmanCode) -> Self {
-        debug_assert!(kraft_valid(&code.lengths), "decoder built from invalid lengths");
         let max_len = code.lengths.iter().copied().max().unwrap_or(0) as u32;
         let table_bits = max_len.clamp(1, TABLE_BITS);
         let mut lut = vec![0u16; 1 << table_bits];
@@ -336,8 +214,8 @@ impl Decoder {
             let base = (code.codes[s] << (table_bits - l)) as usize;
             let span = 1usize << (table_bits - l);
             let entry = ((l as u16) << 8) | s as u16;
-            // The range clamp is defense in depth: Kraft-valid lengths
-            // (the documented precondition) can never exceed the table.
+            // The range clamp is defense in depth: Kraft-valid lengths (the
+            // documented precondition) can never exceed the table.
             let table_len = lut.len();
             let end = (base + span).min(table_len);
             for e in &mut lut[base.min(table_len)..end] {
@@ -374,7 +252,7 @@ impl Decoder {
 pub enum StaticTable {
     /// Record-kind tags (alphabet 0..=8, ingress/execution-heavy skew).
     Tags = 0,
-    /// Primitive op codes, low byte (flat 5-bit code over 0..=31).
+    /// Primitive op codes (a skewed code over 0..=31).
     Ops = 1,
     /// Port/hint count fields (tiny values, 1-heavy skew).
     Counts = 2,
@@ -404,15 +282,14 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
                 lengths[sym as usize] = len;
             }
         }
-        // Op codes (low byte): skewed toward the primitives real pipelines
+        // Op codes: skewed toward the primitives real pipelines
         // execute constantly — Sort (one per partition of every window) and
         // Merge get the shortest codes, sorts-by, MergeK and aggregations
         // follow, plumbing and rare primitives get long codes. Merge is
         // rare in today's traffic (a window gathers its partitions with one
         // k-way MergeK), but the lengths are wire format: a block naming
         // this table carries no header, so they cannot change.
-        // Covers 0..=31 so any primitive encodes; ill-matched distributions
-        // fall back to a fitted dynamic code.
+        // Covers 0..=31 so any primitive encodes.
         1 => {
             for l in lengths.iter_mut().take(32) {
                 *l = 9;
@@ -431,9 +308,9 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
             }
         }
         // Counts: packed `(inputs << 5) | (outputs << 2) | hints` bytes (the
-        // columnar layout's counts column). Executions are overwhelmingly 1-in/1-out with
-        // no hints; merges are 2-in/1-out; 0xFF is the spill escape. Columns
-        // containing other shapes fall through to the dynamic path.
+        // columnar layout's counts column). Executions are overwhelmingly
+        // 1-in/1-out with no hints; merges are 2-in/1-out; 0xFF is the
+        // escape. A column holding any other shape is stored raw.
         2 => {
             for (sym, len) in [
                 (0x24u8, 1u8), // 1 in, 1 out, 0 hints
@@ -483,177 +360,62 @@ pub fn static_table(id: u8) -> Option<&'static StaticEntry> {
 const MODE_RAW: u8 = 0;
 const MODE_CONST: u8 = 1;
 const MODE_STATIC: u8 = 2;
-const MODE_DYNAMIC: u8 = 3;
 
 /// Largest count a constant block may carry. The decoder enforces it (a
 /// constant block's payload cannot bound `count` against adversarial
-/// headers) and the encoder respects it symmetrically, planning absurdly
+/// headers) and the encoder respects it symmetrically, storing absurdly
 /// long constant columns like any other.
 const CONST_MAX: usize = 1 << 24;
 
-/// A recycled dynamic entropy code, reused across seals by
-/// [`encode_block_cached`].
-///
-/// Fitting a Huffman code is the only seal-time cost that does not amortize
-/// with column length: every large segment re-runs the heap-and-tree
-/// construction per column even though consecutive segments of one stream
-/// draw from near-identical symbol distributions. The cache keeps the last
-/// fitted code; a seal reuses it whenever it still covers the column and
-/// costs within ~2% of that column's entropy bound (checked in O(256) from
-/// the frequency table), and refits — updating the cache — when the
-/// distribution has drifted. Reuse changes only which lengths the block
-/// header carries; decoders are oblivious.
-#[derive(Default)]
-pub struct CodeCache {
-    code: Option<HuffmanCode>,
-    /// Bits/symbol the cached code achieved on the column it was fitted to.
-    fit_bps: f64,
-    /// That column's entropy in bits/symbol, the fit-time optimum bound.
-    fit_eps: f64,
-}
-
-/// Encode a byte column as a self-delimiting entropy block.
-///
-/// `static_id` names the [`StaticTable`] to try; [`encode_block_cached`]
-/// documents how the mode is chosen.
+/// Encode a byte column as a self-delimiting entropy block, the mode chosen
+/// by the first rule that applies:
+/// 1. **constant** — one repeated symbol, at most `CONST_MAX` (2²⁴) of them;
+/// 2. **static** — `table` covers the column and the block is smaller than
+///    the raw one;
+/// 3. otherwise **raw**.
 ///
 /// Layout: `varint count`, then (for non-empty blocks) a mode byte:
 /// * `0` raw — `count` verbatim bytes;
 /// * `1` constant — one byte, repeated `count` times;
-/// * `2` static — table-id byte, `varint byte_len`, bitstream;
-/// * `3` dynamic — `present - 1` byte, `present` `(symbol, length)` pairs,
-///   `varint byte_len`, bitstream.
-pub fn encode_block(data: &[u8], static_id: Option<StaticTable>, out: &mut Vec<u8>) {
-    encode_block_cached(data, static_id, &mut CodeCache::default(), out)
-}
-
-/// [`encode_block`] with a [`CodeCache`] — the one entropy planner.
-///
-/// One frequency pass over the column yields every plan's cost, and the
-/// first rule that applies picks the block:
-/// 1. **constant** — one repeated symbol, at most `CONST_MAX` (2²⁴) of them;
-/// 2. **static fits well** — the static table covers the column at ≤ 2.5
-///    bits/symbol and costs less than raw: no tree construction;
-/// 3. **dynamic** — the cached code (when it still covers the column and
-///    its distribution has not drifted) or a freshly fitted one, if it
-///    costs less than raw and no more than static;
-/// 4. otherwise **static** if it costs less than raw, else **raw**.
-///
-/// Reuse changes only which lengths a dynamic header carries; decoders are
-/// oblivious to which rule ran.
-pub fn encode_block_cached(
-    data: &[u8],
-    static_id: Option<StaticTable>,
-    cache: &mut CodeCache,
-    out: &mut Vec<u8>,
-) {
+/// * `2` static — table-id byte, `varint byte_len`, bitstream.
+pub fn encode_block(data: &[u8], table: StaticTable, out: &mut Vec<u8>) {
     crate::varint::write_u64(data.len() as u64, out);
-    if data.is_empty() {
+    let Some(&first) = data.first() else {
         return;
-    }
-    let mut freqs = [0u64; 256];
-    for &b in data {
-        freqs[b as usize] += 1;
-    }
-    if freqs[data[0] as usize] == data.len() as u64 && data.len() <= CONST_MAX {
-        out.push(MODE_CONST);
-        out.push(data[0]);
-        return;
-    }
-    let freq_cost = |lengths: &[u8; 256]| -> Option<u64> {
-        let mut bits = 0u64;
-        for (s, &f) in freqs.iter().enumerate() {
-            if f > 0 {
-                if lengths[s] == 0 {
-                    return None; // a symbol the code cannot express
-                }
-                bits += f * lengths[s] as u64;
-            }
-        }
-        Some(bits)
     };
-    // Block size: mode byte, `header` bytes, the bitstream's varint length
-    // and the bitstream.
-    let coded_cost = |header: usize, bits: u64| {
+    if data.len() <= CONST_MAX && data.iter().all(|&b| b == first) {
+        out.extend_from_slice(&[MODE_CONST, first]);
+        return;
+    }
+    let code = &static_table(table as u8).expect("static table ids are exhaustive").code;
+    if let Some(bits) = code_bits(code, data) {
         let bytes = bits.div_ceil(8);
-        1 + header + varint_len(bytes) + bytes as usize
-    };
-    let raw_cost = 1 + data.len();
-    let static_plan = static_id.and_then(|id| {
-        let entry = static_table(id as u8).expect("static table ids are exhaustive");
-        freq_cost(entry.code.lengths()).map(|bits| (id, entry, bits))
-    });
-    // A static block's header is its table-id byte. The cost counts one
-    // byte more than that; the captured seals pin the choices it makes.
-    let static_cost = static_plan.map_or(usize::MAX, |(_, _, bits)| coded_cost(2, bits));
-    let write_static = |out: &mut Vec<u8>| {
-        let (id, entry, bits) = static_plan.expect("static plan chosen");
-        out.extend_from_slice(&[MODE_STATIC, id as u8]);
-        write_bitstream(&entry.code, bits, data, out);
-    };
-    if static_plan.is_some_and(|(_, _, bits)| bits * 2 <= data.len() as u64 * 5)
-        && static_cost < raw_cost
-    {
-        write_static(out);
-        return;
-    }
-
-    // The dynamic code: reuse the cached fit when it still covers the
-    // column and the distribution has not drifted — the test is O(256)
-    // arithmetic on the frequency table, no tree construction. "Not
-    // drifted" means the cached code still achieves the bits/symbol it
-    // achieved on the column it was fitted to (so it has not gone stale),
-    // and the column's entropy has not dropped below the fit-time optimum
-    // bound (so a fresh fit could not do materially better). An absolute
-    // near-entropy check also accepts, for distributions where integer
-    // code lengths happen to sit close to the bound. Otherwise fit fresh
-    // (and remember the new optimum for the next seal).
-    let total = data.len() as f64;
-    let entropy_bits: f64 =
-        freqs.iter().filter(|&&f| f > 0).map(|&f| f as f64 * (total / f as f64).log2()).sum();
-    let cached_fits = cache.code.as_ref().and_then(|c| freq_cost(&c.lengths)).is_some_and(|bits| {
-        let bps = bits as f64 / total;
-        let eps = entropy_bits / total;
-        bits as f64 <= entropy_bits * 1.02 + 64.0
-            || (bps <= cache.fit_bps * 1.02 + 1e-9 && eps >= cache.fit_eps * 0.98 - 0.01)
-    });
-    if !cached_fits {
-        cache.code = Some(HuffmanCode::from_frequencies(&freqs));
-        let fresh = cache.code.as_ref().expect("just stored");
-        cache.fit_bps =
-            freq_cost(&fresh.lengths).expect("fresh code covers the column") as f64 / total;
-        cache.fit_eps = entropy_bits / total;
-    }
-    let dyn_code: &HuffmanCode = cache.code.as_ref().expect("fitted above");
-    let present = dyn_code.lengths.iter().filter(|&&l| l > 0).count();
-    let dyn_bits = freq_cost(&dyn_code.lengths).expect("dynamic code covers the column");
-    let dynamic_cost = coded_cost(1 + 2 * present, dyn_bits);
-
-    if dynamic_cost < raw_cost && dynamic_cost <= static_cost {
-        out.push(MODE_DYNAMIC);
-        out.push((present - 1) as u8);
-        for (s, &l) in dyn_code.lengths.iter().enumerate() {
-            if l > 0 {
-                out.push(s as u8);
-                out.push(l);
-            }
+        // Mode and table-id bytes, the bitstream's length and the bitstream,
+        // against the raw block's mode byte and column.
+        if 2 + varint_len(bytes) + (bytes as usize) < 1 + data.len() {
+            out.extend_from_slice(&[MODE_STATIC, table as u8]);
+            crate::varint::write_u64(bytes, out);
+            let mut writer = BitWriter::new(out);
+            code.encode_into(data, &mut writer);
+            writer.finish();
+            return;
         }
-        write_bitstream(dyn_code, dyn_bits, data, out);
-    } else if static_cost < raw_cost {
-        write_static(out);
-    } else {
-        out.push(MODE_RAW);
-        out.extend_from_slice(data);
     }
+    out.push(MODE_RAW);
+    out.extend_from_slice(data);
 }
 
-/// A coded block's tail: the bitstream's varint byte length (`bits` is
-/// `code`'s cost over `data`), then the bitstream.
-fn write_bitstream(code: &HuffmanCode, bits: u64, data: &[u8], out: &mut Vec<u8>) {
-    crate::varint::write_u64(bits.div_ceil(8), out);
-    let mut writer = BitWriter::new(out);
-    code.encode_into(data, &mut writer);
-    writer.finish();
+/// The bits `code` spends on `data`, or `None` if it cannot express a
+/// symbol of it.
+fn code_bits(code: &HuffmanCode, data: &[u8]) -> Option<u64> {
+    let mut bits = 0u64;
+    for &b in data {
+        match code.lengths[b as usize] {
+            0 => return None,
+            len => bits += len as u64,
+        }
+    }
+    Some(bits)
 }
 
 fn varint_len(v: u64) -> usize {
@@ -661,10 +423,10 @@ fn varint_len(v: u64) -> usize {
 }
 
 /// Decode an entropy block written by [`encode_block`], advancing `pos`.
-/// Returns `None` on corrupt or truncated input, and on a block of more
-/// than `max_count` symbols — checked before anything is materialised, so
-/// a caller that knows how many symbols can be there bounds what a forged
-/// count costs.
+/// Returns `None` on corrupt or truncated input, on a mode other than raw,
+/// constant or static, and on a block of more than `max_count` symbols —
+/// checked before anything is materialised, so a caller that knows how
+/// many symbols can be there bounds what a forged count costs.
 pub fn decode_block(data: &[u8], pos: &mut usize, max_count: usize) -> Option<Vec<u8>> {
     let count = crate::varint::read_u64(data, pos)?;
     if count > max_count as u64 {
@@ -711,39 +473,6 @@ pub fn decode_block(data: &[u8], pos: &mut usize, max_count: usize) -> Option<Ve
             *pos = end;
             Some(out)
         }
-        MODE_DYNAMIC => {
-            let present = *data.get(*pos)? as usize + 1;
-            *pos += 1;
-            let header_end = pos.checked_add(present * 2)?;
-            if header_end > data.len() {
-                return None;
-            }
-            let mut lengths = [0u8; 256];
-            for i in 0..present {
-                let sym = data[*pos + i * 2] as usize;
-                let len = data[*pos + i * 2 + 1];
-                if len == 0 {
-                    return None;
-                }
-                lengths[sym] = len;
-            }
-            // Also rejects a length past `ENC_MAX_CODE_LEN`.
-            if !kraft_valid(&lengths) {
-                return None;
-            }
-            *pos = header_end;
-            let bytes = crate::varint::read_u64(data, pos)? as usize;
-            let end = pos.checked_add(bytes)?;
-            if end > data.len() || count > bytes.saturating_mul(8) {
-                return None;
-            }
-            let code = HuffmanCode::from_lengths(lengths);
-            let decoder = Decoder::new(&code);
-            let mut out = Vec::with_capacity(count);
-            decoder.decode_into(&data[*pos..end], count, &mut out)?;
-            *pos = end;
-            Some(out)
-        }
         _ => None,
     }
 }
@@ -753,41 +482,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const TABLES: [StaticTable; 4] =
+        [StaticTable::Tags, StaticTable::Ops, StaticTable::Counts, StaticTable::Reasons];
+
     /// The bitstream of `data` under `code`.
     fn bits(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         let mut writer = BitWriter::new(&mut out);
         code.encode_into(data, &mut writer);
         writer.finish();
-        out
-    }
-
-    /// The code fitted to `data`'s symbol frequencies.
-    fn fitted(data: &[u8]) -> HuffmanCode {
-        let mut freqs = [0u64; 256];
-        for &b in data {
-            freqs[b as usize] += 1;
-        }
-        HuffmanCode::from_frequencies(&freqs)
-    }
-
-    /// A dynamic block laid out by hand, whichever mode the planner would
-    /// pick: symbol count, mode, `present - 1`, one `(symbol, length)` pair
-    /// per coded symbol, then the bitstream's length and the bitstream.
-    fn dynamic_block(code: &HuffmanCode, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        crate::varint::write_u64(data.len() as u64, &mut out);
-        if data.is_empty() {
-            return out;
-        }
-        let present: Vec<u8> = (0..=255u8).filter(|&s| code.lengths[s as usize] > 0).collect();
-        out.extend_from_slice(&[MODE_DYNAMIC, (present.len() - 1) as u8]);
-        for s in present {
-            out.extend_from_slice(&[s, code.lengths[s as usize]]);
-        }
-        let stream = bits(code, data);
-        crate::varint::write_u64(stream.len() as u64, &mut out);
-        out.extend_from_slice(&stream);
         out
     }
 
@@ -799,21 +502,35 @@ mod tests {
         (pos == block.len()).then_some(out)
     }
 
-    /// An entropy block of `data` with no static table to lean on.
-    fn v2_block(data: &[u8]) -> Vec<u8> {
+    /// The entropy block of `data` under `table`.
+    fn block(data: &[u8], table: StaticTable) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_block(data, None, &mut out);
+        encode_block(data, table, &mut out);
         out
+    }
+
+    /// The mode byte of a non-empty block.
+    fn mode(block: &[u8]) -> u8 {
+        let mut pos = 0;
+        crate::varint::read_u64(block, &mut pos).unwrap();
+        block[pos]
+    }
+
+    /// An entropy block under the two-symbol reasons table, which leaves
+    /// most columns constant or raw.
+    fn v2_block(data: &[u8]) -> Vec<u8> {
+        block(data, StaticTable::Reasons)
     }
 
     #[test]
     fn skewed_data_compresses_well() {
-        // 90% zeros, some other symbols: should compress far below 1 byte/sym.
-        let mut data = vec![0u8; 9000];
-        data.extend(std::iter::repeat_n(7u8, 900));
-        data.extend(std::iter::repeat_n(200u8, 100));
-        let compressed = v2_block(&data);
-        assert!(compressed.len() < data.len() / 3, "{} vs {}", compressed.len(), data.len());
+        // 90% one-in/one-out counts, some merges and forks: the static
+        // counts table spends ~1.1 bits per symbol.
+        let mut data = vec![0x24u8; 9000];
+        data.extend(std::iter::repeat_n(0x44u8, 900));
+        data.extend(std::iter::repeat_n(0x28u8, 100));
+        let compressed = block(&data, StaticTable::Counts);
+        assert!(compressed.len() < data.len() / 6, "{} vs {}", compressed.len(), data.len());
         assert_eq!(decode(&compressed).unwrap(), data);
     }
 
@@ -822,21 +539,24 @@ mod tests {
         assert_eq!(decode(&[0]).unwrap(), Vec::<u8>::new());
 
         let data = vec![42u8; 100];
-        let block = dynamic_block(&fitted(&data), &data);
-        assert_eq!(block[2..5], [0, 42, 1], "one present symbol, one bit long");
+        let block = v2_block(&data);
+        assert_eq!(block, [100, MODE_CONST, 42], "one repeated symbol is a constant block");
         assert_eq!(decode(&block).unwrap(), data);
     }
 
     #[test]
     fn two_symbol_block() {
-        let data: Vec<u8> = (0..100).map(|i| if i % 3 == 0 { 1 } else { 2 }).collect();
-        assert_eq!(decode(&dynamic_block(&fitted(&data), &data)).unwrap(), data);
+        let data: Vec<u8> = (0..100).map(|i| if i % 3 == 0 { 1 } else { 0 }).collect();
+        let block = block(&data, StaticTable::Reasons);
+        assert_eq!(mode(&block), MODE_STATIC);
+        assert_eq!(decode(&block).unwrap(), data);
     }
 
     #[test]
     fn truncated_input_fails_gracefully() {
-        let data = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let block = dynamic_block(&fitted(&data), &data);
+        let data: Vec<u8> = (0..64).map(|i| [0u8, 3, 4, 2][i % 4]).collect();
+        let block = block(&data, StaticTable::Tags);
+        assert_eq!(mode(&block), MODE_STATIC);
         for cut in 0..block.len() {
             assert_eq!(decode_block(&block[..cut], &mut 0, usize::MAX), None, "cut at {cut}");
         }
@@ -846,91 +566,28 @@ mod tests {
     #[test]
     fn header_overhead_is_small_for_tiny_alphabets() {
         // A two-symbol column of 1000 entries must compress to well under
-        // 200 bytes — the sparse header is what makes small audit batches
-        // compressible at all.
+        // 200 bytes: a static block carries no code header at all, which is
+        // what makes small audit batches compressible.
         let data: Vec<u8> = (0..1000).map(|i| (i % 2) as u8).collect();
-        let compressed = v2_block(&data);
+        let compressed = block(&data, StaticTable::Reasons);
         assert!(compressed.len() < 200, "{}", compressed.len());
     }
 
     #[test]
     fn canonical_codes_are_prefix_free() {
-        let mut freqs = [0u64; 256];
-        for (i, f) in [50u64, 30, 10, 5, 3, 1, 1].iter().enumerate() {
-            freqs[i] = *f;
-        }
-        let code = HuffmanCode::from_frequencies(&freqs);
-        // Check no code is a prefix of another.
-        let active: Vec<usize> = (0..256).filter(|&s| code.lengths[s] > 0).collect();
-        for &a in &active {
-            for &b in &active {
-                if a == b {
-                    continue;
-                }
-                let (la, lb) = (code.lengths[a] as u32, code.lengths[b] as u32);
-                if la <= lb {
-                    let prefix = code.codes[b] >> (lb - la);
-                    assert_ne!(prefix, code.codes[a], "code {a} is a prefix of {b}");
+        for table in TABLES {
+            let code = &static_table(table as u8).unwrap().code;
+            let active: Vec<usize> = (0..256).filter(|&s| code.lengths[s] > 0).collect();
+            for &a in &active {
+                for &b in &active {
+                    let (la, lb) = (code.lengths[a] as u32, code.lengths[b] as u32);
+                    if a != b && la <= lb {
+                        let prefix = code.codes[b] >> (lb - la);
+                        assert_ne!(prefix, code.codes[a], "{table:?}: {a} is a prefix of {b}");
+                    }
                 }
             }
         }
-    }
-
-    /// KAT: a block touching all 256 distinct symbols — including a
-    /// Fibonacci-weighted skew that would drive an unlimited Huffman code
-    /// far past the table width — still round-trips, and every emitted code
-    /// respects the encoder's length limit.
-    #[test]
-    fn kat_256_distinct_symbols_round_trip_with_limited_lengths() {
-        let mut data: Vec<u8> = (0..=255u8).collect();
-        // Fibonacci frequencies for the first symbols: the worst case for
-        // code depth.
-        let (mut a, mut b) = (1u64, 1u64);
-        for sym in 0..24u8 {
-            for _ in 0..a.min(100_000) {
-                data.push(sym);
-            }
-            let next = a + b;
-            a = b;
-            b = next;
-        }
-        let mut freqs = [0u64; 256];
-        for &x in &data {
-            freqs[x as usize] += 1;
-        }
-        let code = HuffmanCode::from_frequencies(&freqs);
-        for s in 0..256 {
-            assert!(
-                code.lengths[s] <= ENC_MAX_CODE_LEN,
-                "symbol {s} got length {}",
-                code.lengths[s]
-            );
-        }
-        assert_eq!(decode(&dynamic_block(&code, &data)).unwrap(), data);
-
-        // The same column through the planner.
-        assert_eq!(decode(&v2_block(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn a_13_bit_length_in_a_dynamic_header_is_rejected() {
-        // Symbol 0 one bit long, symbols 1 and 2 `deep` bits long: a valid
-        // prefix code at any depth, but the decoder takes codes of at most
-        // ENC_MAX_CODE_LEN bits.
-        let block = |deep: u8| {
-            let mut lengths = [0u8; 256];
-            lengths[0] = 1;
-            lengths[1] = ENC_MAX_CODE_LEN;
-            lengths[2] = ENC_MAX_CODE_LEN;
-            let code = HuffmanCode::from_lengths(lengths);
-            let mut block = dynamic_block(&code, &[0, 1, 2, 0]);
-            // The header pairs of symbols 1 and 2.
-            block[6] = deep;
-            block[8] = deep;
-            block
-        };
-        assert_eq!(decode(&block(ENC_MAX_CODE_LEN)).unwrap(), [0, 1, 2, 0]);
-        assert_eq!(decode_block(&block(ENC_MAX_CODE_LEN + 1), &mut 0, usize::MAX), None);
     }
 
     #[test]
@@ -938,6 +595,20 @@ mod tests {
         for block in [v2_block(&[7; 40]), v2_block(&(0..40).collect::<Vec<u8>>())] {
             assert_eq!(decode_block(&block, &mut 0, 40).unwrap().len(), 40);
             assert_eq!(decode_block(&block, &mut 0, 39), None);
+        }
+    }
+
+    /// Mode 3 — a fitted code with its length header — is not a block the
+    /// decoder reads, however well formed: here a one-bit code over two
+    /// symbols, as an encoder with fitted codes would have written it. Nor
+    /// is any mode past it.
+    #[test]
+    fn a_mode_3_block_is_refused() {
+        let fitted = [4, 3, 1, 0, 1, 1, 1, 1, 0b0110_0000];
+        for mode in [3u8, 4, 0x7F, 0xFF] {
+            let mut block = fitted;
+            block[1] = mode;
+            assert_eq!(decode_block(&block, &mut 0, usize::MAX), None, "mode {mode}");
         }
     }
 
@@ -950,34 +621,30 @@ mod tests {
 
         // Static-table column (tags-like skew).
         let tags: Vec<u8> = (0..300).map(|i| [0u8, 3, 4, 4, 0, 2][i % 6]).collect();
-        let mut out = Vec::new();
-        encode_block(&tags, Some(StaticTable::Tags), &mut out);
+        let out = block(&tags, StaticTable::Tags);
         assert!(out.len() < tags.len() / 2, "{} vs {}", out.len(), tags.len());
         assert_eq!(decode(&out).unwrap(), tags);
 
         // Incompressible column falls back to raw without exploding.
         let noise: Vec<u8> =
             (0..100u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-        let mut out = Vec::new();
-        encode_block(&noise, Some(StaticTable::Tags), &mut out);
+        let out = block(&noise, StaticTable::Tags);
+        assert_eq!(mode(&out), MODE_RAW);
         assert!(out.len() <= noise.len() + 4);
         assert_eq!(decode(&out).unwrap(), noise);
 
         // Empty column.
-        let mut out = Vec::new();
-        encode_block(&[], Some(StaticTable::Counts), &mut out);
+        let out = block(&[], StaticTable::Counts);
         assert_eq!(decode(&out).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn a_column_the_static_table_fits_well_is_static_at_any_length() {
-        // Three 2-bit tags in equal shares: a fitted code would spend 1.67
-        // bits/symbol, but the static table's 2 fit well, so the planner
-        // stops there and builds no tree, however long the column.
+        // Three 2-bit tags in equal shares: static at any length, with no
+        // tree built.
         for len in [300, 3000] {
             let tags: Vec<u8> = (0..len).map(|i| [0u8, 3, 4][i % 3]).collect();
-            let mut out = Vec::new();
-            encode_block(&tags, Some(StaticTable::Tags), &mut out);
+            let out = block(&tags, StaticTable::Tags);
             let mut pos = 0;
             crate::varint::read_u64(&out, &mut pos);
             assert_eq!(out[pos..pos + 2], [MODE_STATIC, StaticTable::Tags as u8], "{len} symbols");
@@ -985,42 +652,26 @@ mod tests {
         }
     }
 
+    /// The planner weighs a static block at its true size: after the count,
+    /// a tags column of one 2-bit and `n − 1` 6-bit symbols is
+    /// `3 + ⌈(6n − 4) / 8⌉` bytes coded against `1 + n` raw, so it is raw at
+    /// 9 symbols (10 = 10) and static at 10 (10 < 11).
     #[test]
-    fn oversubscribed_length_headers_are_rejected_not_panicking() {
-        // Three symbols all claiming code length 1 violate the Kraft
-        // inequality: canonical assignment would give codes 0, 1, 2 — and 2
-        // does not fit in one bit. An untrusted header must return None
-        // instead of building a decoder (which would panic).
-        let mut lengths = [0u8; 256];
-        lengths[..3].fill(1);
-        assert!(!kraft_valid(&lengths));
-        lengths[2] = 2;
-        lengths[3] = 2;
-        assert!(!kraft_valid(&lengths)); // 1/2 + 1/2 + 1/4 + 1/4 > 1
-        let mut ok = [0u8; 256];
-        ok[0] = 1;
-        ok[1] = 1;
-        assert!(kraft_valid(&ok));
-
-        // A dynamic block with the oversubscribed header.
-        let mut block = Vec::new();
-        crate::varint::write_u64(4, &mut block);
-        block.push(MODE_DYNAMIC);
-        block.push(2); // present - 1
-        for s in 0..3u8 {
-            block.push(s);
-            block.push(1);
+    fn static_is_chosen_exactly_when_it_is_smaller_than_raw() {
+        for (n, want) in [(9, MODE_RAW), (10, MODE_STATIC)] {
+            let mut tags = vec![5u8; n];
+            tags[0] = 0;
+            let out = block(&tags, StaticTable::Tags);
+            assert_eq!(mode(&out), want, "{n} tags");
+            assert_eq!(out.len(), 11, "{n} tags");
+            assert_eq!(decode(&out).unwrap(), tags);
         }
-        crate::varint::write_u64(1, &mut block);
-        block.push(0b0101_0101);
-        assert_eq!(decode_block(&block, &mut 0, usize::MAX), None);
     }
 
     #[test]
     fn v2_block_rejects_corruption_without_panicking() {
         let tags: Vec<u8> = (0..300).map(|i| [0u8, 3, 4, 4, 0, 2][i % 6]).collect();
-        let mut out = Vec::new();
-        encode_block(&tags, Some(StaticTable::Tags), &mut out);
+        let out = block(&tags, StaticTable::Tags);
         for cut in 0..out.len() {
             let _ = decode_block(&out[..cut], &mut 0, usize::MAX);
         }
@@ -1065,15 +716,15 @@ mod tests {
     proptest! {
         #[test]
         fn round_trip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let block = dynamic_block(&fitted(&data), &data);
-            prop_assert_eq!(decode(&block).unwrap(), data);
+            for table in TABLES {
+                prop_assert_eq!(decode(&block(&data, table)).unwrap(), data.clone());
+            }
         }
 
         #[test]
         fn round_trip_skewed(data in proptest::collection::vec(
-            prop_oneof![9 => Just(0u8), 2 => Just(3u8), 1 => any::<u8>()], 0..3000)) {
-            let block = dynamic_block(&fitted(&data), &data);
-            prop_assert_eq!(decode(&block).unwrap(), data);
+            prop_oneof![9 => Just(0x24u8), 2 => Just(0x44u8), 1 => any::<u8>()], 0..3000)) {
+            prop_assert_eq!(decode(&block(&data, StaticTable::Counts)).unwrap(), data);
         }
 
         #[test]
@@ -1083,9 +734,7 @@ mod tests {
 
         #[test]
         fn v2_round_trip_tagged(data in proptest::collection::vec(0u8..7, 0..3000)) {
-            let mut out = Vec::new();
-            encode_block(&data, Some(StaticTable::Tags), &mut out);
-            prop_assert_eq!(decode(&out).unwrap(), data);
+            prop_assert_eq!(decode(&block(&data, StaticTable::Tags)).unwrap(), data);
         }
     }
 }

@@ -9,11 +9,12 @@
 //! ones), signed, and uploaded to the cloud. Encoding is *streaming*: the
 //! in-TEE [`AuditLog`] delta/varint-codes every field into pre-laid-out
 //! column buffers at append time (allocation-free on the steady state), so
-//! flushing a segment is a cheap seal — entropy-code each small byte column
-//! once, with the mode [`huffman::encode_block_cached`] plans from one
-//! frequency pass, and sign — rather than a batch re-encode.
+//! flushing a segment is a cheap seal — store each small byte column as a
+//! constant, static-table or raw block ([`huffman::encode_block`]), and
+//! sign — rather than a batch re-encode. Neither the data plane nor the
+//! cloud verifier fits a code or parses a code header.
 //! [`ColumnarEncoder`] is the crate's one record encoder, and its format,
-//! v3, is the one the verifier reads: a payload that does not open with
+//! v4, is the one the verifier reads: a payload that does not open with
 //! [`FORMAT_PREFIX`] and [`FORMAT_VERSION_STREAMING`] is rejected.
 //!
 //! A **cloud verifier** replays the records symbolically against its own

@@ -96,8 +96,7 @@ fn steady_state_large_segment_flush_allocates_nothing() {
     const CALLS: u32 = 4096;
     let mut log = AuditLog::new(SigningKey::new(b"alloc-free-large-flush"), 1_000_000);
 
-    // Warm-up: two full append+flush+recycle cycles size every buffer and
-    // fit the entropy code caches to this record mix.
+    // Warm-up: two full append+flush+recycle cycles size every buffer.
     for round in 0..2 {
         for i in 0..CALLS {
             append_mix(&mut log, round * CALLS + i);

@@ -1,8 +1,9 @@
 //! Tests of the columnar codec across segments and trails.
 //!
-//! Only format v3 exists: captured seals pin its bytes and the entropy
-//! planner's choices, every truncation and bit flip of a seal fails closed,
-//! and trails of sealed segments verify across rekeys.
+//! Only format v4 exists: captured seals pin its bytes and the entropy
+//! planner's choices, every truncation, bit flip, foreign block mode and
+//! forged count of a seal fails closed, and trails of sealed segments
+//! verify across rekeys.
 
 mod common;
 
@@ -20,7 +21,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Segment-splitting invariance: encoding a stream as several sealed
-    /// v3 segments and concatenating the decodes gives back the whole
+    /// segments and concatenating the decodes gives back the whole
     /// stream (each seal resets delta state, so segments stay independent).
     #[test]
     fn segmented_streaming_equals_batch(
@@ -44,21 +45,24 @@ proptest! {
 }
 
 /// The seal of [`all_kinds_records`], captured from the encoder.
-const V3_SEGMENT: &[u8] = include_bytes!("fixtures/v3_segment.bin");
+const V4_SEGMENT: &[u8] = include_bytes!("fixtures/v4_segment.bin");
 
 /// Today's encoder reproduces the captured seal byte for byte, and the seal
 /// decodes to its records: the wire format has not moved.
 #[test]
-fn the_v3_segment_fixture_is_reproduced_byte_for_byte() {
-    assert_eq!(compress_records_streaming(&all_kinds_records()), V3_SEGMENT);
-    assert_eq!(decompress_records(V3_SEGMENT).expect("v3 decodes"), all_kinds_records());
+fn the_v4_segment_fixture_is_reproduced_byte_for_byte() {
+    assert_eq!(compress_records_streaming(&all_kinds_records()), V4_SEGMENT);
+    assert_eq!(decompress_records(V4_SEGMENT).expect("v4 decodes"), all_kinds_records());
 }
 
 /// Every truncation of a seal is an error, and every single-bit flip
 /// decodes to an error or to some records — never a panic. Flipped back,
-/// the payload decodes to its records again.
+/// the payload decodes to its records again. Each block's mode byte
+/// rewritten to 3 (a fitted code with its header, which v4 dropped) or to
+/// `0xFF`, the version byte rewritten to 3, and an escaped count past the
+/// bytes left in the numeric stream are each an error.
 #[test]
-fn v3_payloads_fail_closed_under_every_truncation_and_bit_flip() {
+fn v4_payloads_fail_closed_under_every_truncation_and_bit_flip() {
     for records in [all_kinds_records(), escaped_counts_records(), winsum_window_records()] {
         let payload = compress_records_streaming(&records);
         for cut in 0..payload.len() {
@@ -71,7 +75,58 @@ fn v3_payloads_fail_closed_under_every_truncation_and_bit_flip() {
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
         assert_eq!(decompress_records(&flipped).unwrap(), records);
+
+        let layout = seal_layout(&payload);
+        assert!(!layout.mode_bytes.is_empty());
+        for &at in &layout.mode_bytes {
+            for mode in [3, 0xFF] {
+                let mut foreign = payload.clone();
+                foreign[at] = mode;
+                assert!(decompress_records(&foreign).is_err(), "mode {mode} at byte {at}");
+            }
+        }
+        let mut v3 = payload.clone();
+        v3[2] = 3;
+        assert!(decompress_records(&v3).is_err(), "a v3 payload");
     }
+
+    // The escaped Concat of `escaped_counts_records`, alone in its seal:
+    // its timestamp, then its input, output and hint counts, each one byte.
+    let concat = escaped_counts_records()
+        .into_iter()
+        .find(|r| matches!(r, AuditRecord::Execution { op: PrimitiveKind::Concat, .. }))
+        .expect("a Concat");
+    let payload = compress_records_streaming(&[concat]);
+    let nums = seal_layout(&payload).nums;
+    assert_eq!(payload[nums + 1..nums + 4], [9, 1, 5], "the counts follow the timestamp");
+    for at in nums + 1..nums + 4 {
+        // More ports or hints than the stream has bytes left.
+        let mut forged = payload.clone();
+        forged[at] = 0x7F;
+        assert!(decompress_records(&forged).is_err(), "count byte {}", at - nums);
+    }
+}
+
+/// Where a seal's pieces sit: each non-empty entropy block's mode byte, and
+/// the start of the numeric stream.
+struct SealLayout {
+    mode_bytes: Vec<usize>,
+    nums: usize,
+}
+
+fn seal_layout(seal: &[u8]) -> SealLayout {
+    let mut pos = 3;
+    let n = sbt_attest::varint::read_u64(seal, &mut pos).expect("record count") as usize;
+    let mut mode_bytes = Vec::new();
+    for _ in 0..4 {
+        let mut header = pos;
+        if sbt_attest::varint::read_u64(seal, &mut header).expect("block count") > 0 {
+            mode_bytes.push(header);
+        }
+        huffman::decode_block(seal, &mut pos, n).expect("block decodes");
+    }
+    sbt_attest::varint::read_u64(seal, &mut pos).expect("numeric stream length");
+    SealLayout { mode_bytes, nums: pos }
 }
 
 /// One four-partition TopK window whose Sorts each carry all four sibling
@@ -120,7 +175,8 @@ fn escaped_counts_records() -> Vec<AuditRecord> {
 }
 
 /// Lists past what a count byte holds: a 300-input `Concat` (a window of
-/// more than 255 batches) and a 256-hint record come back whole.
+/// more than 255 batches) and a 256-hint record come back whole, their
+/// counts escaped to the numeric stream.
 #[test]
 fn long_port_and_hint_lists_round_trip_in_v3() {
     let records = vec![
@@ -139,7 +195,7 @@ fn long_port_and_hint_lists_round_trip_in_v3() {
             hints: (0..256).map(|i| if i % 2 == 0 { parallel(256, i) } else { i }).collect(),
         },
     ];
-    let decoded = decompress_records(&compress_records_streaming(&records)).expect("v3 decodes");
+    let decoded = decompress_records(&compress_records_streaming(&records)).expect("v4 decodes");
     let AuditRecord::Execution { inputs, .. } = &decoded[0] else { panic!("an execution") };
     assert_eq!(inputs.len(), 300);
     assert_eq!(decoded, records);
@@ -265,37 +321,23 @@ enum Plan {
     Raw,
     Const,
     Static,
-    /// A dynamic block: its header's code lengths and the decoded column.
-    Dynamic {
-        lengths: Box<[u8; 256]>,
-        column: Vec<u8>,
-    },
 }
 
 /// The plans of a seal's four byte columns (tags, ops, counts, reasons).
 fn column_plans(seal: &[u8]) -> [Plan; 4] {
+    let layout = seal_layout(seal);
+    let mut modes = layout.mode_bytes.iter();
     let mut pos = 3;
     let n = sbt_attest::varint::read_u64(seal, &mut pos).expect("record count") as usize;
     std::array::from_fn(|_| {
-        let start = pos;
-        let column = huffman::decode_block(seal, &mut pos, 31 * n).expect("block decodes");
-        let mut header = start;
-        let count = sbt_attest::varint::read_u64(seal, &mut header).expect("block count");
-        if count == 0 {
+        let column = huffman::decode_block(seal, &mut pos, n).expect("block decodes");
+        if column.is_empty() {
             return Plan::Empty;
         }
-        match seal[header] {
+        match seal[*modes.next().expect("a mode byte")] {
             0 => Plan::Raw,
             1 => Plan::Const,
             2 => Plan::Static,
-            3 => {
-                let present = seal[header + 1] as usize + 1;
-                let mut lengths = Box::new([0u8; 256]);
-                for pair in seal[header + 2..header + 2 + 2 * present].chunks_exact(2) {
-                    lengths[pair[0] as usize] = pair[1];
-                }
-                Plan::Dynamic { lengths, column }
-            }
             mode => panic!("unknown block mode {mode}"),
         }
     })
@@ -392,10 +434,9 @@ impl EngineShaped {
 }
 
 /// Five 256-record seals, sealed in order through one encoder:
-/// WinSum-like windows whose tails reduce with `Sum` and, once, `Unique`
-/// (ops and counts go dynamic); the same without `Unique` (the cached code
-/// still covers, so it is reused); TopK-like windows; one long window fired
-/// by two executions (raw ops and counts); and small windows ending in a
+/// WinSum-like windows whose tails reduce with `Sum` and, once, `Unique`;
+/// the same without `Unique`; TopK-like windows; one long window fired by
+/// two executions (raw ops and counts); and small windows ending in a
 /// checkpoint and a departure (a constant reasons column).
 fn planner_segments() -> Vec<Vec<AuditRecord>> {
     let mut seals = Vec::new();
@@ -436,7 +477,7 @@ fn planner_segments() -> Vec<Vec<AuditRecord>> {
 
 /// [`planner_segments`] sealed through one reused encoder, each seal
 /// framed by its varint length.
-const V3_PLANNER_SEGMENTS: &[u8] = include_bytes!("fixtures/v3_planner_segments.bin");
+const V4_PLANNER_SEGMENTS: &[u8] = include_bytes!("fixtures/v4_planner_segments.bin");
 
 fn sealed_planner_segments() -> Vec<u8> {
     let mut enc = sbt_attest::ColumnarEncoder::with_capacity(256);
@@ -453,38 +494,21 @@ fn sealed_planner_segments() -> Vec<u8> {
 }
 
 /// Today's encoder reproduces the captured planner seals byte for byte,
-/// each decodes to its records, and between them the seals exercise every
-/// block mode and one reuse of a cached dynamic code: a dynamic header that
-/// repeats the column's previous one where a fresh fit would differ.
+/// each decodes to its records, and between them the seals exercise the
+/// raw, constant and static block modes — and no other.
 #[test]
 fn the_planner_segments_fixture_is_reproduced_byte_for_byte() {
-    assert_eq!(sealed_planner_segments(), V3_PLANNER_SEGMENTS);
+    assert_eq!(sealed_planner_segments(), V4_PLANNER_SEGMENTS);
     let (mut pos, mut plans) = (0, Vec::new());
     for records in planner_segments() {
-        let len = sbt_attest::varint::read_u64(V3_PLANNER_SEGMENTS, &mut pos).unwrap() as usize;
-        let seal = &V3_PLANNER_SEGMENTS[pos..pos + len];
-        assert_eq!(decompress_records(seal).expect("v3 decodes"), records);
-        plans.push(column_plans(seal));
+        let len = sbt_attest::varint::read_u64(V4_PLANNER_SEGMENTS, &mut pos).unwrap() as usize;
+        let seal = &V4_PLANNER_SEGMENTS[pos..pos + len];
+        assert_eq!(decompress_records(seal).expect("v4 decodes"), records);
+        plans.extend(column_plans(seal));
         pos += len;
     }
-    assert_eq!(pos, V3_PLANNER_SEGMENTS.len());
-    let modes: Vec<&Plan> = plans.iter().flatten().collect();
-    assert!(modes.contains(&&Plan::Raw), "a raw block");
-    assert!(modes.contains(&&Plan::Const), "a constant block");
-    assert!(modes.contains(&&Plan::Static), "a static block");
-    let reused = (0..4).any(|column| {
-        let mut last: Option<&[u8; 256]> = None;
-        plans.iter().any(|seal| {
-            let Plan::Dynamic { lengths, column: data } = &seal[column] else { return false };
-            let mut freqs = [0u64; 256];
-            for &b in data {
-                freqs[b as usize] += 1;
-            }
-            let fresh = huffman::HuffmanCode::from_frequencies(&freqs);
-            let reuse = last == Some(&**lengths) && fresh.lengths() != &**lengths;
-            last = Some(&**lengths);
-            reuse
-        })
-    });
-    assert!(reused, "a cached dynamic code reused");
+    assert_eq!(pos, V4_PLANNER_SEGMENTS.len());
+    for mode in [Plan::Raw, Plan::Const, Plan::Static] {
+        assert!(plans.contains(&mode), "a {mode:?} block");
+    }
 }

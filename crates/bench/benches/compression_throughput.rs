@@ -1,6 +1,6 @@
 //! Audit-log compression throughput: MB/s of the gzip-like LZ77+Huffman
 //! baseline (encode and decode) over realistic audit-record row bytes, with
-//! the domain-specific columnar codec (`ColumnarEncoder`, format v3)
+//! the domain-specific columnar codec (`ColumnarEncoder`, format v4)
 //! alongside. Columnar entries run at the data plane's production segment
 //! granularity (`AUDIT_SEGMENT_RECORDS`), which is the rate the ingest
 //! path actually experiences; a whole-stream entry is kept for the

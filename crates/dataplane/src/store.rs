@@ -37,9 +37,9 @@ fn sealed_copy<T: Copy>(
 }
 
 impl StoredData {
-    // The `from_*` constructors copy a slice the caller already holds
-    // (restored checkpoint partitions, test fixtures). Primitive outputs are
-    // never built this way: they are produced in place through a
+    // The `from_*` constructors copy a slice the caller already holds; only
+    // tests call them. Restore rebuilds a checkpoint's windows as
+    // `WindowArray`s, and primitive outputs are produced in place through a
     // `UArrayWriter` (see `DataPlane::produce`).
 
     /// Build an events array from a slice.

@@ -61,12 +61,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Use an explicit cost model in place of the HiKey default.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Set the secure memory budget.
     pub fn with_secure_mem(mut self, bytes: u64) -> Self {
         self.secure_mem_bytes = bytes;
