@@ -694,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn static_tables_are_prefix_free_and_kraft_valid() {
+    fn static_tables_are_prefix_free_and_satisfy_kraft() {
         for id in 0..4u8 {
             let entry = static_table(id).unwrap();
             let lengths = entry.code.lengths();
