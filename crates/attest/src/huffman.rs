@@ -612,6 +612,43 @@ mod tests {
         }
     }
 
+    /// A mode-3 block in the old fitted-code layout: count 4, then
+    /// `present - 1`, `(symbol, length)` pairs, a bit count and the bits.
+    fn fitted_block(pairs: &[(u8, u8)], bits: &[u8]) -> Vec<u8> {
+        let mut block = Vec::new();
+        crate::varint::write_u64(4, &mut block);
+        block.push(3);
+        block.push(pairs.len() as u8 - 1);
+        for &(s, l) in pairs {
+            block.extend_from_slice(&[s, l]);
+        }
+        crate::varint::write_u64(bits.len() as u64, &mut block);
+        block.extend_from_slice(bits);
+        block
+    }
+
+    #[test]
+    fn a_13_bit_length_in_a_dynamic_header_is_rejected() {
+        // Symbol 0 one bit long, symbols 1 and 2 thirteen bits long: a valid
+        // prefix code, but no header of lengths is read any more, whatever
+        // they are. Every cut of the block is refused too.
+        let block = fitted_block(&[(0, 1), (1, 13), (2, 13)], &[0b0100_0000, 0, 0b0000_0100, 0]);
+        for cut in 0..=block.len() {
+            assert_eq!(decode_block(&block[..cut], &mut 0, usize::MAX), None, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn oversubscribed_length_headers_are_rejected_not_panicking() {
+        // Three symbols all claiming code length 1 violate the Kraft
+        // inequality; so do 1, 1, 2, 2. An untrusted header of either kind
+        // must come back as None, never as a panic.
+        for pairs in [&[(0, 1), (1, 1), (2, 1)][..], &[(0, 1), (1, 1), (2, 2), (3, 2)]] {
+            let block = fitted_block(pairs, &[0b0101_0101]);
+            assert_eq!(decode_block(&block, &mut 0, usize::MAX), None, "{pairs:?}");
+        }
+    }
+
     #[test]
     fn v2_block_modes_cover_their_inputs() {
         // Constant column.
