@@ -152,9 +152,9 @@ impl Command<'_> {
 /// Refuse a list that puts `Checkpoint` or `Restore` beside another command
 /// (both audit outside a list's held-back records), or that names an output
 /// not produced before it: a forward or self reference, or an output of a
-/// command that produces none (or, for ingress, more than its one).
-/// Invocation and windowed-ingress outputs are counted only once the
-/// command has run.
+/// command that produces none (or, for an ingress or an invocation, more
+/// than its one). A windowed ingress's outputs, one per window its batch
+/// reaches, are counted only once the command has run.
 pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
     if cmds.len() > 1
         && cmds.iter().any(|cmd| matches!(cmd, Command::Checkpoint(_) | Command::Restore { .. }))
@@ -166,8 +166,8 @@ pub(crate) fn check(cmds: &[Command<'_>]) -> Result<(), DataPlaneError> {
             if let Arg::Out { cmd: producer, idx } = *arg {
                 let produces = producer < i
                     && match cmds[producer] {
-                        Command::Ingress { .. } => idx == 0,
-                        Command::Invoke { .. } | Command::WindowedIngress { .. } => true,
+                        Command::Ingress { .. } | Command::Invoke { .. } => idx == 0,
+                        Command::WindowedIngress { .. } => true,
                         _ => false,
                     };
                 if !produces {
@@ -216,8 +216,8 @@ pub enum Reply {
         /// reference (the same for every batch the array holds) and length.
         windows: Vec<InvokeOutput>,
     },
-    /// The primitive's outputs.
-    Invoke(Vec<InvokeOutput>),
+    /// The primitive's output.
+    Invoke(InvokeOutput),
     /// The sealed result.
     Egress(EgressMessage),
     /// The sealed checkpoint.
@@ -232,8 +232,8 @@ impl Reply {
     /// The uArrays this command produced: what [`Arg::Out`] indexes.
     pub fn outputs(&self) -> &[InvokeOutput] {
         match self {
-            Reply::Ingress(out) => std::slice::from_ref(out),
-            Reply::Invoke(outs) | Reply::WindowedIngress { windows: outs, .. } => outs,
+            Reply::Ingress(out) | Reply::Invoke(out) => std::slice::from_ref(out),
+            Reply::WindowedIngress { windows, .. } => windows,
             _ => &[],
         }
     }
@@ -265,9 +265,7 @@ mod tests {
             keystream_block: 0,
         };
         assert!(check(&[ingress.clone(), sort(Arg::out(0)), retire(Arg::out(1))]).is_ok());
-        // An invocation's output count is only known once it has run, and
-        // so is a windowed batch's window count.
-        assert!(check(&[sort(Arg::Ref(OpaqueRef(1))), retire(Arg::Out { cmd: 0, idx: 7 })]).is_ok());
+        // A windowed batch's window count is only known once it has run.
         let windowed = Command::WindowedIngress {
             payload: &[],
             encrypted: false,
@@ -278,7 +276,11 @@ mod tests {
             lane: 0,
         };
         assert!(check(&[windowed, retire(Arg::Out { cmd: 0, idx: 2 })]).is_ok());
+        // An ingress and an invocation have one output each.
         assert!(check(&[ingress, retire(Arg::Out { cmd: 0, idx: 1 })]).is_err());
+        assert!(
+            check(&[sort(Arg::Ref(OpaqueRef(1))), retire(Arg::Out { cmd: 0, idx: 7 })]).is_err()
+        );
     }
 
     #[test]
@@ -333,7 +335,7 @@ mod tests {
         assert!(!consumes(&[sort(a), retire(a)], 0, 1, &[]), "no such input");
         // An earlier command's output is named by its reference.
         let out = InvokeOutput { opaque: OpaqueRef(1), len: 1, window: None };
-        let done = [Reply::Invoke(vec![out])];
+        let done = [Reply::Invoke(out)];
         let list = [sort(b), sort(Arg::out(0)), retire(a)];
         assert!(consumes(&list, 1, 0, &done), "`Out(0)` and `a` name one array");
         let list = [sort(b), sort(a), egress(Arg::out(0)), retire(a)];
@@ -347,13 +349,13 @@ mod tests {
         let out = |r| InvokeOutput { opaque: OpaqueRef(r), len: 1, window: None };
         let done = [
             Reply::Ingress(out(10)),
-            Reply::Invoke(vec![out(20), out(21)]),
+            Reply::Invoke(out(20)),
             Reply::Done,
             Reply::WindowedIngress { events: 1, windows: vec![out(30), out(31)] },
         ];
         assert_eq!(Arg::out(0).resolve(&done), Ok(OpaqueRef(10)));
-        assert_eq!(Arg::Out { cmd: 1, idx: 1 }.resolve(&done), Ok(OpaqueRef(21)));
-        assert!(Arg::Out { cmd: 1, idx: 2 }.resolve(&done).is_err());
+        assert_eq!(Arg::out(1).resolve(&done), Ok(OpaqueRef(20)));
+        assert!(Arg::Out { cmd: 1, idx: 1 }.resolve(&done).is_err());
         assert!(Arg::out(2).resolve(&done).is_err());
         assert_eq!(Arg::Out { cmd: 3, idx: 1 }.resolve(&done), Ok(OpaqueRef(31)));
         assert!(Arg::out(4).resolve(&done).is_err());

@@ -7,15 +7,13 @@
 //! the boundary.
 
 use crate::opaque::OpaqueRef;
-use sbt_types::{Duration, EventTime, WindowId, WindowSpec};
+use sbt_types::{EventTime, WindowId};
 
 /// Scalar parameters a primitive may need beyond its input arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrimitiveParams {
     /// No parameters.
     None,
-    /// Window specification for `Segment`.
-    Window(WindowSpec),
     /// Value band for `FilterBand` (inclusive).
     Band {
         /// Lower bound (inclusive).
@@ -36,14 +34,6 @@ pub enum PrimitiveParams {
     Every(usize),
 }
 
-impl PrimitiveParams {
-    /// Convenience constructor for 1-second fixed windows (the evaluation's
-    /// default).
-    pub fn one_second_windows() -> Self {
-        PrimitiveParams::Window(WindowSpec::fixed(Duration::from_secs(1)))
-    }
-}
-
 /// Metadata about one output uArray returned from an invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvokeOutput {
@@ -51,24 +41,15 @@ pub struct InvokeOutput {
     pub opaque: OpaqueRef,
     /// Number of records in the output.
     pub len: usize,
-    /// The window this output belongs to, if the primitive assigned one
-    /// (only `Segment` does).
+    /// The window this output belongs to: set on the window arrays a
+    /// `WindowedIngress` replies, `None` for an ingested batch and an
+    /// invocation's output.
     pub window: Option<WindowId>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_second_window_param() {
-        match PrimitiveParams::one_second_windows() {
-            PrimitiveParams::Window(WindowSpec::Fixed { size }) => {
-                assert_eq!(size, Duration::from_secs(1));
-            }
-            other => panic!("unexpected params {other:?}"),
-        }
-    }
 
     #[test]
     fn params_compare_by_value() {

@@ -37,7 +37,7 @@
 //!
 //! This module holds the plane's state, its construction, tenancy and keys,
 //! and the helpers every entry point shares (`lookup`, `take`,
-//! `commit_outputs`, `register_output`, `free`, `append_audit`). The entry
+//! `commit_output`, `free`, `append_audit`). The entry
 //! points live in child modules, one per concern: `ingress` (batches and
 //! watermarks), `invoke` (the primitive dispatch table), `egress` (sealed
 //! results and retirement), `checkpoint` (seal, restore, epoch retirement)
@@ -51,6 +51,7 @@ use self::invoke::Input;
 use crate::egress::Sealer;
 use crate::error::DataPlaneError;
 use crate::opaque::{OpaqueRef, RefTable};
+use crate::params::InvokeOutput;
 use crate::stats::DataPlaneStats;
 use crate::store::StoredData;
 use parking_lot::{Mutex, RwLock};
@@ -60,8 +61,7 @@ use sbt_telemetry::MetricsRegistry;
 use sbt_types::{Event, LanePool, TenantId, WindowId};
 use sbt_tz::Platform;
 use sbt_uarray::{
-    Allocator, AllocatorConfig, ConsumptionHint, HintSet, MemoryReport, TeePager, UArray, UArrayId,
-    PAGE_SIZE,
+    Allocator, AllocatorConfig, HintSet, MemoryReport, TeePager, UArray, UArrayId, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -592,59 +592,52 @@ impl DataPlane {
         }
     }
 
-    /// Publish `produced` to the store and admit it to the allocator in one
-    /// call (all-or-nothing with respect to the tenant's quota). Returns
-    /// per-output `(id, len, window, paging_nanos)`; references are minted
-    /// by the caller. On quota rejection every produced array is freed and
-    /// nothing stays published.
+    /// Publish `data` to the store, admit it to the allocator (all or
+    /// nothing with respect to the tenant's quota) and mint its reference.
+    /// Returns its id and what the caller is told of it. On quota rejection
+    /// it is freed and nothing stays published.
     ///
     /// `from` names the consumed input — its id and committed bytes — whose
-    /// pages the one output took over: the allocator moves the input's
-    /// bytes to the output in the same call. Those pages are not the
-    /// output's to give back on a rejection: they stay with the input's
-    /// ledger entry until its retire, or went with its owner's teardown.
-    #[allow(clippy::type_complexity)]
-    fn commit_outputs(
+    /// pages the output took over: the allocator moves the input's bytes to
+    /// the output in the same call. Those pages are not the output's to
+    /// give back on a rejection: they stay with the input's ledger entry
+    /// until its retire, or went with its owner's teardown.
+    fn commit_output(
         &self,
+        ts: &Mutex<TenantState>,
         tenant: TenantId,
         producer: u64,
-        produced: Vec<(StoredData, Option<WindowId>)>,
+        data: StoredData,
         hints: &HintSet,
         from: Option<(UArrayId, u64)>,
-    ) -> Result<Vec<(UArrayId, usize, Option<WindowId>, u64)>, DataPlaneError> {
+    ) -> Result<(UArrayId, InvokeOutput), DataPlaneError> {
         // Publish to the store *before* admitting: the owner-teardown sweep
         // in `deregister_tenant` discovers a tenant's arrays in the
         // allocator's ledger, so any array it can see is already in the
         // store and gets removed by the sweep's store pass. A commit that
         // instead hits the post-teardown sealed quota (or a plain quota
-        // rejection) unpublishes its own entries below. Either way no store
+        // rejection) unpublishes its own entry below. Either way no store
         // entry can outlive both passes.
-        let mut out = Vec::with_capacity(produced.len());
-        let mut metas = Vec::with_capacity(produced.len());
-        {
-            let mut store = self.store.write();
-            for (data, window) in produced {
-                out.push((data.id(), data.len(), window, data.paging_nanos()));
-                metas.push((data.id(), data.committed_bytes()));
-                store.insert(data.id(), Arc::new(data));
-            }
-        }
+        let (id, len) = (data.id(), data.len());
+        let mut meta = (id, data.committed_bytes());
+        self.store.write().insert(id, Arc::new(data));
         let owner = tenant.owner_tag();
         let admitted = {
             let allocator = &mut self.alloc.lock().allocator;
             match from {
-                Some((input, _)) => allocator.hand_over(owner, producer, input, metas[0], hints),
-                None => allocator.admit(owner, producer, &metas, hints),
+                Some((input, _)) => allocator.hand_over(owner, producer, input, meta, hints),
+                None => allocator.admit(owner, producer, &[meta], hints),
             }
         };
         if admitted.is_err() {
             if let Some((_, moved)) = from {
-                metas[0].1 -= moved;
+                meta.1 -= moved;
             }
-            self.free(&metas);
+            self.free(&[meta]);
             return Err(DataPlaneError::QuotaExceeded);
         }
-        Ok(out)
+        let opaque = ts.lock().refs.mint(id);
+        Ok((id, InvokeOutput { opaque, len, window: None }))
     }
 
     /// Drop arrays the allocator no longer holds from the store and hand
@@ -658,23 +651,6 @@ impl DataPlane {
             store.remove(id);
             self.pager.release_pages(bytes / PAGE_SIZE);
         }
-    }
-
-    /// Convenience wrapper for single-output boundary paths (ingress).
-    fn register_output(
-        &self,
-        tenant: TenantId,
-        ts: &Mutex<TenantState>,
-        data: StoredData,
-        producer: u64,
-        hint: Option<ConsumptionHint>,
-    ) -> Result<(UArrayId, OpaqueRef, usize), DataPlaneError> {
-        let mut hints = HintSet::none();
-        hints.push(hint);
-        let committed = self.commit_outputs(tenant, producer, vec![(data, None)], &hints, None)?;
-        let (id, len, _, _) = committed[0];
-        let opaque = ts.lock().refs.mint(id);
-        Ok((id, opaque, len))
     }
 
     fn next_id(&self) -> UArrayId {

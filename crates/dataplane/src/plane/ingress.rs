@@ -1,12 +1,13 @@
 //! Ingress: event batches and watermarks enter a tenant's namespace.
 //!
-//! A batch enters one of two ways, both through one decrypt-and-parse
-//! loop (`decode_batch`): cut straight into its windows
-//! (`WindowedIngress`, what the engine sends), each window's slice
-//! appended to the one array of the tenant's window map that the batch's
-//! (window, side, lane) names, so each event's pages are committed once, in
-//! the window array it stays in; or as an array of its own (`Ingress`,
-//! what the single-call `DataPlane::ingress` returns).
+//! A batch enters through one decrypt-and-parse loop (`decode_batch`).
+//! A `WindowedIngress`, what the engine sends, cuts it straight into its
+//! windows: each window's slice is appended to the one array of the
+//! tenant's window map that the batch's (window, side, lane) names, so
+//! each event's pages are committed once, in the window array it stays in.
+//! This is the data plane's only windowing; an `Invoke` of `Segment` is
+//! refused. A raw `Ingress`, what the single-call `DataPlane::ingress`
+//! returns, keeps the batch as an array of its own, unwindowed.
 
 use super::call::Staged;
 use super::invoke::Output;
@@ -148,10 +149,11 @@ impl DataPlane {
             }));
         })
         .map(StoredData::Events)?;
-        let (id, opaque, len) =
-            self.register_output(tenant, ts, data, PrimitiveKind::Ingress.code() as u64, None)?;
+        let producer = PrimitiveKind::Ingress.code() as u64;
+        let (id, ingested) =
+            self.commit_output(ts, tenant, producer, data, &HintSet::none(), None)?;
         self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);
-        Ok(InvokeOutput { opaque, len, window: None })
+        Ok(ingested)
     }
 
     /// The body of a `WindowedIngress` command: each decrypt window is cut

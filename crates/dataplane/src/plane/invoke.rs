@@ -1,6 +1,11 @@
 //! The shared primitive entry point: reference resolution, the dispatch
 //! table, and in-place production into uArrays — into fresh pages, or, for
 //! a `Sort` of an input its list consumes, into the input's own.
+//!
+//! Every invocation produces exactly one output, so its hints are checked
+//! and its outputs counted before it runs. `Segment` is not invokable:
+//! windowing has one home, the windowed ingress (`ingress.rs`), which cuts
+//! a batch into its window arrays as it decrypts it.
 
 use super::call::Staged;
 use super::DataPlane;
@@ -12,10 +17,8 @@ use crate::stats::InvocationBreakdown;
 use crate::store::StoredData;
 use sbt_attest::{AuditRecord, UArrayRef};
 use sbt_primitives as prim;
-use sbt_types::{infallible, Event, PrimitiveKind, RecordCount, RecordSink, TenantId, WindowId};
-use sbt_uarray::{
-    CommitBudget, ConsumptionHint, HintSet, UArray, UArrayId, UArrayWriter, PAGE_SIZE,
-};
+use sbt_types::{infallible, Event, PrimitiveKind, RecordCount, RecordSink, TenantId};
+use sbt_uarray::{CommitBudget, ConsumptionHint, HintSet, UArray, UArrayId, UArrayWriter};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,11 +87,13 @@ fn key_sorted(events: &[Event]) -> Result<&[Event], DataPlaneError> {
 }
 
 impl DataPlane {
-    /// Execute a trusted primitive over opaque inputs, producing opaque
-    /// outputs (the single entry function shared by all 23 primitives).
-    /// Inputs resolve only in the calling tenant's reference namespace;
-    /// outputs are charged against the tenant's memory quota. A one-command
-    /// list.
+    /// Execute a trusted primitive over opaque inputs, producing one opaque
+    /// output (the single entry function shared by the primitives; the
+    /// boundary operations and `Segment`, which runs only at windowed
+    /// ingress, are refused). Inputs resolve only in the calling tenant's
+    /// reference namespace; the output is charged against the tenant's
+    /// memory quota. A one-command list; the output comes back alone in
+    /// its `Vec`.
     pub fn invoke(
         &self,
         tenant: TenantId,
@@ -99,13 +104,13 @@ impl DataPlane {
     ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
         let inputs = inputs.iter().map(|r| Arg::Ref(*r)).collect();
         match self.call_one(tenant, Command::Invoke { op, inputs, params, hints: hints.clone() })? {
-            Reply::Invoke(outputs) => Ok(outputs),
+            Reply::Invoke(output) => Ok(vec![output]),
             other => unreachable!("invoke replied {other:?}"),
         }
     }
 
-    /// The body of an `Invoke` command: the outputs are registered at once,
-    /// their records staged in `list`. `take_first`: the list consumes the
+    /// The body of an `Invoke` command: the output is registered at once,
+    /// its record staged in `list`. `take_first`: the list consumes the
     /// first input (see [`command::consumes`](crate::command)), so a sort
     /// may take over its pages.
     pub(super) fn run_invoke(
@@ -116,8 +121,13 @@ impl DataPlane {
         params: PrimitiveParams,
         hints: &HintSet,
         take_first: bool,
-    ) -> Result<Vec<InvokeOutput>, DataPlaneError> {
+    ) -> Result<InvokeOutput, DataPlaneError> {
         let tenant = list.tenant;
+        // The boundary operations have entry points of their own, and
+        // windowing runs only where a batch enters (`WindowedIngress`).
+        if matches!(op, PrimitiveKind::Ingress | PrimitiveKind::Egress | PrimitiveKind::Segment) {
+            return Err(DataPlaneError::BadArguments("not an invokable primitive"));
+        }
         // Validate all references and hints before doing any work.
         let mut resolved = Vec::with_capacity(inputs.len());
         for (i, r) in inputs.iter().enumerate() {
@@ -128,7 +138,7 @@ impl DataPlane {
                 (id, Input::Shared(data))
             });
         }
-        self.check_hints(tenant, op, hints)?;
+        self.check_hints(tenant, hints)?;
         let input_ids: Vec<UArrayId> = resolved.iter().map(|(id, _)| *id).collect();
         // The output of a sort that takes over its input holds the input's
         // pages: the ledger moves them from one to the other.
@@ -137,10 +147,10 @@ impl DataPlane {
             _ => None,
         };
 
-        // What the tenant may still commit: the outputs draw on it page by
-        // page as they are produced, so an invocation that would overrun the
+        // What the tenant may still commit: the output draws on it page by
+        // page as it is produced, so an invocation that would overrun the
         // quota stops mid-production with its pages released. (The admission
-        // in `commit_outputs` stays the authority: a concurrent invocation
+        // in `commit_output` stays the authority: a concurrent invocation
         // of the same tenant may have used the headroom meanwhile.)
         let budget =
             CommitBudget::new(self.alloc.lock().allocator.owner_headroom(tenant.owner_tag()));
@@ -148,82 +158,35 @@ impl DataPlane {
         let inputs = resolved.into_iter().map(|(_, input)| input).collect();
         let produced = self.execute(op, inputs, &params, &budget)?;
         let compute_nanos = compute_start.elapsed().as_nanos() as u64;
-        if hints.len() > produced.len() {
-            // Only `Segment` gets here: its output count is known only now.
-            for (data, _) in produced {
-                self.pager.release_pages(data.committed_bytes() / PAGE_SIZE);
-            }
-            return Err(DataPlaneError::BadArguments("more hints than outputs"));
-        }
+        let memory_nanos = produced.paging_nanos();
 
-        // Register outputs: allocator placement (guided by hints) with quota
-        // charging, reference minting, audit records. The producer tag
-        // identifies the primitive *type*: the Figure 10 baseline policy
+        // Register the output: allocator placement (guided by hints) with
+        // quota charging, reference minting, its audit record. The producer
+        // tag identifies the primitive *type*: the Figure 10 baseline policy
         // treats all outputs of the same primitive as one generation and
         // co-locates them.
         let producer_tag = op.code() as u64;
-        let committed = self.commit_outputs(tenant, producer_tag, produced, hints, from)?;
-        let (outputs, output_ids, memory_nanos) = self.stage_outputs(list, &input_ids, committed);
-        // Windowing is fully described by its Windowing records; everything
-        // else gets an Execution record.
-        if op != PrimitiveKind::Segment {
-            list.records.push(AuditRecord::Execution {
-                ts_ms: self.now_ms(),
-                op,
-                inputs: input_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
-                outputs: output_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
-                hints: hints.iter().map(|h| h.encode()).collect(),
-            });
-        }
+        let (id, output) =
+            self.commit_output(list.ts, tenant, producer_tag, produced, hints, from)?;
+        list.records.push(AuditRecord::Execution {
+            ts_ms: self.now_ms(),
+            op,
+            inputs: input_ids.iter().map(|i| UArrayRef(i.0 as u32)).collect(),
+            outputs: [UArrayRef(id.0 as u32)].into(),
+            hints: hints.iter().map(|h| h.encode()).collect(),
+        });
         self.stats.record_invocation(InvocationBreakdown { compute_nanos, memory_nanos });
-        Ok(outputs)
-    }
-
-    /// Mint a reference for each committed output and stage a `Windowing`
-    /// record, its input the first of `input_ids`, for each output assigned
-    /// a window. Returns the outputs, their ids and the simulated paging
-    /// time they took.
-    pub(super) fn stage_outputs(
-        &self,
-        list: &mut Staged<'_>,
-        input_ids: &[UArrayId],
-        committed: Vec<(UArrayId, usize, Option<WindowId>, u64)>,
-    ) -> (Vec<InvokeOutput>, Vec<UArrayId>, u64) {
-        let mut outputs = Vec::with_capacity(committed.len());
-        let mut output_ids = Vec::with_capacity(committed.len());
-        let mut memory_nanos = 0;
-        for (id, len, window, paging_nanos) in committed {
-            memory_nanos += paging_nanos;
-            let opaque = list.ts.lock().refs.mint(id);
-            output_ids.push(id);
-            outputs.push(InvokeOutput { opaque, len, window });
-            if let Some(w) = window {
-                list.records.push(AuditRecord::Windowing {
-                    ts_ms: self.now_ms(),
-                    input: UArrayRef(input_ids[0].0 as u32),
-                    win_no: w.0 as u16,
-                    output: UArrayRef(id.0 as u32),
-                });
-            }
-        }
-        (outputs, output_ids, memory_nanos)
+        Ok(output)
     }
 
     /// Hints are control-plane input like the references they travel with,
     /// and the trail attests them, so malformed ones are refused before
-    /// anything is reserved: more hints than outputs (every primitive but
-    /// `Segment` has one output; `Segment`'s count is checked once the
-    /// batch is cut), a parallel hint whose index is outside `0..k`, and a
-    /// consumed-after hint naming a uArray not charged to the caller —
-    /// placement would otherwise append the output to another tenant's
-    /// uGroup.
-    fn check_hints(
-        &self,
-        tenant: TenantId,
-        op: PrimitiveKind,
-        hints: &HintSet,
-    ) -> Result<(), DataPlaneError> {
-        if op != PrimitiveKind::Segment && hints.len() > 1 {
+    /// anything is reserved: more than one (an invocation has one output),
+    /// a parallel hint whose index is outside `0..k`, and a consumed-after
+    /// hint naming a uArray not charged to the caller — placement would
+    /// otherwise append the output to another tenant's uGroup.
+    fn check_hints(&self, tenant: TenantId, hints: &HintSet) -> Result<(), DataPlaneError> {
+        if hints.len() > 1 {
             return Err(DataPlaneError::BadArguments("more hints than outputs"));
         }
         for hint in hints.iter() {
@@ -290,19 +253,18 @@ impl DataPlane {
     /// primitive's kernel with an open uArray writer as the record sink
     /// (see [`produce`](DataPlane::produce)), reserved for the output's
     /// exact size where the inputs determine it and for an upper bound
-    /// otherwise. Returns the produced arrays, each with an optional window
-    /// assignment (only `Segment` assigns windows).
+    /// otherwise. Returns the one array produced.
     fn execute(
         &self,
         op: PrimitiveKind,
         inputs: Vec<Input>,
         params: &PrimitiveParams,
         budget: &CommitBudget,
-    ) -> Result<Vec<(StoredData, Option<WindowId>)>, DataPlaneError> {
+    ) -> Result<StoredData, DataPlaneError> {
         if let Some(field) = sort_field(op) {
             let input =
                 inputs.into_iter().next().ok_or(DataPlaneError::BadArguments("missing input"))?;
-            return Ok(vec![(self.sort(input, field, budget)?, None)]);
+            return self.sort(input, field, budget);
         }
         let one_events = |n: usize| -> Result<&[Event], DataPlaneError> {
             inputs.get(n).ok_or(DataPlaneError::BadArguments("missing input"))?.data().as_events()
@@ -321,33 +283,9 @@ impl DataPlane {
                 w.extend_from_slice(scalars)
             })
         };
-        let output = match op {
-            PrimitiveKind::Ingress | PrimitiveKind::Egress => {
-                return Err(DataPlaneError::BadArguments(
-                    "boundary operations are not invokable primitives",
-                ))
-            }
-            PrimitiveKind::Segment => {
-                let spec = match params {
-                    PrimitiveParams::Window(spec) => *spec,
-                    _ => return Err(DataPlaneError::BadArguments("Segment needs a window spec")),
-                };
-                // The spec's fields come straight from the control plane: a
-                // zero size or slide would mean a window per microsecond or
-                // an unbounded replication loop inside the TEE.
-                if !spec.is_well_formed() {
-                    return Err(DataPlaneError::BadArguments("malformed window spec"));
-                }
-                // Ids are minted once every window is produced, in window
-                // order, whatever order the batch's events met them in.
-                let mut open = Vec::new();
-                prim::segment_into(one_events(0)?, &spec, &mut open, |_, at_most| {
-                    Ok(Output(UArrayWriter::reserve(at_most, &self.pager, budget)))
-                })?;
-                return Ok(open
-                    .into_iter()
-                    .map(|(win, w)| (StoredData::Events(w.0.seal(self.next_id())), Some(win)))
-                    .collect());
+        Ok(match op {
+            PrimitiveKind::Ingress | PrimitiveKind::Egress | PrimitiveKind::Segment => {
+                unreachable!("refused before any input resolves")
             }
             PrimitiveKind::Sort | PrimitiveKind::SortByValue | PrimitiveKind::SortByTime => {
                 unreachable!("a sort rewrites its input in place")
@@ -479,7 +417,6 @@ impl DataPlane {
                     prim::join_by_key_into(left, right, w)
                 })?
             }
-        };
-        Ok(vec![(output, None)])
+        })
     }
 }

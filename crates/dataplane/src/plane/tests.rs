@@ -28,23 +28,34 @@ fn ingest_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> Invo
     in_tee(|| dp.ingress(tenant, &bytes, false, false, 0)).unwrap()
 }
 
-/// Append `events` to `tenant`'s one global-window array on side 0, lane
-/// 0; returns the array.
-fn window_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> InvokeOutput {
+/// Cut `events` into `tenant`'s window arrays under `spec`, on side 0,
+/// lane 0; returns the arrays, in window order.
+fn windowed(
+    dp: &DataPlane,
+    tenant: TenantId,
+    events: &[Event],
+    spec: WindowSpec,
+) -> Result<Vec<InvokeOutput>, DataPlaneError> {
     let payload = Event::slice_to_bytes(events);
     let cmd = crate::Command::WindowedIngress {
         payload: &payload,
         encrypted: false,
         is_power: false,
         keystream_block: 0,
-        spec: WindowSpec::Global,
+        spec,
         side: 0,
         lane: 0,
     };
-    match in_tee(|| dp.call_one(tenant, cmd)).unwrap() {
-        crate::Reply::WindowedIngress { mut windows, .. } => windows.remove(0),
+    match in_tee(|| dp.call_one(tenant, cmd))? {
+        crate::Reply::WindowedIngress { windows, .. } => Ok(windows),
         other => panic!("a windowed ingress replied {other:?}"),
     }
+}
+
+/// Append `events` to `tenant`'s one global-window array on side 0, lane
+/// 0; returns the array.
+fn window_events_for(dp: &DataPlane, tenant: TenantId, events: &[Event]) -> InvokeOutput {
+    windowed(dp, tenant, events, WindowSpec::Global).unwrap().remove(0)
 }
 
 #[test]
@@ -175,18 +186,8 @@ fn groupby_chain_computes_correct_aggregates() {
 fn segment_assigns_windows_and_emits_windowing_records() {
     let dp = plane();
     let events = vec![Event::new(1, 1, 100), Event::new(2, 2, 1100), Event::new(3, 3, 2100)];
-    let ingested = ingest_events(&dp, &events);
     let spec = WindowSpec::fixed(Duration::from_secs(1));
-    let outs = in_tee(|| {
-        dp.invoke(
-            TenantId::DEFAULT,
-            PrimitiveKind::Segment,
-            &[ingested.opaque],
-            PrimitiveParams::Window(spec),
-            &HintSet::none(),
-        )
-    })
-    .unwrap();
+    let outs = windowed(&dp, TenantId::DEFAULT, &events, spec).unwrap();
     assert_eq!(outs.len(), 3);
     assert_eq!(outs[0].window, Some(WindowId(0)));
     assert_eq!(outs[2].window, Some(WindowId(2)));
@@ -279,18 +280,8 @@ fn audit_stream_verifies_for_a_full_pipeline_run() {
     let dp = plane();
     // window 0 events then a watermark at 1s.
     let events: Vec<Event> = (0..1000).map(|i| Event::new(i % 7, i, i % 1000)).collect();
-    let ingested = ingest_events(&dp, &events);
     let spec = WindowSpec::fixed(Duration::from_secs(1));
-    let windows = in_tee(|| {
-        dp.invoke(
-            TenantId::DEFAULT,
-            PrimitiveKind::Segment,
-            &[ingested.opaque],
-            PrimitiveParams::Window(spec),
-            &HintSet::none(),
-        )
-    })
-    .unwrap();
+    let windows = windowed(&dp, TenantId::DEFAULT, &events, spec).unwrap();
     in_tee(|| dp.ingress_watermark(TenantId::DEFAULT, Watermark::from_secs(1))).unwrap();
     let sorted = in_tee(|| {
         dp.invoke(
@@ -520,42 +511,25 @@ fn quota_rejection_of_invoke_outputs_releases_pages() {
 #[test]
 fn a_quota_trip_inside_a_multi_window_segment_releases_every_window() {
     let dp = plane();
-    // 3 000 events over three windows: the batch takes 9 pages, its
-    // three per-window copies 3 pages each. 15 pages of quota leave
-    // room for two of the three.
-    dp.register_tenant(TenantId(1), Some(15 * 4096)).unwrap();
+    // 3 000 events over four 750 ms windows: the ingress pre-check charges
+    // the batch's 9 page-rounded pages, but each window's 750 events take
+    // 3 pages. 10 pages of quota pass the pre-check and run out inside the
+    // fourth window.
+    dp.register_tenant(TenantId(1), Some(10 * 4096)).unwrap();
     let events: Vec<Event> = (0..3_000).map(|i| Event::new(i, i, i)).collect();
-    let a = ingest_events_for(&dp, TenantId(1), &events);
+    let spec = WindowSpec::fixed(Duration::from_millis(750));
     let before = footprint(&dp, TenantId(1));
     dp.platform().secure_mem().reset_high_water();
-    let err = in_tee(|| {
-        dp.invoke(
-            TenantId(1),
-            PrimitiveKind::Segment,
-            &[a.opaque],
-            PrimitiveParams::one_second_windows(),
-            &HintSet::none(),
-        )
-    })
-    .unwrap_err();
+    let err = windowed(&dp, TenantId(1), &events, spec).unwrap_err();
     assert_eq!(err, DataPlaneError::QuotaExceeded);
-    // Two windows were fully produced and the third begun when the
+    // Three windows were fully produced and the fourth begun when the
     // budget ran out; all of them went back.
-    assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 6 * 4096);
+    assert_eq!(dp.platform().secure_mem().high_water(), before.0 + 10 * 4096);
     assert_eq!(footprint(&dp, TenantId(1)), before);
-    // With room for all three the same call succeeds.
-    dp.set_tenant_quota(TenantId(1), Some(18 * 4096)).unwrap();
-    let outs = in_tee(|| {
-        dp.invoke(
-            TenantId(1),
-            PrimitiveKind::Segment,
-            &[a.opaque],
-            PrimitiveParams::one_second_windows(),
-            &HintSet::none(),
-        )
-    })
-    .unwrap();
-    assert_eq!(outs.iter().map(|o| o.len).collect::<Vec<_>>(), vec![1_000; 3]);
+    // With room for all four the same batch is cut.
+    dp.set_tenant_quota(TenantId(1), Some(12 * 4096)).unwrap();
+    let outs = windowed(&dp, TenantId(1), &events, spec).unwrap();
+    assert_eq!(outs.iter().map(|o| o.len).collect::<Vec<_>>(), vec![750; 4]);
 }
 
 #[test]
@@ -588,26 +562,17 @@ fn a_quota_trip_inside_a_join_result_releases_it() {
 
 #[test]
 fn secure_memory_exhaustion_mid_production_is_fail_closed() {
-    // No tenant quota at all: the carve-out itself (16 pages) runs out
-    // inside the second window of a segment.
+    // No tenant quota at all: the carve-out itself (10 pages) runs out
+    // inside the fourth window of a batch whose windows take 12.
     let platform = Platform::new(sbt_tz::PlatformConfig {
-        secure_mem_bytes: 16 * 4096,
+        secure_mem_bytes: 10 * 4096,
         ..sbt_tz::PlatformConfig::default()
     });
     let dp = DataPlane::new(platform, DataPlaneConfig::default());
     let events: Vec<Event> = (0..3_000).map(|i| Event::new(i, i, i)).collect();
-    let a = ingest_events(&dp, &events); // 9 pages
+    let spec = WindowSpec::fixed(Duration::from_millis(750));
     let before = footprint(&dp, TenantId::DEFAULT);
-    let err = in_tee(|| {
-        dp.invoke(
-            TenantId::DEFAULT,
-            PrimitiveKind::Segment,
-            &[a.opaque],
-            PrimitiveParams::one_second_windows(),
-            &HintSet::none(),
-        )
-    })
-    .unwrap_err();
+    let err = windowed(&dp, TenantId::DEFAULT, &events, spec).unwrap_err();
     assert_eq!(err, DataPlaneError::OutOfSecureMemory);
     assert_eq!(footprint(&dp, TenantId::DEFAULT), before);
 }
@@ -617,7 +582,6 @@ fn hostile_window_specs_are_rejected_before_any_work() {
     let dp = plane();
     dp.register_tenant(TenantId(1), None).unwrap();
     let events: Vec<Event> = (0..100).map(|i| Event::new(i, i, 1_000 + i)).collect();
-    let a = ingest_events_for(&dp, TenantId(1), &events);
     let before = footprint(&dp, TenantId(1));
     let us = Duration::from_micros;
     for spec in [
@@ -627,33 +591,17 @@ fn hostile_window_specs_are_rejected_before_any_work() {
         WindowSpec::Sliding { size: us(0), slide: us(1) },
         WindowSpec::Sliding { size: us(1_000), slide: us(0) },
         WindowSpec::Sliding { size: us(1_000), slide: us(1_001) },
-        // A million windows per event, each opened inside Segment.
+        // A million windows per event, each opened inside the Segment
+        // kernel.
         WindowSpec::Sliding { size: us(1_000_000), slide: us(1) },
     ] {
-        let err = in_tee(|| {
-            dp.invoke(
-                TenantId(1),
-                PrimitiveKind::Segment,
-                &[a.opaque],
-                PrimitiveParams::Window(spec),
-                &HintSet::none(),
-            )
-        })
-        .unwrap_err();
+        let err = windowed(&dp, TenantId(1), &events, spec).unwrap_err();
         assert_eq!(err, DataPlaneError::BadArguments("malformed window spec"), "{spec:?}");
         assert_eq!(footprint(&dp, TenantId(1)), before, "{spec:?}");
     }
     // The batch itself was fine.
-    let outs = in_tee(|| {
-        dp.invoke(
-            TenantId(1),
-            PrimitiveKind::Segment,
-            &[a.opaque],
-            PrimitiveParams::Window(WindowSpec::sliding(us(2_000_000), us(1_000_000))),
-            &HintSet::none(),
-        )
-    })
-    .unwrap();
+    let spec = WindowSpec::sliding(us(2_000_000), us(1_000_000));
+    let outs = windowed(&dp, TenantId(1), &events, spec).unwrap();
     assert_eq!(outs.iter().map(|o| o.window.unwrap().0).collect::<Vec<_>>(), vec![0, 1]);
 }
 

@@ -31,7 +31,7 @@ use sbt_types::{
     Duration, Event, LanePool, LaneTask, PrimitiveKind, TenantId, Watermark, WindowSpec,
 };
 use sbt_tz::{Platform, World, WorldGuard};
-use sbt_uarray::{ConsumptionHint, HintSet, UArrayId};
+use sbt_uarray::{ConsumptionHint, HintSet, TeePager, UArrayId};
 use std::sync::{mpsc, Arc, Mutex};
 
 const T: TenantId = TenantId(1);
@@ -64,6 +64,10 @@ fn wire(n: u32, seed: u32) -> Vec<u8> {
     Event::slice_to_bytes(&events)
 }
 
+fn one_second() -> WindowSpec {
+    WindowSpec::fixed(Duration::from_secs(1))
+}
+
 fn ingress(payload: &[u8]) -> Command<'_> {
     Command::Ingress { payload, encrypted: false, is_power: false, keystream_block: 0 }
 }
@@ -86,7 +90,6 @@ fn invoke(op: PrimitiveKind, inputs: Vec<Arg>) -> Command<'static> {
 
 fn hinted(op: PrimitiveKind, inputs: Vec<Arg>, hints: HintSet) -> Command<'static> {
     let params = match op {
-        PrimitiveKind::Segment => PrimitiveParams::one_second_windows(),
         PrimitiveKind::FilterBand => PrimitiveParams::Band { lo: 0, hi: 1 << 30 },
         PrimitiveKind::TopKPerKey => PrimitiveParams::K(3),
         _ => PrimitiveParams::None,
@@ -142,45 +145,33 @@ fn a_list_runs_its_commands_in_order_and_audits_them_as_single_calls() {
         T,
         &[
             ingress(&payload),
-            invoke(PrimitiveKind::Segment, vec![Arg::out(0)]),
+            invoke(PrimitiveKind::Sort, vec![Arg::out(0)]),
             Command::Retire(Arg::out(0)),
-            invoke(PrimitiveKind::Sort, vec![Arg::out(1)]),
+            Command::Egress(Arg::out(1)),
             Command::Retire(Arg::out(1)),
-            Command::Egress(Arg::out(3)),
-            Command::Retire(Arg::out(3)),
             Command::Watermark(Watermark::from_secs(1)),
         ],
     )
     .unwrap();
-    assert_eq!(replies.len(), 8);
+    assert_eq!(replies.len(), 6);
 
     let single = plane(None);
     in_tee(|| {
         let ingested = single.ingress(T, &payload, false, false, 0).unwrap();
-        let windows = single
-            .invoke(
-                T,
-                PrimitiveKind::Segment,
-                &[ingested.opaque],
-                PrimitiveParams::one_second_windows(),
-                &HintSet::none(),
-            )
-            .unwrap();
-        single.retire(T, ingested.opaque).unwrap();
         let sorted = single
             .invoke(
                 T,
                 PrimitiveKind::Sort,
-                &[windows[0].opaque],
+                &[ingested.opaque],
                 PrimitiveParams::None,
                 &HintSet::none(),
             )
             .unwrap();
-        single.retire(T, windows[0].opaque).unwrap();
+        single.retire(T, ingested.opaque).unwrap();
         let msg = single.egress(T, sorted[0].opaque).unwrap();
         single.retire(T, sorted[0].opaque).unwrap();
         single.ingress_watermark(T, Watermark::from_secs(1)).unwrap();
-        let Reply::Egress(listed_msg) = &replies[5] else { panic!("egress reply") };
+        let Reply::Egress(listed_msg) = &replies[3] else { panic!("egress reply") };
         assert_eq!(listed_msg.ciphertext, msg.ciphertext);
     });
     assert_eq!(drained_records(&listed), drained_records(&single));
@@ -214,11 +205,13 @@ fn an_index_past_a_commands_outputs_stops_the_list_there() {
         &[
             ingress(&payload),
             invoke(PrimitiveKind::Sort, vec![Arg::out(0)]),
-            Command::Egress(Arg::Out { cmd: 1, idx: 1 }),
+            // The batch lies in one window, which only running it shows.
+            windowed(&payload, one_second()),
+            Command::Egress(Arg::Out { cmd: 2, idx: 1 }),
             Command::Retire(Arg::out(1)),
         ],
     );
-    assert!(matches!(failed, Err(DataPlaneError::BadArguments(_))));
+    assert_eq!(failed.unwrap_err(), DataPlaneError::BadArguments("command output out of range"));
     // The list stops there and is unwound: the outputs of the commands
     // before it are released, and nothing of it is counted or audited.
     assert_eq!(dp.live_refs(T), 0);
@@ -230,6 +223,72 @@ fn an_index_past_a_commands_outputs_stops_the_list_there() {
     // front.
     let refused = call(&dp, T, &[ingress(&payload), Command::Retire(Arg::Out { cmd: 0, idx: 1 })]);
     assert!(matches!(refused, Err(DataPlaneError::BadArguments(_))));
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.platform().secure_mem().in_use(), 0);
+}
+
+#[test]
+fn an_invocations_second_output_is_refused_before_the_list_runs() {
+    let dp = plane(None);
+    let payload = wire(100, 5);
+    let refused = call(
+        &dp,
+        T,
+        &[
+            windowed(&payload, one_second()),
+            invoke(PrimitiveKind::Sort, vec![Arg::out(0)]),
+            Command::Egress(Arg::Out { cmd: 1, idx: 1 }),
+        ],
+    );
+    assert_eq!(
+        refused.unwrap_err(),
+        DataPlaneError::BadArguments("command names an output no earlier command produces")
+    );
+    // An invocation has one output, known before the list runs: the list
+    // was refused before its ingress committed a page, so nothing unwound.
+    assert_eq!(dp.platform().stats().snapshot().tee_pages_committed, 0);
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.tenant_ingest(T).unwrap(), (0, 0));
+    assert!(drained_records(&dp).is_empty());
+    assert_eq!(next_egress_seq(&dp, &payload), 0);
+}
+
+#[test]
+fn an_invoke_of_segment_is_refused_with_nothing_left_behind() {
+    let dp = plane(None);
+    let payload = wire(500, 6);
+    let raw = held(&dp, T, &payload);
+    let window = call(&dp, T, &[windowed(&payload, one_second())]).unwrap()[0].outputs()[0];
+    let pages = || dp.platform().stats().snapshot().tee_pages_committed;
+    let in_use = dp.platform().secure_mem().in_use();
+    let (committed, audited) = (pages(), dp.stats().snapshot().audit_records);
+    let refused = DataPlaneError::BadArguments("not an invokable primitive");
+    // Alone, over a held array or an open window array: refused before
+    // anything is reserved.
+    for input in [raw, window.opaque] {
+        let segment = invoke(PrimitiveKind::Segment, vec![Arg::Ref(input)]);
+        assert_eq!(call(&dp, T, &[segment]).unwrap_err(), refused);
+        assert_eq!(pages(), committed, "nothing reserved");
+    }
+    // After an ingress in one list: the ingress's pages are all the list
+    // committed, and its unwind gave them back.
+    let list = [ingress(&payload), invoke(PrimitiveKind::Segment, vec![Arg::out(0)])];
+    assert_eq!(call(&dp, T, &list).unwrap_err(), refused);
+    assert_eq!(pages(), committed + TeePager::pages_for(payload.len() as u64));
+    assert_eq!(dp.platform().secure_mem().in_use(), in_use);
+    assert_eq!(dp.stats().snapshot().audit_records, audited, "no record");
+    assert_eq!(dp.live_refs(T), 2, "the held array and the window array");
+    assert_eq!(dp.tenant_ingest(T).unwrap(), (1_000, 2 * payload.len() as u64));
+    // The window array is still open: the next batch grows it.
+    let grown = call(&dp, T, &[windowed(&payload, one_second())]).unwrap()[0].outputs()[0];
+    assert_eq!((grown.opaque, grown.len), (window.opaque, 1_000));
+    for r in [raw, window.opaque] {
+        in_tee(|| dp.retire(T, r)).unwrap();
+    }
+    assert_eq!(next_egress_seq(&dp, &payload), 0, "no sequence number was spent");
+    let records = drained_records(&dp);
+    let executions = records.iter().filter(|r| matches!(r, AuditRecord::Execution { .. })).count();
+    assert_eq!(executions, 0);
     assert_eq!(dp.live_refs(T), 0);
     assert_eq!(dp.platform().secure_mem().in_use(), 0);
 }
@@ -352,9 +411,9 @@ fn malformed_hints_are_refused_before_any_work() {
     let refused = [
         // Two hints for Sort's one output.
         (PrimitiveKind::Sort, hints(&[parallel(2, 0), parallel(2, 1)]), "more hints than outputs"),
-        // The batch lies in one window: Segment cuts one output.
+        // Every invocation has one output.
         (
-            PrimitiveKind::Segment,
+            PrimitiveKind::FilterBand,
             hints(&[parallel(2, 0), parallel(2, 1)]),
             "more hints than outputs",
         ),
@@ -461,7 +520,7 @@ fn random_lists_fail_typed_and_leak_nothing() {
     let dp = plane(Some(256 * 1024));
     let payloads: Vec<Vec<u8>> = (0..4u32).map(|i| wire(200 + 900 * i, i)).collect();
     let ragged = vec![0u8; 13];
-    let one_second = WindowSpec::fixed(Duration::from_secs(1));
+    let one_second = one_second();
     let malformed = WindowSpec::Fixed { size: Duration::from_micros(0) };
     let theirs = held(&dp, OTHER, &payloads[0]);
     let mut rng = StdRng::seed_from_u64(0x5b7_c0de);

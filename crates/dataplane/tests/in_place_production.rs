@@ -9,8 +9,9 @@
 //! 1. **Records**: for each hot kernel, what egresses is, record for record,
 //!    what the definition says — stable order for Sort and Merge, descending
 //!    with duplicates for TopKPerKey, key-major then left-major for Join,
-//!    input order within a window for Segment — at the lengths where paging
-//!    can go wrong (empty, one record, one page of events ± 1).
+//!    input order within a window for the windowed ingress's Segment
+//!    kernel — at the lengths where paging can go wrong (empty, one record,
+//!    one page of events ± 1).
 //! 2. **Pages**: the output is charged exactly the page-rounded size of its
 //!    records, as a bulk copy would have committed.
 //! 3. **Trail**: a TopK and a Join pipeline, fed batches whose events meet
@@ -22,7 +23,9 @@
 
 use proptest::prelude::*;
 use sbt_attest::{AuditRecord, DataRef, UArrayRef};
-use sbt_dataplane::{DataPlane, DataPlaneConfig, InvokeOutput, OpaqueRef, PrimitiveParams};
+use sbt_dataplane::{
+    Command, DataPlane, DataPlaneConfig, InvokeOutput, OpaqueRef, PrimitiveParams, Reply,
+};
 use sbt_types::{
     Duration, Event, KeyValue, PrimitiveKind, TenantId, WindowSpec, MAX_WINDOWS_PER_EVENT,
 };
@@ -60,6 +63,24 @@ fn invoke(
     params: PrimitiveParams,
 ) -> Vec<InvokeOutput> {
     in_tee(|| dp.invoke(T, op, inputs, params, &HintSet::none())).unwrap()
+}
+
+/// Cut a batch's events into their window arrays under `spec` on
+/// `(side, lane)`; the arrays, in window order.
+fn windowed(dp: &DataPlane, payload: &[u8], spec: WindowSpec, at: (u8, u32)) -> Vec<InvokeOutput> {
+    let cmd = Command::WindowedIngress {
+        payload,
+        encrypted: false,
+        is_power: false,
+        keystream_block: 0,
+        spec,
+        side: at.0,
+        lane: at.1,
+    };
+    match in_tee(|| dp.call(T, &[cmd])).unwrap().pop() {
+        Some(Reply::WindowedIngress { windows, .. }) => windows,
+        other => panic!("a windowed ingress replied {other:?}"),
+    }
 }
 
 /// Invoke and report the bytes the outputs were charged to the tenant.
@@ -194,12 +215,9 @@ fn check_join(dp: &DataPlane, left: &[Event], right: &[Event]) {
 }
 
 fn check_segment(dp: &DataPlane, events: &[Event], spec: WindowSpec) {
-    let (outs, charged) = invoke_charged(
-        dp,
-        PrimitiveKind::Segment,
-        &[ingest(dp, events)],
-        PrimitiveParams::Window(spec),
-    );
+    let before = dp.tenant_memory(T).unwrap().used_bytes;
+    let outs = windowed(dp, &Event::slice_to_bytes(events), spec, (0, 0));
+    let charged = dp.tenant_memory(T).unwrap().used_bytes - before;
     // The per-event definition.
     let mut expected: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
     for e in events {
@@ -330,19 +348,19 @@ fn execution(op: PrimitiveKind, inputs: &[u32], output: u32, hints: &HintSet) ->
     }
 }
 
-/// A batch whose events meet window 1 before window 0: ids must still be
-/// minted in window order.
-fn two_window_batch(seed: u32) -> Vec<Event> {
+/// The wire bytes of a batch whose events meet window 1 before window 0:
+/// ids must still be minted in window order.
+fn two_window_batch(seed: u32) -> Vec<u8> {
     let mut events = batch(500, Keys::Few, seed);
     for (i, e) in events.iter_mut().enumerate() {
         e.ts_ms = if i < 300 { 1_000 + i as u32 } else { i as u32 };
     }
-    events
+    Event::slice_to_bytes(&events)
 }
 
 #[test]
 fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
-    let spec = PrimitiveParams::one_second_windows();
+    let spec = WindowSpec::fixed(Duration::from_secs(1));
     // Each partition's Sort names its own sibling; the Merge carries none.
     let (sibling0, sibling1) =
         (HintSet::consumed_in_parallel(2, 0), HintSet::consumed_in_parallel(2, 1));
@@ -351,12 +369,11 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
         in_tee(|| dp.invoke(T, op, inputs, params, hints)).unwrap()[0].opaque
     };
 
-    // TopK: two batches, each split over windows 0 and 1; window 0 fires.
+    // TopK: two batches on two lanes, each split over windows 0 and 1;
+    // window 0 fires.
     let dp = plane();
-    let b1 = ingest(&dp, &two_window_batch(1)); // id 0
-    let w1 = invoke(&dp, PrimitiveKind::Segment, &[b1], spec); // ids 1 (w0), 2 (w1)
-    let b2 = ingest(&dp, &two_window_batch(2)); // id 3
-    let w2 = invoke(&dp, PrimitiveKind::Segment, &[b2], spec); // ids 4, 5
+    let w1 = windowed(&dp, &two_window_batch(1), spec, (0, 0)); // batch 0; ids 1 (w0), 2 (w1)
+    let w2 = windowed(&dp, &two_window_batch(2), spec, (0, 1)); // batch 3; ids 4, 5
     assert_eq!(w1[0].window.unwrap().0, 0);
     let s1 = hinted(&dp, PrimitiveKind::Sort, &[w1[0].opaque], PrimitiveParams::None, &sibling0);
     let s2 = hinted(&dp, PrimitiveKind::Sort, &[w2[0].opaque], PrimitiveParams::None, &sibling1);
@@ -382,10 +399,8 @@ fn a_topk_and_a_join_pipeline_leave_the_same_trail_as_before() {
 
     // Join: one batch a side, window 1 fires.
     let dp = plane();
-    let l = ingest(&dp, &two_window_batch(3)); // 0
-    let lw = invoke(&dp, PrimitiveKind::Segment, &[l], spec); // 1, 2
-    let r = ingest(&dp, &two_window_batch(4)); // 3
-    let rw = invoke(&dp, PrimitiveKind::Segment, &[r], spec); // 4, 5
+    let lw = windowed(&dp, &two_window_batch(3), spec, (0, 0)); // batch 0; 1, 2
+    let rw = windowed(&dp, &two_window_batch(4), spec, (1, 0)); // batch 3; 4, 5
     let ls = hinted(&dp, PrimitiveKind::Sort, &[lw[1].opaque], PrimitiveParams::None, &none); // 6
     let rs = hinted(&dp, PrimitiveKind::Sort, &[rw[1].opaque], PrimitiveParams::None, &none); // 7
     let joined = hinted(&dp, PrimitiveKind::Join, &[ls, rs], PrimitiveParams::None, &none); // 8
@@ -451,8 +466,8 @@ fn an_invocation_allocates_one_payload_sized_buffer_per_output() {
     assert_eq!(n, 1, "Join: counted first, reserved once");
     assert!(joined[0].len >= 30_000);
     // Three windows of 10 000 events: three buffers.
-    let (n, windows) = large(&|| {
-        invoke(&dp, PrimitiveKind::Segment, &[input], PrimitiveParams::one_second_windows())
-    });
-    assert_eq!((n, windows.len()), (3, 3), "Segment: one buffer per output window");
+    let payload = Event::slice_to_bytes(&events);
+    let one_second = WindowSpec::fixed(Duration::from_secs(1));
+    let (n, windows) = large(&|| windowed(&dp, &payload, one_second, (0, 0)));
+    assert_eq!((n, windows.len()), (3, 3), "windowed ingress: one buffer per window");
 }

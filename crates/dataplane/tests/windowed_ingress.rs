@@ -1,17 +1,17 @@
-//! `WindowedIngress` against the list it replaces.
+//! `WindowedIngress` against its definition.
 //!
 //! One windowed ingress decrypts a batch straight into its window arrays.
-//! `[Ingress, Segment(Out 0), Retire(Out 0)]` decrypts it into an array of
-//! its own, copies that into the window arrays and retires it. Two fresh
-//! planes run the same batches, one form each, and everything observable
-//! must agree: the window arrays (egressed under the same sequence numbers,
-//! so their ciphertexts compare), their ids and window ids, the audit
-//! records with their wall-clock stamps zeroed, and the ingest counts. The
-//! windowed plane commits exactly the raw array's pages fewer. The batches
-//! cover encrypted and cleartext payloads, generic and power events, fixed
-//! and sliding windows, shuffled timestamps, sizes off the 340-event decrypt
-//! window, an empty payload, and a payload that is not whole events — which
-//! both forms refuse with `BadIngress`, holding nothing.
+//! The reference is the Segment kernel over a `Vec`: the test decrypts and
+//! parses each batch itself and cuts it with `segment_by_window`. Everything
+//! observable must agree with it: the window arrays (egressed and opened),
+//! their ids and window ids, the audit records with their wall-clock stamps
+//! zeroed, the ingest counts, and the pages committed — each window's
+//! page-rounded size, with no array for the raw batch. The batches cover
+//! encrypted and cleartext payloads, generic and power events, fixed and
+//! sliding windows, shuffled timestamps, sizes off the 340-event decrypt
+//! window, an empty payload, and a payload that is not whole events —
+//! which the windowed and the raw ingress refuse alike with `BadIngress`,
+//! holding nothing.
 //!
 //! Batches of one window appended to its one array, whether in one list
 //! or in three on the same lane, grow that array alike; on three lanes they
@@ -19,14 +19,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbt_attest::AuditRecord;
+use sbt_attest::{AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::{AesCtr, MasterSecret};
-use sbt_dataplane::{
-    Arg, Command, DataPlane, DataPlaneConfig, DataPlaneError, InvokeOutput, PrimitiveParams, Reply,
-};
-use sbt_types::{Duration, Event, PowerEvent, PrimitiveKind, TenantId, WindowSpec, EVENT_BYTES};
+use sbt_dataplane::{Command, DataPlane, DataPlaneConfig, DataPlaneError, InvokeOutput, Reply};
+use sbt_primitives::segment_by_window;
+use sbt_types::{Duration, Event, PowerEvent, TenantId, WindowSpec, EVENT_BYTES};
 use sbt_tz::{Platform, World, WorldGuard};
-use sbt_uarray::{HintSet, TeePager};
+use sbt_uarray::TeePager;
 use std::sync::Arc;
 
 const T: TenantId = TenantId::DEFAULT;
@@ -122,22 +121,29 @@ impl Case {
         }
     }
 
-    fn triple(&self) -> [Command<'_>; 3] {
-        [
-            Command::Ingress {
-                payload: &self.payload,
-                encrypted: self.encrypted,
-                is_power: self.is_power,
-                keystream_block: self.keystream_block,
-            },
-            Command::Invoke {
-                op: PrimitiveKind::Segment,
-                inputs: vec![Arg::out(0)],
-                params: PrimitiveParams::Window(self.spec),
-                hints: HintSet::none(),
-            },
-            Command::Retire(Arg::out(0)),
-        ]
+    fn raw(&self) -> Command<'_> {
+        Command::Ingress {
+            payload: &self.payload,
+            encrypted: self.encrypted,
+            is_power: self.is_power,
+            keystream_block: self.keystream_block,
+        }
+    }
+
+    /// The batch's events, decrypted and parsed here, power events
+    /// projected onto the generic layout.
+    fn plaintext(&self) -> Vec<Event> {
+        let mut bytes = self.payload.clone();
+        if self.encrypted {
+            let keys = MasterSecret::demo().tenant_keys(T.0, 0);
+            AesCtr::new(&keys.source_key, &keys.source_nonce)
+                .apply_keystream_at(&mut bytes, self.keystream_block);
+        }
+        if self.is_power {
+            PowerEvent::slice_from_bytes(&bytes).iter().map(PowerEvent::to_generic).collect()
+        } else {
+            Event::slice_from_bytes(&bytes)
+        }
     }
 }
 
@@ -171,55 +177,71 @@ fn pages(dp: &DataPlane) -> u64 {
     dp.platform().stats().snapshot().tee_pages_committed
 }
 
-/// Egress and retire each window array, in order; the sealed results.
+/// Egress and retire each window array, in order; the opened results.
 fn drain_windows(dp: &DataPlane, windows: &[InvokeOutput]) -> Vec<Vec<u8>> {
+    let keys = dp.verifier_keys(T).unwrap();
     windows
         .iter()
         .map(|w| {
             let msg = in_tee(|| dp.egress(T, w.opaque)).unwrap();
             in_tee(|| dp.retire(T, w.opaque)).unwrap();
-            msg.ciphertext
+            msg.open_with(keys.latest()).expect("the window array opens under its keys")
         })
         .collect()
 }
 
-/// Run every case in both forms on two fresh planes and compare them.
+/// Run every case on a fresh plane and compare it with the Segment kernel
+/// over the case's own decryption.
 fn agree(cases: &[Case]) {
-    let (windowed, tripled) = (plane(), plane());
-    let mut raw_pages = 0;
+    let dp = plane();
+    let (mut next_id, mut expected, mut window_pages) = (0u32, Vec::new(), 0);
     for (i, case) in cases.iter().enumerate() {
-        let a = in_tee(|| windowed.call(T, &[case.windowed()])).unwrap();
-        let b = in_tee(|| tripled.call(T, &case.triple())).unwrap();
-        let [Reply::WindowedIngress { events, windows: wa }] = &a[..] else {
-            panic!("case {i}: a windowed ingress replies its windows, got {a:?}")
+        let reference = segment_by_window(&case.plaintext(), &case.spec);
+        let replies = in_tee(|| dp.call(T, &[case.windowed()])).unwrap();
+        let [Reply::WindowedIngress { events, windows }] = &replies[..] else {
+            panic!("case {i}: a windowed ingress replies its windows, got {replies:?}")
         };
-        let Reply::Invoke(wb) = &b[1] else { panic!("case {i}: Segment replies its windows") };
         assert_eq!(*events as u64, case.events(), "case {i}: event count");
-        let shape = |ws: &[InvokeOutput]| ws.iter().map(|w| (w.window, w.len)).collect::<Vec<_>>();
-        assert_eq!(shape(wa), shape(wb), "case {i}: window ids and lengths");
-        assert_eq!(
-            drain_windows(&windowed, wa),
-            drain_windows(&tripled, wb),
-            "case {i}: window arrays"
-        );
-        raw_pages += TeePager::pages_for(case.events() * EVENT_BYTES as u64);
+        let shape = windows.iter().map(|w| (w.window, w.len)).collect::<Vec<_>>();
+        let want = reference.iter().map(|(w, evs)| (Some(*w), evs.len())).collect::<Vec<_>>();
+        assert_eq!(shape, want, "case {i}: window ids and lengths");
+        let contents = reference.iter().map(|(_, evs)| Event::slice_to_bytes(evs));
+        assert_eq!(drain_windows(&dp, windows), contents.collect::<Vec<_>>(), "case {i}");
+        // The batch id is minted first, then one id per window, in window
+        // order; each window array is egressed in that order.
+        let batch = UArrayRef(next_id);
+        expected.push(AuditRecord::Ingress { ts_ms: 0, data: DataRef::UArray(batch) });
+        for (j, (w, _)) in (1..).zip(&reference) {
+            let output = UArrayRef(next_id + j);
+            expected.push(AuditRecord::Windowing {
+                ts_ms: 0,
+                input: batch,
+                win_no: w.0 as u16,
+                output,
+            });
+        }
+        for j in 1..=reference.len() as u32 {
+            expected.push(AuditRecord::Egress { ts_ms: 0, data: UArrayRef(next_id + j) });
+        }
+        next_id += 1 + reference.len() as u32;
+        window_pages += reference
+            .iter()
+            .map(|(_, evs)| TeePager::pages_for((evs.len() * EVENT_BYTES) as u64))
+            .sum::<u64>();
     }
-    // The egress records name the window arrays' ids, so equal records mean
-    // equal ids too.
-    let ra = records(&windowed);
-    assert!(ra.iter().any(|r| matches!(r, AuditRecord::Windowing { .. })));
-    assert_eq!(ra, records(&tripled));
-    assert_eq!(windowed.tenant_ingest(T).unwrap(), tripled.tenant_ingest(T).unwrap());
-    let (sa, sb) = (windowed.stats().snapshot(), tripled.stats().snapshot());
+    assert!(expected.iter().any(|r| matches!(r, AuditRecord::Windowing { .. })));
+    assert_eq!(records(&dp), expected);
+    let events: u64 = cases.iter().map(Case::events).sum();
+    let bytes: u64 = cases.iter().map(|c| c.payload.len() as u64).sum();
+    assert_eq!(dp.tenant_ingest(T).unwrap(), (events, bytes));
+    let stats = dp.stats().snapshot();
     assert_eq!(
-        (sa.events_ingested, sa.bytes_ingested, sa.audit_records, sa.invocations),
-        (sb.events_ingested, sb.bytes_ingested, sb.audit_records, sb.invocations)
+        (stats.events_ingested, stats.bytes_ingested, stats.audit_records, stats.invocations),
+        (events, bytes, expected.len() as u64, cases.len() as u64)
     );
-    assert_eq!(pages(&tripled) - pages(&windowed), raw_pages, "the raw arrays' pages");
-    for dp in [&windowed, &tripled] {
-        assert_eq!(dp.live_refs(T), 0);
-        assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
-    }
+    assert_eq!(pages(&dp), window_pages, "each window's pages, and no raw array's");
+    assert_eq!(dp.live_refs(T), 0);
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
 }
 
 /// Sizes around the 340-event decrypt window (255 power events), none a
@@ -255,7 +277,7 @@ fn sliding_windows_and_shuffled_timestamps_agree() {
 
 #[test]
 fn a_payload_of_no_whole_events_is_refused_alike_holding_nothing() {
-    let (windowed, tripled) = (plane(), plane());
+    let (windowed, raw) = (plane(), plane());
     for (len, is_power) in [(13, false), (11, false), (20, true), (4_081, false)] {
         let case = Case {
             payload: vec![7; len],
@@ -265,11 +287,11 @@ fn a_payload_of_no_whole_events_is_refused_alike_holding_nothing() {
             spec: WindowSpec::fixed(Duration::from_secs(1)),
         };
         let a = in_tee(|| windowed.call(T, &[case.windowed()])).unwrap_err();
-        let b = in_tee(|| tripled.call(T, &case.triple())).unwrap_err();
+        let b = in_tee(|| raw.call(T, &[case.raw()])).unwrap_err();
         assert!(matches!(a, DataPlaneError::BadIngress(_)), "{len} bytes: {a:?}");
         assert_eq!(a, b);
     }
-    for dp in [&windowed, &tripled] {
+    for dp in [&windowed, &raw] {
         assert_eq!(dp.live_refs(T), 0);
         assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
         assert_eq!(dp.platform().secure_mem().in_use(), 0);
