@@ -569,6 +569,17 @@ fn decompress_streaming(data: &[u8]) -> Result<Vec<AuditRecord>, CodecError> {
         };
         out.push(rec);
     }
+    // One payload per record sequence: every column and the numeric stream
+    // are read to their ends, and nothing follows the stream.
+    if exec_i != ops.len() || exec_i != counts.len() || reason_i != reasons.len() {
+        return Err(CodecError("column longer than its records"));
+    }
+    if nums.remaining() != 0 {
+        return Err(CodecError("numeric stream longer than its records"));
+    }
+    if nums_end != data.len() {
+        return Err(CodecError("bytes after the numeric stream"));
+    }
     Ok(out)
 }
 
@@ -800,19 +811,18 @@ mod tests {
         assert_eq!(after.len(), bare + 1);
     }
 
-    /// A hand-built payload of one record with the given tag, counts column
-    /// and numeric stream; an execution record is a `Sort`.
-    fn one_record_v3(tag: u8, counts: &[u8], nums: &[u64]) -> Vec<u8> {
+    /// A hand-built payload: one record per tag, the given ops, counts and
+    /// reasons columns, and the numeric stream.
+    fn hand_built(tags: &[u8], columns: [&[u8]; 3], nums: &[u64]) -> Vec<u8> {
         let mut payload = FORMAT_PREFIX.to_vec();
         payload.push(FORMAT_VERSION_STREAMING);
-        varint::write_u64(1, &mut payload);
-        let ops: &[u8] =
-            if tag == TAG_EXECUTION { &[PrimitiveKind::Sort.code() as u8] } else { &[] };
+        varint::write_u64(tags.len() as u64, &mut payload);
+        let [ops, counts, reasons] = columns;
         for (column, table) in [
-            (&[tag][..], huffman::StaticTable::Tags),
+            (tags, huffman::StaticTable::Tags),
             (ops, huffman::StaticTable::Ops),
             (counts, huffman::StaticTable::Counts),
-            (&[], huffman::StaticTable::Reasons),
+            (reasons, huffman::StaticTable::Reasons),
         ] {
             huffman::encode_block(column, table, &mut payload);
         }
@@ -823,6 +833,46 @@ mod tests {
         varint::write_u64(stream.len() as u64, &mut payload);
         payload.extend_from_slice(&stream);
         payload
+    }
+
+    /// A hand-built payload of one record with the given tag, counts column
+    /// and numeric stream; an execution record is a `Sort`.
+    fn one_record_v3(tag: u8, counts: &[u8], nums: &[u64]) -> Vec<u8> {
+        let ops: &[u8] =
+            if tag == TAG_EXECUTION { &[PrimitiveKind::Sort.code() as u8] } else { &[] };
+        hand_built(&[tag], [ops, counts, &[]], nums)
+    }
+
+    #[test]
+    fn surplus_symbols_and_bytes_are_an_error_not_ignored() {
+        // An egress and a one-in, one-out `Sort`: two ids and three.
+        let sort = PrimitiveKind::Sort.code() as u8;
+        let tags = [TAG_EGRESS, TAG_EXECUTION];
+        let nums = [0; 5];
+        let canonical = hand_built(&tags, [&[sort], &[0x24], &[]], &nums);
+        let records = decompress_records(&canonical).unwrap();
+        assert!(matches!(records[..], [AuditRecord::Egress { .. }, AuditRecord::Execution { .. }]));
+        assert_eq!(compress_records_streaming(&records), canonical, "the one encoding");
+        let column = Err(CodecError("column longer than its records"));
+        for columns in [
+            [&[sort, sort][..], &[0x24], &[]],
+            [&[sort], &[0x24, 0x24], &[]],
+            [&[sort], &[0x24], &[0]],
+            [&[sort, sort], &[0x24, 0x24], &[0]],
+        ] {
+            assert_eq!(decompress_records(&hand_built(&tags, columns, &nums)), column);
+        }
+        let longer = hand_built(&tags, [&[sort], &[0x24], &[]], &[0; 6]);
+        assert_eq!(
+            decompress_records(&longer),
+            Err(CodecError("numeric stream longer than its records"))
+        );
+        let mut trailing = canonical;
+        trailing.push(0);
+        assert_eq!(
+            decompress_records(&trailing),
+            Err(CodecError("bytes after the numeric stream"))
+        );
     }
 
     /// [`one_record_v3`] for a `Sort` execution record.

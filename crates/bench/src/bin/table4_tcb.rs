@@ -19,8 +19,10 @@ struct CrateRow {
 }
 
 /// Count non-empty, non-comment-only lines of Rust source under a crate's
-/// `src` directory (tests included: the paper's SLoC counts are source
-/// counts of the implementation files).
+/// `src` directory, tests left out: the paper's SLoC counts are counts of
+/// the implementation, and no test is compiled into the trusted
+/// application. A `tests.rs` file is skipped whole, an item under
+/// `#[cfg(test)]` line by line (see [`count_lines`]).
 fn count_sloc(dir: &Path) -> usize {
     let mut total = 0;
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -30,17 +32,41 @@ fn count_sloc(dir: &Path) -> usize {
         let path = entry.path();
         if path.is_dir() {
             total += count_sloc(&path);
-        } else if path.extension().map(|e| e == "rs").unwrap_or(false) {
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && path.file_name().is_some_and(|n| n != "tests.rs")
+        {
             if let Ok(content) = std::fs::read_to_string(&path) {
-                total += content
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty() && !l.starts_with("//"))
-                    .count();
+                total += count_lines(&content);
             }
         }
     }
     total
+}
+
+/// The counted lines of one source file. An item under `#[cfg(test)]` —
+/// an inline test module, a test-only helper — is skipped from the
+/// attribute to the item's last line: the first line at the attribute's
+/// indent that ends in `;` or `}` (rustfmt's layout of every item). So a
+/// declaration, `#[cfg(test)] mod tests;`, skips itself and not the rest of
+/// its file.
+fn count_lines(source: &str) -> usize {
+    let mut lines = source.lines();
+    let mut count = 0;
+    while let Some(line) = lines.next() {
+        let code = line.trim();
+        if code == "#[cfg(test)]" {
+            let indent = line.len() - line.trim_start().len();
+            lines.find(|line| {
+                let code = line.trim();
+                line.len() - line.trim_start().len() == indent
+                    && !code.starts_with("//")
+                    && (code.ends_with(';') || code.ends_with('}'))
+            });
+        } else if !code.is_empty() && !code.starts_with("//") {
+            count += 1;
+        }
+    }
+    count
 }
 
 fn main() {
@@ -114,4 +140,41 @@ fn main() {
         100.0 * trusted_total as f64 / total.max(1) as f64
     );
     sbt_bench::dump_json("table4_tcb", &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::count_lines;
+
+    #[test]
+    fn test_items_are_skipped_and_a_declaration_ends_at_its_semicolon() {
+        let source = [
+            "//! Docs.",
+            "use a::b;",
+            "",
+            "#[cfg(test)]",
+            "mod tests;",
+            "",
+            "fn kept() {",
+            "    // A comment.",
+            "    body();",
+            "}",
+            "",
+            "#[cfg(test)]",
+            "fn helper(",
+            "    a: u32,",
+            ") -> u32 {",
+            "    a",
+            "}",
+            "",
+            "#[cfg(test)]",
+            "mod inline {",
+            "    #[test]",
+            "    fn t() {}",
+            "}",
+        ]
+        .join("\n");
+        // `use`, `fn kept() {`, `body();` and its `}`.
+        assert_eq!(count_lines(&source), 4);
+    }
 }

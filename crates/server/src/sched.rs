@@ -150,9 +150,11 @@ impl ServeReport {
 ///
 /// Lanes accrue `weight × quantum` cost units per refill round while
 /// backlogged (an idle lane's deficit resets — classic DRR, so credit
-/// cannot be hoarded). A lane may dispatch a work item while its available
-/// credit (deficit minus in-flight reservations) covers the item's
-/// estimated cost; completed work is charged at its *actual* metered cost.
+/// cannot be hoarded). A lane may dispatch a work item while its deficit
+/// covers the item's estimated cost; completed work is charged at its
+/// *actual* metered cost. A lane has at most one ingest group in flight and
+/// offers nothing more until it is harvested, so no credit is held for work
+/// in flight.
 #[derive(Debug)]
 pub struct DrrAccounting {
     quantum: u64,
@@ -163,7 +165,6 @@ pub struct DrrAccounting {
 struct DrrLane {
     weight: u32,
     deficit: i64,
-    reserved: u64,
 }
 
 impl DrrAccounting {
@@ -171,10 +172,7 @@ impl DrrAccounting {
     pub fn new(weights: &[u32], quantum: u64) -> Self {
         DrrAccounting {
             quantum: quantum.max(1),
-            lanes: weights
-                .iter()
-                .map(|w| DrrLane { weight: (*w).max(1), deficit: 0, reserved: 0 })
-                .collect(),
+            lanes: weights.iter().map(|w| DrrLane { weight: (*w).max(1), deficit: 0 }).collect(),
         }
     }
 
@@ -190,21 +188,9 @@ impl DrrAccounting {
         }
     }
 
-    /// Whether the lane's available credit covers an item of estimated
-    /// cost `est`.
+    /// Whether the lane's deficit covers an item of estimated cost `est`.
     pub fn can_dispatch(&self, lane: usize, est: u64) -> bool {
-        self.lanes[lane].deficit - self.lanes[lane].reserved as i64 >= est as i64
-    }
-
-    /// Reserve estimated credit for a dispatched, still-in-flight item.
-    pub fn reserve(&mut self, lane: usize, est: u64) {
-        self.lanes[lane].reserved += est;
-    }
-
-    /// Release the reservation of a completed (or abandoned) item.
-    pub fn release(&mut self, lane: usize, est: u64) {
-        let l = &mut self.lanes[lane];
-        l.reserved = l.reserved.saturating_sub(est);
+        self.lanes[lane].deficit >= est as i64
     }
 
     /// Charge actually serviced cost against the lane's deficit.
@@ -228,8 +214,6 @@ impl DrrAccounting {
 
 /// A lane's in-flight ingest group.
 struct InflightGroup {
-    /// The group's estimated cost, reserved against the lane's deficit.
-    est: u64,
     /// Batches in the group.
     batches: u64,
     /// Events in the group.
@@ -351,9 +335,8 @@ impl Lane {
         let Some(done) = self.ingest.as_ref().and_then(|group| group.handle.try_join()) else {
             return false;
         };
-        let InflightGroup { est, batches, events, .. } =
+        let InflightGroup { batches, events, .. } =
             self.ingest.take().expect("a group was in flight");
-        ctx.drr.release(self.slot, est);
         match done {
             Ok(outcome) => {
                 if outcome.is_ok() {
@@ -546,12 +529,11 @@ impl Lane {
         if !drr.can_dispatch(self.slot, est) {
             return (pulled, true);
         }
-        drr.reserve(self.slot, est);
         let group: Vec<Delivery> = self.staged.drain(..n).collect();
         let events = group.iter().map(|d| d.event_count as u64).sum();
         let engine = self.engine.clone();
         let handle = executor.spawn(move || engine.ingest_group(&group, StreamSide::Left));
-        self.ingest = Some(InflightGroup { est, batches: n as u64, events, handle });
+        self.ingest = Some(InflightGroup { batches: n as u64, events, handle });
         (true, false)
     }
 
@@ -1088,7 +1070,6 @@ mod tests {
     ) -> u64 {
         let group = lane.ingest.take().expect("a group is in flight");
         group.handle.join().expect("no panic").expect("the group ingests");
-        ctx.drr.release(lane.slot, group.est);
         lane.on_ingest(ctx, group.batches, outcome);
         group.batches
     }
@@ -1205,7 +1186,6 @@ mod tests {
             assert!(lane.offer(&mut ctx.drr, &executor).0);
             let group = lane.ingest.take().expect("a group is in flight");
             let outcome = group.handle.join().expect("no panic");
-            ctx.drr.release(lane.slot, group.est);
             lane.on_ingest(&mut ctx, group.batches, outcome.clone());
             (group.batches, outcome.map_err(|_| ()))
         };
@@ -1243,17 +1223,15 @@ mod tests {
     }
 
     #[test]
-    fn drr_accounting_reserves_charges_and_penalizes() {
+    fn drr_accounting_charges_and_penalizes() {
         let mut drr = DrrAccounting::new(&[1, 2], 100);
         assert!(!drr.can_dispatch(0, 50), "no credit before the first round");
         drr.begin_round(|_| true);
         assert_eq!(drr.deficit(0), 100);
         assert_eq!(drr.deficit(1), 200);
         assert!(drr.can_dispatch(0, 100));
-        drr.reserve(0, 80);
-        assert!(!drr.can_dispatch(0, 80), "reservations hold credit");
+        assert!(!drr.can_dispatch(0, 101));
         // Actual cost overran the estimate; the lane pays what it used.
-        drr.release(0, 80);
         drr.charge(0, 120);
         assert_eq!(drr.deficit(0), -20);
         drr.penalize(1);

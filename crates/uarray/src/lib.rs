@@ -7,9 +7,11 @@
 //! * **uArrays** — contiguous, virtually unbounded, append-only buffers for
 //!   same-type records. A uArray is `Open` while its producer appends,
 //!   `Produced` once finalized, and `Retired` when its consumer is done and
-//!   its memory may be reclaimed. Growth never relocates: each uArray
-//!   reserves a large virtual range up front and commits physical pages on
-//!   demand inside the TEE.
+//!   its memory may be reclaimed. Each uArray reserves a virtual range up
+//!   front and commits physical pages on demand inside the TEE; it does not
+//!   relocate within that range. Past it the reproduction's `Vec` does: a
+//!   window array outgrowing the batch that opened it is copied by
+//!   [`UArrayWriter::resume`]'s growth (ROADMAP item 23).
 //! * **uGroups** — the allocator co-locates uArrays that will be consumed
 //!   consecutively into a uGroup and reclaims from the front of the group,
 //!   which keeps the physical layout compact with trivial bookkeeping.

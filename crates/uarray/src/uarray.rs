@@ -3,9 +3,13 @@
 //! A uArray is a contiguous, append-only buffer of same-type records with a
 //! producer/consumer lifecycle: **Open** (producer appends), **Produced**
 //! (finalized, read-only), **Retired** (consumed, memory reclaimable).
-//! Growth is backed by on-demand paging fully inside the TEE and never
-//! relocates data: the buffer reserves its maximum virtual extent when it is
-//! created and only commits physical pages as the append index advances.
+//! Growth is backed by on-demand paging fully inside the TEE: the buffer
+//! reserves a virtual extent when it is created and only commits physical
+//! pages as the append index advances. Within that extent it never
+//! relocates. Past it, this reproduction's `Vec` does: a window array is
+//! reserved for the batch that opens it, so every window that outgrows its
+//! first batch is copied by [`UArrayWriter::resume`]'s `Vec` growth (once
+//! per doubling). Reserving a window's extent up front is ROADMAP item 23.
 //!
 //! In this reproduction, the virtual reservation is a `Vec` capacity
 //! reservation (the host OS commits pages lazily, just as the TEE pager
@@ -132,9 +136,11 @@ pub struct UArray<T> {
 impl<T: Copy> UArray<T> {
     /// Create an open uArray with an initial virtual reservation of
     /// `reserve_items` records. Appending beyond the reservation extends it
-    /// (still without relocating committed data in the modelled TEE; the
-    /// reproduction's `Vec` may relocate in that rare case, which only makes
-    /// our measured numbers *pessimistic* for uArray).
+    /// (still without relocating committed data in the modelled TEE). The
+    /// reproduction's `Vec` relocates then, and that is not rare: every
+    /// window array that outgrows the batch that opened it is copied by
+    /// [`UArrayWriter::resume`]'s growth (see the module docs and ROADMAP
+    /// item 23).
     pub fn with_reservation(id: UArrayId, reserve_items: usize) -> Self {
         UArray {
             id,

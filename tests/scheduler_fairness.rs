@@ -29,8 +29,6 @@ fn simulate_drr(weights: &[u32], quantum: u64, costs: &[Vec<u64>], rounds: usize
                     break;
                 }
                 cursor[lane] += 1;
-                drr.reserve(lane, cost);
-                drr.release(lane, cost);
                 drr.charge(lane, cost);
                 served[lane] += cost;
             }
