@@ -593,7 +593,8 @@ impl DataPlane {
     }
 
     /// Publish `data` to the store, admit it to the allocator (all or
-    /// nothing with respect to the tenant's quota) and mint its reference.
+    /// nothing with respect to the quota of `list`'s tenant) and mint its
+    /// reference.
     /// Returns its id and what the caller is told of it. On quota rejection
     /// it is freed and nothing stays published.
     ///
@@ -604,8 +605,7 @@ impl DataPlane {
     /// until its retire, or went with its owner's teardown.
     fn commit_output(
         &self,
-        ts: &Mutex<TenantState>,
-        tenant: TenantId,
+        list: &Staged<'_>,
         producer: u64,
         data: StoredData,
         hints: &HintSet,
@@ -621,7 +621,7 @@ impl DataPlane {
         let (id, len) = (data.id(), data.len());
         let mut meta = (id, data.committed_bytes());
         self.store.write().insert(id, Arc::new(data));
-        let owner = tenant.owner_tag();
+        let owner = list.tenant.owner_tag();
         let admitted = {
             let allocator = &mut self.alloc.lock().allocator;
             match from {
@@ -636,7 +636,7 @@ impl DataPlane {
             self.free(&[meta]);
             return Err(DataPlaneError::QuotaExceeded);
         }
-        let opaque = ts.lock().refs.mint(id);
+        let opaque = list.ts.lock().refs.mint(id);
         Ok((id, InvokeOutput { opaque, len, window: None }))
     }
 

@@ -150,8 +150,7 @@ impl DataPlane {
         })
         .map(StoredData::Events)?;
         let producer = PrimitiveKind::Ingress.code() as u64;
-        let (id, ingested) =
-            self.commit_output(ts, tenant, producer, data, &HintSet::none(), None)?;
+        let (id, ingested) = self.commit_output(list, producer, data, &HintSet::none(), None)?;
         self.stage_batch(list, &batch, id, n_events, decrypt_nanos, ingest_start);
         Ok(ingested)
     }

@@ -2,8 +2,8 @@
 //! table, and in-place production into uArrays — into fresh pages, or, for
 //! a `Sort` of an input its list consumes, into the input's own.
 //!
-//! Every invocation produces exactly one output, so its hints are checked
-//! and its outputs counted before it runs. `Segment` is not invokable:
+//! Every invocation produces exactly one output, so its hints, and a list's
+//! references to its output, are checked before anything runs. `Segment` is not invokable:
 //! windowing has one home, the windowed ingress (`ingress.rs`), which cuts
 //! a batch into its window arrays as it decrypts it.
 
@@ -166,8 +166,7 @@ impl DataPlane {
         // treats all outputs of the same primitive as one generation and
         // co-locates them.
         let producer_tag = op.code() as u64;
-        let (id, output) =
-            self.commit_output(list.ts, tenant, producer_tag, produced, hints, from)?;
+        let (id, output) = self.commit_output(list, producer_tag, produced, hints, from)?;
         list.records.push(AuditRecord::Execution {
             ts_ms: self.now_ms(),
             op,
