@@ -285,10 +285,10 @@ fn static_lengths(id: u8) -> Option<[u8; 256]> {
         // Op codes: skewed toward the primitives real pipelines
         // execute constantly — Sort (one per partition of every window) and
         // Merge get the shortest codes, sorts-by, MergeK and aggregations
-        // follow, plumbing and rare primitives get long codes. Merge is
-        // rare in today's traffic (a window gathers its partitions with one
-        // k-way MergeK), but the lengths are wire format: a block naming
-        // this table carries no header, so they cannot change.
+        // follow, plumbing and rare primitives get long codes. Merge and
+        // MergeK are rare in today's traffic (a window's reduce reads its
+        // sorted runs where they lie), but the lengths are wire format: a
+        // block naming this table carries no header, so they cannot change.
         // Covers 0..=31 so any primitive encodes.
         1 => {
             for l in lengths.iter_mut().take(32) {

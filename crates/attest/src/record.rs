@@ -30,8 +30,8 @@ pub const INLINE_PORTS: usize = 4;
 /// [`AuditRecord::Execution`] carries one of these for its inputs and one
 /// for its outputs. Up to [`INLINE_PORTS`] entries live inline in the record
 /// itself — the common append path performs no heap allocation. Longer
-/// lists (a `MergeK` or `Concat` over more than four inputs) spill to a
-/// `Vec` transparently.
+/// lists (a reduce over more than four window arrays, or a `Concat` or
+/// `MergeK` over more than four inputs) spill to a `Vec` transparently.
 #[derive(Clone, Default)]
 pub struct PortList {
     inline: [UArrayRef; INLINE_PORTS],

@@ -27,8 +27,8 @@
 //! `Windowing` record naming the same output, which is accepted while the
 //! array is unconsumed and under the window it opened in; an append after
 //! its consumption, or under another window, is a violation. The control
-//! plane parallelizes work (a window's arrays sorted apart, then gathered
-//! by a k-way merge), so a window's dataflow is a DAG. The
+//! plane parallelizes work (a window's arrays sorted apart, then read
+//! together by one reduce), so a window's dataflow is a DAG. The
 //! declaration lists *required stages* in order, plus *structural*
 //! primitives (Merge, Concat, …) allowed anywhere between them; the replay
 //! checks that every root's dataflow progresses monotonically through the

@@ -2,13 +2,14 @@
 //! generic comparison sorts the paper compares against (§9.3), and for the
 //! other kernels on a pipeline's hot path — Segment, MergeK, event Merge,
 //! TopKPerKey, Join — at the shapes the repository's benchmark drives them
-//! with. All run over the `Vec` sink: the same kernels the data plane runs
-//! over a uArray writer.
+//! with, and a keyed fire's reduce reading its sorted runs where they lie
+//! beside the `MergeK` + reduce it replaced. All run over the `Vec` sink:
+//! the same kernels the data plane runs over a uArray writer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbt_primitives::{
-    join_by_key, merge_runs_by_key_into, merge_sorted_by_key, segment_by_window,
-    sort_events_by_key, top_k_per_key, vector_sort_u64,
+    join_by_key, join_by_key_into, join_len, merge_runs_by_key_into, merge_sorted_by_key,
+    segment_by_window, sort_events_by_key, top_k_per_key, top_k_per_key_into, vector_sort_u64,
 };
 use sbt_types::{infallible, Duration, Event, WindowSpec};
 
@@ -66,9 +67,9 @@ fn bench_event_sort(c: &mut Criterion) {
     group.finish();
 }
 
-/// MergeK at a fire's two shapes: `topk`'s 4 sorted partitions of 25 000
-/// events and a `tenants4_small_batch` TopK tenant's 25 of 1 000, both over
-/// 1 000 keys.
+/// MergeK at two window shapes: 4 sorted partitions of 25 000 events and
+/// 25 of 1 000, both over 1 000 keys. (A fire no longer merges; MergeK is
+/// the one-command `invoke`'s.)
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge");
     group.sample_size(10);
@@ -139,12 +140,72 @@ fn bench_event_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// A keyed fire's tail, over the window's sorted runs: the reduce reading
+/// them where they lie, and `MergeK` into one array (once a side for Join)
+/// followed by the reduce over it. `topk`: two runs of 50 000 events over
+/// 1 000 keys, top 10 of each key. `join`: two runs of 20 000 a side over
+/// 10 000 keys, 160 000 rows. The outputs are reserved once, as a uArray
+/// writer's are.
+fn bench_fire_reduce(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fire_reduce");
+    group.sample_size(10);
+    let sorted_runs = |n: usize, keys: usize, runs: usize| -> Vec<Vec<Event>> {
+        let events = make_stream(n, keys, 1_000);
+        events.chunks(n / runs).map(sort_events_by_key).collect()
+    };
+
+    let topk = sorted_runs(100_000, 1_000, 2);
+    let runs: Vec<&[Event]> = topk.iter().map(Vec::as_slice).collect();
+    let (mut merged, mut pairs) = (Vec::with_capacity(100_000), Vec::with_capacity(10_000));
+    group.throughput(Throughput::Elements(100_000));
+    group.bench_function("top_k_per_key_over_2x50k_runs", |b| {
+        b.iter(|| {
+            pairs.clear();
+            infallible(top_k_per_key_into(&runs, 10, &mut pairs));
+        })
+    });
+    group.bench_function("merge_k_then_top_k_per_key_2x50k", |b| {
+        b.iter(|| {
+            merged.clear();
+            pairs.clear();
+            infallible(merge_runs_by_key_into(&runs, &mut merged));
+            infallible(top_k_per_key_into(&[&merged], 10, &mut pairs));
+        })
+    });
+
+    let (left, right) = (sorted_runs(40_000, 10_000, 2), sorted_runs(40_000, 10_000, 2));
+    let runs: Vec<&[Event]> = left.iter().chain(&right).map(Vec::as_slice).collect();
+    let rows = join_len(&runs, 2);
+    assert_eq!(rows, 160_000);
+    let mut sides = [Vec::with_capacity(40_000), Vec::with_capacity(40_000)];
+    let mut joined = Vec::with_capacity(rows);
+    group.throughput(Throughput::Elements(80_000));
+    group.bench_function("join_over_2x20k_runs_a_side", |b| {
+        b.iter(|| {
+            joined.clear();
+            infallible(join_by_key_into(&runs, 2, &mut joined));
+        })
+    });
+    group.bench_function("merge_k_a_side_then_join_2x20k", |b| {
+        b.iter(|| {
+            joined.clear();
+            for (side, side_runs) in sides.iter_mut().zip(runs.chunks(2)) {
+                side.clear();
+                infallible(merge_runs_by_key_into(side_runs, side));
+            }
+            infallible(join_by_key_into(&[&sides[0], &sides[1]], 1, &mut joined));
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
     bench_event_sort,
     bench_merge,
     bench_segment,
-    bench_event_kernels
+    bench_event_kernels,
+    bench_fire_reduce
 );
 criterion_main!(benches);

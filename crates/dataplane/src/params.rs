@@ -32,6 +32,10 @@ pub enum PrimitiveParams {
     K(usize),
     /// Sampling period for `Sample`.
     Every(usize),
+    /// For `Join`: how many of the inputs, from the first, are the left
+    /// side's key-sorted runs; the rest are the right side's. (`None`
+    /// means one input a side.)
+    Left(usize),
 }
 
 /// Metadata about one output uArray returned from an invocation.

@@ -75,12 +75,13 @@ fn sort_field(op: PrimitiveKind) -> Option<fn(&Event) -> u32> {
     }
 }
 
-/// The grouped aggregates and `Join` read their inputs as key runs. Over an
-/// unsorted array they would return a well-sized but meaningless result, so
-/// an input that is not key-sorted is refused before anything is reserved.
-fn key_sorted(events: &[Event]) -> Result<&[Event], DataPlaneError> {
-    if events.windows(2).all(|w| w[0].key <= w[1].key) {
-        Ok(events)
+/// The grouped aggregates and `Join` read their inputs as key-sorted runs.
+/// Over an unsorted run they would return a well-sized but meaningless
+/// result, so a run that is not key-sorted is refused before anything is
+/// reserved.
+fn key_sorted(runs: Vec<&[Event]>) -> Result<Vec<&[Event]>, DataPlaneError> {
+    if runs.iter().all(|run| run.windows(2).all(|w| w[0].key <= w[1].key)) {
+        Ok(runs)
     } else {
         Err(DataPlaneError::BadArguments("input not key-sorted"))
     }
@@ -303,28 +304,30 @@ impl DataPlane {
                 let total = parts.iter().map(|p| p.len()).sum();
                 events_of(total, &|w| prim::concat_events_into(&parts, w))?
             }
+            // The keyed reduces read all their inputs as the key-sorted runs
+            // of one window, where they lie: no merged copy.
             PrimitiveKind::SumCnt | PrimitiveKind::AveragePerKey => {
-                let events = key_sorted(one_events(0)?)?;
-                self.produce(budget, prim::key_runs(events), StoredData::Aggs, |w| {
-                    prim::sum_count_per_key_into(events, w)
+                let runs = key_sorted(all_events()?)?;
+                self.produce(budget, prim::key_runs(&runs), StoredData::Aggs, |w| {
+                    prim::sum_count_per_key_into(&runs, w)
                 })?
             }
             PrimitiveKind::CountPerKey => {
-                let events = key_sorted(one_events(0)?)?;
-                self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
-                    prim::count_per_key_into(events, w)
+                let runs = key_sorted(all_events()?)?;
+                self.produce(budget, prim::key_runs(&runs), StoredData::Pairs, |w| {
+                    prim::count_per_key_into(&runs, w)
                 })?
             }
             PrimitiveKind::MedianPerKey => {
-                let events = key_sorted(one_events(0)?)?;
-                self.produce(budget, prim::key_runs(events), StoredData::Pairs, |w| {
-                    prim::median_per_key_into(events, w)
+                let runs = key_sorted(all_events()?)?;
+                self.produce(budget, prim::key_runs(&runs), StoredData::Pairs, |w| {
+                    prim::median_per_key_into(&runs, w)
                 })?
             }
             PrimitiveKind::Unique => {
-                let events = key_sorted(one_events(0)?)?;
-                self.produce(budget, prim::key_runs(events), StoredData::Scalars, |w| {
-                    prim::unique_keys_into(events, w)
+                let runs = key_sorted(all_events()?)?;
+                self.produce(budget, prim::key_runs(&runs), StoredData::Scalars, |w| {
+                    prim::unique_keys_into(&runs, w)
                 })?
             }
             // The unkeyed reduces read all their inputs as one window: a
@@ -367,9 +370,9 @@ impl DataPlane {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopKPerKey needs K")),
                 };
-                let events = key_sorted(one_events(0)?)?;
-                self.produce(budget, prim::top_k_per_key_len(events, k), StoredData::Pairs, |w| {
-                    prim::top_k_per_key_into(events, k, w)
+                let runs = key_sorted(all_events()?)?;
+                self.produce(budget, prim::top_k_per_key_len(&runs, k), StoredData::Pairs, |w| {
+                    prim::top_k_per_key_into(&runs, k, w)
                 })?
             }
             PrimitiveKind::FilterBand => {
@@ -409,11 +412,18 @@ impl DataPlane {
                 })?
             }
             PrimitiveKind::Join => {
-                let (left, right) = (key_sorted(one_events(0)?)?, key_sorted(one_events(1)?)?);
+                // `Left(n)`: the first n inputs are the left side's runs;
+                // `None`: one input a side.
+                let left = match params {
+                    PrimitiveParams::None if inputs.len() == 2 => 1,
+                    PrimitiveParams::Left(n) if (1..inputs.len()).contains(n) => *n,
+                    _ => return Err(DataPlaneError::BadArguments("Join needs runs on both sides")),
+                };
+                let runs = key_sorted(all_events()?)?;
                 // Counted first: the result can be many times its inputs and
                 // must be reserved exactly so it never relocates.
-                self.produce(budget, prim::join_len(left, right), StoredData::Pairs, |w| {
-                    prim::join_by_key_into(left, right, w)
+                self.produce(budget, prim::join_len(&runs, left), StoredData::Pairs, |w| {
+                    prim::join_by_key_into(&runs, left, w)
                 })?
             }
         })

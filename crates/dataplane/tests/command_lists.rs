@@ -380,6 +380,103 @@ fn an_unsorted_input_to_a_key_run_primitive_is_refused_before_any_work() {
     assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
 }
 
+/// Held key-sorted arrays of `wire(n, seed)`'s events, one per entry.
+fn sorted_runs(dp: &DataPlane, runs: &[(u32, u32)]) -> Vec<OpaqueRef> {
+    runs.iter()
+        .map(|&(n, seed)| {
+            let payload = wire(n, seed);
+            let sort = invoke(PrimitiveKind::Sort, vec![Arg::out(0)]);
+            let replies = call(dp, T, &[ingress(&payload), sort, Command::Retire(Arg::out(0))]);
+            replies.unwrap()[1].outputs()[0].opaque
+        })
+        .collect()
+}
+
+/// Invoke `op` over held `inputs` and check it is refused with `expected`
+/// before any page is reserved: the carve-out never rose above what was in
+/// use, the inputs are still held, nothing was charged and nothing audited.
+fn refused_before_any_page(
+    dp: &DataPlane,
+    op: PrimitiveKind,
+    inputs: &[OpaqueRef],
+    params: PrimitiveParams,
+    expected: DataPlaneError,
+) {
+    let carve_out = dp.platform().secure_mem();
+    let (in_use, refs, used) =
+        (carve_out.in_use(), dp.live_refs(T), dp.tenant_memory(T).unwrap().used_bytes);
+    carve_out.reset_high_water();
+    let inputs = inputs.iter().map(|r| Arg::Ref(*r)).collect();
+    let cmd = Command::Invoke { op, inputs, params, hints: HintSet::none() };
+    assert_eq!(call(dp, T, &[cmd]).unwrap_err(), expected, "{op:?} {params:?}");
+    assert_eq!(carve_out.high_water(), in_use, "{op:?} {params:?}: no page reserved");
+    assert_eq!(dp.live_refs(T), refs, "{op:?} {params:?}");
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, used, "{op:?} {params:?}");
+}
+
+#[test]
+fn an_unsorted_run_among_sorted_ones_is_refused_before_any_page_is_reserved() {
+    let dp = plane(None);
+    let runs = sorted_runs(&dp, &[(300, 1), (200, 2), (0, 3), (250, 4)]);
+    let unsorted = held(&dp, T, &wire(300, 6));
+    drained_records(&dp);
+    for op in KEY_SORTED_OPS {
+        let params = match op {
+            PrimitiveKind::TopKPerKey => PrimitiveParams::K(3),
+            PrimitiveKind::Join => PrimitiveParams::Left(2),
+            _ => PrimitiveParams::None,
+        };
+        // The unsorted run in every place, on either side of a join.
+        for at in 0..=runs.len() {
+            let mut inputs = runs.clone();
+            inputs.insert(at, unsorted);
+            let expected = DataPlaneError::BadArguments("input not key-sorted");
+            refused_before_any_page(&dp, op, &inputs, params, expected);
+        }
+    }
+    assert!(drained_records(&dp).is_empty(), "a refused invocation audits nothing");
+    for r in runs.into_iter().chain([unsorted]) {
+        in_tee(|| dp.retire(T, r)).unwrap();
+    }
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+}
+
+#[test]
+fn a_join_whose_left_side_is_empty_or_everything_is_refused() {
+    let dp = plane(None);
+    let runs = sorted_runs(&dp, &[(300, 1), (200, 2), (250, 4)]);
+    let sides = DataPlaneError::BadArguments("Join needs runs on both sides");
+    for left in [0, 3, 4, usize::MAX] {
+        refused_before_any_page(
+            &dp,
+            PrimitiveKind::Join,
+            &runs,
+            PrimitiveParams::Left(left),
+            sides.clone(),
+        );
+    }
+    // `None` is one input a side: three inputs, or one, are refused too.
+    for inputs in [&runs[..], &runs[..1]] {
+        let join = PrimitiveKind::Join;
+        refused_before_any_page(&dp, join, inputs, PrimitiveParams::None, sides.clone());
+    }
+    // Every split with runs on both sides joins.
+    for left in 1..3 {
+        let cmd = Command::Invoke {
+            op: PrimitiveKind::Join,
+            inputs: runs.iter().map(|r| Arg::Ref(*r)).collect(),
+            params: PrimitiveParams::Left(left),
+            hints: HintSet::none(),
+        };
+        let joined = call(&dp, T, &[cmd]).unwrap()[0].outputs()[0].opaque;
+        in_tee(|| dp.retire(T, joined)).unwrap();
+    }
+    for r in runs {
+        in_tee(|| dp.retire(T, r)).unwrap();
+    }
+    assert_eq!(dp.tenant_memory(T).unwrap().used_bytes, 0);
+}
+
 /// The id of the data array a tenant ingested last, read off its trail
 /// (draining it).
 fn last_ingested_id(dp: &DataPlane, tenant: TenantId) -> UArrayId {

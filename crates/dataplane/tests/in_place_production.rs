@@ -307,6 +307,67 @@ proptest! {
     }
 }
 
+/// The keyed reduces, each with the parameters it needs over a window of
+/// `runs` sorted runs, `left` of them the join's left side.
+fn keyed_reduces(runs: usize, left: usize) -> [(PrimitiveKind, PrimitiveParams); 7] {
+    [
+        (PrimitiveKind::SumCnt, PrimitiveParams::None),
+        (PrimitiveKind::AveragePerKey, PrimitiveParams::None),
+        (PrimitiveKind::CountPerKey, PrimitiveParams::None),
+        (PrimitiveKind::MedianPerKey, PrimitiveParams::None),
+        (PrimitiveKind::Unique, PrimitiveParams::None),
+        (PrimitiveKind::TopKPerKey, PrimitiveParams::K(3)),
+        (
+            PrimitiveKind::Join,
+            if runs == 2 { PrimitiveParams::None } else { PrimitiveParams::Left(left) },
+        ),
+    ]
+}
+
+/// A keyed reduce reads a window's sorted runs where they lie: over the
+/// runs it egresses what it egresses over their `MergeK` (one per side for
+/// Join), record for record, and is charged the same pages.
+fn check_keyed_reduces_over_runs(dp: &DataPlane, runs: &[Vec<Event>], left: usize) {
+    let sorted: Vec<OpaqueRef> = runs
+        .iter()
+        .map(|run| {
+            invoke(dp, PrimitiveKind::Sort, &[ingest(dp, run)], PrimitiveParams::None)[0].opaque
+        })
+        .collect();
+    let merged = |refs: &[OpaqueRef]| {
+        invoke(dp, PrimitiveKind::MergeK, refs, PrimitiveParams::None)[0].opaque
+    };
+    let (whole, sides) = (merged(&sorted), [merged(&sorted[..left]), merged(&sorted[left..])]);
+    for (op, params) in keyed_reduces(runs.len(), left) {
+        let (over_runs, charged) = invoke_charged(dp, op, &sorted, params);
+        let (over_merged, merged_charged) = if op == PrimitiveKind::Join {
+            invoke_charged(dp, op, &sides, PrimitiveParams::None)
+        } else {
+            invoke_charged(dp, op, &[whole], params)
+        };
+        let shape = format!("{op:?} over {} runs", runs.len());
+        assert_eq!(over_runs[0].len, over_merged[0].len, "{shape}");
+        assert_eq!(charged, merged_charged, "{shape}: the same pages");
+        assert_eq!(opened(dp, over_runs[0].opaque), opened(dp, over_merged[0].opaque), "{shape}");
+    }
+}
+
+#[test]
+fn keyed_reduces_read_sorted_runs_as_their_merge() {
+    let dp = plane();
+    for shape in SHAPES {
+        // One key, distinct keys and heavy ties; empty runs and page-edge
+        // lengths among them; the join split at each place it can be.
+        let runs: Vec<Vec<Event>> =
+            [340, 0, 341, 60, 1].iter().zip(7..).map(|(&n, seed)| batch(n, shape, seed)).collect();
+        for count in 2..=runs.len() {
+            for left in 1..count {
+                check_keyed_reduces_over_runs(&dp, &runs[..count], left);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The trail.
 // ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@
 //! * a fire's arrays (one per window, side and ingest lane) run in at most
 //!   W lists, each `[Invoke(op, r), Retire(r)]` for each transform and, for
 //!   a keyed reduce, its Sort, of each of its arrays;
-//! * a window's tail is one list from the gather (`MergeK` or `Concat` over
-//!   the arrays; an unkeyed reduce reads them directly) through the
-//!   reduce, the egress and the final retire;
+//! * a window's tail is one list from the reduce over the window's arrays
+//!   (a keyed reduce reads them as sorted runs; with no reduce, a `Concat`
+//!   gathers them) through the egress and the final retire;
 //! * the `Watermark` of the watermark that completed a window heads the
 //!   fire's first list (its first partition list, or its tail when the
 //!   chain is empty); a watermark no fire carries is a list of its own.

@@ -3,7 +3,8 @@
 //!
 //! Programmers declare pipelines with the operators in this module.
 //! [`WindowPlan::compile`] turns a pipeline's operators into the one plan
-//! every window runs: a per-array chain, a gather and a reduce. The
+//! every window runs: a per-array chain, then a reduce over the window's
+//! arrays (or, with no reduce, a gather into one array). The
 //! engine fires windows from that plan alone, and the cloud verifier's
 //! [`sbt_attest::PipelineSpec`] is read off it ([`WindowPlan::spec`]), so
 //! the declaration installed on the cloud and what the edge executes are
@@ -124,10 +125,11 @@ pub type PlanOp = (PrimitiveKind, PrimitiveParams);
 /// What every window of a pipeline runs, compiled once from its operators.
 ///
 /// A window fires in two steps. Each of a side's arrays (one per ingest
-/// lane, at most W) runs `chain`; then one tail list gathers each side's
-/// arrays with `gather`, applies `reduce` (if any) and egresses the result.
-/// The verifier's declaration is read off the same plan
-/// ([`WindowPlan::spec`]).
+/// lane, at most W) runs `chain`; then one tail list applies `reduce` to
+/// all the arrays (a keyed reduce reads them as sorted runs, where they
+/// lie) — or, with no reduce, gathers each side's arrays with `gather` —
+/// and egresses the result. The verifier's declaration is read off the
+/// same plan ([`WindowPlan::spec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowPlan {
     /// Run on every array, in order: each transform, then `Sort` when the
@@ -135,11 +137,12 @@ pub struct WindowPlan {
     pub chain: Vec<PlanOp>,
     /// Stream sides the plan reads: 2 for [`Operator::TempJoin`], else 1.
     pub sides: usize,
-    /// How a side's arrays become one: `MergeK` over sorted runs when the
-    /// reduce is keyed, `Concat` when there is no reduce and one array is
-    /// egressed; `None` when an unkeyed reduce reads them all directly.
+    /// How a side's arrays become one: `Concat` when there is no reduce
+    /// and one array is egressed; `None` when the reduce reads the arrays
+    /// directly (a keyed reduce as key-sorted runs).
     pub gather: Option<PrimitiveKind>,
-    /// Applied to the gathered sides; `None` egresses the gathered events.
+    /// Applied to every array of the sides read (`Join`: the left side's,
+    /// then the right side's); `None` egresses the gathered events.
     pub reduce: Option<PlanOp>,
 }
 
@@ -167,11 +170,7 @@ impl WindowPlan {
         WindowPlan {
             chain,
             sides: if terminal == Operator::TempJoin { 2 } else { 1 },
-            gather: match reduce {
-                Some((_, _, true)) => Some(PrimitiveKind::MergeK),
-                Some(_) => None,
-                None => Some(PrimitiveKind::Concat),
-            },
+            gather: reduce.is_none().then_some(PrimitiveKind::Concat),
             reduce: reduce.map(|(op, params, _)| (op, params)),
         }
     }
@@ -241,10 +240,11 @@ mod tests {
                 (PrimitiveKind::Sort, PrimitiveParams::None),
             ]
         );
-        assert_eq!(plan.gather, Some(PrimitiveKind::MergeK));
+        // The reduce reads the sorted runs where they lie: nothing gathers.
+        assert_eq!(plan.gather, None);
         assert_eq!(plan.reduce, Some((PrimitiveKind::TopKPerKey, PrimitiveParams::K(3))));
         let join = WindowPlan::compile(&[], Operator::TempJoin);
-        assert_eq!((join.sides, join.gather), (2, Some(PrimitiveKind::MergeK)));
+        assert_eq!((join.sides, join.gather), (2, None));
         assert_eq!(join.chain, vec![(PrimitiveKind::Sort, PrimitiveParams::None)]);
     }
 

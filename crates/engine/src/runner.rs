@@ -16,7 +16,8 @@
 //! When a watermark completes a window, the runner fires it from the plan
 //! it compiled once: the plan's chain over the window's arrays (at most W
 //! a side), in at most W lists run on the pool, then one tail list that
-//! gathers each side, applies the reduce, egresses and retires. A fire
+//! applies the reduce to the arrays where they lie (with no reduce, gathers
+//! them), egresses and retires. A fire
 //! therefore crosses at most W + 1 times, whatever its batch count. Along
 //! the way it attaches consumption hints for the TEE allocator, measures
 //! output delay, applies backpressure under TEE memory pressure, and
@@ -409,7 +410,7 @@ impl Engine {
         let due = engine.note_watermark(&mut engine.fires.lock(), wm, side, arrival);
         let fire = Arc::clone(engine);
         // Fire class: the windows are already due, so the fire (and the
-        // sort, merge and seal tasks it fans out) runs ahead of any queued
+        // sort and seal tasks it fans out) runs ahead of any queued
         // ingest and never under it.
         engine.pool.spawn_fire(move || {
             due.map_or(Ok(()), |last| fire.fire_through(&mut fire.fires.lock(), last))

@@ -3,8 +3,9 @@
 //!
 //! A window fires from the engine's compiled [`WindowPlan`]: the plan's
 //! chain once per array (at most W a side, one per ingest lane) in at most
-//! W parallel lists, then one tail list that gathers each side, applies the
-//! reduce, egresses and retires. The first list records the watermarks that
+//! W parallel lists, then one tail list that applies the reduce to the
+//! arrays where they lie (or, with no reduce, gathers them into one),
+//! egresses and retires. The first list records the watermarks that
 //! completed the window, so the attested delay spans the whole fire.
 //!
 //! [`WindowPlan`]: crate::operators::WindowPlan
@@ -12,7 +13,7 @@
 use super::{Engine, Fires};
 use crate::metrics::WindowResult;
 use crate::steps::Steps;
-use sbt_dataplane::{Arg, Command, DataPlaneError, OpaqueRef, Reply};
+use sbt_dataplane::{Arg, Command, DataPlaneError, OpaqueRef, PrimitiveParams, Reply};
 use sbt_telemetry::{LatencyKind, SpanKind};
 use sbt_types::{Watermark, WindowId};
 use sbt_uarray::HintSet;
@@ -54,8 +55,9 @@ impl Engine {
     /// Fire one completed window from the plan, the same steps for every
     /// plan: retire the window if a side the plan reads is empty; run the
     /// chain over its arrays in at most W lists ([`Self::run_partitions`]);
-    /// then one tail list that gathers each side (an unkeyed reduce reads
-    /// the arrays directly), applies the reduce (if any) and egresses. The
+    /// then one tail list that applies the reduce to every array (a keyed
+    /// reduce reads them as sorted runs; `Join` is told how many runs are
+    /// the left side's) — or, with no reduce, gathers them — and egresses. The
     /// fire's first list — its first chain list, or the tail when the chain
     /// is empty — records `watermarks` at its head, so the attested delay
     /// from them to the egress spans the whole fire; `watermarks` is
@@ -90,8 +92,8 @@ impl Engine {
         let sides = self.run_partitions(sides, watermarks)?;
 
         // 3. The tail: one list from the watermarks (when no chain list
-        // recorded them) through the gathers, the reduce, the egress and its
-        // retire. If it fails, the data plane retires the arrays it names
+        // recorded them) through the reduce (or the gather), the egress and
+        // its retire. If it fails, the data plane retires the arrays it names
         // and drops the sealed result and any watermark records with the
         // rest.
         let mut tail = Steps::default();
@@ -104,6 +106,10 @@ impl Engine {
             })
             .collect();
         let result = self.plan.reduce.map_or(gathered[0], |(op, params)| {
+            let params = match sides.as_slice() {
+                [left, _] => PrimitiveParams::Left(left.len()),
+                _ => params,
+            };
             tail.consume(op, params, HintSet::none(), gathered)
         });
         tail.egress(result);

@@ -40,8 +40,7 @@ impl<'a> Steps<'a> {
     }
 
     /// Gather partitions into one: `None` for none, the partition itself
-    /// for one (no command), an `op` (`Concat` or `MergeK`) consuming them
-    /// otherwise.
+    /// for one (no command), an `op` (`Concat`) consuming them otherwise.
     pub fn gather(&mut self, op: PrimitiveKind, refs: &[OpaqueRef]) -> Option<Arg> {
         match refs {
             [] => None,
@@ -74,14 +73,15 @@ mod tests {
     #[test]
     fn concat_of_one_partition_costs_no_command() {
         let mut steps = Steps::default();
-        for op in [PrimitiveKind::Concat, PrimitiveKind::MergeK] {
-            assert_eq!(steps.gather(op, &[]), None);
-            assert_eq!(steps.gather(op, &[OpaqueRef(7)]), Some(Arg::Ref(OpaqueRef(7))));
-        }
+        assert_eq!(steps.gather(PrimitiveKind::Concat, &[]), None);
+        assert_eq!(
+            steps.gather(PrimitiveKind::Concat, &[OpaqueRef(7)]),
+            Some(Arg::Ref(OpaqueRef(7)))
+        );
         assert!(steps.cmds.is_empty());
         let parts = [OpaqueRef(7), OpaqueRef(8), OpaqueRef(9)];
-        assert_eq!(steps.gather(PrimitiveKind::MergeK, &parts), Some(Arg::out(0)));
-        assert!(matches!(steps.cmds[0], Command::Invoke { op: PrimitiveKind::MergeK, .. }));
+        assert_eq!(steps.gather(PrimitiveKind::Concat, &parts), Some(Arg::out(0)));
+        assert!(matches!(steps.cmds[0], Command::Invoke { op: PrimitiveKind::Concat, .. }));
         assert_eq!(steps.cmds.len(), 4);
     }
 }

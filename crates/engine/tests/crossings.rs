@@ -11,7 +11,8 @@
 //! it. Its fire
 //! runs the plan's chain (its transforms, then a Sort when the reduce is
 //! keyed) over its a arrays in `min(a, W)` lists, then one tail list
-//! (gather, reduce, egress, retires): at most a + 1 crossings whatever the
+//! (the reduce over the arrays — or, with no reduce, their gather — egress,
+//! retires): at most a + 1 crossings whatever the
 //! batch count, and 1 when the chain is empty. The watermark that
 //! completes the window costs nothing beyond its fire, whose first list
 //! records it; one that completes nothing (the first side of a join)
@@ -157,8 +158,8 @@ fn a_winsum_fire_is_one_crossing() {
 
 #[test]
 fn a_topk_fire_is_sorts_merges_and_one_tail() {
-    // The min(K, W) arrays' sorts in as many lists, then MergeK +
-    // TopKPerKey + egress in one list.
+    // The min(K, W) arrays' sorts in as many lists, then TopKPerKey over
+    // the sorted runs + egress in one list.
     assert_eq!(single_stream_fire(2, K, Pipeline::topk_benchmark(10)), K.min(W) + 1);
 }
 
@@ -211,8 +212,8 @@ fn a_join_fire_sorts_and_merges_both_sides_then_one_tail() {
     let crossings = fire(&engine, right, StreamSide::Right);
     assert_eq!(engine.results().len(), 1, "the window fired");
     // Both sides' 2 min(K, W) arrays sorted in min(2 min(K, W), W) lists,
-    // then the watermark's record, both MergeKs, Join and egress in one
-    // list.
+    // then the watermark's record, Join over both sides' sorted runs and
+    // egress in one list.
     assert_eq!(crossings, (2 * K.min(W)).min(W) + 1);
 }
 

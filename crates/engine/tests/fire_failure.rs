@@ -2,15 +2,15 @@
 //!
 //! A fire runs the plan's chain over the window's arrays (one per ingest
 //! lane) in at most W lists, the first headed by the watermark's record,
-//! then one tail list that gathers, reduces and egresses. A consumed sort
-//! rewrites its array in its own pages and commits none, so the chain
-//! lists cannot trip a quota that the window's arrays fit under; the
-//! tail's `MergeK` still writes a fresh array beside its runs. Here that
-//! merge trips the tenant's quota: the data plane unwinds the tail whole
-//! and retires the sorted runs it names, and the caller gets the error.
-//! Nothing of the window is left but its watermark and its sorts' records;
-//! the next window fires, and the cloud's replay flags the lost window and
-//! nothing else.
+//! then one tail list that reduces and egresses. A consumed sort rewrites
+//! its array in its own pages and commits none, so the chain lists cannot
+//! trip a quota that the window's arrays fit under, and the tail's reduce
+//! reads the sorted runs where they lie: its output is the only array the
+//! tail writes. Here that output trips the tenant's quota: the data plane
+//! unwinds the tail whole and retires the sorted runs it names, and the
+//! caller gets the error. Nothing of the window is left but its watermark
+//! and its sorts' records; the next window fires, and the cloud's replay
+//! flags the lost window and nothing else.
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, DataRef, Verifier, Violation};
 use sbt_dataplane::{DataPlane, DataPlaneError};
@@ -50,12 +50,12 @@ fn a_tail_list_that_trips_the_quota_leaves_no_trace_of_its_window() {
     // events (65 pages, each batch decrypted straight into it) and a1 of
     // 4 000 (12 pages), 77 in all. The fire's lists are [watermark, sort
     // a0] and [sort a1], which sort each array in its own pages (77 pages
-    // still), then the tail [MergeK, …], whose merged array needs 77 more:
-    // 154. A 130-page quota admits every batch and both sorts, and trips
-    // at the tail's merge.
+    // still), then the tail [TopKPerKey, …], whose output (16 keys × 10
+    // pairs) needs one more page: 78. A 77-page quota admits every batch
+    // and both sorts, and trips at the reduce's output.
     let config = EngineConfig::for_variant(EngineVariant::SbtClearIngress, 1);
     let dp = DataPlane::new(Platform::new(config.platform_config()), config.dataplane.clone());
-    dp.register_tenant(TENANT, Some(130 * PAGE)).unwrap();
+    dp.register_tenant(TENANT, Some(77 * PAGE)).unwrap();
     let pipeline = Pipeline::topk_benchmark(10).target_delay_ms(10_000);
     let engine =
         Engine::for_tenant(config, pipeline, dp.clone(), TENANT, Arc::new(Executor::new(1)));
@@ -98,7 +98,8 @@ fn a_tail_list_that_trips_the_quota_leaves_no_trace_of_its_window() {
     }
     // Window 0's two sorts, which committed, and window 1's one (its two
     // batches, after window 0's four, land on one lane); the failed tail
-    // published no record: no merge of window 0's runs.
+    // published no record: no reduce of window 0's runs, and no merge
+    // anywhere.
     let count = |op| {
         records
             .iter()

@@ -7,8 +7,9 @@
 //! batches. The tenant's trail must replay clean against
 //! `Pipeline::spec()`, and each window's `Execution` records must name
 //! exactly what the pipeline's `WindowPlan` declares: the chain once per
-//! array, then one gather per side when the plan gathers, then the reduce
-//! (an unkeyed reduce reads the three arrays at once).
+//! array, then one gather per side when the plan gathers, then the reduce.
+//! Only a plan with no reduce gathers: a reduce names every array of the
+//! window at once (a keyed one reads them as sorted runs, where they lie).
 
 use sbt_attest::{verify_tenant_trail, AuditRecord, UArrayRef, Verifier};
 use sbt_engine::{Engine, EngineConfig, EngineVariant, Operator, Pipeline, StreamSide};
@@ -86,7 +87,8 @@ fn check(pipeline: Pipeline) {
     // window's fire ends with its egress, and windows fire one after
     // another.
     let mut windows: BTreeMap<u16, (usize, BTreeSet<UArrayRef>)> = BTreeMap::new();
-    let mut fires: Vec<Vec<PrimitiveKind>> = vec![Vec::new()];
+    // Each execution's primitive and how many arrays it names.
+    let mut fires: Vec<Vec<(PrimitiveKind, usize)>> = vec![Vec::new()];
     for record in &records {
         match record {
             AuditRecord::Windowing { win_no, output, .. } => {
@@ -94,7 +96,9 @@ fn check(pipeline: Pipeline) {
                 *appends += 1;
                 arrays.insert(*output);
             }
-            AuditRecord::Execution { op, .. } => fires.last_mut().unwrap().push(*op),
+            AuditRecord::Execution { op, inputs, .. } => {
+                fires.last_mut().unwrap().push((*op, inputs.len()))
+            }
             AuditRecord::Egress { .. } => fires.push(Vec::new()),
             _ => {}
         }
@@ -103,6 +107,9 @@ fn check(pipeline: Pipeline) {
     assert_eq!(fires.len(), WINDOWS as usize, "{name}");
 
     let (chain, sides, gather, reduce) = declared(&pipeline);
+    if chain.last() == Some(&PrimitiveKind::Sort) {
+        assert_eq!(gather, None, "{name}: a keyed plan gathers nothing");
+    }
     for (fire, (win, (appends, arrays))) in fires.iter().zip(&windows) {
         assert_eq!(*appends, K * sides, "{name}: window {win} batches");
         assert_eq!(arrays.len(), ARRAYS * sides, "{name}: window {win} arrays");
@@ -110,7 +117,12 @@ fn check(pipeline: Pipeline) {
         let mut expected = chain.repeat(arrays.len());
         expected.extend(gather.into_iter().flat_map(|op| std::iter::repeat_n(op, sides)));
         expected.extend(reduce);
-        assert_eq!(fire, &expected, "{name}: window {win} ran what its plan declares");
+        let ran: Vec<PrimitiveKind> = fire.iter().map(|(op, _)| *op).collect();
+        assert_eq!(ran, expected, "{name}: window {win} ran what its plan declares");
+        if reduce.is_some() && gather.is_none() {
+            let (_, named) = fire.last().expect("the fire reduces");
+            assert_eq!(*named, arrays.len(), "{name}: window {win}'s reduce names every array");
+        }
     }
 }
 

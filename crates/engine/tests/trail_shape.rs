@@ -2,13 +2,15 @@
 //!
 //! A TopK window of `K` batches sent through `ingest_many` on W = 3 is
 //! three arrays, one per ingest lane. The fire sorts each array as one of
-//! three parallel lists and joins the sorted runs with one `MergeK` in the
-//! tail. Each Sort output is hinted "sibling `i` of 3 consumed in
-//! parallel" — one hint, since a Sort has one output — and the three Sorts
-//! name the three siblings between them. The MergeK names no predecessor,
-//! so it carries no hint. The sealed trail shows it too: it is 219 B (377 B
-//! when the window was 25 partitions sorted apart), while 25 partitions
-//! each attesting 25 hints per Sort at ten bytes apiece sealed 6.7 KB.
+//! three parallel lists, and the tail's TopKPerKey reads the three sorted
+//! runs where they lie: it names all three, and nothing merges them. Each
+//! Sort output is hinted "sibling `i` of 3 consumed in parallel" — one
+//! hint, since a Sort has one output — and the three Sorts name the three
+//! siblings between them. The reduce names no predecessor, so it carries no
+//! hint. The sealed trail shows it too: it is 213 B (219 B with a
+//! `MergeK` in the tail, 377 B when the window was 25 partitions sorted
+//! apart), while 25 partitions each attesting 25 hints per Sort at ten
+//! bytes apiece sealed 6.7 KB.
 //!
 //! A watermark is recorded at the head of the first list of the first
 //! window it completes: on the trail it comes before the fire of every
@@ -32,11 +34,11 @@ const K: u32 = 25;
 const BATCH: usize = 200;
 /// Arrays per window: one per ingest lane of a 2-worker engine.
 const ARRAYS: u32 = 3;
-/// Bytes the window's sealed trail stays under: 219 B measured, plus 10 %.
-const CEILING: usize = 241;
+/// Bytes the window's sealed trail stays under: 213 B measured, plus 10 %.
+const CEILING: usize = 234;
 
 #[test]
-fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
+fn a_topk_window_attests_one_sibling_hint_per_sort_and_one_reduce_over_the_runs() {
     let engine = Engine::new(
         EngineConfig::for_variant(EngineVariant::SbtClearIngress, 2),
         Pipeline::topk_benchmark(10).target_delay_ms(10_000).batch_events(BATCH),
@@ -61,7 +63,7 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
     let keys = engine.data_plane().verifier_keys(engine.tenant()).unwrap();
     let records = verify_tenant_trail(&segments, engine.tenant(), &keys).expect("trail verifies");
     let mut siblings = Vec::new();
-    let mut merge_ks = Vec::new();
+    let mut reduces = Vec::new();
     for record in &records {
         let AuditRecord::Execution { op, inputs, hints, .. } = record else { continue };
         match op {
@@ -75,17 +77,19 @@ fn a_topk_window_attests_one_sibling_hint_per_sort_and_none_per_merge() {
                 assert_eq!(k, ARRAYS);
                 siblings.push(index);
             }
-            PrimitiveKind::MergeK => {
-                assert!(hints.is_empty(), "a MergeK carries no hint: {hints:?}");
-                merge_ks.push(inputs.len());
+            PrimitiveKind::TopKPerKey => {
+                assert!(hints.is_empty(), "the reduce carries no hint: {hints:?}");
+                reduces.push(inputs.len());
             }
-            PrimitiveKind::Merge => panic!("the window is merged in one pass, not pairwise"),
+            PrimitiveKind::MergeK | PrimitiveKind::Merge => {
+                panic!("the reduce reads the sorted runs: nothing merges them ({op:?})")
+            }
             _ => {}
         }
     }
     siblings.sort_unstable();
     assert_eq!(siblings, (0..ARRAYS).collect::<Vec<_>>(), "the Sorts name every sibling once");
-    assert_eq!(merge_ks, [ARRAYS as usize], "one MergeK over the sorted runs");
+    assert_eq!(reduces, [ARRAYS as usize], "one reduce naming the sorted runs");
 
     let sealed: usize = segments.iter().map(|s| s.compressed.len()).sum();
     assert!(sealed < CEILING, "the window's trail is {sealed} B");

@@ -1,71 +1,128 @@
-//! Per-key grouped primitives over key-sorted arrays: SumCnt-per-key,
+//! Per-key grouped primitives over key-sorted runs: SumCnt-per-key,
 //! Count-per-key, Average-per-key, Median-per-key and Unique (§5, Table 2).
 //!
-//! Grouping in StreamBox-TZ is sort-based: the input array is first sorted
-//! by key (see [`crate::sort`]), after which every grouped aggregate is a
-//! single sequential scan over runs of equal keys. This is the paper's
-//! alternative to the hash tables commodity engines use, and it is
-//! insensitive to key skew.
+//! Grouping in StreamBox-TZ is sort-based: each of a window's arrays is
+//! first sorted by key (see [`crate::sort`]), after which every grouped
+//! aggregate is a single sequential walk over the keys of the sorted runs,
+//! read where they lie. This is the paper's alternative to the hash tables
+//! commodity engines use, and it is insensitive to key skew.
 //!
-//! All functions in this module require their input to be sorted by key and
-//! debug-assert that property. Each emits exactly one record per key run, so
+//! All kernels in this module take the runs (`&[&[Event]]`), each of which
+//! must be sorted by key (debug-asserted); the `Vec`-returning functions are
+//! the one-run case. Each emits exactly one record per distinct key, so
 //! [`key_runs`] is the output size of all of them.
 
-use crate::scratch::with_scratch;
+use crate::scratch::{with_scratch, Scratch};
 use crate::topk::lower_median;
-use sbt_types::{infallible, Event, KeyAgg, KeyValue, RecordSink};
+use sbt_types::{infallible, Event, KeyAgg, KeyValue, RecordCount, RecordSink};
 
-#[inline]
-fn debug_assert_sorted_by_key(events: &[Event]) {
-    debug_assert!(
-        events.windows(2).all(|w| w[0].key <= w[1].key),
-        "grouped primitive requires key-sorted input"
-    );
+/// One key's records across the runs: each run's sub-slice for the key, in
+/// run order (empty for a run without the key). Read part by part, they are
+/// in the order a stable merge of the runs (the lower run first on ties, as
+/// `MergeK` gives) holds them.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyGroup<'g, 'a> {
+    runs: &'g [&'a [Event]],
+    spans: &'g [(usize, usize)],
 }
 
-/// Visit each run of equal keys in a key-sorted array, stopping at the
-/// first error.
+impl<'g, 'a> KeyGroup<'g, 'a> {
+    /// Each run's records of the key, in run order.
+    #[inline]
+    pub fn parts(self) -> impl Iterator<Item = &'a [Event]> + 'g {
+        self.runs.iter().zip(self.spans).map(|(run, &(start, end))| &run[start..end])
+    }
+
+    /// How many records the key has over all the runs.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.spans.iter().map(|(start, end)| end - start).sum()
+    }
+
+    /// The group over the first `n` runs and the group over the rest.
+    #[inline]
+    pub fn split_at(self, n: usize) -> (Self, Self) {
+        let (runs, spans) = (self.runs.split_at(n), self.spans.split_at(n));
+        (KeyGroup { runs: runs.0, spans: spans.0 }, KeyGroup { runs: runs.1, spans: spans.1 })
+    }
+}
+
+/// The key-group walker over key-sorted `runs` (debug-asserted), with the
+/// thread's scratch for `f` and its spans for the walk: see
+/// [`walk_key_groups`]. A warm thread allocates nothing.
 pub(crate) fn for_each_group<E>(
-    events: &[Event],
-    mut f: impl FnMut(u32, &[Event]) -> Result<(), E>,
+    runs: &[&[Event]],
+    mut f: impl FnMut(u32, KeyGroup<'_, '_>, &mut Scratch) -> Result<(), E>,
 ) -> Result<(), E> {
-    debug_assert_sorted_by_key(events);
-    let mut start = 0;
-    while start < events.len() {
-        let key = events[start].key;
-        let mut end = start + 1;
-        while end < events.len() && events[end].key == key {
-            end += 1;
+    debug_assert!(runs.iter().all(|run| run.is_sorted_by_key(|e| e.key)), "runs not key-sorted");
+    with_scratch(|scratch| {
+        let mut spans = std::mem::take(&mut scratch.spans);
+        let walked = walk_key_groups(runs, &mut spans, |key, group| f(key, group, scratch));
+        scratch.spans = spans;
+        walked
+    })
+}
+
+/// Visit each key present in `runs`, in ascending order, with every run's
+/// sub-slice for it, stopping at the first error; `spans` (one per run) is
+/// the walk's working memory. A run that is not sorted still ends the walk,
+/// with every record in exactly one visit (every step consumes the least
+/// head), but its keys may be visited more than once.
+#[inline]
+pub(crate) fn walk_key_groups<E>(
+    runs: &[&[Event]],
+    spans: &mut Vec<(usize, usize)>,
+    mut f: impl FnMut(u32, KeyGroup<'_, '_>) -> Result<(), E>,
+) -> Result<(), E> {
+    spans.clear();
+    spans.resize(runs.len(), (0, 0));
+    // The least head key, widened so that `DONE` is past every key.
+    const DONE: u64 = u64::MAX;
+    let mut next =
+        runs.iter().filter_map(|run| run.first()).map(|e| e.key as u64).min().unwrap_or(DONE);
+    while next != DONE {
+        let key = next as u32;
+        next = DONE;
+        for (run, span) in runs.iter().zip(spans.iter_mut()) {
+            let start = span.1;
+            let mut end = start;
+            while let Some(head) = run.get(end) {
+                if head.key != key {
+                    next = next.min(head.key as u64);
+                    break;
+                }
+                end += 1;
+            }
+            *span = (start, end);
         }
-        f(key, &events[start..end])?;
-        start = end;
+        f(key, KeyGroup { runs, spans })?;
     }
     Ok(())
 }
 
-/// Number of key runs (distinct keys) in a key-sorted array: how many
-/// records each per-key primitive emits.
-pub fn key_runs(sorted_events: &[Event]) -> usize {
-    debug_assert_sorted_by_key(sorted_events);
-    let boundaries = sorted_events.windows(2).filter(|w| w[0].key != w[1].key).count();
-    boundaries + usize::from(!sorted_events.is_empty())
+/// Number of distinct keys in the key-sorted `runs`: how many records each
+/// per-key primitive emits.
+pub fn key_runs(runs: &[&[Event]]) -> usize {
+    let mut keys = RecordCount::default();
+    infallible(unique_keys_into::<u32, _>(runs, &mut keys));
+    keys.0
 }
 
 /// Per-key sum and count (the `SumCnt` primitive applied per key). The
 /// output is ordered by key.
 pub fn sum_count_per_key(sorted_events: &[Event]) -> Vec<KeyAgg> {
     let mut out = Vec::new();
-    infallible(sum_count_per_key_into(sorted_events, &mut out));
+    infallible(sum_count_per_key_into(&[sorted_events], &mut out));
     out
 }
 
 /// The SumCnt-per-key kernel.
 pub fn sum_count_per_key_into<S: RecordSink<KeyAgg>>(
-    sorted_events: &[Event],
+    runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    for_each_group(sorted_events, |key, group| {
-        let sum: u64 = group.iter().map(|e| e.value as u64).sum();
+    for_each_group(runs, |key, group, _| {
+        let sum: u64 = group.parts().flatten().map(|e| e.value as u64).sum();
         sink.push(KeyAgg::new(key, sum, group.len() as u64))
     })
 }
@@ -74,16 +131,16 @@ pub fn sum_count_per_key_into<S: RecordSink<KeyAgg>>(
 /// records ordered by key.
 pub fn count_per_key(sorted_events: &[Event]) -> Vec<KeyValue> {
     let mut out = Vec::new();
-    infallible(count_per_key_into(sorted_events, &mut out));
+    infallible(count_per_key_into(&[sorted_events], &mut out));
     out
 }
 
 /// The CountPerKey kernel.
 pub fn count_per_key_into<S: RecordSink<KeyValue>>(
-    sorted_events: &[Event],
+    runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    for_each_group(sorted_events, |key, group| sink.push(KeyValue::new(key, group.len() as u64)))
+    for_each_group(runs, |key, group, _| sink.push(KeyValue::new(key, group.len() as u64)))
 }
 
 /// Per-key average value (the `AveragePerKey` primitive). Ordered by key.
@@ -97,23 +154,22 @@ pub fn avg_per_key(sorted_events: &[Event]) -> Vec<KeyAgg> {
 /// records ordered by key.
 pub fn median_per_key(sorted_events: &[Event]) -> Vec<KeyValue> {
     let mut out = Vec::new();
-    infallible(median_per_key_into(sorted_events, &mut out));
+    infallible(median_per_key_into(&[sorted_events], &mut out));
     out
 }
 
 /// The MedianPerKey kernel.
 pub fn median_per_key_into<S: RecordSink<KeyValue>>(
-    sorted_events: &[Event],
+    runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    with_scratch(|scratch| {
-        let values = &mut scratch.values;
-        for_each_group(sorted_events, |key, group| {
-            values.clear();
-            values.extend(group.iter().map(|e| e.value));
-            let median = lower_median(values).expect("a key run is never empty");
-            sink.push(KeyValue::new(key, median as u64))
-        })
+    for_each_group(runs, |key, group, Scratch { values, .. }| {
+        values.clear();
+        for part in group.parts() {
+            values.extend(part.iter().map(|e| e.value));
+        }
+        let median = lower_median(values).expect("a key group is never empty");
+        sink.push(KeyValue::new(key, median as u64))
     })
 }
 
@@ -121,16 +177,16 @@ pub fn median_per_key_into<S: RecordSink<KeyValue>>(
 /// key. This is what the Distinct benchmark (unique taxi ids) is built on.
 pub fn unique_keys(sorted_events: &[Event]) -> Vec<u32> {
     let mut out = Vec::new();
-    infallible(unique_keys_into(sorted_events, &mut out));
+    infallible(unique_keys_into(&[sorted_events], &mut out));
     out
 }
 
 /// The Unique kernel: one scalar record per distinct key.
 pub fn unique_keys_into<R: From<u32>, S: RecordSink<R>>(
-    sorted_events: &[Event],
+    runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    for_each_group(sorted_events, |key, _| sink.push(R::from(key)))
+    for_each_group(runs, |key, _, _| sink.push(R::from(key)))
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
-//! The Join trusted primitive: sort-merge equi-join of two key-sorted event
-//! arrays within the same window (§5; the Join / TempJoin benchmark of §9.2).
+//! The Join trusted primitive: sort-merge equi-join of two key-sorted sides
+//! within the same window (§5; the Join / TempJoin benchmark of §9.2).
 //!
-//! Both inputs must already be sorted by key (the Sort primitive runs first
-//! in the temporal-join pipeline). The join then advances two cursors and
-//! emits the cross product of each matching key run — the classic sort-merge
-//! join, chosen over a hash join for the same TEE-friendliness reasons as
+//! Each side is one or more runs, each already sorted by key (the Sort
+//! primitive runs first in the temporal-join pipeline, once per window
+//! array). The join walks the keys of all the runs at once with the
+//! key-group walker and emits the cross product of each key's left and
+//! right records — the classic sort-merge join over runs read where they
+//! lie, chosen over a hash join for the same TEE-friendliness reasons as
 //! the grouped aggregates.
 //!
 //! A joined row is a `(key, value)` record whose value carries the two
@@ -12,50 +14,35 @@
 //! 12-byte wire record the pipelines egress. The output can be many times
 //! the inputs (every left event of a key meets every right event of it), so
 //! a producer that must not relocate sizes it first: [`join_len`] walks the
-//! same key runs and adds up their products without emitting anything.
+//! same keys and adds up their products without emitting anything.
 
+use crate::grouped::{for_each_group, KeyGroup};
+use crate::scratch::Scratch;
 use sbt_types::{infallible, Event, KeyValue, RecordSink};
 
-/// Visit the left and right runs of every key present on both sides of two
-/// key-sorted arrays, in key order.
+/// Visit the left and right records of every key present on both sides,
+/// in key order, with the thread's scratch: `runs[..left]` are the left
+/// side's runs, the rest the right side's.
 fn for_each_match<E>(
-    left: &[Event],
-    right: &[Event],
-    mut f: impl FnMut(&[Event], &[Event]) -> Result<(), E>,
+    runs: &[&[Event]],
+    left: usize,
+    mut f: impl FnMut(KeyGroup<'_, '_>, KeyGroup<'_, '_>, &mut Scratch) -> Result<(), E>,
 ) -> Result<(), E> {
-    debug_assert!(left.windows(2).all(|w| w[0].key <= w[1].key), "left input not key-sorted");
-    debug_assert!(right.windows(2).all(|w| w[0].key <= w[1].key), "right input not key-sorted");
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        let lk = left[i].key;
-        let rk = right[j].key;
-        if lk < rk {
-            i += 1;
-        } else if lk > rk {
-            j += 1;
-        } else {
-            let i_end = left[i..].iter().position(|e| e.key != lk).map_or(left.len(), |p| i + p);
-            let j_end = right[j..].iter().position(|e| e.key != rk).map_or(right.len(), |p| j + p);
-            f(&left[i..i_end], &right[j..j_end])?;
-            i = i_end;
-            j = j_end;
+    for_each_group(runs, |_, group, scratch| {
+        let (l, r) = group.split_at(left.min(runs.len()));
+        match (l.len(), r.len()) {
+            (0, _) | (_, 0) => Ok(()),
+            _ => f(l, r, scratch),
         }
-    }
-    Ok(())
-}
-
-/// One joined row.
-#[inline]
-fn joined(l: &Event, r: &Event) -> KeyValue {
-    KeyValue::new(l.key, ((l.value as u64) << 32) | r.value as u64)
+    })
 }
 
 /// Exactly how many rows [`join_by_key_into`] appends: the sum over shared
-/// keys of the product of the two run lengths (saturating — a product that
-/// large cannot be produced anyway).
-pub fn join_len(left: &[Event], right: &[Event]) -> usize {
+/// keys of the product of the two sides' record counts (saturating — a
+/// product that large cannot be produced anyway).
+pub fn join_len(runs: &[&[Event]], left: usize) -> usize {
     let mut len = 0usize;
-    infallible(for_each_match(left, right, |l, r| {
+    infallible(for_each_match(runs, left, |l, r, _| {
         len = len.saturating_add(l.len().saturating_mul(r.len()));
         Ok(())
     }));
@@ -66,21 +53,34 @@ pub fn join_len(left: &[Event], right: &[Event]) -> usize {
 /// within a key left-major (each left event against every right event, in
 /// input order).
 pub fn join_by_key(left: &[Event], right: &[Event]) -> Vec<KeyValue> {
-    let mut out = Vec::with_capacity(join_len(left, right));
-    infallible(join_by_key_into(left, right, &mut out));
+    let runs = [left, right];
+    let mut out = Vec::with_capacity(join_len(&runs, 1));
+    infallible(join_by_key_into(&runs, 1, &mut out));
     out
 }
 
-/// The Join kernel: append the joined rows to `sink`.
+/// The Join kernel: append to `sink` the join of the left side's runs
+/// (`runs[..left]`) with the right side's (`runs[left..]`). Rows come in
+/// key order, and within a key left-major, each side's records run by run:
+/// the order the join of the two sides, each merged first, gives.
 pub fn join_by_key_into<S: RecordSink<KeyValue>>(
-    left: &[Event],
-    right: &[Event],
+    runs: &[&[Event]],
+    left: usize,
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    for_each_match(left, right, |l_run, r_run| {
-        for l in l_run {
-            for r in r_run {
-                sink.push(joined(l, r))?;
+    for_each_match(runs, left, |l_group, r_group, Scratch { values: right, .. }| {
+        // The key's right values, gathered once, so that every left record
+        // meets them as one slice.
+        right.clear();
+        for part in r_group.parts() {
+            right.extend(part.iter().map(|e| e.value));
+        }
+        for part in l_group.parts() {
+            for l in part {
+                let high = (l.value as u64) << 32;
+                for &r in right.iter() {
+                    sink.push(KeyValue::new(l.key, high | r as u64))?;
+                }
             }
         }
         Ok(())
@@ -124,7 +124,7 @@ mod tests {
                 row(7, 2, 30)
             ]
         );
-        assert_eq!(join_len(&left, &right), 6);
+        assert_eq!(join_len(&[&left, &right], 1), 6);
     }
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
         assert!(join_by_key(&left, &right).is_empty());
         assert!(join_by_key(&[], &right).is_empty());
         assert!(join_by_key(&left, &[]).is_empty());
-        assert_eq!(join_len(&left, &right), 0);
+        assert_eq!(join_len(&[&left, &right], 1), 0);
     }
 
     proptest! {
@@ -157,7 +157,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(join_len(&l, &r), expected.len());
+            prop_assert_eq!(join_len(&[&l, &r], 1), expected.len());
             prop_assert_eq!(got, expected);
         }
 
@@ -174,7 +174,7 @@ mod tests {
             }
             let expected: u64 = counts.values().map(|n| n * n).sum();
             prop_assert_eq!(out.len() as u64, expected);
-            prop_assert_eq!(join_len(&events, &events) as u64, expected);
+            prop_assert_eq!(join_len(&[&events, &events], 1) as u64, expected);
         }
     }
 }

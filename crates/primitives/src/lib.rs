@@ -19,10 +19,13 @@
 //! the same kernel over a `Vec`. Sort is the exception that proves the
 //! rule: [`sort_events_in_place`] rewrites its array where it lies, so the
 //! data plane can sort a consumed uArray in its own pages (or a fresh copy
-//! of a shared one), and `sort_events_by_*` sort a copy. Where the output size is not implied by the
-//! input lengths a cheap `…_len` pass (or a run over
-//! [`sbt_types::RecordCount`]) gives it exactly, for producers that reserve
-//! before they write.
+//! of a shared one), and `sort_events_by_*` sort a copy. The keyed kernels
+//! (the per-key aggregates, TopKPerKey, Join) take a window's key-sorted
+//! runs and read them where they lie, key by key, in the order a `MergeK`
+//! of the runs would give; their `Vec` functions are the one-run case.
+//! Where the output size is not implied by the input lengths a cheap
+//! `…_len` pass (or a run over [`sbt_types::RecordCount`]) gives it
+//! exactly, for producers that reserve before they write.
 //!
 //! All primitives are pure functions of their inputs, which is what lets the
 //! cloud verifier reason about dataflow without re-executing them, and what

@@ -1,11 +1,14 @@
 //! The Merge / MergeK trusted primitives (§5).
 //!
-//! Sorted runs produced by parallel Sort invocations are combined by merge
-//! passes: `Merge` joins two runs, `MergeK` joins all of a window's runs in
-//! one pass over a tournament of run heads, copying each stretch of a run
-//! that stays ahead of every other head with one `extend_from_slice`.
+//! Sorted runs produced by parallel Sort invocations can be combined by
+//! merge passes: `Merge` joins two runs, `MergeK` any number in one pass.
+//! A window's fire merges nothing: its keyed reduce reads the sorted runs
+//! where they lie through the key-group walker ([`crate::grouped`]), in the
+//! order `MergeK` copies them out in, and merging pairwise from the left
+//! is the definition both are tested against.
 
-use crate::scratch::with_scratch;
+use crate::grouped::walk_key_groups;
+use crate::scratch::{with_scratch, Scratch};
 use sbt_types::{infallible, Event, RecordSink};
 
 /// Merge two event runs that are each sorted by key, preserving the relative
@@ -39,75 +42,19 @@ pub fn merge_sorted_by_key_into<S: RecordSink<Event>>(
 
 /// The MergeK kernel over event runs: append the stable merge of all `runs`
 /// (equal keys in run order) to `sink` — what merging them pairwise from the
-/// left yields, without the intermediate arrays.
-///
-/// The run heads play a tournament: a winner tree (a min-heap whose every
-/// node holds the least `(head key << 32) | run` word below it) of one leaf
-/// per run, so ties between equal keys go to the earlier run. Each record
-/// taken replays one leaf-to-root path, branch-free. When the same run wins
-/// twice in a row, the stretch of it that stays ahead of the runner-up is
-/// found by galloping and appended with one `extend_from_slice`. The tree
-/// and the run cursors live in this thread's scratch: after the first call
-/// with as many runs, the kernel allocates nothing of its own.
+/// left yields, without the intermediate arrays. It is the key-group walker
+/// copying each run's stretch of each key with one `extend_from_slice`;
+/// over a run that is not sorted it still appends every record exactly
+/// once.
 pub fn merge_runs_by_key_into<S: RecordSink<Event>>(
     runs: &[&[Event]],
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    const RUN: u64 = 0xFFFF_FFFF;
-    const DONE: u64 = u64::MAX;
-    let word = |key: u32, run: usize| (key as u64) << 32 | run as u64;
-    let leaves = runs.len().next_power_of_two();
-    with_scratch(|scratch| {
-        let (tree, cursors) = (&mut scratch.packed, &mut scratch.spare);
-        tree.clear();
-        tree.resize(2 * leaves, DONE);
-        for (r, run) in runs.iter().enumerate() {
-            tree[leaves + r] = run.first().map_or(DONE, |head| word(head.key, r));
-        }
-        for i in (1..leaves).rev() {
-            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
-        }
-        cursors.clear();
-        cursors.resize(runs.len(), 0);
-        let mut previous = usize::MAX;
-        while tree[1] != DONE {
-            let r = (tree[1] & RUN) as usize;
-            let rest = &runs[r][cursors[r] as usize..];
-            let taken = if r == previous {
-                let runner_up = (0..).map(|level| (leaves + r) >> level).take_while(|&i| i > 1);
-                let next = runner_up.map(|i| tree[i ^ 1]).min().unwrap_or(DONE);
-                let taken = stretch(rest, |e| word(e.key, r) < next);
-                sink.extend_from_slice(&rest[..taken])?;
-                taken
-            } else {
-                sink.push(rest[0])?;
-                1
-            };
-            cursors[r] += taken as u64;
-            let mut i = leaves + r;
-            let mut winner = rest.get(taken).map_or(DONE, |head| word(head.key, r));
-            tree[i] = winner;
-            while i > 1 {
-                winner = winner.min(tree[i ^ 1]);
-                i >>= 1;
-                tree[i] = winner;
-            }
-            previous = r;
-        }
-        Ok(())
+    with_scratch(|Scratch { spans, .. }| {
+        walk_key_groups(runs, spans, |_, group| {
+            group.parts().try_for_each(|part| sink.extend_from_slice(part))
+        })
     })
-}
-
-/// How many leading records of `run` are `ahead`, given that the first is:
-/// galloping, so a stretch of n costs O(log n) comparisons. At least one,
-/// so a run that is not sorted cannot stall the merge.
-fn stretch(run: &[Event], ahead: impl Fn(&Event) -> bool) -> usize {
-    let mut bound = 1;
-    while bound < run.len() && ahead(&run[bound]) {
-        bound *= 2;
-    }
-    let from = bound / 2 + 1;
-    from + run[from..bound.min(run.len())].partition_point(ahead)
 }
 
 #[cfg(test)]

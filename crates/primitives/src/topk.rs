@@ -2,13 +2,13 @@
 //! statistics they share with Median.
 //!
 //! TopK identifies the K largest values in a window; TopKPerKey does the
-//! same within each key group of a key-sorted array (the TopK benchmark of
-//! §9.2). Both stay array-based — no heap of nodes — but neither sorts what
-//! it does not keep: the group's values are copied into the thread's scratch,
-//! partitioned around the K-th largest (`select_nth_unstable`, linear), and
-//! only the kept prefix is ordered — by a comparison sort while it is short,
-//! by the radix kernel over four bytes once it is long enough to repay the
-//! kernel's fixed histogram cost.
+//! same within each key group of key-sorted runs, read where they lie (the
+//! TopK benchmark of §9.2). Both stay array-based — no heap of nodes — but
+//! neither sorts what it does not keep: the group's values are copied into
+//! the thread's scratch, partitioned around the K-th largest
+//! (`select_nth_unstable`, linear), and only the kept prefix is ordered —
+//! by a comparison sort while it is short, by the radix kernel over four
+//! bytes once it is long enough to repay the kernel's fixed histogram cost.
 //!
 //! One strategy on purpose. A bounded insertion buffer (keep the K largest
 //! seen so far, shift on insert) was measured against it on the reference
@@ -34,18 +34,22 @@ use sbt_types::{infallible, Event, KeyValue, RecordSink};
 const RADIX_MIN_LEN: usize = 1_024;
 
 /// Leave in `scratch.values` the `k` largest values of the events of
-/// `runs`, descending (duplicates kept; all of them if there are fewer
+/// `parts`, descending (duplicates kept; all of them if there are fewer
 /// than `k`).
-fn largest_values_desc(runs: &[&[Event]], k: usize, scratch: &mut Scratch) {
+fn largest_values_desc<'a>(
+    parts: impl Iterator<Item = &'a [Event]>,
+    k: usize,
+    scratch: &mut Scratch,
+) {
     let Scratch { packed, spare, values, .. } = scratch;
     values.clear();
     if k == 0 {
         return;
     }
-    // A run at a time: each extend knows its length, where one over
-    // every run would grow the buffer as it goes.
-    for run in runs {
-        values.extend(run.iter().map(|e| e.value));
+    // A part at a time: each extend knows its length, where one over
+    // every part would grow the buffer as it goes.
+    for part in parts {
+        values.extend(part.iter().map(|e| e.value));
     }
     if k < values.len() {
         values.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
@@ -84,15 +88,15 @@ pub fn top_k_by_value(events: &[Event], k: usize) -> Vec<u32> {
     out
 }
 
-/// The TopK kernel: append the `k` largest values of `events` to `sink`,
-/// descending, as whatever scalar record the sink holds.
+/// The TopK kernel: append the `k` largest values of the events of `runs`
+/// to `sink`, descending, as whatever scalar record the sink holds.
 pub fn top_k_by_value_into<R: From<u32>, S: RecordSink<R>>(
     runs: &[&[Event]],
     k: usize,
     sink: &mut S,
 ) -> Result<(), S::Error> {
     with_scratch(|scratch| {
-        largest_values_desc(runs, k, scratch);
+        largest_values_desc(runs.iter().copied(), k, scratch);
         scratch.values.iter().try_for_each(|v| sink.push(R::from(*v)))
     })
 }
@@ -100,34 +104,34 @@ pub fn top_k_by_value_into<R: From<u32>, S: RecordSink<R>>(
 /// For each key in a key-sorted array, the `k` largest values in descending
 /// order, as `(key, value)` records ordered by key.
 pub fn top_k_per_key(sorted_events: &[Event], k: usize) -> Vec<KeyValue> {
-    let mut out = Vec::with_capacity(top_k_per_key_len(sorted_events, k));
-    infallible(top_k_per_key_into(sorted_events, k, &mut out));
+    let runs = [sorted_events];
+    let mut out = Vec::with_capacity(top_k_per_key_len(&runs, k));
+    infallible(top_k_per_key_into(&runs, k, &mut out));
     out
 }
 
-/// Exactly how many records [`top_k_per_key_into`] appends: a pass over the
-/// key runs only, so a caller can reserve the output before producing it.
-pub fn top_k_per_key_len(sorted_events: &[Event], k: usize) -> usize {
+/// Exactly how many records [`top_k_per_key_into`] appends: a walk over the
+/// runs' keys only, so a caller can reserve the output before producing it.
+pub fn top_k_per_key_len(runs: &[&[Event]], k: usize) -> usize {
     let mut len = 0usize;
-    infallible(for_each_group(sorted_events, |_, group| {
+    infallible(for_each_group(runs, |_, group, _| {
         len += group.len().min(k);
         Ok(())
     }));
     len
 }
 
-/// The TopKPerKey kernel: one pass over the key runs of a key-sorted array,
-/// each run's `k` largest values appended to `sink` as it ends.
+/// The TopKPerKey kernel: one walk over the keys of the key-sorted `runs`,
+/// each key's `k` largest values (over every run) appended to `sink` as it
+/// ends.
 pub fn top_k_per_key_into<S: RecordSink<KeyValue>>(
-    sorted_events: &[Event],
+    runs: &[&[Event]],
     k: usize,
     sink: &mut S,
 ) -> Result<(), S::Error> {
-    with_scratch(|scratch| {
-        for_each_group(sorted_events, |key, group| {
-            largest_values_desc(&[group], k, scratch);
-            scratch.values.iter().try_for_each(|v| sink.push(KeyValue::new(key, *v as u64)))
-        })
+    for_each_group(runs, |key, group, scratch| {
+        largest_values_desc(group.parts(), k, scratch);
+        scratch.values.iter().try_for_each(|v| sink.push(KeyValue::new(key, *v as u64)))
     })
 }
 
@@ -168,8 +172,8 @@ mod tests {
         let out = top_k_per_key(&events, 2);
         let kv = KeyValue::new;
         assert_eq!(out, vec![kv(1, 50), kv(1, 40), kv(2, 30), kv(2, 20)]);
-        assert_eq!(top_k_per_key_len(&events, 2), 4);
-        assert_eq!(top_k_per_key_len(&events, 5), 5);
+        assert_eq!(top_k_per_key_len(&[&events], 2), 4);
+        assert_eq!(top_k_per_key_len(&[&events], 5), 5);
     }
 
     #[test]
@@ -200,7 +204,7 @@ mod tests {
             let events: Vec<Event> = pairs.iter().map(|(key, v)| Event::new(*key, *v, 0)).collect();
             let sorted = sort_events_by_key(&events);
             let got = top_k_per_key(&sorted, k);
-            prop_assert_eq!(got.len(), top_k_per_key_len(&sorted, k));
+            prop_assert_eq!(got.len(), top_k_per_key_len(&[&sorted], k));
             // Reference.
             let mut by_key: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
             for (key, v) in &pairs {

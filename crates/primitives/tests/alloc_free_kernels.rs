@@ -9,9 +9,12 @@
 //! output buffer through the `Vec`-returning functions. Segment opens one
 //! sink per output window and allocates nothing else.
 //!
-//! MergeK keeps its heap and run cursors in the same scratch, so it too is
-//! clean once warmed. CI runs this in `--release` as well (Sort, Merge,
-//! MergeK, TopKPerKey, Join, …): a debug build re-walks every input in
+//! The key-group walker keeps its span per run in the same scratch, so it
+//! is clean once warmed — and so are MergeK, which is that walk, and the
+//! keyed kernels that read a window's sorted runs where they lie
+//! (TopKPerKey, MedianPerKey, Join, …), at `topk`'s two runs and at a
+//! window of 25. CI runs this in `--release` as well (Sort, Merge, MergeK,
+//! TopKPerKey, Join, …): a debug build re-walks every input in
 //! `debug_assert!(sorted)`, which allocates nothing either but is slow.
 
 use sbt_primitives as prim;
@@ -51,16 +54,50 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
     // A window's 25 partitions, each sorted: MergeK's input.
     let sorted_runs: Vec<Vec<Event>> = events.chunks(2_000).map(prim::sort_events_by_key).collect();
     let runs: Vec<&[Event]> = sorted_runs.iter().map(Vec::as_slice).collect();
+    // `topk`'s window: two sorted runs of 50 000 events over 1 000 keys.
+    let topk_window: Vec<Vec<Event>> =
+        stream(100_000, 1_000, 1_000).chunks(50_000).map(prim::sort_events_by_key).collect();
+    let topk_runs: Vec<&[Event]> = topk_window.iter().map(Vec::as_slice).collect();
+    // `join`'s window: two sorted runs a side over 10 000 keys, and the 25
+    // runs split 12 left, 13 right.
+    let join_window: Vec<Vec<Event>> = (0..4)
+        .map(|side| prim::sort_events_by_key(&stream(20_000 + side, 10_000, 1_000)))
+        .collect();
+    let join_runs: Vec<&[Event]> = join_window.iter().map(Vec::as_slice).collect();
+    let joins = [(&join_runs, 2), (&runs, 12)];
 
     // The sinks stand in for reserved uArrays: sized once, outside the count.
     let mut events_out: Vec<Event> = Vec::with_capacity(events.len());
-    let mut pairs_out: Vec<KeyValue> = Vec::with_capacity(prim::join_len(&left, &right));
+    let most_rows = joins.iter().map(|(runs, left)| prim::join_len(runs, *left)).max();
+    let mut pairs_out: Vec<KeyValue> =
+        Vec::with_capacity(most_rows.unwrap().max(prim::join_len(&[&left, &right], 1)));
     let mut scalars_out: Vec<u64> = Vec::with_capacity(events.len());
 
     let mut round = |measured: bool| {
         let check = |name: &str, allocs: u64| {
             assert!(!measured || allocs == 0, "{name} allocated {allocs} times in steady state");
         };
+        for (shape, window) in [("topk's 2 runs", &topk_runs), ("25 runs", &runs)] {
+            let walk = allocations(|| prim::key_runs(window));
+            check(&format!("the key-group walker over {shape}"), walk.0);
+            assert_eq!(walk.1, 1_000, "{shape}: one group per key");
+            pairs_out.clear();
+            let topk =
+                allocations(|| infallible(prim::top_k_per_key_into(window, 10, &mut pairs_out)));
+            check(&format!("TopKPerKey over {shape}"), topk.0);
+            assert_eq!(pairs_out.len(), prim::top_k_per_key_len(window, 10));
+            pairs_out.clear();
+            let median =
+                allocations(|| infallible(prim::median_per_key_into(window, &mut pairs_out)));
+            check(&format!("MedianPerKey over {shape}"), median.0);
+        }
+        for (window, left) in joins {
+            pairs_out.clear();
+            let join =
+                allocations(|| infallible(prim::join_by_key_into(window, left, &mut pairs_out)));
+            check(&format!("Join over {} runs", window.len()), join.0);
+            assert_eq!(pairs_out.len(), prim::join_len(window, left));
+        }
         events_out.clear();
         events_out.extend_from_slice(&events);
         let sort = allocations(|| prim::sort_events_in_place(&mut events_out, |e| e.key));
@@ -85,16 +122,17 @@ fn kernels_over_a_reserved_sink_allocate_nothing_after_warm_up() {
         assert_eq!(events_out, sorted, "MergeK of the sorted runs");
         pairs_out.clear();
         let topk =
-            allocations(|| infallible(prim::top_k_per_key_into(&sorted, 10, &mut pairs_out)));
+            allocations(|| infallible(prim::top_k_per_key_into(&[&sorted], 10, &mut pairs_out)));
         check("TopKPerKey", topk.0);
-        assert_eq!(pairs_out.len(), prim::top_k_per_key_len(&sorted, 10));
+        assert_eq!(pairs_out.len(), prim::top_k_per_key_len(&[&sorted], 10));
         pairs_out.clear();
         let join =
-            allocations(|| infallible(prim::join_by_key_into(&left, &right, &mut pairs_out)));
+            allocations(|| infallible(prim::join_by_key_into(&[&left, &right], 1, &mut pairs_out)));
         check("Join", join.0);
-        assert_eq!(pairs_out.len(), pairs_out.capacity(), "join_len reserved exactly");
+        assert_eq!(pairs_out.len(), prim::join_len(&[&left, &right], 1), "join_len is exact");
         pairs_out.clear();
-        let median = allocations(|| infallible(prim::median_per_key_into(&sorted, &mut pairs_out)));
+        let median =
+            allocations(|| infallible(prim::median_per_key_into(&[&sorted], &mut pairs_out)));
         check("MedianPerKey", median.0);
         scalars_out.clear();
         let top = allocations(|| {

@@ -7,13 +7,12 @@
 //! fast ingest is. Without the rule its ingest runs as many windows ahead
 //! as the fire is slow, every one of them resident, until a batch trips the
 //! quota (the regime hardware-speed decryption put `tenants4_small_batch`
-//! in: ingest outruns the TopK tenant's sort-and-MergeK fire severalfold).
+//! in: ingest outruns the TopK tenant's sort-and-reduce fire severalfold).
 //!
 //! The bound is structural, so the assertion needs no timing: the slow
-//! tenant's quota holds two of its windows (one firing — inputs, then their
-//! sorted copies and the one merged copy as the inputs retire — and one
-//! waiting), not the five or more that unbounded run-ahead piles up over
-//! this stream.
+//! tenant's quota holds two of its windows (one firing — its array, sorted
+//! in its own pages, and the reduce's output — and one waiting), not the
+//! five or more that unbounded run-ahead piles up over this stream.
 
 use sbt_attest::verify_tenant_trail;
 use sbt_crypto::MasterSecret;
@@ -25,8 +24,9 @@ use sbt_workloads::transport::Channel;
 
 const WINDOWS: u32 = 14;
 const BATCH: usize = 1_000;
-/// The slow tenant's window: 40 000 events, 480 KB resident. Its fire sorts
-/// 40 partitions and joins them with one 40-way MergeK.
+/// The slow tenant's window: 40 000 events, 480 KB resident, one array (a
+/// server lane sends a window's batches as one group). Its fire sorts the
+/// array in its own pages and reduces it where it lies.
 const SLOW_WINDOW: usize = 40_000;
 /// The other three tenants' window.
 const FAST_WINDOW: usize = 5_000;

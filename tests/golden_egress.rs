@@ -173,8 +173,9 @@ fn topk_egress_is_pinned() {
     pinned_on_both(
         "5bcffd09e6fdea3978c35991d56525e1d9b87806c0fcca980744a42fffac0144",
         [
-            "7207532b2af6b11e2a8f891168e2afa56cd8b33136ebbf87936ca282b1613933",
-            "d545b23a30579482e63de071db78e6b9c96e9537d7054d01cb465f203aa23a86",
+            // The reduce names the window's sorted runs: no `MergeK`.
+            "27c960348cc31fbd216e89c87c10d6b94cc0ef5a95dfa64e41c58833acca18ee",
+            "4292e933730522a8a3244754f6aa3def0caf9f7395d05d960820dcbe15e7b950",
         ],
         |workers| {
             let chunks = synthetic_stream(WINDOWS, 10_000, 1_000, SEED);
@@ -189,8 +190,9 @@ fn join_egress_is_pinned() {
     pinned_on_both(
         "732a61e8ac35a0bd1b1732a36bff9680a1f9ad0de48299a2ae8998e3d49351b8",
         [
-            "f9948715867b988d4746fc8b40accc0b0f059defcb92cc1e3b67c3107e4feb62",
-            "f9948715867b988d4746fc8b40accc0b0f059defcb92cc1e3b67c3107e4feb62",
+            // The join names both sides' sorted runs: no `MergeK`.
+            "5062ca0526a902414730b74157b42ef7a0475b53324ea26dddacc5287196b606",
+            "5062ca0526a902414730b74157b42ef7a0475b53324ea26dddacc5287196b606",
         ],
         |workers| {
             let left = synthetic_stream(WINDOWS, 4_000, 10_000, SEED);
